@@ -22,6 +22,7 @@ import (
 
 	"github.com/gear-image/gear/internal/registry"
 	"github.com/gear-image/gear/internal/telemetry"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 func main() {
@@ -38,17 +39,12 @@ func run() error {
 	reg := registry.New()
 	mux := http.NewServeMux()
 	mux.Handle("/v2/", registry.NewHandler(reg))
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		s := reg.Stats()
-		fmt.Fprintf(w, "manifests=%d blobs=%d blobBytes=%d manifestBytes=%d dedupHits=%d\n",
-			s.Manifests, s.Blobs, s.BlobBytes, s.ManifestBytes, s.DedupHits)
-	})
-	mux.Handle("/metrics", telemetry.Handler(reg))
+	mux.Handle("/metrics", wire.NewHandler(nil, telemetry.Verb("/metrics", reg)))
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
 	log.Printf("docker-registry listening on %s", ln.Addr())
-	return http.Serve(ln, mux)
+	return wire.Serve(ln, mux)
 }

@@ -21,6 +21,7 @@ import (
 
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/telemetry"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 func main() {
@@ -40,17 +41,12 @@ func run() error {
 	reg := gearregistry.New(gearregistry.Options{Compress: *compress})
 	mux := http.NewServeMux()
 	mux.Handle("/gear/", gearregistry.NewHandler(reg))
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		s := reg.Stats()
-		fmt.Fprintf(w, "objects=%d storedBytes=%d logicalBytes=%d dedupHits=%d\n",
-			s.Objects, s.StoredBytes, s.LogicalBytes, s.DedupHits)
-	})
-	mux.Handle("/metrics", telemetry.Handler(reg))
+	mux.Handle("/metrics", wire.NewHandler(nil, telemetry.Verb("/metrics", reg)))
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
 	log.Printf("gear-registry listening on %s (compress=%v)", ln.Addr(), *compress)
-	return http.Serve(ln, mux)
+	return wire.Serve(ln, mux)
 }

@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/dockersim"
 	"github.com/gear-image/gear/internal/fleet"
@@ -45,6 +46,7 @@ import (
 	"github.com/gear-image/gear/internal/registry"
 	"github.com/gear-image/gear/internal/shardreg"
 	"github.com/gear-image/gear/internal/telemetry"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 func main() {
@@ -325,7 +327,7 @@ func cmdProfile(args []string) error {
 }
 
 // cmdStats fetches a server's unified telemetry snapshot (any endpoint
-// serving telemetry.Handler: a gear-registry's or docker-registry's
+// serving telemetry.Verb: a gear-registry's or docker-registry's
 // /metrics, a tracker's /peer/metrics, a library's /profile/metrics),
 // optionally diffs it against a previously saved snapshot, and renders
 // it as text or JSON. -save persists the raw (undiffed) snapshot so a
@@ -342,19 +344,11 @@ func cmdStats(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	resp, err := http.Get(strings.TrimSuffix(*url, "/") + *path)
+	reply, err := wire.NewClient("stats", *url, nil, clientopt.Options{}, nil).Do(http.MethodGet, *path, nil)
 	if err != nil {
-		return fmt.Errorf("stats: %w", err)
+		return err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("stats: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("stats: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	snap, err := telemetry.DecodeSnapshot(body)
+	snap, err := telemetry.DecodeSnapshot(reply.Body)
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}

@@ -19,6 +19,7 @@ import (
 	"github.com/gear-image/gear/internal/registry"
 	"github.com/gear-image/gear/internal/shardreg"
 	"github.com/gear-image/gear/internal/telemetry"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -191,7 +192,7 @@ func checkStatsGolden(t *testing.T, name string, got []byte) {
 func TestStatsSubcommand(t *testing.T) {
 	reg := statsRegistry()
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", telemetry.Handler(reg))
+	mux.Handle("/metrics", wire.NewHandler(nil, telemetry.Verb("/metrics", reg)))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 

@@ -80,6 +80,7 @@ import (
 	"github.com/gear-image/gear/internal/slacker"
 	"github.com/gear-image/gear/internal/telemetry"
 	"github.com/gear-image/gear/internal/vfs"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 // Content addressing.
@@ -422,7 +423,9 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 
 // MetricsHandler serves src's snapshot as indented JSON on GET — the
 // /metrics endpoint every bundled server mounts.
-func MetricsHandler(src telemetry.Snapshotter) http.Handler { return telemetry.Handler(src) }
+func MetricsHandler(src telemetry.Snapshotter) http.Handler {
+	return wire.NewHandler(nil, telemetry.Verb("*", src))
+}
 
 // NewTracker returns an empty peer tracker publishing into a private
 // metrics registry.
@@ -489,15 +492,6 @@ func NewProfileLibraryClientWithOptions(baseURL string, o ClientOptions) (*Profi
 		return nil, err
 	}
 	return prefetch.NewLibraryClientWithOptions(baseURL, o), nil
-}
-
-// NewProfileLibraryClient returns a client for the library at baseURL
-// with the shared retry/backoff/timeout client configuration.
-//
-// Deprecated: use NewProfileLibraryClientWithOptions, which follows
-// the unified (T, error) constructor shape.
-func NewProfileLibraryClient(baseURL string, o ClientOptions) *ProfileLibraryClient {
-	return prefetch.NewLibraryClientWithOptions(baseURL, o)
 }
 
 // Experiments.

@@ -392,9 +392,6 @@ func TestPublicClientConstructors(t *testing.T) {
 	if _, err := gear.NewProfileLibraryClientWithOptions("http://profiles.local", gear.ClientOptions{}); err != nil {
 		t.Errorf("profile library client: %v", err)
 	}
-	if c := gear.NewProfileLibraryClient("http://profiles.local", gear.ClientOptions{}); c == nil {
-		t.Error("deprecated profile library constructor returned nil")
-	}
 }
 
 func TestPublicBuildIndexChunked(t *testing.T) {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -67,20 +68,33 @@ func TestConcurrentLinkPins(t *testing.T) {
 					}
 					fp := fpOf(fmt.Sprintf("pinner %d", g))
 					for i := 0; i < rounds; i++ {
-						content, err := c.Put(fp, []byte("abcdefgh"))
-						if err != nil {
-							t.Errorf("put: %v", err)
-							return
-						}
-						if err := f.PutContent("/index/file", content, 0o644); err != nil {
-							t.Errorf("link: %v", err)
-							return
+						// The link races the churn: until it lands the entry
+						// is unpinned, and a writer may evict it between Put
+						// and PutContent, leaving the link on an orphan.
+						// Insert and relink until the linked content is the
+						// cached one; every round gets there.
+						for pinned := false; !pinned; {
+							content, err := c.Put(fp, []byte("abcdefgh"))
+							if err != nil {
+								t.Errorf("put: %v", err)
+								return
+							}
+							if err := f.PutContent("/index/file", content, 0o644); err != nil {
+								t.Errorf("link: %v", err)
+								return
+							}
+							cached, ok := c.Peek(fp)
+							pinned = ok && cached == content
 						}
 						// While linked, the entry must be unevictable no
-						// matter how hard the writers churn.
-						if !c.Contains(fp) {
-							t.Errorf("pinner %d round %d: pinned entry evicted", g, i)
-							return
+						// matter how hard the writers churn: watch it across
+						// a stretch of their evictions.
+						for k := 0; k < 8; k++ {
+							if !c.Contains(fp) {
+								t.Errorf("pinner %d round %d: pinned entry evicted", g, i)
+								return
+							}
+							runtime.Gosched()
 						}
 						if got, ok := c.Get(fp); ok && string(got.Data()) != "abcdefgh" {
 							t.Errorf("pinner %d: content corrupted", g)

@@ -33,12 +33,7 @@ type Options struct {
 
 // Attempts returns the total try budget (first try + retries),
 // never below 1.
-func (o Options) Attempts() int {
-	if o.Retries < 0 {
-		return 1
-	}
-	return o.Retries + 1
-}
+func (o Options) Attempts() int { return max(o.Retries, 0) + 1 }
 
 // HTTPClient returns an http.Client honoring o.Timeout. With a zero
 // Timeout it returns nil so callers fall back to their existing
@@ -56,9 +51,5 @@ func (o Options) Sleep(retry int) {
 	if retry <= 0 || o.Backoff <= 0 {
 		return
 	}
-	shift := retry - 1
-	if shift > MaxBackoffShift {
-		shift = MaxBackoffShift
-	}
-	time.Sleep(o.Backoff << shift)
+	time.Sleep(o.Backoff << min(retry-1, MaxBackoffShift))
 }

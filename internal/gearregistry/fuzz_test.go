@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 // FuzzBatchHandler: the /gear/batch handler must never panic on
@@ -41,17 +42,17 @@ func FuzzBatchHandler(f *testing.F) {
 
 			switch rec.Code {
 			case http.StatusOK:
-				objects, err := parseBatchResponse(rec.Body.Bytes())
+				objects, err := wire.ParseFrames(rec.Body.Bytes())
 				if err != nil {
 					t.Fatalf("200 response does not parse: %v", err)
 				}
 				for _, o := range objects {
-					if err := o.fp.Validate(); err != nil {
-						t.Fatalf("served invalid fingerprint %q", o.fp)
+					if err := o.FP.Validate(); err != nil {
+						t.Fatalf("served invalid fingerprint %q", o.FP)
 					}
-					present, err := reg.Query(o.fp)
+					present, err := reg.Query(o.FP)
 					if err != nil || !present {
-						t.Fatalf("served object %s the registry does not hold", o.fp)
+						t.Fatalf("served object %s the registry does not hold", o.FP)
 					}
 				}
 			case http.StatusBadRequest, http.StatusNotFound:
@@ -92,7 +93,7 @@ func FuzzQueryBatchHandler(f *testing.F) {
 
 		switch rec.Code {
 		case http.StatusOK:
-			present, fps, err := parseQueryBatchResponse(rec.Body.Bytes())
+			fps, present, err := wire.ParseVerdicts(rec.Body.Bytes())
 			if err != nil {
 				t.Fatalf("200 response does not parse: %v", err)
 			}
@@ -113,59 +114,6 @@ func FuzzQueryBatchHandler(f *testing.F) {
 			// not panic or answer a partial batch.
 		default:
 			t.Fatalf("unexpected status %d", rec.Code)
-		}
-	})
-}
-
-// FuzzParseQueryBatchResponse: the client-side verdict parser must never
-// panic and must only accept well-formed fingerprint/verdict lines.
-func FuzzParseQueryBatchResponse(f *testing.F) {
-	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e present\n"))
-	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e absent\n"))
-	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e-c2 present\n"))
-	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e maybe\n"))
-	f.Add([]byte("zzzz present\n"))
-	f.Add([]byte("no verdict"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		present, fps, err := parseQueryBatchResponse(data)
-		if err != nil {
-			return
-		}
-		if len(present) != len(fps) {
-			t.Fatalf("%d verdicts for %d fingerprints", len(present), len(fps))
-		}
-		for _, fp := range fps {
-			if err := fp.Validate(); err != nil {
-				t.Fatalf("accepted invalid fingerprint %q", fp)
-			}
-		}
-	})
-}
-
-// FuzzParseBatchResponse: the client-side frame parser must never panic
-// and must only accept frames whose payload lengths are consistent.
-func FuzzParseBatchResponse(f *testing.F) {
-	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 5 raw\nhello"))
-	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 0 gzip\n"))
-	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 99 raw\nshort"))
-	f.Add([]byte("zzzz 5 raw\nhello"))
-	f.Add([]byte("no header"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		objects, err := parseBatchResponse(data)
-		if err != nil {
-			return
-		}
-		var total int
-		for _, o := range objects {
-			if err := o.fp.Validate(); err != nil {
-				t.Fatalf("accepted invalid fingerprint %q", o.fp)
-			}
-			total += len(o.stored)
-		}
-		if total > len(data) {
-			t.Fatalf("parsed %d payload bytes from %d input bytes", total, len(data))
 		}
 	})
 }

@@ -19,6 +19,7 @@ import (
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/tarstream"
 	"github.com/gear-image/gear/internal/telemetry"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 // Errors returned by Gear Registry operations.
@@ -187,22 +188,21 @@ func (r *Registry) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 	return stored, wire, nil
 }
 
-// downloadWire returns the stored bytes exactly as they would cross the
-// wire, plus whether they are gzip-framed. The HTTP handler serves this
-// so compression survives transport. It is a download entry point of
-// its own, so it ticks the request counter like Download does.
-func (r *Registry) downloadWire(fp hashing.Fingerprint) ([]byte, bool, error) {
+// Stored implements Pool: the stored bytes exactly as they would cross
+// the wire, so compression survives transport. It is a download entry
+// point of its own, so it ticks the request counter like Download does.
+func (r *Registry) Stored(fp hashing.Fingerprint) (wire.Object, error) {
 	r.downloads.Inc()
 	if err := fp.Validate(); err != nil {
-		return nil, false, fmt.Errorf("gearregistry: download: %w", err)
+		return wire.Object{}, fmt.Errorf("gearregistry: download: %w", err)
 	}
 	r.mu.RLock()
 	stored, ok := r.objects[fp]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, false, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
+		return wire.Object{}, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
 	}
-	return stored, r.opts.Compress, nil
+	return wire.Object{FP: fp, Stored: stored, Gzip: r.opts.Compress}, nil
 }
 
 // Size returns the uncompressed size of a stored Gear file without

@@ -4,312 +4,202 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
-	"github.com/gear-image/gear/internal/tarstream"
+	"github.com/gear-image/gear/internal/wire"
 )
 
-// HTTP wire protocol — the three interfaces named in §IV of the paper,
-// plus a garbage-collection verb for registry operators:
-//
-//	GET  /gear/query/{fingerprint}    -> 200 if present, 404 otherwise
-//	PUT  /gear/upload/{fingerprint}   <- file bytes
-//	GET  /gear/download/{fingerprint} -> file bytes
-//	POST /gear/batch                  <- newline-separated fingerprints
-//	                                  -> framed objects (see serveBatch)
-//	POST /gear/querybatch             <- newline-separated fingerprints
-//	                                  -> "<fingerprint> present|absent" lines
-//	                                     (see serveQueryBatch; bodies may be
-//	                                     gzip-framed via X-Gear-Encoding)
-//	POST /gear/gc                     <- newline-separated fingerprints to KEEP
-//	                                  -> "removed=N freed=M"
-//	GET  /gear/range/{fp}/{off}/{n}   -> strict range frame (see serveRange)
+// The Gear Registry's HTTP protocol: the verb tables below over
+// internal/wire. Framing and status map: DESIGN.md, "Wire protocols".
 
-// Handler adapts a Registry to HTTP.
-type Handler struct {
-	reg *Registry
+// statuses is the protocol's error table, read by the handlers one way
+// and the Client the other.
+var statuses = wire.Statuses{
+	{Err: ErrNotFound, Code: http.StatusNotFound},
+	{Err: ErrBadRange, Code: http.StatusRequestedRangeNotSatisfiable},
+	{Err: ErrFingerprintMismatch, Code: http.StatusBadRequest},
 }
 
-var _ http.Handler = (*Handler)(nil)
+// Pool is the read side of a Gear file pool, what the query, download
+// and batch verbs serve: a Registry, or a peer's cache.
+type Pool interface {
+	Query(fp hashing.Fingerprint) (bool, error)
+	// Stored returns the object exactly as it crosses the wire.
+	Stored(fp hashing.Fingerprint) (wire.Object, error)
+}
 
-// NewHandler wraps reg.
-func NewHandler(reg *Registry) *Handler { return &Handler{reg: reg} }
+// fpVerb is a verb whose path argument is one fingerprint; a path
+// without one is no route.
+func fpVerb(method, path string, serve func(w http.ResponseWriter, fp hashing.Fingerprint, body []byte) error) wire.Verb {
+	return wire.Verb{Method: method, Path: path, Check: wire.NeedArg, Serve: func(w http.ResponseWriter, r *wire.Request) error {
+		return serve(w, hashing.Fingerprint(r.Arg), r.Body)
+	}}
+}
 
-// ServeHTTP implements http.Handler.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/gear/gc" {
-		h.serveGC(w, r)
-		return
+// readVerbs is the read-only subset of the protocol over p.
+func readVerbs(p Pool) []wire.Verb {
+	return []wire.Verb{
+		fpVerb(http.MethodGet, "/gear/query/*", func(w http.ResponseWriter, fp hashing.Fingerprint, _ []byte) error {
+			present, err := p.Query(fp)
+			if err == nil && !present {
+				w.WriteHeader(http.StatusNotFound)
+			}
+			return err
+		}),
+		fpVerb(http.MethodGet, "/gear/download/*", func(w http.ResponseWriter, fp hashing.Fingerprint, _ []byte) error {
+			o, err := p.Stored(fp)
+			if err != nil {
+				return err
+			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			if o.Gzip {
+				w.Header().Set(wire.EncodingHeader, "gzip")
+			}
+			_, _ = w.Write(o.Stored)
+			return nil
+		}),
+		// Batches are all-or-nothing: every object is located before the
+		// first write, because a status can only be sent up front.
+		{Method: http.MethodPost, Path: "/gear/batch", Serve: func(w http.ResponseWriter, r *wire.Request) error {
+			fps := wire.List(r.Body)
+			objects := make([]wire.Object, len(fps))
+			for i, fp := range fps {
+				var err error
+				if objects[i], err = p.Stored(fp); err != nil {
+					return err
+				}
+			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			wire.WriteFrames(w, objects)
+			return nil
+		}},
 	}
-	if r.URL.Path == "/gear/batch" {
-		h.serveBatch(w, r)
-		return
-	}
-	if r.URL.Path == "/gear/querybatch" {
-		h.serveQueryBatch(w, r)
-		return
-	}
-	if strings.HasPrefix(r.URL.Path, "/gear/range/") {
-		h.serveRange(w, r)
-		return
-	}
-	verb, fp, ok := splitPath(r.URL.Path)
+}
+
+// errReadOnly refuses an upload to a read-only pool. Its text is on the
+// wire, and is the peer server's, the one read-only pool there is.
+var errReadOnly = wire.As(wire.ErrMethod, errors.New("peer: peers do not accept uploads"))
+
+// NewPoolHandler serves p over the registry's read verbs, so a stock
+// Client can query and download from it; uploads are refused.
+func NewPoolHandler(p Pool) *wire.Handler {
+	return wire.NewHandler(statuses, append(readVerbs(p),
+		fpVerb("", "/gear/upload/*", func(http.ResponseWriter, hashing.Fingerprint, []byte) error { return errReadOnly }))...)
+}
+
+// NewHandler serves reg over the whole protocol.
+func NewHandler(reg *Registry) *wire.Handler {
+	return wire.NewHandler(statuses, append(readVerbs(reg),
+		fpVerb(http.MethodPut, "/gear/upload/*", func(w http.ResponseWriter, fp hashing.Fingerprint, body []byte) error {
+			if err := reg.Upload(fp, body); err != nil {
+				return err
+			}
+			w.WriteHeader(http.StatusCreated)
+			return nil
+		}),
+		wire.Verb{Method: http.MethodPost, Path: "/gear/querybatch", Serve: func(w http.ResponseWriter, r *wire.Request) error {
+			body, err := wire.Inflate(r.Body, r.Header.Get(wire.EncodingHeader) == "gzip")
+			if err != nil {
+				return wire.As(wire.ErrBadRequest, err)
+			}
+			fps := wire.List(body)
+			present, err := reg.QueryBatch(fps)
+			if err != nil {
+				return err
+			}
+			out := wire.AppendVerdicts(nil, fps, present)
+			w.Header().Set("Content-Type", "text/plain")
+			if strings.Contains(r.Header.Get(wire.AcceptHeader), "gzip") {
+				var gzipped bool
+				if out, gzipped = wire.Deflate(out); gzipped {
+					w.Header().Set(wire.EncodingHeader, "gzip")
+				}
+			}
+			_, _ = w.Write(out)
+			return nil
+		}},
+		wire.Verb{Method: http.MethodPost, Path: "/gear/gc", Serve: func(w http.ResponseWriter, r *wire.Request) error {
+			fps, err := wire.ParseList(r.Body)
+			if err != nil {
+				return err
+			}
+			keep := make(map[hashing.Fingerprint]bool, len(fps))
+			for _, fp := range fps {
+				keep[fp] = true
+			}
+			removed, freed := reg.Retain(keep)
+			fmt.Fprintf(w, "removed=%d freed=%d\n", removed, freed)
+			return nil
+		}},
+		wire.Verb{Method: http.MethodGet, Path: "/gear/range/*", Serve: func(w http.ResponseWriter, r *wire.Request) error {
+			// The argument is "{fingerprint}/{off}/{n}"; a fingerprint holds
+			// no '/', so the split is unambiguous. Any other shape is no route.
+			parts := strings.Split(r.Arg, "/")
+			nums, err := wire.Ints(parts[1:])
+			if err != nil || len(parts) != 3 || parts[0] == "" {
+				return wire.ErrNotFound
+			}
+			fp, off, n := hashing.Fingerprint(parts[0]), nums[0], nums[1]
+			payload, _, err := reg.DownloadRange(fp, off, n)
+			if err != nil {
+				return err
+			}
+			total, err := reg.Size(fp)
+			if err != nil {
+				return err
+			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			fmt.Fprintf(w, "%s %d %d %d\n", fp, off, n, total)
+			_, _ = w.Write(payload)
+			return nil
+		}},
+	)...)
+}
+
+// rangeFrame is a decoded /gear/range response.
+type rangeFrame struct {
+	fp      hashing.Fingerprint
+	off     int64
+	n       int64
+	total   int64
+	payload []byte
+}
+
+// parseRangeResponse decodes the range framing: one
+// "<fingerprint> <off> <n> <total>\n" header echoing the request and
+// carrying the object's uncompressed size, then exactly n raw bytes.
+// Every deviation — missing header, short or long body, negative
+// numbers, a range that does not fit the declared total — is rejected.
+func parseRangeResponse(body []byte) (rangeFrame, error) {
+	header, payload, ok := bytes.Cut(body, []byte("\n"))
 	if !ok {
-		http.NotFound(w, r)
-		return
+		return rangeFrame{}, fmt.Errorf("truncated range header %q", body)
 	}
-	switch verb {
-	case "query":
-		if r.Method != http.MethodGet {
-			w.WriteHeader(http.StatusMethodNotAllowed)
-			return
-		}
-		present, err := h.reg.Query(fp)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if !present {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	case "upload":
-		if r.Method != http.MethodPut {
-			w.WriteHeader(http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := h.reg.Upload(fp, body); err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, ErrFingerprintMismatch) || errors.Is(err, hashing.ErrMalformed) {
-				status = http.StatusBadRequest
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	case "download":
-		if r.Method != http.MethodGet {
-			w.WriteHeader(http.StatusMethodNotAllowed)
-			return
-		}
-		data, compressed, err := h.reg.downloadWire(fp)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, ErrNotFound) {
-				status = http.StatusNotFound
-			} else if errors.Is(err, hashing.ErrMalformed) {
-				status = http.StatusBadRequest
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if compressed {
-			w.Header().Set("X-Gear-Encoding", "gzip")
-		}
-		_, _ = w.Write(data)
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-// serveBatch implements the one-round-trip multi-object download verb.
-// The request body is newline-separated fingerprints (the gc framing);
-// the response is, per requested object in order, a header line
-//
-//	<fingerprint> <storedLen> <raw|gzip>\n
-//
-// followed by exactly storedLen stored (possibly gzip-compressed) bytes.
-// A malformed fingerprint fails the whole batch with 400, an absent one
-// with 404 — batches are all-or-nothing, mirroring Registry.DownloadBatch.
-func (h *Handler) serveBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(r.Body)
+	fp, fields, err := wire.Record(string(header), 3)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return rangeFrame{}, err
 	}
-	var fps []hashing.Fingerprint
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fps = append(fps, hashing.Fingerprint(line))
-	}
-	// Validate and locate everything before the first write: HTTP status
-	// is only expressible up front.
-	type object struct {
-		fp         hashing.Fingerprint
-		stored     []byte
-		compressed bool
-	}
-	objects := make([]object, 0, len(fps))
-	for _, fp := range fps {
-		stored, compressed, err := h.reg.downloadWire(fp)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, ErrNotFound) {
-				status = http.StatusNotFound
-			} else if errors.Is(err, hashing.ErrMalformed) {
-				status = http.StatusBadRequest
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		objects = append(objects, object{fp, stored, compressed})
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	for _, o := range objects {
-		enc := "raw"
-		if o.compressed {
-			enc = "gzip"
-		}
-		fmt.Fprintf(w, "%s %d %s\n", o.fp, len(o.stored), enc)
-		_, _ = w.Write(o.stored)
-	}
-}
-
-// gzipWireThreshold is the body size above which querybatch bodies are
-// worth gzip-framing: a whole image's fingerprint set is thousands of
-// highly compressible hex lines, while a handful of lines costs more in
-// gzip header than it saves.
-const gzipWireThreshold = 1024
-
-// encodingHeader marks a gzip-framed request or response body, and
-// acceptHeader advertises that the peer may gzip its reply — the same
-// explicit framing /gear/download uses, so compression survives any
-// transport.
-const (
-	encodingHeader = "X-Gear-Encoding"
-	acceptHeader   = "X-Gear-Accept"
-)
-
-// readWireBody reads a request or response body, inflating it when the
-// encoding header says it is gzip-framed.
-func readWireBody(body io.Reader, encoding string) ([]byte, error) {
-	data, err := io.ReadAll(body)
+	nums, err := wire.Ints(fields)
 	if err != nil {
-		return nil, err
+		return rangeFrame{}, fmt.Errorf("range header %q: %w", header, err)
 	}
-	if encoding == "gzip" {
-		return tarstream.Gunzip(data)
+	f := rangeFrame{fp: fp, off: nums[0], n: nums[1], total: nums[2], payload: payload}
+	if f.off < 0 || f.n <= 0 || f.total < 0 || f.off+f.n > f.total {
+		return rangeFrame{}, fmt.Errorf("range header %q: %w", header, ErrBadRange)
 	}
-	return data, nil
-}
-
-// serveQueryBatch implements the one-round-trip multi-object presence
-// check behind the parallel push pipeline. The request body is
-// newline-separated fingerprints (the batch/gc framing, optionally
-// gzip-framed with X-Gear-Encoding: gzip); the response is, per
-// requested fingerprint in order, a line
-//
-//	<fingerprint> <present|absent>\n
-//
-// gzip-framed when the client sent X-Gear-Accept: gzip and the body is
-// large enough to profit. A malformed fingerprint fails the whole batch
-// with 400 — batches are all-or-nothing, mirroring Registry.QueryBatch.
-func (h *Handler) serveQueryBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
+	if int64(len(payload)) != f.n {
+		return rangeFrame{}, fmt.Errorf("range %s [%d,+%d): body is %d bytes", f.fp, f.off, f.n, len(payload))
 	}
-	body, err := readWireBody(r.Body, r.Header.Get(encodingHeader))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var fps []hashing.Fingerprint
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fps = append(fps, hashing.Fingerprint(line))
-	}
-	present, err := h.reg.QueryBatch(fps)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var out bytes.Buffer
-	for i, fp := range fps {
-		verdict := "absent"
-		if present[i] {
-			verdict = "present"
-		}
-		fmt.Fprintf(&out, "%s %s\n", fp, verdict)
-	}
-	w.Header().Set("Content-Type", "text/plain")
-	payload := out.Bytes()
-	if strings.Contains(r.Header.Get(acceptHeader), "gzip") && out.Len() > gzipWireThreshold {
-		if z, err := tarstream.Gzip(payload); err == nil {
-			w.Header().Set(encodingHeader, "gzip")
-			payload = z
-		}
-	}
-	_, _ = w.Write(payload)
-}
-
-// serveGC implements the keep-set garbage collection verb.
-func (h *Handler) serveGC(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	keep := make(map[hashing.Fingerprint]bool)
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fp := hashing.Fingerprint(line)
-		if err := fp.Validate(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		keep[fp] = true
-	}
-	removed, freed := h.reg.Retain(keep)
-	fmt.Fprintf(w, "removed=%d freed=%d\n", removed, freed)
-}
-
-func splitPath(p string) (verb string, fp hashing.Fingerprint, ok bool) {
-	rest, found := strings.CutPrefix(p, "/gear/")
-	if !found {
-		return "", "", false
-	}
-	verb, raw, found := strings.Cut(rest, "/")
-	if !found || raw == "" {
-		return "", "", false
-	}
-	return verb, hashing.Fingerprint(raw), true
+	return f, nil
 }
 
 // Client is an HTTP Store implementation used by Gear drivers fetching
 // files from a remote Gear Registry.
 type Client struct {
-	base string
-	http *http.Client
+	w *wire.Client
 }
 
 var _ Store = (*Client)(nil)
@@ -317,10 +207,7 @@ var _ Store = (*Client)(nil)
 // NewClient returns a client for the Gear Registry at baseURL. If hc is
 // nil, http.DefaultClient is used.
 func NewClient(baseURL string, hc *http.Client) *Client {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &Client{base: strings.TrimSuffix(baseURL, "/"), http: hc}
+	return &Client{w: wire.NewClient("gearregistry client", baseURL, hc, clientopt.Options{}, statuses)}
 }
 
 // NewClientWithOptions returns a registry store client configured by
@@ -336,67 +223,50 @@ func NewClientWithOptions(baseURL string, o clientopt.Options) (Store, error) {
 	return NewRetryStoreOptions(c, o)
 }
 
+// badReply reports a 2xx reply whose body is not what verb answers.
+func badReply(verb string, err error) error {
+	return fmt.Errorf("gearregistry client: %s: %w", verb, err)
+}
+
 // Query implements Store.
 func (c *Client) Query(fp hashing.Fingerprint) (bool, error) {
-	resp, err := c.http.Get(fmt.Sprintf("%s/gear/query/%s", c.base, fp))
-	if err != nil {
-		return false, fmt.Errorf("gearregistry client: query %s: %w", fp, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
+	_, err := c.w.Do(http.MethodGet, "/gear/query/"+string(fp), nil)
+	if wire.Code(err) == http.StatusNotFound {
 		return false, nil
-	default:
-		return false, fmt.Errorf("gearregistry client: query %s: %s", fp, resp.Status)
 	}
+	return err == nil, err
 }
 
 // Upload implements Store.
 func (c *Client) Upload(fp hashing.Fingerprint, data []byte) error {
-	url := fmt.Sprintf("%s/gear/upload/%s", c.base, fp)
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(data))
+	_, err := c.w.Do(http.MethodPut, "/gear/upload/"+string(fp), data)
+	return err
+}
+
+// Download implements Store. Compressed payloads (marked with the
+// X-Gear-Encoding header) are inflated locally; the wire size is the
+// body length as transported.
+func (c *Client) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
+	r, err := c.w.Do(http.MethodGet, "/gear/download/"+string(fp), nil)
 	if err != nil {
-		return fmt.Errorf("gearregistry client: upload %s: %w", fp, err)
+		return nil, 0, err
 	}
-	resp, err := c.http.Do(req)
+	payload, err := wire.Inflate(r.Body, r.Header.Get(wire.EncodingHeader) == "gzip")
 	if err != nil {
-		return fmt.Errorf("gearregistry client: upload %s: %w", fp, err)
+		return nil, 0, badReply("download "+string(fp), err)
 	}
-	defer func() { _ = resp.Body.Close() }()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("gearregistry client: upload %s: %s: %s",
-			fp, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return nil
+	return payload, int64(len(r.Body)), nil
 }
 
 // GC asks the remote registry to retain only the given fingerprints,
 // returning how many objects it removed and the stored bytes freed.
 func (c *Client) GC(keep []hashing.Fingerprint) (removed int, freed int64, err error) {
-	var body strings.Builder
-	for _, fp := range keep {
-		body.WriteString(string(fp))
-		body.WriteByte('\n')
-	}
-	resp, err := c.http.Post(c.base+"/gear/gc", "text/plain", strings.NewReader(body.String()))
+	r, err := c.w.Do(http.MethodPost, "/gear/gc", wire.AppendList(nil, keep), "Content-Type", "text/plain")
 	if err != nil {
-		return 0, 0, fmt.Errorf("gearregistry client: gc: %w", err)
+		return 0, 0, err
 	}
-	defer func() { _ = resp.Body.Close() }()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, 0, fmt.Errorf("gearregistry client: gc: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("gearregistry client: gc: %s: %s",
-			resp.Status, strings.TrimSpace(string(out)))
-	}
-	if _, err := fmt.Sscanf(string(out), "removed=%d freed=%d", &removed, &freed); err != nil {
-		return 0, 0, fmt.Errorf("gearregistry client: gc: parse %q: %w", out, err)
+	if _, err := fmt.Sscanf(string(r.Body), "removed=%d freed=%d", &removed, &freed); err != nil {
+		return 0, 0, badReply("gc", fmt.Errorf("parse %q: %w", r.Body, err))
 	}
 	return removed, freed, nil
 }
@@ -408,103 +278,28 @@ func (c *Client) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, erro
 	if len(fps) == 0 {
 		return nil, 0, nil
 	}
-	var reqBody strings.Builder
-	for _, fp := range fps {
-		reqBody.WriteString(string(fp))
-		reqBody.WriteByte('\n')
-	}
-	resp, err := c.http.Post(c.base+"/gear/batch", "text/plain", strings.NewReader(reqBody.String()))
+	r, err := c.w.Do(http.MethodPost, "/gear/batch", wire.AppendList(nil, fps), "Content-Type", "text/plain")
 	if err != nil {
-		return nil, 0, fmt.Errorf("gearregistry client: batch: %w", err)
+		return nil, 0, err
 	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(resp.Body)
+	objects, err := wire.ParseFrames(r.Body)
+	got := make([]hashing.Fingerprint, len(objects))
+	for i, o := range objects {
+		got[i] = o.FP
+	}
+	if err == nil {
+		err = wire.CheckEcho(got, fps)
+	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("gearregistry client: batch: %w", err)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return nil, 0, fmt.Errorf("gearregistry client: batch: %s: %w",
-			strings.TrimSpace(string(body)), ErrNotFound)
-	default:
-		return nil, 0, fmt.Errorf("gearregistry client: batch: %s: %s",
-			resp.Status, strings.TrimSpace(string(body)))
-	}
-	objects, err := parseBatchResponse(body)
-	if err != nil {
-		return nil, 0, fmt.Errorf("gearregistry client: batch: %w", err)
-	}
-	if len(objects) != len(fps) {
-		return nil, 0, fmt.Errorf("gearregistry client: batch: got %d objects, want %d",
-			len(objects), len(fps))
+		return nil, 0, badReply("batch", err)
 	}
 	payloads := make([][]byte, len(fps))
 	for i, o := range objects {
-		if o.fp != fps[i] {
-			return nil, 0, fmt.Errorf("gearregistry client: batch: object %d is %s, want %s",
-				i, o.fp, fps[i])
-		}
-		if o.compressed {
-			data, err := tarstream.Gunzip(o.stored)
-			if err != nil {
-				return nil, 0, fmt.Errorf("gearregistry client: batch %s: %w", o.fp, err)
-			}
-			payloads[i] = data
-		} else {
-			payloads[i] = o.stored
+		if payloads[i], err = wire.Inflate(o.Stored, o.Gzip); err != nil {
+			return nil, 0, badReply("batch "+string(o.FP), err)
 		}
 	}
-	return payloads, int64(len(body)), nil
-}
-
-// batchObject is one framed object in a /gear/batch response.
-type batchObject struct {
-	fp         hashing.Fingerprint
-	stored     []byte
-	compressed bool
-}
-
-// parseBatchResponse decodes the /gear/batch framing: repeated
-// "<fingerprint> <storedLen> <raw|gzip>\n" headers each followed by
-// exactly storedLen bytes. It rejects truncated or malformed frames.
-func parseBatchResponse(body []byte) ([]batchObject, error) {
-	var objects []batchObject
-	for len(body) > 0 {
-		nl := bytes.IndexByte(body, '\n')
-		if nl < 0 {
-			return nil, fmt.Errorf("truncated object header %q", body)
-		}
-		header := string(body[:nl])
-		body = body[nl+1:]
-		fields := strings.Fields(header)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("malformed object header %q", header)
-		}
-		fp := hashing.Fingerprint(fields[0])
-		if err := fp.Validate(); err != nil {
-			return nil, fmt.Errorf("object header %q: %w", header, err)
-		}
-		size, err := strconv.Atoi(fields[1])
-		if err != nil || size < 0 {
-			return nil, fmt.Errorf("object header %q: bad size", header)
-		}
-		var compressed bool
-		switch fields[2] {
-		case "raw":
-		case "gzip":
-			compressed = true
-		default:
-			return nil, fmt.Errorf("object header %q: bad encoding", header)
-		}
-		if size > len(body) {
-			return nil, fmt.Errorf("object %s: truncated payload: want %d bytes, have %d",
-				fp, size, len(body))
-		}
-		objects = append(objects, batchObject{fp: fp, stored: body[:size], compressed: compressed})
-		body = body[size:]
-	}
-	return objects, nil
+	return payloads, int64(len(r.Body)), nil
 }
 
 // QueryBatch implements BatchQuerier over HTTP via POST
@@ -515,113 +310,41 @@ func (c *Client) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
 	if len(fps) == 0 {
 		return nil, nil
 	}
-	var reqBody strings.Builder
-	for _, fp := range fps {
-		reqBody.WriteString(string(fp))
-		reqBody.WriteByte('\n')
+	header := []string{"Content-Type", "text/plain", wire.AcceptHeader, "gzip"}
+	body, gzipped := wire.Deflate(wire.AppendList(nil, fps))
+	if gzipped {
+		header = append(header, wire.EncodingHeader, "gzip")
 	}
-	payload := []byte(reqBody.String())
-	req, err := http.NewRequest(http.MethodPost, c.base+"/gear/querybatch", nil)
+	r, err := c.w.Do(http.MethodPost, "/gear/querybatch", body, header...)
 	if err != nil {
-		return nil, fmt.Errorf("gearregistry client: querybatch: %w", err)
+		return nil, err
 	}
-	req.Header.Set("Content-Type", "text/plain")
-	req.Header.Set(acceptHeader, "gzip")
-	if len(payload) > gzipWireThreshold {
-		if z, zerr := tarstream.Gzip(payload); zerr == nil {
-			payload = z
-			req.Header.Set(encodingHeader, "gzip")
-		}
+	if body, err = wire.Inflate(r.Body, r.Header.Get(wire.EncodingHeader) == "gzip"); err != nil {
+		return nil, badReply("querybatch", err)
 	}
-	req.Body = io.NopCloser(bytes.NewReader(payload))
-	req.ContentLength = int64(len(payload))
-	resp, err := c.http.Do(req)
+	got, present, err := wire.ParseVerdicts(body)
+	if err == nil {
+		err = wire.CheckEcho(got, fps)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("gearregistry client: querybatch: %w", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := readWireBody(resp.Body, resp.Header.Get(encodingHeader))
-	if err != nil {
-		return nil, fmt.Errorf("gearregistry client: querybatch: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("gearregistry client: querybatch: %s: %s",
-			resp.Status, strings.TrimSpace(string(body)))
-	}
-	present, got, err := parseQueryBatchResponse(body)
-	if err != nil {
-		return nil, fmt.Errorf("gearregistry client: querybatch: %w", err)
-	}
-	if len(present) != len(fps) {
-		return nil, fmt.Errorf("gearregistry client: querybatch: got %d verdicts, want %d",
-			len(present), len(fps))
-	}
-	for i, fp := range got {
-		if fp != fps[i] {
-			return nil, fmt.Errorf("gearregistry client: querybatch: verdict %d is %s, want %s",
-				i, fp, fps[i])
-		}
+		return nil, badReply("querybatch", err)
 	}
 	return present, nil
 }
 
-// parseQueryBatchResponse decodes the /gear/querybatch framing: one
-// "<fingerprint> <present|absent>" line per queried object, in request
-// order. It rejects malformed lines and invalid fingerprints.
-func parseQueryBatchResponse(body []byte) (present []bool, fps []hashing.Fingerprint, err error) {
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, nil, fmt.Errorf("malformed verdict line %q", line)
-		}
-		fp := hashing.Fingerprint(fields[0])
-		if verr := fp.Validate(); verr != nil {
-			return nil, nil, fmt.Errorf("verdict line %q: %w", line, verr)
-		}
-		switch fields[1] {
-		case "present":
-			present = append(present, true)
-		case "absent":
-			present = append(present, false)
-		default:
-			return nil, nil, fmt.Errorf("verdict line %q: bad verdict", line)
-		}
-		fps = append(fps, fp)
-	}
-	return present, fps, nil
-}
-
-// Download implements Store. Compressed payloads (marked with the
-// X-Gear-Encoding header) are inflated locally; the wire size is the
-// body length as transported.
-func (c *Client) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
-	resp, err := c.http.Get(fmt.Sprintf("%s/gear/download/%s", c.base, fp))
+// DownloadRange implements RangeDownloader over HTTP via GET
+// /gear/range. The wire size is the framed body as transported.
+func (c *Client) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, int64, error) {
+	r, err := c.w.Do(http.MethodGet, fmt.Sprintf("/gear/range/%s/%d/%d", fp, off, n), nil)
 	if err != nil {
-		return nil, 0, fmt.Errorf("gearregistry client: download %s: %w", fp, err)
+		return nil, 0, err
 	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(resp.Body)
+	frame, err := parseRangeResponse(r.Body)
+	if err == nil && (frame.fp != fp || frame.off != off || frame.n != n) {
+		err = fmt.Errorf("asked for %s [%d,+%d), server echoed %s [%d,+%d)", fp, off, n, frame.fp, frame.off, frame.n)
+	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("gearregistry client: download %s: %w", fp, err)
+		return nil, 0, badReply("range", err)
 	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		wire := int64(len(body))
-		if resp.Header.Get("X-Gear-Encoding") == "gzip" {
-			data, err := tarstream.Gunzip(body)
-			if err != nil {
-				return nil, 0, fmt.Errorf("gearregistry client: download %s: %w", fp, err)
-			}
-			return data, wire, nil
-		}
-		return body, wire, nil
-	case http.StatusNotFound:
-		return nil, 0, fmt.Errorf("gearregistry client: %s: %w", fp, ErrNotFound)
-	default:
-		return nil, 0, fmt.Errorf("gearregistry client: download %s: %s", fp, resp.Status)
-	}
+	return frame.payload, int64(len(r.Body)), nil
 }

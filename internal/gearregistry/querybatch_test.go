@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 func TestQueryBatchRoundTrip(t *testing.T) {
@@ -172,7 +173,7 @@ func TestHTTPQueryBatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(encodingHeader, "gzip")
+	req.Header.Set(wire.EncodingHeader, "gzip")
 	resp, err = srv.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)

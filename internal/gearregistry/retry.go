@@ -8,6 +8,7 @@ import (
 
 	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 // RetryStore wraps a Store with bounded retries on transient failures,
@@ -67,7 +68,9 @@ func permanent(err error) bool {
 		errors.Is(err, ErrFingerprintMismatch) ||
 		errors.Is(err, ErrBadRange) ||
 		errors.Is(err, ErrRangeUnsupported) ||
-		errors.Is(err, hashing.ErrMalformed)
+		errors.Is(err, hashing.ErrMalformed) ||
+		errors.Is(err, wire.ErrBadRequest) ||
+		errors.Is(err, wire.ErrTooLarge)
 }
 
 func (r *RetryStore) do(op func() error) error {

@@ -2,10 +2,15 @@ package gearregistry
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 // flakyStore fails the first failures calls of each operation with a
@@ -180,6 +185,68 @@ func TestRetryDoesNotRetryPermanentErrors(t *testing.T) {
 	}
 	if r.Retries() != 0 {
 		t.Errorf("retries = %d, want 0", r.Retries())
+	}
+}
+
+// A 400 is typed on the client side of HTTP too, so the retry wrapper
+// sees a verdict, not a transient failure, and sends each request once.
+func TestRetryDoesNotRetryPermanentErrorsOverHTTP(t *testing.T) {
+	h := NewHandler(New(Options{}))
+	var uploads, downloads atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPut:
+			uploads.Add(1)
+		case http.MethodGet:
+			downloads.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	store, err := NewClientWithOptions(srv.URL, clientopt.Options{Retries: 4, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	err = store.Upload(hashing.FingerprintBytes([]byte("a")), []byte("b"))
+	if !errors.Is(err, ErrFingerprintMismatch) {
+		t.Errorf("upload err = %v, want ErrFingerprintMismatch", err)
+	}
+	if n := uploads.Load(); n != 1 {
+		t.Errorf("mismatched upload sent %d times, want 1", n)
+	}
+	// The retried upload's presence probe is a GET; it must not have run.
+	if n := downloads.Load(); n != 0 {
+		t.Errorf("%d GETs around a refused upload, want 0", n)
+	}
+
+	if _, _, err := store.Download("not-a-fingerprint"); !errors.Is(err, hashing.ErrMalformed) {
+		t.Errorf("download err = %v, want hashing.ErrMalformed", err)
+	}
+	if n := downloads.Load(); n != 1 {
+		t.Errorf("malformed download sent %d times, want 1", n)
+	}
+}
+
+// A 400 whose text names no error of the protocol is still a verdict —
+// sent once — but it is not passed off as a fingerprint mismatch.
+func TestRetryTreatsUnnamed400AsPermanent(t *testing.T) {
+	var uploads atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		uploads.Add(1)
+		http.Error(w, "unexpected EOF", http.StatusBadRequest)
+	}))
+	defer srv.Close()
+	store, err := NewClientWithOptions(srv.URL, clientopt.Options{Retries: 4, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = store.Upload(hashing.FingerprintBytes([]byte("a")), []byte("a"))
+	if !errors.Is(err, wire.ErrBadRequest) || errors.Is(err, ErrFingerprintMismatch) {
+		t.Errorf("upload err = %v, want wire.ErrBadRequest and not ErrFingerprintMismatch", err)
+	}
+	if n := uploads.Load(); n != 1 {
+		t.Errorf("refused upload sent %d times, want 1", n)
 	}
 }
 

@@ -3,177 +3,107 @@ package peer
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
 	"github.com/gear-image/gear/internal/clientopt"
-	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/telemetry"
+	"github.com/gear-image/gear/internal/wire"
 )
 
-// HTTP wire protocol. The tracker speaks four verbs, styled after the
-// Gear Registry's handlers (newline-framed text bodies, status codes as
-// verdicts):
-//
-//	POST /peer/announce  <- first line holder id, then one fingerprint
-//	                        per line                     -> "ok n=<applied>"
-//	POST /peer/withdraw  <- same framing                 -> "ok n=<applied>"
-//	POST /peer/locate    <- first line requester id ("-" = none), then
-//	                        one fingerprint per line
-//	                     -> per fingerprint in order:
-//	                        "<fingerprint> <h1,h2,...|->"
-//	POST /peer/served    <- "peer=<objects>/<bytes> registry=<objects>/<bytes>"
-//	GET  /peer/stats     -> one "key=value" token per field (see serveStats)
-//
-// A peer Server, meanwhile, speaks the registry's own wire protocol
-// (GET /gear/query/{fp}, GET /gear/download/{fp}, POST /gear/batch) via
-// ServerHandler, so a stock gearregistry.Client can download from a
-// peer exactly as it would from the registry.
+// The tracker's HTTP protocol: the verb table below over internal/wire.
+// Framing and status map: DESIGN.md, "Wire protocols". A peer Server
+// has no protocol of its own: it is a gearregistry.Pool, served by
+// gearregistry.NewPoolHandler.
 
-// noExclude is the locate body's "no requester to exclude" marker.
+// noExclude is the locate body's "no requester to exclude" marker, and
+// the locate response's "no holders".
 const noExclude = "-"
 
-// TrackerHandler adapts a Tracker to HTTP.
-type TrackerHandler struct {
-	t *Tracker
-}
-
-var _ http.Handler = (*TrackerHandler)(nil)
-
-// NewTrackerHandler wraps t.
-func NewTrackerHandler(t *Tracker) *TrackerHandler { return &TrackerHandler{t: t} }
-
-// ServeHTTP implements http.Handler.
-func (h *TrackerHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/peer/announce":
-		h.serveMembership(w, r, h.t.Announce)
-	case "/peer/withdraw":
-		h.serveMembership(w, r, h.t.Withdraw)
-	case "/peer/locate":
-		h.serveLocate(w, r)
-	case "/peer/served":
-		h.serveServed(w, r)
-	case "/peer/stats":
-		h.serveStats(w, r)
-	case "/peer/metrics":
-		telemetry.Handler(h.t).ServeHTTP(w, r)
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-// serveMembership handles announce and withdraw, which share framing.
-func (h *TrackerHandler) serveMembership(w http.ResponseWriter, r *http.Request,
-	apply func(holder string, fps ...hashing.Fingerprint) error) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	holder, fps, err := parseMembershipBody(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := apply(holder, fps...); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	fmt.Fprintf(w, "ok n=%d\n", len(fps))
-}
-
-func (h *TrackerHandler) serveLocate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	exclude, fps, err := parseMembershipBody(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if exclude == noExclude {
-		exclude = ""
-	}
-	w.Header().Set("Content-Type", "text/plain")
-	for _, fp := range fps {
-		holders := h.t.Locate(fp, exclude)
-		list := noExclude
-		if len(holders) > 0 {
-			list = strings.Join(holders, ",")
+// NewTrackerHandler serves t over HTTP. Every request the tracker
+// refuses is the requester's fault, so every error is a 400.
+func NewTrackerHandler(t *Tracker) *wire.Handler {
+	membership := func(apply func(holder string, fps ...hashing.Fingerprint) error) func(http.ResponseWriter, *wire.Request) error {
+		return func(w http.ResponseWriter, r *wire.Request) error {
+			holder, fps, err := parseMembershipBody(r.Body)
+			if err == nil {
+				err = apply(holder, fps...)
+			}
+			if err != nil {
+				return wire.As(wire.ErrBadRequest, err)
+			}
+			fmt.Fprintf(w, "ok n=%d\n", len(fps))
+			return nil
 		}
-		fmt.Fprintf(w, "%s %s\n", fp, list)
 	}
+	return wire.NewHandler(nil,
+		wire.Verb{Method: http.MethodPost, Path: "/peer/announce", Serve: membership(t.Announce)},
+		wire.Verb{Method: http.MethodPost, Path: "/peer/withdraw", Serve: membership(t.Withdraw)},
+		wire.Verb{Method: http.MethodPost, Path: "/peer/locate", Serve: func(w http.ResponseWriter, r *wire.Request) error {
+			exclude, fps, err := parseMembershipBody(r.Body)
+			if err != nil {
+				return wire.As(wire.ErrBadRequest, err)
+			}
+			if exclude == noExclude {
+				exclude = ""
+			}
+			w.Header().Set("Content-Type", "text/plain")
+			for _, fp := range fps {
+				list := noExclude
+				if holders := t.Locate(fp, exclude); len(holders) > 0 {
+					list = strings.Join(holders, ",")
+				}
+				fmt.Fprintf(w, "%s %s\n", fp, list)
+			}
+			return nil
+		}},
+		wire.Verb{Method: http.MethodPost, Path: "/peer/served", Serve: func(w http.ResponseWriter, r *wire.Request) error {
+			var po, ro int
+			var pb, rb int64
+			if _, err := fmt.Sscanf(strings.TrimSpace(string(r.Body)),
+				"peer=%d/%d registry=%d/%d", &po, &pb, &ro, &rb); err != nil {
+				return wire.As(wire.ErrBadRequest, fmt.Errorf("peer: served: parse %q: %v", r.Body, err))
+			}
+			if po < 0 || pb < 0 || ro < 0 || rb < 0 {
+				return wire.As(wire.ErrBadRequest, errors.New("peer: served: negative counter"))
+			}
+			t.ReportServed(po, pb, ro, rb)
+			fmt.Fprintln(w, "ok")
+			return nil
+		}},
+		wire.Verb{Method: http.MethodGet, Path: "/peer/stats", Serve: func(w http.ResponseWriter, _ *wire.Request) error {
+			s := t.Stats()
+			w.Header().Set("Content-Type", "text/plain")
+			fmt.Fprintf(w, statsFormat+"\n", s.Fingerprints, s.Holders, s.Announces, s.Withdraws,
+				s.PeerObjects, s.PeerBytes, s.RegistryObjects, s.RegistryBytes)
+			return nil
+		}},
+		telemetry.Verb("/peer/metrics", t),
+	)
 }
 
-func (h *TrackerHandler) serveServed(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var po, ro int
-	var pb, rb int64
-	if _, err := fmt.Sscanf(strings.TrimSpace(string(body)),
-		"peer=%d/%d registry=%d/%d", &po, &pb, &ro, &rb); err != nil {
-		http.Error(w, fmt.Sprintf("peer: served: parse %q: %v", body, err), http.StatusBadRequest)
-		return
-	}
-	if po < 0 || pb < 0 || ro < 0 || rb < 0 {
-		http.Error(w, "peer: served: negative counter", http.StatusBadRequest)
-		return
-	}
-	h.t.ReportServed(po, pb, ro, rb)
-	fmt.Fprintln(w, "ok")
-}
-
-func (h *TrackerHandler) serveStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	s := h.t.Stats()
-	w.Header().Set("Content-Type", "text/plain")
-	fmt.Fprintf(w, "fingerprints=%d holders=%d announces=%d withdraws=%d peer=%d/%d registry=%d/%d\n",
-		s.Fingerprints, s.Holders, s.Announces, s.Withdraws,
-		s.PeerObjects, s.PeerBytes, s.RegistryObjects, s.RegistryBytes)
-}
+// statsFormat frames a TrackerStats, one "key=value" token per field.
+const statsFormat = "fingerprints=%d holders=%d announces=%d withdraws=%d peer=%d/%d registry=%d/%d"
 
 // parseMembershipBody decodes the shared announce/withdraw/locate
 // framing: a holder (or requester) id line followed by fingerprint
-// lines. The id must be a single whitespace-free token without commas
-// (locate responses join holders with commas).
-func parseMembershipBody(body io.Reader) (holder string, fps []hashing.Fingerprint, err error) {
-	data, err := io.ReadAll(body)
-	if err != nil {
-		return "", nil, fmt.Errorf("peer: read body: %w", err)
-	}
-	lines := strings.Split(string(data), "\n")
-	holder = strings.TrimSpace(lines[0])
+// lines.
+func parseMembershipBody(body []byte) (holder string, fps []hashing.Fingerprint, err error) {
+	first, rest, _ := strings.Cut(string(body), "\n")
+	holder = strings.TrimSpace(first)
 	if err := validateHolderID(holder); err != nil {
 		return "", nil, err
 	}
-	for _, line := range lines[1:] {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fp := hashing.Fingerprint(line)
-		if err := fp.Validate(); err != nil {
-			return "", nil, fmt.Errorf("peer: %w", err)
-		}
-		fps = append(fps, fp)
+	if fps, err = wire.ParseList([]byte(rest)); err != nil {
+		return "", nil, fmt.Errorf("peer: %w", err)
 	}
 	return holder, fps, nil
 }
 
-// validateHolderID rejects ids the wire framing cannot carry.
+// validateHolderID rejects ids the wire framing cannot carry: an id is
+// one whitespace-free token, without commas because locate responses
+// join holders with them.
 func validateHolderID(id string) error {
 	if id == "" {
 		return errors.New("peer: empty holder id")
@@ -188,9 +118,7 @@ func validateHolderID(id string) error {
 // Locator, so a store's exchange can run against an out-of-process
 // tracker unchanged.
 type TrackerClient struct {
-	base string
-	http *http.Client
-	opts clientopt.Options
+	w *wire.Client
 }
 
 var _ Locator = (*TrackerClient)(nil)
@@ -198,10 +126,7 @@ var _ Locator = (*TrackerClient)(nil)
 // NewTrackerClient returns a client for the tracker at baseURL. If hc
 // is nil, http.DefaultClient is used.
 func NewTrackerClient(baseURL string, hc *http.Client) *TrackerClient {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &TrackerClient{base: strings.TrimSuffix(baseURL, "/"), http: hc}
+	return &TrackerClient{w: wire.NewClient("peer client", baseURL, hc, clientopt.Options{}, nil)}
 }
 
 // NewTrackerClientWithOptions is NewTrackerClient configured by the
@@ -209,50 +134,24 @@ func NewTrackerClient(baseURL string, hc *http.Client) *TrackerClient {
 // Retries/Backoff re-issue requests that fail at the transport layer
 // (protocol-level rejections are verdicts and are never retried).
 func NewTrackerClientWithOptions(baseURL string, o clientopt.Options) *TrackerClient {
-	c := NewTrackerClient(baseURL, o.HTTPClient())
-	c.opts = o
-	return c
+	return &TrackerClient{w: wire.NewClient("peer client", baseURL, o.HTTPClient(), o, nil)}
 }
 
-// post issues one POST with the client's retry policy. Only transport
-// errors retry; any HTTP response — success or failure — is final.
-func (c *TrackerClient) post(path, body string) (*http.Response, error) {
-	var lastErr error
-	for i := 0; i < c.opts.Attempts(); i++ {
-		if i > 0 {
-			c.opts.Sleep(i)
-		}
-		resp, err := c.http.Post(c.base+path, "text/plain", strings.NewReader(body))
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
+// post sends one membership-framed body: an id line, then fps.
+func (c *TrackerClient) post(path, id string, fps []hashing.Fingerprint) (*wire.Reply, error) {
+	return c.w.Do(http.MethodPost, path, wire.AppendList([]byte(id+"\n"), fps), "Content-Type", "text/plain")
 }
 
 // Announce mirrors Tracker.Announce over HTTP.
 func (c *TrackerClient) Announce(holder string, fps ...hashing.Fingerprint) error {
-	return c.postMembership("/peer/announce", holder, fps)
+	_, err := c.post("/peer/announce", holder, fps)
+	return err
 }
 
 // Withdraw mirrors Tracker.Withdraw over HTTP.
 func (c *TrackerClient) Withdraw(holder string, fps ...hashing.Fingerprint) error {
-	return c.postMembership("/peer/withdraw", holder, fps)
-}
-
-func (c *TrackerClient) postMembership(path, holder string, fps []hashing.Fingerprint) error {
-	body := membershipBody(holder, fps)
-	resp, err := c.post(path, body)
-	if err != nil {
-		return fmt.Errorf("peer client: %s: %w", path, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	out, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peer client: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(out)))
-	}
-	return nil
+	_, err := c.post("/peer/withdraw", holder, fps)
+	return err
 }
 
 // Locate implements Locator. Transport or protocol errors yield no
@@ -272,30 +171,16 @@ func (c *TrackerClient) LocateBatch(fps []hashing.Fingerprint, exclude string) (
 	if exclude == "" {
 		exclude = noExclude
 	}
-	body := membershipBody(exclude, fps)
-	resp, err := c.post("/peer/locate", body)
+	r, err := c.post("/peer/locate", exclude, fps)
+	if err != nil {
+		return nil, err
+	}
+	holders, got, err := parseLocateResponse(r.Body)
+	if err == nil {
+		err = wire.CheckEcho(got, fps)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("peer client: locate: %w", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("peer client: locate: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("peer client: locate: %s: %s", resp.Status, strings.TrimSpace(string(out)))
-	}
-	holders, got, err := parseLocateResponse(out)
-	if err != nil {
-		return nil, fmt.Errorf("peer client: locate: %w", err)
-	}
-	if len(got) != len(fps) {
-		return nil, fmt.Errorf("peer client: locate: got %d lines, want %d", len(got), len(fps))
-	}
-	for i, fp := range got {
-		if fp != fps[i] {
-			return nil, fmt.Errorf("peer client: locate: line %d is %s, want %s", i, fp, fps[i])
-		}
 	}
 	return holders, nil
 }
@@ -303,204 +188,43 @@ func (c *TrackerClient) LocateBatch(fps []hashing.Fingerprint, exclude string) (
 // ReportServed mirrors Tracker.ReportServed over HTTP.
 func (c *TrackerClient) ReportServed(peerObjects int, peerBytes int64, registryObjects int, registryBytes int64) error {
 	body := fmt.Sprintf("peer=%d/%d registry=%d/%d\n", peerObjects, peerBytes, registryObjects, registryBytes)
-	resp, err := c.post("/peer/served", body)
-	if err != nil {
-		return fmt.Errorf("peer client: served: %w", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	out, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peer client: served: %s: %s", resp.Status, strings.TrimSpace(string(out)))
-	}
-	return nil
+	_, err := c.w.Do(http.MethodPost, "/peer/served", []byte(body), "Content-Type", "text/plain")
+	return err
 }
 
 // Stats fetches the tracker's snapshot.
 func (c *TrackerClient) Stats() (TrackerStats, error) {
-	resp, err := c.http.Get(c.base + "/peer/stats")
+	r, err := c.w.Do(http.MethodGet, "/peer/stats", nil)
 	if err != nil {
-		return TrackerStats{}, fmt.Errorf("peer client: stats: %w", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return TrackerStats{}, fmt.Errorf("peer client: stats: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return TrackerStats{}, fmt.Errorf("peer client: stats: %s: %s", resp.Status, strings.TrimSpace(string(out)))
+		return TrackerStats{}, err
 	}
 	var s TrackerStats
-	if _, err := fmt.Sscanf(strings.TrimSpace(string(out)),
-		"fingerprints=%d holders=%d announces=%d withdraws=%d peer=%d/%d registry=%d/%d",
+	if _, err := fmt.Sscanf(strings.TrimSpace(string(r.Body)), statsFormat,
 		&s.Fingerprints, &s.Holders, &s.Announces, &s.Withdraws,
 		&s.PeerObjects, &s.PeerBytes, &s.RegistryObjects, &s.RegistryBytes); err != nil {
-		return TrackerStats{}, fmt.Errorf("peer client: stats: parse %q: %w", out, err)
+		return TrackerStats{}, fmt.Errorf("peer client: stats: parse %q: %w", r.Body, err)
 	}
 	return s, nil
-}
-
-func membershipBody(holder string, fps []hashing.Fingerprint) string {
-	var b strings.Builder
-	b.WriteString(holder)
-	b.WriteByte('\n')
-	for _, fp := range fps {
-		b.WriteString(string(fp))
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // parseLocateResponse decodes the /peer/locate framing: one
 // "<fingerprint> <h1,h2,...|->" line per requested fingerprint.
 func parseLocateResponse(body []byte) (holders [][]string, fps []hashing.Fingerprint, err error) {
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+	for _, line := range wire.Lines(body) {
+		fp, rest, err := wire.Record(line, 1)
+		if err != nil {
+			return nil, nil, err
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, nil, fmt.Errorf("malformed locate line %q", line)
-		}
-		fp := hashing.Fingerprint(fields[0])
-		if verr := fp.Validate(); verr != nil {
-			return nil, nil, fmt.Errorf("locate line %q: %w", line, verr)
-		}
-		fps = append(fps, fp)
-		if fields[1] == noExclude {
-			holders = append(holders, nil)
-			continue
-		}
-		hs := strings.Split(fields[1], ",")
-		for _, h := range hs {
-			if err := validateHolderID(h); err != nil {
-				return nil, nil, fmt.Errorf("locate line %q: %w", line, err)
+		var hs []string
+		if rest[0] != noExclude {
+			hs = strings.Split(rest[0], ",")
+			for _, h := range hs {
+				if err := validateHolderID(h); err != nil {
+					return nil, nil, fmt.Errorf("locate line %q: %w", line, err)
+				}
 			}
 		}
-		holders = append(holders, hs)
+		fps, holders = append(fps, fp), append(holders, hs)
 	}
 	return holders, fps, nil
-}
-
-// ServerHandler adapts a peer Server to the Gear Registry's HTTP wire
-// protocol, so a stock gearregistry.Client can query and download from
-// a peer. Uploads are rejected: peers only re-serve what their own
-// fetches cached.
-type ServerHandler struct {
-	srv *Server
-}
-
-var _ http.Handler = (*ServerHandler)(nil)
-
-// NewServerHandler wraps srv.
-func NewServerHandler(srv *Server) *ServerHandler { return &ServerHandler{srv: srv} }
-
-// ServeHTTP implements http.Handler.
-func (h *ServerHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/gear/batch" {
-		h.serveBatch(w, r)
-		return
-	}
-	rest, found := strings.CutPrefix(r.URL.Path, "/gear/")
-	if !found {
-		http.NotFound(w, r)
-		return
-	}
-	verb, raw, found := strings.Cut(rest, "/")
-	if !found || raw == "" {
-		http.NotFound(w, r)
-		return
-	}
-	fp := hashing.Fingerprint(raw)
-	switch verb {
-	case "query":
-		if r.Method != http.MethodGet {
-			w.WriteHeader(http.StatusMethodNotAllowed)
-			return
-		}
-		present, err := h.srv.Query(fp)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if !present {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	case "download":
-		if r.Method != http.MethodGet {
-			w.WriteHeader(http.StatusMethodNotAllowed)
-			return
-		}
-		data, compressed, err := h.srv.downloadWire(fp)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, gearregistry.ErrNotFound) {
-				status = http.StatusNotFound
-			} else if errors.Is(err, hashing.ErrMalformed) {
-				status = http.StatusBadRequest
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if compressed {
-			w.Header().Set("X-Gear-Encoding", "gzip")
-		}
-		_, _ = w.Write(data)
-	case "upload":
-		http.Error(w, "peer: peers do not accept uploads", http.StatusMethodNotAllowed)
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-// serveBatch speaks the registry's /gear/batch framing over the peer's
-// cache: per object a "<fingerprint> <storedLen> <raw|gzip>\n" header
-// followed by the stored bytes, all-or-nothing.
-func (h *ServerHandler) serveBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	type object struct {
-		fp         hashing.Fingerprint
-		stored     []byte
-		compressed bool
-	}
-	var objects []object
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fp := hashing.Fingerprint(line)
-		stored, compressed, err := h.srv.downloadWire(fp)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, gearregistry.ErrNotFound) {
-				status = http.StatusNotFound
-			} else if errors.Is(err, hashing.ErrMalformed) {
-				status = http.StatusBadRequest
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		objects = append(objects, object{fp, stored, compressed})
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	for _, o := range objects {
-		enc := "raw"
-		if o.compressed {
-			enc = "gzip"
-		}
-		fmt.Fprintf(w, "%s %d %s\n", o.fp, len(o.stored), enc)
-		_, _ = w.Write(o.stored)
-	}
 }

@@ -357,7 +357,7 @@ func TestServerHandlerSpeaksRegistryProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	peerSrv := NewServer("node0", c, ServerOptions{Compress: true})
-	srv := httptest.NewServer(NewServerHandler(peerSrv))
+	srv := httptest.NewServer(gearregistry.NewPoolHandler(peerSrv))
 	defer srv.Close()
 	client := gearregistry.NewClient(srv.URL, nil)
 

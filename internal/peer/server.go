@@ -8,6 +8,7 @@ import (
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/tarstream"
 	"github.com/gear-image/gear/internal/telemetry"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 // DefaultMaxConcurrent bounds how many downloads a peer serves at once
@@ -133,32 +134,30 @@ func (s *Server) serveLocked(fp hashing.Fingerprint) ([]byte, int64, error) {
 	return data, wire, nil
 }
 
-// downloadWire returns the bytes exactly as they would cross the wire
-// plus whether they are gzip-framed; the HTTP handler serves this so
-// compression survives transport. Accounting matches Download.
-func (s *Server) downloadWire(fp hashing.Fingerprint) ([]byte, bool, error) {
+// Stored implements gearregistry.Pool: the bytes exactly as they cross
+// the wire, gzip-framed when Compress is set, so that
+// gearregistry.NewPoolHandler(s) serves the cache to a stock
+// gearregistry.Client. Accounting matches Download.
+func (s *Server) Stored(fp hashing.Fingerprint) (wire.Object, error) {
 	if err := fp.Validate(); err != nil {
-		return nil, false, fmt.Errorf("peer server %s: download: %w", s.id, err)
+		return wire.Object{}, fmt.Errorf("peer server %s: download: %w", s.id, err)
 	}
 	s.acquire()
 	defer s.release()
 	content, ok := s.cache.Peek(fp)
 	if !ok {
-		return nil, false, fmt.Errorf("peer server %s: %s: %w", s.id, fp, gearregistry.ErrNotFound)
+		return wire.Object{}, fmt.Errorf("peer server %s: %s: %w", s.id, fp, gearregistry.ErrNotFound)
 	}
-	data := content.Data()
-	if s.opts.Compress {
-		z, err := tarstream.Gzip(data)
-		if err != nil {
-			return nil, false, fmt.Errorf("peer server %s: %s: %w", s.id, fp, err)
+	o := wire.Object{FP: fp, Stored: content.Data(), Gzip: s.opts.Compress}
+	if o.Gzip {
+		var err error
+		if o.Stored, err = tarstream.Gzip(o.Stored); err != nil {
+			return wire.Object{}, fmt.Errorf("peer server %s: %s: %w", s.id, fp, err)
 		}
-		s.objectsServed.Add(1)
-		s.bytesServed.Add(int64(len(z)))
-		return z, true, nil
 	}
 	s.objectsServed.Add(1)
-	s.bytesServed.Add(int64(len(data)))
-	return data, false, nil
+	s.bytesServed.Add(int64(len(o.Stored)))
+	return o, nil
 }
 
 func (s *Server) acquire() { s.sem <- struct{}{} }

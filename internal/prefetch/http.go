@@ -1,115 +1,71 @@
 package prefetch
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"github.com/gear-image/gear/internal/clientopt"
-	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/telemetry"
+	"github.com/gear-image/gear/internal/wire"
 )
 
-// HTTP wire protocol, styled after the peer tracker's handlers
-// (newline-framed text bodies, status codes as verdicts):
-//
-//	GET  /profile/list          -> one "<ref> <entries> <bytes>" line
-//	                               per persisted profile
-//	GET  /profile/dump/{ref}    -> "<ref> <entries> <bytes>" header line,
-//	                               then one "<fingerprint> <size>" line
-//	                               per entry in first-access order
-//	POST /profile/delete/{ref}  -> "ok"
-//
-// Image references contain ':' and '/', so {ref} is the remainder of
-// the path, not a single segment. Refs with whitespace cannot ride the
-// line framing and are rejected at both ends.
+// The profile library's HTTP protocol: the verb table below over
+// internal/wire. Framing and status map: DESIGN.md, "Wire protocols".
+// Image references contain ':' and '/', so a ref is the rest of the
+// path, not one segment; refs with whitespace cannot ride the line
+// framing and are rejected at both ends.
 
-// LibraryHandler adapts a Library to HTTP so gearctl (and fleet
-// tooling) can inspect and prune a daemon's persisted profiles.
-type LibraryHandler struct {
-	lib *Library
-}
+// statuses is the protocol's error table. A profile that is present but
+// undecodable has no row: the honest verdict is 500, not 404.
+var statuses = wire.Statuses{{Err: ErrNoProfile, Code: http.StatusNotFound}}
 
-var _ http.Handler = (*LibraryHandler)(nil)
-
-// NewLibraryHandler wraps lib.
-func NewLibraryHandler(lib *Library) *LibraryHandler { return &LibraryHandler{lib: lib} }
-
-// ServeHTTP implements http.Handler.
-func (h *LibraryHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.URL.Path == "/profile/list":
-		h.serveList(w, r)
-	case r.URL.Path == "/profile/metrics":
-		telemetry.Handler(h.lib).ServeHTTP(w, r)
-	case strings.HasPrefix(r.URL.Path, "/profile/dump/"):
-		h.serveDump(w, r, strings.TrimPrefix(r.URL.Path, "/profile/dump/"))
-	case strings.HasPrefix(r.URL.Path, "/profile/delete/"):
-		h.serveDelete(w, r, strings.TrimPrefix(r.URL.Path, "/profile/delete/"))
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-func (h *LibraryHandler) serveList(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain")
-	for _, info := range h.lib.List() {
-		if validateRef(info.Ref) != nil {
-			continue // unframeable ref cannot ride the wire
+// refVerb is a verb whose path argument is an image reference.
+func refVerb(method, path string, serve func(w http.ResponseWriter, ref string) error) wire.Verb {
+	return wire.Verb{Method: method, Path: path, Serve: func(w http.ResponseWriter, r *wire.Request) error {
+		if err := validateRef(r.Arg); err != nil {
+			return wire.As(wire.ErrBadRequest, err)
 		}
-		fmt.Fprintf(w, "%s %d %d\n", info.Ref, info.Entries, info.Bytes)
-	}
+		return serve(w, r.Arg)
+	}}
 }
 
-func (h *LibraryHandler) serveDump(w http.ResponseWriter, r *http.Request, ref string) {
-	if r.Method != http.MethodGet {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	if err := validateRef(ref); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	p, err := h.lib.Get(ref)
-	if err != nil {
-		status := http.StatusNotFound
-		if !errors.Is(err, ErrNoProfile) {
-			// Present but undecodable: the honest verdict is 500, not 404.
-			status = http.StatusInternalServerError
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain")
-	fmt.Fprintf(w, "%s %d %d\n", p.ImageRef, len(p.Entries), p.TotalBytes())
-	for _, e := range p.Entries {
-		fmt.Fprintf(w, "%s %d\n", e.Fingerprint, e.Size)
-	}
-}
-
-func (h *LibraryHandler) serveDelete(w http.ResponseWriter, r *http.Request, ref string) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	if err := validateRef(ref); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !h.lib.Delete(ref) {
-		http.Error(w, fmt.Sprintf("prefetch: %s: %v", ref, ErrNoProfile), http.StatusNotFound)
-		return
-	}
-	fmt.Fprintln(w, "ok")
+// NewLibraryHandler serves lib over HTTP so gearctl (and fleet tooling)
+// can inspect and prune a daemon's persisted profiles.
+func NewLibraryHandler(lib *Library) *wire.Handler {
+	return wire.NewHandler(statuses,
+		wire.Verb{Method: http.MethodGet, Path: "/profile/list", Serve: func(w http.ResponseWriter, _ *wire.Request) error {
+			w.Header().Set("Content-Type", "text/plain")
+			for _, info := range lib.List() {
+				if validateRef(info.Ref) != nil {
+					continue // unframeable ref cannot ride the wire
+				}
+				fmt.Fprintf(w, "%s %d %d\n", info.Ref, info.Entries, info.Bytes)
+			}
+			return nil
+		}},
+		telemetry.Verb("/profile/metrics", lib),
+		refVerb(http.MethodGet, "/profile/dump/*", func(w http.ResponseWriter, ref string) error {
+			p, err := lib.Get(ref)
+			if err != nil {
+				return err
+			}
+			w.Header().Set("Content-Type", "text/plain")
+			fmt.Fprintf(w, "%s %d %d\n", p.ImageRef, len(p.Entries), p.TotalBytes())
+			for _, e := range p.Entries {
+				fmt.Fprintf(w, "%s %d\n", e.Fingerprint, e.Size)
+			}
+			return nil
+		}),
+		refVerb(http.MethodPost, "/profile/delete/*", func(w http.ResponseWriter, ref string) error {
+			if !lib.Delete(ref) {
+				return fmt.Errorf("prefetch: %s: %w", ref, ErrNoProfile)
+			}
+			fmt.Fprintln(w, "ok")
+			return nil
+		}),
+	)
 }
 
 // validateRef rejects image references the line framing cannot carry.
@@ -126,18 +82,13 @@ func validateRef(ref string) error {
 // LibraryClient talks to a remote profile library over HTTP — the
 // gearctl profile subcommand's transport.
 type LibraryClient struct {
-	base string
-	http *http.Client
-	opts clientopt.Options
+	w *wire.Client
 }
 
 // NewLibraryClient returns a client for the library served at baseURL.
 // If hc is nil, http.DefaultClient is used.
 func NewLibraryClient(baseURL string, hc *http.Client) *LibraryClient {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &LibraryClient{base: strings.TrimSuffix(baseURL, "/"), http: hc}
+	return &LibraryClient{w: wire.NewClient("prefetch client", baseURL, hc, clientopt.Options{}, statuses)}
 }
 
 // NewLibraryClientWithOptions is NewLibraryClient configured by the
@@ -145,41 +96,17 @@ func NewLibraryClient(baseURL string, hc *http.Client) *LibraryClient {
 // Retries/Backoff re-issue requests that fail at the transport layer
 // (HTTP error responses are verdicts and are never retried).
 func NewLibraryClientWithOptions(baseURL string, o clientopt.Options) *LibraryClient {
-	c := NewLibraryClient(baseURL, o.HTTPClient())
-	c.opts = o
-	return c
-}
-
-// do issues one request with the client's retry policy. Only transport
-// errors retry; any HTTP response — success or failure — is final.
-func (c *LibraryClient) do(issue func() (*http.Response, error)) (*http.Response, error) {
-	var lastErr error
-	for i := 0; i < c.opts.Attempts(); i++ {
-		if i > 0 {
-			c.opts.Sleep(i)
-		}
-		resp, err := issue()
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
+	return &LibraryClient{w: wire.NewClient("prefetch client", baseURL, o.HTTPClient(), o, statuses)}
 }
 
 // List fetches the profile listing.
 func (c *LibraryClient) List() ([]Info, error) {
-	out, err := c.get("/profile/list")
+	r, err := c.w.Do(http.MethodGet, "/profile/list", nil)
 	if err != nil {
 		return nil, err
 	}
 	var infos []Info
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
+	for _, line := range wire.Lines(r.Body) {
 		info, err := parseListLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("prefetch client: list: %w", err)
@@ -189,49 +116,50 @@ func (c *LibraryClient) List() ([]Info, error) {
 	return infos, nil
 }
 
-// Dump fetches ref's full profile (entries in first-access order).
+// Dump fetches ref's full profile (entries in first-access order): a
+// listing line for the profile, then one "<fingerprint> <size>" line
+// per entry.
 func (c *LibraryClient) Dump(ref string) (*Profile, error) {
 	if err := validateRef(ref); err != nil {
 		return nil, err
 	}
-	out, err := c.get("/profile/dump/" + ref)
+	r, err := c.w.Do(http.MethodGet, "/profile/dump/"+ref, nil)
 	if err != nil {
 		return nil, err
 	}
-	lines := strings.Split(string(out), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" {
-		return nil, fmt.Errorf("prefetch client: dump %s: empty response", ref)
-	}
-	header, err := parseListLine(strings.TrimSpace(lines[0]))
+	p, err := parseDump(wire.Lines(r.Body))
 	if err != nil {
 		return nil, fmt.Errorf("prefetch client: dump %s: %w", ref, err)
 	}
+	return p, nil
+}
+
+// parseDump decodes a dump reply's lines.
+func parseDump(lines []string) (*Profile, error) {
+	if len(lines) == 0 {
+		return nil, errors.New("empty response")
+	}
+	header, err := parseListLine(lines[0])
+	if err != nil {
+		return nil, err
+	}
 	p := &Profile{ImageRef: header.Ref}
 	for _, line := range lines[1:] {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+		fp, rest, err := wire.Record(line, 1)
+		if err != nil {
+			return nil, err
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("prefetch client: dump %s: malformed entry %q", ref, line)
+		size, err := wire.Ints(rest)
+		if err != nil || size[0] < 0 {
+			return nil, fmt.Errorf("bad size %q", rest[0])
 		}
-		fp := hashing.Fingerprint(fields[0])
-		if err := fp.Validate(); err != nil {
-			return nil, fmt.Errorf("prefetch client: dump %s: %w", ref, err)
-		}
-		size, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil || size < 0 {
-			return nil, fmt.Errorf("prefetch client: dump %s: bad size %q", ref, fields[1])
-		}
-		p.Entries = append(p.Entries, Entry{Fingerprint: fp, Size: size})
+		p.Entries = append(p.Entries, Entry{Fingerprint: fp, Size: size[0]})
 	}
 	if len(p.Entries) != header.Entries {
-		return nil, fmt.Errorf("prefetch client: dump %s: %d entries, header says %d",
-			ref, len(p.Entries), header.Entries)
+		return nil, fmt.Errorf("%d entries, header says %d", len(p.Entries), header.Entries)
 	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("prefetch client: dump %s: %w", ref, err)
+		return nil, err
 	}
 	return p, nil
 }
@@ -241,54 +169,20 @@ func (c *LibraryClient) Delete(ref string) error {
 	if err := validateRef(ref); err != nil {
 		return err
 	}
-	resp, err := c.do(func() (*http.Response, error) {
-		return c.http.Post(c.base+"/profile/delete/"+ref, "text/plain", strings.NewReader(""))
-	})
-	if err != nil {
-		return fmt.Errorf("prefetch client: delete: %w", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	out, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("prefetch client: delete: %s: %s", resp.Status, strings.TrimSpace(string(out)))
-	}
-	return nil
+	_, err := c.w.Do(http.MethodPost, "/profile/delete/"+ref, nil, "Content-Type", "text/plain")
+	return err
 }
 
-func (c *LibraryClient) get(path string) ([]byte, error) {
-	resp, err := c.do(func() (*http.Response, error) {
-		return c.http.Get(c.base + path)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("prefetch client: %s: %w", path, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("prefetch client: %s: %w", path, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("prefetch client: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(out)))
-	}
-	return out, nil
-}
-
-// parseListLine decodes one "<ref> <entries> <bytes>" listing line.
+// parseListLine decodes one "<ref> <entries> <bytes>" listing line. A
+// field holds no whitespace, so the ref is one the framing can carry.
 func parseListLine(line string) (Info, error) {
 	fields := strings.Fields(line)
 	if len(fields) != 3 {
 		return Info{}, fmt.Errorf("malformed listing line %q", line)
 	}
-	if err := validateRef(fields[0]); err != nil {
-		return Info{}, err
+	nums, err := wire.Ints(fields[1:])
+	if err != nil || nums[1] < 0 {
+		return Info{}, fmt.Errorf("listing line %q: bad count", line)
 	}
-	entries, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return Info{}, fmt.Errorf("listing line %q: bad entry count: %w", line, err)
-	}
-	bytes, err := strconv.ParseInt(fields[2], 10, 64)
-	if err != nil || bytes < 0 {
-		return Info{}, fmt.Errorf("listing line %q: bad byte count", line)
-	}
-	return Info{Ref: fields[0], Entries: entries, Bytes: bytes}, nil
+	return Info{Ref: fields[0], Entries: int(nums[0]), Bytes: nums[1]}, nil
 }

@@ -1,161 +1,123 @@
 package registry
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
+	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/imagefmt"
+	"github.com/gear-image/gear/internal/wire"
 )
 
-// HTTP wire protocol, loosely modeled on the Docker Registry v2 API:
-//
-//	GET  /v2/manifests/{name}/{tag}   -> manifest JSON
-//	PUT  /v2/manifests/{name}/{tag}   <- manifest JSON
-//	GET  /v2/manifests/               -> newline-separated references
-//	HEAD /v2/blobs/{digest}           -> 200 if present, 404 otherwise
-//	GET  /v2/blobs/{digest}           -> blob bytes
-//	PUT  /v2/blobs/{digest}           <- blob bytes
+// The Docker-side registry's HTTP protocol, loosely modeled on the
+// Docker Registry v2 API: the verb table below over internal/wire.
+// Framing and status map: DESIGN.md, "Wire protocols".
 
-// Handler adapts a Registry to HTTP.
-type Handler struct {
-	reg *Registry
+// statuses is the protocol's error table, read by the handlers one way
+// and the Client the other.
+var statuses = wire.Statuses{
+	{Err: ErrBlobNotFound, Code: http.StatusNotFound},
+	{Err: ErrManifestNotFound, Code: http.StatusNotFound},
+	{Err: ErrDigestMismatch, Code: http.StatusBadRequest},
 }
 
-var _ http.Handler = (*Handler)(nil)
-
-// NewHandler wraps reg.
-func NewHandler(reg *Registry) *Handler { return &Handler{reg: reg} }
-
-// ServeHTTP implements http.Handler.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case strings.HasPrefix(r.URL.Path, "/v2/manifests/"):
-		h.serveManifest(w, r, strings.TrimPrefix(r.URL.Path, "/v2/manifests/"))
-	case strings.HasPrefix(r.URL.Path, "/v2/blobs/"):
-		h.serveBlob(w, r, strings.TrimPrefix(r.URL.Path, "/v2/blobs/"))
-	default:
-		http.NotFound(w, r)
+// splitRef splits a manifest verb's argument. Image names may contain
+// slashes ("gear/nginx"); the tag is the final path segment.
+func splitRef(arg string) (name, tag string, err error) {
+	cut := strings.LastIndex(arg, "/")
+	if cut <= 0 || cut == len(arg)-1 {
+		return "", "", wire.As(wire.ErrBadRequest, errors.New("want /v2/manifests/{name}/{tag}"))
 	}
+	return arg[:cut], arg[cut+1:], nil
 }
 
-func (h *Handler) serveManifest(w http.ResponseWriter, r *http.Request, rest string) {
-	if rest == "" {
-		if r.Method != http.MethodGet {
-			w.WriteHeader(http.StatusMethodNotAllowed)
-			return
-		}
-		refs, _ := h.reg.ListManifests()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, strings.Join(refs, "\n"))
-		return
-	}
-	// Image names may contain slashes ("gear/nginx"); the tag is the
-	// final path segment.
-	cut := strings.LastIndex(rest, "/")
-	if cut <= 0 || cut == len(rest)-1 {
-		http.Error(w, "want /v2/manifests/{name}/{tag}", http.StatusBadRequest)
-		return
-	}
-	name, tag := rest[:cut], rest[cut+1:]
-	switch r.Method {
-	case http.MethodGet:
-		m, err := h.reg.GetManifest(name, tag)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, ErrManifestNotFound) {
-				status = http.StatusNotFound
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		data, err := imagefmt.EncodeManifest(m)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(data)
-	case http.MethodPut:
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		m, err := imagefmt.DecodeManifest(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if m.Name != name || m.Tag != tag {
-			http.Error(w, "manifest reference does not match URL", http.StatusBadRequest)
-			return
-		}
-		if err := h.reg.PutManifest(m); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	default:
-		w.WriteHeader(http.StatusMethodNotAllowed)
-	}
+// manifestVerb is a verb on one manifest. A reference that does not
+// split is refused whatever the method.
+func manifestVerb(method string, serve func(w http.ResponseWriter, name, tag string, body []byte) error) wire.Verb {
+	return wire.Verb{Method: method, Path: "/v2/manifests/*",
+		Check: func(arg string) error { _, _, err := splitRef(arg); return err },
+		Serve: func(w http.ResponseWriter, r *wire.Request) error {
+			name, tag, _ := splitRef(r.Arg)
+			return serve(w, name, tag, r.Body)
+		}}
 }
 
-func (h *Handler) serveBlob(w http.ResponseWriter, r *http.Request, rawDigest string) {
-	d := hashing.Digest(rawDigest)
-	if err := d.Validate(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	switch r.Method {
-	case http.MethodHead:
-		ok, _ := h.reg.HasBlob(d)
-		if !ok {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	case http.MethodGet:
-		data, err := h.reg.GetBlob(d)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, ErrBlobNotFound) {
-				status = http.StatusNotFound
+// blobVerb is a verb on one blob, named by its digest. A malformed
+// digest is refused whatever the method.
+func blobVerb(method string, serve func(w http.ResponseWriter, d hashing.Digest, body []byte) error) wire.Verb {
+	return wire.Verb{Method: method, Path: "/v2/blobs/*",
+		Check: func(arg string) error { return hashing.Digest(arg).Validate() },
+		Serve: func(w http.ResponseWriter, r *wire.Request) error { return serve(w, hashing.Digest(r.Arg), r.Body) }}
+}
+
+// NewHandler serves reg over HTTP.
+func NewHandler(reg *Registry) *wire.Handler {
+	return wire.NewHandler(statuses,
+		wire.Verb{Method: http.MethodGet, Path: "/v2/manifests/", Serve: func(w http.ResponseWriter, _ *wire.Request) error {
+			refs, _ := reg.ListManifests()
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			fmt.Fprint(w, strings.Join(refs, "\n"))
+			return nil
+		}},
+		manifestVerb(http.MethodGet, func(w http.ResponseWriter, name, tag string, _ []byte) error {
+			m, err := reg.GetManifest(name, tag)
+			if err != nil {
+				return err
 			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(data)
-	case http.MethodPut:
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := h.reg.PutBlob(d, body); err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, ErrDigestMismatch) || errors.Is(err, hashing.ErrMalformed) {
-				status = http.StatusBadRequest
+			data, err := imagefmt.EncodeManifest(m)
+			if err != nil {
+				return err
 			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	default:
-		w.WriteHeader(http.StatusMethodNotAllowed)
-	}
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(data)
+			return nil
+		}),
+		manifestVerb(http.MethodPut, func(w http.ResponseWriter, name, tag string, body []byte) error {
+			m, err := imagefmt.DecodeManifest(body)
+			if err != nil {
+				return wire.As(wire.ErrBadRequest, err)
+			}
+			if m.Name != name || m.Tag != tag {
+				return wire.As(wire.ErrBadRequest, errors.New("manifest reference does not match URL"))
+			}
+			if err := reg.PutManifest(m); err != nil {
+				return err
+			}
+			w.WriteHeader(http.StatusCreated)
+			return nil
+		}),
+		blobVerb(http.MethodHead, func(w http.ResponseWriter, d hashing.Digest, _ []byte) error {
+			if ok, _ := reg.HasBlob(d); !ok {
+				w.WriteHeader(http.StatusNotFound)
+			}
+			return nil
+		}),
+		blobVerb(http.MethodGet, func(w http.ResponseWriter, d hashing.Digest, _ []byte) error {
+			data, err := reg.GetBlob(d)
+			if err != nil {
+				return err
+			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			_, _ = w.Write(data)
+			return nil
+		}),
+		blobVerb(http.MethodPut, func(w http.ResponseWriter, d hashing.Digest, body []byte) error {
+			if err := reg.PutBlob(d, body); err != nil {
+				return err
+			}
+			w.WriteHeader(http.StatusCreated)
+			return nil
+		}),
+	)
 }
 
 // Client is an HTTP Store implementation used by daemons talking to a
 // remote registry.
 type Client struct {
-	base string
-	http *http.Client
+	w *wire.Client
 }
 
 var _ Store = (*Client)(nil)
@@ -163,32 +125,7 @@ var _ Store = (*Client)(nil)
 // NewClient returns a client for the registry at baseURL (no trailing
 // slash required). If hc is nil, http.DefaultClient is used.
 func NewClient(baseURL string, hc *http.Client) *Client {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &Client{base: strings.TrimSuffix(baseURL, "/"), http: hc}
-}
-
-func (c *Client) do(method, url string, body []byte) (*http.Response, error) {
-	var reader io.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, reader)
-	if err != nil {
-		return nil, fmt.Errorf("registry client: %w", err)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("registry client: %s %s: %w", method, url, err)
-	}
-	return resp, nil
-}
-
-// readBody drains and closes the response body.
-func readBody(resp *http.Response) ([]byte, error) {
-	defer func() { _ = resp.Body.Close() }()
-	return io.ReadAll(resp.Body)
+	return &Client{w: wire.NewClient("registry client", baseURL, hc, clientopt.Options{}, statuses)}
 }
 
 // PutManifest implements Store.
@@ -197,107 +134,48 @@ func (c *Client) PutManifest(m *imagefmt.Manifest) error {
 	if err != nil {
 		return err
 	}
-	url := fmt.Sprintf("%s/v2/manifests/%s/%s", c.base, m.Name, m.Tag)
-	resp, err := c.do(http.MethodPut, url, data)
-	if err != nil {
-		return err
-	}
-	body, _ := readBody(resp)
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("registry client: put manifest %s: %s: %s",
-			m.Reference(), resp.Status, strings.TrimSpace(string(body)))
-	}
-	return nil
+	_, err = c.w.Do(http.MethodPut, "/v2/manifests/"+m.Name+"/"+m.Tag, data)
+	return err
 }
 
 // GetManifest implements Store.
 func (c *Client) GetManifest(name, tag string) (*imagefmt.Manifest, error) {
-	url := fmt.Sprintf("%s/v2/manifests/%s/%s", c.base, name, tag)
-	resp, err := c.do(http.MethodGet, url, nil)
+	r, err := c.w.Do(http.MethodGet, "/v2/manifests/"+name+"/"+tag, nil)
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(resp)
-	if err != nil {
-		return nil, fmt.Errorf("registry client: get manifest: %w", err)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return imagefmt.DecodeManifest(body)
-	case http.StatusNotFound:
-		return nil, fmt.Errorf("registry client: %s:%s: %w", name, tag, ErrManifestNotFound)
-	default:
-		return nil, fmt.Errorf("registry client: get manifest %s:%s: %s", name, tag, resp.Status)
-	}
+	return imagefmt.DecodeManifest(r.Body)
 }
 
 // ListManifests implements Store.
 func (c *Client) ListManifests() ([]string, error) {
-	resp, err := c.do(http.MethodGet, c.base+"/v2/manifests/", nil)
+	r, err := c.w.Do(http.MethodGet, "/v2/manifests/", nil)
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(resp)
-	if err != nil {
-		return nil, fmt.Errorf("registry client: list manifests: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("registry client: list manifests: %s", resp.Status)
-	}
-	text := strings.TrimSpace(string(body))
-	if text == "" {
-		return nil, nil
-	}
-	return strings.Split(text, "\n"), nil
+	return wire.Lines(r.Body), nil
 }
 
 // HasBlob implements Store.
 func (c *Client) HasBlob(d hashing.Digest) (bool, error) {
-	resp, err := c.do(http.MethodHead, c.base+"/v2/blobs/"+string(d), nil)
-	if err != nil {
-		return false, err
-	}
-	_, _ = readBody(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
+	_, err := c.w.Do(http.MethodHead, "/v2/blobs/"+string(d), nil)
+	if wire.Code(err) == http.StatusNotFound {
 		return false, nil
-	default:
-		return false, fmt.Errorf("registry client: head blob %s: %s", d, resp.Status)
 	}
+	return err == nil, err
 }
 
 // PutBlob implements Store.
 func (c *Client) PutBlob(d hashing.Digest, data []byte) error {
-	resp, err := c.do(http.MethodPut, c.base+"/v2/blobs/"+string(d), data)
-	if err != nil {
-		return err
-	}
-	body, _ := readBody(resp)
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("registry client: put blob %s: %s: %s",
-			d, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return nil
+	_, err := c.w.Do(http.MethodPut, "/v2/blobs/"+string(d), data)
+	return err
 }
 
 // GetBlob implements Store.
 func (c *Client) GetBlob(d hashing.Digest) ([]byte, error) {
-	resp, err := c.do(http.MethodGet, c.base+"/v2/blobs/"+string(d), nil)
+	r, err := c.w.Do(http.MethodGet, "/v2/blobs/"+string(d), nil)
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(resp)
-	if err != nil {
-		return nil, fmt.Errorf("registry client: get blob %s: %w", d, err)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return body, nil
-	case http.StatusNotFound:
-		return nil, fmt.Errorf("registry client: %s: %w", d, ErrBlobNotFound)
-	default:
-		return nil, fmt.Errorf("registry client: get blob %s: %s", d, resp.Status)
-	}
+	return r.Body, nil
 }

@@ -4,31 +4,24 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 // Shard-routing wire protocol. A routing client that has resolved a
 // fingerprint batch against the ring addresses each sub-batch at a
-// specific shard; the framing carries that address so a tier front-end
-// can dispatch without re-hashing:
-//
-//	request:  "gear-shard <shard-id> <verb> <n>\n" + n fingerprint lines
-//	query:    "gear-shard <shard-id> query <n>\n" + "<fp> present|absent\n" lines
-//	download: "gear-shard <shard-id> download <n>\n" +
-//	          n frames of "<fp> <len> raw\n" + len payload bytes
-//
-// The header echo (shard id, verb, count) lets clients detect routing
-// mix-ups; payload frames mirror the gearregistry batch framing, always
-// uncompressed ("raw") because the router re-serves decompressed
-// payloads. Over HTTP (NewHandler): POST /shard, with routing to an
-// unknown shard mapped to 404, a killed shard to 503, and malformed
-// framing to 400.
+// specific shard; every frame opens with "gear-shard <shard-id> <verb>
+// <n>" so a tier front-end can dispatch without re-hashing and a client
+// can detect a routing mix-up from the echo. What follows the header is
+// the shared codec's list, verdict or object framing (always "raw": the
+// router re-serves decompressed payloads). Frames are canonical: a
+// frame is accepted only if encoding what was parsed gives back the
+// same bytes. Over HTTP: POST /shard; DESIGN.md, "Wire protocols".
 
 // Wire verbs.
 const (
@@ -37,10 +30,6 @@ const (
 )
 
 const wireMagic = "gear-shard"
-
-// maxWireBatch bounds the declared count in a frame header, so a hostile
-// header cannot drive allocation.
-const maxWireBatch = 1 << 20
 
 // ErrBadFrame reports shard-routing framing that does not parse.
 var ErrBadFrame = errors.New("malformed shard frame")
@@ -52,284 +41,152 @@ type RoutedRequest struct {
 	Fps   []hashing.Fingerprint
 }
 
-// EncodeRoutedRequest frames a shard-addressed batch request.
-func EncodeRoutedRequest(req RoutedRequest) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %s %s %d\n", wireMagic, req.Shard, req.Verb, len(req.Fps))
-	for _, fp := range req.Fps {
-		buf.WriteString(string(fp))
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
+func appendHeader(shard, verb string, n int) []byte {
+	return fmt.Appendf(nil, "%s %s %s %d\n", wireMagic, shard, verb, n)
 }
 
-// splitExact splits a frame line on single spaces, requiring exactly n
-// non-empty fields — the framing is canonical, so runs of whitespace
-// (or tabs) are rejected rather than tolerated.
-func splitExact(line string, n int) ([]string, bool) {
-	fields := strings.Split(line, " ")
-	if len(fields) != n {
-		return nil, false
+// parseHeader consumes the header line. The count is only checked to be
+// a number: whether it is the right one is canonical form's business.
+func parseHeader(data []byte) (shard, verb string, rest []byte, err error) {
+	line, rest, ok := bytes.Cut(data, []byte("\n"))
+	if !ok {
+		return "", "", nil, fmt.Errorf("shardreg: missing header: %w", ErrBadFrame)
 	}
-	for _, f := range fields {
-		if f == "" {
-			return nil, false
-		}
-	}
-	return fields, true
-}
-
-// parseHeader consumes the "gear-shard <shard-id> <verb> <n>\n" line.
-func parseHeader(data []byte) (shard, verb string, n int, rest []byte, err error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return "", "", 0, nil, fmt.Errorf("shardreg: missing header: %w", ErrBadFrame)
-	}
-	fields, ok := splitExact(string(data[:nl]), 4)
-	if !ok || fields[0] != wireMagic {
-		return "", "", 0, nil, fmt.Errorf("shardreg: bad header %q: %w", string(data[:nl]), ErrBadFrame)
+	fields := strings.Fields(string(line))
+	if len(fields) != 4 || fields[0] != wireMagic {
+		return "", "", nil, fmt.Errorf("shardreg: bad header %q: %w", line, ErrBadFrame)
 	}
 	shard, verb = fields[1], fields[2]
 	if err := validateShardID(shard); err != nil {
-		return "", "", 0, nil, fmt.Errorf("%w: %w", err, ErrBadFrame)
+		return "", "", nil, fmt.Errorf("%w: %w", err, ErrBadFrame)
 	}
 	if verb != VerbQuery && verb != VerbDownload {
-		return "", "", 0, nil, fmt.Errorf("shardreg: bad verb %q: %w", verb, ErrBadFrame)
+		return "", "", nil, fmt.Errorf("shardreg: bad verb %q: %w", verb, ErrBadFrame)
 	}
-	n, aerr := strconv.Atoi(fields[3])
-	// The count must be canonical decimal ("+1", "01" are rejected) so
-	// accepted frames re-encode byte-identically.
-	if aerr != nil || n < 0 || n > maxWireBatch || strconv.Itoa(n) != fields[3] {
-		return "", "", 0, nil, fmt.Errorf("shardreg: bad count %q: %w", fields[3], ErrBadFrame)
+	if _, err := strconv.Atoi(fields[3]); err != nil {
+		return "", "", nil, fmt.Errorf("shardreg: bad count %q: %w", fields[3], ErrBadFrame)
 	}
-	return shard, verb, n, data[nl+1:], nil
+	return shard, verb, rest, nil
 }
 
-// sizedCap clamps a declared count to what the remaining bytes could
-// plausibly hold (every entry costs at least two bytes), so
-// preallocation stays proportional to the actual input.
-func sizedCap(n int, rest []byte) int {
-	if max := len(rest)/2 + 1; n > max {
-		return max
-	}
-	return n
+// errNotCanonical is the post-condition every frame parser ends with.
+// The shared codec tolerates blank lines, tabs and runs of spaces, and a
+// header could say "+1", the wrong count or the wrong verb for what
+// follows it; but only the bytes the encoder would have produced from
+// what was parsed are a frame.
+var errNotCanonical = fmt.Errorf("shardreg: frame is not in canonical form: %w", ErrBadFrame)
+
+func badFrame(err error) error { return fmt.Errorf("shardreg: %w: %w", err, ErrBadFrame) }
+
+// EncodeRoutedRequest frames a shard-addressed batch request.
+func EncodeRoutedRequest(req RoutedRequest) []byte {
+	return wire.AppendList(appendHeader(req.Shard, req.Verb, len(req.Fps)), req.Fps)
 }
 
-// ParseRoutedRequest decodes a shard-addressed batch request. Exactly
-// the declared count of well-formed fingerprint lines must follow the
-// header, with no trailing bytes.
+// ParseRoutedRequest decodes a shard-addressed batch request.
 func ParseRoutedRequest(data []byte) (RoutedRequest, error) {
-	shard, verb, n, rest, err := parseHeader(data)
+	shard, verb, rest, err := parseHeader(data)
 	if err != nil {
 		return RoutedRequest{}, err
 	}
-	req := RoutedRequest{Shard: shard, Verb: verb, Fps: make([]hashing.Fingerprint, 0, sizedCap(n, rest))}
-	for i := 0; i < n; i++ {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			return RoutedRequest{}, fmt.Errorf("shardreg: %d of %d fingerprints: %w", i, n, ErrBadFrame)
-		}
-		fp := hashing.Fingerprint(rest[:nl])
-		if err := fp.Validate(); err != nil {
-			return RoutedRequest{}, fmt.Errorf("shardreg: %w: %w", err, ErrBadFrame)
-		}
-		req.Fps = append(req.Fps, fp)
-		rest = rest[nl+1:]
+	fps, err := wire.ParseList(rest)
+	if err != nil {
+		return RoutedRequest{}, badFrame(err)
 	}
-	if len(rest) != 0 {
-		return RoutedRequest{}, fmt.Errorf("shardreg: %d trailing bytes: %w", len(rest), ErrBadFrame)
+	req := RoutedRequest{Shard: shard, Verb: verb, Fps: fps}
+	if !bytes.Equal(EncodeRoutedRequest(req), data) {
+		return RoutedRequest{}, errNotCanonical
 	}
 	return req, nil
 }
 
 // EncodeQueryResponse frames a shard's presence verdicts.
 func EncodeQueryResponse(shard string, fps []hashing.Fingerprint, present []bool) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %s %s %d\n", wireMagic, shard, VerbQuery, len(fps))
-	for i, fp := range fps {
-		verdict := "absent"
-		if i < len(present) && present[i] {
-			verdict = "present"
-		}
-		fmt.Fprintf(&buf, "%s %s\n", fp, verdict)
-	}
-	return buf.Bytes()
+	return wire.AppendVerdicts(appendHeader(shard, VerbQuery, len(fps)), fps, present)
 }
 
 // ParseQueryResponse decodes a shard query response, returning the
 // answering shard and the verdicts in request order.
 func ParseQueryResponse(data []byte) (shard string, fps []hashing.Fingerprint, present []bool, err error) {
-	shard, verb, n, rest, err := parseHeader(data)
+	shard, _, rest, err := parseHeader(data)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	if verb != VerbQuery {
-		return "", nil, nil, fmt.Errorf("shardreg: verb %q in query response: %w", verb, ErrBadFrame)
+	if fps, present, err = wire.ParseVerdicts(rest); err != nil {
+		return "", nil, nil, badFrame(err)
 	}
-	fps = make([]hashing.Fingerprint, 0, sizedCap(n, rest))
-	present = make([]bool, 0, sizedCap(n, rest))
-	for i := 0; i < n; i++ {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			return "", nil, nil, fmt.Errorf("shardreg: %d of %d verdicts: %w", i, n, ErrBadFrame)
-		}
-		line := string(rest[:nl])
-		rest = rest[nl+1:]
-		sp := strings.IndexByte(line, ' ')
-		if sp < 0 {
-			return "", nil, nil, fmt.Errorf("shardreg: verdict line %q: %w", line, ErrBadFrame)
-		}
-		fp := hashing.Fingerprint(line[:sp])
-		if err := fp.Validate(); err != nil {
-			return "", nil, nil, fmt.Errorf("shardreg: %w: %w", err, ErrBadFrame)
-		}
-		switch line[sp+1:] {
-		case "present":
-			present = append(present, true)
-		case "absent":
-			present = append(present, false)
-		default:
-			return "", nil, nil, fmt.Errorf("shardreg: verdict %q: %w", line[sp+1:], ErrBadFrame)
-		}
-		fps = append(fps, fp)
-	}
-	if len(rest) != 0 {
-		return "", nil, nil, fmt.Errorf("shardreg: %d trailing bytes: %w", len(rest), ErrBadFrame)
+	if !bytes.Equal(EncodeQueryResponse(shard, fps, present), data) {
+		return "", nil, nil, errNotCanonical
 	}
 	return shard, fps, present, nil
 }
 
-// EncodeDownloadResponse frames a shard's served payloads, mirroring
-// the gearregistry batch framing (always raw: the router serves
-// decompressed payloads).
+// EncodeDownloadResponse frames a shard's served payloads.
 func EncodeDownloadResponse(shard string, fps []hashing.Fingerprint, payloads [][]byte) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %s %s %d\n", wireMagic, shard, VerbDownload, len(fps))
+	objects := make([]wire.Object, len(fps))
 	for i, fp := range fps {
-		var p []byte
-		if i < len(payloads) {
-			p = payloads[i]
-		}
-		fmt.Fprintf(&buf, "%s %d raw\n", fp, len(p))
-		buf.Write(p)
+		objects[i] = wire.Object{FP: fp, Stored: payloads[i]}
 	}
+	buf := bytes.NewBuffer(appendHeader(shard, VerbDownload, len(fps)))
+	wire.WriteFrames(buf, objects)
 	return buf.Bytes()
 }
 
 // ParseDownloadResponse decodes a shard download response: the
-// answering shard plus payloads in request order. Frames must account
-// for every byte — a declared length past the end of input, a frame
-// encoding other than "raw", or trailing bytes all fail.
+// answering shard plus payloads in request order, aliasing data.
 func ParseDownloadResponse(data []byte) (shard string, fps []hashing.Fingerprint, payloads [][]byte, err error) {
-	shard, verb, n, rest, err := parseHeader(data)
+	shard, _, rest, err := parseHeader(data)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	if verb != VerbDownload {
-		return "", nil, nil, fmt.Errorf("shardreg: verb %q in download response: %w", verb, ErrBadFrame)
+	objects, err := wire.ParseFrames(rest)
+	if err != nil {
+		return "", nil, nil, badFrame(err)
 	}
-	fps = make([]hashing.Fingerprint, 0, sizedCap(n, rest))
-	payloads = make([][]byte, 0, sizedCap(n, rest))
-	for i := 0; i < n; i++ {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			return "", nil, nil, fmt.Errorf("shardreg: %d of %d frames: %w", i, n, ErrBadFrame)
-		}
-		fields, ok := splitExact(string(rest[:nl]), 3)
-		if !ok || fields[2] != "raw" {
-			return "", nil, nil, fmt.Errorf("shardreg: frame header %q: %w", string(rest[:nl]), ErrBadFrame)
-		}
-		fp := hashing.Fingerprint(fields[0])
-		if err := fp.Validate(); err != nil {
-			return "", nil, nil, fmt.Errorf("shardreg: %w: %w", err, ErrBadFrame)
-		}
-		size, aerr := strconv.Atoi(fields[1])
-		rest = rest[nl+1:]
-		if aerr != nil || size < 0 || size > len(rest) {
-			return "", nil, nil, fmt.Errorf("shardreg: frame length %q: %w", fields[1], ErrBadFrame)
-		}
-		payload := make([]byte, size)
-		copy(payload, rest[:size])
-		rest = rest[size:]
-		fps = append(fps, fp)
-		payloads = append(payloads, payload)
+	for _, o := range objects {
+		fps, payloads = append(fps, o.FP), append(payloads, o.Stored)
 	}
-	if len(rest) != 0 {
-		return "", nil, nil, fmt.Errorf("shardreg: %d trailing bytes: %w", len(rest), ErrBadFrame)
+	if !bytes.Equal(EncodeDownloadResponse(shard, fps, payloads), data) {
+		return "", nil, nil, errNotCanonical
 	}
 	return shard, fps, payloads, nil
 }
 
-// Handler serves shard-addressed batches over HTTP:
-//
-//	POST /shard  <- routed request frame
-//	             -> query or download response frame
-//
-// Routing errors map onto status codes: unknown/removed shard 404
-// (ErrUnknownShard), killed shard 503 (ErrShardDown), malformed framing
-// or fingerprints 400, object missing on the addressed shard 404.
-type Handler struct {
-	c *Cluster
+// statuses is the protocol's error table: an unknown or removed shard
+// and an object missing on the addressed shard are 404, a killed shard
+// 503, malformed framing or fingerprints 400.
+var statuses = wire.Statuses{
+	{Err: ErrUnknownShard, Code: http.StatusNotFound},
+	{Err: gearregistry.ErrNotFound, Code: http.StatusNotFound},
+	{Err: ErrShardDown, Code: http.StatusServiceUnavailable},
+	{Err: ErrBadFrame, Code: http.StatusBadRequest},
 }
 
-var _ http.Handler = (*Handler)(nil)
-
-// NewHandler wraps a cluster.
-func NewHandler(c *Cluster) *Handler { return &Handler{c: c} }
-
-// maxWireBody bounds a request body read.
-const maxWireBody = 64 << 20
-
-// ServeHTTP implements http.Handler.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/shard" {
-		http.NotFound(w, r)
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxWireBody))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	req, err := ParseRoutedRequest(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	switch req.Verb {
-	case VerbQuery:
-		present, err := h.c.ShardQueryBatch(req.Shard, req.Fps)
+// NewHandler serves shard-addressed batches over HTTP: POST /shard
+// takes a routed request frame and answers with the query or download
+// response frame.
+func NewHandler(c *Cluster) *wire.Handler {
+	return wire.NewHandler(statuses, wire.Verb{Method: http.MethodPost, Path: "/shard", Serve: func(w http.ResponseWriter, r *wire.Request) error {
+		req, err := ParseRoutedRequest(r.Body)
 		if err != nil {
-			http.Error(w, err.Error(), routeStatus(err))
-			return
+			return err
+		}
+		var out []byte
+		if req.Verb == VerbQuery {
+			present, err := c.ShardQueryBatch(req.Shard, req.Fps)
+			if err != nil {
+				return err
+			}
+			out = EncodeQueryResponse(req.Shard, req.Fps, present)
+		} else {
+			payloads, _, err := c.ShardDownloadBatch(req.Shard, req.Fps)
+			if err != nil {
+				return err
+			}
+			out = EncodeDownloadResponse(req.Shard, req.Fps, payloads)
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(EncodeQueryResponse(req.Shard, req.Fps, present))
-	case VerbDownload:
-		payloads, _, err := h.c.ShardDownloadBatch(req.Shard, req.Fps)
-		if err != nil {
-			http.Error(w, err.Error(), routeStatus(err))
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(EncodeDownloadResponse(req.Shard, req.Fps, payloads))
-	}
-}
-
-// routeStatus maps routing and serve errors onto HTTP status codes.
-func routeStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrUnknownShard), errors.Is(err, gearregistry.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, ErrShardDown):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, hashing.ErrMalformed), errors.Is(err, ErrBadFrame):
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
+		_, _ = w.Write(out)
+		return nil
+	}})
 }

@@ -46,6 +46,16 @@ func TestParseRoutedRequestRejects(t *testing.T) {
 		"gear-shard s query 1\nzzzz\n",              // malformed fingerprint
 		"gear-shard s query 0\ntrailing\n",          // trailing bytes
 		"gear-shard s query 99999999999999999999\n", // overflow count
+		// Forms the shared codec would read but the encoder never writes.
+		"gear-shard s query +1\n" + fp + "\n",  // non-canonical count
+		"gear-shard s query 01\n" + fp + "\n",  // non-canonical count
+		"gear-shard s query 2\n" + fp + "\n",   // count disagrees with the list
+		"gear-shard\ts query 1\n" + fp + "\n",  // tab
+		"gear-shard s  query 1\n" + fp + "\n",  // doubled space
+		"gear-shard s query 1\n " + fp + "\n",  // indented fingerprint
+		"gear-shard s query 1\n\n" + fp + "\n", // blank line
+		"gear-shard s query 1\n" + fp + "\n\n", // trailing newline
+		"gear-shard s query 1\n" + fp,          // missing final newline
 	} {
 		if _, err := ParseRoutedRequest([]byte(bad)); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("ParseRoutedRequest(%q) err = %v, want ErrBadFrame", bad, err)

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sort"
 	"time"
+
+	"github.com/gear-image/gear/internal/wire"
 )
 
 // Snapshotter is anything that can produce a metrics snapshot — a
@@ -16,21 +18,15 @@ type Snapshotter interface {
 	Snapshot() Snapshot
 }
 
-// Handler serves src's snapshot as JSON: the /metrics exposition
-// endpoint mounted on the gear-registry, docker-registry, tracker, and
-// profile servers. encoding/json sorts map keys, so the body is
+// Verb serves src's snapshot as JSON at path: the /metrics exposition
+// row of the gear-registry, docker-registry, tracker, and profile
+// servers' verb tables. encoding/json sorts map keys, so the body is
 // deterministic for a given snapshot — golden tests rely on that.
-func Handler(src Snapshotter) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.WriteHeader(http.StatusMethodNotAllowed)
-			return
-		}
+func Verb(path string, src Snapshotter) wire.Verb {
+	return wire.Verb{Method: http.MethodGet, Path: path, Serve: func(w http.ResponseWriter, _ *wire.Request) error {
 		w.Header().Set("Content-Type", "application/json")
-		if err := EncodeSnapshot(w, src.Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+		return EncodeSnapshot(w, src.Snapshot())
+	}}
 }
 
 // EncodeSnapshot writes s as indented JSON (the /metrics wire format).

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/gear-image/gear/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -51,7 +53,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 func TestMetricsHandlerGolden(t *testing.T) {
-	srv := httptest.NewServer(Handler(goldenRegistry()))
+	srv := httptest.NewServer(wire.NewHandler(nil, Verb("*", goldenRegistry())))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL)
 	if err != nil {
@@ -81,7 +83,7 @@ func TestMetricsHandlerGolden(t *testing.T) {
 }
 
 func TestMetricsHandlerRejectsNonGET(t *testing.T) {
-	srv := httptest.NewServer(Handler(goldenRegistry()))
+	srv := httptest.NewServer(wire.NewHandler(nil, Verb("*", goldenRegistry())))
 	defer srv.Close()
 	resp, err := http.Post(srv.URL, "text/plain", nil)
 	if err != nil {

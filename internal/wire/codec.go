@@ -1,0 +1,221 @@
+// Package wire is the one HTTP layer under the repo's six line-framed
+// protocols (DESIGN.md, "Wire protocols"): the line codec they share, a
+// client helper that issues a request and hands back a bounded, drained
+// reply, a server helper that dispatches a table of verbs, and the
+// two-way error/status table both helpers read. A protocol is a verb
+// table plus a status table; nothing outside this package reads a body,
+// answers 404/405, or turns a status into an error.
+package wire
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
+
+	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/tarstream"
+)
+
+// Lines returns body's lines, trimmed, blank ones skipped: the framing
+// of every text body the protocols carry.
+func Lines(body []byte) []string {
+	var out []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// Record splits a line into the fingerprint it opens with and the n
+// fields after it: the shape of every keyed line the protocols carry.
+func Record(line string, n int) (hashing.Fingerprint, []string, error) {
+	fields := strings.Fields(line)
+	if len(fields) != n+1 {
+		return "", nil, fmt.Errorf("malformed line %q", line)
+	}
+	fp := hashing.Fingerprint(fields[0])
+	if err := fp.Validate(); err != nil {
+		return "", nil, fmt.Errorf("line %q: %w", line, err)
+	}
+	return fp, fields[1:], nil
+}
+
+// Ints parses every field as a decimal number: the offsets, counts and
+// sizes keyed lines and path arguments carry.
+func Ints(fields []string) ([]int64, error) {
+	out := make([]int64, len(fields))
+	for i, field := range fields {
+		var err error
+		if out[i], err = strconv.ParseInt(field, 10, 64); err != nil {
+			return nil, fmt.Errorf("bad number %q", field)
+		}
+	}
+	return out, nil
+}
+
+// List decodes a fingerprint list, one per line, without validating
+// it: a verb that hands the list to a pool lets the pool decide, in
+// request order, between 400 for a malformed entry and 404 for an
+// absent one.
+func List(body []byte) []hashing.Fingerprint {
+	lines := Lines(body)
+	fps := make([]hashing.Fingerprint, len(lines))
+	for i, line := range lines {
+		fps[i] = hashing.Fingerprint(line)
+	}
+	return fps
+}
+
+// ParseList is List for verbs that reject a malformed entry themselves.
+func ParseList(body []byte) ([]hashing.Fingerprint, error) {
+	fps := List(body)
+	for _, fp := range fps {
+		if err := fp.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	return fps, nil
+}
+
+// AppendList frames fps one per line.
+func AppendList(dst []byte, fps []hashing.Fingerprint) []byte {
+	for _, fp := range fps {
+		dst = append(append(dst, fp...), '\n')
+	}
+	return dst
+}
+
+// CheckEcho reports whether a batch reply names exactly the
+// fingerprints the request did, in its order.
+func CheckEcho(got, want []hashing.Fingerprint) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("reply has %d entries, request had %d", len(got), len(want))
+	}
+	for i, fp := range got {
+		if fp != want[i] {
+			return fmt.Errorf("entry %d is %s, want %s", i, fp, want[i])
+		}
+	}
+	return nil
+}
+
+// AppendVerdicts frames one "<fingerprint> present|absent" line per
+// fingerprint.
+func AppendVerdicts(dst []byte, fps []hashing.Fingerprint, present []bool) []byte {
+	for i, fp := range fps {
+		verdict := " absent\n"
+		if present[i] {
+			verdict = " present\n"
+		}
+		dst = append(append(dst, fp...), verdict...)
+	}
+	return dst
+}
+
+// ParseVerdicts decodes AppendVerdicts' framing, rejecting malformed
+// lines and invalid fingerprints.
+func ParseVerdicts(body []byte) (fps []hashing.Fingerprint, present []bool, err error) {
+	for _, line := range Lines(body) {
+		fp, rest, err := Record(line, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		if rest[0] != "present" && rest[0] != "absent" {
+			return nil, nil, fmt.Errorf("line %q: bad verdict", line)
+		}
+		fps = append(fps, fp)
+		present = append(present, rest[0] == "present")
+	}
+	return fps, present, nil
+}
+
+// Object is one Gear file as a pool stores it and as it crosses the
+// wire: Stored is a gzip stream when Gzip is set.
+type Object struct {
+	FP     hashing.Fingerprint
+	Stored []byte
+	Gzip   bool
+}
+
+// WriteFrames frames each object as "<fingerprint> <len> raw|gzip\n"
+// followed by exactly len stored bytes. It writes each payload straight
+// through, so a batch response costs no second copy of its objects.
+// Write errors are dropped: w is a response or a buffer.
+func WriteFrames(w io.Writer, objects []Object) {
+	for _, o := range objects {
+		enc := "raw"
+		if o.Gzip {
+			enc = "gzip"
+		}
+		fmt.Fprintf(w, "%s %d %s\n", o.FP, len(o.Stored), enc)
+		_, _ = w.Write(o.Stored)
+	}
+}
+
+// ParseFrames decodes WriteFrames' framing; the objects alias body. It
+// rejects truncated or malformed frames.
+func ParseFrames(body []byte) ([]Object, error) {
+	var objects []Object
+	for len(body) > 0 {
+		header, rest, ok := bytes.Cut(body, []byte("\n"))
+		if !ok {
+			return nil, fmt.Errorf("truncated object header %q", body)
+		}
+		fp, fields, err := Record(string(header), 2)
+		if err != nil {
+			return nil, err
+		}
+		o := Object{FP: fp, Gzip: fields[1] == "gzip"}
+		size, err := strconv.Atoi(fields[0])
+		if err != nil || size < 0 {
+			return nil, fmt.Errorf("object header %q: bad size", header)
+		}
+		if fields[1] != "raw" && fields[1] != "gzip" {
+			return nil, fmt.Errorf("object header %q: bad encoding", header)
+		}
+		if size > len(rest) {
+			return nil, fmt.Errorf("object %s: truncated payload: want %d bytes, have %d", o.FP, size, len(rest))
+		}
+		o.Stored, body = rest[:size], rest[size:]
+		objects = append(objects, o)
+	}
+	return objects, nil
+}
+
+// The headers that gzip-frame a text body: EncodingHeader marks one,
+// AcceptHeader tells the peer it may answer with one. The framing is
+// explicit so that compression survives any transport.
+const (
+	EncodingHeader = "X-Gear-Encoding"
+	AcceptHeader   = "X-Gear-Accept"
+)
+
+// gzipThreshold is the body size above which a fingerprint or verdict
+// list is worth gzip-framing: a whole image's set is thousands of
+// highly compressible hex lines, while a handful of lines costs more in
+// gzip header than it saves.
+const gzipThreshold = 1024
+
+// Deflate gzip-frames a text body big enough to profit, reporting
+// whether it did: the sender then sets EncodingHeader to "gzip".
+func Deflate(body []byte) ([]byte, bool) {
+	if len(body) > gzipThreshold {
+		if z, err := tarstream.Gzip(body); err == nil {
+			return z, true
+		}
+	}
+	return body, false
+}
+
+// Inflate returns the content of a body or stored object that is a gzip
+// stream when gzipped is set.
+func Inflate(body []byte, gzipped bool) ([]byte, error) {
+	if gzipped {
+		return tarstream.Gunzip(body)
+	}
+	return body, nil
+}

@@ -1,0 +1,162 @@
+package wire
+
+import (
+	"context"
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"os/signal"
+	"strings"
+	"syscall"
+	"time"
+)
+
+// MaxBody bounds every body this layer reads, request or response. The
+// receiver holds a body whole, so this is what a hostile peer can make
+// a process allocate per request; it sits above the largest un-chunked
+// model-weights file the experiments push.
+const MaxBody = 1 << 30
+
+// eagerBody is the largest declared length readBody allocates up front:
+// a Content-Length is the peer's claim, and a larger body is only given
+// memory as its bytes actually arrive.
+const eagerBody = 1 << 20
+
+// readBody reads a whole body of the declared length (negative:
+// unknown), refusing one over limit.
+func readBody(r io.Reader, length, limit int64) ([]byte, error) {
+	if length > limit {
+		return nil, ErrTooLarge
+	}
+	if 0 <= length && length <= eagerBody {
+		body := make([]byte, length)
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	body, err := io.ReadAll(io.LimitReader(r, limit+1))
+	var tooLarge *http.MaxBytesError
+	if int64(len(body)) > limit || errors.As(err, &tooLarge) {
+		return nil, ErrTooLarge
+	}
+	return body, err
+}
+
+// Request is what a verb is served: the HTTP request, the rest of the
+// path after the verb's "*" pattern, and, for a POST or PUT verb, the
+// body, already read.
+type Request struct {
+	*http.Request
+	Arg  string
+	Body []byte
+}
+
+// Verb is one row of a protocol's verb table. Path is matched exactly,
+// or as a prefix when it ends in "*"; Method "" answers every method,
+// without reading a body. Check, if set, judges the path argument
+// before the method is looked at. Serve either writes the response and
+// returns nil, or returns an error before writing anything and the
+// table answers for it.
+type Verb struct {
+	Method string
+	Path   string
+	Check  func(arg string) error
+	Serve  func(w http.ResponseWriter, r *Request) error
+}
+
+// NeedArg is the Check of a verb for which a path without an argument
+// is no route at all.
+func NeedArg(arg string) error {
+	if arg == "" {
+		return ErrNotFound
+	}
+	return nil
+}
+
+// Handler serves a verb table. The first verb whose Path matches owns
+// the request's path: its Check judges the argument, then it, or a
+// later verb with the same Path and the request's method, serves, and
+// if none has the method the answer is 405. A path no verb matches is
+// 404. The order of checks is therefore route, argument, method, body
+// bound, then the verb's own; nothing is read of a request that is
+// refused before the body bound.
+type Handler struct {
+	errs  Statuses
+	verbs []Verb
+}
+
+// NewHandler returns the handler for a protocol: its verb table, and
+// the status table its verbs' errors are answered through.
+func NewHandler(errs Statuses, verbs ...Verb) *Handler {
+	return &Handler{errs: errs, verbs: verbs}
+}
+
+// ServeHTTP implements http.Handler.
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if err := h.serve(w, r); err != nil {
+		http.Error(w, err.Error(), h.errs.code(err))
+	}
+}
+
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request) error {
+	owner := ""
+	for _, v := range h.verbs {
+		prefix, wild := strings.CutSuffix(v.Path, "*")
+		arg, ok := strings.CutPrefix(r.URL.Path, prefix)
+		if !ok || (!wild && arg != "") || (owner != "" && owner != v.Path) {
+			continue
+		}
+		if owner == "" && v.Check != nil {
+			if err := v.Check(arg); err != nil {
+				return err
+			}
+		}
+		owner = v.Path
+		if v.Method != "" && v.Method != r.Method {
+			continue
+		}
+		req := &Request{Request: r, Arg: arg}
+		if (v.Method == http.MethodPost || v.Method == http.MethodPut) && r.ContentLength != 0 {
+			var err error
+			req.Body, err = readBody(http.MaxBytesReader(w, r.Body, MaxBody), r.ContentLength, MaxBody)
+			if errors.Is(err, ErrTooLarge) {
+				return err
+			} else if err != nil {
+				return As(ErrBadRequest, err)
+			}
+		}
+		return v.Serve(w, req)
+	}
+	if owner == "" {
+		return ErrNotFound
+	}
+	w.WriteHeader(http.StatusMethodNotAllowed)
+	return nil
+}
+
+// The server's fixed limits. There is no whole-request read or write
+// timeout: an upload or a weights download legitimately takes as long
+// as its bytes do.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 15 * time.Second
+)
+
+// Serve serves h on ln until SIGINT or SIGTERM, then stops accepting,
+// lets requests in flight finish for up to shutdownGrace, and returns.
+func Serve(ln net.Listener, h http.Handler) error {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	failed := make(chan error, 1)
+	go func() { failed <- srv.Serve(ln) }()
+	select {
+	case err := <-failed:
+		return err
+	case <-ctx.Done():
+	}
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	return srv.Shutdown(grace)
+}
