@@ -213,12 +213,21 @@ func (s *Store) fetchAll(fps []hashing.Fingerprint, maxWorkers int, class fetchC
 			continue
 		}
 		f, leader := s.claimFlight(fp)
-		if leader {
-			claimed = append(claimed, fp)
-			claimedFlights[fp] = f
-		} else {
+		if !leader {
 			joined = append(joined, f)
+			continue
 		}
+		// Re-check after claiming, as fetchOne does: a fault that led
+		// fp's previous flight may have finished between the miss above
+		// and this claim, and leading a second download would fetch the
+		// file twice.
+		if c, ok := s.cache.Peek(fp); ok {
+			f.content = c
+			s.finishFlight(fp, f)
+			continue
+		}
+		claimed = append(claimed, fp)
+		claimedFlights[fp] = f
 	}
 
 	var errs []error

@@ -198,11 +198,12 @@ func (r *Registry) Stored(fp hashing.Fingerprint) (wire.Object, error) {
 	}
 	r.mu.RLock()
 	stored, ok := r.objects[fp]
+	size := r.logical[fp]
 	r.mu.RUnlock()
 	if !ok {
 		return wire.Object{}, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
 	}
-	return wire.Object{FP: fp, Stored: stored, Gzip: r.opts.Compress}, nil
+	return wire.Object{FP: fp, Stored: stored, Gzip: r.opts.Compress, Size: size}, nil
 }
 
 // Size returns the uncompressed size of a stored Gear file without

@@ -1,9 +1,9 @@
 package gearregistry
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -54,11 +54,7 @@ func readVerbs(p Pool) []wire.Verb {
 			if err != nil {
 				return err
 			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			if o.Gzip {
-				w.Header().Set(wire.EncodingHeader, "gzip")
-			}
-			_, _ = w.Write(o.Stored)
+			wire.RespondObject(w, o)
 			return nil
 		}),
 		// Batches are all-or-nothing: every object is located before the
@@ -72,8 +68,7 @@ func readVerbs(p Pool) []wire.Verb {
 					return err
 				}
 			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			wire.WriteFrames(w, objects)
+			wire.RespondFrames(w, nil, objects)
 			return nil
 		}},
 	}
@@ -111,14 +106,13 @@ func NewHandler(reg *Registry) *wire.Handler {
 				return err
 			}
 			out := wire.AppendVerdicts(nil, fps, present)
-			w.Header().Set("Content-Type", "text/plain")
 			if strings.Contains(r.Header.Get(wire.AcceptHeader), "gzip") {
 				var gzipped bool
 				if out, gzipped = wire.Deflate(out); gzipped {
 					w.Header().Set(wire.EncodingHeader, "gzip")
 				}
 			}
-			_, _ = w.Write(out)
+			wire.Respond(w, "text/plain", out)
 			return nil
 		}},
 		wire.Verb{Method: http.MethodPost, Path: "/gear/gc", Serve: func(w http.ResponseWriter, r *wire.Request) error {
@@ -131,7 +125,7 @@ func NewHandler(reg *Registry) *wire.Handler {
 				keep[fp] = true
 			}
 			removed, freed := reg.Retain(keep)
-			fmt.Fprintf(w, "removed=%d freed=%d\n", removed, freed)
+			wire.Respond(w, "text/plain; charset=utf-8", fmt.Appendf(nil, "removed=%d freed=%d\n", removed, freed))
 			return nil
 		}},
 		wire.Verb{Method: http.MethodGet, Path: "/gear/range/*", Serve: func(w http.ResponseWriter, r *wire.Request) error {
@@ -151,49 +145,31 @@ func NewHandler(reg *Registry) *wire.Handler {
 			if err != nil {
 				return err
 			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			fmt.Fprintf(w, "%s %d %d %d\n", fp, off, n, total)
-			_, _ = w.Write(payload)
+			wire.Respond(w, "application/octet-stream", fmt.Appendf(nil, "%s %d %d %d\n", fp, off, n, total), payload)
 			return nil
 		}},
 	)...)
 }
 
-// rangeFrame is a decoded /gear/range response.
-type rangeFrame struct {
-	fp      hashing.Fingerprint
-	off     int64
-	n       int64
-	total   int64
-	payload []byte
-}
-
-// parseRangeResponse decodes the range framing: one
-// "<fingerprint> <off> <n> <total>\n" header echoing the request and
-// carrying the object's uncompressed size, then exactly n raw bytes.
-// Every deviation — missing header, short or long body, negative
-// numbers, a range that does not fit the declared total — is rejected.
-func parseRangeResponse(body []byte) (rangeFrame, error) {
-	header, payload, ok := bytes.Cut(body, []byte("\n"))
-	if !ok {
-		return rangeFrame{}, fmt.Errorf("truncated range header %q", body)
-	}
-	fp, fields, err := wire.Record(string(header), 3)
+// parseRangeHeader decodes the line a range reply opens with:
+// "<fingerprint> <off> <n> <total>", echoing the request and carrying
+// the object's uncompressed size; exactly n raw bytes follow it. A
+// header with negative numbers, or a range that does not fit the
+// declared total, is rejected.
+func parseRangeHeader(header string) (fp hashing.Fingerprint, off, n int64, err error) {
+	fp, fields, err := wire.Record(header, 3)
 	if err != nil {
-		return rangeFrame{}, err
+		return "", 0, 0, err
 	}
 	nums, err := wire.Ints(fields)
 	if err != nil {
-		return rangeFrame{}, fmt.Errorf("range header %q: %w", header, err)
+		return "", 0, 0, fmt.Errorf("range header %q: %w", header, err)
 	}
-	f := rangeFrame{fp: fp, off: nums[0], n: nums[1], total: nums[2], payload: payload}
-	if f.off < 0 || f.n <= 0 || f.total < 0 || f.off+f.n > f.total {
-		return rangeFrame{}, fmt.Errorf("range header %q: %w", header, ErrBadRange)
+	off, n, total := nums[0], nums[1], nums[2]
+	if off < 0 || n <= 0 || total < 0 || off+n > total {
+		return "", 0, 0, fmt.Errorf("range header %q: %w", header, ErrBadRange)
 	}
-	if int64(len(payload)) != f.n {
-		return rangeFrame{}, fmt.Errorf("range %s [%d,+%d): body is %d bytes", f.fp, f.off, f.n, len(payload))
-	}
-	return f, nil
+	return fp, off, n, nil
 }
 
 // Client is an HTTP Store implementation used by Gear drivers fetching
@@ -225,7 +201,7 @@ func NewClientWithOptions(baseURL string, o clientopt.Options) (Store, error) {
 
 // badReply reports a 2xx reply whose body is not what verb answers.
 func badReply(verb string, err error) error {
-	return fmt.Errorf("gearregistry client: %s: %w", verb, err)
+	return wire.As(wire.ErrBadReply, fmt.Errorf("gearregistry client: %s: %w", verb, err))
 }
 
 // Query implements Store.
@@ -243,19 +219,22 @@ func (c *Client) Upload(fp hashing.Fingerprint, data []byte) error {
 	return err
 }
 
-// Download implements Store. Compressed payloads (marked with the
-// X-Gear-Encoding header) are inflated locally; the wire size is the
-// body length as transported.
-func (c *Client) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
-	r, err := c.w.Do(http.MethodGet, "/gear/download/"+string(fp), nil)
+// Download implements Store. A compressed payload (marked with the
+// X-Gear-Encoding header) is inflated straight off the connection; the
+// wire size is the body length as transported.
+func (c *Client) Download(fp hashing.Fingerprint) (payload []byte, wireBytes int64, err error) {
+	err = c.w.Stream(http.MethodGet, "/gear/download/"+string(fp), nil, func(b *wire.Body) error {
+		var err error
+		if payload, err = b.Rest(b.Header.Get(wire.EncodingHeader) == "gzip"); err != nil {
+			return fmt.Errorf("download %s: %w", fp, err)
+		}
+		wireBytes = b.Received()
+		return nil
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, err := wire.Inflate(r.Body, r.Header.Get(wire.EncodingHeader) == "gzip")
-	if err != nil {
-		return nil, 0, badReply("download "+string(fp), err)
-	}
-	return payload, int64(len(r.Body)), nil
+	return payload, wireBytes, nil
 }
 
 // GC asks the remote registry to retain only the given fingerprints,
@@ -272,34 +251,50 @@ func (c *Client) GC(keep []hashing.Fingerprint) (removed int, freed int64, err e
 }
 
 // DownloadBatch implements BatchDownloader over HTTP via POST
-// /gear/batch. The wire size is the full response body as transported
-// (object headers included).
+// /gear/batch, inflating each frame straight off the connection. The
+// wire size is the full response body as transported (object headers
+// included).
 func (c *Client) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, error) {
 	if len(fps) == 0 {
 		return nil, 0, nil
 	}
-	r, err := c.w.Do(http.MethodPost, "/gear/batch", wire.AppendList(nil, fps), "Content-Type", "text/plain")
+	payloads := make([][]byte, 0, len(fps))
+	var wireBytes int64
+	err := c.w.Stream(http.MethodPost, "/gear/batch", wire.AppendList(nil, fps), func(b *wire.Body) error {
+		for i := 0; ; i++ {
+			header, err := b.Line()
+			if err == io.EOF {
+				break
+			} else if err != nil {
+				return fmt.Errorf("batch: %w", err)
+			}
+			fp, stored, gzipped, err := wire.ParseFrame(header)
+			if err != nil {
+				return fmt.Errorf("batch: %w", err)
+			}
+			// The echo is checked frame by frame, before the frame's
+			// bytes are given any memory.
+			if i >= len(fps) {
+				return fmt.Errorf("batch: reply has more entries than the request's %d", len(fps))
+			} else if fp != fps[i] {
+				return fmt.Errorf("batch: entry %d is %s, want %s", i, fp, fps[i])
+			}
+			payload, err := b.Frame(i, stored, gzipped)
+			if err != nil {
+				return fmt.Errorf("batch %s: %w", fp, err)
+			}
+			payloads = append(payloads, payload)
+		}
+		if len(payloads) != len(fps) {
+			return fmt.Errorf("batch: reply has %d entries, request had %d", len(payloads), len(fps))
+		}
+		wireBytes = b.Received()
+		return nil
+	}, "Content-Type", "text/plain")
 	if err != nil {
 		return nil, 0, err
 	}
-	objects, err := wire.ParseFrames(r.Body)
-	got := make([]hashing.Fingerprint, len(objects))
-	for i, o := range objects {
-		got[i] = o.FP
-	}
-	if err == nil {
-		err = wire.CheckEcho(got, fps)
-	}
-	if err != nil {
-		return nil, 0, badReply("batch", err)
-	}
-	payloads := make([][]byte, len(fps))
-	for i, o := range objects {
-		if payloads[i], err = wire.Inflate(o.Stored, o.Gzip); err != nil {
-			return nil, 0, badReply("batch "+string(o.FP), err)
-		}
-	}
-	return payloads, int64(len(r.Body)), nil
+	return payloads, wireBytes, nil
 }
 
 // QueryBatch implements BatchQuerier over HTTP via POST
@@ -334,17 +329,32 @@ func (c *Client) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
 
 // DownloadRange implements RangeDownloader over HTTP via GET
 // /gear/range. The wire size is the framed body as transported.
-func (c *Client) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, int64, error) {
-	r, err := c.w.Do(http.MethodGet, fmt.Sprintf("/gear/range/%s/%d/%d", fp, off, n), nil)
+func (c *Client) DownloadRange(fp hashing.Fingerprint, off, n int64) (payload []byte, wireBytes int64, err error) {
+	err = c.w.Stream(http.MethodGet, fmt.Sprintf("/gear/range/%s/%d/%d", fp, off, n), nil, func(b *wire.Body) error {
+		header, err := b.Line()
+		if err != nil {
+			return fmt.Errorf("range: no header: %w", err)
+		}
+		gotFP, gotOff, gotN, err := parseRangeHeader(header)
+		if err == nil && (gotFP != fp || gotOff != off || gotN != n) {
+			err = fmt.Errorf("asked for %s [%d,+%d), server echoed %s [%d,+%d)", fp, off, n, gotFP, gotOff, gotN)
+		}
+		if err != nil {
+			return fmt.Errorf("range: %w", err)
+		}
+		// The slice is the next n bytes — n being, now that the echo
+		// matches, this client's own number — and the end of the body.
+		if payload, err = b.Frame(0, n, false); err != nil {
+			return fmt.Errorf("range: %w", err)
+		}
+		if !b.Ended() {
+			return fmt.Errorf("range %s [%d,+%d): body runs on past the slice", fp, off, n)
+		}
+		wireBytes = b.Received()
+		return nil
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	frame, err := parseRangeResponse(r.Body)
-	if err == nil && (frame.fp != fp || frame.off != off || frame.n != n) {
-		err = fmt.Errorf("asked for %s [%d,+%d), server echoed %s [%d,+%d)", fp, off, n, frame.fp, frame.off, frame.n)
-	}
-	if err != nil {
-		return nil, 0, badReply("range", err)
-	}
-	return frame.payload, int64(len(r.Body)), nil
+	return payload, wireBytes, nil
 }

@@ -184,6 +184,18 @@ func TestHTTPQueryBatchErrors(t *testing.T) {
 	}
 }
 
+// A 2xx reply that is not what the verb answers is an ErrBadReply from
+// the verbs whose reply is read whole, as it is from the streamed ones.
+func TestMalformedTextReplyIsBadReply(t *testing.T) {
+	fp := hashing.FingerprintBytes([]byte("x"))
+	if _, err := cannedClient(nil, []byte("no verdicts here\n")).QueryBatch([]hashing.Fingerprint{fp}); !errors.Is(err, wire.ErrBadReply) {
+		t.Errorf("QueryBatch: err = %v, want ErrBadReply", err)
+	}
+	if _, _, err := cannedClient(nil, []byte("swept\n")).GC(nil); !errors.Is(err, wire.ErrBadReply) {
+		t.Errorf("GC: err = %v, want ErrBadReply", err)
+	}
+}
+
 func TestRetryStoreQueryBatch(t *testing.T) {
 	reg := New(Options{})
 	fps, _ := seedObjects(t, reg, 3)

@@ -38,7 +38,10 @@ type RangeDownloader interface {
 
 // DownloadRange implements RangeDownloader. Compressed pools inflate
 // server-side and serve the raw slice, so the wire carries exactly n
-// bytes — a range of a gzip stream is not independently decodable.
+// bytes — a range of a gzip stream is not independently decodable. The
+// object is streamed through the inflater, never held whole: the range
+// costs n bytes of memory, though still the whole object's CPU, since
+// the stream is inflated to its end for the CRC behind it.
 func (r *Registry) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, int64, error) {
 	r.ranges.Inc()
 	if err := fp.Validate(); err != nil {
@@ -58,15 +61,15 @@ func (r *Registry) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, 
 		return nil, 0, fmt.Errorf("gearregistry: range [%d,+%d) of %d-byte %s: %w",
 			off, n, size, fp, ErrBadRange)
 	}
-	data := stored
 	if r.opts.Compress {
-		var err error
-		if data, err = tarstream.Gunzip(stored); err != nil {
+		out, err := tarstream.GunzipRange(stored, off, n)
+		if err != nil {
 			return nil, 0, fmt.Errorf("gearregistry: range %s: %w", fp, err)
 		}
+		return out, n, nil
 	}
 	out := make([]byte, n)
-	copy(out, data[off:off+n])
+	copy(out, stored[off:off+n])
 	return out, n, nil
 }
 

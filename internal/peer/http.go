@@ -33,7 +33,7 @@ func NewTrackerHandler(t *Tracker) *wire.Handler {
 			if err != nil {
 				return wire.As(wire.ErrBadRequest, err)
 			}
-			fmt.Fprintf(w, "ok n=%d\n", len(fps))
+			wire.Respond(w, "text/plain; charset=utf-8", fmt.Appendf(nil, "ok n=%d\n", len(fps)))
 			return nil
 		}
 	}
@@ -48,14 +48,15 @@ func NewTrackerHandler(t *Tracker) *wire.Handler {
 			if exclude == noExclude {
 				exclude = ""
 			}
-			w.Header().Set("Content-Type", "text/plain")
+			var out []byte
 			for _, fp := range fps {
 				list := noExclude
 				if holders := t.Locate(fp, exclude); len(holders) > 0 {
 					list = strings.Join(holders, ",")
 				}
-				fmt.Fprintf(w, "%s %s\n", fp, list)
+				out = fmt.Appendf(out, "%s %s\n", fp, list)
 			}
+			wire.Respond(w, "text/plain", out)
 			return nil
 		}},
 		wire.Verb{Method: http.MethodPost, Path: "/peer/served", Serve: func(w http.ResponseWriter, r *wire.Request) error {
@@ -69,14 +70,13 @@ func NewTrackerHandler(t *Tracker) *wire.Handler {
 				return wire.As(wire.ErrBadRequest, errors.New("peer: served: negative counter"))
 			}
 			t.ReportServed(po, pb, ro, rb)
-			fmt.Fprintln(w, "ok")
+			wire.Respond(w, "text/plain; charset=utf-8", []byte("ok\n"))
 			return nil
 		}},
 		wire.Verb{Method: http.MethodGet, Path: "/peer/stats", Serve: func(w http.ResponseWriter, _ *wire.Request) error {
 			s := t.Stats()
-			w.Header().Set("Content-Type", "text/plain")
-			fmt.Fprintf(w, statsFormat+"\n", s.Fingerprints, s.Holders, s.Announces, s.Withdraws,
-				s.PeerObjects, s.PeerBytes, s.RegistryObjects, s.RegistryBytes)
+			wire.Respond(w, "text/plain", fmt.Appendf(nil, statsFormat+"\n", s.Fingerprints, s.Holders, s.Announces, s.Withdraws,
+				s.PeerObjects, s.PeerBytes, s.RegistryObjects, s.RegistryBytes))
 			return nil
 		}},
 		telemetry.Verb("/peer/metrics", t),

@@ -148,7 +148,8 @@ func (s *Server) Stored(fp hashing.Fingerprint) (wire.Object, error) {
 	if !ok {
 		return wire.Object{}, fmt.Errorf("peer server %s: %s: %w", s.id, fp, gearregistry.ErrNotFound)
 	}
-	o := wire.Object{FP: fp, Stored: content.Data(), Gzip: s.opts.Compress}
+	data := content.Data()
+	o := wire.Object{FP: fp, Stored: data, Gzip: s.opts.Compress, Size: int64(len(data))}
 	if o.Gzip {
 		var err error
 		if o.Stored, err = tarstream.Gzip(o.Stored); err != nil {

@@ -36,13 +36,14 @@ func refVerb(method, path string, serve func(w http.ResponseWriter, ref string) 
 func NewLibraryHandler(lib *Library) *wire.Handler {
 	return wire.NewHandler(statuses,
 		wire.Verb{Method: http.MethodGet, Path: "/profile/list", Serve: func(w http.ResponseWriter, _ *wire.Request) error {
-			w.Header().Set("Content-Type", "text/plain")
+			var out []byte
 			for _, info := range lib.List() {
 				if validateRef(info.Ref) != nil {
 					continue // unframeable ref cannot ride the wire
 				}
-				fmt.Fprintf(w, "%s %d %d\n", info.Ref, info.Entries, info.Bytes)
+				out = fmt.Appendf(out, "%s %d %d\n", info.Ref, info.Entries, info.Bytes)
 			}
+			wire.Respond(w, "text/plain", out)
 			return nil
 		}},
 		telemetry.Verb("/profile/metrics", lib),
@@ -51,18 +52,18 @@ func NewLibraryHandler(lib *Library) *wire.Handler {
 			if err != nil {
 				return err
 			}
-			w.Header().Set("Content-Type", "text/plain")
-			fmt.Fprintf(w, "%s %d %d\n", p.ImageRef, len(p.Entries), p.TotalBytes())
+			out := fmt.Appendf(nil, "%s %d %d\n", p.ImageRef, len(p.Entries), p.TotalBytes())
 			for _, e := range p.Entries {
-				fmt.Fprintf(w, "%s %d\n", e.Fingerprint, e.Size)
+				out = fmt.Appendf(out, "%s %d\n", e.Fingerprint, e.Size)
 			}
+			wire.Respond(w, "text/plain", out)
 			return nil
 		}),
 		refVerb(http.MethodPost, "/profile/delete/*", func(w http.ResponseWriter, ref string) error {
 			if !lib.Delete(ref) {
 				return fmt.Errorf("prefetch: %s: %w", ref, ErrNoProfile)
 			}
-			fmt.Fprintln(w, "ok")
+			wire.Respond(w, "text/plain; charset=utf-8", []byte("ok\n"))
 			return nil
 		}),
 	)

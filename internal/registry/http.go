@@ -2,7 +2,6 @@ package registry
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 
@@ -58,8 +57,7 @@ func NewHandler(reg *Registry) *wire.Handler {
 	return wire.NewHandler(statuses,
 		wire.Verb{Method: http.MethodGet, Path: "/v2/manifests/", Serve: func(w http.ResponseWriter, _ *wire.Request) error {
 			refs, _ := reg.ListManifests()
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, strings.Join(refs, "\n"))
+			wire.Respond(w, "text/plain; charset=utf-8", []byte(strings.Join(refs, "\n")))
 			return nil
 		}},
 		manifestVerb(http.MethodGet, func(w http.ResponseWriter, name, tag string, _ []byte) error {
@@ -71,8 +69,7 @@ func NewHandler(reg *Registry) *wire.Handler {
 			if err != nil {
 				return err
 			}
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(data)
+			wire.Respond(w, "application/json", data)
 			return nil
 		}),
 		manifestVerb(http.MethodPut, func(w http.ResponseWriter, name, tag string, body []byte) error {
@@ -100,8 +97,7 @@ func NewHandler(reg *Registry) *wire.Handler {
 			if err != nil {
 				return err
 			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = w.Write(data)
+			wire.Respond(w, "application/octet-stream", data)
 			return nil
 		}),
 		blobVerb(http.MethodPut, func(w http.ResponseWriter, d hashing.Digest, body []byte) error {
@@ -171,11 +167,16 @@ func (c *Client) PutBlob(d hashing.Digest, data []byte) error {
 	return err
 }
 
-// GetBlob implements Store.
-func (c *Client) GetBlob(d hashing.Digest) ([]byte, error) {
-	r, err := c.w.Do(http.MethodGet, "/v2/blobs/"+string(d), nil)
+// GetBlob implements Store. A blob is read off the connection into one
+// buffer of its declared length.
+func (c *Client) GetBlob(d hashing.Digest) (blob []byte, err error) {
+	err = c.w.Stream(http.MethodGet, "/v2/blobs/"+string(d), nil, func(b *wire.Body) error {
+		var err error
+		blob, err = b.Rest(false)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return r.Body, nil
+	return blob, nil
 }

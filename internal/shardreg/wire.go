@@ -121,14 +121,19 @@ func ParseQueryResponse(data []byte) (shard string, fps []hashing.Fingerprint, p
 	return shard, fps, present, nil
 }
 
-// EncodeDownloadResponse frames a shard's served payloads.
-func EncodeDownloadResponse(shard string, fps []hashing.Fingerprint, payloads [][]byte) []byte {
+// rawObjects is payloads as the objects a shard serves them as.
+func rawObjects(fps []hashing.Fingerprint, payloads [][]byte) []wire.Object {
 	objects := make([]wire.Object, len(fps))
 	for i, fp := range fps {
-		objects[i] = wire.Object{FP: fp, Stored: payloads[i]}
+		objects[i] = wire.Object{FP: fp, Stored: payloads[i], Size: int64(len(payloads[i]))}
 	}
+	return objects
+}
+
+// EncodeDownloadResponse frames a shard's served payloads.
+func EncodeDownloadResponse(shard string, fps []hashing.Fingerprint, payloads [][]byte) []byte {
 	buf := bytes.NewBuffer(appendHeader(shard, VerbDownload, len(fps)))
-	wire.WriteFrames(buf, objects)
+	wire.WriteFrames(buf, rawObjects(fps, payloads))
 	return buf.Bytes()
 }
 
@@ -171,22 +176,19 @@ func NewHandler(c *Cluster) *wire.Handler {
 		if err != nil {
 			return err
 		}
-		var out []byte
 		if req.Verb == VerbQuery {
 			present, err := c.ShardQueryBatch(req.Shard, req.Fps)
 			if err != nil {
 				return err
 			}
-			out = EncodeQueryResponse(req.Shard, req.Fps, present)
-		} else {
-			payloads, _, err := c.ShardDownloadBatch(req.Shard, req.Fps)
-			if err != nil {
-				return err
-			}
-			out = EncodeDownloadResponse(req.Shard, req.Fps, payloads)
+			wire.Respond(w, "application/octet-stream", EncodeQueryResponse(req.Shard, req.Fps, present))
+			return nil
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(out)
+		payloads, _, err := c.ShardDownloadBatch(req.Shard, req.Fps)
+		if err != nil {
+			return err
+		}
+		wire.RespondFrames(w, appendHeader(req.Shard, VerbDownload, len(req.Fps)), rawObjects(req.Fps, payloads))
 		return nil
 	}})
 }

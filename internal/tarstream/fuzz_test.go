@@ -1,6 +1,7 @@
 package tarstream
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/gear-image/gear/internal/vfs"
@@ -66,6 +67,37 @@ func FuzzGunzip(f *testing.F) {
 		back, err := Gunzip(z)
 		if err != nil || string(back) != string(out) {
 			t.Fatalf("round trip: %v", err)
+		}
+	})
+}
+
+// FuzzGunzipRange: over any object and any range, GunzipRange is the
+// slice of Gunzip or an error, never a panic and never other bytes; and
+// a range that fits a sound object always succeeds.
+func FuzzGunzipRange(f *testing.F) {
+	f.Add([]byte("hello gzip range"), int64(0), int64(5))
+	f.Add([]byte("hello gzip range"), int64(6), int64(10))
+	f.Add([]byte("hello gzip range"), int64(16), int64(1)) // past the end
+	f.Add([]byte("hello gzip range"), int64(-1), int64(4))
+	f.Add([]byte{}, int64(0), int64(0))
+	f.Fuzz(func(t *testing.T, content []byte, off, n int64) {
+		z, err := Gzip(content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := GunzipRange(z, off, n)
+		fits := off >= 0 && n >= 0 && off <= int64(len(content)) && n <= int64(len(content))-off
+		if !fits {
+			if err == nil {
+				t.Fatalf("range [%d,+%d) of %d bytes accepted", off, n, len(content))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("range [%d,+%d) of %d bytes: %v", off, n, len(content), err)
+		}
+		if !bytes.Equal(got, content[off:off+n]) {
+			t.Fatalf("range [%d,+%d) returned other bytes", off, n)
 		}
 	})
 }

@@ -217,51 +217,43 @@ func Gzip(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// gunzipSizeHint reads the ISIZE trailer (uncompressed length mod 2^32)
-// as an allocation hint, clamped by the deflate maximum expansion ratio
-// (~1032:1) so corrupt trailers cannot force absurd allocations.
-func gunzipSizeHint(data []byte) int {
-	if len(data) < 8 {
+// SizeHint is the capacity worth giving, up front, to the content of a
+// gzip stream of which held bytes are in hand and which is declared to
+// inflate to size: the declared size, unless it is negative or more than
+// deflate's maximum expansion (~1032:1) of the bytes held, in which case
+// nothing — a corrupt trailer or a lying peer cannot force an absurd
+// allocation. The declaration is only ever a hint: the reader grows
+// past a short one, and the gzip CRC and ISIZE checks still judge what
+// was read.
+func SizeHint(size, held int64) int {
+	if size < 0 || held < 0 || size > held*1032+64 || int64(int(size)) != size {
 		return 0
 	}
-	isize := int64(binary.LittleEndian.Uint32(data[len(data)-4:]))
-	if limit := int64(len(data))*1032 + 64; isize > limit {
-		return 0
-	}
-	return int(isize)
+	return int(size)
 }
 
-// Gunzip decompresses gzip-framed data.
-func Gunzip(data []byte) ([]byte, error) {
-	zr := gzReaderPool.Get().(*gzip.Reader)
-	if err := zr.Reset(bytes.NewReader(data)); err != nil {
-		gzReaderPool.Put(zr)
-		return nil, fmt.Errorf("tarstream: gunzip: %w", err)
-	}
-	out, err := readAllSized(zr, gunzipSizeHint(data))
-	if err != nil {
-		gzReaderPool.Put(zr)
-		return nil, fmt.Errorf("tarstream: gunzip read: %w", err)
-	}
-	if err := zr.Close(); err != nil {
-		gzReaderPool.Put(zr)
-		return nil, fmt.Errorf("tarstream: gunzip close: %w", err)
-	}
-	gzReaderPool.Put(zr)
-	return out, nil
-}
+// Room rules how much memory content gets while it is being read. It is
+// asked each time the buffer is full, holding have bytes, for the
+// capacity to go on with; an answer no larger than have leaves the
+// growth to append.
+type Room func(have int) int
 
-// readAllSized is io.ReadAll with a capacity hint: when the hint is
-// exact (the common case — it comes from the gzip ISIZE trailer), the
-// result is a single allocation with no growth copies.
-func readAllSized(r io.Reader, hint int) ([]byte, error) {
-	if hint < 0 {
-		hint = 0
-	}
-	b := make([]byte, 0, hint+1)
+// sized is the Room of content expected to come to hint bytes: when the
+// hint is exact (the common case — it comes from the gzip ISIZE trailer
+// or a tar header), the result is a single allocation with no growth
+// copies. The one byte over is where the end of the content is read.
+func sized(hint int) Room { return func(int) int { return hint + 1 } }
+
+// ReadAll is io.ReadAll into a buffer of the capacity room gives it.
+func ReadAll(r io.Reader, room Room) ([]byte, error) {
+	var b []byte
 	for {
 		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
+			if c := room(len(b)); c > len(b) {
+				b = append(make([]byte, 0, c), b...)
+			} else {
+				b = append(b, 0)[:len(b)]
+			}
 		}
 		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
@@ -272,6 +264,83 @@ func readAllSized(r io.Reader, hint int) ([]byte, error) {
 			return b, err
 		}
 	}
+}
+
+// Gunzip decompresses gzip-framed data into one buffer sized from the
+// ISIZE trailer (uncompressed length mod 2^32).
+func Gunzip(data []byte) ([]byte, error) {
+	size := int64(-1)
+	if len(data) >= 8 {
+		size = int64(binary.LittleEndian.Uint32(data[len(data)-4:]))
+	}
+	return GunzipFrom(bytes.NewReader(data), sized(SizeHint(size, int64(len(data)))))
+}
+
+// GunzipFrom decompresses the gzip stream r holds, to r's end, into a
+// buffer of the capacity room gives it. r should be an io.ByteReader:
+// the pooled gzip.Reader allocates a 4 KiB buffer of its own around any
+// source that is not, and reads past the end of the stream through it.
+func GunzipFrom(r io.Reader, room Room) ([]byte, error) {
+	zr := gzReaderPool.Get().(*gzip.Reader)
+	defer gzReaderPool.Put(zr)
+	if err := zr.Reset(r); err != nil {
+		return nil, fmt.Errorf("tarstream: gunzip: %w", err)
+	}
+	out, err := ReadAll(zr, room)
+	if err != nil {
+		return nil, fmt.Errorf("tarstream: gunzip read: %w", err)
+	}
+	if err := zr.Close(); err != nil {
+		return nil, fmt.Errorf("tarstream: gunzip close: %w", err)
+	}
+	return out, nil
+}
+
+// GunzipRange returns the n bytes at offset off of the content of the
+// gzip stream data, which is Gunzip(data)[off:off+n] without holding
+// the content: it inflates and discards up to off, reads n bytes, then
+// inflates and discards the rest. The tail is not needed for its bytes
+// but for the trailer behind it — only at the end of the stream can the
+// CRC say that what was read is what was stored, so a damaged object
+// fails here exactly where it fails Gunzip. A range that does not fit
+// the content is io.ErrUnexpectedEOF.
+func GunzipRange(data []byte, off, n int64) ([]byte, error) {
+	if off < 0 || n < 0 {
+		return nil, fmt.Errorf("tarstream: gunzip range [%d,+%d): negative", off, n)
+	}
+	zr := gzReaderPool.Get().(*gzip.Reader)
+	defer gzReaderPool.Put(zr)
+	if err := zr.Reset(bytes.NewReader(data)); err != nil {
+		return nil, fmt.Errorf("tarstream: gunzip range: %w", err)
+	}
+	if _, err := io.CopyN(io.Discard, zr, off); err != nil {
+		return nil, fmt.Errorf("tarstream: gunzip range skip: %w", noEOF(err))
+	}
+	// n is the caller's claim about the content: it gets memory only if
+	// a stream this long could hold it.
+	out := make([]byte, SizeHint(n, int64(len(data))))
+	if int64(len(out)) != n {
+		return nil, fmt.Errorf("tarstream: gunzip range: %d bytes from a %d-byte stream: %w", n, len(data), io.ErrUnexpectedEOF)
+	}
+	if _, err := io.ReadFull(zr, out); err != nil {
+		return nil, fmt.Errorf("tarstream: gunzip range read: %w", noEOF(err))
+	}
+	if _, err := io.Copy(io.Discard, zr); err != nil {
+		return nil, fmt.Errorf("tarstream: gunzip range drain: %w", err)
+	}
+	if err := zr.Close(); err != nil {
+		return nil, fmt.Errorf("tarstream: gunzip range close: %w", err)
+	}
+	return out, nil
+}
+
+// noEOF is err with a bare io.EOF, which here means the content ended
+// inside the range, made the error it is.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Unpack parses a tar archive into a fresh tree. Whiteout entries are
@@ -319,7 +388,7 @@ func unpackFrom(r io.Reader, bound int) (*vfs.FS, error) {
 			if hint < 0 || hint > bound {
 				hint = 0
 			}
-			content, err := readAllSized(tr, hint)
+			content, err := ReadAll(tr, sized(hint))
 			if err != nil {
 				return nil, fmt.Errorf("tarstream: unpack %s: %w: %w", p, ErrCorrupt, err)
 			}

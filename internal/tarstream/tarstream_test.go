@@ -116,6 +116,89 @@ func TestGunzipCorrupt(t *testing.T) {
 	}
 }
 
+// GunzipRange is Gunzip sliced, for objects from empty to several
+// deflate blocks and ranges at every edge.
+func TestGunzipRangeMatchesGunzip(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, size := range []int{0, 1, 100, 4096, 70_000, 300_000} {
+		content := make([]byte, size)
+		rng.Read(content[:size/2]) // half noise, half zeros: several block types
+		z, err := Gzip(content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := Gunzip(z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranges := [][2]int{{0, size}, {0, 0}, {size, 0}, {0, min(size, 1)}, {max(size-1, 0), min(size, 1)}}
+		for i := 0; i < 20 && size > 0; i++ {
+			off := rng.Intn(size)
+			ranges = append(ranges, [2]int{off, rng.Intn(size - off + 1)})
+		}
+		for _, r := range ranges {
+			got, err := GunzipRange(z, int64(r[0]), int64(r[1]))
+			if err != nil {
+				t.Fatalf("%d-byte object, range [%d,+%d): %v", size, r[0], r[1], err)
+			}
+			if !bytes.Equal(got, whole[r[0]:r[0]+r[1]]) {
+				t.Errorf("%d-byte object, range [%d,+%d): other bytes than Gunzip's", size, r[0], r[1])
+			}
+		}
+		for _, r := range [][2]int64{{0, int64(size) + 1}, {int64(size), 1}, {int64(size) + 1, 0}, {-1, 1}, {0, -1}, {0, 1 << 40}} {
+			if _, err := GunzipRange(z, r[0], r[1]); err == nil {
+				t.Errorf("%d-byte object, range [%d,+%d) accepted", size, r[0], r[1])
+			}
+		}
+	}
+}
+
+// A range read answers for the whole object: damage behind the bytes it
+// returns still fails it, because the stream is inflated to the trailer
+// and the CRC is checked there, exactly as Gunzip checks it.
+func TestGunzipRangeChecksTheTrailer(t *testing.T) {
+	content := make([]byte, 200_000)
+	rand.New(rand.NewSource(15)).Read(content)
+	z, err := Gzip(content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GunzipRange(z, 1000, 4096); err != nil {
+		t.Fatalf("sound object: %v", err)
+	}
+	for _, at := range []int{len(z) / 2, len(z) - 20, len(z) - 6, len(z) - 2} { // late data, CRC, ISIZE
+		damaged := append([]byte(nil), z...)
+		damaged[at] ^= 0x40
+		if _, err := Gunzip(damaged); err == nil {
+			t.Fatalf("byte %d: Gunzip accepts the damage, the case proves nothing", at)
+		}
+		if _, err := GunzipRange(damaged, 1000, 4096); err == nil {
+			t.Errorf("byte %d flipped after the range: range read accepted the object", at)
+		}
+	}
+}
+
+// A declared size is honoured only within deflate's reach of the stored
+// length.
+func TestSizeHint(t *testing.T) {
+	for _, c := range []struct {
+		size, stored int64
+		want         int
+	}{
+		{4096, 100, 4096},
+		{0, 100, 0},
+		{100*1032 + 64, 100, 100*1032 + 64},
+		{100*1032 + 65, 100, 0},
+		{1 << 40, 1 << 20, 0},
+		{-1, 100, 0},
+		{10, -1, 0}, // no stored length to hold the claim against
+	} {
+		if got := SizeHint(c.size, c.stored); got != c.want {
+			t.Errorf("SizeHint(%d, %d) = %d, want %d", c.size, c.stored, got, c.want)
+		}
+	}
+}
+
 func TestUnpackGz(t *testing.T) {
 	f := buildTree(t)
 	data, err := PackGz(f)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,8 +25,12 @@ type Snapshotter interface {
 // deterministic for a given snapshot — golden tests rely on that.
 func Verb(path string, src Snapshotter) wire.Verb {
 	return wire.Verb{Method: http.MethodGet, Path: path, Serve: func(w http.ResponseWriter, _ *wire.Request) error {
-		w.Header().Set("Content-Type", "application/json")
-		return EncodeSnapshot(w, src.Snapshot())
+		var body bytes.Buffer
+		if err := EncodeSnapshot(&body, src.Snapshot()); err != nil {
+			return err
+		}
+		wire.Respond(w, "application/json", body.Bytes())
+		return nil
 	}}
 }
 

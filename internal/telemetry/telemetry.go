@@ -103,15 +103,16 @@ var DefaultLatencyBounds = []int64{
 }
 
 // Histogram is a fixed-bucket int64 histogram. Observe is lock-free:
-// one atomic add into the bucket plus two for sum/count. Bounds are
-// upper bucket edges (v <= bounds[i] lands in bucket i); values above
-// the last bound land in the overflow bucket, so len(counts) ==
-// len(bounds)+1.
+// one atomic add into the bucket plus one for the sum. Bounds are upper
+// bucket edges (v <= bounds[i] lands in bucket i); values above the
+// last bound land in the overflow bucket, so len(counts) ==
+// len(bounds)+1. The buckets are the only record of how many values
+// were observed: a count kept beside them could not be read in the same
+// instant, and a snapshot taken mid-Observe would disagree with itself.
 type Histogram struct {
 	bounds []int64
 	counts []atomic.Int64
 	sum    atomic.Int64
-	count  atomic.Int64
 }
 
 // NewHistogram returns an unregistered histogram with the given bucket
@@ -144,13 +145,15 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
 
 // ObserveDuration records one duration (stored as nanoseconds).
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// snapshot copies the histogram's current state.
+// snapshot copies the histogram's current state. Count is the sum of
+// the bucket values this call read, so the pair always passes Validate
+// however many Observes are in flight; Sum may run one observation
+// ahead of or behind them.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
@@ -159,10 +162,10 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		Bounds: append([]int64(nil), h.bounds...),
 		Counts: make([]int64, len(h.counts)),
 		Sum:    h.sum.Load(),
-		Count:  h.count.Load(),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

@@ -61,19 +61,21 @@ const DefaultTraceCapacity = 4096
 // retained spans oldest-first. A nil ring discards records, so
 // components thread a ring through unconditionally.
 type TraceRing struct {
-	mu    sync.Mutex
-	spans []Span
-	next  int   // write cursor into spans
-	seq   int64 // total spans ever recorded
+	mu       sync.Mutex
+	capacity int
+	spans    []Span // grows on Record up to capacity, then wraps
+	next     int    // write cursor into spans
+	seq      int64  // total spans ever recorded
 }
 
 // NewTraceRing returns a ring retaining the last capacity spans
-// (DefaultTraceCapacity if capacity <= 0).
+// (DefaultTraceCapacity if capacity <= 0). The capacity is a limit, not
+// a reservation: a daemon that records a hundred spans holds a hundred.
 func NewTraceRing(capacity int) *TraceRing {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &TraceRing{spans: make([]Span, 0, capacity)}
+	return &TraceRing{capacity: capacity}
 }
 
 // Record appends one span, assigning its Seq. Nil-safe.
@@ -85,7 +87,7 @@ func (t *TraceRing) Record(s Span) {
 	defer t.mu.Unlock()
 	t.seq++
 	s.Seq = t.seq
-	if len(t.spans) < cap(t.spans) {
+	if len(t.spans) < t.capacity {
 		t.spans = append(t.spans, s)
 		return
 	}

@@ -10,7 +10,6 @@ package wire
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -134,30 +133,53 @@ func ParseVerdicts(body []byte) (fps []hashing.Fingerprint, present []bool, err 
 }
 
 // Object is one Gear file as a pool stores it and as it crosses the
-// wire: Stored is a gzip stream when Gzip is set.
+// wire: Stored is a gzip stream when Gzip is set, and Size is what it
+// inflates to, which the pool knows without inflating it.
 type Object struct {
 	FP     hashing.Fingerprint
 	Stored []byte
 	Gzip   bool
+	Size   int64
+}
+
+// frameHeader is the line that opens o's frame.
+func frameHeader(o Object) []byte {
+	enc := "raw"
+	if o.Gzip {
+		enc = "gzip"
+	}
+	return fmt.Appendf(nil, "%s %d %s\n", o.FP, len(o.Stored), enc)
 }
 
 // WriteFrames frames each object as "<fingerprint> <len> raw|gzip\n"
-// followed by exactly len stored bytes. It writes each payload straight
-// through, so a batch response costs no second copy of its objects.
-// Write errors are dropped: w is a response or a buffer.
-func WriteFrames(w io.Writer, objects []Object) {
+// followed by exactly len stored bytes: the encoder a frame is checked
+// against. A handler answers through RespondFrames instead.
+func WriteFrames(w *bytes.Buffer, objects []Object) {
 	for _, o := range objects {
-		enc := "raw"
-		if o.Gzip {
-			enc = "gzip"
-		}
-		fmt.Fprintf(w, "%s %d %s\n", o.FP, len(o.Stored), enc)
-		_, _ = w.Write(o.Stored)
+		w.Write(frameHeader(o))
+		w.Write(o.Stored)
 	}
 }
 
-// ParseFrames decodes WriteFrames' framing; the objects alias body. It
-// rejects truncated or malformed frames.
+// ParseFrame decodes the line that opens a frame: whose object follows,
+// how many stored bytes of it, and whether they are a gzip stream.
+func ParseFrame(header string) (fp hashing.Fingerprint, stored int64, gzipped bool, err error) {
+	fp, fields, err := Record(header, 2)
+	if err != nil {
+		return "", 0, false, err
+	}
+	size, err := strconv.Atoi(fields[0])
+	if err != nil || size < 0 {
+		return "", 0, false, fmt.Errorf("object header %q: bad size", header)
+	}
+	if fields[1] != "raw" && fields[1] != "gzip" {
+		return "", 0, false, fmt.Errorf("object header %q: bad encoding", header)
+	}
+	return fp, int64(size), fields[1] == "gzip", nil
+}
+
+// ParseFrames decodes a whole buffer of WriteFrames' framing; the
+// objects alias body. It rejects truncated or malformed frames.
 func ParseFrames(body []byte) ([]Object, error) {
 	var objects []Object
 	for len(body) > 0 {
@@ -165,23 +187,15 @@ func ParseFrames(body []byte) ([]Object, error) {
 		if !ok {
 			return nil, fmt.Errorf("truncated object header %q", body)
 		}
-		fp, fields, err := Record(string(header), 2)
+		fp, size, gzipped, err := ParseFrame(string(header))
 		if err != nil {
 			return nil, err
 		}
-		o := Object{FP: fp, Gzip: fields[1] == "gzip"}
-		size, err := strconv.Atoi(fields[0])
-		if err != nil || size < 0 {
-			return nil, fmt.Errorf("object header %q: bad size", header)
+		if size > int64(len(rest)) {
+			return nil, fmt.Errorf("object %s: truncated payload: want %d bytes, have %d", fp, size, len(rest))
 		}
-		if fields[1] != "raw" && fields[1] != "gzip" {
-			return nil, fmt.Errorf("object header %q: bad encoding", header)
-		}
-		if size > len(rest) {
-			return nil, fmt.Errorf("object %s: truncated payload: want %d bytes, have %d", o.FP, size, len(rest))
-		}
-		o.Stored, body = rest[:size], rest[size:]
-		objects = append(objects, o)
+		objects = append(objects, Object{FP: fp, Stored: rest[:size], Gzip: gzipped})
+		body = rest[size:]
 	}
 	return objects, nil
 }

@@ -50,11 +50,12 @@ type exchange struct {
 	called, ok bool
 }
 
-// wireHeaders keeps the headers the protocols define.
+// wireHeaders keeps the headers the protocols define, and how the body
+// is delimited: every reply is sized, none chunked.
 func wireHeaders(h http.Header) []string {
 	var out []string
 	for name, vals := range h {
-		if name == "Content-Type" || strings.HasPrefix(name, "X-Gear-") {
+		if name == "Content-Type" || name == "Content-Length" || name == "Transfer-Encoding" || strings.HasPrefix(name, "X-Gear-") {
 			out = append(out, name+": "+strings.Join(vals, ","))
 		}
 	}
@@ -89,7 +90,12 @@ func (tp *tap) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	resp.Body = io.NopCloser(bytes.NewReader(body))
-	ex.status, ex.respHeader, ex.respBody = resp.StatusCode, wireHeaders(resp.Header), body
+	// net/http lifts the transfer encoding out of the header map.
+	delimited := resp.Header.Clone()
+	if len(resp.TransferEncoding) > 0 {
+		delimited.Set("Transfer-Encoding", strings.Join(resp.TransferEncoding, ","))
+	}
+	ex.status, ex.respHeader, ex.respBody = resp.StatusCode, wireHeaders(delimited), body
 	tp.got = append(tp.got, ex)
 	return resp, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -132,6 +133,58 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request) error {
 	}
 	w.WriteHeader(http.StatusMethodNotAllowed)
 	return nil
+}
+
+// Respond is how a verb answers 200 with a body: it declares the
+// body's length, so that no reply goes out chunked and the client can
+// size what it reads, then writes the parts one after another without
+// joining them. Write errors are dropped: the client has gone, and nobody is left to
+// tell.
+func Respond(w http.ResponseWriter, contentType string, parts ...[]byte) {
+	length := 0
+	for _, part := range parts {
+		length += len(part)
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(length))
+	for _, part := range parts {
+		_, _ = w.Write(part)
+	}
+}
+
+// SizeHeader carries what an object reply's objects inflate to, one
+// decimal size per object in reply order, comma-separated. It spares
+// the client from growing a buffer while it inflates; Body.Rest and
+// Body.Frame say how little it is trusted.
+const SizeHeader = "X-Gear-Size"
+
+// RespondObject answers with one object as it is stored.
+func RespondObject(w http.ResponseWriter, o Object) {
+	if o.Gzip {
+		w.Header().Set(EncodingHeader, "gzip")
+	}
+	w.Header().Set(SizeHeader, strconv.FormatInt(o.Size, 10))
+	Respond(w, "application/octet-stream", o.Stored)
+}
+
+// RespondFrames answers with head, then the objects in WriteFrames'
+// framing. The stored bytes go out as they lie in the pool: a batch
+// costs no second copy of its objects.
+func RespondFrames(w http.ResponseWriter, head []byte, objects []Object) {
+	parts := make([][]byte, 1, 1+2*len(objects))
+	parts[0] = head
+	var sizes []byte
+	for i, o := range objects {
+		parts = append(parts, frameHeader(o), o.Stored)
+		if i > 0 {
+			sizes = append(sizes, ',')
+		}
+		sizes = strconv.AppendInt(sizes, o.Size, 10)
+	}
+	if len(objects) > 0 {
+		w.Header().Set(SizeHeader, string(sizes))
+	}
+	Respond(w, "application/octet-stream", parts...)
 }
 
 // The server's fixed limits. There is no whole-request read or write

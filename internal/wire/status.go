@@ -9,7 +9,8 @@ import (
 	"github.com/gear-image/gear/internal/hashing"
 )
 
-// Errors every protocol shares. Each has a row in the base table below.
+// Errors every protocol shares. Each but ErrBadReply has a row in the
+// base table below.
 var (
 	// ErrBadRequest is a request the verb could not read: unparsable
 	// framing, a broken body stream.
@@ -21,6 +22,11 @@ var (
 	ErrMethod = errors.New("method not allowed")
 	// ErrTooLarge is a request or response body over MaxBody.
 	ErrTooLarge = errors.New("body exceeds the wire limit")
+	// ErrBadReply is a 2xx reply whose body is not what the verb
+	// answers: cut short, misframed, failing its checksum, or of another
+	// size than it declared. It has no status: it is the client's
+	// verdict on a reply, never a server's on a request.
+	ErrBadReply = errors.New("malformed reply")
 )
 
 // Status is one row of a protocol's error table.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -316,6 +317,103 @@ func TestClientReusesConnection(t *testing.T) {
 	}
 	if conns.Load() != 6 || reused.Load() != 5 {
 		t.Fatalf("%d of %d requests reused the connection, want 5 of 6", reused.Load(), conns.Load())
+	}
+}
+
+// A streamed reply is handed back for reuse however its reader left it:
+// read in part, refused half way, or not touched at all; and what the
+// reader refuses comes back as an ErrBadReply that still says why.
+func TestStreamDrainsWhatItsReaderLeaves(t *testing.T) {
+	big := bytes.Repeat([]byte("x"), 1<<16)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		Respond(w, "application/octet-stream", big)
+	}))
+	defer srv.Close()
+	var conns, reused atomic.Int32
+	tracing := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		ct := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
+			conns.Add(1)
+			if info.Reused {
+				reused.Add(1)
+			}
+		}}
+		return srv.Client().Transport.RoundTrip(req.WithContext(httptrace.WithClientTrace(req.Context(), ct)))
+	})
+	c := NewClient("test client", srv.URL, &http.Client{Transport: tracing}, clientopt.Options{}, nil)
+	errMisframed := errors.New("not what was asked for")
+	for _, read := range []func(*Body) error{
+		func(*Body) error { return nil },
+		func(b *Body) error { _, err := io.ReadFull(b.br, make([]byte, 100)); return err },
+		func(b *Body) error { _, _ = io.ReadFull(b.br, make([]byte, 100)); return errMisframed },
+		func(b *Body) error {
+			if b.length != int64(len(big)) {
+				t.Errorf("declared length = %d, want %d", b.length, len(big))
+			}
+			got, err := b.Rest(false)
+			if err == nil && (!bytes.Equal(got, big) || b.Received() != int64(len(big))) {
+				t.Errorf("read %d bytes, %d received, want %d", len(got), b.Received(), len(big))
+			}
+			return err
+		},
+	} {
+		err := c.Stream(http.MethodGet, "/big", nil, read)
+		if err != nil && !(errors.Is(err, ErrBadReply) && errors.Is(err, errMisframed)) {
+			t.Errorf("err = %v, want nil or the reader's error as an ErrBadReply", err)
+		}
+	}
+	if conns.Load() != 4 || reused.Load() != 3 {
+		t.Fatalf("%d of %d requests reused the connection, want 3 of 4", reused.Load(), conns.Load())
+	}
+}
+
+// An honest object too large for the first read off the wire to vouch
+// for (4 KiB reaches 4 MiB) still costs one buffer of its size: the few
+// KiB it grows through while its bytes arrive are all it pays for not
+// being believed at once.
+func TestRestOfALargeBodyIsOneAllocation(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), 1<<20) // 16 MiB
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		Respond(w, "application/octet-stream", big)
+	}))
+	defer srv.Close()
+	c := NewClient("test client", srv.URL, srv.Client(), clientopt.Options{}, nil)
+	fetch := func() {
+		err := c.Stream(http.MethodGet, "/big", nil, func(b *Body) error {
+			got, err := b.Rest(false)
+			if err == nil && !bytes.Equal(got, big) {
+				t.Errorf("read %d bytes that are not the %d served", len(got), len(big))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetch() // open the connection, fill the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fetch()
+	runtime.ReadMemStats(&after)
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > uint64(len(big))+512<<10 {
+		t.Errorf("%d bytes allocated to read a %d-byte body", spent, len(big))
+	}
+}
+
+// A body with no declared length is cut off at the bound, one byte past
+// it, and from then on says why.
+func TestBoundedBodyStopsAtTheLimit(t *testing.T) {
+	for _, size := range []int64{0, 63, 64} {
+		b := &bounded{r: io.LimitReader(zeros{}, size), left: 64}
+		if n, err := io.Copy(io.Discard, b); err != nil || n != size || b.got != size {
+			t.Errorf("%d-byte body under a 64-byte bound: %d read, %d counted, %v", size, n, b.got, err)
+		}
+	}
+	b := &bounded{r: zeros{}, left: 64}
+	if n, err := io.Copy(io.Discard, b); !errors.Is(err, ErrTooLarge) || n > 64 {
+		t.Errorf("endless body under a 64-byte bound: %d bytes passed on, %v; want at most 64 and ErrTooLarge", n, err)
+	}
+	if _, err := b.Read(make([]byte, 1)); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("read after the overrun: %v, want ErrTooLarge", err)
 	}
 }
 

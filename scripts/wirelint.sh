@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # wirelint: fail the build when non-test code outside internal/wire
-# reads a body with io.ReadAll, serves with bare http.Serve, or answers
-# 405 itself.
+# reads a body with io.ReadAll, serves with bare http.Serve, answers
+# 405 itself, or writes a reply body to the ResponseWriter itself.
 #
 # Every HTTP protocol in the repo is a verb table over internal/wire
 # (DESIGN.md, "Wire protocols"): the client helper bounds and drains
 # replies, the server helper owns 404/405 and the request-body bound,
-# and wire.Serve owns timeouts and shutdown. Any of the three patterns
-# outside it is a hand-rolled protocol growing back — add a verb to a
-# table instead. internal/tarstream (gunzip, not HTTP) and loadbench/
-# (the benchmark's own harness) are exempt.
+# wire.Serve owns timeouts and shutdown, and wire.Respond is the one
+# body writer, which is what makes every reply declare its length. Any
+# of the patterns outside it is a hand-rolled protocol growing back —
+# add a verb to a table, and answer through wire.Respond, instead.
+# internal/tarstream (gunzip, not HTTP) and loadbench/ (the benchmark's
+# own harness) are exempt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +23,34 @@ if [ -n "$hits" ]; then
   echo "wirelint: hand-rolled HTTP outside internal/wire:" >&2
   printf '%s\n' "$hits" >&2
   echo "  use wire.Client.Do / wire.NewHandler / wire.Serve instead" >&2
+  exit 1
+fi
+
+# A reply body written to the ResponseWriter itself bypasses
+# wire.Respond, goes out unsized, and is chunked as soon as it outgrows
+# net/http's 2 KiB buffer. The check reads each function that is handed
+# a ResponseWriter, under whatever name, from the line that names it to
+# the closing brace gofmt puts at that line's indentation (or to the end
+# of that line, when it does not open a block).
+unsized=$(find . -name '*.go' ! -name '*_test.go' \
+    ! -path './internal/wire/*' ! -path './loadbench/*' -print0 \
+  | xargs -0 awk '
+    FNR == 1 { name = "" }
+    name == "" && match($0, /[A-Za-z_][A-Za-z_0-9]* http\.ResponseWriter/) {
+      name = substr($0, RSTART, RLENGTH); sub(/ .*/, "", name)
+      match($0, /^[ \t]*/); indent = RLENGTH
+      oneline = ($0 !~ /{[ \t]*$/)
+    }
+    name != "" {
+      if ($0 ~ ("(^|[^A-Za-z_0-9.])" name "\\.Write\\(") || $0 ~ ("fmt\\.Fprint(f|ln)?\\(" name "[,)]"))
+        print FILENAME ":" FNR ": " $0
+      match($0, /^[ \t]*/)
+      if (oneline || (RLENGTH == indent && $0 ~ /^[ \t]*}/)) name = ""
+    }')
+if [ -n "$unsized" ]; then
+  echo "wirelint: reply body written around wire.Respond:" >&2
+  printf '%s\n' "$unsized" >&2
+  echo "  build the body and answer through wire.Respond / RespondObject / RespondFrames" >&2
   exit 1
 fi
 echo "wirelint: ok"
