@@ -80,3 +80,32 @@ func BenchmarkEncodeJSON(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkToTree(b *testing.B) {
+	ix := benchIndex(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ix.ToTree(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFromImage is the index install up to the decoded index: one
+// inflate of the index layer, the index file read out of the tar stream,
+// DecodeBinary.
+func BenchmarkFromImage(b *testing.B) {
+	img, err := benchIndex(b).ToImage()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(img.Layers[0].Size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromImage(img); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"strings"
 
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/imagefmt"
@@ -58,13 +60,21 @@ func EncodeBinary(ix *Index) ([]byte, error) {
 }
 
 // DecodeBinary parses and validates a binary index.
+//
+// The decoded index aliases one copy of its input: data is converted to a
+// string once, and every entry name and symlink target is a substring of
+// that copy, so the copy lives as long as any name does (data itself is
+// not retained and may be reused). Entries, child lists and the hex form
+// of raw fingerprints are carved from slabs sized by the input that is
+// left, so an index costs a handful of allocations, not several per
+// entry, and no count read from the input is trusted for more memory than
+// the input could back.
 func DecodeBinary(data []byte) (*Index, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, binaryMagic) {
+	if !bytes.HasPrefix(data, binaryMagic) {
 		return nil, fmt.Errorf("index: decode binary: bad magic: %w", ErrCorrupt)
 	}
-	cfgRaw, err := readBytes(r)
+	d := &decoder{data: data, str: string(data), pos: len(binaryMagic)}
+	cfgRaw, err := d.readBytes()
 	if err != nil {
 		return nil, fmt.Errorf("index: decode binary config: %w: %w", ErrCorrupt, err)
 	}
@@ -72,20 +82,20 @@ func DecodeBinary(data []byte) (*Index, error) {
 	if err := json.Unmarshal(cfgRaw, &cfg); err != nil {
 		return nil, fmt.Errorf("index: decode binary config: %w: %w", ErrCorrupt, err)
 	}
-	name, err := readString(r)
+	name, err := d.readString()
 	if err != nil {
 		return nil, fmt.Errorf("index: decode binary: %w: %w", ErrCorrupt, err)
 	}
-	tag, err := readString(r)
+	tag, err := d.readString()
 	if err != nil {
 		return nil, fmt.Errorf("index: decode binary: %w: %w", ErrCorrupt, err)
 	}
-	root, err := readEntry(r, 0)
+	root, err := d.readEntry(0)
 	if err != nil {
 		return nil, fmt.Errorf("index: decode binary tree: %w: %w", ErrCorrupt, err)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("index: decode binary: %d trailing bytes: %w", r.Len(), ErrCorrupt)
+	if d.left() != 0 {
+		return nil, fmt.Errorf("index: decode binary: %d trailing bytes: %w", d.left(), ErrCorrupt)
 	}
 	ix := &Index{Name: name, Tag: tag, Config: cfg, Root: root}
 	if err := ix.Validate(); err != nil {
@@ -149,82 +159,214 @@ func writeEntry(buf *bytes.Buffer, e *Entry) error {
 	return nil
 }
 
-func readEntry(r *bytes.Reader, depth int) (*Entry, error) {
+// decoder reads the binary form from data at pos. str is the same bytes
+// as a string, for the names and targets cut from it.
+type decoder struct {
+	data []byte
+	str  string
+	pos  int
+
+	// Slabs the tree is carved from; each is refilled, when it runs out,
+	// for as many items as the remaining input is likely to hold.
+	entries []Entry
+	ptrs    []*Entry
+	hex     strings.Builder
+}
+
+// Slab sizing. A refilled slab holds left()/slabEntryBytes items: an entry
+// is at least 4 bytes of input, so no slab outgrows the input behind it
+// by more than a constant factor, and slabEntryBytes is chosen above what
+// a typical entry takes (a file with a short name and a raw fingerprint
+// is a little under 40), so that a slab is rather refilled — each time
+// for the smaller remainder — than left half empty.
+const (
+	slabEntryBytes = 48
+	minSlab        = 8
+	maxSlab        = 1024
+)
+
+func (d *decoder) left() int { return len(d.data) - d.pos }
+
+// slab is how many items a refilled slab holds.
+func (d *decoder) slab() int { return min(max(d.left()/slabEntryBytes, minSlab), maxSlab) }
+
+func (d *decoder) newEntry() *Entry {
+	if len(d.entries) == 0 {
+		d.entries = make([]Entry, d.slab())
+	}
+	e := &d.entries[0]
+	d.entries = d.entries[1:]
+	return e
+}
+
+// children returns an empty child list with room for exactly n, which
+// the caller has checked against the remaining input.
+func (d *decoder) children(n int) []*Entry {
+	if n > len(d.ptrs) {
+		if n >= minSlab {
+			return make([]*Entry, 0, n)
+		}
+		d.ptrs = make([]*Entry, d.slab())
+	}
+	out := d.ptrs[:0:n]
+	d.ptrs = d.ptrs[n:]
+	return out
+}
+
+func (d *decoder) readByte() (byte, error) {
+	if d.left() == 0 {
+		return 0, io.EOF
+	}
+	b := d.data[d.pos]
+	d.pos++
+	return b, nil
+}
+
+func (d *decoder) readUvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.data[d.pos:])
+	switch {
+	case n > 0:
+		d.pos += n
+		return v, nil
+	case n < 0:
+		return 0, errors.New("binary: varint overflows a 64-bit integer")
+	case d.left() == 0:
+		return 0, io.EOF
+	default:
+		return 0, io.ErrUnexpectedEOF
+	}
+}
+
+// span consumes a length-prefixed run of bytes and returns where it is.
+func (d *decoder) span() (lo, hi int, err error) {
+	n, err := d.readUvarint()
+	if err != nil {
+		return 0, 0, err
+	}
+	if n > uint64(d.left()) {
+		return 0, 0, fmt.Errorf("length %d exceeds input", n)
+	}
+	lo = d.pos
+	d.pos += int(n)
+	return lo, d.pos, nil
+}
+
+func (d *decoder) readBytes() ([]byte, error) {
+	lo, hi, err := d.span()
+	return d.data[lo:hi], err
+}
+
+func (d *decoder) readString() (string, error) {
+	lo, hi, err := d.span()
+	return d.str[lo:hi], err
+}
+
+func (d *decoder) readFingerprint() (hashing.Fingerprint, error) {
+	tag, err := d.readByte()
+	if err != nil {
+		return "", err
+	}
+	switch tag {
+	case 0:
+		const rawLen, hexLen = 16, 32
+		if d.left() < rawLen {
+			if d.left() == 0 {
+				return "", io.EOF
+			}
+			return "", io.ErrUnexpectedEOF
+		}
+		if d.hex.Cap()-d.hex.Len() < hexLen {
+			// Strings handed out so far keep the old buffer alive.
+			d.hex.Reset()
+			d.hex.Grow(hexLen * d.slab())
+		}
+		var dst [hexLen]byte
+		hex.Encode(dst[:], d.data[d.pos:d.pos+rawLen])
+		d.pos += rawLen
+		d.hex.Write(dst[:])
+		arena := d.hex.String()
+		return hashing.Fingerprint(arena[len(arena)-hexLen:]), nil
+	case 1:
+		s, err := d.readString()
+		return hashing.Fingerprint(s), err
+	default:
+		return "", fmt.Errorf("fingerprint tag %d", tag)
+	}
+}
+
+func (d *decoder) readEntry(depth int) (*Entry, error) {
 	if depth > maxBinaryDepth {
 		return nil, fmt.Errorf("tree deeper than %d", maxBinaryDepth)
 	}
-	name, err := readString(r)
+	name, err := d.readString()
 	if err != nil {
 		return nil, err
 	}
-	typ, err := r.ReadByte()
+	typ, err := d.readByte()
 	if err != nil {
 		return nil, err
 	}
-	mode, err := binary.ReadUvarint(r)
+	mode, err := d.readUvarint()
 	if err != nil {
 		return nil, err
 	}
-	e := &Entry{Name: name, Type: vfs.FileType(typ), Mode: fs.FileMode(mode)}
+	e := d.newEntry()
+	*e = Entry{Name: name, Type: vfs.FileType(typ), Mode: fs.FileMode(mode)}
 	switch e.Type {
 	case vfs.TypeDir:
-		n, err := binary.ReadUvarint(r)
+		n, err := d.readUvarint()
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(r.Len()) {
+		if n > uint64(d.left()) {
 			return nil, fmt.Errorf("child count %d exceeds input", n)
 		}
 		if n > 0 {
-			// n is bounded by the remaining input, so the preallocation
+			// n is bounded by the remaining input, so the child list
 			// cannot exceed the data we were handed.
-			e.Children = make([]*Entry, 0, n)
+			e.Children = d.children(int(n))
 		}
 		for i := uint64(0); i < n; i++ {
-			c, err := readEntry(r, depth+1)
+			c, err := d.readEntry(depth + 1)
 			if err != nil {
 				return nil, err
 			}
 			e.Children = append(e.Children, c)
 		}
 	case vfs.TypeRegular:
-		fp, err := readFingerprint(r)
+		if e.Fingerprint, err = d.readFingerprint(); err != nil {
+			return nil, err
+		}
+		size, err := d.readUvarint()
 		if err != nil {
 			return nil, err
 		}
-		size, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		e.Fingerprint = fp
 		e.Size = int64(size)
-		n, err := binary.ReadUvarint(r)
+		n, err := d.readUvarint()
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(r.Len()) {
+		if n > uint64(d.left()) {
 			return nil, fmt.Errorf("chunk count %d exceeds input", n)
 		}
 		if n > 0 {
 			e.Chunks = make([]Chunk, 0, n)
 		}
 		for i := uint64(0); i < n; i++ {
-			cfp, err := readFingerprint(r)
+			cfp, err := d.readFingerprint()
 			if err != nil {
 				return nil, err
 			}
-			csize, err := binary.ReadUvarint(r)
+			csize, err := d.readUvarint()
 			if err != nil {
 				return nil, err
 			}
 			e.Chunks = append(e.Chunks, Chunk{Fingerprint: cfp, Size: int64(csize)})
 		}
 	case vfs.TypeSymlink:
-		target, err := readString(r)
-		if err != nil {
+		if e.Target, err = d.readString(); err != nil {
 			return nil, err
 		}
-		e.Target = target
 	default:
 		return nil, fmt.Errorf("entry type %d", typ)
 	}
@@ -248,31 +390,6 @@ func writeFingerprint(buf *bytes.Buffer, fp hashing.Fingerprint) error {
 	return nil
 }
 
-func readFingerprint(r *bytes.Reader) (hashing.Fingerprint, error) {
-	tag, err := r.ReadByte()
-	if err != nil {
-		return "", err
-	}
-	switch tag {
-	case 0:
-		var raw [16]byte
-		if _, err := io.ReadFull(r, raw[:]); err != nil {
-			return "", err
-		}
-		var dst [32]byte
-		hex.Encode(dst[:], raw[:])
-		return hashing.Fingerprint(dst[:]), nil
-	case 1:
-		s, err := readString(r)
-		if err != nil {
-			return "", err
-		}
-		return hashing.Fingerprint(s), nil
-	default:
-		return "", fmt.Errorf("fingerprint tag %d", tag)
-	}
-}
-
 func writeUvarint(buf *bytes.Buffer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)
@@ -287,24 +404,4 @@ func writeString(buf *bytes.Buffer, s string) {
 func writeBytes(buf *bytes.Buffer, b []byte) {
 	writeUvarint(buf, uint64(len(b)))
 	buf.Write(b)
-}
-
-func readBytes(r *bytes.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("length %d exceeds input", n)
-	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	b, err := readBytes(r)
-	return string(b), err
 }

@@ -57,6 +57,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`{"name":"a","tag":"b","root":{"name":"","type":2}}`))
 	f.Add([]byte(`{"root":{"type":2,"children":[{"name":"x","type":1,"fingerprint":"00000000000000000000000000000000"}]}}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"name":"a","tag":"b","root":{"name":"","type":2,"children":[{"name":".","type":2}]}}`))
+	f.Add([]byte(`{"name":"a","tag":"b","root":{"name":"","type":2,"children":[{"name":"..","type":2}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Decode(data)
 		if err != nil {
@@ -97,6 +99,10 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add(bin)
 	f.Add([]byte("GIX1"))
 	f.Add([]byte{})
+	// Entries named "." and "..": sound but for the name.
+	for _, blob := range dotNameBlobs(f) {
+		f.Add(blob)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := DecodeBinary(data)
 		if err != nil {
@@ -104,6 +110,15 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		if err := ix.Validate(); err != nil {
 			t.Fatalf("DecodeBinary accepted invalid index: %v", err)
+		}
+		// What decodes installs, and reads back as itself: no name the
+		// decoder lets through is anything but itself in the mounted tree.
+		tree, err := ix.ToTree()
+		if err != nil {
+			t.Fatalf("decoded index does not install: %v", err)
+		}
+		if _, err := FromTree(ix.Name, ix.Tag, ix.Config, tree); err != nil {
+			t.Fatalf("installed tree does not read back: %v", err)
 		}
 		again, err := EncodeBinary(ix)
 		if err != nil {

@@ -17,6 +17,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -218,63 +219,84 @@ func (b *builder) buildEntry(name string, n *vfs.Node) (*Entry, error) {
 	return e, nil
 }
 
-// Validate checks structural invariants: types, sorted unique children,
-// well-formed fingerprints.
+// Validate checks structural invariants: types, sorted unique children
+// whose names are each one real path segment, well-formed fingerprints.
 func (ix *Index) Validate() error {
-	if ix.Root == nil || ix.Root.Type != vfs.TypeDir {
+	if ix.Root == nil || ix.Root.Type != vfs.TypeDir || ix.Root.Name != "" {
 		return fmt.Errorf("index %s: root: %w", ix.Reference(), ErrCorrupt)
 	}
-	return validateEntry(ix.Root, "/")
+	return validateEntry(ix.Root, nil)
 }
 
-func validateEntry(e *Entry, at string) error {
+// dirPath is the chain of directories above an entry being validated,
+// innermost first. It lives on the validating goroutine's stack (which is
+// why the error branches call String themselves instead of handing fmt
+// the pointer); the path it spells is only put together for a message.
+type dirPath struct {
+	dir *Entry
+	up  *dirPath
+}
+
+// String renders the chain as "/a/b/" ("/" for the root alone, whose own
+// name is not part of any path).
+func (at *dirPath) String() string {
+	if at == nil || at.up == nil {
+		return "/"
+	}
+	return at.up.String() + at.dir.Name + "/"
+}
+
+func validateEntry(e *Entry, at *dirPath) error {
 	switch e.Type {
 	case vfs.TypeDir:
+		in := dirPath{dir: e, up: at}
 		prev := ""
 		for i, c := range e.Children {
-			if c.Name == "" || strings.ContainsAny(c.Name, "/\x00") {
-				return fmt.Errorf("index: bad name %q in %s: %w", c.Name, at, ErrCorrupt)
+			// "." and ".." would pass for segments and then name the
+			// directory itself or its parent once the tree is mounted.
+			if c.Name == "" || c.Name == "." || c.Name == ".." || strings.ContainsAny(c.Name, "/\x00") {
+				return fmt.Errorf("index: bad name %q in %s: %w", c.Name, in.String(), ErrCorrupt)
 			}
 			if i > 0 && c.Name <= prev {
-				return fmt.Errorf("index: unsorted children in %s: %w", at, ErrCorrupt)
+				return fmt.Errorf("index: unsorted children in %s: %w", in.String(), ErrCorrupt)
 			}
 			prev = c.Name
-			if err := validateEntry(c, at+c.Name+"/"); err != nil {
+			if err := validateEntry(c, &in); err != nil {
 				return err
 			}
 		}
 	case vfs.TypeRegular:
 		if err := e.Fingerprint.Validate(); err != nil {
-			return fmt.Errorf("index: %s%s: %w", at, e.Name, err)
+			return fmt.Errorf("index: %s%s: %w", at.String(), e.Name, err)
 		}
 		if e.Size < 0 {
-			return fmt.Errorf("index: %s%s: negative size: %w", at, e.Name, ErrCorrupt)
+			return fmt.Errorf("index: %s%s: negative size: %w", at.String(), e.Name, ErrCorrupt)
 		}
 		if len(e.Children) > 0 {
-			return fmt.Errorf("index: file %s%s has children: %w", at, e.Name, ErrCorrupt)
+			return fmt.Errorf("index: file %s%s has children: %w", at.String(), e.Name, ErrCorrupt)
 		}
 		if len(e.Chunks) > 0 {
 			var sum int64
 			for _, c := range e.Chunks {
 				if err := c.Fingerprint.Validate(); err != nil {
-					return fmt.Errorf("index: %s%s chunk: %w", at, e.Name, err)
+					return fmt.Errorf("index: %s%s chunk: %w", at.String(), e.Name, err)
 				}
 				if c.Size <= 0 {
-					return fmt.Errorf("index: %s%s: bad chunk size %d: %w", at, e.Name, c.Size, ErrCorrupt)
+					return fmt.Errorf("index: %s%s: bad chunk size %d: %w", at.String(), e.Name, c.Size, ErrCorrupt)
 				}
 				sum += c.Size
 			}
 			if sum != e.Size {
 				return fmt.Errorf("index: %s%s: chunk sizes sum %d != size %d: %w",
-					at, e.Name, sum, e.Size, ErrCorrupt)
+					at.String(), e.Name, sum, e.Size, ErrCorrupt)
 			}
 		}
 	case vfs.TypeSymlink:
 		if len(e.Children) > 0 {
-			return fmt.Errorf("index: symlink %s%s has children: %w", at, e.Name, ErrCorrupt)
+			return fmt.Errorf("index: symlink %s%s has children: %w", at.String(), e.Name, ErrCorrupt)
 		}
 	default:
-		return fmt.Errorf("index: %s%s: bad type %v: %w", at, e.Name, e.Type, ErrCorrupt)
+		return fmt.Errorf("index: %s%s: bad type %v: %w", at.String(), e.Name, e.Type, ErrCorrupt)
 	}
 	return nil
 }
@@ -303,27 +325,35 @@ func Decode(data []byte) (*Index, error) {
 // Placeholder renders the one-line fingerprint record stored in place of
 // a regular file: "gearfp:<fingerprint>:<size>\n".
 func Placeholder(fp hashing.Fingerprint, size int64) []byte {
-	return []byte(PlaceholderPrefix + string(fp) + ":" + strconv.FormatInt(size, 10) + "\n")
+	return appendPlaceholder(nil, fp, size)
+}
+
+func appendPlaceholder(dst []byte, fp hashing.Fingerprint, size int64) []byte {
+	dst = append(dst, PlaceholderPrefix...)
+	dst = append(dst, fp...)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, size, 10)
+	return append(dst, '\n')
 }
 
 // ParsePlaceholder inverts Placeholder. It returns ErrNotGearFile for
-// content that is not a placeholder record.
+// content that is not a placeholder record — and decides that from the
+// first bytes: content of any size that does not begin like a record (a
+// materialized file, on every read of it) is turned away without a copy.
 func ParsePlaceholder(data []byte) (hashing.Fingerprint, int64, error) {
-	s := string(data)
-	rest, found := strings.CutPrefix(s, PlaceholderPrefix)
-	if !found {
+	if len(data) < len(PlaceholderPrefix) || string(data[:len(PlaceholderPrefix)]) != PlaceholderPrefix {
 		return "", 0, ErrNotGearFile
 	}
-	rest = strings.TrimSuffix(rest, "\n")
-	rawFP, rawSize, found := strings.Cut(rest, ":")
+	rest := bytes.TrimSuffix(data[len(PlaceholderPrefix):], []byte("\n"))
+	rawFP, rawSize, found := bytes.Cut(rest, []byte(":"))
 	if !found {
-		return "", 0, fmt.Errorf("placeholder %q: %w", s, ErrCorrupt)
+		return "", 0, fmt.Errorf("placeholder %q: %w", data, ErrCorrupt)
 	}
 	fp := hashing.Fingerprint(rawFP)
 	if err := fp.Validate(); err != nil {
 		return "", 0, fmt.Errorf("placeholder: %w", err)
 	}
-	size, err := strconv.ParseInt(rawSize, 10, 64)
+	size, err := strconv.ParseInt(string(rawSize), 10, 64)
 	if err != nil || size < 0 {
 		return "", 0, fmt.Errorf("placeholder size %q: %w", rawSize, ErrCorrupt)
 	}
@@ -340,36 +370,53 @@ func IsPlaceholder(data []byte) bool {
 // and symlinks verbatim, regular files replaced by placeholder records.
 // This is the read-only "index" directory of the three-level storage
 // structure (§III-D1).
+//
+// The index is validated first, and that is what lets the tree be built
+// entry by entry into the directory node in hand, with no path resolved
+// and none spelled out: Validate has established what the path-taking
+// vfs calls would check again (each name one real segment, unique in its
+// directory). All placeholder records share one buffer of their exact
+// total size.
 func (ix *Index) ToTree() (*vfs.FS, error) {
-	f := vfs.New()
-	if err := entryToTree(ix.Root, "", f); err != nil {
-		return nil, fmt.Errorf("index: to tree %s: %w", ix.Reference(), err)
+	if err := ix.Validate(); err != nil {
+		return nil, err
 	}
+	f := vfs.New()
+	records := make([]byte, 0, placeholderBytes(ix.Root))
+	dirToTree(ix.Root, f.Root(), records)
 	return f, nil
 }
 
-func entryToTree(e *Entry, at string, f *vfs.FS) error {
-	switch e.Type {
-	case vfs.TypeDir:
-		p := at + "/" + e.Name
-		if e.Name == "" {
-			p = "/"
-		} else if err := f.Mkdir(p, e.Mode); err != nil {
-			return err
-		}
-		for _, c := range e.Children {
-			if err := entryToTree(c, strings.TrimSuffix(p, "/"), f); err != nil {
-				return err
-			}
-		}
-		return nil
-	case vfs.TypeRegular:
-		return f.WriteFile(at+"/"+e.Name, Placeholder(e.Fingerprint, e.Size), e.Mode)
-	case vfs.TypeSymlink:
-		return f.Symlink(e.Target, at+"/"+e.Name)
-	default:
-		return fmt.Errorf("%w: type %v at %s/%s", ErrCorrupt, e.Type, at, e.Name)
+// placeholderBytes is the total length of the records of the files
+// under e.
+func placeholderBytes(e *Entry) int {
+	if e.Type == vfs.TypeRegular {
+		var digits [20]byte
+		return len(PlaceholderPrefix) + len(e.Fingerprint) + 1 + len(strconv.AppendInt(digits[:0], e.Size, 10)) + 1
 	}
+	n := 0
+	for _, c := range e.Children {
+		n += placeholderBytes(c)
+	}
+	return n
+}
+
+// dirToTree fills the directory node n from the entry dir, appending the
+// records of the files below it to records, which it returns.
+func dirToTree(dir *Entry, n *vfs.Node, records []byte) []byte {
+	for _, c := range dir.Children {
+		switch c.Type {
+		case vfs.TypeDir:
+			records = dirToTree(c, n.AddDir(c.Name, c.Mode, len(c.Children)), records)
+		case vfs.TypeRegular:
+			start := len(records)
+			records = appendPlaceholder(records, c.Fingerprint, c.Size)
+			n.AddFile(c.Name, records[start:len(records):len(records)], c.Mode)
+		case vfs.TypeSymlink:
+			n.AddSymlink(c.Name, c.Target)
+		}
+	}
+	return records
 }
 
 // FromTree parses a placeholder filesystem back into an Index tree.
@@ -466,15 +513,16 @@ func (ix *Index) ChunkMap() map[hashing.Fingerprint][]Chunk {
 
 // Lookup resolves a cleaned path to its entry, or nil.
 func (ix *Index) Lookup(p string) *Entry {
-	parts := vfs.Split(p)
 	cur := ix.Root
-	for _, part := range parts {
+	for rest := vfs.Clean(p)[1:]; rest != ""; {
 		if cur.Type != vfs.TypeDir {
 			return nil
 		}
+		var name string
+		name, rest, _ = strings.Cut(rest, "/")
 		var next *Entry
 		for _, c := range cur.Children {
-			if c.Name == part {
+			if c.Name == name {
 				next = c
 				break
 			}
@@ -558,17 +606,19 @@ func (ix *Index) ToImage() (*imagefmt.Image, error) {
 	return imagefmt.SingleLayerImage(ix.Name, ix.Tag, tree, cfg)
 }
 
-// FromImage extracts the Index from a single-layer Gear index image.
+// FromImage extracts the Index from a single-layer Gear index image. The
+// serialized index is read straight out of that layer's tarball: nothing
+// is flattened, and no tree is built to hold one file.
 func FromImage(img *imagefmt.Image) (*Index, error) {
 	if img.Manifest.Config.Labels[IndexLabel] == "" {
 		return nil, fmt.Errorf("index: image %s is not a gear index: %w",
 			img.Manifest.Reference(), ErrNotGearFile)
 	}
-	root, err := img.Flatten()
-	if err != nil {
-		return nil, fmt.Errorf("index: from image: %w", err)
+	if len(img.Layers) != 1 {
+		return nil, fmt.Errorf("index: from image: %s has %d layers, a gear index image has one: %w",
+			img.Manifest.Reference(), len(img.Layers), ErrCorrupt)
 	}
-	enc, err := root.ReadFile(IndexFileName)
+	enc, err := img.Layers[0].ReadFile(IndexFileName)
 	if err != nil {
 		return nil, fmt.Errorf("index: from image: %w: %w", ErrCorrupt, err)
 	}

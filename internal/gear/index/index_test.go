@@ -611,3 +611,343 @@ func TestBuildChunkedParallelMatchesSerial(t *testing.T) {
 		})
 	}
 }
+
+// dotNameBlobs are binary indexes that are sound except for one entry
+// named "." or "..": a sound index with placeholder names of the same
+// lengths is encoded and the names patched in the bytes, because the
+// encoder refuses to write them.
+func dotNameBlobs(tb testing.TB) [][]byte {
+	tb.Helper()
+	root := vfs.New()
+	for _, err := range []error{
+		root.MkdirAll("/@/sub", 0o755),
+		root.WriteFile("/@/sub/f", []byte("x"), 0o644),
+		root.WriteFile("/@@", []byte("y"), 0o644),
+	} {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ix, _, err := Build("dots", "v1", imagefmt.Config{}, root, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sound, err := EncodeBinary(ix)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	patch := func(old, new string) []byte {
+		if bytes.Count(sound, []byte(old)) != 1 {
+			tb.Fatalf("placeholder name %q occurs %d times in the encoding", old, bytes.Count(sound, []byte(old)))
+		}
+		return bytes.Replace(sound, []byte(old), []byte(new), 1)
+	}
+	// The length prefix keeps "\x01@" and "\x02@@" apart.
+	return [][]byte{patch("\x01@", "\x01."), patch("\x02@@", "\x02..")}
+}
+
+// "." and ".." are one segment each to look at, and the directory itself
+// or its parent once mounted. Nothing downstream may be what turns them
+// away: Validate does, with the typed error, in every decoder.
+func TestValidateRejectsDotNames(t *testing.T) {
+	for _, name := range []string{".", ".."} {
+		ix := &Index{Name: "a", Tag: "b", Root: &Entry{Type: vfs.TypeDir, Children: []*Entry{
+			{Name: name, Type: vfs.TypeDir},
+		}}}
+		err := ix.Validate()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Validate with an entry named %q = %v, want ErrCorrupt", name, err)
+		} else if want := fmt.Sprintf("index: bad name %q in /: corrupt gear index", name); err.Error() != want {
+			t.Errorf("Validate error = %q, want %q", err, want)
+		}
+		if _, err := ix.ToTree(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("ToTree with an entry named %q = %v, want ErrCorrupt", name, err)
+		}
+		js := fmt.Sprintf(`{"name":"a","tag":"b","root":{"name":"","type":2,"children":[{"name":%q,"type":2}]}}`, name)
+		if _, err := Decode([]byte(js)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Decode with an entry named %q = %v, want ErrCorrupt", name, err)
+		}
+	}
+	for _, blob := range dotNameBlobs(t) {
+		if _, err := DecodeBinary(blob); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad name") {
+			t.Errorf("DecodeBinary of a dot-named entry = %v, want ErrCorrupt for a bad name", err)
+		}
+	}
+	// A named root would be a directory of its own to one reader of the
+	// index and the root to another.
+	named := &Index{Name: "a", Tag: "b", Root: &Entry{Name: "rootfs", Type: vfs.TypeDir}}
+	if err := named.Validate(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Validate with a named root = %v, want ErrCorrupt", err)
+	}
+}
+
+// The path in a validation error is put together only when there is one
+// to report, and reads as it always did.
+func TestValidateErrorsNameThePath(t *testing.T) {
+	bad := hashing.Fingerprint("xyz")
+	good := hashing.FingerprintBytes(nil)
+	deep := func(leaf ...*Entry) *Index {
+		return &Index{Name: "a", Tag: "b", Root: &Entry{Type: vfs.TypeDir, Children: []*Entry{
+			{Name: "usr", Type: vfs.TypeDir, Children: []*Entry{
+				{Name: "lib", Type: vfs.TypeDir, Children: leaf},
+			}},
+		}}}
+	}
+	for _, tt := range []struct {
+		ix   *Index
+		want string
+	}{
+		{deep(&Entry{Name: "a/b", Type: vfs.TypeDir}), `index: bad name "a/b" in /usr/lib/: corrupt gear index`},
+		{deep(&Entry{Name: "b", Type: vfs.TypeDir}, &Entry{Name: "a", Type: vfs.TypeDir}), `index: unsorted children in /usr/lib/: corrupt gear index`},
+		{deep(&Entry{Name: "f", Type: vfs.TypeRegular, Fingerprint: bad}), `index: /usr/lib/f: fingerprint "xyz": malformed content address`},
+		{deep(&Entry{Name: "f", Type: vfs.TypeRegular, Fingerprint: good, Size: -1}), `index: /usr/lib/f: negative size: corrupt gear index`},
+		{deep(&Entry{Name: "l", Type: vfs.TypeSymlink, Children: []*Entry{{Name: "x"}}}), `index: symlink /usr/lib/l has children: corrupt gear index`},
+		{deep(&Entry{Name: "t", Type: 9}), `index: /usr/lib/t: bad type FileType(9): corrupt gear index`},
+		{&Index{Name: "a", Tag: "b", Root: &Entry{Type: vfs.TypeDir, Children: []*Entry{{Name: "f", Type: vfs.TypeRegular, Fingerprint: bad}}}},
+			`index: /f: fingerprint "xyz": malformed content address`},
+	} {
+		if err := tt.ix.Validate(); err == nil || err.Error() != tt.want {
+			t.Errorf("Validate = %v, want %s", err, tt.want)
+		}
+	}
+}
+
+// pathBuiltTree is ToTree as it was: every entry installed by its full
+// path through the path-taking vfs calls.
+func pathBuiltTree(t *testing.T, ix *Index) *vfs.FS {
+	t.Helper()
+	f := vfs.New()
+	var install func(e *Entry, at string)
+	install = func(e *Entry, at string) {
+		p := path.Join(at, e.Name)
+		var err error
+		switch e.Type {
+		case vfs.TypeDir:
+			if p != "/" {
+				err = f.Mkdir(p, e.Mode)
+			}
+			for _, c := range e.Children {
+				install(c, p)
+			}
+		case vfs.TypeRegular:
+			err = f.WriteFile(p, Placeholder(e.Fingerprint, e.Size), e.Mode)
+		case vfs.TypeSymlink:
+			err = f.Symlink(e.Target, p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	install(ix.Root, "/")
+	return f
+}
+
+// describeTree is everything a mount can tell about a tree.
+func describeTree(f *vfs.FS) string {
+	var sb strings.Builder
+	_ = f.Walk(func(p string, n *vfs.Node) error {
+		fmt.Fprintf(&sb, "%s name=%q %v %v target=%q", p, n.Name(), n.Type(), n.Mode(), n.Target())
+		if n.Type() == vfs.TypeRegular {
+			fmt.Fprintf(&sb, " %q nlink=%d", n.Content().Data(), n.Content().Nlink())
+		}
+		sb.WriteByte('\n')
+		return nil
+	})
+	return sb.String()
+}
+
+// The tree built node by node from the entries is the tree the paths
+// build: same walk, modes, targets, placeholder bytes and link counts,
+// for the fixtures (chunked files, collision IDs, odd modes among them)
+// and for random images; and it reads back as the index it came from.
+func TestToTreeMatchesPathBuiltTree(t *testing.T) {
+	fixture, _ := buildFixture(t)
+	indexes := []*Index{fixture, goldenIndex(t), goldenCDCIndex(t)}
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 20; i++ {
+		ix, _, err := BuildChunked("rand", fmt.Sprint(i), imagefmt.Config{}, randomRoot(rng, 10+rng.Intn(80)), nil, int64(rng.Intn(3))*64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes = append(indexes, ix)
+	}
+	for _, ix := range indexes {
+		tree, err := ix.ToTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := describeTree(tree), describeTree(pathBuiltTree(t, ix)); got != want {
+			t.Errorf("%s: ToTree built\n%s\nthe paths build\n%s", ix.Reference(), got, want)
+		}
+		back, err := FromTree(ix.Name, ix.Tag, ix.Config, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Chunk tables are not part of the tree; the rest round-trips.
+		a, _ := Encode(withoutChunks(ix))
+		b, _ := Encode(back)
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: FromTree(ToTree(ix)) != ix", ix.Reference())
+		}
+		// One record's bytes cannot be grown into the next one's.
+		_ = tree.Walk(func(p string, n *vfs.Node) error {
+			if n.Type() == vfs.TypeRegular && cap(n.Content().Data()) != len(n.Content().Data()) {
+				t.Errorf("%s: placeholder at %s has spare capacity into the shared buffer", ix.Reference(), p)
+			}
+			return nil
+		})
+	}
+}
+
+func withoutChunks(ix *Index) *Index {
+	var strip func(e *Entry) *Entry
+	strip = func(e *Entry) *Entry {
+		c := *e
+		c.Chunks = nil
+		c.Children = nil
+		for _, ch := range e.Children {
+			c.Children = append(c.Children, strip(ch))
+		}
+		return &c
+	}
+	out := *ix
+	out.Root = strip(ix.Root)
+	return &out
+}
+
+// FromImage reads the index out of the one layer a Gear index image has.
+func TestFromImageLayerChecks(t *testing.T) {
+	ix, _ := buildFixture(t)
+	img, err := ix.ToImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := &imagefmt.Image{Manifest: img.Manifest, Layers: []*imagefmt.Layer{img.Layers[0], img.Layers[0]}}
+	if _, err := FromImage(two); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("two-layer index image: %v, want ErrCorrupt", err)
+	}
+	none := &imagefmt.Image{Manifest: img.Manifest}
+	if _, err := FromImage(none); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("index image without layers: %v, want ErrCorrupt", err)
+	}
+	// Labelled, one layer, but no index file in it.
+	empty := vfs.New()
+	if err := empty.WriteFile("/.gear", []byte("a file, not the directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hollow, err := imagefmt.SingleLayerImage("hollow", "v1", empty, img.Manifest.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromImage(hollow); !errors.Is(err, ErrCorrupt) || !errors.Is(err, vfs.ErrNotExist) {
+		t.Errorf("index image without the index file: %v, want ErrCorrupt and ErrNotExist", err)
+	}
+}
+
+// ---- allocation budgets ----
+
+// countEntries returns how many entries e and its subtree hold.
+func countEntries(e *Entry) int {
+	n := 1
+	for _, c := range e.Children {
+		n += countEntries(c)
+	}
+	return n
+}
+
+// Validating a sound index allocates nothing; installing one costs a
+// constant per entry, whatever the depth of the tree: decoding a handful
+// of slabs (well under one allocation per ten entries), and the tree one
+// node per entry, one content per file and one map per directory — at
+// most maxTreeAllocsPerEntry — plus the one buffer of records.
+func TestIndexInstallAllocs(t *testing.T) {
+	const maxTreeAllocsPerEntry = 3
+	deep := vfs.New()
+	dir := ""
+	for d := 0; d < 24; d++ {
+		dir += fmt.Sprintf("/level%02d", d)
+		if err := deep.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < 10; f++ {
+			if err := deep.WriteFile(fmt.Sprintf("%s/file%02d", dir, f), []byte{byte(d), byte(f)}, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deepIx, _, err := Build("deep", "v1", imagefmt.Config{}, deep, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, _ := buildFixture(t)
+	for _, ix := range []*Index{fixture, deepIx} {
+		entries := float64(countEntries(ix.Root))
+		if n := testing.AllocsPerRun(20, func() {
+			if err := ix.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Validate: %v allocs per run, want 0", ix.Reference(), n)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := ix.ToTree(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > maxTreeAllocsPerEntry*entries+8 {
+			t.Errorf("%s: ToTree: %v allocs for %v entries, want at most %d per entry", ix.Reference(), n, entries, maxTreeAllocsPerEntry)
+		}
+		enc, err := EncodeBinary(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeBinary(enc); err != nil {
+				t.Fatal(err)
+			}
+		}); n > entries/10+24 {
+			t.Errorf("%s: DecodeBinary: %v allocs for %v entries, want at most one per ten entries and 24", ix.Reference(), n, entries)
+		}
+	}
+}
+
+// Content that is not a placeholder is told so from its first bytes,
+// whatever its size: nothing is copied to find out.
+func TestParsePlaceholderDoesNotCopy(t *testing.T) {
+	big := bytes.Repeat([]byte("materialized file content "), 40<<10) // 1 MiB
+	if n := testing.AllocsPerRun(20, func() {
+		if _, _, err := ParsePlaceholder(big); err != ErrNotGearFile {
+			t.Fatalf("ParsePlaceholder = %v, want ErrNotGearFile", err)
+		}
+	}); n != 0 {
+		t.Errorf("ParsePlaceholder of a 1 MiB file: %v allocs per run, want 0", n)
+	}
+	record := Placeholder(hashing.FingerprintBytes([]byte("x")), 1)
+	if n := testing.AllocsPerRun(20, func() {
+		if _, _, err := ParsePlaceholder(record); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("ParsePlaceholder of a record: %v allocs per run, want 1 (the fingerprint)", n)
+	}
+}
+
+// The decoded index does not depend on the buffer it was decoded from.
+func TestDecodeBinaryDoesNotRetainInput(t *testing.T) {
+	ix, _ := buildFixture(t)
+	enc, err := EncodeBinary(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBinary(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range enc {
+		enc[i] = 0xff
+	}
+	a, _ := Encode(ix)
+	b, _ := Encode(got)
+	if !bytes.Equal(a, b) {
+		t.Error("decoded index changed when its input buffer was overwritten")
+	}
+}

@@ -256,10 +256,7 @@ func New(opts Options) (*Store, error) {
 // AddIndex installs an image's Gear index at level 2. This is the only
 // prerequisite for launching containers of that image.
 func (s *Store) AddIndex(ix *index.Index) error {
-	if err := ix.Validate(); err != nil {
-		return fmt.Errorf("store: add index: %w", err)
-	}
-	tree, err := ix.ToTree()
+	tree, err := ix.ToTree() // validates ix
 	if err != nil {
 		return fmt.Errorf("store: add index: %w", err)
 	}
@@ -359,9 +356,9 @@ func (s *Store) RemoveContainer(id string) error {
 	}
 	delete(s.containers, id)
 	s.m.containers.Add(-1)
-	// Close outside mu: the viewer takes its own lock, which faulting
-	// reads hold while they call back into the store — closing under mu
-	// would invert that order and deadlock.
+	// Close outside mu: it takes the viewer's own lock, and the two are
+	// never nested (a faulting read calls back into the store, which
+	// takes mu, from the viewer's side).
 	s.mu.Unlock()
 	c.view.Close()
 	return nil
@@ -395,7 +392,7 @@ func (s *Store) resolve(imageRef, path string, fp hashing.Fingerprint, size int6
 	// A concurrent fault may have materialized the node already. The
 	// shared tree is internally locked, so mu is not needed here.
 	if st != nil {
-		if n, err := st.tree.Stat(path); err == nil && n.Type() == vfs.TypeRegular {
+		if n := st.tree.Lookup(path); n != nil && n.Type() == vfs.TypeRegular {
 			if !index.IsPlaceholder(n.Content().Data()) {
 				return n.Content(), nil
 			}
@@ -407,11 +404,9 @@ func (s *Store) resolve(imageRef, path string, fp hashing.Fingerprint, size int6
 		return nil, err
 	}
 	if st != nil {
-		if n, statErr := st.tree.Stat(path); statErr == nil && n.Type() == vfs.TypeRegular {
-			if err := st.tree.PutContent(path, content, n.Mode()); err != nil {
-				return nil, fmt.Errorf("store: link %s into index: %w", path, err)
-			}
-		}
+		// Hard link over the placeholder, if the file is still in the
+		// tree: the index may have been removed during the fetch.
+		st.tree.Relink(path, content)
 	}
 	return content, nil
 }
@@ -639,7 +634,7 @@ func (s *Store) Prefetch(ref string) error {
 	// Gather the raw objects to pull: chunk fingerprints for chunked
 	// files (the transfer unit), file fingerprints otherwise.
 	var fps []hashing.Fingerprint
-	walkEntries(st.ix.Root, "", func(_ string, e *index.Entry) {
+	walkEntries(st.ix.Root, "/", func(_ string, e *index.Entry) {
 		if e.Type != vfs.TypeRegular || e.Fingerprint == "" {
 			return
 		}
@@ -657,7 +652,7 @@ func (s *Store) Prefetch(ref string) error {
 	// Link everything into the level-2 tree; all content is local now,
 	// so these resolves assemble and hard-link without network traffic.
 	var err error
-	walkEntries(st.ix.Root, "", func(p string, e *index.Entry) {
+	walkEntries(st.ix.Root, "/", func(p string, e *index.Entry) {
 		if err != nil || e.Type != vfs.TypeRegular {
 			return
 		}
@@ -684,8 +679,8 @@ func (s *Store) Fingerprints(ref string, paths []string) ([]hashing.Fingerprint,
 	}
 	var fps []hashing.Fingerprint
 	for _, p := range paths {
-		n, err := st.tree.Stat(p)
-		if err != nil || n.Type() != vfs.TypeRegular {
+		n := st.tree.Lookup(p)
+		if n == nil || n.Type() != vfs.TypeRegular {
 			continue
 		}
 		fp, _, err := index.ParsePlaceholder(n.Content().Data())
@@ -703,14 +698,15 @@ func (s *Store) Fingerprints(ref string, paths []string) ([]hashing.Fingerprint,
 	return fps, nil
 }
 
-func walkEntries(e *index.Entry, at string, fn func(p string, e *index.Entry)) {
-	p := at + "/" + e.Name
-	if e.Name == "" {
-		p = "/"
-	}
+// walkEntries calls fn for e, which is at the clean path p, and for
+// every entry below it.
+func walkEntries(e *index.Entry, p string, fn func(p string, e *index.Entry)) {
 	fn(p, e)
+	if p == "/" {
+		p = ""
+	}
 	for _, c := range e.Children {
-		walkEntries(c, vfs.Clean(p), fn)
+		walkEntries(c, p+"/"+c.Name, fn)
 	}
 }
 

@@ -845,3 +845,59 @@ func TestFileHandleStreamsChunks(t *testing.T) {
 		t.Error("opened a directory")
 	}
 }
+
+// A fault the level-1 cache serves — every read of a warm redeploy —
+// costs a constant handful of allocations whatever the depth of the
+// path: the placeholder's fingerprint (parsed by the viewer, and again
+// by the materialized-already check) and the node that links the cached
+// content over the placeholder. No path is re-split, re-joined or
+// re-cleaned on the way, and the expected miss in the upper layer builds
+// no error.
+func TestCachedFaultAllocs(t *testing.T) {
+	root := vfs.New()
+	const p = "/usr/lib/python3/site-packages/pkg/module.py"
+	if err := root.MkdirAll("/usr/lib/python3/site-packages/pkg", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.WriteFile(p, []byte("print()\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix, pool, err := index.Build("py", "v1", imagefmt.Config{}, root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := gearregistry.New(gearregistry.Options{})
+	for fp, data := range pool {
+		if err := reg.Upload(fp, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newStore(t, reg)
+	if err := s.AddIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateContainer("c1", "py:v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := s.indexes["py:v1"].tree
+	placeholder := tree.Lookup(p).Content()
+	if _, err := v.ReadFile(p); err != nil { // fills the cache
+		t.Fatal(err)
+	}
+	const relink = 1 // putting the placeholder back, below, is one node
+	n := testing.AllocsPerRun(100, func() {
+		if !tree.Relink(p, placeholder) {
+			t.Fatal("placeholder not put back")
+		}
+		if got, err := v.ReadFile(p); err != nil || string(got) != "print()\n" {
+			t.Fatalf("ReadFile = %q, %v", got, err)
+		}
+	})
+	if n-relink > 4 {
+		t.Errorf("cached fault: %v allocs per read, want at most 4", n-relink)
+	}
+	if got := s.Stats().RemoteObjects; got != 1 {
+		t.Errorf("remote objects = %d, want 1: the cache must serve every re-fault", got)
+	}
+}

@@ -89,37 +89,53 @@ func (v *Viewer) checkOpen() error {
 	return nil
 }
 
+// readLocked returns the content of the regular file at the clean path p
+// as the mount holds it and, when that is an index placeholder still to
+// be materialized (lazy), the record it carries. Data written by the
+// container itself is returned verbatim even if it happens to look like
+// a placeholder: only lower-layer (index) entries are fingerprint files.
+// The caller holds v.mu.
+func (v *Viewer) readLocked(p string) (data []byte, fp hashing.Fingerprint, size int64, lazy bool, err error) {
+	data, err = v.mount.ReadFile(p)
+	if err != nil || v.mount.Upper().Exists(p) {
+		return data, "", 0, false, err
+	}
+	fp, size, perr := index.ParsePlaceholder(data)
+	return data, fp, size, perr == nil, nil
+}
+
 // ReadFile returns the content of the regular file at p, materializing a
 // fingerprint placeholder on first access ("downloaded on demand, stored
 // at the first level, and hard linked to the index", §III-D2).
 func (v *Viewer) ReadFile(p string) ([]byte, error) {
+	p = vfs.Clean(p)
 	v.mu.Lock()
-	defer v.mu.Unlock()
 	if err := v.checkOpen(); err != nil {
+		v.mu.Unlock()
 		return nil, err
 	}
 	v.reads++
-	data, err := v.mount.ReadFile(p)
-	if err != nil {
-		return nil, err
+	data, fp, size, lazy, err := v.readLocked(p)
+	if err != nil || !lazy {
+		v.mu.Unlock()
+		return data, err // already materialized
 	}
-	// Data written by the container itself is returned verbatim even if
-	// it happens to look like a placeholder: only lower-layer (index)
-	// entries are fingerprint files.
-	if v.mount.Upper().Exists(vfs.Clean(p)) {
-		return data, nil
-	}
-	fp, size, perr := index.ParsePlaceholder(data)
-	if perr != nil {
-		return data, nil // already materialized
-	}
-	// Pause: ask the helper to make the file readable, then resume.
 	v.faults++
+	v.mu.Unlock()
+	// Pause: ask the helper to make the file readable, then resume. The
+	// helper may be downloading, so the lock is not held meanwhile: other
+	// threads of the container go on reading, and faulting, elsewhere.
 	start := time.Now()
-	content, err := v.resolver.Resolve(v.imageRef, vfs.Clean(p), fp, size)
-	v.stall += time.Since(start)
+	content, err := v.resolver.Resolve(v.imageRef, p, fp, size)
+	elapsed := time.Since(start)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.stall += elapsed
 	if err != nil {
-		return nil, fmt.Errorf("viewer %s: fault %s: %w", v.imageRef, vfs.Clean(p), err)
+		return nil, fmt.Errorf("viewer %s: fault %s: %w", v.imageRef, p, err)
+	}
+	if err := v.checkOpen(); err != nil {
+		return nil, err // closed while the fault was parked
 	}
 	return content.Data(), nil
 }
@@ -137,25 +153,17 @@ type RangeResolver interface {
 // proposes for AI containers with big models. Other files materialize
 // fully (like ReadFile) and slice.
 func (v *Viewer) ReadAt(p string, off, n int64) ([]byte, error) {
+	p = vfs.Clean(p)
 	v.mu.Lock()
 	if err := v.checkOpen(); err != nil {
 		v.mu.Unlock()
 		return nil, err
 	}
 	v.reads++
-	data, err := v.mount.ReadFile(p)
-	if err != nil {
+	data, fp, _, lazy, err := v.readLocked(p)
+	if err != nil || !lazy {
 		v.mu.Unlock()
-		return nil, err
-	}
-	if v.mount.Upper().Exists(vfs.Clean(p)) {
-		v.mu.Unlock()
-		return sliceRange(data, off, n), nil
-	}
-	fp, _, perr := index.ParsePlaceholder(data)
-	if perr != nil {
-		v.mu.Unlock()
-		return sliceRange(data, off, n), nil // already materialized
+		return sliceRange(data, off, n), err // already materialized
 	}
 	rr, ok := v.resolver.(RangeResolver)
 	if ok {
@@ -203,12 +211,13 @@ func (v *Viewer) Stat(p string) (Info, error) {
 	if err := v.checkOpen(); err != nil {
 		return Info{}, err
 	}
+	p = vfs.Clean(p)
 	n, err := v.mount.Stat(p)
 	if err != nil {
 		return Info{}, err
 	}
 	info := Info{Type: n.Type(), Mode: n.Mode(), Size: n.Size(), Target: n.Target()}
-	if n.Type() == vfs.TypeRegular && !v.mount.Upper().Exists(vfs.Clean(p)) {
+	if n.Type() == vfs.TypeRegular && !v.mount.Upper().Exists(p) {
 		if _, size, err := index.ParsePlaceholder(n.Content().Data()); err == nil {
 			info.Size = size
 			info.Lazy = true

@@ -3,9 +3,12 @@ package viewer
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/hashing"
@@ -371,5 +374,176 @@ func TestRenameMissingDestParent(t *testing.T) {
 	// Source must still exist after the failed rename.
 	if !v.Exists("/app/conf") {
 		t.Error("failed rename destroyed the source")
+	}
+}
+
+// parkingResolver is fakeResolver behind a gate: a Resolve of the path
+// park announces itself on parked and waits for release; every other
+// path resolves at once. It stands for a helper in the middle of a
+// download.
+type parkingResolver struct {
+	mu      sync.Mutex // fakeResolver is not safe for concurrent use
+	inner   *fakeResolver
+	park    string
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (r *parkingResolver) Resolve(ref, p string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
+	if p == r.park {
+		r.parked <- struct{}{}
+		<-r.release
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.inner.Resolve(ref, p, fp, size)
+}
+
+func setupParked(t *testing.T, park string) (*Viewer, *parkingResolver) {
+	t.Helper()
+	v, inner := setup(t)
+	r := &parkingResolver{inner: inner, park: park, parked: make(chan struct{}), release: make(chan struct{})}
+	v.resolver = r
+	return v, r
+}
+
+type readResult struct {
+	data []byte
+	err  error
+}
+
+// within fails the test if fn has not returned in time: a viewer that
+// holds its lock across the helper shows up here as a hang.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return while another fault was parked in the resolver", what)
+	}
+}
+
+// A fault parked in the helper (a download in flight) holds up nothing
+// else in the container: a second thread reads, stats and faults on other
+// files meanwhile.
+func TestParkedFaultDoesNotBlockOtherPaths(t *testing.T) {
+	v, r := setupParked(t, "/app/bin")
+	first := make(chan readResult, 1)
+	go func() {
+		data, err := v.ReadFile("/app/bin")
+		first <- readResult{data, err}
+	}()
+	<-r.parked
+
+	within(t, "ReadFile of another path", func() {
+		if got, err := v.ReadFile("/app/conf"); err != nil || string(got) != "k=v" {
+			t.Errorf("ReadFile(/app/conf) = %q, %v", got, err)
+		}
+	})
+	within(t, "Stat", func() {
+		if info, err := v.Stat("/app/bin"); err != nil || !info.Lazy || info.Size != int64(len("binary-bytes")) {
+			t.Errorf("Stat(/app/bin) = %+v, %v", info, err)
+		}
+	})
+	within(t, "WriteFile", func() {
+		if err := v.WriteFile("/app/new", []byte("w"), 0o644); err != nil {
+			t.Error(err)
+		}
+	})
+	if st := v.Stats(); st.Reads != 2 || st.Faults != 2 {
+		t.Errorf("stats with one fault parked = %+v, want 2 reads, 2 faults", st)
+	}
+
+	close(r.release)
+	if res := <-first; res.err != nil || string(res.data) != "binary-bytes" {
+		t.Errorf("parked ReadFile = %q, %v", res.data, res.err)
+	}
+	if st := v.Stats(); st.StallTime <= 0 {
+		t.Errorf("stall time after a parked fault = %v", st.StallTime)
+	}
+}
+
+// Close while a fault is parked returns at once; the fault, released,
+// ends in ErrStopped or in the data — never in a hang.
+func TestCloseDuringParkedFault(t *testing.T) {
+	v, r := setupParked(t, "/app/bin")
+	first := make(chan readResult, 1)
+	go func() {
+		data, err := v.ReadFile("/app/bin")
+		first <- readResult{data, err}
+	}()
+	<-r.parked
+	within(t, "Close", v.Close)
+	close(r.release)
+	select {
+	case res := <-first:
+		if !errors.Is(res.err, ErrStopped) && (res.err != nil || string(res.data) != "binary-bytes") {
+			t.Errorf("ReadFile across Close = %q, %v; want ErrStopped or the data", res.data, res.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ReadFile did not return after Close")
+	}
+}
+
+// Reading a file that is already materialized, the common case by far,
+// is a lookup and nothing else: the path is cleaned once, found once in
+// each layer, and the content's first bytes say it is no placeholder.
+func TestReadFileHitAllocs(t *testing.T) {
+	v, _ := setup(t)
+	if _, err := v.ReadFile("/app/bin"); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.WriteFile("/app/own", []byte("container data"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/app/bin", "/app/own"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := v.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 2 {
+			t.Errorf("ReadFile(%s) of a materialized file: %v allocs per run, want at most 2", p, n)
+		}
+	}
+}
+
+func BenchmarkViewerReadFileHit(b *testing.B) {
+	root := vfs.New()
+	if err := root.MkdirAll("/usr/lib/python3/site-packages", 0o755); err != nil {
+		b.Fatal(err)
+	}
+	var paths []string
+	for i := 0; i < 100; i++ {
+		p := fmt.Sprintf("/usr/lib/python3/site-packages/mod%03d.py", i)
+		if err := root.WriteFile(p, []byte(p), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	ix, pool, err := index.Build("img", "v1", imagefmt.Config{}, root, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := ix.ToTree()
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := New("img:v1", tree, &fakeResolver{pool: pool, tree: tree})
+	for _, p := range paths {
+		if _, err := v.ReadFile(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := v.ReadFile(paths[i%len(paths)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"strconv"
 	"sync"
 )
@@ -34,7 +35,26 @@ func FingerprintBytes(data []byte) Fingerprint {
 // "sha256:..." notation.
 func DigestBytes(data []byte) Digest {
 	sum := sha256.Sum256(data)
-	return Digest("sha256:" + hex.EncodeToString(sum[:]))
+	return digestOf(sum[:])
+}
+
+// digestOf renders a SHA256 sum in Docker's notation.
+func digestOf(sum []byte) Digest { return Digest("sha256:" + hex.EncodeToString(sum)) }
+
+// DigestWriter computes the Digest of content written to it piece by
+// piece, for content that is streamed rather than held.
+type DigestWriter struct{ h hash.Hash }
+
+// NewDigestWriter returns a DigestWriter with nothing written.
+func NewDigestWriter() *DigestWriter { return &DigestWriter{h: sha256.New()} }
+
+// Write adds p to the content; it never fails.
+func (w *DigestWriter) Write(p []byte) (int, error) { return w.h.Write(p) }
+
+// Digest returns the digest of what has been written: DigestBytes of it.
+func (w *DigestWriter) Digest() Digest {
+	var sum [sha256.Size]byte
+	return digestOf(w.h.Sum(sum[:0]))
 }
 
 // ErrMalformed reports a fingerprint or digest that fails validation.

@@ -31,6 +31,21 @@ func TestDigestBytesKnownValue(t *testing.T) {
 	}
 }
 
+func TestDigestWriterMatchesDigestBytes(t *testing.T) {
+	w := NewDigestWriter()
+	if got, want := w.Digest(), DigestBytes(nil); got != want {
+		t.Errorf("empty DigestWriter = %s, want %s", got, want)
+	}
+	for _, piece := range []string{"a", "", "bc"} {
+		if n, err := w.Write([]byte(piece)); n != len(piece) || err != nil {
+			t.Fatalf("Write(%q) = %d, %v", piece, n, err)
+		}
+	}
+	if got, want := w.Digest(), DigestBytes([]byte("abc")); got != want {
+		t.Errorf("DigestWriter of a, bc = %s, want %s", got, want)
+	}
+}
+
 func TestFingerprintValid(t *testing.T) {
 	tests := []struct {
 		fp   Fingerprint

@@ -64,15 +64,18 @@ func NewLayerFromTarball(gz []byte, want hashing.Digest) (*Layer, error) {
 	if got := hashing.DigestBytes(gz); got != want {
 		return nil, fmt.Errorf("imagefmt: %w: got %s want %s", ErrBadDigest, got, want)
 	}
-	raw, err := tarstream.Gunzip(gz)
+	// The DiffID and the uncompressed size are properties of the inflated
+	// tar, which is hashed as it streams by and never held.
+	diffID := hashing.NewDigestWriter()
+	rawSize, err := tarstream.GunzipTo(diffID, gz)
 	if err != nil {
 		return nil, fmt.Errorf("imagefmt: decompress layer: %w", err)
 	}
 	return &Layer{
 		Digest:           want,
-		DiffID:           hashing.DigestBytes(raw),
+		DiffID:           diffID.Digest(),
 		Size:             int64(len(gz)),
-		UncompressedSize: int64(len(raw)),
+		UncompressedSize: rawSize,
 		tarball:          gz,
 	}, nil
 }
@@ -83,6 +86,12 @@ func (l *Layer) Tarball() []byte { return l.tarball }
 // Tree decompresses and parses the layer into its diff tree.
 func (l *Layer) Tree() (*vfs.FS, error) {
 	return tarstream.UnpackGz(l.tarball)
+}
+
+// ReadFile returns the content of the regular file at the clean path p
+// in the layer's own diff — Tree().ReadFile(p) without the tree.
+func (l *Layer) ReadFile(p string) ([]byte, error) {
+	return tarstream.ReadFileGz(l.tarball, p)
 }
 
 // Config is the subset of a Docker image configuration the reproduction

@@ -88,77 +88,80 @@ func (m *Mount) Upper() *vfs.FS { return m.upper }
 // Lower returns the squashed read-only view of all lower layers.
 func (m *Mount) Lower() *vfs.FS { return m.squash }
 
-// whiteoutPath returns the upper-layer whiteout marker path for p.
+// whiteoutPath returns the upper-layer whiteout marker path for the clean
+// path p.
 func whiteoutPath(p string) string {
-	dir, name := path.Split(vfs.Clean(p))
-	return path.Join(vfs.Clean(dir), tarstream.WhiteoutPrefix+name)
+	i := strings.LastIndexByte(p, '/')
+	return p[:i+1] + tarstream.WhiteoutPrefix + p[i+1:]
 }
 
-// hiddenByWhiteout reports whether the lower entry at p is hidden by the
-// upper layer: a whiteout on p or an ancestor, an opaque ancestor
-// (including the root — "rm -rf /" marks the root opaque), or an
-// ancestor shadowed by an upper non-directory.
-func (m *Mount) hiddenByWhiteout(p string) bool {
-	parts := vfs.Split(p)
-	cur := "/"
-	for i := 0; i <= len(parts); i++ {
-		if i > 0 {
-			probe := path.Join(cur, parts[i-1])
-			if m.upper.Exists(whiteoutPath(probe)) {
-				return true
-			}
-			cur = probe
-		}
-		if i == len(parts) {
+// upperAt walks the clean path p down the upper tree, once, and reports
+// what the upper layer says about it: n is the upper's node at p (nil if
+// it has none), and hidden is whether the upper hides the lower entry at
+// p — by a whiteout on p or an ancestor, by an ancestor that is a file or
+// symlink in the upper, or by an opaque marker in an ancestor (the root
+// included: "rm -rf /" marks it) below which the upper does not itself
+// carry p.
+//
+// Whiteouts, markers and shadowing files are all entries of the upper's
+// directories along p, so each is one lookup in the directory node the
+// walk is standing in, and the walk ends at the first ancestor the upper
+// has no node for: below it the upper has no directory left to hold any
+// of them. Under an empty upper that is the first step.
+func (m *Mount) upperAt(p string) (n *vfs.Node, hidden bool) {
+	m.upper.RLock()
+	defer m.upper.RUnlock()
+	n = m.upper.Root()
+	opaque := false
+	for rest := p[1:]; rest != "" && n != nil; {
+		var name string
+		name, rest, _ = strings.Cut(rest, "/")
+		if n.NumChildren() == 0 {
+			n = nil
 			break
 		}
-		// cur is now an ancestor directory of p (the root when i == 0).
-		if i > 0 {
-			if n, err := m.upper.Stat(cur); err == nil && !n.IsDir() {
-				// An upper file/symlink shadows the whole lower subtree.
-				return true
-			}
-		}
-		if m.upper.Exists(path.Join(cur, tarstream.OpaqueMarker)) {
-			// The opaque marker hides lower content below cur unless the
-			// upper itself carries the deeper entries — in which case
-			// Stat finds them in upper first.
-			rest := path.Join(append([]string{cur}, parts[i:]...)...)
-			if !m.upper.Exists(rest) {
-				return true
-			}
+		opaque = opaque || n.Child(tarstream.OpaqueMarker) != nil
+		hidden = hidden || n.Child(tarstream.WhiteoutPrefix+name) != nil
+		n = n.Child(name)
+		if n != nil && rest != "" && !n.IsDir() {
+			// An upper file/symlink shadows the whole lower subtree.
+			return nil, true
 		}
 	}
-	return false
+	return n, hidden || (opaque && n == nil)
+}
+
+// lookup resolves the clean path p through the union, or returns nil:
+// upper wins over lower; whiteouts and opaque markers hide lower entries.
+func (m *Mount) lookup(p string) *vfs.Node {
+	n, hidden := m.upperAt(p)
+	if n != nil {
+		if IsMarkerName(n.Name()) {
+			return nil
+		}
+		// An upper directory merges with lower; any other upper node
+		// shadows the lower entirely.
+		return n
+	}
+	if hidden {
+		return nil
+	}
+	return m.squash.Lookup(p)
 }
 
 // Stat resolves p through the union: upper wins over lower; whiteouts and
 // opaque markers hide lower entries.
 func (m *Mount) Stat(p string) (*vfs.Node, error) {
 	p = vfs.Clean(p)
-	if n, err := m.upper.Stat(p); err == nil {
-		if _, isWh := tarstream.IsWhiteout(path.Base(p)); isWh || path.Base(p) == tarstream.OpaqueMarker {
-			return nil, fmt.Errorf("overlay: stat %s: %w", p, vfs.ErrNotExist)
-		}
-		// An upper directory merges with lower; any other upper node
-		// shadows the lower entirely.
-		return n, nil
-	}
-	if m.upper.Exists(whiteoutPath(p)) || m.hiddenByWhiteout(p) {
-		return nil, fmt.Errorf("overlay: stat %s: %w", p, vfs.ErrNotExist)
-	}
-	n, err := m.squash.Stat(p)
-	if err != nil {
+	n := m.lookup(p)
+	if n == nil {
 		return nil, fmt.Errorf("overlay: stat %s: %w", p, vfs.ErrNotExist)
 	}
 	return n, nil
 }
 
 // Exists reports whether p resolves in the union view.
-func (m *Mount) Exists(p string) bool {
-	_, err := m.Stat(p)
-	return err == nil
-}
+func (m *Mount) Exists(p string) bool { return m.lookup(vfs.Clean(p)) != nil }
 
 // ReadFile returns the regular-file content at p from the union view.
 func (m *Mount) ReadFile(p string) ([]byte, error) {
@@ -320,7 +323,7 @@ func (m *Mount) Remove(p string) error {
 			return fmt.Errorf("overlay: remove %s: %w", p, err)
 		}
 	}
-	if m.squash.Exists(p) && !m.hiddenByWhiteout(p) {
+	if _, hidden := m.upperAt(p); !hidden && m.squash.Exists(p) {
 		if err := m.ensureUpperDir(path.Dir(p)); err != nil {
 			return fmt.Errorf("overlay: remove %s: %w", p, err)
 		}
@@ -360,7 +363,7 @@ func (m *Mount) RemoveAll(p string) error {
 	if err := m.upper.RemoveAll(p); err != nil {
 		return fmt.Errorf("overlay: removeall %s: %w", p, err)
 	}
-	if m.squash.Exists(p) && !m.hiddenByWhiteout(p) {
+	if _, hidden := m.upperAt(p); !hidden && m.squash.Exists(p) {
 		if err := m.ensureUpperDir(path.Dir(p)); err != nil {
 			return fmt.Errorf("overlay: removeall %s: %w", p, err)
 		}
@@ -371,15 +374,15 @@ func (m *Mount) RemoveAll(p string) error {
 	return nil
 }
 
-// ancestorNotDir reports whether some proper ancestor of p resolves to a
-// non-directory in the union view.
+// ancestorNotDir reports whether some proper ancestor of the clean path p
+// resolves to a non-directory in the union view.
 func (m *Mount) ancestorNotDir(p string) bool {
-	parts := vfs.Split(p)
-	cur := "/"
-	for i := 0; i < len(parts)-1; i++ {
-		cur = path.Join(cur, parts[i])
-		n, err := m.Stat(cur)
-		if err != nil {
+	for i := 1; i < len(p); i++ {
+		if p[i] != '/' {
+			continue
+		}
+		n := m.lookup(p[:i])
+		if n == nil {
 			return false
 		}
 		if !n.IsDir() {
@@ -402,40 +405,38 @@ func (m *Mount) ReadDir(p string) ([]string, error) {
 	}
 
 	names := make(map[string]bool)
-	upperDir, upperErr := m.upper.Stat(p)
+	// The upper's node at p, if it has one, is the directory n itself.
+	upperDir, hidden := m.upperAt(p)
 	opaque := false
-	if upperErr == nil && upperDir.IsDir() {
+	if upperDir != nil {
 		for _, name := range upperDir.ChildNames() {
 			if name == tarstream.OpaqueMarker {
 				opaque = true
 				continue
 			}
-			if _, isWh := tarstream.IsWhiteout(name); isWh {
+			if IsMarkerName(name) {
 				continue
 			}
 			names[name] = true
 		}
 		opaque = opaque || upperDir.Opaque
 	}
-	if !opaque && !m.hiddenByWhiteout(p) {
+	if !opaque && !hidden {
 		// ReadDirNames lists the lower tree under its lock: the squash
 		// layer may be a live shared index tree that a concurrent fetch
 		// is linking Gear files into.
-		if lowerNames, err := m.squash.ReadDirNames(p); err == nil {
-			// Upper non-dir shadows the whole lower dir.
-			if upperErr != nil || upperDir.IsDir() {
-				for _, name := range lowerNames {
-					child := path.Join(p, name)
-					if m.upper.Exists(whiteoutPath(child)) {
-						continue
-					}
-					if un, err := m.upper.Stat(child); err == nil && !un.IsDir() {
-						// Shadowed by an upper file/symlink; already listed.
-						continue
-					}
-					names[name] = true
+		lowerNames, _ := m.squash.ReadDirNames(p)
+		for _, name := range lowerNames {
+			if upperDir != nil {
+				if upperDir.Child(tarstream.WhiteoutPrefix+name) != nil {
+					continue
+				}
+				if un := upperDir.Child(name); un != nil && !un.IsDir() {
+					// Shadowed by an upper file/symlink; already listed.
+					continue
 				}
 			}
+			names[name] = true
 		}
 	}
 	out := make([]string, 0, len(names))

@@ -444,7 +444,9 @@ func mountSnapshot(m *Mount) string {
 
 // Property: a random series of mount mutations keeps three invariants:
 // (1) the union view never shows marker names, (2) Materialize equals
-// ApplyLayer(lower, diff), and (3) the lower tree is never mutated.
+// ApplyLayer(lower, diff), and (3) the lower tree is never mutated —
+// and after every one of them the one-descent lookup answers every path
+// as the path-string reference does (agreesWithReference).
 func TestMountInvariantsProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -456,7 +458,11 @@ func TestMountInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		applyRandomMountOps(m, rng, 40)
+		agrees := true
+		applyRandomMountOps(m, rng, 40, func() { agrees = agrees && agreesWithReference(t, m) })
+		if !agrees {
+			return false
+		}
 
 		// (1) no markers visible
 		bad := false
@@ -510,7 +516,9 @@ func buildRandomTree(f *vfs.FS, rng *rand.Rand, n int) {
 	}
 }
 
-func applyRandomMountOps(m *Mount, rng *rand.Rand, n int) {
+// applyRandomMountOps mutates m n times at random, calling after (if not
+// nil) behind every mutation.
+func applyRandomMountOps(m *Mount, rng *rand.Rand, n int, after func()) {
 	var all []string
 	refresh := func() {
 		all = []string{"/"}
@@ -538,6 +546,9 @@ func applyRandomMountOps(m *Mount, rng *rand.Rand, n int) {
 				_ = m.RemoveAll(target)
 			}
 		}
+		if after != nil {
+			after()
+		}
 	}
 }
 
@@ -552,7 +563,7 @@ func TestRemountProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		applyRandomMountOps(m, rng, 30)
+		applyRandomMountOps(m, rng, 30, nil)
 		before := mountSnapshot(m)
 
 		m2, err := NewWithUpper(m.DiffTree(), lower)
@@ -586,5 +597,252 @@ func BenchmarkUnionStat(b *testing.B) {
 		if _, err := m.Stat(fmt.Sprintf("/usr/lib/app/f%03d", i%100)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ---- the path-string lookup, kept as the reference ----
+//
+// refStat, refHidden and refWhiteoutPath are Mount.Stat, hiddenByWhiteout
+// and whiteoutPath as they were before the lookup became one descent of
+// the upper tree: every question is put to the upper as a path of its
+// own (path.Join, then a walk from the root). They are slow and
+// obviously right, which is what a reference is for.
+
+func refWhiteoutPath(p string) string {
+	dir, name := path.Split(path.Clean("/" + p))
+	return path.Join(path.Clean("/"+dir), tarstream.WhiteoutPrefix+name)
+}
+
+func refHidden(m *Mount, p string) bool {
+	parts := vfs.Split(p)
+	cur := "/"
+	for i := 0; i <= len(parts); i++ {
+		if i > 0 {
+			probe := path.Join(cur, parts[i-1])
+			if m.upper.Exists(refWhiteoutPath(probe)) {
+				return true
+			}
+			cur = probe
+		}
+		if i == len(parts) {
+			break
+		}
+		// cur is now an ancestor directory of p (the root when i == 0).
+		if i > 0 {
+			if n, err := m.upper.Stat(cur); err == nil && !n.IsDir() {
+				return true
+			}
+		}
+		if m.upper.Exists(path.Join(cur, tarstream.OpaqueMarker)) {
+			rest := path.Join(append([]string{cur}, parts[i:]...)...)
+			if !m.upper.Exists(rest) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func refStat(m *Mount, p string) (*vfs.Node, error) {
+	p = path.Clean("/" + p)
+	if n, err := m.upper.Stat(p); err == nil {
+		if _, isWh := tarstream.IsWhiteout(path.Base(p)); isWh || path.Base(p) == tarstream.OpaqueMarker {
+			return nil, fmt.Errorf("overlay: stat %s: %w", p, vfs.ErrNotExist)
+		}
+		return n, nil
+	}
+	if m.upper.Exists(refWhiteoutPath(p)) || refHidden(m, p) {
+		return nil, fmt.Errorf("overlay: stat %s: %w", p, vfs.ErrNotExist)
+	}
+	n, err := m.squash.Stat(p)
+	if err != nil {
+		return nil, fmt.Errorf("overlay: stat %s: %w", p, vfs.ErrNotExist)
+	}
+	return n, nil
+}
+
+// probePaths is every path in the upper and in the lower tree of m, and
+// around each the paths where the layers' bookkeeping could show: its
+// whiteout, the opaque marker and a child below it, and spellings of it
+// that are not clean.
+func probePaths(m *Mount) []string {
+	seen := map[string]bool{}
+	var out []string
+	add := func(ps ...string) {
+		for _, p := range ps {
+			if !seen[p] {
+				seen[p] = true
+				out = append(out, p)
+			}
+		}
+	}
+	add("", "/", ".", "..", "/..", "/"+tarstream.OpaqueMarker, "/"+tarstream.WhiteoutPrefix, "/nowhere/at/all")
+	visit := func(p string, _ *vfs.Node) error {
+		add(p, refWhiteoutPath(p), p+"/"+tarstream.OpaqueMarker, p+"/below", p+"/below/deeper",
+			p+"/.", p+"/../"+path.Base(p), p[1:])
+		return nil
+	}
+	_ = m.upper.Walk(visit)
+	_ = m.squash.Walk(visit)
+	return out
+}
+
+// agreesWithReference holds Stat, Exists and the hidden verdict against
+// the reference for every probe path of m: the same node (so the same
+// type and content), or the same error — class and text.
+func agreesWithReference(t *testing.T, m *Mount) bool {
+	t.Helper()
+	ok := true
+	for _, p := range probePaths(m) {
+		got, gerr := m.Stat(p)
+		want, werr := refStat(m, p)
+		switch {
+		case got != want:
+			t.Errorf("Stat(%q) = node %p %v, reference %p %v", p, got, gerr, want, werr)
+			ok = false
+		case (gerr == nil) != (werr == nil),
+			gerr != nil && (gerr.Error() != werr.Error() || errors.Is(gerr, vfs.ErrNotExist) != errors.Is(werr, vfs.ErrNotExist)):
+			t.Errorf("Stat(%q) error %v, reference %v", p, gerr, werr)
+			ok = false
+		}
+		if m.Exists(p) != (werr == nil) {
+			t.Errorf("Exists(%q) = %v, reference Stat error %v", p, m.Exists(p), werr)
+			ok = false
+		}
+		if _, hidden := m.upperAt(vfs.Clean(p)); hidden != refHidden(m, p) {
+			t.Errorf("upper hides lower %q = %v, reference %v", p, hidden, refHidden(m, p))
+			ok = false
+		}
+	}
+	return ok
+}
+
+// The corners the random walk reaches rarely, each held against the
+// reference: "rm -rf /" (root opaque) and names revived under it, a
+// deleted directory made again (opaque) and refilled, an upper file over
+// a lower directory, and an upper tree that is not what Mount itself
+// writes (both a node and its whiteout, a marker that is a directory).
+func TestStatMatchesReferenceCorners(t *testing.T) {
+	check := func(m *Mount, step string) {
+		t.Helper()
+		if !agreesWithReference(t, m) {
+			t.Fatalf("after %s", step)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := newMount(t)
+	check(m, "mount")
+
+	must(m.RemoveAll("/etc"))
+	check(m, "rm -r /etc")
+	must(m.Mkdir("/etc", 0o755))
+	check(m, "mkdir /etc over the deleted one")
+	must(m.WriteFile("/etc/conf", []byte("revived"), 0o644))
+	check(m, "revive /etc/conf")
+
+	must(m.RemoveAll("/bin"))
+	must(m.WriteFile("/bin", []byte("a file now"), 0o644))
+	check(m, "upper file over lower dir /bin")
+
+	must(m.RemoveAll("/"))
+	check(m, "rm -rf /")
+	must(m.Mkdir("/etc", 0o755))
+	must(m.WriteFile("/etc/new", []byte("n"), 0o644))
+	check(m, "names revived under the opaque root")
+
+	// An upper tree nobody's Remove wrote.
+	lower := lowerFixture(t)
+	upper := vfs.New()
+	must(upper.MkdirAll("/bin", 0o755))
+	must(upper.WriteFile("/"+tarstream.WhiteoutPrefix+"bin", nil, 0))
+	must(upper.WriteFile("/bin/tool", []byte("upper tool"), 0o755))
+	must(upper.MkdirAll("/etc/"+tarstream.OpaqueMarker, 0o755))
+	must(upper.Symlink("/elsewhere", "/var"))
+	m = AttachSharedWithUpper(lower, upper)
+	check(m, "a hand-made upper")
+}
+
+// ---- allocation budgets ----
+
+func statFixture(tb testing.TB) (lower *vfs.FS, paths []string) {
+	tb.Helper()
+	lower = vfs.New()
+	if err := lower.MkdirAll("/usr/lib/python3/site-packages", 0o755); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		p := fmt.Sprintf("/usr/lib/python3/site-packages/mod%03d.py", i)
+		if err := lower.WriteFile(p, []byte("x"), 0o644); err != nil {
+			tb.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	return lower, paths
+}
+
+// populate gives m an upper with entries in every directory on the way
+// to the fixture's files: a written sibling, a whiteout, a revived name.
+func populate(tb testing.TB, m *Mount, paths []string) {
+	tb.Helper()
+	for _, err := range []error{
+		m.WriteFile("/usr/lib/python3/site-packages/local.py", []byte("upper"), 0o644),
+		m.WriteFile("/usr/lib/python3/notes", []byte("upper"), 0o644),
+		m.WriteFile("/usr/lib/extra", []byte("upper"), 0o644),
+		m.Remove(paths[0]),
+		m.Remove(paths[1]),
+		m.WriteFile(paths[1], []byte("revived"), 0o644),
+	} {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// A lookup that resolves allocates nothing under an empty upper, where
+// the descent ends at the root, and nothing under a populated one either,
+// where every directory on the way is asked for a marker, a whiteout and
+// the name: the whiteout's name is put together on the stack (a name
+// over 28 bytes would cost its directory one small allocation).
+func TestMountStatAllocs(t *testing.T) {
+	lower, paths := statFixture(t)
+	empty := AttachShared(lower)
+	populated := AttachShared(lower)
+	populate(t, populated, paths)
+	for name, m := range map[string]*Mount{"empty upper": empty, "populated upper": populated} {
+		for _, p := range []string{paths[50], paths[1], "/usr/lib/python3"} {
+			if n := testing.AllocsPerRun(100, func() {
+				if _, err := m.Stat(p); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s: Stat(%s): %v allocs per run, want 0", name, p, n)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = m.Exists("/usr/lib/python3/none") }); n != 0 {
+			t.Errorf("%s: Exists of a missing path: %v allocs per run, want 0", name, n)
+		}
+	}
+}
+
+func BenchmarkMountStat(b *testing.B) {
+	lower, paths := statFixture(b)
+	for _, upper := range []string{"empty", "populated"} {
+		m := AttachShared(lower)
+		if upper == "populated" {
+			populate(b, m, paths)
+		}
+		b.Run(upper+"_upper", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Stat(paths[2+i%98]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -296,6 +296,35 @@ func GunzipFrom(r io.Reader, room Room) ([]byte, error) {
 	return out, nil
 }
 
+// GunzipTo inflates the gzip stream data into w and returns how many
+// bytes that was, for a caller that wants the content's digest or length
+// and not the content: nothing the size of the content is held. The
+// stream is read to its end, so the CRC judges it as it does for Gunzip.
+func GunzipTo(w io.Writer, data []byte) (int64, error) {
+	zr := gzReaderPool.Get().(*gzip.Reader)
+	defer gzReaderPool.Put(zr)
+	if err := zr.Reset(bytes.NewReader(data)); err != nil {
+		return 0, fmt.Errorf("tarstream: gunzip: %w", err)
+	}
+	scratch := copyPool.Get().(*[copyChunk]byte)
+	defer copyPool.Put(scratch)
+	n, err := io.CopyBuffer(w, zr, scratch[:])
+	if err != nil {
+		return n, fmt.Errorf("tarstream: gunzip read: %w", err)
+	}
+	if err := zr.Close(); err != nil {
+		return n, fmt.Errorf("tarstream: gunzip close: %w", err)
+	}
+	return n, nil
+}
+
+// copyChunk is the size of the scratch GunzipTo copies through. The
+// scratch has a pool of its own: bufPool's buffers have grown to the size
+// of whole archives, and borrowing one on every pull would keep it alive.
+const copyChunk = 32 << 10
+
+var copyPool = sync.Pool{New: func() any { return new([copyChunk]byte) }}
+
 // GunzipRange returns the n bytes at offset off of the content of the
 // gzip stream data, which is Gunzip(data)[off:off+n] without holding
 // the content: it inflates and discards up to off, reads n bytes, then
@@ -350,71 +379,148 @@ func Unpack(data []byte) (*vfs.FS, error) {
 	return unpackFrom(bytes.NewReader(data), len(data))
 }
 
-// unpackFrom is the streaming tar parse shared by Unpack and UnpackGz.
-// bound caps per-entry content allocation hints — a corrupt header
-// claiming more than the stream can possibly hold must not drive the
-// allocation; values <= 0 disable hinting entirely.
-func unpackFrom(r io.Reader, bound int) (*vfs.FS, error) {
-	f := vfs.New()
+// scanTar is the streaming tar parse shared by every reader of an
+// archive: it calls visit with the clean path and header of each entry
+// of a type a tree can hold (the root itself is skipped), and visit reads
+// the content of the ones it wants from tr. A malformed archive or an
+// entry of any other type is ErrCorrupt, whoever is reading.
+func scanTar(r io.Reader, visit func(p string, hdr *tar.Header, tr *tar.Reader) error) error {
 	tr := tar.NewReader(r)
 	for {
 		hdr, err := tr.Next()
 		if errors.Is(err, io.EOF) {
-			return f, nil
+			return nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("tarstream: unpack: %w: %w", ErrCorrupt, err)
+			return fmt.Errorf("tarstream: unpack: %w: %w", ErrCorrupt, err)
 		}
 		p := vfs.Clean(hdr.Name)
 		if p == "/" {
 			continue
 		}
-		if err := f.MkdirAll(path.Dir(p), 0o755); err != nil {
-			return nil, fmt.Errorf("tarstream: unpack %s: %w", p, err)
-		}
-		mode := fs.FileMode(hdr.Mode).Perm()
 		switch hdr.Typeflag {
-		case tar.TypeDir:
-			if f.Exists(p) {
-				continue
-			}
-			if err := f.Mkdir(p, mode); err != nil {
-				return nil, fmt.Errorf("tarstream: unpack %s: %w", p, err)
-			}
-		case tar.TypeReg:
-			// hdr.Size is authoritative for a well-formed archive, so
-			// the exact-size read avoids io.ReadAll's growth copies.
-			hint := int(hdr.Size)
-			if hint < 0 || hint > bound {
-				hint = 0
-			}
-			content, err := ReadAll(tr, sized(hint))
-			if err != nil {
-				return nil, fmt.Errorf("tarstream: unpack %s: %w: %w", p, ErrCorrupt, err)
-			}
-			if err := f.WriteFile(p, content, mode); err != nil {
-				return nil, fmt.Errorf("tarstream: unpack %s: %w", p, err)
-			}
-		case tar.TypeSymlink:
-			if err := f.Symlink(hdr.Linkname, p); err != nil {
-				return nil, fmt.Errorf("tarstream: unpack %s: %w", p, err)
+		case tar.TypeDir, tar.TypeReg, tar.TypeSymlink:
+			if err := visit(p, hdr, tr); err != nil {
+				return err
 			}
 		default:
-			return nil, fmt.Errorf("%w: unsupported tar entry type %q at %s",
+			return fmt.Errorf("%w: unsupported tar entry type %q at %s",
 				ErrCorrupt, hdr.Typeflag, p)
 		}
 	}
+}
+
+// readEntry reads the content of the regular-file entry tr stands at.
+// bound caps the allocation hint taken from the header — a corrupt one
+// claiming more than the stream can possibly hold must not drive the
+// allocation; values <= 0 disable hinting entirely.
+func readEntry(tr *tar.Reader, hdr *tar.Header, p string, bound int) ([]byte, error) {
+	// hdr.Size is authoritative for a well-formed archive, so the
+	// exact-size read avoids io.ReadAll's growth copies.
+	hint := int(hdr.Size)
+	if hint < 0 || hint > bound {
+		hint = 0
+	}
+	content, err := ReadAll(tr, sized(hint))
+	if err != nil {
+		return nil, fmt.Errorf("tarstream: unpack %s: %w: %w", p, ErrCorrupt, err)
+	}
+	return content, nil
+}
+
+// unpackFrom builds the tree of the archive r holds; bound is readEntry's.
+func unpackFrom(r io.Reader, bound int) (*vfs.FS, error) {
+	f := vfs.New()
+	// Entries of one directory arrive together, and a directory, once
+	// made, stays one (nothing here replaces a directory), so its chain
+	// is only made when the parent differs from the previous entry's.
+	made := "/"
+	err := scanTar(r, func(p string, hdr *tar.Header, tr *tar.Reader) error {
+		if dir := p[:max(strings.LastIndexByte(p, '/'), 1)]; dir != made {
+			if err := f.MkdirAll(dir, 0o755); err != nil {
+				return fmt.Errorf("tarstream: unpack %s: %w", p, err)
+			}
+			made = dir
+		}
+		mode := fs.FileMode(hdr.Mode).Perm()
+		var err error
+		switch hdr.Typeflag {
+		case tar.TypeDir:
+			if f.Exists(p) {
+				return nil
+			}
+			err = f.Mkdir(p, mode)
+		case tar.TypeReg:
+			var content []byte
+			if content, err = readEntry(tr, hdr, p, bound); err != nil {
+				return err
+			}
+			err = f.WriteFile(p, content, mode)
+		case tar.TypeSymlink:
+			err = f.Symlink(hdr.Linkname, p)
+		}
+		if err != nil {
+			return fmt.Errorf("tarstream: unpack %s: %w", p, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // UnpackGz is Unpack over gzip-compressed data. The pooled gzip reader
 // feeds the tar parser directly — the uncompressed archive is never
 // materialized, so a layer unpack allocates its file contents and
 // nothing else.
-func UnpackGz(data []byte) (*vfs.FS, error) {
+func UnpackGz(data []byte) (f *vfs.FS, err error) {
+	err = scanGz(data, func(r io.Reader, bound int) error {
+		f, err = unpackFrom(r, bound)
+		return err
+	})
+	return f, err
+}
+
+// ReadFileGz returns the content of the regular file at the clean path
+// name in the gzip-compressed tar archive data — what ReadFile(name) on
+// the tree UnpackGz builds returns, without the tree: the one-file index
+// layer of a Gear image is read this way on every deploy. The whole
+// archive is still parsed and the whole stream inflated, so a malformed
+// entry anywhere, or a bad CRC, fails here as it fails UnpackGz.
+func ReadFileGz(data []byte, name string) ([]byte, error) {
+	var content []byte
+	found := false
+	err := scanGz(data, func(r io.Reader, bound int) error {
+		return scanTar(r, func(p string, hdr *tar.Header, tr *tar.Reader) (err error) {
+			if p != name || (hdr.Typeflag == tar.TypeDir && found) {
+				return nil
+			}
+			// As in a tree, a later entry replaces an earlier one.
+			content, found = nil, hdr.Typeflag == tar.TypeReg
+			if found {
+				content, err = readEntry(tr, hdr, p, bound)
+			}
+			return err
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !found {
+		return nil, fmt.Errorf("read %s: %w", name, vfs.ErrNotExist)
+	}
+	return content, nil
+}
+
+// scanGz runs scan over the content of the gzip stream data, then reads
+// the stream out and closes it, so that whatever scan did not consume is
+// still inflated and the CRC still checked.
+func scanGz(data []byte, scan func(r io.Reader, bound int) error) error {
 	zr := gzReaderPool.Get().(*gzip.Reader)
+	defer gzReaderPool.Put(zr)
 	if err := zr.Reset(bytes.NewReader(data)); err != nil {
-		gzReaderPool.Put(zr)
-		return nil, fmt.Errorf("tarstream: unpackgz: %w", err)
+		return fmt.Errorf("tarstream: unpackgz: %w", err)
 	}
 	// Deflate expands at most ~1032:1, so the compressed length bounds
 	// any honest entry size the stream can carry.
@@ -422,24 +528,19 @@ func UnpackGz(data []byte) (*vfs.FS, error) {
 	if bound < 0 { // overflow on absurd inputs: disable hinting
 		bound = 0
 	}
-	f, err := unpackFrom(zr, bound)
-	if err != nil {
-		gzReaderPool.Put(zr)
-		return nil, err
+	if err := scan(zr, bound); err != nil {
+		return err
 	}
 	// The tar parser stops at the end-of-archive trailer; drain the rest
 	// of the member so Close verifies the gzip CRC exactly as the
 	// materializing path did.
 	if _, err := io.Copy(io.Discard, zr); err != nil {
-		gzReaderPool.Put(zr)
-		return nil, fmt.Errorf("tarstream: unpackgz drain: %w: %w", ErrCorrupt, err)
+		return fmt.Errorf("tarstream: unpackgz drain: %w: %w", ErrCorrupt, err)
 	}
 	if err := zr.Close(); err != nil {
-		gzReaderPool.Put(zr)
-		return nil, fmt.Errorf("tarstream: unpackgz close: %w: %w", ErrCorrupt, err)
+		return fmt.Errorf("tarstream: unpackgz close: %w: %w", ErrCorrupt, err)
 	}
-	gzReaderPool.Put(zr)
-	return f, nil
+	return nil
 }
 
 // IsWhiteout reports whether base name marks a lower-layer deletion, and
@@ -486,8 +587,8 @@ func ApplyLayer(base *vfs.FS, layer *vfs.FS) error {
 
 	// Pass 2: whiteouts, additions, and replacements.
 	err = layer.Walk(func(p string, n *vfs.Node) error {
-		dir, name := path.Split(p)
-		dir = vfs.Clean(dir)
+		i := strings.LastIndexByte(p, '/')
+		dir, name := p[:max(i, 1)], p[i+1:]
 
 		if name == OpaqueMarker {
 			return nil // handled in pass 1
@@ -499,21 +600,21 @@ func ApplyLayer(base *vfs.FS, layer *vfs.FS) error {
 
 		switch n.Type() {
 		case vfs.TypeDir:
-			if existing, err := base.Stat(p); err == nil && !existing.IsDir() {
+			if existing := base.Lookup(p); existing != nil && !existing.IsDir() {
 				if err := base.Remove(p); err != nil {
 					return err
 				}
 			}
 			return base.MkdirAll(p, n.Mode())
 		case vfs.TypeRegular:
-			if existing, err := base.Stat(p); err == nil && existing.IsDir() {
+			if existing := base.Lookup(p); existing != nil && existing.IsDir() {
 				if err := base.RemoveAll(p); err != nil {
 					return err
 				}
 			}
 			return base.WriteFile(p, n.Content().Data(), n.Mode())
 		case vfs.TypeSymlink:
-			if existing, err := base.Stat(p); err == nil && existing.IsDir() {
+			if existing := base.Lookup(p); existing != nil && existing.IsDir() {
 				if err := base.RemoveAll(p); err != nil {
 					return err
 				}
@@ -563,8 +664,8 @@ func Diff(base, next *vfs.FS) (*vfs.FS, error) {
 
 	// Additions and modifications.
 	err := next.Walk(func(p string, n *vfs.Node) error {
-		old, statErr := base.Stat(p)
-		if statErr == nil && sameNode(old, n) {
+		old := base.Lookup(p)
+		if old != nil && sameNode(old, n) {
 			return nil
 		}
 		if err := layer.MkdirAll(path.Dir(p), 0o755); err != nil {
@@ -573,7 +674,7 @@ func Diff(base, next *vfs.FS) (*vfs.FS, error) {
 		switch n.Type() {
 		case vfs.TypeDir:
 			// A dir replacing a non-dir must whiteout the old entry first.
-			if statErr == nil && !old.IsDir() {
+			if old != nil && !old.IsDir() {
 				if err := writeWhiteout(layer, p); err != nil {
 					return err
 				}
@@ -630,9 +731,8 @@ func layerHas(layer *vfs.FS, p string) bool {
 }
 
 func writeWhiteout(layer *vfs.FS, p string) error {
-	dir, name := path.Split(p)
-	wh := path.Join(vfs.Clean(dir), WhiteoutPrefix+name)
-	return layer.WriteFile(wh, nil, 0)
+	i := strings.LastIndexByte(p, '/')
+	return layer.WriteFile(p[:i+1]+WhiteoutPrefix+p[i+1:], nil, 0)
 }
 
 func sameNode(a, b *vfs.Node) bool {

@@ -1,6 +1,7 @@
 package tarstream
 
 import (
+	"archive/tar"
 	"bytes"
 	"errors"
 	"fmt"
@@ -786,5 +787,111 @@ func TestUnpackGzStreamingParity(t *testing.T) {
 	}
 	if _, err := UnpackGz([]byte("not gzip")); err == nil {
 		t.Error("UnpackGz accepted garbage")
+	}
+}
+
+// ReadFileGz answers for every path as the unpacked tree does — the
+// content of a regular file, ErrNotExist for anything else — and judges
+// the archive by the same checks: a bad CRC behind the trailer, a
+// truncated member, an entry of a type no tree holds.
+func TestReadFileGzMatchesUnpackedTree(t *testing.T) {
+	f := buildTree(t)
+	z, err := PackGz(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := UnpackGz(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/etc/app/conf", "/usr/bin/app", "/usr/bin/app-latest", "/etc/app", "/etc", "/missing", "/etc/app/conf/under"} {
+		want, werr := tree.ReadFile(p)
+		got, gerr := ReadFileGz(z, p)
+		if (gerr == nil) != (werr == nil) || !bytes.Equal(got, want) {
+			t.Errorf("ReadFileGz(%s) = %q, %v; the tree reads %q, %v", p, got, gerr, want, werr)
+		}
+		if gerr != nil && !errors.Is(gerr, vfs.ErrNotExist) {
+			t.Errorf("ReadFileGz(%s) = %v, want ErrNotExist", p, gerr)
+		}
+	}
+
+	bad := append([]byte(nil), z...)
+	bad[len(bad)-8] ^= 0xff
+	if _, err := ReadFileGz(bad, "/etc/app/conf"); err == nil {
+		t.Error("ReadFileGz accepted a corrupt gzip checksum")
+	}
+	if _, err := ReadFileGz(z[:len(z)/2], "/etc/app/conf"); err == nil {
+		t.Error("ReadFileGz accepted a truncated member")
+	}
+
+	// A later entry for the same name replaces an earlier one, and an
+	// entry type no tree holds fails the read wherever it sits.
+	var buf bytes.Buffer
+	tw := tar.NewWriter(&buf)
+	for _, e := range []struct {
+		hdr  tar.Header
+		body string
+	}{
+		{tar.Header{Name: "f", Typeflag: tar.TypeReg, Mode: 0o644, Size: 3}, "old"},
+		{tar.Header{Name: "./f", Typeflag: tar.TypeReg, Mode: 0o644, Size: 3}, "new"},
+		{tar.Header{Name: "g", Typeflag: tar.TypeReg, Mode: 0o644, Size: 1}, "g"},
+		{tar.Header{Name: "g", Typeflag: tar.TypeSymlink, Linkname: "f"}, ""},
+	} {
+		if err := tw.WriteHeader(&e.hdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write([]byte(e.body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fifo := buf.Len()
+	if err := tw.WriteHeader(&tar.Header{Name: "pipe", Typeflag: tar.TypeFifo}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	withFifo, err := Gzip(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFileGz(withFifo, "/f"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadFileGz of an archive with a fifo = %v, want ErrCorrupt", err)
+	}
+	sound, err := Gzip(append(buf.Bytes()[:fifo:fifo], make([]byte, 1024)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadFileGz(sound, "/f"); err != nil || string(got) != "new" {
+		t.Errorf("ReadFileGz(/f) = %q, %v, want the later entry", got, err)
+	}
+	if _, err := ReadFileGz(sound, "/g"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Errorf("ReadFileGz(/g), a file replaced by a symlink = %v, want ErrNotExist", err)
+	}
+}
+
+// GunzipTo streams what Gunzip returns, and fails where it fails.
+func TestGunzipToMatchesGunzip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, size := range []int{0, 1, copyChunk - 1, copyChunk, 3*copyChunk + 17} {
+		data := make([]byte, size)
+		rng.Read(data[:size/2]) // half noise, half zeros
+		z, err := Gzip(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		n, err := GunzipTo(&out, z)
+		if err != nil || n != int64(size) || !bytes.Equal(out.Bytes(), data) {
+			t.Errorf("GunzipTo of %d bytes wrote %d, %v", size, n, err)
+		}
+		bad := append([]byte(nil), z...)
+		bad[len(bad)-8] ^= 0xff
+		if _, err := GunzipTo(&out, bad); err == nil {
+			t.Errorf("GunzipTo accepted a corrupt checksum (%d bytes)", size)
+		}
+	}
+	if _, err := GunzipTo(&bytes.Buffer{}, []byte("not gzip")); err == nil {
+		t.Error("GunzipTo accepted garbage")
 	}
 }

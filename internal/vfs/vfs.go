@@ -162,6 +162,46 @@ func (n *Node) Child(name string) *Node {
 // NumChildren returns the number of entries in a directory.
 func (n *Node) NumChildren() int { return len(n.children) }
 
+// AddDir, AddFile and AddSymlink put a new entry into the directory n,
+// which the caller already holds — no path is resolved. They are how a
+// tree known to be well formed (a validated Gear index, say) is built in
+// one step per entry. The caller vouches for what the path-taking FS
+// methods check: name is one clean segment, nothing else is using it in
+// n, and no other goroutine can reach the tree yet.
+
+// AddDir adds an empty directory expected to get hint entries and
+// returns it.
+func (n *Node) AddDir(name string, mode fs.FileMode, hint int) *Node {
+	d := &Node{
+		name:     name,
+		typ:      TypeDir,
+		mode:     mode.Perm(),
+		children: make(map[string]*Node, hint),
+	}
+	n.children[name] = d
+	return d
+}
+
+// AddFile adds a regular file holding data, which the tree now owns.
+func (n *Node) AddFile(name string, data []byte, mode fs.FileMode) {
+	n.children[name] = &Node{
+		name:    name,
+		typ:     TypeRegular,
+		mode:    mode.Perm(),
+		content: newContent(data, 1),
+	}
+}
+
+// AddSymlink adds a symbolic link to target.
+func (n *Node) AddSymlink(name, target string) {
+	n.children[name] = &Node{
+		name:   name,
+		typ:    TypeSymlink,
+		mode:   0o777,
+		target: target,
+	}
+}
+
 // FS is an in-memory filesystem rooted at "/". The zero value is not
 // usable; construct with New.
 //
@@ -187,19 +227,51 @@ func New() *FS {
 }
 
 // Root returns the root directory node. The caller must ensure the tree
-// is quiescent (no concurrent mutators) while navigating from it.
+// is quiescent (no concurrent mutators) while navigating from it, or
+// hold the read lock.
 func (f *FS) Root() *Node { return f.root }
+
+// RLock and RUnlock bracket navigation from Root by a caller that walks
+// the nodes itself (the union lookup in package overlay, which reads
+// several entries of each directory on its way down) while other
+// goroutines may mutate the tree through the FS methods. No FS method
+// may be called in between.
+func (f *FS) RLock() { f.mu.RLock() }
+
+// RUnlock releases RLock.
+func (f *FS) RUnlock() { f.mu.RUnlock() }
 
 // pathError wraps err with the operation and path for context.
 func pathError(op, p string, err error) error {
 	return fmt.Errorf("%s %s: %w", op, p, err)
 }
 
-// Clean normalizes p to a slash-rooted clean path ("/a/b"). An empty path
-// or "." becomes "/".
+// Clean normalizes p to a slash-rooted clean path ("/a/b"): the result is
+// path.Clean("/" + p). An empty path or "." becomes "/". A path that is
+// already rooted and clean — what every caller inside the repository
+// passes after its first Clean — is returned as it is, without a copy.
 func Clean(p string) string {
-	p = path.Clean("/" + p)
-	return p
+	if isClean(p) {
+		return p
+	}
+	return path.Clean("/" + p)
+}
+
+// isClean reports whether p is rooted and has no empty, "." or ".."
+// segment and no trailing slash, so that path.Clean("/"+p) == p.
+func isClean(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	for rest := p[1:]; rest != ""; {
+		var name string
+		var more bool
+		name, rest, more = strings.Cut(rest, "/")
+		if name == "" || name == "." || name == ".." || (more && rest == "") {
+			return false
+		}
+	}
+	return true
 }
 
 // Split breaks a cleaned path into its segments; "/" yields nil.
@@ -208,30 +280,35 @@ func Split(p string) []string {
 	if p == "/" {
 		return nil
 	}
-	return strings.Split(strings.TrimPrefix(p, "/"), "/")
+	return strings.Split(p[1:], "/")
+}
+
+// walk descends from the root along rel, a clean path without its
+// leading slash ("" is the root), and returns the node there without
+// following a trailing symlink. Segments are cut from rel in place, and
+// the errors are the bare sentinels: a miss costs no allocation, and the
+// caller that reports one wraps it with pathError on that return only.
+func (f *FS) walk(rel string) (*Node, error) {
+	cur := f.root
+	for rel != "" {
+		// Intermediate symlinks are not followed: images are
+		// self-contained trees and layer application operates on
+		// literal paths, matching tar extraction semantics.
+		if cur.typ != TypeDir {
+			return nil, ErrNotDir
+		}
+		var name string
+		name, rel, _ = strings.Cut(rel, "/")
+		if cur = cur.children[name]; cur == nil {
+			return nil, ErrNotExist
+		}
+	}
+	return cur, nil
 }
 
 // lookup walks to the node at p without following a trailing symlink.
 func (f *FS) lookup(p string) (*Node, error) {
-	parts := Split(p)
-	cur := f.root
-	for i, part := range parts {
-		if cur.typ != TypeDir {
-			return nil, ErrNotDir
-		}
-		next := cur.children[part]
-		if next == nil {
-			return nil, ErrNotExist
-		}
-		if i < len(parts)-1 && next.typ == TypeSymlink {
-			// Intermediate symlinks are not followed: images are
-			// self-contained trees and layer application operates on
-			// literal paths, matching tar extraction semantics.
-			return nil, ErrNotDir
-		}
-		cur = next
-	}
-	return cur, nil
+	return f.walk(Clean(p)[1:])
 }
 
 // lookupParent returns the directory containing p and p's base name.
@@ -240,15 +317,15 @@ func (f *FS) lookupParent(p string) (*Node, string, error) {
 	if p == "/" {
 		return nil, "", ErrInvalid
 	}
-	dir, base := path.Split(p)
-	parent, err := f.lookup(dir)
+	i := strings.LastIndexByte(p, '/')
+	parent, err := f.walk(p[1:max(i, 1)])
 	if err != nil {
 		return nil, "", err
 	}
 	if parent.typ != TypeDir {
 		return nil, "", ErrNotDir
 	}
-	return parent, base, nil
+	return parent, p[i+1:], nil
 }
 
 // Stat returns the node at p.
@@ -262,13 +339,18 @@ func (f *FS) Stat(p string) (*Node, error) {
 	return n, nil
 }
 
-// Exists reports whether a node exists at p.
-func (f *FS) Exists(p string) bool {
+// Lookup returns the node at p, or nil if there is none. It is Stat for
+// callers to whom a miss is an answer rather than a failure: no error is
+// built for one.
+func (f *FS) Lookup(p string) *Node {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	_, err := f.lookup(p)
-	return err == nil
+	n, _ := f.lookup(p)
+	return n
 }
+
+// Exists reports whether a node exists at p.
+func (f *FS) Exists(p string) bool { return f.Lookup(p) != nil }
 
 // ReadDirNames returns the sorted entry names of the directory at p. It
 // is the race-safe way to list a directory of a live tree (a directory
@@ -297,12 +379,7 @@ func (f *FS) Mkdir(p string, mode fs.FileMode) error {
 	if _, ok := parent.children[base]; ok {
 		return pathError("mkdir", Clean(p), ErrExist)
 	}
-	parent.children[base] = &Node{
-		name:     base,
-		typ:      TypeDir,
-		mode:     mode.Perm(),
-		children: make(map[string]*Node),
-	}
+	parent.AddDir(base, mode, 0)
 	return nil
 }
 
@@ -311,20 +388,16 @@ func (f *FS) Mkdir(p string, mode fs.FileMode) error {
 func (f *FS) MkdirAll(p string, mode fs.FileMode) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	parts := Split(p)
+	p = Clean(p)
 	cur := f.root
-	for _, part := range parts {
-		next := cur.children[part]
+	for rel := p[1:]; rel != ""; {
+		var name string
+		name, rel, _ = strings.Cut(rel, "/")
+		next := cur.children[name]
 		if next == nil {
-			next = &Node{
-				name:     part,
-				typ:      TypeDir,
-				mode:     mode.Perm(),
-				children: make(map[string]*Node),
-			}
-			cur.children[part] = next
+			next = cur.AddDir(name, mode, 0)
 		} else if next.typ != TypeDir {
-			return pathError("mkdir", Clean(p), ErrNotDir)
+			return pathError("mkdir", p, ErrNotDir)
 		}
 		cur = next
 	}
@@ -347,13 +420,7 @@ func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) error {
 		}
 		f.unlinkNode(old)
 	}
-	content := newContent(data, 1)
-	parent.children[base] = &Node{
-		name:    base,
-		typ:     TypeRegular,
-		mode:    mode.Perm(),
-		content: content,
-	}
+	parent.AddFile(base, data, mode)
 	return nil
 }
 
@@ -385,6 +452,27 @@ func (f *FS) putContent(p string, c *Content, mode fs.FileMode) error {
 		content: c,
 	}
 	return nil
+}
+
+// Relink swaps the content of the regular file at p for c, as a hard
+// link, keeping the file's mode. It is PutContent for a caller that means
+// "this file, if it is still there": p is resolved once, and when it no
+// longer names a regular file nothing changes and Relink reports false.
+func (f *FS) Relink(p string, c *Content) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	parent, base, err := f.lookupParent(p)
+	if err != nil {
+		return false
+	}
+	old := parent.children[base]
+	if old == nil || old.typ != TypeRegular {
+		return false
+	}
+	f.unlinkNode(old)
+	c.nlink.Add(1)
+	parent.children[base] = &Node{name: base, typ: TypeRegular, mode: old.mode, content: c}
+	return true
 }
 
 // ReadFile returns the content bytes of the regular file at p. The result
@@ -419,12 +507,7 @@ func (f *FS) Symlink(target, p string) error {
 		}
 		f.unlinkNode(old)
 	}
-	parent.children[base] = &Node{
-		name:   base,
-		typ:    TypeSymlink,
-		mode:   0o777,
-		target: target,
-	}
+	parent.AddSymlink(base, target)
 	return nil
 }
 

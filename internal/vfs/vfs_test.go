@@ -3,7 +3,9 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"path"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -614,5 +616,148 @@ func TestRemoveAllRootReleasesLinks(t *testing.T) {
 	}
 	if c.Nlink() != 0 {
 		t.Errorf("nlink after root RemoveAll = %d, want 0", c.Nlink())
+	}
+}
+
+// FuzzClean pins the contract of the fast path: Clean is path.Clean of the
+// rooted argument for every input, and a clean path cleans to itself
+// (TestLookupAllocs shows that it does so without a copy).
+func FuzzClean(f *testing.F) {
+	for _, seed := range []string{
+		"", ".", "..", "/", "//", "a", "/a", "a/", "/a/", "/a/b", "a//b", "/a/./b", "/a/../b",
+		"../..", "/..", "/.", "/.a", "/..a", "/a/..", "/a/b/../../..", "/a/ /b", "/\x00", "/.wh..wh..opq",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		got, want := Clean(p), path.Clean("/"+p)
+		if got != want {
+			t.Fatalf("Clean(%q) = %q, want %q", p, got, want)
+		}
+		if again := Clean(got); again != got {
+			t.Fatalf("Clean(Clean(%q)) = %q, want %q", p, again, got)
+		}
+	})
+}
+
+func TestLookupAndRelink(t *testing.T) {
+	f := New()
+	if err := f.MkdirAll("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteFile("/d/f", []byte("placeholder"), 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Symlink("/d", "/link"); err != nil {
+		t.Fatal(err)
+	}
+	for p, want := range map[string]bool{
+		"/": true, "/d": true, "/d/f": true, "d/f": true, "/d/../d/f": true, "/link": true,
+		"/x": false, "/d/x": false, "/d/f/x": false, "/link/f": false,
+	} {
+		n := f.Lookup(p)
+		if (n != nil) != want || f.Exists(p) != want {
+			t.Errorf("Lookup(%q) = %v, Exists = %v, want present = %v", p, n, f.Exists(p), want)
+		}
+		if st, err := f.Stat(p); (err == nil) != want || st != n {
+			t.Errorf("Stat(%q) = %v, %v disagrees with Lookup %v", p, st, err, n)
+		}
+	}
+
+	c := NewContent([]byte("real"))
+	if !f.Relink("/d/f", c) {
+		t.Fatal("Relink of a regular file reported false")
+	}
+	n := f.Lookup("/d/f")
+	if n.Content() != c || n.Mode() != 0o640 || n.Name() != "f" || c.Nlink() != 1 {
+		t.Errorf("after Relink: content %p (want %p), mode %v, name %q, nlink %d", n.Content(), c, n.Mode(), n.Name(), c.Nlink())
+	}
+	for _, p := range []string{"/", "/d", "/link", "/d/missing", "/missing/f", "/d/f/under"} {
+		if f.Relink(p, c) {
+			t.Errorf("Relink(%q) reported true", p)
+		}
+	}
+	if c.Nlink() != 1 || snapshotOf(f) != "/d dir\n/d/f regular real\n/link symlink /d\n" {
+		t.Errorf("refused Relinks changed the tree: nlink %d\n%s", c.Nlink(), snapshotOf(f))
+	}
+}
+
+func snapshotOf(f *FS) string {
+	var sb strings.Builder
+	_ = f.Walk(func(p string, n *Node) error {
+		fmt.Fprintf(&sb, "%s %v", p, n.Type())
+		switch n.Type() {
+		case TypeRegular:
+			fmt.Fprintf(&sb, " %s", n.Content().Data())
+		case TypeSymlink:
+			fmt.Fprintf(&sb, " %s", n.Target())
+		}
+		sb.WriteByte('\n')
+		return nil
+	})
+	return sb.String()
+}
+
+// A tree put together node by node is the tree the path-taking calls
+// build.
+func TestNodeConstructionMatchesPaths(t *testing.T) {
+	byNode := New()
+	d := byNode.Root().AddDir("d", 0o750|fs.ModeSetuid, 2)
+	d.AddFile("f", []byte("data"), 0o644|fs.ModeDir)
+	d.AddSymlink("l", "../x")
+	d.AddDir("sub", 0o700, 0).AddFile("g", nil, 0o600)
+
+	byPath := New()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(byPath.Mkdir("/d", 0o750|fs.ModeSetuid))
+	must(byPath.WriteFile("/d/f", []byte("data"), 0o644|fs.ModeDir))
+	must(byPath.Symlink("../x", "/d/l"))
+	must(byPath.Mkdir("/d/sub", 0o700))
+	must(byPath.WriteFile("/d/sub/g", nil, 0o600))
+
+	describe := func(f *FS) string {
+		var sb strings.Builder
+		_ = f.Walk(func(p string, n *Node) error {
+			fmt.Fprintf(&sb, "%s %q %v %v %q", p, n.Name(), n.Type(), n.Mode(), n.Target())
+			if n.Type() == TypeRegular {
+				fmt.Fprintf(&sb, " %q nlink=%d", n.Content().Data(), n.Content().Nlink())
+			}
+			sb.WriteByte('\n')
+			return nil
+		})
+		return sb.String()
+	}
+	if got, want := describe(byNode), describe(byPath); got != want {
+		t.Errorf("node-built tree:\n%s\npath-built tree:\n%s", got, want)
+	}
+}
+
+// A lookup of a clean path allocates nothing, hit or miss; only the error
+// of a failing Stat does.
+func TestLookupAllocs(t *testing.T) {
+	f := New()
+	if err := f.MkdirAll("/usr/lib/python3/site-packages", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteFile("/usr/lib/python3/site-packages/module.py", []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const hit, miss = "/usr/lib/python3/site-packages/module.py", "/usr/lib/python3/nothing/here"
+	for name, fn := range map[string]func(){
+		"Stat hit":    func() { _, _ = f.Stat(hit) },
+		"Exists hit":  func() { _ = f.Exists(hit) },
+		"Exists miss": func() { _ = f.Exists(miss) },
+		"Lookup miss": func() { _ = f.Lookup(miss) },
+		"ReadFile":    func() { _, _ = f.ReadFile(hit) },
+		"Clean":       func() { _ = Clean(hit) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", name, n)
+		}
 	}
 }
