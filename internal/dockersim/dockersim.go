@@ -129,11 +129,8 @@ type Options struct {
 	// before the run phase, so the run's faults hit the warmed cache.
 	// Nil keeps the exact pre-profile behavior.
 	Profiles *prefetch.Library
-	// PrefetchInflight bounds the profile replay's in-flight objects
-	// (see store.Options.PrefetchInflight).
-	PrefetchInflight int
-	// ChunkWindowBytes bounds the in-flight chunk bytes of the daemon
-	// store's demand window when faulting chunked files (see
+	// ChunkWindowBytes bounds the bytes the daemon store's demand and
+	// readahead transfers hold in flight (see
 	// store.Options.ChunkWindowBytes). 0 selects the store default.
 	ChunkWindowBytes int64
 	// ChunkReadahead speculatively fetches up to this many chunks past a
@@ -217,13 +214,15 @@ type Deployment struct {
 	// network — the per-access link time of faults that missed the local
 	// cache (plus any pre-fault window). DemandMisses/StallBytes count
 	// those faults and their content volume; PrefetchHits/PrefetchWasted
-	// report how much of the replay the run actually consumed (Gear
-	// deploys only).
+	// report how much of the replay the run actually consumed, and
+	// PrefetchErrors how many profile objects the replay could not fetch
+	// and left to lazy faulting (Gear deploys only).
 	DemandStall    time.Duration
 	DemandMisses   int64
 	StallBytes     int64
 	PrefetchHits   int64
 	PrefetchWasted int64
+	PrefetchErrors int64
 	// Events is the run-phase access timeline (only with Options.Trace).
 	Events []AccessEvent
 	// spans are the deployment's phase-attribution records; see Trace.
@@ -341,7 +340,6 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 		Peers:            opts.Peers,
 		FetchWorkers:     max(opts.FetchWorkers, 1),
 		Profiles:         opts.Profiles,
-		PrefetchInflight: opts.PrefetchInflight,
 		ChunkWindowBytes: opts.ChunkWindowBytes,
 		ChunkReadahead:   opts.ChunkReadahead,
 		Telemetry:        tele,
@@ -647,7 +645,13 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 	// phase is exactly zero and the deploy behaves as before.
 	if d.opts.Profiles != nil {
 		pre, err := d.netDelta(func() error {
-			_, err := d.gearStore.PrefetchProfile(ref)
+			res, err := d.gearStore.PrefetchProfile(ref)
+			dep.PrefetchErrors = int64(res.Failed)
+			if res.Found {
+				// The replay ran; what it could not fetch is speculation
+				// lost, and the container faults it in only if it reads it.
+				return nil
+			}
 			return err
 		})
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/gear/convert"
 	"github.com/gear-image/gear/internal/gearregistry"
+	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/netsim"
 	"github.com/gear-image/gear/internal/prefetch"
 	"github.com/gear-image/gear/internal/registry"
@@ -627,6 +628,64 @@ func TestGearProfileGuidedRedeploy(t *testing.T) {
 	if warmTotal != coldTotal {
 		t.Errorf("warm total bytes = %d, cold = %d; prefetch must not inflate traffic", warmTotal, coldTotal)
 	}
+}
+
+// TestStaleProfileEntryDoesNotFailDeploy: a profile naming an object the
+// registry no longer holds is speculation that cannot be served, not a
+// deploy that cannot proceed. The rest of the profile still replays, the
+// loss is counted, and only a direct caller of the replay sees the error.
+func TestStaleProfileEntryDoesNotFailDeploy(t *testing.T) {
+	r := buildRig(t, "nginx", 1)
+	access := r.access(t, 0)
+	newDaemon := func(lib *prefetch.Library) *Daemon {
+		d, err := NewDaemon(r.docker, r.gear, Options{Link: netsim.DefaultLAN(), Profiles: lib})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	recorded := prefetch.NewLibrary()
+	if _, err := newDaemon(recorded).DeployGear("gear/nginx", "v01", access, 0); err != nil {
+		t.Fatal(err)
+	}
+	p, err := recorded.Get("gear/nginx:v01")
+	if err != nil || len(p.Entries) == 0 {
+		t.Fatalf("cold deploy recorded no profile: %v", err)
+	}
+	lib := prefetch.NewLibrary()
+	if err := lib.Put(&prefetch.Profile{ImageRef: p.ImageRef, Entries: []prefetch.Entry{
+		{Fingerprint: hashing.FingerprintBytes([]byte("gone from the registry")), Size: 22},
+		p.Entries[0],
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A deploy that reads nothing installs the index and records nothing.
+	direct := newDaemon(lib)
+	if _, err := direct.DeployGear("gear/nginx", "v01", nil, 0); err != nil {
+		t.Fatalf("deploy failed on a stale profile entry: %v", err)
+	}
+	direct.ClearGearCache()
+	res, err := direct.GearStore().PrefetchProfile("gear/nginx:v01")
+	if !errors.Is(err, gearregistry.ErrNotFound) || res.Failed != 1 || res.Objects != 1 {
+		t.Errorf("direct replay = %+v, %v; want ErrNotFound with 1 failed, 1 fetched", res, err)
+	}
+
+	d := newDaemon(lib)
+	dep, err := d.DeployGear("gear/nginx", "v01", access, 0)
+	if err != nil {
+		t.Fatalf("deploy failed on a stale profile entry: %v", err)
+	}
+	if dep.PrefetchErrors != 1 {
+		t.Errorf("deployment reports %d prefetch errors, want 1", dep.PrefetchErrors)
+	}
+	if got := d.Snapshot().Counter("store.prefetch.errors"); got != 1 {
+		t.Errorf("store.prefetch.errors = %d, want 1", got)
+	}
+	if dep.PrefetchHits != 1 || dep.Prefetch.Requests != 1 {
+		t.Errorf("good entry: %d hits, %d replay requests, want 1/1", dep.PrefetchHits, dep.Prefetch.Requests)
+	}
+
 }
 
 func TestGearNoProfileMatchesBaselineExactly(t *testing.T) {

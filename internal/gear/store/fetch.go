@@ -12,118 +12,199 @@ import (
 	"github.com/gear-image/gear/internal/vfs"
 )
 
-// flight is one in-progress remote download. Concurrent faults on the
-// same fingerprint join the first caller's flight instead of issuing
+// flight is one in-progress download. Concurrent requests for the same
+// fingerprint join the first caller's flight instead of issuing
 // duplicate downloads (singleflight).
 type flight struct {
+	fp      hashing.Fingerprint
 	done    chan struct{}
 	content *vfs.Content
 	err     error
 }
 
-// claimFlight registers a flight for fp, or joins the one in progress.
-func (s *Store) claimFlight(fp hashing.Fingerprint) (f *flight, leader bool) {
+// claim registers a flight for fp, or joins the one in progress. A
+// caller told to lead hands f to lead, which completes it; any other
+// caller waits on f.done.
+func (s *Store) claim(fp hashing.Fingerprint) (f *flight, lead bool) {
 	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
 	if f, ok := s.flights[fp]; ok {
+		s.flightMu.Unlock()
 		return f, false
 	}
-	f = &flight{done: make(chan struct{})}
+	f = &flight{fp: fp, done: make(chan struct{})}
 	s.flights[fp] = f
+	s.flightMu.Unlock()
+	// Re-check after claiming: the leader of fp's previous flight may have
+	// finished between the caller's cache miss and this claim, and leading
+	// a second download would fetch the file twice. The caller has counted
+	// its access already, so Peek leaves hit/miss stats untouched.
+	if c, ok := s.cache.Peek(fp); ok {
+		f.content = c
+		s.finish(f)
+		return f, false
+	}
 	return f, true
 }
 
-// finishFlight publishes the flight's result and releases waiters.
-func (s *Store) finishFlight(fp hashing.Fingerprint, f *flight) {
+// finish publishes the flight's result and releases waiters.
+func (s *Store) finish(f *flight) {
 	s.flightMu.Lock()
-	delete(s.flights, fp)
+	delete(s.flights, f.fp)
 	s.flightMu.Unlock()
 	close(f.done)
 }
 
-// fetchSource reports which source satisfied a fetch: locally (cache
-// hit or a flight another goroutine led — no wire bytes spent by this
-// call), a cluster peer over the LAN, or the registry over the WAN.
-type fetchSource int
+// ErrCorruptDownload reports a fetched Gear file whose content does not
+// hash to its fingerprint — a corrupt or malicious registry response.
+var ErrCorruptDownload = errors.New("downloaded gear file fails fingerprint verification")
 
-const (
-	srcLocal fetchSource = iota
-	srcPeer
-	srcRegistry
-)
-
-// fetchOne obtains the Gear file for fp: level-1 cache, then an
-// in-progress flight, then a download it leads itself (peers before
-// registry). src reports which source this call spent wire bytes on;
-// joiners and cache hits return srcLocal. The caller is responsible
-// for transfer accounting; fetchOne itself accounts demand stall —
-// every call is a foreground read, so time spent past the cache lookup
-// is a container blocked on the network. Registering the demand with
-// the scheduler pauses further prefetch admission until the miss is
-// served; a fingerprint the replay is already moving is joined via its
-// flight, never fetched twice.
-func (s *Store) fetchOne(fp hashing.Fingerprint) (c *vfs.Content, wire int64, src fetchSource, err error) {
-	if c, ok := s.cache.Get(fp); ok {
-		s.noteDemandHit(fp)
-		return c, 0, srcLocal, nil
+// lead downloads the object of every claimed flight and completes each
+// flight exactly once, whether it succeeds or fails. It is the store's
+// only way from the network into level 1: every object is tried on the
+// peers first, and what remains goes to the registry — in one
+// DownloadBatch round trip when batch is set and the remote supports
+// it, object by object otherwise. Content addressing makes end-to-end
+// integrity free, so every payload, from a peer or the registry, is
+// verified against its fingerprint before anything enters the cache or
+// an index tree. A batch is all-or-nothing: one missing or corrupt
+// object fails every flight in it. The speculative classes tag what
+// they admit, so a later demand read scores as a prefetch hit.
+//
+// reg and peer are what this call moved over the WAN and the LAN; the
+// caller accounts them, since only it knows which transfers share a
+// window.
+func (s *Store) lead(claimed []*flight, class fetchClass, batch bool) (reg, peer StreamStat, err error) {
+	var errs []error
+	fail := func(err error, fs ...*flight) {
+		for _, f := range fs {
+			f.err = err
+			s.finish(f)
+		}
+		errs = append(errs, err)
 	}
-	s.sched.beginDemand()
-	start := time.Now()
-	defer func() {
-		stall := time.Since(start)
-		s.m.stallNanos.Add(stall.Nanoseconds())
-		s.m.stall.ObserveDuration(stall)
-		s.sched.endDemand()
-	}()
-	f, leader := s.claimFlight(fp)
-	if !leader {
+	admit := func(f *flight, data []byte) {
+		c, err := s.cache.Put(f.fp, data)
+		if err != nil {
+			fail(fmt.Errorf("store: cache %s: %w", f.fp, err), f)
+			return
+		}
+		f.content = c
+		if class != classDemand {
+			s.markPrefetched(f.fp)
+		}
+		s.finish(f)
+	}
+
+	rest := claimed
+	if s.opts.Peers != nil {
+		rest = make([]*flight, 0, len(claimed))
+		for _, f := range claimed {
+			data, wire, ok := s.fetchFromPeer(f.fp)
+			if !ok {
+				rest = append(rest, f)
+				continue
+			}
+			peer.add(1, wire)
+			admit(f, data)
+		}
+	}
+	bd, _ := s.opts.Remote.(gearregistry.BatchDownloader)
+	switch {
+	case len(rest) == 0:
+	case s.opts.Remote == nil:
+		fail(fmt.Errorf("store: no remote registry: %w", gearregistry.ErrNotFound), rest...)
+	case batch && bd != nil:
+		fps := make([]hashing.Fingerprint, len(rest))
+		for i, f := range rest {
+			fps[i] = f.fp
+		}
+		payloads, wire, err := bd.DownloadBatch(fps)
+		for i := 0; err == nil && i < len(rest); i++ {
+			err = verify(fps[i], payloads[i])
+		}
+		if err != nil {
+			fail(fmt.Errorf("store: batch download: %w", err), rest...)
+			break
+		}
+		reg = StreamStat{Objects: len(rest), Bytes: wire, Batched: true}
+		for i, f := range rest {
+			admit(f, payloads[i])
+		}
+	default:
+		for _, f := range rest {
+			data, wire, err := s.opts.Remote.Download(f.fp)
+			if err != nil {
+				err = fmt.Errorf("store: download: %w", err)
+			} else {
+				err = verify(f.fp, data)
+			}
+			if err != nil {
+				fail(err, f)
+				continue
+			}
+			reg.add(1, wire)
+			admit(f, data)
+		}
+	}
+	return reg, peer, errors.Join(errs...)
+}
+
+// fetchFromPeer asks the peer source for fp and verifies the answer.
+// Corrupt peer payloads are treated as a miss: the registry fallback is
+// always correct, just more expensive.
+func (s *Store) fetchFromPeer(fp hashing.Fingerprint) ([]byte, int64, bool) {
+	data, wire, ok := s.opts.Peers.FetchPeer(fp)
+	if !ok || verify(fp, data) != nil {
+		return nil, 0, false
+	}
+	return data, wire, true
+}
+
+// enterDemand admits one blocking demand transfer of size bytes and
+// starts its stall clock; leaveDemand retires it and charges the time
+// since to the demand stall — every caller is a foreground read, so that
+// time is a container blocked on the network.
+func (s *Store) enterDemand(size int64) time.Time {
+	s.gate.enter(classDemand, size)
+	return time.Now()
+}
+
+func (s *Store) leaveDemand(size int64, start time.Time) {
+	stall := time.Since(start)
+	s.m.stallNanos.Add(stall.Nanoseconds())
+	s.m.stall.ObserveDuration(stall)
+	s.gate.leave(classDemand, size)
+}
+
+// fetchOne faults in the Gear file for fp, which the caller has just
+// missed in the level-1 cache: it joins fp's flight if one is in
+// progress — the replay's or a readahead's included, so nothing is
+// fetched twice — and leads the download otherwise. size is the
+// object's size in the index, which the transfer holds in the gate's
+// budget. reg and peer are the wire bytes this call itself spent, for
+// the caller to account with whatever else shares its window.
+func (s *Store) fetchOne(fp hashing.Fingerprint, size int64) (c *vfs.Content, reg, peer StreamStat, err error) {
+	start := s.enterDemand(size)
+	defer s.leaveDemand(size, start)
+	span := telemetry.Span{Op: "fault", Ref: refPrefix(fp), Class: telemetry.ClassDemand, Objects: 1}
+	f, led := s.claim(fp)
+	if led {
+		reg, peer, _ = s.lead([]*flight{f}, classDemand, false)
+		span.Source, span.Bytes = telemetry.SourceRegistry, reg.Bytes
+		if peer.Objects > 0 {
+			span.Source, span.Bytes = telemetry.SourcePeer, peer.Bytes
+		}
+		span.Transfer = time.Since(start)
+	} else {
 		<-f.done
-		if f.err == nil && f.content != nil {
-			s.noteDemandMiss(fp, int64(len(f.content.Data())))
-			s.opts.Trace.Record(telemetry.Span{
-				Op: "fault", Ref: refPrefix(fp), Class: telemetry.ClassDemand,
-				Source: telemetry.SourceCache, Objects: 1,
-				QueueWait: time.Since(start),
-			})
-		}
-		return f.content, 0, srcLocal, f.err
+		span.Source, span.QueueWait = telemetry.SourceCache, time.Since(start)
 	}
-	defer s.finishFlight(fp, f)
-	// Re-check after claiming: a previous leader may have completed
-	// between our miss and our claim. Contains leaves hit/miss stats
-	// untouched, so the race does not distort cache accounting.
-	if s.cache.Contains(fp) {
-		if c, ok := s.cache.Get(fp); ok {
-			f.content = c
-			s.noteDemandHit(fp)
-			return c, 0, srcLocal, nil
-		}
+	if f.err != nil {
+		return nil, reg, peer, f.err
 	}
-	data, wire, fromPeer, err := s.download(fp)
-	if err != nil {
-		f.err = err
-		return nil, 0, srcLocal, err
-	}
-	c, err = s.cache.Put(fp, data)
-	if err != nil {
-		f.err = fmt.Errorf("store: cache %s: %w", fp, err)
-		return nil, 0, srcLocal, f.err
-	}
-	f.content = c
-	s.noteDemandMiss(fp, int64(len(data)))
-	source := telemetry.SourceRegistry
-	if fromPeer {
-		source = telemetry.SourcePeer
-	}
-	s.opts.Trace.Record(telemetry.Span{
-		Op: "fault", Ref: refPrefix(fp), Class: telemetry.ClassDemand,
-		Source: source, Objects: 1, Bytes: wire,
-		Transfer: time.Since(start),
-	})
-	if fromPeer {
-		return c, wire, srcPeer, nil
-	}
-	return c, wire, srcRegistry, nil
+	s.noteDemandMiss(fp, int64(len(f.content.Data())))
+	s.opts.Trace.Record(span)
+	return f.content, reg, peer, nil
 }
 
 // refPrefix abbreviates a fingerprint for trace spans.
@@ -135,7 +216,8 @@ func refPrefix(fp hashing.Fingerprint) string {
 	return string(fp[:n])
 }
 
-// StreamStat describes one worker's share of a fetch window.
+// StreamStat describes one worker's share of a fetch window; the store
+// also tallies every other transfer it accounts in one.
 type StreamStat struct {
 	// Objects is how many Gear files the worker transferred.
 	Objects int `json:"objects"`
@@ -144,6 +226,11 @@ type StreamStat struct {
 	// Batched reports whether the worker used one DownloadBatch round
 	// trip (true) or per-object downloads (false).
 	Batched bool `json:"batched"`
+}
+
+func (st *StreamStat) add(objects int, bytes int64) {
+	st.Objects += objects
+	st.Bytes += bytes
 }
 
 // FetchWindow summarizes one FetchAll call: the concurrent registry
@@ -191,53 +278,33 @@ func (s *Store) FetchAll(fps []hashing.Fingerprint) (FetchWindow, error) {
 }
 
 // fetchAll is FetchAll with the worker count and fetch class explicit.
-// Demand-class calls register with the scheduler for their duration
-// (pausing prefetch admission); prefetch-class calls tag the window and
-// mark what they admit for hit/waste accounting.
+// The call holds the gate under its class for its duration — a demand
+// call holds replays back, a replay call waits until no demand is active
+// — but no bytes: the sizes of bare fingerprints are not known.
 func (s *Store) fetchAll(fps []hashing.Fingerprint, maxWorkers int, class fetchClass) (FetchWindow, error) {
-	if class == classDemand {
-		s.sched.beginDemand()
-		defer s.sched.endDemand()
-	}
+	s.gate.enter(class, 0)
+	defer s.gate.leave(class, 0)
 	// Deduplicate, drop what is already local, and claim or join flights.
 	seen := make(map[hashing.Fingerprint]bool, len(fps))
-	var claimed []hashing.Fingerprint
-	claimedFlights := make(map[hashing.Fingerprint]*flight)
-	var joined []*flight
+	var claimed, joined []*flight
 	for _, fp := range fps {
-		if seen[fp] {
+		if seen[fp] || s.cache.Contains(fp) {
 			continue
 		}
 		seen[fp] = true
-		if s.cache.Contains(fp) {
-			continue
-		}
-		f, leader := s.claimFlight(fp)
-		if !leader {
+		if f, lead := s.claim(fp); lead {
+			claimed = append(claimed, f)
+		} else {
 			joined = append(joined, f)
-			continue
 		}
-		// Re-check after claiming, as fetchOne does: a fault that led
-		// fp's previous flight may have finished between the miss above
-		// and this claim, and leading a second download would fetch the
-		// file twice.
-		if c, ok := s.cache.Peek(fp); ok {
-			f.content = c
-			s.finishFlight(fp, f)
-			continue
-		}
-		claimed = append(claimed, fp)
-		claimedFlights[fp] = f
 	}
 
 	var errs []error
+	window := FetchWindow{Prefetch: class == classReplay}
 	if len(claimed) > 0 {
-		workers := min(maxWorkers, len(claimed))
-		if workers < 1 {
-			workers = 1
-		}
+		workers := max(min(maxWorkers, len(claimed)), 1)
 		streams := make([]StreamStat, workers)
-		peers := make([]tally, workers)
+		peers := make([]StreamStat, workers)
 		workerErrs := make([]error, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -245,39 +312,37 @@ func (s *Store) fetchAll(fps []hashing.Fingerprint, maxWorkers int, class fetchC
 			lo := w * len(claimed) / workers
 			hi := (w + 1) * len(claimed) / workers
 			wg.Add(1)
-			go func(w int, shard []hashing.Fingerprint) {
+			go func(w int, shard []*flight) {
 				defer wg.Done()
-				streams[w], peers[w], workerErrs[w] = s.fetchShard(shard, claimedFlights, class)
+				streams[w], peers[w], workerErrs[w] = s.lead(shard, class, true)
 			}(w, claimed[lo:hi])
 		}
 		wg.Wait()
-		window := FetchWindow{Prefetch: class == classPrefetch}
-		var peerTotal tally
+		var peerTotal StreamStat
 		for w := 0; w < workers; w++ {
 			if streams[w].Objects > 0 {
 				window.Streams = append(window.Streams, streams[w])
 			}
-			peerTotal.objects += peers[w].objects
-			peerTotal.bytes += peers[w].bytes
+			peerTotal.add(peers[w].Objects, peers[w].Bytes)
 			if workerErrs[w] != nil {
 				errs = append(errs, workerErrs[w])
 			}
 		}
-		s.recordPeer(peerTotal.objects, peerTotal.bytes)
+		s.recordPeer(peerTotal)
 		spanClass := telemetry.ClassDemand
-		if class == classPrefetch {
+		if class == classReplay {
 			spanClass = telemetry.ClassPrefetch
 		}
-		if peerTotal.objects > 0 {
+		if peerTotal.Objects > 0 {
 			s.opts.Trace.Record(telemetry.Span{
 				Op: "fetch", Class: spanClass, Source: telemetry.SourcePeer,
-				Objects: peerTotal.objects, Bytes: peerTotal.bytes,
+				Objects: peerTotal.Objects, Bytes: peerTotal.Bytes,
 			})
 		}
 		if n := window.Objects(); n > 0 {
 			s.m.remoteObjects.Add(int64(n))
 			s.m.remoteBytes.Add(window.Bytes())
-			if class == classPrefetch {
+			if class == classReplay {
 				s.m.prefetchObjects.Add(int64(n))
 				s.m.prefetchBytes.Add(window.Bytes())
 			}
@@ -292,143 +357,14 @@ func (s *Store) fetchAll(fps []hashing.Fingerprint, maxWorkers int, class fetchC
 				s.opts.OnRemoteFetch(n, window.Bytes())
 			}
 		}
-		for _, f := range joined {
-			<-f.done
-			if f.err != nil {
-				errs = append(errs, f.err)
-			}
-		}
-		return window, errors.Join(errs...)
 	}
-
 	for _, f := range joined {
 		<-f.done
 		if f.err != nil {
 			errs = append(errs, f.err)
 		}
 	}
-	return FetchWindow{}, errors.Join(errs...)
-}
-
-// fetchShard downloads one worker's shard: peers are tried first for
-// every object, then what remains goes to the registry, preferring a
-// single batch round trip. Every claimed flight in the shard is
-// completed exactly once, whether the shard succeeds or fails. The
-// returned StreamStat covers registry transfers (the WAN window); the
-// tally covers peer-served transfers. Prefetch-class shards tag every
-// object they admit so later demand reads score as prefetch hits.
-func (s *Store) fetchShard(shard []hashing.Fingerprint, flights map[hashing.Fingerprint]*flight, class fetchClass) (StreamStat, tally, error) {
-	if len(shard) == 0 {
-		return StreamStat{}, tally{}, nil
-	}
-	admitted := func(fp hashing.Fingerprint) {
-		if class == classPrefetch {
-			s.markPrefetched(fp)
-		}
-	}
-	var peer tally
-	var errs []error
-	rest := shard
-	if s.opts.Peers != nil {
-		rest = make([]hashing.Fingerprint, 0, len(shard))
-		for _, fp := range shard {
-			data, wire, ok := s.fetchFromPeer(fp)
-			if !ok {
-				rest = append(rest, fp)
-				continue
-			}
-			f := flights[fp]
-			c, perr := s.cache.Put(fp, data)
-			if perr != nil {
-				f.err = fmt.Errorf("store: cache %s: %w", fp, perr)
-				errs = append(errs, f.err)
-			} else {
-				f.content = c
-				peer.add(wire)
-				admitted(fp)
-			}
-			s.finishFlight(fp, f)
-		}
-	}
-	if len(rest) == 0 {
-		return StreamStat{}, peer, errors.Join(errs...)
-	}
-	if s.opts.Remote == nil {
-		err := fmt.Errorf("store: no remote registry: %w", gearregistry.ErrNotFound)
-		for _, fp := range rest {
-			f := flights[fp]
-			f.err = err
-			s.finishFlight(fp, f)
-		}
-		errs = append(errs, err)
-		return StreamStat{}, peer, errors.Join(errs...)
-	}
-
-	if bd, ok := s.opts.Remote.(gearregistry.BatchDownloader); ok {
-		payloads, wire, err := bd.DownloadBatch(rest)
-		if err == nil {
-			for i, fp := range rest {
-				if verr := verify(fp, payloads[i]); verr != nil {
-					err = verr
-					break
-				}
-			}
-		}
-		if err != nil {
-			// All-or-nothing: the whole remainder's flights fail together.
-			err = fmt.Errorf("store: batch download: %w", err)
-			for _, fp := range rest {
-				f := flights[fp]
-				f.err = err
-				s.finishFlight(fp, f)
-			}
-			errs = append(errs, err)
-			return StreamStat{}, peer, errors.Join(errs...)
-		}
-		for i, fp := range rest {
-			f := flights[fp]
-			c, perr := s.cache.Put(fp, payloads[i])
-			if perr != nil {
-				f.err = fmt.Errorf("store: cache %s: %w", fp, perr)
-				errs = append(errs, f.err)
-			} else {
-				f.content = c
-				admitted(fp)
-			}
-			s.finishFlight(fp, f)
-		}
-		return StreamStat{Objects: len(rest), Bytes: wire, Batched: true}, peer, errors.Join(errs...)
-	}
-
-	var st StreamStat
-	for _, fp := range rest {
-		f := flights[fp]
-		data, wire, fromPeer, err := s.download(fp)
-		if err == nil {
-			var c *vfs.Content
-			c, err = s.cache.Put(fp, data)
-			if err != nil {
-				err = fmt.Errorf("store: cache %s: %w", fp, err)
-			} else {
-				f.content = c
-				admitted(fp)
-				// A peer that announced between our probe above and this
-				// retry still counts as peer traffic.
-				if fromPeer {
-					peer.add(wire)
-				} else {
-					st.Objects++
-					st.Bytes += wire
-				}
-			}
-		}
-		f.err = err
-		if err != nil {
-			errs = append(errs, err)
-		}
-		s.finishFlight(fp, f)
-	}
-	return st, peer, errors.Join(errs...)
+	return window, errors.Join(errs...)
 }
 
 // verify checks a payload against its content address; collision

@@ -7,90 +7,118 @@ import (
 
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/prefetch"
+	"github.com/gear-image/gear/internal/telemetry"
 )
 
-// Two-class fetch scheduling. Every transfer the store issues belongs
-// to one of two classes:
+// The admission gate. Every transfer the store issues enters it under
+// one of three classes:
 //
-//	demand   — a container is blocked on the bytes right now (a viewer
-//	           fault, a ranged read, an explicit FetchAll);
-//	prefetch — a background profile replay warming the level-1 cache.
+//	demand    — a container is blocked on the bytes right now (a viewer
+//	            fault, a ranged read, an explicit FetchAll);
+//	readahead — the chunks after a demanded range, fetched in the
+//	            background for the same reader;
+//	replay    — a startup-profile replay warming the level-1 cache.
 //
-// Demand has strict priority: prefetch admissions wait until no demand
-// transfer is active, and the number of in-flight prefetch objects
-// never exceeds the configured budget, so background replay can never
-// starve a foreground miss of link bandwidth or worker slots. An
-// in-flight prefetch transfer is not aborted when demand arrives (the
-// bytes are already moving and will be wanted anyway); preemption
-// happens at admission granularity. The singleflight table is shared
-// by both classes, so a fingerprint being prefetched is never fetched
-// a second time by a demand miss — the miss joins the prefetch flight
-// (and its wait is accounted as demand stall).
+// One byte budget (Options.ChunkWindowBytes) bounds what demand and
+// readahead hold in flight, however large the file or the read. The
+// two speculative classes yield to demand at admission, each by the
+// rule that fits what it competes for:
+//
+//	class      holds bytes  waits while                  refused when
+//	demand     its size     it does not fit the budget   never
+//	readahead  its size     never                        a demand waits, or no room
+//	replay     none         any demand is active         never
+//
+// Readahead serves the reader whose demand is in flight, so running
+// beside active demand is its purpose; it must only never take budget a
+// blocked demand is waiting for. A replay moves unrelated objects over
+// the same link, so it pauses whenever a container is blocked at all.
+// Nothing in flight is aborted: the bytes are already moving and are
+// wanted anyway. A transfer larger than the whole budget is admitted
+// alone rather than never.
 type fetchClass int
 
 const (
 	classDemand fetchClass = iota
-	classPrefetch
+	classReadahead
+	classReplay
 )
 
-// DefaultPrefetchInflight is the prefetch budget used when Options
-// leaves PrefetchInflight zero.
-const DefaultPrefetchInflight = 4
+// replayGroup is how many profile-replay objects are admitted, and in
+// flight, at a time.
+const replayGroup = 4
 
-// scheduler is the two-class admission gate. It is cheap enough to sit
-// on every miss: demand transfers touch one mutex twice.
-type scheduler struct {
+// DefaultChunkWindowBytes is the in-flight byte budget used when
+// Options leaves ChunkWindowBytes zero.
+const DefaultChunkWindowBytes = 4 << 20
+
+// gate is the admission gate. It is cheap enough to sit on every miss:
+// an uncontended transfer touches one mutex twice.
+type gate struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	demand int // active demand transfers
-	inflt  int // admitted prefetch objects
-	budget int
+	budget int64
+	// inflight is the admitted byte volume. demand counts active demand
+	// transfers, which hold back replays; waiting counts those of them
+	// still blocked for budget, which veto readahead.
+	inflight int64
+	demand   int
+	waiting  int
+	// peak mirrors into the store.chunk.window.peak gauge: the high-water
+	// mark of admitted bytes, the bounded-memory witness.
+	peak *telemetry.Gauge
 }
 
-func newScheduler(budget int) *scheduler {
-	s := &scheduler{budget: budget}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+func newGate(budget int64, peak *telemetry.Gauge) *gate {
+	g := &gate{budget: budget, peak: peak}
+	g.cond = sync.NewCond(&g.mu)
+	return g
 }
 
-// beginDemand registers a foreground transfer. Prefetch admission
-// pauses until every registered demand ends.
-func (s *scheduler) beginDemand() {
-	s.mu.Lock()
-	s.demand++
-	s.mu.Unlock()
-}
-
-// endDemand retires a foreground transfer, waking prefetch waiters
-// when the last one drains.
-func (s *scheduler) endDemand() {
-	s.mu.Lock()
-	s.demand--
-	if s.demand == 0 {
-		s.cond.Broadcast()
+// enter admits one transfer of size bytes (0 when unknown) under class
+// c, blocking as the class's rule says. Only readahead can be refused.
+func (g *gate) enter(c fetchClass, size int64) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	switch c {
+	case classDemand:
+		g.demand++
+		g.waiting++
+		for g.inflight > 0 && g.inflight+size > g.budget {
+			g.cond.Wait()
+		}
+		g.waiting--
+	case classReadahead:
+		if g.waiting > 0 || g.inflight+size > g.budget {
+			return false
+		}
+	case classReplay:
+		for g.demand > 0 {
+			g.cond.Wait()
+		}
 	}
-	s.mu.Unlock()
-}
-
-// acquirePrefetch admits n prefetch objects, blocking while any demand
-// transfer is active or while the admission would exceed the inflight
-// budget. n must not exceed the budget.
-func (s *scheduler) acquirePrefetch(n int) {
-	s.mu.Lock()
-	for s.demand > 0 || s.inflt+n > s.budget {
-		s.cond.Wait()
+	g.inflight += size
+	if g.inflight > g.peak.Value() {
+		g.peak.Set(g.inflight)
 	}
-	s.inflt += n
-	s.mu.Unlock()
+	return true
 }
 
-// releasePrefetch retires n admitted prefetch objects.
-func (s *scheduler) releasePrefetch(n int) {
-	s.mu.Lock()
-	s.inflt -= n
-	s.cond.Broadcast()
-	s.mu.Unlock()
+// leave retires a transfer admitted by enter(c, size).
+func (g *gate) leave(c fetchClass, size int64) {
+	g.mu.Lock()
+	g.inflight -= size
+	if c == classDemand {
+		g.demand--
+	}
+	g.cond.Broadcast()
+	g.mu.Unlock()
 }
+
+// ChunkWindowPeak returns the high-water mark of in-flight bytes —
+// never above ChunkWindowBytes unless a single transfer exceeded the
+// whole budget and was admitted alone.
+func (s *Store) ChunkWindowPeak() int64 { return s.m.windowPeak.Value() }
 
 // recorder returns (creating if needed) the access recorder for ref.
 // Recording is enabled by configuring a profile library.
@@ -158,17 +186,24 @@ type PrefetchResult struct {
 	Objects int   `json:"objects"`
 	Bytes   int64 `json:"bytes"`
 	// Windows is the number of admission groups issued (each at most
-	// the inflight budget wide).
+	// replayGroup wide).
 	Windows int `json:"windows"`
+	// Failed is how many requested objects the replay could not fetch
+	// (gone from the registry, corrupt, unreachable). They are left to
+	// lazy faulting: a container that never reads them never notices.
+	Failed int `json:"failed,omitempty"`
 }
 
 // PrefetchProfile replays ref's persisted startup profile through the
-// fetch engine under the prefetch class: objects are admitted in
-// first-access order, at most PrefetchInflight at a time, only while
-// no demand transfer is active. A missing, corrupt, or version-skewed
-// profile is not an error — the result reports Found=false and the
-// deploy degrades to plain lazy faulting. The image's index must be
-// installed (chunked files replay as their chunks).
+// fetch engine under the replay class: objects are admitted in
+// first-access order, replayGroup at a time, only while no demand
+// transfer is active. A missing, corrupt, or version-skewed profile is
+// not an error — the result reports Found=false and the deploy degrades
+// to plain lazy faulting. Objects the replay cannot fetch are counted
+// (Failed, store.prefetch.errors) and reported in the joined error, with
+// the rest of the profile still replayed; since the replay is only
+// speculation, a deploy may proceed on that error. The image's index
+// must be installed (chunked files replay as their chunks).
 func (s *Store) PrefetchProfile(ref string) (PrefetchResult, error) {
 	var res PrefetchResult
 	if s.opts.Profiles == nil {
@@ -207,13 +242,12 @@ func (s *Store) PrefetchProfile(ref string) (PrefetchResult, error) {
 		add(e.Fingerprint)
 	}
 
-	budget := s.opts.PrefetchInflight
 	var errs []error
 	for lo := 0; lo < len(objects); {
-		// Build the next admission group: up to budget objects that are
-		// not already local.
-		group := make([]hashing.Fingerprint, 0, budget)
-		for lo < len(objects) && len(group) < budget {
+		// Build the next admission group: up to replayGroup objects that
+		// are not already local.
+		group := make([]hashing.Fingerprint, 0, replayGroup)
+		for lo < len(objects) && len(group) < replayGroup {
 			if !s.cache.Contains(objects[lo]) {
 				group = append(group, objects[lo])
 			}
@@ -224,15 +258,19 @@ func (s *Store) PrefetchProfile(ref string) (PrefetchResult, error) {
 		}
 		res.Requested += len(group)
 		res.Windows++
-		s.sched.acquirePrefetch(len(group))
-		w, err := s.fetchAll(group, len(group), classPrefetch)
-		s.sched.releasePrefetch(len(group))
+		w, err := s.fetchAll(group, len(group), classReplay)
 		if err != nil {
 			errs = append(errs, err)
+			for _, fp := range group {
+				if !s.cache.Contains(fp) {
+					res.Failed++
+				}
+			}
 		}
 		res.Objects += w.Objects()
 		res.Bytes += w.Bytes()
 	}
+	s.m.prefetchErrors.Add(int64(res.Failed))
 	return res, errors.Join(errs...)
 }
 

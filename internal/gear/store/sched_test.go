@@ -12,6 +12,7 @@ import (
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/imagefmt"
 	"github.com/gear-image/gear/internal/prefetch"
+	"github.com/gear-image/gear/internal/telemetry"
 	"github.com/gear-image/gear/internal/vfs"
 )
 
@@ -144,11 +145,104 @@ func (b *blockingRemote) snapshot() (completed []hashing.Fingerprint, maxPrefetc
 	return append([]hashing.Fingerprint(nil), b.completed...), b.max
 }
 
+// TestGate pins the admission gate's rule table on a 100-byte budget.
+// Each case admits the held transfers, optionally parks one more demand
+// transfer behind them (waiter), and then enters the transfer under
+// test: it is admitted at once, refused, or blocked — and a blocked or
+// refused one is admitted once the first held transfer leaves.
+func TestGate(t *testing.T) {
+	type transfer struct {
+		class fetchClass
+		size  int64
+	}
+	const admitted, refused, blocked = "admitted", "refused", "blocked"
+	cases := []struct {
+		name   string
+		held   []transfer
+		waiter int64 // size of a demand transfer blocked behind held; 0 = none
+		enter  transfer
+		want   string
+		peak   int64 // high-water mark at the end: over budget only when oversize
+	}{
+		{"demand of known size", nil, 0, transfer{classDemand, 60}, admitted, 60},
+		{"demand of unknown size holds nothing", []transfer{{classDemand, 100}}, 0, transfer{classDemand, 0}, admitted, 100},
+		{"demand waits for budget", []transfer{{classDemand, 80}}, 0, transfer{classDemand, 40}, blocked, 80},
+		{"oversize demand is admitted alone", nil, 0, transfer{classDemand, 250}, admitted, 250},
+		{"oversize demand is serial", []transfer{{classDemand, 10}}, 0, transfer{classDemand, 250}, blocked, 250},
+		{"readahead runs beside active demand", []transfer{{classDemand, 50}}, 0, transfer{classReadahead, 50}, admitted, 100},
+		{"readahead refused without room", []transfer{{classDemand, 80}}, 0, transfer{classReadahead, 40}, refused, 80},
+		{"readahead refused while demand waits", []transfer{{classDemand, 80}}, 40, transfer{classReadahead, 10}, refused, 80},
+		{"replay blocked while demand is active", []transfer{{classDemand, 0}}, 0, transfer{classReplay, 0}, blocked, 0},
+		{"replay runs beside readahead", []transfer{{classReadahead, 100}}, 0, transfer{classReplay, 0}, admitted, 100},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			peak := telemetry.NewRegistry().Gauge("peak")
+			g := newGate(100, peak)
+			for _, h := range tc.held {
+				if !g.enter(h.class, h.size) {
+					t.Fatalf("held %+v refused", h)
+				}
+			}
+			parked := func(n int) func() bool {
+				return func() bool {
+					g.mu.Lock()
+					defer g.mu.Unlock()
+					return g.waiting == n
+				}
+			}
+			waiterIn := make(chan struct{})
+			if tc.waiter > 0 {
+				go func() {
+					g.enter(classDemand, tc.waiter)
+					close(waiterIn)
+				}()
+				waitFor(t, parked(1))
+			}
+			got := make(chan bool, 1)
+			go func() { got <- g.enter(tc.enter.class, tc.enter.size) }()
+			switch tc.want {
+			case admitted:
+				if !<-got {
+					t.Fatal("refused, want admitted")
+				}
+			case refused:
+				if <-got {
+					t.Fatal("admitted, want refused")
+				}
+				g.leave(tc.held[0].class, tc.held[0].size)
+				if tc.waiter > 0 {
+					<-waiterIn // the demand it yielded to is served first
+				}
+				if !g.enter(tc.enter.class, tc.enter.size) {
+					t.Fatal("still refused with free budget and no demand waiting")
+				}
+			case blocked:
+				if tc.enter.class == classDemand {
+					waitFor(t, parked(1))
+				}
+				select {
+				case <-got:
+					t.Fatal("admitted, want blocked")
+				case <-time.After(20 * time.Millisecond):
+				}
+				g.leave(tc.held[0].class, tc.held[0].size)
+				if !<-got {
+					t.Fatal("refused after the budget was freed")
+				}
+			}
+			if peak.Value() != tc.peak {
+				t.Errorf("peak = %d, want %d", peak.Value(), tc.peak)
+			}
+		})
+	}
+}
+
 // TestSchedulerDemandPreemptsPrefetch drives a background profile
-// replay against a registry the test gates, and checks the two-class
+// replay against a registry the test gates, and checks the replay
 // contract: a demand miss arriving mid-replay starts immediately and
 // completes before any queued prefetch object starts, and the replay
-// never holds more than its inflight budget.
+// never holds more than one group (replayGroup objects) in flight.
 func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 	ix, fps, reg := prefetchFixture(t)
 	lib := startupProfile(t, fps)
@@ -158,13 +252,13 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 		prefetchSet[fps[fmt.Sprintf("/p%d", i)]] = true
 	}
 	remote := newBlockingRemote(reg, prefetchSet)
-	// Gate the first prefetch group and the demand object; later groups
-	// run ungated.
+	// Gate half of the first prefetch group (p0..p3) and the demand
+	// object; the second group (p4) runs ungated.
 	gateP0 := remote.gate(fps["/p0"])
 	gateP1 := remote.gate(fps["/p1"])
 	gateD := remote.gate(fps["/d"])
 
-	s, err := New(Options{Remote: remote, Profiles: lib, PrefetchInflight: 2})
+	s, err := New(Options{Remote: remote, Profiles: lib})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +271,10 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 	}
 
 	h := s.StartPrefetch("web:v1")
-	// The first admission group (budget 2) is in flight, gated.
-	remote.waitStarts(t, 2)
+	// The first admission group is in flight, held by its gated half.
+	remote.waitStarts(t, replayGroup)
 
-	// A demand miss starts immediately even with the budget saturated.
+	// A demand miss starts immediately even with a full group in flight.
 	readDone := make(chan error, 1)
 	go func() {
 		_, err := v.ReadFile("/d")
@@ -206,28 +300,28 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 	if err := <-readDone; err != nil {
 		t.Fatal(err)
 	}
-	remote.waitStarts(t, 3) // group 2 (p2, p3) and group 3 (p4)
+	remote.waitStarts(t, 1) // group 2 (p4)
 	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
 
 	completed, maxPrefetch := remote.snapshot()
-	if maxPrefetch > 2 {
-		t.Errorf("prefetch held %d objects in flight, budget is 2", maxPrefetch)
+	if maxPrefetch > replayGroup {
+		t.Errorf("prefetch held %d objects in flight, a group is %d", maxPrefetch, replayGroup)
 	}
 	// The demand object finished before any post-preemption prefetch
 	// object started, hence before any of them completed.
-	demandAt, p2At := -1, -1
+	demandAt, p4At := -1, -1
 	for i, fp := range completed {
 		if fp == fps["/d"] {
 			demandAt = i
 		}
-		if fp == fps["/p2"] {
-			p2At = i
+		if fp == fps["/p4"] {
+			p4At = i
 		}
 	}
-	if demandAt == -1 || p2At == -1 || demandAt > p2At {
-		t.Errorf("completion order %v: demand at %d, p2 at %d", completed, demandAt, p2At)
+	if demandAt == -1 || p4At == -1 || demandAt > p4At {
+		t.Errorf("completion order %v: demand at %d, p4 at %d", completed, demandAt, p4At)
 	}
 
 	st := s.Stats()

@@ -81,17 +81,13 @@ type Options struct {
 	// PrefetchProfile replays it on the next deploy. Nil disables both
 	// recording and replay — the store behaves exactly as before.
 	Profiles *prefetch.Library
-	// PrefetchInflight bounds how many profile-replay objects may be in
-	// flight at once (the prefetch budget). Demand misses always have
-	// strict priority regardless of this value. 0 selects
-	// DefaultPrefetchInflight.
-	PrefetchInflight int
-	// ChunkWindowBytes bounds the bytes of chunk transfers in flight for
-	// ranged reads of chunked files — the client's transient-memory
-	// budget, however large the file. Demand chunks preempt readahead
+	// ChunkWindowBytes bounds the bytes of demand and readahead transfers
+	// in flight — whole files, chunks and ranges alike: the client's
+	// transient-memory budget, however large the file. A transfer larger
+	// than the budget is admitted alone. Demand preempts readahead
 	// admission. 0 selects DefaultChunkWindowBytes.
 	ChunkWindowBytes int64
-	// ChunkReadahead is how many chunks past a demanded range the window
+	// ChunkReadahead is how many chunks past a demanded range the store
 	// opportunistically fetches in the background with leftover budget.
 	// 0 disables readahead.
 	ChunkReadahead int
@@ -136,14 +132,11 @@ type Store struct {
 	flightMu sync.Mutex
 	flights  map[hashing.Fingerprint]*flight
 
-	// sched is the two-class admission gate giving demand misses strict
-	// priority over profile-replay prefetch.
-	sched *scheduler
-
-	// window is the byte-budget gate chunk-granular ranged reads fault
-	// through; bg tracks its background readahead fetches.
-	window *chunkWindow
-	bg     sync.WaitGroup
+	// gate is the admission gate every transfer enters: one byte budget,
+	// demand ahead of readahead and profile replay. bg tracks the
+	// background readahead fetches.
+	gate *gate
+	bg   sync.WaitGroup
 
 	// recMu guards recorders, the per-image startup-profile recorders
 	// (populated only when opts.Profiles is set).
@@ -174,7 +167,7 @@ type storeMetrics struct {
 	stall        *telemetry.Histogram
 
 	prefetchObjects, prefetchBytes *telemetry.Counter
-	prefetchHits                   *telemetry.Counter
+	prefetchHits, prefetchErrors   *telemetry.Counter
 	prefetchWasted                 *telemetry.Gauge
 
 	chunkDemand, chunkReadahead *telemetry.Counter
@@ -197,6 +190,7 @@ func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
 		prefetchObjects: reg.Counter("store.prefetch.objects"),
 		prefetchBytes:   reg.Counter("store.prefetch.bytes"),
 		prefetchHits:    reg.Counter("store.prefetch.hits"),
+		prefetchErrors:  reg.Counter("store.prefetch.errors"),
 		prefetchWasted:  reg.Gauge("store.prefetch.wasted"),
 		chunkDemand:     reg.Counter("store.chunk.demand"),
 		chunkReadahead:  reg.Counter("store.chunk.readahead"),
@@ -228,9 +222,6 @@ func New(opts Options) (*Store, error) {
 	if opts.FetchWorkers <= 0 {
 		opts.FetchWorkers = DefaultFetchWorkers
 	}
-	if opts.PrefetchInflight <= 0 {
-		opts.PrefetchInflight = DefaultPrefetchInflight
-	}
 	if opts.ChunkWindowBytes <= 0 {
 		opts.ChunkWindowBytes = DefaultChunkWindowBytes
 	}
@@ -245,8 +236,7 @@ func New(opts Options) (*Store, error) {
 		indexes:    make(map[string]*imageState),
 		containers: make(map[string]*containerState),
 		flights:    make(map[hashing.Fingerprint]*flight),
-		sched:      newScheduler(opts.PrefetchInflight),
-		window:     newChunkWindow(opts.ChunkWindowBytes, m.windowPeak),
+		gate:       newGate(opts.ChunkWindowBytes, m.windowPeak),
 		recorders:  make(map[string]*prefetch.Recorder),
 		prefetched: make(map[hashing.Fingerprint]bool),
 		m:          m,
@@ -411,132 +401,62 @@ func (s *Store) resolve(imageRef, path string, fp hashing.Fingerprint, size int6
 	return content, nil
 }
 
-// fetch obtains the Gear file for fp: level-1 cache first, then peers,
-// then the remote registry, deduplicating concurrent downloads of the
-// same fingerprint. Chunked files fetch missing chunks individually and
-// assemble.
+// fetch obtains the whole Gear file for fp: level-1 cache first, then
+// one fault — or, for a chunked file, its chunks faulted through the
+// byte budget and assembled.
 func (s *Store) fetch(fp hashing.Fingerprint, size int64, chunks []index.Chunk) (*vfs.Content, error) {
-	if len(chunks) > 0 {
-		if c, ok := s.cache.Get(fp); ok {
-			s.noteDemandHit(fp)
-			return c, nil
-		}
-		assembled := make([]byte, 0, size)
-		var reg, peer tally
-		for _, ch := range chunks {
-			c, wire, src, err := s.fetchOne(ch.Fingerprint)
-			if err != nil {
-				return nil, err
-			}
-			switch src {
-			case srcRegistry:
-				reg.add(wire)
-			case srcPeer:
-				peer.add(wire)
-			}
-			assembled = append(assembled, c.Data()...)
-		}
-		s.recordRemote(reg.objects, reg.bytes)
-		s.recordPeer(peer.objects, peer.bytes)
-		content, err := s.cache.Put(fp, assembled)
-		if err != nil {
-			return nil, fmt.Errorf("store: cache %s: %w", fp, err)
-		}
-		return content, nil
+	if c, ok := s.cache.Get(fp); ok {
+		s.noteDemandHit(fp)
+		return c, nil
 	}
-	c, wire, src, err := s.fetchOne(fp)
+	if len(chunks) == 0 {
+		c, reg, peer, err := s.fetchOne(fp, size)
+		s.recordRemote(reg)
+		s.recordPeer(peer)
+		return c, err
+	}
+	contents, err := s.fetchChunks(chunks)
 	if err != nil {
 		return nil, err
 	}
-	switch src {
-	case srcRegistry:
-		s.recordRemote(1, wire)
-	case srcPeer:
-		s.recordPeer(1, wire)
+	assembled := make([]byte, 0, size)
+	for _, c := range contents {
+		assembled = append(assembled, c.Data()...)
 	}
-	return c, nil
-}
-
-// tally accumulates per-source transfer accounting.
-type tally struct {
-	objects int
-	bytes   int64
-}
-
-func (t *tally) add(wire int64) {
-	t.objects++
-	t.bytes += wire
-}
-
-// ErrCorruptDownload reports a fetched Gear file whose content does not
-// hash to its fingerprint — a corrupt or malicious registry response.
-var ErrCorruptDownload = errors.New("downloaded gear file fails fingerprint verification")
-
-// download obtains fp's bytes from the cheapest source that can deliver
-// them verifiably: a cluster peer first, the registry otherwise.
-// fromPeer reports which source served, so the caller accounts the
-// transfer on the right link.
-func (s *Store) download(fp hashing.Fingerprint) (data []byte, wire int64, fromPeer bool, err error) {
-	if data, wire, ok := s.fetchFromPeer(fp); ok {
-		return data, wire, true, nil
-	}
-	if s.opts.Remote == nil {
-		return nil, 0, false, fmt.Errorf("store: %s: no remote registry: %w", fp, gearregistry.ErrNotFound)
-	}
-	data, wire, err = s.opts.Remote.Download(fp)
+	content, err := s.cache.Put(fp, assembled)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("store: download: %w", err)
+		return nil, fmt.Errorf("store: cache %s: %w", fp, err)
 	}
-	// Content addressing makes end-to-end integrity free: verify before
-	// anything enters the cache or an index tree. Collision-fallback IDs
-	// ("<fp>-cN") cannot be verified by hashing and are accepted as-is.
-	if err := verify(fp, data); err != nil {
-		return nil, 0, false, err
-	}
-	return data, wire, false, nil
+	return content, nil
 }
 
-// fetchFromPeer asks the peer source for fp and verifies the answer.
-// Corrupt peer payloads are treated as a miss: the registry fallback is
-// always correct, just more expensive.
-func (s *Store) fetchFromPeer(fp hashing.Fingerprint) ([]byte, int64, bool) {
-	if s.opts.Peers == nil {
-		return nil, 0, false
-	}
-	data, wire, ok := s.opts.Peers.FetchPeer(fp)
-	if !ok || verify(fp, data) != nil {
-		return nil, 0, false
-	}
-	return data, wire, true
-}
-
-func (s *Store) recordRemote(objects int, bytes int64) {
-	if objects == 0 {
+func (s *Store) recordRemote(st StreamStat) {
+	if st.Objects == 0 {
 		return
 	}
-	s.m.remoteObjects.Add(int64(objects))
-	s.m.remoteBytes.Add(bytes)
+	s.m.remoteObjects.Add(int64(st.Objects))
+	s.m.remoteBytes.Add(st.Bytes)
 	if s.opts.OnRemoteFetch != nil {
-		s.opts.OnRemoteFetch(objects, bytes)
+		s.opts.OnRemoteFetch(st.Objects, st.Bytes)
 	}
 }
 
-func (s *Store) recordPeer(objects int, bytes int64) {
-	if objects == 0 {
+func (s *Store) recordPeer(st StreamStat) {
+	if st.Objects == 0 {
 		return
 	}
-	s.m.peerObjects.Add(int64(objects))
-	s.m.peerBytes.Add(bytes)
+	s.m.peerObjects.Add(int64(st.Objects))
+	s.m.peerBytes.Add(st.Bytes)
 	if s.opts.OnPeerFetch != nil {
-		s.opts.OnPeerFetch(objects, bytes)
+		s.opts.OnPeerFetch(st.Objects, st.Bytes)
 	}
 }
 
 // ResolveRange implements viewer.RangeResolver: it serves [off, off+n)
 // of the file behind fp, fetching only the chunks that overlap the range
 // — the paper's future-work "read big files on demand in chunks" (§VII).
-// Overlapping chunks fault concurrently through the chunk window (at
-// most ChunkWindowBytes in flight, however wide the read), and leftover
+// Overlapping chunks fault concurrently through the gate (at most
+// ChunkWindowBytes in flight, however wide the read), and leftover
 // budget reads ahead along the file per ChunkReadahead. Non-chunked
 // files use the registry range verb when RangeReads is enabled, and
 // fall back to full materialization otherwise. Partial reads do not
@@ -571,9 +491,7 @@ func (s *Store) ResolveRange(imageRef string, fp hashing.Fingerprint, off, n int
 	if lo == hi {
 		return nil, nil // range starts past the end of the file
 	}
-	contents, reg, peer, err := s.fetchChunks(chunks[lo:hi])
-	s.recordRemote(reg.objects, reg.bytes)
-	s.recordPeer(peer.objects, peer.bytes)
+	contents, err := s.fetchChunks(chunks[lo:hi])
 	if err != nil {
 		return nil, err
 	}

@@ -900,4 +900,23 @@ func TestCachedFaultAllocs(t *testing.T) {
 	if got := s.Stats().RemoteObjects; got != 1 {
 		t.Errorf("remote objects = %d, want 1: the cache must serve every re-fault", got)
 	}
+
+	// A cold fault takes the same leader as a batch or a readahead; the
+	// single-object path through it must stay a constant handful too:
+	// the flight and its channel, the leader's one-flight slice, the
+	// registry's copy of the payload, and the cache's content, entry and
+	// list element, on top of the cached fault above.
+	const clear = 2 // emptying the cache, below, lists what it evicts and makes a new map
+	n = testing.AllocsPerRun(100, func() {
+		s.ClearCache()
+		if !tree.Relink(p, placeholder) {
+			t.Fatal("placeholder not put back")
+		}
+		if got, err := v.ReadFile(p); err != nil || string(got) != "print()\n" {
+			t.Fatalf("ReadFile = %q, %v", got, err)
+		}
+	})
+	if n-relink-clear > 11 {
+		t.Errorf("cold fault: %v allocs per read, want at most 11", n-relink-clear)
+	}
 }

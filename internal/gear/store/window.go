@@ -13,89 +13,6 @@ import (
 	"github.com/gear-image/gear/internal/vfs"
 )
 
-// The chunk fetch window: ranged reads of chunked files fault their
-// chunks through a fixed byte budget of in-flight transfers instead of
-// serially. The budget bounds the client's transient memory (and the
-// link concurrency) however large the file or the read; demand chunks
-// — the ones a blocked Read overlaps — are admitted with strict
-// priority, and whatever budget is left behind them opportunistically
-// reads ahead along the file. Readahead is admission-only: a demand
-// read never waits for a readahead chunk's budget (a waiting demand
-// blocks further readahead admission), and an in-flight readahead is
-// not aborted — its bytes are already moving and are wanted next.
-
-// DefaultChunkWindowBytes is the in-flight chunk byte budget used when
-// Options leaves ChunkWindowBytes zero.
-const DefaultChunkWindowBytes = 4 << 20
-
-// chunkWindow is the byte-budget admission gate. Demand acquisitions
-// block until the budget fits them (or the window is empty — a chunk
-// bigger than the whole budget degenerates to serial admission rather
-// than deadlocking); readahead admission is non-blocking and yields to
-// any waiting demand.
-type chunkWindow struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	budget int64
-	// inflight is the admitted byte volume; waiting counts demand
-	// acquisitions currently blocked, which veto readahead admission.
-	inflight int64
-	waiting  int
-	// peak mirrors into the store.chunk.window.peak gauge: the high-water
-	// mark of admitted bytes, the experiment's bounded-memory witness.
-	peak *telemetry.Gauge
-}
-
-func newChunkWindow(budget int64, peak *telemetry.Gauge) *chunkWindow {
-	w := &chunkWindow{budget: budget, peak: peak}
-	w.cond = sync.NewCond(&w.mu)
-	return w
-}
-
-// acquire admits size demand bytes, blocking while they do not fit.
-func (w *chunkWindow) acquire(size int64) {
-	w.mu.Lock()
-	w.waiting++
-	for w.inflight > 0 && w.inflight+size > w.budget {
-		w.cond.Wait()
-	}
-	w.waiting--
-	w.admitLocked(size)
-	w.mu.Unlock()
-}
-
-// tryAcquire admits size readahead bytes only if they fit right now and
-// no demand acquisition is waiting.
-func (w *chunkWindow) tryAcquire(size int64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.waiting > 0 || w.inflight+size > w.budget {
-		return false
-	}
-	w.admitLocked(size)
-	return true
-}
-
-func (w *chunkWindow) admitLocked(size int64) {
-	w.inflight += size
-	if w.inflight > w.peak.Value() {
-		w.peak.Set(w.inflight)
-	}
-}
-
-// release retires size admitted bytes.
-func (w *chunkWindow) release(size int64) {
-	w.mu.Lock()
-	w.inflight -= size
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// ChunkWindowPeak returns the high-water mark of in-flight chunk bytes
-// — never above ChunkWindowBytes unless a single chunk exceeded the
-// whole budget (the serial-degeneration case).
-func (s *Store) ChunkWindowPeak() int64 { return s.m.windowPeak.Value() }
-
 // chunkSpan locates the chunks overlapping [off, off+n): the index
 // range [lo, hi) and the file offset at which chunk lo starts.
 func chunkSpan(chunks []index.Chunk, off, n int64) (lo, hi int, loOff int64) {
@@ -121,14 +38,15 @@ func chunkSpan(chunks []index.Chunk, off, n int64) (lo, hi int, loOff int64) {
 	return lo, hi, loOff
 }
 
-// fetchChunks faults the given chunks through the window concurrently
-// and returns their contents in order, plus the per-source transfer
-// tallies of what this call itself moved. Chunks already cached are
-// served without touching the window.
-func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, tally, tally, error) {
+// fetchChunks faults the given chunks concurrently, each through the
+// gate's byte budget, and returns their contents in order. Chunks
+// already cached are served without touching the gate. What the call
+// itself moved is accounted as one transfer before it returns, whether
+// or not every chunk arrived.
+func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, error) {
 	out := make([]*vfs.Content, len(chunks))
 	var mu sync.Mutex
-	var reg, peer tally
+	var regTotal, peerTotal StreamStat
 	var errs []error
 	var wg sync.WaitGroup
 	for i, ch := range chunks {
@@ -140,93 +58,68 @@ func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, tally, tally,
 		wg.Add(1)
 		go func(i int, ch index.Chunk) {
 			defer wg.Done()
-			s.window.acquire(ch.Size)
-			defer s.window.release(ch.Size)
 			s.m.chunkDemand.Inc()
-			c, wire, src, err := s.fetchOne(ch.Fingerprint)
+			c, reg, peer, err := s.fetchOne(ch.Fingerprint, ch.Size)
 			mu.Lock()
 			defer mu.Unlock()
+			out[i] = c
+			regTotal.add(reg.Objects, reg.Bytes)
+			peerTotal.add(peer.Objects, peer.Bytes)
 			if err != nil {
 				errs = append(errs, err)
-				return
-			}
-			out[i] = c
-			switch src {
-			case srcRegistry:
-				reg.add(wire)
-			case srcPeer:
-				peer.add(wire)
 			}
 		}(i, ch)
 	}
 	wg.Wait()
+	s.recordRemote(regTotal)
+	s.recordPeer(peerTotal)
 	if len(errs) > 0 {
-		return nil, reg, peer, errors.Join(errs...)
+		return nil, errors.Join(errs...)
 	}
-	return out, reg, peer, nil
+	return out, nil
 }
 
-// readahead opportunistically schedules the next chunks after a
-// demanded span, each admitted only if the window has spare budget and
-// no demand read is waiting on it. Fetches run in the background; a
-// later demand read on the same chunk joins the flight instead of
-// re-downloading.
+// readahead opportunistically fetches the next chunks after a demanded
+// span in the background, each admitted only if the gate has spare
+// budget and no demand read is waiting on it. A readahead leads a
+// flight like any fetch, so a demand read of the same chunk joins it
+// instead of downloading again; if another flight already has the
+// chunk, the admission is simply returned.
 func (s *Store) readahead(chunks []index.Chunk) {
 	for _, ch := range chunks {
 		if s.cache.Contains(ch.Fingerprint) {
 			continue
 		}
-		if !s.window.tryAcquire(ch.Size) {
+		if !s.gate.enter(classReadahead, ch.Size) {
 			return
 		}
 		s.bg.Add(1)
-		go s.readaheadChunk(ch.Fingerprint, ch.Size)
+		go func(ch index.Chunk) {
+			defer s.bg.Done()
+			defer s.gate.leave(classReadahead, ch.Size)
+			f, led := s.claim(ch.Fingerprint)
+			if !led {
+				return
+			}
+			reg, peer, err := s.lead([]*flight{f}, classReadahead, false)
+			s.recordRemote(reg)
+			s.recordPeer(peer)
+			s.m.prefetchObjects.Add(int64(reg.Objects))
+			s.m.prefetchBytes.Add(reg.Bytes)
+			if err != nil {
+				return
+			}
+			s.m.chunkReadahead.Inc()
+			span := telemetry.Span{
+				Op: "readahead", Ref: refPrefix(f.fp), Class: telemetry.ClassPrefetch,
+				Source: telemetry.SourceRegistry, Objects: 1, Bytes: reg.Bytes,
+			}
+			if peer.Objects > 0 {
+				span.Source, span.Bytes = telemetry.SourcePeer, peer.Bytes
+			}
+			s.opts.Trace.Record(span)
+		}(ch)
 	}
-}
-
-// readaheadChunk downloads one admitted readahead chunk into the
-// level-1 cache. It leads a flight like any fetch (a demand miss that
-// arrives meanwhile joins it, scoring the readahead as useful via the
-// prefetch-hit accounting); if another flight already has the chunk,
-// the admission is simply returned.
-func (s *Store) readaheadChunk(fp hashing.Fingerprint, size int64) {
-	defer s.bg.Done()
-	defer s.window.release(size)
-	f, leader := s.claimFlight(fp)
-	if !leader {
-		return
-	}
-	defer s.finishFlight(fp, f)
-	if c, ok := s.cache.Get(fp); ok {
-		f.content = c
-		return
-	}
-	data, wire, fromPeer, err := s.download(fp)
-	if err != nil {
-		f.err = err
-		return
-	}
-	c, err := s.cache.Put(fp, data)
-	if err != nil {
-		f.err = fmt.Errorf("store: cache %s: %w", fp, err)
-		return
-	}
-	f.content = c
-	s.markPrefetched(fp)
-	s.m.chunkReadahead.Inc()
-	source := telemetry.SourceRegistry
-	if fromPeer {
-		s.recordPeer(1, wire)
-		source = telemetry.SourcePeer
-	} else {
-		s.recordRemote(1, wire)
-		s.m.prefetchObjects.Add(1)
-		s.m.prefetchBytes.Add(wire)
-	}
-	s.opts.Trace.Record(telemetry.Span{
-		Op: "readahead", Ref: refPrefix(fp), Class: telemetry.ClassPrefetch,
-		Source: source, Objects: 1, Bytes: wire,
-	})
 }
 
 // WaitReadahead blocks until every background readahead in flight has
@@ -241,7 +134,8 @@ func (s *Store) WaitReadahead() { s.bg.Wait() }
 // re-fetch; a workload that re-reads should materialize instead. With
 // the option off (the default) or the verb absent, ErrNotChunked tells
 // the viewer to fall back to full materialization, byte-identical to a
-// store without this path.
+// store without this path. The reply is at most n bytes, so n is what
+// the transfer holds of the gate's budget.
 func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) ([]byte, error) {
 	if !s.opts.RangeReads || s.opts.Remote == nil {
 		return nil, ErrNotChunked
@@ -254,14 +148,8 @@ func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) ([]byte, error) 
 		s.noteDemandHit(fp)
 		return sliceRange(c.Data(), off, n), nil
 	}
-	s.sched.beginDemand()
-	start := time.Now()
-	defer func() {
-		stall := time.Since(start)
-		s.m.stallNanos.Add(stall.Nanoseconds())
-		s.m.stall.ObserveDuration(stall)
-		s.sched.endDemand()
-	}()
+	start := s.enterDemand(n)
+	defer s.leaveDemand(n, start)
 	payload, wire, err := rd.DownloadRange(fp, off, n)
 	if err != nil {
 		// A range past the file's end (or a registry without the object)
@@ -274,7 +162,7 @@ func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) ([]byte, error) 
 		}
 		return nil, fmt.Errorf("store: range read %s: %w", fp, err)
 	}
-	s.recordRemote(1, wire)
+	s.recordRemote(StreamStat{Objects: 1, Bytes: wire})
 	s.noteDemandMiss(fp, int64(len(payload)))
 	s.m.rangeReads.Inc()
 	s.opts.Trace.Record(telemetry.Span{

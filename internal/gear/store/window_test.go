@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gear-image/gear/internal/cache"
 	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
@@ -101,6 +102,91 @@ func TestChunkWindowBoundsInflight(t *testing.T) {
 	}
 }
 
+// A whole-file read of a chunked file faults its chunks through the
+// same budget as a ranged read: transfers overlap, and never hold more
+// than ChunkWindowBytes in flight.
+func TestWholeFileReadOfChunkedFileIsWindowed(t *testing.T) {
+	ix, reg, big := chunkedFixture(t, 65536, 4096) // 16 chunks
+	slow := &slowRemote{inner: reg, delay: 10 * time.Millisecond}
+	const budget = 4 * 4096
+	s := mustStore(t, Options{Remote: slow, ChunkWindowBytes: budget})
+	if err := s.AddIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateContainer("c1", "ai:v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := v.ReadFile("/model")
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("whole-file read: %d bytes, %v", len(got), err)
+	}
+	if slow.peakConc < 2 || slow.peakConc > budget/4096 {
+		t.Errorf("concurrent downloads = %d, want 2..%d", slow.peakConc, budget/4096)
+	}
+	if peak := s.ChunkWindowPeak(); peak > budget {
+		t.Errorf("window peak = %d bytes, budget %d", peak, budget)
+	}
+}
+
+// A chunked read that fails part-way still accounts, and prices, the
+// chunks that did cross the wire.
+func TestFailedChunkedReadAccountsWhatMoved(t *testing.T) {
+	ix, reg, _ := chunkedFixture(t, 65536, 4096)
+	chunks := ix.Lookup("/model").Chunks
+	if _, err := reg.Delete(chunks[len(chunks)-1].Fingerprint); err != nil {
+		t.Fatal(err)
+	}
+	var hookObjects int
+	var hookBytes int64
+	s := mustStore(t, Options{Remote: reg, OnRemoteFetch: func(objects int, bytes int64) {
+		hookObjects += objects
+		hookBytes += bytes
+	}})
+	if err := s.AddIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateContainer("c1", "ai:v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.ReadFile("/model"); !errors.Is(err, gearregistry.ErrNotFound) {
+		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+	moved := int64(len(chunks) - 1)
+	if st := s.Stats(); st.RemoteObjects != moved || st.RemoteBytes != moved*4096 {
+		t.Errorf("remote = %d objects / %d bytes, want %d / %d", st.RemoteObjects, st.RemoteBytes, moved, moved*4096)
+	}
+	if int64(hookObjects) != moved || hookBytes != moved*4096 {
+		t.Errorf("OnRemoteFetch saw %d objects / %d bytes, want %d / %d", hookObjects, hookBytes, moved, moved*4096)
+	}
+}
+
+// Every demanded chunk counts exactly one cache hit or one miss,
+// however many layers of the fetch path look at it.
+func TestChunkedReadCountsOneCacheAccessPerChunk(t *testing.T) {
+	ix, reg, _ := chunkedFixture(t, 65536, 4096)
+	const k = 16
+	s := newStore(t, reg)
+	if err := s.AddIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateContainer("c1", "ai:v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each read also misses once on the file's own fingerprint: a ranged
+	// read caches chunks, never the assembled file.
+	for read, want := range []cache.Stats{{Hits: 0, Misses: k + 1}, {Hits: k, Misses: k + 2}} {
+		if _, err := v.ReadAt("/model", 0, 65536); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.CacheStats(); got.Hits != want.Hits || got.Misses != want.Misses {
+			t.Errorf("read %d: cache hits/misses = %d/%d, want %d/%d", read+1, got.Hits, got.Misses, want.Hits, want.Misses)
+		}
+	}
+}
+
 // A chunk bigger than the whole budget degenerates to serial admission
 // instead of deadlocking.
 func TestChunkWindowOversizedChunk(t *testing.T) {
@@ -174,33 +260,6 @@ func TestChunkReadahead(t *testing.T) {
 	if st.PrefetchHits != 2 || st.PrefetchWasted != 2 {
 		t.Errorf("hits = %d, wasted = %d, want 2/2", st.PrefetchHits, st.PrefetchWasted)
 	}
-}
-
-// Demand admission preempts readahead: while a demand acquisition
-// waits, tryAcquire refuses even though bytes would fit.
-func TestChunkWindowDemandPreemptsReadahead(t *testing.T) {
-	w := newChunkWindow(100, newStore(t, nil).m.windowPeak)
-	w.acquire(80)
-	done := make(chan struct{})
-	go func() {
-		w.acquire(40) // blocks: 80+40 > 100
-		close(done)
-	}()
-	waitFor(t, func() bool {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.waiting == 1
-	})
-	if w.tryAcquire(10) {
-		t.Fatal("readahead admitted past a waiting demand read")
-	}
-	w.release(80)
-	<-done
-	if !w.tryAcquire(10) {
-		t.Fatal("readahead refused with free budget and no waiters")
-	}
-	w.release(40)
-	w.release(10)
 }
 
 func waitFor(t *testing.T, cond func() bool) {

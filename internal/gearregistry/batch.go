@@ -56,30 +56,6 @@ func (r *Registry) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, er
 	return payloads, wire, nil
 }
 
-// DownloadAll fetches every fingerprint from s, using one DownloadBatch
-// round trip when s supports it and falling back to per-object Download
-// otherwise. batched reports which path was taken, so callers can model
-// the request cost accordingly.
-func DownloadAll(s Store, fps []hashing.Fingerprint) (payloads [][]byte, wireBytes int64, batched bool, err error) {
-	if len(fps) == 0 {
-		return nil, 0, false, nil
-	}
-	if bd, ok := s.(BatchDownloader); ok {
-		payloads, wireBytes, err = bd.DownloadBatch(fps)
-		return payloads, wireBytes, true, err
-	}
-	payloads = make([][]byte, len(fps))
-	for i, fp := range fps {
-		data, wire, err := s.Download(fp)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		payloads[i] = data
-		wireBytes += wire
-	}
-	return payloads, wireBytes, false, nil
-}
-
 // DownloadBatch implements BatchDownloader with retries when the inner
 // store batches; otherwise it degrades to per-object Download (each with
 // its own retry budget).

@@ -136,14 +136,19 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 				t.Errorf("wire = %d, want > 0", wire)
 			}
 
-			// And via the generic helper, which should pick the batch path.
-			payloads2, _, batched, err := DownloadAll(c, fps)
-			if err != nil || !batched {
-				t.Fatalf("DownloadAll: batched=%v err=%v", batched, err)
+			// And via the assertion a caller holding a plain Store makes to
+			// find the batch verb.
+			bd, ok := Store(c).(BatchDownloader)
+			if !ok {
+				t.Fatal("HTTP client does not offer DownloadBatch")
+			}
+			payloads2, _, err := bd.DownloadBatch(fps)
+			if err != nil {
+				t.Fatalf("DownloadBatch: %v", err)
 			}
 			for i := range fps {
 				if !bytes.Equal(payloads2[i], data[i]) {
-					t.Errorf("DownloadAll payload %d mismatch", i)
+					t.Errorf("second batch payload %d mismatch", i)
 				}
 			}
 		})

@@ -93,10 +93,8 @@ func TestTransferWindowEdgeCases(t *testing.T) {
 				if !errors.Is(err, tt.wantErr) {
 					t.Fatalf("FairShareE error = %v, want %v", err, tt.wantErr)
 				}
-				// The legacy entry point must also not hang or panic on the
-				// same input; it reports zeros instead.
-				if _, ms := FairShare(tt.cfg, tt.streams); ms != 0 {
-					t.Errorf("FairShare makespan = %v on invalid input, want 0", ms)
+				if finish != nil || makespan != 0 {
+					t.Errorf("invalid input still produced finish=%v makespan=%v", finish, makespan)
 				}
 				return
 			}

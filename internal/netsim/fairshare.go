@@ -47,27 +47,6 @@ func BatchedStream(cfg LinkConfig, objects int, bytes int64) Stream {
 	}
 }
 
-// FairShare runs a deterministic processor-sharing simulation of the
-// given streams on a link with cfg's bandwidth: at any instant the
-// streams with remaining bytes split BytesPerSecond equally. It returns
-// each stream's finish time (relative to the window origin, in input
-// order) and the makespan of the whole window.
-//
-// The model is work-conserving: the total wire time equals the serial
-// wire time for the same byte volume whenever the link is never idle, so
-// parallelism buys back only the latency phases that overlap — matching
-// how concurrent HTTP downloads behave on one bottleneck link.
-//
-// Invalid input (a zero-bandwidth cfg, a stream with negative fields)
-// yields zeroed results; FairShareE reports the typed error instead.
-func FairShare(cfg LinkConfig, streams []Stream) (finish []time.Duration, makespan time.Duration) {
-	finish, makespan, err := FairShareE(cfg, streams)
-	if err != nil {
-		return make([]time.Duration, len(streams)), 0
-	}
-	return finish, makespan
-}
-
 // ValidateStreams checks that every stream describes a physically
 // possible transfer: non-negative start, latency, request count, and
 // byte volume.
@@ -81,10 +60,21 @@ func ValidateStreams(streams []Stream) error {
 	return nil
 }
 
-// FairShareE is FairShare with typed failure reporting: ErrBadLink for
-// a configuration the simulation cannot price (zero or negative
-// bandwidth would make every active stream's share zero and the window
-// never drain), ErrBadStream for impossible stream parameters.
+// FairShareE runs a deterministic processor-sharing simulation of the
+// given streams on a link with cfg's bandwidth: at any instant the
+// streams with remaining bytes split BytesPerSecond equally. It returns
+// each stream's finish time (relative to the window origin, in input
+// order) and the makespan of the whole window.
+//
+// The model is work-conserving: the total wire time equals the serial
+// wire time for the same byte volume whenever the link is never idle, so
+// parallelism buys back only the latency phases that overlap — matching
+// how concurrent HTTP downloads behave on one bottleneck link.
+//
+// It reports ErrBadLink for a configuration the simulation cannot price
+// (zero or negative bandwidth would make every active stream's share
+// zero and the window never drain) and ErrBadStream for impossible
+// stream parameters.
 func FairShareE(cfg LinkConfig, streams []Stream) (finish []time.Duration, makespan time.Duration, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, err

@@ -5,6 +5,16 @@ import (
 	"time"
 )
 
+// mustFairShare is FairShareE on input the test knows to be valid.
+func mustFairShare(t *testing.T, cfg LinkConfig, streams []Stream) ([]time.Duration, time.Duration) {
+	t.Helper()
+	finish, makespan, err := FairShareE(cfg, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return finish, makespan
+}
+
 func approxEqual(t *testing.T, got, want time.Duration, tol time.Duration, msg string) {
 	t.Helper()
 	d := got - want
@@ -23,10 +33,10 @@ func TestFairShareHalvesBandwidth(t *testing.T) {
 	cfg := LinkConfig{BytesPerSecond: 1e6} // 1 MB/s, no latency
 	const size = 500_000                   // 0.5 s alone
 
-	solo, _ := FairShare(cfg, []Stream{{Bytes: size}})
+	solo, _ := mustFairShare(t, cfg, []Stream{{Bytes: size}})
 	approxEqual(t, solo[0], 500*time.Millisecond, time.Microsecond, "solo stream")
 
-	finish, makespan := FairShare(cfg, []Stream{{Bytes: size}, {Bytes: size}})
+	finish, makespan := mustFairShare(t, cfg, []Stream{{Bytes: size}, {Bytes: size}})
 	want := time.Second // 2·S/bw: each stream at bw/2
 	approxEqual(t, finish[0], want, time.Microsecond, "stream 0 at half bandwidth")
 	approxEqual(t, finish[1], want, time.Microsecond, "stream 1 at half bandwidth")
@@ -40,7 +50,7 @@ func TestFairShareWorkConserving(t *testing.T) {
 	cfg := LinkConfig{BytesPerSecond: 1e6}
 	s1, s2 := int64(200_000), int64(800_000)
 
-	finish, makespan := FairShare(cfg, []Stream{{Bytes: s1}, {Bytes: s2}})
+	finish, makespan := mustFairShare(t, cfg, []Stream{{Bytes: s1}, {Bytes: s2}})
 	// Short stream: shares until done — 200k at 500k/s = 0.4 s.
 	approxEqual(t, finish[0], 400*time.Millisecond, time.Microsecond, "short stream")
 	// Long stream: 200k gone by 0.4 s, remaining 600k at full rate = 1.0 s total.
@@ -54,8 +64,8 @@ func TestFairShareLatencyOverlap(t *testing.T) {
 	lat := 100 * time.Millisecond
 	const size = 500_000
 
-	_, serial := FairShare(cfg, []Stream{{Latency: lat, Bytes: 2 * size}})
-	_, parallel := FairShare(cfg, []Stream{
+	_, serial := mustFairShare(t, cfg, []Stream{{Latency: lat, Bytes: 2 * size}})
+	_, parallel := mustFairShare(t, cfg, []Stream{
 		{Latency: lat, Bytes: size},
 		{Latency: lat, Bytes: size},
 	})
@@ -70,7 +80,7 @@ func TestFairShareLatencyOverlap(t *testing.T) {
 // idle, then transfers at full rate.
 func TestFairShareStaggeredStart(t *testing.T) {
 	cfg := LinkConfig{BytesPerSecond: 1e6}
-	finish, makespan := FairShare(cfg, []Stream{
+	finish, makespan := mustFairShare(t, cfg, []Stream{
 		{Start: 300 * time.Millisecond, Bytes: 100_000},
 	})
 	approxEqual(t, finish[0], 400*time.Millisecond, time.Microsecond, "delayed stream")
@@ -80,11 +90,11 @@ func TestFairShareStaggeredStart(t *testing.T) {
 // A latency-only stream (zero bytes) finishes at Start+Latency.
 func TestFairShareLatencyOnlyStream(t *testing.T) {
 	cfg := LinkConfig{BytesPerSecond: 1e6}
-	finish, makespan := FairShare(cfg, nil)
+	finish, makespan := mustFairShare(t, cfg, nil)
 	if len(finish) != 0 || makespan != 0 {
 		t.Fatalf("empty window: finish=%v makespan=%v", finish, makespan)
 	}
-	finish, makespan = FairShare(cfg, []Stream{{Latency: 50 * time.Millisecond}})
+	finish, makespan = mustFairShare(t, cfg, []Stream{{Latency: 50 * time.Millisecond}})
 	approxEqual(t, finish[0], 50*time.Millisecond, time.Microsecond, "latency-only stream")
 	approxEqual(t, makespan, 50*time.Millisecond, time.Microsecond, "latency-only makespan")
 }
@@ -142,7 +152,7 @@ func TestFairShareMonotoneInWorkers(t *testing.T) {
 				Bytes:    int64(n) * objSize,
 			}
 		}
-		_, makespan := FairShare(cfg, streams)
+		_, makespan := mustFairShare(t, cfg, streams)
 		if prev >= 0 && makespan > prev {
 			t.Fatalf("makespan increased at w=%d: %v > %v", w, makespan, prev)
 		}

@@ -200,18 +200,15 @@ func (l *Link) jitterDrawLocked() float64 {
 }
 
 // costLocked prices n requests totalling size bytes: RTT once, request
-// overhead per request, wire time on the volume — with the server-side
-// parts scaled by the service factor and one jitter draw per call. With
-// factor 1 and jitter off the arithmetic is bit-identical to the
-// pre-knob pricing.
-func (l *Link) costLocked(n int, size int64) time.Duration {
-	return l.costPerReqLocked(n, size, l.cfg.RequestOverhead)
-}
-
-// costPerReqLocked is costLocked with an explicit per-request overhead
-// — the range-request path pays RequestOverhead+RangeOverhead per
-// request through the same factor/jitter arithmetic.
-func (l *Link) costPerReqLocked(n int, size int64, perReq time.Duration) time.Duration {
+// overhead per request (plus RangeOverhead for range requests), wire
+// time on the volume — with the server-side parts scaled by the service
+// factor and one jitter draw per call. With factor 1 and jitter off the
+// arithmetic is bit-identical to the pre-knob pricing.
+func (l *Link) costLocked(n int, size int64, ranged bool) time.Duration {
+	perReq := l.cfg.RequestOverhead
+	if ranged {
+		perReq += l.cfg.RangeOverhead
+	}
 	wire := time.Duration(float64(size) / l.cfg.BytesPerSecond * float64(time.Second))
 	serve := perReq*time.Duration(n) + wire
 	f := 1.0
@@ -225,6 +222,32 @@ func (l *Link) costPerReqLocked(n int, size int64, perReq time.Duration) time.Du
 		serve = time.Duration(float64(serve) * f)
 	}
 	return l.cfg.RTT + serve
+}
+
+// transfer is the one priced path behind every Transfer* and *Quote
+// verb: n requests (ranged or not) totalling size bytes are validated,
+// priced with one jitter draw, and — when record is set — added to the
+// link's traffic. No requests is no transfer; what names the verb in the
+// ErrBadStream message.
+func (l *Link) transfer(what string, n int, size int64, ranged, record bool) (time.Duration, error) {
+	if n <= 0 {
+		return 0, nil
+	}
+	if size < 0 {
+		return 0, fmt.Errorf("netsim: %s of %d bytes: %w", what, size, ErrBadStream)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, fmt.Errorf("netsim: %w", ErrLinkClosed)
+	}
+	cost := l.costLocked(n, size, ranged)
+	if record {
+		l.bytes += size
+		l.requests += int64(n)
+		l.elapsed += cost
+	}
+	return cost, nil
 }
 
 // TransferCost returns the virtual time to move size bytes in a single
@@ -254,19 +277,7 @@ func (l *Link) Transfer(size int64) time.Duration {
 // TransferE is Transfer with typed failure reporting: ErrLinkClosed on
 // a closed link, ErrBadStream for a negative size.
 func (l *Link) TransferE(size int64) (time.Duration, error) {
-	if size < 0 {
-		return 0, fmt.Errorf("netsim: transfer of %d bytes: %w", size, ErrBadStream)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("netsim: %w", ErrLinkClosed)
-	}
-	cost := l.costLocked(1, size)
-	l.bytes += size
-	l.requests++
-	l.elapsed += cost
-	return cost, nil
+	return l.transfer("transfer", 1, size, false, true)
 }
 
 // TransferQuote draws the (service-scaled, jittered) cost of n requests
@@ -276,18 +287,7 @@ func (l *Link) TransferE(size int64) (time.Duration, error) {
 // readers quote both replicas, pick the winner, and record the loser's
 // partial outcome.
 func (l *Link) TransferQuote(n int, size int64) (time.Duration, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	if size < 0 {
-		return 0, fmt.Errorf("netsim: quote of %d bytes: %w", size, ErrBadStream)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("netsim: %w", ErrLinkClosed)
-	}
-	return l.costLocked(n, size), nil
+	return l.transfer("quote", n, size, false, false)
 }
 
 // RecordTransfer commits a previously quoted transfer outcome: n
@@ -360,50 +360,16 @@ func (l *Link) TransferBatch(n int, size int64) time.Duration {
 // TransferBatchE is TransferBatch with typed failure reporting:
 // ErrLinkClosed on a closed link, ErrBadStream for a negative size.
 func (l *Link) TransferBatchE(n int, size int64) (time.Duration, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	if size < 0 {
-		return 0, fmt.Errorf("netsim: batch of %d bytes: %w", size, ErrBadStream)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("netsim: %w", ErrLinkClosed)
-	}
-	cost := l.costLocked(n, size)
-	l.bytes += size
-	l.requests += int64(n)
-	l.elapsed += cost
-	return cost, nil
+	return l.transfer("batch", n, size, false, true)
 }
 
-// TransferRange records one byte-range request of size bytes — a chunk
+// TransferRangeE records one byte-range request of size bytes — a chunk
 // fetched out of a larger stored object — and returns its cost. Range
 // requests pay RangeOverhead on top of the per-request overhead; with
-// RangeOverhead zero the cost is bit-identical to Transfer(size). On a
-// closed link it records nothing and returns 0.
-func (l *Link) TransferRange(size int64) time.Duration {
-	cost, _ := l.TransferRangeE(size)
-	return cost
-}
-
-// TransferRangeE is TransferRange with typed failure reporting:
+// RangeOverhead zero the cost is bit-identical to TransferE(size).
 // ErrLinkClosed on a closed link, ErrBadStream for a negative size.
 func (l *Link) TransferRangeE(size int64) (time.Duration, error) {
-	if size < 0 {
-		return 0, fmt.Errorf("netsim: range transfer of %d bytes: %w", size, ErrBadStream)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("netsim: %w", ErrLinkClosed)
-	}
-	cost := l.costPerReqLocked(1, size, l.cfg.RequestOverhead+l.cfg.RangeOverhead)
-	l.bytes += size
-	l.requests++
-	l.elapsed += cost
-	return cost, nil
+	return l.transfer("range transfer", 1, size, true, true)
 }
 
 // TransferRangeQuote draws the cost of n range requests totalling size
@@ -411,18 +377,7 @@ func (l *Link) TransferRangeE(size int64) (time.Duration, error) {
 // as a recorded transfer would — the range analogue of TransferQuote,
 // for readers that quote replicas before committing via RecordTransfer.
 func (l *Link) TransferRangeQuote(n int, size int64) (time.Duration, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	if size < 0 {
-		return 0, fmt.Errorf("netsim: range quote of %d bytes: %w", size, ErrBadStream)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("netsim: %w", ErrLinkClosed)
-	}
-	return l.costPerReqLocked(n, size, l.cfg.RequestOverhead+l.cfg.RangeOverhead), nil
+	return l.transfer("range quote", n, size, true, false)
 }
 
 // Stats is a snapshot of traffic carried by a link.

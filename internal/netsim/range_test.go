@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// mustRange records one range request on an open link.
+func mustRange(t *testing.T, l *Link, size int64) time.Duration {
+	t.Helper()
+	cost, err := l.TransferRangeE(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cost
+}
+
 // With RangeOverhead zero, a range request prices bit-identically to a
 // whole-object request — the degeneration the chunked path relies on.
 func TestTransferRangeDegeneratesToTransfer(t *testing.T) {
@@ -20,7 +30,7 @@ func TestTransferRangeDegeneratesToTransfer(t *testing.T) {
 	}
 	for _, size := range []int64{0, 1, 4096, 1 << 20} {
 		whole := a.Transfer(size)
-		ranged := b.TransferRange(size)
+		ranged := mustRange(t, b, size)
 		if whole != ranged {
 			t.Fatalf("size %d: whole %v != range %v with zero RangeOverhead", size, whole, ranged)
 		}
@@ -42,7 +52,7 @@ func TestTransferRangePaysRangeOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := base.Transfer(4096)
-	ranged := l.TransferRange(4096)
+	ranged := mustRange(t, l, 4096)
 	if got, want := ranged-whole, 5*time.Millisecond; got != want {
 		t.Fatalf("range premium = %v, want %v", got, want)
 	}
@@ -54,7 +64,7 @@ func TestTransferRangePaysRangeOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole2 := base.Transfer(4096)
-	ranged2 := l.TransferRange(4096)
+	ranged2 := mustRange(t, l, 4096)
 	if got, want := ranged2-whole2, 10*time.Millisecond; got != want {
 		t.Fatalf("scaled range premium = %v, want %v", got, want)
 	}
