@@ -10,9 +10,12 @@
 // deterministic properties of the code, unlike ns/op, which shifts with
 // the machine CI happens to land on. A benchmark regresses when its
 // current value exceeds baseline*(1+threshold) plus a small absolute
-// slack (so a 3-alloc benchmark going to 4 is not a failure). Benchmarks
-// present on only one side are reported but never fail the run —
-// refreshing the baseline is how new benchmarks get enrolled.
+// slack (so a 3-alloc benchmark going to 4 is not a failure). A baseline
+// row with no counterpart in the current run fails too — a guard that
+// passes while checking nothing is worse than none — so dropping or
+// renaming an enrolled benchmark takes a baseline refresh in the same
+// change. A benchmark only in the current run is reported and passes;
+// refreshing the baseline is how it gets enrolled.
 package main
 
 import (
@@ -144,19 +147,20 @@ func regressed(base, cur, threshold, slack float64) bool {
 }
 
 // compare prints a per-benchmark verdict table and returns true if any
-// benchmark regressed.
+// benchmark regressed or is missing from the current run.
 func compare(w io.Writer, base, cur map[string]result, threshold float64) bool {
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	bad := false
+	bad, missing := false, 0
 	for _, name := range names {
 		b := base[name]
 		c, ok := cur[name]
 		if !ok {
 			fmt.Fprintf(w, "MISSING  %s (in baseline, not in current run)\n", name)
+			missing++
 			continue
 		}
 		verdict := "ok"
@@ -185,10 +189,13 @@ func compare(w io.Writer, base, cur map[string]result, threshold float64) bool {
 	for _, name := range fresh {
 		fmt.Fprintf(w, "NEW      %s (not in baseline; refresh scripts/bench_baseline.txt to enroll)\n", name)
 	}
-	if bad {
+	switch {
+	case bad:
 		fmt.Fprintf(w, "\nFAIL: allocation regression beyond %.0f%% threshold\n", threshold*100)
-	} else {
+	case missing > 0:
+		fmt.Fprintf(w, "\nFAIL: %d enrolled benchmarks did not run; if they were dropped or renamed on purpose, refresh scripts/bench_baseline.txt\n", missing)
+	default:
 		fmt.Fprintf(w, "\nok: %d benchmarks within %.0f%% of baseline\n", len(names), threshold*100)
 	}
-	return bad
+	return bad || missing > 0
 }

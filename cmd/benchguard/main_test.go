@@ -80,10 +80,18 @@ func TestCompareVerdicts(t *testing.T) {
 		}
 	}
 
-	// Reverting the regression makes the run pass.
+	// Reverting the regression is not enough: an enrolled benchmark that
+	// did not run is a guard checking nothing, and fails on its own.
 	cur["BenchmarkWorse"] = base["BenchmarkWorse"]
 	sb.Reset()
-	if compare(&sb, base, cur, 0.20) {
-		t.Errorf("compare after fix = regression, want ok:\n%s", sb.String())
+	if !compare(&sb, base, cur, 0.20) || !strings.Contains(sb.String(), "FAIL: 1 enrolled benchmarks did not run") {
+		t.Errorf("compare with a MISSING row = ok, want failure:\n%s", sb.String())
+	}
+
+	// With the baseline refreshed the run passes; NEW stays informational.
+	delete(base, "BenchmarkRemoved")
+	sb.Reset()
+	if compare(&sb, base, cur, 0.20) || !strings.Contains(sb.String(), "NEW      BenchmarkNew") {
+		t.Errorf("compare after refresh = failure, want ok with a NEW row:\n%s", sb.String())
 	}
 }

@@ -2,68 +2,60 @@
 // paper's evaluation on the synthetic corpus and prints the same rows
 // the paper reports, annotated with the paper's own numbers.
 //
-// Usage:
+// Usage (-h lists the experiment ids):
 //
 //	benchreport -exp all                 # every experiment, calibrated scale
 //	benchreport -exp fig9 -quick         # one experiment, reduced scale
 //	benchreport -exp table2 -scale 0.5   # custom scale
-//	benchreport -bench BENCH_6.json -pr 6 -quick   # versioned bench snapshot
-//	benchreport -checkbench BENCH_6.json           # validate a snapshot
 //
-// Experiments: inventory, table2, fig2, fig6, fig7, fig8, fig9, fig10,
-// fig11, extload, extcache, extparallel, extpush, extp2p, extprefetch,
-// extfleet, all.
+// Standard output carries only seed-determined virtual-time values, so
 //
-// -bench runs every experiment, timing each and diffing the unified
-// telemetry registry around it, and writes the per-experiment wall
-// times plus non-zero counter deltas as a schema-checked bench.File
-// (internal/bench). -checkbench decodes such a file, validates it, and
-// verifies every registered experiment is present.
+//	benchreport -exp all > benchreport_output.txt
+//
+// regenerates the committed full-scale report byte for byte; the run's
+// wall time goes to standard error.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
-	"github.com/gear-image/gear/internal/bench"
 	"github.com/gear-image/gear/internal/experiments"
 	"github.com/gear-image/gear/internal/telemetry"
 )
 
 func main() {
-	if err := run(); err != nil {
+	// -h has already printed the usage; it is not a failure.
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "benchreport:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp        = flag.String("exp", "all", "experiment id ("+strings.Join(experiments.IDs(), ", ")+", or all)")
-		jsonOut    = flag.Bool("json", false, "emit the result as JSON instead of the text report (single experiment only)")
-		quick      = flag.Bool("quick", false, "reduced corpus for a fast run")
-		scale      = flag.Float64("scale", 0, "override corpus scale (default 1.0, or the quick preset)")
-		seed       = flag.Int64("seed", 0, "override corpus seed")
-		versions   = flag.Int("versions", 0, "cap versions per series (0 = all)")
-		series     = flag.Int("series-per-category", 0, "cap series per category (0 = all)")
-		metrics    = flag.String("metrics", "", "write the run's unified telemetry snapshot (JSON) to this file")
-		benchOut   = flag.String("bench", "", "run every experiment and write a versioned bench snapshot (JSON) to this file (requires -pr)")
-		pr         = flag.Int("pr", 0, "PR number recorded in the -bench snapshot")
-		check      = flag.String("checkbench", "", "decode and validate a bench snapshot, verifying every experiment is present")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run (pprof format) to this file")
-		memprofile = flag.String("memprofile", "", "write an allocation profile at exit (pprof format) to this file")
+		exp        = fs.String("exp", "all", "experiment id ("+strings.Join(experiments.IDs(), ", ")+", or all)")
+		jsonOut    = fs.Bool("json", false, "emit the result as JSON instead of the text report (single experiment only)")
+		quick      = fs.Bool("quick", false, "reduced corpus for a fast run")
+		scale      = fs.Float64("scale", 0, "override corpus scale (default 1.0, or the quick preset)")
+		seed       = fs.Int64("seed", 0, "override corpus seed")
+		versions   = fs.Int("versions", 0, "cap versions per series (0 = all)")
+		series     = fs.Int("series-per-category", 0, "cap series per category (0 = all)")
+		metrics    = fs.String("metrics", "", "write the run's unified telemetry snapshot (JSON) to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run (pprof format) to this file")
+		memprofile = fs.String("memprofile", "", "write an allocation profile at exit (pprof format) to this file")
 	)
-	flag.Parse()
-
-	if *check != "" {
-		return checkBench(*check, os.Stdout)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	if *cpuprofile != "" {
@@ -81,7 +73,7 @@ func run() error {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchreport: memprofile:", err)
+				fmt.Fprintln(stderr, "benchreport: memprofile:", err)
 				return
 			}
 			defer f.Close()
@@ -89,7 +81,7 @@ func run() error {
 			// start, which is what "where do the hot paths allocate" needs;
 			// the heap profile would only show what is still live.
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "benchreport: memprofile:", err)
+				fmt.Fprintln(stderr, "benchreport: memprofile:", err)
 			}
 		}()
 	}
@@ -117,21 +109,14 @@ func run() error {
 		defer func() {
 			f, err := os.Create(*metrics)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchreport: metrics:", err)
+				fmt.Fprintln(stderr, "benchreport: metrics:", err)
 				return
 			}
 			defer f.Close()
 			if err := telemetry.EncodeSnapshot(f, cfg.Telemetry.Snapshot()); err != nil {
-				fmt.Fprintln(os.Stderr, "benchreport: metrics:", err)
+				fmt.Fprintln(stderr, "benchreport: metrics:", err)
 			}
 		}()
-	}
-
-	if *benchOut != "" {
-		if *pr <= 0 {
-			return fmt.Errorf("-bench requires -pr N (the PR number the snapshot is committed under)")
-		}
-		return writeBench(*benchOut, *pr, cfg, os.Stdout)
 	}
 
 	if *jsonOut {
@@ -142,112 +127,17 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	}
 
-	fmt.Printf("gear benchreport: exp=%s scale=%g seed=%d versions=%d series/cat=%d\n",
+	fmt.Fprintf(stdout, "gear benchreport: exp=%s scale=%g seed=%d versions=%d series/cat=%d\n",
 		*exp, cfg.Scale, cfg.Seed, cfg.VersionsPerSeries, cfg.SeriesPerCategory)
 	start := time.Now()
-	if err := experiments.Run(*exp, cfg, os.Stdout); err != nil {
+	if err := experiments.Run(*exp, cfg, stdout); err != nil {
 		return err
 	}
-	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// writeBench runs every registered experiment in paper order, timing
-// each and diffing the shared telemetry registry around it, and writes
-// the result as a versioned bench snapshot.
-func writeBench(path string, pr int, cfg experiments.Config, w io.Writer) error {
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
-	file := &bench.File{
-		Schema: bench.Schema,
-		PR:     pr,
-		Seed:   cfg.Seed,
-		Scale:  cfg.Scale,
-	}
-	fmt.Fprintf(w, "gear benchreport: bench snapshot pr=%d scale=%g seed=%d\n", pr, cfg.Scale, cfg.Seed)
-	var ms runtime.MemStats
-	for _, r := range experiments.All() {
-		fmt.Fprintf(w, "\n=== %s — %s ===\n", r.ID, r.Title)
-		before := cfg.Telemetry.Snapshot()
-		runtime.ReadMemStats(&ms)
-		allocBytes, allocObjects := ms.TotalAlloc, ms.Mallocs
-		start := time.Now()
-		if err := r.Run(cfg, w); err != nil {
-			return fmt.Errorf("bench: %s: %w", r.ID, err)
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&ms)
-		diff := cfg.Telemetry.DiffStripped(before)
-		e := bench.Experiment{
-			ID:           r.ID,
-			WallNS:       wall.Nanoseconds(),
-			AllocBytes:   int64(ms.TotalAlloc - allocBytes),
-			AllocObjects: int64(ms.Mallocs - allocObjects),
-		}
-		for name, v := range diff.Counters {
-			if v != 0 {
-				if e.Counters == nil {
-					e.Counters = make(map[string]int64)
-				}
-				e.Counters[name] = v
-			}
-		}
-		file.Experiments = append(file.Experiments, e)
-		fmt.Fprintf(w, "[%s: %v, %s allocated in %d objects, %d telemetry counters]\n",
-			r.ID, wall.Round(time.Millisecond), fmtBytes(e.AllocBytes), e.AllocObjects, len(e.Counters))
-	}
-	data, err := bench.Encode(file)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s: %d experiments, %d distinct counters\n",
-		path, len(file.Experiments), len(file.CounterNames()))
-	return nil
-}
-
-// fmtBytes renders a byte count with a binary unit suffix.
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1f GiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", n)
-}
-
-// checkBench decodes and validates a bench snapshot and verifies every
-// registered experiment has an entry.
-func checkBench(path string, w io.Writer) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	file, err := bench.Decode(data)
-	if err != nil {
-		return fmt.Errorf("checkbench: %s: %w", path, err)
-	}
-	var missing []string
-	for _, id := range experiments.IDs() {
-		if _, ok := file.Experiment(id); !ok {
-			missing = append(missing, id)
-		}
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("checkbench: %s: missing experiments: %s", path, strings.Join(missing, ", "))
-	}
-	fmt.Fprintf(w, "%s: ok (schema %s, pr %d, %d experiments, %d distinct counters)\n",
-		path, file.Schema, file.PR, len(file.Experiments), len(file.CounterNames()))
+	fmt.Fprintf(stderr, "completed in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -79,6 +79,11 @@ type Cache struct {
 	entries  map[hashing.Fingerprint]*entry
 	order    *list.List // front = next eviction candidate
 	hooks    Hooks
+	// used is the bytes this cache holds. Eviction decides on it, never
+	// on the byte gauge: in a shared registry the gauge sums every cache
+	// publishing there, and a bounded cache reading it back would evict
+	// to make room for its neighbours' bytes.
+	used int64
 
 	// Telemetry handles are the counters' storage — Stats is a view
 	// over them, so a shared registry sees cache traffic live. The
@@ -198,6 +203,7 @@ func (c *Cache) Put(fp hashing.Fingerprint, data []byte) (*vfs.Content, error) {
 	e.elem = c.order.PushBack(e)
 	c.entries[fp] = e
 	c.objects.Add(1)
+	c.used += size
 	c.bytes.Add(size)
 	hooks := c.hooks
 	c.mu.Unlock()
@@ -217,7 +223,7 @@ func (c *Cache) makeRoom(size int64) []*entry {
 	}
 	var evicted []*entry
 	elem := c.order.Front()
-	for c.bytes.Value()+size > c.capacity && elem != nil {
+	for c.used+size > c.capacity && elem != nil {
 		next := elem.Next()
 		e, ok := elem.Value.(*entry)
 		if !ok {
@@ -238,6 +244,7 @@ func (c *Cache) removeLocked(e *entry) {
 	c.order.Remove(e.elem)
 	delete(c.entries, e.fp)
 	c.objects.Add(-1)
+	c.used -= e.content.Size()
 	c.bytes.Add(-e.content.Size())
 	c.evictions.Inc()
 }
@@ -283,6 +290,7 @@ func (c *Cache) Clear() {
 	c.entries = make(map[hashing.Fingerprint]*entry)
 	c.order.Init()
 	c.objects.Add(-int64(len(evicted)))
+	c.used = 0
 	c.bytes.Add(-freed)
 	hooks := c.hooks
 	c.mu.Unlock()
@@ -315,7 +323,7 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		Objects:   len(c.entries),
-		UsedBytes: c.bytes.Value(),
+		UsedBytes: c.used,
 		Capacity:  c.capacity,
 		Hits:      c.hits.Value(),
 		Misses:    c.misses.Value(),

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/telemetry"
 	"github.com/gear-image/gear/internal/vfs"
 )
 
@@ -117,6 +118,38 @@ func TestFIFOEviction(t *testing.T) {
 	}
 	if s := c.Stats(); s.Evictions != 1 || s.UsedBytes != 8 {
 		t.Errorf("stats = %+v", s)
+	}
+}
+
+// TestSharedRegistryDoesNotShareOccupancy: two bounded caches publishing
+// into one registry (every daemon of a benchreport -metrics run does)
+// each evict on their own bytes; the shared cache.bytes gauge is their
+// sum and must not be read back as either's occupancy.
+func TestSharedRegistryDoesNotShareOccupancy(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	var caches [2]*Cache
+	for i := range caches {
+		c, err := NewTelemetered(10, FIFO, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[i] = c
+	}
+	for _, c := range caches {
+		for i := 0; i < 2; i++ {
+			if _, err := c.Put(fpOf(fmt.Sprint(i)), []byte("1234")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, c := range caches {
+		if s := c.Stats(); s.Objects != 2 || s.UsedBytes != 8 {
+			t.Errorf("cache %d: stats = %+v, want 2 objects / 8 bytes (8 of 10 fits)", i, s)
+		}
+	}
+	if got := reg.Snapshot(); got.Gauge("cache.bytes") != 16 || got.Counter("cache.evictions") != 0 {
+		t.Errorf("shared registry: cache.bytes = %d, cache.evictions = %d, want 16 and 0",
+			got.Gauge("cache.bytes"), got.Counter("cache.evictions"))
 	}
 }
 

@@ -4,33 +4,17 @@
 // or series the paper reports; EXPERIMENTS.md records measured-vs-paper
 // for each.
 //
-// Experiment index (see DESIGN.md §4 for the full mapping):
-//
-//	inventory — corpus composition (the §V-A workload table)
-//	table2 — storage and object count per dedup granularity
-//	fig2   — necessary-data redundancy within image series
-//	fig6   — image conversion time vs size (HDD/SSD)
-//	fig7   — registry storage saving, per category and overall
-//	fig8   — bytes transferred per deployment
-//	fig9   — deployment time under 904/100/20/5 Mbps
-//	fig10  — sequential version rollout: Docker vs Slacker vs Gear
-//	fig11  — long-running throughput and short-running lifecycle
-//	extload — extension: registry egress under a client fleet
-//	extcache — extension: level-1 cache capacity/policy ablation
-//	extparallel — extension: concurrent fetch engine worker sweep
-//	extpush — extension: concurrent push engine worker sweep
-//	extp2p — extension: peer-to-peer distribution fleet/bandwidth sweep
-//	extprefetch — extension: profile-guided startup prefetch coverage/bandwidth sweep
-//	extfleet — extension: fleet-scale scenario harness (flash crowd, churn, failover, mixed)
-//	extshard — extension: sharded registry tier shard-count sweep
-//	exthedge — extension: tail-latency-aware replica reads (balanced + hedged)
-//	extchunk — extension: chunked lazy loading file/chunk/window sweep
+// The experiments are registered once, in the table in this file;
+// DESIGN.md §4 maps each id to the paper's table or figure. The printed
+// report of every experiment at a fixed small scale is pinned exactly by
+// testdata/all_mini.golden (DESIGN.md §9, "The record").
 package experiments
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"github.com/gear-image/gear/internal/corpus"
@@ -201,16 +185,24 @@ func (c Config) buildRig(co *corpus.Corpus, series []corpus.Series, withSlacker 
 	return r, nil
 }
 
-// newDaemon builds a deployment daemon against the rig at a paper-quoted
-// bandwidth. Per-request wire overheads shrink with the corpus scale so
-// the overhead-to-payload ratio stays calibrated at any test scale.
-func (c Config) newDaemon(r *rig, mbps float64) (*dockersim.Daemon, error) {
-	d, err := dockersim.NewDaemon(r.docker, r.gear, dockersim.Options{
+// daemonOptions is the calibrated base every experiment daemon is built
+// from; a site overrides only what it sweeps. Per-request wire overheads
+// shrink with the corpus scale so the overhead-to-payload ratio stays
+// calibrated at any test scale, and every daemon publishes into the
+// run's registry.
+func (c Config) daemonOptions(mbps float64) dockersim.Options {
+	return dockersim.Options{
 		Link:                c.link(mbps),
 		GearRequestBytes:    int64(900 * c.Scale),
 		SlackerRequestBytes: int64(120 * c.Scale),
 		Telemetry:           c.Telemetry,
-	})
+	}
+}
+
+// newDaemon builds a deployment daemon against the rig at a paper-quoted
+// bandwidth.
+func (c Config) newDaemon(r *rig, mbps float64) (*dockersim.Daemon, error) {
+	d, err := dockersim.NewDaemon(r.docker, r.gear, c.daemonOptions(mbps))
 	if err != nil {
 		return nil, err
 	}
@@ -241,108 +233,106 @@ type Runner struct {
 	Title string
 	// Run executes the experiment and writes the report to w.
 	Run func(cfg Config, w io.Writer) error
+	// result executes the experiment and returns its typed result.
+	result func(cfg Config) (any, error)
+}
+
+// experiment builds the table row of one typed experiment: Run prints
+// what result returns, so the text report and the JSON result cannot
+// come from different code.
+func experiment[T interface{ Print(io.Writer) }](id, title string, run func(Config) (T, error)) Runner {
+	return Runner{
+		ID:    id,
+		Title: title,
+		Run: func(cfg Config, w io.Writer) error {
+			res, err := run(cfg)
+			if err != nil {
+				return err
+			}
+			res.Print(w)
+			return nil
+		},
+		result: func(cfg Config) (any, error) { return run(cfg) },
+	}
+}
+
+// table is every experiment in paper order (DESIGN.md §4 maps each to
+// the paper's section) — the one registration Run, Result, IDs and All
+// derive from. Adding an experiment is one row here plus its file.
+var table = []Runner{
+	experiment("inventory", "Workload: corpus composition (the paper's §V-A table)", RunInventory),
+	experiment("table2", "Table II: storage usage and object count per dedup granularity", RunTable2),
+	experiment("fig2", "Fig 2: redundancy of necessary data within image series", RunFig2),
+	experiment("fig6", "Fig 6: image conversion time per series", RunFig6),
+	experiment("fig7", "Fig 7: registry storage saving", RunFig7),
+	experiment("fig8", "Fig 8: bandwidth usage during deployments", RunFig8),
+	experiment("fig9", "Fig 9: deployment time under different bandwidths", RunFig9),
+	experiment("fig10", "Fig 10: sequential Tomcat version rollout", RunFig10),
+	experiment("fig11", "Fig 11: long-running and short-running workloads", RunFig11),
+	experiment("extload", "Extension: registry egress under a client fleet", RunExtLoad),
+	experiment("extcache", "Extension: level-1 cache capacity/policy ablation", RunExtCache),
+	experiment("extparallel", "Extension: concurrent fetch engine worker sweep", RunExtParallel),
+	experiment("extpush", "Extension: concurrent push engine worker sweep", RunExtPush),
+	experiment("extp2p", "Extension: peer-to-peer distribution fleet/bandwidth sweep", RunExtP2P),
+	experiment("extprefetch", "Extension: profile-guided startup prefetch coverage/bandwidth sweep", RunExtPrefetch),
+	experiment("extfleet", "Extension: fleet-scale scenario harness (flash crowd, churn, failover, mixed)", RunExtFleet),
+	experiment("extshard", "Extension: sharded registry tier shard-count sweep", RunExtShard),
+	experiment("exthedge", "Extension: tail-latency-aware replica reads (balanced + hedged)", RunExtHedge),
+	experiment("extchunk", "Extension: chunked lazy loading file/chunk/window sweep", RunExtChunk),
 }
 
 // All returns every experiment in paper order.
-func All() []Runner {
-	return []Runner{
-		{"inventory", "Workload: corpus composition (the paper's §V-A table)", runInventory},
-		{"table2", "Table II: storage usage and object count per dedup granularity", runTable2},
-		{"fig2", "Fig 2: redundancy of necessary data within image series", runFig2},
-		{"fig6", "Fig 6: image conversion time per series", runFig6},
-		{"fig7", "Fig 7: registry storage saving", runFig7},
-		{"fig8", "Fig 8: bandwidth usage during deployments", runFig8},
-		{"fig9", "Fig 9: deployment time under different bandwidths", runFig9},
-		{"fig10", "Fig 10: sequential Tomcat version rollout", runFig10},
-		{"fig11", "Fig 11: long-running and short-running workloads", runFig11},
-		{"extload", "Extension: registry egress under a client fleet", runExtLoad},
-		{"extcache", "Extension: level-1 cache capacity/policy ablation", runExtCache},
-		{"extparallel", "Extension: concurrent fetch engine worker sweep", runExtParallel},
-		{"extpush", "Extension: concurrent push engine worker sweep", runExtPush},
-		{"extp2p", "Extension: peer-to-peer distribution fleet/bandwidth sweep", runExtP2P},
-		{"extprefetch", "Extension: profile-guided startup prefetch coverage/bandwidth sweep", runExtPrefetch},
-		{"extfleet", "Extension: fleet-scale scenario harness (flash crowd, churn, failover, mixed)", runExtFleet},
-		{"extshard", "Extension: sharded registry tier shard-count sweep", runExtShard},
-		{"exthedge", "Extension: tail-latency-aware replica reads (balanced + hedged)", runExtHedge},
-		{"extchunk", "Extension: chunked lazy loading file/chunk/window sweep", runExtChunk},
+func All() []Runner { return slices.Clone(table) }
+
+// IDs lists experiment ids in paper order.
+func IDs() []string {
+	ids := make([]string, len(table))
+	for i, r := range table {
+		ids[i] = r.ID
 	}
+	return ids
 }
+
+// find returns the table row with the given id.
+func find(id string) (Runner, error) {
+	for _, r := range table {
+		if r.ID == id {
+			return r, nil
+		}
+	}
+	return Runner{}, fmt.Errorf("experiments: %q: %w", id, ErrUnknownExperiment)
+}
+
+// sectionHeader introduces each experiment (id, title) in the "all" report.
+const sectionHeader = "\n=== %s — %s ===\n"
 
 // Run executes the experiment with the given id ("all" runs everything).
 func Run(id string, cfg Config, w io.Writer) error {
 	if id == "all" {
-		for _, r := range All() {
-			fmt.Fprintf(w, "\n=== %s — %s ===\n", r.ID, r.Title)
+		for _, r := range table {
+			fmt.Fprintf(w, sectionHeader, r.ID, r.Title)
 			if err := r.Run(cfg, w); err != nil {
 				return fmt.Errorf("experiments: %s: %w", r.ID, err)
 			}
 		}
 		return nil
 	}
-	for _, r := range All() {
-		if r.ID == id {
-			return r.Run(cfg, w)
-		}
+	r, err := find(id)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("experiments: %q: %w", id, ErrUnknownExperiment)
-}
-
-// IDs lists experiment ids in paper order.
-func IDs() []string {
-	all := All()
-	ids := make([]string, len(all))
-	for i, r := range all {
-		ids[i] = r.ID
-	}
-	return ids
+	return r.Run(cfg, w)
 }
 
 // Result runs one experiment and returns its typed result for
 // programmatic use (every result type carries JSON field tags). "all" is
 // not supported here; run ids individually.
 func Result(id string, cfg Config) (any, error) {
-	switch id {
-	case "inventory":
-		return RunInventory(cfg)
-	case "table2":
-		return RunTable2(cfg)
-	case "fig2":
-		return RunFig2(cfg)
-	case "fig6":
-		return RunFig6(cfg)
-	case "fig7":
-		return RunFig7(cfg)
-	case "fig8":
-		return RunFig8(cfg)
-	case "fig9":
-		return RunFig9(cfg)
-	case "fig10":
-		return RunFig10(cfg)
-	case "fig11":
-		return RunFig11(cfg)
-	case "extload":
-		return RunExtLoad(cfg)
-	case "extcache":
-		return RunExtCache(cfg)
-	case "extparallel":
-		return RunExtParallel(cfg)
-	case "extpush":
-		return RunExtPush(cfg)
-	case "extp2p":
-		return RunExtP2P(cfg)
-	case "extprefetch":
-		return RunExtPrefetch(cfg)
-	case "extfleet":
-		return RunExtFleet(cfg)
-	case "extshard":
-		return RunExtShard(cfg)
-	case "exthedge":
-		return RunExtHedge(cfg)
-	case "extchunk":
-		return RunExtChunk(cfg)
-	default:
-		return nil, fmt.Errorf("experiments: %q: %w", id, ErrUnknownExperiment)
+	r, err := find(id)
+	if err != nil {
+		return nil, err
 	}
+	return r.result(cfg)
 }
 
 // categoryOrder sorts categories in Table I order for stable output.

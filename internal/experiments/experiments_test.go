@@ -3,12 +3,19 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/dedup"
+	"github.com/gear-image/gear/internal/telemetry"
 )
+
+var update = flag.Bool("update", false,
+	"rewrite testdata/all_mini.golden from this run (declares a change to paper-facing numbers)")
 
 // mini is an even smaller config than Quick for unit tests; experiments
 // assert direction/shape, not calibrated magnitudes, at this scale.
@@ -23,28 +30,36 @@ func mini() Config {
 	}
 }
 
+// TestRunDispatch checks that IDs, All, Run and Result are four views of
+// the one experiment table.
 func TestRunDispatch(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run("no-such-experiment", mini(), &buf); !errors.Is(err, ErrUnknownExperiment) {
 		t.Errorf("err = %v, want ErrUnknownExperiment", err)
 	}
-	ids := IDs()
-	if len(ids) != 19 || ids[0] != "inventory" || ids[18] != "extchunk" {
-		t.Errorf("ids = %v", ids)
-	}
-	for _, id := range ids {
-		if _, err := Result(id, Config{}); err == nil {
-			// Result should fail fast on an invalid (zero) config rather
-			// than succeed with a nonsense corpus.
-			t.Errorf("Result(%s) accepted a zero config", id)
-		}
-	}
 	if _, err := Result("nope", mini()); !errors.Is(err, ErrUnknownExperiment) {
 		t.Errorf("Result err = %v", err)
 	}
-	for _, r := range All() {
-		if r.Title == "" || r.Run == nil {
-			t.Errorf("runner %s incomplete", r.ID)
+	// The order itself (paper order: workload table, Table II, figures,
+	// then extensions) is pinned by the section order of the golden.
+	ids, all := IDs(), All()
+	if len(ids) == 0 || len(ids) != len(all) || ids[0] != "inventory" {
+		t.Fatalf("ids = %v, %d runners", ids, len(all))
+	}
+	seen := make(map[string]bool)
+	for i, r := range all {
+		if r.ID != ids[i] || r.Title == "" || r.Run == nil || seen[r.ID] {
+			t.Errorf("runner %d (%q) incomplete, duplicated or out of step with IDs()[%d] = %q", i, r.ID, i, ids[i])
+		}
+		seen[r.ID] = true
+		// Every id resolves (the error is the experiment's own, not
+		// ErrUnknownExperiment), and fails fast on an invalid (zero)
+		// config rather than succeeding with a nonsense corpus.
+		if _, err := Result(r.ID, Config{}); err == nil || errors.Is(err, ErrUnknownExperiment) {
+			t.Errorf("Result(%s, zero config) err = %v", r.ID, err)
+		}
+		if err := Run(r.ID, Config{}, &buf); err == nil || errors.Is(err, ErrUnknownExperiment) {
+			t.Errorf("Run(%s, zero config) err = %v", r.ID, err)
 		}
 	}
 }
@@ -525,22 +540,106 @@ func TestPickSeriesRespectsCap(t *testing.T) {
 	}
 }
 
-// TestRunAllMini drives the "all" dispatch end to end — every experiment
-// runs and prints at mini scale in one pass.
+// telemetryProof names, for each experiment whose daemons or clusters
+// once ignored Config.Telemetry, a counter only they can move in a
+// shared registry (extp2p's baseline daemons always published; its peer
+// daemons are the ones that fetch from peers).
+var telemetryProof = map[string]string{
+	"extcache":    "store.remote.objects",
+	"extparallel": "store.remote.objects",
+	"extp2p":      "store.peer.objects",
+	"exthedge":    "shardreg.download.requests",
+}
+
+// TestRunAllMini is the record of paper-facing results: the printed
+// report of every experiment at mini scale, compared exactly against
+// testdata/all_mini.golden. Every cell is a seed-determined virtual-time
+// value, so a moved row is either claimed by its PR (refresh with
+// -update and review the diff) or a bug. The report must not depend on
+// whether the run shares one metrics registry (benchreport -metrics), so
+// it is produced both ways.
 func TestRunAllMini(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment; skipped in -short mode")
+		t.Skip("runs every experiment twice; skipped in -short mode")
 	}
-	var buf bytes.Buffer
-	if err := Run("all", mini(), &buf); err != nil {
+	const golden = "testdata/all_mini.golden"
+
+	var private bytes.Buffer
+	if err := Run("all", mini(), &private); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, id := range IDs() {
-		if !strings.Contains(out, "=== "+id) {
-			t.Errorf("report missing section %s", id)
+	if *update {
+		if err := os.WriteFile(golden, private.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (create it with -update)", err)
+	}
+	compareReport(t, "private registries", private.String(), string(want))
+
+	// The same report section by section into one registry, reading the
+	// proof counters around each experiment.
+	cfg := mini()
+	cfg.Telemetry = telemetry.NewRegistry()
+	var shared bytes.Buffer
+	for _, r := range All() {
+		before := cfg.Telemetry.Snapshot()
+		fmt.Fprintf(&shared, sectionHeader, r.ID, r.Title)
+		if err := r.Run(cfg, &shared); err != nil {
+			t.Fatalf("%s: %v", r.ID, err)
+		}
+		if name, ok := telemetryProof[r.ID]; ok {
+			if grew := cfg.Telemetry.Snapshot().Counter(name) - before.Counter(name); grew <= 0 {
+				t.Errorf("%s moved %s by %d in the shared registry, want > 0", r.ID, name, grew)
+			}
+		}
+	}
+	compareReport(t, "one shared registry", shared.String(), string(want))
+}
+
+// compareReport fails with the rows that moved, each under its section.
+func compareReport(t *testing.T, label, got, want string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	// rows keys every line by its section, so an identical row in two
+	// experiments is not mistaken for one that stayed.
+	rows := func(report string) ([]string, map[string]int) {
+		var keys []string
+		count := make(map[string]int)
+		section := ""
+		for _, line := range strings.Split(report, "\n") {
+			if strings.HasPrefix(line, "=== ") {
+				section = strings.Fields(line)[1]
+			}
+			key := section + ": " + line
+			keys = append(keys, key)
+			count[key]++
+		}
+		return keys, count
+	}
+	gotKeys, gotCount := rows(got)
+	wantKeys, wantCount := rows(want)
+	var b strings.Builder
+	for _, k := range wantKeys {
+		if gotCount[k] > 0 {
+			gotCount[k]--
+		} else {
+			fmt.Fprintf(&b, "  -%s\n", k)
+		}
+	}
+	for _, k := range gotKeys {
+		if wantCount[k] > 0 {
+			wantCount[k]--
+		} else {
+			fmt.Fprintf(&b, "  +%s\n", k)
+		}
+	}
+	t.Errorf("report with %s differs from testdata/all_mini.golden (- golden, + this run):\n%s"+
+		"if the change is intended, rerun with -update and claim the moved rows in the PR", label, b.String())
 }
 
 func TestExtPrefetchShape(t *testing.T) {

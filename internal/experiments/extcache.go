@@ -65,14 +65,19 @@ func RunExtCache(cfg Config) (*ExtCacheResult, error) {
 				continue // unlimited cache never evicts; one policy suffices
 			}
 			capacity := int64(float64(res.UniqueBytes) * frac)
-			d, err := dockersim.NewDaemon(r.docker, r.gear, dockersim.Options{
-				Link:          cfg.link(100),
-				CacheCapacity: capacity,
-				CachePolicy:   policy,
-			})
+			opts := cfg.daemonOptions(100)
+			// This sweep was calibrated at dockersim's unscaled default
+			// request overhead, and its committed rows are priced so.
+			opts.GearRequestBytes = 0
+			opts.CacheCapacity = capacity
+			opts.CachePolicy = policy
+			d, err := dockersim.NewDaemon(r.docker, r.gear, opts)
 			if err != nil {
 				return nil, err
 			}
+			// The daemons may share one registry (cfg.Telemetry), whose
+			// cache counters then span the sweep: take this one's delta.
+			before := d.GearStore().CacheStats()
 			// Rolling upgrade: after deploying version v, the v-1
 			// container and image are deleted (the CI/CD pattern of
 			// §II-D), so older files lose their index links and become
@@ -109,6 +114,9 @@ func RunExtCache(cfg Config) (*ExtCacheResult, error) {
 				return nil, err
 			}
 			cs := d.GearStore().CacheStats()
+			cs.Hits -= before.Hits
+			cs.Misses -= before.Misses
+			cs.Evictions -= before.Evictions
 			res.Points = append(res.Points, ExtCachePoint{
 				CapacityFrac:  frac,
 				Policy:        policy.String(),
@@ -120,15 +128,6 @@ func RunExtCache(cfg Config) (*ExtCacheResult, error) {
 		}
 	}
 	return res, nil
-}
-
-func runExtCache(cfg Config, w io.Writer) error {
-	res, err := RunExtCache(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
 }
 
 // Print renders the sweep.

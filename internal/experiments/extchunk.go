@@ -237,27 +237,20 @@ func RunExtChunk(cfg Config) (*ExtChunkResult, error) {
 	return res, nil
 }
 
-func runExtChunk(cfg Config, w io.Writer) error {
-	res, err := RunExtChunk(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
-// Print renders the sweep.
+// Print renders the sweep. PeakWindowBytes is not a column: it is a
+// high-water mark over real goroutines, so it varies run to run, and
+// the report is compared exactly (testdata/all_mini.golden). Its
+// verdict, "bound", is deterministic and stays.
 func (r *ExtChunkResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "big-model startup read (head 1/8 of file) @ %g Mbps\n", r.WANMbps)
-	fmt.Fprintf(w, "%-9s %-9s %-9s %7s %10s %12s %12s %10s %7s %7s\n",
-		"file", "chunk", "window", "chunks", "demand", "first stall", "whole stall", "peak win", "bound", "parity")
+	fmt.Fprintf(w, "%-9s %-9s %-9s %7s %10s %12s %12s %7s %7s\n",
+		"file", "chunk", "window", "chunks", "demand", "first stall", "whole stall", "bound", "parity")
 	for i := range r.Points {
 		p := &r.Points[i]
-		fmt.Fprintf(w, "%-9s %-9s %-9s %7d %10s %12s %12s %10s %7v %7v\n",
+		fmt.Fprintf(w, "%-9s %-9s %-9s %7d %10s %12s %12s %7v %7v\n",
 			kb(p.FileBytes), kb(p.ChunkAvg), kb(p.WindowBytes), p.Chunks,
 			kb(p.DemandBytes), p.FirstReadStall.Round(time.Microsecond),
-			p.WholeFileStall.Round(time.Microsecond), kb(p.PeakWindowBytes),
-			p.WindowOK, p.ParityOK)
+			p.WholeFileStall.Round(time.Microsecond), p.WindowOK, p.ParityOK)
 	}
 	for i := range r.Points {
 		p := &r.Points[i]

@@ -138,15 +138,6 @@ func RunExtFleet(cfg Config) (*ExtFleetResult, error) {
 	return res, nil
 }
 
-func runExtFleet(cfg Config, w io.Writer) error {
-	res, err := RunExtFleet(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
 // Print renders the scenario sweep.
 func (r *ExtFleetResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "%s fleet scenarios (%d versions, seed %d), peers on\n",

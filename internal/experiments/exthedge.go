@@ -180,6 +180,7 @@ func RunExtHedge(cfg Config) (*ExtHedgeResult, error) {
 			Shards:      ids,
 			Replication: extHedgeReplicas,
 			Compress:    true,
+			Telemetry:   cfg.Telemetry,
 			Topology:    topo,
 			Read:        read,
 		})
@@ -310,15 +311,6 @@ func RunExtHedge(cfg Config) (*ExtHedgeResult, error) {
 	}
 	res.WasteOK = res.WasteShare < 0.05
 	return res, nil
-}
-
-func runExtHedge(cfg Config, w io.Writer) error {
-	res, err := RunExtHedge(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
 }
 
 // Print renders the policy × straggler latency table.

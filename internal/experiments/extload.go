@@ -92,15 +92,6 @@ func RunExtLoad(cfg Config) (*ExtLoadResult, error) {
 	return res, nil
 }
 
-func runExtLoad(cfg Config, w io.Writer) error {
-	res, err := RunExtLoad(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
 // Print renders the fleet-load comparison.
 func (r *ExtLoadResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "%d clients x %d rolling deployments each, 100 Mbps links\n",

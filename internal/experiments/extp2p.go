@@ -134,12 +134,10 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 		daemons := make([]*dockersim.Daemon, pt.nodes)
 		for n := 0; n < pt.nodes; n++ {
 			id := fmt.Sprintf("node%d", n)
-			d, err := dockersim.NewDaemon(r.docker, r.gear, dockersim.Options{
-				Links:               topo.Node(id),
-				Peers:               peer.NewExchange(id, tracker, network),
-				GearRequestBytes:    int64(900 * cfg.Scale),
-				SlackerRequestBytes: int64(120 * cfg.Scale),
-			})
+			opts := cfg.daemonOptions(pt.wan)
+			opts.Links = topo.Node(id)
+			opts.Peers = peer.NewExchangeWithTelemetry(id, tracker, network, cfg.Telemetry)
+			d, err := dockersim.NewDaemon(r.docker, r.gear, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -153,6 +151,9 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 		point.ParityOK = true
 		var p2pTotal time.Duration
 		for n, d := range daemons {
+			// The daemons may share one registry (cfg.Telemetry), so this
+			// node's share of the store counters is a before/after delta.
+			before := d.GearStore().Stats()
 			got, total, err := rollout(co, d, s, compute)
 			if err != nil {
 				return nil, err
@@ -164,8 +165,10 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 			point.P2PEgress += got
 			p2pTotal += total
 			st := d.GearStore().Stats()
-			point.PeerObjects += st.PeerObjects
-			tracker.ReportServed(int(st.PeerObjects), st.PeerBytes, int(st.RemoteObjects), st.RemoteBytes)
+			peerObjects := st.PeerObjects - before.PeerObjects
+			point.PeerObjects += peerObjects
+			tracker.ReportServed(int(peerObjects), st.PeerBytes-before.PeerBytes,
+				int(st.RemoteObjects-before.RemoteObjects), st.RemoteBytes-before.RemoteBytes)
 		}
 		point.LANBytes = topo.LANStats().Bytes
 
@@ -195,15 +198,6 @@ func rollout(co *corpus.Corpus, d *dockersim.Daemon, s corpus.Series, compute ti
 		total += dep.Total()
 	}
 	return bytes, total, nil
-}
-
-func runExtP2P(cfg Config, w io.Writer) error {
-	res, err := RunExtP2P(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
 }
 
 // Print renders the fleet/bandwidth sweep.

@@ -69,11 +69,9 @@ func RunExtParallel(cfg Config) (*ExtParallelResult, error) {
 		res.Series = append(res.Series, s.Name)
 	}
 	for _, workers := range extParallelWorkers {
-		d, err := dockersim.NewDaemon(r.docker, r.gear, dockersim.Options{
-			Link:             cfg.link(904),
-			GearRequestBytes: int64(900 * cfg.Scale),
-			FetchWorkers:     workers,
-		})
+		opts := cfg.daemonOptions(904)
+		opts.FetchWorkers = workers
+		d, err := dockersim.NewDaemon(r.docker, r.gear, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -112,15 +110,6 @@ func RunExtParallel(cfg Config) (*ExtParallelResult, error) {
 		res.Points = append(res.Points, p)
 	}
 	return res, nil
-}
-
-func runExtParallel(cfg Config, w io.Writer) error {
-	res, err := RunExtParallel(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
 }
 
 // Print renders the worker sweep.

@@ -104,13 +104,9 @@ func RunExtPrefetch(cfg Config) (*ExtPrefetchResult, error) {
 	ref, tag := gearRef(s.Name), s.Tags()[0]
 
 	deploy := func(wan float64, lib *prefetch.Library) (*dockersim.Deployment, error) {
-		d, err := dockersim.NewDaemon(r.docker, r.gear, dockersim.Options{
-			Link:                cfg.link(wan),
-			GearRequestBytes:    int64(900 * cfg.Scale),
-			SlackerRequestBytes: int64(120 * cfg.Scale),
-			Profiles:            lib,
-			Telemetry:           cfg.Telemetry,
-		})
+		opts := cfg.daemonOptions(wan)
+		opts.Profiles = lib
+		d, err := dockersim.NewDaemon(r.docker, r.gear, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -159,15 +155,6 @@ func RunExtPrefetch(cfg Config) (*ExtPrefetchResult, error) {
 		res.Points = append(res.Points, point)
 	}
 	return res, nil
-}
-
-func runExtPrefetch(cfg Config, w io.Writer) error {
-	res, err := RunExtPrefetch(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
 }
 
 // Print renders the coverage/bandwidth sweep.

@@ -189,15 +189,6 @@ func RunExtPush(cfg Config) (*ExtPushResult, error) {
 	return res, nil
 }
 
-func runExtPush(cfg Config, w io.Writer) error {
-	res, err := RunExtPush(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
 // Print renders the worker sweep.
 func (r *ExtPushResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "cold-registry push rollout of %d images (%v), 904 Mbps link\n",

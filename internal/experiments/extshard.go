@@ -170,12 +170,12 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 
 	// shardedRollout runs the client fleet against a fresh tier of the
 	// given shape (optionally killing one shard first) and returns the
-	// point plus the cluster for failover accounting.
-	shardedRollout := func(shards, replicas int, kill bool) (ExtShardPoint, *shardreg.Cluster, string, error) {
+	// point plus the failovers its reads took and the killed shard.
+	shardedRollout := func(shards, replicas int, kill bool) (ExtShardPoint, int64, string, error) {
 		point := ExtShardPoint{Shards: shards, Replication: replicas}
 		topo, err := netsim.NewTopology(cfg.link(extShardWANMbps), cfg.link(extShardLANMbps))
 		if err != nil {
-			return point, nil, "", err
+			return point, 0, "", err
 		}
 		ids := make([]string, shards)
 		for i := range ids {
@@ -189,10 +189,10 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 			Topology:    topo,
 		})
 		if err != nil {
-			return point, nil, "", err
+			return point, 0, "", err
 		}
 		if _, err := cluster.Seed(r.gear); err != nil {
-			return point, nil, "", err
+			return point, 0, "", err
 		}
 		// Seeding moved bytes through the shard links; reset the clock
 		// so the point measures serving, not migration.
@@ -209,7 +209,7 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 				}
 			}
 			if err := cluster.KillShard(victim); err != nil {
-				return point, nil, "", err
+				return point, 0, "", err
 			}
 		}
 		for _, id := range cluster.Shards() {
@@ -222,18 +222,13 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 		point.ParityOK = true
 		var tierTotal time.Duration
 		for n := 0; n < extShardClients; n++ {
-			d, err := dockersim.NewDaemon(r.docker, cluster, dockersim.Options{
-				Link:                cfg.link(extShardWANMbps),
-				GearRequestBytes:    int64(900 * cfg.Scale),
-				SlackerRequestBytes: int64(120 * cfg.Scale),
-				Telemetry:           cfg.Telemetry,
-			})
+			d, err := dockersim.NewDaemon(r.docker, cluster, cfg.daemonOptions(extShardWANMbps))
 			if err != nil {
-				return point, nil, "", err
+				return point, 0, "", err
 			}
 			got, total, err := rolloutAll(d)
 			if err != nil {
-				return point, nil, "", err
+				return point, 0, "", err
 			}
 			if got != baseBytes[n] {
 				point.ParityOK = false
@@ -264,7 +259,7 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 			}
 		}
 		point.MeanDeploy = tierTotal / deploys
-		return point, cluster, victim, nil
+		return point, readsAfter.Failovers - readsBefore.Failovers, victim, nil
 	}
 
 	for _, pt := range extShardSweep {
@@ -277,7 +272,7 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 
 	// Failover pass: one dead shard at replication 2 — clients must
 	// pull bit-identical bytes from the replicas.
-	fpoint, cluster, victim, err := shardedRollout(extShardFailAt, 2, true)
+	fpoint, failovers, victim, err := shardedRollout(extShardFailAt, 2, true)
 	if err != nil {
 		return nil, err
 	}
@@ -285,19 +280,10 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 		Shards:      extShardFailAt,
 		Replication: 2,
 		Killed:      victim,
-		Failovers:   cluster.Stats().Failovers,
+		Failovers:   failovers,
 		ParityOK:    fpoint.ParityOK,
 	}
 	return res, nil
-}
-
-func runExtShard(cfg Config, w io.Writer) error {
-	res, err := RunExtShard(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
 }
 
 // Print renders the shard-count sweep.

@@ -116,15 +116,6 @@ func RunFig10(cfg Config) (*Fig10Result, error) {
 	return res, nil
 }
 
-func runFig10(cfg Config, w io.Writer) error {
-	res, err := RunFig10(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
 // Print renders the per-version series and averages.
 func (r *Fig10Result) Print(w io.Writer) {
 	for _, band := range r.Bands {

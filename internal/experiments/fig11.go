@@ -130,11 +130,11 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 	}
 
 	// Short-running: launch, one request, destroy, repeated.
-	dockerShort, err := runShort(cfg, r, co, dockersim.ModeDocker, res.Iterations)
+	dockerShort, err := shortLifecycle(cfg, r, co, dockersim.ModeDocker, res.Iterations)
 	if err != nil {
 		return nil, err
 	}
-	gearShort, err := runShort(cfg, r, co, dockersim.ModeGear, res.Iterations)
+	gearShort, err := shortLifecycle(cfg, r, co, dockersim.ModeGear, res.Iterations)
 	if err != nil {
 		return nil, err
 	}
@@ -143,10 +143,10 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 	return res, nil
 }
 
-// runShort repeats launch-request-destroy for httpd under one system on
-// a single persistent daemon (so the image is local after the first
-// iteration — the paper measures steady-state lifecycle costs).
-func runShort(cfg Config, r *rig, co *corpus.Corpus, mode dockersim.Mode, iterations int) (Fig11Short, error) {
+// shortLifecycle repeats launch-request-destroy for httpd under one
+// system on a single persistent daemon (so the image is local after the
+// first iteration — the paper measures steady-state lifecycle costs).
+func shortLifecycle(cfg Config, r *rig, co *corpus.Corpus, mode dockersim.Mode, iterations int) (Fig11Short, error) {
 	d, err := cfg.newDaemon(r, 904)
 	if err != nil {
 		return Fig11Short{}, err
@@ -186,15 +186,6 @@ func runShort(cfg Config, r *rig, co *corpus.Corpus, mode dockersim.Mode, iterat
 	out.Request /= n
 	out.Destroy /= n
 	return out, nil
-}
-
-func runFig11(cfg Config, w io.Writer) error {
-	res, err := RunFig11(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
 }
 
 // Print renders normalized service rates and the lifecycle breakdown.

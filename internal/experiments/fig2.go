@@ -58,8 +58,10 @@ func RunFig2(cfg Config) (*Fig2Result, error) {
 			res.ByCategory[cat] = float64(catShared[cat]) / float64(total)
 		}
 	}
-	for _, v := range res.ByCategory {
-		res.Average += v
+	// Summed in category order: float addition in map order would let
+	// the last bit of the average differ from run to run.
+	for _, cat := range categoryOrder(res.ByCategory) {
+		res.Average += res.ByCategory[cat]
 	}
 	if len(res.ByCategory) > 0 {
 		res.Average /= float64(len(res.ByCategory))
@@ -91,15 +93,6 @@ func necessaryFingerprints(co *corpus.Corpus, series string, version int) (map[h
 		out[hashing.FingerprintBytes(data)] = int64(len(data))
 	}
 	return out, nil
-}
-
-func runFig2(cfg Config, w io.Writer) error {
-	res, err := RunFig2(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
 }
 
 // paperFig2 holds the paper's reported redundancy ratios for reference.

@@ -96,15 +96,6 @@ func RunFig6(cfg Config) (*Fig6Result, error) {
 	return res, nil
 }
 
-func runFig6(cfg Config, w io.Writer) error {
-	res, err := RunFig6(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
 // Print renders the per-series rows in ascending size order.
 func (r *Fig6Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "%-20s %12s %12s %12s\n", "series", "avg size", "hdd", "ssd")

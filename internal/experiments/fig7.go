@@ -139,15 +139,6 @@ func measureFootprints(co *corpus.Corpus, group []corpus.Series) (Fig7Category, 
 	return row, acct, nil
 }
 
-func runFig7(cfg Config, w io.Writer) error {
-	res, err := RunFig7(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
 // paperFig7 holds the paper's per-category savings for reference.
 var paperFig7 = map[corpus.Category]float64{
 	corpus.Distro:       0.205,

@@ -119,15 +119,6 @@ func RunFig8(cfg Config) (*Fig8Result, error) {
 	return res, nil
 }
 
-func runFig8(cfg Config, w io.Writer) error {
-	res, err := RunFig8(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
 // Print renders per-category transfer volumes and the headline shares.
 func (r *Fig8Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "%-22s %8s %12s %14s %14s\n",

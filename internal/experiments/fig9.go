@@ -137,15 +137,6 @@ func divCell(c Fig9Cell, n int) Fig9Cell {
 	return c
 }
 
-func runFig9(cfg Config, w io.Writer) error {
-	res, err := RunFig9(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
 // paperFig9 anchors: overall speedups (warm, cold) the paper quotes per
 // bandwidth.
 var paperFig9 = map[float64][2]float64{

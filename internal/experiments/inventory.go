@@ -101,15 +101,6 @@ func RunInventory(cfg Config) (*InventoryResult, error) {
 	return res, nil
 }
 
-func runInventory(cfg Config, w io.Writer) error {
-	res, err := RunInventory(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
 // Print renders the corpus composition table.
 func (r *InventoryResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "corpus: %d series, %d images, ~%s uncompressed (paper: 50 / 971 / 370 GB)\n",

@@ -40,15 +40,6 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 	return &Table2Result{Rows: analyzer.Reports(), Images: images}, nil
 }
 
-func runTable2(cfg Config, w io.Writer) error {
-	res, err := RunTable2(cfg)
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
-}
-
 // Print renders the Table II rows plus the derived ratios the paper
 // quotes (layer/file/chunk savings vs none; chunk-object blowup).
 func (r *Table2Result) Print(w io.Writer) {
