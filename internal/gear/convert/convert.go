@@ -101,10 +101,11 @@ type Options struct {
 type Converter struct {
 	opts Options
 
-	mu   sync.Mutex
-	reg  *hashing.Registry
-	disk *disksim.Disk
-	done map[string]*Result // references already converted -> cached result
+	mu    sync.Mutex
+	reg   *hashing.Registry
+	files *table // the one copy of every content the results hold
+	disk  *disksim.Disk
+	done  map[string]*Result // references already converted -> cached result
 }
 
 // New returns a Converter.
@@ -134,11 +135,13 @@ func New(opts Options) (*Converter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("convert: %w", err)
 	}
+	reg := hashing.NewRegistry(nil)
 	return &Converter{
-		opts: opts,
-		reg:  hashing.NewRegistry(nil),
-		disk: disk,
-		done: make(map[string]*Result),
+		opts:  opts,
+		reg:   reg,
+		files: newTable(reg),
+		disk:  disk,
+		done:  make(map[string]*Result),
 	}, nil
 }
 
@@ -161,48 +164,45 @@ func (c *Converter) Convert(img *imagefmt.Image) (*Result, error) {
 
 	// Phase 1: decompress and apply layers bottom-up (§III-B: "the
 	// converter decompresses and then saves the layers starting from the
-	// bottom layer to the top layer").
+	// bottom layer to the top layer"). Every file is hashed as it is
+	// unpacked, and one the converter holds already — from a lower layer
+	// or an earlier version of the image — is not held again.
+	workers := c.opts.Workers
+	defer c.files.settle()
 	root := vfs.New()
 	for i, layer := range img.Layers {
 		timing.Unpack += c.disk.Read(layer.Size)
-		tree, err := layer.Tree()
+		tree, err := layer.TreeKeep(c.files.keep, workers)
 		if err != nil {
 			return nil, fmt.Errorf("convert %s layer %d: %w", ref, i, err)
 		}
-		if err := applyTree(root, tree); err != nil {
+		if err := tarstream.ApplyLayer(root, tree); err != nil {
 			return nil, fmt.Errorf("convert %s layer %d: %w", ref, i, err)
 		}
 		timing.Unpack += c.disk.Write(layer.UncompressedSize)
 	}
 
-	// Phase 2: traverse the reconstructed filesystem; every regular file
-	// is read once to fingerprint it. Small files make this seek-bound,
-	// which is why Fig 6's time grows with file count. The disk is one
-	// spindle, so reads stay serial; the hash CPU fans out over the
-	// worker pool.
-	workers := c.opts.Workers
-	var hashCPU time.Duration
-	err := root.Walk(func(_ string, n *vfs.Node) error {
-		if n.Type() == vfs.TypeRegular {
-			timing.Traverse += c.disk.Read(n.Size())
-			hashCPU += time.Duration(float64(n.Size()) / c.opts.HashBPS * float64(time.Second))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("convert %s: %w", ref, err)
-	}
-	timing.Traverse += hashCPU / time.Duration(workers)
-
+	// Phase 2: traverse the reconstructed filesystem, building the index
+	// and extracting the Gear files. The builder takes each file's sum
+	// from the unpack and hashes nothing again.
 	name := img.Manifest.Name
 	if c.opts.IndexName != "" {
 		name = c.opts.IndexName
 	}
-	ix, pool, err := index.BuildPolicy(name, img.Manifest.Tag, img.Manifest.Config,
-		root, c.reg, c.opts.Chunking, workers)
+	ix, pool, err := index.BuildKnown(name, img.Manifest.Tag, img.Manifest.Config,
+		root, c.reg, c.opts.Chunking, workers, c.files.known)
 	if err != nil {
 		return nil, fmt.Errorf("convert %s: %w", ref, err)
 	}
+	// The modeled traverse reads every regular file once to fingerprint
+	// it. Small files make this seek-bound, which is why Fig 6's time
+	// grows with file count. The disk is one spindle, so reads stay
+	// serial; the hash CPU fans out over the worker pool. It is priced
+	// off the index, which has the tree's shape and every file's size
+	// and whose walk spells out no path.
+	var hashCPU time.Duration
+	c.priceTraverse(ix.Root, &timing.Traverse, &hashCPU)
+	timing.Traverse += hashCPU / time.Duration(workers)
 
 	// Phase 3: write Gear files and build the single-layer index image.
 	// Each file pays the device write plus the device-independent
@@ -225,9 +225,16 @@ func (c *Converter) Convert(img *imagefmt.Image) (*Result, error) {
 	return res, nil
 }
 
-// applyTree merges a layer tree into root, resolving whiteouts.
-func applyTree(root, layer *vfs.FS) error {
-	return tarstream.ApplyLayer(root, layer)
+// priceTraverse adds, for every regular file under e, the modeled read
+// to disk and the modeled hash to cpu.
+func (c *Converter) priceTraverse(e *index.Entry, disk, cpu *time.Duration) {
+	if e.Type == vfs.TypeRegular {
+		*disk += c.disk.Read(e.Size)
+		*cpu += time.Duration(float64(e.Size) / c.opts.HashBPS * float64(time.Second))
+	}
+	for _, child := range e.Children {
+		c.priceTraverse(child, disk, cpu)
+	}
 }
 
 // Publish stores a conversion result: the index image goes to the Docker

@@ -3,7 +3,7 @@ package convert
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/gear-image/gear/internal/gearregistry"
@@ -141,17 +141,16 @@ func (p *Pusher) PushAll(files map[hashing.Fingerprint][]byte) (PushWindow, erro
 	for fp := range files {
 		fps = append(fps, fp)
 	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
+	slices.Sort(fps)
 
-	// Claim or join flights.
+	// Claim or join flights; flights[i] is the one claimed for claimed[i].
 	var claimed []hashing.Fingerprint
-	claimedFlights := make(map[hashing.Fingerprint]*pushFlight)
-	var joined []*pushFlight
+	var flights, joined []*pushFlight
 	for _, fp := range fps {
 		f, leader := p.claimFlight(fp)
 		if leader {
 			claimed = append(claimed, fp)
-			claimedFlights[fp] = f
+			flights = append(flights, f)
 		} else {
 			joined = append(joined, f)
 		}
@@ -163,10 +162,9 @@ func (p *Pusher) PushAll(files map[hashing.Fingerprint][]byte) (PushWindow, erro
 		present, batched, err := gearregistry.QueryAll(p.opts.Gear, claimed)
 		if err != nil {
 			err = fmt.Errorf("convert: push query: %w", err)
-			for _, fp := range claimed {
-				f := claimedFlights[fp]
-				f.err = err
-				p.finishFlight(fp, f)
+			for i, fp := range claimed {
+				flights[i].err = err
+				p.finishFlight(fp, flights[i])
 			}
 			errs = append(errs, err)
 		} else {
@@ -178,14 +176,15 @@ func (p *Pusher) PushAll(files map[hashing.Fingerprint][]byte) (PushWindow, erro
 				window.QueryRoundTrips = len(claimed)
 			}
 
-			// Files the registry already holds are done: dedup hit.
-			var absent []hashing.Fingerprint
+			// Files the registry already holds are done: dedup hit. The
+			// absent ones move up to the front of both slices.
+			absent, absentFlights := claimed[:0], flights[:0]
 			for i, fp := range claimed {
 				if present[i] {
 					window.Skipped++
-					p.finishFlight(fp, claimedFlights[fp])
+					p.finishFlight(fp, flights[i])
 				} else {
-					absent = append(absent, fp)
+					absent, absentFlights = append(absent, fp), append(absentFlights, flights[i])
 				}
 			}
 
@@ -200,10 +199,10 @@ func (p *Pusher) PushAll(files map[hashing.Fingerprint][]byte) (PushWindow, erro
 					lo := w * len(absent) / workers
 					hi := (w + 1) * len(absent) / workers
 					wg.Add(1)
-					go func(w int, shard []hashing.Fingerprint) {
+					go func() {
 						defer wg.Done()
-						streams[w], workerErrs[w] = p.pushShard(shard, files, claimedFlights)
-					}(w, absent[lo:hi])
+						streams[w], workerErrs[w] = p.pushShard(absent[lo:hi], absentFlights[lo:hi], files)
+					}()
 				}
 				wg.Wait()
 				for w := 0; w < workers; w++ {
@@ -231,13 +230,14 @@ func (p *Pusher) PushAll(files map[hashing.Fingerprint][]byte) (PushWindow, erro
 	return window, errors.Join(errs...)
 }
 
-// pushShard uploads one worker's shard. Every claimed flight in the
-// shard is completed exactly once, success or failure.
-func (p *Pusher) pushShard(shard []hashing.Fingerprint, files map[hashing.Fingerprint][]byte, flights map[hashing.Fingerprint]*pushFlight) (PushStream, error) {
+// pushShard uploads one worker's shard, flights[i] being shard[i]'s.
+// Every claimed flight in the shard is completed exactly once, success
+// or failure.
+func (p *Pusher) pushShard(shard []hashing.Fingerprint, flights []*pushFlight, files map[hashing.Fingerprint][]byte) (PushStream, error) {
 	var st PushStream
 	var errs []error
-	for _, fp := range shard {
-		f := flights[fp]
+	for i, fp := range shard {
+		f := flights[i]
 		data := files[fp]
 		err := p.opts.Gear.Upload(fp, data)
 		if err != nil {

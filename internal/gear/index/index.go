@@ -121,15 +121,28 @@ func BuildChunkedParallel(name, tag string, cfg imagefmt.Config, root *vfs.FS, r
 // tree walk collects every content item in exactly the order the serial
 // builder would Assign it (whole file, then its chunks, in walk order),
 // hashes run concurrently, and collision IDs are assigned sequentially
-// in that order (see hashing.Registry.AssignAll).
+// in that order (see hashing.Registry.AssignSums).
 func BuildPolicy(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry, pol ChunkPolicy, workers int) (*Index, map[hashing.Fingerprint][]byte, error) {
+	return BuildKnown(name, tag, cfg, root, reg, pol, workers, nil)
+}
+
+// Known answers for a file content that was hashed where its bytes
+// streamed by (reg.Sum of it, kept by whoever unpacked the layers), so
+// that the builder does not hash it again. It is asked once per regular
+// file, in walk order, from one goroutine, with the slice the tree
+// holds; a content it does not know is hashed here.
+type Known func(data []byte) (hashing.Sum, bool)
+
+// BuildKnown is BuildPolicy with the sums of whole files taken from
+// known (nil knows nothing). The output is what BuildPolicy's is.
+func BuildKnown(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry, pol ChunkPolicy, workers int, known Known) (*Index, map[hashing.Fingerprint][]byte, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("index: build %s:%s: %w", name, tag, err)
 	}
 	if reg == nil {
 		reg = hashing.NewRegistry(nil)
 	}
-	b := &builder{reg: reg, pool: make(map[hashing.Fingerprint][]byte), pol: pol.normalized(), collect: workers > 1}
+	b := &builder{reg: reg, pool: make(map[hashing.Fingerprint][]byte), pol: pol.normalized(), known: known, collect: workers > 1}
 	rootEntry, err := b.buildEntry("", root.Root())
 	if err != nil {
 		return nil, nil, fmt.Errorf("index: build %s:%s: %w", name, tag, err)
@@ -138,11 +151,23 @@ func BuildPolicy(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashi
 	if !b.collect {
 		return ix, b.pool, nil
 	}
-	items := make([][]byte, len(b.slots))
+	// Hash, on the workers, what nobody has hashed yet.
+	sums := make([]hashing.Sum, len(b.slots))
+	var unhashed [][]byte
 	for i, s := range b.slots {
-		items[i] = s.data
+		if s.hashed {
+			sums[i] = s.sum
+		} else {
+			unhashed = append(unhashed, s.data)
+		}
 	}
-	fps := reg.AssignAll(items, workers)
+	fresh := reg.SumAll(unhashed, workers)
+	for i, s := range b.slots {
+		if !s.hashed {
+			sums[i], fresh = fresh[0], fresh[1:]
+		}
+	}
+	fps := reg.AssignSums(sums, workers)
 	for i, s := range b.slots {
 		fp := fps[i]
 		if s.chunk {
@@ -159,9 +184,10 @@ func BuildPolicy(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashi
 }
 
 type builder struct {
-	reg  *hashing.Registry
-	pool map[hashing.Fingerprint][]byte
-	pol  ChunkPolicy
+	reg   *hashing.Registry
+	pool  map[hashing.Fingerprint][]byte
+	pol   ChunkPolicy
+	known Known
 	// collect defers fingerprint assignment: buildEntry records slots in
 	// serial Assign order instead of calling Assign inline.
 	collect bool
@@ -172,6 +198,9 @@ type builder struct {
 type assignSlot struct {
 	entry *Entry
 	data  []byte
+	// sum is data's, when hashed says it has been computed already.
+	sum    hashing.Sum
+	hashed bool
 	// chunk marks a chunk piece; chunked marks a whole-file slot whose
 	// content is pooled at chunk granularity instead.
 	chunk   bool
@@ -194,10 +223,18 @@ func (b *builder) buildEntry(name string, n *vfs.Node) (*Entry, error) {
 		e.Size = int64(len(data))
 		pieces := b.pol.split(data)
 		chunked := pieces != nil
+		var sum hashing.Sum
+		hashed := false
+		if b.known != nil {
+			sum, hashed = b.known(data)
+		}
 		if b.collect {
-			b.slots = append(b.slots, assignSlot{entry: e, data: data, chunked: chunked})
+			b.slots = append(b.slots, assignSlot{entry: e, data: data, sum: sum, hashed: hashed, chunked: chunked})
 		} else {
-			e.Fingerprint = b.reg.Assign(data)
+			if !hashed {
+				sum = b.reg.Sum(data)
+			}
+			e.Fingerprint = b.reg.AssignSum(sum)
 			if !chunked {
 				b.pool[e.Fingerprint] = data
 			}

@@ -558,7 +558,9 @@ func TestBinaryCodecRejectsGarbage(t *testing.T) {
 
 // BuildChunkedParallel must be bit-identical to BuildChunked for any
 // worker count — same tree, same fingerprints (including collision IDs),
-// same pool — under both the real hasher and a colliding one.
+// same pool — under both the real hasher and a colliding one, and
+// whether the builder hashes every file itself or is told the sums of
+// some (BuildKnown).
 func TestBuildChunkedParallelMatchesSerial(t *testing.T) {
 	cfg := imagefmt.Config{Env: []string{"A=1"}}
 	for _, tc := range []struct {
@@ -582,11 +584,25 @@ func TestBuildChunkedParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 4, 8} {
+			for _, workers := range []int{1, 2, 4, 8, -1, -4} {
 				reg := hashing.NewRegistry(tc.hasher)
-				ix, pool, err := BuildChunkedParallel("app", "v1", cfg, root, reg, chunkSize, workers)
+				// A negative count is that many workers and a builder
+				// that is told the sum of every file of even length.
+				var known Known
+				asked := 0
+				if workers < 0 {
+					workers = -workers
+					known = func(data []byte) (hashing.Sum, bool) {
+						asked++
+						return reg.Sum(data), len(data)%2 == 0
+					}
+				}
+				ix, pool, err := BuildKnown("app", "v1", cfg, root, reg, FixedChunks(chunkSize), workers, known)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if st, err := ix.Stats(); err != nil || (known != nil && asked != st.Files) {
+					t.Fatalf("workers=%d: known asked %d times for %d files (%v)", workers, asked, st.Files, err)
 				}
 				enc, err := Encode(ix)
 				if err != nil {

@@ -11,8 +11,10 @@
 package gearregistry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -130,25 +132,56 @@ func (r *Registry) Query(fp hashing.Fingerprint) (bool, error) {
 // Upload implements Store. Identical re-uploads are dropped and counted
 // as dedup hits.
 func (r *Registry) Upload(fp hashing.Fingerprint, data []byte) error {
+	return r.UploadFrom(fp, bytes.NewReader(data), int64(len(data)))
+}
+
+// UploadFrom is Upload of a file that is still arriving: body is read
+// to its end, once, and every byte goes to the fingerprint and into the
+// form the pool stores — the gzip stream, or the bytes themselves —
+// as it passes, so an upload costs one buffer of the stored size. size
+// is how long the sender said the file is, negative if it did not; a
+// file of any other length is refused. Nothing is admitted before the
+// whole file has been judged, and a file the pool holds already is
+// judged the same but not compressed again.
+func (r *Registry) UploadFrom(fp hashing.Fingerprint, body io.Reader, size int64) error {
 	r.uploads.Inc()
 	if err := fp.Validate(); err != nil {
 		return fmt.Errorf("gearregistry: upload: %w", err)
 	}
+	// A collision ID names no hash of its bytes: there is nothing to
+	// verify it by.
+	var sum *hashing.FingerprintWriter
+	tee := io.Discard
 	if !r.opts.SkipVerify && len(fp) == 32 {
-		if got := hashing.FingerprintBytes(data); got != fp {
-			return fmt.Errorf("gearregistry: upload %s: %w", fp, ErrFingerprintMismatch)
+		sum = hashing.NewFingerprintWriter()
+		tee = sum
+	}
+	r.mu.RLock()
+	_, held := r.objects[fp]
+	r.mu.RUnlock()
+
+	var stored []byte
+	var n int64
+	var err error
+	switch {
+	case held:
+		n, err = tarstream.Copy(tee, body)
+	case r.opts.Compress:
+		stored, n, err = tarstream.GzipFrom(body, tee)
+	default:
+		stored, err = tarstream.ReadAll(io.TeeReader(body, tee), declaredRoom(size))
+		if n = int64(len(stored)); cap(stored) > len(stored)+1 {
+			stored = bytes.Clone(stored)
 		}
 	}
-	stored := data
-	if r.opts.Compress {
-		z, err := tarstream.Gzip(data)
-		if err != nil {
-			return fmt.Errorf("gearregistry: upload %s: %w", fp, err)
-		}
-		stored = z
-	} else {
-		stored = make([]byte, len(data))
-		copy(stored, data)
+	if err != nil {
+		return fmt.Errorf("gearregistry: upload %s: %w", fp, err)
+	}
+	if size >= 0 && n != size {
+		return wire.As(wire.ErrBadRequest, fmt.Errorf("gearregistry: upload %s: %d bytes, declared %d", fp, n, size))
+	}
+	if sum != nil && sum.Fingerprint() != fp {
+		return fmt.Errorf("gearregistry: upload %s: %w", fp, ErrFingerprintMismatch)
 	}
 
 	r.mu.Lock()
@@ -156,14 +189,33 @@ func (r *Registry) Upload(fp hashing.Fingerprint, data []byte) error {
 	if _, ok := r.objects[fp]; ok {
 		r.dedupHits.Inc()
 		return nil
+	} else if held {
+		// Nothing was kept of a file the pool held, and it no longer does.
+		return fmt.Errorf("gearregistry: upload %s: deleted while its duplicate was being read: %w", fp, ErrNotFound)
 	}
 	r.objects[fp] = stored
-	r.logical[fp] = int64(len(data))
+	r.logical[fp] = n
 	r.objectsGauge.Add(1)
 	r.storedBytes.Add(int64(len(stored)))
-	r.logicalBytes.Add(int64(len(data)))
+	r.logicalBytes.Add(n)
 	return nil
 }
+
+// declaredRoom is the memory a raw upload declared to be size bytes is
+// read into: all of it at once up to eagerUpload, and beyond that never
+// more than twice what has arrived, so a sender that lies about its
+// length is given no more than one that does not declare it. An honest
+// one ends up in a single buffer of the file's size.
+func declaredRoom(size int64) tarstream.Room {
+	return func(have int) int {
+		if size < 0 {
+			return 0
+		}
+		return int(min(size, max(2*int64(have), eagerUpload))) + 1
+	}
+}
+
+const eagerUpload = 1 << 20
 
 // Download implements Store.
 func (r *Registry) Download(fp hashing.Fingerprint) ([]byte, int64, error) {

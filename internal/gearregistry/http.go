@@ -33,23 +33,23 @@ type Pool interface {
 
 // fpVerb is a verb whose path argument is one fingerprint; a path
 // without one is no route.
-func fpVerb(method, path string, serve func(w http.ResponseWriter, fp hashing.Fingerprint, body []byte) error) wire.Verb {
+func fpVerb(method, path string, serve func(w http.ResponseWriter, fp hashing.Fingerprint) error) wire.Verb {
 	return wire.Verb{Method: method, Path: path, Check: wire.NeedArg, Serve: func(w http.ResponseWriter, r *wire.Request) error {
-		return serve(w, hashing.Fingerprint(r.Arg), r.Body)
+		return serve(w, hashing.Fingerprint(r.Arg))
 	}}
 }
 
 // readVerbs is the read-only subset of the protocol over p.
 func readVerbs(p Pool) []wire.Verb {
 	return []wire.Verb{
-		fpVerb(http.MethodGet, "/gear/query/*", func(w http.ResponseWriter, fp hashing.Fingerprint, _ []byte) error {
+		fpVerb(http.MethodGet, "/gear/query/*", func(w http.ResponseWriter, fp hashing.Fingerprint) error {
 			present, err := p.Query(fp)
 			if err == nil && !present {
 				w.WriteHeader(http.StatusNotFound)
 			}
 			return err
 		}),
-		fpVerb(http.MethodGet, "/gear/download/*", func(w http.ResponseWriter, fp hashing.Fingerprint, _ []byte) error {
+		fpVerb(http.MethodGet, "/gear/download/*", func(w http.ResponseWriter, fp hashing.Fingerprint) error {
 			o, err := p.Stored(fp)
 			if err != nil {
 				return err
@@ -82,19 +82,21 @@ var errReadOnly = wire.As(wire.ErrMethod, errors.New("peer: peers do not accept 
 // Client can query and download from it; uploads are refused.
 func NewPoolHandler(p Pool) *wire.Handler {
 	return wire.NewHandler(statuses, append(readVerbs(p),
-		fpVerb("", "/gear/upload/*", func(http.ResponseWriter, hashing.Fingerprint, []byte) error { return errReadOnly }))...)
+		fpVerb("", "/gear/upload/*", func(http.ResponseWriter, hashing.Fingerprint) error { return errReadOnly }))...)
 }
 
 // NewHandler serves reg over the whole protocol.
 func NewHandler(reg *Registry) *wire.Handler {
 	return wire.NewHandler(statuses, append(readVerbs(reg),
-		fpVerb(http.MethodPut, "/gear/upload/*", func(w http.ResponseWriter, fp hashing.Fingerprint, body []byte) error {
-			if err := reg.Upload(fp, body); err != nil {
+		// The one verb whose request is an object: it is verified and
+		// compressed as it comes off the connection.
+		wire.Verb{Method: http.MethodPut, Path: "/gear/upload/*", Check: wire.NeedArg, Stream: true, Serve: func(w http.ResponseWriter, r *wire.Request) error {
+			if err := reg.UploadFrom(hashing.Fingerprint(r.Arg), r.Request.Body, r.ContentLength); err != nil {
 				return err
 			}
 			w.WriteHeader(http.StatusCreated)
 			return nil
-		}),
+		}},
 		wire.Verb{Method: http.MethodPost, Path: "/gear/querybatch", Serve: func(w http.ResponseWriter, r *wire.Request) error {
 			body, err := wire.Inflate(r.Body, r.Header.Get(wire.EncodingHeader) == "gzip")
 			if err != nil {

@@ -57,6 +57,23 @@ func (w *DigestWriter) Digest() Digest {
 	return digestOf(w.h.Sum(sum[:0]))
 }
 
+// FingerprintWriter computes the MD5 Fingerprint of content written to
+// it piece by piece, as DigestWriter does the digest.
+type FingerprintWriter struct{ h hash.Hash }
+
+// NewFingerprintWriter returns a FingerprintWriter with nothing written.
+func NewFingerprintWriter() *FingerprintWriter { return &FingerprintWriter{h: md5.New()} }
+
+// Write adds p to the content; it never fails.
+func (w *FingerprintWriter) Write(p []byte) (int, error) { return w.h.Write(p) }
+
+// Fingerprint returns the fingerprint of what has been written:
+// FingerprintBytes of it.
+func (w *FingerprintWriter) Fingerprint() Fingerprint {
+	var sum [md5.Size]byte
+	return Fingerprint(hex.EncodeToString(w.h.Sum(sum[:0])))
+}
+
 // ErrMalformed reports a fingerprint or digest that fails validation.
 var ErrMalformed = errors.New("malformed content address")
 
@@ -130,15 +147,27 @@ var _ Hasher = MD5{}
 // Fingerprint implements Hasher using crypto/md5.
 func (MD5) Fingerprint(data []byte) Fingerprint { return FingerprintBytes(data) }
 
-// verifier is the strong digest the registry keeps per assigned content
+// Verifier is the strong digest the registry keeps per assigned content
 // in place of the content itself: two inputs with equal fingerprints are
 // a true duplicate iff their verifiers match. SHA256 collisions would be
 // required to confuse two distinct contents, so collision handling keeps
 // the byte-for-byte guarantee while resident state stays O(entries)
-// instead of O(total corpus bytes).
-type verifier [sha256.Size]byte
+// instead of O(total corpus bytes). It is comparable, so whoever holds
+// contents can key them by it and never mistake a colliding pair.
+type Verifier [sha256.Size]byte
 
-func verifierOf(data []byte) verifier { return sha256.Sum256(data) }
+// Sum is everything a Registry needs to know about one content to
+// address it: its fingerprint under the registry's hasher and its
+// Verifier. It is computed where the content's bytes are in hand
+// (Registry.Sum) and may be assigned later, or many times, without
+// the bytes (Registry.AssignSum): the content is hashed once.
+type Sum struct {
+	fp Fingerprint
+	v  Verifier
+}
+
+// Verifier returns the content's strong digest.
+func (s Sum) Verifier() Verifier { return s.v }
 
 // registryShards is the number of independently locked shards. Shards
 // are selected by fingerprint prefix, so load spreads evenly under the
@@ -151,7 +180,7 @@ const registryShards = 64
 // entries carry "-cN" suffixes.
 type registryShard struct {
 	mu         sync.Mutex
-	byFP       map[Fingerprint][]verifier
+	byFP       map[Fingerprint][]Verifier
 	collisions int
 }
 
@@ -180,7 +209,7 @@ func NewRegistry(hasher Hasher) *Registry {
 	}
 	r := &Registry{hasher: hasher}
 	for i := range r.shards {
-		r.shards[i].byFP = make(map[Fingerprint][]verifier)
+		r.shards[i].byFP = make(map[Fingerprint][]Verifier)
 	}
 	return r
 }
@@ -200,86 +229,97 @@ func (r *Registry) shardOf(fp Fingerprint) *registryShard {
 	return &r.shards[shardIndexOf(fp)]
 }
 
+// Sum hashes data: the one pass over a content's bytes that addressing
+// it takes.
+func (r *Registry) Sum(data []byte) Sum {
+	return Sum{fp: r.hasher.Fingerprint(data), v: sha256.Sum256(data)}
+}
+
 // Assign returns the content address for data, detecting collisions.
 // Identical contents always receive identical addresses; distinct contents
 // always receive distinct addresses, even under a colliding hasher.
 func (r *Registry) Assign(data []byte) Fingerprint {
-	return r.assign(r.hasher.Fingerprint(data), verifierOf(data))
+	return r.AssignSum(r.Sum(data))
 }
 
-// assign resolves a precomputed (fingerprint, verifier) pair to its
-// collision-safe ID, recording the verifier under the fingerprint.
-// Callers must pass fp computed by r's hasher and v = verifierOf(data).
-func (r *Registry) assign(fp Fingerprint, v verifier) Fingerprint {
-	s := r.shardOf(fp)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := s.byFP[fp]
+// AssignSum is Assign for a content hashed earlier: it resolves s,
+// which must come from r.Sum, to the content's collision-safe ID,
+// recording the verifier under the fingerprint.
+func (r *Registry) AssignSum(s Sum) Fingerprint {
+	sh := r.shardOf(s.fp)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	seen := sh.byFP[s.fp]
 	for i, prev := range seen {
-		if prev == v {
-			return indexedID(fp, i)
+		if prev == s.v {
+			return indexedID(s.fp, i)
 		}
 	}
-	s.byFP[fp] = append(seen, v)
+	sh.byFP[s.fp] = append(seen, s.v)
 	if len(seen) > 0 {
-		s.collisions++
+		sh.collisions++
 	}
-	return indexedID(fp, len(seen))
+	return indexedID(s.fp, len(seen))
+}
+
+// SumAll is Sum of every item, computed on up to workers goroutines —
+// the CPU-bound part of addressing a batch.
+func (r *Registry) SumAll(items [][]byte, workers int) []Sum {
+	n := len(items)
+	sums := make([]Sum, n)
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i, data := range items {
+			sums[i] = r.Sum(data)
+		}
+		return sums
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		// workers <= n, so no range is empty.
+		lo, hi := w*n/workers, (w+1)*n/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				sums[i] = r.Sum(items[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return sums
 }
 
 // AssignAll assigns content addresses to every item using up to workers
-// goroutines for the hash computations — the CPU-bound part — and then
-// resolves collision IDs per shard, in input order within each shard.
-// The returned addresses are bit-identical to calling Assign on each
-// item in order, for any worker count: "-cN" suffixes depend only on the
-// order collisions are *assigned per fingerprint*, a fingerprint never
-// spans shards, and each shard assigns its items in input order — so no
-// global serialization point remains.
+// goroutines for the hash computations (SumAll) and then for resolving
+// the collision IDs (AssignSums). The returned addresses are
+// bit-identical to calling Assign on each item in order, for any worker
+// count.
 func (r *Registry) AssignAll(items [][]byte, workers int) []Fingerprint {
-	n := len(items)
+	return r.AssignSums(r.SumAll(items, workers), workers)
+}
+
+// AssignSums is AssignSum of every sum, resolved per shard, in input
+// order within each shard, on up to workers goroutines. The returned
+// addresses are bit-identical to calling AssignSum on each in order, for
+// any worker count: "-cN" suffixes depend only on the order collisions
+// are *assigned per fingerprint*, a fingerprint never spans shards, and
+// each shard assigns its items in input order — so no global
+// serialization point remains.
+func (r *Registry) AssignSums(sums []Sum, workers int) []Fingerprint {
+	n := len(sums)
 	if n == 0 {
 		return nil
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
 	fps := make([]Fingerprint, n)
-	vs := make([]verifier, n)
-	if workers <= 1 {
-		for i, data := range items {
-			fps[i] = r.hasher.Fingerprint(data)
-			vs[i] = verifierOf(data)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * n / workers
-			hi := (w + 1) * n / workers
-			if lo >= hi {
-				continue // empty range: don't spawn an idle goroutine
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					fps[i] = r.hasher.Fingerprint(items[i])
-					vs[i] = verifierOf(items[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
 
 	// Bucket item indices by shard with a counting sort (no per-shard
 	// slice allocations), then assign shard-by-shard. Within a shard,
 	// items keep input order, which pins the "-cN" numbering.
 	var counts [registryShards]int
 	shardIdx := make([]uint8, n)
-	for i, fp := range fps {
-		si := uint8(shardIndexOf(fp))
+	for i, s := range sums {
+		si := uint8(shardIndexOf(s.fp))
 		shardIdx[i] = si
 		counts[si]++
 	}
@@ -297,8 +337,6 @@ func (r *Registry) AssignAll(items [][]byte, workers int) []Fingerprint {
 		next[s]++
 	}
 
-	// Each item is resolved exactly once, so the fingerprint slice can be
-	// rewritten in place with the collision-safe IDs.
 	type run struct{ lo, hi int }
 	runs := make([]run, 0, registryShards)
 	for s := 0; s < registryShards; s++ {
@@ -311,7 +349,7 @@ func (r *Registry) AssignAll(items [][]byte, workers int) []Fingerprint {
 	}
 	if workers <= 1 {
 		for _, i := range order {
-			fps[i] = r.assign(fps[i], vs[i])
+			fps[i] = r.AssignSum(sums[i])
 		}
 		return fps
 	}
@@ -329,7 +367,7 @@ func (r *Registry) AssignAll(items [][]byte, workers int) []Fingerprint {
 			defer wg.Done()
 			for rn := range runCh {
 				for _, i := range order[rn.lo:rn.hi] {
-					fps[i] = r.assign(fps[i], vs[i])
+					fps[i] = r.AssignSum(sums[i])
 				}
 			}
 		}()

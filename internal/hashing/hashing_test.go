@@ -273,3 +273,50 @@ func TestAssignAllConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// A content hashed once (Sum) and assigned later, or many times,
+// without its bytes (AssignSum) gets the address Assign gives it, under
+// the real hasher and a colliding one; distinct contents have distinct
+// verifiers even when they share a fingerprint.
+func TestAssignSumMatchesAssign(t *testing.T) {
+	items := [][]byte{[]byte("aa"), []byte("bb"), []byte("aa"), []byte("c"), {}, []byte("dddd"), []byte("bb")}
+	for _, h := range []Hasher{nil, weakHasher{}} {
+		byBytes, bySum := NewRegistry(h), NewRegistry(h)
+		sums := bySum.SumAll(items, 3)
+		for i, data := range items {
+			if sums[i] != bySum.Sum(data) {
+				t.Fatalf("SumAll[%d] differs from Sum", i)
+			}
+			want := byBytes.Assign(data)
+			if got := bySum.AssignSum(sums[i]); got != want {
+				t.Errorf("AssignSum(%q) = %s, Assign = %s", data, got, want)
+			}
+			if again := bySum.AssignSum(sums[i]); again != want {
+				t.Errorf("AssignSum(%q) a second time = %s, want %s", data, again, want)
+			}
+		}
+		if bySum.Collisions() != byBytes.Collisions() || bySum.Entries() != byBytes.Entries() {
+			t.Errorf("collisions %d entries %d, by bytes %d and %d",
+				bySum.Collisions(), bySum.Entries(), byBytes.Collisions(), byBytes.Entries())
+		}
+		if sums[0].Verifier() != sums[2].Verifier() || sums[0].Verifier() == sums[1].Verifier() {
+			t.Error("verifiers do not tell equal contents from distinct ones")
+		}
+	}
+}
+
+func TestFingerprintWriter(t *testing.T) {
+	data := []byte(strings.Repeat("streamed content ", 1000))
+	w := NewFingerprintWriter()
+	for _, piece := range [][]byte{data[:1], data[1:4096], data[4096:]} {
+		if n, err := w.Write(piece); n != len(piece) || err != nil {
+			t.Fatal(n, err)
+		}
+	}
+	if got := w.Fingerprint(); got != FingerprintBytes(data) {
+		t.Errorf("streamed fingerprint %s, FingerprintBytes %s", got, FingerprintBytes(data))
+	}
+	if got := NewFingerprintWriter().Fingerprint(); got != FingerprintBytes(nil) {
+		t.Errorf("empty fingerprint %s", got)
+	}
+}

@@ -88,6 +88,12 @@ func (l *Layer) Tree() (*vfs.FS, error) {
 	return tarstream.UnpackGz(l.tarball)
 }
 
+// TreeKeep is Tree with the file contents the tree holds chosen by keep
+// (see tarstream.Keep), which up to workers goroutines call at once.
+func (l *Layer) TreeKeep(keep tarstream.Keep, workers int) (*vfs.FS, error) {
+	return tarstream.UnpackGzKeep(l.tarball, keep, workers)
+}
+
 // ReadFile returns the content of the regular file at the clean path p
 // in the layer's own diff — Tree().ReadFile(p) without the tree.
 func (l *Layer) ReadFile(p string) ([]byte, error) {

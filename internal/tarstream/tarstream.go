@@ -179,39 +179,54 @@ func (pk *packer) writeEntry(tw *tar.Writer, p string, n *vfs.Node) error {
 // directly — no intermediate uncompressed copy — and the output is
 // byte-identical to Gzip(Pack(f)).
 func PackGz(f *vfs.FS) ([]byte, error) {
-	buf := getBuf()
-	defer putBuf(buf)
-	zw := gzWriterPool.Get().(*gzip.Writer)
-	zw.Reset(buf)
-	if err := packInto(zw, f); err != nil {
-		gzWriterPool.Put(zw)
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		gzWriterPool.Put(zw)
-		return nil, fmt.Errorf("tarstream: packgz close: %w", err)
-	}
-	gzWriterPool.Put(zw)
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
+	return deflate("packgz", func(zw *gzip.Writer) error { return packInto(zw, f) })
 }
 
 // Gzip compresses data with deterministic gzip framing.
 func Gzip(data []byte) ([]byte, error) {
+	return deflate("gzip", func(zw *gzip.Writer) error {
+		_, err := zw.Write(data)
+		return err
+	})
+}
+
+// GzipFrom is Gzip of everything r holds, for content that is arriving
+// rather than held: nothing the size of the content is allocated, only
+// the stream. It also returns how many bytes r held. Each piece read
+// is written to tee first — a digest of the content, typically, so that
+// the content is judged in the pass that compresses it.
+func GzipFrom(r io.Reader, tee io.Writer) (gz []byte, n int64, err error) {
+	gz, err = deflate("gzip", func(zw *gzip.Writer) error {
+		var err error
+		n, err = Copy(io.MultiWriter(tee, zw), r)
+		return err
+	})
+	return gz, n, err
+}
+
+// Copy is io.Copy through a pooled scratch: it allocates nothing. (A
+// source that can write itself out — a bytes.Reader hands over its whole
+// slice — is not copied through anything.)
+func Copy(w io.Writer, r io.Reader) (int64, error) {
+	scratch := copyPool.Get().(*[copyChunk]byte)
+	defer copyPool.Put(scratch)
+	return io.CopyBuffer(w, r, scratch[:])
+}
+
+// deflate runs write against a pooled compressor and returns the gzip
+// stream it produced, in a buffer of its own exact size.
+func deflate(op string, write func(zw *gzip.Writer) error) ([]byte, error) {
 	buf := getBuf()
 	defer putBuf(buf)
 	zw := gzWriterPool.Get().(*gzip.Writer)
+	defer gzWriterPool.Put(zw)
 	zw.Reset(buf)
-	if _, err := zw.Write(data); err != nil {
-		gzWriterPool.Put(zw)
-		return nil, fmt.Errorf("tarstream: gzip write: %w", err)
+	if err := write(zw); err != nil {
+		return nil, fmt.Errorf("tarstream: %s write: %w", op, err)
 	}
 	if err := zw.Close(); err != nil {
-		gzWriterPool.Put(zw)
-		return nil, fmt.Errorf("tarstream: gzip close: %w", err)
+		return nil, fmt.Errorf("tarstream: %s close: %w", op, err)
 	}
-	gzWriterPool.Put(zw)
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())
 	return out, nil
@@ -306,9 +321,7 @@ func GunzipTo(w io.Writer, data []byte) (int64, error) {
 	if err := zr.Reset(bytes.NewReader(data)); err != nil {
 		return 0, fmt.Errorf("tarstream: gunzip: %w", err)
 	}
-	scratch := copyPool.Get().(*[copyChunk]byte)
-	defer copyPool.Put(scratch)
-	n, err := io.CopyBuffer(w, zr, scratch[:])
+	n, err := Copy(w, zr)
 	if err != nil {
 		return n, fmt.Errorf("tarstream: gunzip read: %w", err)
 	}
@@ -318,7 +331,7 @@ func GunzipTo(w io.Writer, data []byte) (int64, error) {
 	return n, nil
 }
 
-// copyChunk is the size of the scratch GunzipTo copies through. The
+// copyChunk is the size of the scratch Copy copies through. The
 // scratch has a pool of its own: bufPool's buffers have grown to the size
 // of whole archives, and borrowing one on every pull would keep it alive.
 const copyChunk = 32 << 10
@@ -376,7 +389,7 @@ func noEOF(err error) error {
 // preserved literally (as empty regular files named ".wh.*"); use
 // ApplyLayer to interpret them against a base tree.
 func Unpack(data []byte) (*vfs.FS, error) {
-	return unpackFrom(bytes.NewReader(data), len(data))
+	return unpackFrom(bytes.NewReader(data), len(data), ownCopy, 1)
 }
 
 // scanTar is the streaming tar parse shared by every reader of an
@@ -428,55 +441,209 @@ func readEntry(tr *tar.Reader, hdr *tar.Header, p string, bound int) ([]byte, er
 	return content, nil
 }
 
+// Keep is asked, for every regular file of an archive being unpacked,
+// what the tree should hold as its content, and answers with content or
+// with equal bytes it holds already — which is how a caller that keeps
+// contents of its own (the Gear converter's table of unique files) pays
+// memory for new bytes only. Borrowed content lies in the unpacker's
+// scratch and is only valid during the call: Keep copies what it wants
+// to hold. Content that is not borrowed has a buffer of its own exact
+// size, which Keep may return or hold as it is.
+type Keep func(content []byte, borrowed bool) []byte
+
+// ownCopy is the Keep of a plain unpack: every file gets its own bytes.
+func ownCopy(content []byte, borrowed bool) []byte {
+	if borrowed {
+		return bytes.Clone(content)
+	}
+	return content
+}
+
+// smallEntry is the largest regular file, going by the size its header
+// declares, that is read through the unpacker's scratch. A larger one is
+// read into a buffer of its own and never copied: one memcpy of a small
+// file is nothing beside hashing it, one of a weights file is not.
+const smallEntry = 1 << 20
+
+var scratchPool = sync.Pool{New: func() any { return new([smallEntry]byte) }}
+
+// slot is one regular file between being read off the archive and
+// being written to the tree, and the scratch it is read through.
+type slot struct {
+	scratch  *[smallEntry]byte // from scratchPool, once a small entry needs it
+	p        string
+	mode     fs.FileMode
+	content  []byte // as read; then as Keep answered
+	borrowed bool
+	pending  bool          // handed to a worker, not yet written to the tree
+	kept     chan struct{} // the worker's signal that content is Keep's answer
+}
+
+// unpacker builds the tree of one archive. Entries are written to the
+// tree strictly in archive order. With one worker Keep is called as each
+// file is read. With more, up to that many files are with Keep at once,
+// each read through a scratch of its own: the slots are used round robin
+// and a slot's file is written before the slot is used again, or before
+// any entry that is not a regular file, so the order holds.
+type unpacker struct {
+	f    *vfs.FS
+	made string // the directory the last entry was written into
+	keep Keep
+	ring []slot
+	next int        // the slot the next regular file is read into
+	jobs chan *slot // nil with one worker
+	wg   sync.WaitGroup
+}
+
 // unpackFrom builds the tree of the archive r holds; bound is readEntry's.
-func unpackFrom(r io.Reader, bound int) (*vfs.FS, error) {
-	f := vfs.New()
-	// Entries of one directory arrive together, and a directory, once
-	// made, stays one (nothing here replaces a directory), so its chain
-	// is only made when the parent differs from the previous entry's.
-	made := "/"
-	err := scanTar(r, func(p string, hdr *tar.Header, tr *tar.Reader) error {
-		if dir := p[:max(strings.LastIndexByte(p, '/'), 1)]; dir != made {
-			if err := f.MkdirAll(dir, 0o755); err != nil {
-				return fmt.Errorf("tarstream: unpack %s: %w", p, err)
-			}
-			made = dir
+func unpackFrom(r io.Reader, bound int, keep Keep, workers int) (*vfs.FS, error) {
+	u := &unpacker{f: vfs.New(), made: "/", keep: keep, ring: make([]slot, max(workers, 1))}
+	if workers > 1 {
+		u.jobs = make(chan *slot)
+		for i := range u.ring {
+			u.ring[i].kept = make(chan struct{}, 1)
 		}
-		mode := fs.FileMode(hdr.Mode).Perm()
+		for w := 0; w < workers; w++ {
+			u.wg.Add(1)
+			go func() {
+				defer u.wg.Done()
+				for s := range u.jobs {
+					s.content = u.keep(s.content, s.borrowed)
+					s.kept <- struct{}{}
+				}
+			}()
+		}
+	}
+	err := scanTar(r, func(p string, hdr *tar.Header, tr *tar.Reader) error {
+		if hdr.Typeflag == tar.TypeReg {
+			return u.regular(p, hdr, tr, bound)
+		}
+		if err := u.settle(); err != nil {
+			return err
+		}
+		if err := u.mkParent(p); err != nil {
+			return err
+		}
 		var err error
-		switch hdr.Typeflag {
-		case tar.TypeDir:
-			if f.Exists(p) {
-				return nil
-			}
-			err = f.Mkdir(p, mode)
-		case tar.TypeReg:
-			var content []byte
-			if content, err = readEntry(tr, hdr, p, bound); err != nil {
-				return err
-			}
-			err = f.WriteFile(p, content, mode)
-		case tar.TypeSymlink:
-			err = f.Symlink(hdr.Linkname, p)
+		if hdr.Typeflag == tar.TypeSymlink {
+			err = u.f.Symlink(hdr.Linkname, p)
+		} else if !u.f.Exists(p) {
+			err = u.f.Mkdir(p, fs.FileMode(hdr.Mode).Perm())
 		}
 		if err != nil {
 			return fmt.Errorf("tarstream: unpack %s: %w", p, err)
 		}
 		return nil
 	})
+	if err == nil {
+		err = u.settle()
+	}
+	// No scratch goes back to the pool while a worker may still read it.
+	if u.jobs != nil {
+		close(u.jobs)
+		u.wg.Wait()
+	}
+	for i := range u.ring {
+		if u.ring[i].scratch != nil {
+			scratchPool.Put(u.ring[i].scratch)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return u.f, nil
+}
+
+// regular reads the regular-file entry tr stands at and passes it to
+// Keep, here or on a worker.
+func (u *unpacker) regular(p string, hdr *tar.Header, tr *tar.Reader, bound int) error {
+	s := &u.ring[u.next]
+	if err := u.write(s); err != nil {
+		return err
+	}
+	s.p, s.mode = p, fs.FileMode(hdr.Mode).Perm()
+	if s.borrowed = 0 <= hdr.Size && hdr.Size <= smallEntry; s.borrowed {
+		if s.scratch == nil {
+			s.scratch = scratchPool.Get().(*[smallEntry]byte)
+		}
+		s.content = s.scratch[:hdr.Size]
+		// The tar reader ends an entry where its header says, so a full
+		// read is the whole content.
+		if _, err := io.ReadFull(tr, s.content); err != nil {
+			return fmt.Errorf("tarstream: unpack %s: %w: %w", p, ErrCorrupt, err)
+		}
+	} else {
+		var err error
+		if s.content, err = readEntry(tr, hdr, p, bound); err != nil {
+			return err
+		}
+	}
+	s.pending = true
+	if u.jobs == nil {
+		s.content = u.keep(s.content, s.borrowed)
+		return u.write(s)
+	}
+	u.jobs <- s
+	u.next = (u.next + 1) % len(u.ring)
+	return nil
+}
+
+// settle writes every file still pending to the tree, oldest first.
+func (u *unpacker) settle() error {
+	for i := range u.ring {
+		if err := u.write(&u.ring[(u.next+i)%len(u.ring)]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// write puts s's file, if it holds one, into the tree, waiting for the
+// worker that has it.
+func (u *unpacker) write(s *slot) error {
+	if !s.pending {
+		return nil
+	}
+	if u.jobs != nil {
+		<-s.kept
+	}
+	s.pending = false
+	if err := u.mkParent(s.p); err != nil {
+		return err
+	}
+	if err := u.f.WriteFile(s.p, s.content, s.mode); err != nil {
+		return fmt.Errorf("tarstream: unpack %s: %w", s.p, err)
+	}
+	return nil
+}
+
+// mkParent makes the directory p is in. Entries of one directory arrive
+// together, and a directory, once made, stays one (nothing here replaces
+// a directory), so its chain is only made when the parent differs from
+// the previous entry's.
+func (u *unpacker) mkParent(p string) error {
+	if dir := p[:max(strings.LastIndexByte(p, '/'), 1)]; dir != u.made {
+		if err := u.f.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("tarstream: unpack %s: %w", p, err)
+		}
+		u.made = dir
+	}
+	return nil
 }
 
 // UnpackGz is Unpack over gzip-compressed data. The pooled gzip reader
 // feeds the tar parser directly — the uncompressed archive is never
 // materialized, so a layer unpack allocates its file contents and
 // nothing else.
-func UnpackGz(data []byte) (f *vfs.FS, err error) {
+func UnpackGz(data []byte) (*vfs.FS, error) {
+	return UnpackGzKeep(data, ownCopy, 1)
+}
+
+// UnpackGzKeep is UnpackGz with the tree's file contents chosen by keep,
+// which up to workers goroutines call at once.
+func UnpackGzKeep(data []byte, keep Keep, workers int) (f *vfs.FS, err error) {
 	err = scanGz(data, func(r io.Reader, bound int) error {
-		f, err = unpackFrom(r, bound)
+		f, err = unpackFrom(r, bound, keep, workers)
 		return err
 	})
 	return f, err

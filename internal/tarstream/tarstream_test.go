@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"path"
 	"strings"
+	"sync"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"github.com/gear-image/gear/internal/vfs"
@@ -893,5 +896,159 @@ func TestGunzipToMatchesGunzip(t *testing.T) {
 	}
 	if _, err := GunzipTo(&bytes.Buffer{}, []byte("not gzip")); err == nil {
 		t.Error("GunzipTo accepted garbage")
+	}
+}
+
+// rawEntry is one entry of a hand-written archive.
+type rawEntry struct {
+	tar.Header
+	content string
+}
+
+// rawTar writes the given entries, in order, as a tar archive: unlike
+// Pack it can name one path twice.
+func rawTar(t *testing.T, entries ...rawEntry) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := tar.NewWriter(&buf)
+	for _, e := range entries {
+		e.Size = int64(len(e.content))
+		if err := tw.WriteHeader(&e.Header); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(tw, e.content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// UnpackGzKeep shows every regular file to Keep exactly once — borrowed
+// when small, in a buffer of its own when not — holds in the tree what
+// Keep answers, and builds the same tree whatever the worker count,
+// entries that replace earlier ones included.
+func TestUnpackGzKeep(t *testing.T) {
+	file := func(name, content string) rawEntry {
+		return rawEntry{tar.Header{Name: name, Typeflag: tar.TypeReg, Mode: 0o644}, content}
+	}
+	big := strings.Repeat("weights ", smallEntry/8+1)
+	edge := strings.Repeat("e", smallEntry)
+	entries := []rawEntry{
+		{Header: tar.Header{Name: "d/", Typeflag: tar.TypeDir, Mode: 0o755}},
+		file("d/a", "first"), file("d/b", "shared bytes"), file("d/c", "shared bytes"),
+		file("d/a", "second"), // replaces
+		{Header: tar.Header{Name: "d/b", Typeflag: tar.TypeSymlink, Linkname: "a"}}, // replaces a file whose Keep may still be running
+		file("d/big", big), file("d/edge", edge), file("d/empty", ""),
+		{Header: tar.Header{Name: "e/", Typeflag: tar.TypeDir, Mode: 0o700}},
+		file("e/deep/f", "parent made on the way"),
+	}
+	regular := 8 + 40
+	for i := 0; i < 40; i++ {
+		entries = append(entries, file(fmt.Sprintf("e/n%02d", i), fmt.Sprintf("file %d", i%7)))
+	}
+	gz, err := Gzip(rawTar(t, entries...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := UnpackGz(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPacked, err := Pack(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := want.ReadFile("/d/a"); err != nil || string(data) != "second" {
+		t.Fatalf("/d/a = %q, %v", data, err)
+	}
+	if n, err := want.Stat("/d/b"); err != nil || n.Type() != vfs.TypeSymlink {
+		t.Fatalf("/d/b is not the symlink that replaced it: %v", err)
+	}
+
+	for _, workers := range []int{1, 2, 4, 16} {
+		var mu sync.Mutex
+		held := make(map[string][]byte) // one slice per content, as the converter's table holds
+		calls := 0
+		keep := func(content []byte, borrowed bool) []byte {
+			mu.Lock()
+			defer mu.Unlock()
+			calls++
+			if borrowed != (len(content) <= smallEntry) {
+				t.Errorf("workers=%d: %d-byte content borrowed=%v", workers, len(content), borrowed)
+			}
+			if h, ok := held[string(content)]; ok {
+				return h
+			}
+			if borrowed {
+				content = append([]byte(nil), content...)
+			}
+			held[string(content)] = content
+			return content
+		}
+		got, err := UnpackGzKeep(gz, keep, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPacked, err := Pack(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotPacked, wantPacked) {
+			t.Errorf("workers=%d: tree differs from UnpackGz's", workers)
+		}
+		if calls != regular {
+			t.Errorf("workers=%d: Keep called %d times for %d regular files", workers, calls, regular)
+		}
+		b, _ := got.ReadFile("/d/c")
+		if len(b) == 0 || &b[0] != &held["shared bytes"][0] {
+			t.Errorf("workers=%d: the tree does not hold the slice Keep answered", workers)
+		}
+	}
+
+	// A cut-off archive fails for any worker count, with no worker left
+	// holding a scratch.
+	cut, err := Gzip(rawTar(t, entries...)[:3000])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		if _, err := UnpackGzKeep(cut, ownCopy, workers); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("workers=%d: cut-off archive: %v, want ErrCorrupt", workers, err)
+		}
+	}
+}
+
+// GzipFrom is Gzip of what the reader holds, however the bytes arrive,
+// and every byte passes the tee.
+func TestGzipFromMatchesGzip(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, size := range []int{0, 1, 4 << 10, copyChunk, 300<<10 + 17} {
+		data := make([]byte, size)
+		rng.Read(data[:size/2])
+		want, err := Gzip(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range map[string]io.Reader{
+			"whole":     bytes.NewReader(data),
+			"streamed":  struct{ io.Reader }{bytes.NewReader(data)},
+			"byte-wise": iotest.OneByteReader(bytes.NewReader(data)),
+		} {
+			if size > copyChunk && name == "byte-wise" {
+				continue
+			}
+			var tee bytes.Buffer
+			got, n, err := GzipFrom(r, &tee)
+			if err != nil || n != int64(size) || !bytes.Equal(got, want) || !bytes.Equal(tee.Bytes(), data) {
+				t.Errorf("%d bytes %s: n=%d err=%v, stream equal: %v, tee equal: %v",
+					size, name, n, err, bytes.Equal(got, want), bytes.Equal(tee.Bytes(), data))
+			}
+		}
+	}
+	if _, _, err := GzipFrom(iotest.ErrReader(errors.New("source broke")), io.Discard); err == nil {
+		t.Error("a failing source compressed")
 	}
 }

@@ -36,8 +36,7 @@ func readBody(r io.Reader, length, limit int64) ([]byte, error) {
 		return body, err
 	}
 	body, err := io.ReadAll(io.LimitReader(r, limit+1))
-	var tooLarge *http.MaxBytesError
-	if int64(len(body)) > limit || errors.As(err, &tooLarge) {
+	if int64(len(body)) > limit {
 		return nil, ErrTooLarge
 	}
 	return body, err
@@ -45,7 +44,7 @@ func readBody(r io.Reader, length, limit int64) ([]byte, error) {
 
 // Request is what a verb is served: the HTTP request, the rest of the
 // path after the verb's "*" pattern, and, for a POST or PUT verb, the
-// body, already read.
+// body, already read — unless the verb streams.
 type Request struct {
 	*http.Request
 	Arg  string
@@ -58,10 +57,19 @@ type Request struct {
 // before the method is looked at. Serve either writes the response and
 // returns nil, or returns an error before writing anything and the
 // table answers for it.
+//
+// Stream marks a POST or PUT verb whose body is an object rather than
+// a few lines of text: the body is left on the connection for Serve to
+// read from r.Request.Body, once, as it judges and stores it, and
+// r.Body stays nil. The bound is the same — a body declared over
+// MaxBody is refused unread, one that runs over it fails the read — and
+// a read that fails is still the table's to answer for, whatever Serve
+// makes of it.
 type Verb struct {
 	Method string
 	Path   string
 	Check  func(arg string) error
+	Stream bool
 	Serve  func(w http.ResponseWriter, r *Request) error
 }
 
@@ -118,12 +126,22 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request) error {
 		}
 		req := &Request{Request: r, Arg: arg}
 		if (v.Method == http.MethodPost || v.Method == http.MethodPut) && r.ContentLength != 0 {
-			var err error
-			req.Body, err = readBody(http.MaxBytesReader(w, r.Body, MaxBody), r.ContentLength, MaxBody)
-			if errors.Is(err, ErrTooLarge) {
+			if r.ContentLength > MaxBody {
+				return ErrTooLarge
+			}
+			bounded := http.MaxBytesReader(w, r.Body, MaxBody)
+			if v.Stream {
+				body := &streamedBody{ReadCloser: bounded}
+				r.Body = body
+				err := v.Serve(w, req)
+				if body.err != nil {
+					return body.err
+				}
 				return err
-			} else if err != nil {
-				return As(ErrBadRequest, err)
+			}
+			var err error
+			if req.Body, err = readBody(bounded, r.ContentLength, MaxBody); err != nil {
+				return bodyError(err)
 			}
 		}
 		return v.Serve(w, req)
@@ -133,6 +151,31 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request) error {
 	}
 	w.WriteHeader(http.StatusMethodNotAllowed)
 	return nil
+}
+
+// bodyError types a failed read of a request body for the status table.
+func bodyError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.Is(err, ErrTooLarge) || errors.As(err, &tooLarge) {
+		return ErrTooLarge
+	}
+	return As(ErrBadRequest, err)
+}
+
+// streamedBody is the body a streaming verb reads. It types a failed
+// read as the handler types one of its own, and remembers it.
+type streamedBody struct {
+	io.ReadCloser
+	err error
+}
+
+func (b *streamedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if err != nil && err != io.EOF {
+		err = bodyError(err)
+		b.err = err
+	}
+	return n, err
 }
 
 // Respond is how a verb answers 200 with a body: it declares the

@@ -477,3 +477,73 @@ func TestServeShutsDownGracefully(t *testing.T) {
 		t.Fatalf("Serve = %v, want nil after a clean shutdown", err)
 	}
 }
+
+// failing is a body that breaks off after what it has.
+type failing struct{ r io.Reader }
+
+func (f failing) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	if err == io.EOF {
+		err = errors.New("connection reset mid-body")
+	}
+	return n, err
+}
+
+// A streaming verb reads its body off the connection itself, and the
+// handler still owns the bound and what a broken body is answered: a
+// body declared over MaxBody is refused unread, and a read that fails is
+// a 400 (413 past the bound) whatever the verb made of the failure.
+func TestStreamedVerb(t *testing.T) {
+	var got []byte
+	verdict := error(nil)
+	h := NewHandler(testStatuses, Verb{Method: http.MethodPut, Path: "/up", Stream: true, Serve: func(w http.ResponseWriter, r *Request) error {
+		if r.Body != nil {
+			t.Error("a streaming verb was handed a body already read")
+		}
+		var err error
+		if got, err = io.ReadAll(r.Request.Body); err == nil && verdict == nil {
+			w.WriteHeader(http.StatusCreated)
+		}
+		return verdict
+	}})
+	put := func(body io.Reader, length int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPut, "/up", body)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	if rec := put(strings.NewReader("an object"), 9); rec.Code != http.StatusCreated || string(got) != "an object" {
+		t.Errorf("streamed upload: %d, verb read %q", rec.Code, got)
+	}
+	if rec := put(http.NoBody, 0); rec.Code != http.StatusCreated || len(got) != 0 {
+		t.Errorf("empty streamed upload: %d, verb read %q", rec.Code, got)
+	}
+	if rec := put(strings.NewReader("no length"), -1); rec.Code != http.StatusCreated || string(got) != "no length" {
+		t.Errorf("streamed upload without a length: %d, verb read %q", rec.Code, got)
+	}
+	// The verb's own verdict stands when the body was sound.
+	verdict = fmt.Errorf("storing: %w", errGone)
+	if rec := put(strings.NewReader("an object"), 9); rec.Code != http.StatusGone {
+		t.Errorf("verb's error: %d, want 410", rec.Code)
+	}
+	// A broken body is a 400 whether the verb reports it, something
+	// else, or nothing.
+	for _, verdict = range []error{nil, errGone, errors.New("what the verb made of it")} {
+		rec := put(failing{strings.NewReader("half an obj")}, 22)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "connection reset mid-body") {
+			t.Errorf("broken body, verb says %v: %d %q, want 400 with the transport's error", verdict, rec.Code, rec.Body)
+		}
+	}
+	if rec := put(unread{t}, MaxBody+1); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared over the bound: %d, want 413", rec.Code)
+	}
+
+	// A body that runs past the bound fails the read that crosses it,
+	// typed, and the failure is remembered.
+	body := &streamedBody{ReadCloser: http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(zeros{}), 64)}
+	if n, err := io.Copy(io.Discard, body); !errors.Is(err, ErrTooLarge) || !errors.Is(body.err, ErrTooLarge) || n > 64 {
+		t.Errorf("endless body under a 64-byte bound: %d bytes passed on, %v (remembered: %v); want at most 64 and ErrTooLarge", n, err, body.err)
+	}
+}

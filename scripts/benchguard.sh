@@ -6,7 +6,7 @@
 #   ./scripts/benchguard.sh -update
 set -eu
 cd "$(dirname "$0")/.."
-PKGS="./internal/hashing ./internal/vfs ./internal/tarstream ./internal/overlay ./internal/gear/index ./internal/gear/viewer ./internal/gear/store ./internal/telemetry ./internal/shardreg ./internal/gearregistry"
+PKGS="./internal/hashing ./internal/vfs ./internal/tarstream ./internal/overlay ./internal/gear/index ./internal/gear/convert ./internal/gear/viewer ./internal/gear/store ./internal/telemetry ./internal/shardreg ./internal/gearregistry"
 OUT="${BENCH_OUT:-$(mktemp)}"
 # shellcheck disable=SC2086
 go test -run '^$' -bench . -benchmem -count=1 $PKGS | tee "$OUT.raw"
