@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/cache"
-	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gear/store"
 	"github.com/gear-image/gear/internal/gear/viewer"
 	"github.com/gear-image/gear/internal/gearregistry"
@@ -614,11 +613,7 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 			}
 			img.Layers = append(img.Layers, layer)
 		}
-		ix, err := index.FromImage(img)
-		if err != nil {
-			return err
-		}
-		return d.gearStore.AddIndex(ix)
+		return d.gearStore.InstallImage(img)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dockersim: deploy gear %s: %w", ref, err)

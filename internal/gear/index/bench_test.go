@@ -109,3 +109,21 @@ func BenchmarkFromImage(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInstallIndex is the whole index install of a deploy: the index
+// image as it was pulled to the mounted placeholder tree and chunk tables
+// (MountImage), with no Index in between.
+func BenchmarkInstallIndex(b *testing.B) {
+	img, err := benchIndex(b).ToImage()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(img.Layers[0].Size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MountImage(img); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

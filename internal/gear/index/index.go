@@ -5,15 +5,28 @@
 // ~0.53 MB on average, ~1.1% of total image bytes) and a container can be
 // launched as soon as it is downloaded.
 //
-// The index has three interchangeable representations:
+// The index has four representations. They are interchangeable in what
+// they say; they differ in who holds them and for how long:
 //
-//   - a typed tree (Index/Entry) used by the converter and driver;
+//   - the serialized blob (EncodeBinary; JSON for tools), carried by a
+//     single-layer Docker image (ToImage) so the unmodified Docker
+//     distribution path can store and pull it (§III-C). On a client the
+//     blob is read out of the layer once, as a string, and lives as long
+//     as the installed image: every decoded name is a substring of it;
+//   - a typed tree (Index/Entry: DecodeBinary, FromImage), used by the
+//     converter, the tools and Commit. Nothing on the deploy path builds
+//     one: an installed image derives it from the retained blob the first
+//     time Store.Index, Prefetch or Commit asks (Mounted.Index);
 //   - a placeholder filesystem (ToTree/FromTree) where each regular file
-//     holds a one-line "gearfp:" record — this is the "index" directory
-//     the Gear File Viewer mounts, and the fingerprint file the paper's
-//     modified ovl_lookup_single() pauses on;
-//   - a single-layer Docker image (ToImage/FromImage) so the unmodified
-//     Docker distribution path can store and pull it (§III-C).
+//     holds a one-line "gearfp:" record — the "index" directory the Gear
+//     File Viewer mounts, and the fingerprint file the paper's modified
+//     ovl_lookup_single() pauses on. It is mutable: a fault relinks the
+//     file over its record, so the tree forgets fingerprints as it is
+//     used, which is why the blob is kept beside it;
+//   - the installed form (Mounted: that tree plus the chunk tables), which
+//     is what a client's store holds per image. DecodeMounted/MountImage
+//     build it from the blob in the one decoder walk, validating as they
+//     go; Index.Mount builds it from a typed tree.
 package index
 
 import (
@@ -289,9 +302,7 @@ func validateEntry(e *Entry, at *dirPath) error {
 		in := dirPath{dir: e, up: at}
 		prev := ""
 		for i, c := range e.Children {
-			// "." and ".." would pass for segments and then name the
-			// directory itself or its parent once the tree is mounted.
-			if c.Name == "" || c.Name == "." || c.Name == ".." || strings.ContainsAny(c.Name, "/\x00") {
+			if badName(c.Name) {
 				return fmt.Errorf("index: bad name %q in %s: %w", c.Name, in.String(), ErrCorrupt)
 			}
 			if i > 0 && c.Name <= prev {
@@ -306,27 +317,16 @@ func validateEntry(e *Entry, at *dirPath) error {
 		if err := e.Fingerprint.Validate(); err != nil {
 			return fmt.Errorf("index: %s%s: %w", at.String(), e.Name, err)
 		}
-		if e.Size < 0 {
-			return fmt.Errorf("index: %s%s: negative size: %w", at.String(), e.Name, ErrCorrupt)
-		}
 		if len(e.Children) > 0 {
 			return fmt.Errorf("index: file %s%s has children: %w", at.String(), e.Name, ErrCorrupt)
 		}
-		if len(e.Chunks) > 0 {
-			var sum int64
-			for _, c := range e.Chunks {
-				if err := c.Fingerprint.Validate(); err != nil {
-					return fmt.Errorf("index: %s%s chunk: %w", at.String(), e.Name, err)
-				}
-				if c.Size <= 0 {
-					return fmt.Errorf("index: %s%s: bad chunk size %d: %w", at.String(), e.Name, c.Size, ErrCorrupt)
-				}
-				sum += c.Size
+		for _, c := range e.Chunks {
+			if err := c.Fingerprint.Validate(); err != nil {
+				return fmt.Errorf("index: %s%s chunk: %w", at.String(), e.Name, err)
 			}
-			if sum != e.Size {
-				return fmt.Errorf("index: %s%s: chunk sizes sum %d != size %d: %w",
-					at.String(), e.Name, sum, e.Size, ErrCorrupt)
-			}
+		}
+		if err := checkSizes(e.Size, e.Chunks); err != nil {
+			return fmt.Errorf("index: %s%s: %w", at.String(), e.Name, err)
 		}
 	case vfs.TypeSymlink:
 		if len(e.Children) > 0 {
@@ -334,6 +334,35 @@ func validateEntry(e *Entry, at *dirPath) error {
 		}
 	default:
 		return fmt.Errorf("index: %s%s: bad type %v: %w", at.String(), e.Name, e.Type, ErrCorrupt)
+	}
+	return nil
+}
+
+// badName reports whether name cannot be an entry's: it is not one path
+// segment, or it is "." or "..", which would pass for segments and then
+// name the directory itself or its parent once the tree is mounted.
+func badName(name string) bool {
+	return name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\x00")
+}
+
+// checkSizes holds a regular file's size and its chunks' sizes to what
+// Validate requires of them.
+func checkSizes(size int64, chunks []Chunk) error {
+	if size < 0 {
+		return fmt.Errorf("negative size: %w", ErrCorrupt)
+	}
+	if len(chunks) == 0 {
+		return nil
+	}
+	var sum int64
+	for _, c := range chunks {
+		if c.Size <= 0 {
+			return fmt.Errorf("bad chunk size %d: %w", c.Size, ErrCorrupt)
+		}
+		sum += c.Size
+	}
+	if sum != size {
+		return fmt.Errorf("chunk sizes sum %d != size %d: %w", sum, size, ErrCorrupt)
 	}
 	return nil
 }
@@ -362,12 +391,12 @@ func Decode(data []byte) (*Index, error) {
 // Placeholder renders the one-line fingerprint record stored in place of
 // a regular file: "gearfp:<fingerprint>:<size>\n".
 func Placeholder(fp hashing.Fingerprint, size int64) []byte {
-	return appendPlaceholder(nil, fp, size)
+	return appendPlaceholder(nil, fpRef{s: string(fp)}, size)
 }
 
-func appendPlaceholder(dst []byte, fp hashing.Fingerprint, size int64) []byte {
+func appendPlaceholder(dst []byte, fp fpRef, size int64) []byte {
 	dst = append(dst, PlaceholderPrefix...)
-	dst = append(dst, fp...)
+	dst = fp.appendText(dst)
 	dst = append(dst, ':')
 	dst = strconv.AppendInt(dst, size, 10)
 	return append(dst, '\n')
@@ -377,30 +406,54 @@ func appendPlaceholder(dst []byte, fp hashing.Fingerprint, size int64) []byte {
 // content that is not a placeholder record — and decides that from the
 // first bytes: content of any size that does not begin like a record (a
 // materialized file, on every read of it) is turned away without a copy.
+// Content that begins like one and is not (a container's own data can)
+// is ErrCorrupt, and turned away by its length when it is longer than
+// any record: the error quotes no more of it than a record's worth.
 func ParsePlaceholder(data []byte) (hashing.Fingerprint, int64, error) {
+	rawFP, size, err := parseRecord(data)
+	if err != nil {
+		return "", 0, err
+	}
+	return hashing.Fingerprint(rawFP), size, nil
+}
+
+// IsPlaceholder reports whether data is a fingerprint placeholder record:
+// whether ParsePlaceholder accepts it. For a record, and for content that
+// does not begin like one, it answers from the bytes and allocates
+// nothing.
+func IsPlaceholder(data []byte) bool {
+	_, _, err := parseRecord(data)
+	return err == nil
+}
+
+// maxRecordLen is the longest record Placeholder writes: the prefix, a
+// collision-fallback ID ("<32 hex>-c" and the digits of an int), a colon,
+// the digits of an int64, a newline.
+const maxRecordLen = len(PlaceholderPrefix) + 32 + 2 + 20 + 1 + 20 + 1
+
+// parseRecord is ParsePlaceholder up to the fingerprint's bytes, which
+// lie in data.
+func parseRecord(data []byte) (rawFP []byte, size int64, err error) {
 	if len(data) < len(PlaceholderPrefix) || string(data[:len(PlaceholderPrefix)]) != PlaceholderPrefix {
-		return "", 0, ErrNotGearFile
+		return nil, 0, ErrNotGearFile
+	}
+	if len(data) > maxRecordLen {
+		return nil, 0, fmt.Errorf("placeholder %q... is %d bytes, longer than any record: %w",
+			data[:maxRecordLen], len(data), ErrCorrupt)
 	}
 	rest := bytes.TrimSuffix(data[len(PlaceholderPrefix):], []byte("\n"))
 	rawFP, rawSize, found := bytes.Cut(rest, []byte(":"))
 	if !found {
-		return "", 0, fmt.Errorf("placeholder %q: %w", data, ErrCorrupt)
+		return nil, 0, fmt.Errorf("placeholder %q: %w", data, ErrCorrupt)
 	}
-	fp := hashing.Fingerprint(rawFP)
-	if err := fp.Validate(); err != nil {
-		return "", 0, fmt.Errorf("placeholder: %w", err)
+	if !hashing.ValidFingerprint(rawFP) {
+		return nil, 0, fmt.Errorf("placeholder: fingerprint %q: %w", rawFP, hashing.ErrMalformed)
 	}
-	size, err := strconv.ParseInt(string(rawSize), 10, 64)
+	size, err = strconv.ParseInt(string(rawSize), 10, 64)
 	if err != nil || size < 0 {
-		return "", 0, fmt.Errorf("placeholder size %q: %w", rawSize, ErrCorrupt)
+		return nil, 0, fmt.Errorf("placeholder size %q: %w", rawSize, ErrCorrupt)
 	}
-	return fp, size, nil
-}
-
-// IsPlaceholder reports whether data is a fingerprint placeholder record.
-func IsPlaceholder(data []byte) bool {
-	_, _, err := ParsePlaceholder(data)
-	return err == nil
+	return rawFP, size, nil
 }
 
 // ToTree materializes the index as a placeholder filesystem: directories
@@ -447,7 +500,7 @@ func dirToTree(dir *Entry, n *vfs.Node, records []byte) []byte {
 			records = dirToTree(c, n.AddDir(c.Name, c.Mode, len(c.Children)), records)
 		case vfs.TypeRegular:
 			start := len(records)
-			records = appendPlaceholder(records, c.Fingerprint, c.Size)
+			records = appendPlaceholder(records, fpRef{s: string(c.Fingerprint)}, c.Size)
 			n.AddFile(c.Name, records[start:len(records):len(records)], c.Mode)
 		case vfs.TypeSymlink:
 			n.AddSymlink(c.Name, c.Target)
@@ -647,17 +700,26 @@ func (ix *Index) ToImage() (*imagefmt.Image, error) {
 // serialized index is read straight out of that layer's tarball: nothing
 // is flattened, and no tree is built to hold one file.
 func FromImage(img *imagefmt.Image) (*Index, error) {
+	blob, err := imageBlob(img)
+	if err != nil {
+		return nil, err
+	}
+	return decodeIndex(blob)
+}
+
+// imageBlob reads the serialized index out of its single-layer image.
+func imageBlob(img *imagefmt.Image) (string, error) {
 	if img.Manifest.Config.Labels[IndexLabel] == "" {
-		return nil, fmt.Errorf("index: image %s is not a gear index: %w",
+		return "", fmt.Errorf("index: image %s is not a gear index: %w",
 			img.Manifest.Reference(), ErrNotGearFile)
 	}
 	if len(img.Layers) != 1 {
-		return nil, fmt.Errorf("index: from image: %s has %d layers, a gear index image has one: %w",
+		return "", fmt.Errorf("index: from image: %s has %d layers, a gear index image has one: %w",
 			img.Manifest.Reference(), len(img.Layers), ErrCorrupt)
 	}
-	enc, err := img.Layers[0].ReadFile(IndexFileName)
+	blob, err := img.Layers[0].ReadFile(IndexFileName)
 	if err != nil {
-		return nil, fmt.Errorf("index: from image: %w: %w", ErrCorrupt, err)
+		return "", fmt.Errorf("index: from image: %w: %w", ErrCorrupt, err)
 	}
-	return DecodeBinary(enc)
+	return blob, nil
 }

@@ -875,7 +875,8 @@ func countEntries(e *Entry) int {
 // constant per entry, whatever the depth of the tree: decoding a handful
 // of slabs (well under one allocation per ten entries), and the tree one
 // node per entry, one content per file and one map per directory — at
-// most maxTreeAllocsPerEntry — plus the one buffer of records.
+// most maxTreeAllocsPerEntry — plus the one buffer of records. Decoding
+// a blob straight into the tree costs the tree alone.
 func TestIndexInstallAllocs(t *testing.T) {
 	const maxTreeAllocsPerEntry = 3
 	deep := vfs.New()
@@ -922,6 +923,17 @@ func TestIndexInstallAllocs(t *testing.T) {
 			}
 		}); n > entries/10+24 {
 			t.Errorf("%s: DecodeBinary: %v allocs for %v entries, want at most one per ten entries and 24", ix.Reference(), n, entries)
+		}
+		// The install a deploy does — blob to mounted tree — is the tree's
+		// allocations and a constant: no Entry, no hex fingerprint, and the
+		// records in a buffer or two.
+		blob := string(enc)
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeMounted(blob); err != nil {
+				t.Fatal(err)
+			}
+		}); n > maxTreeAllocsPerEntry*entries+16 {
+			t.Errorf("%s: DecodeMounted: %v allocs for %v entries, want at most %d per entry and 16", ix.Reference(), n, entries, maxTreeAllocsPerEntry)
 		}
 	}
 }

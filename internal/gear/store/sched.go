@@ -233,7 +233,7 @@ func (s *Store) PrefetchProfile(ref string) (PrefetchResult, error) {
 		}
 	}
 	for _, e := range p.Entries {
-		if chunks := st.chunks[e.Fingerprint]; len(chunks) > 0 {
+		if chunks := st.Chunks[e.Fingerprint]; len(chunks) > 0 {
 			for _, ch := range chunks {
 				add(ch.Fingerprint)
 			}

@@ -30,6 +30,7 @@ import (
 	"github.com/gear-image/gear/internal/gear/viewer"
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/imagefmt"
 	"github.com/gear-image/gear/internal/prefetch"
 	"github.com/gear-image/gear/internal/telemetry"
 	"github.com/gear-image/gear/internal/vfs"
@@ -201,14 +202,24 @@ func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
 	}
 }
 
+// imageState is an installed image: its mounted index — the shared
+// placeholder tree (level 2) and the chunk tables — and how many
+// containers run on that tree. An image installed from its blob holds no
+// Entry tree; Index, Prefetch and Commit, which need one because the tree
+// forgets a file's fingerprint once the file is relinked, get it from
+// Mounted.Index.
 type imageState struct {
-	ix     *index.Index
-	tree   *vfs.FS // shared placeholder tree (level 2)
-	chunks map[hashing.Fingerprint][]index.Chunk
+	*index.Mounted
+	// containers and removed are guarded by Store.mu. The tree's hard
+	// links into the cache are released when the image has been removed
+	// and its last container is gone, whichever comes last.
+	containers int
+	removed    bool
 }
 
 type containerState struct {
 	imageRef string
+	image    *imageState
 	view     *viewer.Viewer
 }
 
@@ -246,17 +257,32 @@ func New(opts Options) (*Store, error) {
 // AddIndex installs an image's Gear index at level 2. This is the only
 // prerequisite for launching containers of that image.
 func (s *Store) AddIndex(ix *index.Index) error {
-	tree, err := ix.ToTree() // validates ix
+	m, err := ix.Mount() // validates ix
 	if err != nil {
 		return fmt.Errorf("store: add index: %w", err)
 	}
+	return s.install(m)
+}
+
+// InstallImage is AddIndex for an index that arrives as its single-layer
+// image, as every pulled one does: the blob is decoded straight into the
+// mounted tree, and no index.Index is built unless something asks for it.
+func (s *Store) InstallImage(img *imagefmt.Image) error {
+	m, err := index.MountImage(img)
+	if err != nil {
+		return fmt.Errorf("store: install image: %w", err)
+	}
+	return s.install(m)
+}
+
+func (s *Store) install(m *index.Mounted) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref := ix.Reference()
+	ref := m.Reference()
 	if _, ok := s.indexes[ref]; ok {
 		return fmt.Errorf("store: %s: %w", ref, ErrIndexExists)
 	}
-	s.indexes[ref] = &imageState{ix: ix, tree: tree, chunks: ix.ChunkMap()}
+	s.indexes[ref] = &imageState{Mounted: m}
 	s.m.indexes.Add(1)
 	return nil
 }
@@ -271,13 +297,22 @@ func (s *Store) HasIndex(ref string) bool {
 
 // Index returns the installed index for ref.
 func (s *Store) Index(ref string) (*index.Index, error) {
+	st, err := s.image(ref)
+	if err != nil {
+		return nil, err
+	}
+	return st.Index()
+}
+
+// image returns the installed image ref.
+func (s *Store) image(ref string) (*imageState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.indexes[ref]
 	if !ok {
 		return nil, fmt.Errorf("store: %s: %w", ref, ErrNoIndex)
 	}
-	return st.ix, nil
+	return st, nil
 }
 
 // RemoveIndex deletes an image's level-2 state. Its Gear files remain in
@@ -285,9 +320,9 @@ func (s *Store) Index(ref string) (*index.Index, error) {
 // §III-D1, "files that are not linked to Gear indexes are candidates for
 // replacement" — their hard links from this index are released, so the
 // cache may now evict them under pressure. If containers of the image
-// are still running, the release is deferred: the shared index tree is
-// their root filesystem, exactly as an unlinked-but-open file keeps
-// working.
+// are still running, the release waits for the last of them to be
+// removed: the shared index tree is their root filesystem, exactly as an
+// unlinked-but-open file keeps working.
 func (s *Store) RemoveIndex(ref string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -297,12 +332,17 @@ func (s *Store) RemoveIndex(ref string) error {
 	}
 	delete(s.indexes, ref)
 	s.m.indexes.Add(-1)
-	for _, c := range s.containers {
-		if c.imageRef == ref {
-			return nil // live containers keep the tree (and its pins)
-		}
+	st.removed = true
+	return st.release()
+}
+
+// release drops the tree's hard links into the cache once nothing can
+// reach the tree any more. The caller holds Store.mu.
+func (st *imageState) release() error {
+	if !st.removed || st.containers > 0 {
+		return nil
 	}
-	return st.tree.RemoveAll("/")
+	return st.Tree.RemoveAll("/")
 }
 
 // CreateContainer launches a container from an installed index and
@@ -318,8 +358,9 @@ func (s *Store) CreateContainer(id, imageRef string) (*viewer.Viewer, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: %s: %w", imageRef, ErrNoIndex)
 	}
-	v := viewer.New(imageRef, st.tree, s)
-	s.containers[id] = &containerState{imageRef: imageRef, view: v}
+	v := viewer.New(imageRef, st.Tree, s)
+	s.containers[id] = &containerState{imageRef: imageRef, image: st, view: v}
+	st.containers++
 	s.m.containers.Add(1)
 	return v, nil
 }
@@ -336,7 +377,8 @@ func (s *Store) Container(id string) (*viewer.Viewer, error) {
 }
 
 // RemoveContainer destroys a container: only its level-3 diff goes away;
-// the image index and cached files survive.
+// the image index and cached files survive. The last container of an
+// image that has been removed meanwhile takes the image's tree with it.
 func (s *Store) RemoveContainer(id string) error {
 	s.mu.Lock()
 	c, ok := s.containers[id]
@@ -346,12 +388,14 @@ func (s *Store) RemoveContainer(id string) error {
 	}
 	delete(s.containers, id)
 	s.m.containers.Add(-1)
+	c.image.containers--
+	err := c.image.release()
 	// Close outside mu: it takes the viewer's own lock, and the two are
 	// never nested (a faulting read calls back into the store, which
 	// takes mu, from the viewer's side).
 	s.mu.Unlock()
 	c.view.Close()
-	return nil
+	return err
 }
 
 // Resolve implements viewer.Resolver: cache lookup, then remote
@@ -375,14 +419,14 @@ func (s *Store) resolve(imageRef, path string, fp hashing.Fingerprint, size int6
 	// fetch continues against the cache/registry without level-2 updates.
 	var chunks []index.Chunk
 	if st != nil {
-		chunks = st.chunks[fp]
+		chunks = st.Chunks[fp]
 	}
 	s.mu.Unlock()
 
 	// A concurrent fault may have materialized the node already. The
 	// shared tree is internally locked, so mu is not needed here.
 	if st != nil {
-		if n := st.tree.Lookup(path); n != nil && n.Type() == vfs.TypeRegular {
+		if n := st.Tree.Lookup(path); n != nil && n.Type() == vfs.TypeRegular {
 			if !index.IsPlaceholder(n.Content().Data()) {
 				return n.Content(), nil
 			}
@@ -396,7 +440,7 @@ func (s *Store) resolve(imageRef, path string, fp hashing.Fingerprint, size int6
 	if st != nil {
 		// Hard link over the placeholder, if the file is still in the
 		// tree: the index may have been removed during the fetch.
-		st.tree.Relink(path, content)
+		st.Tree.Relink(path, content)
 	}
 	return content, nil
 }
@@ -469,7 +513,7 @@ func (s *Store) ResolveRange(imageRef string, fp hashing.Fingerprint, off, n int
 	s.mu.Lock()
 	var chunks []index.Chunk
 	if st := s.indexes[imageRef]; st != nil {
-		chunks = st.chunks[fp]
+		chunks = st.Chunks[fp]
 	}
 	s.mu.Unlock()
 	if len(chunks) == 0 {
@@ -543,20 +587,22 @@ func sliceRange(data []byte, off, n int64) []byte {
 // eager pull). The downloads run through FetchAll, so they use up to
 // FetchWorkers concurrent (batched where supported) transfers.
 func (s *Store) Prefetch(ref string) error {
-	s.mu.Lock()
-	st, ok := s.indexes[ref]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("store: %s: %w", ref, ErrNoIndex)
+	st, err := s.image(ref)
+	if err != nil {
+		return err
+	}
+	ix, err := st.Index()
+	if err != nil {
+		return fmt.Errorf("store: prefetch %s: %w", ref, err)
 	}
 	// Gather the raw objects to pull: chunk fingerprints for chunked
 	// files (the transfer unit), file fingerprints otherwise.
 	var fps []hashing.Fingerprint
-	walkEntries(st.ix.Root, "/", func(_ string, e *index.Entry) {
+	walkEntries(ix.Root, "/", func(_ string, e *index.Entry) {
 		if e.Type != vfs.TypeRegular || e.Fingerprint == "" {
 			return
 		}
-		if chunks := st.chunks[e.Fingerprint]; len(chunks) > 0 {
+		if chunks := st.Chunks[e.Fingerprint]; len(chunks) > 0 {
 			for _, ch := range chunks {
 				fps = append(fps, ch.Fingerprint)
 			}
@@ -569,8 +615,7 @@ func (s *Store) Prefetch(ref string) error {
 	}
 	// Link everything into the level-2 tree; all content is local now,
 	// so these resolves assemble and hard-link without network traffic.
-	var err error
-	walkEntries(st.ix.Root, "/", func(p string, e *index.Entry) {
+	walkEntries(ix.Root, "/", func(p string, e *index.Entry) {
 		if err != nil || e.Type != vfs.TypeRegular {
 			return
 		}
@@ -589,15 +634,13 @@ func (s *Store) Prefetch(ref string) error {
 // files. Already-materialized, missing, and non-regular paths are
 // skipped. The result feeds FetchAll to pre-fault a known access set.
 func (s *Store) Fingerprints(ref string, paths []string) ([]hashing.Fingerprint, error) {
-	s.mu.Lock()
-	st, ok := s.indexes[ref]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("store: %s: %w", ref, ErrNoIndex)
+	st, err := s.image(ref)
+	if err != nil {
+		return nil, err
 	}
 	var fps []hashing.Fingerprint
 	for _, p := range paths {
-		n := st.tree.Lookup(p)
+		n := st.Tree.Lookup(p)
 		if n == nil || n.Type() != vfs.TypeRegular {
 			continue
 		}
@@ -605,7 +648,7 @@ func (s *Store) Fingerprints(ref string, paths []string) ([]hashing.Fingerprint,
 		if err != nil {
 			continue // already materialized
 		}
-		if chunks := st.chunks[fp]; len(chunks) > 0 {
+		if chunks := st.Chunks[fp]; len(chunks) > 0 {
 			for _, ch := range chunks {
 				fps = append(fps, ch.Fingerprint)
 			}
@@ -646,8 +689,12 @@ func (s *Store) Commit(containerID, newName, newTag string) (*index.Index, map[h
 	}
 	s.mu.Unlock()
 
+	ix, err := st.Index()
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: commit %s: %w", containerID, err)
+	}
 	diff := c.view.DiffTree()
-	newIx, newFiles, err := index.ApplyDiff(st.ix, newName, newTag, diff, nil)
+	newIx, newFiles, err := index.ApplyDiff(ix, newName, newTag, diff, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: commit %s: %w", containerID, err)
 	}

@@ -880,7 +880,7 @@ func TestCachedFaultAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := s.indexes["py:v1"].tree
+	tree := s.indexes["py:v1"].Tree
 	placeholder := tree.Lookup(p).Content()
 	if _, err := v.ReadFile(p); err != nil { // fills the cache
 		t.Fatal(err)

@@ -79,8 +79,13 @@ var ErrMalformed = errors.New("malformed content address")
 
 // Valid reports whether f is a well-formed MD5 fingerprint or a unique ID
 // assigned by a Registry after a collision (see Registry.Assign).
-func (f Fingerprint) Valid() bool {
-	s := string(f)
+func (f Fingerprint) Valid() bool { return validFingerprint(f) }
+
+// ValidFingerprint is Fingerprint(b).Valid() without the string, for
+// bytes that may turn out not to be a fingerprint.
+func ValidFingerprint(b []byte) bool { return validFingerprint(b) }
+
+func validFingerprint[S ~string | ~[]byte](s S) bool {
 	if len(s) == 32 {
 		return isHex(s)
 	}
@@ -89,7 +94,7 @@ func (f Fingerprint) Valid() bool {
 		if !isHex(s[:32]) {
 			return false
 		}
-		_, err := strconv.Atoi(s[34:])
+		_, err := strconv.Atoi(string(s[34:]))
 		return err == nil
 	}
 	return false
@@ -121,7 +126,7 @@ func (d Digest) Validate() error {
 	return nil
 }
 
-func isHex(s string) bool {
+func isHex[S ~string | ~[]byte](s S) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {

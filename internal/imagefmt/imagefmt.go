@@ -95,8 +95,9 @@ func (l *Layer) TreeKeep(keep tarstream.Keep, workers int) (*vfs.FS, error) {
 }
 
 // ReadFile returns the content of the regular file at the clean path p
-// in the layer's own diff — Tree().ReadFile(p) without the tree.
-func (l *Layer) ReadFile(p string) ([]byte, error) {
+// in the layer's own diff — Tree().ReadFile(p) without the tree, and as
+// the string its reader keeps (see tarstream.ReadFileGz).
+func (l *Layer) ReadFile(p string) (string, error) {
 	return tarstream.ReadFileGz(l.tarball, p)
 }
 

@@ -652,32 +652,43 @@ func UnpackGzKeep(data []byte, keep Keep, workers int) (f *vfs.FS, err error) {
 // ReadFileGz returns the content of the regular file at the clean path
 // name in the gzip-compressed tar archive data — what ReadFile(name) on
 // the tree UnpackGz builds returns, without the tree: the one-file index
-// layer of a Gear image is read this way on every deploy. The whole
-// archive is still parsed and the whole stream inflated, so a malformed
-// entry anywhere, or a bad CRC, fails here as it fails UnpackGz.
-func ReadFileGz(data []byte, name string) ([]byte, error) {
-	var content []byte
+// layer of a Gear image is read this way on every deploy. The content
+// comes back as a string because that is how its one reader keeps it (the
+// index decoder cuts every name out of it), and a string built here is
+// the only copy: a []byte would have to be copied again to become one.
+// The whole archive is still parsed and the whole stream inflated, so a
+// malformed entry anywhere, or a bad CRC, fails here as it fails UnpackGz.
+func ReadFileGz(data []byte, name string) (string, error) {
+	var content strings.Builder
 	found := false
 	err := scanGz(data, func(r io.Reader, bound int) error {
-		return scanTar(r, func(p string, hdr *tar.Header, tr *tar.Reader) (err error) {
+		return scanTar(r, func(p string, hdr *tar.Header, tr *tar.Reader) error {
 			if p != name || (hdr.Typeflag == tar.TypeDir && found) {
 				return nil
 			}
 			// As in a tree, a later entry replaces an earlier one.
-			content, found = nil, hdr.Typeflag == tar.TypeReg
-			if found {
-				content, err = readEntry(tr, hdr, p, bound)
+			content.Reset()
+			found = hdr.Typeflag == tar.TypeReg
+			if !found {
+				return nil
 			}
-			return err
+			// The header's size is a hint held to readEntry's bound.
+			if hint := int(hdr.Size); hint > 0 && hint <= bound {
+				content.Grow(hint)
+			}
+			if _, err := Copy(&content, tr); err != nil {
+				return fmt.Errorf("tarstream: unpack %s: %w: %w", p, ErrCorrupt, err)
+			}
+			return nil
 		})
 	})
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if !found {
-		return nil, fmt.Errorf("read %s: %w", name, vfs.ErrNotExist)
+		return "", fmt.Errorf("read %s: %w", name, vfs.ErrNotExist)
 	}
-	return content, nil
+	return content.String(), nil
 }
 
 // scanGz runs scan over the content of the gzip stream data, then reads

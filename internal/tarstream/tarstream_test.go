@@ -810,7 +810,7 @@ func TestReadFileGzMatchesUnpackedTree(t *testing.T) {
 	for _, p := range []string{"/etc/app/conf", "/usr/bin/app", "/usr/bin/app-latest", "/etc/app", "/etc", "/missing", "/etc/app/conf/under"} {
 		want, werr := tree.ReadFile(p)
 		got, gerr := ReadFileGz(z, p)
-		if (gerr == nil) != (werr == nil) || !bytes.Equal(got, want) {
+		if (gerr == nil) != (werr == nil) || got != string(want) {
 			t.Errorf("ReadFileGz(%s) = %q, %v; the tree reads %q, %v", p, got, gerr, want, werr)
 		}
 		if gerr != nil && !errors.Is(gerr, vfs.ErrNotExist) {
