@@ -188,12 +188,13 @@ type (
 	// FileStoreOptions configures a FileStore.
 	FileStoreOptions = gearregistry.Options
 	// GearStore is the protocol shared by in-process and HTTP Gear
-	// registries.
+	// registries: query, upload, download, the batched forms of query
+	// and download, and the byte-range read.
 	GearStore = gearregistry.Store
-	// GearRangeStore is the optional byte-range verb of the redesigned
-	// store surface: DownloadRange(fp, off, n) returns n bytes of a Gear
-	// file from offset off. The in-process FileStore, the HTTP client,
-	// the retrying wrapper, and the ShardCluster all implement it.
+	// GearRangeStore is the byte-range verb of GearStore:
+	// DownloadRange(fp, off, n) returns n bytes of a Gear file from
+	// offset off. The in-process FileStore, the HTTP client, the
+	// retrying wrapper, and the ShardCluster all implement it.
 	GearRangeStore = gearregistry.RangeDownloader
 	// FileStoreClient speaks to a remote FileStore over HTTP.
 	FileStoreClient = gearregistry.Client

@@ -4,13 +4,17 @@ package gear_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	gear "github.com/gear-image/gear"
+	"github.com/gear-image/gear/internal/gearregistry"
+	"github.com/gear-image/gear/internal/hashing"
 )
 
 // buildApp authors a small application image through the public API.
@@ -327,13 +331,135 @@ func TestPublicRangeVerb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hrs, ok := client.(gear.GearRangeStore)
-	if !ok {
-		t.Fatal("HTTP client does not speak the range verb")
-	}
-	payload, _, err = hrs.DownloadRange(fp, 2048, 100)
+	payload, _, err = client.DownloadRange(fp, 2048, 100)
 	if err != nil || !bytes.Equal(payload, data[2048:2148]) {
 		t.Fatalf("HTTP DownloadRange: %v", err)
+	}
+}
+
+// TestGearStoreContract runs one script of the six GearStore verbs
+// against every store there is: single is batch of one, whole is range
+// of all, and a request that cannot succeed is refused with the same
+// typed error everywhere, without a retry.
+func TestGearStoreContract(t *testing.T) {
+	serve := func(compress bool) gear.GearStore {
+		srv := httptest.NewServer(gear.FileStoreHandler(gear.NewFileStore(gear.FileStoreOptions{Compress: compress})))
+		t.Cleanup(srv.Close)
+		return gear.NewFileStoreClient(srv.URL, srv.Client())
+	}
+	cluster, err := gear.NewShardCluster(gear.ShardClusterOptions{
+		Shards: []string{"s1", "s2", "s3"}, Replication: 2, Compress: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		name  string
+		store gear.GearStore
+		retry bool
+	}
+	rows := []row{
+		{name: "FileStore raw", store: gear.NewFileStore(gear.FileStoreOptions{})},
+		{name: "FileStore compressed", store: gear.NewFileStore(gear.FileStoreOptions{Compress: true})},
+		{name: "FileStoreClient raw", store: serve(false)},
+		{name: "FileStoreClient compressed", store: serve(true)},
+		{name: "ShardCluster 3x2", store: cluster},
+	}
+	for _, r := range rows[:len(rows):len(rows)] {
+		rows = append(rows, row{"RetryStore over " + r.name, r.store, true})
+	}
+
+	data := make([]byte, 10000)
+	rand.New(rand.NewSource(20)).Read(data)
+	fp, size := gear.FingerprintBytes(data), int64(len(data))
+	absent := gear.FingerprintBytes([]byte("absent"))
+	const bad = gear.Fingerprint("zz")
+	one := func(fp gear.Fingerprint) []gear.Fingerprint { return []gear.Fingerprint{fp} }
+
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			s, retries := r.store, func() int64 { return 0 }
+			if r.retry {
+				rs, err := gearregistry.NewRetryStore(s, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, retries = rs, rs.Retries
+			}
+			if err := s.Upload(fp, data); err != nil {
+				t.Fatal(err)
+			}
+
+			// Single = batch of one.
+			for _, q := range []struct {
+				fp   gear.Fingerprint
+				want bool
+			}{{fp, true}, {absent, false}} {
+				present, err := s.Query(q.fp)
+				batch, berr := s.QueryBatch(one(q.fp))
+				if err != nil || berr != nil || present != q.want || len(batch) != 1 || batch[0] != present {
+					t.Errorf("Query(%s) = %v, %v; QueryBatch = %v, %v; want %v", q.fp, present, err, batch, berr, q.want)
+				}
+			}
+			whole, _, err := s.Download(fp)
+			if err != nil || !bytes.Equal(whole, data) {
+				t.Fatalf("Download: %d bytes, %v", len(whole), err)
+			}
+			if batch, _, err := s.DownloadBatch(one(fp)); err != nil || len(batch) != 1 || !bytes.Equal(batch[0], whole) {
+				t.Errorf("DownloadBatch of one: %d payloads, %v", len(batch), err)
+			}
+			// Whole = range of all.
+			if all, _, err := s.DownloadRange(fp, 0, size); err != nil || !bytes.Equal(all, whole) {
+				t.Errorf("DownloadRange(0, size): %d bytes, %v", len(all), err)
+			}
+			if part, _, err := s.DownloadRange(fp, 1234, 4321); err != nil || !bytes.Equal(part, data[1234:1234+4321]) {
+				t.Errorf("DownloadRange(1234, 4321): %d bytes, %v", len(part), err)
+			}
+			// An empty batch asks nothing and fails nothing.
+			if present, err := s.QueryBatch(nil); err != nil || len(present) != 0 {
+				t.Errorf("empty QueryBatch = %v, %v", present, err)
+			}
+			if payloads, _, err := s.DownloadBatch(nil); err != nil || len(payloads) != 0 {
+				t.Errorf("empty DownloadBatch = %v, %v", payloads, err)
+			}
+
+			// What cannot succeed is refused, typed, at the first attempt.
+			refused := func(what string, err, want error) {
+				t.Helper()
+				if !errors.Is(err, want) {
+					t.Errorf("%s: err = %v, want %v", what, err, want)
+				}
+			}
+			_, _, err = s.Download(absent)
+			refused("Download(absent)", err, gearregistry.ErrNotFound)
+			_, _, err = s.DownloadBatch([]gear.Fingerprint{fp, absent})
+			refused("DownloadBatch(absent)", err, gearregistry.ErrNotFound)
+			_, _, err = s.DownloadRange(absent, 0, 1)
+			refused("DownloadRange(absent)", err, gearregistry.ErrNotFound)
+
+			_, err = s.Query(bad)
+			refused("Query(malformed)", err, hashing.ErrMalformed)
+			_, err = s.QueryBatch([]gear.Fingerprint{fp, bad})
+			refused("QueryBatch(malformed)", err, hashing.ErrMalformed)
+			refused("Upload(malformed)", s.Upload(bad, data), hashing.ErrMalformed)
+			_, _, err = s.Download(bad)
+			refused("Download(malformed)", err, hashing.ErrMalformed)
+			_, _, err = s.DownloadBatch([]gear.Fingerprint{fp, bad})
+			refused("DownloadBatch(malformed)", err, hashing.ErrMalformed)
+			_, _, err = s.DownloadRange(bad, 0, 1)
+			refused("DownloadRange(malformed)", err, hashing.ErrMalformed)
+
+			// The last two overflow off+n.
+			for _, rg := range []struct{ off, n int64 }{
+				{size, 1}, {0, size + 1}, {size - 1, 2}, {0, 0}, {math.MaxInt64, 1}, {2, math.MaxInt64},
+			} {
+				_, _, err := s.DownloadRange(fp, rg.off, rg.n)
+				refused("DownloadRange out of range", err, gearregistry.ErrBadRange)
+			}
+			if n := retries(); n != 0 {
+				t.Errorf("%d retries spent on requests that cannot succeed", n)
+			}
+		})
 	}
 }
 

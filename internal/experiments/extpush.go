@@ -98,14 +98,8 @@ func RunExtPush(cfg Config) (*ExtPushResult, error) {
 			PushWorkers: workers,
 			OnPushWindow: func(w convert.PushWindow) {
 				// Dedup query first: the whole fingerprint set in one
-				// round trip when batched, else one request per file.
-				if w.QueryBatched {
-					link.TransferBatch(w.Queried, int64(w.Queried)*reqBytes)
-				} else {
-					for i := 0; i < w.Queried; i++ {
-						link.Transfer(reqBytes)
-					}
-				}
+				// round trip.
+				link.TransferBatch(w.Queried, int64(w.Queried)*reqBytes)
 				// Upload streams fair-share the link, one request per
 				// object, exactly like download windows.
 				if len(w.Streams) > 0 {

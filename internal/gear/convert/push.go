@@ -41,11 +41,9 @@ type PushStream struct {
 type PushWindow struct {
 	// Queried is how many fingerprints were checked against the registry.
 	Queried int `json:"queried"`
-	// QueryRoundTrips is how many query requests that took: one when the
-	// registry supports QueryBatch, one per fingerprint otherwise.
+	// QueryRoundTrips is how many query requests that took: the one
+	// QueryBatch.
 	QueryRoundTrips int `json:"queryRoundTrips"`
-	// QueryBatched reports whether the batch path was used.
-	QueryBatched bool `json:"queryBatched"`
 	// Skipped counts files the registry already held (the paper's
 	// query-before-upload dedup, §III-C).
 	Skipped int `json:"skipped"`
@@ -127,8 +125,8 @@ func (p *Pusher) finishFlight(fp hashing.Fingerprint, f *pushFlight) {
 
 // PushAll uploads files to the Gear registry, skipping everything the
 // registry already holds. The whole fingerprint set dedups in one
-// QueryBatch round trip when the registry supports it; the absent files
-// then upload through up to PushWorkers concurrent workers. Fingerprints
+// QueryBatch round trip; the absent files then upload through up to
+// PushWorkers concurrent workers. Fingerprints
 // already being uploaded by a concurrent PushAll are joined, not
 // re-sent. The returned window describes only the work this call
 // performed.
@@ -159,7 +157,7 @@ func (p *Pusher) PushAll(files map[hashing.Fingerprint][]byte) (PushWindow, erro
 
 	var errs []error
 	if len(claimed) > 0 {
-		present, batched, err := gearregistry.QueryAll(p.opts.Gear, claimed)
+		present, err := p.opts.Gear.QueryBatch(claimed)
 		if err != nil {
 			err = fmt.Errorf("convert: push query: %w", err)
 			for i, fp := range claimed {
@@ -169,12 +167,7 @@ func (p *Pusher) PushAll(files map[hashing.Fingerprint][]byte) (PushWindow, erro
 			errs = append(errs, err)
 		} else {
 			window.Queried = len(claimed)
-			window.QueryBatched = batched
-			if batched {
-				window.QueryRoundTrips = 1
-			} else {
-				window.QueryRoundTrips = len(claimed)
-			}
+			window.QueryRoundTrips = 1
 
 			// Files the registry already holds are done: dedup hit. The
 			// absent ones move up to the front of both slices.

@@ -5,21 +5,8 @@ import (
 	"testing"
 
 	"github.com/gear-image/gear/internal/gearregistry"
-	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/registry"
 )
-
-// plainGearStore hides the registry's batch interfaces, forcing the
-// per-object fallback paths.
-type plainGearStore struct{ inner *gearregistry.Registry }
-
-func (p plainGearStore) Query(fp hashing.Fingerprint) (bool, error) { return p.inner.Query(fp) }
-func (p plainGearStore) Upload(fp hashing.Fingerprint, data []byte) error {
-	return p.inner.Upload(fp, data)
-}
-func (p plainGearStore) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
-	return p.inner.Download(fp)
-}
 
 func newPusher(t *testing.T, opts PushOptions) *Pusher {
 	t.Helper()
@@ -61,7 +48,7 @@ func TestPushAllMatchesSerialPublish(t *testing.T) {
 	if window.Uploaded() != len(res.Files) {
 		t.Errorf("uploaded %d objects, want %d", window.Uploaded(), len(res.Files))
 	}
-	if window.Queried != len(res.Files) || !window.QueryBatched || window.QueryRoundTrips != 1 {
+	if window.Queried != len(res.Files) || window.QueryRoundTrips != 1 {
 		t.Errorf("query accounting = %+v, want one batched round trip over %d fps", window, len(res.Files))
 	}
 	if window.Skipped != 0 || window.Deduped != 0 {
@@ -80,9 +67,8 @@ func TestPushAllMatchesSerialPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if window.QueryRoundTrips != 1 || !window.QueryBatched {
-		t.Errorf("warm push took %d query round trips (batched=%v), want exactly 1 batched",
-			window.QueryRoundTrips, window.QueryBatched)
+	if window.QueryRoundTrips != 1 {
+		t.Errorf("warm push took %d query round trips, want exactly 1", window.QueryRoundTrips)
 	}
 	if window.Uploaded() != 0 || window.Bytes() != 0 {
 		t.Errorf("warm push uploaded %d objects / %d bytes, want zero",
@@ -118,26 +104,6 @@ func TestPushAllWorkerSweepIsBitIdentical(t *testing.T) {
 		if len(window.Streams) > workers {
 			t.Errorf("workers=%d: %d streams", workers, len(window.Streams))
 		}
-	}
-}
-
-func TestPushAllQueryFallback(t *testing.T) {
-	res, err := newConverter(t, Options{}).Convert(buildImage(t, "app", "v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := gearregistry.New(gearregistry.Options{})
-	p := newPusher(t, PushOptions{Gear: plainGearStore{inner}})
-	window, err := p.PushAll(res.Files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if window.QueryBatched || window.QueryRoundTrips != len(res.Files) {
-		t.Errorf("fallback accounting = %+v, want %d per-object round trips",
-			window, len(res.Files))
-	}
-	if window.Uploaded() != len(res.Files) {
-		t.Errorf("uploaded %d, want %d", window.Uploaded(), len(res.Files))
 	}
 }
 

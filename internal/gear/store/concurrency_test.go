@@ -18,25 +18,42 @@ import (
 // countingStore wraps a registry and counts Download calls per
 // fingerprint, to assert the singleflight dedup guarantee.
 type countingStore struct {
-	inner *gearregistry.Registry
+	gearregistry.Store
 
 	mu    sync.Mutex
 	calls map[hashing.Fingerprint]int
 }
 
 func newCountingStore(inner *gearregistry.Registry) *countingStore {
-	return &countingStore{inner: inner, calls: make(map[hashing.Fingerprint]int)}
+	return &countingStore{Store: inner, calls: make(map[hashing.Fingerprint]int)}
 }
 
-func (c *countingStore) Query(fp hashing.Fingerprint) (bool, error) { return c.inner.Query(fp) }
-func (c *countingStore) Upload(fp hashing.Fingerprint, data []byte) error {
-	return c.inner.Upload(fp, data)
-}
 func (c *countingStore) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 	c.mu.Lock()
 	c.calls[fp]++
 	c.mu.Unlock()
-	return c.inner.Download(fp)
+	return c.Store.Download(fp)
+}
+
+func (c *countingStore) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, error) {
+	return perObject(c.Download, fps)
+}
+
+// perObject serves a batch as one download call per object, so a fake
+// that counts, gates or delays its Download sees every object a
+// FetchAll moves.
+func perObject(download func(hashing.Fingerprint) ([]byte, int64, error), fps []hashing.Fingerprint) ([][]byte, int64, error) {
+	payloads := make([][]byte, len(fps))
+	var wire int64
+	for i, fp := range fps {
+		data, w, err := download(fp)
+		if err != nil {
+			return nil, 0, err
+		}
+		payloads[i] = data
+		wire += w
+	}
+	return payloads, wire, nil
 }
 
 func (c *countingStore) counts() map[hashing.Fingerprint]int {

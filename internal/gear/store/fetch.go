@@ -62,13 +62,15 @@ var ErrCorruptDownload = errors.New("downloaded gear file fails fingerprint veri
 // flight exactly once, whether it succeeds or fails. It is the store's
 // only way from the network into level 1: every object is tried on the
 // peers first, and what remains goes to the registry — in one
-// DownloadBatch round trip when batch is set and the remote supports
-// it, object by object otherwise. Content addressing makes end-to-end
-// integrity free, so every payload, from a peer or the registry, is
-// verified against its fingerprint before anything enters the cache or
-// an index tree. A batch is all-or-nothing: one missing or corrupt
-// object fails every flight in it. The speculative classes tag what
-// they admit, so a later demand read scores as a prefetch hit.
+// DownloadBatch round trip when batch is set; a caller that does not
+// batch claims exactly one flight, and its object is one Download (the
+// two are priced differently downstream, by StreamStat.Batched).
+// Content addressing makes end-to-end integrity free, so every payload,
+// from a peer or the registry, is verified against its fingerprint
+// before anything enters the cache or an index tree. A batch is
+// all-or-nothing: one missing or corrupt object fails every flight in
+// it. The speculative classes tag what they admit, so a later demand
+// read scores as a prefetch hit.
 //
 // reg and peer are what this call moved over the WAN and the LAN; the
 // caller accounts them, since only it knows which transfers share a
@@ -108,17 +110,16 @@ func (s *Store) lead(claimed []*flight, class fetchClass, batch bool) (reg, peer
 			admit(f, data)
 		}
 	}
-	bd, _ := s.opts.Remote.(gearregistry.BatchDownloader)
 	switch {
 	case len(rest) == 0:
 	case s.opts.Remote == nil:
 		fail(fmt.Errorf("store: no remote registry: %w", gearregistry.ErrNotFound), rest...)
-	case batch && bd != nil:
+	case batch:
 		fps := make([]hashing.Fingerprint, len(rest))
 		for i, f := range rest {
 			fps[i] = f.fp
 		}
-		payloads, wire, err := bd.DownloadBatch(fps)
+		payloads, wire, err := s.opts.Remote.DownloadBatch(fps)
 		for i := 0; err == nil && i < len(rest); i++ {
 			err = verify(fps[i], payloads[i])
 		}
@@ -131,20 +132,19 @@ func (s *Store) lead(claimed []*flight, class fetchClass, batch bool) (reg, peer
 			admit(f, payloads[i])
 		}
 	default:
-		for _, f := range rest {
-			data, wire, err := s.opts.Remote.Download(f.fp)
-			if err != nil {
-				err = fmt.Errorf("store: download: %w", err)
-			} else {
-				err = verify(f.fp, data)
-			}
-			if err != nil {
-				fail(err, f)
-				continue
-			}
-			reg.add(1, wire)
-			admit(f, data)
+		f := rest[0]
+		data, wire, err := s.opts.Remote.Download(f.fp)
+		if err != nil {
+			err = fmt.Errorf("store: download: %w", err)
+		} else {
+			err = verify(f.fp, data)
 		}
+		if err != nil {
+			fail(err, f)
+			break
+		}
+		reg.add(1, wire)
+		admit(f, data)
 	}
 	return reg, peer, errors.Join(errs...)
 }
@@ -265,10 +265,9 @@ func (w FetchWindow) Bytes() int64 {
 }
 
 // FetchAll materializes every given Gear file into the level-1 cache
-// using up to FetchWorkers concurrent workers. Each worker issues one
-// DownloadBatch round trip when the remote supports it, or per-object
-// downloads otherwise. Fingerprints already cached or already being
-// fetched by another goroutine are not downloaded again.
+// using up to FetchWorkers concurrent workers, each issuing one
+// DownloadBatch round trip. Fingerprints already cached or already
+// being fetched by another goroutine are not downloaded again.
 //
 // The returned window describes only the transfers this call performed;
 // accounting hooks (OnFetchWindow, or OnRemoteFetch as a fallback) fire

@@ -64,11 +64,10 @@ func startupProfile(t *testing.T, fps map[string]hashing.Fingerprint) *prefetch.
 }
 
 // blockingRemote wraps a registry so the test controls exactly when
-// each download finishes. It deliberately does not implement
-// BatchDownloader: every object is one Download call, so concurrency
-// is observable per object.
+// each download finishes. A batch is served object by object through
+// Download, so concurrency is observable per object.
 type blockingRemote struct {
-	backing gearregistry.Store
+	gearregistry.Store
 	startCh chan hashing.Fingerprint // signals every download start
 	gates   map[hashing.Fingerprint]chan struct{}
 
@@ -80,7 +79,7 @@ type blockingRemote struct {
 
 func newBlockingRemote(backing gearregistry.Store, prefetchSet map[hashing.Fingerprint]bool) *blockingRemote {
 	return &blockingRemote{
-		backing:     backing,
+		Store:       backing,
 		startCh:     make(chan hashing.Fingerprint, 64),
 		gates:       make(map[hashing.Fingerprint]chan struct{}),
 		prefetchSet: prefetchSet,
@@ -93,12 +92,8 @@ func (b *blockingRemote) gate(fp hashing.Fingerprint) chan struct{} {
 	return ch
 }
 
-func (b *blockingRemote) Query(fp hashing.Fingerprint) (bool, error) {
-	return b.backing.Query(fp)
-}
-
-func (b *blockingRemote) Upload(fp hashing.Fingerprint, data []byte) error {
-	return b.backing.Upload(fp, data)
+func (b *blockingRemote) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, error) {
+	return perObject(b.Download, fps)
 }
 
 func (b *blockingRemote) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
@@ -115,7 +110,7 @@ func (b *blockingRemote) Download(fp hashing.Fingerprint) ([]byte, int64, error)
 	if gate != nil {
 		<-gate
 	}
-	data, wire, err := b.backing.Download(fp)
+	data, wire, err := b.Store.Download(fp)
 	b.mu.Lock()
 	if b.prefetchSet[fp] {
 		b.cur--

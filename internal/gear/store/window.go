@@ -127,21 +127,16 @@ func (s *Store) readahead(chunks []index.Chunk) {
 func (s *Store) WaitReadahead() { s.bg.Wait() }
 
 // rangeRead is the non-chunked partial-read fast path: with
-// Options.RangeReads set and a registry that speaks the range verb, a
-// ranged fault moves only the requested bytes instead of materializing
-// the file. The slice is served uncompressed and is NOT cached — it is
-// not the whole verifiable object — so repeated cold partial reads
-// re-fetch; a workload that re-reads should materialize instead. With
-// the option off (the default) or the verb absent, ErrNotChunked tells
-// the viewer to fall back to full materialization, byte-identical to a
-// store without this path. The reply is at most n bytes, so n is what
+// Options.RangeReads set, a ranged fault moves only the requested bytes
+// instead of materializing the file. The slice is served uncompressed
+// and is NOT cached — it is not the whole verifiable object — so
+// repeated cold partial reads re-fetch; a workload that re-reads should
+// materialize instead. With the option off (the default), ErrNotChunked
+// tells the viewer to fall back to full materialization, byte-identical
+// to a store without this path. The reply is at most n bytes, so n is what
 // the transfer holds of the gate's budget.
 func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) ([]byte, error) {
 	if !s.opts.RangeReads || s.opts.Remote == nil {
-		return nil, ErrNotChunked
-	}
-	rd, ok := s.opts.Remote.(gearregistry.RangeDownloader)
-	if !ok {
 		return nil, ErrNotChunked
 	}
 	if c, ok := s.cache.Get(fp); ok {
@@ -150,14 +145,12 @@ func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) ([]byte, error) 
 	}
 	start := s.enterDemand(n)
 	defer s.leaveDemand(n, start)
-	payload, wire, err := rd.DownloadRange(fp, off, n)
+	payload, wire, err := s.opts.Remote.DownloadRange(fp, off, n)
 	if err != nil {
 		// A range past the file's end (or a registry without the object)
 		// falls back to the full-read path, whose own clamping and error
 		// reporting take over.
-		if errors.Is(err, gearregistry.ErrBadRange) ||
-			errors.Is(err, gearregistry.ErrRangeUnsupported) ||
-			errors.Is(err, gearregistry.ErrNotFound) {
+		if errors.Is(err, gearregistry.ErrBadRange) || errors.Is(err, gearregistry.ErrNotFound) {
 			return nil, ErrNotChunked
 		}
 		return nil, fmt.Errorf("store: range read %s: %w", fp, err)

@@ -42,7 +42,7 @@ func chunkedFixture(t testing.TB, size, chunkSize int64) (*index.Index, *gearreg
 // slowRemote delays every download and tracks the peak number of
 // concurrent ones — the observable the window budget must bound.
 type slowRemote struct {
-	inner gearregistry.Store
+	gearregistry.Store
 	delay time.Duration
 
 	mu       sync.Mutex
@@ -50,8 +50,6 @@ type slowRemote struct {
 	peakConc int
 }
 
-func (r *slowRemote) Query(fp hashing.Fingerprint) (bool, error)    { return r.inner.Query(fp) }
-func (r *slowRemote) Upload(fp hashing.Fingerprint, d []byte) error { return r.inner.Upload(fp, d) }
 func (r *slowRemote) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 	r.mu.Lock()
 	r.conc++
@@ -65,14 +63,14 @@ func (r *slowRemote) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 		r.conc--
 		r.mu.Unlock()
 	}()
-	return r.inner.Download(fp)
+	return r.Store.Download(fp)
 }
 
 // A wide ranged read faults its chunks concurrently, but never holds
 // more than ChunkWindowBytes in flight.
 func TestChunkWindowBoundsInflight(t *testing.T) {
 	ix, reg, big := chunkedFixture(t, 65536, 4096) // 16 chunks
-	slow := &slowRemote{inner: reg, delay: 10 * time.Millisecond}
+	slow := &slowRemote{Store: reg, delay: 10 * time.Millisecond}
 	s, err := New(Options{Remote: slow, ChunkWindowBytes: 8192})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +105,7 @@ func TestChunkWindowBoundsInflight(t *testing.T) {
 // than ChunkWindowBytes in flight.
 func TestWholeFileReadOfChunkedFileIsWindowed(t *testing.T) {
 	ix, reg, big := chunkedFixture(t, 65536, 4096) // 16 chunks
-	slow := &slowRemote{inner: reg, delay: 10 * time.Millisecond}
+	slow := &slowRemote{Store: reg, delay: 10 * time.Millisecond}
 	const budget = 4 * 4096
 	s := mustStore(t, Options{Remote: slow, ChunkWindowBytes: budget})
 	if err := s.AddIndex(ix); err != nil {
@@ -191,7 +189,7 @@ func TestChunkedReadCountsOneCacheAccessPerChunk(t *testing.T) {
 // instead of deadlocking.
 func TestChunkWindowOversizedChunk(t *testing.T) {
 	ix, reg, big := chunkedFixture(t, 16384, 4096)
-	slow := &slowRemote{inner: reg, delay: time.Millisecond}
+	slow := &slowRemote{Store: reg, delay: time.Millisecond}
 	s, err := New(Options{Remote: slow, ChunkWindowBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -326,32 +324,28 @@ func TestRangeReadsFastPath(t *testing.T) {
 	}
 }
 
-// Without the option (or without a range-capable remote) non-chunked
-// ranged reads keep the pre-range behavior: full materialization.
+// Without the option non-chunked ranged reads keep the pre-range
+// behavior: full materialization.
 func TestRangeReadsDisabledDegenerates(t *testing.T) {
 	ix, reg := fixture(t)
-	for name, s := range map[string]*Store{
-		"option off":      newStore(t, reg),
-		"rangeless store": mustStore(t, Options{Remote: &slowRemote{inner: reg}, RangeReads: true}),
-	} {
-		if err := s.AddIndex(ix); err != nil {
-			t.Fatal(err)
-		}
-		v, err := s.CreateContainer("c1", "web:v1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := v.ReadAt("/bin/app", 100, 50)
-		if err != nil || len(got) != 50 {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// Whole file crossed the wire and is cached — the legacy path.
-		if st := s.Stats(); st.RemoteBytes != 4096 {
-			t.Errorf("%s: remote bytes = %d, want full file", name, st.RemoteBytes)
-		}
-		if s.CacheStats().Objects != 1 {
-			t.Errorf("%s: file not materialized", name)
-		}
+	s := newStore(t, reg)
+	if err := s.AddIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateContainer("c1", "web:v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := v.ReadAt("/bin/app", 100, 50)
+	if err != nil || len(got) != 50 {
+		t.Fatal(err)
+	}
+	// Whole file crossed the wire and is cached — the legacy path.
+	if st := s.Stats(); st.RemoteBytes != 4096 {
+		t.Errorf("remote bytes = %d, want full file", st.RemoteBytes)
+	}
+	if s.CacheStats().Objects != 1 {
+		t.Error("file not materialized")
 	}
 }
 

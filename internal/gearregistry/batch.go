@@ -7,9 +7,9 @@ import (
 	"github.com/gear-image/gear/internal/tarstream"
 )
 
-// BatchDownloader is implemented by stores that can serve many Gear
-// files in one round trip, amortizing per-request overhead across the
-// batch — the transfer shape behind the concurrent fetch engine.
+// BatchDownloader is the part of Store that serves many Gear files in
+// one round trip, amortizing per-request overhead across the batch —
+// the transfer shape behind the concurrent fetch engine.
 type BatchDownloader interface {
 	// DownloadBatch fetches the given Gear files in one request. The
 	// payloads come back uncompressed, in request order, alongside the
@@ -56,34 +56,15 @@ func (r *Registry) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, er
 	return payloads, wire, nil
 }
 
-// DownloadBatch implements BatchDownloader with retries when the inner
-// store batches; otherwise it degrades to per-object Download (each with
-// its own retry budget).
+// DownloadBatch implements BatchDownloader with retries: the batch is
+// all-or-nothing, so it is retried whole.
 func (r *RetryStore) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, error) {
-	bd, ok := r.inner.(BatchDownloader)
-	if !ok {
-		payloads := make([][]byte, len(fps))
-		var wire int64
-		for i, fp := range fps {
-			data, w, err := r.Download(fp)
-			if err != nil {
-				return nil, 0, err
-			}
-			payloads[i] = data
-			wire += w
-		}
-		return payloads, wire, nil
-	}
 	var payloads [][]byte
 	var wire int64
 	err := r.do(func() error {
 		var err error
-		payloads, wire, err = bd.DownloadBatch(fps)
+		payloads, wire, err = r.inner.DownloadBatch(fps)
 		return err
 	})
 	return payloads, wire, err
 }
-
-var _ BatchDownloader = (*Registry)(nil)
-var _ BatchDownloader = (*RetryStore)(nil)
-var _ BatchDownloader = (*Client)(nil)

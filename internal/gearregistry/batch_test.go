@@ -194,10 +194,10 @@ func TestHTTPBatchErrors(t *testing.T) {
 }
 
 func TestRetryStoreDownloadBatch(t *testing.T) {
-	// Batching inner store: RetryStore forwards and retries.
+	// RetryStore forwards and retries.
 	reg := New(Options{})
 	fps, data := seedObjects(t, reg, 3)
-	flaky := &flakyBatchStore{inner: reg, failures: 2}
+	flaky := &flakyBatchStore{Store: reg, failures: 2}
 	rs, err := NewRetryStore(flaky, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -214,51 +214,18 @@ func TestRetryStoreDownloadBatch(t *testing.T) {
 	if rs.Retries() == 0 {
 		t.Error("expected retries to be spent")
 	}
-
-	// Non-batching inner store: falls back to per-object downloads.
-	rs2, err := NewRetryStore(plainStore{reg}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, _, err = rs2.DownloadBatch(fps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fps {
-		if !bytes.Equal(payloads[i], data[i]) {
-			t.Errorf("fallback payload %d mismatch", i)
-		}
-	}
 }
 
 // flakyBatchStore fails the first N batch calls with a transient error.
 type flakyBatchStore struct {
-	inner    *Registry
+	Store
 	failures int
 }
 
-func (f *flakyBatchStore) Query(fp hashing.Fingerprint) (bool, error) { return f.inner.Query(fp) }
-func (f *flakyBatchStore) Upload(fp hashing.Fingerprint, data []byte) error {
-	return f.inner.Upload(fp, data)
-}
-func (f *flakyBatchStore) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
-	return f.inner.Download(fp)
-}
 func (f *flakyBatchStore) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, error) {
 	if f.failures > 0 {
 		f.failures--
 		return nil, 0, errors.New("transient batch failure")
 	}
-	return f.inner.DownloadBatch(fps)
-}
-
-// plainStore hides the Registry's BatchDownloader implementation.
-type plainStore struct{ inner *Registry }
-
-func (p plainStore) Query(fp hashing.Fingerprint) (bool, error) { return p.inner.Query(fp) }
-func (p plainStore) Upload(fp hashing.Fingerprint, data []byte) error {
-	return p.inner.Upload(fp, data)
-}
-func (p plainStore) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
-	return p.inner.Download(fp)
+	return f.Store.DownloadBatch(fps)
 }

@@ -161,6 +161,8 @@ func FuzzRangeReply(f *testing.F) {
 	f.Add([]byte("zzzz 0 5 100\nhello"))
 	f.Add([]byte("no header"))
 	f.Add([]byte{})
+	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 9223372036854775807 1 100\nh")) // off+n overflows
+	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 2 9223372036854775807 100\nhello"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Ask for what the reply says it is, when it says anything: an
 		// arbitrary reply to a fixed request is refused on the echo and
@@ -193,11 +195,15 @@ func FuzzRangeReply(f *testing.F) {
 // arbitrary paths, and every 200 response must parse with the client
 // framing and carry the true object slice.
 func FuzzRangeHandler(f *testing.F) {
-	reg := New(Options{Compress: true})
 	payload := []byte("the quick brown fox jumps over the lazy dog")
 	known := hashing.FingerprintBytes(payload)
-	if err := reg.Upload(known, payload); err != nil {
-		f.Fatal(err)
+	// Both stored forms: a raw pool slices the range, a compressed one
+	// inflates it.
+	regs := []*Registry{New(Options{}), New(Options{Compress: true})}
+	for _, reg := range regs {
+		if err := reg.Upload(known, payload); err != nil {
+			f.Fatal(err)
+		}
 	}
 	f.Add(string(known) + "/0/5")
 	f.Add(string(known) + "/40/3")
@@ -208,30 +214,34 @@ func FuzzRangeHandler(f *testing.F) {
 	f.Add("zzzz/0/5")
 	f.Add("../../etc/passwd")
 	f.Add("")
+	f.Add(string(known) + "/9223372036854775807/1") // off+n overflows
+	f.Add(string(known) + "/2/9223372036854775807")
 	f.Fuzz(func(t *testing.T, tail string) {
-		// The tail is set as the path, not parsed as a request target:
-		// one with a space or a control byte is not a request line, and
-		// httptest.NewRequest panics on it before the handler is reached.
-		req := httptest.NewRequest(http.MethodGet, "/gear/range/", nil)
-		req.URL.Path += tail
-		rec := httptest.NewRecorder()
-		NewHandler(reg).ServeHTTP(rec, req)
-		switch rec.Code {
-		case http.StatusOK:
-			fp, off, n, payload, err := splitRangeReply(rec.Body.Bytes())
-			if err != nil {
-				t.Fatalf("200 response does not parse: %v", err)
+		for _, reg := range regs {
+			// The tail is set as the path, not parsed as a request target:
+			// one with a space or a control byte is not a request line, and
+			// httptest.NewRequest panics on it before the handler is reached.
+			req := httptest.NewRequest(http.MethodGet, "/gear/range/", nil)
+			req.URL.Path += tail
+			rec := httptest.NewRecorder()
+			NewHandler(reg).ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusOK:
+				fp, off, n, payload, err := splitRangeReply(rec.Body.Bytes())
+				if err != nil {
+					t.Fatalf("200 response does not parse: %v", err)
+				}
+				want, _, err := reg.DownloadRange(fp, off, n)
+				if err != nil {
+					t.Fatalf("served a range the registry rejects: %v", err)
+				}
+				if !bytes.Equal(payload, want) {
+					t.Fatalf("served wrong bytes for %s [%d,+%d)", fp, off, n)
+				}
+			case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestedRangeNotSatisfiable:
+			default:
+				t.Fatalf("unexpected status %d", rec.Code)
 			}
-			want, _, err := reg.DownloadRange(fp, off, n)
-			if err != nil {
-				t.Fatalf("served a range the registry rejects: %v", err)
-			}
-			if !bytes.Equal(payload, want) {
-				t.Fatalf("served wrong bytes for %s [%d,+%d)", fp, off, n)
-			}
-		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestedRangeNotSatisfiable:
-		default:
-			t.Fatalf("unexpected status %d", rec.Code)
 		}
 	})
 }

@@ -2,8 +2,9 @@
 // §IV): a content-addressed file server holding Gear files — regular file
 // contents named by the MD5 fingerprint of their bytes. The paper backs
 // this with MinIO and exposes three HTTP interfaces (query, upload,
-// download); this package provides the same three verbs both in-process
-// and over HTTP.
+// download); this package provides those three verbs plus their batched
+// forms and the byte-range read — the six-verb Store contract — both
+// in-process and over HTTP.
 //
 // Because objects are keyed by fingerprint, identical files from any
 // image dedup to one stored copy, which is the mechanism behind the
@@ -30,7 +31,9 @@ var (
 	ErrFingerprintMismatch = errors.New("content does not match fingerprint")
 )
 
-// Store is the three-verb Gear file protocol from §IV of the paper.
+// Store is the Gear file protocol: the three verbs of §IV of the paper,
+// the batched forms of query and download, and the byte-range read.
+// Every store speaks all six, so callers call them and never probe.
 type Store interface {
 	// Query reports whether the Gear file is already stored; clients call
 	// it before uploading so only absent files cross the wire.
@@ -42,6 +45,9 @@ type Store interface {
 	// wire (smaller than the payload when the registry compresses
 	// objects) — the quantity Fig 8's bandwidth study counts.
 	Download(fp hashing.Fingerprint) (payload []byte, wireBytes int64, err error)
+	BatchQuerier
+	BatchDownloader
+	RangeDownloader
 }
 
 // Options configures a Registry.

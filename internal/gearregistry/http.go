@@ -168,7 +168,7 @@ func parseRangeHeader(header string) (fp hashing.Fingerprint, off, n int64, err 
 		return "", 0, 0, fmt.Errorf("range header %q: %w", header, err)
 	}
 	off, n, total := nums[0], nums[1], nums[2]
-	if off < 0 || n <= 0 || total < 0 || off+n > total {
+	if off < 0 || n <= 0 || off > total || n > total-off {
 		return "", 0, 0, fmt.Errorf("range header %q: %w", header, ErrBadRange)
 	}
 	return fp, off, n, nil

@@ -6,8 +6,8 @@ import (
 	"github.com/gear-image/gear/internal/hashing"
 )
 
-// BatchQuerier is implemented by stores that can answer many presence
-// queries in one round trip. It is the upload-side mirror of
+// BatchQuerier is the part of Store that answers many presence queries
+// in one round trip. It is the upload-side mirror of
 // BatchDownloader: before pushing an image, a client checks the image's
 // whole fingerprint set against the registry at once, so dedup (the
 // paper's query-before-upload protocol, §III-C) costs one request
@@ -39,54 +39,13 @@ func (r *Registry) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
 	return present, nil
 }
 
-// QueryAll checks every fingerprint against s, using one QueryBatch
-// round trip when s supports it and falling back to per-object Query
-// otherwise. batched reports which path was taken, so callers can model
-// the request cost accordingly.
-func QueryAll(s Store, fps []hashing.Fingerprint) (present []bool, batched bool, err error) {
-	if len(fps) == 0 {
-		return nil, false, nil
-	}
-	if bq, ok := s.(BatchQuerier); ok {
-		present, err = bq.QueryBatch(fps)
-		return present, true, err
-	}
-	present = make([]bool, len(fps))
-	for i, fp := range fps {
-		p, err := s.Query(fp)
-		if err != nil {
-			return nil, false, err
-		}
-		present[i] = p
-	}
-	return present, false, nil
-}
-
-// QueryBatch implements BatchQuerier with retries when the inner store
-// batches; otherwise it degrades to per-object Query (each with its own
-// retry budget).
+// QueryBatch implements BatchQuerier with retries.
 func (r *RetryStore) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
-	bq, ok := r.inner.(BatchQuerier)
-	if !ok {
-		present := make([]bool, len(fps))
-		for i, fp := range fps {
-			p, err := r.Query(fp)
-			if err != nil {
-				return nil, err
-			}
-			present[i] = p
-		}
-		return present, nil
-	}
 	var present []bool
 	err := r.do(func() error {
 		var err error
-		present, err = bq.QueryBatch(fps)
+		present, err = r.inner.QueryBatch(fps)
 		return err
 	})
 	return present, err
 }
-
-var _ BatchQuerier = (*Registry)(nil)
-var _ BatchQuerier = (*RetryStore)(nil)
-var _ BatchQuerier = (*Client)(nil)

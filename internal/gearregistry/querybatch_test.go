@@ -40,38 +40,6 @@ func TestQueryBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueryAll(t *testing.T) {
-	r := New(Options{})
-	fps, _ := seedObjects(t, r, 3)
-	missing := hashing.FingerprintBytes([]byte("absent"))
-	ask := append(fps[:2:2], missing)
-
-	// Batch-capable store: one round trip.
-	present, batched, err := QueryAll(r, ask)
-	if err != nil || !batched {
-		t.Fatalf("QueryAll: batched=%v err=%v", batched, err)
-	}
-	if !present[0] || !present[1] || present[2] {
-		t.Errorf("verdicts = %v", present)
-	}
-
-	// Non-batching store: per-object fallback, same verdicts.
-	present2, batched2, err := QueryAll(plainStore{r}, ask)
-	if err != nil || batched2 {
-		t.Fatalf("fallback QueryAll: batched=%v err=%v", batched2, err)
-	}
-	for i := range present {
-		if present[i] != present2[i] {
-			t.Errorf("fallback verdict %d = %v, want %v", i, present2[i], present[i])
-		}
-	}
-
-	// Empty set short-circuits.
-	if present, batched, err := QueryAll(r, nil); err != nil || batched || present != nil {
-		t.Errorf("empty QueryAll = %v/%v/%v", present, batched, err)
-	}
-}
-
 func TestHTTPQueryBatchRoundTrip(t *testing.T) {
 	reg := New(Options{Compress: true})
 	fps, _ := seedObjects(t, reg, 5)
@@ -95,17 +63,6 @@ func TestHTTPQueryBatchRoundTrip(t *testing.T) {
 	// Empty set never touches the wire.
 	if present, err := c.QueryBatch(nil); err != nil || present != nil {
 		t.Errorf("empty = %v/%v", present, err)
-	}
-
-	// The generic helper picks the batch path over HTTP too.
-	present2, batched, err := QueryAll(c, ask)
-	if err != nil || !batched {
-		t.Fatalf("QueryAll over HTTP: batched=%v err=%v", batched, err)
-	}
-	for i := range want {
-		if present2[i] != want[i] {
-			t.Errorf("QueryAll verdict %d = %v, want %v", i, present2[i], want[i])
-		}
 	}
 }
 
@@ -202,8 +159,8 @@ func TestRetryStoreQueryBatch(t *testing.T) {
 	missing := hashing.FingerprintBytes([]byte("nope"))
 	ask := append(fps[:2:2], missing)
 
-	// Batching inner store: RetryStore forwards and retries.
-	flaky := &flakyQueryBatchStore{inner: reg, failures: 2}
+	// RetryStore forwards and retries.
+	flaky := &flakyQueryBatchStore{Store: reg, failures: 2}
 	rs, err := NewRetryStore(flaky, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -218,38 +175,18 @@ func TestRetryStoreQueryBatch(t *testing.T) {
 	if rs.Retries() == 0 {
 		t.Error("expected retries to be spent")
 	}
-
-	// Non-batching inner store: per-object fallback.
-	rs2, err := NewRetryStore(plainStore{reg}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	present, err = rs2.QueryBatch(ask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !present[0] || !present[1] || present[2] {
-		t.Errorf("fallback verdicts = %v", present)
-	}
 }
 
 // flakyQueryBatchStore fails the first N QueryBatch calls transiently.
 type flakyQueryBatchStore struct {
-	inner    *Registry
+	Store
 	failures int
 }
 
-func (f *flakyQueryBatchStore) Query(fp hashing.Fingerprint) (bool, error) { return f.inner.Query(fp) }
-func (f *flakyQueryBatchStore) Upload(fp hashing.Fingerprint, data []byte) error {
-	return f.inner.Upload(fp, data)
-}
-func (f *flakyQueryBatchStore) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
-	return f.inner.Download(fp)
-}
 func (f *flakyQueryBatchStore) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
 	if f.failures > 0 {
 		f.failures--
 		return nil, errors.New("transient querybatch failure")
 	}
-	return f.inner.QueryBatch(fps)
+	return f.Store.QueryBatch(fps)
 }

@@ -12,21 +12,17 @@ import (
 // lazy loading. Where Download moves a whole object, DownloadRange
 // moves exactly the [off, off+n) slice of its uncompressed content —
 // what a viewer faulting one read's worth of a big model file needs.
-// The verb is optional (RangeDownloader); stores that lack it keep the
-// three-verb contract and callers fall back to whole-object fetches.
+// For lazy loading the range request is the protocol, not an extension
+// of it, so the verb is part of Store; whether a reader uses it is
+// policy (store.Options.RangeReads).
 
-// Errors returned by range downloads.
-var (
-	// ErrBadRange reports a range that is malformed or does not fit the
-	// object: negative offset, non-positive length, or off+n past the
-	// end. Ranges are strict — a clamped read would silently hand the
-	// caller fewer bytes than it asked for.
-	ErrBadRange = errors.New("invalid byte range")
-	// ErrRangeUnsupported reports a store without the range verb.
-	ErrRangeUnsupported = errors.New("range downloads unsupported")
-)
+// ErrBadRange reports a range that is malformed or does not fit the
+// object: negative offset, non-positive length, or off+n past the end.
+// Ranges are strict — a clamped read would silently hand the caller
+// fewer bytes than it asked for.
+var ErrBadRange = errors.New("invalid byte range")
 
-// RangeDownloader is the optional byte-range extension of Store.
+// RangeDownloader is the byte-range part of Store.
 type RangeDownloader interface {
 	// DownloadRange fetches the [off, off+n) slice of the object's
 	// uncompressed content. wireBytes is what actually crossed the wire
@@ -57,7 +53,8 @@ func (r *Registry) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, 
 	if !ok {
 		return nil, 0, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
 	}
-	if off+n > size {
+	// off+n can overflow; size-off, with off <= size, cannot.
+	if off > size || n > size-off {
 		return nil, 0, fmt.Errorf("gearregistry: range [%d,+%d) of %d-byte %s: %w",
 			off, n, size, fp, ErrBadRange)
 	}
@@ -73,19 +70,13 @@ func (r *Registry) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, 
 	return out, n, nil
 }
 
-// DownloadRange implements RangeDownloader with retries when the inner
-// store supports the verb; a store without it reports
-// ErrRangeUnsupported immediately.
+// DownloadRange implements RangeDownloader with retries.
 func (r *RetryStore) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, int64, error) {
-	rd, ok := r.inner.(RangeDownloader)
-	if !ok {
-		return nil, 0, fmt.Errorf("gearregistry: retry: %w", ErrRangeUnsupported)
-	}
 	var payload []byte
 	var wire int64
 	err := r.do(func() error {
 		var err error
-		payload, wire, err = rd.DownloadRange(fp, off, n)
+		payload, wire, err = r.inner.DownloadRange(fp, off, n)
 		return err
 	})
 	return payload, wire, err

@@ -3,6 +3,7 @@ package gearregistry
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -41,6 +42,9 @@ func TestRegistryDownloadRange(t *testing.T) {
 		}
 		for _, r := range []struct{ off, n int64 }{
 			{-1, 5}, {0, 0}, {0, -1}, {9999, 2}, {10000, 1}, {0, 10001},
+			// off+n overflows int64: refused by the bounds, before any
+			// slice of n bytes is made or the object inflated.
+			{math.MaxInt64, 1}, {2, math.MaxInt64},
 		} {
 			if _, _, err := reg.DownloadRange(fp, r.off, r.n); !errors.Is(err, ErrBadRange) {
 				t.Fatalf("compress=%v range [%d,+%d) = %v, want ErrBadRange", compress, r.off, r.n, err)
@@ -76,8 +80,14 @@ func TestRangeHTTPRoundTrip(t *testing.T) {
 			t.Fatalf("compress=%v: wire = %d", compress, wire)
 		}
 
-		if _, _, err := c.DownloadRange(fp, 9000, 2000); !errors.Is(err, ErrBadRange) {
-			t.Fatalf("oob range over HTTP: %v", err)
+		for _, r := range []struct{ off, n int64 }{
+			{9000, 2000}, {math.MaxInt64, 1}, {2, math.MaxInt64},
+		} {
+			// ErrBadRange is the client's reading of a 416: a handler that
+			// panicked (connection dropped) or answered 500 is neither.
+			if _, _, err := c.DownloadRange(fp, r.off, r.n); !errors.Is(err, ErrBadRange) {
+				t.Fatalf("compress=%v: oob range [%d,+%d) over HTTP: %v", compress, r.off, r.n, err)
+			}
 		}
 		absent := hashing.FingerprintBytes([]byte("absent"))
 		if _, _, err := c.DownloadRange(absent, 0, 1); !errors.Is(err, ErrNotFound) {
@@ -117,8 +127,8 @@ func TestRangeHTTPVerbSurface(t *testing.T) {
 	}
 }
 
-// The retry wrapper passes ranges through, retries transient failures,
-// and refuses stores without the verb.
+// The retry wrapper passes ranges through and burns no retries on a
+// range that cannot fit.
 func TestRetryStoreDownloadRange(t *testing.T) {
 	reg := New(Options{})
 	fp, data := rangeObject(t, reg)
@@ -137,23 +147,6 @@ func TestRetryStoreDownloadRange(t *testing.T) {
 	if r.Retries() != 0 {
 		t.Fatalf("burned %d retries on permanent errors", r.Retries())
 	}
-
-	bare, err := NewRetryStore(rangelessStore{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := bare.DownloadRange(fp, 0, 1); !errors.Is(err, ErrRangeUnsupported) {
-		t.Fatalf("rangeless inner = %v", err)
-	}
-}
-
-// rangelessStore implements Store but not RangeDownloader.
-type rangelessStore struct{}
-
-func (rangelessStore) Query(hashing.Fingerprint) (bool, error)  { return false, nil }
-func (rangelessStore) Upload(hashing.Fingerprint, []byte) error { return nil }
-func (rangelessStore) Download(hashing.Fingerprint) ([]byte, int64, error) {
-	return nil, 0, errors.New("nope")
 }
 
 func TestClientWithOptionsSupportsRange(t *testing.T) {
@@ -165,11 +158,7 @@ func TestClientWithOptionsSupportsRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, ok := store.(RangeDownloader)
-	if !ok {
-		t.Fatal("retry-wrapped HTTP client lost the range verb")
-	}
-	got, _, err := rd.DownloadRange(fp, 100, 50)
+	got, _, err := store.DownloadRange(fp, 100, 50)
 	if err != nil || !bytes.Equal(got, data[100:150]) {
 		t.Fatalf("range through options client: %v", err)
 	}

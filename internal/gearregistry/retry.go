@@ -16,8 +16,7 @@ import (
 // Definite failures — a missing object, a malformed fingerprint — are
 // returned immediately; everything else retries per the shared
 // clientopt policy (Retries extra attempts, exponential Backoff between
-// them). Every verb — Query, Upload, Download, and their batched forms
-// — shares the one policy.
+// them). Every verb of Store shares the one policy.
 type RetryStore struct {
 	inner Store
 	opts  clientopt.Options
@@ -67,7 +66,6 @@ func permanent(err error) bool {
 	return errors.Is(err, ErrNotFound) ||
 		errors.Is(err, ErrFingerprintMismatch) ||
 		errors.Is(err, ErrBadRange) ||
-		errors.Is(err, ErrRangeUnsupported) ||
 		errors.Is(err, hashing.ErrMalformed) ||
 		errors.Is(err, wire.ErrBadRequest) ||
 		errors.Is(err, wire.ErrTooLarge)

@@ -16,7 +16,7 @@ import (
 // flakyStore fails the first failures calls of each operation with a
 // transient error.
 type flakyStore struct {
-	inner    Store
+	Store
 	failures int
 	calls    int
 }
@@ -35,21 +35,21 @@ func (f *flakyStore) Query(fp hashing.Fingerprint) (bool, error) {
 	if err := f.tick(); err != nil {
 		return false, err
 	}
-	return f.inner.Query(fp)
+	return f.Store.Query(fp)
 }
 
 func (f *flakyStore) Upload(fp hashing.Fingerprint, data []byte) error {
 	if err := f.tick(); err != nil {
 		return err
 	}
-	return f.inner.Upload(fp, data)
+	return f.Store.Upload(fp, data)
 }
 
 func (f *flakyStore) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 	if err := f.tick(); err != nil {
 		return nil, 0, err
 	}
-	return f.inner.Download(fp)
+	return f.Store.Download(fp)
 }
 
 func TestNewRetryStoreValidates(t *testing.T) {
@@ -64,7 +64,7 @@ func TestRetryRecoversFromTransientFailures(t *testing.T) {
 	// any operation while failures remain: attempt 1 upload fails, retry
 	// 2's probe fails (ignored), its upload fails, retry 3's probe sees
 	// the object absent and the upload finally lands.
-	flaky := &flakyStore{inner: inner, failures: 3}
+	flaky := &flakyStore{Store: inner, failures: 3}
 	r, err := NewRetryStore(flaky, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestRetryRecoversFromTransientFailures(t *testing.T) {
 }
 
 func TestRetryGivesUpAfterBound(t *testing.T) {
-	flaky := &flakyStore{inner: New(Options{}), failures: 10}
+	flaky := &flakyStore{Store: New(Options{}), failures: 10}
 	r, err := NewRetryStore(flaky, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -101,16 +101,12 @@ func TestRetryGivesUpAfterBound(t *testing.T) {
 // lossyStore lands uploads server-side but loses the first N responses —
 // the failure mode that makes naive upload retries double-count dedup.
 type lossyStore struct {
-	inner  *Registry
+	Store
 	losses int
 }
 
-func (l *lossyStore) Query(fp hashing.Fingerprint) (bool, error) { return l.inner.Query(fp) }
-func (l *lossyStore) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
-	return l.inner.Download(fp)
-}
 func (l *lossyStore) Upload(fp hashing.Fingerprint, data []byte) error {
-	err := l.inner.Upload(fp, data)
+	err := l.Store.Upload(fp, data)
 	if err == nil && l.losses > 0 {
 		l.losses--
 		return errTransient
@@ -120,7 +116,7 @@ func (l *lossyStore) Upload(fp hashing.Fingerprint, data []byte) error {
 
 func TestRetryUploadIsIdempotent(t *testing.T) {
 	inner := New(Options{})
-	lossy := &lossyStore{inner: inner, losses: 1}
+	lossy := &lossyStore{Store: inner, losses: 1}
 	r, err := NewRetryStore(lossy, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +141,7 @@ func TestRetryBackoff(t *testing.T) {
 	if _, err := NewRetryStoreBackoff(New(Options{}), 3, -1); !errors.Is(err, ErrBadAttempts) {
 		t.Errorf("negative backoff: err = %v, want ErrBadAttempts", err)
 	}
-	flaky := &flakyStore{inner: New(Options{}), failures: 2}
+	flaky := &flakyStore{Store: New(Options{}), failures: 2}
 	r, err := NewRetryStoreBackoff(flaky, 3, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +159,7 @@ func TestRetryBackoff(t *testing.T) {
 
 func TestRetryDoesNotRetryPermanentErrors(t *testing.T) {
 	inner := New(Options{})
-	flaky := &flakyStore{inner: inner, failures: 0}
+	flaky := &flakyStore{Store: inner, failures: 0}
 	r, err := NewRetryStore(flaky, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +253,7 @@ func TestRetryQueryPassesThrough(t *testing.T) {
 	if err := inner.Upload(fp, data); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRetryStore(&flakyStore{inner: inner, failures: 1}, 2)
+	r, err := NewRetryStore(&flakyStore{Store: inner, failures: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

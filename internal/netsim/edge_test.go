@@ -113,12 +113,12 @@ func TestTransferWindowEdgeCases(t *testing.T) {
 			if lerr != nil {
 				t.Fatalf("NewLink: %v", lerr)
 			}
-			got, werr := link.TransferWindowE(tt.streams)
+			got, werr := link.TransferWindow(tt.streams)
 			if werr != nil {
-				t.Fatalf("TransferWindowE: %v", werr)
+				t.Fatalf("TransferWindow: %v", werr)
 			}
 			if got != makespan {
-				t.Errorf("TransferWindowE = %v, FairShareE makespan = %v", got, makespan)
+				t.Errorf("TransferWindow = %v, FairShareE makespan = %v", got, makespan)
 			}
 		})
 	}
@@ -137,7 +137,7 @@ func TestTopologyEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := topo.Node("only")
-		if _, err := n.WAN.TransferE(1000); err != nil {
+		if _, err := n.WAN.Transfer(1000); err != nil {
 			t.Fatalf("single-node transfer: %v", err)
 		}
 		if got := topo.WANStats().Bytes; got != 1000 {
@@ -169,21 +169,18 @@ func TestTopologyEdgeCases(t *testing.T) {
 			t.Fatalf("Detach: %v", err)
 		}
 		// Every transfer shape on the detached node's links is a typed
-		// error, not a hang or silent accounting.
-		if _, err := n.WAN.TransferE(100); !errors.Is(err, ErrLinkClosed) {
-			t.Errorf("TransferE after detach = %v, want ErrLinkClosed", err)
-		}
-		if _, err := n.WAN.TransferBatchE(3, 100); !errors.Is(err, ErrLinkClosed) {
-			t.Errorf("TransferBatchE after detach = %v, want ErrLinkClosed", err)
-		}
-		if _, err := n.LAN.TransferWindowE([]Stream{{Bytes: 10, Requests: 1}}); !errors.Is(err, ErrLinkClosed) {
-			t.Errorf("TransferWindowE after detach = %v, want ErrLinkClosed", err)
-		}
-		// The untyped variants record nothing rather than pricing traffic
-		// for a node that left.
+		// error, not a hang or silent accounting: a refused transfer costs
+		// nothing and records nothing rather than pricing traffic for a
+		// node that left.
 		before := topo.WANStats()
-		if cost := n.WAN.Transfer(100); cost != 0 {
-			t.Errorf("Transfer on closed link cost %v, want 0", cost)
+		if cost, err := n.WAN.Transfer(100); !errors.Is(err, ErrLinkClosed) || cost != 0 {
+			t.Errorf("Transfer after detach = %v, %v, want 0, ErrLinkClosed", cost, err)
+		}
+		if _, err := n.WAN.TransferBatch(3, 100); !errors.Is(err, ErrLinkClosed) {
+			t.Errorf("TransferBatch after detach = %v, want ErrLinkClosed", err)
+		}
+		if _, err := n.LAN.TransferWindow([]Stream{{Bytes: 10, Requests: 1}}); !errors.Is(err, ErrLinkClosed) {
+			t.Errorf("TransferWindow after detach = %v, want ErrLinkClosed", err)
 		}
 		if after := topo.WANStats(); after != before {
 			t.Errorf("closed-link transfer changed stats: %+v -> %+v", before, after)

@@ -173,17 +173,10 @@ func fairShare(cfg LinkConfig, streams []Stream) (finish []time.Duration, makesp
 // A single batched stream costs the same as TransferBatch for the same
 // requests and bytes.
 //
-// On a closed link or invalid input it records nothing and returns 0;
-// TransferWindowE reports the typed error.
-func (l *Link) TransferWindow(streams []Stream) time.Duration {
-	makespan, _ := l.TransferWindowE(streams)
-	return makespan
-}
-
-// TransferWindowE is TransferWindow with typed failure reporting:
-// ErrLinkClosed on a closed link (a node that detached mid-transfer),
-// ErrBadStream for impossible stream parameters.
-func (l *Link) TransferWindowE(streams []Stream) (time.Duration, error) {
+// On a closed link (ErrLinkClosed: a node that detached mid-transfer)
+// or for impossible stream parameters (ErrBadStream) it records nothing
+// and costs 0.
+func (l *Link) TransferWindow(streams []Stream) (time.Duration, error) {
 	if err := ValidateStreams(streams); err != nil {
 		return 0, err
 	}

@@ -114,12 +114,12 @@ func TestTransferWindowMatchesTransferBatch(t *testing.T) {
 	}
 
 	const n, size = 37, int64(1_234_567)
-	batchCost := a.TransferBatch(n, size)
-	windowCost := b.TransferWindow([]Stream{{
+	batchCost := priced(a.TransferBatch(n, size))
+	windowCost := priced(b.TransferWindow([]Stream{{
 		Latency:  cfg.RTT + time.Duration(n)*cfg.RequestOverhead,
 		Requests: n,
 		Bytes:    size,
-	}})
+	}}))
 	approxEqual(t, windowCost, batchCost, time.Microsecond, "window vs batch cost")
 
 	as, bs := a.Stats(), b.Stats()

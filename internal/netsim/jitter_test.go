@@ -23,8 +23,8 @@ func TestServiceFactorScalesServeTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	const size = 1 << 20
-	base := nominal.Transfer(size)
-	got := slow.Transfer(size)
+	base := priced(nominal.Transfer(size))
+	got := priced(slow.Transfer(size))
 	want := cfg.RTT + 10*(base-cfg.RTT)
 	if got != want {
 		t.Errorf("10x factor cost = %v, want %v (base %v)", got, want, base)
@@ -35,7 +35,7 @@ func TestServiceFactorScalesServeTime(t *testing.T) {
 	if err := slow.SetServiceFactor(1); err != nil {
 		t.Fatal(err)
 	}
-	if back := slow.Transfer(size); back != base {
+	if back := priced(slow.Transfer(size)); back != base {
 		t.Errorf("factor 1 cost = %v, want nominal %v", back, base)
 	}
 	if err := slow.SetServiceFactor(0); !errors.Is(err, ErrBadLink) {
@@ -72,7 +72,7 @@ func TestServiceJitterDeterministic(t *testing.T) {
 	ceiling := cfg.RTT + time.Duration(float64(base-cfg.RTT)*1.5)
 	diverged := false
 	for i := 0; i < 64; i++ {
-		ca, cb, cc := a.Transfer(size), b.Transfer(size), c.Transfer(size)
+		ca, cb, cc := priced(a.Transfer(size)), priced(b.Transfer(size)), priced(c.Transfer(size))
 		if ca != cb {
 			t.Fatalf("request %d: same seed diverged: %v vs %v", i, ca, cb)
 		}
@@ -111,7 +111,7 @@ func TestQuoteRecordMatchesTransfer(t *testing.T) {
 	}
 	sizes := []int64{100, 5000, 0, 1 << 16}
 	for i, size := range sizes {
-		want, err := oneshot.TransferE(size)
+		want, err := oneshot.Transfer(size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestQuoteRecordMatchesTransfer(t *testing.T) {
 		}
 	}
 	// Batch form too.
-	want, err := oneshot.TransferBatchE(3, 9000)
+	want, err := oneshot.TransferBatch(3, 9000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestTopologyServiceKnobs(t *testing.T) {
 	}
 	b := topo.Node("b")
 	const size = 1 << 18
-	ca, cb := a.WAN.Transfer(size), b.WAN.Transfer(size)
+	ca, cb := priced(a.WAN.Transfer(size)), priced(b.WAN.Transfer(size))
 	if ca <= cb {
 		t.Errorf("straggler cost %v not above nominal %v", ca, cb)
 	}
@@ -266,8 +266,8 @@ func TestTopologyServiceKnobs(t *testing.T) {
 	t2 := mk("z", "x", "y")
 	for _, id := range []string{"x", "y", "z"} {
 		for i := 0; i < 16; i++ {
-			c1 := t1.Node(id).WAN.Transfer(size)
-			c2 := t2.Node(id).WAN.Transfer(size)
+			c1 := priced(t1.Node(id).WAN.Transfer(size))
+			c2 := priced(t2.Node(id).WAN.Transfer(size))
 			if c1 != c2 {
 				t.Fatalf("node %s request %d: %v != %v across attach orders", id, i, c1, c2)
 			}

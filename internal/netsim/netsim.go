@@ -267,23 +267,16 @@ func (l *Link) TransferCost(size int64) time.Duration {
 }
 
 // Transfer records one request of size bytes and returns its cost. On a
-// closed link it records nothing and returns 0; use TransferE when the
-// caller needs the typed error.
-func (l *Link) Transfer(size int64) time.Duration {
-	cost, _ := l.TransferE(size)
-	return cost
-}
-
-// TransferE is Transfer with typed failure reporting: ErrLinkClosed on
-// a closed link, ErrBadStream for a negative size.
-func (l *Link) TransferE(size int64) (time.Duration, error) {
+// closed link (ErrLinkClosed) or for a negative size (ErrBadStream) it
+// records nothing and costs 0.
+func (l *Link) Transfer(size int64) (time.Duration, error) {
 	return l.transfer("transfer", 1, size, false, true)
 }
 
 // TransferQuote draws the (service-scaled, jittered) cost of n requests
 // totalling size bytes without recording any traffic. The jitter stream
 // advances exactly as a recorded transfer would, so a quote followed by
-// RecordTransfer prices identically to TransferE/TransferBatchE. Hedged
+// RecordTransfer prices identically to Transfer/TransferBatch. Hedged
 // readers quote both replicas, pick the winner, and record the loser's
 // partial outcome.
 func (l *Link) TransferQuote(n int, size int64) (time.Duration, error) {
@@ -350,32 +343,20 @@ func (l *Link) PrefixBytes(n int, size int64, busy, cost time.Duration) int64 {
 
 // TransferBatch records n requests totalling size bytes, as when a client
 // pipelines many object fetches: the wire time is paid on the full volume
-// but the RTT is amortized over a pipeline window. On a closed link it
-// records nothing and returns 0; use TransferBatchE for the typed error.
-func (l *Link) TransferBatch(n int, size int64) time.Duration {
-	cost, _ := l.TransferBatchE(n, size)
-	return cost
-}
-
-// TransferBatchE is TransferBatch with typed failure reporting:
-// ErrLinkClosed on a closed link, ErrBadStream for a negative size.
-func (l *Link) TransferBatchE(n int, size int64) (time.Duration, error) {
+// but the RTT is amortized over a pipeline window. On a closed link
+// (ErrLinkClosed) or for a negative size (ErrBadStream) it records
+// nothing and costs 0.
+func (l *Link) TransferBatch(n int, size int64) (time.Duration, error) {
 	return l.transfer("batch", n, size, false, true)
 }
 
-// TransferRangeE records one byte-range request of size bytes — a chunk
-// fetched out of a larger stored object — and returns its cost. Range
-// requests pay RangeOverhead on top of the per-request overhead; with
-// RangeOverhead zero the cost is bit-identical to TransferE(size).
-// ErrLinkClosed on a closed link, ErrBadStream for a negative size.
-func (l *Link) TransferRangeE(size int64) (time.Duration, error) {
-	return l.transfer("range transfer", 1, size, true, true)
-}
-
-// TransferRangeQuote draws the cost of n range requests totalling size
-// bytes without recording traffic, advancing the jitter stream exactly
-// as a recorded transfer would — the range analogue of TransferQuote,
-// for readers that quote replicas before committing via RecordTransfer.
+// TransferRangeQuote draws the cost of n range requests — chunks
+// fetched out of larger stored objects — totalling size bytes without
+// recording traffic, advancing the jitter stream exactly as a recorded
+// transfer would. It is the range analogue of TransferQuote and, with
+// RecordTransfer, the one way a range is priced. Range requests pay
+// RangeOverhead on top of the per-request overhead; with RangeOverhead
+// zero the cost is bit-identical to a whole-object request's.
 func (l *Link) TransferRangeQuote(n int, size int64) (time.Duration, error) {
 	return l.transfer("range quote", n, size, true, false)
 }

@@ -8,6 +8,14 @@ import (
 	"time"
 )
 
+// priced is the cost of a transfer that must succeed.
+func priced(cost time.Duration, err error) time.Duration {
+	if err != nil {
+		panic(err)
+	}
+	return cost
+}
+
 func TestMbps(t *testing.T) {
 	if got := Mbps(8); got != 1e6 {
 		t.Errorf("Mbps(8) = %f, want 1e6 bytes/s", got)
@@ -85,8 +93,8 @@ func TestTransferAccumulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := l.Transfer(1000)
-	c2 := l.Transfer(2000)
+	c1 := priced(l.Transfer(1000))
+	c2 := priced(l.Transfer(2000))
 	s := l.Stats()
 	if s.Bytes != 3000 || s.Requests != 2 {
 		t.Errorf("stats = %+v", s)
@@ -110,16 +118,16 @@ func TestTransferBatchAmortizesRTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := l.TransferBatch(100, 1e6)
+	batch := priced(l.TransferBatch(100, 1e6))
 	l.Reset()
 	var serial time.Duration
 	for i := 0; i < 100; i++ {
-		serial += l.Transfer(1e4)
+		serial += priced(l.Transfer(1e4))
 	}
 	if batch >= serial {
 		t.Errorf("batched %v not cheaper than serial %v", batch, serial)
 	}
-	if got := l.TransferBatch(0, 0); got != 0 {
+	if got := priced(l.TransferBatch(0, 0)); got != 0 {
 		t.Errorf("empty batch cost = %v", got)
 	}
 }
@@ -133,9 +141,9 @@ func TestPerRequestOverheadPenalizesSmallObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 1 << 20
-	asBlocks := l.TransferBatch(total/4096, total) // 4 KB blocks
+	asBlocks := priced(l.TransferBatch(total/4096, total)) // 4 KB blocks
 	l.Reset()
-	asFiles := l.TransferBatch(32, total) // 32 files
+	asFiles := priced(l.TransferBatch(32, total)) // 32 files
 	if asBlocks <= asFiles {
 		t.Errorf("block-granularity %v not slower than file-granularity %v", asBlocks, asFiles)
 	}

@@ -9,7 +9,10 @@ import (
 // mustRange records one range request on an open link.
 func mustRange(t *testing.T, l *Link, size int64) time.Duration {
 	t.Helper()
-	cost, err := l.TransferRangeE(size)
+	cost, err := l.TransferRangeQuote(1, size)
+	if err == nil {
+		err = l.RecordTransfer(1, size, cost)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +32,7 @@ func TestTransferRangeDegeneratesToTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, size := range []int64{0, 1, 4096, 1 << 20} {
-		whole := a.Transfer(size)
+		whole := priced(a.Transfer(size))
 		ranged := mustRange(t, b, size)
 		if whole != ranged {
 			t.Fatalf("size %d: whole %v != range %v with zero RangeOverhead", size, whole, ranged)
@@ -51,7 +54,7 @@ func TestTransferRangePaysRangeOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole := base.Transfer(4096)
+	whole := priced(base.Transfer(4096))
 	ranged := mustRange(t, l, 4096)
 	if got, want := ranged-whole, 5*time.Millisecond; got != want {
 		t.Fatalf("range premium = %v, want %v", got, want)
@@ -63,15 +66,17 @@ func TestTransferRangePaysRangeOverhead(t *testing.T) {
 	if err := base.SetServiceFactor(2); err != nil {
 		t.Fatal(err)
 	}
-	whole2 := base.Transfer(4096)
+	whole2 := priced(base.Transfer(4096))
 	ranged2 := mustRange(t, l, 4096)
 	if got, want := ranged2-whole2, 10*time.Millisecond; got != want {
 		t.Fatalf("scaled range premium = %v, want %v", got, want)
 	}
 }
 
-// A quote followed by RecordTransfer must price exactly like the
-// one-shot recording call, jitter stream included.
+// A range quote followed by RecordTransfer must price exactly like a
+// one-shot recording call, jitter stream included — Transfer on a link
+// whose every request pays the range premium, there being no one-shot
+// range call.
 func TestTransferRangeQuoteMatchesRecorded(t *testing.T) {
 	cfg := DefaultLAN()
 	cfg.RangeOverhead = time.Millisecond
@@ -79,6 +84,7 @@ func TestTransferRangeQuoteMatchesRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.RequestOverhead += cfg.RangeOverhead
 	r, err := NewLink(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +103,7 @@ func TestTransferRangeQuoteMatchesRecorded(t *testing.T) {
 		if err := q.RecordTransfer(1, size, cost); err != nil {
 			t.Fatal(err)
 		}
-		direct, err := r.TransferRangeE(size)
+		direct, err := r.Transfer(size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,9 +121,6 @@ func TestTransferRangeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.TransferRangeE(-1); !errors.Is(err, ErrBadStream) {
-		t.Fatalf("negative size: %v", err)
-	}
 	if _, err := l.TransferRangeQuote(1, -1); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("negative quote: %v", err)
 	}
@@ -125,9 +128,6 @@ func TestTransferRangeErrors(t *testing.T) {
 		t.Fatal("negative RangeOverhead accepted")
 	}
 	l.Close()
-	if _, err := l.TransferRangeE(1); !errors.Is(err, ErrLinkClosed) {
-		t.Fatalf("closed link: %v", err)
-	}
 	if _, err := l.TransferRangeQuote(1, 1); !errors.Is(err, ErrLinkClosed) {
 		t.Fatalf("closed quote: %v", err)
 	}

@@ -137,12 +137,15 @@ func TestServerServesAndAccounts(t *testing.T) {
 		t.Errorf("Download(absent) err = %v, want ErrNotFound", err)
 	}
 
-	payloads, _, err := s.DownloadBatch([]hashing.Fingerprint{fp, fp})
-	if err != nil || len(payloads) != 2 {
-		t.Fatalf("DownloadBatch = %v, %v", payloads, err)
+	// Stored — what the HTTP verbs, batches included, are served from —
+	// is the same lookup and accounts the same.
+	for i := 0; i < 2; i++ {
+		if o, err := s.Stored(fp); err != nil || string(o.Stored) != string(data) || o.Size != int64(len(data)) {
+			t.Fatalf("Stored = %+v, %v", o, err)
+		}
 	}
-	if _, _, err := s.DownloadBatch([]hashing.Fingerprint{fp, fpOf("absent")}); err == nil {
-		t.Error("batch with absent object did not fail")
+	if _, err := s.Stored(fpOf("absent")); !errors.Is(err, gearregistry.ErrNotFound) {
+		t.Errorf("Stored(absent) err = %v, want ErrNotFound", err)
 	}
 
 	st := s.Stats()

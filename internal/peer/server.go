@@ -79,86 +79,45 @@ func (s *Server) Query(fp hashing.Fingerprint) (bool, error) {
 // gearregistry.ErrNotFound — eviction between locate and download is a
 // normal race, and callers fall back to another holder or the registry.
 func (s *Server) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
-	s.acquire()
-	defer s.release()
-	data, wire, err := s.serveLocked(fp)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.objectsServed.Add(1)
-	s.bytesServed.Add(wire)
-	return data, wire, nil
-}
-
-// DownloadBatch serves several files in one logical round trip,
-// all-or-nothing like the registry's batch verb: if any file is absent
-// the whole batch fails (and counts nothing as served) and the caller
-// re-plans.
-func (s *Server) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, error) {
-	s.acquire()
-	defer s.release()
-	payloads := make([][]byte, len(fps))
-	var wire int64
-	for i, fp := range fps {
-		data, w, err := s.serveLocked(fp)
-		if err != nil {
-			return nil, 0, err
-		}
-		payloads[i] = data
-		wire += w
-	}
-	s.objectsServed.Add(int64(len(fps)))
-	s.bytesServed.Add(wire)
-	return payloads, wire, nil
-}
-
-// serveLocked looks up one object; the caller holds a serve slot and
-// accounts served traffic itself.
-func (s *Server) serveLocked(fp hashing.Fingerprint) ([]byte, int64, error) {
-	if err := fp.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("peer server %s: %w", s.id, err)
-	}
-	content, ok := s.cache.Peek(fp)
-	if !ok {
-		return nil, 0, fmt.Errorf("peer server %s: %s: %w", s.id, fp, gearregistry.ErrNotFound)
-	}
-	data := content.Data()
-	wire := int64(len(data))
-	if s.opts.Compress {
-		z, err := tarstream.Gzip(data)
-		if err != nil {
-			return nil, 0, fmt.Errorf("peer server %s: %s: %w", s.id, fp, err)
-		}
-		wire = int64(len(z))
-	}
-	return data, wire, nil
+	data, stored, err := s.serve(fp)
+	return data, int64(len(stored)), err
 }
 
 // Stored implements gearregistry.Pool: the bytes exactly as they cross
 // the wire, gzip-framed when Compress is set, so that
 // gearregistry.NewPoolHandler(s) serves the cache to a stock
-// gearregistry.Client. Accounting matches Download.
+// gearregistry.Client — single downloads and batches alike. Accounting
+// matches Download.
 func (s *Server) Stored(fp hashing.Fingerprint) (wire.Object, error) {
+	data, stored, err := s.serve(fp)
+	if err != nil {
+		return wire.Object{}, err
+	}
+	return wire.Object{FP: fp, Stored: stored, Gzip: s.opts.Compress, Size: int64(len(data))}, nil
+}
+
+// serve looks fp up under a serve slot and counts it served: data is
+// the content, stored the bytes as they cross the wire.
+func (s *Server) serve(fp hashing.Fingerprint) (data, stored []byte, err error) {
 	if err := fp.Validate(); err != nil {
-		return wire.Object{}, fmt.Errorf("peer server %s: download: %w", s.id, err)
+		return nil, nil, fmt.Errorf("peer server %s: download: %w", s.id, err)
 	}
 	s.acquire()
 	defer s.release()
 	content, ok := s.cache.Peek(fp)
 	if !ok {
-		return wire.Object{}, fmt.Errorf("peer server %s: %s: %w", s.id, fp, gearregistry.ErrNotFound)
+		return nil, nil, fmt.Errorf("peer server %s: %s: %w", s.id, fp, gearregistry.ErrNotFound)
 	}
-	data := content.Data()
-	o := wire.Object{FP: fp, Stored: data, Gzip: s.opts.Compress, Size: int64(len(data))}
-	if o.Gzip {
-		var err error
-		if o.Stored, err = tarstream.Gzip(o.Stored); err != nil {
-			return wire.Object{}, fmt.Errorf("peer server %s: %s: %w", s.id, fp, err)
+	data = content.Data()
+	stored = data
+	if s.opts.Compress {
+		if stored, err = tarstream.Gzip(data); err != nil {
+			return nil, nil, fmt.Errorf("peer server %s: %s: %w", s.id, fp, err)
 		}
 	}
 	s.objectsServed.Add(1)
-	s.bytesServed.Add(int64(len(o.Stored)))
-	return o, nil
+	s.bytesServed.Add(int64(len(stored)))
+	return data, stored, nil
 }
 
 func (s *Server) acquire() { s.sem <- struct{}{} }

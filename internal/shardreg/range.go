@@ -22,8 +22,6 @@ import (
 // cost that already dominates it, and the store's fetch window above
 // this layer retries through failover instead.
 
-var _ gearregistry.RangeDownloader = (*Cluster)(nil)
-
 // rangePermanent reports range errors no other replica can fix:
 // replicas store identical bytes, so a range that does not fit on one
 // shard does not fit anywhere.
@@ -62,12 +60,8 @@ func (c *Cluster) DownloadRangeTimed(fp hashing.Fingerprint, off, n int64) ([]by
 			lastErr = s.downErr()
 			continue
 		}
-		rd, ok := s.store.(gearregistry.RangeDownloader)
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("shardreg: range %s: %w", fp, gearregistry.ErrRangeUnsupported)
-		}
 		s.inflight.Add(1)
-		payload, wire, err := rd.DownloadRange(fp, off, n)
+		payload, wire, err := s.store.DownloadRange(fp, off, n)
 		if err != nil {
 			s.inflight.Add(-1)
 			if rangePermanent(err) {

@@ -136,7 +136,7 @@ func TestClusterRangePricing(t *testing.T) {
 	base := topo.Node(primary).WAN.Stats()
 	// Mirror upload traffic into the reference link's jitter stream.
 	refLink := ref.Node(primary).WAN
-	if _, err := refLink.TransferE(int64(len(data))); err != nil {
+	if _, err := refLink.Transfer(int64(len(data))); err != nil {
 		t.Fatal(err)
 	}
 	refBase := refLink.Stats()
@@ -145,7 +145,10 @@ func TestClusterRangePricing(t *testing.T) {
 	if err != nil || !bytes.Equal(payload, data[2048:2048+4096]) {
 		t.Fatalf("timed range: %v", err)
 	}
-	want, err := refLink.TransferRangeE(wire)
+	want, err := refLink.TransferRangeQuote(1, wire)
+	if err == nil {
+		err = refLink.RecordTransfer(1, wire, want)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

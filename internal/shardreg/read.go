@@ -183,69 +183,22 @@ func nextLive(chain []*shard, from int) *shard {
 	return nil
 }
 
-// priceRead prices one served single-object download on s's link and
-// returns the client-observed latency, hedging to alt when armed. The
-// hedge is modeled analytically under the virtual clock: both replicas'
-// costs are quoted, the winner records its full transfer, and the loser
-// records only the prefix it moved before cancellation — that prefix is
-// the hedge's extra egress, tracked in shardreg.hedge.waste.bytes.
-// Replicas store identical (deterministically compressed) bytes, so the
-// payload is the same whichever side wins and client bytes stay at
-// exact parity.
-func (c *Cluster) priceRead(s, alt *shard, wire int64, first bool) time.Duration {
-	if s.links == nil {
-		s.countRead(1, wire)
-		return 0
-	}
-	costP, err := s.links.WAN.TransferQuote(1, wire)
-	if err != nil {
-		s.countRead(1, wire)
-		return 0
-	}
-	delay := c.hedgeTrigger(1, wire)
-	if first && c.opts.Read.Hedge && delay > 0 && costP > delay &&
-		alt != nil && alt.links != nil {
-		if costB, errB := alt.links.WAN.TransferQuote(1, wire); errB == nil {
-			c.hedgeFired.Inc()
-			altDone := delay + costB
-			if altDone < costP {
-				// Backup wins: it serves the client; the primary is
-				// cancelled altDone in, having moved a prefix.
-				c.hedgeWon.Inc()
-				alt.links.WAN.RecordTransfer(1, wire, costB)
-				partial := s.links.WAN.PrefixBytes(1, wire, altDone, costP)
-				s.links.WAN.RecordTransfer(1, partial, altDone)
-				c.hedgeWaste.Add(partial)
-				c.observe(alt, costB, wire)
-				c.observeCensored(s, altDone)
-				alt.countRead(1, wire)
-				return altDone
-			}
-			// Primary wins: the backup started delay in and is cancelled
-			// when the primary completes.
-			busy := costP - delay
-			partial := alt.links.WAN.PrefixBytes(1, wire, busy, costB)
-			alt.links.WAN.RecordTransfer(1, partial, busy)
-			c.hedgeWaste.Add(partial)
-			s.links.WAN.RecordTransfer(1, wire, costP)
-			c.observe(s, costP, wire)
-			s.countRead(1, wire)
-			return costP
-		}
-	}
-	s.links.WAN.RecordTransfer(1, wire, costP)
-	c.observe(s, costP, wire)
-	s.countRead(1, wire)
-	return costP
-}
-
 // priceBatch prices a served sub-batch of n requests totalling w bytes
-// on s's link, hedging the whole sub-batch when its mean per-request
-// cost runs past the hedge delay and every index has a live alternate
-// replica. The alternate side splits by each index's next replica and
-// runs its groups in parallel, so its completion is the delay plus the
-// slowest group. Per-index wire sizes are not visible at this layer;
-// groups are priced on their proportional share of the batch volume.
+// on s's link and returns the client-observed latency, hedging the
+// whole sub-batch when its mean per-request cost runs past the hedge
+// delay and every index has a live alternate replica. It is the tier's
+// one hedge model: a single-object download is priced as a batch of
+// one. The hedge is modeled analytically under the virtual clock: both
+// sides' costs are quoted, the winner records its full transfer, and
+// the loser records only the prefix it moved before cancellation — that
+// prefix is the hedge's extra egress, tracked in
+// shardreg.hedge.waste.bytes. Replicas store identical
+// (deterministically compressed) bytes, so the payload is the same
+// whichever side wins and client bytes stay at exact parity. The
+// alternate side splits by each index's next replica and runs its
+// groups in parallel, so its completion is the delay plus the slowest
+// group. Per-index wire sizes are not visible at this layer; groups are
+// priced on their proportional share of the batch volume.
 func (c *Cluster) priceBatch(s *shard, idxs []int, w int64, alt func(int) *shard) time.Duration {
 	n := len(idxs)
 	if s.links == nil {
@@ -386,7 +339,13 @@ func (c *Cluster) DownloadTimed(fp hashing.Fingerprint) ([]byte, int64, time.Dur
 			first = false
 			continue
 		}
-		cost := c.priceRead(s, nextLive(chain, i+1), wire, first)
+		// A read that has already failed on one replica is not hedged.
+		cost := c.priceBatch(s, []int{0}, wire, func(int) *shard {
+			if !first {
+				return nil
+			}
+			return nextLive(chain, i+1)
+		})
 		s.inflight.Add(-1)
 		return payload, wire, cost, nil
 	}

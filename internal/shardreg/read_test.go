@@ -60,8 +60,8 @@ func TestReadDegeneratesToRankOrder(t *testing.T) {
 			t.Fatalf("DownloadTimed(%s) = %d bytes, wire %d, cost %v", fp, len(payload), wire, cost)
 		}
 		primary := c.Replicas(fp)[0]
-		want := ref.Node(primary).WAN.Transfer(wire)
-		if cost != want {
+		want, err := ref.Node(primary).WAN.Transfer(wire)
+		if err != nil || cost != want {
 			t.Fatalf("download %s cost %v, want rank-order Transfer cost %v", fp, cost, want)
 		}
 	}

@@ -1,10 +1,9 @@
 // Package shardreg is the multi-node Gear Registry tier: fingerprints
 // are placed on shards by consistent hashing (virtual nodes for
 // balance), replicated to N shards, and served through a routing client
-// that implements the same three-verb Store protocol — plus the batched
-// QueryBatch/DownloadBatch forms — as a single gearregistry.Registry, so
-// the store, push pipeline, and deployment daemons work against a
-// sharded tier unchanged.
+// that implements the same Store protocol — all six verbs — as a
+// single gearregistry.Registry, so the store, push pipeline, and
+// deployment daemons work against a sharded tier unchanged.
 //
 // The tier removes the single-registry ceiling the paper's evaluation
 // assumes (EdgePier makes the same move for edge registries): each
@@ -96,22 +95,13 @@ type Options struct {
 	Read ReadOptions
 }
 
-// shardStore is what every shard backend must speak: the three verbs
-// plus both batch forms. *gearregistry.Registry and *RetryStore both
-// qualify.
-type shardStore interface {
-	gearregistry.Store
-	gearregistry.BatchQuerier
-	gearregistry.BatchDownloader
-}
-
 // shard is one cluster member: an in-process Gear registry behind the
 // (optionally retry-wrapped) store interface, its topology links, and
 // its liveness flag.
 type shard struct {
 	id    string
 	reg   *gearregistry.Registry
-	store shardStore
+	store gearregistry.Store
 	links *netsim.NodeLinks
 	down  atomic.Bool
 
@@ -157,9 +147,9 @@ func (s *shard) sync() {
 }
 
 // Cluster is the routing client over the shard tier. It implements
-// gearregistry.Store, BatchQuerier, and BatchDownloader; batches fan
-// out per shard and fail over per sub-batch to each fingerprint's next
-// replica. Safe for concurrent use.
+// gearregistry.Store; batches fan out per shard and fail over per
+// sub-batch to each fingerprint's next replica. Safe for concurrent
+// use.
 type Cluster struct {
 	opts Options
 	tele *telemetry.Registry
@@ -194,11 +184,7 @@ type Cluster struct {
 	srttPB float64
 }
 
-var (
-	_ gearregistry.Store           = (*Cluster)(nil)
-	_ gearregistry.BatchQuerier    = (*Cluster)(nil)
-	_ gearregistry.BatchDownloader = (*Cluster)(nil)
-)
+var _ gearregistry.Store = (*Cluster)(nil)
 
 // validateShardID enforces the wire charset: the routed framing carries
 // shard ids as a space-delimited header field.
@@ -278,7 +264,7 @@ func New(opts Options) (*Cluster, error) {
 
 func (c *Cluster) newShard(id string) *shard {
 	reg := gearregistry.New(gearregistry.Options{Compress: c.opts.Compress})
-	var store shardStore = reg
+	var store gearregistry.Store = reg
 	if c.opts.Retry.Attempts() > 1 {
 		// Attempts >= 1 is guaranteed, so the constructor cannot fail.
 		rs, _ := gearregistry.NewRetryStoreOptions(reg, c.opts.Retry)
@@ -352,33 +338,14 @@ func permanentUpload(err error) bool {
 		errors.Is(err, hashing.ErrMalformed)
 }
 
-// Query implements gearregistry.Store, trying replicas in ring order and
-// failing over past dead or erroring shards.
+// Query implements gearregistry.Store as a QueryBatch of one: replicas
+// are tried in ring order, failing over past dead or erroring shards.
 func (c *Cluster) Query(fp hashing.Fingerprint) (bool, error) {
-	c.queries.Inc()
-	if err := fp.Validate(); err != nil {
-		return false, fmt.Errorf("shardreg: query: %w", err)
+	present, err := c.QueryBatch([]hashing.Fingerprint{fp})
+	if err != nil {
+		return false, err
 	}
-	chain := c.replicaChain(fp)
-	if len(chain) == 0 {
-		return false, fmt.Errorf("shardreg: query %s: %w", fp, ErrNoShards)
-	}
-	var lastErr error
-	for _, s := range chain {
-		if s.down.Load() {
-			c.failovers.Inc()
-			lastErr = s.downErr()
-			continue
-		}
-		present, err := s.store.Query(fp)
-		if err != nil {
-			c.failovers.Inc()
-			lastErr = err
-			continue
-		}
-		return present, nil
-	}
-	return false, fmt.Errorf("shardreg: query %s: all %d replicas failed: %w", fp, len(chain), lastErr)
+	return present[0], nil
 }
 
 // Upload implements gearregistry.Store: the object lands on every live
@@ -422,8 +389,12 @@ func (c *Cluster) Upload(fp hashing.Fingerprint, data []byte) error {
 // Download implements gearregistry.Store with replica failover: dead or
 // erroring shards are skipped (and counted as failovers); a replica
 // that simply does not hold the object is tried past without a failover
-// tick, so a tier-wide miss still reports ErrNotFound. Replica choice
-// and hedging follow Options.Read; see DownloadTimed for the
+// tick, so a tier-wide miss still reports ErrNotFound. That is why this
+// is its own walk and not a DownloadBatch of one, the way Query is a
+// QueryBatch of one: in a batch ErrNotFound is permanent (batches are
+// all-or-nothing), here the next replica may hold the object. Only the
+// pricing is shared (priceBatch of one index). Replica choice and
+// hedging follow Options.Read; see DownloadTimed for the
 // latency-returning form.
 func (c *Cluster) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 	payload, wire, _, err := c.DownloadTimed(fp)

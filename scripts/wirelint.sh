@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # wirelint: fail the build when non-test code outside internal/wire
 # reads a body with io.ReadAll, serves with bare http.Serve, answers
-# 405 itself, or writes a reply body to the ResponseWriter itself.
+# 405 itself, or writes a reply body to the ResponseWriter itself — or
+# when any non-test code probes a gearregistry store for a verb.
 #
 # Every HTTP protocol in the repo is a verb table over internal/wire
 # (DESIGN.md, "Wire protocols"): the client helper bounds and drains
@@ -51,6 +52,19 @@ if [ -n "$unsized" ]; then
   echo "wirelint: reply body written around wire.Respond:" >&2
   printf '%s\n' "$unsized" >&2
   echo "  build the body and answer through wire.Respond / RespondObject / RespondFrames" >&2
+  exit 1
+fi
+
+# gearregistry.Store is the one six-verb contract: a type assertion to
+# one of its parts, or an error for a verb a store lacks, is the
+# optional-verb ladder growing back.
+ladder=$(grep -rn --include='*.go' -E '\.\(gearregistry\.[A-Za-z]+\)|ErrRangeUnsupported' . \
+  | grep -v '_test\.go:' \
+  | grep -v -E '^\./loadbench/' || true)
+if [ -n "$ladder" ]; then
+  echo "wirelint: a store probed for a verb:" >&2
+  printf '%s\n' "$ladder" >&2
+  echo "  gearregistry.Store carries every verb — call it" >&2
   exit 1
 fi
 echo "wirelint: ok"
