@@ -272,6 +272,9 @@ type (
 	Store = store.Store
 	// StoreOptions configures a Store.
 	StoreOptions = store.Options
+	// StoreTransfer is what one Store operation moved over the network,
+	// as StoreOptions.OnTransfer observes it.
+	StoreTransfer = store.Transfer
 	// Viewer is one container's lazy filesystem view.
 	Viewer = viewer.Viewer
 	// CachePolicy selects the level-1 replacement algorithm.

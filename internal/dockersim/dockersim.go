@@ -78,27 +78,13 @@ type Options struct {
 	// replaces Link) and peer-to-peer Gear transfers ride Links.LAN.
 	// Obtain it from netsim.Topology.Node.
 	Links *netsim.NodeLinks
-	// LocalReadLatency and LocalReadBPS model serving a file that is
-	// already local (page-cache-ish).
-	LocalReadLatency time.Duration
-	LocalReadBPS     float64
-	// OverlayLatency is the extra union-filesystem lookup cost per file
-	// access; Docker and Gear pay it (both run on Overlay2), Slacker does
-	// not (its ext4 sits directly on the block device) — the reason the
-	// paper's first Tomcat container is 15.3% slower under Gear than
-	// Slacker (§V-E2).
-	OverlayLatency time.Duration
-	// UnpackBPS models layer decompression+extraction during Docker's
-	// pull phase. Gear skips it for all but the tiny index layer.
-	UnpackBPS float64
-	// InodeDestroyCost is the per-cached-inode teardown cost at container
-	// destruction (Fig 11b: Gear destroys faster because only required
-	// files have cached inodes).
-	InodeDestroyCost time.Duration
 	// GearRequestBytes is the wire overhead charged per Gear file fetch
 	// (HTTP request/response headers, framing). Unlike payload bytes it
 	// does not scale with the corpus, which is what bends Gear's
-	// low-bandwidth speedup toward the paper's curve (Fig 9).
+	// low-bandwidth speedup toward the paper's curve (Fig 9). A file a
+	// peer serves is charged the same — both paths speak the registry wire
+	// protocol, which is what keeps per-node received bytes identical
+	// whether a file came from a peer or the registry.
 	GearRequestBytes int64
 	// SlackerRequestBytes is the wire overhead per block fetch (NFS RPC
 	// framing — leaner than HTTP).
@@ -107,11 +93,6 @@ type Options struct {
 	// registry (see store.Options.Peers). Peer transfers are priced on
 	// Links.LAN when a topology is attached, on Link otherwise.
 	Peers store.PeerSource
-	// PeerRequestBytes is the wire overhead charged per peer-served
-	// Gear file. 0 means "same as GearRequestBytes" — both paths speak
-	// the registry wire protocol, which is what keeps per-node received
-	// bytes identical whether a file came from a peer or the registry.
-	PeerRequestBytes int64
 	// CacheCapacity/CachePolicy configure the Gear level-1 cache.
 	CacheCapacity int64
 	CachePolicy   cache.Policy
@@ -149,31 +130,34 @@ type Options struct {
 	TraceCapacity int
 }
 
+// The host's local cost model. No experiment varies it.
+const (
+	// localReadLatency and localReadBPS model serving a file that is
+	// already local (page-cache-ish).
+	localReadLatency = 10 * time.Microsecond
+	localReadBPS     = 2e9
+	// overlayLatency is the extra union-filesystem lookup cost per file
+	// access; Docker and Gear pay it (both run on Overlay2), Slacker does
+	// not (its ext4 sits directly on the block device) — the reason the
+	// paper's first Tomcat container is 15.3% slower under Gear than
+	// Slacker (§V-E2).
+	overlayLatency = 8 * time.Microsecond
+	// unpackBPS models layer decompression+extraction during the pull
+	// phase. Gear pays it for the tiny index layer only.
+	unpackBPS = 300e6
+	// inodeDestroyCost is the per-cached-inode teardown cost at container
+	// destruction (Fig 11b: Gear destroys faster because only required
+	// files have cached inodes).
+	inodeDestroyCost = 2 * time.Microsecond
+)
+
 // withDefaults fills zero fields.
 func (o Options) withDefaults() Options {
-	if o.LocalReadLatency == 0 {
-		o.LocalReadLatency = 10 * time.Microsecond
-	}
-	if o.LocalReadBPS == 0 {
-		o.LocalReadBPS = 2e9
-	}
-	if o.OverlayLatency == 0 {
-		o.OverlayLatency = 8 * time.Microsecond
-	}
-	if o.UnpackBPS == 0 {
-		o.UnpackBPS = 300e6
-	}
-	if o.InodeDestroyCost == 0 {
-		o.InodeDestroyCost = 2 * time.Microsecond
-	}
 	if o.GearRequestBytes == 0 {
 		o.GearRequestBytes = 900
 	}
 	if o.SlackerRequestBytes == 0 {
 		o.SlackerRequestBytes = 120
-	}
-	if o.PeerRequestBytes == 0 {
-		o.PeerRequestBytes = o.GearRequestBytes
 	}
 	return o
 }
@@ -301,7 +285,7 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 	if opts.Links != nil {
 		link = opts.Links.WAN
 		peerLink = opts.Links.LAN
-		// Stream pricing (OnFetchWindow) needs the WAN's configuration.
+		// Stream pricing (priceTransfer) needs the WAN's configuration.
 		opts.Link = link.Config()
 	} else {
 		var err error
@@ -343,33 +327,40 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 		ChunkReadahead:   opts.ChunkReadahead,
 		Telemetry:        tele,
 		Trace:            d.ring,
-		OnRemoteFetch: func(objects int, bytes int64) {
-			d.link.TransferBatch(objects, bytes+int64(objects)*d.opts.GearRequestBytes)
-		},
-		OnPeerFetch: func(objects int, bytes int64) {
-			d.peerLink.TransferBatch(objects, bytes+int64(objects)*d.opts.PeerRequestBytes)
-		},
-		// FetchAll windows are priced by the fair-share model: each
-		// worker stream pays its request setup latency (one RTT for a
-		// batched round trip, one per object otherwise) and the streams
-		// split the link bandwidth.
-		OnFetchWindow: func(w store.FetchWindow) {
-			streams := make([]netsim.Stream, 0, len(w.Streams))
-			for _, st := range w.Streams {
-				bytes := st.Bytes + int64(st.Objects)*d.opts.GearRequestBytes
-				s := netsim.PerObjectStream(d.opts.Link, st.Objects, bytes)
-				if st.Batched {
-					s = netsim.BatchedStream(d.opts.Link, st.Objects, bytes)
-				}
-				streams = append(streams, s)
-			}
-			d.link.TransferWindow(streams)
-		},
+		OnTransfer:       d.priceTransfer,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dockersim: %w", err)
 	}
 	return d, nil
+}
+
+// priceTransfer charges what the Gear store moved to the virtual links.
+// Registry objects that were pipelined — a fault, the chunks of one span
+// read, a readahead, a range — are one batch on the WAN: one RTT, and the
+// link's service factor and jitter apply. A FetchAll window is priced by
+// the fair-share model instead: each worker stream pays its request setup
+// latency (one RTT for a batched round trip, one per object otherwise)
+// and the streams split the link bandwidth. What peers served is a batch
+// on the peer link. Moving no objects costs nothing on either.
+func (d *Daemon) priceTransfer(t store.Transfer) {
+	wire := func(st store.StreamStat) int64 {
+		return st.Bytes + int64(st.Objects)*d.opts.GearRequestBytes
+	}
+	if t.Window == nil {
+		d.link.TransferBatch(t.Registry.Objects, wire(t.Registry))
+	} else {
+		streams := make([]netsim.Stream, 0, len(t.Window))
+		for _, st := range t.Window {
+			stream := netsim.PerObjectStream
+			if st.Batched {
+				stream = netsim.BatchedStream
+			}
+			streams = append(streams, stream(d.opts.Link, st.Objects, wire(st)))
+		}
+		d.link.TransferWindow(streams)
+	}
+	d.peerLink.TransferBatch(t.Peer.Objects, wire(t.Peer))
 }
 
 // ConfigureSlacker attaches a Slacker block server for ModeSlacker
@@ -454,9 +445,8 @@ func (d *Daemon) newContainerID(mode Mode) string {
 }
 
 // localRead models serving size bytes from local storage.
-func (d *Daemon) localRead(size int64) time.Duration {
-	return d.opts.LocalReadLatency +
-		time.Duration(float64(size)/d.opts.LocalReadBPS*float64(time.Second))
+func localRead(size int64) time.Duration {
+	return localReadLatency + time.Duration(float64(size)/localReadBPS*float64(time.Second))
 }
 
 // checkAttached guards a deployment entry point: deploying through a
@@ -493,6 +483,104 @@ func (d *Daemon) netDelta(fn func() error) (PhaseStats, error) {
 	return ps, err
 }
 
+// pricedRead runs one container read and prices it: local is the cost of
+// serving the bytes it returned from local storage (after the overlay
+// lookup, where the system mounts one), net what the links carried for it.
+func (d *Daemon) pricedRead(overlay time.Duration, read func() ([]byte, error)) (data []byte, local time.Duration, net PhaseStats, err error) {
+	net, err = d.netDelta(func() (err error) {
+		data, err = read()
+		return err
+	})
+	if err != nil {
+		return nil, 0, net, err
+	}
+	return data, overlay + localRead(int64(len(data))), net, nil
+}
+
+// pullImage downloads ref's manifest and every layer of it the local
+// layer store does not hold yet, as both Docker and Gear (whose image is
+// its index) do. unpacked is the uncompressed size of the new layers.
+// The caller holds layersMu.
+func (d *Daemon) pullImage(name, tag string) (img *imagefmt.Image, unpacked int64, err error) {
+	m, err := d.docker.GetManifest(name, tag)
+	if err != nil {
+		return nil, 0, err
+	}
+	d.link.Transfer(manifestSize(m))
+	img = &imagefmt.Image{Manifest: m}
+	for _, digest := range m.Layers {
+		layer, ok := d.layers[digest]
+		if !ok {
+			blob, err := d.docker.GetBlob(digest)
+			if err != nil {
+				return nil, 0, err
+			}
+			d.link.Transfer(int64(len(blob)))
+			layer, err = imagefmt.NewLayerFromTarball(blob, digest)
+			if err != nil {
+				return nil, 0, err
+			}
+			d.layers[digest] = layer
+			unpacked += layer.UncompressedSize
+		}
+		img.Layers = append(img.Layers, layer)
+	}
+	return img, unpacked, nil
+}
+
+// pullPhase runs pull, which holds layersMu, as dep's pull phase.
+// Unpacking newly downloaded layers is part of it.
+func (d *Daemon) pullPhase(dep *Deployment, pull func() (unpacked int64, err error)) error {
+	var unpacked int64
+	ps, err := d.netDelta(func() (err error) {
+		d.layersMu.Lock()
+		defer d.layersMu.Unlock()
+		unpacked, err = pull()
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	ps.Time += time.Duration(float64(unpacked) / unpackBPS * float64(time.Second))
+	dep.Pull = ps
+	d.recordPhase(dep, "deploy.pull", telemetry.ClassDemand, ps)
+	return nil
+}
+
+// runPhase is the run phase of a lazily loading deployment: before (the
+// pre-fault, if any) and then every access through read, whose network
+// time is the phase's and whose local service time and compute add to it.
+func (d *Daemon) runPhase(dep *Deployment, access []string, compute, overlay time.Duration, before func() error, read func(p string) ([]byte, error)) (PhaseStats, error) {
+	run, err := d.netDelta(func() error {
+		if before != nil {
+			if err := before(); err != nil {
+				return err
+			}
+		}
+		for _, p := range access {
+			_, local, net, err := d.pricedRead(overlay, func() ([]byte, error) { return read(p) })
+			if err != nil {
+				return err
+			}
+			dep.Run.Time += local
+			if d.opts.Trace {
+				dep.Events = append(dep.Events, AccessEvent{
+					Path: p, RemoteBytes: net.Bytes, Requests: net.Requests, Cost: local + net.Time,
+				})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return run, err
+	}
+	dep.Run.Time += run.Time + compute
+	dep.Run.Bytes = run.Bytes
+	dep.Run.Requests = run.Requests
+	d.recordPhase(dep, "deploy.run", telemetry.ClassDemand, run)
+	return run, nil
+}
+
 // DeployDocker deploys ref the stock Docker way: download every layer
 // not already local, unpack, mount, then run the task (access + compute).
 func (d *Daemon) DeployDocker(name, tag string, access []string, compute time.Duration) (*Deployment, error) {
@@ -502,47 +590,17 @@ func (d *Daemon) DeployDocker(name, tag string, access []string, compute time.Du
 	dep := &Deployment{Mode: ModeDocker, Ref: name + ":" + tag, daemon: d,
 		ContainerID: d.newContainerID(ModeDocker)}
 
-	var unpacked int64
-	pull, err := d.netDelta(func() error {
-		d.layersMu.Lock()
-		defer d.layersMu.Unlock()
-		m, err := d.docker.GetManifest(name, tag)
+	err := d.pullPhase(dep, func() (int64, error) {
+		img, unpacked, err := d.pullImage(name, tag)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		d.link.Transfer(manifestSize(m))
-		img := &imagefmt.Image{Manifest: m}
-		for _, digest := range m.Layers {
-			layer, ok := d.layers[digest]
-			if !ok {
-				blob, err := d.docker.GetBlob(digest)
-				if err != nil {
-					return err
-				}
-				d.link.Transfer(int64(len(blob)))
-				layer, err = imagefmt.NewLayerFromTarball(blob, digest)
-				if err != nil {
-					return err
-				}
-				d.layers[digest] = layer
-				unpacked += layer.UncompressedSize
-			}
-			img.Layers = append(img.Layers, layer)
-		}
-		root, err := img.Flatten()
-		if err != nil {
-			return err
-		}
-		dep.root = root
-		return nil
+		dep.root, err = img.Flatten()
+		return unpacked, err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dockersim: deploy docker %s:%s: %w", name, tag, err)
 	}
-	// Unpacking newly downloaded layers is part of Docker's pull phase.
-	pull.Time += time.Duration(float64(unpacked) / d.opts.UnpackBPS * float64(time.Second))
-	dep.Pull = pull
-	d.recordPhase(dep, "deploy.pull", telemetry.ClassDemand, pull)
 
 	// Run phase: every access is local (the whole image is here).
 	var runTime time.Duration
@@ -551,7 +609,7 @@ func (d *Daemon) DeployDocker(name, tag string, access []string, compute time.Du
 		if err != nil {
 			return nil, fmt.Errorf("dockersim: docker run %s: %w", dep.Ref, err)
 		}
-		cost := d.opts.OverlayLatency + d.localRead(n.Size())
+		cost := overlayLatency + localRead(n.Size())
 		runTime += cost
 		if d.opts.Trace {
 			dep.Events = append(dep.Events, AccessEvent{Path: p, Cost: cost})
@@ -583,44 +641,19 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 	dep := &Deployment{Mode: ModeGear, Ref: ref, daemon: d,
 		ContainerID: d.newContainerID(ModeGear)}
 
-	var unpacked int64
-	pull, err := d.netDelta(func() error {
-		d.layersMu.Lock()
-		defer d.layersMu.Unlock()
+	err := d.pullPhase(dep, func() (int64, error) {
 		if d.gearStore.HasIndex(ref) {
-			return nil
+			return 0, nil
 		}
-		m, err := d.docker.GetManifest(name, tag)
+		img, unpacked, err := d.pullImage(name, tag)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		d.link.Transfer(manifestSize(m))
-		img := &imagefmt.Image{Manifest: m}
-		for _, digest := range m.Layers {
-			layer, ok := d.layers[digest]
-			if !ok {
-				blob, err := d.docker.GetBlob(digest)
-				if err != nil {
-					return err
-				}
-				d.link.Transfer(int64(len(blob)))
-				layer, err = imagefmt.NewLayerFromTarball(blob, digest)
-				if err != nil {
-					return err
-				}
-				d.layers[digest] = layer
-				unpacked += layer.UncompressedSize
-			}
-			img.Layers = append(img.Layers, layer)
-		}
-		return d.gearStore.InstallImage(img)
+		return unpacked, d.gearStore.InstallImage(img)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dockersim: deploy gear %s: %w", ref, err)
 	}
-	pull.Time += time.Duration(float64(unpacked) / d.opts.UnpackBPS * float64(time.Second))
-	dep.Pull = pull
-	d.recordPhase(dep, "deploy.pull", telemetry.ClassDemand, pull)
 
 	view, err := d.gearStore.CreateContainer(dep.ContainerID, ref)
 	if err != nil {
@@ -656,49 +689,25 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 		d.recordPhase(dep, "deploy.prefetch", telemetry.ClassPrefetch, pre)
 	}
 
-	run, err := d.netDelta(func() error {
-		// With the concurrent fetch engine on, pre-fault the access set
-		// through the bounded worker pool; the lazy reads below then hit
-		// cache. With one worker (the default), the per-fault serial path
-		// below reproduces the paper's request-by-request accounting.
-		if d.opts.FetchWorkers > 1 {
-			fps, err := d.gearStore.Fingerprints(ref, access)
-			if err != nil {
-				return err
-			}
-			if _, err := d.gearStore.FetchAll(fps); err != nil {
-				return err
-			}
+	// With the concurrent fetch engine on, pre-fault the access set
+	// through the bounded worker pool; the lazy reads then hit cache.
+	// With one worker (the default), the per-fault serial path reproduces
+	// the paper's request-by-request accounting.
+	prefault := func() error {
+		if d.opts.FetchWorkers <= 1 {
+			return nil
 		}
-		var localTime time.Duration
-		for _, p := range access {
-			before := d.link.Stats()
-			data, err := view.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			local := d.opts.OverlayLatency + d.localRead(int64(len(data)))
-			localTime += local
-			if d.opts.Trace {
-				after := d.link.Stats()
-				dep.Events = append(dep.Events, AccessEvent{
-					Path:        p,
-					RemoteBytes: after.Bytes - before.Bytes,
-					Requests:    after.Requests - before.Requests,
-					Cost:        local + (after.Elapsed - before.Elapsed),
-				})
-			}
+		fps, err := d.gearStore.Fingerprints(ref, access)
+		if err != nil {
+			return err
 		}
-		dep.Run.Time += localTime
-		return nil
-	})
+		_, err = d.gearStore.FetchAll(fps)
+		return err
+	}
+	run, err := d.runPhase(dep, access, compute, overlayLatency, prefault, view.ReadFile)
 	if err != nil {
 		return nil, fmt.Errorf("dockersim: gear run %s: %w", ref, err)
 	}
-	dep.Run.Time += run.Time + compute
-	dep.Run.Bytes = run.Bytes
-	dep.Run.Requests = run.Requests
-	d.recordPhase(dep, "deploy.run", telemetry.ClassDemand, run)
 	// Everything the run phase spent on the link was a container blocked
 	// on a demand transfer: the run's network time IS the demand stall.
 	dep.DemandStall = run.Time
@@ -749,81 +758,43 @@ func (d *Daemon) DeploySlacker(name, tag string, access []string, compute time.D
 	dep.Pull = pull
 	d.recordPhase(dep, "deploy.pull", telemetry.ClassDemand, pull)
 
-	run, err := d.netDelta(func() error {
-		var localTime time.Duration
-		for _, p := range access {
-			before := d.link.Stats()
-			data, err := d.slackerClient.ReadFile(dep.ContainerID, p)
-			if err != nil {
-				return err
-			}
-			// No overlay layer on Slacker's ext4-on-device path.
-			local := d.localRead(int64(len(data)))
-			localTime += local
-			if d.opts.Trace {
-				after := d.link.Stats()
-				dep.Events = append(dep.Events, AccessEvent{
-					Path:        p,
-					RemoteBytes: after.Bytes - before.Bytes,
-					Requests:    after.Requests - before.Requests,
-					Cost:        local + (after.Elapsed - before.Elapsed),
-				})
-			}
-		}
-		dep.Run.Time += localTime
-		return nil
-	})
+	// No overlay layer on Slacker's ext4-on-device path.
+	_, err = d.runPhase(dep, access, compute, 0, nil, dep.slackerRead)
 	if err != nil {
 		return nil, fmt.Errorf("dockersim: slacker run %s: %w", ref, err)
 	}
-	dep.Run.Time += run.Time + compute
-	dep.Run.Bytes = run.Bytes
-	dep.Run.Requests = run.Requests
-	d.recordPhase(dep, "deploy.run", telemetry.ClassDemand, run)
 	dep.inodes = len(access)
 	return dep, nil
+}
+
+func (dep *Deployment) slackerRead(p string) ([]byte, error) {
+	return dep.daemon.slackerClient.ReadFile(dep.ContainerID, p)
 }
 
 // Read serves one file from the deployed container, returning the data
 // and its modeled service latency. Long-running services (Fig 11a) call
 // this in their request loops.
 func (dep *Deployment) Read(p string) ([]byte, time.Duration, error) {
-	if dep.closed {
-		return nil, 0, fmt.Errorf("dockersim: %s: %w", dep.ContainerID, ErrNotDeployed)
-	}
-	d := dep.daemon
 	switch dep.Mode {
 	case ModeDocker:
-		data, err := dep.root.ReadFile(p)
-		if err != nil {
-			return nil, 0, err
-		}
-		return data, d.opts.OverlayLatency + d.localRead(int64(len(data))), nil
+		return dep.read(overlayLatency, func() ([]byte, error) { return dep.root.ReadFile(p) })
 	case ModeGear:
-		before := d.link.Stats()
-		peerBefore := d.peerLink.Stats()
-		data, err := dep.view.ReadFile(p)
-		if err != nil {
-			return nil, 0, err
-		}
-		after := d.link.Stats()
-		cost := d.opts.OverlayLatency + d.localRead(int64(len(data))) +
-			(after.Elapsed - before.Elapsed)
-		if d.peerLink != d.link {
-			cost += d.peerLink.Stats().Elapsed - peerBefore.Elapsed
-		}
-		return data, cost, nil
+		return dep.read(overlayLatency, func() ([]byte, error) { return dep.view.ReadFile(p) })
 	case ModeSlacker:
-		before := d.link.Stats()
-		data, err := d.slackerClient.ReadFile(dep.ContainerID, p)
-		if err != nil {
-			return nil, 0, err
-		}
-		after := d.link.Stats()
-		return data, d.localRead(int64(len(data))) + (after.Elapsed - before.Elapsed), nil
+		return dep.read(0, func() ([]byte, error) { return dep.slackerRead(p) })
 	default:
 		return nil, 0, fmt.Errorf("dockersim: bad mode %v", dep.Mode)
 	}
+}
+
+// read prices one read of the running container: its local service cost
+// plus whatever the links carried for it.
+func (dep *Deployment) read(overlay time.Duration, read func() ([]byte, error)) ([]byte, time.Duration, error) {
+	if dep.closed {
+		return nil, 0, fmt.Errorf("dockersim: %s: %w", dep.ContainerID, ErrNotDeployed)
+	}
+	data, local, net, err := dep.daemon.pricedRead(overlay, read)
+	return data, local + net.Time, err
 }
 
 // ReadAt serves n bytes of one file from offset off, returning the
@@ -832,36 +803,20 @@ func (dep *Deployment) Read(p string) ([]byte, time.Duration, error) {
 // the partial-read stall the chunked format exists to shrink; Docker
 // and Slacker deployments slice their full-file read.
 func (dep *Deployment) ReadAt(p string, off, n int64) ([]byte, time.Duration, error) {
-	if dep.closed {
-		return nil, 0, fmt.Errorf("dockersim: %s: %w", dep.ContainerID, ErrNotDeployed)
+	if dep.Mode == ModeGear {
+		return dep.read(overlayLatency, func() ([]byte, error) { return dep.view.ReadAt(p, off, n) })
 	}
-	d := dep.daemon
-	if dep.Mode != ModeGear {
-		data, cost, err := dep.Read(p)
-		if err != nil {
-			return nil, 0, err
-		}
-		if off < 0 || n <= 0 || off >= int64(len(data)) {
-			return nil, cost, nil
-		}
-		if off+n > int64(len(data)) {
-			n = int64(len(data)) - off
-		}
-		return data[off : off+n], cost, nil
-	}
-	before := d.link.Stats()
-	peerBefore := d.peerLink.Stats()
-	data, err := dep.view.ReadAt(p, off, n)
+	data, cost, err := dep.Read(p)
 	if err != nil {
 		return nil, 0, err
 	}
-	after := d.link.Stats()
-	cost := d.opts.OverlayLatency + d.localRead(int64(len(data))) +
-		(after.Elapsed - before.Elapsed)
-	if d.peerLink != d.link {
-		cost += d.peerLink.Stats().Elapsed - peerBefore.Elapsed
+	if off < 0 || n <= 0 || off >= int64(len(data)) {
+		return nil, cost, nil
 	}
-	return data, cost, nil
+	if off+n > int64(len(data)) {
+		n = int64(len(data)) - off
+	}
+	return data[off : off+n], cost, nil
 }
 
 // Write stores a file in the container's writable layer (Gear/Docker
@@ -945,5 +900,5 @@ func (dep *Deployment) Destroy() (time.Duration, error) {
 	case ModeDocker:
 		dep.root = nil
 	}
-	return time.Duration(dep.inodes) * d.opts.InodeDestroyCost, nil
+	return time.Duration(dep.inodes) * inodeDestroyCost, nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -95,7 +96,7 @@ func bigFixture(t *testing.T, files int) (*index.Index, *gearregistry.Registry) 
 // TestConcurrentFaultsSingleDownload: N goroutines faulting the same
 // file set through many containers must trigger exactly one remote
 // download per fingerprint — the singleflight guarantee, observed both
-// at the registry and via OnRemoteFetch.
+// at the registry and via OnTransfer.
 func TestConcurrentFaultsSingleDownload(t *testing.T) {
 	const goroutines = 16
 	ix, reg := bigFixture(t, 12)
@@ -104,8 +105,8 @@ func TestConcurrentFaultsSingleDownload(t *testing.T) {
 	var hookObjects atomic.Int64
 	s, err := New(Options{
 		Remote: counting,
-		OnRemoteFetch: func(objects int, _ int64) {
-			hookObjects.Add(int64(objects))
+		OnTransfer: func(t Transfer) {
+			hookObjects.Add(int64(t.Registry.Objects))
 		},
 	})
 	if err != nil {
@@ -154,7 +155,7 @@ func TestConcurrentFaultsSingleDownload(t *testing.T) {
 		t.Errorf("remote objects = %d, want 12", st.RemoteObjects)
 	}
 	if hookObjects.Load() != 12 {
-		t.Errorf("OnRemoteFetch saw %d objects, want 12", hookObjects.Load())
+		t.Errorf("OnTransfer saw %d objects, want 12", hookObjects.Load())
 	}
 }
 
@@ -246,8 +247,8 @@ func TestFetchAllBatchesPerWorker(t *testing.T) {
 		}
 	})
 
-	var windows []FetchWindow
-	s.opts.OnFetchWindow = func(w FetchWindow) { windows = append(windows, w) }
+	var windows [][]StreamStat
+	s.opts.OnTransfer = func(t Transfer) { windows = append(windows, t.Window) }
 	window, err := s.FetchAll(fps)
 	if err != nil {
 		t.Fatal(err)
@@ -266,8 +267,8 @@ func TestFetchAllBatchesPerWorker(t *testing.T) {
 			t.Errorf("stream %d has %d objects, want %d", i, st.Objects, files/4)
 		}
 	}
-	if len(windows) != 1 {
-		t.Fatalf("OnFetchWindow fired %d times, want 1", len(windows))
+	if len(windows) != 1 || !reflect.DeepEqual(windows[0], window.Streams) {
+		t.Fatalf("OnTransfer saw windows %v, want the one FetchAll returned", windows)
 	}
 
 	// Second FetchAll: everything cached, no streams, no hook.

@@ -72,10 +72,11 @@ var ErrCorruptDownload = errors.New("downloaded gear file fails fingerprint veri
 // it. The speculative classes tag what they admit, so a later demand
 // read scores as a prefetch hit.
 //
-// reg and peer are what this call moved over the WAN and the LAN; the
-// caller accounts them, since only it knows which transfers share a
-// window.
-func (s *Store) lead(claimed []*flight, class fetchClass, batch bool) (reg, peer StreamStat, err error) {
+// The returned record says what this call moved over the WAN and the
+// LAN; the caller completes and accounts it, since only it knows which
+// transfers share a round trip.
+func (s *Store) lead(claimed []*flight, class fetchClass, batch bool) (t Transfer, err error) {
+	t.Class = class.label()
 	var errs []error
 	fail := func(err error, fs ...*flight) {
 		for _, f := range fs {
@@ -106,7 +107,7 @@ func (s *Store) lead(claimed []*flight, class fetchClass, batch bool) (reg, peer
 				rest = append(rest, f)
 				continue
 			}
-			peer.add(1, wire)
+			t.Peer.add(1, wire)
 			admit(f, data)
 		}
 	}
@@ -127,7 +128,7 @@ func (s *Store) lead(claimed []*flight, class fetchClass, batch bool) (reg, peer
 			fail(fmt.Errorf("store: batch download: %w", err), rest...)
 			break
 		}
-		reg = StreamStat{Objects: len(rest), Bytes: wire, Batched: true}
+		t.Registry = StreamStat{Objects: len(rest), Bytes: wire, Batched: true}
 		for i, f := range rest {
 			admit(f, payloads[i])
 		}
@@ -143,10 +144,10 @@ func (s *Store) lead(claimed []*flight, class fetchClass, batch bool) (reg, peer
 			fail(err, f)
 			break
 		}
-		reg.add(1, wire)
+		t.Registry.add(1, wire)
 		admit(f, data)
 	}
-	return reg, peer, errors.Join(errs...)
+	return t, errors.Join(errs...)
 }
 
 // fetchFromPeer asks the peer source for fp and verifies the answer.
@@ -181,30 +182,25 @@ func (s *Store) leaveDemand(size int64, start time.Time) {
 // progress — the replay's or a readahead's included, so nothing is
 // fetched twice — and leads the download otherwise. size is the
 // object's size in the index, which the transfer holds in the gate's
-// budget. reg and peer are the wire bytes this call itself spent, for
-// the caller to account with whatever else shares its window.
-func (s *Store) fetchOne(fp hashing.Fingerprint, size int64) (c *vfs.Content, reg, peer StreamStat, err error) {
+// budget. The record is what this call itself moved, for the caller to
+// account with whatever else shares its round trip.
+func (s *Store) fetchOne(fp hashing.Fingerprint, size int64) (*vfs.Content, Transfer, error) {
 	start := s.enterDemand(size)
 	defer s.leaveDemand(size, start)
-	span := telemetry.Span{Op: "fault", Ref: refPrefix(fp), Class: telemetry.ClassDemand, Objects: 1}
+	t := Transfer{Class: telemetry.ClassDemand}
 	f, led := s.claim(fp)
 	if led {
-		reg, peer, _ = s.lead([]*flight{f}, classDemand, false)
-		span.Source, span.Bytes = telemetry.SourceRegistry, reg.Bytes
-		if peer.Objects > 0 {
-			span.Source, span.Bytes = telemetry.SourcePeer, peer.Bytes
-		}
-		span.Transfer = time.Since(start)
+		t, _ = s.lead([]*flight{f}, classDemand, false)
 	} else {
 		<-f.done
-		span.Source, span.QueueWait = telemetry.SourceCache, time.Since(start)
+		t.Joined = f.err == nil
 	}
+	t.Op, t.Ref, t.Wall = "fault", refPrefix(fp), time.Since(start)
 	if f.err != nil {
-		return nil, reg, peer, f.err
+		return nil, t, f.err
 	}
 	s.noteDemandMiss(fp, int64(len(f.content.Data())))
-	s.opts.Trace.Record(span)
-	return f.content, reg, peer, nil
+	return f.content, t, nil
 }
 
 // refPrefix abbreviates a fingerprint for trace spans.
@@ -216,12 +212,12 @@ func refPrefix(fp hashing.Fingerprint) string {
 	return string(fp[:n])
 }
 
-// StreamStat describes one worker's share of a fetch window; the store
-// also tallies every other transfer it accounts in one.
+// StreamStat is a tally of transferred objects: one worker's share of a
+// fetch window, or everything a transfer moved over one link.
 type StreamStat struct {
-	// Objects is how many Gear files the worker transferred.
+	// Objects is how many Gear files were transferred.
 	Objects int `json:"objects"`
-	// Bytes is the wire volume the worker moved.
+	// Bytes is the wire volume moved.
 	Bytes int64 `json:"bytes"`
 	// Batched reports whether the worker used one DownloadBatch round
 	// trip (true) or per-object downloads (false).
@@ -233,11 +229,93 @@ func (st *StreamStat) add(objects int, bytes int64) {
 	st.Bytes += bytes
 }
 
+// Transfer is the one record of what a store operation moved over the
+// network. Every fetch path fills one and hands it, by value, to account,
+// which derives the store.* counters, the trace spans and the OnTransfer
+// call from it — so the three always describe the same objects and bytes.
+type Transfer struct {
+	// Op names the operation as its spans do: "fault" (a blocking
+	// whole-object or chunk fault), "rangefault", "readahead", or "fetch"
+	// (a FetchAll window).
+	Op string
+	// Class is telemetry.ClassDemand, or telemetry.ClassPrefetch for
+	// readahead and profile replay.
+	Class string
+	// Ref is the fingerprint prefix when the transfer is of one object.
+	Ref string
+	// Registry is what the registry served over the WAN, Peer what cluster
+	// peers served over the LAN.
+	Registry, Peer StreamStat
+	// Window, when set, is Registry as the concurrent worker streams of a
+	// FetchAll, which shared the link; otherwise the objects were
+	// pipelined in one round trip.
+	Window []StreamStat
+	// Joined reports a fault that moved nothing itself: it waited for
+	// another transfer's flight to deliver the object.
+	Joined bool
+	// Wall is how long the reader was blocked; background and window
+	// transfers are not timed.
+	Wall time.Duration
+}
+
+func (t *Transfer) add(o Transfer) {
+	t.Registry.add(o.Registry.Objects, o.Registry.Bytes)
+	t.Peer.add(o.Peer.Objects, o.Peer.Bytes)
+}
+
+// account is the one way out of the fetch pipeline into telemetry. Each
+// part is traced on its own, a span per source that served it; the parts
+// together — the chunk faults of one span read, which share a round trip,
+// or the single record of anything else — move the store.* counters once
+// and are priced by one OnTransfer call. What crossed the wire is
+// accounted whether or not the operation went on to succeed.
+func (s *Store) account(parts ...Transfer) {
+	if len(parts) == 0 {
+		return
+	}
+	sum := parts[0]
+	for _, t := range parts[1:] {
+		sum.add(t)
+		sum.Ref, sum.Joined, sum.Wall = "", false, max(sum.Wall, t.Wall)
+	}
+	for _, t := range parts {
+		span := telemetry.Span{Op: t.Op, Ref: t.Ref, Class: t.Class, Transfer: t.Wall}
+		if t.Joined {
+			span.Source, span.Objects = telemetry.SourceCache, 1
+			span.QueueWait, span.Transfer = t.Wall, 0
+			s.opts.Trace.Record(span)
+		}
+		if t.Peer.Objects > 0 {
+			span.Source, span.Objects, span.Bytes = telemetry.SourcePeer, t.Peer.Objects, t.Peer.Bytes
+			s.opts.Trace.Record(span)
+		}
+		if t.Registry.Objects > 0 {
+			span.Source, span.Objects, span.Bytes = telemetry.SourceRegistry, t.Registry.Objects, t.Registry.Bytes
+			s.opts.Trace.Record(span)
+		}
+	}
+	reg, peer := sum.Registry, sum.Peer
+	if reg.Objects == 0 && peer.Objects == 0 {
+		return
+	}
+	s.m.remoteObjects.Add(int64(reg.Objects))
+	s.m.remoteBytes.Add(reg.Bytes)
+	s.m.peerObjects.Add(int64(peer.Objects))
+	s.m.peerBytes.Add(peer.Bytes)
+	if sum.Class == telemetry.ClassPrefetch {
+		s.m.prefetchObjects.Add(int64(reg.Objects))
+		s.m.prefetchBytes.Add(reg.Bytes)
+	}
+	if s.opts.OnTransfer != nil {
+		s.opts.OnTransfer(sum)
+	}
+}
+
 // FetchWindow summarizes one FetchAll call: the concurrent registry
 // streams that shared the WAN link. Peer-served transfers are not part
-// of the window — they ride the LAN and are reported through
-// OnPeerFetch instead. The deployment simulator converts the window
-// into netsim fair-share streams.
+// of the window — they ride the LAN, and OnTransfer reports them beside
+// it. The deployment simulator converts the window into netsim
+// fair-share streams.
 type FetchWindow struct {
 	Streams []StreamStat `json:"streams"`
 	// Prefetch reports that the window was issued by a startup-profile
@@ -269,9 +347,8 @@ func (w FetchWindow) Bytes() int64 {
 // DownloadBatch round trip. Fingerprints already cached or already
 // being fetched by another goroutine are not downloaded again.
 //
-// The returned window describes only the transfers this call performed;
-// accounting hooks (OnFetchWindow, or OnRemoteFetch as a fallback) fire
-// once for the whole window.
+// The returned window describes only the transfers this call performed,
+// which are accounted once, as one window.
 func (s *Store) FetchAll(fps []hashing.Fingerprint) (FetchWindow, error) {
 	return s.fetchAll(fps, s.opts.FetchWorkers, classDemand)
 }
@@ -299,11 +376,10 @@ func (s *Store) fetchAll(fps []hashing.Fingerprint, maxWorkers int, class fetchC
 	}
 
 	var errs []error
-	window := FetchWindow{Prefetch: class == classReplay}
+	t := Transfer{Op: "fetch", Class: class.label()}
 	if len(claimed) > 0 {
 		workers := max(min(maxWorkers, len(claimed)), 1)
-		streams := make([]StreamStat, workers)
-		peers := make([]StreamStat, workers)
+		parts := make([]Transfer, workers)
 		workerErrs := make([]error, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -313,49 +389,20 @@ func (s *Store) fetchAll(fps []hashing.Fingerprint, maxWorkers int, class fetchC
 			wg.Add(1)
 			go func(w int, shard []*flight) {
 				defer wg.Done()
-				streams[w], peers[w], workerErrs[w] = s.lead(shard, class, true)
+				parts[w], workerErrs[w] = s.lead(shard, class, true)
 			}(w, claimed[lo:hi])
 		}
 		wg.Wait()
-		var peerTotal StreamStat
-		for w := 0; w < workers; w++ {
-			if streams[w].Objects > 0 {
-				window.Streams = append(window.Streams, streams[w])
+		for w, part := range parts {
+			if part.Registry.Objects > 0 {
+				t.Window = append(t.Window, part.Registry)
 			}
-			peerTotal.add(peers[w].Objects, peers[w].Bytes)
+			t.add(part)
 			if workerErrs[w] != nil {
 				errs = append(errs, workerErrs[w])
 			}
 		}
-		s.recordPeer(peerTotal)
-		spanClass := telemetry.ClassDemand
-		if class == classReplay {
-			spanClass = telemetry.ClassPrefetch
-		}
-		if peerTotal.Objects > 0 {
-			s.opts.Trace.Record(telemetry.Span{
-				Op: "fetch", Class: spanClass, Source: telemetry.SourcePeer,
-				Objects: peerTotal.Objects, Bytes: peerTotal.Bytes,
-			})
-		}
-		if n := window.Objects(); n > 0 {
-			s.m.remoteObjects.Add(int64(n))
-			s.m.remoteBytes.Add(window.Bytes())
-			if class == classReplay {
-				s.m.prefetchObjects.Add(int64(n))
-				s.m.prefetchBytes.Add(window.Bytes())
-			}
-			s.opts.Trace.Record(telemetry.Span{
-				Op: "fetch", Class: spanClass, Source: telemetry.SourceRegistry,
-				Objects: n, Bytes: window.Bytes(),
-			})
-			switch {
-			case s.opts.OnFetchWindow != nil:
-				s.opts.OnFetchWindow(window)
-			case s.opts.OnRemoteFetch != nil:
-				s.opts.OnRemoteFetch(n, window.Bytes())
-			}
-		}
+		s.account(t)
 	}
 	for _, f := range joined {
 		<-f.done
@@ -363,7 +410,7 @@ func (s *Store) fetchAll(fps []hashing.Fingerprint, maxWorkers int, class fetchC
 			errs = append(errs, f.err)
 		}
 	}
-	return window, errors.Join(errs...)
+	return FetchWindow{Streams: t.Window, Prefetch: class == classReplay}, errors.Join(errs...)
 }
 
 // verify checks a payload against its content address; collision

@@ -98,7 +98,7 @@ func poolFingerprints(pool map[hashing.Fingerprint][]byte) []hashing.Fingerprint
 // TestPeerFetchServesFromPeersNotRegistry: with a peer source that holds
 // everything, both the FetchAll path and the lazy fault path are served
 // entirely by peers — zero registry traffic, correct bytes, and peer
-// accounting visible through Stats and the OnPeerFetch hook.
+// accounting visible through Stats and the OnTransfer hook.
 func TestPeerFetchServesFromPeersNotRegistry(t *testing.T) {
 	ix, pool, reg := peerFixture(t, 10)
 	counting := newCountingStore(reg)
@@ -109,9 +109,9 @@ func TestPeerFetchServesFromPeersNotRegistry(t *testing.T) {
 	s, err := New(Options{
 		Remote: counting,
 		Peers:  peers,
-		OnPeerFetch: func(objects int, bytes int64) {
-			hookObjects.Add(int64(objects))
-			hookBytes.Add(bytes)
+		OnTransfer: func(t Transfer) {
+			hookObjects.Add(int64(t.Peer.Objects))
+			hookBytes.Add(t.Peer.Bytes)
 		},
 	})
 	if err != nil {
@@ -155,7 +155,7 @@ func TestPeerFetchServesFromPeersNotRegistry(t *testing.T) {
 		t.Errorf("registry saw downloads: %v", counting.counts())
 	}
 	if hookObjects.Load() != st.PeerObjects || hookBytes.Load() != st.PeerBytes {
-		t.Errorf("OnPeerFetch saw %d/%d, stats say %d/%d",
+		t.Errorf("OnTransfer saw %d/%d from peers, stats say %d/%d",
 			hookObjects.Load(), hookBytes.Load(), st.PeerObjects, st.PeerBytes)
 	}
 }

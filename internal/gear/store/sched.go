@@ -44,6 +44,15 @@ const (
 	classReplay
 )
 
+// label is the class as telemetry names it: the two speculative classes
+// are both prefetch traffic.
+func (c fetchClass) label() string {
+	if c == classDemand {
+		return telemetry.ClassDemand
+	}
+	return telemetry.ClassPrefetch
+}
+
 // replayGroup is how many profile-replay objects are admitted, and in
 // flight, at a time.
 const replayGroup = 4

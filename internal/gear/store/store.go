@@ -53,18 +53,15 @@ type Options struct {
 	// Remote is the Gear Registry files are fetched from on cache misses.
 	// A nil Remote makes misses fail, which models a disconnected client.
 	Remote gearregistry.Store
-	// OnRemoteFetch, if set, observes every remote fetch (object count
-	// and byte volume). The deployment simulator hooks netsim here.
-	OnRemoteFetch func(objects int, bytes int64)
+	// OnTransfer, if set, observes everything the store moves over the
+	// network, once per transfer: a fault, the chunk faults of one span
+	// read, a readahead, a range read, or a FetchAll window (see
+	// Transfer). The deployment simulator prices netsim links here.
+	OnTransfer func(Transfer)
 	// FetchWorkers bounds the concurrency of FetchAll (and Prefetch,
 	// which uses it). 0 selects DefaultFetchWorkers. Lazy single-file
 	// faults (Resolve) are unaffected.
 	FetchWorkers int
-	// OnFetchWindow, if set, observes each FetchAll call as a window of
-	// concurrent streams; it takes precedence over OnRemoteFetch for
-	// those transfers. The deployment simulator hooks netsim's
-	// fair-share model here.
-	OnFetchWindow func(FetchWindow)
 	// Peers, if set, is consulted on every miss before the registry:
 	// a cluster neighbour that already holds the file serves it over
 	// the cheap LAN instead of the registry's WAN. Peer payloads are
@@ -72,10 +69,6 @@ type Options struct {
 	// that serves corrupt bytes is simply ignored and the fetch falls
 	// back to the registry.
 	Peers PeerSource
-	// OnPeerFetch, if set, observes every peer-served fetch (object
-	// count and byte volume). The deployment simulator prices these on
-	// the LAN link, separate from registry WAN traffic.
-	OnPeerFetch func(objects int, bytes int64)
 	// Profiles, if set, enables profile-guided startup prefetch: the
 	// store records each image's first-access order (fingerprint, size,
 	// sequence) as containers fault, SaveProfile persists it here, and
@@ -95,8 +88,8 @@ type Options struct {
 	// RangeReads enables the partial-read fast path for non-chunked
 	// files: a ranged fault asks the registry's range verb for exactly
 	// the requested bytes instead of materializing the file. Off (the
-	// default), ranged reads of non-chunked files behave byte-identically
-	// to full materialization.
+	// default), a ranged read of a non-chunked file materializes it and
+	// slices.
 	RangeReads bool
 	// Telemetry, if set, is the registry the store (and its level-1
 	// cache) publishes store.*/cache.* metrics into — typically the
@@ -454,9 +447,8 @@ func (s *Store) fetch(fp hashing.Fingerprint, size int64, chunks []index.Chunk) 
 		return c, nil
 	}
 	if len(chunks) == 0 {
-		c, reg, peer, err := s.fetchOne(fp, size)
-		s.recordRemote(reg)
-		s.recordPeer(peer)
+		c, t, err := s.fetchOne(fp, size)
+		s.account(t)
 		return c, err
 	}
 	contents, err := s.fetchChunks(chunks)
@@ -474,39 +466,22 @@ func (s *Store) fetch(fp hashing.Fingerprint, size int64, chunks []index.Chunk) 
 	return content, nil
 }
 
-func (s *Store) recordRemote(st StreamStat) {
-	if st.Objects == 0 {
-		return
-	}
-	s.m.remoteObjects.Add(int64(st.Objects))
-	s.m.remoteBytes.Add(st.Bytes)
-	if s.opts.OnRemoteFetch != nil {
-		s.opts.OnRemoteFetch(st.Objects, st.Bytes)
-	}
-}
+// ErrBadRange reports a ranged read of a negative offset or no bytes.
+var ErrBadRange = errors.New("invalid byte range")
 
-func (s *Store) recordPeer(st StreamStat) {
-	if st.Objects == 0 {
-		return
-	}
-	s.m.peerObjects.Add(int64(st.Objects))
-	s.m.peerBytes.Add(st.Bytes)
-	if s.opts.OnPeerFetch != nil {
-		s.opts.OnPeerFetch(st.Objects, st.Bytes)
-	}
-}
-
-// ResolveRange implements viewer.RangeResolver: it serves [off, off+n)
-// of the file behind fp, fetching only the chunks that overlap the range
-// — the paper's future-work "read big files on demand in chunks" (§VII).
-// Overlapping chunks fault concurrently through the gate (at most
-// ChunkWindowBytes in flight, however wide the read), and leftover
-// budget reads ahead along the file per ChunkReadahead. Non-chunked
-// files use the registry range verb when RangeReads is enabled, and
-// fall back to full materialization otherwise. Partial reads do not
-// link anything into the index tree (the file is not complete), but
-// every fetched chunk lands in the level-1 cache for reuse.
-func (s *Store) ResolveRange(imageRef string, fp hashing.Fingerprint, off, n int64) ([]byte, error) {
+// ResolveRange implements viewer.Resolver: it serves [off, off+n) of the
+// file behind fp, and decides what that costs. A chunked file fetches
+// only the chunks that overlap the range — the paper's future-work "read
+// big files on demand in chunks" (§VII): they fault concurrently through
+// the gate (at most ChunkWindowBytes in flight, however wide the read),
+// and leftover budget reads ahead along the file per ChunkReadahead. A
+// non-chunked file uses the registry's range verb when RangeReads is
+// enabled, and is otherwise materialized, exactly as by Resolve, and
+// sliced. Partial reads do not link anything into the index tree (the
+// file is not complete), but every fetched chunk lands in the level-1
+// cache for reuse. A failed ranged read is an error, never a quiet fetch
+// of the whole file.
+func (s *Store) ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
 	if n <= 0 || off < 0 {
 		return nil, fmt.Errorf("store: range [%d,+%d): %w", off, n, ErrBadRange)
 	}
@@ -517,15 +492,18 @@ func (s *Store) ResolveRange(imageRef string, fp hashing.Fingerprint, off, n int
 	}
 	s.mu.Unlock()
 	if len(chunks) == 0 {
-		return s.rangeRead(fp, off, n)
+		if data, ok, err := s.rangeRead(fp, off, n); ok || err != nil {
+			return data, err
+		}
+		c, err := s.Resolve(imageRef, path, fp, size)
+		if err != nil {
+			return nil, err
+		}
+		return sliceRange(c.Data(), off, n), nil
 	}
 	// Ranged reads are first-class accesses too; the profile records the
 	// file, and its replay pulls the chunks.
-	var total int64
-	for _, ch := range chunks {
-		total += ch.Size
-	}
-	s.record(imageRef, fp, total)
+	s.record(imageRef, fp, size)
 	// Whole file already assembled? Serve from cache.
 	if c, ok := s.cache.Get(fp); ok {
 		s.noteDemandHit(fp)
@@ -540,11 +518,7 @@ func (s *Store) ResolveRange(imageRef string, fp hashing.Fingerprint, off, n int
 		return nil, err
 	}
 	if ra := s.opts.ChunkReadahead; ra > 0 && hi < len(chunks) {
-		end := hi + ra
-		if end > len(chunks) {
-			end = len(chunks)
-		}
-		s.readahead(chunks[hi:end])
+		s.readahead(chunks[hi:min(hi+ra, len(chunks))])
 	}
 	out := make([]byte, 0, n)
 	pos := loOff
@@ -564,12 +538,6 @@ func (s *Store) ResolveRange(imageRef string, fp hashing.Fingerprint, off, n int
 	}
 	return out, nil
 }
-
-// Errors for ranged reads.
-var (
-	ErrBadRange   = errors.New("invalid byte range")
-	ErrNotChunked = errors.New("file is not chunked; use a full read")
-)
 
 func sliceRange(data []byte, off, n int64) []byte {
 	if off >= int64(len(data)) {

@@ -378,13 +378,13 @@ func TestPrefetch(t *testing.T) {
 	}
 }
 
-func TestOnRemoteFetchHook(t *testing.T) {
+func TestOnTransferHook(t *testing.T) {
 	ix, reg := fixture(t)
 	var objects int
 	var bytesFetched int64
-	s, err := New(Options{Remote: reg, OnRemoteFetch: func(n int, b int64) {
-		objects += n
-		bytesFetched += b
+	s, err := New(Options{Remote: reg, OnTransfer: func(t Transfer) {
+		objects += t.Registry.Objects
+		bytesFetched += t.Registry.Bytes
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -728,7 +728,7 @@ func TestReadAtFetchesOnlyNeededChunks(t *testing.T) {
 		t.Errorf("tail read = %d bytes, %v", len(got), err)
 	}
 	// Invalid range.
-	if _, err := s.ResolveRange("ai:v1", ix.Lookup("/model").Fingerprint, -1, 10); !errors.Is(err, ErrBadRange) {
+	if _, err := s.ResolveRange("ai:v1", "/model", ix.Lookup("/model").Fingerprint, 20000, -1, 10); !errors.Is(err, ErrBadRange) {
 		t.Errorf("err = %v, want ErrBadRange", err)
 	}
 }
@@ -751,8 +751,8 @@ func TestReadAtFallsBackForUnchunkedFiles(t *testing.T) {
 	if objs := s.Stats().RemoteObjects; objs != 1 {
 		t.Errorf("remote objects = %d, want 1", objs)
 	}
-	if f := v.Stats().Faults; f != 1 {
-		t.Errorf("faults = %d, want exactly 1 (no double count on fallback)", f)
+	if st := v.Stats(); st.Reads != 1 || st.Faults != 1 {
+		t.Errorf("one ReadAt = %d reads, %d faults, want exactly 1 of each (no double count when the store materializes)", st.Reads, st.Faults)
 	}
 	// Subsequent ReadAt of materialized file is local.
 	if _, err := v.ReadAt("/etc/conf", 0, 4); err != nil {

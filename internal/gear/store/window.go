@@ -45,8 +45,8 @@ func chunkSpan(chunks []index.Chunk, off, n int64) (lo, hi int, loOff int64) {
 // or not every chunk arrived.
 func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, error) {
 	out := make([]*vfs.Content, len(chunks))
+	var faults []Transfer
 	var mu sync.Mutex
-	var regTotal, peerTotal StreamStat
 	var errs []error
 	var wg sync.WaitGroup
 	for i, ch := range chunks {
@@ -55,24 +55,25 @@ func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, error) {
 			out[i] = c
 			continue
 		}
+		if faults == nil {
+			faults = make([]Transfer, 0, len(chunks)-i)
+		}
 		wg.Add(1)
 		go func(i int, ch index.Chunk) {
 			defer wg.Done()
 			s.m.chunkDemand.Inc()
-			c, reg, peer, err := s.fetchOne(ch.Fingerprint, ch.Size)
+			c, t, err := s.fetchOne(ch.Fingerprint, ch.Size)
 			mu.Lock()
 			defer mu.Unlock()
 			out[i] = c
-			regTotal.add(reg.Objects, reg.Bytes)
-			peerTotal.add(peer.Objects, peer.Bytes)
+			faults = append(faults, t)
 			if err != nil {
 				errs = append(errs, err)
 			}
 		}(i, ch)
 	}
 	wg.Wait()
-	s.recordRemote(regTotal)
-	s.recordPeer(peerTotal)
+	s.account(faults...)
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
@@ -101,23 +102,12 @@ func (s *Store) readahead(chunks []index.Chunk) {
 			if !led {
 				return
 			}
-			reg, peer, err := s.lead([]*flight{f}, classReadahead, false)
-			s.recordRemote(reg)
-			s.recordPeer(peer)
-			s.m.prefetchObjects.Add(int64(reg.Objects))
-			s.m.prefetchBytes.Add(reg.Bytes)
-			if err != nil {
-				return
+			t, err := s.lead([]*flight{f}, classReadahead, false)
+			t.Op, t.Ref = "readahead", refPrefix(f.fp)
+			s.account(t)
+			if err == nil {
+				s.m.chunkReadahead.Inc()
 			}
-			s.m.chunkReadahead.Inc()
-			span := telemetry.Span{
-				Op: "readahead", Ref: refPrefix(f.fp), Class: telemetry.ClassPrefetch,
-				Source: telemetry.SourceRegistry, Objects: 1, Bytes: reg.Bytes,
-			}
-			if peer.Objects > 0 {
-				span.Source, span.Bytes = telemetry.SourcePeer, peer.Bytes
-			}
-			s.opts.Trace.Record(span)
 		}(ch)
 	}
 }
@@ -131,37 +121,34 @@ func (s *Store) WaitReadahead() { s.bg.Wait() }
 // instead of materializing the file. The slice is served uncompressed
 // and is NOT cached — it is not the whole verifiable object — so
 // repeated cold partial reads re-fetch; a workload that re-reads should
-// materialize instead. With the option off (the default), ErrNotChunked
-// tells the viewer to fall back to full materialization, byte-identical
-// to a store without this path. The reply is at most n bytes, so n is what
-// the transfer holds of the gate's budget.
-func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) ([]byte, error) {
+// materialize instead. ok=false says the range verb does not serve this
+// read — the option is off (the default), the range runs past the file's
+// end, or the registry does not hold the object — and the caller
+// materializes the file, whose own clamping and error reporting take
+// over; any other failure is the read's error. The reply is at most n
+// bytes, so n is what the transfer holds of the gate's budget.
+func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) (data []byte, ok bool, err error) {
 	if !s.opts.RangeReads || s.opts.Remote == nil {
-		return nil, ErrNotChunked
+		return nil, false, nil
 	}
 	if c, ok := s.cache.Get(fp); ok {
 		s.noteDemandHit(fp)
-		return sliceRange(c.Data(), off, n), nil
+		return sliceRange(c.Data(), off, n), true, nil
 	}
 	start := s.enterDemand(n)
 	defer s.leaveDemand(n, start)
 	payload, wire, err := s.opts.Remote.DownloadRange(fp, off, n)
-	if err != nil {
-		// A range past the file's end (or a registry without the object)
-		// falls back to the full-read path, whose own clamping and error
-		// reporting take over.
-		if errors.Is(err, gearregistry.ErrBadRange) || errors.Is(err, gearregistry.ErrNotFound) {
-			return nil, ErrNotChunked
-		}
-		return nil, fmt.Errorf("store: range read %s: %w", fp, err)
+	if errors.Is(err, gearregistry.ErrBadRange) || errors.Is(err, gearregistry.ErrNotFound) {
+		return nil, false, nil
 	}
-	s.recordRemote(StreamStat{Objects: 1, Bytes: wire})
+	if err != nil {
+		return nil, false, fmt.Errorf("store: range read %s: %w", fp, err)
+	}
 	s.noteDemandMiss(fp, int64(len(payload)))
 	s.m.rangeReads.Inc()
-	s.opts.Trace.Record(telemetry.Span{
-		Op: "rangefault", Ref: refPrefix(fp), Class: telemetry.ClassDemand,
-		Source: telemetry.SourceRegistry, Objects: 1, Bytes: wire,
-		Transfer: time.Since(start),
+	s.account(Transfer{
+		Op: "rangefault", Class: telemetry.ClassDemand, Ref: refPrefix(fp),
+		Registry: StreamStat{Objects: 1, Bytes: wire}, Wall: time.Since(start),
 	})
-	return payload, nil
+	return payload, true, nil
 }

@@ -137,9 +137,9 @@ func TestFailedChunkedReadAccountsWhatMoved(t *testing.T) {
 	}
 	var hookObjects int
 	var hookBytes int64
-	s := mustStore(t, Options{Remote: reg, OnRemoteFetch: func(objects int, bytes int64) {
-		hookObjects += objects
-		hookBytes += bytes
+	s := mustStore(t, Options{Remote: reg, OnTransfer: func(t Transfer) {
+		hookObjects += t.Registry.Objects
+		hookBytes += t.Registry.Bytes
 	}})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,65 @@ func TestFailedChunkedReadAccountsWhatMoved(t *testing.T) {
 		t.Errorf("remote = %d objects / %d bytes, want %d / %d", st.RemoteObjects, st.RemoteBytes, moved, moved*4096)
 	}
 	if int64(hookObjects) != moved || hookBytes != moved*4096 {
-		t.Errorf("OnRemoteFetch saw %d objects / %d bytes, want %d / %d", hookObjects, hookBytes, moved, moved*4096)
+		t.Errorf("OnTransfer saw %d objects / %d bytes, want %d / %d", hookObjects, hookBytes, moved, moved*4096)
+	}
+}
+
+// flakyRemote fails the first Download of one object, once, and counts
+// every Download it is asked for.
+type flakyRemote struct {
+	gearregistry.Store
+	victim hashing.Fingerprint
+
+	mu        sync.Mutex
+	failed    bool
+	downloads int
+}
+
+var errTransient = errors.New("connection reset")
+
+func (r *flakyRemote) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
+	r.mu.Lock()
+	r.downloads++
+	fail := fp == r.victim && !r.failed
+	r.failed = r.failed || fail
+	r.mu.Unlock()
+	if fail {
+		return nil, 0, errTransient
+	}
+	return r.Store.Download(fp)
+}
+
+// A ranged read that fails is an error carrying the remote's, not a
+// quiet download of the whole file: one transient chunk failure costs
+// one request, and the retry costs one chunk.
+func TestRangedReadFailureDoesNotEscalate(t *testing.T) {
+	ix, reg, big := chunkedFixture(t, 65536, 4096) // 16 chunks
+	flaky := &flakyRemote{Store: reg, victim: ix.Lookup("/model").Chunks[0].Fingerprint}
+	s := mustStore(t, Options{Remote: flaky})
+	if err := s.AddIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateContainer("c1", "ai:v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := v.ReadAt("/model", 0, 4096); !errors.Is(err, errTransient) {
+		t.Fatalf("ReadAt across a failed chunk download = %d bytes, %v; want the remote's error", len(got), err)
+	}
+	if st := s.Stats(); flaky.downloads > 1 || st.RemoteBytes != 0 {
+		t.Errorf("failed ranged read issued %d downloads and moved %d bytes, want at most 1 and 0", flaky.downloads, st.RemoteBytes)
+	}
+	got, err := v.ReadAt("/model", 0, 4096)
+	if err != nil || !bytes.Equal(got, big[:4096]) {
+		t.Fatalf("second ReadAt = %d bytes, %v", len(got), err)
+	}
+	if st := s.Stats(); flaky.downloads != 2 || st.RemoteObjects != 1 || st.RemoteBytes != 4096 {
+		t.Errorf("after the retry: %d downloads in all, %d objects / %d bytes moved; want 2, 1 / 4096",
+			flaky.downloads, st.RemoteObjects, st.RemoteBytes)
+	}
+	if st := v.Stats(); st.Reads != 2 || st.Faults != 2 {
+		t.Errorf("viewer counted %d reads, %d faults for two ReadAt calls", st.Reads, st.Faults)
 	}
 }
 
@@ -358,8 +416,8 @@ func mustStore(t *testing.T, opts Options) *Store {
 	return s
 }
 
-// ResolveRange input validation and absent-image behavior are
-// unchanged by the window engine.
+// ResolveRange validates its range, and materializes and slices a
+// non-chunked file when the range verb is off.
 func TestResolveRangeValidation(t *testing.T) {
 	ix, reg := fixture(t)
 	s := newStore(t, reg)
@@ -367,13 +425,17 @@ func TestResolveRangeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := ix.Lookup("/bin/app").Fingerprint
-	if _, err := s.ResolveRange("web:v1", fp, -1, 10); !errors.Is(err, ErrBadRange) {
+	if _, err := s.ResolveRange("web:v1", "/bin/app", fp, 4096, -1, 10); !errors.Is(err, ErrBadRange) {
 		t.Errorf("negative off: %v", err)
 	}
-	if _, err := s.ResolveRange("web:v1", fp, 0, 0); !errors.Is(err, ErrBadRange) {
+	if _, err := s.ResolveRange("web:v1", "/bin/app", fp, 4096, 0, 0); !errors.Is(err, ErrBadRange) {
 		t.Errorf("zero n: %v", err)
 	}
-	if _, err := s.ResolveRange("web:v1", fp, 0, 10); !errors.Is(err, ErrNotChunked) {
-		t.Errorf("non-chunked without RangeReads: %v", err)
+	got, err := s.ResolveRange("web:v1", "/bin/app", fp, 4096, 0, 10)
+	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xcd}, 10)) {
+		t.Errorf("non-chunked without RangeReads = %q, %v", got, err)
+	}
+	if s.CacheStats().Objects != 1 {
+		t.Error("file not materialized")
 	}
 }

@@ -32,10 +32,17 @@ var ErrStopped = errors.New("viewer is closed")
 
 // Resolver is the user-mode helper of §IV: it makes the Gear file for a
 // fingerprint readable — from the shared local cache if present, else by
-// downloading it — and installs it over the placeholder at path in the
-// shared index tree. It returns the materialized content.
+// downloading it. path, fp and size are what the placeholder at path
+// records. A ranged read is part of the contract, not an extension of it:
+// what it costs — the overlapping chunks, a range request, or the whole
+// file — is the resolver's decision, and its error is the read's error.
 type Resolver interface {
+	// Resolve installs the whole file over the placeholder at path in the
+	// shared index tree and returns the materialized content.
 	Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error)
+	// ResolveRange returns the bytes of [off, off+n) that exist, for
+	// off >= 0 and n > 0; it may or may not materialize the file.
+	ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error)
 }
 
 // Viewer is one container's filesystem view. Reads resolve lazily;
@@ -89,13 +96,17 @@ func (v *Viewer) checkOpen() error {
 	return nil
 }
 
-// readLocked returns the content of the regular file at the clean path p
-// as the mount holds it and, when that is an index placeholder still to
-// be materialized (lazy), the record it carries. Data written by the
-// container itself is returned verbatim even if it happens to look like
-// a placeholder: only lower-layer (index) entries are fingerprint files.
-// The caller holds v.mu.
+// readLocked counts one read of the regular file at the clean path p and
+// returns its content as the mount holds it and, when that is an index
+// placeholder still to be materialized (lazy), the record it carries.
+// Data written by the container itself is returned verbatim even if it
+// happens to look like a placeholder: only lower-layer (index) entries
+// are fingerprint files. The caller holds v.mu.
 func (v *Viewer) readLocked(p string) (data []byte, fp hashing.Fingerprint, size int64, lazy bool, err error) {
+	if err := v.checkOpen(); err != nil {
+		return nil, "", 0, false, err
+	}
+	v.reads++
 	data, err = v.mount.ReadFile(p)
 	if err != nil || v.mount.Upper().Exists(p) {
 		return data, "", 0, false, err
@@ -104,29 +115,16 @@ func (v *Viewer) readLocked(p string) (data []byte, fp hashing.Fingerprint, size
 	return data, fp, size, perr == nil, nil
 }
 
-// ReadFile returns the content of the regular file at p, materializing a
-// fingerprint placeholder on first access ("downloaded on demand, stored
-// at the first level, and hard linked to the index", §III-D2).
-func (v *Viewer) ReadFile(p string) ([]byte, error) {
-	p = vfs.Clean(p)
-	v.mu.Lock()
-	if err := v.checkOpen(); err != nil {
-		v.mu.Unlock()
-		return nil, err
-	}
-	v.reads++
-	data, fp, size, lazy, err := v.readLocked(p)
-	if err != nil || !lazy {
-		v.mu.Unlock()
-		return data, err // already materialized
-	}
+// fault is the pause of §IV: a read that found a placeholder asks the
+// helper to make the file readable, then resumes. The caller holds v.mu;
+// fault returns with it released. The helper may be downloading, so the
+// lock is not held meanwhile: other threads of the container go on
+// reading, and faulting, elsewhere.
+func (v *Viewer) fault(p string, resolve func() ([]byte, error)) ([]byte, error) {
 	v.faults++
 	v.mu.Unlock()
-	// Pause: ask the helper to make the file readable, then resume. The
-	// helper may be downloading, so the lock is not held meanwhile: other
-	// threads of the container go on reading, and faulting, elsewhere.
 	start := time.Now()
-	content, err := v.resolver.Resolve(v.imageRef, p, fp, size)
+	data, err := resolve()
 	elapsed := time.Since(start)
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -137,58 +135,45 @@ func (v *Viewer) ReadFile(p string) ([]byte, error) {
 	if err := v.checkOpen(); err != nil {
 		return nil, err // closed while the fault was parked
 	}
-	return content.Data(), nil
+	return data, nil
 }
 
-// RangeResolver is the optional chunk-granular fetch interface (§VII's
-// future-work extension): serve [off, off+n) of the file behind fp
-// without materializing the whole file.
-type RangeResolver interface {
-	ResolveRange(imageRef string, fp hashing.Fingerprint, off, n int64) ([]byte, error)
+// ReadFile returns the content of the regular file at p, materializing a
+// fingerprint placeholder on first access ("downloaded on demand, stored
+// at the first level, and hard linked to the index", §III-D2).
+func (v *Viewer) ReadFile(p string) ([]byte, error) {
+	p = vfs.Clean(p)
+	v.mu.Lock()
+	data, fp, size, lazy, err := v.readLocked(p)
+	if !lazy {
+		v.mu.Unlock()
+		return data, err // already materialized
+	}
+	return v.fault(p, func() ([]byte, error) {
+		content, err := v.resolver.Resolve(v.imageRef, p, fp, size)
+		if err != nil {
+			return nil, err
+		}
+		return content.Data(), nil
+	})
 }
 
 // ReadAt returns up to n bytes of the regular file at p starting at off.
-// For a chunked, unmaterialized file served by a RangeResolver, only the
-// chunks overlapping the range are fetched — the mechanism the paper
-// proposes for AI containers with big models. Other files materialize
-// fully (like ReadFile) and slice.
+// A ranged read of an unmaterialized file is one fault like any other;
+// for a chunked file the resolver fetches only the chunks overlapping the
+// range — the mechanism the paper proposes for AI containers with big
+// models. An empty range reads nothing and fetches nothing.
 func (v *Viewer) ReadAt(p string, off, n int64) ([]byte, error) {
 	p = vfs.Clean(p)
 	v.mu.Lock()
-	if err := v.checkOpen(); err != nil {
+	data, fp, size, lazy, err := v.readLocked(p)
+	if !lazy || off < 0 || n <= 0 {
 		v.mu.Unlock()
-		return nil, err
+		return sliceRange(data, off, n), err // materialized, or nothing asked for
 	}
-	v.reads++
-	data, fp, _, lazy, err := v.readLocked(p)
-	if err != nil || !lazy {
-		v.mu.Unlock()
-		return sliceRange(data, off, n), err // already materialized
-	}
-	rr, ok := v.resolver.(RangeResolver)
-	if ok {
-		v.faults++
-		v.mu.Unlock()
-		start := time.Now()
-		out, err := rr.ResolveRange(v.imageRef, fp, off, n)
-		elapsed := time.Since(start)
-		if err == nil {
-			v.mu.Lock()
-			v.stall += elapsed
-			v.mu.Unlock()
-			return out, nil
-		}
-		// Not chunked (or range unsupported): fall through to a full
-		// read, whose own fault accounting takes over.
-		v.mu.Lock()
-		v.faults--
-	}
-	v.mu.Unlock()
-	full, err := v.ReadFile(p)
-	if err != nil {
-		return nil, err
-	}
-	return sliceRange(full, off, n), nil
+	return v.fault(p, func() ([]byte, error) {
+		return v.resolver.ResolveRange(v.imageRef, p, fp, size, off, n)
+	})
 }
 
 func sliceRange(data []byte, off, n int64) []byte {

@@ -43,6 +43,20 @@ func (r *fakeResolver) Resolve(_, p string, fp hashing.Fingerprint, _ int64) (*v
 	return content, nil
 }
 
+// ResolveRange serves the slice without materializing the file, the way
+// the store serves a chunk span or a range request.
+func (r *fakeResolver) ResolveRange(_, _ string, fp hashing.Fingerprint, _, off, n int64) ([]byte, error) {
+	r.calls++
+	if r.fail {
+		return nil, errors.New("registry unreachable")
+	}
+	data, ok := r.pool[fp]
+	if !ok {
+		return nil, errors.New("pool miss")
+	}
+	return sliceRange(data, off, n), nil
+}
+
 func setup(t *testing.T) (*Viewer, *fakeResolver) {
 	t.Helper()
 	root := vfs.New()
@@ -87,6 +101,14 @@ func TestLazyReadPausesOnce(t *testing.T) {
 	}
 	if s := v.Stats(); s.Reads != 2 || s.Faults != 1 {
 		t.Errorf("stats = %+v", s)
+	}
+	// A ranged read of a lazy file is one read and one fault, whatever the
+	// resolver does to serve it.
+	if _, err := v.ReadAt("/app/conf", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if s := v.Stats(); s.Reads != 3 || s.Faults != 2 || r.calls != 2 {
+		t.Errorf("after one ReadAt: stats = %+v, resolver calls = %d; want 3 reads, 2 faults, 2 calls", s, r.calls)
 	}
 }
 
@@ -255,27 +277,46 @@ func TestRename(t *testing.T) {
 	}
 }
 
-func TestReadAtWithoutRangeResolver(t *testing.T) {
-	// The fake resolver implements only Resolve, so ReadAt must fall back
-	// to full materialization and slice.
+func TestReadAt(t *testing.T) {
 	v, r := setup(t)
+	// Lazy: the range is the resolver's to serve, and its bytes are the
+	// slice of the file.
 	got, err := v.ReadAt("/app/bin", 7, 5)
 	if err != nil || string(got) != "bytes" {
 		t.Errorf("ReadAt = %q, %v", got, err)
 	}
-	if r.calls != 1 {
-		t.Errorf("resolver calls = %d, want 1", r.calls)
+	if got, err := v.ReadAt("/app/bin", 9999, 5); err != nil || len(got) != 0 {
+		t.Errorf("lazy past-EOF = %q, %v", got, err)
 	}
-	if s := v.Stats(); s.Faults != 1 {
-		t.Errorf("faults = %d, want 1 (no double count)", s.Faults)
+	if r.calls != 2 {
+		t.Errorf("resolver calls = %d, want 2", r.calls)
 	}
+	// An empty range reads nothing and fetches nothing.
+	for _, rg := range [][2]int64{{0, 0}, {-1, 5}, {3, -1}} {
+		if got, err := v.ReadAt("/app/bin", rg[0], rg[1]); err != nil || got != nil {
+			t.Errorf("ReadAt%v of a lazy file = %q, %v; want nothing", rg, got, err)
+		}
+	}
+	if r.calls != 2 {
+		t.Errorf("empty ranges reached the resolver: %d calls", r.calls)
+	}
+	// A failed ranged read is the read's error.
+	r.fail = true
+	if _, err := v.ReadAt("/app/bin", 0, 1); err == nil {
+		t.Error("resolver failure swallowed")
+	}
+	r.fail = false
 	// Materialized path: ReadAt slices locally.
+	if _, err := v.ReadFile("/app/bin"); err != nil {
+		t.Fatal(err)
+	}
+	calls := r.calls
 	got, err = v.ReadAt("/app/bin", 0, 6)
 	if err != nil || string(got) != "binary" {
-		t.Errorf("second ReadAt = %q, %v", got, err)
+		t.Errorf("materialized ReadAt = %q, %v", got, err)
 	}
-	if r.calls != 1 {
-		t.Error("second ReadAt refetched")
+	if r.calls != calls {
+		t.Error("materialized ReadAt refetched")
 	}
 	// Out-of-range and upper-layer reads.
 	if got, err := v.ReadAt("/app/bin", 9999, 5); err != nil || len(got) != 0 {
@@ -389,14 +430,25 @@ type parkingResolver struct {
 	release chan struct{}
 }
 
-func (r *parkingResolver) Resolve(ref, p string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
+func (r *parkingResolver) wait(p string) {
 	if p == r.park {
 		r.parked <- struct{}{}
 		<-r.release
 	}
+}
+
+func (r *parkingResolver) Resolve(ref, p string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
+	r.wait(p)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.inner.Resolve(ref, p, fp, size)
+}
+
+func (r *parkingResolver) ResolveRange(ref, p string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
+	r.wait(p)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.inner.ResolveRange(ref, p, fp, size, off, n)
 }
 
 func setupParked(t *testing.T, park string) (*Viewer, *parkingResolver) {

@@ -61,7 +61,7 @@ func (r *Registry) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, er
 func (r *RetryStore) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, error) {
 	var payloads [][]byte
 	var wire int64
-	err := r.do(func() error {
+	err := r.do(nil, func() error {
 		var err error
 		payloads, wire, err = r.inner.DownloadBatch(fps)
 		return err

@@ -42,7 +42,7 @@ func (r *Registry) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
 // QueryBatch implements BatchQuerier with retries.
 func (r *RetryStore) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
 	var present []bool
-	err := r.do(func() error {
+	err := r.do(nil, func() error {
 		var err error
 		present, err = r.inner.QueryBatch(fps)
 		return err

@@ -74,7 +74,7 @@ func (r *Registry) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, 
 func (r *RetryStore) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, int64, error) {
 	var payload []byte
 	var wire int64
-	err := r.do(func() error {
+	err := r.do(nil, func() error {
 		var err error
 		payload, wire, err = r.inner.DownloadRange(fp, off, n)
 		return err

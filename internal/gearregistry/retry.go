@@ -71,13 +71,19 @@ func permanent(err error) bool {
 		errors.Is(err, wire.ErrTooLarge)
 }
 
-func (r *RetryStore) do(op func() error) error {
+// do is the one attempt loop behind every verb. landed, where a verb has
+// one, runs ahead of each retry and reports that the failed attempt took
+// effect after all, which is success.
+func (r *RetryStore) do(landed func() bool, op func() error) error {
 	var err error
 	attempts := r.opts.Attempts()
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			r.retries.Add(1)
 			r.opts.Sleep(i)
+			if landed != nil && landed() {
+				return nil
+			}
 		}
 		if err = op(); err == nil || permanent(err) {
 			return err
@@ -89,7 +95,7 @@ func (r *RetryStore) do(op func() error) error {
 // Query implements Store with retries.
 func (r *RetryStore) Query(fp hashing.Fingerprint) (bool, error) {
 	var present bool
-	err := r.do(func() error {
+	err := r.do(nil, func() error {
 		var err error
 		present, err = r.inner.Query(fp)
 		return err
@@ -103,28 +109,18 @@ func (r *RetryStore) Query(fp hashing.Fingerprint) (bool, error) {
 // treats presence as success — re-uploading would both waste the wire
 // and inflate the registry's dedup counters.
 func (r *RetryStore) Upload(fp hashing.Fingerprint, data []byte) error {
-	var err error
-	attempts := r.opts.Attempts()
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			r.retries.Add(1)
-			r.opts.Sleep(i)
-			if present, qerr := r.inner.Query(fp); qerr == nil && present {
-				return nil
-			}
-		}
-		if err = r.inner.Upload(fp, data); err == nil || permanent(err) {
-			return err
-		}
+	landed := func() bool {
+		present, err := r.inner.Query(fp)
+		return err == nil && present
 	}
-	return fmt.Errorf("gearregistry: after %d attempts: %w", attempts, err)
+	return r.do(landed, func() error { return r.inner.Upload(fp, data) })
 }
 
 // Download implements Store with retries.
 func (r *RetryStore) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 	var payload []byte
 	var wire int64
-	err := r.do(func() error {
+	err := r.do(nil, func() error {
 		var err error
 		payload, wire, err = r.inner.Download(fp)
 		return err

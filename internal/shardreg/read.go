@@ -187,8 +187,15 @@ func nextLive(chain []*shard, from int) *shard {
 // on s's link and returns the client-observed latency, hedging the
 // whole sub-batch when its mean per-request cost runs past the hedge
 // delay and every index has a live alternate replica. It is the tier's
-// one hedge model: a single-object download is priced as a batch of
-// one. The hedge is modeled analytically under the virtual clock: both
+// one pricing body and one hedge model: a single-object download is
+// priced as a batch of one, and a range (ranged) as a batch of one
+// quoted as a range request — per-request overhead plus RangeOverhead,
+// then exactly the payload bytes — and never hedged (alt is nil): ranges
+// are the small, overhead-dominated tail of the read mix, and mirroring
+// one would double the fixed per-request cost that already dominates it.
+// Completed reads of either kind feed the same per-shard EWMA and
+// cluster latency model, so the balancer's load picture covers the
+// chunk-faulting traffic too. The hedge is modeled analytically under the virtual clock: both
 // sides' costs are quoted, the winner records its full transfer, and
 // the loser records only the prefix it moved before cancellation — that
 // prefix is the hedge's extra egress, tracked in
@@ -199,19 +206,23 @@ func nextLive(chain []*shard, from int) *shard {
 // groups in parallel, so its completion is the delay plus the slowest
 // group. Per-index wire sizes are not visible at this layer; groups are
 // priced on their proportional share of the batch volume.
-func (c *Cluster) priceBatch(s *shard, idxs []int, w int64, alt func(int) *shard) time.Duration {
+func (c *Cluster) priceBatch(s *shard, idxs []int, w int64, ranged bool, alt func(int) *shard) time.Duration {
 	n := len(idxs)
 	if s.links == nil {
 		s.countRead(n, w)
 		return 0
 	}
-	costP, err := s.links.WAN.TransferQuote(n, w)
+	quote := s.links.WAN.TransferQuote
+	if ranged {
+		quote = s.links.WAN.TransferRangeQuote
+	}
+	costP, err := quote(n, w)
 	if err != nil {
 		s.countRead(n, w)
 		return 0
 	}
 	delay := c.hedgeTrigger(n, w)
-	if c.opts.Read.Hedge && delay > 0 && costP > delay {
+	if alt != nil && c.opts.Read.Hedge && delay > 0 && costP > delay {
 		if groups, order := altGroups(idxs, alt, n); order != nil {
 			c.hedgeFired.Inc()
 			type quoted struct {
@@ -312,12 +323,34 @@ func altGroups(idxs []int, alt func(int) *shard, n int) (map[*shard]int, []*shar
 // exactly.
 func (c *Cluster) DownloadTimed(fp hashing.Fingerprint) ([]byte, int64, time.Duration, error) {
 	c.downloads.Inc()
+	return c.readOne("download", fp, false, func(st gearregistry.Store) ([]byte, int64, error) {
+		return st.Download(fp)
+	})
+}
+
+// readOne is the tier's one single-read walk, behind Download and
+// DownloadRange alike: the replica chain in read order, dead or erroring
+// shards skipped and counted as failovers, a replica that simply does
+// not hold the object tried past without a failover tick — so a
+// tier-wide miss still reports ErrNotFound — and the serving shard's link
+// pricing the transfer. A range (ranged) differs in the verb it calls, in
+// failing at once on an error no replica can fix (rangePermanent), and in
+// its quote, which is never hedged. Single reads do not go through
+// routeBatch, the way Query is a QueryBatch of one, for two reasons: in a
+// batch ErrNotFound is permanent (batches are all-or-nothing) where here
+// the next replica may hold the object, and the batch walk allocates per
+// call what this one does not — scripts/bench_baseline.txt pins
+// BenchmarkDownloadRankOrder at 48 B / 2 allocs and
+// BenchmarkDownloadRange at 96 B / 4 allocs against
+// BenchmarkDownloadBatch's 13 176 B / 248. Only the pricing is shared
+// (priceBatch of one index).
+func (c *Cluster) readOne(what string, fp hashing.Fingerprint, ranged bool, call func(gearregistry.Store) ([]byte, int64, error)) ([]byte, int64, time.Duration, error) {
 	if err := fp.Validate(); err != nil {
-		return nil, 0, 0, fmt.Errorf("shardreg: download: %w", err)
+		return nil, 0, 0, fmt.Errorf("shardreg: %s: %w", what, err)
 	}
 	chain := c.replicaChain(fp)
 	if len(chain) == 0 {
-		return nil, 0, 0, fmt.Errorf("shardreg: download %s: %w", fp, ErrNoShards)
+		return nil, 0, 0, fmt.Errorf("shardreg: %s %s: %w", what, fp, ErrNoShards)
 	}
 	chain = c.readOrder(fp, chain)
 	var lastErr error
@@ -329,9 +362,12 @@ func (c *Cluster) DownloadTimed(fp hashing.Fingerprint) ([]byte, int64, time.Dur
 			continue
 		}
 		s.inflight.Add(1)
-		payload, wire, err := s.store.Download(fp)
+		payload, wire, err := call(s.store)
 		if err != nil {
 			s.inflight.Add(-1)
+			if ranged && rangePermanent(err) {
+				return nil, 0, 0, fmt.Errorf("shardreg: %s %s: %w", what, fp, err)
+			}
 			if !errors.Is(err, gearregistry.ErrNotFound) {
 				c.failovers.Inc()
 			}
@@ -340,14 +376,13 @@ func (c *Cluster) DownloadTimed(fp hashing.Fingerprint) ([]byte, int64, time.Dur
 			continue
 		}
 		// A read that has already failed on one replica is not hedged.
-		cost := c.priceBatch(s, []int{0}, wire, func(int) *shard {
-			if !first {
-				return nil
-			}
-			return nextLive(chain, i+1)
-		})
+		var alt func(int) *shard
+		if first && !ranged {
+			alt = func(int) *shard { return nextLive(chain, i+1) }
+		}
+		cost := c.priceBatch(s, []int{0}, wire, ranged, alt)
 		s.inflight.Add(-1)
 		return payload, wire, cost, nil
 	}
-	return nil, 0, 0, fmt.Errorf("shardreg: download %s: %w", fp, lastErr)
+	return nil, 0, 0, fmt.Errorf("shardreg: %s %s: %w", what, fp, lastErr)
 }

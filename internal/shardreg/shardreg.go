@@ -386,16 +386,9 @@ func (c *Cluster) Upload(fp hashing.Fingerprint, data []byte) error {
 	return nil
 }
 
-// Download implements gearregistry.Store with replica failover: dead or
-// erroring shards are skipped (and counted as failovers); a replica
-// that simply does not hold the object is tried past without a failover
-// tick, so a tier-wide miss still reports ErrNotFound. That is why this
-// is its own walk and not a DownloadBatch of one, the way Query is a
-// QueryBatch of one: in a batch ErrNotFound is permanent (batches are
-// all-or-nothing), here the next replica may hold the object. Only the
-// pricing is shared (priceBatch of one index). Replica choice and
-// hedging follow Options.Read; see DownloadTimed for the
-// latency-returning form.
+// Download implements gearregistry.Store with replica failover (the
+// single-read walk, readOne). Replica choice and hedging follow
+// Options.Read; see DownloadTimed for the latency-returning form.
 func (c *Cluster) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 	payload, wire, _, err := c.DownloadTimed(fp)
 	return payload, wire, err
@@ -545,7 +538,7 @@ func (c *Cluster) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, err
 			payloads[i] = ps[k]
 		}
 		wire += w
-		c.priceBatch(s, idxs, w, alt)
+		c.priceBatch(s, idxs, w, false, alt)
 		return nil
 	})
 	if err != nil {

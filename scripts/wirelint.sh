@@ -55,16 +55,17 @@ if [ -n "$unsized" ]; then
   exit 1
 fi
 
-# gearregistry.Store is the one six-verb contract: a type assertion to
-# one of its parts, or an error for a verb a store lacks, is the
+# gearregistry.Store is the one six-verb contract, and viewer.Resolver
+# the one two-verb contract above it: a type assertion to one of their
+# parts, or an error for a verb a store or resolver lacks, is the
 # optional-verb ladder growing back.
-ladder=$(grep -rn --include='*.go' -E '\.\(gearregistry\.[A-Za-z]+\)|ErrRangeUnsupported' . \
+ladder=$(grep -rn --include='*.go' -E '\.\(gearregistry\.[A-Za-z]+\)|ErrRangeUnsupported|\.\((viewer\.)?RangeResolver\)|ErrNotChunked' . \
   | grep -v '_test\.go:' \
   | grep -v -E '^\./loadbench/' || true)
 if [ -n "$ladder" ]; then
-  echo "wirelint: a store probed for a verb:" >&2
+  echo "wirelint: a store or resolver probed for a verb:" >&2
   printf '%s\n' "$ladder" >&2
-  echo "  gearregistry.Store carries every verb — call it" >&2
+  echo "  gearregistry.Store and viewer.Resolver carry every verb — call it" >&2
   exit 1
 fi
 echo "wirelint: ok"
