@@ -99,7 +99,7 @@ func BenchmarkConvertChunked(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				conv, err := gear.NewConverter(gear.ConverterOptions{ChunkSize: chunk})
+				conv, err := gear.NewConverter(gear.ConverterOptions{Chunking: gear.FixedChunks(chunk)})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -86,6 +86,11 @@ func run(args []string) error {
 	}
 }
 
+// gearPrefix names a seeded series' Gear form beside the original in the
+// Docker registry: seed publishes under it, deploy strips it to find the
+// series.
+const gearPrefix = "gear/"
+
 func splitRef(ref string) (name, tag string, err error) {
 	i := strings.LastIndex(ref, ":")
 	if i <= 0 || i == len(ref)-1 {
@@ -116,7 +121,7 @@ func cmdSeed(args []string) error {
 	}
 	docker := registry.NewClient(*dockerURL, nil)
 	gearStore := gearregistry.NewClient(*gearURL, nil)
-	conv, err := convert.New(convert.Options{})
+	conv, err := convert.New(convert.Options{IndexPrefix: gearPrefix})
 	if err != nil {
 		return err
 	}
@@ -134,12 +139,6 @@ func cmdSeed(args []string) error {
 		if err != nil {
 			return err
 		}
-		res.Index.Name = "gear/" + s.Name
-		ixImg, err := res.Index.ToImage()
-		if err != nil {
-			return err
-		}
-		res.IndexImage = ixImg
 		ixBytes, fileBytes, err := convert.Publish(res, docker, gearStore)
 		if err != nil {
 			return err
@@ -405,7 +404,7 @@ func cmdDeploy(args []string) error {
 	}
 	seriesName := *series
 	if seriesName == "" {
-		seriesName = strings.TrimPrefix(name, "gear/")
+		seriesName = strings.TrimPrefix(name, gearPrefix)
 	}
 	co, err := corpus.New(corpus.Options{
 		Seed: *seed, Scale: *scale, SeriesFilter: []string{seriesName},

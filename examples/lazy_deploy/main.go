@@ -19,6 +19,9 @@ import (
 	gear "github.com/gear-image/gear"
 )
 
+// gearPrefix names the Gear form of an image beside the original.
+const gearPrefix = "gear/"
+
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -66,7 +69,7 @@ func run() error {
 	}
 	dockerClient := gear.NewRegistryClient(dockerURL, nil)
 	gearClient := gear.NewFileStoreClient(gearURL, nil)
-	conv, err := gear.NewConverter(gear.ConverterOptions{})
+	conv, err := gear.NewConverter(gear.ConverterOptions{IndexPrefix: gearPrefix})
 	if err != nil {
 		return err
 	}
@@ -82,12 +85,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res.Index.Name = "gear/nginx"
-		ixImg, err := res.Index.ToImage()
-		if err != nil {
-			return err
-		}
-		res.IndexImage = ixImg
 		if _, _, err := gear.Publish(res, dockerClient, gearClient); err != nil {
 			return err
 		}
@@ -112,13 +109,13 @@ func run() error {
 		for i, it := range items {
 			access[i] = it.Path
 		}
-		dep, err := daemon.DeployGear("gear/nginx", tag, access, 100*time.Millisecond)
+		dep, err := daemon.DeployGear(gearPrefix+"nginx", tag, access, 100*time.Millisecond)
 		if err != nil {
 			return err
 		}
 		cacheStats := daemon.GearStore().CacheStats()
 		fmt.Printf("deploy %-14s pull %8d B in %8v | lazy run %8d B (%3d objects) in %8v | cache hit ratio %.2f\n",
-			"gear/nginx:"+tag, dep.Pull.Bytes, dep.Pull.Time.Round(time.Millisecond),
+			gearPrefix+"nginx:"+tag, dep.Pull.Bytes, dep.Pull.Time.Round(time.Millisecond),
 			dep.Run.Bytes, dep.Run.Requests, dep.Run.Time.Round(time.Millisecond),
 			cacheStats.HitRatio())
 		return nil

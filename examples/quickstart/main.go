@@ -100,23 +100,11 @@ func run() error {
 	if err := dep.Write("/srv/new.html", []byte("<h1>v2 content</h1>")); err != nil {
 		return err
 	}
-	newIx, newFiles, err := daemon.GearStore().Commit(dep.ContainerID, "webapp", "v2")
+	ref, uploaded, err := dep.Commit("webapp", "v2")
 	if err != nil {
 		return err
 	}
-	for fp, data := range newFiles {
-		if err := files.Upload(fp, data); err != nil {
-			return err
-		}
-	}
-	ixImg, err := newIx.ToImage()
-	if err != nil {
-		return err
-	}
-	if _, err := gear.PushImage(docker, ixImg); err != nil {
-		return err
-	}
-	fmt.Printf("committed %s with %d new gear file(s)\n", newIx.Reference(), len(newFiles))
+	fmt.Printf("committed %s: %d B uploaded (new gear files + index image)\n", ref, uploaded)
 
 	// 7. The committed image deploys like any other.
 	dep2, err := daemon.DeployGear("webapp", "v2", []string{"/srv/new.html"}, 0)

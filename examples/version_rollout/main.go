@@ -21,6 +21,8 @@ const (
 	series   = "tomcat"
 	versions = 8
 	scale    = 0.5
+	// gearPrefix names the Gear form of an image beside the original.
+	gearPrefix = "gear/"
 )
 
 func main() {
@@ -41,7 +43,7 @@ func run() error {
 	dockerReg := gear.NewRegistry()
 	fileReg := gear.NewFileStore(gear.FileStoreOptions{Compress: true})
 	blockSrv := gear.NewSlackerServer()
-	conv, err := gear.NewConverter(gear.ConverterOptions{})
+	conv, err := gear.NewConverter(gear.ConverterOptions{IndexPrefix: gearPrefix})
 	if err != nil {
 		return err
 	}
@@ -58,12 +60,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res.Index.Name = "gear/" + series
-		ixImg, err := res.Index.ToImage()
-		if err != nil {
-			return err
-		}
-		res.IndexImage = ixImg
 		if _, _, err := gear.Publish(res, dockerReg, fileReg); err != nil {
 			return err
 		}
@@ -124,7 +120,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			gd, err := gearD.DeployGear("gear/"+series, tags[v], access, compute)
+			gd, err := gearD.DeployGear(gearPrefix+series, tags[v], access, compute)
 			if err != nil {
 				return err
 			}

@@ -23,7 +23,7 @@
 //	files := gear.NewFileStore(gear.FileStoreOptions{Compress: true})
 //	conv, _ := gear.NewConverter(gear.ConverterOptions{})
 //	res, _ := conv.Convert(img)              // Docker image -> Gear image
-//	gear.Publish(res, docker, files)
+//	gear.Publish(res, docker, files)         // files first, then the index
 //
 //	daemon, _ := gear.NewDaemon(docker, files, gear.DaemonOptions{})
 //	dep, _ := daemon.DeployGear("app", "v1", accessPaths, 0)
@@ -244,9 +244,10 @@ type (
 // NewConverter returns a Converter.
 func NewConverter(opts ConverterOptions) (*Converter, error) { return convert.New(opts) }
 
-// Publish stores a conversion result: index image to the Docker
-// registry, absent Gear files to the Gear registry, one request per
-// file. Pusher is its concurrent counterpart.
+// Publish stores a conversion result. It is the one-shot form of
+// Pusher.Push: absent Gear files go to the Gear registry first (one
+// batched dedup query, then a bounded upload pool), and the index image
+// goes to the Docker registry only once they are all in.
 func Publish(res *ConvertResult, docker RegistryStore, files GearStore) (indexBytes, fileBytes int64, err error) {
 	return convert.Publish(res, docker, files)
 }

@@ -88,7 +88,7 @@ func TestPublicHTTPRoundTrip(t *testing.T) {
 	if _, err := gear.PushImage(dockerClient, img); err != nil {
 		t.Fatal(err)
 	}
-	conv, err := gear.NewConverter(gear.ConverterOptions{})
+	conv, err := gear.NewConverter(gear.ConverterOptions{IndexPrefix: "gear/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,6 @@ func TestPublicHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Index.Name = "gear/app"
-	ixImg, err := res.Index.ToImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.IndexImage = ixImg
 	if _, _, err := gear.Publish(res, dockerClient, fileClient); err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/cache"
+	"github.com/gear-image/gear/internal/gear/convert"
 	"github.com/gear-image/gear/internal/gear/store"
 	"github.com/gear-image/gear/internal/gear/viewer"
 	"github.com/gear-image/gear/internal/gearregistry"
@@ -248,7 +249,6 @@ func (d *Deployment) Trace() []telemetry.Span {
 type Daemon struct {
 	opts   Options
 	docker registry.Store
-	gear   gearregistry.Store
 	link   *netsim.Link
 	// peerLink prices peer-to-peer Gear transfers. It equals link when
 	// no topology is attached, so single-link setups keep working.
@@ -262,6 +262,8 @@ type Daemon struct {
 	layers   map[hashing.Digest]*imagefmt.Layer
 	// gearStore is the three-level Gear storage.
 	gearStore *store.Store
+	// pusher publishes committed containers, priced on link.
+	pusher *convert.Pusher
 	// slackerSrv/slackerClient are set by ConfigureSlacker.
 	slackerSrv    *slacker.Server
 	slackerClient *slacker.Client
@@ -302,7 +304,6 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 	d := &Daemon{
 		opts:        opts,
 		docker:      docker,
-		gear:        gear,
 		link:        link,
 		peerLink:    peerLink,
 		layers:      make(map[hashing.Digest]*imagefmt.Layer),
@@ -328,6 +329,18 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 		Telemetry:        tele,
 		Trace:            d.ring,
 		OnTransfer:       d.priceTransfer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dockersim: %w", err)
+	}
+	if gear == nil {
+		// A daemon without a Gear registry deploys Docker and Slacker
+		// containers only; it has nothing to commit.
+		return d, nil
+	}
+	d.pusher, err = convert.NewPusher(convert.PushOptions{
+		Gear:         gear,
+		OnPushWindow: PricePushWindow(link, opts.GearRequestBytes),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dockersim: %w", err)
@@ -361,6 +374,25 @@ func (d *Daemon) priceTransfer(t store.Transfer) {
 		d.link.TransferWindow(streams)
 	}
 	d.peerLink.TransferBatch(t.Peer.Objects, wire(t.Peer))
+}
+
+// PricePushWindow returns the convert.PushOptions.OnPushWindow hook that
+// charges every push window to link — priceTransfer's counterpart for
+// uploads. The dedup query goes first, the whole fingerprint set in one
+// round trip; the upload streams then fair-share the link, one request
+// (and requestBytes of wire overhead) per object, exactly like download
+// windows.
+func PricePushWindow(link *netsim.Link, requestBytes int64) func(convert.PushWindow) {
+	return func(w convert.PushWindow) {
+		link.TransferBatch(w.Queried, int64(w.Queried)*requestBytes)
+		cfg := link.Config()
+		streams := make([]netsim.Stream, 0, len(w.Streams))
+		for _, st := range w.Streams {
+			streams = append(streams, netsim.PerObjectStream(
+				cfg, st.Objects, st.Bytes+int64(st.Objects)*requestBytes))
+		}
+		link.TransferWindow(streams)
+	}
 }
 
 // ConfigureSlacker attaches a Slacker block server for ModeSlacker
@@ -837,9 +869,10 @@ func (dep *Deployment) Write(p string, data []byte) error {
 }
 
 // Commit turns a running Gear container into a new Gear image and
-// pushes both halves: new Gear files to the Gear registry (absent ones
-// only) and the new index image to the Docker registry (Â§III-D2's full
-// commit path). It returns the new reference and the bytes uploaded.
+// publishes it through the daemon's Pusher like any converted image:
+// new Gear files to the Gear registry (absent ones only), then the new
+// index image to the Docker registry (§III-D2's full commit path). It
+// returns the new reference and the bytes uploaded.
 func (dep *Deployment) Commit(newName, newTag string) (ref string, uploaded int64, err error) {
 	if dep.closed {
 		return "", 0, fmt.Errorf("dockersim: %s: %w", dep.ContainerID, ErrNotDeployed)
@@ -852,32 +885,16 @@ func (dep *Deployment) Commit(newName, newTag string) (ref string, uploaded int6
 	if err != nil {
 		return "", 0, fmt.Errorf("dockersim: commit %s: %w", dep.ContainerID, err)
 	}
-	for fp, data := range newFiles {
-		present, err := d.gear.Query(fp)
-		if err != nil {
-			return "", 0, fmt.Errorf("dockersim: commit push %s: %w", fp, err)
-		}
-		if present {
-			continue
-		}
-		if err := d.gear.Upload(fp, data); err != nil {
-			return "", 0, fmt.Errorf("dockersim: commit push %s: %w", fp, err)
-		}
-		n := int64(len(data))
-		uploaded += n
-		d.link.Transfer(n)
-	}
 	ixImg, err := newIx.ToImage()
 	if err != nil {
 		return "", 0, fmt.Errorf("dockersim: commit %s: %w", dep.ContainerID, err)
 	}
-	pushed, err := registry.Push(d.docker, ixImg)
+	pushed, window, err := d.pusher.Push(&convert.Result{Index: newIx, Files: newFiles, IndexImage: ixImg}, d.docker)
 	if err != nil {
-		return "", 0, fmt.Errorf("dockersim: commit push index: %w", err)
+		return "", 0, fmt.Errorf("dockersim: commit %s: %w", dep.ContainerID, err)
 	}
-	uploaded += pushed
 	d.link.Transfer(pushed)
-	return newIx.Reference(), uploaded, nil
+	return newIx.Reference(), window.Bytes() + pushed, nil
 }
 
 // Destroy tears the container down and returns the modeled teardown

@@ -42,7 +42,7 @@ func buildRig(t *testing.T, series string, versions int) *rig {
 		slackSrv: slacker.NewServer(),
 		series:   series,
 	}
-	conv, err := convert.New(convert.Options{})
+	conv, err := convert.New(convert.Options{IndexPrefix: "gear/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,6 @@ func buildRig(t *testing.T, series string, versions int) *rig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Index.Name = "gear/" + series
-		ixImg, err := res.Index.ToImage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.IndexImage = ixImg
 		if _, _, err := convert.Publish(res, r.docker, r.gear); err != nil {
 			t.Fatal(err)
 		}
@@ -398,6 +392,37 @@ func TestCommitAndRedeploy(t *testing.T) {
 	}
 	if _, _, err := dep.Commit("a", "b"); !errors.Is(err, ErrNotDeployed) {
 		t.Errorf("err = %v, want ErrNotDeployed", err)
+	}
+}
+
+var errDisk = errors.New("disk full")
+
+// failingUploads is a Gear registry whose disk is full: every verb works
+// but Upload.
+type failingUploads struct{ gearregistry.Store }
+
+func (failingUploads) Upload(hashing.Fingerprint, []byte) error { return errDisk }
+
+// A commit that could not store its new Gear files publishes no index
+// naming them (the mirror of convert's TestFailedPushPublishesNoIndex).
+func TestFailedCommitPublishesNoIndex(t *testing.T) {
+	r := buildRig(t, "nginx", 1)
+	d, err := NewDaemon(r.docker, failingUploads{r.gear}, Options{Link: netsim.DefaultLAN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := d.DeployGear("gear/nginx", "v01", r.access(t, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Write("/opt/nginx/custom.conf", []byte("worker_processes 4;")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dep.Commit("gear/nginx-custom", "v1"); !errors.Is(err, errDisk) {
+		t.Errorf("commit err = %v, want it to wrap errDisk", err)
+	}
+	if _, err := registry.Pull(r.docker, "gear/nginx-custom", "v1"); !errors.Is(err, registry.ErrManifestNotFound) {
+		t.Errorf("after the failed commit, pulling the index: err = %v, want ErrManifestNotFound", err)
 	}
 }
 

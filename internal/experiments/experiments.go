@@ -120,31 +120,30 @@ func (c Config) pickSeries(co *corpus.Corpus) []corpus.Series {
 // Gear index images in a Docker registry, Gear files in a Gear registry,
 // and (optionally) Slacker block devices.
 type rig struct {
-	corpus *corpus.Corpus
 	docker *registry.Registry
 	gear   *gearregistry.Registry
 	slack  *slacker.Server
-	// converted tracks per-image conversion results for experiments that
-	// need timings or index stats.
-	converted map[string]*convert.Result
 }
 
+// gearPrefix names the Gear form of an image beside the original in one
+// Docker registry: the rigs' converters publish under it, deploys ask
+// for gearRef.
+const gearPrefix = "gear/"
+
 // gearRef returns the registry reference of a series' Gear index image.
-func gearRef(series string) string { return "gear/" + series }
+func gearRef(series string) string { return gearPrefix + series }
 
 // buildRig publishes the given series (all their versions) into fresh
 // registries. withSlacker additionally lays out block devices.
 func (c Config) buildRig(co *corpus.Corpus, series []corpus.Series, withSlacker bool) (*rig, error) {
 	r := &rig{
-		corpus:    co,
-		docker:    registry.New(),
-		gear:      gearregistry.New(gearregistry.Options{Compress: true}),
-		converted: make(map[string]*convert.Result),
+		docker: registry.New(),
+		gear:   gearregistry.New(gearregistry.Options{Compress: true}),
 	}
 	if withSlacker {
 		r.slack = slacker.NewServer()
 	}
-	conv, err := convert.New(convert.Options{})
+	conv, err := convert.New(convert.Options{IndexPrefix: gearPrefix})
 	if err != nil {
 		return nil, err
 	}
@@ -161,18 +160,9 @@ func (c Config) buildRig(co *corpus.Corpus, series []corpus.Series, withSlacker 
 			if err != nil {
 				return nil, err
 			}
-			// Republish the index under the gear/ namespace so both the
-			// original and its Gear form live in one registry.
-			res.Index.Name = gearRef(s.Name)
-			ixImg, err := res.Index.ToImage()
-			if err != nil {
-				return nil, err
-			}
-			res.IndexImage = ixImg
 			if _, _, err := convert.Publish(res, r.docker, r.gear); err != nil {
 				return nil, err
 			}
-			r.converted[img.Manifest.Reference()] = res
 			if withSlacker {
 				bi, err := slacker.FromImage(img, c.SlackerBlockSize)
 				if err != nil {

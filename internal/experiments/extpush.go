@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"github.com/gear-image/gear/internal/dockersim"
 	"github.com/gear-image/gear/internal/gear/convert"
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
@@ -89,28 +90,14 @@ func RunExtPush(cfg Config) (*ExtPushResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		conv, err := convert.New(convert.Options{Workers: workers})
+		conv, err := convert.New(convert.Options{Workers: workers, IndexPrefix: gearPrefix})
 		if err != nil {
 			return nil, err
 		}
 		pusher, err := convert.NewPusher(convert.PushOptions{
-			Gear:        gear,
-			PushWorkers: workers,
-			OnPushWindow: func(w convert.PushWindow) {
-				// Dedup query first: the whole fingerprint set in one
-				// round trip.
-				link.TransferBatch(w.Queried, int64(w.Queried)*reqBytes)
-				// Upload streams fair-share the link, one request per
-				// object, exactly like download windows.
-				if len(w.Streams) > 0 {
-					streams := make([]netsim.Stream, 0, len(w.Streams))
-					for _, st := range w.Streams {
-						streams = append(streams, netsim.PerObjectStream(
-							linkCfg, st.Objects, st.Bytes+int64(st.Objects)*reqBytes))
-					}
-					link.TransferWindow(streams)
-				}
-			},
+			Gear:         gear,
+			PushWorkers:  workers,
+			OnPushWindow: dockersim.PricePushWindow(link, reqBytes),
 		})
 		if err != nil {
 			return nil, err
@@ -132,14 +119,6 @@ func RunExtPush(cfg Config) (*ExtPushResult, error) {
 					return nil, err
 				}
 				convTime += cres.Timing.Total()
-				// Republish the index under the gear/ namespace, matching
-				// the deployment rigs.
-				cres.Index.Name = gearRef(s.Name)
-				ixImg, err := cres.Index.ToImage()
-				if err != nil {
-					return nil, err
-				}
-				cres.IndexImage = ixImg
 				indexBytes, window, err := pusher.Push(cres, docker)
 				if err != nil {
 					return nil, err

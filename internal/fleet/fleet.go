@@ -48,6 +48,11 @@ var (
 // per-phase diffs strip them so snapshots compare bit-for-bit.
 var WallClockMetrics = []string{"store.demand.stall.ns", "store.demand.stall"}
 
+// gearPrefix names a series' Gear form beside the original in the
+// workload's Docker registry: the converter publishes under it and
+// Workload.Ref is built from it.
+const gearPrefix = "gear/"
+
 // Workload is the image material a fleet deploys: one series published
 // into in-process registries, with the per-version access lists and
 // task compute the daemons replay. It is read-only once built, so one
@@ -58,7 +63,7 @@ type Workload struct {
 	Docker *registry.Registry
 	Gear   *gearregistry.Registry
 	// Series is the corpus series name; Ref is its Gear index
-	// reference ("gear/<series>"); Tags lists the version tags.
+	// reference (gearPrefix + series); Tags lists the version tags.
 	Series string
 	Ref    string
 	Tags   []string
@@ -118,11 +123,11 @@ func BuildWorkload(o WorkloadOptions) (*Workload, error) {
 		Docker: registry.New(),
 		Gear:   gearregistry.New(gearregistry.Options{Compress: true}),
 		Series: s.Name,
-		Ref:    "gear/" + s.Name,
+		Ref:    gearPrefix + s.Name,
 		Tags:   s.Tags(),
 		Scale:  o.Scale,
 	}
-	conv, err := convert.New(convert.Options{})
+	conv, err := convert.New(convert.Options{IndexPrefix: gearPrefix})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: workload converter: %w", err)
 	}
@@ -138,12 +143,6 @@ func BuildWorkload(o WorkloadOptions) (*Workload, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: workload convert %s v%d: %w", s.Name, v, err)
 		}
-		res.Index.Name = wl.Ref
-		ixImg, err := res.Index.ToImage()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: workload index %s v%d: %w", s.Name, v, err)
-		}
-		res.IndexImage = ixImg
 		if _, _, err := convert.Publish(res, wl.Docker, wl.Gear); err != nil {
 			return nil, fmt.Errorf("fleet: workload publish %s v%d: %w", s.Name, v, err)
 		}

@@ -67,31 +67,35 @@ type Options struct {
 	// Disk models conversion I/O cost. Defaults to disksim.HDD(), the
 	// paper's testbed disk.
 	Disk disksim.Config
-	// PerFileCPU models the device-independent per-file processing cost
-	// (the paper converts through the Docker API, which dominates once
-	// seeks are gone — it is why the SSD speedup saturates at ~66%
-	// instead of the raw seek ratio). Defaults to 8ms.
-	PerFileCPU time.Duration
-	// HashBPS models fingerprinting throughput. Defaults to 200 MB/s.
-	HashBPS float64
-	// ChunkSize > 0 enables the big-file extension: files larger than
-	// this are split into ChunkSize pieces (§VII future work).
-	ChunkSize int64
-	// Chunking is the general chunk policy — set it for content-defined
-	// chunking (index.CDCChunks) instead of the fixed-size ChunkSize.
-	// Setting both is an error.
+	// Chunking enables the big-file extension (§VII future work): files
+	// the policy splits are stored and fetched as chunks — fixed-size
+	// (index.FixedChunks) or content-defined (index.CDCChunks). The zero
+	// value keeps every file whole.
 	Chunking index.ChunkPolicy
-	// IndexName optionally renames the converted image; empty keeps the
-	// original name (the paper stores the Gear index under the original
-	// reference once the regular image is removed).
-	IndexName string
+	// IndexPrefix is put before each image's own name to name its Gear
+	// form ("gear/" publishes nginx:v1's index as gear/nginx:v1, beside
+	// the original in one Docker registry). Empty keeps the original name
+	// (the paper stores the Gear index under the original reference once
+	// the regular image is removed).
+	IndexPrefix string
 	// Workers bounds the fingerprint/extract worker pool. Disk costs stay
 	// serial (one modeled spindle), but the CPU-bound costs — hashing and
 	// the per-file conversion work — divide across workers. Fingerprints
 	// and pool contents are bit-identical for any worker count (see
-	// index.BuildChunkedParallel); workers <= 1 is the serial baseline.
+	// index.BuildPolicy); workers <= 1 is the serial baseline.
 	Workers int
 }
+
+// The converter's CPU cost model. No experiment varies it.
+const (
+	// perFileCPU models the device-independent per-file processing cost
+	// (the paper converts through the Docker API, which dominates once
+	// seeks are gone — it is why the SSD speedup saturates at ~66%
+	// instead of the raw seek ratio).
+	perFileCPU = 8 * time.Millisecond
+	// hashBPS models fingerprinting throughput.
+	hashBPS = 200e6
+)
 
 // Converter converts Docker images to Gear images. Fingerprint
 // assignment is shared across conversions so collisions are detected
@@ -113,20 +117,8 @@ func New(opts Options) (*Converter, error) {
 	if opts.Disk == (disksim.Config{}) {
 		opts.Disk = disksim.HDD()
 	}
-	if opts.PerFileCPU == 0 {
-		opts.PerFileCPU = 8 * time.Millisecond
-	}
-	if opts.HashBPS == 0 {
-		opts.HashBPS = 200e6
-	}
 	if opts.Workers < 1 {
 		opts.Workers = 1
-	}
-	if opts.ChunkSize > 0 && opts.Chunking.Enabled() {
-		return nil, fmt.Errorf("convert: both ChunkSize and Chunking set: %w", index.ErrBadChunkPolicy)
-	}
-	if opts.ChunkSize > 0 {
-		opts.Chunking = index.FixedChunks(opts.ChunkSize)
 	}
 	if err := opts.Chunking.Validate(); err != nil {
 		return nil, fmt.Errorf("convert: %w", err)
@@ -185,11 +177,7 @@ func (c *Converter) Convert(img *imagefmt.Image) (*Result, error) {
 	// Phase 2: traverse the reconstructed filesystem, building the index
 	// and extracting the Gear files. The builder takes each file's sum
 	// from the unpack and hashes nothing again.
-	name := img.Manifest.Name
-	if c.opts.IndexName != "" {
-		name = c.opts.IndexName
-	}
-	ix, pool, err := index.BuildKnown(name, img.Manifest.Tag, img.Manifest.Config,
+	ix, pool, err := index.BuildKnown(c.opts.IndexPrefix+img.Manifest.Name, img.Manifest.Tag, img.Manifest.Config,
 		root, c.reg, c.opts.Chunking, workers, c.files.known)
 	if err != nil {
 		return nil, fmt.Errorf("convert %s: %w", ref, err)
@@ -208,12 +196,10 @@ func (c *Converter) Convert(img *imagefmt.Image) (*Result, error) {
 	// Each file pays the device write plus the device-independent
 	// conversion CPU (Docker API calls, metadata bookkeeping); the CPU
 	// share divides across the worker pool.
-	var buildCPU time.Duration
 	for _, data := range pool {
 		timing.Build += c.disk.Write(int64(len(data)))
-		buildCPU += c.opts.PerFileCPU
 	}
-	timing.Build += buildCPU / time.Duration(workers)
+	timing.Build += time.Duration(len(pool)) * perFileCPU / time.Duration(workers)
 	indexImage, err := ix.ToImage()
 	if err != nil {
 		return nil, fmt.Errorf("convert %s: %w", ref, err)
@@ -230,36 +216,25 @@ func (c *Converter) Convert(img *imagefmt.Image) (*Result, error) {
 func (c *Converter) priceTraverse(e *index.Entry, disk, cpu *time.Duration) {
 	if e.Type == vfs.TypeRegular {
 		*disk += c.disk.Read(e.Size)
-		*cpu += time.Duration(float64(e.Size) / c.opts.HashBPS * float64(time.Second))
+		*cpu += time.Duration(float64(e.Size) / hashBPS * float64(time.Second))
 	}
 	for _, child := range e.Children {
 		c.priceTraverse(child, disk, cpu)
 	}
 }
 
-// Publish stores a conversion result: the index image goes to the Docker
-// registry, Gear files go to the Gear registry, skipping files the Gear
-// registry already holds (fingerprint query before upload, §III-C). It
-// returns the bytes actually uploaded to each store.
+// Publish stores a conversion result in one shot: Pusher.Push through a
+// Pusher of its own, so the Gear files go to the Gear registry first —
+// skipping the ones it already holds (fingerprint query before upload,
+// §III-C) — and the index image to the Docker registry once they are all
+// in. It returns the bytes actually uploaded to each store.
 func Publish(res *Result, docker registry.Store, gear gearregistry.Store) (indexBytes, fileBytes int64, err error) {
-	indexBytes, err = registry.Push(docker, res.IndexImage)
+	p, err := NewPusher(PushOptions{Gear: gear})
 	if err != nil {
-		return 0, 0, fmt.Errorf("convert: publish index: %w", err)
+		return 0, 0, err
 	}
-	for fp, data := range res.Files {
-		present, err := gear.Query(fp)
-		if err != nil {
-			return indexBytes, fileBytes, fmt.Errorf("convert: publish query %s: %w", fp, err)
-		}
-		if present {
-			continue
-		}
-		if err := gear.Upload(fp, data); err != nil {
-			return indexBytes, fileBytes, fmt.Errorf("convert: publish upload %s: %w", fp, err)
-		}
-		fileBytes += int64(len(data))
-	}
-	return indexBytes, fileBytes, nil
+	indexBytes, window, err := p.Push(res, docker)
+	return indexBytes, window.Bytes(), err
 }
 
 // DiskStats exposes the converter's accumulated modeled I/O.

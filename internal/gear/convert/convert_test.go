@@ -225,7 +225,7 @@ func TestChunkedConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newConverter(t, Options{ChunkSize: 4096})
+	c := newConverter(t, Options{Chunking: index.FixedChunks(4096)})
 	res, err := c.Convert(img)
 	if err != nil {
 		t.Fatal(err)
@@ -319,14 +319,44 @@ func TestPublish(t *testing.T) {
 	}
 }
 
-func TestIndexNameOverride(t *testing.T) {
-	c := newConverter(t, Options{IndexName: "gear/app"})
+// The Gear form is named inside Convert, once: the index, the index
+// image's manifest and the modeled build cost all carry the prefixed name
+// — the image that is priced is the image that is published — and a second
+// Convert hands back that same Result, untouched.
+func TestIndexPrefix(t *testing.T) {
+	c := newConverter(t, Options{IndexPrefix: "gear/"})
 	res, err := c.Convert(buildImage(t, "app", "v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Index.Name != "gear/app" || res.Index.Tag != "v1" {
 		t.Errorf("index ref = %s", res.Index.Reference())
+	}
+	if got := res.IndexImage.Manifest.Reference(); got != "gear/app:v1" {
+		t.Errorf("index image ref = %s, want gear/app:v1", got)
+	}
+	if ix, err := index.FromImage(res.IndexImage); err != nil || ix.Reference() != "gear/app:v1" {
+		t.Errorf("index inside the index image = %v (%v), want gear/app:v1", ix, err)
+	}
+	// Build differs from an unprefixed conversion's by exactly the write
+	// of the one index image against the other.
+	plain, err := newConverter(t, Options{}).Convert(buildImage(t, "app", "v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plain.Timing.Build - c.disk.WriteCost(plain.IndexImage.Manifest.TotalSize()) +
+		c.disk.WriteCost(res.IndexImage.Manifest.TotalSize())
+	if res.Timing.Build != want {
+		t.Errorf("Timing.Build = %v, want %v (the prefixed index image's write)", res.Timing.Build, want)
+	}
+
+	wantImage, wantTiming := res.IndexImage, res.Timing
+	again, err := c.Convert(buildImage(t, "app", "v1"))
+	if !errors.Is(err, ErrAlreadyConverted) {
+		t.Fatalf("err = %v, want ErrAlreadyConverted", err)
+	}
+	if again != res || again.Index.Name != "gear/app" || again.IndexImage != wantImage || again.Timing != wantTiming {
+		t.Error("second Convert did not return the cached Result unmodified")
 	}
 }
 
@@ -401,7 +431,7 @@ func TestConcurrentConversions(t *testing.T) {
 // monotone non-increasing in the worker count.
 func TestParallelConversionMatchesSerial(t *testing.T) {
 	img := buildImage(t, "app", "v1")
-	serial := newConverter(t, Options{ChunkSize: 512})
+	serial := newConverter(t, Options{Chunking: index.FixedChunks(512)})
 	want, err := serial.Convert(img)
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +442,7 @@ func TestParallelConversionMatchesSerial(t *testing.T) {
 	}
 	prev := want.Timing.Total()
 	for _, workers := range []int{1, 2, 4, 8, 16} {
-		c := newConverter(t, Options{ChunkSize: 512, Workers: workers})
+		c := newConverter(t, Options{Chunking: index.FixedChunks(512), Workers: workers})
 		res, err := c.Convert(buildImage(t, "app", "v1"))
 		if err != nil {
 			t.Fatal(err)

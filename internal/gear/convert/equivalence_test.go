@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -48,7 +49,7 @@ func (c *refConverter) convert(img *imagefmt.Image) (*Result, error) {
 	_ = root.Walk(func(_ string, n *vfs.Node) error {
 		if n.Type() == vfs.TypeRegular {
 			timing.Traverse += c.disk.Read(n.Size())
-			hashCPU += time.Duration(float64(n.Size()) / c.opts.HashBPS * float64(time.Second))
+			hashCPU += time.Duration(float64(n.Size()) / hashBPS * float64(time.Second))
 		}
 		return nil
 	})
@@ -61,7 +62,7 @@ func (c *refConverter) convert(img *imagefmt.Image) (*Result, error) {
 	var buildCPU time.Duration
 	for _, data := range pool {
 		timing.Build += c.disk.Write(int64(len(data)))
-		buildCPU += c.opts.PerFileCPU
+		buildCPU += perFileCPU
 	}
 	timing.Build += buildCPU / time.Duration(workers)
 	indexImage, err := ix.ToImage()
@@ -357,8 +358,11 @@ func TestConcurrentConvertSharesTable(t *testing.T) {
 	}
 }
 
-// allocatedBy is the bytes f allocates.
+// allocatedBy is the bytes f allocates. No collection runs meanwhile: one
+// that empties the scratch pools mid-call costs a megabyte that says
+// nothing about the path, and on a loaded host it lands in every try.
 func allocatedBy(f func()) int64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()

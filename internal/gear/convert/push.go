@@ -24,7 +24,8 @@ type PushOptions struct {
 	PushWorkers int
 	// OnPushWindow, when set, observes every PushAll call that touched
 	// the registry — the hook the deployment simulator uses to charge
-	// the query round trip and the upload streams to a modeled link.
+	// the query round trip and the upload streams to a modeled link
+	// (dockersim.PricePushWindow).
 	OnPushWindow func(PushWindow)
 }
 
@@ -246,15 +247,19 @@ func (p *Pusher) pushShard(shard []hashing.Fingerprint, flights []*pushFlight, f
 	return st, errors.Join(errs...)
 }
 
-// Push publishes a conversion result through the pipeline: the index
-// image goes to the Docker registry serially (it is one tiny image), the
-// Gear files go through PushAll. It is the concurrent counterpart of
-// Publish and moves exactly the same bytes.
+// Push publishes a conversion result, and is the only code that does:
+// the Gear files go through PushAll, and only once every one of them is
+// in the Gear registry does the index image go to the Docker registry
+// (it is one tiny image). A push that fails therefore leaves no index
+// pullable whose files are missing.
 func (p *Pusher) Push(res *Result, docker registry.Store) (indexBytes int64, window PushWindow, err error) {
+	window, err = p.PushAll(res.Files)
+	if err != nil {
+		return 0, window, err
+	}
 	indexBytes, err = registry.Push(docker, res.IndexImage)
 	if err != nil {
-		return 0, PushWindow{}, fmt.Errorf("convert: push index: %w", err)
+		return 0, window, fmt.Errorf("convert: push index: %w", err)
 	}
-	window, err = p.PushAll(res.Files)
-	return indexBytes, window, err
+	return indexBytes, window, nil
 }

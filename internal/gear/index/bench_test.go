@@ -36,7 +36,7 @@ func benchIndex(b *testing.B) *Index {
 			b.Fatal(err)
 		}
 	}
-	ix, _, err := BuildChunked("bench", "v1", imagefmt.Config{}, fs, nil, 8192)
+	ix, _, err := BuildPolicy("bench", "v1", imagefmt.Config{}, fs, nil, FixedChunks(8192), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -108,23 +108,7 @@ func (ix *Index) Reference() string { return ix.Name + ":" + ix.Tag }
 // assigning fingerprints through reg (collision-safe content addressing)
 // and collecting the Gear files into pool (fingerprint -> content).
 func Build(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry) (*Index, map[hashing.Fingerprint][]byte, error) {
-	return BuildChunked(name, tag, cfg, root, reg, 0)
-}
-
-// BuildChunked is Build with the big-file extension enabled: regular
-// files larger than chunkSize bytes are split into chunkSize pieces that
-// are stored and fetched independently. chunkSize <= 0 disables chunking.
-func BuildChunked(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry, chunkSize int64) (*Index, map[hashing.Fingerprint][]byte, error) {
-	return BuildPolicy(name, tag, cfg, root, reg, ChunkPolicy{FixedSize: chunkSize}, 1)
-}
-
-// BuildChunkedParallel is BuildChunked with the fingerprinting fanned out
-// over a bounded worker pool — the CPU-bound hash over the many small
-// files that dominates conversion time (Fig 6 of the paper). The output
-// is bit-identical to BuildChunked for any worker count. workers <= 1 is
-// the serial path.
-func BuildChunkedParallel(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry, chunkSize int64, workers int) (*Index, map[hashing.Fingerprint][]byte, error) {
-	return BuildPolicy(name, tag, cfg, root, reg, ChunkPolicy{FixedSize: chunkSize}, workers)
+	return BuildPolicy(name, tag, cfg, root, reg, ChunkPolicy{}, 1)
 }
 
 // BuildPolicy is the general index builder: chunking follows pol (none,

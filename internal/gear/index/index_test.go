@@ -510,7 +510,7 @@ func TestBinaryCodecChunksAndCollisionIDs(t *testing.T) {
 	if err := root.WriteFile("/model", big, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, _, err := BuildChunked("ai", "v1", imagefmt.Config{Env: []string{"A=1"}}, root, nil, 4096)
+	ix, _, err := BuildPolicy("ai", "v1", imagefmt.Config{Env: []string{"A=1"}}, root, nil, FixedChunks(4096), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,12 +556,12 @@ func TestBinaryCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
-// BuildChunkedParallel must be bit-identical to BuildChunked for any
+// A parallel BuildPolicy must be bit-identical to the serial one for any
 // worker count — same tree, same fingerprints (including collision IDs),
 // same pool — under both the real hasher and a colliding one, and
 // whether the builder hashes every file itself or is told the sums of
 // some (BuildKnown).
-func TestBuildChunkedParallelMatchesSerial(t *testing.T) {
+func TestBuildPolicyParallelMatchesSerial(t *testing.T) {
 	cfg := imagefmt.Config{Env: []string{"A=1"}}
 	for _, tc := range []struct {
 		name   string
@@ -576,7 +576,7 @@ func TestBuildChunkedParallelMatchesSerial(t *testing.T) {
 			// Small chunk size so several files chunk.
 			const chunkSize = 64
 			serialReg := hashing.NewRegistry(tc.hasher)
-			wantIx, wantPool, err := BuildChunked("app", "v1", cfg, root, serialReg, chunkSize)
+			wantIx, wantPool, err := BuildPolicy("app", "v1", cfg, root, serialReg, FixedChunks(chunkSize), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -781,7 +781,7 @@ func TestToTreeMatchesPathBuiltTree(t *testing.T) {
 	indexes := []*Index{fixture, goldenIndex(t), goldenCDCIndex(t)}
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 20; i++ {
-		ix, _, err := BuildChunked("rand", fmt.Sprint(i), imagefmt.Config{}, randomRoot(rng, 10+rng.Intn(80)), nil, int64(rng.Intn(3))*64)
+		ix, _, err := BuildPolicy("rand", fmt.Sprint(i), imagefmt.Config{}, randomRoot(rng, 10+rng.Intn(80)), nil, FixedChunks(int64(rng.Intn(3))*64), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -470,7 +470,7 @@ func TestChunkedFileFetch(t *testing.T) {
 	if err := root.WriteFile("/model", big, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, pool, err := index.BuildChunked("ai", "v1", imagefmt.Config{}, root, nil, 4096)
+	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(4096), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +685,7 @@ func TestReadAtFetchesOnlyNeededChunks(t *testing.T) {
 	if err := root.WriteFile("/model", big, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, pool, err := index.BuildChunked("ai", "v1", imagefmt.Config{}, root, nil, 4096)
+	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(4096), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,7 +770,7 @@ func TestFileHandleStreamsChunks(t *testing.T) {
 	if err := root.WriteFile("/weights", big, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, pool, err := index.BuildChunked("ai", "v1", imagefmt.Config{}, root, nil, 8192)
+	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(8192), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

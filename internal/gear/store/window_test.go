@@ -26,7 +26,7 @@ func chunkedFixture(t testing.TB, size, chunkSize int64) (*index.Index, *gearreg
 	if err := root.WriteFile("/model", big, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, pool, err := index.BuildChunked("ai", "v1", imagefmt.Config{}, root, nil, chunkSize)
+	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(chunkSize), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 # wirelint: fail the build when non-test code outside internal/wire
 # reads a body with io.ReadAll, serves with bare http.Serve, answers
 # 405 itself, or writes a reply body to the ResponseWriter itself — or
-# when any non-test code probes a gearregistry store for a verb.
+# when any non-test code probes a gearregistry store for a verb, or
+# renames a converted image outside the converter.
 #
 # Every HTTP protocol in the repo is a verb table over internal/wire
 # (DESIGN.md, "Wire protocols"): the client helper bounds and drains
@@ -66,6 +67,20 @@ if [ -n "$ladder" ]; then
   echo "wirelint: a store or resolver probed for a verb:" >&2
   printf '%s\n' "$ladder" >&2
   echo "  gearregistry.Store and viewer.Resolver carry every verb — call it" >&2
+  exit 1
+fi
+
+# A Gear image is named once, inside Convert (convert.Options.IndexPrefix),
+# and published by Pusher.Push. Code that renames a Result's index and
+# re-encodes its index image writes to the converter's cached Result and
+# prices the image twice.
+renames=$(grep -rn --include='*.go' -E '\.Index\.Name = |IndexImage = ' . \
+  | grep -v '_test\.go:' \
+  | grep -v -E '^\./internal/gear/convert/' || true)
+if [ -n "$renames" ]; then
+  echo "wirelint: a converted image renamed outside the converter:" >&2
+  printf '%s\n' "$renames" >&2
+  echo "  set convert.Options.IndexPrefix and publish the Result as Convert returned it" >&2
   exit 1
 fi
 echo "wirelint: ok"
