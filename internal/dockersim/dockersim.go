@@ -759,13 +759,22 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 	return dep, nil
 }
 
-// uniqueCount returns the number of distinct strings in list.
+// uniqueCount returns the number of distinct strings in list: those no
+// earlier one equals. A deploy's access list is a hundred-odd paths, few
+// of them of one length, so the pairwise scan costs less than the set it
+// would otherwise build on every deploy, and allocates nothing.
 func uniqueCount(list []string) int {
-	seen := make(map[string]bool, len(list))
-	for _, s := range list {
-		seen[s] = true
+	n := 0
+next:
+	for i, s := range list {
+		for _, earlier := range list[:i] {
+			if earlier == s {
+				continue next
+			}
+		}
+		n++
 	}
-	return len(seen)
+	return n
 }
 
 // DeploySlacker deploys ref from the Slacker block server: mount, then

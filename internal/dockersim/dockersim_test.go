@@ -739,3 +739,24 @@ func TestGearNoProfileMatchesBaselineExactly(t *testing.T) {
 			base.Pull, base.Run, guided.Pull, guided.Run)
 	}
 }
+
+// A path a task reads twice caches one inode.
+func TestUniqueCount(t *testing.T) {
+	for _, tt := range []struct {
+		list []string
+		want int
+	}{
+		{nil, 0},
+		{[]string{"/a"}, 1},
+		{[]string{"/a", "/b", "/a", "/c", "/b", "/a"}, 3},
+		{[]string{"/a", "/a", "/a"}, 1},
+	} {
+		if got := uniqueCount(tt.list); got != tt.want {
+			t.Errorf("uniqueCount(%v) = %d, want %d", tt.list, got, tt.want)
+		}
+	}
+	list := []string{"/usr/lib/a.so", "/usr/lib/b.so", "/usr/lib/a.so"}
+	if n := testing.AllocsPerRun(10, func() { uniqueCount(list) }); n != 0 {
+		t.Errorf("uniqueCount allocates %v times a call, want 0", n)
+	}
+}

@@ -127,3 +127,34 @@ func BenchmarkInstallIndex(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInstallAndTouch is the index's share of a deploy: the install,
+// and a lookup of the files the container reads — every sixth, as in the
+// corpus — which is what builds their nodes.
+func BenchmarkInstallAndTouch(b *testing.B) {
+	ix := benchIndex(b)
+	img, err := ix.ToImage()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var read []string
+	for d := 0; d < 20; d++ {
+		for f := d % 6; f < 25; f += 6 {
+			read = append(read, fmt.Sprintf("/app/dir%02d/f%02d", d, f))
+		}
+	}
+	b.ReportAllocs()
+	b.SetBytes(img.Layers[0].Size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := MountImage(img)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range read {
+			if m.Tree.Lookup(p) == nil {
+				b.Fatalf("%s does not resolve", p)
+			}
+		}
+	}
+}

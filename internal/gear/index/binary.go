@@ -154,11 +154,15 @@ func writeEntry(buf *bytes.Buffer, e *Entry) error {
 // the walk reads the entries in their pre-order and hands each to a sink.
 // There are two. entrySink builds the typed Entry tree (DecodeBinary: the
 // converter, the tools, whoever wants to look at an index), which is
-// validated afterwards; treeSink builds the mounted placeholder tree
-// (DecodeMounted: the deploy path), validating each entry as it arrives.
+// validated afterwards; viewSink builds the table a mounted tree fills
+// itself in by (DecodeMounted: the deploy path), validating each entry as
+// it arrives.
 type decoder struct {
 	str string
 	pos int
+	// start is where the entry being handed to the sink begins: a sink
+	// is told of a directory before the walk reads on into it.
+	start int
 
 	// chunks is the walk's scratch for the chunk list of the file it is
 	// reading; a sink copies what it keeps.
@@ -350,6 +354,7 @@ func (d *decoder) entry(s sink, depth int) error {
 	if depth > maxBinaryDepth {
 		return fmt.Errorf("tree deeper than %d", maxBinaryDepth)
 	}
+	d.start = d.pos
 	name, err := d.readString()
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/gear-image/gear/internal/hashing"
@@ -235,12 +236,18 @@ func allocatedBy(fn func()) uint64 {
 
 // No count in the input buys memory the input does not back: decoding
 // costs at most a constant per input byte, however the counts lie. The
-// constant is a directory's — a node and a map for five bytes of input —
-// and the blobs are the ones that would cost more were a count believed:
-// directories nested to the depth limit, each announcing as many children
-// as input is left, and a file announcing as many chunks.
+// constant is no longer a directory's (a node and a map for five bytes of
+// input made it 64): an entry is a ref, and its place among the pending
+// ones, in slices that grow by appending. The blobs are the ones that
+// would cost more were a count believed
+// (directories nested to the depth limit, each announcing as many children
+// as input is left, and a file announcing as many chunks) and the one
+// with the most entries for its size.
 func TestDecodeMountedBoundsMemoryByInput(t *testing.T) {
-	const perByte = 64 // a vfs directory node and its map are under 320 bytes
+	// An entry is two uint32 per five bytes, each copied a few times over
+	// as its slice grows; dearer is the walk's own scratch for a file's
+	// chunks, 32 bytes per three of input.
+	const perByte = 12
 	header := append(append(append([]byte(binaryMagic), 2, '{', '}'), 1, 'n'), 1, 't')
 	uvarint := func(v int) []byte {
 		var out []byte
@@ -267,7 +274,18 @@ func TestDecodeMountedBoundsMemoryByInput(t *testing.T) {
 	chunky = append(chunky, uvarint(pad)...)
 	chunky = append(chunky, make([]byte, pad)...)
 
-	for name, blob := range map[string][]byte{"nested directories": nested, "chunk count": chunky} {
+	// Symlinks of three letters to nowhere, five bytes each but for the
+	// name; the last is out of order, once all of them have been noted.
+	const links = 17000
+	tiny := append([]byte(nil), header...)
+	tiny = append(tiny, 0, byte(vfs.TypeDir), 0o55)
+	tiny = append(tiny, uvarint(links+1)...)
+	for i := 0; i < links; i++ {
+		tiny = append(tiny, 3, byte('a'+i/676), byte('a'+i/26%26), byte('a'+i%26), byte(vfs.TypeSymlink), 0, 0)
+	}
+	tiny = append(tiny, 1, 'a', byte(vfs.TypeSymlink), 0, 0)
+
+	for name, blob := range map[string][]byte{"nested directories": nested, "chunk count": chunky, "tiny entries": tiny} {
 		s := string(blob)
 		if _, err := DecodeMounted(s); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: DecodeMounted = %v, want ErrCorrupt", name, err)
@@ -277,14 +295,90 @@ func TestDecodeMountedBoundsMemoryByInput(t *testing.T) {
 			t.Errorf("%s: DecodeMounted allocated %d bytes for %d of input, want at most %d", name, got, len(blob), limit)
 		}
 	}
-	// And a sound index, where the constant is what a file costs.
+	// And a sound index, which costs its refs and its header.
 	sound, err := EncodeBinary(goldenIndex(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := allocatedBy(func() { _, _ = DecodeMounted(string(sound)) })
-	if limit := uint64(perByte * len(sound)); got > limit {
+	if limit := uint64(perByte*len(sound) + 4096); got > limit {
 		t.Errorf("golden index: DecodeMounted allocated %d bytes for %d of input, want at most %d", got, len(sound), limit)
+	}
+}
+
+// wideIndex is an index of dirs directories of perDir files each, encoded,
+// and the paths of its files.
+func wideIndex(tb testing.TB, dirs, perDir int) (blob string, files []string) {
+	tb.Helper()
+	root := vfs.New()
+	for d := 0; d < dirs; d++ {
+		dir := fmt.Sprintf("/usr/lib/pkg%03d", d)
+		if err := root.MkdirAll(dir, 0o755); err != nil {
+			tb.Fatal(err)
+		}
+		for f := 0; f < perDir; f++ {
+			p := fmt.Sprintf("%s/module%02d.so", dir, f)
+			if err := root.WriteFile(p, []byte(p), 0o644); err != nil {
+				tb.Fatal(err)
+			}
+			files = append(files, p)
+		}
+	}
+	ix, _, err := Build("wide", "v1", imagefmt.Config{}, root, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	enc, err := EncodeBinary(ix)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return string(enc), files
+}
+
+// A mounted index costs its refs, and a node for each file a path comes
+// to: N files installed and k of them looked up allocate 8·N + c·k bytes
+// at most, and twice the files at the same k no more than their refs on
+// top. A tree built whole — a node, a record and a map slot a file, 170
+// bytes and more — is several times over either.
+func TestMountedIndexCostsWhatIsTouched(t *testing.T) {
+	const (
+		k       = 50
+		perFile = 8   // a ref is 4, in a slice sized by the blob
+		perRead = 512 // the nodes along the path and their maps, the record, the content header
+		fixed   = 4096
+	)
+	cost := func(dirs int) (n int, bytes uint64) {
+		blob, files := wideIndex(t, dirs, 25)
+		return len(files), allocatedBy(func() {
+			m, err := DecodeMounted(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				// Every fifth file of the first ten directories, however
+				// many there are.
+				if p := files[i*5]; m.Tree.Lookup(p) == nil {
+					t.Fatalf("%s does not resolve", p)
+				}
+			}
+			if names, err := m.Tree.ReadDirNames("/usr/lib"); err != nil || len(names) != dirs {
+				t.Fatalf("ReadDirNames = %d names, %v, want %d", len(names), err, dirs)
+			}
+		})
+	}
+	n1, small := cost(40)
+	n2, large := cost(80)
+	for _, c := range []struct {
+		n     int
+		bytes uint64
+	}{{n1, small}, {n2, large}} {
+		// The listing is a string header a directory, once.
+		if limit := uint64(perFile*c.n + perRead*k + fixed + 16*c.n/25); c.bytes > limit {
+			t.Errorf("%d files mounted and %d looked up allocate %d bytes, want at most %d", c.n, k, c.bytes, limit)
+		}
+	}
+	if grew, limit := int64(large)-int64(small), int64(perFile*(n2-n1)+16*(n2-n1)/25); grew > limit {
+		t.Errorf("%d more files at the same %d lookups allocate %d bytes more, want at most %d: the files not read cost more than their refs", n2-n1, k, grew, limit)
 	}
 }
 
@@ -322,5 +416,47 @@ func TestPlaceholderChecksAreBounded(t *testing.T) {
 		if IsPlaceholder(huge) {
 			t.Errorf("IsPlaceholder accepts %d bytes", len(huge))
 		}
+	}
+}
+
+// Readers of one mounted tree fill it in between them: each finds every
+// file, with the record ToTree writes for it, and the tree they leave is
+// ToTree's.
+func TestMountedTreeFillsUnderReaders(t *testing.T) {
+	blob, files := wideIndex(t, 12, 25)
+	m, err := DecodeMounted(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := m.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := ix.ToTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 6; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(r))).Perm(len(files)) {
+				p := files[i]
+				if i%7 == r {
+					if names, err := m.Tree.ReadDirNames(p[:len(p)-len("/module00.so")]); err != nil || len(names) != 25 {
+						t.Errorf("ReadDirNames above %s = %d names, %v", p, len(names), err)
+					}
+				}
+				got, err := m.Tree.ReadFile(p)
+				if want, _ := whole.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s reads %q, %v, want %q", p, got, err, want)
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if got, want := describeTree(m.Tree), describeTree(whole); got != want {
+		t.Errorf("the readers leave\n%s\nToTree builds\n%s", got, want)
 	}
 }

@@ -285,3 +285,81 @@ func TestRemovedImageReleasesPinsWithLastContainer(t *testing.T) {
 		t.Error("/bin/app is still cached under pressure: the removed image pins it")
 	}
 }
+
+// A reference that is removed and installed again with other content is
+// another image: a container faults into the tree it was created on, so
+// the containers of the old image and of the new one never read each
+// other's bytes, whichever of them reads a path first.
+func TestRetaggedImageDoesNotCrossContainers(t *testing.T) {
+	reg := gearregistry.New(gearregistry.Options{})
+	build := func(conf string) *imagefmt.Image {
+		t.Helper()
+		root := vfs.New()
+		if err := root.MkdirAll("/etc", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := root.WriteFile("/etc/conf", []byte(conf), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ix, pool, err := index.Build("app", "latest", imagefmt.Config{}, root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fp, data := range pool {
+			if err := reg.Upload(fp, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		img, err := ix.ToImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	v1, v2 := build("version one\n"), build("version two, longer\n")
+	for _, oldFirst := range []bool{true, false} {
+		s := newStore(t, reg)
+		if err := s.InstallImage(v1); err != nil {
+			t.Fatal(err)
+		}
+		c1, err := s.CreateContainer("c1", "app:latest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RemoveIndex("app:latest"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InstallImage(v2); err != nil {
+			t.Fatal(err)
+		}
+		c2, err := s.CreateContainer("c2", "app:latest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := []struct {
+			name string
+			v    interface{ ReadFile(string) ([]byte, error) }
+			want string
+		}{{"the removed image's container", c1, "version one\n"}, {"the new image's container", c2, "version two, longer\n"}}
+		if !oldFirst {
+			reads[0], reads[1] = reads[1], reads[0]
+		}
+		// A commit is of the container's own image too.
+		for id, size := range map[string]int64{"c1": int64(len("version one\n")), "c2": int64(len("version two, longer\n"))} {
+			ix, _, err := s.Commit(id, "app", "next")
+			if err != nil {
+				t.Fatalf("Commit %s: %v", id, err)
+			}
+			if e := ix.Lookup("/etc/conf"); e == nil || e.Size != size {
+				t.Errorf("Commit %s: /etc/conf = %+v, want the %d bytes of the image it runs", id, e, size)
+			}
+		}
+		for round := 0; round < 2; round++ { // the fault, then the linked file
+			for _, r := range reads {
+				if got, err := r.v.ReadFile("/etc/conf"); err != nil || string(got) != r.want {
+					t.Errorf("old image read first = %v, round %d: %s reads %q, %v, want %q", oldFirst, round, r.name, got, err, r.want)
+				}
+			}
+		}
+	}
+}

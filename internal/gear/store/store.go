@@ -210,10 +210,28 @@ type imageState struct {
 	removed    bool
 }
 
+// containerState is a running container. image is the image it was
+// created on: the only way from a container to its tree and its index,
+// since the reference it was created under may name another image by now.
 type containerState struct {
-	imageRef string
-	image    *imageState
-	view     *viewer.Viewer
+	image *imageState
+	view  *viewer.Viewer
+}
+
+// imageFaults is the viewer.Resolver of the containers of one installed
+// image: their faults are resolved against the tree they mount, whatever
+// the reference they were created under has come to name since.
+type imageFaults struct {
+	s  *Store
+	st *imageState
+}
+
+func (f imageFaults) Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
+	return f.s.resolve(f.st, imageRef, path, fp, size, true)
+}
+
+func (f imageFaults) ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
+	return f.s.resolveRange(f.st, imageRef, path, fp, size, off, n)
 }
 
 var _ viewer.Resolver = (*Store)(nil)
@@ -299,13 +317,17 @@ func (s *Store) Index(ref string) (*index.Index, error) {
 
 // image returns the installed image ref.
 func (s *Store) image(ref string) (*imageState, error) {
+	if st := s.installed(ref); st != nil {
+		return st, nil
+	}
+	return nil, fmt.Errorf("store: %s: %w", ref, ErrNoIndex)
+}
+
+// installed returns the image installed as ref, or nil.
+func (s *Store) installed(ref string) *imageState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.indexes[ref]
-	if !ok {
-		return nil, fmt.Errorf("store: %s: %w", ref, ErrNoIndex)
-	}
-	return st, nil
+	return s.indexes[ref]
 }
 
 // RemoveIndex deletes an image's level-2 state. Its Gear files remain in
@@ -327,6 +349,15 @@ func (s *Store) RemoveIndex(ref string) error {
 	s.m.indexes.Add(-1)
 	st.removed = true
 	return st.release()
+}
+
+// chunksOf returns the chunk list of the file fp of the image, nil for a
+// file that is not chunked — as every file is when there is no image.
+func (st *imageState) chunksOf(fp hashing.Fingerprint) []index.Chunk {
+	if st == nil {
+		return nil
+	}
+	return st.Chunks[fp]
 }
 
 // release drops the tree's hard links into the cache once nothing can
@@ -351,8 +382,8 @@ func (s *Store) CreateContainer(id, imageRef string) (*viewer.Viewer, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: %s: %w", imageRef, ErrNoIndex)
 	}
-	v := viewer.New(imageRef, st.Tree, s)
-	s.containers[id] = &containerState{imageRef: imageRef, image: st, view: v}
+	v := viewer.New(imageRef, st.Tree, imageFaults{s, st})
+	s.containers[id] = &containerState{image: st, view: v}
 	st.containers++
 	s.m.containers.Add(1)
 	return v, nil
@@ -392,30 +423,24 @@ func (s *Store) RemoveContainer(id string) error {
 }
 
 // Resolve implements viewer.Resolver: cache lookup, then remote
-// download, then hard link over the placeholder in the image's shared
-// index tree. Faults resolved here are first-class accesses and feed
-// the image's startup profile when a profile library is configured.
+// download, then hard link over the placeholder in the shared index tree
+// of the image installed as imageRef now. (A container's own faults go to
+// the image it was created on: see imageFaults.) Faults resolved here are
+// first-class accesses and feed the image's startup profile when a
+// profile library is configured.
 func (s *Store) Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
-	return s.resolve(imageRef, path, fp, size, true)
+	return s.resolve(s.installed(imageRef), imageRef, path, fp, size, true)
 }
 
-// resolve is Resolve with recording controllable: the eager Prefetch
-// walk passes record=false so a whole-image sweep does not overwrite
-// the access order real container starts exhibit.
-func (s *Store) resolve(imageRef, path string, fp hashing.Fingerprint, size int64, record bool) (*vfs.Content, error) {
+// resolve is Resolve in the image st, with recording controllable: the
+// eager Prefetch walk passes record=false so a whole-image sweep does not
+// overwrite the access order real container starts exhibit. With no image
+// (st is nil: nothing is installed as imageRef) the fetch runs against
+// the cache and the registry, and links nothing.
+func (s *Store) resolve(st *imageState, imageRef, path string, fp hashing.Fingerprint, size int64, record bool) (*vfs.Content, error) {
 	if record {
 		s.record(imageRef, fp, size)
 	}
-	s.mu.Lock()
-	st := s.indexes[imageRef]
-	// The index may have been removed while containers still run; the
-	// fetch continues against the cache/registry without level-2 updates.
-	var chunks []index.Chunk
-	if st != nil {
-		chunks = st.Chunks[fp]
-	}
-	s.mu.Unlock()
-
 	// A concurrent fault may have materialized the node already. The
 	// shared tree is internally locked, so mu is not needed here.
 	if st != nil {
@@ -426,13 +451,14 @@ func (s *Store) resolve(imageRef, path string, fp hashing.Fingerprint, size int6
 		}
 	}
 
-	content, err := s.fetch(fp, size, chunks)
+	content, err := s.fetch(fp, size, st.chunksOf(fp))
 	if err != nil {
 		return nil, err
 	}
 	if st != nil {
 		// Hard link over the placeholder, if the file is still in the
-		// tree: the index may have been removed during the fetch.
+		// tree: the image may have been removed, and its last container
+		// with it, during the fetch.
 		st.Tree.Relink(path, content)
 	}
 	return content, nil
@@ -482,20 +508,20 @@ var ErrBadRange = errors.New("invalid byte range")
 // cache for reuse. A failed ranged read is an error, never a quiet fetch
 // of the whole file.
 func (s *Store) ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
+	return s.resolveRange(s.installed(imageRef), imageRef, path, fp, size, off, n)
+}
+
+// resolveRange is ResolveRange in the image st (see resolve).
+func (s *Store) resolveRange(st *imageState, imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
 	if n <= 0 || off < 0 {
 		return nil, fmt.Errorf("store: range [%d,+%d): %w", off, n, ErrBadRange)
 	}
-	s.mu.Lock()
-	var chunks []index.Chunk
-	if st := s.indexes[imageRef]; st != nil {
-		chunks = st.Chunks[fp]
-	}
-	s.mu.Unlock()
+	chunks := st.chunksOf(fp)
 	if len(chunks) == 0 {
 		if data, ok, err := s.rangeRead(fp, off, n); ok || err != nil {
 			return data, err
 		}
-		c, err := s.Resolve(imageRef, path, fp, size)
+		c, err := s.resolve(st, imageRef, path, fp, size, true)
 		if err != nil {
 			return nil, err
 		}
@@ -589,7 +615,7 @@ func (s *Store) Prefetch(ref string) error {
 		}
 		// record=false: an eager whole-image walk is not a startup access
 		// pattern and must not pollute the image's profile.
-		if _, rerr := s.resolve(ref, p, e.Fingerprint, e.Size, false); rerr != nil {
+		if _, rerr := s.resolve(st, ref, p, e.Fingerprint, e.Size, false); rerr != nil {
 			err = rerr
 		}
 	})
@@ -641,23 +667,17 @@ func walkEntries(e *index.Entry, p string, fn func(p string, e *index.Entry)) {
 
 // Commit turns a container into a new Gear image (§III-D2): the diff's
 // regular files become new Gear files (added to the level-1 cache and
-// returned for upload), and the diff's metadata merges with the current
-// index into a new index under newName:newTag.
+// returned for upload), and the diff's metadata merges with the index of
+// the image the container was created on — removed since or not — into a
+// new index under newName:newTag.
 func (s *Store) Commit(containerID, newName, newTag string) (*index.Index, map[hashing.Fingerprint][]byte, error) {
 	s.mu.Lock()
 	c, ok := s.containers[containerID]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("store: %s: %w", containerID, ErrNoContainer)
 	}
-	st, ok := s.indexes[c.imageRef]
-	if !ok {
-		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("store: %s: %w", c.imageRef, ErrNoIndex)
-	}
-	s.mu.Unlock()
-
-	ix, err := st.Index()
+	ix, err := c.image.Index()
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: commit %s: %w", containerID, err)
 	}

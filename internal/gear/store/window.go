@@ -46,6 +46,7 @@ func chunkSpan(chunks []index.Chunk, off, n int64) (lo, hi int, loOff int64) {
 func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, error) {
 	out := make([]*vfs.Content, len(chunks))
 	var faults []Transfer
+	var faulted bool
 	var mu sync.Mutex
 	var errs []error
 	var wg sync.WaitGroup
@@ -55,8 +56,8 @@ func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, error) {
 			out[i] = c
 			continue
 		}
-		if faults == nil {
-			faults = make([]Transfer, 0, len(chunks)-i)
+		if !faulted { // faults itself is the fetchers' to touch from here on
+			faults, faulted = make([]Transfer, 0, len(chunks)-i), true
 		}
 		wg.Add(1)
 		go func(i int, ch index.Chunk) {

@@ -99,6 +99,9 @@ type Node struct {
 	content  *Content // regular files only
 	target   string   // symlinks only
 	children map[string]*Node
+	// from, on a directory that has not been filled in, is where the
+	// entries children does not hold yet come from (see Source).
+	from *origin
 	// Opaque marks a directory that hides lower-layer entries under
 	// overlay union semantics (Overlay2's "trusted.overlay.opaque").
 	Opaque bool
@@ -137,6 +140,11 @@ func (n *Node) Size() int64 {
 
 // IsDir reports whether the node is a directory.
 func (n *Node) IsDir() bool { return n.typ == TypeDir }
+
+// ChildNames, Child and NumChildren navigate the entries a directory
+// node holds. A directory of a tree that fills itself in (see Source)
+// holds only those some path has resolved to so far: reach such a tree
+// through the FS methods, or Walk it first.
 
 // ChildNames returns the sorted names of a directory's entries.
 func (n *Node) ChildNames() []string {
@@ -202,6 +210,71 @@ func (n *Node) AddSymlink(name, target string) {
 	}
 }
 
+// Source is a directory tree kept in some other form — a validated Gear
+// index blob — that an FS fills itself in from, an entry at a time, as
+// paths resolve. It names its directories by numbers of its own, and what
+// it says of a directory never changes: its methods are called by several
+// readers at once.
+type Source interface {
+	// Names returns the names of the entries of directory dir, ascending.
+	Names(dir uint32) []string
+	// Fill adds the entry name of directory dir to into, with AddFile,
+	// AddSymlink or AddSourceDir; dir has no such entry if it adds none.
+	Fill(dir uint32, name string, into *Node)
+}
+
+// origin is a directory of a Source. The entries of a directory node that
+// has one are the source's: children holds the ones filled in so far, and
+// anything that adds or removes a name takes the directory over first.
+type origin struct {
+	src Source
+	dir uint32
+}
+
+// AddSourceDir is AddDir of a directory whose entries are those of src's
+// directory dir, none of them filled in yet.
+func (n *Node) AddSourceDir(name string, mode fs.FileMode, src Source, dir uint32) {
+	n.children[name] = sourceDir(name, mode, src, dir)
+}
+
+func sourceDir(name string, mode fs.FileMode, src Source, dir uint32) *Node {
+	return &Node{name: name, typ: TypeDir, mode: mode.Perm(), children: make(map[string]*Node), from: &origin{src, dir}}
+}
+
+// fill returns the entry name of the directory n, filling it in from the
+// source if it is not there yet, or nil. The caller holds the FS lock
+// exclusively, and so two lookups of one path end with one node.
+func (n *Node) fill(name string) *Node {
+	if c := n.children[name]; c != nil || n.from == nil {
+		return c
+	}
+	n.from.src.Fill(n.from.dir, name, n)
+	return n.children[name]
+}
+
+// own fills in everything the directory n has not yet got from its source
+// and cuts it loose: the entries are n's to add to and remove from.
+// Directories below it stay as they are.
+func (n *Node) own() {
+	if n.from == nil {
+		return
+	}
+	for _, name := range n.from.src.Names(n.from.dir) {
+		n.fill(name)
+	}
+	n.from = nil
+}
+
+// ownTree is own of n and every directory below it.
+func (n *Node) ownTree() {
+	n.own()
+	for _, c := range n.children {
+		if c.typ == TypeDir {
+			c.ownTree()
+		}
+	}
+}
+
 // FS is an in-memory filesystem rooted at "/". The zero value is not
 // usable; construct with New.
 //
@@ -215,6 +288,10 @@ func (n *Node) AddSymlink(name, target string) {
 type FS struct {
 	mu   sync.RWMutex
 	root *Node
+	// sourced is set while some directory may still have entries to fill
+	// in from a Source: what an operation on the whole tree checks before
+	// it looks for them.
+	sourced bool
 }
 
 // New returns an empty filesystem containing only the root directory.
@@ -226,9 +303,18 @@ func New() *FS {
 	}}
 }
 
+// NewFrom returns a filesystem whose tree is that of src under its
+// directory root, filled in as it is used: a path builds the nodes along
+// it the first time it resolves, ReadDirNames lists from the source, and
+// an operation on the whole tree (Walk, Stats) fills in the rest first.
+func NewFrom(src Source, root uint32) *FS {
+	return &FS{root: sourceDir("", 0o755, src, root), sourced: true}
+}
+
 // Root returns the root directory node. The caller must ensure the tree
 // is quiescent (no concurrent mutators) while navigating from it, or
-// hold the read lock.
+// hold the read lock. Below the root of a tree made by NewFrom are the
+// nodes filled in so far; Walk it first to navigate all of it.
 func (f *FS) Root() *Node { return f.root }
 
 // RLock and RUnlock bracket navigation from Root by a caller that walks
@@ -283,12 +369,20 @@ func Split(p string) []string {
 	return strings.Split(p[1:], "/")
 }
 
+// errUnfilled is walk's answer when only the source can say whether the
+// path resolves, and the caller does not hold the lock a fill takes.
+var errUnfilled = errors.New("directory not filled in")
+
 // walk descends from the root along rel, a clean path without its
 // leading slash ("" is the root), and returns the node there without
 // following a trailing symlink. Segments are cut from rel in place, and
 // the errors are the bare sentinels: a miss costs no allocation, and the
 // caller that reports one wraps it with pathError on that return only.
-func (f *FS) walk(rel string) (*Node, error) {
+//
+// An entry still in a directory's source is filled in when the caller
+// holds the lock exclusively and says so with fill; a reader's walk stops
+// there with errUnfilled.
+func (f *FS) walk(rel string, fill bool) (*Node, error) {
 	cur := f.root
 	for rel != "" {
 		// Intermediate symlinks are not followed: images are
@@ -299,40 +393,65 @@ func (f *FS) walk(rel string) (*Node, error) {
 		}
 		var name string
 		name, rel, _ = strings.Cut(rel, "/")
-		if cur = cur.children[name]; cur == nil {
+		next := cur.children[name]
+		if next == nil && cur.from != nil {
+			if !fill {
+				return nil, errUnfilled
+			}
+			next = cur.fill(name)
+		}
+		if cur = next; cur == nil {
 			return nil, ErrNotExist
 		}
 	}
 	return cur, nil
 }
 
-// lookup walks to the node at p without following a trailing symlink.
+// lookup walks to the node at p without following a trailing symlink,
+// for a caller that holds the lock exclusively.
 func (f *FS) lookup(p string) (*Node, error) {
-	return f.walk(Clean(p)[1:])
+	return f.walk(Clean(p)[1:], true)
 }
 
-// lookupParent returns the directory containing p and p's base name.
+// find is lookup for a reader, which holds no lock. Nodes are built under
+// the exclusive lock only, so a walk that comes to one not built yet is
+// made again under it: the second of two readers racing to a path finds
+// the node the first one built.
+func (f *FS) find(p string) (*Node, error) {
+	rel := Clean(p)[1:]
+	f.mu.RLock()
+	n, err := f.walk(rel, false)
+	f.mu.RUnlock()
+	if err == errUnfilled {
+		f.mu.Lock()
+		n, err = f.walk(rel, true)
+		f.mu.Unlock()
+	}
+	return n, err
+}
+
+// lookupParent returns the directory containing p, which is the caller's
+// to add entries to and remove them from, and p's base name.
 func (f *FS) lookupParent(p string) (*Node, string, error) {
 	p = Clean(p)
 	if p == "/" {
 		return nil, "", ErrInvalid
 	}
 	i := strings.LastIndexByte(p, '/')
-	parent, err := f.walk(p[1:max(i, 1)])
+	parent, err := f.walk(p[1:max(i, 1)], true)
 	if err != nil {
 		return nil, "", err
 	}
 	if parent.typ != TypeDir {
 		return nil, "", ErrNotDir
 	}
+	parent.own()
 	return parent, p[i+1:], nil
 }
 
 // Stat returns the node at p.
 func (f *FS) Stat(p string) (*Node, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n, err := f.lookup(p)
+	n, err := f.find(p)
 	if err != nil {
 		return nil, pathError("stat", Clean(p), err)
 	}
@@ -343,9 +462,7 @@ func (f *FS) Stat(p string) (*Node, error) {
 // callers to whom a miss is an answer rather than a failure: no error is
 // built for one.
 func (f *FS) Lookup(p string) *Node {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n, _ := f.lookup(p)
+	n, _ := f.find(p)
 	return n
 }
 
@@ -355,15 +472,20 @@ func (f *FS) Exists(p string) bool { return f.Lookup(p) != nil }
 // ReadDirNames returns the sorted entry names of the directory at p. It
 // is the race-safe way to list a directory of a live tree (a directory
 // Node's own ChildNames is only stable on quiescent trees).
+//
+// A directory not filled in is listed from its source, and stays so.
 func (f *FS) ReadDirNames(p string) ([]string, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n, err := f.lookup(p)
+	n, err := f.find(p)
 	if err != nil {
 		return nil, pathError("readdir", Clean(p), err)
 	}
 	if n.typ != TypeDir {
 		return nil, pathError("readdir", Clean(p), ErrNotDir)
+	}
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if n.from != nil {
+		return n.from.src.Names(n.from.dir), nil
 	}
 	return n.ChildNames(), nil
 }
@@ -393,8 +515,9 @@ func (f *FS) MkdirAll(p string, mode fs.FileMode) error {
 	for rel := p[1:]; rel != ""; {
 		var name string
 		name, rel, _ = strings.Cut(rel, "/")
-		next := cur.children[name]
+		next := cur.fill(name)
 		if next == nil {
+			cur.own()
 			next = cur.AddDir(name, mode, 0)
 		} else if next.typ != TypeDir {
 			return pathError("mkdir", p, ErrNotDir)
@@ -458,14 +581,23 @@ func (f *FS) putContent(p string, c *Content, mode fs.FileMode) error {
 // link, keeping the file's mode. It is PutContent for a caller that means
 // "this file, if it is still there": p is resolved once, and when it no
 // longer names a regular file nothing changes and Relink reports false.
+//
+// The name stays, so the directory goes on filling itself in from its
+// source: a deploy relinks the files it reads, one in six.
 func (f *FS) Relink(p string, c *Content) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	parent, base, err := f.lookupParent(p)
-	if err != nil {
+	p = Clean(p)
+	if p == "/" {
 		return false
 	}
-	old := parent.children[base]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	i := strings.LastIndexByte(p, '/')
+	parent, err := f.walk(p[1:max(i, 1)], true)
+	if err != nil || parent.typ != TypeDir {
+		return false
+	}
+	base := p[i+1:]
+	old := parent.fill(base)
 	if old == nil || old.typ != TypeRegular {
 		return false
 	}
@@ -478,9 +610,7 @@ func (f *FS) Relink(p string, c *Content) bool {
 // ReadFile returns the content bytes of the regular file at p. The result
 // must not be mutated.
 func (f *FS) ReadFile(p string) ([]byte, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n, err := f.lookup(p)
+	n, err := f.find(p)
 	if err != nil {
 		return nil, pathError("read", Clean(p), err)
 	}
@@ -544,7 +674,7 @@ func (f *FS) Remove(p string) error {
 	if !ok {
 		return pathError("remove", Clean(p), ErrNotExist)
 	}
-	if n.typ == TypeDir && len(n.children) > 0 {
+	if n.own(); n.typ == TypeDir && len(n.children) > 0 {
 		return pathError("remove", Clean(p), ErrNotEmpty)
 	}
 	f.unlinkNode(n)
@@ -562,7 +692,8 @@ func (f *FS) RemoveAll(p string) error {
 		for _, c := range f.root.children {
 			releaseTree(c)
 		}
-		f.root.children = make(map[string]*Node)
+		// What was never filled in holds no link to release.
+		f.root.children, f.root.from, f.sourced = make(map[string]*Node), nil, false
 		return nil
 	}
 	parent, base, err := f.lookupParent(p)
@@ -599,8 +730,18 @@ type WalkFunc func(p string, n *Node) error
 // Walk visits every node in deterministic (pre-order, lexicographic)
 // order, starting at the root. The root itself is not visited. The walk
 // holds the tree's read lock, so fn must not mutate the same FS.
+//
+// A tree that fills itself in from a Source is filled in whole first.
 func (f *FS) Walk(fn WalkFunc) error {
 	f.mu.RLock()
+	if f.sourced {
+		f.mu.RUnlock()
+		f.mu.Lock()
+		f.root.ownTree()
+		f.sourced = false
+		f.mu.Unlock()
+		f.mu.RLock()
+	}
 	defer f.mu.RUnlock()
 	return walkNode("", f.root, fn)
 }
@@ -628,7 +769,7 @@ func walkNode(prefix string, dir *Node, fn WalkFunc) error {
 func (f *FS) Clone() *FS {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return &FS{root: cloneNode(f.root)}
+	return &FS{root: cloneNode(f.root), sourced: f.sourced}
 }
 
 func cloneNode(n *Node) *Node {
@@ -638,6 +779,7 @@ func cloneNode(n *Node) *Node {
 		mode:   n.mode,
 		target: n.target,
 		Opaque: n.Opaque,
+		from:   n.from, // what is not filled in yet, the clone fills in for itself
 	}
 	if n.typ == TypeRegular {
 		c.content = newContent(n.content.data, 1)

@@ -720,18 +720,6 @@ func TestNodeConstructionMatchesPaths(t *testing.T) {
 	must(byPath.Mkdir("/d/sub", 0o700))
 	must(byPath.WriteFile("/d/sub/g", nil, 0o600))
 
-	describe := func(f *FS) string {
-		var sb strings.Builder
-		_ = f.Walk(func(p string, n *Node) error {
-			fmt.Fprintf(&sb, "%s %q %v %v %q", p, n.Name(), n.Type(), n.Mode(), n.Target())
-			if n.Type() == TypeRegular {
-				fmt.Fprintf(&sb, " %q nlink=%d", n.Content().Data(), n.Content().Nlink())
-			}
-			sb.WriteByte('\n')
-			return nil
-		})
-		return sb.String()
-	}
 	if got, want := describe(byNode), describe(byPath); got != want {
 		t.Errorf("node-built tree:\n%s\npath-built tree:\n%s", got, want)
 	}
