@@ -35,9 +35,9 @@ type Options struct {
 // never below 1.
 func (o Options) Attempts() int { return max(o.Retries, 0) + 1 }
 
-// HTTPClient returns an http.Client honoring o.Timeout. With a zero
-// Timeout it returns nil so callers fall back to their existing
-// default-client path.
+// HTTPClient returns an http.Client honoring o.Timeout, nil with a zero
+// Timeout. Either way it names no transport: wire.NewClient gives the
+// client its own.
 func (o Options) HTTPClient() *http.Client {
 	if o.Timeout <= 0 {
 		return nil

@@ -138,17 +138,7 @@ func NewHandler(reg *Registry) *wire.Handler {
 			if err != nil || len(parts) != 3 || parts[0] == "" {
 				return wire.ErrNotFound
 			}
-			fp, off, n := hashing.Fingerprint(parts[0]), nums[0], nums[1]
-			payload, _, err := reg.DownloadRange(fp, off, n)
-			if err != nil {
-				return err
-			}
-			total, err := reg.Size(fp)
-			if err != nil {
-				return err
-			}
-			wire.Respond(w, "application/octet-stream", fmt.Appendf(nil, "%s %d %d %d\n", fp, off, n, total), payload)
-			return nil
+			return reg.serveRange(w, hashing.Fingerprint(parts[0]), nums[0], nums[1])
 		}},
 	)...)
 }
@@ -182,8 +172,7 @@ type Client struct {
 
 var _ Store = (*Client)(nil)
 
-// NewClient returns a client for the Gear Registry at baseURL. If hc is
-// nil, http.DefaultClient is used.
+// NewClient returns a client for the Gear Registry at baseURL.
 func NewClient(baseURL string, hc *http.Client) *Client {
 	return &Client{w: wire.NewClient("gearregistry client", baseURL, hc, clientopt.Options{}, statuses)}
 }
@@ -192,7 +181,7 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 // the shared client options (gear.ClientOptions): Timeout bounds each
 // request's transport, and Retries/Backoff wrap the client in a
 // RetryStore. The zero Options behaves exactly like NewClient(baseURL,
-// nil) — one attempt, default transport.
+// nil) — one attempt, wire's transport.
 func NewClientWithOptions(baseURL string, o clientopt.Options) (Store, error) {
 	c := NewClient(baseURL, o.HTTPClient())
 	if o.Retries <= 0 {

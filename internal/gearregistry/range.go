@@ -3,9 +3,12 @@ package gearregistry
 import (
 	"errors"
 	"fmt"
+	"net/http"
+	"sync"
 
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/tarstream"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 // The range verb: the fourth Gear file interface, added for chunked
@@ -39,6 +42,16 @@ type RangeDownloader interface {
 // costs n bytes of memory, though still the whole object's CPU, since
 // the stream is inflated to its end for the CRC behind it.
 func (r *Registry) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, int64, error) {
+	out, _, err := r.appendRange(nil, fp, off, n)
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, n, nil
+}
+
+// appendRange is DownloadRange into dst's memory, when dst has room for
+// the range, and also tells the object's uncompressed size.
+func (r *Registry) appendRange(dst []byte, fp hashing.Fingerprint, off, n int64) (out []byte, size int64, err error) {
 	r.ranges.Inc()
 	if err := fp.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("gearregistry: range: %w", err)
@@ -48,7 +61,7 @@ func (r *Registry) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, 
 	}
 	r.mu.RLock()
 	stored, ok := r.objects[fp]
-	size := r.logical[fp]
+	size = r.logical[fp]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, 0, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
@@ -58,16 +71,39 @@ func (r *Registry) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, 
 		return nil, 0, fmt.Errorf("gearregistry: range [%d,+%d) of %d-byte %s: %w",
 			off, n, size, fp, ErrBadRange)
 	}
-	if r.opts.Compress {
-		out, err := tarstream.GunzipRange(stored, off, n)
-		if err != nil {
-			return nil, 0, fmt.Errorf("gearregistry: range %s: %w", fp, err)
-		}
-		return out, n, nil
+	if !r.opts.Compress {
+		return append(dst[:0], stored[off:off+n]...), size, nil
 	}
-	out := make([]byte, n)
-	copy(out, stored[off:off+n])
-	return out, n, nil
+	if out, err = tarstream.GunzipRange(dst, stored, off, n); err != nil {
+		return nil, 0, fmt.Errorf("gearregistry: range %s: %w", fp, err)
+	}
+	return out, size, nil
+}
+
+// maxPooledRange is the largest buffer a range reply hands on to the
+// next one. Ranges are read of files a chunking policy left whole, and
+// index.CDCChunks at a 256 KiB target leaves whole a file of up to 1 MiB:
+// a range of anything larger is served, and its buffer let go.
+const maxPooledRange = 1 << 20
+
+// rangeBuffers hold a range from when it is inflated to when its reply
+// has been written.
+var rangeBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// serveRange answers the range verb: the slice is inflated to the CRC
+// behind it before the first byte of the reply goes out.
+func (r *Registry) serveRange(w http.ResponseWriter, fp hashing.Fingerprint, off, n int64) error {
+	buf := rangeBuffers.Get().(*[]byte)
+	defer rangeBuffers.Put(buf)
+	payload, total, err := r.appendRange(*buf, fp, off, n)
+	if err != nil {
+		return err
+	}
+	wire.Respond(w, "application/octet-stream", fmt.Appendf(nil, "%s %d %d %d\n", fp, off, n, total), payload)
+	if cap(payload) <= maxPooledRange {
+		*buf = payload
+	}
+	return nil
 }
 
 // DownloadRange implements RangeDownloader with retries.

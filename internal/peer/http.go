@@ -123,8 +123,7 @@ type TrackerClient struct {
 
 var _ Locator = (*TrackerClient)(nil)
 
-// NewTrackerClient returns a client for the tracker at baseURL. If hc
-// is nil, http.DefaultClient is used.
+// NewTrackerClient returns a client for the tracker at baseURL.
 func NewTrackerClient(baseURL string, hc *http.Client) *TrackerClient {
 	return &TrackerClient{w: wire.NewClient("peer client", baseURL, hc, clientopt.Options{}, nil)}
 }

@@ -87,7 +87,6 @@ type LibraryClient struct {
 }
 
 // NewLibraryClient returns a client for the library served at baseURL.
-// If hc is nil, http.DefaultClient is used.
 func NewLibraryClient(baseURL string, hc *http.Client) *LibraryClient {
 	return &LibraryClient{w: wire.NewClient("prefetch client", baseURL, hc, clientopt.Options{}, statuses)}
 }

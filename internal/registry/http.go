@@ -119,7 +119,7 @@ type Client struct {
 var _ Store = (*Client)(nil)
 
 // NewClient returns a client for the registry at baseURL (no trailing
-// slash required). If hc is nil, http.DefaultClient is used.
+// slash required).
 func NewClient(baseURL string, hc *http.Client) *Client {
 	return &Client{w: wire.NewClient("registry client", baseURL, hc, clientopt.Options{}, statuses)}
 }

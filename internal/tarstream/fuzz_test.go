@@ -85,7 +85,7 @@ func FuzzGunzipRange(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := GunzipRange(z, off, n)
+		got, err := GunzipRange(nil, z, off, n)
 		fits := off >= 0 && n >= 0 && off <= int64(len(content)) && n <= int64(len(content))-off
 		if !fits {
 			if err == nil {

@@ -345,8 +345,9 @@ var copyPool = sync.Pool{New: func() any { return new([copyChunk]byte) }}
 // but for the trailer behind it — only at the end of the stream can the
 // CRC say that what was read is what was stored, so a damaged object
 // fails here exactly where it fails Gunzip. A range that does not fit
-// the content is io.ErrUnexpectedEOF.
-func GunzipRange(data []byte, off, n int64) ([]byte, error) {
+// the content is io.ErrUnexpectedEOF. The bytes are read into dst's
+// memory when it has room for them, as append would.
+func GunzipRange(dst, data []byte, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("tarstream: gunzip range [%d,+%d): negative", off, n)
 	}
@@ -360,7 +361,12 @@ func GunzipRange(data []byte, off, n int64) ([]byte, error) {
 	}
 	// n is the caller's claim about the content: it gets memory only if
 	// a stream this long could hold it.
-	out := make([]byte, SizeHint(n, int64(len(data))))
+	var out []byte
+	if int64(cap(dst)) >= n {
+		out = dst[:n]
+	} else {
+		out = make([]byte, SizeHint(n, int64(len(data))))
+	}
 	if int64(len(out)) != n {
 		return nil, fmt.Errorf("tarstream: gunzip range: %d bytes from a %d-byte stream: %w", n, len(data), io.ErrUnexpectedEOF)
 	}

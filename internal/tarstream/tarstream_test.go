@@ -140,17 +140,25 @@ func TestGunzipRangeMatchesGunzip(t *testing.T) {
 			off := rng.Intn(size)
 			ranges = append(ranges, [2]int{off, rng.Intn(size - off + 1)})
 		}
+		// A range is read into the caller's memory when it fits there,
+		// whatever that held, and into memory of its own when it does not.
+		scratch := bytes.Repeat([]byte{0xAA}, 5000)
 		for _, r := range ranges {
-			got, err := GunzipRange(z, int64(r[0]), int64(r[1]))
-			if err != nil {
-				t.Fatalf("%d-byte object, range [%d,+%d): %v", size, r[0], r[1], err)
-			}
-			if !bytes.Equal(got, whole[r[0]:r[0]+r[1]]) {
-				t.Errorf("%d-byte object, range [%d,+%d): other bytes than Gunzip's", size, r[0], r[1])
+			for _, dst := range [][]byte{nil, scratch[:100]} {
+				got, err := GunzipRange(dst, z, int64(r[0]), int64(r[1]))
+				if err != nil {
+					t.Fatalf("%d-byte object, range [%d,+%d): %v", size, r[0], r[1], err)
+				}
+				if !bytes.Equal(got, whole[r[0]:r[0]+r[1]]) {
+					t.Errorf("%d-byte object, range [%d,+%d): other bytes than Gunzip's", size, r[0], r[1])
+				}
+				if borrowed := len(got) > 0 && &got[0] == &scratch[0]; borrowed != (dst != nil && 0 < r[1] && r[1] <= cap(dst)) {
+					t.Errorf("%d-byte object, range [%d,+%d) into %d bytes of room: borrowed %v", size, r[0], r[1], cap(dst), borrowed)
+				}
 			}
 		}
 		for _, r := range [][2]int64{{0, int64(size) + 1}, {int64(size), 1}, {int64(size) + 1, 0}, {-1, 1}, {0, -1}, {0, 1 << 40}} {
-			if _, err := GunzipRange(z, r[0], r[1]); err == nil {
+			if _, err := GunzipRange(nil, z, r[0], r[1]); err == nil {
 				t.Errorf("%d-byte object, range [%d,+%d) accepted", size, r[0], r[1])
 			}
 		}
@@ -167,7 +175,7 @@ func TestGunzipRangeChecksTheTrailer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GunzipRange(z, 1000, 4096); err != nil {
+	if _, err := GunzipRange(nil, z, 1000, 4096); err != nil {
 		t.Fatalf("sound object: %v", err)
 	}
 	for _, at := range []int{len(z) / 2, len(z) - 20, len(z) - 6, len(z) - 2} { // late data, CRC, ISIZE
@@ -176,7 +184,7 @@ func TestGunzipRangeChecksTheTrailer(t *testing.T) {
 		if _, err := Gunzip(damaged); err == nil {
 			t.Fatalf("byte %d: Gunzip accepts the damage, the case proves nothing", at)
 		}
-		if _, err := GunzipRange(damaged, 1000, 4096); err == nil {
+		if _, err := GunzipRange(nil, damaged, 1000, 4096); err == nil {
 			t.Errorf("byte %d flipped after the range: range read accepted the object", at)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 
@@ -15,22 +16,35 @@ import (
 
 // Client issues a protocol's requests against one server.
 type Client struct {
-	name, base string
-	http       *http.Client
-	opts       clientopt.Options
-	errs       Statuses
+	name    string
+	base    url.URL // the server's URL, parsed once; every request is a path under it
+	baseErr error   // why base is not one
+	http    http.Client
+	opts    clientopt.Options
+	errs    Statuses
 }
 
 // NewClient returns a client for the server at baseURL. name opens
 // every error it returns ("registry client"); failure replies are typed
-// through errs. A nil hc is http.DefaultClient. o is the retry policy:
-// only a request that fails in transport is sent again; any reply,
-// whatever its status, is the server's answer.
+// through errs. hc's Transport, when it has one, is used untouched; a
+// nil hc, or one without a Transport, is carried by this package's own
+// (transport.go), under whatever Timeout, Jar and CheckRedirect hc
+// sets. o is the retry policy: only a request that fails in transport
+// is sent again; any reply, whatever its status, is the server's answer.
 func NewClient(name, baseURL string, hc *http.Client, o clientopt.Options, errs Statuses) *Client {
-	if hc == nil {
-		hc = http.DefaultClient
+	c := &Client{name: name, opts: o, errs: errs}
+	if hc != nil {
+		c.http = *hc
 	}
-	return &Client{name: name, base: strings.TrimSuffix(baseURL, "/"), http: hc, opts: o, errs: errs}
+	if c.http.Transport == nil {
+		c.http.Transport = transport
+	}
+	if base, err := url.Parse(strings.TrimSuffix(baseURL, "/")); err != nil {
+		c.baseErr = err
+	} else {
+		c.base = *base
+	}
+	return c
 }
 
 // Reply is a 2xx response, its body read whole.
@@ -62,12 +76,12 @@ func (c *Client) Do(method, path string, body []byte, header ...string) (*Reply,
 // back for reuse. An error from read is an ErrBadReply; a reply outside
 // 2xx is a *StatusError typed by the protocol's status table.
 func (c *Client) Stream(method, path string, body []byte, read func(*Body) error, header ...string) (err error) {
+	if c.baseErr != nil {
+		return fmt.Errorf("%s: %w", c.name, c.baseErr)
+	}
 	for try := 0; try < c.opts.Attempts(); try++ {
 		c.opts.Sleep(try)
-		var req *http.Request
-		if req, err = http.NewRequest(method, c.base+path, bytes.NewReader(body)); err != nil {
-			break
-		}
+		req := c.request(method, path, body)
 		for i := 0; i+1 < len(header); i += 2 {
 			req.Header.Set(header[i], header[i+1])
 		}
@@ -81,6 +95,25 @@ func (c *Client) Stream(method, path string, body []byte, read func(*Body) error
 		return fmt.Errorf("%s: %w", c.name, err)
 	}
 	return nil
+}
+
+// request is what http.NewRequest(method, base+path, bytes.NewReader(body))
+// builds, without parsing anything: the path is set as it is, so
+// whatever bytes it holds are escaped on the request line and decoded
+// once by the server, and a request without a body carries none.
+func (c *Client) request(method, path string, body []byte) *http.Request {
+	u := c.base
+	u.Path += path
+	req := &http.Request{
+		Method: method, URL: &u, Host: u.Host, Header: make(http.Header),
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}
+	if len(body) > 0 {
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		req.Body, _ = req.GetBody()
+	}
+	return req
 }
 
 func (c *Client) receive(req *http.Request, resp *http.Response, read func(*Body) error) error {
@@ -245,19 +278,26 @@ func (b *Body) object(src io.Reader, stored, size int64, gzipped bool) ([]byte, 
 	if !gzipped {
 		size = stored
 	}
-	room := func(int) int {
+	hint := func() int {
 		// Of this object no more than stored bytes can have arrived,
 		// however much the reply has delivered.
 		held := b.src.got
 		if 0 <= stored && stored < held {
 			held = stored
 		}
-		return tarstream.SizeHint(size, held) + 1
+		return tarstream.SizeHint(size, held)
 	}
+	// One byte over the claim is where the end of the content is read.
+	room := func(int) int { return hint() + 1 }
 	var content []byte
 	var err error
 	if gzipped {
 		content, err = tarstream.GunzipFrom(src, room)
+	} else if size > 0 && int64(hint()) == size {
+		// src ends where the raw object does: there is no end to find,
+		// and the byte for it would put the buffer in the next size class.
+		content = make([]byte, size)
+		_, err = io.ReadFull(src, content)
 	} else {
 		content, err = tarstream.ReadAll(src, room)
 	}

@@ -10,23 +10,61 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/tarstream"
 )
 
 // Lines returns body's lines, trimmed, blank ones skipped: the framing
-// of every text body the protocols carry.
-func Lines(body []byte) []string {
-	var out []string
-	for _, line := range strings.Split(string(body), "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			out = append(out, line)
-		}
+// of every text body the protocols carry. A body without a line is nil.
+func Lines(body []byte) []string { return lines[string](body) }
+
+// lines is Lines with the lines as S. The body is copied once, as one
+// string the lines are cut from where they lie, into a result sized to
+// the lines it has.
+func lines[S ~string](body []byte) []S {
+	text := string(body)
+	n := countLines(text)
+	if n == 0 {
+		return nil
+	}
+	out := make([]S, 0, n)
+	for line, rest := nextLine(text); line != ""; line, rest = nextLine(rest) {
+		out = append(out, S(line))
 	}
 	return out
+}
+
+// nextLine cuts the next line that is not blank off text, trimmed; ""
+// says text holds no more.
+func nextLine(text string) (line, rest string) {
+	for line == "" && text != "" {
+		line, text, _ = strings.Cut(text, "\n")
+		line = strings.TrimSpace(line)
+	}
+	return line, text
+}
+
+// countLines is how many lines nextLine cuts off text.
+func countLines(text string) (n int) {
+	for line, rest := nextLine(text); line != ""; line, rest = nextLine(rest) {
+		n++
+	}
+	return n
+}
+
+// nextField cuts the next field off line: fields are what strings.Fields
+// splits a line into.
+func nextField(line string) (field, rest string) {
+	line = strings.TrimLeftFunc(line, unicode.IsSpace)
+	if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+		return line[:i], line[i:]
+	}
+	return line, ""
 }
 
 // Record splits a line into the fingerprint it opens with and the n
@@ -61,12 +99,10 @@ func Ints(fields []string) ([]int64, error) {
 // request order, between 400 for a malformed entry and 404 for an
 // absent one.
 func List(body []byte) []hashing.Fingerprint {
-	lines := Lines(body)
-	fps := make([]hashing.Fingerprint, len(lines))
-	for i, line := range lines {
-		fps[i] = hashing.Fingerprint(line)
+	if fps := lines[hashing.Fingerprint](body); fps != nil {
+		return fps
 	}
-	return fps
+	return []hashing.Fingerprint{}
 }
 
 // ParseList is List for verbs that reject a malformed entry themselves.
@@ -82,6 +118,11 @@ func ParseList(body []byte) ([]hashing.Fingerprint, error) {
 
 // AppendList frames fps one per line.
 func AppendList(dst []byte, fps []hashing.Fingerprint) []byte {
+	size := len(fps)
+	for _, fp := range fps {
+		size += len(fp)
+	}
+	dst = slices.Grow(dst, size)
 	for _, fp := range fps {
 		dst = append(append(dst, fp...), '\n')
 	}
@@ -105,6 +146,11 @@ func CheckEcho(got, want []hashing.Fingerprint) error {
 // AppendVerdicts frames one "<fingerprint> present|absent" line per
 // fingerprint.
 func AppendVerdicts(dst []byte, fps []hashing.Fingerprint, present []bool) []byte {
+	size := len(fps) * len(" present\n")
+	for _, fp := range fps {
+		size += len(fp)
+	}
+	dst = slices.Grow(dst, size)
 	for i, fp := range fps {
 		verdict := " absent\n"
 		if present[i] {
@@ -118,16 +164,28 @@ func AppendVerdicts(dst []byte, fps []hashing.Fingerprint, present []bool) []byt
 // ParseVerdicts decodes AppendVerdicts' framing, rejecting malformed
 // lines and invalid fingerprints.
 func ParseVerdicts(body []byte) (fps []hashing.Fingerprint, present []bool, err error) {
-	for _, line := range Lines(body) {
-		fp, rest, err := Record(line, 1)
-		if err != nil {
-			return nil, nil, err
+	text := string(body)
+	n := countLines(text)
+	if n == 0 {
+		return nil, nil, nil
+	}
+	fps, present = make([]hashing.Fingerprint, 0, n), make([]bool, 0, n)
+	for line, rest := nextLine(text); line != ""; line, rest = nextLine(rest) {
+		// A line is Record(line, 1): two fields and no third.
+		first, after := nextField(line)
+		verdict, after := nextField(after)
+		if junk, _ := nextField(after); verdict == "" || junk != "" {
+			return nil, nil, fmt.Errorf("malformed line %q", line)
 		}
-		if rest[0] != "present" && rest[0] != "absent" {
+		fp := hashing.Fingerprint(first)
+		if err := fp.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("line %q: %w", line, err)
+		}
+		if verdict != "present" && verdict != "absent" {
 			return nil, nil, fmt.Errorf("line %q: bad verdict", line)
 		}
 		fps = append(fps, fp)
-		present = append(present, rest[0] == "present")
+		present = append(present, verdict == "present")
 	}
 	return fps, present, nil
 }

@@ -188,11 +188,30 @@ func Respond(w http.ResponseWriter, contentType string, parts ...[]byte) {
 	for _, part := range parts {
 		length += len(part)
 	}
-	w.Header().Set("Content-Type", contentType)
+	w.Header()["Content-Type"] = shared(contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(length))
 	for _, part := range parts {
 		_, _ = w.Write(part)
 	}
+}
+
+// sharedValues are the header values replies carry, each as the
+// one-element slice a header map stores: a reply is assigned one of
+// these, which nothing writes to, where Header.Set would allocate it a
+// slice of its own.
+var sharedValues = map[string][]string{
+	"application/octet-stream":  {"application/octet-stream"},
+	"application/json":          {"application/json"},
+	"text/plain":                {"text/plain"},
+	"text/plain; charset=utf-8": {"text/plain; charset=utf-8"},
+	"gzip":                      {"gzip"},
+}
+
+func shared(value string) []string {
+	if v, ok := sharedValues[value]; ok {
+		return v
+	}
+	return []string{value}
 }
 
 // SizeHeader carries what an object reply's objects inflate to, one
@@ -204,7 +223,7 @@ const SizeHeader = "X-Gear-Size"
 // RespondObject answers with one object as it is stored.
 func RespondObject(w http.ResponseWriter, o Object) {
 	if o.Gzip {
-		w.Header().Set(EncodingHeader, "gzip")
+		w.Header()[EncodingHeader] = shared("gzip")
 	}
 	w.Header().Set(SizeHeader, strconv.FormatInt(o.Size, 10))
 	Respond(w, "application/octet-stream", o.Stored)

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # wirelint: fail the build when non-test code outside internal/wire
 # reads a body with io.ReadAll, serves with bare http.Serve, answers
-# 405 itself, or writes a reply body to the ResponseWriter itself — or
-# when any non-test code probes a gearregistry store for a verb, or
-# renames a converted image outside the converter.
+# 405 itself, writes a reply body to the ResponseWriter itself, or names
+# net/http's default client or transport — or when any non-test code
+# probes a gearregistry store for a verb, or renames a converted image
+# outside the converter.
 #
 # Every HTTP protocol in the repo is a verb table over internal/wire
 # (DESIGN.md, "Wire protocols"): the client helper bounds and drains
@@ -53,6 +54,20 @@ if [ -n "$unsized" ]; then
   echo "wirelint: reply body written around wire.Respond:" >&2
   printf '%s\n' "$unsized" >&2
   echo "  build the body and answer through wire.Respond / RespondObject / RespondFrames" >&2
+  exit 1
+fi
+
+# wire.NewClient gives a client without a transport the package's own
+# (internal/wire/transport.go): pooled request-body copies, an idle pool
+# the size of a fetch wave, no Accept-Encoding. A client built around
+# net/http's default bypasses all three without saying so.
+defaults=$(grep -rn --include='*.go' -E 'http\.Default(Client|Transport)' . \
+  | grep -v '_test\.go:' \
+  | grep -v -E '^\./(internal/wire|loadbench)/' || true)
+if [ -n "$defaults" ]; then
+  echo "wirelint: net/http's default client or transport outside internal/wire:" >&2
+  printf '%s\n' "$defaults" >&2
+  echo "  pass wire.NewClient a nil client, or one that names its own Transport" >&2
   exit 1
 fi
 
