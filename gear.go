@@ -323,7 +323,7 @@ type (
 	// registry tier.
 	ShardCluster = shardreg.Cluster
 	// ShardClusterOptions configures a ShardCluster: members,
-	// replication, compression, retry policy, and read tuning.
+	// replication, compression, and read tuning.
 	ShardClusterOptions = shardreg.Options
 	// ShardReadOptions tunes replica selection and request hedging on
 	// the cluster's download path.

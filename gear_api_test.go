@@ -374,7 +374,7 @@ func TestGearStoreContract(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			s, retries := r.store, func() int64 { return 0 }
 			if r.retry {
-				rs, err := gearregistry.NewRetryStore(s, 3)
+				rs, err := gearregistry.NewRetryStoreOptions(s, gear.ClientOptions{Retries: 2})
 				if err != nil {
 					t.Fatal(err)
 				}

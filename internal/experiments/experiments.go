@@ -44,14 +44,6 @@ type Config struct {
 	// SeriesPerCategory caps how many series per category deployment
 	// experiments touch (0 = all).
 	SeriesPerCategory int
-	// ChunkSize is Table II's chunk granularity, scaled with the corpus
-	// (the paper's 128 KB against ~380 MB images ≈ 512 B against our
-	// ~400 KB images).
-	ChunkSize int64
-	// SlackerBlockSize is the Fig 10 baseline's paging granularity,
-	// scaled like ChunkSize (the paper's 4 KB against ~73 KB average
-	// files ≈ 512 B against our ~7 KB files).
-	SlackerBlockSize int64
 	// Telemetry, if set, is the metrics registry every daemon the run
 	// builds publishes into, so a whole sweep lands in one snapshot
 	// (cmd/benchreport -metrics). Nil keeps per-daemon private
@@ -59,9 +51,20 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
+// Granularities of the corpus-scaled baselines. dedupChunkSize is Table
+// II's chunk granularity, scaled with the corpus (the paper's 128 KB
+// against ~380 MB images ≈ 512 B against our ~400 KB images);
+// slackerBlockSize is the Fig 10 baseline's paging granularity, scaled
+// alike (the paper's 4 KB against ~73 KB average files ≈ 512 B against
+// our ~7 KB files).
+const (
+	dedupChunkSize   = 512
+	slackerBlockSize = 512
+)
+
 // Default is the full calibrated configuration used by cmd/benchreport.
 func Default() Config {
-	return Config{Seed: 20211107, Scale: 1.0, ChunkSize: 512, SlackerBlockSize: 512}
+	return Config{Seed: 20211107, Scale: 1.0}
 }
 
 // Quick is a reduced configuration for tests and -short benches.
@@ -71,8 +74,6 @@ func Quick() Config {
 		Scale:             0.25,
 		VersionsPerSeries: 4,
 		SeriesPerCategory: 2,
-		ChunkSize:         512,
-		SlackerBlockSize:  512,
 	}
 }
 
@@ -164,7 +165,7 @@ func (c Config) buildRig(co *corpus.Corpus, series []corpus.Series, withSlacker 
 				return nil, err
 			}
 			if withSlacker {
-				bi, err := slacker.FromImage(img, c.SlackerBlockSize)
+				bi, err := slacker.FromImage(img, slackerBlockSize)
 				if err != nil {
 					return nil, err
 				}

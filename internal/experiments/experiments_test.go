@@ -25,8 +25,6 @@ func mini() Config {
 		Scale:             0.15,
 		VersionsPerSeries: 3,
 		SeriesPerCategory: 1,
-		ChunkSize:         512,
-		SlackerBlockSize:  512,
 	}
 }
 

@@ -20,7 +20,7 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	analyzer, err := dedup.NewAnalyzer(cfg.ChunkSize)
+	analyzer, err := dedup.NewAnalyzer(dedupChunkSize)
 	if err != nil {
 		return nil, err
 	}

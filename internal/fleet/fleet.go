@@ -168,30 +168,16 @@ type Options struct {
 	Nodes int
 	// Seed drives every random scenario decision.
 	Seed int64
-	// WAN/LAN override the per-node link configurations. Zero values
-	// default to the paper's 20 Mbps registry uplink and 1000 Mbps
-	// cluster LAN, scaled by the workload's corpus scale.
-	WAN, LAN netsim.LinkConfig
 	// Peers enables the cluster tracker + peer exchange, so Gear
 	// fetches try LAN peers before the registry WAN.
 	Peers bool
-	// GearRequestBytes overrides the per-fetch wire overhead (0 scales
-	// the default 900 bytes by the workload scale).
-	GearRequestBytes int64
-	// CacheCapacity bounds each node's level-1 Gear cache (0 =
-	// unbounded).
-	CacheCapacity int64
 	// Telemetry is the fleet-wide metrics registry every daemon
 	// publishes into. Nil creates a private one (Snapshot still works).
 	Telemetry *telemetry.Registry
-	// TraceCapacity bounds each daemon's span ring. The fleet default
-	// is 64 (not telemetry.DefaultTraceCapacity) so a 1024-node fleet
-	// does not pre-allocate thousands of spans per node.
-	TraceCapacity int
 	// Shards, when > 0, backs the fleet with a sharded registry tier
 	// (internal/shardreg) seeded from the workload's Gear pool instead
 	// of the single-node registry. The shard tier gets its own topology
-	// (same WAN/LAN configs) so the fleet.wan.* gauges keep counting
+	// (same link classes) so the fleet.wan.* gauges keep counting
 	// client-side traffic only — a sharded fleet's per-node bytes stay
 	// comparable to a single-registry run.
 	Shards int
@@ -230,6 +216,9 @@ type Harness struct {
 	network *peer.StaticNetwork
 	ring    *telemetry.TraceRing
 	rng     *rand.Rand
+	// requestBytes is the wire overhead a daemon is charged per Gear
+	// fetch: the paper's 900 bytes, scaled like the corpus.
+	requestBytes int64
 	// cluster is the sharded registry tier (nil without Options.Shards);
 	// shardTopo is the tier's own topology, kept apart from the client
 	// fleet's so fleet.wan.* stays client-side.
@@ -266,52 +255,45 @@ func New(wl *Workload, opts Options) (*Harness, error) {
 	if scale == 0 {
 		scale = 1
 	}
-	if opts.WAN == (netsim.LinkConfig{}) {
-		opts.WAN = netsim.DefaultLAN().WithBandwidth(20.0 / 1000 * scale)
-	}
-	if opts.LAN == (netsim.LinkConfig{}) {
-		opts.LAN = netsim.DefaultLAN().WithBandwidth(1000.0 / 1000 * scale)
-	}
-	if opts.GearRequestBytes == 0 {
-		opts.GearRequestBytes = int64(900 * scale)
-	}
-	if opts.TraceCapacity == 0 {
-		opts.TraceCapacity = 64
-	}
+	// The paper's 20 Mbps registry uplink and 1000 Mbps cluster LAN,
+	// scaled like the corpus.
+	wan := netsim.DefaultLAN().WithBandwidth(20.0 / 1000 * scale)
+	lan := netsim.DefaultLAN().WithBandwidth(1000.0 / 1000 * scale)
 	tele := opts.Telemetry
 	if tele == nil {
 		tele = telemetry.NewRegistry()
 	}
-	topo, err := netsim.NewTopology(opts.WAN, opts.LAN)
+	topo, err := netsim.NewTopology(wan, lan)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: topology: %w", err)
 	}
 	h := &Harness{
-		wl:          wl,
-		opts:        opts,
-		tele:        tele,
-		topo:        topo,
-		tracker:     peer.NewTracker(),
-		network:     peer.NewStaticNetwork(),
-		ring:        telemetry.NewTraceRing(0),
-		rng:         rand.New(rand.NewSource(opts.Seed)),
-		nodes:       make(map[string]*node),
-		joins:       tele.Counter("fleet.joins"),
-		leaves:      tele.Counter("fleet.leaves"),
-		deploys:     tele.Counter("fleet.deploys"),
-		reads:       tele.Counter("fleet.reads"),
-		destroys:    tele.Counter("fleet.destroys"),
-		deployNS:    tele.Counter("fleet.deploy.virtual.ns"),
-		readNS:      tele.Counter("fleet.read.virtual.ns"),
-		destroyNS:   tele.Counter("fleet.destroy.virtual.ns"),
-		readBytes:   tele.Counter("fleet.read.bytes"),
-		nodesGauge:  tele.Gauge("fleet.nodes"),
-		wanBytes:    tele.Gauge("fleet.wan.bytes"),
-		wanRequests: tele.Gauge("fleet.wan.requests"),
-		wanElapsed:  tele.Gauge("fleet.wan.elapsed.ns"),
-		lanBytes:    tele.Gauge("fleet.lan.bytes"),
-		lanRequests: tele.Gauge("fleet.lan.requests"),
-		lanElapsed:  tele.Gauge("fleet.lan.elapsed.ns"),
+		wl:           wl,
+		opts:         opts,
+		tele:         tele,
+		topo:         topo,
+		tracker:      peer.NewTracker(),
+		network:      peer.NewStaticNetwork(),
+		ring:         telemetry.NewTraceRing(0),
+		rng:          rand.New(rand.NewSource(opts.Seed)),
+		requestBytes: int64(900 * scale),
+		nodes:        make(map[string]*node),
+		joins:        tele.Counter("fleet.joins"),
+		leaves:       tele.Counter("fleet.leaves"),
+		deploys:      tele.Counter("fleet.deploys"),
+		reads:        tele.Counter("fleet.reads"),
+		destroys:     tele.Counter("fleet.destroys"),
+		deployNS:     tele.Counter("fleet.deploy.virtual.ns"),
+		readNS:       tele.Counter("fleet.read.virtual.ns"),
+		destroyNS:    tele.Counter("fleet.destroy.virtual.ns"),
+		readBytes:    tele.Counter("fleet.read.bytes"),
+		nodesGauge:   tele.Gauge("fleet.nodes"),
+		wanBytes:     tele.Gauge("fleet.wan.bytes"),
+		wanRequests:  tele.Gauge("fleet.wan.requests"),
+		wanElapsed:   tele.Gauge("fleet.wan.elapsed.ns"),
+		lanBytes:     tele.Gauge("fleet.lan.bytes"),
+		lanRequests:  tele.Gauge("fleet.lan.requests"),
+		lanElapsed:   tele.Gauge("fleet.lan.elapsed.ns"),
 	}
 	if opts.Shards > 0 {
 		if opts.Replication == 0 {
@@ -321,7 +303,7 @@ func New(wl *Workload, opts Options) (*Harness, error) {
 			}
 			h.opts.Replication = opts.Replication
 		}
-		h.shardTopo, err = netsim.NewTopology(opts.WAN, opts.LAN)
+		h.shardTopo, err = netsim.NewTopology(wan, lan)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: shard topology: %w", err)
 		}
@@ -352,6 +334,11 @@ func New(wl *Workload, opts Options) (*Harness, error) {
 	}
 	return h, nil
 }
+
+// traceCapacity bounds each daemon's span ring: 64, not
+// telemetry.DefaultTraceCapacity, so that a 1024-node fleet does not
+// pre-allocate thousands of spans per node.
+const traceCapacity = 64
 
 // ShardID returns the canonical id of shard tier member i ("shard00"...).
 func ShardID(i int) string { return fmt.Sprintf("shard%02d", i) }
@@ -385,10 +372,9 @@ func (h *Harness) Join(id string) error {
 	}
 	dopts := dockersim.Options{
 		Links:            h.topo.Node(id),
-		GearRequestBytes: h.opts.GearRequestBytes,
-		CacheCapacity:    h.opts.CacheCapacity,
+		GearRequestBytes: h.requestBytes,
 		Telemetry:        h.tele,
-		TraceCapacity:    h.opts.TraceCapacity,
+		TraceCapacity:    traceCapacity,
 	}
 	if h.opts.Peers {
 		dopts.Peers = peer.NewExchangeWithTelemetry(id, h.tracker, h.network, h.tele)

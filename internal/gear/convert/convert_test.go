@@ -436,7 +436,7 @@ func TestParallelConversionMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnc, err := index.Encode(want.Index)
+	wantEnc, err := index.EncodeBinary(want.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestParallelConversionMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := index.Encode(res.Index)
+		enc, err := index.EncodeBinary(res.Index)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,8 @@ package index
 
 import (
 	"fmt"
-	"io/fs"
 	"path"
-	"sort"
+	"strings"
 
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/tarstream"
@@ -17,171 +16,79 @@ import (
 // under newName:newTag. Regular files appearing in the diff become new
 // Gear files: they are fingerprinted through reg and returned in
 // newFiles for upload to the Gear Registry.
+//
+// The merge is tarstream.ApplyLayer — the rule a pull stacks layers by
+// and the container's view answers by — over the index's placeholder
+// tree, with each of the diff's files standing in as its placeholder.
+// A file the diff did not write keeps its chunk table.
 func ApplyDiff(ix *Index, newName, newTag string, diff *vfs.FS, reg *hashing.Registry) (*Index, map[hashing.Fingerprint][]byte, error) {
 	if reg == nil {
 		reg = hashing.NewRegistry(nil)
 	}
-	root := toMutable(ix.Root)
-	newFiles := make(map[hashing.Fingerprint][]byte)
-
-	// Pass 1: opaque clears (must precede sibling application; see
-	// tarstream.ApplyLayer for the ordering rationale).
-	err := diff.Walk(func(p string, n *vfs.Node) error {
-		switch {
-		case path.Base(p) == tarstream.OpaqueMarker:
-			if dir := lookupMutable(root, path.Dir(p)); dir != nil {
-				dir.children = make(map[string]*mutableEntry)
-			}
-		case n.IsDir() && n.Opaque:
-			if dir := lookupMutable(root, p); dir != nil {
-				dir.children = make(map[string]*mutableEntry)
-			}
-		}
-		return nil
-	})
+	tree, err := ix.ToTree()
 	if err != nil {
-		return nil, nil, fmt.Errorf("index: apply diff: %w", err)
+		return nil, nil, err
 	}
-
-	// Pass 2: whiteouts, additions, replacements.
+	newFiles := make(map[hashing.Fingerprint][]byte)
+	written := make(map[string]bool)
+	layer := vfs.New()
 	err = diff.Walk(func(p string, n *vfs.Node) error {
-		name := path.Base(p)
-		if name == tarstream.OpaqueMarker {
-			return nil
-		}
-		if hidden, ok := tarstream.IsWhiteout(name); ok {
-			if dir := lookupMutable(root, path.Dir(p)); dir != nil {
-				delete(dir.children, hidden)
-			}
-			return nil
-		}
-		parent := mkdirMutable(root, path.Dir(p))
 		switch n.Type() {
 		case vfs.TypeDir:
-			existing := parent.children[name]
-			if existing == nil || existing.typ != vfs.TypeDir {
-				parent.children[name] = &mutableEntry{
-					typ:      vfs.TypeDir,
-					mode:     n.Mode(),
-					children: make(map[string]*mutableEntry),
-				}
-			} else {
-				existing.mode = n.Mode()
+			if err := layer.Mkdir(p, n.Mode()); err != nil {
+				return err
 			}
+			if n.Opaque {
+				layer.Lookup(p).Opaque = true
+			}
+			return nil
+		case vfs.TypeSymlink:
+			return layer.Symlink(n.Target(), p)
 		case vfs.TypeRegular:
 			data := n.Content().Data()
+			if strings.HasPrefix(path.Base(p), tarstream.WhiteoutPrefix) {
+				return layer.WriteFile(p, data, n.Mode()) // a whiteout or the opaque marker
+			}
 			fp := reg.Assign(data)
 			newFiles[fp] = data
-			parent.children[name] = &mutableEntry{
-				typ:  vfs.TypeRegular,
-				mode: n.Mode(),
-				fp:   fp,
-				size: int64(len(data)),
-			}
-		case vfs.TypeSymlink:
-			parent.children[name] = &mutableEntry{
-				typ:    vfs.TypeSymlink,
-				mode:   n.Mode(),
-				target: n.Target(),
-			}
+			written[p] = true
+			return layer.WriteFile(p, Placeholder(fp, int64(len(data))), n.Mode())
 		default:
 			return fmt.Errorf("%w: diff node type %v at %s", ErrCorrupt, n.Type(), p)
 		}
-		return nil
 	})
+	if err == nil {
+		err = tarstream.ApplyLayer(tree, layer)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("index: apply diff: %w", err)
 	}
-
-	out := &Index{Name: newName, Tag: newTag, Config: ix.Config, Root: fromMutable("", root)}
-	if err := out.Validate(); err != nil {
+	out, err := FromTree(newName, newTag, ix.Config, tree)
+	if err != nil {
 		return nil, nil, err
+	}
+	// The placeholder tree's root is a fresh one, and a layer never
+	// speaks of the root itself: it keeps the mode it had.
+	out.Root.Mode = ix.Root.Mode
+	if chunks := ix.ChunkMap(); len(chunks) > 0 {
+		keepChunks(out.Root, "", chunks, written)
 	}
 	return out, newFiles, nil
 }
 
-// mutableEntry mirrors Entry with map-based children for editing.
-type mutableEntry struct {
-	typ      vfs.FileType
-	mode     fs.FileMode
-	target   string
-	fp       hashing.Fingerprint
-	size     int64
-	chunks   []Chunk
-	children map[string]*mutableEntry
-}
-
-func toMutable(e *Entry) *mutableEntry {
-	m := &mutableEntry{
-		typ:    e.Type,
-		mode:   e.Mode,
-		target: e.Target,
-		fp:     e.Fingerprint,
-		size:   e.Size,
-		chunks: e.Chunks,
-	}
-	if e.Type == vfs.TypeDir {
-		m.children = make(map[string]*mutableEntry, len(e.Children))
-		for _, c := range e.Children {
-			m.children[c.Name] = toMutable(c)
-		}
-	}
-	return m
-}
-
-func fromMutable(name string, m *mutableEntry) *Entry {
-	e := &Entry{
-		Name:        name,
-		Type:        m.typ,
-		Mode:        m.mode,
-		Target:      m.target,
-		Fingerprint: m.fp,
-		Size:        m.size,
-		Chunks:      m.chunks,
-	}
-	if m.typ == vfs.TypeDir {
-		names := make([]string, 0, len(m.children))
-		for n := range m.children {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			e.Children = append(e.Children, fromMutable(n, m.children[n]))
-		}
-	}
-	return e
-}
-
-func lookupMutable(root *mutableEntry, p string) *mutableEntry {
-	cur := root
-	for _, part := range vfs.Split(p) {
-		if cur.typ != vfs.TypeDir {
-			return nil
-		}
-		next := cur.children[part]
-		if next == nil {
-			return nil
-		}
-		cur = next
-	}
-	return cur
-}
-
-// mkdirMutable walks to p creating directories as needed (overwriting
-// non-directories, as tar extraction does).
-func mkdirMutable(root *mutableEntry, p string) *mutableEntry {
-	cur := root
-	for _, part := range vfs.Split(p) {
-		next := cur.children[part]
-		if next == nil || next.typ != vfs.TypeDir {
-			next = &mutableEntry{
-				typ:      vfs.TypeDir,
-				mode:     0o755,
-				children: make(map[string]*mutableEntry),
+// keepChunks gives each regular file below the directory e, which is at
+// dir ("" for the root), that the diff did not write the chunk table of
+// its content.
+func keepChunks(e *Entry, dir string, chunks map[hashing.Fingerprint][]Chunk, written map[string]bool) {
+	for _, c := range e.Children {
+		p := dir + "/" + c.Name
+		switch c.Type {
+		case vfs.TypeDir:
+			keepChunks(c, p, chunks, written)
+		case vfs.TypeRegular:
+			if !written[p] {
+				c.Chunks = chunks[c.Fingerprint]
 			}
-			cur.children[part] = next
 		}
-		cur = next
 	}
-	return cur
 }

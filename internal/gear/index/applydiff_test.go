@@ -1,10 +1,18 @@
 package index
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io/fs"
+	"math/rand"
+	"path"
+	"sort"
 	"testing"
 
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/imagefmt"
+	"github.com/gear-image/gear/internal/overlay"
 	"github.com/gear-image/gear/internal/tarstream"
 	"github.com/gear-image/gear/internal/vfs"
 )
@@ -171,65 +179,254 @@ func TestApplyDiffDeduplicatesNewFiles(t *testing.T) {
 	}
 }
 
-func TestApplyDiffMatchesOverlaySemantics(t *testing.T) {
-	// Index-level diff application must agree with filesystem-level
-	// ApplyLayer on the materialized trees.
-	ix := baseIndex(t)
-	diff := vfs.New()
-	must := func(err error) {
-		t.Helper()
+// ApplyDiff applies a diff as the engine it replaced did: for random
+// indexes (directories at several modes, chunked files among them) and
+// random container sessions over them — the diff a viewer's overlay
+// mount leaves, opaque re-creations at new modes and files that repeat
+// chunked contents included — it returns the index applyDiffMutable
+// returns, to the byte, and the same new files.
+func TestApplyDiffMatchesMutableOracle(t *testing.T) {
+	modes := []fs.FileMode{0o700, 0o750, 0o755}
+	opaque := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		root := randomRoot(rng, 30)
+		root.Root().SetMode(modes[rng.Intn(len(modes))])
+		var contents [][]byte
+		_ = root.Walk(func(_ string, n *vfs.Node) error {
+			switch n.Type() {
+			case vfs.TypeDir:
+				n.SetMode(modes[rng.Intn(len(modes))])
+			case vfs.TypeRegular:
+				contents = append(contents, n.Content().Data())
+			}
+			return nil
+		})
+		contents = append(contents, []byte("fresh"), nil)
+		pol := ChunkPolicy{}
+		if seed%2 == 0 {
+			pol = FixedChunks(64)
+		}
+		ix, _, err := BuildPolicy("app", "v1", imagefmt.Config{Env: []string{"E=1"}}, root, nil, pol, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	must(diff.MkdirAll("/etc/app", 0o755))
-	must(diff.WriteFile("/etc/app/.wh.conf-link", nil, 0))
-	must(diff.WriteFile("/etc/app/new", []byte("n"), 0o644))
-	must(diff.WriteFile("/.wh.data", nil, 0))
+		tree, err := ix.ToTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		diff := containerSession(overlay.AttachShared(tree), rng, 25, contents, modes)
+		if diff.Walk(func(p string, _ *vfs.Node) error {
+			if path.Base(p) == tarstream.OpaqueMarker {
+				return errFound
+			}
+			return nil
+		}) != nil {
+			opaque++
+		}
 
-	newIx, _, err := ApplyDiff(ix, "app", "v2", diff, nil)
-	if err != nil {
-		t.Fatal(err)
+		got, gotFiles, err := ApplyDiff(ix, "app", "v2", diff, nil)
+		want, wantFiles, werr := applyDiffMutable(ix, "app", "v2", diff, nil)
+		if err != nil || werr != nil {
+			t.Fatalf("seed %d: ApplyDiff err %v, oracle err %v", seed, err, werr)
+		}
+		a, err := EncodeBinary(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := EncodeBinary(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("seed %d: ApplyDiff's index differs from the oracle's", seed)
+		}
+		if len(gotFiles) != len(wantFiles) {
+			t.Fatalf("seed %d: %d new files, oracle %d", seed, len(gotFiles), len(wantFiles))
+		}
+		for fp, data := range wantFiles {
+			if !bytes.Equal(gotFiles[fp], data) {
+				t.Fatalf("seed %d: new file %s differs", seed, fp)
+			}
+		}
 	}
-	gotTree, err := newIx.ToTree()
+	if opaque < 20 {
+		t.Errorf("only %d of the diffs re-create a directory: the comparison misses the opaque case", opaque)
+	}
+}
+
+var errFound = errors.New("found")
+
+// containerSession runs n random operations of a container on m — what
+// a viewer does to its mount — and returns the diff they leave.
+func containerSession(m *overlay.Mount, rng *rand.Rand, n int, contents [][]byte, modes []fs.FileMode) *vfs.FS {
+	for i := 0; i < n; i++ {
+		all := []string{"/"}
+		_ = m.Walk(func(p string, _ *vfs.Node) error {
+			all = append(all, p)
+			return nil
+		})
+		target := all[rng.Intn(len(all))]
+		mode := modes[rng.Intn(len(modes))]
+		data := contents[rng.Intn(len(contents))]
+		switch rng.Intn(8) {
+		case 0:
+			_ = m.WriteFile(path.Join(target, fmt.Sprintf("w%d", rng.Intn(3))), data, 0o600)
+		case 1:
+			_ = m.WriteFile(target, data, 0o640) // over a file, if it is one
+		case 2:
+			_ = m.Mkdir(path.Join(target, fmt.Sprintf("d%d", i)), mode)
+		case 3:
+			_ = m.Symlink("/elsewhere", path.Join(target, fmt.Sprintf("s%d", i)))
+		case 4:
+			_ = m.Remove(target)
+		case 5:
+			if target != "/" || rng.Intn(10) == 0 {
+				_ = m.RemoveAll(target)
+			}
+		default: // deleted and made again, at a mode of its own
+			if n, err := m.Stat(target); err == nil && n.IsDir() && target != "/" {
+				_ = m.RemoveAll(target)
+				_ = m.Mkdir(target, mode)
+			}
+		}
+	}
+	return m.DiffTree()
+}
+
+// applyDiffMutable is ApplyDiff as it was before it became
+// tarstream.ApplyLayer over the placeholder tree: a merge of its own, on
+// an editable copy of the entry tree. It is the oracle the one engine is
+// held to.
+func applyDiffMutable(ix *Index, newName, newTag string, diff *vfs.FS, reg *hashing.Registry) (*Index, map[hashing.Fingerprint][]byte, error) {
+	if reg == nil {
+		reg = hashing.NewRegistry(nil)
+	}
+	root := toMutable(ix.Root)
+	newFiles := make(map[hashing.Fingerprint][]byte)
+
+	// Pass 1: opaque clears.
+	err := diff.Walk(func(p string, n *vfs.Node) error {
+		switch {
+		case path.Base(p) == tarstream.OpaqueMarker:
+			if dir := lookupMutable(root, path.Dir(p)); dir != nil {
+				dir.children = make(map[string]*mutableEntry)
+			}
+		case n.IsDir() && n.Opaque:
+			if dir := lookupMutable(root, p); dir != nil {
+				dir.children = make(map[string]*mutableEntry)
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 
-	// Oracle: placeholder tree + raw overlay application, re-parsed.
-	oracleTree, err := ix.ToTree()
+	// Pass 2: whiteouts, additions, replacements.
+	err = diff.Walk(func(p string, n *vfs.Node) error {
+		name := path.Base(p)
+		if name == tarstream.OpaqueMarker {
+			return nil
+		}
+		if hidden, ok := tarstream.IsWhiteout(name); ok {
+			if dir := lookupMutable(root, path.Dir(p)); dir != nil {
+				delete(dir.children, hidden)
+			}
+			return nil
+		}
+		parent := mkdirMutable(root, path.Dir(p))
+		switch n.Type() {
+		case vfs.TypeDir:
+			existing := parent.children[name]
+			if existing == nil || existing.typ != vfs.TypeDir {
+				parent.children[name] = &mutableEntry{typ: vfs.TypeDir, mode: n.Mode(), children: make(map[string]*mutableEntry)}
+			} else {
+				existing.mode = n.Mode()
+			}
+		case vfs.TypeRegular:
+			data := n.Content().Data()
+			fp := reg.Assign(data)
+			newFiles[fp] = data
+			parent.children[name] = &mutableEntry{typ: vfs.TypeRegular, mode: n.Mode(), fp: fp, size: int64(len(data))}
+		case vfs.TypeSymlink:
+			parent.children[name] = &mutableEntry{typ: vfs.TypeSymlink, mode: n.Mode(), target: n.Target()}
+		default:
+			return fmt.Errorf("%w: diff node type %v at %s", ErrCorrupt, n.Type(), p)
+		}
+		return nil
+	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	// Fingerprint the diff's regular files the same way ApplyDiff does so
-	// both sides carry placeholders.
-	reg := hashing.NewRegistry(nil)
-	phDiff := vfs.New()
-	must(phDiff.MkdirAll("/etc/app", 0o755))
-	must(phDiff.WriteFile("/etc/app/.wh.conf-link", nil, 0))
-	newData := []byte("n")
-	must(phDiff.WriteFile("/etc/app/new", Placeholder(reg.Assign(newData), int64(len(newData))), 0o644))
-	must(phDiff.WriteFile("/.wh.data", nil, 0))
-	if err := tarstream.ApplyLayer(oracleTree, phDiff); err != nil {
-		t.Fatal(err)
+	out := &Index{Name: newName, Tag: newTag, Config: ix.Config, Root: fromMutable("", root)}
+	if err := out.Validate(); err != nil {
+		return nil, nil, err
 	}
-	oracleIx, err := FromTree("app", "v2", ix.Config, oracleTree)
-	if err != nil {
-		t.Fatal(err)
+	return out, newFiles, nil
+}
+
+// mutableEntry mirrors Entry with map-based children for editing.
+type mutableEntry struct {
+	typ      vfs.FileType
+	mode     fs.FileMode
+	target   string
+	fp       hashing.Fingerprint
+	size     int64
+	chunks   []Chunk
+	children map[string]*mutableEntry
+}
+
+func toMutable(e *Entry) *mutableEntry {
+	m := &mutableEntry{typ: e.Type, mode: e.Mode, target: e.Target, fp: e.Fingerprint, size: e.Size, chunks: e.Chunks}
+	if e.Type == vfs.TypeDir {
+		m.children = make(map[string]*mutableEntry, len(e.Children))
+		for _, c := range e.Children {
+			m.children[c.Name] = toMutable(c)
+		}
 	}
-	a, err := Encode(oracleIx)
-	if err != nil {
-		t.Fatal(err)
+	return m
+}
+
+func fromMutable(name string, m *mutableEntry) *Entry {
+	e := &Entry{Name: name, Type: m.typ, Mode: m.mode, Target: m.target, Fingerprint: m.fp, Size: m.size, Chunks: m.chunks}
+	if m.typ == vfs.TypeDir {
+		names := make([]string, 0, len(m.children))
+		for n := range m.children {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			e.Children = append(e.Children, fromMutable(n, m.children[n]))
+		}
 	}
-	gotIx, err := FromTree("app", "v2", ix.Config, gotTree)
-	if err != nil {
-		t.Fatal(err)
+	return e
+}
+
+func lookupMutable(root *mutableEntry, p string) *mutableEntry {
+	cur := root
+	for _, part := range vfs.Split(p) {
+		if cur.typ != vfs.TypeDir {
+			return nil
+		}
+		if cur = cur.children[part]; cur == nil {
+			return nil
+		}
 	}
-	b, err := Encode(gotIx)
-	if err != nil {
-		t.Fatal(err)
+	return cur
+}
+
+// mkdirMutable walks to p creating directories as needed (overwriting
+// non-directories, as tar extraction does).
+func mkdirMutable(root *mutableEntry, p string) *mutableEntry {
+	cur := root
+	for _, part := range vfs.Split(p) {
+		next := cur.children[part]
+		if next == nil || next.typ != vfs.TypeDir {
+			next = &mutableEntry{typ: vfs.TypeDir, mode: 0o755, children: make(map[string]*mutableEntry)}
+			cur.children[part] = next
+		}
+		cur = next
 	}
-	if string(a) != string(b) {
-		t.Errorf("ApplyDiff disagrees with overlay semantics:\n%s\nvs\n%s", b, a)
-	}
+	return cur
 }

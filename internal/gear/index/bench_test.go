@@ -70,17 +70,6 @@ func BenchmarkDecodeBinary(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeJSON(b *testing.B) {
-	ix := benchIndex(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(ix); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkToTree(b *testing.B) {
 	ix := benchIndex(b)
 	b.ReportAllocs()

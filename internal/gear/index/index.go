@@ -8,7 +8,7 @@
 // The index has four representations. They are interchangeable in what
 // they say; they differ in who holds them and for how long:
 //
-//   - the serialized blob (EncodeBinary; JSON for tools), carried by a
+//   - the serialized blob (EncodeBinary), carried by a
 //     single-layer Docker image (ToImage) so the unmodified Docker
 //     distribution path can store and pull it (§III-C). On a client the
 //     blob is read out of the layer once, as a string, and lives as long
@@ -31,7 +31,6 @@ package index
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -349,27 +348,6 @@ func checkSizes(size int64, chunks []Chunk) error {
 		return fmt.Errorf("chunk sizes sum %d != size %d: %w", sum, size, ErrCorrupt)
 	}
 	return nil
-}
-
-// Encode renders the index as JSON.
-func Encode(ix *Index) ([]byte, error) {
-	data, err := json.Marshal(ix)
-	if err != nil {
-		return nil, fmt.Errorf("index: encode %s: %w", ix.Reference(), err)
-	}
-	return data, nil
-}
-
-// Decode parses and validates index JSON.
-func Decode(data []byte) (*Index, error) {
-	var ix Index
-	if err := json.Unmarshal(data, &ix); err != nil {
-		return nil, fmt.Errorf("index: decode: %w: %w", ErrCorrupt, err)
-	}
-	if err := ix.Validate(); err != nil {
-		return nil, err
-	}
-	return &ix, nil
 }
 
 // Placeholder renders the one-line fingerprint record stored in place of

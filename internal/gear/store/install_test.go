@@ -154,7 +154,7 @@ func TestLazyIndexAfterMaterialization(t *testing.T) {
 
 	// Commits and faults from several containers at once, the first of
 	// them racing to derive the index.
-	want, _ := index.Encode(ix)
+	want, _ := index.EncodeBinary(ix)
 	var wg sync.WaitGroup
 	for i := 1; i <= 4; i++ {
 		id := fmt.Sprintf("c%d", i)
@@ -203,7 +203,7 @@ func TestLazyIndexAfterMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc, _ := index.Encode(got); !bytes.Equal(enc, want) {
+	if enc, _ := index.EncodeBinary(got); !bytes.Equal(enc, want) {
 		t.Error("Index of a blob-installed image is not the index that was published")
 	}
 	if again, _ := s.Index("app:v1"); again != got {

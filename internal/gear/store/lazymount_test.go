@@ -128,7 +128,7 @@ func randomOp(rng *rand.Rand, paths []string, own bool) lazyOp {
 			if err != nil {
 				return "Commit: " + err.Error()
 			}
-			enc, _ := index.Encode(ix)
+			enc, _ := index.EncodeBinary(ix)
 			return fmt.Sprintf("Commit = %x, %d new files", enc, len(files))
 		}
 	}

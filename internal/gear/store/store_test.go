@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/gear-image/gear/internal/cache"
+	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/gear/convert"
 	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gearregistry"
@@ -660,7 +661,7 @@ func TestDownloadIntegrityVerification(t *testing.T) {
 func TestStoreWithRetryingRemote(t *testing.T) {
 	// The store composes with the RetryStore wrapper transparently.
 	ix, reg := fixture(t)
-	retry, err := gearregistry.NewRetryStore(reg, 3)
+	retry, err := gearregistry.NewRetryStoreOptions(reg, clientopt.Options{Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

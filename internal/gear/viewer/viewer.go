@@ -76,16 +76,6 @@ func New(imageRef string, indexTree *vfs.FS, resolver Resolver) *Viewer {
 	}
 }
 
-// NewWithDiff remounts a stopped container: same index tree, existing
-// diff layer.
-func NewWithDiff(imageRef string, indexTree, diff *vfs.FS, resolver Resolver) *Viewer {
-	return &Viewer{
-		imageRef: imageRef,
-		resolver: resolver,
-		mount:    overlay.AttachSharedWithUpper(indexTree, diff),
-	}
-}
-
 // ImageRef returns the image reference this viewer serves.
 func (v *Viewer) ImageRef() string { return v.imageRef }
 

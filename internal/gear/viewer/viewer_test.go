@@ -187,21 +187,6 @@ func TestRemoveAllSubtree(t *testing.T) {
 	}
 }
 
-func TestNewWithDiffRestoresState(t *testing.T) {
-	v, r := setup(t)
-	if err := v.WriteFile("/app/conf", []byte("modified"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diff := v.DiffTree()
-	v.Close()
-
-	v2 := NewWithDiff("img:v1", r.tree, diff, r)
-	got, err := v2.ReadFile("/app/conf")
-	if err != nil || string(got) != "modified" {
-		t.Errorf("restored view = %q, %v", got, err)
-	}
-}
-
 func TestClosedViewerRejectsEverything(t *testing.T) {
 	v, _ := setup(t)
 	v.Close()

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
 )
 
@@ -198,7 +199,7 @@ func TestRetryStoreDownloadBatch(t *testing.T) {
 	reg := New(Options{})
 	fps, data := seedObjects(t, reg, 3)
 	flaky := &flakyBatchStore{Store: reg, failures: 2}
-	rs, err := NewRetryStore(flaky, 3)
+	rs, err := NewRetryStoreOptions(flaky, clientopt.Options{Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/wire"
 )
@@ -161,7 +162,7 @@ func TestRetryStoreQueryBatch(t *testing.T) {
 
 	// RetryStore forwards and retries.
 	flaky := &flakyQueryBatchStore{Store: reg, failures: 2}
-	rs, err := NewRetryStore(flaky, 3)
+	rs, err := NewRetryStoreOptions(flaky, clientopt.Options{Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

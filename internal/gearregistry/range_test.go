@@ -132,7 +132,7 @@ func TestRangeHTTPVerbSurface(t *testing.T) {
 func TestRetryStoreDownloadRange(t *testing.T) {
 	reg := New(Options{})
 	fp, data := rangeObject(t, reg)
-	r, err := NewRetryStore(reg, 3)
+	r, err := NewRetryStoreOptions(reg, clientopt.Options{Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

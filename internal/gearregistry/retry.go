@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
@@ -26,36 +25,22 @@ type RetryStore struct {
 
 var _ Store = (*RetryStore)(nil)
 
-// ErrBadAttempts reports a non-positive attempt bound.
-var ErrBadAttempts = errors.New("attempts must be >= 1")
-
-// NewRetryStore wraps inner with the given total attempt bound and no
-// backoff (retries fire immediately — the right shape for tests and
-// in-process stores).
-func NewRetryStore(inner Store, attempts int) (*RetryStore, error) {
-	return NewRetryStoreBackoff(inner, attempts, 0)
-}
-
-// NewRetryStoreBackoff wraps inner with the given total attempt bound
-// and exponential backoff: the i-th retry waits backoff << (i-1), capped
-// after clientopt.MaxBackoffShift doublings. A negative backoff is
-// rejected.
-func NewRetryStoreBackoff(inner Store, attempts int, backoff time.Duration) (*RetryStore, error) {
-	if attempts < 1 {
-		return nil, fmt.Errorf("gearregistry: retry: %d: %w", attempts, ErrBadAttempts)
-	}
-	if backoff < 0 {
-		return nil, fmt.Errorf("gearregistry: retry: negative backoff %v: %w", backoff, ErrBadAttempts)
-	}
-	return &RetryStore{inner: inner, opts: clientopt.Options{Retries: attempts - 1, Backoff: backoff}}, nil
-}
+// ErrBadAttempts reports a retry policy that cannot be run: a negative
+// backoff. (A policy always makes at least one attempt.)
+var ErrBadAttempts = errors.New("bad retry policy")
 
 // NewRetryStoreOptions wraps inner with the shared client-option retry
-// policy (gear.ClientOptions). The zero Options means a single attempt
-// — no retrying at all. Timeout is a transport concern and is ignored
-// here; NewClientWithOptions applies it.
+// policy (gear.ClientOptions): Retries extra attempts after the first,
+// the i-th of them after Backoff << (i-1), capped after
+// clientopt.MaxBackoffShift doublings. The zero Options means a single
+// attempt — no retrying at all; a negative Backoff is refused. Timeout
+// is a transport concern and is ignored here; NewClientWithOptions
+// applies it.
 func NewRetryStoreOptions(inner Store, o clientopt.Options) (*RetryStore, error) {
-	return NewRetryStoreBackoff(inner, o.Attempts(), o.Backoff)
+	if o.Backoff < 0 {
+		return nil, fmt.Errorf("gearregistry: retry: negative backoff %v: %w", o.Backoff, ErrBadAttempts)
+	}
+	return &RetryStore{inner: inner, opts: clientopt.Options{Retries: o.Attempts() - 1, Backoff: o.Backoff}}, nil
 }
 
 // Retries returns how many extra attempts have been spent so far.

@@ -52,9 +52,21 @@ func (f *flakyStore) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 	return f.Store.Download(fp)
 }
 
+// A policy that cannot be run is refused, and the zero policy — or one
+// asking for fewer retries than none — is a single attempt.
 func TestNewRetryStoreValidates(t *testing.T) {
-	if _, err := NewRetryStore(New(Options{}), 0); !errors.Is(err, ErrBadAttempts) {
-		t.Errorf("err = %v, want ErrBadAttempts", err)
+	if _, err := NewRetryStoreOptions(New(Options{}), clientopt.Options{Retries: 2, Backoff: -1}); !errors.Is(err, ErrBadAttempts) {
+		t.Errorf("negative backoff: err = %v, want ErrBadAttempts", err)
+	}
+	for _, o := range []clientopt.Options{{}, {Retries: -3}} {
+		flaky := &flakyStore{Store: New(Options{}), failures: 1}
+		r, err := NewRetryStoreOptions(flaky, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Query(hashing.FingerprintBytes([]byte("x"))); !errors.Is(err, errTransient) || flaky.calls != 1 {
+			t.Errorf("%+v: err = %v after %d calls, want errTransient after 1", o, err, flaky.calls)
+		}
 	}
 }
 
@@ -65,7 +77,7 @@ func TestRetryRecoversFromTransientFailures(t *testing.T) {
 	// 2's probe fails (ignored), its upload fails, retry 3's probe sees
 	// the object absent and the upload finally lands.
 	flaky := &flakyStore{Store: inner, failures: 3}
-	r, err := NewRetryStore(flaky, 3)
+	r, err := NewRetryStoreOptions(flaky, clientopt.Options{Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +97,7 @@ func TestRetryRecoversFromTransientFailures(t *testing.T) {
 
 func TestRetryGivesUpAfterBound(t *testing.T) {
 	flaky := &flakyStore{Store: New(Options{}), failures: 10}
-	r, err := NewRetryStore(flaky, 3)
+	r, err := NewRetryStoreOptions(flaky, clientopt.Options{Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +129,7 @@ func (l *lossyStore) Upload(fp hashing.Fingerprint, data []byte) error {
 func TestRetryUploadIsIdempotent(t *testing.T) {
 	inner := New(Options{})
 	lossy := &lossyStore{Store: inner, losses: 1}
-	r, err := NewRetryStore(lossy, 3)
+	r, err := NewRetryStoreOptions(lossy, clientopt.Options{Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +150,8 @@ func TestRetryUploadIsIdempotent(t *testing.T) {
 }
 
 func TestRetryBackoff(t *testing.T) {
-	if _, err := NewRetryStoreBackoff(New(Options{}), 3, -1); !errors.Is(err, ErrBadAttempts) {
-		t.Errorf("negative backoff: err = %v, want ErrBadAttempts", err)
-	}
 	flaky := &flakyStore{Store: New(Options{}), failures: 2}
-	r, err := NewRetryStoreBackoff(flaky, 3, time.Millisecond)
+	r, err := NewRetryStoreOptions(flaky, clientopt.Options{Retries: 2, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +169,7 @@ func TestRetryBackoff(t *testing.T) {
 func TestRetryDoesNotRetryPermanentErrors(t *testing.T) {
 	inner := New(Options{})
 	flaky := &flakyStore{Store: inner, failures: 0}
-	r, err := NewRetryStore(flaky, 5)
+	r, err := NewRetryStoreOptions(flaky, clientopt.Options{Retries: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +262,7 @@ func TestRetryQueryPassesThrough(t *testing.T) {
 	if err := inner.Upload(fp, data); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRetryStore(&flakyStore{Store: inner, failures: 1}, 2)
+	r, err := NewRetryStoreOptions(&flakyStore{Store: inner, failures: 1}, clientopt.Options{Retries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

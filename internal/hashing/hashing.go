@@ -295,15 +295,6 @@ func (r *Registry) SumAll(items [][]byte, workers int) []Sum {
 	return sums
 }
 
-// AssignAll assigns content addresses to every item using up to workers
-// goroutines for the hash computations (SumAll) and then for resolving
-// the collision IDs (AssignSums). The returned addresses are
-// bit-identical to calling Assign on each item in order, for any worker
-// count.
-func (r *Registry) AssignAll(items [][]byte, workers int) []Fingerprint {
-	return r.AssignSums(r.SumAll(items, workers), workers)
-}
-
 // AssignSums is AssignSum of every sum, resolved per shard, in input
 // order within each shard, on up to workers goroutines. The returned
 // addresses are bit-identical to calling AssignSum on each in order, for

@@ -210,9 +210,15 @@ func TestCollisionProbability(t *testing.T) {
 	}
 }
 
-// AssignAll must be indistinguishable from serial Assign calls for any
-// worker count — including the "-cN" collision IDs, which depend on
-// assignment order.
+// assignAll addresses a batch the way index.BuildKnown does: SumAll,
+// then AssignSums, on the same workers.
+func assignAll(r *Registry, items [][]byte, workers int) []Fingerprint {
+	return r.AssignSums(r.SumAll(items, workers), workers)
+}
+
+// A batch must be addressed indistinguishably from serial Assign calls
+// for any worker count — including the "-cN" collision IDs, which depend
+// on assignment order.
 func TestAssignAllMatchesSerial(t *testing.T) {
 	var items [][]byte
 	for i := 0; i < 64; i++ {
@@ -227,7 +233,7 @@ func TestAssignAllMatchesSerial(t *testing.T) {
 		}
 		for _, workers := range []int{0, 1, 2, 3, 8, 100} {
 			r := NewRegistry(hasher)
-			got := r.AssignAll(items, workers)
+			got := assignAll(r, items, workers)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("hasher %T workers %d: item %d = %s, want %s",
@@ -240,12 +246,12 @@ func TestAssignAllMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	if out := NewRegistry(nil).AssignAll(nil, 4); len(out) != 0 {
-		t.Errorf("empty AssignAll returned %v", out)
+	if out := assignAll(NewRegistry(nil), nil, 4); len(out) != 0 {
+		t.Errorf("empty assignAll returned %v", out)
 	}
 }
 
-// Concurrent AssignAll and Assign calls on one registry must be
+// Concurrent batch and single Assign calls on one registry must be
 // race-free and keep the injectivity invariant.
 func TestAssignAllConcurrent(t *testing.T) {
 	r := NewRegistry(weakHasher{})
@@ -259,7 +265,7 @@ func TestAssignAllConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = r.AssignAll(items, 4)
+			results[g] = assignAll(r, items, 4)
 		}(g)
 	}
 	wg.Wait()

@@ -99,11 +99,11 @@ func TestRegistryCollisionsUnderWeakHasherStillResolve(t *testing.T) {
 // (no goroutine may receive an empty [lo,hi) range) and empty input.
 func TestAssignAllEdgeCases(t *testing.T) {
 	r := NewRegistry(nil)
-	if out := r.AssignAll(nil, 8); out != nil {
-		t.Errorf("AssignAll(nil) = %v, want nil", out)
+	if out := assignAll(r, nil, 8); out != nil {
+		t.Errorf("assignAll(nil) = %v, want nil", out)
 	}
-	if out := r.AssignAll([][]byte{}, 0); out != nil {
-		t.Errorf("AssignAll(empty) = %v, want nil", out)
+	if out := assignAll(r, [][]byte{}, 0); out != nil {
+		t.Errorf("assignAll(empty) = %v, want nil", out)
 	}
 
 	// workers >> items: every range [w*n/workers, (w+1)*n/workers) with
@@ -115,7 +115,7 @@ func TestAssignAllEdgeCases(t *testing.T) {
 		want[i] = serial.Assign(d)
 	}
 	for _, workers := range []int{4, 17, 1000} {
-		got := NewRegistry(nil).AssignAll(items, workers)
+		got := assignAll(NewRegistry(nil), items, workers)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Errorf("workers=%d: item %d = %s, want %s", workers, i, got[i], want[i])
@@ -124,9 +124,9 @@ func TestAssignAllEdgeCases(t *testing.T) {
 	}
 
 	// Single item, many workers.
-	one := NewRegistry(nil).AssignAll([][]byte{[]byte("solo")}, 64)
+	one := assignAll(NewRegistry(nil), [][]byte{[]byte("solo")}, 64)
 	if len(one) != 1 || one[0] != FingerprintBytes([]byte("solo")) {
-		t.Errorf("single-item AssignAll = %v", one)
+		t.Errorf("single-item assignAll = %v", one)
 	}
 }
 
@@ -172,7 +172,7 @@ func BenchmarkRegistryAssignAll(b *testing.B) {
 			b.SetBytes(int64(len(items)) * 4096)
 			for i := 0; i < b.N; i++ {
 				r := NewRegistry(nil)
-				r.AssignAll(items, workers)
+				assignAll(r, items, workers)
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 // Package overlay implements an Overlay2-style union mount over vfs trees:
-// a stack of read-only lower layers (bottom first, each a layer diff with
-// literal whiteout entries) merged with one writable upper directory.
+// a read-only lower tree (a stack of layers squashed into one with
+// tarstream.ApplyLayer) merged with one writable upper directory.
 //
 // This is the graph-driver substrate of the reproduction (§II-C of the
 // Gear paper). The Docker baseline mounts all image layers plus a writable
@@ -11,7 +11,6 @@
 package overlay
 
 import (
-	"errors"
 	"fmt"
 	"io/fs"
 	"path"
@@ -22,10 +21,7 @@ import (
 	"github.com/gear-image/gear/internal/vfs"
 )
 
-// ErrReadOnly reports a write to a read-only mount.
-var ErrReadOnly = errors.New("read-only mount")
-
-// Mount is a union view of lower layers and a writable upper tree.
+// Mount is a union view of a lower tree and a writable upper tree.
 // It is not safe for concurrent mutation; the Gear driver serializes
 // writes per container exactly as the kernel serializes per-inode.
 type Mount struct {
@@ -33,21 +29,6 @@ type Mount struct {
 	squash *vfs.FS
 	// upper holds this container's modifications, with literal whiteouts.
 	upper *vfs.FS
-	// readonly disables all mutation (used for index-only mounts).
-	readonly bool
-}
-
-// New mounts the given lower layer diffs (bottom first) under a fresh
-// writable upper. Lower layers may contain whiteout entries; they are
-// resolved while squashing, mirroring how Overlay2 presents a merged view.
-func New(lowers ...*vfs.FS) (*Mount, error) {
-	squash := vfs.New()
-	for i, l := range lowers {
-		if err := tarstream.ApplyLayer(squash, l); err != nil {
-			return nil, fmt.Errorf("overlay: squash lower %d: %w", i, err)
-		}
-	}
-	return &Mount{squash: squash, upper: vfs.New()}, nil
 }
 
 // AttachShared mounts an existing tree as the read-only lower WITHOUT
@@ -55,38 +36,17 @@ func New(lowers ...*vfs.FS) (*Mount, error) {
 // refinements of it (the Gear driver swapping a fingerprint placeholder
 // for a hard-linked Gear file, §III-D2) become visible to every mount
 // attached to the same tree — matching how all containers of one image
-// share the kernel's dentry tree for the index directory.
+// share the kernel's dentry tree for the index directory. The upper
+// starts empty. A stack of layers is mounted by squashing it into one
+// tree first, with tarstream.ApplyLayer.
 func AttachShared(lower *vfs.FS) *Mount {
 	return &Mount{squash: lower, upper: vfs.New()}
 }
-
-// AttachSharedWithUpper is AttachShared with an existing upper tree (a
-// stopped container's diff directory being re-mounted).
-func AttachSharedWithUpper(lower, upper *vfs.FS) *Mount {
-	return &Mount{squash: lower, upper: upper}
-}
-
-// NewWithUpper mounts lowers under an existing upper tree (e.g. when
-// re-mounting a stopped container's diff directory).
-func NewWithUpper(upper *vfs.FS, lowers ...*vfs.FS) (*Mount, error) {
-	m, err := New(lowers...)
-	if err != nil {
-		return nil, err
-	}
-	m.upper = upper
-	return m, nil
-}
-
-// SetReadOnly marks the mount read-only.
-func (m *Mount) SetReadOnly() { m.readonly = true }
 
 // Upper returns the writable layer (the "diff/" directory). Mutating it
 // directly bypasses whiteout bookkeeping; callers should treat it as
 // read-only and use Commit-style flows instead.
 func (m *Mount) Upper() *vfs.FS { return m.upper }
-
-// Lower returns the squashed read-only view of all lower layers.
-func (m *Mount) Lower() *vfs.FS { return m.squash }
 
 // whiteoutPath returns the upper-layer whiteout marker path for the clean
 // path p.
@@ -190,19 +150,33 @@ func (m *Mount) Readlink(p string) (string, error) {
 	return n.Target(), nil
 }
 
-// ensureUpperDir materializes p's directory chain in the upper layer
-// (Overlay2's "copy-up" of parent directories before a write).
+// ensureUpperDir copies the directory dir, a clean path the union view
+// holds as a directory, up into the upper layer with every ancestor the
+// upper lacks (Overlay2's copy-up of parent directories before a write).
+// Each is made with the mode the union view shows for it, so a write
+// below a directory leaves the directory as it was — in the view, and in
+// the diff a commit applies.
 func (m *Mount) ensureUpperDir(dir string) error {
-	return m.upper.MkdirAll(dir, 0o755)
+	if m.upper.Exists(dir) {
+		return nil
+	}
+	for i := 2; i <= len(dir); i++ {
+		if i < len(dir) && dir[i] != '/' {
+			continue
+		}
+		if p := dir[:i]; !m.upper.Exists(p) {
+			if err := m.upper.Mkdir(p, m.lookup(p).Mode()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // WriteFile writes a regular file at p. The write lands in the upper
 // layer; a same-named lower file is shadowed (whole-file copy-up
 // semantics). Parent directories must exist in the union view.
 func (m *Mount) WriteFile(p string, data []byte, mode fs.FileMode) error {
-	if m.readonly {
-		return fmt.Errorf("overlay: write %s: %w", vfs.Clean(p), ErrReadOnly)
-	}
 	p = vfs.Clean(p)
 	dir := path.Dir(p)
 	if dir != "/" {
@@ -230,9 +204,6 @@ func (m *Mount) WriteFile(p string, data []byte, mode fs.FileMode) error {
 
 // Mkdir creates a directory at p in the upper layer.
 func (m *Mount) Mkdir(p string, mode fs.FileMode) error {
-	if m.readonly {
-		return fmt.Errorf("overlay: mkdir %s: %w", vfs.Clean(p), ErrReadOnly)
-	}
 	p = vfs.Clean(p)
 	if m.Exists(p) {
 		return fmt.Errorf("overlay: mkdir %s: %w", p, vfs.ErrExist)
@@ -266,9 +237,6 @@ func (m *Mount) Mkdir(p string, mode fs.FileMode) error {
 
 // Symlink creates a symbolic link at p in the upper layer.
 func (m *Mount) Symlink(target, p string) error {
-	if m.readonly {
-		return fmt.Errorf("overlay: symlink %s: %w", vfs.Clean(p), ErrReadOnly)
-	}
 	p = vfs.Clean(p)
 	dir := path.Dir(p)
 	if dir != "/" {
@@ -298,9 +266,6 @@ func (m *Mount) Symlink(target, p string) error {
 // the upper layer ("Gear File Viewer creates ... a whiteout file in diff",
 // §III-D2).
 func (m *Mount) Remove(p string) error {
-	if m.readonly {
-		return fmt.Errorf("overlay: remove %s: %w", vfs.Clean(p), ErrReadOnly)
-	}
 	p = vfs.Clean(p)
 	if p == "/" {
 		return fmt.Errorf("overlay: remove /: %w", vfs.ErrInvalid)
@@ -337,9 +302,6 @@ func (m *Mount) Remove(p string) error {
 // RemoveAll deletes the subtree at p from the union view. Missing paths
 // are not an error.
 func (m *Mount) RemoveAll(p string) error {
-	if m.readonly {
-		return fmt.Errorf("overlay: removeall %s: %w", vfs.Clean(p), ErrReadOnly)
-	}
 	p = vfs.Clean(p)
 	if p == "/" {
 		// rm -rf /: empty the writable layer and hide the whole lower
@@ -502,9 +464,6 @@ func (m *Mount) Materialize() (*vfs.FS, error) {
 // is what "docker commit" turns into a new read-only layer (§II-A) and
 // what the Gear File Viewer's commit extracts Gear files from (§III-D2).
 func (m *Mount) DiffTree() *vfs.FS { return m.upper.Clone() }
-
-// UpperStats summarizes the writable layer.
-func (m *Mount) UpperStats() tarstream.LayerStats { return tarstream.StatsOf(m.upper) }
 
 // IsMarkerName reports whether name is overlay bookkeeping (whiteout or
 // opaque marker) rather than visible payload.

@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"path"
 	"strings"
@@ -33,11 +34,34 @@ func lowerFixture(t *testing.T) *vfs.FS {
 
 func newMount(t *testing.T) *Mount {
 	t.Helper()
-	m, err := New(lowerFixture(t))
-	if err != nil {
-		t.Fatal(err)
+	return squash(t, lowerFixture(t))
+}
+
+// squash mounts lowers (bottom first) the way a caller holding a stack of
+// layers does: each is applied onto one tree, and the tree is attached.
+func squash(tb testing.TB, lowers ...*vfs.FS) *Mount {
+	tb.Helper()
+	tree := vfs.New()
+	for _, l := range lowers {
+		if err := tarstream.ApplyLayer(tree, l); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	return m
+	return AttachShared(tree)
+}
+
+// upperCounts is how many whiteout and opaque markers m's upper holds,
+// and how many bytes its other regular files do.
+func upperCounts(m *Mount) (whiteouts int, payload int64) {
+	_ = m.upper.Walk(func(p string, n *vfs.Node) error {
+		if IsMarkerName(path.Base(p)) {
+			whiteouts++
+		} else if n.Type() == vfs.TypeRegular {
+			payload += n.Size()
+		}
+		return nil
+	})
+	return whiteouts, payload
 }
 
 func TestReadThroughToLower(t *testing.T) {
@@ -74,14 +98,44 @@ func TestWriteShadowsLower(t *testing.T) {
 		t.Errorf("ReadFile = %q, %v", got, err)
 	}
 	// The lower tree is untouched.
-	low, err := m.Lower().ReadFile("/etc/conf")
+	low, err := m.squash.ReadFile("/etc/conf")
 	if err != nil || string(low) != "lower" {
 		t.Errorf("lower mutated: %q, %v", low, err)
 	}
 	// The upper diff contains exactly the one change.
-	s := m.UpperStats()
-	if s.Whiteouts != 0 || s.Bytes != int64(len("upper")) {
-		t.Errorf("upper stats = %+v", s)
+	if whiteouts, payload := upperCounts(m); whiteouts != 0 || payload != int64(len("upper")) {
+		t.Errorf("upper holds %d whiteouts, %d bytes", whiteouts, payload)
+	}
+}
+
+// A write below a directory copies the directory up as the container
+// sees it: its mode stays what it was, in the view and in the diff a
+// commit applies.
+func TestCopyUpKeepsDirectoryMode(t *testing.T) {
+	lower := vfs.New()
+	if err := lower.MkdirAll("/secret/inner", 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if err := lower.WriteFile("/secret/a", []byte("a"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	m := squash(t, lower)
+	if err := m.WriteFile("/secret/b", []byte("b"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Remove("/secret/inner"); err != nil {
+		t.Fatal(err)
+	}
+	n, err := m.Stat("/secret")
+	if err != nil || n.Mode() != 0o700 {
+		t.Fatalf("Stat(/secret) = %v, %v; want mode 700", n, err)
+	}
+	committed := m.squash.Clone()
+	if err := tarstream.ApplyLayer(committed, m.DiffTree()); err != nil {
+		t.Fatal(err)
+	}
+	if n := committed.Lookup("/secret"); n == nil || n.Mode() != 0o700 {
+		t.Errorf("committed /secret = %v; want mode 700", n)
 	}
 }
 
@@ -109,12 +163,11 @@ func TestRemoveLowerCreatesWhiteout(t *testing.T) {
 	if _, err := m.ReadFile("/etc/conf"); !errors.Is(err, vfs.ErrNotExist) {
 		t.Errorf("err = %v", err)
 	}
-	s := m.UpperStats()
-	if s.Whiteouts != 1 {
-		t.Errorf("whiteouts = %d, want 1", s.Whiteouts)
+	if whiteouts, _ := upperCounts(m); whiteouts != 1 {
+		t.Errorf("whiteouts = %d, want 1", whiteouts)
 	}
 	// Lower still intact.
-	if !m.Lower().Exists("/etc/conf") {
+	if !m.squash.Exists("/etc/conf") {
 		t.Error("lower mutated")
 	}
 }
@@ -130,7 +183,7 @@ func TestRemoveUpperOnlyLeavesNoWhiteout(t *testing.T) {
 	if m.Exists("/etc/new") {
 		t.Error("still visible")
 	}
-	if got := m.UpperStats().Whiteouts; got != 0 {
+	if got, _ := upperCounts(m); got != 0 {
 		t.Errorf("whiteouts = %d, want 0 (no lower entry to hide)", got)
 	}
 }
@@ -189,7 +242,7 @@ func TestWriteRevivesDeletedFile(t *testing.T) {
 	if err != nil || string(got) != "reborn" {
 		t.Errorf("ReadFile = %q, %v", got, err)
 	}
-	if got := m.UpperStats().Whiteouts; got != 0 {
+	if got, _ := upperCounts(m); got != 0 {
 		t.Errorf("whiteouts = %d, want 0 after revival", got)
 	}
 }
@@ -260,10 +313,7 @@ func TestUpperFileShadowsLowerDir(t *testing.T) {
 	if err := lower.WriteFile("/opt/app/bin", []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(lower)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := squash(t, lower)
 	if err := m.RemoveAll("/opt/app"); err != nil {
 		t.Fatal(err)
 	}
@@ -304,36 +354,13 @@ func TestMultipleLowerLayers(t *testing.T) {
 	if err := l2.WriteFile("/a/.wh.gone", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(l1, l2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := squash(t, l1, l2)
 	got, err := m.ReadFile("/a/f")
 	if err != nil || string(got) != "v2" {
 		t.Errorf("upper layer did not win: %q, %v", got, err)
 	}
 	if m.Exists("/a/gone") {
 		t.Error("lower whiteout not applied while squashing")
-	}
-}
-
-func TestReadOnlyMount(t *testing.T) {
-	m := newMount(t)
-	m.SetReadOnly()
-	ops := map[string]error{
-		"write":     m.WriteFile("/etc/x", nil, 0o644),
-		"mkdir":     m.Mkdir("/newdir", 0o755),
-		"symlink":   m.Symlink("t", "/etc/l"),
-		"remove":    m.Remove("/etc/conf"),
-		"removeall": m.RemoveAll("/etc"),
-	}
-	for name, err := range ops {
-		if !errors.Is(err, ErrReadOnly) {
-			t.Errorf("%s err = %v, want ErrReadOnly", name, err)
-		}
-	}
-	if _, err := m.ReadFile("/etc/conf"); err != nil {
-		t.Errorf("read on read-only mount failed: %v", err)
 	}
 }
 
@@ -384,7 +411,7 @@ func TestCommitRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := m.Lower().Clone()
+	base := m.squash.Clone()
 	if err := tarstream.ApplyLayer(base, m.DiffTree()); err != nil {
 		t.Fatal(err)
 	}
@@ -399,17 +426,15 @@ func TestCommitRoundTrip(t *testing.T) {
 	}
 }
 
+// A stopped container's diff, mounted again over its image, is the
+// container as it was.
 func TestNewWithUpperRestoresState(t *testing.T) {
 	m := newMount(t)
 	if err := m.WriteFile("/etc/conf", []byte("persisted"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	diff := m.DiffTree()
-
-	m2, err := NewWithUpper(diff, lowerFixture(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m2 := newMount(t)
+	m2.upper = m.DiffTree()
 	got, err := m2.ReadFile("/etc/conf")
 	if err != nil || string(got) != "persisted" {
 		t.Errorf("remounted upper lost data: %q, %v", got, err)
@@ -423,7 +448,7 @@ func snapshot(f *vfs.FS) string {
 		if n.Type() == vfs.TypeRegular {
 			body = string(n.Content().Data())
 		}
-		fmt.Fprintf(&sb, "%s %v %q %q\n", p, n.Type(), n.Target(), body)
+		fmt.Fprintf(&sb, "%s %v %o %q %q\n", p, n.Type(), n.Mode(), n.Target(), body)
 		return nil
 	})
 	return sb.String()
@@ -436,7 +461,7 @@ func mountSnapshot(m *Mount) string {
 		if n.Type() == vfs.TypeRegular {
 			body = string(n.Content().Data())
 		}
-		fmt.Fprintf(&sb, "%s %v %q %q\n", p, n.Type(), n.Target(), body)
+		fmt.Fprintf(&sb, "%s %v %o %q %q\n", p, n.Type(), n.Mode(), n.Target(), body)
 		return nil
 	})
 	return sb.String()
@@ -444,7 +469,8 @@ func mountSnapshot(m *Mount) string {
 
 // Property: a random series of mount mutations keeps three invariants:
 // (1) the union view never shows marker names, (2) Materialize equals
-// ApplyLayer(lower, diff), and (3) the lower tree is never mutated —
+// ApplyLayer(lower, diff) in every entry's type, mode, content and
+// target, and (3) the lower tree is never mutated —
 // and after every one of them the one-descent lookup answers every path
 // as the path-string reference does (agreesWithReference).
 func TestMountInvariantsProperty(t *testing.T) {
@@ -454,10 +480,7 @@ func TestMountInvariantsProperty(t *testing.T) {
 		buildRandomTree(lower, rng, 25)
 		lowerSnap := snapshot(lower)
 
-		m, err := New(lower)
-		if err != nil {
-			return false
-		}
+		m := squash(t, lower)
 		agrees := true
 		applyRandomMountOps(m, rng, 40, func() { agrees = agrees && agreesWithReference(t, m) })
 		if !agrees {
@@ -476,7 +499,7 @@ func TestMountInvariantsProperty(t *testing.T) {
 			return false
 		}
 		// (2) commit round trip
-		base := m.Lower().Clone()
+		base := m.squash.Clone()
 		if err := tarstream.ApplyLayer(base, m.DiffTree()); err != nil {
 			return false
 		}
@@ -495,6 +518,9 @@ func TestMountInvariantsProperty(t *testing.T) {
 	}
 }
 
+// dirModes are the directory modes the random trees and mutations use.
+var dirModes = []fs.FileMode{0o700, 0o750, 0o755}
+
 func buildRandomTree(f *vfs.FS, rng *rand.Rand, n int) {
 	dirs := []string{"/"}
 	for i := 0; i < n; i++ {
@@ -503,7 +529,7 @@ func buildRandomTree(f *vfs.FS, rng *rand.Rand, n int) {
 		p := path.Join(d, name)
 		switch rng.Intn(3) {
 		case 0:
-			if f.Mkdir(p, 0o755) == nil {
+			if f.Mkdir(p, dirModes[rng.Intn(len(dirModes))]) == nil {
 				dirs = append(dirs, p)
 			}
 		case 1:
@@ -530,16 +556,24 @@ func applyRandomMountOps(m *Mount, rng *rand.Rand, n int, after func()) {
 	for i := 0; i < n; i++ {
 		refresh()
 		target := all[rng.Intn(len(all))]
-		switch rng.Intn(5) {
+		mode := dirModes[rng.Intn(len(dirModes))]
+		switch rng.Intn(6) {
 		case 0:
 			_ = m.WriteFile(path.Join(target, fmt.Sprintf("w%02d", i)), []byte{byte(i)}, 0o644)
 		case 1:
-			_ = m.Mkdir(path.Join(target, fmt.Sprintf("d%02d", i)), 0o755)
+			_ = m.Mkdir(path.Join(target, fmt.Sprintf("d%02d", i)), mode)
 		case 2:
 			_ = m.Symlink("/x", path.Join(target, fmt.Sprintf("s%02d", i)))
 		case 3:
 			if target != "/" {
 				_ = m.Remove(target)
+			}
+		case 4:
+			// A directory deleted and made again, at a mode of its own:
+			// over a lower directory that is an opaque one.
+			if n, err := m.Stat(target); err == nil && n.IsDir() && target != "/" {
+				_ = m.RemoveAll(target)
+				_ = m.Mkdir(target, mode)
 			}
 		default:
 			if target != "/" {
@@ -559,17 +593,12 @@ func TestRemountProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		lower := vfs.New()
 		buildRandomTree(lower, rng, 20)
-		m, err := New(lower)
-		if err != nil {
-			return false
-		}
+		m := squash(t, lower)
 		applyRandomMountOps(m, rng, 30, nil)
 		before := mountSnapshot(m)
 
-		m2, err := NewWithUpper(m.DiffTree(), lower)
-		if err != nil {
-			return false
-		}
+		m2 := squash(t, lower)
+		m2.upper = m.DiffTree()
 		return mountSnapshot(m2) == before
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
@@ -763,7 +792,7 @@ func TestStatMatchesReferenceCorners(t *testing.T) {
 	must(upper.WriteFile("/bin/tool", []byte("upper tool"), 0o755))
 	must(upper.MkdirAll("/etc/"+tarstream.OpaqueMarker, 0o755))
 	must(upper.Symlink("/elsewhere", "/var"))
-	m = AttachSharedWithUpper(lower, upper)
+	m = &Mount{squash: lower, upper: upper}
 	check(m, "a hand-made upper")
 }
 

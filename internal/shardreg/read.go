@@ -362,7 +362,7 @@ func (c *Cluster) readOne(what string, fp hashing.Fingerprint, ranged bool, call
 			continue
 		}
 		s.inflight.Add(1)
-		payload, wire, err := call(s.store)
+		payload, wire, err := call(s.reg)
 		if err != nil {
 			s.inflight.Add(-1)
 			if ranged && rangePermanent(err) {

@@ -29,15 +29,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/netsim"
 	"github.com/gear-image/gear/internal/telemetry"
 )
 
-// DefaultVirtualNodes is the per-shard virtual-node count when Options
-// leaves it zero: enough points that primary ownership stays within a
+// DefaultVirtualNodes is the per-shard virtual-node count of every
+// cluster's ring: enough points that primary ownership stays within a
 // few percent of even at single-digit shard counts.
 const DefaultVirtualNodes = 64
 
@@ -69,17 +68,9 @@ type Options struct {
 	// Replication is how many shards hold each object (default 1; must
 	// not exceed the member count).
 	Replication int
-	// VirtualNodes is the per-shard ring point count (default
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// Compress stores objects gzip-compressed on every shard, like a
 	// single registry with Options.Compress.
 	Compress bool
-	// Retry, when non-zero, wraps every shard's store with the shared
-	// clientopt retry policy (the same wrapper a flaky single-registry
-	// client uses); replica failover sits above it, so a transient
-	// shard error retries in place before the router moves on.
-	Retry clientopt.Options
 	// Telemetry, if set, is the registry the tier's shardreg.* metrics
 	// publish into — per-shard object/byte gauges plus routing counters
 	// — so fleet-wide snapshots reconcile the tier exactly. Nil gets a
@@ -95,13 +86,11 @@ type Options struct {
 	Read ReadOptions
 }
 
-// shard is one cluster member: an in-process Gear registry behind the
-// (optionally retry-wrapped) store interface, its topology links, and
-// its liveness flag.
+// shard is one cluster member: an in-process Gear registry, its
+// topology links, and its liveness flag.
 type shard struct {
 	id    string
 	reg   *gearregistry.Registry
-	store gearregistry.Store
 	links *netsim.NodeLinks
 	down  atomic.Bool
 
@@ -218,9 +207,6 @@ func New(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("shardreg: %d replicas across %d shards: %w",
 			opts.Replication, len(opts.Shards), ErrBadReplication)
 	}
-	if opts.VirtualNodes < 1 {
-		opts.VirtualNodes = DefaultVirtualNodes
-	}
 	tele := opts.Telemetry
 	if tele == nil {
 		tele = telemetry.NewRegistry()
@@ -228,7 +214,7 @@ func New(opts Options) (*Cluster, error) {
 	c := &Cluster{
 		opts:         opts,
 		tele:         tele,
-		ring:         NewRing(opts.VirtualNodes),
+		ring:         NewRing(DefaultVirtualNodes),
 		shards:       make(map[string]*shard, len(opts.Shards)),
 		queries:      tele.Counter("shardreg.query.requests"),
 		uploads:      tele.Counter("shardreg.upload.requests"),
@@ -263,17 +249,9 @@ func New(opts Options) (*Cluster, error) {
 }
 
 func (c *Cluster) newShard(id string) *shard {
-	reg := gearregistry.New(gearregistry.Options{Compress: c.opts.Compress})
-	var store gearregistry.Store = reg
-	if c.opts.Retry.Attempts() > 1 {
-		// Attempts >= 1 is guaranteed, so the constructor cannot fail.
-		rs, _ := gearregistry.NewRetryStoreOptions(reg, c.opts.Retry)
-		store = rs
-	}
 	s := &shard{
 		id:        id,
-		reg:       reg,
-		store:     store,
+		reg:       gearregistry.New(gearregistry.Options{Compress: c.opts.Compress}),
 		objects:   c.tele.Gauge("shardreg.shard." + id + ".objects"),
 		bytes:     c.tele.Gauge("shardreg.shard." + id + ".bytes"),
 		reads:     c.tele.Counter("shardreg.shard." + id + ".reads"),
@@ -290,9 +268,6 @@ func (c *Cluster) Telemetry() *telemetry.Registry { return c.tele }
 
 // Replication returns the configured replica count.
 func (c *Cluster) Replication() int { return c.opts.Replication }
-
-// VirtualNodes returns the per-shard ring point count.
-func (c *Cluster) VirtualNodes() int { return c.opts.VirtualNodes }
 
 // Shards lists member ids in sorted order.
 func (c *Cluster) Shards() []string {
@@ -367,7 +342,7 @@ func (c *Cluster) Upload(fp hashing.Fingerprint, data []byte) error {
 			lastErr = s.downErr()
 			continue
 		}
-		if err := s.store.Upload(fp, data); err != nil {
+		if err := s.reg.Upload(fp, data); err != nil {
 			if permanentUpload(err) {
 				return fmt.Errorf("shardreg: upload %s: %w", fp, err)
 			}
@@ -496,7 +471,7 @@ func (c *Cluster) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
 		for k, i := range idxs {
 			sub[k] = fps[i]
 		}
-		verdicts, err := s.store.QueryBatch(sub)
+		verdicts, err := s.reg.QueryBatch(sub)
 		if err != nil {
 			return err
 		}
@@ -530,7 +505,7 @@ func (c *Cluster) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, err
 		for k, i := range idxs {
 			sub[k] = fps[i]
 		}
-		ps, w, err := s.store.DownloadBatch(sub)
+		ps, w, err := s.reg.DownloadBatch(sub)
 		if err != nil {
 			return err
 		}
@@ -560,7 +535,7 @@ func (c *Cluster) ShardQueryBatch(id string, fps []hashing.Fingerprint) ([]bool,
 		return nil, s.downErr()
 	}
 	c.queries.Add(int64(len(fps)))
-	return s.store.QueryBatch(fps)
+	return s.reg.QueryBatch(fps)
 }
 
 // ShardDownloadBatch serves a batch from one addressed shard, with no
@@ -574,7 +549,7 @@ func (c *Cluster) ShardDownloadBatch(id string, fps []hashing.Fingerprint) ([][]
 		return nil, 0, s.downErr()
 	}
 	c.downloads.Add(int64(len(fps)))
-	payloads, wire, err := s.store.DownloadBatch(fps)
+	payloads, wire, err := s.reg.DownloadBatch(fps)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -857,7 +832,7 @@ func (c *Cluster) Stats() Stats {
 	share := c.ring.OwnedShare()
 	st := Stats{
 		Replication:       c.opts.Replication,
-		VirtualNodes:      c.opts.VirtualNodes,
+		VirtualNodes:      DefaultVirtualNodes,
 		Failovers:         c.failovers.Value(),
 		DegradedUploads:   c.degraded.Value(),
 		RebalancedObjects: c.rebalObjects.Value(),

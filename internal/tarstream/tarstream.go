@@ -740,65 +740,81 @@ func IsWhiteout(name string) (hidden string, ok bool) {
 }
 
 // ApplyLayer merges a layer diff (as produced by Unpack, with literal
-// whiteout entries) into base, implementing Overlay2's union semantics:
-// whiteouts delete lower entries, the opaque marker clears a directory,
-// and every other entry replaces or adds to base.
+// whiteout entries) into base. It is the repository's one changeset
+// rule — pulling an image (the converter stacks its layers with it),
+// committing a container (index.ApplyDiff) and the container's own view
+// (package overlay, whose writable layer this applies over its lower)
+// all answer as it does — and the rule is Overlay2's:
 //
-// Opaque directories are cleared in a first pass — before any sibling
-// entries are applied — because tar walk order is lexicographic and the
-// ".wh..wh..opq" marker can otherwise sort after entries it must not
-// erase (e.g. ".bashrc").
+//   - a whiteout deletes the named entry of the layers below, and an
+//     opaque directory (a ".wh..wh..opq" marker in it, or the Opaque
+//     flag) hides everything they hold under it. Both speak of the
+//     layers below only, so they are applied first, before any entry of
+//     the layer itself: tar order is lexicographic, and a marker or a
+//     whiteout can sort after entries it must not erase (".bashrc");
+//   - every other entry adds to base or replaces what base holds at its
+//     path, and a directory entry sets its directory's mode, whether the
+//     directory was there before or not. A cleared opaque directory is
+//     made again by its own entry, with that entry's mode.
+//
+// Modes are set on base's nodes in place: base must be the caller's
+// alone while ApplyLayer runs.
 func ApplyLayer(base *vfs.FS, layer *vfs.FS) error {
-	// Pass 1: opaque directory clears (literal markers or Opaque flags).
+	// Pass 1: what the layer hides of the layers below.
 	err := layer.Walk(func(p string, n *vfs.Node) error {
-		var dir string
-		switch {
-		case path.Base(p) == OpaqueMarker:
-			dir = vfs.Clean(path.Dir(p))
-		case n.Type() == vfs.TypeDir && n.Opaque:
-			dir = p
-		default:
-			return nil
-		}
-		if err := base.RemoveAll(dir); err != nil {
-			return err
-		}
-		return base.MkdirAll(dir, 0o755)
-	})
-	if err != nil {
-		return fmt.Errorf("tarstream: apply layer opaque: %w", err)
-	}
-
-	// Pass 2: whiteouts, additions, and replacements.
-	err = layer.Walk(func(p string, n *vfs.Node) error {
 		i := strings.LastIndexByte(p, '/')
 		dir, name := p[:max(i, 1)], p[i+1:]
-
-		if name == OpaqueMarker {
-			return nil // handled in pass 1
-		}
+		var gone string
 		if hidden, ok := IsWhiteout(name); ok {
-			target := path.Join(dir, hidden)
-			return base.RemoveAll(target)
+			if hidden == "" || hidden == "." || hidden == ".." {
+				return nil // names nothing a layer below can hold
+			}
+			gone = path.Join(dir, hidden)
+		} else if name == OpaqueMarker {
+			gone = dir
+		} else if n.IsDir() && n.Opaque {
+			gone = p
+		} else {
+			return nil
 		}
+		// Below a path that is not a directory there is nothing to hide.
+		if err := base.RemoveAll(gone); err != nil && !errors.Is(err, vfs.ErrNotDir) {
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("tarstream: apply layer whiteouts: %w", err)
+	}
 
+	// Pass 2: additions and replacements.
+	err = layer.Walk(func(p string, n *vfs.Node) error {
+		name := p[strings.LastIndexByte(p, '/')+1:]
+		if _, ok := IsWhiteout(name); ok || name == OpaqueMarker {
+			return nil // applied in pass 1
+		}
+		existing := base.Lookup(p)
 		switch n.Type() {
 		case vfs.TypeDir:
-			if existing := base.Lookup(p); existing != nil && !existing.IsDir() {
+			if existing != nil && existing.IsDir() {
+				existing.SetMode(n.Mode())
+				return nil
+			}
+			if existing != nil {
 				if err := base.Remove(p); err != nil {
 					return err
 				}
 			}
 			return base.MkdirAll(p, n.Mode())
 		case vfs.TypeRegular:
-			if existing := base.Lookup(p); existing != nil && existing.IsDir() {
+			if existing != nil && existing.IsDir() {
 				if err := base.RemoveAll(p); err != nil {
 					return err
 				}
 			}
 			return base.WriteFile(p, n.Content().Data(), n.Mode())
 		case vfs.TypeSymlink:
-			if existing := base.Lookup(p); existing != nil && existing.IsDir() {
+			if existing != nil && existing.IsDir() {
 				if err := base.RemoveAll(p); err != nil {
 					return err
 				}
@@ -814,32 +830,6 @@ func ApplyLayer(base *vfs.FS, layer *vfs.FS) error {
 	return nil
 }
 
-// LayerStats summarizes a layer's visible payload: whiteout markers are
-// counted separately from real entries.
-type LayerStats struct {
-	Entries   int   // real files/dirs/symlinks
-	Whiteouts int   // deletion markers (including opaque)
-	Bytes     int64 // regular-file payload bytes
-}
-
-// StatsOf inspects a layer tree.
-func StatsOf(layer *vfs.FS) LayerStats {
-	var s LayerStats
-	_ = layer.Walk(func(p string, n *vfs.Node) error {
-		name := path.Base(p)
-		if _, ok := IsWhiteout(name); ok || name == OpaqueMarker {
-			s.Whiteouts++
-			return nil
-		}
-		s.Entries++
-		if n.Type() == vfs.TypeRegular {
-			s.Bytes += n.Size()
-		}
-		return nil
-	})
-	return s
-}
-
 // Diff computes the layer tree that transforms base into next: changed and
 // added entries appear literally, deletions appear as whiteout files. The
 // result round-trips through ApplyLayer(base, Diff(base, next)) == next.
@@ -852,7 +842,7 @@ func Diff(base, next *vfs.FS) (*vfs.FS, error) {
 		if old != nil && sameNode(old, n) {
 			return nil
 		}
-		if err := layer.MkdirAll(path.Dir(p), 0o755); err != nil {
+		if err := mkParents(layer, next, p); err != nil {
 			return err
 		}
 		switch n.Type() {
@@ -881,26 +871,15 @@ func Diff(base, next *vfs.FS) (*vfs.FS, error) {
 		if next.Exists(p) {
 			return nil
 		}
-		// Skip children of already-whiteouted directories.
-		parent := path.Dir(p)
-		if parent != "/" && !next.Exists(parent) {
-			return nil
-		}
-		if err := layer.MkdirAll(path.Dir(p), 0o755); err != nil {
-			return err
-		}
-		// A replacement (e.g. file -> dir handled above) may already have
-		// an entry; a pure deletion needs a whiteout.
-		if n.Type() == vfs.TypeDir {
-			// Directory replaced by file/symlink: the new entry already
-			// overwrites it under ApplyLayer semantics; only emit a
-			// whiteout when nothing replaces it.
-			if layerHas(layer, p) {
+		// What was below a directory next no longer holds as one went
+		// with it: its whiteout, or the entry replacing it, says so.
+		if parent := path.Dir(p); parent != "/" {
+			if pn := next.Lookup(parent); pn == nil || !pn.IsDir() {
 				return nil
 			}
 		}
-		if layerHas(layer, p) {
-			return nil
+		if err := mkParents(layer, next, p); err != nil {
+			return err
 		}
 		return writeWhiteout(layer, p)
 	})
@@ -910,8 +889,22 @@ func Diff(base, next *vfs.FS) (*vfs.FS, error) {
 	return layer, nil
 }
 
-func layerHas(layer *vfs.FS, p string) bool {
-	return layer.Exists(p)
+// mkParents makes the directories above p that layer lacks, each with
+// the mode next has for it: under ApplyLayer a directory entry sets its
+// directory's mode, so a parent that is in the layer only to hold p must
+// carry the mode it already has.
+func mkParents(layer, next *vfs.FS, p string) error {
+	if i := strings.LastIndexByte(p, '/'); i <= 0 || layer.Exists(p[:i]) {
+		return nil
+	}
+	for i := 1; i < len(p); i++ {
+		if dir := p[:i]; p[i] == '/' && !layer.Exists(dir) {
+			if err := layer.Mkdir(dir, next.Lookup(dir).Mode()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func writeWhiteout(layer *vfs.FS, p string) error {

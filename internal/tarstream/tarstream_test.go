@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"path"
 	"strings"
@@ -351,6 +352,99 @@ func TestApplyLayerOpaqueFlag(t *testing.T) {
 	}
 }
 
+// A directory entry sets its directory's mode, over a directory base
+// holds already and over one an opaque marker cleared, as the
+// container's view does: a chmod and a re-created directory survive a
+// commit and a pull.
+func TestApplyLayerDirectoryEntrySetsMode(t *testing.T) {
+	base := vfs.New()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(base.MkdirAll("/etc", 0o755))
+	must(base.WriteFile("/etc/old", []byte("old"), 0o644))
+	must(base.MkdirAll("/srv", 0o755))
+
+	layer := vfs.New()
+	must(layer.Mkdir("/etc", 0o700))
+	must(layer.WriteFile("/etc/"+OpaqueMarker, nil, 0))
+	must(layer.WriteFile("/etc/new", []byte("new"), 0o600))
+	must(layer.Mkdir("/srv", 0o750))
+	must(ApplyLayer(base, layer))
+
+	for p, want := range map[string]fs.FileMode{"/etc": 0o700, "/srv": 0o750} {
+		if n := base.Lookup(p); n == nil || n.Mode() != want {
+			t.Errorf("%s = %v, want mode %o", p, n, want)
+		}
+	}
+	if base.Exists("/etc/old") || !base.Exists("/etc/new") {
+		t.Error("opaque /etc: lower entry kept or layer entry lost")
+	}
+}
+
+// Whiteouts and opaque markers hide what the layers below hold, never
+// what the layer itself carries, whichever way the names sort ("-d"
+// sorts before ".wh.-d"); and below what base holds as a file there is
+// nothing for them to hide.
+func TestApplyLayerHidesOnlyWhatIsBelow(t *testing.T) {
+	base := vfs.New()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(base.WriteFile("/-d", []byte("a file below"), 0o644))
+	must(base.WriteFile("/a", []byte("a file below"), 0o644))
+
+	layer := vfs.New()
+	must(layer.WriteFile("/"+WhiteoutPrefix+"-d", nil, 0))
+	must(layer.Mkdir("/-d", 0o755))
+	must(layer.WriteFile("/-d/f", []byte("f"), 0o644))
+	must(layer.Mkdir("/a", 0o755))
+	must(layer.WriteFile("/a/"+WhiteoutPrefix+"x", nil, 0))
+	must(layer.Mkdir("/a/sub", 0o755))
+	must(layer.WriteFile("/a/sub/"+OpaqueMarker, nil, 0))
+	must(ApplyLayer(base, layer))
+
+	for _, p := range []string{"/-d/f", "/a/sub"} {
+		if !base.Exists(p) {
+			t.Errorf("%s lost", p)
+		}
+	}
+}
+
+// A whiteout whose name names no entry — ".wh.", ".wh..", ".wh..." —
+// hides nothing, where joining it to its directory would name the
+// directory itself or its parent.
+func TestApplyLayerWhiteoutOfNoName(t *testing.T) {
+	base := vfs.New()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(base.MkdirAll("/keep/sub", 0o755))
+	must(base.WriteFile("/keep/sub/x", []byte("x"), 0o644))
+	must(base.WriteFile("/kept", []byte("k"), 0o644))
+
+	layer := vfs.New()
+	must(layer.MkdirAll("/keep/sub", 0o755))
+	for _, name := range []string{WhiteoutPrefix, WhiteoutPrefix + ".", WhiteoutPrefix + ".."} {
+		must(layer.WriteFile("/keep/sub/"+name, nil, 0))
+	}
+	must(ApplyLayer(base, layer))
+	for _, p := range []string{"/keep/sub/x", "/kept"} {
+		if !base.Exists(p) {
+			t.Errorf("%s deleted by a whiteout of no name", p)
+		}
+	}
+}
+
 func TestApplyLayerTypeReplacements(t *testing.T) {
 	base := vfs.New()
 	if err := base.MkdirAll("/a/dir", 0o755); err != nil {
@@ -406,9 +500,8 @@ func TestDiffAndApplyBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := StatsOf(layer)
-	if s.Whiteouts != 1 {
-		t.Errorf("whiteouts = %d, want 1", s.Whiteouts)
+	if whiteouts, _ := layerCounts(layer); whiteouts != 1 {
+		t.Errorf("whiteouts = %d, want 1", whiteouts)
 	}
 
 	got := base.Clone()
@@ -426,9 +519,8 @@ func TestDiffEmptyForIdenticalTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := StatsOf(layer)
-	if s.Bytes != 0 || s.Whiteouts != 0 {
-		t.Errorf("diff of identical trees: %+v", s)
+	if whiteouts, payload := layerCounts(layer); payload != 0 || whiteouts != 0 {
+		t.Errorf("diff of identical trees: %d whiteouts, %d bytes", whiteouts, payload)
 	}
 }
 
@@ -447,9 +539,8 @@ func TestDiffDeletedSubtreeEmitsSingleWhiteout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := StatsOf(layer)
-	if s.Whiteouts != 1 {
-		t.Errorf("whiteouts = %d, want 1 (only the subtree root)", s.Whiteouts)
+	if whiteouts, _ := layerCounts(layer); whiteouts != 1 {
+		t.Errorf("whiteouts = %d, want 1 (only the subtree root)", whiteouts)
 	}
 	got := base.Clone()
 	if err := ApplyLayer(got, layer); err != nil {
@@ -460,24 +551,19 @@ func TestDiffDeletedSubtreeEmitsSingleWhiteout(t *testing.T) {
 	}
 }
 
-func TestStatsOf(t *testing.T) {
-	layer := vfs.New()
-	if err := layer.MkdirAll("/d", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := layer.WriteFile("/d/f", make([]byte, 10), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := layer.WriteFile("/d/.wh.x", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := layer.WriteFile("/d/"+OpaqueMarker, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	s := StatsOf(layer)
-	if s.Entries != 2 || s.Whiteouts != 2 || s.Bytes != 10 {
-		t.Errorf("stats = %+v", s)
-	}
+// layerCounts is how many whiteout and opaque markers layer holds, and
+// how many bytes its other regular files do.
+func layerCounts(layer *vfs.FS) (whiteouts int, payload int64) {
+	_ = layer.Walk(func(p string, n *vfs.Node) error {
+		name := path.Base(p)
+		if _, ok := IsWhiteout(name); ok || name == OpaqueMarker {
+			whiteouts++
+		} else if n.Type() == vfs.TypeRegular {
+			payload += n.Size()
+		}
+		return nil
+	})
+	return whiteouts, payload
 }
 
 // randomMutate applies n random mutations to f.
@@ -523,39 +609,102 @@ func randomMutate(f *vfs.FS, rng *rand.Rand, n int) {
 	}
 }
 
-// Property: ApplyLayer(base, Diff(base, next)) reconstructs next exactly,
-// for arbitrary mutation sequences, and the layer survives a tar round
-// trip unchanged.
+// Property: ApplyLayer(base, Diff(base, next)) is next in every entry's
+// type, mode, content and target — directly and through a tar round
+// trip of the layer — for arbitrary mutation sequences, including ones
+// that re-mode directories and replace directories with files and files
+// with directories (reshape).
 func TestDiffApplyRoundTripProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		base := vfs.New()
 		randomMutate(base, rng, 30)
+		reshape(base, rng, 10)
 		next := base.Clone()
 		randomMutate(next, rng, 20)
+		reshape(next, rng, 8)
 
 		layer, err := Diff(base, next)
 		if err != nil {
+			t.Logf("seed %d: Diff: %v", seed, err)
 			return false
 		}
-		// Tar round trip of the layer.
 		data, err := Pack(layer)
 		if err != nil {
 			return false
 		}
-		layer2, err := Unpack(data)
+		unpacked, err := Unpack(data)
 		if err != nil {
 			return false
 		}
-		got := base.Clone()
-		if err := ApplyLayer(got, layer2); err != nil {
-			return false
+		for _, l := range []*vfs.FS{layer, unpacked} {
+			got := base.Clone()
+			if err := ApplyLayer(got, l); err != nil {
+				t.Logf("seed %d: ApplyLayer: %v", seed, err)
+				return false
+			}
+			if diff, ok := treeEqual(got, next); !ok {
+				t.Logf("seed %d: apply(diff) != next:\n%s", seed, diff)
+				return false
+			}
 		}
-		_, ok := treeEqual(got, next)
-		return ok
+		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// reshape applies n random edits to f that change what a path is rather
+// than what a file holds: a directory's mode, a directory replaced by a
+// file or a symlink, a file or a symlink replaced by a directory, and
+// new directories named to sort before the whiteout prefix ("-d" <
+// ".wh.-d"), so that a whiteout and the entry that replaces what it
+// hides meet in either order.
+func reshape(f *vfs.FS, rng *rand.Rand, n int) {
+	modes := []fs.FileMode{0o700, 0o750, 0o755}
+	for i := 0; i < n; i++ {
+		var all, dirs []string
+		_ = f.Walk(func(p string, node *vfs.Node) error {
+			all = append(all, p)
+			if node.IsDir() {
+				dirs = append(dirs, p)
+			}
+			return nil
+		})
+		mode := modes[rng.Intn(len(modes))]
+		switch rng.Intn(4) {
+		case 0: // chmod
+			if len(dirs) > 0 {
+				f.Lookup(dirs[rng.Intn(len(dirs))]).SetMode(mode)
+			}
+		case 1: // whatever it was, now a directory holding a file
+			if len(all) > 0 {
+				p := all[rng.Intn(len(all))]
+				_ = f.RemoveAll(p)
+				_ = f.Mkdir(p, mode)
+				_ = f.WriteFile(p+"/in", []byte(p), 0o644)
+			}
+		case 2: // whatever it was, now a file or a symlink
+			if len(all) > 0 {
+				p := all[rng.Intn(len(all))]
+				_ = f.RemoveAll(p)
+				if rng.Intn(2) == 0 {
+					_ = f.WriteFile(p, []byte("was "+p), 0o600)
+				} else {
+					_ = f.Symlink("/elsewhere", p)
+				}
+			}
+		default:
+			d := "/"
+			if len(dirs) > 0 {
+				d = dirs[rng.Intn(len(dirs))]
+			}
+			p := path.Join(d, fmt.Sprintf("-d%d", rng.Intn(4)))
+			if f.Mkdir(p, mode) == nil {
+				_ = f.WriteFile(p+"/f", []byte("x"), 0o644)
+			}
+		}
 	}
 }
 
