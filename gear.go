@@ -388,8 +388,8 @@ func NewDedupAnalyzer(chunkSize int64) (*DedupAnalyzer, error) {
 
 // Observability. Every long-lived component (Daemon, FileStore,
 // Registry, Tracker, profile Library) publishes typed metrics into a
-// MetricsRegistry and answers StatsSnapshot() with the same unified,
-// JSON-marshalable shape — the payload MetricsHandler serves on
+// MetricsRegistry and answers Snapshot() with the same unified,
+// JSON-marshalable StatsSnapshot — the payload MetricsHandler serves on
 // /metrics and `gearctl stats` diffs and pretty-prints. The legacy
 // per-package Stats accessors remain as views over the same handles,
 // so their counters reconcile exactly with the snapshot.

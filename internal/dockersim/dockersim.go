@@ -123,7 +123,7 @@ type Options struct {
 	Trace bool
 	// Telemetry, if set, is the per-daemon metrics registry every
 	// component (store, cache, scheduler, peer exchange) publishes into.
-	// Nil creates a private registry, so Daemon.StatsSnapshot always
+	// Nil creates a private registry, so Daemon.Snapshot always
 	// works.
 	Telemetry *telemetry.Registry
 	// TraceCapacity bounds the daemon's fetch-path span ring. 0 selects
@@ -273,7 +273,7 @@ type Daemon struct {
 	tele *telemetry.Registry
 	ring *telemetry.TraceRing
 
-	// net gauges mirror the links' counters on demand (StatsSnapshot).
+	// net gauges mirror the links' counters on demand (Snapshot).
 	wanBytes, wanRequests, wanElapsed *telemetry.Gauge
 	lanBytes, lanRequests, lanElapsed *telemetry.Gauge
 
@@ -416,11 +416,12 @@ func (d *Daemon) Telemetry() *telemetry.Registry { return d.tele }
 // spans from the store plus the per-phase spans deploys record.
 func (d *Daemon) TraceRing() *telemetry.TraceRing { return d.ring }
 
-// StatsSnapshot returns the unified telemetry snapshot for this daemon.
-// The net.wan.*/net.lan.* gauges are refreshed from the links' own
-// counters at snapshot time, so the snapshot is a complete picture
-// without the links publishing on their hot path.
-func (d *Daemon) StatsSnapshot() telemetry.Snapshot {
+// Snapshot implements telemetry.Snapshotter: the unified telemetry
+// snapshot for this daemon. The net.wan.*/net.lan.* gauges are
+// refreshed from the links' own counters at snapshot time, so the
+// snapshot is a complete picture without the links publishing on their
+// hot path.
+func (d *Daemon) Snapshot() telemetry.Snapshot {
 	wan := d.link.Stats()
 	d.wanBytes.Set(wan.Bytes)
 	d.wanRequests.Set(wan.Requests)
@@ -433,9 +434,6 @@ func (d *Daemon) StatsSnapshot() telemetry.Snapshot {
 	}
 	return d.tele.Snapshot()
 }
-
-// Snapshot implements telemetry.Snapshotter.
-func (d *Daemon) Snapshot() telemetry.Snapshot { return d.StatsSnapshot() }
 
 // recordPhase attributes one deploy phase's traffic to dep: the span is
 // kept on the deployment (Deployment.Trace) and recorded into the

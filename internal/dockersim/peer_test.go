@@ -25,7 +25,7 @@ func peerRig(t *testing.T, r *rig, nodes int, wanMbps, lanMbps float64) ([]*Daem
 		id := fmt.Sprintf("node%d", i)
 		d, err := NewDaemon(r.docker, r.gear, Options{
 			Links: topo.Node(id),
-			Peers: peer.NewExchange(id, tracker, network),
+			Peers: peer.NewExchange(id, tracker, network, nil),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -33,7 +33,7 @@ func peerRig(t *testing.T, r *rig, nodes int, wanMbps, lanMbps float64) ([]*Daem
 		d.GearStore().Cache().SetHooks(tracker.Hooks(id))
 		// Peers serve compressed, like the registry, so wire bytes match
 		// whichever source serves.
-		network.Add(id, peer.NewServer(id, d.GearStore().Cache(), peer.ServerOptions{Compress: true}))
+		network.Add(id, peer.NewServer(id, d.GearStore().Cache()))
 		daemons[i] = d
 	}
 	return daemons, tracker, topo

@@ -136,7 +136,7 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 			id := fmt.Sprintf("node%d", n)
 			opts := cfg.daemonOptions(pt.wan)
 			opts.Links = topo.Node(id)
-			opts.Peers = peer.NewExchangeWithTelemetry(id, tracker, network, cfg.Telemetry)
+			opts.Peers = peer.NewExchange(id, tracker, network, cfg.Telemetry)
 			d, err := dockersim.NewDaemon(r.docker, r.gear, opts)
 			if err != nil {
 				return nil, err
@@ -144,8 +144,7 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 			d.GearStore().Cache().SetHooks(tracker.Hooks(id))
 			// Peers serve compressed like the registry, so a node receives
 			// the same wire bytes whichever source answers.
-			network.Add(id, peer.NewServer(id, d.GearStore().Cache(),
-				peer.ServerOptions{Compress: true}))
+			network.Add(id, peer.NewServer(id, d.GearStore().Cache()))
 			daemons[n] = d
 		}
 		point.ParityOK = true

@@ -377,7 +377,7 @@ func (h *Harness) Join(id string) error {
 		TraceCapacity:    traceCapacity,
 	}
 	if h.opts.Peers {
-		dopts.Peers = peer.NewExchangeWithTelemetry(id, h.tracker, h.network, h.tele)
+		dopts.Peers = peer.NewExchange(id, h.tracker, h.network, h.tele)
 	}
 	d, err := dockersim.NewDaemon(h.wl.Docker, h.gearStore(), dopts)
 	if err != nil {
@@ -388,8 +388,7 @@ func (h *Harness) Join(id string) error {
 		// the node's cache serves the cluster. Peers serve compressed like
 		// the registry so received bytes are source-independent.
 		d.GearStore().Cache().SetHooks(h.tracker.Hooks(id))
-		h.network.Add(id, peer.NewServer(id, d.GearStore().Cache(),
-			peer.ServerOptions{Compress: true}))
+		h.network.Add(id, peer.NewServer(id, d.GearStore().Cache()))
 	}
 	h.nodes[id] = &node{daemon: d}
 	h.active = append(h.active, id)

@@ -14,6 +14,7 @@ import (
 	"github.com/gear-image/gear/internal/gear/convert"
 	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gearregistry"
+	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/imagefmt"
 	"github.com/gear-image/gear/internal/vfs"
 )
@@ -626,6 +627,30 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 	}
 }
 
+// tamperedStore is a registry whose pool was corrupted behind its back:
+// every object it holds downloads as other bytes.
+type tamperedStore struct{ *gearregistry.Registry }
+
+var tampered = []byte("tampered bytes")
+
+func (s tamperedStore) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
+	if _, _, err := s.Registry.Download(fp); err != nil {
+		return nil, 0, err
+	}
+	return tampered, int64(len(tampered)), nil
+}
+
+func (s tamperedStore) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, error) {
+	payloads, _, err := s.Registry.DownloadBatch(fps)
+	if err != nil {
+		return nil, 0, err
+	}
+	for i := range payloads {
+		payloads[i] = tampered
+	}
+	return payloads, int64(len(fps) * len(tampered)), nil
+}
+
 func TestDownloadIntegrityVerification(t *testing.T) {
 	// A corrupt registry (wrong bytes under a fingerprint) must be caught
 	// before anything reaches the cache or an index tree.
@@ -637,12 +662,12 @@ func TestDownloadIntegrityVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evil := gearregistry.New(gearregistry.Options{SkipVerify: true})
+	reg := gearregistry.New(gearregistry.Options{})
 	fp := ix.Lookup("/bin").Fingerprint
-	if err := evil.Upload(fp, []byte("tampered bytes")); err != nil {
+	if err := reg.Upload(fp, []byte("real content")); err != nil {
 		t.Fatal(err)
 	}
-	s := newStore(t, evil)
+	s := newStore(t, tamperedStore{reg})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}

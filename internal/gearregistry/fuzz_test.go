@@ -36,6 +36,7 @@ func FuzzBatchHandler(f *testing.F) {
 	f.Add(string(known) + "\nnot a fingerprint\n")
 	f.Add("d41d8cd98f00b204e9800998ecf8427e-c2\n") // collision id form
 	f.Add(string(known) + " 5 raw\nhello")         // framing-shaped input
+	f.Add(string(known) + " present\n")            // verdict-shaped input
 
 	f.Fuzz(func(t *testing.T, body string) {
 		for _, reg := range []*Registry{reg, compressed} {

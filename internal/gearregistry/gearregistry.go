@@ -55,10 +55,6 @@ type Options struct {
 	// Compress stores objects gzip-compressed ("Gear files can be further
 	// compressed for higher space efficiency", §III-C).
 	Compress bool
-	// SkipVerify disables fingerprint verification on upload. Collision
-	// fallback IDs ("<fp>-cN") are never verifiable by hashing and are
-	// always accepted.
-	SkipVerify bool
 	// Telemetry, if set, is the registry gear.* metrics publish into —
 	// the pool gauges and per-verb request counters the /metrics
 	// endpoint exposes. Nil gets private, live handles.
@@ -158,7 +154,7 @@ func (r *Registry) UploadFrom(fp hashing.Fingerprint, body io.Reader, size int64
 	// verify it by.
 	var sum *hashing.FingerprintWriter
 	tee := io.Discard
-	if !r.opts.SkipVerify && len(fp) == 32 {
+	if len(fp) == 32 {
 		sum = hashing.NewFingerprintWriter()
 		tee = sum
 	}

@@ -113,14 +113,6 @@ func TestCollisionIDsSkipVerification(t *testing.T) {
 	}
 }
 
-func TestSkipVerifyOption(t *testing.T) {
-	r := New(Options{SkipVerify: true})
-	fp := hashing.FingerprintBytes([]byte("other"))
-	if err := r.Upload(fp, []byte("mismatched")); err != nil {
-		t.Errorf("SkipVerify upload failed: %v", err)
-	}
-}
-
 func TestDownloadMissing(t *testing.T) {
 	r := New(Options{})
 	fp := hashing.FingerprintBytes([]byte("ghost"))

@@ -68,7 +68,7 @@ func readVerbs(p Pool) []wire.Verb {
 					return err
 				}
 			}
-			wire.RespondFrames(w, nil, objects)
+			wire.RespondFrames(w, objects)
 			return nil
 		}},
 	}

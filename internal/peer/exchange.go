@@ -79,15 +79,9 @@ type Exchange struct {
 }
 
 // NewExchange returns the exchange for the node named self, publishing
-// into a private telemetry registry.
-func NewExchange(self string, tracker Locator, network Network) *Exchange {
-	return NewExchangeWithTelemetry(self, tracker, network, nil)
-}
-
-// NewExchangeWithTelemetry is NewExchange publishing peer.fetch.*
-// metrics into reg — typically the owning daemon's registry. Nil gets
-// private, live handles.
-func NewExchangeWithTelemetry(self string, tracker Locator, network Network, reg *telemetry.Registry) *Exchange {
+// peer.fetch.* metrics into reg — typically the owning daemon's
+// registry. Nil gets private, live handles.
+func NewExchange(self string, tracker Locator, network Network, reg *telemetry.Registry) *Exchange {
 	return &Exchange{
 		self:    self,
 		tracker: tracker,

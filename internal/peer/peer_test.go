@@ -14,6 +14,7 @@ import (
 	"github.com/gear-image/gear/internal/cache"
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/tarstream"
 	"github.com/gear-image/gear/internal/telemetry"
 )
 
@@ -117,7 +118,11 @@ func TestServerServesAndAccounts(t *testing.T) {
 	if _, err := c.Put(fp, data); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer("node0", c, ServerOptions{})
+	s := NewServer("node0", c)
+	stored, err := tarstream.Gzip(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if ok, err := s.Query(fp); err != nil || !ok {
 		t.Errorf("Query(%s) = %v, %v; want true", fp, ok, err)
@@ -130,8 +135,8 @@ func TestServerServesAndAccounts(t *testing.T) {
 	}
 
 	got, wire, err := s.Download(fp)
-	if err != nil || string(got) != string(data) || wire != int64(len(data)) {
-		t.Errorf("Download = %q/%d/%v, want %q/%d", got, wire, err, data, len(data))
+	if err != nil || string(got) != string(data) || wire != int64(len(stored)) {
+		t.Errorf("Download = %q/%d/%v, want %q/%d gzip-framed", got, wire, err, data, len(stored))
 	}
 	if _, _, err := s.Download(fpOf("absent")); !errors.Is(err, gearregistry.ErrNotFound) {
 		t.Errorf("Download(absent) err = %v, want ErrNotFound", err)
@@ -140,7 +145,7 @@ func TestServerServesAndAccounts(t *testing.T) {
 	// Stored — what the HTTP verbs, batches included, are served from —
 	// is the same lookup and accounts the same.
 	for i := 0; i < 2; i++ {
-		if o, err := s.Stored(fp); err != nil || string(o.Stored) != string(data) || o.Size != int64(len(data)) {
+		if o, err := s.Stored(fp); err != nil || !bytes.Equal(o.Stored, stored) || !o.Gzip || o.Size != int64(len(data)) {
 			t.Fatalf("Stored = %+v, %v", o, err)
 		}
 	}
@@ -149,8 +154,8 @@ func TestServerServesAndAccounts(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.ObjectsServed != 3 || st.BytesServed != 3*int64(len(data)) {
-		t.Errorf("stats = %+v, want 3 objects / %d bytes", st, 3*len(data))
+	if st.ObjectsServed != 3 || st.BytesServed != 3*int64(len(stored)) {
+		t.Errorf("stats = %+v, want 3 objects / %d bytes", st, 3*len(stored))
 	}
 	if st.MaxConcurrent != DefaultMaxConcurrent {
 		t.Errorf("MaxConcurrent = %d, want default %d", st.MaxConcurrent, DefaultMaxConcurrent)
@@ -177,7 +182,7 @@ func TestServerCompressedWireMatchesRegistry(t *testing.T) {
 	if _, err := c.Put(fp, data); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer("node0", c, ServerOptions{Compress: true})
+	s := NewServer("node0", c)
 	payload, peerWire, err := s.Download(fp)
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +207,11 @@ func TestServerBoundedConcurrency(t *testing.T) {
 	if _, err := c.Put(fp, data); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer("node0", c, ServerOptions{MaxConcurrent: 2})
+	s := NewServer("node0", c)
 
-	s.acquire()
-	s.acquire()
+	for i := 0; i < DefaultMaxConcurrent; i++ {
+		s.acquire()
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := s.Download(fp)
@@ -225,7 +231,9 @@ func TestServerBoundedConcurrency(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("download never acquired the freed slot")
 	}
-	s.release()
+	for i := 1; i < DefaultMaxConcurrent; i++ {
+		s.release()
+	}
 }
 
 // flakyServer is a FileServer that errors or corrupts on demand.
@@ -270,7 +278,7 @@ func TestExchangeSkipsBadHoldersAndVerifies(t *testing.T) {
 	net.Add("good", good)
 	// "me" is announced but absent from the network: also skipped.
 
-	ex := NewExchange("me", tr, net)
+	ex := NewExchange("me", tr, net, nil)
 	got, wire, ok := ex.FetchPeer(fp)
 	if !ok || string(got) != string(data) || wire != int64(len(data)) {
 		t.Fatalf("FetchPeer = %q/%d/%v, want payload from the good holder", got, wire, ok)
@@ -359,7 +367,7 @@ func TestServerHandlerSpeaksRegistryProtocol(t *testing.T) {
 	if _, err := c.Put(fp, data); err != nil {
 		t.Fatal(err)
 	}
-	peerSrv := NewServer("node0", c, ServerOptions{Compress: true})
+	peerSrv := NewServer("node0", c)
 	srv := httptest.NewServer(gearregistry.NewPoolHandler(peerSrv))
 	defer srv.Close()
 	client := gearregistry.NewClient(srv.URL, nil)

@@ -11,36 +11,24 @@ import (
 	"github.com/gear-image/gear/internal/wire"
 )
 
-// DefaultMaxConcurrent bounds how many downloads a peer serves at once
-// when ServerOptions leaves MaxConcurrent zero. Serving neighbours must
-// not starve the node's own workload, so the bound is deliberately
-// small (the bounded-transfer-path lesson from parallel image pulling).
+// DefaultMaxConcurrent bounds how many downloads a peer serves at once.
+// Serving neighbours must not starve the node's own workload, so the
+// bound is deliberately small (the bounded-transfer-path lesson from
+// parallel image pulling).
 const DefaultMaxConcurrent = 4
-
-// ServerOptions configures a Server.
-type ServerOptions struct {
-	// MaxConcurrent bounds concurrent serves; excess requests wait.
-	// 0 selects DefaultMaxConcurrent.
-	MaxConcurrent int
-	// Compress serves gzip wire framing, exactly like a compressing
-	// Gear Registry: gzip is deterministic here, so a file served by a
-	// peer costs the same wire bytes as the registry serving it — what
-	// keeps per-node received bytes identical with and without peers.
-	Compress bool
-	// Telemetry, if set, is the registry peer.served.* metrics publish
-	// into — typically the owning daemon's. Nil gets private handles.
-	Telemetry *telemetry.Registry
-}
 
 // Server exports a node's level-1 cache to its cluster over the Gear
 // Registry's own query/download/batch verb set. Reads go through
 // cache.Peek, so serving neighbours never distorts the owner's
-// replacement decisions or hit-ratio accounting. Safe for concurrent
-// use.
+// replacement decisions or hit-ratio accounting. It serves gzip wire
+// framing, exactly like a compressing Gear Registry: gzip is
+// deterministic here, so a file served by a peer costs the same wire
+// bytes as the registry serving it — what keeps per-node received bytes
+// identical with and without peers. At most DefaultMaxConcurrent
+// serves run at once; excess requests wait. Safe for concurrent use.
 type Server struct {
 	id    string
 	cache *cache.Cache
-	opts  ServerOptions
 	sem   chan struct{}
 
 	objectsServed *telemetry.Counter
@@ -48,17 +36,13 @@ type Server struct {
 }
 
 // NewServer exports c, owned by the node named id.
-func NewServer(id string, c *cache.Cache, opts ServerOptions) *Server {
-	if opts.MaxConcurrent <= 0 {
-		opts.MaxConcurrent = DefaultMaxConcurrent
-	}
+func NewServer(id string, c *cache.Cache) *Server {
 	return &Server{
 		id:            id,
 		cache:         c,
-		opts:          opts,
-		sem:           make(chan struct{}, opts.MaxConcurrent),
-		objectsServed: opts.Telemetry.Counter("peer.served.objects"),
-		bytesServed:   opts.Telemetry.Counter("peer.served.bytes"),
+		sem:           make(chan struct{}, DefaultMaxConcurrent),
+		objectsServed: telemetry.NewCounter(),
+		bytesServed:   telemetry.NewCounter(),
 	}
 }
 
@@ -74,26 +58,25 @@ func (s *Server) Query(fp hashing.Fingerprint) (bool, error) {
 }
 
 // Download serves fp from the cache, returning the uncompressed payload
-// and the wire bytes it cost (the compressed length when Compress is
-// set). A file the cache no longer holds returns
-// gearregistry.ErrNotFound — eviction between locate and download is a
-// normal race, and callers fall back to another holder or the registry.
+// and the wire bytes it cost (the compressed length). A file the cache
+// no longer holds returns gearregistry.ErrNotFound — eviction between
+// locate and download is a normal race, and callers fall back to
+// another holder or the registry.
 func (s *Server) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 	data, stored, err := s.serve(fp)
 	return data, int64(len(stored)), err
 }
 
 // Stored implements gearregistry.Pool: the bytes exactly as they cross
-// the wire, gzip-framed when Compress is set, so that
-// gearregistry.NewPoolHandler(s) serves the cache to a stock
-// gearregistry.Client — single downloads and batches alike. Accounting
-// matches Download.
+// the wire, gzip-framed, so that gearregistry.NewPoolHandler(s) serves
+// the cache to a stock gearregistry.Client — single downloads and
+// batches alike. Accounting matches Download.
 func (s *Server) Stored(fp hashing.Fingerprint) (wire.Object, error) {
 	data, stored, err := s.serve(fp)
 	if err != nil {
 		return wire.Object{}, err
 	}
-	return wire.Object{FP: fp, Stored: stored, Gzip: s.opts.Compress, Size: int64(len(data))}, nil
+	return wire.Object{FP: fp, Stored: stored, Gzip: true, Size: int64(len(data))}, nil
 }
 
 // serve looks fp up under a serve slot and counts it served: data is
@@ -109,11 +92,8 @@ func (s *Server) serve(fp hashing.Fingerprint) (data, stored []byte, err error) 
 		return nil, nil, fmt.Errorf("peer server %s: %s: %w", s.id, fp, gearregistry.ErrNotFound)
 	}
 	data = content.Data()
-	stored = data
-	if s.opts.Compress {
-		if stored, err = tarstream.Gzip(data); err != nil {
-			return nil, nil, fmt.Errorf("peer server %s: %s: %w", s.id, fp, err)
-		}
+	if stored, err = tarstream.Gzip(data); err != nil {
+		return nil, nil, fmt.Errorf("peer server %s: %s: %w", s.id, fp, err)
 	}
 	s.objectsServed.Add(1)
 	s.bytesServed.Add(int64(len(stored)))
@@ -135,6 +115,6 @@ func (s *Server) Stats() ServerStats {
 	return ServerStats{
 		ObjectsServed: s.objectsServed.Value(),
 		BytesServed:   s.bytesServed.Value(),
-		MaxConcurrent: s.opts.MaxConcurrent,
+		MaxConcurrent: DefaultMaxConcurrent,
 	}
 }

@@ -53,18 +53,10 @@ type Tracker struct {
 	peerBytes, registryBytes     *telemetry.Counter
 }
 
-// NewTracker returns an empty tracker publishing into a private
-// telemetry registry.
+// NewTracker returns an empty tracker publishing tracker.* metrics into
+// a private telemetry registry.
 func NewTracker() *Tracker {
-	return NewTrackerWithTelemetry(nil)
-}
-
-// NewTrackerWithTelemetry is NewTracker publishing tracker.* metrics
-// into reg (nil creates a private registry).
-func NewTrackerWithTelemetry(reg *telemetry.Registry) *Tracker {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	return &Tracker{
 		holders:         make(map[hashing.Fingerprint][]string),
 		files:           make(map[string]int),
@@ -83,12 +75,9 @@ func NewTrackerWithTelemetry(reg *telemetry.Registry) *Tracker {
 // Telemetry returns the metrics registry this tracker publishes into.
 func (t *Tracker) Telemetry() *telemetry.Registry { return t.tele }
 
-// StatsSnapshot returns the unified telemetry snapshot for this
-// tracker — what the /peer/metrics endpoint serves.
-func (t *Tracker) StatsSnapshot() telemetry.Snapshot { return t.tele.Snapshot() }
-
-// Snapshot implements telemetry.Snapshotter.
-func (t *Tracker) Snapshot() telemetry.Snapshot { return t.StatsSnapshot() }
+// Snapshot implements telemetry.Snapshotter: the unified telemetry
+// snapshot for this tracker, what the /peer/metrics endpoint serves.
+func (t *Tracker) Snapshot() telemetry.Snapshot { return t.tele.Snapshot() }
 
 // Announce records that holder now has the given Gear files. Announcing
 // a file the tracker already maps to the holder is a no-op.

@@ -32,18 +32,10 @@ type Library struct {
 	profileBytes *telemetry.Gauge
 }
 
-// NewLibrary returns an empty Library publishing into a private
-// telemetry registry.
+// NewLibrary returns an empty Library publishing profiles.* metrics
+// into a private telemetry registry.
 func NewLibrary() *Library {
-	return NewLibraryWithTelemetry(nil)
-}
-
-// NewLibraryWithTelemetry is NewLibrary publishing profiles.* metrics
-// into reg (nil creates a private registry).
-func NewLibraryWithTelemetry(reg *telemetry.Registry) *Library {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	return &Library{
 		profiles:     make(map[string][]byte),
 		tele:         reg,
@@ -55,12 +47,9 @@ func NewLibraryWithTelemetry(reg *telemetry.Registry) *Library {
 // Telemetry returns the metrics registry this library publishes into.
 func (l *Library) Telemetry() *telemetry.Registry { return l.tele }
 
-// StatsSnapshot returns the unified telemetry snapshot for this library
-// — what the /profile/metrics endpoint serves.
-func (l *Library) StatsSnapshot() telemetry.Snapshot { return l.tele.Snapshot() }
-
-// Snapshot implements telemetry.Snapshotter.
-func (l *Library) Snapshot() telemetry.Snapshot { return l.StatsSnapshot() }
+// Snapshot implements telemetry.Snapshotter: the unified telemetry
+// snapshot for this library, what the /profile/metrics endpoint serves.
+func (l *Library) Snapshot() telemetry.Snapshot { return l.tele.Snapshot() }
 
 // Put encodes and stores p under p.ImageRef, replacing any previous
 // profile for that image.

@@ -65,18 +65,10 @@ type Registry struct {
 
 var _ Store = (*Registry)(nil)
 
-// New returns an empty registry publishing into a private telemetry
-// registry.
+// New returns an empty registry publishing registry.* metrics into a
+// private telemetry registry.
 func New() *Registry {
-	return NewWithTelemetry(nil)
-}
-
-// NewWithTelemetry is New publishing registry.* metrics into reg (nil
-// creates a private registry so the snapshot surface always works).
-func NewWithTelemetry(reg *telemetry.Registry) *Registry {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	return &Registry{
 		manifests:     make(map[string][]byte),
 		blobs:         make(map[hashing.Digest][]byte),
@@ -92,12 +84,9 @@ func NewWithTelemetry(reg *telemetry.Registry) *Registry {
 // Telemetry returns the metrics registry this store publishes into.
 func (r *Registry) Telemetry() *telemetry.Registry { return r.tele }
 
-// StatsSnapshot returns the unified telemetry snapshot for this store —
-// what the /metrics endpoint serves.
-func (r *Registry) StatsSnapshot() telemetry.Snapshot { return r.tele.Snapshot() }
-
-// Snapshot implements telemetry.Snapshotter.
-func (r *Registry) Snapshot() telemetry.Snapshot { return r.StatsSnapshot() }
+// Snapshot implements telemetry.Snapshotter: the unified telemetry
+// snapshot for this store, what the /metrics endpoint serves.
+func (r *Registry) Snapshot() telemetry.Snapshot { return r.tele.Snapshot() }
 
 // PutManifest implements Store.
 func (r *Registry) PutManifest(m *imagefmt.Manifest) error {

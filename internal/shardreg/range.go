@@ -2,7 +2,6 @@ package shardreg
 
 import (
 	"errors"
-	"time"
 
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
@@ -26,19 +25,12 @@ func rangePermanent(err error) bool {
 }
 
 // DownloadRange implements gearregistry.RangeDownloader with replica
-// failover; see DownloadRangeTimed for the latency-returning form.
+// failover. Out-of-bounds ranges fail immediately — every replica
+// stores the same bytes, so no failover can satisfy them.
 func (c *Cluster) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, int64, error) {
-	payload, wire, _, err := c.DownloadRangeTimed(fp, off, n)
-	return payload, wire, err
-}
-
-// DownloadRangeTimed is DownloadRange plus the modeled client-observed
-// latency under the attached topology (0 without one). Out-of-bounds
-// ranges fail immediately — every replica stores the same bytes, so no
-// failover can satisfy them.
-func (c *Cluster) DownloadRangeTimed(fp hashing.Fingerprint, off, n int64) ([]byte, int64, time.Duration, error) {
 	c.ranges.Inc()
-	return c.readOne("range", fp, true, func(st gearregistry.Store) ([]byte, int64, error) {
+	payload, wire, _, err := c.readOne("range", fp, true, func(st gearregistry.Store) ([]byte, int64, error) {
 		return st.DownloadRange(fp, off, n)
 	})
+	return payload, wire, err
 }

@@ -26,13 +26,11 @@ type ReadOptions struct {
 	// first one runs past the hedge delay, takes whichever completes
 	// first, and cancels the loser, charging only the bytes it moved
 	// before cancellation. Batch sub-requests hedge per shard partition.
+	// The delay is adaptive: 3× the expected cost of the read under
+	// smoothed per-request and per-byte latency EWMAs, a cheap p95 proxy
+	// in the tail-at-scale tradition — only reads running well past what
+	// their size predicts pay the second copy.
 	Hedge bool
-	// HedgeDelay overrides the adaptive hedge trigger with a fixed
-	// per-request delay. Zero means adaptive: 3× the expected cost of
-	// the read under smoothed per-request and per-byte latency EWMAs, a
-	// cheap p95 proxy in the tail-at-scale tradition — only reads
-	// running well past what their size predicts pay the second copy.
-	HedgeDelay time.Duration
 	// Seed perturbs the per-fingerprint candidate draw so distinct
 	// clusters explore different replica pairs. Zero uses a fixed
 	// default stream.
@@ -109,16 +107,12 @@ func (c *Cluster) observeCensored(s *shard, busy time.Duration) {
 }
 
 // hedgeTrigger returns the hedge point for a read of n requests moving
-// wire bytes: the configured per-request override scaled by n, or 3× the
-// expected cost of that read under the smoothed latency model —
-// whichever of the per-request and per-byte estimates is larger, so the
-// trigger tracks the overhead floor on tiny reads and scales with size
-// on big ones (a large healthy download is not a straggler). Zero
-// (nothing observed yet, no override) disarms hedging.
+// wire bytes: 3× the expected cost of that read under the smoothed
+// latency model — whichever of the per-request and per-byte estimates
+// is larger, so the trigger tracks the overhead floor on tiny reads and
+// scales with size on big ones (a large healthy download is not a
+// straggler). Zero (nothing observed yet) disarms hedging.
 func (c *Cluster) hedgeTrigger(n int, wire int64) time.Duration {
-	if d := c.opts.Read.HedgeDelay; d > 0 {
-		return d * time.Duration(n)
-	}
 	c.latMu.Lock()
 	defer c.latMu.Unlock()
 	t := c.srtt * time.Duration(n)

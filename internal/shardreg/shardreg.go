@@ -54,7 +54,8 @@ var (
 	// ErrBadReplication reports a replication factor the member count
 	// cannot satisfy.
 	ErrBadReplication = errors.New("replication factor out of range")
-	// ErrBadShardID reports a shard id the wire framing cannot carry.
+	// ErrBadShardID reports a shard id that cannot name the shard's
+	// telemetry metrics and netsim node.
 	ErrBadShardID = errors.New("invalid shard id")
 	// ErrDuplicateShard reports adding a shard id twice.
 	ErrDuplicateShard = errors.New("duplicate shard")
@@ -62,8 +63,9 @@ var (
 
 // Options configures a Cluster.
 type Options struct {
-	// Shards are the initial member ids. At least one is required; ids
-	// must satisfy the wire charset (letters, digits, '.', '_', '-').
+	// Shards are the initial member ids. At least one is required; an id
+	// names the shard's metrics and netsim node, so it is letters,
+	// digits, '.', '_' and '-'.
 	Shards []string
 	// Replication is how many shards hold each object (default 1; must
 	// not exceed the member count).
@@ -175,8 +177,9 @@ type Cluster struct {
 
 var _ gearregistry.Store = (*Cluster)(nil)
 
-// validateShardID enforces the wire charset: the routed framing carries
-// shard ids as a space-delimited header field.
+// validateShardID keeps a shard id to what can name a telemetry metric
+// (shardreg.shard.<id>.*) and a netsim node: letters, digits, '.', '_'
+// and '-', at most 64 of them.
 func validateShardID(id string) error {
 	if id == "" || len(id) > 64 {
 		return fmt.Errorf("shardreg: shard id %q: %w", id, ErrBadShardID)
@@ -522,46 +525,9 @@ func (c *Cluster) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, err
 	return payloads, wire, nil
 }
 
-// ShardQueryBatch answers a batch against one addressed shard, with no
-// failover — the shard-addressed RPC the routing wire protocol carries.
-// Routing to a non-member reports ErrUnknownShard; a killed shard
-// reports ErrShardDown.
-func (c *Cluster) ShardQueryBatch(id string, fps []hashing.Fingerprint) ([]bool, error) {
-	s, err := c.shardByID(id)
-	if err != nil {
-		return nil, err
-	}
-	if s.down.Load() {
-		return nil, s.downErr()
-	}
-	c.queries.Add(int64(len(fps)))
-	return s.reg.QueryBatch(fps)
-}
-
-// ShardDownloadBatch serves a batch from one addressed shard, with no
-// failover. Errors as ShardQueryBatch.
-func (c *Cluster) ShardDownloadBatch(id string, fps []hashing.Fingerprint) ([][]byte, int64, error) {
-	s, err := c.shardByID(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	if s.down.Load() {
-		return nil, 0, s.downErr()
-	}
-	c.downloads.Add(int64(len(fps)))
-	payloads, wire, err := s.reg.DownloadBatch(fps)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.charge(len(fps), wire)
-	s.countRead(len(fps), wire)
-	return payloads, wire, nil
-}
-
 // KillShard marks a member dead: every routed operation fails over past
-// it, and shard-addressed operations report ErrShardDown. Its data is
-// retained for ReviveShard. Kill models failure — membership (and
-// placement) does not change.
+// it. Its data is retained for ReviveShard. Kill models failure —
+// membership (and placement) does not change.
 func (c *Cluster) KillShard(id string) error {
 	s, err := c.shardByID(id)
 	if err != nil {

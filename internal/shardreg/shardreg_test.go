@@ -43,6 +43,17 @@ func uploadAll(t testing.TB, dst gearregistry.Store, objs map[hashing.Fingerprin
 	}
 }
 
+// holds reports whether member id physically stores fp, asking its
+// registry directly rather than through the router.
+func holds(t *testing.T, c *Cluster, id string, fp hashing.Fingerprint) bool {
+	t.Helper()
+	ok, err := c.shards[id].reg.Query(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); !errors.Is(err, ErrNoShards) {
 		t.Fatalf("no shards: err = %v", err)
@@ -112,8 +123,8 @@ func TestClusterRoundTrip(t *testing.T) {
 			t.Fatalf("Replicas(%s) = %v", fp, want)
 		}
 		for _, id := range want {
-			if ok, err := c.ShardQueryBatch(id, []hashing.Fingerprint{fp}); err != nil || !ok[0] {
-				t.Fatalf("replica %s missing %s (err %v)", id, fp, err)
+			if !holds(t, c, id, fp) {
+				t.Fatalf("replica %s missing %s", id, fp)
 			}
 		}
 	}
@@ -211,11 +222,6 @@ func TestFailoverServesFromReplica(t *testing.T) {
 		t.Fatal("no failovers recorded despite a dead primary")
 	}
 
-	// Shard-addressed verbs refuse a dead shard outright.
-	if _, err := c.ShardQueryBatch(victim, fps[:1]); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("ShardQueryBatch on dead shard err = %v", err)
-	}
-
 	// Kill every replica of some object: reads must fail with
 	// ErrShardDown once no replica is live.
 	for _, id := range c.Shards() {
@@ -230,12 +236,6 @@ func TestFailoverServesFromReplica(t *testing.T) {
 
 	if err := c.ReviveShard(victim); err != nil {
 		t.Fatal(err)
-	}
-	if _, _, err := c.ShardDownloadBatch(victim, fps[:1]); err != nil {
-		// fps[:1] may not live on victim; only routing errors are fatal.
-		if errors.Is(err, ErrShardDown) || errors.Is(err, ErrUnknownShard) {
-			t.Fatalf("revived shard still refuses: %v", err)
-		}
 	}
 }
 
@@ -263,9 +263,8 @@ func TestDegradedUploadAndBackfill(t *testing.T) {
 	// After backfill every object is on its full replica set again.
 	for fp := range objs {
 		for _, id := range c.Replicas(fp) {
-			ok, err := c.ShardQueryBatch(id, []hashing.Fingerprint{fp})
-			if err != nil || !ok[0] {
-				t.Fatalf("replica %s missing %s after backfill (err %v)", id, fp, err)
+			if !holds(t, c, id, fp) {
+				t.Fatalf("replica %s missing %s after backfill", id, fp)
 			}
 		}
 	}
@@ -332,14 +331,11 @@ func verifyPlacement(t *testing.T, c *Cluster, objs map[hashing.Fingerprint][]by
 			want[id] = true
 		}
 		for _, id := range c.Shards() {
-			ok, err := c.ShardQueryBatch(id, []hashing.Fingerprint{fp})
-			if err != nil {
-				t.Fatal(err)
+			ok := holds(t, c, id, fp)
+			if ok != want[id] {
+				t.Fatalf("shard %s holds %s = %v, ring says %v", id, fp, ok, want[id])
 			}
-			if ok[0] != want[id] {
-				t.Fatalf("shard %s holds %s = %v, ring says %v", id, fp, ok[0], want[id])
-			}
-			if ok[0] {
+			if ok {
 				copies++
 			}
 		}
@@ -406,13 +402,6 @@ func TestTelemetryReconciles(t *testing.T) {
 
 func TestShardAddressedUnknown(t *testing.T) {
 	c := newCluster(t, 2, 1, Options{})
-	fp := hashing.FingerprintBytes([]byte("x"))
-	if _, err := c.ShardQueryBatch("ghost", []hashing.Fingerprint{fp}); !errors.Is(err, ErrUnknownShard) {
-		t.Fatalf("unknown shard query err = %v", err)
-	}
-	if _, _, err := c.ShardDownloadBatch("ghost", []hashing.Fingerprint{fp}); !errors.Is(err, ErrUnknownShard) {
-		t.Fatalf("unknown shard download err = %v", err)
-	}
 	if err := c.KillShard("ghost"); !errors.Is(err, ErrUnknownShard) {
 		t.Fatalf("kill unknown err = %v", err)
 	}

@@ -1,4 +1,4 @@
-// Package wire is the one HTTP layer under the repo's six line-framed
+// Package wire is the one HTTP layer under the repo's five line-framed
 // protocols (DESIGN.md, "Wire protocols"): the line codec they share, a
 // client helper that issues a request and hands back a bounded, drained
 // reply, a server helper that dispatches a table of verbs, and the
@@ -209,16 +209,6 @@ func frameHeader(o Object) []byte {
 	return fmt.Appendf(nil, "%s %d %s\n", o.FP, len(o.Stored), enc)
 }
 
-// WriteFrames frames each object as "<fingerprint> <len> raw|gzip\n"
-// followed by exactly len stored bytes: the encoder a frame is checked
-// against. A handler answers through RespondFrames instead.
-func WriteFrames(w *bytes.Buffer, objects []Object) {
-	for _, o := range objects {
-		w.Write(frameHeader(o))
-		w.Write(o.Stored)
-	}
-}
-
 // ParseFrame decodes the line that opens a frame: whose object follows,
 // how many stored bytes of it, and whether they are a gzip stream.
 func ParseFrame(header string) (fp hashing.Fingerprint, stored int64, gzipped bool, err error) {
@@ -236,7 +226,7 @@ func ParseFrame(header string) (fp hashing.Fingerprint, stored int64, gzipped bo
 	return fp, int64(size), fields[1] == "gzip", nil
 }
 
-// ParseFrames decodes a whole buffer of WriteFrames' framing; the
+// ParseFrames decodes a whole buffer of RespondFrames' framing; the
 // objects alias body. It rejects truncated or malformed frames.
 func ParseFrames(body []byte) ([]Object, error) {
 	var objects []Object

@@ -82,11 +82,11 @@ func TestAppendersFrameAsBefore(t *testing.T) {
 	}
 }
 
-// goldenBodies are the request and reply bodies of the six wire goldens.
+// goldenBodies are the request and reply bodies of the five wire goldens.
 func goldenBodies(t testing.TB) [][]byte {
 	files, err := filepath.Glob("testdata/*.golden")
-	if err != nil || len(files) != 6 {
-		t.Fatalf("%d wire goldens (%v), want 6", len(files), err)
+	if err != nil || len(files) != 5 {
+		t.Fatalf("%d wire goldens (%v), want 5", len(files), err)
 	}
 	var bodies [][]byte
 	for _, file := range files {
@@ -108,6 +108,31 @@ func goldenBodies(t testing.TB) [][]byte {
 	return bodies
 }
 
+// shardGoldenBodies are the bodies the retired shard-routing protocol's
+// golden recorded, request then reply for each of its exchanges, with
+// the "gear-shard <shard> <verb> <n>" line that opened a frame
+// stripped: the lists, verdicts and object frames that protocol handed
+// this codec, and the replies that refused them.
+func shardGoldenBodies() []string {
+	const a, missing, b = "71ced836a7e8b0e4a6dc9b21096a225a", "058a85a58c16a6c4c628fa58b18ffbbe", "987bcab01b929eb2c07877b224215c92"
+	alpha := "alpha: " + strings.Repeat("gear file content ", 8)
+	return []string{
+		a + "\n" + missing + "\n" + b + "\n", a + " present\n" + missing + " absent\n" + b + " present\n",
+		"", "",
+		b + "\n" + a + "\n", b + " 4 raw\nbeta" + a + " 151 raw\n" + alpha,
+		a + "\n" + missing + "\n", "gearregistry: batch: " + missing + ": gear file not found\n",
+		a + "\n", "shardreg: shard \"ghost\": unknown shard\n",
+		a + "\n", "shardreg: shard shard00: shard down\n",
+		"not a frame", "shardreg: missing header: malformed shard frame\n",
+		"wrong-magic shard00 query 0\n", "shardreg: bad header \"wrong-magic shard00 query 0\": malformed shard frame\n",
+		"", "shardreg: bad verb \"steal\": malformed shard frame\n",
+		a + "\n", "shardreg: bad count \"many\": malformed shard frame\n",
+		"zzzz\n", "shardreg: fingerprint \"zzzz\": malformed content address: malformed shard frame\n",
+		"", "",
+		"", "404 page not found\n",
+	}
+}
+
 // FuzzLineCodec: over any body, the codec that walks it gives what the
 // one that split it gave — the same lines, list, verdicts, and an error
 // exactly where that one gave an error.
@@ -123,6 +148,24 @@ func FuzzLineCodec(f *testing.F) {
 		fp + " maybe\n", "zzzz present\n", fp + "\n", // bad verdict, bad fingerprint, no verdict
 		fp + "\u00a0present\n" + fp + "\u0085absent\n", // spaces past ASCII
 		"\xff\xfe " + fp + "\n\n\n x \n",
+	} {
+		f.Add([]byte(body))
+	}
+	for _, body := range shardGoldenBodies() {
+		f.Add([]byte(body))
+	}
+	// The seeds of the shard-routing request parser, which read its
+	// fingerprint list through List.
+	for _, body := range []string{
+		"",
+		"\n\n\n",
+		knownFP + "\n",
+		knownFP + "\n" + knownFP + "\n", // duplicates
+		fp + "\n",                       // unknown but well-formed
+		"zzzz\n",                        // malformed fingerprint
+		knownFP + "\n",                  // its header's count overran the list
+		fp + "-c2\n",                    // collision id form
+		knownFP + " present\n",          // response-shaped input
 	} {
 		f.Add([]byte(body))
 	}

@@ -21,7 +21,6 @@ import (
 	"github.com/gear-image/gear/internal/peer"
 	"github.com/gear-image/gear/internal/prefetch"
 	"github.com/gear-image/gear/internal/registry"
-	"github.com/gear-image/gear/internal/shardreg"
 )
 
 // The wire compatibility golden. testdata/<protocol>.golden holds one
@@ -320,7 +319,7 @@ func peerFixture(t *testing.T) http.Handler {
 			t.Fatal(err)
 		}
 	}
-	return gearregistry.NewPoolHandler(peer.NewServer("node0", c, peer.ServerOptions{Compress: true}))
+	return gearregistry.NewPoolHandler(peer.NewServer("node0", c))
 }
 
 func trackerFixture(t *testing.T) http.Handler {
@@ -367,30 +366,6 @@ func dockerFixture(t *testing.T) http.Handler {
 		t.Fatal(err)
 	}
 	return registry.NewHandler(reg)
-}
-
-func shardFixture(kill string) func(*testing.T) http.Handler {
-	return func(t *testing.T) http.Handler {
-		c, err := shardreg.New(shardreg.Options{Shards: []string{"shard00", "shard01"}, Replication: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, obj := range [][]byte{objA, objB} {
-			if err := c.Upload(hashing.FingerprintBytes(obj), obj); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if kill != "" {
-			if err := c.KillShard(kill); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return shardreg.NewHandler(c)
-	}
-}
-
-func routed(shard, verb string, fps ...hashing.Fingerprint) []byte {
-	return shardreg.EncodeRoutedRequest(shardreg.RoutedRequest{Shard: shard, Verb: verb, Fps: fps})
 }
 
 // gearCall adapts a gearregistry.Client call to a scenario.
@@ -570,25 +545,8 @@ func protocols() map[string][]scenario {
 		{name: "route/unknown-404", fixture: dockerFixture, method: "GET", uri: "/v2/steal"},
 	}
 
-	up, down := shardFixture(""), shardFixture("shard00")
-	shard := []scenario{
-		{name: "query/ok", fixture: up, method: "POST", uri: "/shard", body: routed("shard00", shardreg.VerbQuery, fpA, fpMissing, fpB)},
-		{name: "query/empty", fixture: up, method: "POST", uri: "/shard", body: routed("shard01", shardreg.VerbQuery)},
-		{name: "download/ok", fixture: up, method: "POST", uri: "/shard", body: routed("shard01", shardreg.VerbDownload, fpB, fpA)},
-		{name: "download/missing-404", fixture: up, method: "POST", uri: "/shard", body: routed("shard00", shardreg.VerbDownload, fpA, fpMissing)},
-		{name: "route/unknown-shard-404", fixture: up, method: "POST", uri: "/shard", body: routed("ghost", shardreg.VerbQuery, fpA)},
-		{name: "route/killed-shard-503", fixture: down, method: "POST", uri: "/shard", body: routed("shard00", shardreg.VerbQuery, fpA)},
-		{name: "frame/not-a-frame-400", fixture: up, method: "POST", uri: "/shard", body: []byte("not a frame")},
-		{name: "frame/bad-magic-400", fixture: up, method: "POST", uri: "/shard", body: []byte("wrong-magic shard00 query 0\n")},
-		{name: "frame/bad-verb-400", fixture: up, method: "POST", uri: "/shard", body: []byte("gear-shard shard00 steal 0\n")},
-		{name: "frame/bad-count-400", fixture: up, method: "POST", uri: "/shard", body: []byte("gear-shard shard00 query many\n" + string(fpA) + "\n")},
-		{name: "frame/malformed-fingerprint-400", fixture: up, method: "POST", uri: "/shard", body: []byte("gear-shard shard00 query 1\nzzzz\n")},
-		{name: "route/get-405", fixture: up, method: "GET", uri: "/shard"},
-		{name: "route/outside-404", fixture: up, method: "POST", uri: "/other"},
-	}
-
 	return map[string][]scenario{
 		"gearregistry": gear, "peerserver": peerSrv, "tracker": tracker,
-		"prefetch": library, "registry": docker, "shardreg": shard,
+		"prefetch": library, "registry": docker,
 	}
 }

@@ -229,12 +229,12 @@ func RespondObject(w http.ResponseWriter, o Object) {
 	Respond(w, "application/octet-stream", o.Stored)
 }
 
-// RespondFrames answers with head, then the objects in WriteFrames'
-// framing. The stored bytes go out as they lie in the pool: a batch
-// costs no second copy of its objects.
-func RespondFrames(w http.ResponseWriter, head []byte, objects []Object) {
-	parts := make([][]byte, 1, 1+2*len(objects))
-	parts[0] = head
+// RespondFrames answers with the objects, each framed as
+// "<fingerprint> <len> raw|gzip\n" followed by exactly len stored bytes.
+// The stored bytes go out as they lie in the pool: a batch costs no
+// second copy of its objects.
+func RespondFrames(w http.ResponseWriter, objects []Object) {
+	parts := make([][]byte, 0, 2*len(objects))
 	var sizes []byte
 	for i, o := range objects {
 		parts = append(parts, frameHeader(o), o.Stored)

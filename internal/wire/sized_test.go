@@ -15,7 +15,6 @@ import (
 	"github.com/gear-image/gear/internal/imagefmt"
 	"github.com/gear-image/gear/internal/peer"
 	"github.com/gear-image/gear/internal/registry"
-	"github.com/gear-image/gear/internal/shardreg"
 	"github.com/gear-image/gear/internal/wire"
 )
 
@@ -43,7 +42,7 @@ func TestObjectRepliesAreSized(t *testing.T) {
 	if _, err := l1.Put(fp, big); err != nil {
 		t.Fatal(err)
 	}
-	peerSrv := gearregistry.NewPoolHandler(peer.NewServer("node0", l1, peer.ServerOptions{Compress: true}))
+	peerSrv := gearregistry.NewPoolHandler(peer.NewServer("node0", l1))
 	docker := registry.New()
 	digest := hashing.DigestBytes(big)
 	if err := docker.PutBlob(digest, big); err != nil {
@@ -55,13 +54,6 @@ func TestObjectRepliesAreSized(t *testing.T) {
 		layers[i], sizes[i] = digest, int64(len(big))
 	}
 	if err := docker.PutManifest(&imagefmt.Manifest{Name: "gear/big", Tag: "v1", Layers: layers, LayerSizes: sizes}); err != nil {
-		t.Fatal(err)
-	}
-	cluster, err := shardreg.New(shardreg.Options{Shards: []string{"shard00"}, Replication: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Upload(fp, big); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +72,6 @@ func TestObjectRepliesAreSized(t *testing.T) {
 		{"peer batch", peerSrv, "POST", "/gear/batch", list, true},
 		{"docker blob", registry.NewHandler(docker), "GET", "/v2/blobs/" + string(digest), nil, false},
 		{"docker manifest", registry.NewHandler(docker), "GET", "/v2/manifests/gear/big/v1", nil, false},
-		{"shard download", shardreg.NewHandler(cluster), "POST", "/shard", routed("shard00", shardreg.VerbDownload, fp), true},
 	} {
 		srv := httptest.NewServer(c.h)
 		req, err := http.NewRequest(c.method, srv.URL+c.path, bytes.NewReader(c.body))

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # statslint: fail the build when an exported *Stats struct is declared
-# outside internal/telemetry and is not in scripts/stats_allowlist.txt.
+# outside internal/telemetry and is not in scripts/stats_allowlist.txt,
+# or when a component grows a second constructor or snapshot (below).
 #
 # The unified observability layer keeps one metrics registry per daemon
 # (internal/telemetry); the grandfathered Stats structs in the allowlist
@@ -27,6 +28,20 @@ while IFS= read -r line; do
   fi
 done < <(grep -rn --include='*.go' -E '^type [A-Za-z0-9_]*Stats struct' . \
   | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' || true)
+
+# One constructor and one snapshot per component: New is the only
+# constructor, and Snapshot() is the telemetry.Snapshotter method. A
+# New…WithTelemetry twin or a StatsSnapshot() beside Snapshot() is a
+# second way in. internal/gearregistry keeps its StatsSnapshot for
+# loadbench until that harness moves to Snapshot().
+twins=$(grep -rn --include='*.go' -E '^func New[A-Za-z0-9_]*WithTelemetry\(|^func \([^)]*\) StatsSnapshot\(\)' . \
+  | grep -v '_test\.go:' | grep -v '^\./internal/gearregistry/' || true)
+if [ -n "$twins" ]; then
+  echo "statslint: a second constructor or snapshot:" >&2
+  printf '%s\n' "$twins" >&2
+  echo "  fold the twin into New, and answer Snapshot() only" >&2
+  status=1
+fi
 
 if [ "$status" -eq 0 ]; then
   echo "statslint: ok"

@@ -6,13 +6,14 @@
 # probes a gearregistry store for a verb, or renames a converted image
 # outside the converter.
 #
-# Every HTTP protocol in the repo is a verb table over internal/wire
-# (DESIGN.md, "Wire protocols"): the client helper bounds and drains
-# replies, the server helper owns 404/405 and the request-body bound,
-# wire.Serve owns timeouts and shutdown, and wire.Respond is the one
-# body writer, which is what makes every reply declare its length. Any
-# of the patterns outside it is a hand-rolled protocol growing back —
-# add a verb to a table, and answer through wire.Respond, instead.
+# Every HTTP protocol in the repo, all five, is a verb table over
+# internal/wire (DESIGN.md, "Wire protocols"): the client helper bounds
+# and drains replies, the server helper owns 404/405 and the
+# request-body bound, wire.Serve owns timeouts and shutdown, and
+# wire.Respond is the one body writer, which is what makes every reply
+# declare its length. Any of the patterns outside it is a hand-rolled
+# protocol growing back — add a verb to a table, and answer through
+# wire.Respond, instead.
 # internal/tarstream (gunzip, not HTTP) and loadbench/ (the benchmark's
 # own harness) are exempt.
 set -euo pipefail
