@@ -32,7 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/dockersim"
 	"github.com/gear-image/gear/internal/fleet"
@@ -41,7 +40,6 @@ import (
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/netsim"
-	"github.com/gear-image/gear/internal/peer"
 	"github.com/gear-image/gear/internal/prefetch"
 	"github.com/gear-image/gear/internal/registry"
 	"github.com/gear-image/gear/internal/shardreg"
@@ -72,7 +70,7 @@ func run(args []string) error {
 	case "gc":
 		return cmdGC(args[1:])
 	case "peers":
-		return cmdPeers(args[1:])
+		return cmdPeers(args[1:], os.Stdout)
 	case "profile":
 		return cmdProfile(args[1:])
 	case "stats":
@@ -251,27 +249,43 @@ func cmdGC(args []string) error {
 // cmdPeers reports a cluster tracker's view of peer-to-peer
 // distribution: how many Gear files are tracked across how many
 // holders, and how much deployment traffic the fleet served from peers
-// instead of the registry.
-func cmdPeers(args []string) error {
+// instead of the registry. It reads the tracker's telemetry snapshot
+// (/peer/metrics), as gearctl stats does.
+func cmdPeers(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("peers", flag.ContinueOnError)
 	trackerURL := fs.String("tracker", "http://localhost:7002", "peer tracker URL")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	st, err := peer.NewTrackerClient(*trackerURL, nil).Stats()
+	snap, err := fetchSnapshot(*trackerURL, "/peer/metrics")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("tracker %s\n", *trackerURL)
-	fmt.Printf("tracked: %d gear files across %d holders (%d announces, %d withdraws)\n",
-		st.Fingerprints, st.Holders, st.Announces, st.Withdraws)
-	total := st.PeerBytes + st.RegistryBytes
-	fmt.Printf("served p2p:      %d files, %d B\n", st.PeerObjects, st.PeerBytes)
-	fmt.Printf("served registry: %d files, %d B\n", st.RegistryObjects, st.RegistryBytes)
-	if total > 0 {
-		fmt.Printf("peer share: %.1f%% of %d B total\n", 100*float64(st.PeerBytes)/float64(total), total)
+	peerObjects, peerBytes := snap.Counter("tracker.peer.objects"), snap.Counter("tracker.peer.bytes")
+	registryObjects, registryBytes := snap.Counter("tracker.registry.objects"), snap.Counter("tracker.registry.bytes")
+	fmt.Fprintf(out, "tracker %s\n", *trackerURL)
+	fmt.Fprintf(out, "tracked: %d gear files across %d holders (%d announces, %d withdraws)\n",
+		snap.Gauge("tracker.fingerprints"), snap.Gauge("tracker.holders"),
+		snap.Counter("tracker.announces"), snap.Counter("tracker.withdraws"))
+	fmt.Fprintf(out, "served p2p:      %d files, %d B\n", peerObjects, peerBytes)
+	fmt.Fprintf(out, "served registry: %d files, %d B\n", registryObjects, registryBytes)
+	if total := peerBytes + registryBytes; total > 0 {
+		fmt.Fprintf(out, "peer share: %.1f%% of %d B total\n", 100*float64(peerBytes)/float64(total), total)
 	}
 	return nil
+}
+
+// fetchSnapshot reads the telemetry snapshot a server answers on path.
+func fetchSnapshot(url, path string) (telemetry.Snapshot, error) {
+	reply, err := wire.NewClient("stats", url, nil, nil).Do(http.MethodGet, path, nil)
+	if err != nil {
+		return telemetry.Snapshot{}, err
+	}
+	snap, err := telemetry.DecodeSnapshot(reply.Body)
+	if err != nil {
+		return telemetry.Snapshot{}, fmt.Errorf("stats: %w", err)
+	}
+	return snap, nil
 }
 
 // cmdProfile inspects a daemon's persisted startup profiles: which
@@ -343,13 +357,9 @@ func cmdStats(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	reply, err := wire.NewClient("stats", *url, nil, clientopt.Options{}, nil).Do(http.MethodGet, *path, nil)
+	snap, err := fetchSnapshot(*url, *path)
 	if err != nil {
 		return err
-	}
-	snap, err := telemetry.DecodeSnapshot(reply.Body)
-	if err != nil {
-		return fmt.Errorf("stats: %w", err)
 	}
 	if *saveFile != "" {
 		f, err := os.Create(*saveFile)

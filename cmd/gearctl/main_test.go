@@ -91,23 +91,37 @@ func TestSeedListIndexDeployGC(t *testing.T) {
 	}
 }
 
-// TestPeersSubcommand drives gearctl peers against a live HTTP tracker.
+// TestPeersSubcommand drives gearctl peers against a live HTTP tracker,
+// before and after nodes report served traffic, and pins the report
+// (tracker URL elided) in testdata/peers.txt.
 func TestPeersSubcommand(t *testing.T) {
-	tr := peer.NewTracker()
-	tr.Announce("node0", hashing.FingerprintBytes([]byte("a")), hashing.FingerprintBytes([]byte("b")))
-	tr.Announce("node1", hashing.FingerprintBytes([]byte("a")))
-	tr.ReportServed(3, 4096, 2, 1024)
-	srv := httptest.NewServer(peer.NewTrackerHandler(tr))
-	defer srv.Close()
-
-	if err := run([]string{"peers", "-tracker", srv.URL}); err != nil {
-		t.Fatalf("gearctl peers: %v", err)
+	var out bytes.Buffer
+	for _, traffic := range []bool{false, true} {
+		tr := peer.NewTracker()
+		a, b, c := hashing.FingerprintBytes([]byte("a")), hashing.FingerprintBytes([]byte("b")), hashing.FingerprintBytes([]byte("c"))
+		for _, err := range []error{
+			tr.Announce("node0", a, b), tr.Announce("node1", a), tr.Announce("node2", c), tr.Withdraw("node2", c),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if traffic {
+			tr.ReportServed(3, 4096, 2, 1024)
+		}
+		srv := httptest.NewServer(peer.NewTrackerHandler(tr))
+		var report bytes.Buffer
+		if err := cmdPeers([]string{"-tracker", srv.URL}, &report); err != nil {
+			t.Fatalf("gearctl peers: %v", err)
+		}
+		out.WriteString(strings.ReplaceAll(report.String(), srv.URL, "TRACKER"))
+		// An unreachable tracker fails cleanly.
+		srv.Close()
+		if err := cmdPeers([]string{"-tracker", srv.URL}, io.Discard); err == nil {
+			t.Error("peers against a dead tracker succeeded")
+		}
 	}
-	// An unreachable tracker fails cleanly.
-	srv.Close()
-	if err := run([]string{"peers", "-tracker", srv.URL}); err == nil {
-		t.Error("peers against a dead tracker succeeded")
-	}
+	checkStatsGolden(t, "peers.txt", out.Bytes())
 }
 
 // TestProfileSubcommand drives gearctl profile (list, dump, delete)

@@ -55,12 +55,10 @@
 package gear
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 
 	"github.com/gear-image/gear/internal/cache"
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/dedup"
 	"github.com/gear-image/gear/internal/dockersim"
@@ -193,8 +191,8 @@ type (
 	GearStore = gearregistry.Store
 	// GearRangeStore is the byte-range verb of GearStore:
 	// DownloadRange(fp, off, n) returns n bytes of a Gear file from
-	// offset off. The in-process FileStore, the HTTP client, the
-	// retrying wrapper, and the ShardCluster all implement it.
+	// offset off. The in-process FileStore, the HTTP client and the
+	// ShardCluster all implement it.
 	GearRangeStore = gearregistry.RangeDownloader
 	// FileStoreClient speaks to a remote FileStore over HTTP.
 	FileStoreClient = gearregistry.Client
@@ -406,9 +404,6 @@ type (
 	TraceSpan = telemetry.Span
 	// TraceRing is a bounded in-memory span buffer.
 	TraceRing = telemetry.TraceRing
-	// ClientOptions is the shared HTTP client configuration (retries,
-	// backoff, timeout) accepted by every *WithOptions constructor.
-	ClientOptions = clientopt.Options
 	// Tracker maps Gear-file fingerprints to the cluster nodes holding
 	// them (peer-to-peer distribution).
 	Tracker = peer.Tracker
@@ -444,43 +439,6 @@ func NewTrackerClient(baseURL string, hc *http.Client) *TrackerClient {
 	return peer.NewTrackerClient(baseURL, hc)
 }
 
-// Every *WithOptions constructor follows one shape:
-//
-//	New<X>ClientWithOptions(baseURL string, o ClientOptions) (T, error)
-//
-// where T is the client (the GearStore interface for the file store,
-// whose retrying variant is a wrapper type; the concrete client
-// elsewhere). An empty baseURL is the one configuration error common
-// to all of them and is reported instead of deferred to the first
-// request.
-
-// clientBase validates the one shared constructor precondition.
-func clientBase(kind, baseURL string) error {
-	if baseURL == "" {
-		return fmt.Errorf("gear: %s client: empty base URL", kind)
-	}
-	return nil
-}
-
-// NewTrackerClientWithOptions is NewTrackerClient with the shared
-// retry/backoff/timeout client configuration.
-func NewTrackerClientWithOptions(baseURL string, o ClientOptions) (*TrackerClient, error) {
-	if err := clientBase("tracker", baseURL); err != nil {
-		return nil, err
-	}
-	return peer.NewTrackerClientWithOptions(baseURL, o), nil
-}
-
-// NewFileStoreClientWithOptions is NewFileStoreClient with the shared
-// retry/backoff/timeout client configuration; with Retries > 0 the
-// returned store transparently retries transient failures.
-func NewFileStoreClientWithOptions(baseURL string, o ClientOptions) (GearStore, error) {
-	if err := clientBase("file store", baseURL); err != nil {
-		return nil, err
-	}
-	return gearregistry.NewClientWithOptions(baseURL, o)
-}
-
 // NewProfileLibrary returns an empty startup-profile library.
 func NewProfileLibrary() *ProfileLibrary { return prefetch.NewLibrary() }
 
@@ -490,13 +448,10 @@ func ProfileLibraryHandler(lib *ProfileLibrary) http.Handler {
 	return prefetch.NewLibraryHandler(lib)
 }
 
-// NewProfileLibraryClientWithOptions is the profile-library client
-// with the shared retry/backoff/timeout client configuration.
-func NewProfileLibraryClientWithOptions(baseURL string, o ClientOptions) (*ProfileLibraryClient, error) {
-	if err := clientBase("profile library", baseURL); err != nil {
-		return nil, err
-	}
-	return prefetch.NewLibraryClientWithOptions(baseURL, o), nil
+// NewProfileLibraryClient returns a client for the profile library at
+// baseURL.
+func NewProfileLibraryClient(baseURL string, hc *http.Client) *ProfileLibraryClient {
+	return prefetch.NewLibraryClient(baseURL, hc)
 }
 
 // Experiments.

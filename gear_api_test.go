@@ -318,14 +318,10 @@ func TestPublicRangeVerb(t *testing.T) {
 		t.Fatalf("DownloadRange = %d bytes, wire %d, %v", len(payload), wire, err)
 	}
 
-	// The same verb over HTTP through the unified client constructor.
+	// The same verb over HTTP.
 	srv := httptest.NewServer(gear.FileStoreHandler(files))
 	defer srv.Close()
-	client, err := gear.NewFileStoreClientWithOptions(srv.URL, gear.ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, _, err = client.DownloadRange(fp, 2048, 100)
+	payload, _, err = gear.NewFileStoreClient(srv.URL, nil).DownloadRange(fp, 2048, 100)
 	if err != nil || !bytes.Equal(payload, data[2048:2148]) {
 		t.Fatalf("HTTP DownloadRange: %v", err)
 	}
@@ -334,7 +330,7 @@ func TestPublicRangeVerb(t *testing.T) {
 // TestGearStoreContract runs one script of the six GearStore verbs
 // against every store there is: single is batch of one, whole is range
 // of all, and a request that cannot succeed is refused with the same
-// typed error everywhere, without a retry.
+// typed error everywhere.
 func TestGearStoreContract(t *testing.T) {
 	serve := func(compress bool) gear.GearStore {
 		srv := httptest.NewServer(gear.FileStoreHandler(gear.NewFileStore(gear.FileStoreOptions{Compress: compress})))
@@ -347,20 +343,15 @@ func TestGearStoreContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type row struct {
+	rows := []struct {
 		name  string
 		store gear.GearStore
-		retry bool
-	}
-	rows := []row{
+	}{
 		{name: "FileStore raw", store: gear.NewFileStore(gear.FileStoreOptions{})},
 		{name: "FileStore compressed", store: gear.NewFileStore(gear.FileStoreOptions{Compress: true})},
 		{name: "FileStoreClient raw", store: serve(false)},
 		{name: "FileStoreClient compressed", store: serve(true)},
 		{name: "ShardCluster 3x2", store: cluster},
-	}
-	for _, r := range rows[:len(rows):len(rows)] {
-		rows = append(rows, row{"RetryStore over " + r.name, r.store, true})
 	}
 
 	data := make([]byte, 10000)
@@ -372,14 +363,7 @@ func TestGearStoreContract(t *testing.T) {
 
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			s, retries := r.store, func() int64 { return 0 }
-			if r.retry {
-				rs, err := gearregistry.NewRetryStoreOptions(s, gear.ClientOptions{Retries: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, retries = rs, rs.Retries
-			}
+			s := r.store
 			if err := s.Upload(fp, data); err != nil {
 				t.Fatal(err)
 			}
@@ -417,7 +401,7 @@ func TestGearStoreContract(t *testing.T) {
 				t.Errorf("empty DownloadBatch = %v, %v", payloads, err)
 			}
 
-			// What cannot succeed is refused, typed, at the first attempt.
+			// What cannot succeed is refused, typed.
 			refused := func(what string, err, want error) {
 				t.Helper()
 				if !errors.Is(err, want) {
@@ -449,9 +433,6 @@ func TestGearStoreContract(t *testing.T) {
 			} {
 				_, _, err := s.DownloadRange(fp, rg.off, rg.n)
 				refused("DownloadRange out of range", err, gearregistry.ErrBadRange)
-			}
-			if n := retries(); n != 0 {
-				t.Errorf("%d retries spent on requests that cannot succeed", n)
 			}
 		})
 	}
@@ -496,21 +477,23 @@ func TestPublicShardCluster(t *testing.T) {
 	}
 }
 
+// A client of each of the five protocols, built with an empty base URL,
+// says so on its first call.
 func TestPublicClientConstructors(t *testing.T) {
-	if _, err := gear.NewTrackerClientWithOptions("", gear.ClientOptions{}); err == nil {
-		t.Error("tracker client accepted empty URL")
-	}
-	if _, err := gear.NewFileStoreClientWithOptions("", gear.ClientOptions{}); err == nil {
-		t.Error("file store client accepted empty URL")
-	}
-	if _, err := gear.NewProfileLibraryClientWithOptions("", gear.ClientOptions{}); err == nil {
-		t.Error("profile library client accepted empty URL")
-	}
-	if _, err := gear.NewTrackerClientWithOptions("http://tracker.local", gear.ClientOptions{}); err != nil {
-		t.Errorf("tracker client: %v", err)
-	}
-	if _, err := gear.NewProfileLibraryClientWithOptions("http://profiles.local", gear.ClientOptions{}); err != nil {
-		t.Errorf("profile library client: %v", err)
+	fp := gear.FingerprintBytes([]byte("x"))
+	for _, tc := range []struct {
+		protocol string
+		call     func() error
+	}{
+		{"docker registry", func() error { _, err := gear.NewRegistryClient("", nil).ListManifests(); return err }},
+		{"gear registry", func() error { _, err := gear.NewFileStoreClient("", nil).Query(fp); return err }},
+		{"peer server", func() error { _, _, err := gear.NewFileStoreClient("", nil).Download(fp); return err }},
+		{"tracker", func() error { return gear.NewTrackerClient("", nil).Announce("node0", fp) }},
+		{"profile library", func() error { _, err := gear.NewProfileLibraryClient("", nil).List(); return err }},
+	} {
+		if err := tc.call(); err == nil || !strings.Contains(err.Error(), "empty base URL") {
+			t.Errorf("%s client with an empty base URL: err = %v", tc.protocol, err)
+		}
 	}
 }
 

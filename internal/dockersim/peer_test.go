@@ -102,8 +102,8 @@ func TestPeerDeploySavesRegistryEgress(t *testing.T) {
 	if topo.LANStats().Bytes == 0 {
 		t.Error("no peer traffic crossed the LAN")
 	}
-	if st := tracker.Stats(); st.Holders != nodes {
-		t.Errorf("tracker sees %d holders, want %d", st.Holders, nodes)
+	if holders := tracker.Snapshot().Gauge("tracker.holders"); holders != nodes {
+		t.Errorf("tracker sees %d holders, want %d", holders, nodes)
 	}
 
 	// Deploy time accounts the LAN transfers: a follower's run phase is

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/gear-image/gear/internal/cache"
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/gear/convert"
 	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gearregistry"
@@ -680,27 +679,6 @@ func TestDownloadIntegrityVerification(t *testing.T) {
 	}
 	if got := s.CacheStats().Objects; got != 0 {
 		t.Errorf("corrupt object entered the cache: %d", got)
-	}
-}
-
-func TestStoreWithRetryingRemote(t *testing.T) {
-	// The store composes with the RetryStore wrapper transparently.
-	ix, reg := fixture(t)
-	retry, err := gearregistry.NewRetryStoreOptions(reg, clientopt.Options{Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newStore(t, retry)
-	if err := s.AddIndex(ix); err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.CreateContainer("c1", "web:v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := v.ReadFile("/etc/conf")
-	if err != nil || string(data) != "port=80\n" {
-		t.Errorf("ReadFile = %q, %v", data, err)
 	}
 }
 

@@ -55,16 +55,3 @@ func (r *Registry) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, er
 	}
 	return payloads, wire, nil
 }
-
-// DownloadBatch implements BatchDownloader with retries: the batch is
-// all-or-nothing, so it is retried whole.
-func (r *RetryStore) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, error) {
-	var payloads [][]byte
-	var wire int64
-	err := r.do(nil, func() error {
-		var err error
-		payloads, wire, err = r.inner.DownloadBatch(fps)
-		return err
-	})
-	return payloads, wire, err
-}

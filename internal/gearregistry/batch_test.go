@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
 )
 
@@ -192,41 +191,4 @@ func TestHTTPBatchErrors(t *testing.T) {
 	if _, _, err := c.DownloadBatch([]hashing.Fingerprint{missing}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("client absent fp: err = %v, want ErrNotFound", err)
 	}
-}
-
-func TestRetryStoreDownloadBatch(t *testing.T) {
-	// RetryStore forwards and retries.
-	reg := New(Options{})
-	fps, data := seedObjects(t, reg, 3)
-	flaky := &flakyBatchStore{Store: reg, failures: 2}
-	rs, err := NewRetryStoreOptions(flaky, clientopt.Options{Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, _, err := rs.DownloadBatch(fps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fps {
-		if !bytes.Equal(payloads[i], data[i]) {
-			t.Errorf("payload %d mismatch", i)
-		}
-	}
-	if rs.Retries() == 0 {
-		t.Error("expected retries to be spent")
-	}
-}
-
-// flakyBatchStore fails the first N batch calls with a transient error.
-type flakyBatchStore struct {
-	Store
-	failures int
-}
-
-func (f *flakyBatchStore) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, error) {
-	if f.failures > 0 {
-		f.failures--
-		return nil, 0, errors.New("transient batch failure")
-	}
-	return f.Store.DownloadBatch(fps)
 }

@@ -3,6 +3,7 @@ package gearregistry
 import (
 	"bytes"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing/quick"
 
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/wire"
 )
 
 func put(t *testing.T, s Store, data []byte) hashing.Fingerprint {
@@ -194,17 +196,32 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// A refusal crosses HTTP as the error the registry returned.
 func TestHTTPErrors(t *testing.T) {
 	_, client := newHTTPStore(t, Options{})
 	fp := hashing.FingerprintBytes([]byte("missing"))
 	if _, _, err := client.Download(fp); !errors.Is(err, ErrNotFound) {
 		t.Errorf("download err = %v, want ErrNotFound", err)
 	}
-	if err := client.Upload(fp, []byte("wrong content")); err == nil {
-		t.Error("mismatched upload accepted over HTTP")
+	if err := client.Upload(fp, []byte("wrong content")); !errors.Is(err, ErrFingerprintMismatch) {
+		t.Errorf("mismatched upload err = %v, want ErrFingerprintMismatch", err)
+	}
+	if _, _, err := client.Download("not-a-fingerprint"); !errors.Is(err, hashing.ErrMalformed) {
+		t.Errorf("malformed download err = %v, want hashing.ErrMalformed", err)
 	}
 	if _, err := client.Query("malformed!!"); err == nil {
 		t.Error("malformed query accepted")
+	}
+
+	// A 400 whose text names no error of the protocol is a bad request,
+	// but not passed off as a fingerprint mismatch.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "unexpected EOF", http.StatusBadRequest)
+	}))
+	defer srv.Close()
+	err := NewClient(srv.URL, nil).Upload(hashing.FingerprintBytes([]byte("a")), []byte("a"))
+	if !errors.Is(err, wire.ErrBadRequest) || errors.Is(err, ErrFingerprintMismatch) {
+		t.Errorf("unnamed 400: err = %v, want wire.ErrBadRequest and not ErrFingerprintMismatch", err)
 	}
 }
 

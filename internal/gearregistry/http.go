@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/wire"
 )
@@ -174,20 +173,7 @@ var _ Store = (*Client)(nil)
 
 // NewClient returns a client for the Gear Registry at baseURL.
 func NewClient(baseURL string, hc *http.Client) *Client {
-	return &Client{w: wire.NewClient("gearregistry client", baseURL, hc, clientopt.Options{}, statuses)}
-}
-
-// NewClientWithOptions returns a registry store client configured by
-// the shared client options (gear.ClientOptions): Timeout bounds each
-// request's transport, and Retries/Backoff wrap the client in a
-// RetryStore. The zero Options behaves exactly like NewClient(baseURL,
-// nil) — one attempt, wire's transport.
-func NewClientWithOptions(baseURL string, o clientopt.Options) (Store, error) {
-	c := NewClient(baseURL, o.HTTPClient())
-	if o.Retries <= 0 {
-		return c, nil
-	}
-	return NewRetryStoreOptions(c, o)
+	return &Client{w: wire.NewClient("gearregistry client", baseURL, hc, statuses)}
 }
 
 // badReply reports a 2xx reply whose body is not what verb answers.

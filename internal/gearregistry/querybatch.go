@@ -38,14 +38,3 @@ func (r *Registry) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
 	r.mu.RUnlock()
 	return present, nil
 }
-
-// QueryBatch implements BatchQuerier with retries.
-func (r *RetryStore) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
-	var present []bool
-	err := r.do(nil, func() error {
-		var err error
-		present, err = r.inner.QueryBatch(fps)
-		return err
-	})
-	return present, err
-}

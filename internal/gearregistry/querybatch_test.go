@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/wire"
 )
@@ -152,42 +151,4 @@ func TestMalformedTextReplyIsBadReply(t *testing.T) {
 	if _, _, err := cannedClient(nil, []byte("swept\n")).GC(nil); !errors.Is(err, wire.ErrBadReply) {
 		t.Errorf("GC: err = %v, want ErrBadReply", err)
 	}
-}
-
-func TestRetryStoreQueryBatch(t *testing.T) {
-	reg := New(Options{})
-	fps, _ := seedObjects(t, reg, 3)
-	missing := hashing.FingerprintBytes([]byte("nope"))
-	ask := append(fps[:2:2], missing)
-
-	// RetryStore forwards and retries.
-	flaky := &flakyQueryBatchStore{Store: reg, failures: 2}
-	rs, err := NewRetryStoreOptions(flaky, clientopt.Options{Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	present, err := rs.QueryBatch(ask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !present[0] || !present[1] || present[2] {
-		t.Errorf("verdicts = %v", present)
-	}
-	if rs.Retries() == 0 {
-		t.Error("expected retries to be spent")
-	}
-}
-
-// flakyQueryBatchStore fails the first N QueryBatch calls transiently.
-type flakyQueryBatchStore struct {
-	Store
-	failures int
-}
-
-func (f *flakyQueryBatchStore) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
-	if f.failures > 0 {
-		f.failures--
-		return nil, errors.New("transient querybatch failure")
-	}
-	return f.Store.QueryBatch(fps)
 }

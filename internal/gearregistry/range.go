@@ -105,15 +105,3 @@ func (r *Registry) serveRange(w http.ResponseWriter, fp hashing.Fingerprint, off
 	}
 	return nil
 }
-
-// DownloadRange implements RangeDownloader with retries.
-func (r *RetryStore) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, int64, error) {
-	var payload []byte
-	var wire int64
-	err := r.do(nil, func() error {
-		var err error
-		payload, wire, err = r.inner.DownloadRange(fp, off, n)
-		return err
-	})
-	return payload, wire, err
-}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
 )
 
@@ -124,42 +123,5 @@ func TestRangeHTTPVerbSurface(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s = %d, want 404", p, resp.StatusCode)
 		}
-	}
-}
-
-// The retry wrapper passes ranges through and burns no retries on a
-// range that cannot fit.
-func TestRetryStoreDownloadRange(t *testing.T) {
-	reg := New(Options{})
-	fp, data := rangeObject(t, reg)
-	r, err := NewRetryStoreOptions(reg, clientopt.Options{Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, wire, err := r.DownloadRange(fp, 10, 20)
-	if err != nil || wire != 20 || !bytes.Equal(got, data[10:30]) {
-		t.Fatalf("retry range = %v (wire %d)", err, wire)
-	}
-	// Bad ranges are permanent: no retries burned.
-	if _, _, err := r.DownloadRange(fp, 0, 1<<40); !errors.Is(err, ErrBadRange) {
-		t.Fatalf("retry oob = %v", err)
-	}
-	if r.Retries() != 0 {
-		t.Fatalf("burned %d retries on permanent errors", r.Retries())
-	}
-}
-
-func TestClientWithOptionsSupportsRange(t *testing.T) {
-	reg := New(Options{Compress: true})
-	fp, data := rangeObject(t, reg)
-	srv := httptest.NewServer(NewHandler(reg))
-	defer srv.Close()
-	store, err := NewClientWithOptions(srv.URL, clientopt.Options{Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := store.DownloadRange(fp, 100, 50)
-	if err != nil || !bytes.Equal(got, data[100:150]) {
-		t.Fatalf("range through options client: %v", err)
 	}
 }

@@ -137,29 +137,3 @@ func verifyPeer(fp hashing.Fingerprint, data []byte) error {
 // ErrCorruptPeer reports a peer whose bytes fail fingerprint
 // verification.
 var ErrCorruptPeer = fmt.Errorf("peer served bytes failing fingerprint verification")
-
-// ExchangeStats summarizes the node's peer-fetch outcomes.
-type ExchangeStats struct {
-	// Hits/Misses count FetchPeer calls that were / were not served by
-	// some peer.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Corrupt and Errored count individual holders skipped.
-	Corrupt int64 `json:"corrupt"`
-	Errored int64 `json:"errored"`
-	// Objects/Bytes are the successful transfers' totals.
-	Objects int64 `json:"objects"`
-	Bytes   int64 `json:"bytes"`
-}
-
-// Stats returns a snapshot.
-func (e *Exchange) Stats() ExchangeStats {
-	return ExchangeStats{
-		Hits:    e.hits.Value(),
-		Misses:  e.misses.Value(),
-		Corrupt: e.corrupt.Value(),
-		Errored: e.errored.Value(),
-		Objects: e.objects.Value(),
-		Bytes:   e.bytes.Value(),
-	}
-}

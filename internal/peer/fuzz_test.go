@@ -72,10 +72,11 @@ func FuzzTrackerHTTP(f *testing.F) {
 		}
 
 		// Whatever the fuzzer announced, the tracker's invariants hold:
-		// stats counters are consistent and the seeded file stays located.
-		s := tr.Stats()
-		if s.Fingerprints < 0 || s.Holders < 0 || s.Announces < s.Withdraws-1 {
-			t.Fatalf("inconsistent stats after fuzzed traffic: %+v", s)
+		// its counters are consistent and the seeded file stays located.
+		s := tr.Snapshot()
+		if s.Gauge("tracker.fingerprints") < 0 || s.Gauge("tracker.holders") < 0 ||
+			s.Counter("tracker.announces") < s.Counter("tracker.withdraws")-1 {
+			t.Fatalf("inconsistent counters after fuzzed traffic: %+v", s)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/telemetry"
 	"github.com/gear-image/gear/internal/wire"
@@ -73,18 +72,9 @@ func NewTrackerHandler(t *Tracker) *wire.Handler {
 			wire.Respond(w, "text/plain; charset=utf-8", []byte("ok\n"))
 			return nil
 		}},
-		wire.Verb{Method: http.MethodGet, Path: "/peer/stats", Serve: func(w http.ResponseWriter, _ *wire.Request) error {
-			s := t.Stats()
-			wire.Respond(w, "text/plain", fmt.Appendf(nil, statsFormat+"\n", s.Fingerprints, s.Holders, s.Announces, s.Withdraws,
-				s.PeerObjects, s.PeerBytes, s.RegistryObjects, s.RegistryBytes))
-			return nil
-		}},
 		telemetry.Verb("/peer/metrics", t),
 	)
 }
-
-// statsFormat frames a TrackerStats, one "key=value" token per field.
-const statsFormat = "fingerprints=%d holders=%d announces=%d withdraws=%d peer=%d/%d registry=%d/%d"
 
 // parseMembershipBody decodes the shared announce/withdraw/locate
 // framing: a holder (or requester) id line followed by fingerprint
@@ -125,15 +115,7 @@ var _ Locator = (*TrackerClient)(nil)
 
 // NewTrackerClient returns a client for the tracker at baseURL.
 func NewTrackerClient(baseURL string, hc *http.Client) *TrackerClient {
-	return &TrackerClient{w: wire.NewClient("peer client", baseURL, hc, clientopt.Options{}, nil)}
-}
-
-// NewTrackerClientWithOptions is NewTrackerClient configured by the
-// shared clientopt.Options: Timeout shapes the transport, and
-// Retries/Backoff re-issue requests that fail at the transport layer
-// (protocol-level rejections are verdicts and are never retried).
-func NewTrackerClientWithOptions(baseURL string, o clientopt.Options) *TrackerClient {
-	return &TrackerClient{w: wire.NewClient("peer client", baseURL, o.HTTPClient(), o, nil)}
+	return &TrackerClient{w: wire.NewClient("peer client", baseURL, hc, nil)}
 }
 
 // post sends one membership-framed body: an id line, then fps.
@@ -189,21 +171,6 @@ func (c *TrackerClient) ReportServed(peerObjects int, peerBytes int64, registryO
 	body := fmt.Sprintf("peer=%d/%d registry=%d/%d\n", peerObjects, peerBytes, registryObjects, registryBytes)
 	_, err := c.w.Do(http.MethodPost, "/peer/served", []byte(body), "Content-Type", "text/plain")
 	return err
-}
-
-// Stats fetches the tracker's snapshot.
-func (c *TrackerClient) Stats() (TrackerStats, error) {
-	r, err := c.w.Do(http.MethodGet, "/peer/stats", nil)
-	if err != nil {
-		return TrackerStats{}, err
-	}
-	var s TrackerStats
-	if _, err := fmt.Sscanf(strings.TrimSpace(string(r.Body)), statsFormat,
-		&s.Fingerprints, &s.Holders, &s.Announces, &s.Withdraws,
-		&s.PeerObjects, &s.PeerBytes, &s.RegistryObjects, &s.RegistryBytes); err != nil {
-		return TrackerStats{}, fmt.Errorf("peer client: stats: parse %q: %w", r.Body, err)
-	}
-	return s, nil
 }
 
 // parseLocateResponse decodes the /peer/locate framing: one

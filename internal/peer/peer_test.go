@@ -67,8 +67,8 @@ func TestTrackerAnnounceLocateWithdraw(t *testing.T) {
 		t.Errorf("Locate(unknown) = %v, want none", got)
 	}
 
-	if s := tr.Stats(); s.Fingerprints != 2 || s.Holders != 2 || s.Announces != 3 {
-		t.Errorf("stats = %+v, want 2 fingerprints / 2 holders / 3 announces", s)
+	if s := tr.Snapshot(); s.Gauge("tracker.fingerprints") != 2 || s.Gauge("tracker.holders") != 2 || s.Counter("tracker.announces") != 3 {
+		t.Errorf("snapshot = %+v, want 2 fingerprints / 2 holders / 3 announces", s)
 	}
 
 	if err := tr.Withdraw("node0", a, b); err != nil {
@@ -80,8 +80,8 @@ func TestTrackerAnnounceLocateWithdraw(t *testing.T) {
 	if got := tr.Locate(a, ""); !reflect.DeepEqual(got, []string{"node1"}) {
 		t.Errorf("after withdraw Locate(a) = %v, want [node1]", got)
 	}
-	if s := tr.Stats(); s.Fingerprints != 1 || s.Holders != 1 || s.Withdraws != 2 {
-		t.Errorf("stats = %+v, want 1 fingerprint / 1 holder / 2 withdraws", s)
+	if s := tr.Snapshot(); s.Gauge("tracker.fingerprints") != 1 || s.Gauge("tracker.holders") != 1 || s.Counter("tracker.withdraws") != 2 {
+		t.Errorf("snapshot = %+v, want 1 fingerprint / 1 holder / 2 withdraws", s)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestTrackerHooksMirrorCacheMembership(t *testing.T) {
 			t.Errorf("%s: cached=%v but tracker located=%v", fp, cached, located)
 		}
 	}
-	if s := tr.Stats(); s.Withdraws == 0 {
+	if tr.Snapshot().Counter("tracker.withdraws") == 0 {
 		t.Error("capacity pressure produced no withdraws")
 	}
 }
@@ -278,7 +278,8 @@ func TestExchangeSkipsBadHoldersAndVerifies(t *testing.T) {
 	net.Add("good", good)
 	// "me" is announced but absent from the network: also skipped.
 
-	ex := NewExchange("me", tr, net, nil)
+	reg := telemetry.NewRegistry()
+	ex := NewExchange("me", tr, net, reg)
 	got, wire, ok := ex.FetchPeer(fp)
 	if !ok || string(got) != string(data) || wire != int64(len(data)) {
 		t.Fatalf("FetchPeer = %q/%d/%v, want payload from the good holder", got, wire, ok)
@@ -286,23 +287,23 @@ func TestExchangeSkipsBadHoldersAndVerifies(t *testing.T) {
 	if good.calls != 1 {
 		t.Errorf("good holder served %d times, want 1", good.calls)
 	}
-	st := ex.Stats()
-	if st.Hits != 1 || st.Objects != 1 || st.Bytes != int64(len(data)) {
-		t.Errorf("stats = %+v, want 1 hit / 1 object / %d bytes", st, len(data))
+	st := reg.Snapshot()
+	if st.Counter("peer.fetch.hits") != 1 || st.Counter("peer.fetch.objects") != 1 || st.Counter("peer.fetch.bytes") != int64(len(data)) {
+		t.Errorf("snapshot = %+v, want 1 hit / 1 object / %d bytes", st, len(data))
 	}
-	if st.Corrupt != int64(bad.calls) {
-		t.Errorf("corrupt skips = %d, corrupt holder served %d times", st.Corrupt, bad.calls)
+	if got := st.Counter("peer.fetch.corrupt"); got != int64(bad.calls) {
+		t.Errorf("corrupt skips = %d, corrupt holder served %d times", got, bad.calls)
 	}
-	if st.Errored != int64(dead.calls) {
-		t.Errorf("errored skips = %d, dead holder called %d times", st.Errored, dead.calls)
+	if got := st.Counter("peer.fetch.errored"); got != int64(dead.calls) {
+		t.Errorf("errored skips = %d, dead holder called %d times", got, dead.calls)
 	}
 
 	// No holder can serve: miss, never corrupt data.
 	if _, _, ok := ex.FetchPeer(fpOf("nobody has this")); ok {
 		t.Error("FetchPeer hit on a file nobody holds")
 	}
-	if st := ex.Stats(); st.Misses != 1 {
-		t.Errorf("misses = %d, want 1", st.Misses)
+	if misses := reg.Snapshot().Counter("peer.fetch.misses"); misses != 1 {
+		t.Errorf("misses = %d, want 1", misses)
 	}
 }
 
@@ -345,16 +346,10 @@ func TestTrackerHTTPRoundTrip(t *testing.T) {
 	if err := client.ReportServed(7, 700, 3, 300); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PeerObjects != 7 || stats.PeerBytes != 700 ||
-		stats.RegistryObjects != 3 || stats.RegistryBytes != 300 {
-		t.Errorf("served split = %+v, want 7/700 peer and 3/300 registry", stats)
-	}
-	if local := tr.Stats(); local != stats {
-		t.Errorf("HTTP stats %+v != in-process stats %+v", stats, local)
+	s := tr.Snapshot()
+	if s.Counter("tracker.peer.objects") != 7 || s.Counter("tracker.peer.bytes") != 700 ||
+		s.Counter("tracker.registry.objects") != 3 || s.Counter("tracker.registry.bytes") != 300 {
+		t.Errorf("served split = %+v, want 7/700 peer and 3/300 registry", s)
 	}
 }
 
@@ -395,8 +390,7 @@ func TestServerHandlerSpeaksRegistryProtocol(t *testing.T) {
 }
 
 // TestTrackerMetricsEndpoint: /peer/metrics serves the tracker's
-// unified telemetry snapshot, and it reconciles with the legacy
-// TrackerStats view.
+// unified telemetry snapshot — its one stats read path.
 func TestTrackerMetricsEndpoint(t *testing.T) {
 	tr := NewTracker()
 	tr.Announce("node0", fpOf("m a"), fpOf("m b"))
@@ -421,14 +415,17 @@ func TestTrackerMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode /peer/metrics: %v", err)
 	}
-	st := tr.Stats()
-	if got := snap.Gauge("tracker.fingerprints"); got != int64(st.Fingerprints) {
-		t.Errorf("tracker.fingerprints = %d, legacy view %d", got, st.Fingerprints)
+	if !reflect.DeepEqual(snap, tr.Snapshot()) {
+		t.Errorf("/peer/metrics = %+v, in-process snapshot %+v", snap, tr.Snapshot())
 	}
-	if got := snap.Counter("tracker.announces"); got != st.Announces {
-		t.Errorf("tracker.announces = %d, legacy view %d", got, st.Announces)
+	for name, want := range map[string]int64{"tracker.fingerprints": 2, "tracker.holders": 2} {
+		if got := snap.Gauge(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
-	if got := snap.Counter("tracker.peer.bytes"); got != st.PeerBytes {
-		t.Errorf("tracker.peer.bytes = %d, legacy view %d", got, st.PeerBytes)
+	for name, want := range map[string]int64{"tracker.announces": 3, "tracker.peer.bytes": 4096, "tracker.registry.objects": 2} {
+		if got := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -191,40 +191,6 @@ func (t *Tracker) ReportServed(peerObjects int, peerBytes int64, registryObjects
 	t.registryBytes.Add(registryBytes)
 }
 
-// TrackerStats is a snapshot of the tracker's view of the cluster: a
-// view over the tracker.* telemetry metrics.
-type TrackerStats struct {
-	// Fingerprints is how many distinct Gear files have at least one
-	// holder right now.
-	Fingerprints int `json:"fingerprints"`
-	// Holders is how many nodes currently hold at least one file.
-	Holders int `json:"holders"`
-	// Announces and Withdraws count membership transitions ever applied.
-	Announces int64 `json:"announces"`
-	Withdraws int64 `json:"withdraws"`
-	// Peer*/Registry* aggregate the traffic splits nodes reported.
-	PeerObjects     int64 `json:"peerObjects"`
-	PeerBytes       int64 `json:"peerBytes"`
-	RegistryObjects int64 `json:"registryObjects"`
-	RegistryBytes   int64 `json:"registryBytes"`
-}
-
-// Stats returns a snapshot.
-func (t *Tracker) Stats() TrackerStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return TrackerStats{
-		Fingerprints:    len(t.holders),
-		Holders:         len(t.files),
-		Announces:       t.announces.Value(),
-		Withdraws:       t.withdraws.Value(),
-		PeerObjects:     t.peerObjects.Value(),
-		PeerBytes:       t.peerBytes.Value(),
-		RegistryObjects: t.registryObjects.Value(),
-		RegistryBytes:   t.registryBytes.Value(),
-	}
-}
-
 func holderIndex(hs []string, holder string) int {
 	for i, h := range hs {
 		if h == holder {

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/telemetry"
 	"github.com/gear-image/gear/internal/wire"
 )
@@ -88,15 +87,7 @@ type LibraryClient struct {
 
 // NewLibraryClient returns a client for the library served at baseURL.
 func NewLibraryClient(baseURL string, hc *http.Client) *LibraryClient {
-	return &LibraryClient{w: wire.NewClient("prefetch client", baseURL, hc, clientopt.Options{}, statuses)}
-}
-
-// NewLibraryClientWithOptions is NewLibraryClient configured by the
-// shared clientopt.Options: Timeout shapes the transport, and
-// Retries/Backoff re-issue requests that fail at the transport layer
-// (HTTP error responses are verdicts and are never retried).
-func NewLibraryClientWithOptions(baseURL string, o clientopt.Options) *LibraryClient {
-	return &LibraryClient{w: wire.NewClient("prefetch client", baseURL, o.HTTPClient(), o, statuses)}
+	return &LibraryClient{w: wire.NewClient("prefetch client", baseURL, hc, statuses)}
 }
 
 // List fetches the profile listing.

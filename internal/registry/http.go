@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/imagefmt"
 	"github.com/gear-image/gear/internal/wire"
@@ -121,7 +120,7 @@ var _ Store = (*Client)(nil)
 // NewClient returns a client for the registry at baseURL (no trailing
 // slash required).
 func NewClient(baseURL string, hc *http.Client) *Client {
-	return &Client{w: wire.NewClient("registry client", baseURL, hc, clientopt.Options{}, statuses)}
+	return &Client{w: wire.NewClient("registry client", baseURL, hc, statuses)}
 }
 
 // PutManifest implements Store.

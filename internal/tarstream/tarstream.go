@@ -101,26 +101,18 @@ func packedSizeHint(f *vfs.FS) int {
 func Pack(f *vfs.FS) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(packedSizeHint(f))
-	if err := packInto(&buf, f); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// packInto streams the tree's tar form into w.
-func packInto(w io.Writer, f *vfs.FS) error {
-	tw := tar.NewWriter(w)
+	tw := tar.NewWriter(&buf)
 	var p packer
 	err := f.Walk(func(path string, n *vfs.Node) error {
 		return p.writeEntry(tw, path, n)
 	})
 	if err != nil {
-		return fmt.Errorf("tarstream: pack: %w", err)
+		return nil, fmt.Errorf("tarstream: pack: %w", err)
 	}
 	if err := tw.Close(); err != nil {
-		return fmt.Errorf("tarstream: pack close: %w", err)
+		return nil, fmt.Errorf("tarstream: pack close: %w", err)
 	}
-	return nil
+	return buf.Bytes(), nil
 }
 
 // packer reuses one header struct across entries; tar.Writer copies the
@@ -174,17 +166,9 @@ func (pk *packer) writeEntry(tw *tar.Writer, p string, n *vfs.Node) error {
 	}
 }
 
-// PackGz serializes the tree as a gzip-compressed tar archive, the format
-// Docker registries store layers in. The tar stream feeds the compressor
-// directly — no intermediate uncompressed copy — and the output is
-// byte-identical to Gzip(Pack(f)).
-func PackGz(f *vfs.FS) ([]byte, error) {
-	return deflate("packgz", func(zw *gzip.Writer) error { return packInto(zw, f) })
-}
-
 // Gzip compresses data with deterministic gzip framing.
 func Gzip(data []byte) ([]byte, error) {
-	return deflate("gzip", func(zw *gzip.Writer) error {
+	return deflate(func(zw *gzip.Writer) error {
 		_, err := zw.Write(data)
 		return err
 	})
@@ -196,7 +180,7 @@ func Gzip(data []byte) ([]byte, error) {
 // is written to tee first — a digest of the content, typically, so that
 // the content is judged in the pass that compresses it.
 func GzipFrom(r io.Reader, tee io.Writer) (gz []byte, n int64, err error) {
-	gz, err = deflate("gzip", func(zw *gzip.Writer) error {
+	gz, err = deflate(func(zw *gzip.Writer) error {
 		var err error
 		n, err = Copy(io.MultiWriter(tee, zw), r)
 		return err
@@ -215,17 +199,17 @@ func Copy(w io.Writer, r io.Reader) (int64, error) {
 
 // deflate runs write against a pooled compressor and returns the gzip
 // stream it produced, in a buffer of its own exact size.
-func deflate(op string, write func(zw *gzip.Writer) error) ([]byte, error) {
+func deflate(write func(zw *gzip.Writer) error) ([]byte, error) {
 	buf := getBuf()
 	defer putBuf(buf)
 	zw := gzWriterPool.Get().(*gzip.Writer)
 	defer gzWriterPool.Put(zw)
 	zw.Reset(buf)
 	if err := write(zw); err != nil {
-		return nil, fmt.Errorf("tarstream: %s write: %w", op, err)
+		return nil, fmt.Errorf("tarstream: gzip write: %w", err)
 	}
 	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("tarstream: %s close: %w", op, err)
+		return nil, fmt.Errorf("tarstream: gzip close: %w", err)
 	}
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())

@@ -84,15 +84,7 @@ func TestPackDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("identical trees produced different archives")
 	}
-	ga, err := PackGz(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := PackGz(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ga, gb) {
+	if !bytes.Equal(packGz(t, f), packGz(t, f)) {
 		t.Error("identical trees produced different gzip archives")
 	}
 }
@@ -214,11 +206,7 @@ func TestSizeHint(t *testing.T) {
 
 func TestUnpackGz(t *testing.T) {
 	f := buildTree(t)
-	data, err := PackGz(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := UnpackGz(data)
+	g, err := UnpackGz(packGz(t, f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -775,26 +763,18 @@ func BenchmarkApplyLayer(b *testing.B) {
 	}
 }
 
-// TestPackGzMatchesGzipOfPack pins the streaming PackGz path to the
-// composed form byte for byte: layer digests depend on the exact gzip
-// framing, so the zero-copy path must not change a single bit.
-func TestPackGzMatchesGzipOfPack(t *testing.T) {
-	f := buildTree(t)
-	streamed, err := PackGz(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+// packGz is the tree as an image layer stores it: its tar, gzipped.
+func packGz(tb testing.TB, f *vfs.FS) []byte {
+	tb.Helper()
 	raw, err := Pack(f)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	composed, err := Gzip(raw)
+	z, err := Gzip(raw)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if !bytes.Equal(streamed, composed) {
-		t.Fatalf("PackGz (%d bytes) != Gzip(Pack(...)) (%d bytes)", len(streamed), len(composed))
-	}
+	return z
 }
 
 // TestGzipPooledReuseIsolated asserts pooled codec state never leaks
@@ -840,20 +820,6 @@ func benchTree(b *testing.B, files, size int) *vfs.FS {
 	return f
 }
 
-// BenchmarkPackGz measures the streaming compressed-pack path used by
-// every registry push.
-func BenchmarkPackGz(b *testing.B) {
-	f := benchTree(b, 200, 2048)
-	b.ReportAllocs()
-	b.SetBytes(200 * 2048)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PackGz(f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGzipRoundTrip measures the pooled compress/decompress pair
 // used on the wire paths (uploads, downloads, peer transfers).
 func BenchmarkGzipRoundTrip(b *testing.B) {
@@ -877,11 +843,7 @@ func BenchmarkGzipRoundTrip(b *testing.B) {
 // BenchmarkUnpackGz measures the full decode path a puller runs per
 // layer: gunzip plus tar extraction into a fresh tree.
 func BenchmarkUnpackGz(b *testing.B) {
-	f := benchTree(b, 100, 4096)
-	z, err := PackGz(f)
-	if err != nil {
-		b.Fatal(err)
-	}
+	z := packGz(b, benchTree(b, 100, 4096))
 	b.ReportAllocs()
 	b.SetBytes(100 * 4096)
 	b.ResetTimer()
@@ -904,10 +866,7 @@ func TestUnpackGzStreamingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := PackGz(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := packGz(t, f)
 	streamed, err := UnpackGz(z)
 	if err != nil {
 		t.Fatal(err)
@@ -956,10 +915,7 @@ func TestUnpackGzStreamingParity(t *testing.T) {
 // truncated member, an entry of a type no tree holds.
 func TestReadFileGzMatchesUnpackedTree(t *testing.T) {
 	f := buildTree(t)
-	z, err := PackGz(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := packGz(t, f)
 	tree, err := UnpackGz(z)
 	if err != nil {
 		t.Fatal(err)

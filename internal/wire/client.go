@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/gear-image/gear/internal/clientopt"
 	"github.com/gear-image/gear/internal/tarstream"
 )
 
@@ -20,7 +20,6 @@ type Client struct {
 	base    url.URL // the server's URL, parsed once; every request is a path under it
 	baseErr error   // why base is not one
 	http    http.Client
-	opts    clientopt.Options
 	errs    Statuses
 }
 
@@ -29,17 +28,21 @@ type Client struct {
 // through errs. hc's Transport, when it has one, is used untouched; a
 // nil hc, or one without a Transport, is carried by this package's own
 // (transport.go), under whatever Timeout, Jar and CheckRedirect hc
-// sets. o is the retry policy: only a request that fails in transport
-// is sent again; any reply, whatever its status, is the server's answer.
-func NewClient(name, baseURL string, hc *http.Client, o clientopt.Options, errs Statuses) *Client {
-	c := &Client{name: name, opts: o, errs: errs}
+// sets — hc.Timeout is how a caller bounds each request. Every request
+// is sent once: any reply, whatever its status, is the server's answer.
+// A base URL that is empty or does not parse is reported by the first
+// call.
+func NewClient(name, baseURL string, hc *http.Client, errs Statuses) *Client {
+	c := &Client{name: name, errs: errs}
 	if hc != nil {
 		c.http = *hc
 	}
 	if c.http.Transport == nil {
 		c.http.Transport = transport
 	}
-	if base, err := url.Parse(strings.TrimSuffix(baseURL, "/")); err != nil {
+	if baseURL == "" {
+		c.baseErr = errors.New("empty base URL")
+	} else if base, err := url.Parse(strings.TrimSuffix(baseURL, "/")); err != nil {
 		c.baseErr = err
 	} else {
 		c.base = *base
@@ -75,21 +78,17 @@ func (c *Client) Do(method, path string, body []byte, header ...string) (*Reply,
 // most MaxBody in all) and closed, which is what hands the connection
 // back for reuse. An error from read is an ErrBadReply; a reply outside
 // 2xx is a *StatusError typed by the protocol's status table.
-func (c *Client) Stream(method, path string, body []byte, read func(*Body) error, header ...string) (err error) {
+func (c *Client) Stream(method, path string, body []byte, read func(*Body) error, header ...string) error {
 	if c.baseErr != nil {
 		return fmt.Errorf("%s: %w", c.name, c.baseErr)
 	}
-	for try := 0; try < c.opts.Attempts(); try++ {
-		c.opts.Sleep(try)
-		req := c.request(method, path, body)
-		for i := 0; i+1 < len(header); i += 2 {
-			req.Header.Set(header[i], header[i+1])
-		}
-		var resp *http.Response
-		if resp, err = c.http.Do(req); err == nil {
-			err = c.receive(req, resp, read)
-			break
-		}
+	req := c.request(method, path, body)
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := c.http.Do(req)
+	if err == nil {
+		err = c.receive(req, resp, read)
 	}
 	if err != nil {
 		return fmt.Errorf("%s: %w", c.name, err)

@@ -108,12 +108,14 @@ func goldenBodies(t testing.TB) [][]byte {
 	return bodies
 }
 
-// shardGoldenBodies are the bodies the retired shard-routing protocol's
-// golden recorded, request then reply for each of its exchanges, with
-// the "gear-shard <shard> <verb> <n>" line that opened a frame
-// stripped: the lists, verdicts and object frames that protocol handed
-// this codec, and the replies that refused them.
-func shardGoldenBodies() []string {
+// retiredGoldenBodies are the bodies the goldens recorded for exchanges
+// that are gone, request then reply for each. First the retired
+// shard-routing protocol's, with the "gear-shard <shard> <verb> <n>"
+// line that opened a frame stripped: the lists, verdicts and object
+// frames that protocol handed this codec, and the replies that refused
+// them. Then the tracker's GET /peer/stats, whose counters /peer/metrics
+// serves.
+func retiredGoldenBodies() []string {
 	const a, missing, b = "71ced836a7e8b0e4a6dc9b21096a225a", "058a85a58c16a6c4c628fa58b18ffbbe", "987bcab01b929eb2c07877b224215c92"
 	alpha := "alpha: " + strings.Repeat("gear file content ", 8)
 	return []string{
@@ -130,6 +132,8 @@ func shardGoldenBodies() []string {
 		"zzzz\n", "shardreg: fingerprint \"zzzz\": malformed content address: malformed shard frame\n",
 		"", "",
 		"", "404 page not found\n",
+		"", "fingerprints=2 holders=2 announces=3 withdraws=0 peer=3/4096 registry=2/1024\n",
+		"", "",
 	}
 }
 
@@ -151,7 +155,7 @@ func FuzzLineCodec(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	for _, body := range shardGoldenBodies() {
+	for _, body := range retiredGoldenBodies() {
 		f.Add([]byte(body))
 	}
 	// The seeds of the shard-routing request parser, which read its

@@ -493,8 +493,6 @@ func protocols() map[string][]scenario {
 		{name: "served/unparsable-400", fixture: trackerFixture, method: "POST", uri: "/peer/served", body: []byte("peer=one/100\n")},
 		{name: "served/negative-400", fixture: trackerFixture, method: "POST", uri: "/peer/served", body: []byte("peer=-1/100 registry=2/200\n")},
 		{name: "served/get-405", fixture: trackerFixture, method: "GET", uri: "/peer/served"},
-		{name: "stats/ok", fixture: trackerFixture, call: trackerCall(func(c *peer.TrackerClient) error { _, err := c.Stats(); return err })},
-		{name: "stats/post-405", fixture: trackerFixture, method: "POST", uri: "/peer/stats"},
 		{name: "metrics/ok", fixture: trackerFixture, method: "GET", uri: "/peer/metrics"},
 		{name: "metrics/post-405", fixture: trackerFixture, method: "POST", uri: "/peer/metrics"},
 		{name: "route/unknown-404", fixture: trackerFixture, method: "POST", uri: "/peer/steal"},

@@ -12,27 +12,25 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/gear-image/gear/internal/clientopt"
 )
 
 // A client brings its own transport or gets this package's: a client
-// without one — clientopt.Options.HTTPClient's is — keeps everything
+// without one — one that only sets a Timeout, say — keeps everything
 // else it set, and is itself left as it was.
 func TestClientTransportOwnership(t *testing.T) {
-	if c := NewClient("test client", "http://registry", nil, clientopt.Options{}, nil); c.http.Transport != transport {
+	if c := NewClient("test client", "http://registry", nil, nil); c.http.Transport != transport {
 		t.Errorf("nil client: transport %v, want the package's", c.http.Transport)
 	}
-	timed := clientopt.Options{Timeout: 3 * time.Second}.HTTPClient()
-	c := NewClient("test client", "http://registry", timed, clientopt.Options{}, nil)
+	timed := &http.Client{Timeout: 3 * time.Second}
+	c := NewClient("test client", "http://registry", timed, nil)
 	if c.http.Transport != transport || c.http.Timeout != 3*time.Second {
 		t.Errorf("client without a transport: transport %v, timeout %v; want the package's, under 3s", c.http.Transport, c.http.Timeout)
 	}
 	if timed.Transport != nil {
 		t.Error("the caller's client was written to")
 	}
-	own := &failFirst{}
-	if c := NewClient("test client", "http://registry", &http.Client{Transport: own}, clientopt.Options{}, nil); c.http.Transport != own {
+	own := &http.Transport{}
+	if c := NewClient("test client", "http://registry", &http.Client{Transport: own}, nil); c.http.Transport != own {
 		t.Errorf("client with a transport: transport %v, want its own", c.http.Transport)
 	}
 }
@@ -42,7 +40,7 @@ func TestClientTransportOwnership(t *testing.T) {
 // kept-alive connection turned out closed, has its body again.
 func TestRequestIsWhatNewRequestBuilds(t *testing.T) {
 	for _, base := range []string{"http://registry:5000", "http://registry:5000/", "http://registry/mirror"} {
-		c := NewClient("test client", base, nil, clientopt.Options{}, nil)
+		c := NewClient("test client", base, nil, nil)
 		for _, tc := range []struct {
 			method, path string
 			body         []byte
@@ -78,9 +76,11 @@ func TestRequestIsWhatNewRequestBuilds(t *testing.T) {
 			}
 		}
 	}
-	c := NewClient("test client", "http://bad host", nil, clientopt.Options{}, nil)
-	if _, err := c.Do(http.MethodGet, "/x", nil); err == nil {
-		t.Error("a base URL that does not parse carried a request")
+	for _, base := range []string{"http://bad host", ""} {
+		c := NewClient("test client", base, nil, nil)
+		if _, err := c.Do(http.MethodGet, "/x", nil); err == nil {
+			t.Errorf("base URL %q carried a request", base)
+		}
 	}
 }
 
@@ -124,7 +124,7 @@ func TestSecondWaveDialsNothing(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	c := NewClient("test client", srv.URL, nil, clientopt.Options{}, nil)
+	c := NewClient("test client", srv.URL, nil, nil)
 	for round := 0; round < 2; round++ {
 		arrived.Add(wave)
 		var wg sync.WaitGroup

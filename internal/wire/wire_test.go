@@ -15,8 +15,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"github.com/gear-image/gear/internal/clientopt"
 )
 
 var errGone = errors.New("thing is gone")
@@ -90,7 +88,7 @@ func TestOversizeRequestIs413(t *testing.T) {
 		http.Error(w, ErrTooLarge.Error(), http.StatusRequestEntityTooLarge)
 	}))
 	defer refuse.Close()
-	_, err = NewClient("test client", refuse.URL, nil, clientopt.Options{}, nil).Do(http.MethodPut, "/up", []byte("x"))
+	_, err = NewClient("test client", refuse.URL, nil, nil).Do(http.MethodPut, "/up", []byte("x"))
 	if !errors.Is(err, ErrTooLarge) || Code(err) != http.StatusRequestEntityTooLarge {
 		t.Fatalf("client err = %v, want ErrTooLarge carrying 413", err)
 	}
@@ -104,7 +102,7 @@ func TestOversizeResponseIsRefused(t *testing.T) {
 		_, _ = w.Write(make([]byte, 1<<10))
 	}))
 	defer srv.Close()
-	_, err := NewClient("test client", srv.URL, nil, clientopt.Options{}, nil).Do(http.MethodGet, "/big", nil)
+	_, err := NewClient("test client", srv.URL, nil, nil).Do(http.MethodGet, "/big", nil)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
@@ -207,7 +205,7 @@ func TestStatusTableIsTwoWay(t *testing.T) {
 		srv := httptest.NewServer(NewHandler(table, Verb{Path: "/x", Serve: func(http.ResponseWriter, *Request) error {
 			return fmt.Errorf("serving /x: %w", sent)
 		}}))
-		_, err := NewClient("test client", srv.URL, nil, clientopt.Options{}, table).Do(http.MethodGet, "/x", nil)
+		_, err := NewClient("test client", srv.URL, nil, table).Do(http.MethodGet, "/x", nil)
 		srv.Close()
 		if !errors.Is(err, sent) {
 			t.Errorf("handler returned %v, client got %v", sent, err)
@@ -220,7 +218,7 @@ func TestStatusTableIsTwoWay(t *testing.T) {
 	}))
 	defer vague.Close()
 	mismatch := errors.New("fingerprint mismatch")
-	_, err := NewClient("test client", vague.URL, nil, clientopt.Options{}, Statuses{{Err: mismatch, Code: http.StatusBadRequest}}).Do(http.MethodGet, "/x", nil)
+	_, err := NewClient("test client", vague.URL, nil, Statuses{{Err: mismatch, Code: http.StatusBadRequest}}).Do(http.MethodGet, "/x", nil)
 	if !errors.Is(err, ErrBadRequest) || errors.Is(err, mismatch) {
 		t.Errorf("err = %v, want ErrBadRequest and not the protocol's own 400", err)
 	}
@@ -229,59 +227,9 @@ func TestStatusTableIsTwoWay(t *testing.T) {
 		w.WriteHeader(http.StatusTeapot)
 	}))
 	defer srv.Close()
-	_, err = NewClient("test client", srv.URL, nil, clientopt.Options{}, table).Do(http.MethodGet, "/x", nil)
+	_, err = NewClient("test client", srv.URL, nil, table).Do(http.MethodGet, "/x", nil)
 	if Code(err) != http.StatusTeapot || errors.Is(err, errGone) {
 		t.Errorf("err = %v, want an untyped 418", err)
-	}
-}
-
-// failFirst fails its first n round trips in transport.
-type failFirst struct {
-	n     int
-	calls int
-}
-
-func (f *failFirst) RoundTrip(req *http.Request) (*http.Response, error) {
-	f.calls++
-	if f.calls <= f.n {
-		return nil, errors.New("connection reset")
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-// Only a request that failed in transport is sent again: a reply is an
-// answer, whatever its status.
-func TestClientRetriesTransportErrorsOnly(t *testing.T) {
-	var served atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		served.Add(1)
-		body, _ := io.ReadAll(r.Body)
-		if r.URL.Path == "/fail" {
-			http.Error(w, "no", http.StatusInternalServerError)
-			return
-		}
-		_, _ = w.Write(body)
-	}))
-	defer srv.Close()
-	opts := clientopt.Options{Retries: 3}
-
-	tr := &failFirst{n: 2}
-	c := NewClient("test client", srv.URL, &http.Client{Transport: tr}, opts, nil)
-	r, err := c.Do(http.MethodPost, "/echo", []byte("payload"))
-	if err != nil || string(r.Body) != "payload" || tr.calls != 3 {
-		t.Fatalf("reply %v, %v after %d tries; want the echoed body on the third", r, err, tr.calls)
-	}
-
-	tr = &failFirst{}
-	c = NewClient("test client", srv.URL, &http.Client{Transport: tr}, opts, nil)
-	if _, err := c.Do(http.MethodGet, "/fail", nil); Code(err) != 500 || tr.calls != 1 {
-		t.Fatalf("err %v after %d tries; want one try answered 500", err, tr.calls)
-	}
-
-	tr = &failFirst{n: 10}
-	c = NewClient("test client", srv.URL, &http.Client{Transport: tr}, opts, nil)
-	if _, err := c.Do(http.MethodGet, "/echo", nil); err == nil || tr.calls != 4 {
-		t.Fatalf("err %v after %d tries; want failure after 4", err, tr.calls)
 	}
 }
 
@@ -311,7 +259,7 @@ func TestClientReusesConnection(t *testing.T) {
 		}}
 		return srv.Client().Transport.RoundTrip(req.WithContext(httptrace.WithClientTrace(req.Context(), ct)))
 	})
-	c := NewClient("test client", srv.URL, &http.Client{Transport: tracing}, clientopt.Options{}, nil)
+	c := NewClient("test client", srv.URL, &http.Client{Transport: tracing}, nil)
 	for _, path := range []string{"/small", "/big", "/missing", "/small", "/missing", "/big"} {
 		_, _ = c.Do(http.MethodGet, path, nil)
 	}
@@ -339,7 +287,7 @@ func TestStreamDrainsWhatItsReaderLeaves(t *testing.T) {
 		}}
 		return srv.Client().Transport.RoundTrip(req.WithContext(httptrace.WithClientTrace(req.Context(), ct)))
 	})
-	c := NewClient("test client", srv.URL, &http.Client{Transport: tracing}, clientopt.Options{}, nil)
+	c := NewClient("test client", srv.URL, &http.Client{Transport: tracing}, nil)
 	errMisframed := errors.New("not what was asked for")
 	for _, read := range []func(*Body) error{
 		func(*Body) error { return nil },
@@ -376,7 +324,7 @@ func TestRestOfALargeBodyIsOneAllocation(t *testing.T) {
 		Respond(w, "application/octet-stream", big)
 	}))
 	defer srv.Close()
-	c := NewClient("test client", srv.URL, srv.Client(), clientopt.Options{}, nil)
+	c := NewClient("test client", srv.URL, srv.Client(), nil)
 	fetch := func() {
 		err := c.Stream(http.MethodGet, "/big", nil, func(b *Body) error {
 			got, err := b.Rest(false)

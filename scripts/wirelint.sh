@@ -3,8 +3,8 @@
 # reads a body with io.ReadAll, serves with bare http.Serve, answers
 # 405 itself, writes a reply body to the ResponseWriter itself, or names
 # net/http's default client or transport — or when any non-test code
-# probes a gearregistry store for a verb, or renames a converted image
-# outside the converter.
+# probes a gearregistry store for a verb, renames a converted image
+# outside the converter, or builds a remote client a second way.
 #
 # Every HTTP protocol in the repo, all five, is a verb table over
 # internal/wire (DESIGN.md, "Wire protocols"): the client helper bounds
@@ -97,6 +97,20 @@ if [ -n "$renames" ]; then
   echo "wirelint: a converted image renamed outside the converter:" >&2
   printf '%s\n' "$renames" >&2
   echo "  set convert.Options.IndexPrefix and publish the Result as Convert returned it" >&2
+  exit 1
+fi
+
+# Each remote client has one constructor, NewClient(baseURL, hc), and
+# sends each request once; a deadline is hc.Timeout. A retry policy, a
+# second constructor that takes one, or the tracker's second stats verb
+# beside /peer/metrics is a second way in growing back.
+twins=$(grep -rn --include='*.go' -E 'clientopt|RetryStore|WithOptions\(|"/peer/stats"' . \
+  | grep -v '_test\.go:' \
+  | grep -v -E '^\./loadbench/' || true)
+if [ -n "$twins" ]; then
+  echo "wirelint: a second way to build a client or read a tracker's stats:" >&2
+  printf '%s\n' "$twins" >&2
+  echo "  build the client with NewClient(baseURL, hc) and set hc.Timeout; read /peer/metrics" >&2
   exit 1
 fi
 echo "wirelint: ok"
