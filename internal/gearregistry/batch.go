@@ -32,13 +32,13 @@ func (r *Registry) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, er
 	var wire int64
 	r.mu.RLock()
 	for i, fp := range fps {
-		b, ok := r.objects[fp]
+		o, ok := r.objects[fp]
 		if !ok {
 			r.mu.RUnlock()
 			return nil, 0, fmt.Errorf("gearregistry: batch: %s: %w", fp, ErrNotFound)
 		}
-		stored[i] = b
-		wire += int64(len(b))
+		stored[i] = o.stored
+		wire += int64(len(o.stored))
 	}
 	r.mu.RUnlock()
 

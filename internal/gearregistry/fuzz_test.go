@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/tarstream"
 	"github.com/gear-image/gear/internal/wire"
 )
 
@@ -138,19 +139,35 @@ func cannedClient(header http.Header, body []byte) *Client {
 	return NewClient("http://canned", &http.Client{Transport: canned{header: header, body: body}})
 }
 
-// splitRangeReply decodes a whole range reply held in memory.
-func splitRangeReply(body []byte) (fp hashing.Fingerprint, off, n int64, payload []byte, err error) {
-	header, payload, ok := bytes.Cut(body, []byte("\n"))
+// splitRangeReply decodes a whole range reply held in memory: its
+// header, and the slice it carries, inflated when the header says gzip.
+func splitRangeReply(body []byte) (h rangeHeader, slice []byte, err error) {
+	line, rest, ok := bytes.Cut(body, []byte("\n"))
 	if !ok {
-		return "", 0, 0, nil, fmt.Errorf("truncated range header %q", body)
+		return rangeHeader{}, nil, fmt.Errorf("truncated range header %q", body)
 	}
-	fp, off, n, err = parseRangeHeader(string(header))
-	return fp, off, n, payload, err
+	if h, err = parseRangeHeader(string(line)); err != nil {
+		return rangeHeader{}, nil, err
+	}
+	if int64(len(rest)) != h.stored {
+		return rangeHeader{}, nil, fmt.Errorf("%d bytes follow a header that says %d", len(rest), h.stored)
+	}
+	if slice, err = wire.Inflate(rest, h.gzipped); err == nil && int64(len(slice)) != h.n {
+		err = fmt.Errorf("%d-byte slice for a header that says %d", len(slice), h.n)
+	}
+	return h, slice, err
+}
+
+// gzipReply is a range reply carrying stream as its gzip-framed slice.
+func gzipReply(fp hashing.Fingerprint, off, n, total, stored int64, stream []byte) []byte {
+	return append(rangeHeader{fp: fp, off: off, n: n, total: total, stored: stored, gzipped: true}.append(nil), stream...)
 }
 
 // FuzzRangeReply: the client reading a range reply must never panic and
 // must only accept a reply whose header echoes the request and whose
-// payload is exactly the bytes it asked for.
+// payload is exactly the bytes it asked for, however they were framed.
+// The first twelve seeds are in the framing replies had before they
+// named their stored length and encoding, which must now be refused.
 func FuzzRangeReply(f *testing.F) {
 	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 0 5 100\nhello"))
 	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 95 5 100\nhello"))
@@ -164,27 +181,46 @@ func FuzzRangeReply(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 9223372036854775807 1 100\nh")) // off+n overflows
 	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 2 9223372036854775807 100\nhello"))
+
+	const fp = hashing.Fingerprint("d41d8cd98f00b204e9800998ecf8427e")
+	hello, err := tarstream.Gzip([]byte("hello"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	helloWorld, err := tarstream.Gzip([]byte("hello world"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 0 5 100 5 raw\nhello"))
+	f.Add(gzipReply(fp, 0, 5, 100, int64(len(hello)), hello))
+	f.Add(gzipReply(fp, 0, 5, 100, int64(len(helloWorld)), helloWorld))     // inflates past n
+	f.Add(gzipReply(fp, 0, 5, 100, int64(len(hello))-3, hello))             // stored says less than follows
+	f.Add(gzipReply(fp, 0, 5, 100, int64(len(hello))+3, hello))             // stored says more than follows
+	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 0 5 100 5 gzip\nhello")) // raw bytes marked gzip
+	f.Add([]byte("d41d8cd98f00b204e9800998ecf8427e 0 5 100 3 raw\nhel"))    // raw, not n bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Ask for what the reply says it is, when it says anything: an
 		// arbitrary reply to a fixed request is refused on the echo and
 		// the payload check is never reached.
-		fp, off, n := hashing.Fingerprint("d41d8cd98f00b204e9800998ecf8427e"), int64(0), int64(5)
-		if gotFP, gotOff, gotN, _, err := splitRangeReply(data); err == nil {
-			fp, off, n = gotFP, gotOff, gotN
+		want := rangeHeader{fp: fp, off: 0, n: 5}
+		if line, _, ok := bytes.Cut(data, []byte("\n")); ok {
+			if h, err := parseRangeHeader(string(line)); err == nil {
+				want = h
+			}
 		}
-		payload, wireBytes, err := cannedClient(nil, data).DownloadRange(fp, off, n)
+		payload, wireBytes, err := cannedClient(nil, data).DownloadRange(want.fp, want.off, want.n)
 		if err != nil {
 			if !errors.Is(err, wire.ErrBadReply) {
 				t.Fatalf("refused with an untyped error: %v", err)
 			}
 			return
 		}
-		gotFP, gotOff, gotN, want, err := splitRangeReply(data)
-		if err != nil || gotFP != fp || gotOff != off || gotN != n {
-			t.Fatalf("accepted a reply that does not echo %s [%d,+%d): %v", fp, off, n, err)
+		h, slice, err := splitRangeReply(data)
+		if err != nil || h.fp != want.fp || h.off != want.off || h.n != want.n {
+			t.Fatalf("accepted a reply that does not echo %s [%d,+%d): %v", want.fp, want.off, want.n, err)
 		}
-		if int64(len(payload)) != n || !bytes.Equal(payload, want) {
-			t.Fatalf("payload %d bytes for declared %d", len(payload), n)
+		if int64(len(payload)) != h.n || !bytes.Equal(payload, slice) {
+			t.Fatalf("payload %d bytes for declared %d", len(payload), h.n)
 		}
 		if wireBytes != int64(len(data)) {
 			t.Fatalf("wire bytes = %d, body is %d", wireBytes, len(data))
@@ -193,17 +229,23 @@ func FuzzRangeReply(f *testing.F) {
 }
 
 // FuzzRangeHandler: the /gear/range handler must never panic on
-// arbitrary paths, and every 200 response must parse with the client
-// framing and carry the true object slice.
+// arbitrary paths, and every 200 response, decoded with the client's own
+// framing, must carry the slice DownloadRange returns — on a raw pool
+// and on a compressed one, of an object of one segment and of one of
+// several, whose replies are gzip-framed.
 func FuzzRangeHandler(f *testing.F) {
 	payload := []byte("the quick brown fox jumps over the lazy dog")
 	known := hashing.FingerprintBytes(payload)
+	big := bytes.Repeat([]byte("a range of a big object crosses the wire compressed. "), 5000)
+	bigFP := hashing.FingerprintBytes(big)
 	// Both stored forms: a raw pool slices the range, a compressed one
 	// inflates it.
 	regs := []*Registry{New(Options{}), New(Options{Compress: true})}
 	for _, reg := range regs {
-		if err := reg.Upload(known, payload); err != nil {
-			f.Fatal(err)
+		for _, obj := range [][]byte{payload, big} {
+			if err := reg.Upload(hashing.FingerprintBytes(obj), obj); err != nil {
+				f.Fatal(err)
+			}
 		}
 	}
 	f.Add(string(known) + "/0/5")
@@ -217,6 +259,9 @@ func FuzzRangeHandler(f *testing.F) {
 	f.Add("")
 	f.Add(string(known) + "/9223372036854775807/1") // off+n overflows
 	f.Add(string(known) + "/2/9223372036854775807")
+	f.Add(string(bigFP) + "/65000/1000")   // across a segment edge
+	f.Add(string(bigFP) + "/131072/16384") // on one
+	f.Add(string(bigFP) + "/0/265000")     // all of it
 	f.Fuzz(func(t *testing.T, tail string) {
 		for _, reg := range regs {
 			// The tail is set as the path, not parsed as a request target:
@@ -228,16 +273,21 @@ func FuzzRangeHandler(f *testing.F) {
 			NewHandler(reg).ServeHTTP(rec, req)
 			switch rec.Code {
 			case http.StatusOK:
-				fp, off, n, payload, err := splitRangeReply(rec.Body.Bytes())
+				line, _, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
+				h, err := parseRangeHeader(string(line))
 				if err != nil {
 					t.Fatalf("200 response does not parse: %v", err)
 				}
-				want, _, err := reg.DownloadRange(fp, off, n)
+				got, wireBytes, err := cannedClient(rec.Header(), rec.Body.Bytes()).DownloadRange(h.fp, h.off, h.n)
+				if err != nil || wireBytes != int64(rec.Body.Len()) {
+					t.Fatalf("the client refuses the reply (wire %d of %d): %v", wireBytes, rec.Body.Len(), err)
+				}
+				want, _, err := reg.DownloadRange(h.fp, h.off, h.n)
 				if err != nil {
 					t.Fatalf("served a range the registry rejects: %v", err)
 				}
-				if !bytes.Equal(payload, want) {
-					t.Fatalf("served wrong bytes for %s [%d,+%d)", fp, off, n)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("served wrong bytes for %s [%d,+%d)", h.fp, h.off, h.n)
 				}
 			case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestedRangeNotSatisfiable:
 			default:

@@ -68,8 +68,7 @@ type Registry struct {
 	tele *telemetry.Registry
 
 	mu      sync.RWMutex
-	objects map[hashing.Fingerprint][]byte // stored (possibly compressed)
-	logical map[hashing.Fingerprint]int64  // uncompressed sizes
+	objects map[hashing.Fingerprint]object
 
 	// Telemetry handles are the stats' only storage: the pool gauges
 	// are maintained under mu on every mutation (making Stats O(1)),
@@ -86,6 +85,15 @@ type Registry struct {
 
 var _ Store = (*Registry)(nil)
 
+// object is one stored Gear file.
+type object struct {
+	stored []byte // as it crosses the wire: a segmented gzip stream when the pool compresses
+	size   int64  // what it holds, uncompressed
+	// segs is the stream's segment table, for a range read to seek by;
+	// nil for an uncompressed object or a stream of one segment.
+	segs []tarstream.Segment
+}
+
 // New returns an empty Gear Registry.
 func New(opts Options) *Registry {
 	tele := opts.Telemetry
@@ -95,8 +103,7 @@ func New(opts Options) *Registry {
 	return &Registry{
 		opts:         opts,
 		tele:         tele,
-		objects:      make(map[hashing.Fingerprint][]byte),
-		logical:      make(map[hashing.Fingerprint]int64),
+		objects:      make(map[hashing.Fingerprint]object),
 		objectsGauge: tele.Gauge("gear.objects"),
 		storedBytes:  tele.Gauge("gear.stored.bytes"),
 		logicalBytes: tele.Gauge("gear.logical.bytes"),
@@ -162,25 +169,24 @@ func (r *Registry) UploadFrom(fp hashing.Fingerprint, body io.Reader, size int64
 	_, held := r.objects[fp]
 	r.mu.RUnlock()
 
-	var stored []byte
-	var n int64
+	var o object
 	var err error
 	switch {
 	case held:
-		n, err = tarstream.Copy(tee, body)
+		o.size, err = tarstream.Copy(tee, body)
 	case r.opts.Compress:
-		stored, n, err = tarstream.GzipFrom(body, tee)
+		o.stored, o.segs, o.size, err = tarstream.GzipFrom(body, tee)
 	default:
-		stored, err = tarstream.ReadAll(io.TeeReader(body, tee), declaredRoom(size))
-		if n = int64(len(stored)); cap(stored) > len(stored)+1 {
-			stored = bytes.Clone(stored)
+		o.stored, err = tarstream.ReadAll(io.TeeReader(body, tee), declaredRoom(size))
+		if o.size = int64(len(o.stored)); cap(o.stored) > len(o.stored)+1 {
+			o.stored = bytes.Clone(o.stored)
 		}
 	}
 	if err != nil {
 		return fmt.Errorf("gearregistry: upload %s: %w", fp, err)
 	}
-	if size >= 0 && n != size {
-		return wire.As(wire.ErrBadRequest, fmt.Errorf("gearregistry: upload %s: %d bytes, declared %d", fp, n, size))
+	if size >= 0 && o.size != size {
+		return wire.As(wire.ErrBadRequest, fmt.Errorf("gearregistry: upload %s: %d bytes, declared %d", fp, o.size, size))
 	}
 	if sum != nil && sum.Fingerprint() != fp {
 		return fmt.Errorf("gearregistry: upload %s: %w", fp, ErrFingerprintMismatch)
@@ -195,11 +201,10 @@ func (r *Registry) UploadFrom(fp hashing.Fingerprint, body io.Reader, size int64
 		// Nothing was kept of a file the pool held, and it no longer does.
 		return fmt.Errorf("gearregistry: upload %s: deleted while its duplicate was being read: %w", fp, ErrNotFound)
 	}
-	r.objects[fp] = stored
-	r.logical[fp] = n
+	r.objects[fp] = o
 	r.objectsGauge.Add(1)
-	r.storedBytes.Add(int64(len(stored)))
-	r.logicalBytes.Add(n)
+	r.storedBytes.Add(int64(len(o.stored)))
+	r.logicalBytes.Add(o.size)
 	return nil
 }
 
@@ -226,20 +231,20 @@ func (r *Registry) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 		return nil, 0, fmt.Errorf("gearregistry: download: %w", err)
 	}
 	r.mu.RLock()
-	stored, ok := r.objects[fp]
+	o, ok := r.objects[fp]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, 0, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
 	}
-	wire := int64(len(stored))
+	wire := int64(len(o.stored))
 	if r.opts.Compress {
-		data, err := tarstream.Gunzip(stored)
+		data, err := tarstream.Gunzip(o.stored)
 		if err != nil {
 			return nil, 0, fmt.Errorf("gearregistry: download %s: %w", fp, err)
 		}
 		return data, wire, nil
 	}
-	return stored, wire, nil
+	return o.stored, wire, nil
 }
 
 // Stored implements Pool: the stored bytes exactly as they would cross
@@ -251,13 +256,12 @@ func (r *Registry) Stored(fp hashing.Fingerprint) (wire.Object, error) {
 		return wire.Object{}, fmt.Errorf("gearregistry: download: %w", err)
 	}
 	r.mu.RLock()
-	stored, ok := r.objects[fp]
-	size := r.logical[fp]
+	o, ok := r.objects[fp]
 	r.mu.RUnlock()
 	if !ok {
 		return wire.Object{}, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
 	}
-	return wire.Object{FP: fp, Stored: stored, Gzip: r.opts.Compress, Size: size}, nil
+	return wire.Object{FP: fp, Stored: o.stored, Gzip: r.opts.Compress, Size: o.size}, nil
 }
 
 // Size returns the uncompressed size of a stored Gear file without
@@ -265,11 +269,11 @@ func (r *Registry) Stored(fp hashing.Fingerprint) (wire.Object, error) {
 func (r *Registry) Size(fp hashing.Fingerprint) (int64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	n, ok := r.logical[fp]
+	o, ok := r.objects[fp]
 	if !ok {
 		return 0, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
 	}
-	return n, nil
+	return o.size, nil
 }
 
 // Fingerprints returns every stored fingerprint in sorted order — the
@@ -296,14 +300,13 @@ func (r *Registry) Delete(fp hashing.Fingerprint) (int64, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	stored, ok := r.objects[fp]
+	o, ok := r.objects[fp]
 	if !ok {
 		return 0, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
 	}
-	freed := int64(len(stored))
-	r.logicalBytes.Add(-r.logical[fp])
+	freed := int64(len(o.stored))
+	r.logicalBytes.Add(-o.size)
 	delete(r.objects, fp)
-	delete(r.logical, fp)
 	r.objectsGauge.Add(-1)
 	r.storedBytes.Add(-freed)
 	return freed, nil
@@ -317,15 +320,14 @@ func (r *Registry) Delete(fp hashing.Fingerprint) (int64, error) {
 func (r *Registry) Retain(keep map[hashing.Fingerprint]bool) (removed int, freed int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for fp, stored := range r.objects {
+	for fp, o := range r.objects {
 		if keep[fp] {
 			continue
 		}
 		removed++
-		freed += int64(len(stored))
-		r.logicalBytes.Add(-r.logical[fp])
+		freed += int64(len(o.stored))
+		r.logicalBytes.Add(-o.size)
 		delete(r.objects, fp)
-		delete(r.logical, fp)
 	}
 	r.objectsGauge.Add(-int64(removed))
 	r.storedBytes.Add(-freed)

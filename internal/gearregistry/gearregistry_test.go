@@ -15,7 +15,7 @@ import (
 	"github.com/gear-image/gear/internal/wire"
 )
 
-func put(t *testing.T, s Store, data []byte) hashing.Fingerprint {
+func put(t testing.TB, s Store, data []byte) hashing.Fingerprint {
 	t.Helper()
 	fp := hashing.FingerprintBytes(data)
 	if err := s.Upload(fp, data); err != nil {

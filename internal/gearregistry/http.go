@@ -142,25 +142,48 @@ func NewHandler(reg *Registry) *wire.Handler {
 	)...)
 }
 
-// parseRangeHeader decodes the line a range reply opens with:
-// "<fingerprint> <off> <n> <total>", echoing the request and carrying
-// the object's uncompressed size; exactly n raw bytes follow it. A
-// header with negative numbers, or a range that does not fit the
-// declared total, is rejected.
-func parseRangeHeader(header string) (fp hashing.Fingerprint, off, n int64, err error) {
-	fp, fields, err := wire.Record(header, 3)
+// rangeHeader is the line a range reply opens with:
+// "<fingerprint> <off> <n> <total> <stored> raw|gzip". It echoes the
+// request, carries the object's uncompressed size, and says what
+// follows it: exactly stored bytes, the n-byte slice itself (raw) or a
+// gzip stream of it.
+type rangeHeader struct {
+	fp                    hashing.Fingerprint
+	off, n, total, stored int64
+	gzipped               bool
+}
+
+func (h rangeHeader) append(dst []byte) []byte {
+	enc := "raw"
+	if h.gzipped {
+		enc = "gzip"
+	}
+	return fmt.Appendf(dst, "%s %d %d %d %d %s\n", h.fp, h.off, h.n, h.total, h.stored, enc)
+}
+
+// parseRangeHeader decodes a rangeHeader line. A header with negative
+// numbers, a range that does not fit the declared total, or a raw slice
+// that is not n bytes long is rejected.
+func parseRangeHeader(line string) (rangeHeader, error) {
+	fp, fields, err := wire.Record(line, 5)
 	if err != nil {
-		return "", 0, 0, err
+		return rangeHeader{}, err
 	}
-	nums, err := wire.Ints(fields)
+	nums, err := wire.Ints(fields[:4])
 	if err != nil {
-		return "", 0, 0, fmt.Errorf("range header %q: %w", header, err)
+		return rangeHeader{}, fmt.Errorf("range header %q: %w", line, err)
 	}
-	off, n, total := nums[0], nums[1], nums[2]
-	if off < 0 || n <= 0 || off > total || n > total-off {
-		return "", 0, 0, fmt.Errorf("range header %q: %w", header, ErrBadRange)
+	h := rangeHeader{fp: fp, off: nums[0], n: nums[1], total: nums[2], stored: nums[3], gzipped: fields[4] == "gzip"}
+	if h.off < 0 || h.n <= 0 || h.off > h.total || h.n > h.total-h.off {
+		return rangeHeader{}, fmt.Errorf("range header %q: %w", line, ErrBadRange)
 	}
-	return fp, off, n, nil
+	if fields[4] != "raw" && !h.gzipped {
+		return rangeHeader{}, fmt.Errorf("range header %q: bad encoding", line)
+	}
+	if h.stored < 0 || (!h.gzipped && h.stored != h.n) {
+		return rangeHeader{}, fmt.Errorf("range header %q: %d stored bytes for a %d-byte slice", line, h.stored, h.n)
+	}
+	return h, nil
 }
 
 // Client is an HTTP Store implementation used by Gear drivers fetching
@@ -256,7 +279,7 @@ func (c *Client) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, erro
 			} else if fp != fps[i] {
 				return fmt.Errorf("batch: entry %d is %s, want %s", i, fp, fps[i])
 			}
-			payload, err := b.Frame(i, stored, gzipped)
+			payload, err := b.Frame(stored, b.Declared(i), gzipped)
 			if err != nil {
 				return fmt.Errorf("batch %s: %w", fp, err)
 			}
@@ -305,23 +328,25 @@ func (c *Client) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
 }
 
 // DownloadRange implements RangeDownloader over HTTP via GET
-// /gear/range. The wire size is the framed body as transported.
+// /gear/range. A gzip-framed slice is inflated off the connection into
+// exactly n bytes. The wire size is the framed body as transported.
 func (c *Client) DownloadRange(fp hashing.Fingerprint, off, n int64) (payload []byte, wireBytes int64, err error) {
 	err = c.w.Stream(http.MethodGet, fmt.Sprintf("/gear/range/%s/%d/%d", fp, off, n), nil, func(b *wire.Body) error {
-		header, err := b.Line()
+		line, err := b.Line()
 		if err != nil {
 			return fmt.Errorf("range: no header: %w", err)
 		}
-		gotFP, gotOff, gotN, err := parseRangeHeader(header)
-		if err == nil && (gotFP != fp || gotOff != off || gotN != n) {
-			err = fmt.Errorf("asked for %s [%d,+%d), server echoed %s [%d,+%d)", fp, off, n, gotFP, gotOff, gotN)
+		h, err := parseRangeHeader(line)
+		if err == nil && (h.fp != fp || h.off != off || h.n != n) {
+			err = fmt.Errorf("asked for %s [%d,+%d), server echoed %s [%d,+%d)", fp, off, n, h.fp, h.off, h.n)
 		}
 		if err != nil {
 			return fmt.Errorf("range: %w", err)
 		}
-		// The slice is the next n bytes — n being, now that the echo
-		// matches, this client's own number — and the end of the body.
-		if payload, err = b.Frame(0, n, false); err != nil {
+		// The slice is the next stored bytes, and the end of the body; it
+		// is n bytes — n being, now that the echo matches, this client's
+		// own number — whether it came raw or inflates to them.
+		if payload, err = b.Frame(h.stored, n, h.gzipped); err != nil {
 			return fmt.Errorf("range: %w", err)
 		}
 		if !b.Ended() {

@@ -35,14 +35,12 @@ type RangeDownloader interface {
 	DownloadRange(fp hashing.Fingerprint, off, n int64) (payload []byte, wireBytes int64, err error)
 }
 
-// DownloadRange implements RangeDownloader. Compressed pools inflate
-// server-side and serve the raw slice, so the wire carries exactly n
-// bytes — a range of a gzip stream is not independently decodable. The
-// object is streamed through the inflater, never held whole: the range
-// costs n bytes of memory, though still the whole object's CPU, since
-// the stream is inflated to its end for the CRC behind it.
+// DownloadRange implements RangeDownloader. A compressed pool stores an
+// object as a segmented gzip stream (tarstream.GzipFrom), and a range
+// inflates only the 64 KiB segments it overlaps, each checked against
+// its CRC: its CPU and memory go with n, not with the object.
 func (r *Registry) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, int64, error) {
-	out, _, err := r.appendRange(nil, fp, off, n)
+	out, _, _, err := r.appendRange(nil, fp, off, n, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -50,34 +48,41 @@ func (r *Registry) DownloadRange(fp hashing.Fingerprint, off, n int64) ([]byte, 
 }
 
 // appendRange is DownloadRange into dst's memory, when dst has room for
-// the range, and also tells the object's uncompressed size.
-func (r *Registry) appendRange(dst []byte, fp hashing.Fingerprint, off, n int64) (out []byte, size int64, err error) {
+// the range, and also tells the object's uncompressed size. For the wire
+// it may instead be a gzip stream of the range (gzipped), when the pool
+// compresses and the segments the range lies in were stored compressed
+// (tarstream.AppendRange).
+func (r *Registry) appendRange(dst []byte, fp hashing.Fingerprint, off, n int64, forWire bool) (out []byte, size int64, gzipped bool, err error) {
 	r.ranges.Inc()
 	if err := fp.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("gearregistry: range: %w", err)
+		return nil, 0, false, fmt.Errorf("gearregistry: range: %w", err)
 	}
 	if off < 0 || n <= 0 {
-		return nil, 0, fmt.Errorf("gearregistry: range [%d,+%d): %w", off, n, ErrBadRange)
+		return nil, 0, false, fmt.Errorf("gearregistry: range [%d,+%d): %w", off, n, ErrBadRange)
 	}
 	r.mu.RLock()
-	stored, ok := r.objects[fp]
-	size = r.logical[fp]
+	o, ok := r.objects[fp]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, 0, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
+		return nil, 0, false, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
 	}
 	// off+n can overflow; size-off, with off <= size, cannot.
-	if off > size || n > size-off {
-		return nil, 0, fmt.Errorf("gearregistry: range [%d,+%d) of %d-byte %s: %w",
-			off, n, size, fp, ErrBadRange)
+	if off > o.size || n > o.size-off {
+		return nil, 0, false, fmt.Errorf("gearregistry: range [%d,+%d) of %d-byte %s: %w",
+			off, n, o.size, fp, ErrBadRange)
 	}
-	if !r.opts.Compress {
-		return append(dst[:0], stored[off:off+n]...), size, nil
+	switch {
+	case !r.opts.Compress:
+		out = append(dst[:0], o.stored[off:off+n]...)
+	case forWire:
+		out, gzipped, err = tarstream.AppendRange(dst[:0], o.stored, o.segs, off, n)
+	default:
+		out, err = tarstream.GunzipRange(dst, o.stored, o.segs, off, n)
 	}
-	if out, err = tarstream.GunzipRange(dst, stored, off, n); err != nil {
-		return nil, 0, fmt.Errorf("gearregistry: range %s: %w", fp, err)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("gearregistry: range %s: %w", fp, err)
 	}
-	return out, size, nil
+	return out, o.size, gzipped, nil
 }
 
 // maxPooledRange is the largest buffer a range reply hands on to the
@@ -86,22 +91,25 @@ func (r *Registry) appendRange(dst []byte, fp hashing.Fingerprint, off, n int64)
 // a range of anything larger is served, and its buffer let go.
 const maxPooledRange = 1 << 20
 
-// rangeBuffers hold a range from when it is inflated to when its reply
-// has been written.
+// rangeBuffers hold a range reply's slice from when it is made to when
+// the reply has been written.
 var rangeBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
-// serveRange answers the range verb: the slice is inflated to the CRC
-// behind it before the first byte of the reply goes out.
+// serveRange answers the range verb. The slice is inflated, and its
+// segments checked, before the first byte of the reply goes out; it is
+// sent gzip-framed when the segments it lies in were stored compressed
+// and its stream is smaller, and raw otherwise.
 func (r *Registry) serveRange(w http.ResponseWriter, fp hashing.Fingerprint, off, n int64) error {
 	buf := rangeBuffers.Get().(*[]byte)
 	defer rangeBuffers.Put(buf)
-	payload, total, err := r.appendRange(*buf, fp, off, n)
+	body, total, gzipped, err := r.appendRange(*buf, fp, off, n, true)
 	if err != nil {
 		return err
 	}
-	wire.Respond(w, "application/octet-stream", fmt.Appendf(nil, "%s %d %d %d\n", fp, off, n, total), payload)
-	if cap(payload) <= maxPooledRange {
-		*buf = payload
+	h := rangeHeader{fp: fp, off: off, n: n, total: total, stored: int64(len(body)), gzipped: gzipped}
+	wire.Respond(w, "application/octet-stream", h.append(nil), body)
+	if cap(body) <= maxPooledRange {
+		*buf = body
 	}
 	return nil
 }

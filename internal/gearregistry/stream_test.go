@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/gear-image/gear/internal/hashing"
@@ -295,6 +296,60 @@ func TestLyingContentLengthIsNotAllocated(t *testing.T) {
 	}
 }
 
+// A gzip object whose declared size the client trusts is given exactly
+// that memory, on every verb that carries one: the end of the stream is
+// found without a byte more, which for an object the size of a size
+// class (16 KiB) would be the next class, 2 KiB up. So an object of that
+// size costs what one a byte shorter does.
+func TestTrustedSizeIsAllocatedExactly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not measured under the race detector")
+	}
+	cost := func(verb string, size int) int64 {
+		data := bytes.Repeat([]byte("exactly its size "), size/17+1)[:size]
+		fp := hashing.FingerprintBytes(data)
+		gz, err := tarstream.Gzip(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		declared := http.Header{wire.SizeHeader: {strconv.Itoa(size)}}
+		var call func(*Client) ([]byte, error)
+		var body []byte
+		switch verb {
+		case "download":
+			declared.Set(wire.EncodingHeader, "gzip")
+			body = gz
+			call = func(c *Client) ([]byte, error) { got, _, err := c.Download(fp); return got, err }
+		case "batch":
+			body = append(fmt.Appendf(nil, "%s %d gzip\n", fp, len(gz)), gz...)
+			call = func(c *Client) ([]byte, error) {
+				got, _, err := c.DownloadBatch([]hashing.Fingerprint{fp})
+				if err != nil {
+					return nil, err
+				}
+				return got[0], nil
+			}
+		case "range":
+			declared = nil
+			body = gzipReply(fp, 0, int64(size), int64(size), int64(len(gz)), gz)
+			call = func(c *Client) ([]byte, error) { got, _, err := c.DownloadRange(fp, 0, int64(size)); return got, err }
+		}
+		c := cannedClient(declared, body)
+		return allocated(t, func() error {
+			got, err := call(c)
+			if err == nil && !bytes.Equal(got, data) {
+				err = errors.New("wrong bytes")
+			}
+			return err
+		})
+	}
+	for _, verb := range []string{"download", "batch", "range"} {
+		if over := cost(verb, 16<<10) - cost(verb, 16<<10-1); over > 512 {
+			t.Errorf("%s: a 16 KiB object allocates %d bytes more than one a byte shorter", verb, over)
+		}
+	}
+}
+
 // A pool that predates the size header, or a raw one, is still read
 // right: the header is an optimisation, not part of the contract.
 func TestDownloadWithoutSizeHeader(t *testing.T) {
@@ -332,9 +387,10 @@ func TestDownloadWithoutSizeHeader(t *testing.T) {
 	}
 }
 
-// The two allocation figures scripts/benchguard.sh gates: what one
-// download costs end to end over loopback HTTP, and what the pool
-// spends to cut a 16 KiB range out of a 768 KiB compressed object.
+// The allocation figures scripts/benchguard.sh gates: what one download
+// costs end to end over loopback HTTP, what the pool spends to cut a
+// 16 KiB range out of a compressed object, and what the range verb
+// spends to answer for one, reply included.
 func BenchmarkClientDownload(b *testing.B) {
 	reg := New(Options{Compress: true})
 	data := halfNoise(1, 300<<10)
@@ -355,19 +411,77 @@ func BenchmarkClientDownload(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolDownloadRange cuts the range out of objects of two sizes:
+// a range inflates only the segments it overlaps, so neither its time
+// nor its memory grows with the object.
 func BenchmarkPoolDownloadRange(b *testing.B) {
-	reg := New(Options{Compress: true})
-	data := halfNoise(2, 768<<10)
-	fp := hashing.FingerprintBytes(data)
-	if err := reg.Upload(fp, data); err != nil {
-		b.Fatal(err)
+	for _, size := range []int{768 << 10, 4 << 20} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			reg := New(Options{Compress: true})
+			fp := put(b, reg, halfNoise(2, size))
+			b.SetBytes(16 << 10)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := reg.DownloadRange(fp, 300<<10, 16<<10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.SetBytes(16 << 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := reg.DownloadRange(fp, 300<<10, 16<<10); err != nil {
-			b.Fatal(err)
-		}
+}
+
+// prose is size bytes of words picked at random from a short list:
+// content that deflate shrinks to about a third, as text and code do.
+func prose(seed int64, size int) []byte {
+	words := strings.Fields("the gear registry stores files by fingerprint and serves ranges of them to lazy readers over http")
+	rng := rand.New(rand.NewSource(seed))
+	var out []byte
+	for len(out) < size {
+		out = append(append(out, words[rng.Intn(len(words))]...), ' ')
+	}
+	return out[:size]
+}
+
+// discardReply is a ResponseWriter that keeps nothing of the reply but
+// its length, so a handler benchmark counts the handler's own cost.
+type discardReply struct {
+	header http.Header
+	n      int
+}
+
+func (d *discardReply) Header() http.Header { return d.header }
+func (d *discardReply) WriteHeader(int)     {}
+func (d *discardReply) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return len(p), nil
+}
+
+// BenchmarkServeRange answers a 16 KiB range from a 768 KiB compressed
+// object, writing the reply: from noise, sent raw, and from text, sent
+// gzip-framed.
+func BenchmarkServeRange(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		content []byte
+	}{{"raw", halfNoise(2, 768<<10)}, {"gzip", prose(2, 768<<10)}} {
+		b.Run(c.name, func(b *testing.B) {
+			reg := New(Options{Compress: true})
+			fp := put(b, reg, c.content)
+			h := NewHandler(reg)
+			req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/gear/range/%s/%d/%d", fp, 300<<10, 16<<10), nil)
+			w := &discardReply{header: make(http.Header)}
+			b.SetBytes(16 << 10)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.n = 0
+				h.ServeHTTP(w, req)
+				if w.n == 0 {
+					b.Fatal("no reply")
+				}
+			}
+			b.ReportMetric(float64(w.n), "reply-bytes")
+		})
 	}
 }

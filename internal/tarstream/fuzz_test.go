@@ -73,30 +73,49 @@ func FuzzGunzip(f *testing.F) {
 
 // FuzzGunzipRange: over any object and any range, GunzipRange is the
 // slice of Gunzip or an error, never a panic and never other bytes; and
-// a range that fits a sound object always succeeds.
+// a range that fits a sound object always succeeds. Plain mode reads a
+// Gzip stream, which has one segment and no table; segmented mode puts
+// the content behind two segments of fixed bytes and reads GzipFrom's
+// stream of the whole through its table, so ranges land on, inside and
+// across segment edges.
 func FuzzGunzipRange(f *testing.F) {
-	f.Add([]byte("hello gzip range"), int64(0), int64(5))
-	f.Add([]byte("hello gzip range"), int64(6), int64(10))
-	f.Add([]byte("hello gzip range"), int64(16), int64(1)) // past the end
-	f.Add([]byte("hello gzip range"), int64(-1), int64(4))
-	f.Add([]byte{}, int64(0), int64(0))
-	f.Fuzz(func(t *testing.T, content []byte, off, n int64) {
-		z, err := Gzip(content)
-		if err != nil {
-			t.Fatal(err)
+	f.Add([]byte("hello gzip range"), int64(0), int64(5), false)
+	f.Add([]byte("hello gzip range"), int64(6), int64(10), false)
+	f.Add([]byte("hello gzip range"), int64(16), int64(1), false) // past the end
+	f.Add([]byte("hello gzip range"), int64(-1), int64(4), false)
+	f.Add([]byte{}, int64(0), int64(0), false)
+	f.Add([]byte("hello gzip range"), int64(SegmentSize-3), int64(6), true)   // across an edge
+	f.Add([]byte("hello gzip range"), int64(2*SegmentSize), int64(16), true)  // the content
+	f.Add([]byte("hello gzip range"), int64(100), int64(2*SegmentSize), true) // three segments
+	f.Add([]byte{}, int64(2*SegmentSize), int64(1), true)                     // past the end
+	f.Fuzz(func(t *testing.T, content []byte, off, n int64, seg bool) {
+		var z []byte
+		var segs []Segment
+		if seg {
+			content = append(mixed(3, 2*SegmentSize), content...)
+			z, segs = segmented(t, content)
+		} else {
+			var err error
+			if z, err = Gzip(content); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got, err := GunzipRange(nil, z, off, n)
-		fits := off >= 0 && n >= 0 && off <= int64(len(content)) && n <= int64(len(content))-off
+		whole, err := Gunzip(z)
+		if err != nil || !bytes.Equal(whole, content) {
+			t.Fatalf("the stream does not inflate to its content: %v", err)
+		}
+		got, err := GunzipRange(nil, z, segs, off, n)
+		fits := off >= 0 && n >= 0 && off <= int64(len(whole)) && n <= int64(len(whole))-off
 		if !fits {
 			if err == nil {
-				t.Fatalf("range [%d,+%d) of %d bytes accepted", off, n, len(content))
+				t.Fatalf("range [%d,+%d) of %d bytes accepted", off, n, len(whole))
 			}
 			return
 		}
 		if err != nil {
-			t.Fatalf("range [%d,+%d) of %d bytes: %v", off, n, len(content), err)
+			t.Fatalf("range [%d,+%d) of %d bytes: %v", off, n, len(whole), err)
 		}
-		if !bytes.Equal(got, content[off:off+n]) {
+		if !bytes.Equal(got, whole[off:off+n]) {
 			t.Fatalf("range [%d,+%d) returned other bytes", off, n)
 		}
 	})

@@ -10,13 +10,17 @@ package tarstream
 import (
 	"archive/tar"
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
+	"math"
 	"path"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -42,41 +46,17 @@ var ErrCorrupt = errors.New("corrupt tar stream")
 // identical layer digests, which layer-level dedup depends on).
 var epoch = time.Unix(0, 0)
 
-// Buffer and codec pools. A gzip.Writer carries a multi-hundred-KB
-// deflate state and a gzip.Reader a 32 KB window plus buffers;
-// allocating them per object made every convert/push/fetch pay the
-// setup cost again. The pools hand the same states back out, and
-// because gzip framing at a fixed level is a pure function of the input
-// byte stream, reuse cannot change output bytes.
-var (
-	gzWriterPool = sync.Pool{New: func() any {
-		zw, err := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
-		if err != nil {
-			panic(err) // BestSpeed is always a valid level
-		}
-		return zw
-	}}
-	gzReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
-	bufPool      = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-)
+// Codec pools. A deflate compressor carries 1.2 MB of state and a gzip
+// reader a 32 KB window plus buffers; allocating them per object made
+// every convert/push/fetch pay the setup cost again. The pools hand the
+// same states back out, and because deflate at a fixed level is a pure
+// function of the input byte stream, reuse cannot change output bytes.
+// The compressors are gzippers, below.
+var gzReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
-// getBuf returns a reset scratch buffer; callers must putBuf it after
-// copying the bytes out.
-func getBuf() *bytes.Buffer {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	return buf
-}
-
-// maxPooledBuf bounds the scratch buffers kept alive by the pool; an
+// maxPooledBuf bounds the scratch buffers kept alive by a pool; an
 // occasional giant archive should not pin its footprint forever.
 const maxPooledBuf = 8 << 20
-
-func putBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBuf {
-		bufPool.Put(buf)
-	}
-}
 
 // packedSizeHint estimates the tar size of a tree: one 512-byte header
 // block per entry (two for opaque markers), content rounded up to block
@@ -166,26 +146,168 @@ func (pk *packer) writeEntry(tw *tar.Writer, p string, n *vfs.Node) error {
 	}
 }
 
-// Gzip compresses data with deterministic gzip framing.
+// Gzip compresses data with deterministic gzip framing: one member of
+// one segment, however long data is, which is byte for byte the stream
+// gzip.Writer writes at BestSpeed — layer digests are taken of it.
 func Gzip(data []byte) ([]byte, error) {
-	return deflate(func(zw *gzip.Writer) error {
-		_, err := zw.Write(data)
-		return err
+	gz, _, _, err := deflate(math.MaxInt, func(w io.Writer) (int64, error) {
+		n, err := w.Write(data)
+		return int64(n), err
+	})
+	return gz, err
+}
+
+// SegmentSize is how much content one segment of a segmented gzip
+// stream holds: the unit a range read inflates and checks. It is a
+// property of the format, not of any one corpus (DESIGN.md, "Streamed
+// range reads", says why this size).
+const SegmentSize = 64 << 10
+
+// Segment is one row of a segmented gzip stream's table: the offset in
+// the stream at which the segment's deflate data starts, and the CRC-32
+// of the content it inflates to.
+type Segment struct {
+	Off int64
+	CRC uint32
+}
+
+// GzipFrom compresses everything r holds as a segmented gzip stream, for
+// content that is arriving rather than held: nothing the size of the
+// content is allocated, only the stream. The stream is one plain gzip
+// member, which any gzip reader inflates; inside it the deflate stream
+// is sync-flushed every SegmentSize bytes of content and the compressor
+// started afresh, so no back-reference crosses a segment and each can be
+// inflated from where it starts (GunzipRange). Content of at most one
+// segment is exactly Gzip's stream and has no table: segs is nil. It
+// also returns how many bytes r held. Each piece read is written to tee
+// first — a digest of the content, typically, so that the content is
+// judged in the pass that compresses it.
+func GzipFrom(r io.Reader, tee io.Writer) (gz []byte, segs []Segment, n int64, err error) {
+	return deflate(SegmentSize, func(w io.Writer) (int64, error) {
+		return Copy(io.MultiWriter(tee, w), r)
 	})
 }
 
-// GzipFrom is Gzip of everything r holds, for content that is arriving
-// rather than held: nothing the size of the content is allocated, only
-// the stream. It also returns how many bytes r held. Each piece read
-// is written to tee first — a digest of the content, typically, so that
-// the content is judged in the pass that compresses it.
-func GzipFrom(r io.Reader, tee io.Writer) (gz []byte, n int64, err error) {
-	gz, err = deflate(func(zw *gzip.Writer) error {
-		var err error
-		n, err = Copy(io.MultiWriter(tee, zw), r)
-		return err
-	})
-	return gz, n, err
+// deflate has write write content to a pooled gzipper whose segments
+// hold width bytes of it, and returns the stream in a buffer of its own
+// exact size, its table, and how much content write wrote.
+func deflate(width int, write func(w io.Writer) (int64, error)) (gz []byte, segs []Segment, n int64, err error) {
+	scratch := streams.Get().(*[]byte)
+	defer streams.Put(scratch)
+	z := gzippers.Get().(*gzipper)
+	defer z.release()
+	z.start((*scratch)[:0], width)
+	if n, err = write(z); err != nil {
+		return nil, nil, n, fmt.Errorf("tarstream: gzip write: %w", err)
+	}
+	stream, err := z.finish()
+	if err != nil {
+		return nil, nil, n, fmt.Errorf("tarstream: gzip close: %w", err)
+	}
+	gz = make([]byte, len(stream))
+	copy(gz, stream)
+	if cap(stream) <= maxPooledBuf {
+		*scratch = stream[:0]
+	}
+	if len(z.segs) > 0 {
+		segs = append(append(make([]Segment, 0, len(z.segs)+1), z.segs...), z.open)
+	}
+	return gz, segs, n, nil
+}
+
+// gzipHeader opens every stream a gzipper writes: gzip.Writer's own
+// header at BestSpeed, with no name, time or extra field, which is what
+// keeps a one-segment stream byte for byte what Gzip writes.
+var gzipHeader = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 4, 255}
+
+// gzipper writes one segmented gzip member into out. It is pooled whole,
+// with the compressor that writes into out, so a stream costs only the
+// memory it is written into. Every compressed stream in the repository
+// is written by one.
+type gzipper struct {
+	out   sink
+	fw    *flate.Writer // writes into &out
+	base  int           // where in out.b the stream starts
+	width int           // content a segment holds
+	left  int           // content the open segment has room for
+	crc   uint32        // of all the content, for the trailer
+	size  uint32        // of all the content, mod 2^32, for the trailer
+	open  Segment       // the segment being written, its CRC so far
+	segs  []Segment     // the segments before it, in scratch kept between streams
+}
+
+var gzippers = sync.Pool{New: func() any {
+	z := new(gzipper)
+	z.fw, _ = flate.NewWriter(&z.out, flate.BestSpeed) // BestSpeed is always a valid level
+	return z
+}}
+
+// streams are what deflate writes a stream into before copying it out
+// at its own size. They are pooled apart from the gzippers, which a
+// range reply borrows too, so that a compressor does not keep an
+// upload's worth of memory alive.
+var streams = sync.Pool{New: func() any { return new([]byte) }}
+
+// sink is an io.Writer that appends to its slice.
+type sink struct{ b []byte }
+
+func (s *sink) Write(p []byte) (int, error) {
+	s.b = append(s.b, p...)
+	return len(p), nil
+}
+
+// start opens a stream at the end of dst whose segments hold width bytes
+// of content.
+func (z *gzipper) start(dst []byte, width int) {
+	z.out.b = append(dst, gzipHeader[:]...)
+	z.base = len(dst)
+	z.fw.Reset(&z.out)
+	z.width, z.left, z.crc, z.size = width, width, 0, 0
+	z.open, z.segs = Segment{Off: int64(len(gzipHeader))}, z.segs[:0]
+}
+
+// Write compresses content, closing a segment each time width bytes of
+// it have been written and more arrive.
+func (z *gzipper) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		if z.left == 0 {
+			if err := z.fw.Flush(); err != nil {
+				return n - len(p), err
+			}
+			z.segs = append(z.segs, z.open)
+			z.open = Segment{Off: int64(len(z.out.b) - z.base)}
+			z.fw.Reset(&z.out)
+			z.left = z.width
+		}
+		k := min(len(p), z.left)
+		if _, err := z.fw.Write(p[:k]); err != nil {
+			return n - len(p), err
+		}
+		z.open.CRC = crc32.Update(z.open.CRC, crc32.IEEETable, p[:k])
+		z.crc = crc32.Update(z.crc, crc32.IEEETable, p[:k])
+		z.size += uint32(k)
+		z.left -= k
+		p = p[k:]
+	}
+	return n, nil
+}
+
+// finish ends the stream and returns what start was given with the
+// stream appended. The segments before the last are in z.segs.
+func (z *gzipper) finish() ([]byte, error) {
+	if err := z.fw.Close(); err != nil {
+		return nil, err
+	}
+	z.out.b = binary.LittleEndian.AppendUint32(z.out.b, z.crc)
+	z.out.b = binary.LittleEndian.AppendUint32(z.out.b, z.size)
+	return z.out.b, nil
+}
+
+// release hands z back to the pool holding nothing of the stream.
+func (z *gzipper) release() {
+	z.out.b = nil
+	gzippers.Put(z)
 }
 
 // Copy is io.Copy through a pooled scratch: it allocates nothing. (A
@@ -195,25 +317,6 @@ func Copy(w io.Writer, r io.Reader) (int64, error) {
 	scratch := copyPool.Get().(*[copyChunk]byte)
 	defer copyPool.Put(scratch)
 	return io.CopyBuffer(w, r, scratch[:])
-}
-
-// deflate runs write against a pooled compressor and returns the gzip
-// stream it produced, in a buffer of its own exact size.
-func deflate(write func(zw *gzip.Writer) error) ([]byte, error) {
-	buf := getBuf()
-	defer putBuf(buf)
-	zw := gzWriterPool.Get().(*gzip.Writer)
-	defer gzWriterPool.Put(zw)
-	zw.Reset(buf)
-	if err := write(zw); err != nil {
-		return nil, fmt.Errorf("tarstream: gzip write: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("tarstream: gzip close: %w", err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
 }
 
 // SizeHint is the capacity worth giving, up front, to the content of a
@@ -316,54 +419,256 @@ func GunzipTo(w io.Writer, data []byte) (int64, error) {
 }
 
 // copyChunk is the size of the scratch Copy copies through. The
-// scratch has a pool of its own: bufPool's buffers have grown to the size
+// scratch has a pool of its own: deflate's streams have grown to the size
 // of whole archives, and borrowing one on every pull would keep it alive.
 const copyChunk = 32 << 10
 
 var copyPool = sync.Pool{New: func() any { return new([copyChunk]byte) }}
 
-// GunzipRange returns the n bytes at offset off of the content of the
-// gzip stream data, which is Gunzip(data)[off:off+n] without holding
-// the content: it inflates and discards up to off, reads n bytes, then
-// inflates and discards the rest. The tail is not needed for its bytes
-// but for the trailer behind it — only at the end of the stream can the
-// CRC say that what was read is what was stored, so a damaged object
-// fails here exactly where it fails Gunzip. A range that does not fit
-// the content is io.ErrUnexpectedEOF. The bytes are read into dst's
-// memory when it has room for them, as append would.
-func GunzipRange(dst, data []byte, off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("tarstream: gunzip range [%d,+%d): negative", off, n)
-	}
+// GunzipInto inflates the gzip stream r holds into exactly dst, for
+// content whose size is known: content of any other length is an error.
+// dst is the only memory the content is given. The end of the stream,
+// where the CRC is checked, is found by reading on through io.Discard's
+// pooled buffer, not into a byte more of dst, which for content the size
+// of a size class would be the next class.
+func GunzipInto(dst []byte, r io.Reader) error {
 	zr := gzReaderPool.Get().(*gzip.Reader)
 	defer gzReaderPool.Put(zr)
-	if err := zr.Reset(bytes.NewReader(data)); err != nil {
-		return nil, fmt.Errorf("tarstream: gunzip range: %w", err)
+	if err := zr.Reset(r); err != nil {
+		return fmt.Errorf("tarstream: gunzip: %w", err)
 	}
-	if _, err := io.CopyN(io.Discard, zr, off); err != nil {
-		return nil, fmt.Errorf("tarstream: gunzip range skip: %w", noEOF(err))
+	if _, err := io.ReadFull(zr, dst); err != nil {
+		return fmt.Errorf("tarstream: gunzip read: content shorter than %d bytes: %w", len(dst), noEOF(err))
+	}
+	over, err := io.Copy(io.Discard, zr)
+	if err != nil {
+		return fmt.Errorf("tarstream: gunzip read: %w", err)
+	}
+	if over > 0 {
+		return fmt.Errorf("tarstream: gunzip read: content is %d bytes, not %d", int64(len(dst))+over, len(dst))
+	}
+	return nil
+}
+
+// inflater is a pooled deflate reader with the source it reads, and the
+// memory a range is read into when it is read raw.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // flate, over &src
+	out sink
+}
+
+var inflaters = sync.Pool{New: func() any {
+	z := new(inflater)
+	z.fr = flate.NewReader(&z.src)
+	return z
+}}
+
+// GunzipRange returns the n bytes at offset off of the content of the
+// segmented gzip stream data, whose table is segs, which is
+// Gunzip(data)[off:off+n]. A stream GzipFrom left without a table, or
+// any Gzip stream, is the one-entry case of the same walk: its one
+// segment starts behind the header and its CRC is the trailer's.
+//
+// Only the segments the range overlaps are inflated, from where the
+// first starts to where the last ends. Each is checked whole — the bytes
+// before and after the range included — against its CRC, and the last
+// must end exactly where the table says it does, so every byte returned
+// lies in a segment whose CRC was checked. Damage anywhere else is not
+// seen here but by Gunzip, which checks the trailer. A range that does
+// not fit the content is io.ErrUnexpectedEOF. The bytes are read into
+// dst's memory when it has room for them, as append would.
+func GunzipRange(dst, data []byte, segs []Segment, off, n int64) ([]byte, error) {
+	r, err := locate(data, segs, off, n)
+	if err != nil {
+		return nil, err
+	}
+	return r.appendRaw(dst[:0])
+}
+
+// AppendRange appends to dst what GunzipRange returns for the range, as
+// it is best sent: as a gzip stream of it (a segmented one, as GzipFrom
+// writes) when that is smaller, and raw otherwise. Deflating is only
+// tried when the segments the range lies in were stored in fewer bytes
+// than they hold, so that an incompressible range costs no deflate to
+// find out; and the range is inflated straight into the compressor, so
+// it is not held raw when it is sent compressed. gzipped says which form
+// was appended.
+func AppendRange(dst, data []byte, segs []Segment, off, n int64) (out []byte, gzipped bool, err error) {
+	r, err := locate(data, segs, off, n)
+	if err != nil {
+		return nil, false, err
+	}
+	if r.packed() {
+		if out, err = r.appendGzip(dst); err != nil {
+			return nil, false, err
+		}
+		if len(out)-len(dst) < int(n) {
+			return out, true, nil
+		}
+		// This range came out no smaller compressed: it goes as it is.
+		dst = out[:len(dst)]
+	}
+	out, err = r.appendRaw(dst)
+	return out, false, err
+}
+
+// span is where a range lies in a segmented gzip stream: the segments it
+// overlaps, first to last, each holding width bytes of content but the
+// last of the stream, and the stretch [start, end) of the stream their
+// deflate data takes.
+type span struct {
+	data        []byte
+	segs        []Segment // nil for a stream without a table
+	one         Segment   // the one segment of a stream without a table
+	off, n      int64
+	size, width int64
+	first, last int64
+	start, end  int64
+}
+
+// seg is row i of the stream's table.
+func (r *span) seg(i int64) Segment {
+	if r.segs == nil {
+		return r.one
+	}
+	return r.segs[i]
+}
+
+// rows is how many rows the stream's table has.
+func (r *span) rows() int64 { return max(int64(len(r.segs)), 1) }
+
+// locate finds where [off, off+n) lies in data, checking it against what
+// the stream's trailer says the content is.
+func locate(data []byte, segs []Segment, off, n int64) (span, error) {
+	if off < 0 || n < 0 {
+		return span{}, fmt.Errorf("tarstream: gunzip range [%d,+%d): negative", off, n)
+	}
+	trailer := int64(len(data)) - 8
+	if trailer < int64(len(gzipHeader)) || !bytes.Equal(data[:4], gzipHeader[:4]) {
+		return span{}, fmt.Errorf("tarstream: gunzip range: %w", gzip.ErrHeader)
+	}
+	r := span{data: data, segs: segs, off: off, n: n, width: SegmentSize}
+	r.size = int64(binary.LittleEndian.Uint32(data[trailer+4:]))
+	if len(segs) <= 1 {
+		r.one = Segment{Off: int64(len(gzipHeader)), CRC: binary.LittleEndian.Uint32(data[trailer:])}
+		r.segs, r.width = nil, r.size
+	} else if k := r.rows(); r.size <= (k-1)*r.width || r.size > k*r.width {
+		return span{}, fmt.Errorf("tarstream: gunzip range: %d segments cannot hold %d bytes: %w", k, r.size, ErrCorrupt)
 	}
 	// n is the caller's claim about the content: it gets memory only if
 	// a stream this long could hold it.
-	var out []byte
-	if int64(cap(dst)) >= n {
-		out = dst[:n]
-	} else {
-		out = make([]byte, SizeHint(n, int64(len(data))))
+	if off > r.size || n > r.size-off || int64(SizeHint(n, int64(len(data)))) != n {
+		return span{}, fmt.Errorf("tarstream: gunzip range [%d,+%d) of %d bytes in a %d-byte stream: %w", off, n, r.size, len(data), io.ErrUnexpectedEOF)
 	}
-	if int64(len(out)) != n {
-		return nil, fmt.Errorf("tarstream: gunzip range: %d bytes from a %d-byte stream: %w", n, len(data), io.ErrUnexpectedEOF)
+	if n == 0 {
+		return r, nil
 	}
-	if _, err := io.ReadFull(zr, out); err != nil {
-		return nil, fmt.Errorf("tarstream: gunzip range read: %w", noEOF(err))
+	r.first, r.last = off/r.width, (off+n-1)/r.width
+	r.start, r.end = r.seg(r.first).Off, trailer
+	if r.last+1 < r.rows() {
+		r.end = r.seg(r.last + 1).Off
 	}
-	if _, err := io.Copy(io.Discard, zr); err != nil {
-		return nil, fmt.Errorf("tarstream: gunzip range drain: %w", err)
+	if r.start < int64(len(gzipHeader)) || r.start > r.end || r.end > trailer {
+		return span{}, fmt.Errorf("tarstream: gunzip range: segment table does not fit a %d-byte stream: %w", len(data), ErrCorrupt)
 	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("tarstream: gunzip range close: %w", err)
+	return r, nil
+}
+
+// packed reports whether the segments the range overlaps were stored in
+// fewer bytes than they hold.
+func (r *span) packed() bool {
+	return r.n > 0 && r.end-r.start < min((r.last+1)*r.width, r.size)-r.first*r.width
+}
+
+// appendRaw appends the range to dst, growing it at most once.
+func (r *span) appendRaw(dst []byte) ([]byte, error) {
+	z := inflaters.Get().(*inflater)
+	defer inflaters.Put(z)
+	z.out.b = slices.Grow(dst, int(r.n))
+	err := r.inflate(z, &z.out)
+	out := z.out.b
+	z.out.b = nil
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// appendGzip appends a gzip stream of the range to dst.
+func (r *span) appendGzip(dst []byte) ([]byte, error) {
+	zr := inflaters.Get().(*inflater)
+	defer inflaters.Put(zr)
+	z := gzippers.Get().(*gzipper)
+	defer z.release()
+	z.start(dst, SegmentSize)
+	if err := r.inflate(zr, z); err != nil {
+		return nil, err
+	}
+	out, err := z.finish()
+	if err != nil {
+		return nil, fmt.Errorf("tarstream: gzip close: %w", err)
+	}
+	return out, nil
+}
+
+// inflate walks the segments the range overlaps with z, checking each,
+// and writes the range to w.
+func (r *span) inflate(z *inflater, w io.Writer) error {
+	if r.n == 0 {
+		return nil
+	}
+	z.src.Reset(r.data[r.start:r.end])
+	defer z.src.Reset(nil) // the pool keeps no object alive
+	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return fmt.Errorf("tarstream: gunzip range: %w", err)
+	}
+	scratch := copyPool.Get().(*[copyChunk]byte)
+	defer copyPool.Put(scratch)
+	for i := r.first; i <= r.last; i++ {
+		lo, hi := i*r.width, min((i+1)*r.width, r.size)
+		from, to := max(lo, r.off), min(hi, r.off+r.n)
+		crc, err := z.pass(io.Discard, 0, from-lo, scratch)
+		if err == nil {
+			if crc, err = z.pass(w, crc, to-from, scratch); err == nil {
+				crc, err = z.pass(io.Discard, crc, hi-to, scratch)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("tarstream: gunzip range: segment %d: %w", i, noEOF(err))
+		}
+		if crc != r.seg(i).CRC {
+			return fmt.Errorf("tarstream: gunzip range: segment %d: %w", i, gzip.ErrChecksum)
+		}
+	}
+	// Behind the last segment's content its deflate data ends, on the
+	// last byte handed to the inflater: with the final block, or with the
+	// sync flush before the next segment, after which the bytes run out.
+	want := io.ErrUnexpectedEOF
+	if r.last == r.rows()-1 {
+		want = io.EOF
+	}
+	if k, err := z.fr.Read(scratch[:1]); k != 0 || err != want || z.src.Len() != 0 {
+		return fmt.Errorf("tarstream: gunzip range: segment %d does not end where its table says: %w", r.last, ErrCorrupt)
+	}
+	return nil
+}
+
+// pass inflates k bytes through scratch, folding them into crc and
+// writing them to w.
+func (z *inflater) pass(w io.Writer, crc uint32, k int64, scratch *[copyChunk]byte) (uint32, error) {
+	for k > 0 {
+		piece := scratch[:min(k, copyChunk)]
+		if _, err := io.ReadFull(z.fr, piece); err != nil {
+			return crc, err
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, piece)
+		if _, err := w.Write(piece); err != nil {
+			return crc, err
+		}
+		k -= int64(len(piece))
+	}
+	return crc, nil
 }
 
 // noEOF is err with a bare io.EOF, which here means the content ended

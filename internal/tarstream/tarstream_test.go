@@ -3,12 +3,15 @@ package tarstream
 import (
 	"archive/tar"
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"math/rand"
 	"path"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -113,72 +116,298 @@ func TestGunzipCorrupt(t *testing.T) {
 	}
 }
 
+// segmented is GzipFrom of content, which must not fail.
+func segmented(t testing.TB, content []byte) ([]byte, []Segment) {
+	t.Helper()
+	z, segs, n, err := GzipFrom(bytes.NewReader(content), io.Discard)
+	if err != nil || n != int64(len(content)) {
+		t.Fatalf("GzipFrom of %d bytes: n=%d, %v", len(content), n, err)
+	}
+	return z, segs
+}
+
+// mixed is content whose segments differ: noise, zeros and repeated text
+// in runs that do not line up with SegmentSize, so segments compress to
+// different lengths and some are stored.
+func mixed(seed int64, size int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	content := make([]byte, size)
+	text := []byte("a segmented gzip stream is one plain member; ")
+	for at := 0; at < size; at += 40_000 {
+		run := content[at:min(at+40_000, size)]
+		switch (at / 40_000) % 3 {
+		case 0:
+			rng.Read(run)
+		case 1:
+			for i := range run {
+				run[i] = text[i%len(text)]
+			}
+		}
+	}
+	return content
+}
+
+// A segmented stream is plain gzip: the standard library's reader and
+// Gunzip inflate it whole, whatever its size. Content of at most one
+// segment is exactly the stream gzip.Writer writes at BestSpeed (what
+// GzipFrom wrote before streams had segments), with no table, as Gzip's
+// stream of any content is; longer content has one row per SegmentSize
+// bytes, each with its content's CRC. And no stream depends on what the
+// pooled compressor wrote before.
+func TestSegmentedGzipIsPlainGzip(t *testing.T) {
+	for _, size := range []int{0, 1, 4096, SegmentSize - 1, SegmentSize, SegmentSize + 1, 3 * SegmentSize, 300_017} {
+		content := mixed(int64(size), size)
+		z, segs := segmented(t, content)
+
+		zr, err := gzip.NewReader(bytes.NewReader(z))
+		if err != nil {
+			t.Fatalf("%d bytes: gzip.NewReader: %v", size, err)
+		}
+		zr.Multistream(false)
+		std, err := io.ReadAll(zr)
+		if err != nil || !bytes.Equal(std, content) {
+			t.Fatalf("%d bytes: compress/gzip reads other content: %v", size, err)
+		}
+		if rest, err := io.ReadAll(zr); len(rest) != 0 || err != nil {
+			t.Fatalf("%d bytes: the stream is more than one member", size)
+		}
+		if got, err := Gunzip(z); err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("%d bytes: Gunzip reads other content: %v", size, err)
+		}
+
+		var want bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&want, gzip.BestSpeed)
+		_, _ = zw.Write(content)
+		_ = zw.Close()
+		if plain, err := Gzip(content); err != nil || !bytes.Equal(plain, want.Bytes()) {
+			t.Errorf("%d bytes: Gzip is not gzip.Writer's stream: %v", size, err)
+		}
+		if size <= SegmentSize {
+			if !bytes.Equal(z, want.Bytes()) || segs != nil {
+				t.Errorf("%d bytes: one segment is not gzip.Writer's stream (equal %v, %d rows)", size, bytes.Equal(z, want.Bytes()), len(segs))
+			}
+			continue
+		}
+		if rows := (size + SegmentSize - 1) / SegmentSize; len(segs) != rows || segs[0].Off != 10 {
+			t.Fatalf("%d bytes: %d rows starting at %d, want %d starting behind the header", size, len(segs), segs[0].Off, rows)
+		}
+		for i, s := range segs {
+			part := content[i*SegmentSize : min((i+1)*SegmentSize, size)]
+			if s.CRC != crc32.ChecksumIEEE(part) {
+				t.Errorf("%d bytes: segment %d has another CRC than its content", size, i)
+			}
+			if i > 0 && (s.Off <= segs[i-1].Off || s.Off > int64(len(z))-8) {
+				t.Errorf("%d bytes: segment %d starts at %d", size, i, s.Off)
+			}
+		}
+	}
+
+	content := mixed(1, 3*SegmentSize+5)
+	first, segs := segmented(t, content)
+	for _, before := range [][]byte{mixed(2, 5*SegmentSize), nil, bytes.Repeat([]byte("x"), SegmentSize+1)} {
+		z, zsegs := segmented(t, before)
+		if _, _, err := AppendRange(nil, z, zsegs, 0, int64(len(before))); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := segmented(t, content); !bytes.Equal(again, first) {
+			t.Fatalf("after compressing %d other bytes, the stream differs", len(before))
+		}
+	}
+	// A range sent compressed is written by the same compressor: all of
+	// the content is the stream GzipFrom wrote of it.
+	got, gzipped, err := AppendRange([]byte("prefix"), first, segs, 0, int64(len(content)))
+	if err != nil || !gzipped || string(got[:6]) != "prefix" || !bytes.Equal(got[6:], first) {
+		t.Errorf("AppendRange of all the content does not append GzipFrom's stream (gzipped %v): %v", gzipped, err)
+	}
+}
+
+// AppendRange sends a range compressed when the segments it lies in were
+// stored compressed and its own stream is smaller, and raw otherwise;
+// either way what it appends is the range.
+func TestAppendRangeSendsWhatCompresses(t *testing.T) {
+	noise := make([]byte, 3*SegmentSize)
+	rand.New(rand.NewSource(16)).Read(noise)
+	text := mixed(17, 3*SegmentSize)[SegmentSize : 2*SegmentSize] // the text run and the zeros
+	content := append(append(noise[:0:0], noise...), bytes.Repeat(text, 3)...)
+	z, segs := segmented(t, content)
+	for _, c := range []struct {
+		off, n  int64
+		gzipped bool
+	}{
+		{1000, 16 << 10, false},                // noise: stored, sent raw
+		{3*SegmentSize + 1000, 16 << 10, true}, // text: compressed
+		{3*SegmentSize - 100, 200, false},      // both: tried, but no smaller compressed
+		{2 * SegmentSize, int64(len(content)) - 2*SegmentSize, true},
+	} {
+		got, gzipped, err := AppendRange([]byte("x"), z, segs, c.off, c.n)
+		if err != nil || gzipped != c.gzipped || got[0] != 'x' {
+			t.Fatalf("[%d,+%d): gzipped %v, want %v: %v", c.off, c.n, gzipped, c.gzipped, err)
+		}
+		slice := got[1:]
+		if gzipped {
+			if slice, err = Gunzip(slice); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(slice, content[c.off:c.off+c.n]) {
+			t.Errorf("[%d,+%d): appended other bytes", c.off, c.n)
+		}
+	}
+}
+
+// Streams written and read at once share the pooled compressors and
+// inflaters, and never their bytes: each writer's stream and each
+// reader's range are its own.
+func TestPooledCodecsShareNoBytes(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			content := mixed(int64(g), 2*SegmentSize+1000*g)
+			for i := 0; i < 20; i++ {
+				z, segs, _, err := GzipFrom(bytes.NewReader(content), io.Discard)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				off := (i * 7919) % (len(content) - 4096)
+				got, gzipped, err := AppendRange(nil, z, segs, int64(off), 4096)
+				if err == nil && gzipped {
+					got, err = Gunzip(got)
+				}
+				if err != nil || !bytes.Equal(got, content[off:off+4096]) {
+					t.Errorf("writer %d, round %d: the range is not its own bytes: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // GunzipRange is Gunzip sliced, for objects from empty to several
-// deflate blocks and ranges at every edge.
+// segments, written by Gzip (one segment, no table) and by GzipFrom, and
+// ranges at every edge, segment edges included.
 func TestGunzipRangeMatchesGunzip(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, size := range []int{0, 1, 100, 4096, 70_000, 300_000} {
 		content := make([]byte, size)
 		rng.Read(content[:size/2]) // half noise, half zeros: several block types
-		z, err := Gzip(content)
+		plain, err := Gzip(content)
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, err := Gunzip(z)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seg, segs := segmented(t, content)
 		ranges := [][2]int{{0, size}, {0, 0}, {size, 0}, {0, min(size, 1)}, {max(size-1, 0), min(size, 1)}}
+		for _, edge := range []int{SegmentSize, 2 * SegmentSize, 4 * SegmentSize} {
+			if edge < size {
+				ranges = append(ranges, [2]int{edge - 1, 2}, [2]int{edge, 1}, [2]int{edge - 1, 1}, [2]int{edge - 10, SegmentSize + 20})
+			}
+		}
 		for i := 0; i < 20 && size > 0; i++ {
 			off := rng.Intn(size)
 			ranges = append(ranges, [2]int{off, rng.Intn(size - off + 1)})
 		}
-		// A range is read into the caller's memory when it fits there,
-		// whatever that held, and into memory of its own when it does not.
-		scratch := bytes.Repeat([]byte{0xAA}, 5000)
-		for _, r := range ranges {
-			for _, dst := range [][]byte{nil, scratch[:100]} {
-				got, err := GunzipRange(dst, z, int64(r[0]), int64(r[1]))
-				if err != nil {
-					t.Fatalf("%d-byte object, range [%d,+%d): %v", size, r[0], r[1], err)
+		for _, stream := range []struct {
+			z    []byte
+			segs []Segment
+		}{{plain, nil}, {seg, segs}} {
+			whole, err := Gunzip(stream.z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A range is read into the caller's memory when it fits there,
+			// whatever that held, and into memory of its own when it does not.
+			scratch := bytes.Repeat([]byte{0xAA}, 5000)
+			for _, r := range ranges {
+				if r[0]+r[1] > size {
+					continue
 				}
-				if !bytes.Equal(got, whole[r[0]:r[0]+r[1]]) {
-					t.Errorf("%d-byte object, range [%d,+%d): other bytes than Gunzip's", size, r[0], r[1])
-				}
-				if borrowed := len(got) > 0 && &got[0] == &scratch[0]; borrowed != (dst != nil && 0 < r[1] && r[1] <= cap(dst)) {
-					t.Errorf("%d-byte object, range [%d,+%d) into %d bytes of room: borrowed %v", size, r[0], r[1], cap(dst), borrowed)
+				for _, dst := range [][]byte{nil, scratch[:100]} {
+					got, err := GunzipRange(dst, stream.z, stream.segs, int64(r[0]), int64(r[1]))
+					if err != nil {
+						t.Fatalf("%d-byte object, %d rows, range [%d,+%d): %v", size, len(stream.segs), r[0], r[1], err)
+					}
+					if !bytes.Equal(got, whole[r[0]:r[0]+r[1]]) {
+						t.Errorf("%d-byte object, %d rows, range [%d,+%d): other bytes than Gunzip's", size, len(stream.segs), r[0], r[1])
+					}
+					if borrowed := len(got) > 0 && &got[0] == &scratch[0]; borrowed != (dst != nil && 0 < r[1] && r[1] <= cap(dst)) {
+						t.Errorf("%d-byte object, range [%d,+%d) into %d bytes of room: borrowed %v", size, r[0], r[1], cap(dst), borrowed)
+					}
 				}
 			}
-		}
-		for _, r := range [][2]int64{{0, int64(size) + 1}, {int64(size), 1}, {int64(size) + 1, 0}, {-1, 1}, {0, -1}, {0, 1 << 40}} {
-			if _, err := GunzipRange(nil, z, r[0], r[1]); err == nil {
-				t.Errorf("%d-byte object, range [%d,+%d) accepted", size, r[0], r[1])
+			for _, r := range [][2]int64{{0, int64(size) + 1}, {int64(size), 1}, {int64(size) + 1, 0}, {-1, 1}, {0, -1}, {0, 1 << 40}} {
+				if _, err := GunzipRange(nil, stream.z, stream.segs, r[0], r[1]); err == nil {
+					t.Errorf("%d-byte object, range [%d,+%d) accepted", size, r[0], r[1])
+				}
 			}
 		}
 	}
 }
 
-// A range read answers for the whole object: damage behind the bytes it
-// returns still fails it, because the stream is inflated to the trailer
-// and the CRC is checked there, exactly as Gunzip checks it.
+// A range read answers for every segment it inflates, whole: a byte
+// flipped anywhere in one of them — before the range, inside it, after
+// it, in the sync flush that ends it — fails the read. A byte flipped in
+// a segment the range does not overlap is not the range's to see: the
+// range succeeds with the right bytes, and a whole download (Gunzip,
+// which checks the trailer) fails. A stream of one segment is the case
+// where that segment is the whole object, as it always was.
 func TestGunzipRangeChecksTheTrailer(t *testing.T) {
-	content := make([]byte, 200_000)
-	rand.New(rand.NewSource(15)).Read(content)
-	z, err := Gzip(content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := GunzipRange(nil, z, 1000, 4096); err != nil {
-		t.Fatalf("sound object: %v", err)
-	}
-	for _, at := range []int{len(z) / 2, len(z) - 20, len(z) - 6, len(z) - 2} { // late data, CRC, ISIZE
-		damaged := append([]byte(nil), z...)
-		damaged[at] ^= 0x40
+	flip := func(z []byte, at int64) []byte {
+		damaged := bytes.Clone(z)
+		damaged[at] ^= 0xff
 		if _, err := Gunzip(damaged); err == nil {
 			t.Fatalf("byte %d: Gunzip accepts the damage, the case proves nothing", at)
 		}
-		if _, err := GunzipRange(nil, damaged, 1000, 4096); err == nil {
-			t.Errorf("byte %d flipped after the range: range read accepted the object", at)
+		return damaged
+	}
+
+	content := make([]byte, 200_000)
+	rand.New(rand.NewSource(15)).Read(content)
+	one, err := Gzip(content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GunzipRange(nil, one, nil, 1000, 4096); err != nil {
+		t.Fatalf("sound object: %v", err)
+	}
+	for _, at := range []int{len(one) / 2, len(one) - 20, len(one) - 6, len(one) - 2} { // late data, CRC, ISIZE
+		if _, err := GunzipRange(nil, flip(one, int64(at)), nil, 1000, 4096); err == nil {
+			t.Errorf("one segment, byte %d flipped after the range: range read accepted the object", at)
+		}
+	}
+
+	content = mixed(15, 5*SegmentSize-3000)
+	z, segs := segmented(t, content)
+	end := func(i int) int64 { // one past segment i's deflate data
+		if i+1 < len(segs) {
+			return segs[i+1].Off
+		}
+		return int64(len(z)) - 8
+	}
+	for _, r := range [][2]int64{{SegmentSize + 1000, 4096}, {2*SegmentSize - 100, 200}} {
+		off, n := r[0], r[1]
+		firstSeg, lastSeg := int(off/SegmentSize), int((off+n-1)/SegmentSize)
+		if got, err := GunzipRange(nil, z, segs, off, n); err != nil || !bytes.Equal(got, content[off:off+n]) {
+			t.Fatalf("sound object, range [%d,+%d): %v", off, n, err)
+		}
+		for i := range segs {
+			s, e := segs[i].Off, end(i)
+			for _, at := range []int64{s, s + 1, (s + e) / 2, e - 6, e - 1} {
+				got, err := GunzipRange(nil, flip(z, at), segs, off, n)
+				overlapped := firstSeg <= i && i <= lastSeg
+				switch {
+				case overlapped && err == nil:
+					t.Errorf("range [%d,+%d): byte %d of overlapped segment %d flipped, range read accepted it", off, n, at, i)
+				case !overlapped && (err != nil || !bytes.Equal(got, content[off:off+n])):
+					t.Errorf("range [%d,+%d): byte %d of segment %d flipped, range read failed: %v", off, n, at, i, err)
+				}
+			}
+		}
+		// The trailer's CRC belongs to no segment.
+		if got, err := GunzipRange(nil, flip(z, int64(len(z))-6), segs, off, n); err != nil || !bytes.Equal(got, content[off:off+n]) {
+			t.Errorf("range [%d,+%d): trailer CRC flipped, range read failed: %v", off, n, err)
 		}
 	}
 }
@@ -1134,16 +1363,20 @@ func TestUnpackGzKeep(t *testing.T) {
 	}
 }
 
-// GzipFrom is Gzip of what the reader holds, however the bytes arrive,
-// and every byte passes the tee.
+// GzipFrom is one stream of what the reader holds, however the bytes
+// arrive — Gzip's, for content of one segment — and every byte passes
+// the tee.
 func TestGzipFromMatchesGzip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, size := range []int{0, 1, 4 << 10, copyChunk, 300<<10 + 17} {
+	for _, size := range []int{0, 1, 4 << 10, copyChunk, SegmentSize, 300<<10 + 17} {
 		data := make([]byte, size)
 		rng.Read(data[:size/2])
-		want, err := Gzip(data)
-		if err != nil {
-			t.Fatal(err)
+		want, wantSegs := segmented(t, data)
+		if size <= SegmentSize {
+			var err error
+			if want, err = Gzip(data); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for name, r := range map[string]io.Reader{
 			"whole":     bytes.NewReader(data),
@@ -1154,14 +1387,14 @@ func TestGzipFromMatchesGzip(t *testing.T) {
 				continue
 			}
 			var tee bytes.Buffer
-			got, n, err := GzipFrom(r, &tee)
-			if err != nil || n != int64(size) || !bytes.Equal(got, want) || !bytes.Equal(tee.Bytes(), data) {
-				t.Errorf("%d bytes %s: n=%d err=%v, stream equal: %v, tee equal: %v",
-					size, name, n, err, bytes.Equal(got, want), bytes.Equal(tee.Bytes(), data))
+			got, segs, n, err := GzipFrom(r, &tee)
+			if err != nil || n != int64(size) || !bytes.Equal(got, want) || !slices.Equal(segs, wantSegs) || !bytes.Equal(tee.Bytes(), data) {
+				t.Errorf("%d bytes %s: n=%d err=%v, stream equal: %v, table equal: %v, tee equal: %v",
+					size, name, n, err, bytes.Equal(got, want), slices.Equal(segs, wantSegs), bytes.Equal(tee.Bytes(), data))
 			}
 		}
 	}
-	if _, _, err := GzipFrom(iotest.ErrReader(errors.New("source broke")), io.Discard); err == nil {
+	if _, _, _, err := GzipFrom(iotest.ErrReader(errors.New("source broke")), io.Discard); err == nil {
 		t.Error("a failing source compressed")
 	}
 }

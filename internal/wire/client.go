@@ -204,10 +204,10 @@ func (b *Body) unread() int64 {
 	return b.length - (b.src.got - int64(b.br.Buffered()))
 }
 
-// declared is what the reply's SizeHeader says object i inflates to,
+// Declared is what the reply's SizeHeader says object i inflates to,
 // -1 when it does not say: no header, one that does not parse, or one
 // with fewer entries.
-func (b *Body) declared(i int) int64 {
+func (b *Body) Declared(i int) int64 {
 	if !b.parsed {
 		b.parsed = true
 		if list := b.Header.Get(SizeHeader); list != "" {
@@ -248,31 +248,35 @@ func (b *Body) Ended() bool {
 // Rest reads everything left of the body as the reply's one object,
 // inflated when gzipped.
 func (b *Body) Rest(gzipped bool) ([]byte, error) {
-	return b.object(b.br, b.unread(), b.declared(0), gzipped)
+	// The first bytes are read in before the declared size is held
+	// against what has arrived; an empty body has none to read.
+	_, _ = b.br.Peek(1)
+	return b.object(b.br, b.unread(), b.Declared(0), gzipped)
 }
 
-// Frame reads the reply's i-th object off the next stored bytes of the
-// body, inflated when gzipped.
-func (b *Body) Frame(i int, stored int64, gzipped bool) ([]byte, error) {
+// Frame reads an object off the next stored bytes of the body, inflated
+// when gzipped; size is what it is declared to inflate to (Declared, for
+// a batch's i-th frame), -1 for unknown.
+func (b *Body) Frame(stored, size int64, gzipped bool) ([]byte, error) {
 	if left := b.unread(); left >= 0 && stored > left {
 		return nil, fmt.Errorf("truncated payload: want %d bytes, the reply has %d left", stored, left)
 	}
 	b.frame = frame{br: b.br, left: stored}
-	return b.object(&b.frame, stored, b.declared(i), gzipped)
+	return b.object(&b.frame, stored, size, gzipped)
 }
 
 // object reads src to its end into a single buffer of the object's
-// size: what the reply's SizeHeader declares a gzip stream inflates to,
-// and for a raw object its stored length, whatever the reply declares.
-// Both are the server's claims, and so is the Content-Length behind
-// them. A claim gets its memory only once the bytes that have actually
-// arrived could inflate to it (tarstream.SizeHint); until then the
-// buffer grows with the content, as it does for a reply that declares
-// nothing, so a reply that lies is given no more than deflate gives a
-// sound gzip stream of the bytes it did send. Content that turns out
-// any other size than declared is an error, not an answer. The gzip CRC
-// and the caller's own fingerprint check judge the bytes as they always
-// have.
+// size: what the reply declares a gzip stream inflates to, and for a
+// raw object its stored length, whatever the reply declares. Both are
+// the server's claims, and so is the Content-Length behind them. A claim
+// gets its memory only once the bytes that have actually arrived could
+// inflate to it (tarstream.SizeHint), and then exactly that memory: the
+// end of the content is found without a byte more. Until then the buffer
+// grows with the content, as it does for a reply that declares nothing,
+// so a reply that lies is given no more than deflate gives a sound gzip
+// stream of the bytes it did send. Content that turns out any other size
+// than declared is an error, not an answer. The gzip CRC and the
+// caller's own fingerprint check judge the bytes as they always have.
 func (b *Body) object(src io.Reader, stored, size int64, gzipped bool) ([]byte, error) {
 	if !gzipped {
 		size = stored
@@ -290,14 +294,20 @@ func (b *Body) object(src io.Reader, stored, size int64, gzipped bool) ([]byte, 
 	room := func(int) int { return hint() + 1 }
 	var content []byte
 	var err error
-	if gzipped {
-		content, err = tarstream.GunzipFrom(src, room)
-	} else if size > 0 && int64(hint()) == size {
-		// src ends where the raw object does: there is no end to find,
-		// and the byte for it would put the buffer in the next size class.
+	switch {
+	case size > 0 && int64(hint()) == size:
+		// A raw src ends where the object does, so there is no end to
+		// find; a gzip stream's end is read through scratch. Either way the
+		// byte for it would put the buffer in the next size class.
 		content = make([]byte, size)
-		_, err = io.ReadFull(src, content)
-	} else {
+		if gzipped {
+			err = tarstream.GunzipInto(content, src)
+		} else {
+			_, err = io.ReadFull(src, content)
+		}
+	case gzipped:
+		content, err = tarstream.GunzipFrom(src, room)
+	default:
 		content, err = tarstream.ReadAll(src, room)
 	}
 	if err != nil {
