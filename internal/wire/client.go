@@ -27,18 +27,22 @@ type Client struct {
 // every error it returns ("registry client"); failure replies are typed
 // through errs. hc's Transport, when it has one, is used untouched; a
 // nil hc, or one without a Transport, is carried by this package's own
-// (transport.go), under whatever Timeout, Jar and CheckRedirect hc
-// sets — hc.Timeout is how a caller bounds each request. Every request
-// is sent once: any reply, whatever its status, is the server's answer.
-// A base URL that is empty or does not parse is reported by the first
-// call.
+// HTTP/1.1 transport (transport.go), under whatever Timeout, Jar and
+// CheckRedirect hc sets — hc.Timeout is how a caller bounds each
+// request, and it arrives as the deadline of the request's connection.
+// That transport speaks plain http:// only: a caller that needs TLS, a
+// proxy or HTTP/2 brings its own. Every request is sent once — any
+// reply, whatever its status, is the server's answer; only a GET (or
+// HEAD) whose kept-alive connection closed before any reply is sent
+// again on a new one. A base URL that is empty or does not parse is
+// reported by the first call.
 func NewClient(name, baseURL string, hc *http.Client, errs Statuses) *Client {
 	c := &Client{name: name, errs: errs}
 	if hc != nil {
 		c.http = *hc
 	}
 	if c.http.Transport == nil {
-		c.http.Transport = transport
+		c.http.Transport = ownTransport
 	}
 	if baseURL == "" {
 		c.baseErr = errors.New("empty base URL")

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,12 +19,12 @@ import (
 // without one — one that only sets a Timeout, say — keeps everything
 // else it set, and is itself left as it was.
 func TestClientTransportOwnership(t *testing.T) {
-	if c := NewClient("test client", "http://registry", nil, nil); c.http.Transport != transport {
+	if c := NewClient("test client", "http://registry", nil, nil); c.http.Transport != ownTransport {
 		t.Errorf("nil client: transport %v, want the package's", c.http.Transport)
 	}
 	timed := &http.Client{Timeout: 3 * time.Second}
 	c := NewClient("test client", "http://registry", timed, nil)
-	if c.http.Transport != transport || c.http.Timeout != 3*time.Second {
+	if c.http.Transport != ownTransport || c.http.Timeout != 3*time.Second {
 		t.Errorf("client without a transport: transport %v, timeout %v; want the package's, under 3s", c.http.Transport, c.http.Timeout)
 	}
 	if timed.Transport != nil {
@@ -102,9 +103,9 @@ func (l *counted) Accept() (net.Conn, error) {
 // in flight at once dial eight connections, and the eight after them
 // none. (net/http's default keeps two a server, and the second wave
 // dials six.) The requests are uploads, large and small, which cross
-// those connections whole; they are answered without a body, because a
-// connection that carried one goes back to the pool only some time after
-// its reader saw the end.
+// those connections whole, and each reply carries a body: a connection
+// is back on the idle list by the time the call that read its reply
+// returns.
 func TestSecondWaveDialsNothing(t *testing.T) {
 	const wave = 8
 	var arrived sync.WaitGroup
@@ -117,7 +118,7 @@ func TestSecondWaveDialsNothing(t *testing.T) {
 			http.Error(w, "another body than was sent", http.StatusBadRequest)
 			return
 		}
-		w.WriteHeader(http.StatusCreated)
+		Respond(w, "text/plain", []byte("stored "), []byte(r.URL.Path[1:]))
 	}))
 	ln := &counted{Listener: srv.Listener}
 	srv.Listener = ln
@@ -133,7 +134,8 @@ func TestSecondWaveDialsNothing(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				body := bytes.Repeat([]byte{byte('a' + i)}, 100<<(2*i)) // 100 B to 1.6 MB
-				if _, err := c.Do(http.MethodPut, fmt.Sprintf("/%c%d", body[0], len(body)), body); err != nil {
+				path := fmt.Sprintf("/%c%d", body[0], len(body))
+				if r, err := c.Do(http.MethodPut, path, body); err != nil || string(r.Body) != "stored "+path[1:] {
 					t.Errorf("round %d: a %d-byte upload: %v", round, len(body), err)
 				}
 			}(i)
@@ -141,6 +143,297 @@ func TestSecondWaveDialsNothing(t *testing.T) {
 		wg.Wait()
 		if got := ln.accepts.Load(); got != wave {
 			t.Fatalf("round %d: %d connections accepted so far, want %d", round, got, wave)
+		}
+	}
+}
+
+// served starts a server of h that counts the connections it accepts,
+// and a client of it on a transport of its own.
+func served(t testing.TB, h http.HandlerFunc, timeout time.Duration) (*httptest.Server, *counted, *transport, *Client) {
+	srv := httptest.NewUnstartedServer(h)
+	ln := &counted{Listener: srv.Listener}
+	srv.Listener = ln
+	srv.Start()
+	t.Cleanup(srv.Close)
+	tr := new(transport)
+	return srv, ln, tr, NewClient("test client", srv.URL, &http.Client{Transport: tr, Timeout: timeout}, nil)
+}
+
+// idleTo is how many connections tr keeps idle to srv.
+func (tr *transport) idleTo(srv *httptest.Server) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return len(tr.idle[srv.Listener.Addr().String()])
+}
+
+// A server that closes its idle connections does not fail the requests
+// after it: the closed connection is found out before a request is
+// written to it, and each request, whatever its method, goes out on a
+// new connection and reaches the handler once, a body included.
+func TestServerClosedIdleConnection(t *testing.T) {
+	var hits atomic.Int32
+	srv, ln, _, c := served(t, func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		body, _ := io.ReadAll(r.Body)
+		Respond(w, "text/plain", []byte(r.Method), body)
+	}, 0)
+	for i, req := range []struct {
+		method string
+		body   string
+	}{{http.MethodGet, ""}, {http.MethodPut, "sent once"}, {http.MethodPost, "and once"}, {http.MethodGet, ""}} {
+		r, err := c.Do(req.method, "/x", []byte(req.body))
+		if err != nil || string(r.Body) != req.method+req.body {
+			t.Fatalf("request %d (%s) after the server closed its connection: %v", i, req.method, err)
+		}
+		if got, want := hits.Load(), int32(i+1); got != want {
+			t.Errorf("request %d: the handler has served %d requests, want %d", i, got, want)
+		}
+		if got, want := ln.accepts.Load(), int32(i+1); got != want {
+			t.Errorf("request %d: %d connections accepted, want %d", i, got, want)
+		}
+		srv.CloseClientConnections()
+	}
+}
+
+// Nothing else is sent twice. A server that hangs up on a request
+// without a word looks, on a kept-alive connection, like one that closed
+// it as the request went out, so a GET is sent once more; on a new
+// connection it is not. Nor is a POST — the handler may have done what
+// it asks — or a GET whose body cannot be had again.
+func TestNothingElseIsSentTwice(t *testing.T) {
+	var hits atomic.Int32
+	srv, _, tr, c := served(t, func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		if r.URL.Path == "/hangup" {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				_ = conn.Close()
+			}
+			return
+		}
+		Respond(w, "text/plain", []byte("ok"))
+	}, 0)
+	hc := &http.Client{Transport: tr}
+	for i, step := range []struct {
+		method, path string
+		body         io.Reader // sent by hc when set, by c (GetBody and all) when not
+		fail         bool
+		hits         int32 // requests the handler has seen once the call returns
+	}{
+		{http.MethodGet, "/ok", nil, false, 1},
+		{http.MethodGet, "/hangup", nil, true, 3}, // on the connection /ok left idle, then on a new one
+		{http.MethodGet, "/hangup", nil, true, 4}, // on a new connection
+		{http.MethodGet, "/ok", nil, false, 5},
+		{http.MethodPost, "/hangup", nil, true, 6}, // on the kept-alive connection, with GetBody
+		{http.MethodGet, "/ok", nil, false, 7},
+		{http.MethodGet, "/hangup", struct{ io.Reader }{strings.NewReader("once")}, true, 8},
+	} {
+		var err error
+		if step.body == nil {
+			_, err = c.Do(step.method, step.path, []byte("served once"))
+		} else {
+			var req *http.Request
+			if req, err = http.NewRequest(step.method, srv.URL+step.path, step.body); err != nil {
+				t.Fatal(err)
+			}
+			_, err = hc.Do(req)
+		}
+		if (err != nil) != step.fail {
+			t.Fatalf("step %d (%s %s): error %v", i, step.method, step.path, err)
+		}
+		if got := hits.Load(); got != step.hits {
+			t.Errorf("step %d (%s %s): the handler has seen %d requests, want %d", i, step.method, step.path, got, step.hits)
+		}
+	}
+}
+
+// A connection is reused only after its reply was read to the end and
+// closed, and neither side asked to close it: a body read in part, or
+// not yet closed, or a reply that says Connection: close, costs the next
+// request a new connection.
+func TestConnectionReuse(t *testing.T) {
+	srv, ln, tr, _ := served(t, func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/close" {
+			w.Header().Set("Connection", "close")
+		}
+		Respond(w, "text/plain", bytes.Repeat([]byte("x"), 64<<10))
+	}, 0)
+	hc := &http.Client{Transport: tr}
+	for i, step := range []struct {
+		path    string
+		read    int64 // bytes of the body to read; -1 for all of it
+		close   bool
+		accepts int32 // connections accepted once the request is sent
+		idle    int   // connections idle once the body is done with
+	}{
+		{"/whole", -1, true, 1, 1},
+		{"/whole", -1, true, 1, 1},
+		{"/part", 1, true, 1, 0},
+		{"/whole", -1, true, 2, 1},
+		{"/half", 32 << 10, true, 2, 0}, // past what the read buffer holds
+		{"/whole", -1, true, 3, 1},
+		{"/close", -1, true, 3, 0},
+		{"/unclosed", -1, false, 4, 0},
+		{"/whole", -1, true, 5, 1},
+	} {
+		resp, err := hc.Get(srv.URL + step.path)
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", i, step.path, err)
+		}
+		if step.read < 0 {
+			_, err = io.Copy(io.Discard, resp.Body)
+		} else {
+			_, err = io.CopyN(io.Discard, resp.Body, step.read)
+		}
+		if err != nil {
+			t.Fatalf("step %d (%s): reading the body: %v", i, step.path, err)
+		}
+		if step.close {
+			_ = resp.Body.Close()
+		}
+		if got := ln.accepts.Load(); got != step.accepts {
+			t.Errorf("step %d (%s): %d connections accepted, want %d", i, step.path, got, step.accepts)
+		}
+		if got := tr.idleTo(srv); got != step.idle {
+			t.Errorf("step %d (%s): %d connections idle, want %d", i, step.path, got, step.idle)
+		}
+	}
+}
+
+// A server that stalls, before its reply or in the middle of its body,
+// does not hold a call past hc.Timeout, which arrives as the deadline of
+// the connection; the connection is not reused.
+func TestStalledReplyTimesOut(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	srv, ln, tr, c := served(t, func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/stall/head":
+		case "/stall/body":
+			w.Header().Set("Content-Length", "1000")
+			_, _ = w.Write([]byte("ten bytes."))
+			w.(http.Flusher).Flush()
+		default:
+			Respond(w, "text/plain", []byte("ok"))
+			return
+		}
+		<-r.Context().Done() // the client has gone
+	}, timeout)
+	for i, path := range []string{"/stall/head", "/stall/body"} {
+		if _, err := c.Do(http.MethodGet, "/ok", nil); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err := c.Do(http.MethodGet, path, nil)
+		if took := time.Since(start); err == nil || took > 2*timeout {
+			t.Errorf("%s under a %v timeout: error %v after %v", path, timeout, err, took)
+		}
+		if got := tr.idleTo(srv); got != 0 {
+			t.Errorf("%s: %d connections idle after the timeout, want 0", path, got)
+		}
+		if got, want := ln.accepts.Load(), int32(i+1); got != want {
+			t.Errorf("%s: %d connections accepted, want %d", path, got, want)
+		}
+	}
+}
+
+// A request's deadline ends with it: a connection whose last request's
+// deadline passed while it sat idle is reused, by a request under a
+// deadline and by one without.
+func TestDeadlineEndsWithItsRequest(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	srv, ln, tr, c := served(t, func(w http.ResponseWriter, r *http.Request) {
+		Respond(w, "text/plain", []byte("ok"))
+	}, timeout)
+	untimed := NewClient("test client", srv.URL, &http.Client{Transport: tr}, nil)
+	for i, cl := range []*Client{c, c, untimed} {
+		if _, err := cl.Do(http.MethodGet, "/x", nil); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		time.Sleep(2 * timeout)
+	}
+	if got := ln.accepts.Load(); got != 1 {
+		t.Errorf("%d connections accepted, want 1", got)
+	}
+}
+
+// The transport speaks plain HTTP only, and says so without dialling
+// anything: a caller that needs TLS brings its own.
+func TestSchemeOtherThanHTTP(t *testing.T) {
+	_, err := NewClient("test client", "https://registry.invalid", nil, nil).Do(http.MethodGet, "/x", nil)
+	if err == nil || !strings.Contains(err.Error(), `"https"`) {
+		t.Errorf("https base URL: error %v, want one that names the scheme", err)
+	}
+}
+
+// However many connections a burst of requests dials, at most idleConns
+// of them are kept idle afterwards.
+func TestIdleListBound(t *testing.T) {
+	const burst = 2 * idleConns
+	var arrived sync.WaitGroup
+	arrived.Add(burst)
+	srv, ln, tr, c := served(t, func(w http.ResponseWriter, r *http.Request) {
+		arrived.Done()
+		arrived.Wait()
+		Respond(w, "text/plain", []byte("ok"))
+	}, 0)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Do(http.MethodGet, "/x", nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := ln.accepts.Load(); got != burst {
+		t.Errorf("%d connections accepted, want %d", got, burst)
+	}
+	if got := tr.idleTo(srv); got != idleConns {
+		t.Errorf("%d connections idle, want %d", got, idleConns)
+	}
+}
+
+// A connection idle for idleConnTimeout is closed, not reused; the next
+// request dials a new one.
+func TestIdleConnectionExpires(t *testing.T) {
+	srv, ln, tr, c := served(t, func(w http.ResponseWriter, r *http.Request) {
+		Respond(w, "text/plain", []byte("ok"))
+	}, 0)
+	if _, err := c.Do(http.MethodGet, "/x", nil); err != nil {
+		t.Fatal(err)
+	}
+	tr.mu.Lock()
+	pc := tr.idle[srv.Listener.Addr().String()][0]
+	pc.idleAt = time.Now().Add(-idleConnTimeout) // idle that long
+	tr.mu.Unlock()
+	if _, err := c.Do(http.MethodGet, "/x", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := ln.accepts.Load(); got != 2 {
+		t.Errorf("%d connections accepted, want 2", got)
+	}
+	if _, err := pc.conn.Write([]byte("GET")); err == nil {
+		t.Error("an expired connection is still open")
+	}
+	if got := tr.idleTo(srv); got != 1 {
+		t.Errorf("%d connections idle, want the new one", got)
+	}
+}
+
+// What one request costs: a GET without a body, answered without one,
+// on a kept-alive loopback connection — client and in-process server
+// together.
+func BenchmarkRoundTrip(b *testing.B) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer srv.Close()
+	c := NewClient("bench client", srv.URL, nil, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Do(http.MethodGet, "/x", nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

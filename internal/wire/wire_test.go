@@ -249,6 +249,7 @@ func TestClientReusesConnection(t *testing.T) {
 	}))
 	defer srv.Close()
 
+	own := new(transport) // the package's transport, seen through its GotConn hook
 	var conns, reused atomic.Int32
 	tracing := roundTripFunc(func(req *http.Request) (*http.Response, error) {
 		ct := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
@@ -257,7 +258,7 @@ func TestClientReusesConnection(t *testing.T) {
 				reused.Add(1)
 			}
 		}}
-		return srv.Client().Transport.RoundTrip(req.WithContext(httptrace.WithClientTrace(req.Context(), ct)))
+		return own.RoundTrip(req.WithContext(httptrace.WithClientTrace(req.Context(), ct)))
 	})
 	c := NewClient("test client", srv.URL, &http.Client{Transport: tracing}, nil)
 	for _, path := range []string{"/small", "/big", "/missing", "/small", "/missing", "/big"} {
@@ -277,6 +278,7 @@ func TestStreamDrainsWhatItsReaderLeaves(t *testing.T) {
 		Respond(w, "application/octet-stream", big)
 	}))
 	defer srv.Close()
+	own := new(transport) // the package's transport, seen through its GotConn hook
 	var conns, reused atomic.Int32
 	tracing := roundTripFunc(func(req *http.Request) (*http.Response, error) {
 		ct := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
@@ -285,7 +287,7 @@ func TestStreamDrainsWhatItsReaderLeaves(t *testing.T) {
 				reused.Add(1)
 			}
 		}}
-		return srv.Client().Transport.RoundTrip(req.WithContext(httptrace.WithClientTrace(req.Context(), ct)))
+		return own.RoundTrip(req.WithContext(httptrace.WithClientTrace(req.Context(), ct)))
 	})
 	c := NewClient("test client", srv.URL, &http.Client{Transport: tracing}, nil)
 	errMisframed := errors.New("not what was asked for")

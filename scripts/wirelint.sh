@@ -3,8 +3,9 @@
 # reads a body with io.ReadAll, serves with bare http.Serve, answers
 # 405 itself, writes a reply body to the ResponseWriter itself, or names
 # net/http's default client or transport — or when any non-test code
-# probes a gearregistry store for a verb, renames a converted image
-# outside the converter, or builds a remote client a second way.
+# outside loadbench/ builds a net/http transport, probes a gearregistry
+# store for a verb, renames a converted image outside the converter, or
+# builds a remote client a second way.
 #
 # Every HTTP protocol in the repo, all five, is a verb table over
 # internal/wire (DESIGN.md, "Wire protocols"): the client helper bounds
@@ -69,6 +70,19 @@ if [ -n "$defaults" ]; then
   echo "wirelint: net/http's default client or transport outside internal/wire:" >&2
   printf '%s\n' "$defaults" >&2
   echo "  pass wire.NewClient a nil client, or one that names its own Transport" >&2
+  exit 1
+fi
+
+# internal/wire's transport is the one the product builds: a second
+# net/http transport, built or cloned anywhere outside loadbench/ —
+# internal/wire included — is a second set of connection rules.
+transports=$(grep -rn --include='*.go' -E 'http\.Transport\{|Transport\)\.Clone\(\)' . \
+  | grep -v '_test\.go:' \
+  | grep -v -E '^\./loadbench/' || true)
+if [ -n "$transports" ]; then
+  echo "wirelint: a net/http transport built outside loadbench/:" >&2
+  printf '%s\n' "$transports" >&2
+  echo "  let wire.NewClient carry the client on internal/wire's transport" >&2
   exit 1
 fi
 
