@@ -99,17 +99,23 @@ const (
 
 // Converter converts Docker images to Gear images. Fingerprint
 // assignment is shared across conversions so collisions are detected
-// globally. Converter is safe for concurrent use: conversions serialize
-// on an internal lock, matching the paper's converter, which runs in
-// the registry as a single sequential service.
+// globally. Of the images it converted, a Converter keeps the last one
+// — its Result and the one copy of each of its contents, against which
+// the next version dedups — and of the others only their references, so
+// what it holds does not grow with the number of images it converts.
+// Converter is safe for concurrent use: conversions serialize on an
+// internal lock, matching the paper's converter, which runs in the
+// registry as a single sequential service.
 type Converter struct {
 	opts Options
 
-	mu    sync.Mutex
-	reg   *hashing.Registry
-	files *table // the one copy of every content the results hold
-	disk  *disksim.Disk
-	done  map[string]*Result // references already converted -> cached result
+	mu        sync.Mutex
+	reg       *hashing.Registry
+	files     *table // the one copy of every content of last
+	disk      *disksim.Disk
+	converted map[string]bool // every reference converted
+	last      *Result         // the image converted last
+	lastRef   string          // and its reference
 }
 
 // New returns a Converter.
@@ -129,23 +135,27 @@ func New(opts Options) (*Converter, error) {
 	}
 	reg := hashing.NewRegistry(nil)
 	return &Converter{
-		opts:  opts,
-		reg:   reg,
-		files: newTable(reg),
-		disk:  disk,
-		done:  make(map[string]*Result),
+		opts:      opts,
+		reg:       reg,
+		files:     newTable(reg),
+		disk:      disk,
+		converted: make(map[string]bool),
 	}, nil
 }
 
 // Convert turns img into a Gear image. Each reference converts once;
-// converting it again returns the cached Result alongside
-// ErrAlreadyConverted, so callers can push an already-converted image
-// without paying for a reconversion.
-func (c *Converter) Convert(img *imagefmt.Image) (*Result, error) {
+// converting it again returns ErrAlreadyConverted, alongside its Result
+// if it is the image converted last, so a caller can push the image it
+// just converted again without paying for a reconversion.
+func (c *Converter) Convert(img *imagefmt.Image) (_ *Result, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ref := img.Manifest.Reference()
-	if cached := c.done[ref]; cached != nil {
+	if c.converted[ref] {
+		var cached *Result
+		if ref == c.lastRef {
+			cached = c.last
+		}
 		return cached, fmt.Errorf("convert %s: %w", ref, ErrAlreadyConverted)
 	}
 	if err := img.Validate(); err != nil {
@@ -158,9 +168,9 @@ func (c *Converter) Convert(img *imagefmt.Image) (*Result, error) {
 	// converter decompresses and then saves the layers starting from the
 	// bottom layer to the top layer"). Every file is hashed as it is
 	// unpacked, and one the converter holds already — from a lower layer
-	// or an earlier version of the image — is not held again.
+	// or the image converted last — is not held again.
 	workers := c.opts.Workers
-	defer c.files.settle()
+	defer func() { c.files.settle(err == nil) }()
 	root := vfs.New()
 	for i, layer := range img.Layers {
 		timing.Unpack += c.disk.Read(layer.Size)
@@ -207,7 +217,8 @@ func (c *Converter) Convert(img *imagefmt.Image) (*Result, error) {
 	timing.Build += c.disk.Write(indexImage.Manifest.TotalSize())
 
 	res := &Result{Index: ix, Files: pool, IndexImage: indexImage, Timing: timing}
-	c.done[ref] = res
+	c.converted[ref] = true
+	c.last, c.lastRef = res, ref
 	return res, nil
 }
 

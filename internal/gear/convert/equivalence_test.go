@@ -3,9 +3,11 @@ package convert
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -252,7 +254,27 @@ func (t *table) holds(content string) bool {
 	return t.byVerifier[sha256.Sum256([]byte(content))] != nil
 }
 
-// When Convert returns, the table holds the contents of the results and
+// holdsExactly reports whether the table holds res's contents and
+// nothing else, settled: each under its verifier and, the empty one
+// aside, its first byte. res is a conversion without chunks or
+// fingerprint collisions, so its files are its contents.
+func (t *table) holdsExactly(res *Result) bool {
+	byData := len(t.byData)
+	if t.empty != nil {
+		byData++
+	}
+	if len(t.byVerifier) != len(res.Files) || byData != len(res.Files) {
+		return false
+	}
+	for _, data := range res.Files {
+		if h := t.byVerifier[sha256.Sum256(data)]; h == nil || h.fresh || h.used {
+			return false
+		}
+	}
+	return true
+}
+
+// When Convert returns, the table holds the contents of its result and
 // nothing else: not what a lower layer held and an upper layer replaced
 // or whited out, and nothing of a conversion that failed.
 func TestTableHoldsOnlyResultContent(t *testing.T) {
@@ -272,9 +294,9 @@ func TestTableHoldsOnlyResultContent(t *testing.T) {
 				t.Errorf("workers=%d: the table does not hold %q", workers, kept)
 			}
 		}
-		if len(c.files.byVerifier) != len(res.Files) || len(c.files.byData) != len(res.Files) || len(c.files.fresh) != 0 {
-			t.Errorf("workers=%d: table holds %d contents (%d by data, %d unsettled), the result %d",
-				workers, len(c.files.byVerifier), len(c.files.byData), len(c.files.fresh), len(res.Files))
+		if !c.files.holdsExactly(res) {
+			t.Errorf("workers=%d: table holds %d contents (%d by data), not exactly the result's %d",
+				workers, len(c.files.byVerifier), len(c.files.byData), len(res.Files))
 		}
 
 		// A layer that is sound gzip over a tar archive cut off after its
@@ -304,16 +326,16 @@ func TestTableHoldsOnlyResultContent(t *testing.T) {
 		if _, err := c.Convert(broken); err == nil {
 			t.Fatal("a truncated layer converted")
 		}
-		if c.files.holds(strings.Repeat("a", 700)) || len(c.files.byVerifier) != len(res.Files) || len(c.files.byData) != len(res.Files) {
-			t.Errorf("workers=%d: a failed conversion left contents in the table", workers)
+		if c.files.holds(strings.Repeat("a", 700)) || !c.files.holdsExactly(res) {
+			t.Errorf("workers=%d: a failed conversion did not leave the table as the last result's", workers)
 		}
 	}
 }
 
 // Two goroutines converting different images on one Converter, each
 // fanning its hashing out to workers: the results are what two
-// converters of their own produce, and the shared base is held once.
-// Run under -race.
+// converters of their own produce, and the table holds the contents of
+// whichever image converted last. Run under -race.
 func TestConcurrentConvertSharesTable(t *testing.T) {
 	images := seriesImages(t, 0.25, 2, "python", "redis")
 	c := newConverter(t, Options{Workers: 4})
@@ -335,7 +357,6 @@ func TestConcurrentConvertSharesTable(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	unique := make(map[hashing.Fingerprint]bool)
 	for i, img := range images {
 		want, err := newConverter(t, Options{}).Convert(img)
 		if err != nil {
@@ -350,11 +371,81 @@ func TestConcurrentConvertSharesTable(t *testing.T) {
 			if !bytes.Equal(results[i].Files[fp], data) {
 				t.Fatalf("%s: pool entry %s differs", img.Manifest.Reference(), fp)
 			}
-			unique[fp] = true
 		}
 	}
-	if len(c.files.byVerifier) != len(unique) {
-		t.Errorf("the table holds %d contents, the results reference %d", len(c.files.byVerifier), len(unique))
+	if !c.files.holdsExactly(c.last) {
+		t.Errorf("the table holds %d contents, not exactly the last result's %d", len(c.files.byVerifier), len(c.last.Files))
+	}
+}
+
+// Converting an image drops from the table what only the image before
+// held: after each version of each series the table holds that image's
+// contents alone. Its reference stays converted, but only the last
+// image's Result is handed back.
+func TestConverterKeepsTheLastImageOnly(t *testing.T) {
+	images := seriesImages(t, 0.25, 3, "python", "redis")
+	c := newConverter(t, Options{})
+	var last *Result
+	for _, img := range images {
+		res, err := c.Convert(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.files.holdsExactly(res) {
+			t.Fatalf("after %s the table holds %d contents, not exactly its %d",
+				img.Manifest.Reference(), len(c.files.byVerifier), len(res.Files))
+		}
+		last = res
+	}
+	if again, err := c.Convert(images[0]); !errors.Is(err, ErrAlreadyConverted) || again != nil {
+		t.Errorf("an earlier image converted again: %v, %v; want no Result and ErrAlreadyConverted", again, err)
+	}
+	if again, err := c.Convert(images[len(images)-1]); !errors.Is(err, ErrAlreadyConverted) || again != last {
+		t.Errorf("the last image converted again: %v; want its Result and ErrAlreadyConverted", err)
+	}
+	if !c.files.holdsExactly(last) {
+		t.Error("converting an image again changed the table")
+	}
+}
+
+// liveHeap is the heap the second of two collections found live: the
+// first moves what sync.Pool holds to its victim cache, the second
+// frees it.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
+}
+
+// What a Converter holds does not grow with the images it converted:
+// after fifteen images, five versions of three series, it holds what a
+// Converter that converted only the last of them holds, plus a
+// reference for each image before and the fingerprint registry's entry
+// for each content they held.
+func TestConverterHeapIsTheLastImage(t *testing.T) {
+	const perFingerprint = 256 // measured: about 110 B of map entry, fingerprint and verifier
+	images := seriesImages(t, 1, 5, "alpine", "python", "redis")
+	retained := func(images []*imagefmt.Image) (held int64, fingerprints int) {
+		before := liveHeap()
+		c := newConverter(t, Options{})
+		for _, img := range images {
+			if _, err := c.Convert(img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held = liveHeap() - before
+		runtime.KeepAlive(c)
+		return held, c.reg.Entries()
+	}
+	all, allFPs := retained(images)
+	one, oneFPs := retained(images[len(images)-1:])
+	runtime.KeepAlive(images)
+	bound := one + one/10 + int64(allFPs-oneFPs)*perFingerprint
+	t.Logf("fifteen images: %d B held, %d fingerprints; the last alone: %d B, %d fingerprints; bound %d", all, allFPs, one, oneFPs, bound)
+	if all > bound {
+		t.Errorf("a Converter holds %d B after fifteen images, want at most %d (the last image alone: %d B)", all, bound, one)
 	}
 }
 

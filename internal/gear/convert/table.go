@@ -7,14 +7,19 @@ import (
 	"github.com/gear-image/gear/internal/hashing"
 )
 
-// table holds the one copy of every file content the converter's
-// results reference, keyed by the content's strong verifier — not its
-// fingerprint, which a weak hasher may give to two contents. Layers are
-// unpacked through keep: a file is hashed where its bytes stream by, and
-// only a content the table has never seen is given memory, so converting
-// the next version of an image allocates what that version added. The
-// sum computed there goes on to the index builder through known, which
-// is why no file is hashed twice.
+// table holds the one copy of every file content of the image the
+// converter converted last, keyed by the content's strong verifier — not
+// its fingerprint, which a weak hasher may give to two contents. Layers
+// are unpacked through keep: a file is hashed where its bytes stream by,
+// and only a content the table does not hold is given memory, so
+// converting the next version of an image allocates what that version
+// added. The sum computed there goes on to the index builder through
+// known, which is why no file is hashed twice.
+//
+// Only the last image is held: a Converter that converts a thousand
+// images holds one image's contents, not the union of a thousand. The
+// Results it returned keep their own contents for as long as their
+// callers keep them.
 type table struct {
 	reg *hashing.Registry
 
@@ -25,16 +30,15 @@ type table struct {
 	byVerifier map[hashing.Verifier]*held
 	byData     map[*byte]*held // by first byte: how known finds what the tree holds
 	empty      *held           // the empty content has no first byte
-	fresh      []*held         // added by the conversion in progress
 }
 
 // held is one content and its sum.
 type held struct {
 	data []byte
 	sum  hashing.Sum
-	// used says the content is in a finished conversion's final tree:
-	// a Result references it.
-	used bool
+	// fresh says the conversion in progress added the content; used says
+	// its final tree holds it.
+	fresh, used bool
 }
 
 func newTable(reg *hashing.Registry) *table {
@@ -52,14 +56,13 @@ func (t *table) keep(content []byte, borrowed bool) []byte {
 	if borrowed {
 		content = bytes.Clone(content)
 	}
-	h := &held{data: content, sum: sum}
+	h := &held{data: content, sum: sum, fresh: true}
 	t.byVerifier[sum.Verifier()] = h
 	if len(content) > 0 {
 		t.byData[&content[0]] = h
 	} else {
 		t.empty = h
 	}
-	t.fresh = append(t.fresh, h)
 	return content
 }
 
@@ -79,22 +82,22 @@ func (t *table) known(data []byte) (hashing.Sum, bool) {
 	return h.sum, true
 }
 
-// settle ends a conversion: what it added and no final tree ended up
-// holding — a lower-layer file an upper layer replaced or whited out, or
-// everything, if the conversion failed — is dropped, so the table holds
-// exactly the contents of the results.
-func (t *table) settle() {
-	for _, h := range t.fresh {
-		if h.used {
+// settle ends a conversion. After one that succeeded the table holds
+// exactly its result's contents: what the image before held and this one
+// does not, and what a lower layer held and an upper layer replaced or
+// whited out, are dropped. After one that failed it drops what the
+// conversion added and still holds the last result's contents.
+func (t *table) settle(ok bool) {
+	for v, h := range t.byVerifier {
+		if ok && h.used || !ok && !h.fresh {
+			h.fresh, h.used = false, false
 			continue
 		}
-		delete(t.byVerifier, h.sum.Verifier())
+		delete(t.byVerifier, v)
 		if len(h.data) > 0 {
 			delete(t.byData, &h.data[0])
 		} else {
 			t.empty = nil
 		}
 	}
-	clear(t.fresh)
-	t.fresh = t.fresh[:0]
 }

@@ -102,8 +102,8 @@ fi
 
 # A Gear image is named once, inside Convert (convert.Options.IndexPrefix),
 # and published by Pusher.Push. Code that renames a Result's index and
-# re-encodes its index image writes to the converter's cached Result and
-# prices the image twice.
+# re-encodes its index image writes to a Result the converter may hand
+# out again and prices the image twice.
 renames=$(grep -rn --include='*.go' -E '\.Index\.Name = |IndexImage = ' . \
   | grep -v '_test\.go:' \
   | grep -v -E '^\./internal/gear/convert/' || true)
