@@ -115,12 +115,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	st := chunkedDaemon.GearStore().Stats()
+	st := chunkedDaemon.Snapshot()
 	fmt.Printf("\nfirst read of model[%d:%d]:\n", off, off+n)
 	fmt.Printf("  whole-file gear: %8s stall (%d bytes over the wire)\n",
 		round(wholeStall), modelSize)
 	fmt.Printf("  chunked gear:    %8s stall (%d chunks, %d bytes over the wire)\n",
-		round(chunkStall), st.RemoteObjects, st.RemoteBytes)
+		round(chunkStall), st.Counter("store.remote.objects"), st.Counter("store.remote.bytes"))
 	if chunkStall > 0 {
 		fmt.Printf("  stall reduction: %.1fx\n", float64(wholeStall)/float64(chunkStall))
 	}
@@ -133,9 +133,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	after := chunkedDaemon.GearStore().Stats()
+	after := chunkedDaemon.Snapshot().Diff(st)
 	fmt.Printf("\nfull read (%d bytes) fetched the remaining %d chunks; peak window %d KB\n",
-		len(full), after.RemoteObjects-st.RemoteObjects,
+		len(full), after.Counter("store.remote.objects"),
 		chunkedDaemon.GearStore().ChunkWindowPeak()>>10)
 	return nil
 }

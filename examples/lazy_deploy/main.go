@@ -113,11 +113,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cacheStats := daemon.GearStore().CacheStats()
+		snap := daemon.Snapshot()
+		hits, misses := snap.Counter("cache.hits"), snap.Counter("cache.misses")
 		fmt.Printf("deploy %-14s pull %8d B in %8v | lazy run %8d B (%3d objects) in %8v | cache hit ratio %.2f\n",
 			gearPrefix+"nginx:"+tag, dep.Pull.Bytes, dep.Pull.Time.Round(time.Millisecond),
 			dep.Run.Bytes, dep.Run.Requests, dep.Run.Time.Round(time.Millisecond),
-			cacheStats.HitRatio())
+			float64(hits)/float64(hits+misses))
 		return nil
 	}
 

@@ -388,9 +388,9 @@ func NewDedupAnalyzer(chunkSize int64) (*DedupAnalyzer, error) {
 // Registry, Tracker, profile Library) publishes typed metrics into a
 // MetricsRegistry and answers Snapshot() with the same unified,
 // JSON-marshalable StatsSnapshot — the payload MetricsHandler serves on
-// /metrics and `gearctl stats` diffs and pretty-prints. The legacy
-// per-package Stats accessors remain as views over the same handles,
-// so their counters reconcile exactly with the snapshot.
+// /metrics and `gearctl stats` diffs and pretty-prints. A Daemon's store,
+// cache and peer counters are read there and nowhere else: there is no
+// second, typed accessor to reconcile with it.
 type (
 	// MetricsRegistry is a process- or component-scoped set of named
 	// counters, gauges, and latency histograms with atomic hot paths.

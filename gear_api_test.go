@@ -258,9 +258,8 @@ func TestPublicChunkedLazyDeploy(t *testing.T) {
 	if !bytes.Equal(slice, model[off:off+n]) {
 		t.Error("partial read bytes differ")
 	}
-	st := daemon.GearStore().Stats()
-	if st.RemoteBytes >= size {
-		t.Errorf("partial read moved the whole file: %d bytes", st.RemoteBytes)
+	if moved := daemon.Snapshot().Counter("store.remote.bytes"); moved >= size {
+		t.Errorf("partial read moved the whole file: %d bytes", moved)
 	}
 
 	// A full read completes the file within the window budget.

@@ -85,9 +85,10 @@ type Cache struct {
 	// to make room for its neighbours' bytes.
 	used int64
 
-	// Telemetry handles are the counters' storage — Stats is a view
-	// over them, so a shared registry sees cache traffic live. The
-	// byte gauge (occupancy) is only mutated under mu.
+	// Telemetry handles are the counters' only storage, read through
+	// the registry they are published into, so a shared registry sees
+	// cache traffic live. The byte gauge (occupancy) is only mutated
+	// under mu.
 	objects   *telemetry.Gauge
 	bytes     *telemetry.Gauge
 	hits      *telemetry.Counter
@@ -295,38 +296,4 @@ func (c *Cache) Clear() {
 	hooks := c.hooks
 	c.mu.Unlock()
 	fireEvicts(hooks, evicted)
-}
-
-// Stats is a snapshot of cache effectiveness: a view over the cache's
-// telemetry handles (cache.* metrics), kept for existing callers.
-type Stats struct {
-	Objects   int   `json:"objects"`
-	UsedBytes int64 `json:"usedBytes"`
-	Capacity  int64 `json:"capacity"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
-
-// HitRatio returns hits/(hits+misses), or 0 with no traffic.
-func (s Stats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// Stats returns a snapshot.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Objects:   len(c.entries),
-		UsedBytes: c.used,
-		Capacity:  c.capacity,
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Evictions: c.evictions.Value(),
-	}
 }

@@ -60,12 +60,8 @@ func TestPutGet(t *testing.T) {
 	if _, ok := c.Get(fpOf("missing")); ok {
 		t.Error("Get(missing) = true")
 	}
-	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Objects != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.HitRatio() != 0.5 {
-		t.Errorf("hit ratio = %f", s.HitRatio())
+	if c.hits.Value() != 1 || c.misses.Value() != 1 || len(c.entries) != 1 {
+		t.Errorf("hits/misses/objects = %d/%d/%d, want 1/1/1", c.hits.Value(), c.misses.Value(), len(c.entries))
 	}
 }
 
@@ -83,8 +79,8 @@ func TestPutIdempotent(t *testing.T) {
 	if a != b {
 		t.Error("duplicate Put created a second content")
 	}
-	if s := c.Stats(); s.Objects != 1 || s.UsedBytes != 1 {
-		t.Errorf("stats = %+v", s)
+	if len(c.entries) != 1 || c.used != 1 {
+		t.Errorf("objects/bytes = %d/%d, want 1/1", len(c.entries), c.used)
 	}
 }
 
@@ -116,8 +112,8 @@ func TestFIFOEviction(t *testing.T) {
 	if !c.Contains(fpOf("1")) || !c.Contains(fpOf("2")) {
 		t.Error("FIFO evicted the wrong entry")
 	}
-	if s := c.Stats(); s.Evictions != 1 || s.UsedBytes != 8 {
-		t.Errorf("stats = %+v", s)
+	if c.evictions.Value() != 1 || c.used != 8 {
+		t.Errorf("evictions/bytes = %d/%d, want 1/8", c.evictions.Value(), c.used)
 	}
 }
 
@@ -143,8 +139,8 @@ func TestSharedRegistryDoesNotShareOccupancy(t *testing.T) {
 		}
 	}
 	for i, c := range caches {
-		if s := c.Stats(); s.Objects != 2 || s.UsedBytes != 8 {
-			t.Errorf("cache %d: stats = %+v, want 2 objects / 8 bytes (8 of 10 fits)", i, s)
+		if len(c.entries) != 2 || c.used != 8 {
+			t.Errorf("cache %d: %d objects / %d bytes, want 2 / 8 (8 of 10 fits)", i, len(c.entries), c.used)
 		}
 	}
 	if got := reg.Snapshot(); got.Gauge("cache.bytes") != 16 || got.Counter("cache.evictions") != 0 {
@@ -241,8 +237,8 @@ func TestDrop(t *testing.T) {
 	if c.Drop(fp) {
 		t.Error("Drop(missing) = true")
 	}
-	if s := c.Stats(); s.Objects != 0 || s.UsedBytes != 0 || s.Evictions != 0 {
-		t.Errorf("stats = %+v", s)
+	if len(c.entries) != 0 || c.used != 0 || c.evictions.Value() != 0 {
+		t.Errorf("objects/bytes/evictions = %d/%d/%d, want 0/0/0", len(c.entries), c.used, c.evictions.Value())
 	}
 }
 
@@ -254,9 +250,8 @@ func TestClear(t *testing.T) {
 		}
 	}
 	c.Clear()
-	s := c.Stats()
-	if s.Objects != 0 || s.UsedBytes != 0 {
-		t.Errorf("stats after clear = %+v", s)
+	if len(c.entries) != 0 || c.used != 0 {
+		t.Errorf("after clear: %d objects / %d bytes", len(c.entries), c.used)
 	}
 	if c.Contains(fpOf("0")) {
 		t.Error("entry survived Clear")
@@ -284,8 +279,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s := c.Stats(); s.Objects != 25 {
-		t.Errorf("objects = %d, want 25 (only even iterations insert)", s.Objects)
+	if got := len(c.entries); got != 25 {
+		t.Errorf("objects = %d, want 25 (only even iterations insert)", got)
 	}
 }
 
@@ -319,8 +314,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 				c.Drop(fp)
 				delete(live, fp)
 			}
-			s := c.Stats()
-			if s.UsedBytes > 100 {
+			if c.used > 100 {
 				return false
 			}
 		}

@@ -116,10 +116,8 @@ func TestConcurrentLinkPins(t *testing.T) {
 			if !ok || string(got.Data()) != "12345678" {
 				t.Error("permanently pinned content lost or corrupted")
 			}
-			// The cache stayed consistent: stats add up and no evicted
-			// entry still answers Contains.
-			st := c.Stats()
-			if st.Evictions == 0 {
+			// The churn did evict around the pinned entries.
+			if c.evictions.Value() == 0 {
 				t.Error("churn produced no evictions; test exerted no pressure")
 			}
 		})

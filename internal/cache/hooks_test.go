@@ -88,9 +88,9 @@ func TestEvictionHooksFireExactlyOnce(t *testing.T) {
 			for _, n := range rec.evicts {
 				evicted += n
 			}
-			if int64(evicted) != c.Stats().Evictions {
+			if int64(evicted) != c.evictions.Value() {
 				t.Errorf("%s: %d evict callbacks, cache counted %d evictions",
-					policy, evicted, c.Stats().Evictions)
+					policy, evicted, c.evictions.Value())
 			}
 			if evicted == 0 {
 				t.Fatalf("%s: capacity pressure produced no evictions", policy)
@@ -195,8 +195,8 @@ func TestEvictionHooksRaceWithPeerServes(t *testing.T) {
 					t.Errorf("%s withdrawn without ever being announced", fp)
 				}
 			}
-			if int64(evicts) != c.Stats().Evictions {
-				t.Errorf("%d evict callbacks, cache counted %d evictions", evicts, c.Stats().Evictions)
+			if int64(evicts) != c.evictions.Value() {
+				t.Errorf("%d evict callbacks, cache counted %d evictions", evicts, c.evictions.Value())
 			}
 		})
 	}

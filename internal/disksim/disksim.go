@@ -61,15 +61,10 @@ func SSD() Config {
 	}
 }
 
-// Disk accumulates I/O cost on a device.
+// Disk prices I/O on a device. It keeps no tallies: each caller adds
+// up the costs it is handed.
 type Disk struct {
 	cfg Config
-
-	reads      int64
-	writes     int64
-	readBytes  int64
-	writeBytes int64
-	elapsed    time.Duration
 }
 
 // New returns a Disk for cfg.
@@ -93,47 +88,4 @@ func (d *Disk) ReadCost(size int64) time.Duration {
 func (d *Disk) WriteCost(size int64) time.Duration {
 	return d.cfg.AccessLatency +
 		time.Duration(float64(size)/d.cfg.WriteBytesPerSecond*float64(time.Second))
-}
-
-// Read records a read of one object and returns its cost.
-func (d *Disk) Read(size int64) time.Duration {
-	cost := d.ReadCost(size)
-	d.reads++
-	d.readBytes += size
-	d.elapsed += cost
-	return cost
-}
-
-// Write records a write of one object and returns its cost.
-func (d *Disk) Write(size int64) time.Duration {
-	cost := d.WriteCost(size)
-	d.writes++
-	d.writeBytes += size
-	d.elapsed += cost
-	return cost
-}
-
-// Stats is a snapshot of accumulated I/O.
-type Stats struct {
-	Reads      int64         `json:"reads"`
-	Writes     int64         `json:"writes"`
-	ReadBytes  int64         `json:"readBytes"`
-	WriteBytes int64         `json:"writeBytes"`
-	Elapsed    time.Duration `json:"elapsed"`
-}
-
-// Stats returns the I/O recorded so far.
-func (d *Disk) Stats() Stats {
-	return Stats{
-		Reads:      d.reads,
-		Writes:     d.writes,
-		ReadBytes:  d.readBytes,
-		WriteBytes: d.writeBytes,
-		Elapsed:    d.elapsed,
-	}
-}
-
-// Reset zeroes the accumulated I/O.
-func (d *Disk) Reset() {
-	d.reads, d.writes, d.readBytes, d.writeBytes, d.elapsed = 0, 0, 0, 0, 0
 }

@@ -54,26 +54,6 @@ func TestCosts(t *testing.T) {
 	}
 }
 
-func TestAccumulation(t *testing.T) {
-	d, err := New(SSD())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := d.Read(1000)
-	c2 := d.Write(2000)
-	s := d.Stats()
-	if s.Reads != 1 || s.Writes != 1 || s.ReadBytes != 1000 || s.WriteBytes != 2000 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.Elapsed != c1+c2 {
-		t.Errorf("elapsed = %v, want %v", s.Elapsed, c1+c2)
-	}
-	d.Reset()
-	if s := d.Stats(); s != (Stats{}) {
-		t.Errorf("stats after reset = %+v", s)
-	}
-}
-
 func TestSmallFilesAreSeekBound(t *testing.T) {
 	// The paper attributes long conversion times to many small files;
 	// per-file access latency must dominate for small objects on HDD.

@@ -61,7 +61,7 @@ func TestParallelGearDeploys(t *testing.T) {
 	if _, err := serial.DeployGear("gear/nginx", "v01", access, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := d.GearStore().Stats().RemoteObjects, serial.GearStore().Stats().RemoteObjects; got != want {
+	if got, want := d.Snapshot().Counter("store.remote.objects"), serial.Snapshot().Counter("store.remote.objects"); got != want {
 		t.Errorf("parallel deploys fetched %d objects, serial baseline %d", got, want)
 	}
 
@@ -193,7 +193,7 @@ func TestConcurrentDeployDestroyLoop(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := d.GearStore().Stats().Containers; got != 0 {
+	if got := d.Snapshot().Gauge("store.containers"); got != 0 {
 		t.Errorf("containers left = %d, want 0", got)
 	}
 }

@@ -276,6 +276,10 @@ type Daemon struct {
 	// net gauges mirror the links' counters on demand (Snapshot).
 	wanBytes, wanRequests, wanElapsed *telemetry.Gauge
 	lanBytes, lanRequests, lanElapsed *telemetry.Gauge
+	// The store counters DeployGear diffs, resolved once like the net
+	// gauges so a deploy reads four values and builds no snapshot.
+	demandMisses, stallBytes, prefetchHits *telemetry.Counter
+	prefetchWasted                         *telemetry.Gauge
 
 	nextID atomic.Int64
 }
@@ -315,6 +319,11 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 		lanBytes:    tele.Gauge("net.lan.bytes"),
 		lanRequests: tele.Gauge("net.lan.requests"),
 		lanElapsed:  tele.Gauge("net.lan.elapsed.ns"),
+
+		demandMisses:   tele.Counter("store.demand.misses"),
+		stallBytes:     tele.Counter("store.demand.stall.bytes"),
+		prefetchHits:   tele.Counter("store.prefetch.hits"),
+		prefetchWasted: tele.Gauge("store.prefetch.wasted"),
 	}
 	var err error
 	d.gearStore, err = store.New(store.Options{
@@ -404,8 +413,8 @@ func (d *Daemon) ConfigureSlacker(srv *slacker.Server) {
 	})
 }
 
-// GearStore exposes the daemon's three-level Gear storage (cache stats,
-// commits).
+// GearStore exposes the daemon's three-level Gear storage (its cache,
+// installed indexes, commits). Its counters are read through Snapshot.
 func (d *Daemon) GearStore() *store.Store { return d.gearStore }
 
 // Telemetry returns the per-daemon metrics registry every component
@@ -691,7 +700,7 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 	}
 	dep.view = view
 
-	storeBefore := d.gearStore.Stats()
+	misses, stallBytes, hits := d.demandMisses.Value(), d.stallBytes.Value(), d.prefetchHits.Value()
 
 	// Startup-profile replay: with a profile library configured and a
 	// persisted profile for this image, warm the level-1 cache with the
@@ -741,11 +750,10 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 	// Everything the run phase spent on the link was a container blocked
 	// on a demand transfer: the run's network time IS the demand stall.
 	dep.DemandStall = run.Time
-	storeAfter := d.gearStore.Stats()
-	dep.DemandMisses = storeAfter.DemandMisses - storeBefore.DemandMisses
-	dep.StallBytes = storeAfter.StallBytes - storeBefore.StallBytes
-	dep.PrefetchHits = storeAfter.PrefetchHits - storeBefore.PrefetchHits
-	dep.PrefetchWasted = storeAfter.PrefetchWasted // gauge, not a counter
+	dep.DemandMisses = d.demandMisses.Value() - misses
+	dep.StallBytes = d.stallBytes.Value() - stallBytes
+	dep.PrefetchHits = d.prefetchHits.Value() - hits
+	dep.PrefetchWasted = d.prefetchWasted.Value() // gauge, not a counter
 	// Persist this deploy's access trace so the next deploy of the image
 	// can replay it. SaveProfile keeps the richer of old and new traces.
 	if _, err := d.gearStore.SaveProfile(ref); err != nil {

@@ -79,7 +79,7 @@ func TestPeerDeploySavesRegistryEgress(t *testing.T) {
 			if wan != soloBytes {
 				t.Errorf("seed node WAN bytes = %d, solo baseline = %d; must match", wan, soloBytes)
 			}
-		} else if st := d.GearStore().Stats(); st.PeerObjects == 0 {
+		} else if d.Snapshot().Counter("store.peer.objects") == 0 {
 			t.Errorf("node %d fetched no files from peers", i)
 		}
 	}

@@ -77,7 +77,7 @@ func RunExtCache(cfg Config) (*ExtCacheResult, error) {
 			}
 			// The daemons may share one registry (cfg.Telemetry), whose
 			// cache counters then span the sweep: take this one's delta.
-			before := d.GearStore().CacheStats()
+			before := d.Telemetry().Snapshot()
 			// Rolling upgrade: after deploying version v, the v-1
 			// container and image are deleted (the CI/CD pattern of
 			// §II-D), so older files lose their index links and become
@@ -113,17 +113,19 @@ func RunExtCache(cfg Config) (*ExtCacheResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			cs := d.GearStore().CacheStats()
-			cs.Hits -= before.Hits
-			cs.Misses -= before.Misses
-			cs.Evictions -= before.Evictions
+			cs := d.Telemetry().Snapshot().Diff(before)
+			hits, misses := cs.Counter("cache.hits"), cs.Counter("cache.misses")
+			var hitRatio float64
+			if hits+misses > 0 {
+				hitRatio = float64(hits) / float64(hits+misses)
+			}
 			res.Points = append(res.Points, ExtCachePoint{
 				CapacityFrac:  frac,
 				Policy:        policy.String(),
 				RemoteBytes:   remote,
 				RollbackBytes: rb.Pull.Bytes + rb.Run.Bytes,
-				Evictions:     cs.Evictions,
-				HitRatio:      cs.HitRatio(),
+				Evictions:     cs.Counter("cache.evictions"),
+				HitRatio:      hitRatio,
 			})
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/imagefmt"
 	"github.com/gear-image/gear/internal/netsim"
+	"github.com/gear-image/gear/internal/telemetry"
 	"github.com/gear-image/gear/internal/vfs"
 )
 
@@ -108,31 +109,33 @@ func extChunkModel(seed, size int64) (*vfs.FS, []byte, error) {
 }
 
 // extChunkDeploy publishes root under pol into a fresh registry and
-// returns a store-backed viewer over it. The registry stores raw bytes
-// (Compress off) so wire volume equals chunk volume exactly.
-func extChunkDeploy(root *vfs.FS, pol index.ChunkPolicy, window int64) (*store.Store, *viewer.Viewer, error) {
+// returns a store-backed viewer over it, and the registry the store
+// publishes its counters into. The registry stores raw bytes (Compress
+// off) so wire volume equals chunk volume exactly.
+func extChunkDeploy(root *vfs.FS, pol index.ChunkPolicy, window int64) (*store.Store, *viewer.Viewer, *telemetry.Registry, error) {
 	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, pol, 1)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	reg := gearregistry.New(gearregistry.Options{})
 	for fp, data := range pool {
 		if err := reg.Upload(fp, data); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
-	s, err := store.New(store.Options{Remote: reg, ChunkWindowBytes: window})
+	tele := telemetry.NewRegistry()
+	s, err := store.New(store.Options{Remote: reg, ChunkWindowBytes: window, Telemetry: tele})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := s.AddIndex(ix); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	v, err := s.CreateContainer("c1", "ai:v1")
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return s, v, nil
+	return s, v, tele, nil
 }
 
 // RunExtChunk sweeps file size x chunk size x window budget over the
@@ -172,17 +175,17 @@ func RunExtChunk(cfg Config) (*ExtChunkResult, error) {
 					HeadBytes:      headBytes,
 					WholeFileStall: wholeStall,
 				}
-				s, v, err := extChunkDeploy(root, index.CDCChunks(avg), window)
+				s, v, tele, err := extChunkDeploy(root, index.CDCChunks(avg), window)
 				if err != nil {
 					return nil, err
 				}
+				remoteObjects, remoteBytes := tele.Counter("store.remote.objects"), tele.Counter("store.remote.bytes")
 				head, err := v.ReadAt("/model", 0, headBytes)
 				if err != nil {
 					return nil, err
 				}
-				st := s.Stats()
-				point.DemandRequests = st.RemoteObjects
-				point.DemandBytes = st.RemoteBytes
+				point.DemandRequests = remoteObjects.Value()
+				point.DemandBytes = remoteBytes.Value()
 				link, err := netsim.NewLink(linkCfg)
 				if err != nil {
 					return nil, err
@@ -195,20 +198,19 @@ func RunExtChunk(cfg Config) (*ExtChunkResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				after := s.Stats()
 				point.PeakWindowBytes = s.ChunkWindowPeak()
 				point.WindowOK = point.PeakWindowBytes <= window
 				point.ParityOK = bytes.Equal(head, model[:headBytes]) &&
 					bytes.Equal(full, model) &&
-					after.RemoteBytes == fileSize &&
-					after.RemoteObjects == int64(len(chunks))
+					remoteBytes.Value() == fileSize &&
+					remoteObjects.Value() == int64(len(chunks))
 				res.Points = append(res.Points, point)
 			}
 		}
 
 		// Degeneration: chunking off reproduces the whole-file path in
 		// bytes and modeled timing.
-		s, v, err := extChunkDeploy(root, index.ChunkPolicy{}, 0)
+		_, v, tele, err := extChunkDeploy(root, index.ChunkPolicy{}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -216,20 +218,19 @@ func RunExtChunk(cfg Config) (*ExtChunkResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := s.Stats()
 		degen := ExtChunkDegen{
 			FileBytes: fileSize,
-			Requests:  st.RemoteObjects,
-			WireBytes: st.RemoteBytes,
+			Requests:  tele.Counter("store.remote.objects").Value(),
+			WireBytes: tele.Counter("store.remote.bytes").Value(),
 		}
 		degenLink, err := netsim.NewLink(linkCfg)
 		if err != nil {
 			return nil, err
 		}
-		if degen.Stall, err = degenLink.TransferQuote(int(st.RemoteObjects), st.RemoteBytes); err != nil {
+		if degen.Stall, err = degenLink.TransferQuote(int(degen.Requests), degen.WireBytes); err != nil {
 			return nil, err
 		}
-		degen.BytesExact = st.RemoteObjects == 1 && st.RemoteBytes == fileSize
+		degen.BytesExact = degen.Requests == 1 && degen.WireBytes == fileSize
 		degen.TimingExact = degen.Stall == wholeStall
 		degen.ParityOK = bytes.Equal(head, model[:headBytes])
 		res.Degen = append(res.Degen, degen)

@@ -152,7 +152,7 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 		for n, d := range daemons {
 			// The daemons may share one registry (cfg.Telemetry), so this
 			// node's share of the store counters is a before/after delta.
-			before := d.GearStore().Stats()
+			before := d.Telemetry().Snapshot()
 			got, total, err := rollout(co, d, s, compute)
 			if err != nil {
 				return nil, err
@@ -163,11 +163,11 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 			}
 			point.P2PEgress += got
 			p2pTotal += total
-			st := d.GearStore().Stats()
-			peerObjects := st.PeerObjects - before.PeerObjects
+			st := d.Telemetry().Snapshot().Diff(before)
+			peerObjects := st.Counter("store.peer.objects")
 			point.PeerObjects += peerObjects
-			tracker.ReportServed(int(peerObjects), st.PeerBytes-before.PeerBytes,
-				int(st.RemoteObjects-before.RemoteObjects), st.RemoteBytes-before.RemoteBytes)
+			tracker.ReportServed(int(peerObjects), st.Counter("store.peer.bytes"),
+				int(st.Counter("store.remote.objects")), st.Counter("store.remote.bytes"))
 		}
 		point.LANBytes = topo.LANStats().Bytes
 

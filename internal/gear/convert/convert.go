@@ -173,7 +173,7 @@ func (c *Converter) Convert(img *imagefmt.Image) (_ *Result, err error) {
 	defer func() { c.files.settle(err == nil) }()
 	root := vfs.New()
 	for i, layer := range img.Layers {
-		timing.Unpack += c.disk.Read(layer.Size)
+		timing.Unpack += c.disk.ReadCost(layer.Size)
 		tree, err := layer.TreeKeep(c.files.keep, workers)
 		if err != nil {
 			return nil, fmt.Errorf("convert %s layer %d: %w", ref, i, err)
@@ -181,7 +181,7 @@ func (c *Converter) Convert(img *imagefmt.Image) (_ *Result, err error) {
 		if err := tarstream.ApplyLayer(root, tree); err != nil {
 			return nil, fmt.Errorf("convert %s layer %d: %w", ref, i, err)
 		}
-		timing.Unpack += c.disk.Write(layer.UncompressedSize)
+		timing.Unpack += c.disk.WriteCost(layer.UncompressedSize)
 	}
 
 	// Phase 2: traverse the reconstructed filesystem, building the index
@@ -207,14 +207,14 @@ func (c *Converter) Convert(img *imagefmt.Image) (_ *Result, err error) {
 	// conversion CPU (Docker API calls, metadata bookkeeping); the CPU
 	// share divides across the worker pool.
 	for _, data := range pool {
-		timing.Build += c.disk.Write(int64(len(data)))
+		timing.Build += c.disk.WriteCost(int64(len(data)))
 	}
 	timing.Build += time.Duration(len(pool)) * perFileCPU / time.Duration(workers)
 	indexImage, err := ix.ToImage()
 	if err != nil {
 		return nil, fmt.Errorf("convert %s: %w", ref, err)
 	}
-	timing.Build += c.disk.Write(indexImage.Manifest.TotalSize())
+	timing.Build += c.disk.WriteCost(indexImage.Manifest.TotalSize())
 
 	res := &Result{Index: ix, Files: pool, IndexImage: indexImage, Timing: timing}
 	c.converted[ref] = true
@@ -226,7 +226,7 @@ func (c *Converter) Convert(img *imagefmt.Image) (_ *Result, err error) {
 // to disk and the modeled hash to cpu.
 func (c *Converter) priceTraverse(e *index.Entry, disk, cpu *time.Duration) {
 	if e.Type == vfs.TypeRegular {
-		*disk += c.disk.Read(e.Size)
+		*disk += c.disk.ReadCost(e.Size)
 		*cpu += time.Duration(float64(e.Size) / hashBPS * float64(time.Second))
 	}
 	for _, child := range e.Children {
@@ -246,11 +246,4 @@ func Publish(res *Result, docker registry.Store, gear gearregistry.Store) (index
 	}
 	indexBytes, window, err := p.Push(res, docker)
 	return indexBytes, window.Bytes(), err
-}
-
-// DiskStats exposes the converter's accumulated modeled I/O.
-func (c *Converter) DiskStats() disksim.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.disk.Stats()
 }

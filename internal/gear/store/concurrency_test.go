@@ -103,15 +103,12 @@ func TestConcurrentFaultsSingleDownload(t *testing.T) {
 	counting := newCountingStore(reg)
 
 	var hookObjects atomic.Int64
-	s, err := New(Options{
+	s := mustStore(t, Options{
 		Remote: counting,
 		OnTransfer: func(t Transfer) {
 			hookObjects.Add(int64(t.Registry.Objects))
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +147,9 @@ func TestConcurrentFaultsSingleDownload(t *testing.T) {
 			t.Errorf("fingerprint %s downloaded %d times, want 1", fp, n)
 		}
 	}
-	st := s.Stats()
-	if st.RemoteObjects != 12 {
-		t.Errorf("remote objects = %d, want 12", st.RemoteObjects)
+	st := metrics(s)
+	if st.Counter("store.remote.objects") != 12 {
+		t.Errorf("remote objects = %d, want 12", st.Counter("store.remote.objects"))
 	}
 	if hookObjects.Load() != 12 {
 		t.Errorf("OnTransfer saw %d objects, want 12", hookObjects.Load())
@@ -166,10 +163,7 @@ func TestFetchAllDedupsAgainstConcurrentFaults(t *testing.T) {
 	const files = 32
 	ix, reg := bigFixture(t, files)
 	counting := newCountingStore(reg)
-	s, err := New(Options{Remote: counting, FetchWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: counting, FetchWorkers: 4})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +215,9 @@ func TestFetchAllDedupsAgainstConcurrentFaults(t *testing.T) {
 			t.Errorf("fingerprint %s downloaded %d times, want 1", fp, n)
 		}
 	}
-	st := s.Stats()
-	if st.RemoteObjects != files {
-		t.Errorf("remote objects = %d, want %d", st.RemoteObjects, files)
+	st := metrics(s)
+	if st.Counter("store.remote.objects") != files {
+		t.Errorf("remote objects = %d, want %d", st.Counter("store.remote.objects"), files)
 	}
 }
 
@@ -233,10 +227,7 @@ func TestFetchAllDedupsAgainstConcurrentFaults(t *testing.T) {
 func TestFetchAllBatchesPerWorker(t *testing.T) {
 	const files = 20
 	ix, reg := bigFixture(t, files)
-	s, err := New(Options{Remote: reg, FetchWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: reg, FetchWorkers: 4})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -294,26 +285,26 @@ func TestFetchAllWorkersEquivalent(t *testing.T) {
 		}
 	})
 
-	var base Stats
+	var base telemetry.Snapshot
 	for i, workers := range []int{1, 2, 4, 8, 16} {
-		s, err := New(Options{Remote: reg, FetchWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mustStore(t, Options{Remote: reg, FetchWorkers: workers})
 		if err := s.AddIndex(ix); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.FetchAll(fps); err != nil {
 			t.Fatal(err)
 		}
-		st := s.Stats()
+		st := metrics(s)
 		if i == 0 {
+			if st.Counter("store.remote.objects") == 0 || st.Counter("store.remote.bytes") == 0 {
+				t.Fatalf("workers=%d: FetchAll counted no remote objects or bytes", workers)
+			}
 			base = st
 			continue
 		}
-		if st.RemoteObjects != base.RemoteObjects || st.RemoteBytes != base.RemoteBytes {
+		if st.Counter("store.remote.objects") != base.Counter("store.remote.objects") || st.Counter("store.remote.bytes") != base.Counter("store.remote.bytes") {
 			t.Errorf("workers=%d: objects/bytes = %d/%d, want %d/%d",
-				workers, st.RemoteObjects, st.RemoteBytes, base.RemoteObjects, base.RemoteBytes)
+				workers, st.Counter("store.remote.objects"), st.Counter("store.remote.bytes"), base.Counter("store.remote.objects"), base.Counter("store.remote.bytes"))
 		}
 	}
 }
@@ -352,25 +343,20 @@ func TestConcurrentContainerLifecycle(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := s.Stats(); st.Containers != 0 {
-		t.Errorf("containers left = %d, want 0", st.Containers)
+	if st := metrics(s); st.Gauge("store.containers") != 0 {
+		t.Errorf("containers left = %d, want 0", st.Gauge("store.containers"))
 	}
 }
 
 // TestSnapshotDuringConcurrentFetchAll: readers hammering the shared
-// telemetry registry's Snapshot() — and the legacy Stats() view — while
-// FetchAll and demand faults publish concurrently must stay race-clean
-// (run under -race), every mid-flight snapshot must validate, and after
-// quiesce the unified snapshot must reconcile exactly with the legacy
-// per-package accessor.
+// telemetry registry's Snapshot() while FetchAll and demand faults
+// publish concurrently must stay race-clean (run under -race), and every
+// mid-flight snapshot must validate.
 func TestSnapshotDuringConcurrentFetchAll(t *testing.T) {
 	const files = 32
 	ix, reg := bigFixture(t, files)
 	tele := telemetry.NewRegistry()
-	s, err := New(Options{Remote: reg, FetchWorkers: 4, Telemetry: tele})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: reg, FetchWorkers: 4, Telemetry: tele})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +392,6 @@ func TestSnapshotDuringConcurrentFetchAll(t *testing.T) {
 					t.Errorf("mid-flight snapshot invalid: %v", err)
 					return
 				}
-				_ = s.Stats() // the legacy view must also be safe to copy
 				snapshots.Add(1)
 			}
 		}()
@@ -444,32 +429,8 @@ func TestSnapshotDuringConcurrentFetchAll(t *testing.T) {
 		t.Fatal("snapshot readers never ran")
 	}
 
-	// After quiesce: the unified snapshot and the legacy Stats view read
-	// the same handles, so they must agree to the last byte.
-	snap := tele.Snapshot()
-	st := s.Stats()
-	checks := []struct {
-		metric string
-		got    int64
-		want   int64
-	}{
-		{"store.remote.objects", snap.Counter("store.remote.objects"), st.RemoteObjects},
-		{"store.remote.bytes", snap.Counter("store.remote.bytes"), st.RemoteBytes},
-		{"store.peer.objects", snap.Counter("store.peer.objects"), st.PeerObjects},
-		{"store.demand.misses", snap.Counter("store.demand.misses"), st.DemandMisses},
-		{"store.demand.stall.bytes", snap.Counter("store.demand.stall.bytes"), st.StallBytes},
-		{"store.prefetch.objects", snap.Counter("store.prefetch.objects"), st.PrefetchObjects},
-		{"store.prefetch.hits", snap.Counter("store.prefetch.hits"), st.PrefetchHits},
-		{"store.indexes", snap.Gauge("store.indexes"), int64(st.Indexes)},
-		{"store.containers", snap.Gauge("store.containers"), int64(st.Containers)},
-	}
-	for _, c := range checks {
-		if c.got != c.want {
-			t.Errorf("%s: snapshot %d != legacy view %d", c.metric, c.got, c.want)
-		}
-	}
-	if st.RemoteObjects != files {
-		t.Errorf("remote objects = %d, want %d", st.RemoteObjects, files)
+	if got := tele.Snapshot().Counter("store.remote.objects"); got != files {
+		t.Errorf("remote objects = %d, want %d", got, files)
 	}
 }
 
@@ -477,10 +438,7 @@ func TestSnapshotDuringConcurrentFetchAll(t *testing.T) {
 func TestConcurrentPrefetchAndDeploy(t *testing.T) {
 	ix, reg := bigFixture(t, 24)
 	counting := newCountingStore(reg)
-	s, err := New(Options{Remote: counting, FetchWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: counting, FetchWorkers: 4})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}

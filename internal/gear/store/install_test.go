@@ -121,10 +121,10 @@ func TestInstallImageMatchesAddIndex(t *testing.T) {
 	if len(fa) != 0 {
 		t.Errorf("Fingerprints after every file was read = %v, want none", fa)
 	}
-	sa, sb := viaIndex.Stats(), viaImage.Stats()
-	if sa.RemoteObjects != sb.RemoteObjects || sa.RemoteBytes != sb.RemoteBytes || sa.DemandMisses != sb.DemandMisses {
+	sa, sb := metrics(viaIndex), metrics(viaImage)
+	if sa.Counter("store.remote.objects") != sb.Counter("store.remote.objects") || sa.Counter("store.remote.bytes") != sb.Counter("store.remote.bytes") || sa.Counter("store.demand.misses") != sb.Counter("store.demand.misses") {
 		t.Errorf("AddIndex route moved %d objects / %d bytes in %d misses, InstallImage route %d / %d in %d",
-			sa.RemoteObjects, sa.RemoteBytes, sa.DemandMisses, sb.RemoteObjects, sb.RemoteBytes, sb.DemandMisses)
+			sa.Counter("store.remote.objects"), sa.Counter("store.remote.bytes"), sa.Counter("store.demand.misses"), sb.Counter("store.remote.objects"), sb.Counter("store.remote.bytes"), sb.Counter("store.demand.misses"))
 	}
 }
 
@@ -229,10 +229,7 @@ func TestLazyIndexAfterMaterialization(t *testing.T) {
 // staying pinned for the life of the daemon.
 func TestRemovedImageReleasesPinsWithLastContainer(t *testing.T) {
 	ix, reg := fixture(t)
-	s, err := New(Options{Remote: reg, CacheCapacity: 6000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: reg, CacheCapacity: 6000})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}

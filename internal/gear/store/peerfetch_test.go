@@ -98,7 +98,7 @@ func poolFingerprints(pool map[hashing.Fingerprint][]byte) []hashing.Fingerprint
 // TestPeerFetchServesFromPeersNotRegistry: with a peer source that holds
 // everything, both the FetchAll path and the lazy fault path are served
 // entirely by peers — zero registry traffic, correct bytes, and peer
-// accounting visible through Stats and the OnTransfer hook.
+// accounting visible through the store's counters and the OnTransfer hook.
 func TestPeerFetchServesFromPeersNotRegistry(t *testing.T) {
 	ix, pool, reg := peerFixture(t, 10)
 	counting := newCountingStore(reg)
@@ -106,7 +106,7 @@ func TestPeerFetchServesFromPeersNotRegistry(t *testing.T) {
 
 	var hookObjects atomic.Int64
 	var hookBytes atomic.Int64
-	s, err := New(Options{
+	s := mustStore(t, Options{
 		Remote: counting,
 		Peers:  peers,
 		OnTransfer: func(t Transfer) {
@@ -114,9 +114,6 @@ func TestPeerFetchServesFromPeersNotRegistry(t *testing.T) {
 			hookBytes.Add(t.Peer.Bytes)
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +141,19 @@ func TestPeerFetchServesFromPeersNotRegistry(t *testing.T) {
 		}
 	}
 
-	st := s.Stats()
-	if st.PeerObjects != int64(len(pool)) {
-		t.Errorf("peer objects = %d, want %d", st.PeerObjects, len(pool))
+	st := metrics(s)
+	if st.Counter("store.peer.objects") != int64(len(pool)) {
+		t.Errorf("peer objects = %d, want %d", st.Counter("store.peer.objects"), len(pool))
 	}
-	if st.RemoteObjects != 0 || st.RemoteBytes != 0 {
-		t.Errorf("registry traffic = %d objects / %d bytes, want none", st.RemoteObjects, st.RemoteBytes)
+	if st.Counter("store.remote.objects") != 0 || st.Counter("store.remote.bytes") != 0 {
+		t.Errorf("registry traffic = %d objects / %d bytes, want none", st.Counter("store.remote.objects"), st.Counter("store.remote.bytes"))
 	}
 	if len(counting.counts()) != 0 {
 		t.Errorf("registry saw downloads: %v", counting.counts())
 	}
-	if hookObjects.Load() != st.PeerObjects || hookBytes.Load() != st.PeerBytes {
+	if hookObjects.Load() != st.Counter("store.peer.objects") || hookBytes.Load() != st.Counter("store.peer.bytes") {
 		t.Errorf("OnTransfer saw %d/%d from peers, stats say %d/%d",
-			hookObjects.Load(), hookBytes.Load(), st.PeerObjects, st.PeerBytes)
+			hookObjects.Load(), hookBytes.Load(), st.Counter("store.peer.objects"), st.Counter("store.peer.bytes"))
 	}
 }
 
@@ -172,10 +169,7 @@ func TestCorruptPeerFallsBackToRegistry(t *testing.T) {
 		peers.corrupt[fp] = true
 	}
 
-	s, err := New(Options{Remote: counting, Peers: peers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: counting, Peers: peers})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +194,12 @@ func TestCorruptPeerFallsBackToRegistry(t *testing.T) {
 		}
 	}
 
-	st := s.Stats()
-	if st.PeerObjects != 0 || st.PeerBytes != 0 {
-		t.Errorf("corrupt peer accounted as %d objects / %d bytes", st.PeerObjects, st.PeerBytes)
+	st := metrics(s)
+	if st.Counter("store.peer.objects") != 0 || st.Counter("store.peer.bytes") != 0 {
+		t.Errorf("corrupt peer accounted as %d objects / %d bytes", st.Counter("store.peer.objects"), st.Counter("store.peer.bytes"))
 	}
-	if st.RemoteObjects != int64(len(pool)) {
-		t.Errorf("registry objects = %d, want %d", st.RemoteObjects, len(pool))
+	if st.Counter("store.remote.objects") != int64(len(pool)) {
+		t.Errorf("registry objects = %d, want %d", st.Counter("store.remote.objects"), len(pool))
 	}
 	// Fallback preserves singleflight: exactly one registry download per
 	// fingerprint despite the wasted peer probes.
@@ -236,10 +230,7 @@ func TestMixedPeerOutcomesSplitAccounting(t *testing.T) {
 		}
 	}
 
-	s, err := New(Options{Remote: counting, Peers: peers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: counting, Peers: peers})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +238,13 @@ func TestMixedPeerOutcomesSplitAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := s.Stats()
+	st := metrics(s)
 	wantPeer := int64(len(served))
-	if st.PeerObjects != wantPeer {
-		t.Errorf("peer objects = %d, want %d", st.PeerObjects, wantPeer)
+	if st.Counter("store.peer.objects") != wantPeer {
+		t.Errorf("peer objects = %d, want %d", st.Counter("store.peer.objects"), wantPeer)
 	}
-	if st.RemoteObjects != int64(len(fps))-wantPeer {
-		t.Errorf("registry objects = %d, want %d", st.RemoteObjects, int64(len(fps))-wantPeer)
+	if st.Counter("store.remote.objects") != int64(len(fps))-wantPeer {
+		t.Errorf("registry objects = %d, want %d", st.Counter("store.remote.objects"), int64(len(fps))-wantPeer)
 	}
 	for fp, n := range counting.counts() {
 		if served[fp] {
@@ -274,10 +265,7 @@ func TestPeerFetchPreservesSingleflight(t *testing.T) {
 	counting := newCountingStore(reg)
 	peers := newFakePeers(pool)
 
-	s, err := New(Options{Remote: counting, Peers: peers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: counting, Peers: peers})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +306,7 @@ func TestPeerFetchPreservesSingleflight(t *testing.T) {
 	if got := len(counting.counts()); got != 0 {
 		t.Errorf("registry saw %d downloads, want 0", got)
 	}
-	if st := s.Stats(); st.PeerObjects != 12 {
-		t.Errorf("peer objects = %d, want 12", st.PeerObjects)
+	if st := metrics(s); st.Counter("store.peer.objects") != 12 {
+		t.Errorf("peer objects = %d, want 12", st.Counter("store.peer.objects"))
 	}
 }

@@ -253,10 +253,7 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 	gateP1 := remote.gate(fps["/p1"])
 	gateD := remote.gate(fps["/d"])
 
-	s, err := New(Options{Remote: remote, Profiles: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: remote, Profiles: lib})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -319,15 +316,15 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 		t.Errorf("completion order %v: demand at %d, p4 at %d", completed, demandAt, p4At)
 	}
 
-	st := s.Stats()
-	if st.DemandMisses != 1 {
-		t.Errorf("demand misses = %d, want 1 (the /d fault)", st.DemandMisses)
+	st := metrics(s)
+	if st.Counter("store.demand.misses") != 1 {
+		t.Errorf("demand misses = %d, want 1 (the /d fault)", st.Counter("store.demand.misses"))
 	}
-	if st.PrefetchObjects != 5 {
-		t.Errorf("prefetch objects = %d, want 5", st.PrefetchObjects)
+	if st.Counter("store.prefetch.objects") != 5 {
+		t.Errorf("prefetch objects = %d, want 5", st.Counter("store.prefetch.objects"))
 	}
-	if st.PrefetchHits != 0 || st.PrefetchWasted != 5 {
-		t.Errorf("before any profile read: hits=%d wasted=%d, want 0/5", st.PrefetchHits, st.PrefetchWasted)
+	if st.Counter("store.prefetch.hits") != 0 || st.Gauge("store.prefetch.wasted") != 5 {
+		t.Errorf("before any profile read: hits=%d wasted=%d, want 0/5", st.Counter("store.prefetch.hits"), st.Gauge("store.prefetch.wasted"))
 	}
 
 	// Demand reads of replayed files are cache hits and consume the
@@ -337,12 +334,12 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st = s.Stats()
-	if st.DemandMisses != 1 {
-		t.Errorf("profile reads caused demand misses: %d", st.DemandMisses)
+	st = metrics(s)
+	if st.Counter("store.demand.misses") != 1 {
+		t.Errorf("profile reads caused demand misses: %d", st.Counter("store.demand.misses"))
 	}
-	if st.PrefetchHits != 5 || st.PrefetchWasted != 0 {
-		t.Errorf("after profile reads: hits=%d wasted=%d, want 5/0", st.PrefetchHits, st.PrefetchWasted)
+	if st.Counter("store.prefetch.hits") != 5 || st.Gauge("store.prefetch.wasted") != 0 {
+		t.Errorf("after profile reads: hits=%d wasted=%d, want 5/0", st.Counter("store.prefetch.hits"), st.Gauge("store.prefetch.wasted"))
 	}
 }
 
@@ -354,10 +351,7 @@ func TestPrefetchProfileWarmRedeploy(t *testing.T) {
 	ix, fps, reg := prefetchFixture(t)
 	lib := prefetch.NewLibrary()
 
-	cold, err := New(Options{Remote: reg, Profiles: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := mustStore(t, Options{Remote: reg, Profiles: lib})
 	if err := cold.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -373,9 +367,9 @@ func TestPrefetchProfileWarmRedeploy(t *testing.T) {
 	if saved, err := cold.SaveProfile("web:v1"); err != nil || !saved {
 		t.Fatalf("SaveProfile = %v, %v; want save", saved, err)
 	}
-	coldStats := cold.Stats()
-	if coldStats.DemandMisses != 5 {
-		t.Fatalf("cold demand misses = %d, want 5", coldStats.DemandMisses)
+	coldStats := metrics(cold)
+	if coldStats.Counter("store.demand.misses") != 5 {
+		t.Fatalf("cold demand misses = %d, want 5", coldStats.Counter("store.demand.misses"))
 	}
 
 	// The persisted profile preserves first-access order.
@@ -389,10 +383,7 @@ func TestPrefetchProfileWarmRedeploy(t *testing.T) {
 		}
 	}
 
-	warm, err := New(Options{Remote: reg, Profiles: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := mustStore(t, Options{Remote: reg, Profiles: lib})
 	if err := warm.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -412,16 +403,16 @@ func TestPrefetchProfileWarmRedeploy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warmStats := warm.Stats()
-	if warmStats.DemandMisses != 0 || warmStats.StallBytes != 0 {
-		t.Errorf("warm deploy stalled: misses=%d bytes=%d", warmStats.DemandMisses, warmStats.StallBytes)
+	warmStats := metrics(warm)
+	if warmStats.Counter("store.demand.misses") != 0 || warmStats.Counter("store.demand.stall.bytes") != 0 {
+		t.Errorf("warm deploy stalled: misses=%d bytes=%d", warmStats.Counter("store.demand.misses"), warmStats.Counter("store.demand.stall.bytes"))
 	}
-	if warmStats.PrefetchHits != 5 {
-		t.Errorf("prefetch hits = %d, want 5", warmStats.PrefetchHits)
+	if warmStats.Counter("store.prefetch.hits") != 5 {
+		t.Errorf("prefetch hits = %d, want 5", warmStats.Counter("store.prefetch.hits"))
 	}
-	if warmStats.RemoteBytes != coldStats.RemoteBytes {
+	if warmStats.Counter("store.remote.bytes") != coldStats.Counter("store.remote.bytes") {
 		t.Errorf("warm remote bytes = %d, cold = %d; prefetch must not inflate traffic",
-			warmStats.RemoteBytes, coldStats.RemoteBytes)
+			warmStats.Counter("store.remote.bytes"), coldStats.Counter("store.remote.bytes"))
 	}
 }
 
@@ -430,10 +421,7 @@ func TestPrefetchProfileWarmRedeploy(t *testing.T) {
 func TestPrefetchProfileAbsentOrBroken(t *testing.T) {
 	ix, _, reg := prefetchFixture(t)
 	lib := prefetch.NewLibrary()
-	s, err := New(Options{Remote: reg, Profiles: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: reg, Profiles: lib})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +452,7 @@ func TestPrefetchProfileAbsentOrBroken(t *testing.T) {
 		t.Fatalf("version-skewed profile: %+v, %v; want not found, nil error", res, err)
 	}
 
-	if st := s.Stats(); st.PrefetchObjects != 0 || st.RemoteObjects != 0 {
+	if st := metrics(s); st.Counter("store.prefetch.objects") != 0 || st.Counter("store.remote.objects") != 0 {
 		t.Errorf("degraded replays moved bytes: %+v", st)
 	}
 }
@@ -475,10 +463,7 @@ func TestSaveProfileKeepsRicherTrace(t *testing.T) {
 	ix, fps, reg := prefetchFixture(t)
 	lib := startupProfile(t, fps) // 5 entries persisted
 
-	s, err := New(Options{Remote: reg, Profiles: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: reg, Profiles: lib})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -520,10 +505,7 @@ func TestSaveProfileKeepsRicherTrace(t *testing.T) {
 func TestEagerPrefetchDoesNotRecord(t *testing.T) {
 	ix, _, reg := prefetchFixture(t)
 	lib := prefetch.NewLibrary()
-	s, err := New(Options{Remote: reg, Profiles: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: reg, Profiles: lib})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -535,20 +517,16 @@ func TestEagerPrefetchDoesNotRecord(t *testing.T) {
 	}
 }
 
-// TestViewerStallAgreesWithStore: the viewer's per-container stall
-// counter and the store's demand-stall accounting describe the same
-// events. Cold, every fault is a demand miss and the viewer's stall
-// envelope contains the store's (the store span sits inside the
-// resolver call). After a profile replay, faults still happen but hit
-// the warmed cache: the store records zero misses and zero stall.
+// TestViewerStallAgreesWithStore: a container's faults are the store's
+// to count and time. Cold, every fault is a demand miss and the store
+// times a stall. After a profile replay, faults still happen but hit
+// the warmed cache: the store counts them as prefetch hits, with zero
+// misses and zero stall.
 func TestViewerStallAgreesWithStore(t *testing.T) {
 	ix, fps, reg := prefetchFixture(t)
 	lib := startupProfile(t, fps)
 
-	cold, err := New(Options{Remote: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := mustStore(t, Options{Remote: reg})
 	if err := cold.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -561,22 +539,15 @@ func TestViewerStallAgreesWithStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vs, ss := v.Stats(), cold.Stats()
-	if vs.Faults != ss.DemandMisses {
-		t.Errorf("cold: viewer faults = %d, store demand misses = %d", vs.Faults, ss.DemandMisses)
+	ss := metrics(cold)
+	if got := ss.Counter("store.demand.misses"); got != 5 {
+		t.Errorf("cold: store demand misses = %d, want one per fault (5)", got)
 	}
-	if ss.StallTime <= 0 {
-		t.Errorf("cold: store stall time = %v, want > 0", ss.StallTime)
-	}
-	if vs.StallTime < ss.StallTime {
-		t.Errorf("cold: viewer stall %v < store stall %v; the viewer envelope must contain the store span",
-			vs.StallTime, ss.StallTime)
+	if got := ss.Counter("store.demand.stall.ns"); got <= 0 {
+		t.Errorf("cold: store stall time = %d ns, want > 0", got)
 	}
 
-	warm, err := New(Options{Remote: reg, Profiles: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := mustStore(t, Options{Remote: reg, Profiles: lib})
 	if err := warm.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -592,11 +563,11 @@ func TestViewerStallAgreesWithStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vs2, ss2 := v2.Stats(), warm.Stats()
-	if vs2.Faults != 5 {
-		t.Errorf("warm: viewer faults = %d, want 5 (placeholders still fault)", vs2.Faults)
+	ss2 := metrics(warm)
+	if got := ss2.Counter("store.prefetch.hits"); got != 5 {
+		t.Errorf("warm: prefetch hits = %d, want 5 (placeholders still fault, into the warmed cache)", got)
 	}
-	if ss2.DemandMisses != 0 || ss2.StallTime != 0 {
-		t.Errorf("warm: store misses=%d stall=%v, want 0/0", ss2.DemandMisses, ss2.StallTime)
+	if misses, stall := ss2.Counter("store.demand.misses"), ss2.Counter("store.demand.stall.ns"); misses != 0 || stall != 0 {
+		t.Errorf("warm: store misses=%d stall=%d ns, want 0/0", misses, stall)
 	}
 }

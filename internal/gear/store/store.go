@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/gear-image/gear/internal/cache"
 	"github.com/gear-image/gear/internal/gear/index"
@@ -93,8 +92,8 @@ type Options struct {
 	RangeReads bool
 	// Telemetry, if set, is the registry the store (and its level-1
 	// cache) publishes store.*/cache.* metrics into — typically the
-	// per-daemon registry. Nil gets private, live handles, so the
-	// legacy Stats views work either way.
+	// per-daemon registry, and the one place those counters are read.
+	// Nil gets private, live handles that nothing reads.
 	Telemetry *telemetry.Registry
 	// Trace, if set, receives a structured span per fetch window and
 	// per blocking fault the store leads. Nil disables tracing.
@@ -144,8 +143,8 @@ type Store struct {
 	prefMu     sync.Mutex
 	prefetched map[hashing.Fingerprint]bool
 
-	// m holds the store.* telemetry handles. They are the counters'
-	// only storage — the legacy Stats struct is a view over them.
+	// m holds the store.* telemetry handles: the counters' only storage,
+	// read through the registry they are published into.
 	m storeMetrics
 }
 
@@ -694,68 +693,9 @@ func (s *Store) Commit(containerID, newName, newTag string) (*index.Index, map[h
 	return newIx, newFiles, nil
 }
 
-// CacheStats exposes level-1 cache effectiveness.
-func (s *Store) CacheStats() cache.Stats { return s.cache.Stats() }
-
 // Cache exposes the level-1 cache itself, so peer distribution can
 // export it (peer.NewServer) and track its membership (cache.SetHooks).
 func (s *Store) Cache() *cache.Cache { return s.cache }
 
 // ClearCache empties level 1 (the paper's cold-cache runs).
 func (s *Store) ClearCache() { s.cache.Clear() }
-
-// Stats summarizes remote traffic attributable to this store. Remote*
-// count registry (WAN) transfers; Peer* count cluster-peer (LAN)
-// transfers. Demand*/Stall* account foreground faults that had to wait
-// for the network; Prefetch* account the profile replay and how much of
-// it demand reads actually consumed.
-//
-// Stats is a view over the store.* telemetry metrics (Options.
-// Telemetry): every field reads the same handle a shared registry
-// snapshot reports, so the two always reconcile exactly.
-type Stats struct {
-	RemoteObjects int64 `json:"remoteObjects"`
-	RemoteBytes   int64 `json:"remoteBytes"`
-	PeerObjects   int64 `json:"peerObjects"`
-	PeerBytes     int64 `json:"peerBytes"`
-	Indexes       int   `json:"indexes"`
-	Containers    int   `json:"containers"`
-
-	// DemandMisses counts lazy faults that blocked on a transfer (led or
-	// joined); StallBytes is the content volume those faults waited for,
-	// and StallTime the cumulative wall-clock time demand reads spent
-	// blocked in the fetch path.
-	DemandMisses int64         `json:"demandMisses"`
-	StallBytes   int64         `json:"stallBytes"`
-	StallTime    time.Duration `json:"stallTime"`
-	// PrefetchObjects/PrefetchBytes are the registry transfers performed
-	// under the prefetch class. PrefetchHits counts demand reads served
-	// from the cache because a replay put the object there first;
-	// PrefetchWasted is the gauge of replayed objects no demand read has
-	// consumed (yet).
-	PrefetchObjects int64 `json:"prefetchObjects"`
-	PrefetchBytes   int64 `json:"prefetchBytes"`
-	PrefetchHits    int64 `json:"prefetchHits"`
-	PrefetchWasted  int64 `json:"prefetchWasted"`
-}
-
-// Stats returns a snapshot.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		RemoteObjects:   s.m.remoteObjects.Value(),
-		RemoteBytes:     s.m.remoteBytes.Value(),
-		PeerObjects:     s.m.peerObjects.Value(),
-		PeerBytes:       s.m.peerBytes.Value(),
-		Indexes:         len(s.indexes),
-		Containers:      len(s.containers),
-		DemandMisses:    s.m.demandMisses.Value(),
-		StallBytes:      s.m.stallBytes.Value(),
-		StallTime:       time.Duration(s.m.stallNanos.Value()),
-		PrefetchObjects: s.m.prefetchObjects.Value(),
-		PrefetchBytes:   s.m.prefetchBytes.Value(),
-		PrefetchHits:    s.m.prefetchHits.Value(),
-		PrefetchWasted:  s.m.prefetchWasted.Value(),
-	}
-}

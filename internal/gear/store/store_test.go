@@ -51,11 +51,7 @@ func fixture(t *testing.T) (*index.Index, *gearregistry.Registry) {
 
 func newStore(t *testing.T, remote gearregistry.Store) *Store {
 	t.Helper()
-	s, err := New(Options{Remote: remote})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return mustStore(t, Options{Remote: remote})
 }
 
 func TestDeployAndLazyRead(t *testing.T) {
@@ -73,26 +69,25 @@ func TestDeployAndLazyRead(t *testing.T) {
 	if err != nil || string(got) != "port=80\n" {
 		t.Fatalf("ReadFile = %q, %v", got, err)
 	}
-	st := s.Stats()
-	if st.RemoteObjects != 1 {
-		t.Errorf("remote objects = %d, want 1", st.RemoteObjects)
+	st := metrics(s)
+	if st.Counter("store.remote.objects") != 1 {
+		t.Errorf("remote objects = %d, want 1", st.Counter("store.remote.objects"))
 	}
 	// Second read of the same file is local (placeholder was replaced).
 	if _, err := v.ReadFile("/etc/conf"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().RemoteObjects; got != 1 {
+	if got := metrics(s).Counter("store.remote.objects"); got != 1 {
 		t.Errorf("remote objects after re-read = %d, want 1", got)
 	}
-	vs := v.Stats()
-	if vs.Reads != 2 || vs.Faults != 1 {
-		t.Errorf("viewer stats = %+v", vs)
+	if got := metrics(s).Counter("store.demand.misses"); got != 1 {
+		t.Errorf("demand misses = %d, want 1: only the first read faults", got)
 	}
 	// Duplicate content under another path: served from cache, no fetch.
 	if _, err := v.ReadFile("/etc/conf.bak"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().RemoteObjects; got != 1 {
+	if got := metrics(s).Counter("store.remote.objects"); got != 1 {
 		t.Errorf("remote objects after dup read = %d, want 1 (cache hit)", got)
 	}
 }
@@ -111,7 +106,7 @@ func TestSymlinkReadNeedsNoFetch(t *testing.T) {
 	if err != nil || target != "/bin/app" {
 		t.Errorf("Readlink = %q, %v", target, err)
 	}
-	if s.Stats().RemoteObjects != 0 {
+	if metrics(s).Counter("store.remote.objects") != 0 {
 		t.Error("irregular file access triggered a fetch")
 	}
 }
@@ -133,7 +128,7 @@ func TestStatReportsRealSizeWithoutFetch(t *testing.T) {
 	if info.Size != 4096 || !info.Lazy {
 		t.Errorf("Stat = %+v, want size 4096 lazy", info)
 	}
-	if s.Stats().RemoteObjects != 0 {
+	if metrics(s).Counter("store.remote.objects") != 0 {
 		t.Error("stat triggered a fetch")
 	}
 	// After materialization, Lazy flips off.
@@ -164,15 +159,15 @@ func TestMaterializationSharedAcrossContainers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// c2 reads the same file: served from the shared index tree, no new
-	// fetch and no new fault.
+	// fetch and no new fault — c2 sees it materialized already.
+	if info, err := v2.Stat("/bin/app"); err != nil || info.Lazy {
+		t.Errorf("c2 Stat = %+v, %v; want the file c1 materialized", info, err)
+	}
 	if _, err := v2.ReadFile("/bin/app"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().RemoteObjects; got != 1 {
+	if got := metrics(s).Counter("store.remote.objects"); got != 1 {
 		t.Errorf("remote objects = %d, want 1", got)
-	}
-	if f := v2.Stats().Faults; f != 0 {
-		t.Errorf("c2 faults = %d, want 0", f)
 	}
 }
 
@@ -222,7 +217,7 @@ func TestContainerDataThatLooksLikePlaceholder(t *testing.T) {
 	if err != nil || !bytes.Equal(got, fake) {
 		t.Errorf("container's own placeholder-looking data was intercepted: %q, %v", got, err)
 	}
-	if s.Stats().RemoteObjects != 0 {
+	if metrics(s).Counter("store.remote.objects") != 0 {
 		t.Error("fake placeholder triggered a fetch")
 	}
 }
@@ -272,7 +267,7 @@ func TestLifecycleDecoupling(t *testing.T) {
 	if !s.HasIndex("web:v1") {
 		t.Error("index vanished with container")
 	}
-	if s.CacheStats().Objects == 0 {
+	if metrics(s).Gauge("cache.objects") == 0 {
 		t.Error("cache emptied with container")
 	}
 	// A new container launches from level 2 without re-fetching.
@@ -280,18 +275,18 @@ func TestLifecycleDecoupling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.Stats().RemoteObjects
+	before := metrics(s).Counter("store.remote.objects")
 	if _, err := v2.ReadFile("/bin/app"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().RemoteObjects; got != before {
+	if got := metrics(s).Counter("store.remote.objects"); got != before {
 		t.Error("rematerialization after container delete")
 	}
 	// Deleting the image leaves Gear files shared in the cache.
 	if err := s.RemoveIndex("web:v1"); err != nil {
 		t.Fatal(err)
 	}
-	if s.CacheStats().Objects == 0 {
+	if metrics(s).Gauge("cache.objects") == 0 {
 		t.Error("cache emptied with image")
 	}
 	// Closed container rejects use.
@@ -361,7 +356,7 @@ func TestPrefetch(t *testing.T) {
 	}
 	// All unique files are now cached; a fresh container reads with zero
 	// remote traffic.
-	before := s.Stats().RemoteBytes
+	before := metrics(s).Counter("store.remote.bytes")
 	v, err := s.CreateContainer("c1", "web:v1")
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +366,7 @@ func TestPrefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Stats().RemoteBytes; got != before {
+	if got := metrics(s).Counter("store.remote.bytes"); got != before {
 		t.Errorf("prefetched image still fetched %d bytes", got-before)
 	}
 	if err := s.Prefetch("nope:v1"); !errors.Is(err, ErrNoIndex) {
@@ -383,13 +378,10 @@ func TestOnTransferHook(t *testing.T) {
 	ix, reg := fixture(t)
 	var objects int
 	var bytesFetched int64
-	s, err := New(Options{Remote: reg, OnTransfer: func(t Transfer) {
+	s := mustStore(t, Options{Remote: reg, OnTransfer: func(t Transfer) {
 		objects += t.Registry.Objects
 		bytesFetched += t.Registry.Bytes
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -493,18 +485,18 @@ func TestChunkedFileFetch(t *testing.T) {
 	if err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("chunked read: %d bytes, %v", len(got), err)
 	}
-	st := s.Stats()
-	if st.RemoteObjects != 3 { // 4096+4096+1808
-		t.Errorf("remote objects = %d, want 3 chunks", st.RemoteObjects)
+	st := metrics(s)
+	if st.Counter("store.remote.objects") != 3 { // 4096+4096+1808
+		t.Errorf("remote objects = %d, want 3 chunks", st.Counter("store.remote.objects"))
 	}
-	if st.RemoteBytes != 10000 {
-		t.Errorf("remote bytes = %d", st.RemoteBytes)
+	if st.Counter("store.remote.bytes") != 10000 {
+		t.Errorf("remote bytes = %d", st.Counter("store.remote.bytes"))
 	}
 	// Re-read: assembled file is cached whole.
 	if _, err := v.ReadFile("/model"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().RemoteObjects; got != 3 {
+	if got := metrics(s).Counter("store.remote.objects"); got != 3 {
 		t.Errorf("re-read fetched again: %d", got)
 	}
 }
@@ -533,7 +525,7 @@ func TestConcurrentFaultsOnSameFile(t *testing.T) {
 	wg.Wait()
 	// The file crosses the wire at most... once per racing fault is
 	// acceptable, but the cache must contain exactly one copy.
-	if got := s.CacheStats().Objects; got != 1 {
+	if got := metrics(s).Gauge("cache.objects"); got != 1 {
 		t.Errorf("cache objects = %d, want 1", got)
 	}
 }
@@ -598,10 +590,7 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := New(Options{Remote: reg, CacheCapacity: 3000, CachePolicy: cache.FIFO})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: reg, CacheCapacity: 3000, CachePolicy: cache.FIFO})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +610,7 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 			t.Errorf("linked file lost: %v", err)
 		}
 	}
-	if got := s.Stats().RemoteObjects; got != 10 {
+	if got := metrics(s).Counter("store.remote.objects"); got != 10 {
 		t.Errorf("remote objects = %d, want 10 (no refetch of linked files)", got)
 	}
 }
@@ -677,7 +666,7 @@ func TestDownloadIntegrityVerification(t *testing.T) {
 	if _, err := v.ReadFile("/bin"); !errors.Is(err, ErrCorruptDownload) {
 		t.Errorf("err = %v, want ErrCorruptDownload", err)
 	}
-	if got := s.CacheStats().Objects; got != 0 {
+	if got := metrics(s).Gauge("cache.objects"); got != 0 {
 		t.Errorf("corrupt object entered the cache: %d", got)
 	}
 }
@@ -715,7 +704,7 @@ func TestReadAtFetchesOnlyNeededChunks(t *testing.T) {
 	if !bytes.Equal(got, big[5000:9000]) {
 		t.Error("ranged read returned wrong bytes")
 	}
-	if objs := s.Stats().RemoteObjects; objs != 2 {
+	if objs := metrics(s).Counter("store.remote.objects"); objs != 2 {
 		t.Errorf("remote objects = %d, want 2 (chunks 1 and 2)", objs)
 	}
 	// A later overlapping read reuses the cached chunks.
@@ -723,7 +712,7 @@ func TestReadAtFetchesOnlyNeededChunks(t *testing.T) {
 	if err != nil || !bytes.Equal(got, big[4096:8192]) {
 		t.Fatalf("second ranged read: %v", err)
 	}
-	if objs := s.Stats().RemoteObjects; objs != 2 {
+	if objs := metrics(s).Counter("store.remote.objects"); objs != 2 {
 		t.Errorf("remote objects after overlap = %d, want 2", objs)
 	}
 	// Reading past EOF truncates.
@@ -752,17 +741,17 @@ func TestReadAtFallsBackForUnchunkedFiles(t *testing.T) {
 		t.Errorf("ReadAt = %q, %v", got, err)
 	}
 	// The unchunked file materialized fully (one object).
-	if objs := s.Stats().RemoteObjects; objs != 1 {
+	if objs := metrics(s).Counter("store.remote.objects"); objs != 1 {
 		t.Errorf("remote objects = %d, want 1", objs)
 	}
-	if st := v.Stats(); st.Reads != 1 || st.Faults != 1 {
-		t.Errorf("one ReadAt = %d reads, %d faults, want exactly 1 of each (no double count when the store materializes)", st.Reads, st.Faults)
+	if got := metrics(s).Counter("store.demand.misses"); got != 1 {
+		t.Errorf("one ReadAt = %d demand misses, want exactly 1 (no double count when the store materializes)", got)
 	}
 	// Subsequent ReadAt of materialized file is local.
 	if _, err := v.ReadAt("/etc/conf", 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if objs := s.Stats().RemoteObjects; objs != 1 {
+	if objs := metrics(s).Counter("store.remote.objects"); objs != 1 {
 		t.Errorf("re-read fetched again: %d", objs)
 	}
 }
@@ -799,7 +788,7 @@ func TestFileHandleStreamsChunks(t *testing.T) {
 	if f.Size() != 50000 || f.Name() != "/weights" {
 		t.Errorf("handle = %s/%d", f.Name(), f.Size())
 	}
-	if s.Stats().RemoteObjects != 0 {
+	if metrics(s).Counter("store.remote.objects") != 0 {
 		t.Error("Open fetched data")
 	}
 	// Read the first 10 bytes: only chunk 0 crosses the wire.
@@ -808,7 +797,7 @@ func TestFileHandleStreamsChunks(t *testing.T) {
 	if err != nil || n != 10 || !bytes.Equal(buf, big[:10]) {
 		t.Fatalf("ReadFull = %d, %v", n, err)
 	}
-	if got := s.Stats().RemoteObjects; got != 1 {
+	if got := metrics(s).Counter("store.remote.objects"); got != 1 {
 		t.Errorf("remote objects after head read = %d, want 1", got)
 	}
 	// Seek to the tail and read: fetches only the last chunk.
@@ -819,7 +808,7 @@ func TestFileHandleStreamsChunks(t *testing.T) {
 	if _, err := io.ReadFull(f, tail); err != nil || !bytes.Equal(tail, big[49992:]) {
 		t.Fatalf("tail read: %v", err)
 	}
-	if got := s.Stats().RemoteObjects; got != 2 {
+	if got := metrics(s).Counter("store.remote.objects"); got != 2 {
 		t.Errorf("remote objects after tail read = %d, want 2", got)
 	}
 	// Full sequential copy reproduces the file exactly.
@@ -901,7 +890,7 @@ func TestCachedFaultAllocs(t *testing.T) {
 	if n-relink > 4 {
 		t.Errorf("cached fault: %v allocs per read, want at most 4", n-relink)
 	}
-	if got := s.Stats().RemoteObjects; got != 1 {
+	if got := metrics(s).Counter("store.remote.objects"); got != 1 {
 		t.Errorf("remote objects = %d, want 1: the cache must serve every re-fault", got)
 	}
 

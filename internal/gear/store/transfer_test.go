@@ -194,18 +194,18 @@ func TestEveryTransferIsAccountedOnceThreeWays(t *testing.T) {
 				}
 				spans.add(sp.Objects, sp.Bytes)
 			}
-			st := s.Stats()
+			st := metrics(s)
 			counters := StreamStat{
-				Objects: int(st.RemoteObjects + st.PeerObjects),
-				Bytes:   st.RemoteBytes + st.PeerBytes,
+				Objects: int(st.Counter("store.remote.objects") + st.Counter("store.peer.objects")),
+				Bytes:   st.Counter("store.remote.bytes") + st.Counter("store.peer.bytes"),
 			}
 			if hook.Bytes == 0 || hook != counters || hook != spans {
 				t.Errorf("hook saw %+v, counters moved %+v, spans say %+v; want one nonzero figure", hook, counters, spans)
 			}
-			if got := (StreamStat{Objects: int(st.PeerObjects), Bytes: st.PeerBytes}); got != hookPeer || (got.Objects > 0) != row.peer {
+			if got := (StreamStat{Objects: int(st.Counter("store.peer.objects")), Bytes: st.Counter("store.peer.bytes")}); got != hookPeer || (got.Objects > 0) != row.peer {
 				t.Errorf("peer counters moved %+v, hook saw %+v from peers, want peer traffic = %v", got, hookPeer, row.peer)
 			}
-			if got := (StreamStat{Objects: int(st.PrefetchObjects), Bytes: st.PrefetchBytes}); got != hookPrefetch ||
+			if got := (StreamStat{Objects: int(st.Counter("store.prefetch.objects")), Bytes: st.Counter("store.prefetch.bytes")}); got != hookPrefetch ||
 				(got.Objects > 0) != (row.class == telemetry.ClassPrefetch) {
 				t.Errorf("store.prefetch.* moved %+v, prefetch-class transfers moved %+v (row class %s)", got, hookPrefetch, row.class)
 			}

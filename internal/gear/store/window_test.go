@@ -8,11 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"github.com/gear-image/gear/internal/cache"
 	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/imagefmt"
+	"github.com/gear-image/gear/internal/telemetry"
 	"github.com/gear-image/gear/internal/vfs"
 )
 
@@ -71,10 +71,7 @@ func (r *slowRemote) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 func TestChunkWindowBoundsInflight(t *testing.T) {
 	ix, reg, big := chunkedFixture(t, 65536, 4096) // 16 chunks
 	slow := &slowRemote{Store: reg, delay: 10 * time.Millisecond}
-	s, err := New(Options{Remote: slow, ChunkWindowBytes: 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: slow, ChunkWindowBytes: 8192})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +92,8 @@ func TestChunkWindowBoundsInflight(t *testing.T) {
 	if slow.peakConc < 2 {
 		t.Errorf("concurrent downloads = %d, want the window to overlap transfers", slow.peakConc)
 	}
-	if st := s.Stats(); st.RemoteObjects != 16 || st.RemoteBytes != 65536 {
-		t.Errorf("remote = %d objects / %d bytes", st.RemoteObjects, st.RemoteBytes)
+	if st := metrics(s); st.Counter("store.remote.objects") != 16 || st.Counter("store.remote.bytes") != 65536 {
+		t.Errorf("remote = %d objects / %d bytes", st.Counter("store.remote.objects"), st.Counter("store.remote.bytes"))
 	}
 }
 
@@ -152,8 +149,8 @@ func TestFailedChunkedReadAccountsWhatMoved(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	moved := int64(len(chunks) - 1)
-	if st := s.Stats(); st.RemoteObjects != moved || st.RemoteBytes != moved*4096 {
-		t.Errorf("remote = %d objects / %d bytes, want %d / %d", st.RemoteObjects, st.RemoteBytes, moved, moved*4096)
+	if st := metrics(s); st.Counter("store.remote.objects") != moved || st.Counter("store.remote.bytes") != moved*4096 {
+		t.Errorf("remote = %d objects / %d bytes, want %d / %d", st.Counter("store.remote.objects"), st.Counter("store.remote.bytes"), moved, moved*4096)
 	}
 	if int64(hookObjects) != moved || hookBytes != moved*4096 {
 		t.Errorf("OnTransfer saw %d objects / %d bytes, want %d / %d", hookObjects, hookBytes, moved, moved*4096)
@@ -202,19 +199,16 @@ func TestRangedReadFailureDoesNotEscalate(t *testing.T) {
 	if got, err := v.ReadAt("/model", 0, 4096); !errors.Is(err, errTransient) {
 		t.Fatalf("ReadAt across a failed chunk download = %d bytes, %v; want the remote's error", len(got), err)
 	}
-	if st := s.Stats(); flaky.downloads > 1 || st.RemoteBytes != 0 {
-		t.Errorf("failed ranged read issued %d downloads and moved %d bytes, want at most 1 and 0", flaky.downloads, st.RemoteBytes)
+	if st := metrics(s); flaky.downloads > 1 || st.Counter("store.remote.bytes") != 0 {
+		t.Errorf("failed ranged read issued %d downloads and moved %d bytes, want at most 1 and 0", flaky.downloads, st.Counter("store.remote.bytes"))
 	}
 	got, err := v.ReadAt("/model", 0, 4096)
 	if err != nil || !bytes.Equal(got, big[:4096]) {
 		t.Fatalf("second ReadAt = %d bytes, %v", len(got), err)
 	}
-	if st := s.Stats(); flaky.downloads != 2 || st.RemoteObjects != 1 || st.RemoteBytes != 4096 {
+	if st := metrics(s); flaky.downloads != 2 || st.Counter("store.remote.objects") != 1 || st.Counter("store.remote.bytes") != 4096 {
 		t.Errorf("after the retry: %d downloads in all, %d objects / %d bytes moved; want 2, 1 / 4096",
-			flaky.downloads, st.RemoteObjects, st.RemoteBytes)
-	}
-	if st := v.Stats(); st.Reads != 2 || st.Faults != 2 {
-		t.Errorf("viewer counted %d reads, %d faults for two ReadAt calls", st.Reads, st.Faults)
+			flaky.downloads, st.Counter("store.remote.objects"), st.Counter("store.remote.bytes"))
 	}
 }
 
@@ -233,12 +227,13 @@ func TestChunkedReadCountsOneCacheAccessPerChunk(t *testing.T) {
 	}
 	// Each read also misses once on the file's own fingerprint: a ranged
 	// read caches chunks, never the assembled file.
-	for read, want := range []cache.Stats{{Hits: 0, Misses: k + 1}, {Hits: k, Misses: k + 2}} {
+	for read, want := range []struct{ hits, misses int64 }{{0, k + 1}, {k, k + 2}} {
 		if _, err := v.ReadAt("/model", 0, 65536); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.CacheStats(); got.Hits != want.Hits || got.Misses != want.Misses {
-			t.Errorf("read %d: cache hits/misses = %d/%d, want %d/%d", read+1, got.Hits, got.Misses, want.Hits, want.Misses)
+		got := metrics(s)
+		if hits, misses := got.Counter("cache.hits"), got.Counter("cache.misses"); hits != want.hits || misses != want.misses {
+			t.Errorf("read %d: cache hits/misses = %d/%d, want %d/%d", read+1, hits, misses, want.hits, want.misses)
 		}
 	}
 }
@@ -248,10 +243,7 @@ func TestChunkedReadCountsOneCacheAccessPerChunk(t *testing.T) {
 func TestChunkWindowOversizedChunk(t *testing.T) {
 	ix, reg, big := chunkedFixture(t, 16384, 4096)
 	slow := &slowRemote{Store: reg, delay: time.Millisecond}
-	s, err := New(Options{Remote: slow, ChunkWindowBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: slow, ChunkWindowBytes: 1024})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +268,7 @@ func TestChunkWindowOversizedChunk(t *testing.T) {
 // from the cache as prefetch hits.
 func TestChunkReadahead(t *testing.T) {
 	ix, reg, big := chunkedFixture(t, 20000, 4096) // 5 chunks
-	s, err := New(Options{Remote: reg, ChunkReadahead: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: reg, ChunkReadahead: 2})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -292,13 +281,13 @@ func TestChunkReadahead(t *testing.T) {
 		t.Fatalf("head read: %v", err)
 	}
 	s.WaitReadahead()
-	st := s.Stats()
-	if st.RemoteObjects != 3 { // chunk 0 demand + chunks 1,2 readahead
-		t.Fatalf("remote objects = %d, want 3", st.RemoteObjects)
+	st := metrics(s)
+	if st.Counter("store.remote.objects") != 3 { // chunk 0 demand + chunks 1,2 readahead
+		t.Fatalf("remote objects = %d, want 3", st.Counter("store.remote.objects"))
 	}
-	if st.PrefetchObjects != 2 || st.PrefetchWasted != 2 {
+	if st.Counter("store.prefetch.objects") != 2 || st.Gauge("store.prefetch.wasted") != 2 {
 		t.Errorf("readahead accounting = %d objects / %d wasted, want 2/2",
-			st.PrefetchObjects, st.PrefetchWasted)
+			st.Counter("store.prefetch.objects"), st.Gauge("store.prefetch.wasted"))
 	}
 	// The next read lands entirely on readahead chunks: no new demand
 	// wire. It reads ahead in its turn (chunks 3 and 4, in the
@@ -308,13 +297,13 @@ func TestChunkReadahead(t *testing.T) {
 		t.Fatalf("follow-up read: %v", err)
 	}
 	s.WaitReadahead()
-	st = s.Stats()
-	if st.RemoteObjects != 5 || st.PrefetchObjects != 4 {
+	st = metrics(s)
+	if st.Counter("store.remote.objects") != 5 || st.Counter("store.prefetch.objects") != 4 {
 		t.Errorf("follow-up: %d objects, %d of them readahead, want 5/4 (one demand fetch in all)",
-			st.RemoteObjects, st.PrefetchObjects)
+			st.Counter("store.remote.objects"), st.Counter("store.prefetch.objects"))
 	}
-	if st.PrefetchHits != 2 || st.PrefetchWasted != 2 {
-		t.Errorf("hits = %d, wasted = %d, want 2/2", st.PrefetchHits, st.PrefetchWasted)
+	if st.Counter("store.prefetch.hits") != 2 || st.Gauge("store.prefetch.wasted") != 2 {
+		t.Errorf("hits = %d, wasted = %d, want 2/2", st.Counter("store.prefetch.hits"), st.Gauge("store.prefetch.wasted"))
 	}
 }
 
@@ -335,10 +324,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // repeat-read locality for first-touch latency.
 func TestRangeReadsFastPath(t *testing.T) {
 	ix, reg := fixture(t)
-	s, err := New(Options{Remote: reg, RangeReads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Options{Remote: reg, RangeReads: true})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -350,30 +336,30 @@ func TestRangeReadsFastPath(t *testing.T) {
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xcd}, 50)) {
 		t.Fatalf("range fast path: %q, %v", got, err)
 	}
-	st := s.Stats()
-	if st.RemoteObjects != 1 || st.RemoteBytes != 50 {
-		t.Errorf("remote = %d objects / %d bytes, want 1/50", st.RemoteObjects, st.RemoteBytes)
+	st := metrics(s)
+	if st.Counter("store.remote.objects") != 1 || st.Counter("store.remote.bytes") != 50 {
+		t.Errorf("remote = %d objects / %d bytes, want 1/50", st.Counter("store.remote.objects"), st.Counter("store.remote.bytes"))
 	}
-	if s.CacheStats().Objects != 0 {
+	if metrics(s).Gauge("cache.objects") != 0 {
 		t.Error("partial read entered the cache")
 	}
 	// Uncached: a second cold partial read re-fetches.
 	if _, err := v.ReadAt("/bin/app", 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.RemoteObjects != 2 || st.RemoteBytes != 60 {
-		t.Errorf("second range = %d objects / %d bytes, want 2/60", st.RemoteObjects, st.RemoteBytes)
+	if st := metrics(s); st.Counter("store.remote.objects") != 2 || st.Counter("store.remote.bytes") != 60 {
+		t.Errorf("second range = %d objects / %d bytes, want 2/60", st.Counter("store.remote.objects"), st.Counter("store.remote.bytes"))
 	}
 	// Materializing caches the whole file; later ranges are local.
 	if _, err := v.ReadFile("/bin/app"); err != nil {
 		t.Fatal(err)
 	}
-	base := s.Stats().RemoteBytes
+	base := metrics(s).Counter("store.remote.bytes")
 	if _, err := v.ReadAt("/bin/app", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.RemoteBytes != base {
-		t.Errorf("materialized range still hit the wire: %d -> %d", base, st.RemoteBytes)
+	if st := metrics(s); st.Counter("store.remote.bytes") != base {
+		t.Errorf("materialized range still hit the wire: %d -> %d", base, st.Counter("store.remote.bytes"))
 	}
 	// A range past the end falls back to the full-read clamp.
 	tail, err := v.ReadAt("/etc/conf", 5, 100)
@@ -399,21 +385,36 @@ func TestRangeReadsDisabledDegenerates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Whole file crossed the wire and is cached — the legacy path.
-	if st := s.Stats(); st.RemoteBytes != 4096 {
-		t.Errorf("remote bytes = %d, want full file", st.RemoteBytes)
+	if st := metrics(s); st.Counter("store.remote.bytes") != 4096 {
+		t.Errorf("remote bytes = %d, want full file", st.Counter("store.remote.bytes"))
 	}
-	if s.CacheStats().Objects != 1 {
+	if metrics(s).Gauge("cache.objects") != 1 {
 		t.Error("file not materialized")
 	}
 }
 
+// mustStore builds a store that publishes into a registry of its own,
+// unless opts names one, for metrics to read its counters from.
 func mustStore(t *testing.T, opts Options) *Store {
 	t.Helper()
+	if opts.Telemetry == nil {
+		opts.Telemetry = telemetry.NewRegistry()
+	}
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// metrics snapshots the registry s publishes its store.* and cache.*
+// counters into. A store without a registry would read as all zeros, so
+// metrics refuses one: build the store with mustStore.
+func metrics(s *Store) telemetry.Snapshot {
+	if s.opts.Telemetry == nil {
+		panic("metrics: store has no telemetry registry; build it with mustStore")
+	}
+	return s.opts.Telemetry.Snapshot()
 }
 
 // ResolveRange validates its range, and materializes and slices a
@@ -435,7 +436,7 @@ func TestResolveRangeValidation(t *testing.T) {
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xcd}, 10)) {
 		t.Errorf("non-chunked without RangeReads = %q, %v", got, err)
 	}
-	if s.CacheStats().Objects != 1 {
+	if metrics(s).Gauge("cache.objects") != 1 {
 		t.Error("file not materialized")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io/fs"
 	"sync"
-	"time"
 
 	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/hashing"
@@ -54,15 +53,6 @@ type Viewer struct {
 	mu     sync.Mutex
 	mount  *overlay.Mount
 	closed bool
-
-	// reads counts total regular-file reads; faults counts reads that
-	// had to pause on a placeholder (the lazy-fetch events of Fig 8/9);
-	// stall accumulates the wall-clock time those pauses spent inside
-	// the resolver — the per-container view of the store's demand-stall
-	// accounting.
-	reads  int64
-	faults int64
-	stall  time.Duration
 }
 
 // New mounts a viewer over the shared index tree (level 2) with a fresh
@@ -86,9 +76,9 @@ func (v *Viewer) checkOpen() error {
 	return nil
 }
 
-// readLocked counts one read of the regular file at the clean path p and
-// returns its content as the mount holds it and, when that is an index
-// placeholder still to be materialized (lazy), the record it carries.
+// readLocked returns the content of the regular file at the clean path p
+// as the mount holds it and, when that is an index placeholder still to
+// be materialized (lazy), the record it carries.
 // Data written by the container itself is returned verbatim even if it
 // happens to look like a placeholder: only lower-layer (index) entries
 // are fingerprint files. The caller holds v.mu.
@@ -96,7 +86,6 @@ func (v *Viewer) readLocked(p string) (data []byte, fp hashing.Fingerprint, size
 	if err := v.checkOpen(); err != nil {
 		return nil, "", 0, false, err
 	}
-	v.reads++
 	data, err = v.mount.ReadFile(p)
 	if err != nil || v.mount.Upper().Exists(p) {
 		return data, "", 0, false, err
@@ -109,16 +98,13 @@ func (v *Viewer) readLocked(p string) (data []byte, fp hashing.Fingerprint, size
 // helper to make the file readable, then resumes. The caller holds v.mu;
 // fault returns with it released. The helper may be downloading, so the
 // lock is not held meanwhile: other threads of the container go on
-// reading, and faulting, elsewhere.
+// reading, and faulting, elsewhere. The helper counts and times the
+// pause (the store's store.demand.* metrics); the viewer does neither.
 func (v *Viewer) fault(p string, resolve func() ([]byte, error)) ([]byte, error) {
-	v.faults++
 	v.mu.Unlock()
-	start := time.Now()
 	data, err := resolve()
-	elapsed := time.Since(start)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.stall += elapsed
 	if err != nil {
 		return nil, fmt.Errorf("viewer %s: fault %s: %w", v.imageRef, p, err)
 	}
@@ -347,27 +333,9 @@ func (v *Viewer) DiffTree() *vfs.FS {
 
 // Close stops the viewer. The paper notes Gear containers tear down
 // faster than Docker because only the required files' inode caches need
-// destroying; Stats().Faults is exactly that count.
+// destroying.
 func (v *Viewer) Close() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.closed = true
-}
-
-// Stats reports read/fault counters. StallTime is the cumulative
-// wall-clock time this container's reads spent paused in the resolver;
-// faults served from the level-1 cache (e.g. after a profile-guided
-// prefetch) contribute almost nothing, so it tracks the store's
-// demand-stall accounting from the container's side.
-type Stats struct {
-	Reads     int64         `json:"reads"`
-	Faults    int64         `json:"faults"`
-	StallTime time.Duration `json:"stallTime"`
-}
-
-// Stats returns a snapshot of the viewer's counters.
-func (v *Viewer) Stats() Stats {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return Stats{Reads: v.reads, Faults: v.faults, StallTime: v.stall}
 }

@@ -99,16 +99,13 @@ func TestLazyReadPausesOnce(t *testing.T) {
 	if r.calls != 1 {
 		t.Errorf("resolver calls after re-read = %d, want 1", r.calls)
 	}
-	if s := v.Stats(); s.Reads != 2 || s.Faults != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-	// A ranged read of a lazy file is one read and one fault, whatever the
-	// resolver does to serve it.
+	// A ranged read of a lazy file is one fault, one resolver call,
+	// whatever the resolver does to serve it.
 	if _, err := v.ReadAt("/app/conf", 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if s := v.Stats(); s.Reads != 3 || s.Faults != 2 || r.calls != 2 {
-		t.Errorf("after one ReadAt: stats = %+v, resolver calls = %d; want 3 reads, 2 faults, 2 calls", s, r.calls)
+	if r.calls != 2 {
+		t.Errorf("after one ReadAt: resolver calls = %d, want 2", r.calls)
 	}
 }
 
@@ -492,16 +489,16 @@ func TestParkedFaultDoesNotBlockOtherPaths(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if st := v.Stats(); st.Reads != 2 || st.Faults != 2 {
-		t.Errorf("stats with one fault parked = %+v, want 2 reads, 2 faults", st)
+	r.mu.Lock()
+	calls := r.inner.calls
+	r.mu.Unlock()
+	if calls != 1 {
+		t.Errorf("resolver served %d faults with one parked, want 1 (the other path's)", calls)
 	}
 
 	close(r.release)
 	if res := <-first; res.err != nil || string(res.data) != "binary-bytes" {
 		t.Errorf("parked ReadFile = %q, %v", res.data, res.err)
-	}
-	if st := v.Stats(); st.StallTime <= 0 {
-		t.Errorf("stall time after a parked fault = %v", st.StallTime)
 	}
 }
 

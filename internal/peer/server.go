@@ -7,7 +7,6 @@ import (
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/tarstream"
-	"github.com/gear-image/gear/internal/telemetry"
 	"github.com/gear-image/gear/internal/wire"
 )
 
@@ -30,19 +29,14 @@ type Server struct {
 	id    string
 	cache *cache.Cache
 	sem   chan struct{}
-
-	objectsServed *telemetry.Counter
-	bytesServed   *telemetry.Counter
 }
 
 // NewServer exports c, owned by the node named id.
 func NewServer(id string, c *cache.Cache) *Server {
 	return &Server{
-		id:            id,
-		cache:         c,
-		sem:           make(chan struct{}, DefaultMaxConcurrent),
-		objectsServed: telemetry.NewCounter(),
-		bytesServed:   telemetry.NewCounter(),
+		id:    id,
+		cache: c,
+		sem:   make(chan struct{}, DefaultMaxConcurrent),
 	}
 }
 
@@ -70,7 +64,7 @@ func (s *Server) Download(fp hashing.Fingerprint) ([]byte, int64, error) {
 // Stored implements gearregistry.Pool: the bytes exactly as they cross
 // the wire, gzip-framed, so that gearregistry.NewPoolHandler(s) serves
 // the cache to a stock gearregistry.Client — single downloads and
-// batches alike. Accounting matches Download.
+// batches alike.
 func (s *Server) Stored(fp hashing.Fingerprint) (wire.Object, error) {
 	data, stored, err := s.serve(fp)
 	if err != nil {
@@ -79,8 +73,8 @@ func (s *Server) Stored(fp hashing.Fingerprint) (wire.Object, error) {
 	return wire.Object{FP: fp, Stored: stored, Gzip: true, Size: int64(len(data))}, nil
 }
 
-// serve looks fp up under a serve slot and counts it served: data is
-// the content, stored the bytes as they cross the wire.
+// serve looks fp up under a serve slot: data is the content, stored the
+// bytes as they cross the wire.
 func (s *Server) serve(fp hashing.Fingerprint) (data, stored []byte, err error) {
 	if err := fp.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("peer server %s: download: %w", s.id, err)
@@ -95,26 +89,8 @@ func (s *Server) serve(fp hashing.Fingerprint) (data, stored []byte, err error) 
 	if stored, err = tarstream.Gzip(data); err != nil {
 		return nil, nil, fmt.Errorf("peer server %s: %s: %w", s.id, fp, err)
 	}
-	s.objectsServed.Add(1)
-	s.bytesServed.Add(int64(len(stored)))
 	return data, stored, nil
 }
 
 func (s *Server) acquire() { s.sem <- struct{}{} }
 func (s *Server) release() { <-s.sem }
-
-// ServerStats summarizes what the node has served to its cluster.
-type ServerStats struct {
-	ObjectsServed int64 `json:"objectsServed"`
-	BytesServed   int64 `json:"bytesServed"`
-	MaxConcurrent int   `json:"maxConcurrent"`
-}
-
-// Stats returns a snapshot.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		ObjectsServed: s.objectsServed.Value(),
-		BytesServed:   s.bytesServed.Value(),
-		MaxConcurrent: DefaultMaxConcurrent,
-	}
-}

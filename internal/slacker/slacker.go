@@ -125,24 +125,6 @@ func (s *Server) Get(ref string) (*BlockImage, error) {
 	return bi, nil
 }
 
-// Stats reports server-side storage: every image stores its full device
-// independently — Slacker has no cross-image dedup.
-type ServerStats struct {
-	Images int   `json:"images"`
-	Bytes  int64 `json:"bytes"`
-}
-
-// Stats returns a snapshot.
-func (s *Server) Stats() ServerStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := ServerStats{Images: len(s.images)}
-	for _, bi := range s.images {
-		st.Bytes += bi.DeviceSize()
-	}
-	return st
-}
-
 // Client is one deployment host. Block caches are per-container.
 type Client struct {
 	server *Server
@@ -151,9 +133,6 @@ type Client struct {
 
 	mu     sync.Mutex
 	mounts map[string]*mountState
-
-	blocksFetched int64
-	bytesFetched  int64
 }
 
 type mountState struct {
@@ -232,27 +211,7 @@ func (c *Client) recordLocked(blocks int, bytes int64) {
 	if blocks == 0 {
 		return
 	}
-	c.blocksFetched += int64(blocks)
-	c.bytesFetched += bytes
 	if c.onFetch != nil {
 		c.onFetch(blocks, bytes)
-	}
-}
-
-// Stats reports client traffic.
-type ClientStats struct {
-	BlocksFetched int64 `json:"blocksFetched"`
-	BytesFetched  int64 `json:"bytesFetched"`
-	Mounts        int   `json:"mounts"`
-}
-
-// Stats returns a snapshot.
-func (c *Client) Stats() ClientStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ClientStats{
-		BlocksFetched: c.blocksFetched,
-		BytesFetched:  c.bytesFetched,
-		Mounts:        len(c.mounts),
 	}
 }

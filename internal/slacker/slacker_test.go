@@ -33,7 +33,15 @@ func testImage(t *testing.T, tag string, extra map[string]string) *imagefmt.Imag
 	return img
 }
 
-func setup(t *testing.T) (*Server, *Client) {
+// fetched tallies what a client pages in, through its fetch callback.
+type fetched struct{ blocks, bytes int64 }
+
+func (f *fetched) add(blocks int, bytes int64) {
+	f.blocks += int64(blocks)
+	f.bytes += bytes
+}
+
+func setup(t *testing.T) (*Server, *Client, *fetched) {
 	t.Helper()
 	srv := NewServer()
 	bi, err := FromImage(testImage(t, "v1", nil), DefaultBlockSize)
@@ -41,11 +49,12 @@ func setup(t *testing.T) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	srv.Put(bi)
-	return srv, NewClient(srv, nil)
+	f := new(fetched)
+	return srv, NewClient(srv, f.add), f
 }
 
 func TestMountAndRead(t *testing.T) {
-	_, c := setup(t)
+	_, c, f := setup(t)
 	if err := c.Mount("c1", "app:v1"); err != nil {
 		t.Fatal(err)
 	}
@@ -57,41 +66,40 @@ func TestMountAndRead(t *testing.T) {
 	if err != nil || string(got) != "tiny" {
 		t.Errorf("small = %q, %v", got, err)
 	}
-	st := c.Stats()
 	// big spans 3 blocks (10000/4096), small 1, plus metadata.
-	if st.BlocksFetched < 4 {
-		t.Errorf("blocks fetched = %d", st.BlocksFetched)
+	if f.blocks < 4 {
+		t.Errorf("blocks fetched = %d", f.blocks)
 	}
 }
 
 func TestBlockGranularityFetchesWholeBlocks(t *testing.T) {
-	_, c := setup(t)
+	_, c, f := setup(t)
 	if err := c.Mount("c1", "app:v1"); err != nil {
 		t.Fatal(err)
 	}
-	before := c.Stats().BytesFetched
+	before := f.bytes
 	if _, err := c.ReadFile("c1", "/opt/small"); err != nil {
 		t.Fatal(err)
 	}
-	delta := c.Stats().BytesFetched - before
+	delta := f.bytes - before
 	if delta != DefaultBlockSize {
 		t.Errorf("4-byte file fetched %d bytes, want one full block %d", delta, DefaultBlockSize)
 	}
 }
 
 func TestRereadUsesBlockCache(t *testing.T) {
-	_, c := setup(t)
+	_, c, f := setup(t)
 	if err := c.Mount("c1", "app:v1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ReadFile("c1", "/opt/big"); err != nil {
 		t.Fatal(err)
 	}
-	before := c.Stats().BlocksFetched
+	before := f.blocks
 	if _, err := c.ReadFile("c1", "/opt/big"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().BlocksFetched; got != before {
+	if got := f.blocks; got != before {
 		t.Errorf("re-read fetched %d more blocks", got-before)
 	}
 }
@@ -99,21 +107,21 @@ func TestRereadUsesBlockCache(t *testing.T) {
 func TestNoSharingAcrossContainers(t *testing.T) {
 	// The defining Slacker limitation in Fig 10: a second container
 	// re-fetches blocks the first already paged in.
-	_, c := setup(t)
+	_, c, f := setup(t)
 	if err := c.Mount("c1", "app:v1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ReadFile("c1", "/opt/big"); err != nil {
 		t.Fatal(err)
 	}
-	first := c.Stats().BlocksFetched
+	first := f.blocks
 	if err := c.Mount("c2", "app:v1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ReadFile("c2", "/opt/big"); err != nil {
 		t.Fatal(err)
 	}
-	second := c.Stats().BlocksFetched - first
+	second := f.blocks - first
 	if second < 3 {
 		t.Errorf("second container fetched only %d blocks; sharing should not exist", second)
 	}
@@ -128,17 +136,18 @@ func TestNoDedupOnServer(t *testing.T) {
 		}
 		srv.Put(bi)
 	}
-	st := srv.Stats()
-	if st.Images != 2 {
-		t.Fatalf("images = %d", st.Images)
-	}
-	// Identical content stored twice: bytes ~= 2x one device.
-	bi, err := srv.Get("app:v1")
+	// Identical content stored twice: each image holds a device of its own.
+	v1, err := srv.Get("app:v1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Bytes != 2*bi.DeviceSize() {
-		t.Errorf("server bytes = %d, want %d (no dedup)", st.Bytes, 2*bi.DeviceSize())
+	v2, err := srv.Get("app:v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared := &v1.device[0] == &v2.device[0]; shared || v1.DeviceSize() != v2.DeviceSize() {
+		t.Errorf("devices of %d and %d bytes, shared = %v; want two equal, separate copies (no dedup)",
+			v1.DeviceSize(), v2.DeviceSize(), shared)
 	}
 }
 
@@ -147,7 +156,7 @@ func TestErrors(t *testing.T) {
 	if err := c2.Mount("c1", "ghost:v1"); !errors.Is(err, ErrNoImage) {
 		t.Errorf("err = %v, want ErrNoImage", err)
 	}
-	_, client := setup(t)
+	_, client, _ := setup(t)
 	if _, err := client.ReadFile("c1", "/opt/big"); !errors.Is(err, ErrNoMount) {
 		t.Errorf("err = %v, want ErrNoMount", err)
 	}
@@ -184,9 +193,9 @@ func TestOnFetchHook(t *testing.T) {
 	if _, err := c.ReadFile("c1", "/opt/big"); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if int64(blocks) != st.BlocksFetched || total != st.BytesFetched {
-		t.Errorf("hook saw %d/%d, stats %+v", blocks, total, st)
+	// The metadata blocks on mount, then the 3 blocks the big file spans.
+	if want := bi.metaBlocks + 3; blocks != want || total != int64(want)*DefaultBlockSize {
+		t.Errorf("hook saw %d blocks / %d bytes, want %d / %d", blocks, total, want, int64(want)*DefaultBlockSize)
 	}
 }
 
@@ -210,7 +219,7 @@ func TestEmptyFile(t *testing.T) {
 func TestMoreRequestsThanGearWouldNeed(t *testing.T) {
 	// Block-granularity request inflation: reading N files costs strictly
 	// more requests than N (metadata + per-block fetches).
-	_, c := setup(t)
+	_, c, f := setup(t)
 	if err := c.Mount("c1", "app:v1"); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +228,7 @@ func TestMoreRequestsThanGearWouldNeed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Stats().BlocksFetched; got <= 2 {
+	if got := f.blocks; got <= 2 {
 		t.Errorf("blocks fetched = %d, want > file count", got)
 	}
 }

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 PKGS="./internal/hashing ./internal/vfs ./internal/tarstream ./internal/overlay ./internal/gear/index ./internal/gear/convert ./internal/gear/viewer ./internal/gear/store ./internal/telemetry ./internal/shardreg ./internal/gearregistry ./internal/wire"
 OUT="${BENCH_OUT:-$(mktemp)}"
 # shellcheck disable=SC2086
-go test -run '^$' -bench . -benchmem -count=1 $PKGS | tee "$OUT.raw"
+go test -run '^$' -bench . -benchmem -count=3 $PKGS | tee "$OUT.raw"
 grep -E '^(goos|goarch|pkg:|Benchmark)' "$OUT.raw" > "$OUT"
 if [ "${1:-}" = "-update" ]; then
   cp "$OUT" scripts/bench_baseline.txt
