@@ -569,13 +569,7 @@ func cmdShards(args []string, out io.Writer) error {
 				// model has a baseline to call the straggler slow.
 				victim := *slow
 				if victim == "auto" {
-					load := cluster.PrimaryLoad()
-					most := -1
-					for _, id := range cluster.Shards() {
-						if load[id] > most {
-							most, victim = load[id], id
-						}
-					}
+					victim = cluster.BusiestShard()
 				}
 				if err := topo.SetServiceFactor(victim, 10); err != nil {
 					return err

@@ -291,8 +291,6 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 	if opts.Links != nil {
 		link = opts.Links.WAN
 		peerLink = opts.Links.LAN
-		// Stream pricing (priceTransfer) needs the WAN's configuration.
-		opts.Link = link.Config()
 	} else {
 		var err error
 		link, err = netsim.NewLink(opts.Link)
@@ -363,26 +361,24 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 // link's service factor and jitter apply. A FetchAll window is priced by
 // the fair-share model instead: each worker stream pays its request setup
 // latency (one RTT for a batched round trip, one per object otherwise)
-// and the streams split the link bandwidth. What peers served is a batch
-// on the peer link. Moving no objects costs nothing on either.
+// and the streams split the link bandwidth at the link's current
+// configuration. What peers served is a batch on the peer link. Moving
+// no objects costs nothing on either.
 func (d *Daemon) priceTransfer(t store.Transfer) {
 	wire := func(st store.StreamStat) int64 {
 		return st.Bytes + int64(st.Objects)*d.opts.GearRequestBytes
 	}
 	if t.Window == nil {
-		d.link.TransferBatch(t.Registry.Objects, wire(t.Registry))
+		d.link.Transfer(t.Registry.Objects, wire(t.Registry))
 	} else {
 		streams := make([]netsim.Stream, 0, len(t.Window))
 		for _, st := range t.Window {
-			stream := netsim.PerObjectStream
-			if st.Batched {
-				stream = netsim.BatchedStream
-			}
-			streams = append(streams, stream(d.opts.Link, st.Objects, wire(st)))
+			streams = append(streams, netsim.Stream{
+				Requests: st.Objects, Bytes: wire(st), Batched: st.Batched})
 		}
 		d.link.TransferWindow(streams)
 	}
-	d.peerLink.TransferBatch(t.Peer.Objects, wire(t.Peer))
+	d.peerLink.Transfer(t.Peer.Objects, wire(t.Peer))
 }
 
 // PricePushWindow returns the convert.PushOptions.OnPushWindow hook that
@@ -393,12 +389,11 @@ func (d *Daemon) priceTransfer(t store.Transfer) {
 // windows.
 func PricePushWindow(link *netsim.Link, requestBytes int64) func(convert.PushWindow) {
 	return func(w convert.PushWindow) {
-		link.TransferBatch(w.Queried, int64(w.Queried)*requestBytes)
-		cfg := link.Config()
+		link.Transfer(w.Queried, int64(w.Queried)*requestBytes)
 		streams := make([]netsim.Stream, 0, len(w.Streams))
 		for _, st := range w.Streams {
-			streams = append(streams, netsim.PerObjectStream(
-				cfg, st.Objects, st.Bytes+int64(st.Objects)*requestBytes))
+			streams = append(streams, netsim.Stream{
+				Requests: st.Objects, Bytes: st.Bytes + int64(st.Objects)*requestBytes})
 		}
 		link.TransferWindow(streams)
 	}
@@ -409,7 +404,7 @@ func PricePushWindow(link *netsim.Link, requestBytes int64) func(convert.PushWin
 func (d *Daemon) ConfigureSlacker(srv *slacker.Server) {
 	d.slackerSrv = srv
 	d.slackerClient = slacker.NewClient(srv, func(blocks int, bytes int64) {
-		d.link.TransferBatch(blocks, bytes+int64(blocks)*d.opts.SlackerRequestBytes)
+		d.link.Transfer(blocks, bytes+int64(blocks)*d.opts.SlackerRequestBytes)
 	})
 }
 
@@ -545,7 +540,7 @@ func (d *Daemon) pullImage(name, tag string) (img *imagefmt.Image, unpacked int6
 	if err != nil {
 		return nil, 0, err
 	}
-	d.link.Transfer(manifestSize(m))
+	d.link.Transfer(1, manifestSize(m))
 	img = &imagefmt.Image{Manifest: m}
 	for _, digest := range m.Layers {
 		layer, ok := d.layers[digest]
@@ -554,7 +549,7 @@ func (d *Daemon) pullImage(name, tag string) (img *imagefmt.Image, unpacked int6
 			if err != nil {
 				return nil, 0, err
 			}
-			d.link.Transfer(int64(len(blob)))
+			d.link.Transfer(1, int64(len(blob)))
 			layer, err = imagefmt.NewLayerFromTarball(blob, digest)
 			if err != nil {
 				return nil, 0, err
@@ -908,7 +903,7 @@ func (dep *Deployment) Commit(newName, newTag string) (ref string, uploaded int6
 	if err != nil {
 		return "", 0, fmt.Errorf("dockersim: commit %s: %w", dep.ContainerID, err)
 	}
-	d.link.Transfer(pushed)
+	d.link.Transfer(1, pushed)
 	return newIx.Reference(), window.Bytes() + pushed, nil
 }
 

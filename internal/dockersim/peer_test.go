@@ -159,3 +159,45 @@ func TestTopologyDaemonDegeneratesWithoutPeers(t *testing.T) {
 		t.Errorf("peer-less daemon produced LAN traffic: %+v", lan)
 	}
 }
+
+// TestWindowsPriceAtTheLinksCurrentConfig: a daemon prices its fetch
+// windows from its link's configuration at the time of the window, not
+// from a copy taken when it was built. A daemon whose topology WAN was
+// slowed after NewDaemon must deploy in exactly the time of a daemon
+// built on the slow link from the start.
+func TestWindowsPriceAtTheLinksCurrentConfig(t *testing.T) {
+	r := buildRig(t, "mysql", 1)
+	access := r.access(t, 0)
+	ref := "gear/" + r.series
+	wan := netsim.DefaultLAN().WithBandwidth(904.0 / 1000)
+
+	topo, err := netsim.NewTopology(wan, netsim.DefaultLAN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	repriced, err := NewDaemon(r.docker, r.gear, Options{Links: topo.Node("a"), FetchWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := wan
+	slow.RTT *= 20
+	if err := topo.SetWANConfig(slow); err != nil {
+		t.Fatal(err)
+	}
+	built, err := NewDaemon(r.docker, r.gear, Options{Link: slow, FetchWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := repriced.DeployGear(ref, "v01", access, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := built.DeployGear(ref, "v01", access, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Total() != b.Total() {
+		t.Errorf("daemon slowed after NewDaemon deployed in %v, one built slow in %v", a.Total(), b.Total())
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/gear-image/gear/internal/fleet"
 	"github.com/gear-image/gear/internal/netsim"
 	"github.com/gear-image/gear/internal/shardreg"
 )
@@ -173,7 +174,7 @@ func RunExtHedge(cfg Config) (*ExtHedgeResult, error) {
 		}
 		ids := make([]string, extHedgeShards)
 		for i := range ids {
-			ids[i] = fmt.Sprintf("shard%02d", i)
+			ids[i] = fleet.ShardID(i)
 		}
 		read.Seed = uint64(cfg.Seed)
 		cluster, err := shardreg.New(shardreg.Options{
@@ -195,14 +196,7 @@ func RunExtHedge(cfg Config) (*ExtHedgeResult, error) {
 		}
 		// The straggler is the member carrying the most primary routes —
 		// deterministic, so every cell slows the same shard.
-		victim := ""
-		most := -1
-		load := cluster.PrimaryLoad()
-		for _, id := range cluster.Shards() {
-			if load[id] > most {
-				most, victim = load[id], id
-			}
-		}
+		victim := cluster.BusiestShard()
 		res.SlowShard = victim
 		// Warm pass: a healthy read of every object primes the latency
 		// EWMAs and the hedge clock, like the fleet's steady phase —

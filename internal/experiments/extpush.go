@@ -123,7 +123,7 @@ func RunExtPush(cfg Config) (*ExtPushResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				link.Transfer(indexBytes + reqBytes)
+				link.Transfer(1, indexBytes+reqBytes)
 				p.QueryRoundTrips += int64(window.QueryRoundTrips)
 				p.Uploaded += window.Uploaded()
 				p.UploadedBytes += window.Bytes()

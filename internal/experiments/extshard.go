@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/dockersim"
+	"github.com/gear-image/gear/internal/fleet"
 	"github.com/gear-image/gear/internal/netsim"
 	"github.com/gear-image/gear/internal/shardreg"
 )
@@ -179,7 +180,7 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 		}
 		ids := make([]string, shards)
 		for i := range ids {
-			ids[i] = fmt.Sprintf("shard%02d", i)
+			ids[i] = fleet.ShardID(i)
 		}
 		cluster, err := shardreg.New(shardreg.Options{
 			Shards:      ids,
@@ -201,13 +202,7 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 		if kill {
 			// Kill the member carrying the most primary routes — the
 			// worst-case single failure.
-			load := cluster.PrimaryLoad()
-			most := -1
-			for _, id := range cluster.Shards() {
-				if load[id] > most {
-					most, victim = load[id], id
-				}
-			}
+			victim = cluster.BusiestShard()
 			if err := cluster.KillShard(victim); err != nil {
 				return point, 0, "", err
 			}

@@ -154,21 +154,6 @@ func (h *Harness) phase(res *Result, name string, fn func() error) error {
 	return nil
 }
 
-// busiestShard returns the tier member with the most primary-routed
-// objects (ties broken by id, so the pick is deterministic) — the
-// worst-case single-shard failure the sharded failover scenario kills.
-func (h *Harness) busiestShard() string {
-	load := h.cluster.PrimaryLoad()
-	var victim string
-	most := -1
-	for _, id := range h.cluster.Shards() {
-		if load[id] > most {
-			most, victim = load[id], id
-		}
-	}
-	return victim
-}
-
 // latest returns the newest workload version index.
 func (h *Harness) latest() int { return h.wl.Versions() - 1 }
 
@@ -293,7 +278,7 @@ func (h *Harness) runFailover(res *Result) error {
 		// specifically the shard carrying the most primary routes, the
 		// worst single-member loss. Deploys must complete from the
 		// surviving replicas.
-		victim := h.busiestShard()
+		victim := h.cluster.BusiestShard()
 		res.KilledShard = victim
 		if err := h.phase(res, "degraded", func() error {
 			if err := h.cluster.KillShard(victim); err != nil {
@@ -363,7 +348,7 @@ func (h *Harness) runStraggler(res *Result) error {
 	}); err != nil {
 		return err
 	}
-	victim := h.busiestShard()
+	victim := h.cluster.BusiestShard()
 	res.SlowShard = victim
 	if err := h.phase(res, "slow", func() error {
 		if err := h.shardTopo.SetServiceFactor(victim, stragglerFactor); err != nil {

@@ -10,7 +10,9 @@ import (
 // degenerate inputs a fleet harness can produce — empty windows,
 // latency-only streams, zero or vanishing bandwidth, impossible stream
 // parameters — and checks each returns a typed error or a finite cost
-// instead of hanging or dividing by zero.
+// instead of hanging or dividing by zero. A stream's setup latency comes
+// from its link, so a bandwidth or latency the window could not price is
+// a configuration NewLink refuses.
 func TestTransferWindowEdgeCases(t *testing.T) {
 	lan := DefaultLAN()
 	tests := []struct {
@@ -18,7 +20,7 @@ func TestTransferWindowEdgeCases(t *testing.T) {
 		cfg     LinkConfig
 		streams []Stream
 		wantErr error
-		// wantMakespan, when errless, bounds the expected window cost.
+		// min and max bound the window cost when no error is wanted.
 		min, max time.Duration
 	}{
 		{
@@ -27,8 +29,8 @@ func TestTransferWindowEdgeCases(t *testing.T) {
 		},
 		{
 			name:    "latency-only stream",
-			cfg:     lan,
-			streams: []Stream{{Latency: time.Millisecond, Requests: 1}},
+			cfg:     LinkConfig{BytesPerSecond: lan.BytesPerSecond, RTT: time.Millisecond},
+			streams: []Stream{{Requests: 1}},
 			min:     time.Millisecond,
 			max:     time.Millisecond,
 		},
@@ -68,16 +70,10 @@ func TestTransferWindowEdgeCases(t *testing.T) {
 			wantErr: ErrBadStream,
 		},
 		{
-			name:    "negative start",
-			cfg:     lan,
-			streams: []Stream{{Start: -time.Second, Bytes: 5, Requests: 1}},
-			wantErr: ErrBadStream,
-		},
-		{
 			name:    "negative latency",
-			cfg:     lan,
-			streams: []Stream{{Latency: -time.Second, Bytes: 5, Requests: 1}},
-			wantErr: ErrBadStream,
+			cfg:     LinkConfig{BytesPerSecond: 1, RTT: -time.Second},
+			streams: []Stream{{Bytes: 5, Requests: 1}},
+			wantErr: ErrBadLink,
 		},
 		{
 			name:    "negative requests",
@@ -88,37 +84,34 @@ func TestTransferWindowEdgeCases(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			finish, makespan, err := FairShareE(tt.cfg, tt.streams)
+			link, err := NewLink(tt.cfg)
+			var makespan time.Duration
+			if err == nil {
+				makespan, err = link.TransferWindow(tt.streams)
+			}
 			if tt.wantErr != nil {
 				if !errors.Is(err, tt.wantErr) {
-					t.Fatalf("FairShareE error = %v, want %v", err, tt.wantErr)
+					t.Fatalf("window error = %v, want %v", err, tt.wantErr)
 				}
-				if finish != nil || makespan != 0 {
-					t.Errorf("invalid input still produced finish=%v makespan=%v", finish, makespan)
+				if makespan != 0 || (link != nil && link.Stats() != Stats{}) {
+					t.Errorf("invalid input still cost %v and recorded %+v", makespan, link.Stats())
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("FairShareE: %v", err)
-			}
-			if len(finish) != len(tt.streams) {
-				t.Fatalf("finish has %d entries for %d streams", len(finish), len(tt.streams))
+				t.Fatalf("TransferWindow: %v", err)
 			}
 			if makespan < tt.min || makespan > tt.max {
 				t.Errorf("makespan = %v, want within [%v, %v]", makespan, tt.min, tt.max)
 			}
-
-			// The recording window agrees with the standalone simulation.
-			link, lerr := NewLink(tt.cfg)
-			if lerr != nil {
-				t.Fatalf("NewLink: %v", lerr)
+			// The recorded window agrees with the simulation.
+			finish, want := fairShare(tt.cfg, tt.streams)
+			if len(finish) != len(tt.streams) {
+				t.Fatalf("finish has %d entries for %d streams", len(finish), len(tt.streams))
 			}
-			got, werr := link.TransferWindow(tt.streams)
-			if werr != nil {
-				t.Fatalf("TransferWindow: %v", werr)
-			}
-			if got != makespan {
-				t.Errorf("TransferWindow = %v, FairShareE makespan = %v", got, makespan)
+			if makespan != want || link.Stats().Elapsed != want {
+				t.Errorf("TransferWindow = %v (elapsed %v), simulation makespan = %v",
+					makespan, link.Stats().Elapsed, want)
 			}
 		})
 	}
@@ -137,7 +130,7 @@ func TestTopologyEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := topo.Node("only")
-		if _, err := n.WAN.Transfer(1000); err != nil {
+		if _, err := n.WAN.Transfer(1, 1000); err != nil {
 			t.Fatalf("single-node transfer: %v", err)
 		}
 		if got := topo.WANStats().Bytes; got != 1000 {
@@ -164,7 +157,7 @@ func TestTopologyEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := topo.Node("a")
-		n.WAN.Transfer(500)
+		n.WAN.Transfer(1, 500)
 		if err := topo.Detach("a"); err != nil {
 			t.Fatalf("Detach: %v", err)
 		}
@@ -173,11 +166,11 @@ func TestTopologyEdgeCases(t *testing.T) {
 		// nothing and records nothing rather than pricing traffic for a
 		// node that left.
 		before := topo.WANStats()
-		if cost, err := n.WAN.Transfer(100); !errors.Is(err, ErrLinkClosed) || cost != 0 {
+		if cost, err := n.WAN.Transfer(3, 100); !errors.Is(err, ErrLinkClosed) || cost != 0 {
 			t.Errorf("Transfer after detach = %v, %v, want 0, ErrLinkClosed", cost, err)
 		}
-		if _, err := n.WAN.TransferBatch(3, 100); !errors.Is(err, ErrLinkClosed) {
-			t.Errorf("TransferBatch after detach = %v, want ErrLinkClosed", err)
+		if _, err := n.WAN.TransferQuote(1, 100); !errors.Is(err, ErrLinkClosed) {
+			t.Errorf("TransferQuote after detach = %v, want ErrLinkClosed", err)
 		}
 		if _, err := n.LAN.TransferWindow([]Stream{{Bytes: 10, Requests: 1}}); !errors.Is(err, ErrLinkClosed) {
 			t.Errorf("TransferWindow after detach = %v, want ErrLinkClosed", err)
@@ -195,21 +188,19 @@ func TestTopologyEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		topo.Node("a").WAN.Transfer(700)
+		old := topo.Node("a")
+		old.WAN.Transfer(1, 700)
 		if err := topo.Detach("a"); err != nil {
 			t.Fatal(err)
 		}
-		if topo.Attached("a") {
-			t.Error("node still attached after Detach")
-		}
 		fresh := topo.Node("a")
-		if !topo.Attached("a") {
-			t.Error("node not attached after rejoin")
+		if fresh == old {
+			t.Error("rejoin returned the detached attachment")
 		}
 		if fresh.WAN.Closed() {
 			t.Error("rejoined node got a closed link")
 		}
-		fresh.WAN.Transfer(300)
+		fresh.WAN.Transfer(1, 300)
 		if got := topo.WANStats().Bytes; got != 1000 {
 			t.Errorf("WAN bytes across churn = %d, want 1000 (700 pre-detach + 300 post)", got)
 		}
@@ -221,17 +212,18 @@ func TestTopologyEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := topo.Node("a")
-		fast := a.WAN.TransferCost(1 << 20)
+		fast := priced(a.WAN.TransferQuote(1, 1<<20))
 		if err := topo.SetWANConfig(wan.WithBandwidth(2)); err != nil {
 			t.Fatalf("SetWANConfig: %v", err)
 		}
-		if slow := a.WAN.TransferCost(1 << 20); slow <= fast {
+		slow := priced(a.WAN.TransferQuote(1, 1<<20))
+		if slow <= fast {
 			t.Errorf("degraded cost %v not above healthy cost %v", slow, fast)
 		}
 		// New attachments inherit the degraded config.
 		b := topo.Node("b")
-		if got := b.WAN.Config().BytesPerSecond; got != Mbps(2) {
-			t.Errorf("new node bandwidth = %f, want degraded %f", got, Mbps(2))
+		if got := priced(b.WAN.TransferQuote(1, 1<<20)); got != slow {
+			t.Errorf("new node cost = %v, want degraded %v", got, slow)
 		}
 		if err := topo.SetWANConfig(LinkConfig{}); !errors.Is(err, ErrBadLink) {
 			t.Errorf("SetWANConfig(zero) = %v, want ErrBadLink", err)
@@ -239,7 +231,7 @@ func TestTopologyEdgeCases(t *testing.T) {
 		if err := topo.SetWANConfig(wan); err != nil {
 			t.Fatalf("recover: %v", err)
 		}
-		if got := a.WAN.TransferCost(1 << 20); got != fast {
+		if got := priced(a.WAN.TransferQuote(1, 1<<20)); got != fast {
 			t.Errorf("recovered cost = %v, want %v", got, fast)
 		}
 	})

@@ -7,61 +7,28 @@ import (
 )
 
 // Stream describes one concurrent transfer inside a fetch window: a
-// worker that opens its request(s) at Start (relative to the window
-// origin), pays Latency of per-request setup (RTT and server overhead,
-// during which it occupies no bandwidth), and then moves Bytes over the
-// shared wire.
+// worker that issues Requests requests, pays their setup latency (RTT
+// and server overhead, during which it occupies no bandwidth), and then
+// moves Bytes over the shared wire. The latency comes from the link's
+// configuration: one RTT plus the per-request overhead of every request
+// for a Batched stream, a full RTT and overhead per request otherwise.
 type Stream struct {
-	// Start is the stream's offset from the beginning of the window.
-	Start time.Duration
-	// Latency is the request setup time paid before any byte moves:
-	// typically RTT + RequestOverhead×Requests for a batched stream, or
-	// (RTT + RequestOverhead)×Requests for per-object requests.
-	Latency time.Duration
-	// Requests is the number of requests the stream issues (accounting
-	// only; the time cost is folded into Latency by the caller).
 	Requests int
-	// Bytes is the payload volume the stream carries.
-	Bytes int64
+	Bytes    int64
+	// Batched streams move all their objects in one round trip.
+	Batched bool
 }
 
-// PerObjectStream returns the Stream for a worker that issues one
-// request per object: each object pays its own RTT and server overhead
-// before the payload bytes share the wire.
-func PerObjectStream(cfg LinkConfig, objects int, bytes int64) Stream {
-	return Stream{
-		Latency:  (cfg.RTT + cfg.RequestOverhead) * time.Duration(objects),
-		Requests: objects,
-		Bytes:    bytes,
+// latency is the stream's request setup time on a link configured cfg.
+func (s Stream) latency(cfg LinkConfig) time.Duration {
+	if s.Batched {
+		return cfg.RTT + cfg.RequestOverhead*time.Duration(s.Requests)
 	}
+	return (cfg.RTT + cfg.RequestOverhead) * time.Duration(s.Requests)
 }
 
-// BatchedStream returns the Stream for a worker that moves objects in
-// one batched round trip: a single RTT, with the per-object server
-// overhead still paid for every object in the batch.
-func BatchedStream(cfg LinkConfig, objects int, bytes int64) Stream {
-	return Stream{
-		Latency:  cfg.RTT + cfg.RequestOverhead*time.Duration(objects),
-		Requests: objects,
-		Bytes:    bytes,
-	}
-}
-
-// ValidateStreams checks that every stream describes a physically
-// possible transfer: non-negative start, latency, request count, and
-// byte volume.
-func ValidateStreams(streams []Stream) error {
-	for i, s := range streams {
-		if s.Start < 0 || s.Latency < 0 || s.Requests < 0 || s.Bytes < 0 {
-			return fmt.Errorf("netsim: stream %d (start %v latency %v requests %d bytes %d): %w",
-				i, s.Start, s.Latency, s.Requests, s.Bytes, ErrBadStream)
-		}
-	}
-	return nil
-}
-
-// FairShareE runs a deterministic processor-sharing simulation of the
-// given streams on a link with cfg's bandwidth: at any instant the
+// fairShare runs a deterministic processor-sharing simulation of the
+// given (validated) streams on a link configured cfg: at any instant the
 // streams with remaining bytes split BytesPerSecond equally. It returns
 // each stream's finish time (relative to the window origin, in input
 // order) and the makespan of the whole window.
@@ -70,23 +37,6 @@ func ValidateStreams(streams []Stream) error {
 // wire time for the same byte volume whenever the link is never idle, so
 // parallelism buys back only the latency phases that overlap — matching
 // how concurrent HTTP downloads behave on one bottleneck link.
-//
-// It reports ErrBadLink for a configuration the simulation cannot price
-// (zero or negative bandwidth would make every active stream's share
-// zero and the window never drain) and ErrBadStream for impossible
-// stream parameters.
-func FairShareE(cfg LinkConfig, streams []Stream) (finish []time.Duration, makespan time.Duration, err error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if err := ValidateStreams(streams); err != nil {
-		return nil, 0, err
-	}
-	finish, makespan = fairShare(cfg, streams)
-	return finish, makespan, nil
-}
-
-// fairShare runs the processor-sharing simulation on validated input.
 func fairShare(cfg LinkConfig, streams []Stream) (finish []time.Duration, makespan time.Duration) {
 	n := len(streams)
 	finish = make([]time.Duration, n)
@@ -96,19 +46,20 @@ func fairShare(cfg LinkConfig, streams []Stream) (finish []time.Duration, makesp
 
 	type state struct {
 		idx       int
-		ready     float64 // seconds: Start+Latency, when bytes start moving
+		ready     float64 // seconds: when the setup ends and bytes start moving
 		remaining float64 // bytes left to transfer
 	}
 	states := make([]*state, 0, n)
 	for i, s := range streams {
+		lat := s.latency(cfg)
 		st := &state{
 			idx:       i,
-			ready:     (s.Start + s.Latency).Seconds(),
+			ready:     lat.Seconds(),
 			remaining: float64(s.Bytes),
 		}
 		if st.remaining <= 0 {
 			// Latency-only stream: finishes as soon as its setup ends.
-			finish[i] = s.Start + s.Latency
+			finish[i] = lat
 			continue
 		}
 		states = append(states, st)
@@ -169,22 +120,23 @@ func fairShare(cfg LinkConfig, streams []Stream) (finish []time.Duration, makesp
 // link and returns the window's makespan, which is what it adds to the
 // link's elapsed time. Bytes and request counts accumulate exactly as if
 // the streams had run serially — parallelism changes time, not volume.
+// Each stream's setup is priced from the link's current configuration.
 //
-// A single batched stream costs the same as TransferBatch for the same
-// requests and bytes.
+// A window is priced at nominal service: the service factor does not
+// scale it and it draws no jitter, so a single batched stream costs
+// what Transfer of the same requests and bytes costs on a nominal link,
+// and the jitter stream is where it was before the window.
 //
 // On a closed link (ErrLinkClosed: a node that detached mid-transfer)
-// or for impossible stream parameters (ErrBadStream) it records nothing
-// and costs 0.
+// or for a stream with negative requests or bytes (ErrBadStream) it
+// records nothing and costs 0.
 func (l *Link) TransferWindow(streams []Stream) (time.Duration, error) {
-	if err := ValidateStreams(streams); err != nil {
-		return 0, err
-	}
-	var (
-		bytes    int64
-		requests int64
-	)
-	for _, s := range streams {
+	var bytes, requests int64
+	for i, s := range streams {
+		if s.Requests < 0 || s.Bytes < 0 {
+			return 0, fmt.Errorf("netsim: stream %d (requests %d bytes %d): %w",
+				i, s.Requests, s.Bytes, ErrBadStream)
+		}
 		bytes += s.Bytes
 		requests += int64(s.Requests)
 	}

@@ -5,16 +5,6 @@ import (
 	"time"
 )
 
-// mustFairShare is FairShareE on input the test knows to be valid.
-func mustFairShare(t *testing.T, cfg LinkConfig, streams []Stream) ([]time.Duration, time.Duration) {
-	t.Helper()
-	finish, makespan, err := FairShareE(cfg, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return finish, makespan
-}
-
 func approxEqual(t *testing.T, got, want time.Duration, tol time.Duration, msg string) {
 	t.Helper()
 	d := got - want
@@ -33,10 +23,10 @@ func TestFairShareHalvesBandwidth(t *testing.T) {
 	cfg := LinkConfig{BytesPerSecond: 1e6} // 1 MB/s, no latency
 	const size = 500_000                   // 0.5 s alone
 
-	solo, _ := mustFairShare(t, cfg, []Stream{{Bytes: size}})
+	solo, _ := fairShare(cfg, []Stream{{Bytes: size}})
 	approxEqual(t, solo[0], 500*time.Millisecond, time.Microsecond, "solo stream")
 
-	finish, makespan := mustFairShare(t, cfg, []Stream{{Bytes: size}, {Bytes: size}})
+	finish, makespan := fairShare(cfg, []Stream{{Bytes: size}, {Bytes: size}})
 	want := time.Second // 2·S/bw: each stream at bw/2
 	approxEqual(t, finish[0], want, time.Microsecond, "stream 0 at half bandwidth")
 	approxEqual(t, finish[1], want, time.Microsecond, "stream 1 at half bandwidth")
@@ -50,7 +40,7 @@ func TestFairShareWorkConserving(t *testing.T) {
 	cfg := LinkConfig{BytesPerSecond: 1e6}
 	s1, s2 := int64(200_000), int64(800_000)
 
-	finish, makespan := mustFairShare(t, cfg, []Stream{{Bytes: s1}, {Bytes: s2}})
+	finish, makespan := fairShare(cfg, []Stream{{Bytes: s1}, {Bytes: s2}})
 	// Short stream: shares until done — 200k at 500k/s = 0.4 s.
 	approxEqual(t, finish[0], 400*time.Millisecond, time.Microsecond, "short stream")
 	// Long stream: 200k gone by 0.4 s, remaining 600k at full rate = 1.0 s total.
@@ -60,14 +50,14 @@ func TestFairShareWorkConserving(t *testing.T) {
 
 // Latency phases overlap across streams; only the wire serializes.
 func TestFairShareLatencyOverlap(t *testing.T) {
-	cfg := LinkConfig{BytesPerSecond: 1e6}
 	lat := 100 * time.Millisecond
+	cfg := LinkConfig{BytesPerSecond: 1e6, RTT: lat}
 	const size = 500_000
 
-	_, serial := mustFairShare(t, cfg, []Stream{{Latency: lat, Bytes: 2 * size}})
-	_, parallel := mustFairShare(t, cfg, []Stream{
-		{Latency: lat, Bytes: size},
-		{Latency: lat, Bytes: size},
+	_, serial := fairShare(cfg, []Stream{{Requests: 1, Bytes: 2 * size}})
+	_, parallel := fairShare(cfg, []Stream{
+		{Requests: 1, Bytes: size},
+		{Requests: 1, Bytes: size},
 	})
 	// Serial: lat + 1.0 s. Parallel: both latencies overlap, then the wire
 	// carries the same volume — lat + 1.0 s too, but if the volume had been
@@ -76,57 +66,59 @@ func TestFairShareLatencyOverlap(t *testing.T) {
 	approxEqual(t, parallel, lat+time.Second, time.Microsecond, "parallel window")
 }
 
-// Staggered starts: a stream that becomes ready later leaves the wire
-// idle, then transfers at full rate.
-func TestFairShareStaggeredStart(t *testing.T) {
-	cfg := LinkConfig{BytesPerSecond: 1e6}
-	finish, makespan := mustFairShare(t, cfg, []Stream{
-		{Start: 300 * time.Millisecond, Bytes: 100_000},
-	})
-	approxEqual(t, finish[0], 400*time.Millisecond, time.Microsecond, "delayed stream")
-	approxEqual(t, makespan, 400*time.Millisecond, time.Microsecond, "makespan includes idle lead-in")
-}
-
-// A latency-only stream (zero bytes) finishes at Start+Latency.
+// A latency-only stream (zero bytes) finishes when its setup ends.
 func TestFairShareLatencyOnlyStream(t *testing.T) {
-	cfg := LinkConfig{BytesPerSecond: 1e6}
-	finish, makespan := mustFairShare(t, cfg, nil)
+	cfg := LinkConfig{BytesPerSecond: 1e6, RTT: 50 * time.Millisecond}
+	finish, makespan := fairShare(cfg, nil)
 	if len(finish) != 0 || makespan != 0 {
 		t.Fatalf("empty window: finish=%v makespan=%v", finish, makespan)
 	}
-	finish, makespan = mustFairShare(t, cfg, []Stream{{Latency: 50 * time.Millisecond}})
+	finish, makespan = fairShare(cfg, []Stream{{Requests: 1}})
 	approxEqual(t, finish[0], 50*time.Millisecond, time.Microsecond, "latency-only stream")
 	approxEqual(t, makespan, 50*time.Millisecond, time.Microsecond, "latency-only makespan")
 }
 
-// TransferWindow with one batched stream must cost the same as
-// TransferBatch for the same requests and bytes, and record identical
-// traffic stats.
+// TransferWindow prices at nominal service — the rule the experiment
+// goldens depend on. On a link with a 10x service factor and jitter
+// armed, one batched stream costs what Transfer of the same requests and
+// bytes costs on a nominal link, records the same traffic, and leaves
+// the jitter stream where it was: the next Transfer draws what it draws
+// on a twin link that skipped the window.
 func TestTransferWindowMatchesTransferBatch(t *testing.T) {
 	cfg := DefaultLAN()
-	a, err := NewLink(cfg)
-	if err != nil {
-		t.Fatal(err)
+	mk := func(factor float64, jitter bool) *Link {
+		l, err := NewLink(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.SetServiceFactor(factor); err != nil {
+			t.Fatal(err)
+		}
+		if jitter {
+			if err := l.SetServiceJitter(7, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return l
 	}
-	b, err := NewLink(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nominal, windowed, twin := mk(1, false), mk(10, true), mk(10, true)
 
 	const n, size = 37, int64(1_234_567)
-	batchCost := priced(a.TransferBatch(n, size))
-	windowCost := priced(b.TransferWindow([]Stream{{
-		Latency:  cfg.RTT + time.Duration(n)*cfg.RequestOverhead,
-		Requests: n,
-		Bytes:    size,
-	}}))
-	approxEqual(t, windowCost, batchCost, time.Microsecond, "window vs batch cost")
-
-	as, bs := a.Stats(), b.Stats()
-	if as.Bytes != bs.Bytes || as.Requests != bs.Requests {
+	batchCost := priced(nominal.Transfer(n, size))
+	windowCost := priced(windowed.TransferWindow([]Stream{{Requests: n, Bytes: size, Batched: true}}))
+	if windowCost != batchCost {
+		t.Fatalf("window cost %v, nominal batch cost %v", windowCost, batchCost)
+	}
+	if as, bs := nominal.Stats(), windowed.Stats(); as != bs {
 		t.Fatalf("stats diverge: batch=%+v window=%+v", as, bs)
 	}
-	approxEqual(t, bs.Elapsed, as.Elapsed, time.Microsecond, "elapsed")
+
+	for i := 0; i < 4; i++ {
+		after, skipped := priced(windowed.Transfer(1, 4096)), priced(twin.Transfer(1, 4096))
+		if after != skipped {
+			t.Fatalf("transfer %d after the window = %v, %v on a link without it", i, after, skipped)
+		}
+	}
 }
 
 // Splitting a fixed workload over more streams must never slow the
@@ -147,12 +139,12 @@ func TestFairShareMonotoneInWorkers(t *testing.T) {
 				n++
 			}
 			streams[i] = Stream{
-				Latency:  cfg.RTT + time.Duration(n)*cfg.RequestOverhead,
 				Requests: n,
 				Bytes:    int64(n) * objSize,
+				Batched:  true,
 			}
 		}
-		_, makespan := mustFairShare(t, cfg, streams)
+		_, makespan := fairShare(cfg, streams)
 		if prev >= 0 && makespan > prev {
 			t.Fatalf("makespan increased at w=%d: %v > %v", w, makespan, prev)
 		}

@@ -23,19 +23,16 @@ func TestServiceFactorScalesServeTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	const size = 1 << 20
-	base := priced(nominal.Transfer(size))
-	got := priced(slow.Transfer(size))
+	base := priced(nominal.Transfer(1, size))
+	got := priced(slow.Transfer(1, size))
 	want := cfg.RTT + 10*(base-cfg.RTT)
 	if got != want {
 		t.Errorf("10x factor cost = %v, want %v (base %v)", got, want, base)
 	}
-	if f := slow.ServiceFactor(); f != 10 {
-		t.Errorf("ServiceFactor = %v, want 10", f)
-	}
 	if err := slow.SetServiceFactor(1); err != nil {
 		t.Fatal(err)
 	}
-	if back := priced(slow.Transfer(size)); back != base {
+	if back := priced(slow.Transfer(1, size)); back != base {
 		t.Errorf("factor 1 cost = %v, want nominal %v", back, base)
 	}
 	if err := slow.SetServiceFactor(0); !errors.Is(err, ErrBadLink) {
@@ -68,11 +65,11 @@ func TestServiceJitterDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const size = 1 << 18
-	base := nominal.TransferCost(size)
+	base := priced(nominal.TransferQuote(1, size))
 	ceiling := cfg.RTT + time.Duration(float64(base-cfg.RTT)*1.5)
 	diverged := false
 	for i := 0; i < 64; i++ {
-		ca, cb, cc := priced(a.Transfer(size)), priced(b.Transfer(size)), priced(c.Transfer(size))
+		ca, cb, cc := priced(a.Transfer(1, size)), priced(b.Transfer(1, size)), priced(c.Transfer(1, size))
 		if ca != cb {
 			t.Fatalf("request %d: same seed diverged: %v vs %v", i, ca, cb)
 		}
@@ -111,7 +108,7 @@ func TestQuoteRecordMatchesTransfer(t *testing.T) {
 	}
 	sizes := []int64{100, 5000, 0, 1 << 16}
 	for i, size := range sizes {
-		want, err := oneshot.Transfer(size)
+		want, err := oneshot.Transfer(1, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +124,7 @@ func TestQuoteRecordMatchesTransfer(t *testing.T) {
 		}
 	}
 	// Batch form too.
-	want, err := oneshot.TransferBatch(3, 9000)
+	want, err := oneshot.Transfer(3, 9000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +181,7 @@ func TestPrefixBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const size = int64(1e6)
-	cost := l.TransferCost(size) // 100ms + 400ms + 1s = 1.5s
+	cost := priced(l.TransferQuote(1, size)) // 100ms + 400ms + 1s = 1.5s
 	if cost != 1500*time.Millisecond {
 		t.Fatalf("cost = %v, want 1.5s", cost)
 	}
@@ -210,7 +207,7 @@ func TestPrefixBytes(t *testing.T) {
 	if err := l.SetServiceFactor(10); err != nil {
 		t.Fatal(err)
 	}
-	slowCost := l.TransferCost(size) // 100ms + 10*(400ms + 1s) = 14.1s
+	slowCost := priced(l.TransferQuote(1, size)) // 100ms + 10*(400ms + 1s) = 14.1s
 	if got := l.PrefixBytes(1, size, 3*time.Second, slowCost); got != 0 {
 		t.Errorf("straggler cancelled in overhead phase moved %d bytes, want 0", got)
 	}
@@ -240,12 +237,14 @@ func TestTopologyServiceKnobs(t *testing.T) {
 	}
 	b := topo.Node("b")
 	const size = 1 << 18
-	ca, cb := priced(a.WAN.Transfer(size)), priced(b.WAN.Transfer(size))
+	ca, cb := priced(a.WAN.Transfer(1, size)), priced(b.WAN.Transfer(1, size))
 	if ca <= cb {
 		t.Errorf("straggler cost %v not above nominal %v", ca, cb)
 	}
-	if f := a.LAN.ServiceFactor(); f != 10 {
-		t.Errorf("straggler LAN factor = %v, want 10", f)
+	// The factor reaches the node's LAN link too.
+	la, lb := priced(a.LAN.TransferQuote(1, size)), priced(b.LAN.TransferQuote(1, size))
+	if want := lan.RTT + 10*(lb-lan.RTT); la != want {
+		t.Errorf("straggler LAN cost = %v, want %v", la, want)
 	}
 
 	// Same jitter seed, different attach orders: per-node streams match.
@@ -266,8 +265,8 @@ func TestTopologyServiceKnobs(t *testing.T) {
 	t2 := mk("z", "x", "y")
 	for _, id := range []string{"x", "y", "z"} {
 		for i := 0; i < 16; i++ {
-			c1 := priced(t1.Node(id).WAN.Transfer(size))
-			c2 := priced(t2.Node(id).WAN.Transfer(size))
+			c1 := priced(t1.Node(id).WAN.Transfer(1, size))
+			c2 := priced(t2.Node(id).WAN.Transfer(1, size))
 			if c1 != c2 {
 				t.Fatalf("node %s request %d: %v != %v across attach orders", id, i, c1, c2)
 			}

@@ -4,6 +4,14 @@
 // format needs at a given link bandwidth; this package computes those
 // costs analytically so experiments are exact and repeatable on any
 // machine, substituting for the paper's two-server Gigabit testbed.
+//
+// A request is priced one way. Transfer records n requests totalling a
+// byte volume; TransferQuote draws the same price without recording it,
+// and RecordTransfer commits a quoted (or cancelled) outcome, with
+// PrefixBytes telling how much of a cancelled transfer moved. A range
+// request is one request of the bytes it moves. TransferWindow prices
+// concurrent streams fair-sharing the link, each paying its request
+// setup from the link's configuration.
 package netsim
 
 import (
@@ -40,12 +48,6 @@ type LinkConfig struct {
 	// Slacker's block fetches — slower than few large ones at the same
 	// byte volume.
 	RequestOverhead time.Duration
-	// RangeOverhead is the extra server-side cost a byte-range request
-	// pays on top of RequestOverhead — seeking into the stored object
-	// and framing the Content-Range slice. Zero (the default) prices a
-	// range request exactly like a whole-object request of the same
-	// size, so chunked transfers degenerate to today's arithmetic.
-	RangeOverhead time.Duration
 }
 
 // Validate checks the configuration.
@@ -53,7 +55,7 @@ func (c LinkConfig) Validate() error {
 	if c.BytesPerSecond <= 0 {
 		return fmt.Errorf("netsim: bytes per second %f: %w", c.BytesPerSecond, ErrBadLink)
 	}
-	if c.RTT < 0 || c.RequestOverhead < 0 || c.RangeOverhead < 0 {
+	if c.RTT < 0 || c.RequestOverhead < 0 {
 		return fmt.Errorf("netsim: negative latency: %w", ErrBadLink)
 	}
 	return nil
@@ -76,7 +78,9 @@ func (c LinkConfig) WithBandwidth(mbps float64) LinkConfig {
 }
 
 // Link accumulates traffic over a configured link and converts it to
-// virtual time. Link is safe for concurrent use.
+// virtual time. Transfer and TransferQuote pay the service factor and
+// draw jitter; a TransferWindow is priced at nominal service and draws
+// none. Link is safe for concurrent use.
 type Link struct {
 	mu       sync.Mutex
 	cfg      LinkConfig
@@ -102,13 +106,6 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 		return nil, err
 	}
 	return &Link{cfg: cfg}, nil
-}
-
-// Config returns the link configuration.
-func (l *Link) Config() LinkConfig {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cfg
 }
 
 // SetConfig replaces the link configuration — a WAN degrading when the
@@ -159,16 +156,6 @@ func (l *Link) SetServiceFactor(f float64) error {
 	return nil
 }
 
-// ServiceFactor returns the current server-side cost multiplier.
-func (l *Link) ServiceFactor() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.factor <= 0 {
-		return 1
-	}
-	return l.factor
-}
-
 // SetServiceJitter enables deterministic per-request service jitter:
 // each future transfer scales its server-side cost by 1+amp*u, with u
 // drawn in [0,1) from an xorshift stream seeded here. The same seed
@@ -200,17 +187,13 @@ func (l *Link) jitterDrawLocked() float64 {
 }
 
 // costLocked prices n requests totalling size bytes: RTT once, request
-// overhead per request (plus RangeOverhead for range requests), wire
-// time on the volume — with the server-side parts scaled by the service
-// factor and one jitter draw per call. With factor 1 and jitter off the
-// arithmetic is bit-identical to the pre-knob pricing.
-func (l *Link) costLocked(n int, size int64, ranged bool) time.Duration {
-	perReq := l.cfg.RequestOverhead
-	if ranged {
-		perReq += l.cfg.RangeOverhead
-	}
+// overhead per request, wire time on the volume — with the server-side
+// parts scaled by the service factor and one jitter draw per call. With
+// factor 1 and jitter off the arithmetic is bit-identical to the
+// pre-knob pricing.
+func (l *Link) costLocked(n int, size int64) time.Duration {
 	wire := time.Duration(float64(size) / l.cfg.BytesPerSecond * float64(time.Second))
-	serve := perReq*time.Duration(n) + wire
+	serve := l.cfg.RequestOverhead*time.Duration(n) + wire
 	f := 1.0
 	if l.factor > 0 {
 		f = l.factor
@@ -224,12 +207,12 @@ func (l *Link) costLocked(n int, size int64, ranged bool) time.Duration {
 	return l.cfg.RTT + serve
 }
 
-// transfer is the one priced path behind every Transfer* and *Quote
-// verb: n requests (ranged or not) totalling size bytes are validated,
-// priced with one jitter draw, and — when record is set — added to the
-// link's traffic. No requests is no transfer; what names the verb in the
-// ErrBadStream message.
-func (l *Link) transfer(what string, n int, size int64, ranged, record bool) (time.Duration, error) {
+// transfer is the one priced path behind Transfer and TransferQuote: n
+// requests totalling size bytes are validated, priced with one jitter
+// draw, and — when record is set — added to the link's traffic. No
+// requests is no transfer; what names the verb in the ErrBadStream
+// message.
+func (l *Link) transfer(what string, n int, size int64, record bool) (time.Duration, error) {
 	if n <= 0 {
 		return 0, nil
 	}
@@ -241,7 +224,7 @@ func (l *Link) transfer(what string, n int, size int64, ranged, record bool) (ti
 	if l.closed {
 		return 0, fmt.Errorf("netsim: %w", ErrLinkClosed)
 	}
-	cost := l.costLocked(n, size, ranged)
+	cost := l.costLocked(n, size)
 	if record {
 		l.bytes += size
 		l.requests += int64(n)
@@ -250,37 +233,25 @@ func (l *Link) transfer(what string, n int, size int64, ranged, record bool) (ti
 	return cost, nil
 }
 
-// TransferCost returns the virtual time to move size bytes in a single
-// request, without recording it. The service factor applies; the jitter
-// stream is left untouched (a cost estimate must not perturb the
-// deterministic per-request sequence) — use TransferQuote to draw a
-// jittered cost.
-func (l *Link) TransferCost(size int64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	wire := time.Duration(float64(size) / l.cfg.BytesPerSecond * float64(time.Second))
-	serve := l.cfg.RequestOverhead + wire
-	if l.factor > 0 && l.factor != 1 {
-		serve = time.Duration(float64(serve) * l.factor)
-	}
-	return l.cfg.RTT + serve
-}
-
-// Transfer records one request of size bytes and returns its cost. On a
+// Transfer records n requests totalling size bytes and returns their
+// cost: one RTT, the request overhead of each request and the wire time
+// of the whole volume. One request is a single fetch; more are a client
+// pipelining many objects (or blocks) behind one round trip. On a
 // closed link (ErrLinkClosed) or for a negative size (ErrBadStream) it
 // records nothing and costs 0.
-func (l *Link) Transfer(size int64) (time.Duration, error) {
-	return l.transfer("transfer", 1, size, false, true)
+func (l *Link) Transfer(n int, size int64) (time.Duration, error) {
+	return l.transfer("transfer", n, size, true)
 }
 
 // TransferQuote draws the (service-scaled, jittered) cost of n requests
 // totalling size bytes without recording any traffic. The jitter stream
 // advances exactly as a recorded transfer would, so a quote followed by
-// RecordTransfer prices identically to Transfer/TransferBatch. Hedged
-// readers quote both replicas, pick the winner, and record the loser's
-// partial outcome.
+// RecordTransfer prices identically to Transfer. Hedged readers quote
+// both replicas, pick the winner, and record the loser's partial
+// outcome; a range request is quoted the same way, as one request of
+// the bytes it moves.
 func (l *Link) TransferQuote(n int, size int64) (time.Duration, error) {
-	return l.transfer("quote", n, size, false, false)
+	return l.transfer("quote", n, size, false)
 }
 
 // RecordTransfer commits a previously quoted transfer outcome: n
@@ -341,26 +312,6 @@ func (l *Link) PrefixBytes(n int, size int64, busy, cost time.Duration) int64 {
 	return got
 }
 
-// TransferBatch records n requests totalling size bytes, as when a client
-// pipelines many object fetches: the wire time is paid on the full volume
-// but the RTT is amortized over a pipeline window. On a closed link
-// (ErrLinkClosed) or for a negative size (ErrBadStream) it records
-// nothing and costs 0.
-func (l *Link) TransferBatch(n int, size int64) (time.Duration, error) {
-	return l.transfer("batch", n, size, false, true)
-}
-
-// TransferRangeQuote draws the cost of n range requests — chunks
-// fetched out of larger stored objects — totalling size bytes without
-// recording traffic, advancing the jitter stream exactly as a recorded
-// transfer would. It is the range analogue of TransferQuote and, with
-// RecordTransfer, the one way a range is priced. Range requests pay
-// RangeOverhead on top of the per-request overhead; with RangeOverhead
-// zero the cost is bit-identical to a whole-object request's.
-func (l *Link) TransferRangeQuote(n int, size int64) (time.Duration, error) {
-	return l.transfer("range quote", n, size, true, false)
-}
-
 // Stats is a snapshot of traffic carried by a link.
 type Stats struct {
 	Bytes    int64         `json:"bytes"`
@@ -373,11 +324,4 @@ func (l *Link) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Stats{Bytes: l.bytes, Requests: l.requests, Elapsed: l.elapsed}
-}
-
-// Reset zeroes the accumulated traffic.
-func (l *Link) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.bytes, l.requests, l.elapsed = 0, 0, 0
 }

@@ -61,12 +61,12 @@ func TestTransferCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1 MB at 1 MB/s = 1 s wire + 15 ms fixed.
-	got := l.TransferCost(1e6)
+	got := priced(l.TransferQuote(1, 1e6))
 	want := time.Second + 15*time.Millisecond
 	if got != want {
-		t.Errorf("TransferCost = %v, want %v", got, want)
+		t.Errorf("TransferQuote = %v, want %v", got, want)
 	}
-	if got := l.TransferCost(0); got != 15*time.Millisecond {
+	if got := priced(l.TransferQuote(1, 0)); got != 15*time.Millisecond {
 		t.Errorf("zero-byte cost = %v, want 15ms", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestBandwidthOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cost := l.TransferCost(10 << 20)
+		cost := priced(l.TransferQuote(1, 10<<20))
 		if i > 0 && cost <= prev {
 			t.Errorf("cost at %.0f Mbps (%v) not greater than faster link (%v)", mbps, cost, prev)
 		}
@@ -93,18 +93,14 @@ func TestTransferAccumulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := priced(l.Transfer(1000))
-	c2 := priced(l.Transfer(2000))
+	c1 := priced(l.Transfer(1, 1000))
+	c2 := priced(l.Transfer(1, 2000))
 	s := l.Stats()
 	if s.Bytes != 3000 || s.Requests != 2 {
 		t.Errorf("stats = %+v", s)
 	}
 	if s.Elapsed != c1+c2 {
 		t.Errorf("elapsed = %v, want %v", s.Elapsed, c1+c2)
-	}
-	l.Reset()
-	if s := l.Stats(); s.Bytes != 0 || s.Requests != 0 || s.Elapsed != 0 {
-		t.Errorf("stats after reset = %+v", s)
 	}
 }
 
@@ -118,16 +114,15 @@ func TestTransferBatchAmortizesRTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := priced(l.TransferBatch(100, 1e6))
-	l.Reset()
+	batch := priced(l.Transfer(100, 1e6))
 	var serial time.Duration
 	for i := 0; i < 100; i++ {
-		serial += priced(l.Transfer(1e4))
+		serial += priced(l.Transfer(1, 1e4))
 	}
 	if batch >= serial {
 		t.Errorf("batched %v not cheaper than serial %v", batch, serial)
 	}
-	if got := priced(l.TransferBatch(0, 0)); got != 0 {
+	if got := priced(l.Transfer(0, 0)); got != 0 {
 		t.Errorf("empty batch cost = %v", got)
 	}
 }
@@ -141,9 +136,8 @@ func TestPerRequestOverheadPenalizesSmallObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 1 << 20
-	asBlocks := priced(l.TransferBatch(total/4096, total)) // 4 KB blocks
-	l.Reset()
-	asFiles := priced(l.TransferBatch(32, total)) // 32 files
+	asBlocks := priced(l.TransferQuote(total/4096, total)) // 4 KB blocks
+	asFiles := priced(l.TransferQuote(32, total))          // 32 files
 	if asBlocks <= asFiles {
 		t.Errorf("block-granularity %v not slower than file-granularity %v", asBlocks, asFiles)
 	}
@@ -160,7 +154,7 @@ func TestLinkConcurrentSafety(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				l.Transfer(10)
+				l.Transfer(1, 10)
 			}
 		}()
 	}
@@ -183,7 +177,7 @@ func TestCostMonotoneProperty(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		return l.TransferCost(x) <= l.TransferCost(y)
+		return priced(l.TransferQuote(1, x)) <= priced(l.TransferQuote(1, y))
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

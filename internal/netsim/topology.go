@@ -30,7 +30,6 @@ type Topology struct {
 	mu             sync.Mutex
 	wanCfg, lanCfg LinkConfig
 	nodes          map[string]*NodeLinks
-	order          []string
 	// retired holds the link pairs of detached nodes so their traffic
 	// keeps counting toward the aggregates.
 	retired []*NodeLinks
@@ -87,7 +86,6 @@ func (t *Topology) Node(id string) *NodeLinks {
 	}
 	n := &NodeLinks{WAN: wan, LAN: lan}
 	t.nodes[id] = n
-	t.order = append(t.order, id)
 	return n
 }
 
@@ -126,8 +124,7 @@ func (t *Topology) SetServiceJitter(seed uint64, amp float64) error {
 	if amp == 0 {
 		return nil
 	}
-	for _, id := range t.order {
-		n := t.nodes[id]
+	for id, n := range t.nodes {
 		// Attached links are never closed and amp was validated, so
 		// SetServiceJitter cannot fail.
 		_ = n.WAN.SetServiceJitter(nodeSeed(seed, id, 0), amp)
@@ -177,31 +174,7 @@ func (t *Topology) Detach(id string) error {
 	n.LAN.Close()
 	t.retired = append(t.retired, n)
 	delete(t.nodes, id)
-	for i, o := range t.order {
-		if o == id {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
-	}
 	return nil
-}
-
-// Attached reports whether the named node is currently attached.
-func (t *Topology) Attached(id string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.nodes[id]
-	return ok
-}
-
-// NodeIDs lists attached nodes in attachment order (re-attachment after
-// a detach counts as a fresh attachment).
-func (t *Topology) NodeIDs() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.order))
-	copy(out, t.order)
-	return out
 }
 
 // SetWANConfig reprices every attached node's WAN link and every future
@@ -214,9 +187,9 @@ func (t *Topology) SetWANConfig(cfg LinkConfig) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.wanCfg = cfg
-	for _, id := range t.order {
+	for _, n := range t.nodes {
 		// Attached links are never closed, so SetConfig cannot fail.
-		if err := t.nodes[id].WAN.SetConfig(cfg); err != nil {
+		if err := n.WAN.SetConfig(cfg); err != nil {
 			return err
 		}
 	}
@@ -246,8 +219,8 @@ func (t *Topology) sum(pick func(*NodeLinks) *Link) Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var total Stats
-	for _, id := range t.order {
-		total = total.add(pick(t.nodes[id]).Stats())
+	for _, n := range t.nodes {
+		total = total.add(pick(n).Stats())
 	}
 	for _, n := range t.retired {
 		total = total.add(pick(n).Stats())

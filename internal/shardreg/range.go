@@ -12,9 +12,9 @@ import (
 // a sharded tier exactly as against a single registry: ranges take the
 // same walk as whole-object reads (readOne: same ring lookup, same
 // power-of-two-choices ordering, same failover past dead shards), and
-// the serving shard's WAN link prices the transfer as a range request,
-// never hedged (priceBatch); the store's fetch window above this layer
-// retries through failover instead.
+// the serving shard's WAN link prices the transfer as one request of
+// its wire bytes, never hedged (priceBatch); the store's fetch window
+// above this layer retries through failover instead.
 
 // rangePermanent reports range errors no other replica can fix:
 // replicas store identical bytes, so a range that does not fit on one

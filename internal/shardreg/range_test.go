@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
@@ -114,55 +113,65 @@ func TestClusterRangeFailover(t *testing.T) {
 	}
 }
 
-// Under a topology, a range is priced as a range transfer on the
-// serving replica's WAN link: same cost a reference TransferRange of
-// the same wire volume quotes, and zero cost/stat motion on every
-// other shard.
+// Under a topology, a range costs what a one-request quote of its wire
+// bytes costs on the serving replica's WAN link, and it is never hedged:
+// with the primary straggling at 10x — where a whole-object read of the
+// same fingerprint does hedge — the range waits for the primary and no
+// other shard moves a byte.
 func TestClusterRangePricing(t *testing.T) {
 	wan := netsim.DefaultLAN().WithBandwidth(200)
-	wan.RangeOverhead = 3 * time.Millisecond
 	lan := netsim.DefaultLAN()
 	topo, err := netsim.NewTopology(wan, lan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := netsim.NewTopology(wan, lan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newCluster(t, 3, 1, Options{Topology: topo})
+	c := newCluster(t, 3, 2, Options{Topology: topo, Read: ReadOptions{Hedge: true}})
 	fp, data := bigObject(t, c)
-	primary := c.Replicas(fp)[0]
-	base := topo.Node(primary).WAN.Stats()
-	// Mirror upload traffic into the reference link's jitter stream.
-	refLink := ref.Node(primary).WAN
-	if _, err := refLink.Transfer(int64(len(data))); err != nil {
+	// A healthy read gives the hedge model its latency baseline.
+	if _, _, _, err := c.DownloadTimed(fp); err != nil {
 		t.Fatal(err)
 	}
-	refBase := refLink.Stats()
+	primary := c.Replicas(fp)[0]
+	if err := topo.SetServiceFactor(primary, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := c.DownloadTimed(fp); err != nil {
+		t.Fatal(err)
+	}
+	fired := c.Stats().HedgesFired
+	if fired == 0 {
+		t.Fatal("a whole read of the straggling primary was not hedged")
+	}
+	base := make(map[string]netsim.Stats)
+	for _, id := range c.Shards() {
+		base[id] = topo.Node(id).WAN.Stats()
+	}
 
 	payload, wire, err := c.DownloadRange(fp, 2048, 4096)
 	if err != nil || !bytes.Equal(payload, data[2048:2048+4096]) {
 		t.Fatalf("range: %v", err)
 	}
-	want, err := refLink.TransferRangeQuote(1, wire)
-	if err == nil {
-		err = refLink.RecordTransfer(1, wire, want)
+	if got := c.Stats().HedgesFired; got != fired {
+		t.Fatalf("range fired %d hedges", got-fired)
 	}
+	// A reference link priced like the primary's (no jitter is armed).
+	ref, err := netsim.NewTopology(wan, lan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The link stats carry Elapsed, so equal stats are an equal cost.
-	got := topo.Node(primary).WAN.Stats().Sub(base)
-	wantSt := refLink.Stats().Sub(refBase)
-	if got != wantSt {
-		t.Fatalf("primary link stats %+v, want %+v", got, wantSt)
+	ref.Node(primary)
+	if err := ref.SetServiceFactor(primary, 10); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Node(primary).WAN.TransferQuote(1, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := topo.Node(primary).WAN.Stats().Sub(base[primary]); got != (netsim.Stats{Bytes: wire, Requests: 1, Elapsed: want}) {
+		t.Fatalf("primary link moved %+v, want one request of %d bytes in %v", got, wire, want)
 	}
 	for _, id := range c.Shards() {
-		if id == primary {
-			continue
-		}
-		if st := topo.Node(id).WAN.Stats(); st.Requests != 0 {
+		if st := topo.Node(id).WAN.Stats().Sub(base[id]); id != primary && st != (netsim.Stats{}) {
 			t.Fatalf("non-serving shard %s moved traffic: %+v", id, st)
 		}
 	}

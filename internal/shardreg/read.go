@@ -182,11 +182,10 @@ func nextLive(chain []*shard, from int) *shard {
 // whole sub-batch when its mean per-request cost runs past the hedge
 // delay and every index has a live alternate replica. It is the tier's
 // one pricing body and one hedge model: a single-object download is
-// priced as a batch of one, and a range (ranged) as a batch of one
-// quoted as a range request — per-request overhead plus RangeOverhead,
-// then exactly the payload bytes — and never hedged (alt is nil): ranges
-// are the small, overhead-dominated tail of the read mix, and mirroring
-// one would double the fixed per-request cost that already dominates it.
+// priced as a batch of one, and so is a range — one request of exactly
+// its wire bytes — which is never hedged (alt is nil): ranges are the
+// small, overhead-dominated tail of the read mix, and mirroring one
+// would double the fixed per-request cost that already dominates it.
 // Completed reads of either kind feed the same per-shard EWMA and
 // cluster latency model, so the balancer's load picture covers the
 // chunk-faulting traffic too. The hedge is modeled analytically under the virtual clock: both
@@ -200,17 +199,13 @@ func nextLive(chain []*shard, from int) *shard {
 // groups in parallel, so its completion is the delay plus the slowest
 // group. Per-index wire sizes are not visible at this layer; groups are
 // priced on their proportional share of the batch volume.
-func (c *Cluster) priceBatch(s *shard, idxs []int, w int64, ranged bool, alt func(int) *shard) time.Duration {
+func (c *Cluster) priceBatch(s *shard, idxs []int, w int64, alt func(int) *shard) time.Duration {
 	n := len(idxs)
 	if s.links == nil {
 		s.countRead(n, w)
 		return 0
 	}
-	quote := s.links.WAN.TransferQuote
-	if ranged {
-		quote = s.links.WAN.TransferRangeQuote
-	}
-	costP, err := quote(n, w)
+	costP, err := s.links.WAN.TransferQuote(n, w)
 	if err != nil {
 		s.countRead(n, w)
 		return 0
@@ -329,7 +324,7 @@ func (c *Cluster) DownloadTimed(fp hashing.Fingerprint) ([]byte, int64, time.Dur
 // tier-wide miss still reports ErrNotFound — and the serving shard's link
 // pricing the transfer. A range (ranged) differs in the verb it calls, in
 // failing at once on an error no replica can fix (rangePermanent), and in
-// its quote, which is never hedged. Single reads do not go through
+// never being hedged. Single reads do not go through
 // routeBatch, the way Query is a QueryBatch of one, for two reasons: in a
 // batch ErrNotFound is permanent (batches are all-or-nothing) where here
 // the next replica may hold the object, and the batch walk allocates per
@@ -374,7 +369,7 @@ func (c *Cluster) readOne(what string, fp hashing.Fingerprint, ranged bool, call
 		if first && !ranged {
 			alt = func(int) *shard { return nextLive(chain, i+1) }
 		}
-		cost := c.priceBatch(s, []int{0}, wire, ranged, alt)
+		cost := c.priceBatch(s, []int{0}, wire, alt)
 		s.inflight.Add(-1)
 		return payload, wire, cost, nil
 	}

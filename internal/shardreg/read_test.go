@@ -60,7 +60,7 @@ func TestReadDegeneratesToRankOrder(t *testing.T) {
 			t.Fatalf("DownloadTimed(%s) = %d bytes, wire %d, cost %v", fp, len(payload), wire, cost)
 		}
 		primary := c.Replicas(fp)[0]
-		want, err := ref.Node(primary).WAN.Transfer(wire)
+		want, err := ref.Node(primary).WAN.Transfer(1, wire)
 		if err != nil || cost != want {
 			t.Fatalf("download %s cost %v, want rank-order Transfer cost %v", fp, cost, want)
 		}
@@ -85,12 +85,7 @@ func TestReadDegeneratesToRankOrder(t *testing.T) {
 // returns its id.
 func straggle(t *testing.T, c *Cluster, topo *netsim.Topology, factor float64) string {
 	t.Helper()
-	slow, best := "", -1
-	for id, n := range c.PrimaryLoad() {
-		if n > best || (n == best && id < slow) {
-			slow, best = id, n
-		}
-	}
+	slow := c.BusiestShard()
 	if err := topo.SetServiceFactor(slow, factor); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +179,10 @@ func TestHedgedReadsBoundTailAndWaste(t *testing.T) {
 	}
 	// The straggler serves at ~10x a healthy shard; hedged tail latency
 	// must stay well under that.
-	healthy := topo.Node("zz-probe").WAN.TransferCost(4096)
+	healthy, err := topo.Node("zz-probe").WAN.TransferQuote(1, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if worst >= 8*healthy {
 		t.Fatalf("worst hedged latency %v, want < 8x healthy cost %v", worst, healthy)
 	}

@@ -117,16 +117,11 @@ func (s *shard) downErr() error {
 	return fmt.Errorf("shardreg: shard %s: %w", s.id, ErrShardDown)
 }
 
-// charge prices wire bytes served by (or moved through) this shard on
-// its WAN link, when a topology is attached.
-func (s *shard) charge(n int, wire int64) {
-	if s.links == nil {
-		return
-	}
-	if n <= 1 {
-		s.links.WAN.Transfer(wire)
-	} else {
-		s.links.WAN.TransferBatch(n, wire)
+// charge prices one request of wire bytes served by (or moved through)
+// this shard on its WAN link, when a topology is attached.
+func (s *shard) charge(wire int64) {
+	if s.links != nil {
+		s.links.WAN.Transfer(1, wire)
 	}
 }
 
@@ -516,7 +511,7 @@ func (c *Cluster) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, err
 			payloads[i] = ps[k]
 		}
 		wire += w
-		c.priceBatch(s, idxs, w, false, alt)
+		c.priceBatch(s, idxs, w, alt)
 		return nil
 	})
 	if err != nil {
@@ -689,8 +684,8 @@ func (c *Cluster) rebalanceLocked() (RebalanceStats, error) {
 			}
 			st.MovedObjects++
 			st.MovedBytes += wire
-			src.charge(1, wire)
-			target.charge(1, wire)
+			src.charge(wire)
+			target.charge(wire)
 		}
 		for _, h := range hold {
 			if wantSet[h.id] {
@@ -732,17 +727,15 @@ func (c *Cluster) Seed(src *gearregistry.Registry) (int, error) {
 	return len(fps), nil
 }
 
-// PrimaryLoad returns, per member, how many stored objects the ring
-// routes to it first — the load a single-shard failure re-routes to
-// replicas. (OwnedShare is the hash-space analogue; this is the actual
-// object count, which is what a worst-case kill should maximize.)
-func (c *Cluster) PrimaryLoad() map[string]int {
+// BusiestShard returns the member the ring routes the most stored
+// objects to first — the load a single-shard failure re-routes to
+// replicas, so the worst-case member to kill or slow. (OwnedShare is the
+// hash-space analogue; this counts the actual objects.) Ties go to the
+// lowest id; an empty tier returns "".
+func (c *Cluster) BusiestShard() string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make(map[string]int, len(c.shards))
-	for _, s := range c.shards {
-		out[s.id] = 0
-	}
+	load := make(map[string]int, len(c.shards))
 	seen := make(map[hashing.Fingerprint]bool)
 	for _, s := range c.shards {
 		for _, fp := range s.reg.Fingerprints() {
@@ -751,11 +744,17 @@ func (c *Cluster) PrimaryLoad() map[string]int {
 			}
 			seen[fp] = true
 			if ids := c.ring.Lookup(fp, 1); len(ids) == 1 {
-				out[ids[0]]++
+				load[ids[0]]++
 			}
 		}
 	}
-	return out
+	busiest, most := "", -1
+	for _, id := range c.ring.Shards() { // sorted, so ties keep the lowest id
+		if load[id] > most {
+			busiest, most = id, load[id]
+		}
+	}
+	return busiest
 }
 
 // ShardStats is one member's view in Stats: a pure value snapshot over
