@@ -2,6 +2,9 @@ package tarstream
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
+	"math/rand"
 	"testing"
 
 	"github.com/gear-image/gear/internal/vfs"
@@ -118,5 +121,40 @@ func FuzzGunzipRange(f *testing.F) {
 		if !bytes.Equal(got, whole[off:off+n]) {
 			t.Fatalf("range [%d,+%d) returned other bytes", off, n)
 		}
+	})
+}
+
+// FuzzDeflate: over any content — data behind noise of any length up to
+// two segments, so that the data may follow an incompressible stretch
+// and cross segment edges — Gzip's stream is byte for byte what
+// gzip.Writer writes at BestSpeed, and GzipFrom's inflates through
+// compress/gzip to the content and carries a table that fits it.
+func FuzzDeflate(f *testing.F) {
+	f.Add([]byte("hello deflate"), uint32(0))
+	f.Add(bytes.Repeat([]byte("0123456789abcdef"), 40), uint32(5000))         // text behind noise
+	f.Add(bytes.Repeat([]byte("segment edge "), 40), uint32(SegmentSize-200)) // across an edge
+	f.Add([]byte{}, uint32(SegmentSize+1))
+	f.Fuzz(func(t *testing.T, data []byte, noise uint32) {
+		content := make([]byte, noise%(2*SegmentSize))
+		rand.New(rand.NewSource(int64(noise))).Read(content)
+		content = append(content, data...)
+
+		var want bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&want, gzip.BestSpeed)
+		_, _ = zw.Write(content)
+		_ = zw.Close()
+		if plain, err := Gzip(content); err != nil || !bytes.Equal(plain, want.Bytes()) {
+			t.Fatalf("%d bytes: Gzip is not gzip.Writer's stream: %v", len(content), err)
+		}
+
+		z, segs := segmented(t, content)
+		zr, err := gzip.NewReader(bytes.NewReader(z))
+		if err != nil {
+			t.Fatalf("%d bytes: gzip.NewReader: %v", len(content), err)
+		}
+		if got, err := io.ReadAll(zr); err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("%d bytes: compress/gzip reads other content: %v", len(content), err)
+		}
+		checkTable(t, content, z, segs)
 	})
 }

@@ -46,12 +46,12 @@ var ErrCorrupt = errors.New("corrupt tar stream")
 // identical layer digests, which layer-level dedup depends on).
 var epoch = time.Unix(0, 0)
 
-// Codec pools. A deflate compressor carries 1.2 MB of state and a gzip
-// reader a 32 KB window plus buffers; allocating them per object made
-// every convert/push/fetch pay the setup cost again. The pools hand the
-// same states back out, and because deflate at a fixed level is a pure
-// function of the input byte stream, reuse cannot change output bytes.
-// The compressors are gzippers, below.
+// Codec pools. A compressor carries ~0.53 MB of state and a gzip reader
+// a 32 KB window plus buffers; allocating them per object made every
+// convert/push/fetch pay the setup cost again. The pools hand the same
+// states back out, and because the encoder is a pure function of the
+// input byte stream, reuse cannot change output bytes. The compressors
+// are gzippers, below.
 var gzReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
 // maxPooledBuf bounds the scratch buffers kept alive by a pool; an
@@ -148,9 +148,10 @@ func (pk *packer) writeEntry(tw *tar.Writer, p string, n *vfs.Node) error {
 
 // Gzip compresses data with deterministic gzip framing: one member of
 // one segment, however long data is, which is byte for byte the stream
-// gzip.Writer writes at BestSpeed — layer digests are taken of it.
+// gzip.Writer writes at BestSpeed — layer digests are taken of it, so it
+// is written with compress/flate's own match skip.
 func Gzip(data []byte) ([]byte, error) {
-	gz, _, _, err := deflate(math.MaxInt, func(w io.Writer) (int64, error) {
+	gz, _, _, err := deflate(math.MaxInt, unboundedStep, func(w io.Writer) (int64, error) {
 		n, err := w.Write(data)
 		return int64(n), err
 	})
@@ -178,32 +179,34 @@ type Segment struct {
 // is sync-flushed every SegmentSize bytes of content and the compressor
 // started afresh, so no back-reference crosses a segment and each can be
 // inflated from where it starts (GunzipRange). Content of at most one
-// segment is exactly Gzip's stream and has no table: segs is nil. It
-// also returns how many bytes r held. Each piece read is written to tee
-// first — a digest of the content, typically, so that the content is
-// judged in the pass that compresses it.
+// segment has no table: segs is nil, and the stream is Gzip's, byte for
+// byte, unless ~2 KiB or more of the content pass without a match. From
+// there Gzip's matcher probes ever more sparsely, while this one
+// (boundedStep) goes on probing every 64 bytes, so that compressible
+// bytes behind an incompressible stretch are found. It also returns how
+// many bytes r held. Each piece read is written to tee first — a digest
+// of the content, typically, so that the content is judged in the pass
+// that compresses it.
 func GzipFrom(r io.Reader, tee io.Writer) (gz []byte, segs []Segment, n int64, err error) {
-	return deflate(SegmentSize, func(w io.Writer) (int64, error) {
+	return deflate(SegmentSize, boundedStep, func(w io.Writer) (int64, error) {
 		return Copy(io.MultiWriter(tee, w), r)
 	})
 }
 
 // deflate has write write content to a pooled gzipper whose segments
-// hold width bytes of it, and returns the stream in a buffer of its own
-// exact size, its table, and how much content write wrote.
-func deflate(width int, write func(w io.Writer) (int64, error)) (gz []byte, segs []Segment, n int64, err error) {
+// hold width bytes of it, written with matches probed at most maxStep
+// bytes apart, and returns the stream in a buffer of its own exact size,
+// its table, and how much content write wrote.
+func deflate(width int, maxStep int32, write func(w io.Writer) (int64, error)) (gz []byte, segs []Segment, n int64, err error) {
 	scratch := streams.Get().(*[]byte)
 	defer streams.Put(scratch)
 	z := gzippers.Get().(*gzipper)
 	defer z.release()
-	z.start((*scratch)[:0], width)
+	z.start((*scratch)[:0], width, maxStep)
 	if n, err = write(z); err != nil {
 		return nil, nil, n, fmt.Errorf("tarstream: gzip write: %w", err)
 	}
-	stream, err := z.finish()
-	if err != nil {
-		return nil, nil, n, fmt.Errorf("tarstream: gzip close: %w", err)
-	}
+	stream := z.finish()
 	gz = make([]byte, len(stream))
 	copy(gz, stream)
 	if cap(stream) <= maxPooledBuf {
@@ -217,7 +220,7 @@ func deflate(width int, write func(w io.Writer) (int64, error)) (gz []byte, segs
 
 // gzipHeader opens every stream a gzipper writes: gzip.Writer's own
 // header at BestSpeed, with no name, time or extra field, which is what
-// keeps a one-segment stream byte for byte what Gzip writes.
+// keeps Gzip's stream byte for byte gzip.Writer's.
 var gzipHeader = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 4, 255}
 
 // gzipper writes one segmented gzip member into out. It is pooled whole,
@@ -226,19 +229,19 @@ var gzipHeader = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 4, 255}
 // is written by one.
 type gzipper struct {
 	out   sink
-	fw    *flate.Writer // writes into &out
-	base  int           // where in out.b the stream starts
-	width int           // content a segment holds
-	left  int           // content the open segment has room for
-	crc   uint32        // of all the content, for the trailer
-	size  uint32        // of all the content, mod 2^32, for the trailer
-	open  Segment       // the segment being written, its CRC so far
-	segs  []Segment     // the segments before it, in scratch kept between streams
+	d     *compressor // writes into &out
+	base  int         // where in out.b the stream starts
+	width int         // content a segment holds
+	left  int         // content the open segment has room for
+	crc   uint32      // of all the content, for the trailer
+	size  uint32      // of all the content, mod 2^32, for the trailer
+	open  Segment     // the segment being written, its CRC so far
+	segs  []Segment   // the segments before it, in scratch kept between streams
 }
 
 var gzippers = sync.Pool{New: func() any {
 	z := new(gzipper)
-	z.fw, _ = flate.NewWriter(&z.out, flate.BestSpeed) // BestSpeed is always a valid level
+	z.d = newCompressor(&z.out)
 	return z
 }}
 
@@ -257,33 +260,30 @@ func (s *sink) Write(p []byte) (int, error) {
 }
 
 // start opens a stream at the end of dst whose segments hold width bytes
-// of content.
-func (z *gzipper) start(dst []byte, width int) {
+// of content, written with matches probed at most maxStep bytes apart.
+func (z *gzipper) start(dst []byte, width int, maxStep int32) {
 	z.out.b = append(dst, gzipHeader[:]...)
 	z.base = len(dst)
-	z.fw.Reset(&z.out)
+	z.d.fast.maxStep = maxStep
+	z.d.reset()
 	z.width, z.left, z.crc, z.size = width, width, 0, 0
 	z.open, z.segs = Segment{Off: int64(len(gzipHeader))}, z.segs[:0]
 }
 
 // Write compresses content, closing a segment each time width bytes of
-// it have been written and more arrive.
+// it have been written and more arrive. It cannot fail.
 func (z *gzipper) Write(p []byte) (int, error) {
 	n := len(p)
 	for len(p) > 0 {
 		if z.left == 0 {
-			if err := z.fw.Flush(); err != nil {
-				return n - len(p), err
-			}
+			z.d.syncFlush()
 			z.segs = append(z.segs, z.open)
 			z.open = Segment{Off: int64(len(z.out.b) - z.base)}
-			z.fw.Reset(&z.out)
+			z.d.reset()
 			z.left = z.width
 		}
 		k := min(len(p), z.left)
-		if _, err := z.fw.Write(p[:k]); err != nil {
-			return n - len(p), err
-		}
+		z.d.write(p[:k])
 		z.open.CRC = crc32.Update(z.open.CRC, crc32.IEEETable, p[:k])
 		z.crc = crc32.Update(z.crc, crc32.IEEETable, p[:k])
 		z.size += uint32(k)
@@ -295,13 +295,11 @@ func (z *gzipper) Write(p []byte) (int, error) {
 
 // finish ends the stream and returns what start was given with the
 // stream appended. The segments before the last are in z.segs.
-func (z *gzipper) finish() ([]byte, error) {
-	if err := z.fw.Close(); err != nil {
-		return nil, err
-	}
+func (z *gzipper) finish() []byte {
+	z.d.close()
 	z.out.b = binary.LittleEndian.AppendUint32(z.out.b, z.crc)
 	z.out.b = binary.LittleEndian.AppendUint32(z.out.b, z.size)
-	return z.out.b, nil
+	return z.out.b
 }
 
 // release hands z back to the pool holding nothing of the stream.
@@ -601,15 +599,11 @@ func (r *span) appendGzip(dst []byte) ([]byte, error) {
 	defer inflaters.Put(zr)
 	z := gzippers.Get().(*gzipper)
 	defer z.release()
-	z.start(dst, SegmentSize)
+	z.start(dst, SegmentSize, boundedStep)
 	if err := r.inflate(zr, z); err != nil {
 		return nil, err
 	}
-	out, err := z.finish()
-	if err != nil {
-		return nil, fmt.Errorf("tarstream: gzip close: %w", err)
-	}
-	return out, nil
+	return z.finish(), nil
 }
 
 // inflate walks the segments the range overlaps with z, checking each,

@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"math/rand"
 	"path"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -147,13 +148,112 @@ func mixed(seed int64, size int) []byte {
 	return content
 }
 
+// checkTable checks the table GzipFrom returned with z, its stream of
+// content: none for content of at most one segment, and otherwise one
+// row per SegmentSize bytes, the first behind the header, each starting
+// after the one before inside the stream and carrying its content's CRC.
+func checkTable(t testing.TB, content, z []byte, segs []Segment) {
+	t.Helper()
+	size := len(content)
+	if size <= SegmentSize {
+		if segs != nil {
+			t.Errorf("%d bytes: one segment has %d rows", size, len(segs))
+		}
+		return
+	}
+	if rows := (size + SegmentSize - 1) / SegmentSize; len(segs) != rows || segs[0].Off != 10 {
+		t.Fatalf("%d bytes: %d rows, want %d starting behind the header", size, len(segs), rows)
+	}
+	for i, s := range segs {
+		part := content[i*SegmentSize : min((i+1)*SegmentSize, size)]
+		if s.CRC != crc32.ChecksumIEEE(part) {
+			t.Errorf("%d bytes: segment %d has another CRC than its content", size, i)
+		}
+		if i > 0 && (s.Off <= segs[i-1].Off || s.Off > int64(len(z))-8) {
+			t.Errorf("%d bytes: segment %d starts at %d", size, i, s.Off)
+		}
+	}
+}
+
+// runs is content in the shape of the benchmark's read corpus: 64 KiB
+// runs of noise alternating with 64 KiB runs in which each 4 KiB block
+// repeats a 64-byte pattern of its own, the whole cut skew bytes in, so
+// that no run lines up with a segment.
+func runs(seed int64, size, skew int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	content := make([]byte, size+skew)
+	for at := 0; at < len(content); at += 4096 {
+		blk := content[at:min(at+4096, len(content))]
+		if at/(64<<10)%2 == 0 {
+			rng.Read(blk)
+			continue
+		}
+		var pattern [64]byte
+		rng.Read(pattern[:])
+		for i := range blk {
+			blk[i] = pattern[i%64]
+		}
+	}
+	return content[skew:]
+}
+
+// Content whose compressible runs follow incompressible ones — the
+// benchmark's read corpus, cut into pieces at arbitrary offsets as
+// content-defined chunking cuts a file — is stored in at most 0.53 of its
+// size. (compress/flate's BestSpeed, whose match skip outruns the
+// patterns behind the noise, stores these pieces in 0.636.) The patterns
+// alone deflate to next to nothing, so the bound is the noise and a few
+// percent.
+func TestMixedContentCompresses(t *testing.T) {
+	content := runs(5, 4<<20, 0)
+	rng := rand.New(rand.NewSource(1))
+	stored := 0
+	for rest := content; len(rest) > 0; {
+		piece := rest[:min(len(rest), 64<<10+rng.Intn(384<<10))]
+		z, _ := segmented(t, piece)
+		stored += len(z)
+		rest = rest[len(piece):]
+	}
+	if ratio := float64(stored) / float64(len(content)); ratio > 0.53 {
+		t.Errorf("%d bytes stored in %d: ratio %.4f, want at most 0.53", len(content), stored, ratio)
+	}
+}
+
+// A compressor, the state every pooled gzipper carries and every
+// compressed reply borrows, holds at most 600 KB: BestSpeed's table,
+// window, history and tokens (compress/flate's Writer allocates 1.17 MB
+// at BestSpeed, 640 KB of it hash chains BestSpeed never touches). It is
+// measured after it has written a stream, so what it allocates on first
+// use counts.
+func TestCompressorMemory(t *testing.T) {
+	dst := make([]byte, 0, 256<<10)
+	content := runs(6, 2*SegmentSize, 0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	z := gzippers.New().(*gzipper)
+	z.start(dst, SegmentSize, boundedStep)
+	_, _ = z.Write(content)
+	stream := z.finish()
+	runtime.ReadMemStats(&after)
+	if &stream[:1][0] != &dst[:1][0] {
+		t.Fatalf("the %d-byte stream outgrew its %d-byte buffer", len(stream), cap(dst))
+	}
+	if held := after.TotalAlloc - before.TotalAlloc; held > 600<<10 {
+		t.Errorf("a compressor allocates %d bytes, want at most %d", held, 600<<10)
+	}
+}
+
 // A segmented stream is plain gzip: the standard library's reader and
-// Gunzip inflate it whole, whatever its size. Content of at most one
-// segment is exactly the stream gzip.Writer writes at BestSpeed (what
-// GzipFrom wrote before streams had segments), with no table, as Gzip's
-// stream of any content is; longer content has one row per SegmentSize
-// bytes, each with its content's CRC. And no stream depends on what the
-// pooled compressor wrote before.
+// Gunzip inflate it whole, whatever its size. Gzip's stream of any
+// content is exactly the one gzip.Writer writes at BestSpeed. Content of
+// at most one segment has no table; longer content has one row per
+// SegmentSize bytes, each with its content's CRC. Written with the
+// bounded match skip, no stream here is longer than Gzip's, and the text
+// behind the first noise run is found: at 64 KiB the stream is shorter.
+// (That a Gear file's one segment is Gzip's stream is
+// TestGearFilesStoreAsGzip.) And no stream depends on what the pooled
+// compressor wrote before.
 func TestSegmentedGzipIsPlainGzip(t *testing.T) {
 	for _, size := range []int{0, 1, 4096, SegmentSize - 1, SegmentSize, SegmentSize + 1, 3 * SegmentSize, 300_017} {
 		content := mixed(int64(size), size)
@@ -179,27 +279,17 @@ func TestSegmentedGzipIsPlainGzip(t *testing.T) {
 		zw, _ := gzip.NewWriterLevel(&want, gzip.BestSpeed)
 		_, _ = zw.Write(content)
 		_ = zw.Close()
-		if plain, err := Gzip(content); err != nil || !bytes.Equal(plain, want.Bytes()) {
+		plain, err := Gzip(content)
+		if err != nil || !bytes.Equal(plain, want.Bytes()) {
 			t.Errorf("%d bytes: Gzip is not gzip.Writer's stream: %v", size, err)
 		}
-		if size <= SegmentSize {
-			if !bytes.Equal(z, want.Bytes()) || segs != nil {
-				t.Errorf("%d bytes: one segment is not gzip.Writer's stream (equal %v, %d rows)", size, bytes.Equal(z, want.Bytes()), len(segs))
-			}
-			continue
+		if len(z) > len(plain) {
+			t.Errorf("%d bytes: the segmented stream takes %d bytes, Gzip's %d", size, len(z), len(plain))
 		}
-		if rows := (size + SegmentSize - 1) / SegmentSize; len(segs) != rows || segs[0].Off != 10 {
-			t.Fatalf("%d bytes: %d rows starting at %d, want %d starting behind the header", size, len(segs), segs[0].Off, rows)
+		if size == SegmentSize && len(z) == len(plain) {
+			t.Errorf("%d bytes: the segmented stream is no shorter than Gzip's %d bytes", size, len(plain))
 		}
-		for i, s := range segs {
-			part := content[i*SegmentSize : min((i+1)*SegmentSize, size)]
-			if s.CRC != crc32.ChecksumIEEE(part) {
-				t.Errorf("%d bytes: segment %d has another CRC than its content", size, i)
-			}
-			if i > 0 && (s.Off <= segs[i-1].Off || s.Off > int64(len(z))-8) {
-				t.Errorf("%d bytes: segment %d starts at %d", size, i, s.Off)
-			}
-		}
+		checkTable(t, content, z, segs)
 	}
 
 	content := mixed(1, 3*SegmentSize+5)
@@ -1069,6 +1159,21 @@ func BenchmarkGzipRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkGzipFromMixed measures the pool's compressor on content in
+// the shape of the benchmark's read corpus (runs): what an upload pays
+// to be stored.
+func BenchmarkGzipFromMixed(b *testing.B) {
+	data := runs(7, 1<<20, 40_000)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := GzipFrom(bytes.NewReader(data), io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkUnpackGz measures the full decode path a puller runs per
 // layer: gunzip plus tar extraction into a fresh tree.
 func BenchmarkUnpackGz(b *testing.B) {
@@ -1364,20 +1469,14 @@ func TestUnpackGzKeep(t *testing.T) {
 }
 
 // GzipFrom is one stream of what the reader holds, however the bytes
-// arrive — Gzip's, for content of one segment — and every byte passes
-// the tee.
+// arrive, and every byte passes the tee. (Which stream that is, beside
+// Gzip's, is TestSegmentedGzipIsPlainGzip and TestGearFilesStoreAsGzip.)
 func TestGzipFromMatchesGzip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, size := range []int{0, 1, 4 << 10, copyChunk, SegmentSize, 300<<10 + 17} {
 		data := make([]byte, size)
 		rng.Read(data[:size/2])
 		want, wantSegs := segmented(t, data)
-		if size <= SegmentSize {
-			var err error
-			if want, err = Gzip(data); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for name, r := range map[string]io.Reader{
 			"whole":     bytes.NewReader(data),
 			"streamed":  struct{ io.Reader }{bytes.NewReader(data)},
