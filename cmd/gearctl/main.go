@@ -42,7 +42,6 @@ import (
 	"github.com/gear-image/gear/internal/netsim"
 	"github.com/gear-image/gear/internal/prefetch"
 	"github.com/gear-image/gear/internal/registry"
-	"github.com/gear-image/gear/internal/shardreg"
 	"github.com/gear-image/gear/internal/telemetry"
 	"github.com/gear-image/gear/internal/wire"
 )
@@ -527,58 +526,35 @@ func cmdShards(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ids := make([]string, *shards)
-	for i := range ids {
-		ids[i] = fleet.ShardID(i)
-	}
-	opts := shardreg.Options{
-		Shards:      ids,
+	// A tier-only harness: the fleet's shard tier over its link classes,
+	// seeded from the workload, with no node joined.
+	h, err := fleet.New(wl, fleet.Options{
+		Nodes:       1,
+		Seed:        *seed,
+		Shards:      *shards,
 		Replication: *replicas,
-		Compress:    true,
-		Read: shardreg.ReadOptions{
-			Balance: *balance,
-			Hedge:   *hedge,
-			Seed:    uint64(*seed),
-		},
-	}
-	var topo *netsim.Topology
-	if *readpass > 0 {
-		// Reads are priced over the fleet's registry link class so the
-		// balancer and hedge clock see realistic latencies.
-		topo, err = netsim.NewTopology(
-			netsim.DefaultLAN().WithBandwidth(20.0/1000**scale),
-			netsim.DefaultLAN().WithBandwidth(1000.0/1000**scale))
-		if err != nil {
-			return err
-		}
-		opts.Topology = topo
-	}
-	cluster, err := shardreg.New(opts)
+		ReadBalance: *balance,
+		ReadHedge:   *hedge,
+	})
 	if err != nil {
 		return err
 	}
-	seeded, err := cluster.Seed(wl.Gear)
-	if err != nil {
-		return err
-	}
-	if *readpass > 0 {
-		fps := wl.Gear.Fingerprints()
-		for pass := 0; pass < *readpass; pass++ {
-			if pass == 1 && *slow != "" {
-				// The first pass always runs healthy so the latency
-				// model has a baseline to call the straggler slow.
-				victim := *slow
-				if victim == "auto" {
-					victim = cluster.BusiestShard()
-				}
-				if err := topo.SetServiceFactor(victim, 10); err != nil {
-					return err
-				}
+	cluster, fps := h.Cluster(), wl.Gear.Fingerprints()
+	for pass := 0; pass < *readpass; pass++ {
+		if pass == 1 && *slow != "" {
+			// The first pass always runs healthy so the latency
+			// model has a baseline to call the straggler slow.
+			victim := *slow
+			if victim == "auto" {
+				victim = cluster.BusiestShard()
 			}
-			for _, fp := range fps {
-				if _, _, err := cluster.Download(fp); err != nil {
-					return err
-				}
+			if err := h.ShardTopology().SetServiceFactor(victim, 10); err != nil {
+				return err
+			}
+		}
+		for _, fp := range fps {
+			if _, _, err := cluster.Download(fp); err != nil {
+				return err
 			}
 		}
 	}
@@ -605,7 +581,7 @@ func cmdShards(args []string, out io.Writer) error {
 			s.Reads, s.ReadShare*100)
 	}
 	fmt.Fprintf(out, "tier: %d objects seeded, %d replica copies, %d B stored\n",
-		seeded, st.Objects, st.StoredBytes)
+		len(fps), st.Objects, st.StoredBytes)
 	fmt.Fprintf(out, "reads: %d served, %d balanced; hedges: %d fired, %d won, %d B extra egress\n",
 		st.Reads, st.BalancedReads, st.HedgesFired, st.HedgesWon, st.HedgeWasteBytes)
 	return nil

@@ -19,11 +19,8 @@ import (
 
 	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/dockersim"
-	"github.com/gear-image/gear/internal/gear/convert"
-	"github.com/gear-image/gear/internal/gearregistry"
+	"github.com/gear-image/gear/internal/fleet"
 	"github.com/gear-image/gear/internal/netsim"
-	"github.com/gear-image/gear/internal/registry"
-	"github.com/gear-image/gear/internal/slacker"
 	"github.com/gear-image/gear/internal/telemetry"
 )
 
@@ -117,65 +114,6 @@ func (c Config) pickSeries(co *corpus.Corpus) []corpus.Series {
 	return out
 }
 
-// rig is a populated deployment environment: the original images and
-// Gear index images in a Docker registry, Gear files in a Gear registry,
-// and (optionally) Slacker block devices.
-type rig struct {
-	docker *registry.Registry
-	gear   *gearregistry.Registry
-	slack  *slacker.Server
-}
-
-// gearPrefix names the Gear form of an image beside the original in one
-// Docker registry: the rigs' converters publish under it, deploys ask
-// for gearRef.
-const gearPrefix = "gear/"
-
-// gearRef returns the registry reference of a series' Gear index image.
-func gearRef(series string) string { return gearPrefix + series }
-
-// buildRig publishes the given series (all their versions) into fresh
-// registries. withSlacker additionally lays out block devices.
-func (c Config) buildRig(co *corpus.Corpus, series []corpus.Series, withSlacker bool) (*rig, error) {
-	r := &rig{
-		docker: registry.New(),
-		gear:   gearregistry.New(gearregistry.Options{Compress: true}),
-	}
-	if withSlacker {
-		r.slack = slacker.NewServer()
-	}
-	conv, err := convert.New(convert.Options{IndexPrefix: gearPrefix})
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range series {
-		for v := 0; v < s.NumVersions; v++ {
-			img, err := co.Image(s.Name, v)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := registry.Push(r.docker, img); err != nil {
-				return nil, err
-			}
-			res, err := conv.Convert(img)
-			if err != nil {
-				return nil, err
-			}
-			if _, _, err := convert.Publish(res, r.docker, r.gear); err != nil {
-				return nil, err
-			}
-			if withSlacker {
-				bi, err := slacker.FromImage(img, slackerBlockSize)
-				if err != nil {
-					return nil, err
-				}
-				r.slack.Put(bi)
-			}
-		}
-	}
-	return r, nil
-}
-
 // daemonOptions is the calibrated base every experiment daemon is built
 // from; a site overrides only what it sweeps. Per-request wire overheads
 // shrink with the corpus scale so the overhead-to-payload ratio stays
@@ -190,30 +128,10 @@ func (c Config) daemonOptions(mbps float64) dockersim.Options {
 	}
 }
 
-// newDaemon builds a deployment daemon against the rig at a paper-quoted
-// bandwidth.
-func (c Config) newDaemon(r *rig, mbps float64) (*dockersim.Daemon, error) {
-	d, err := dockersim.NewDaemon(r.docker, r.gear, c.daemonOptions(mbps))
-	if err != nil {
-		return nil, err
-	}
-	if r.slack != nil {
-		d.ConfigureSlacker(r.slack)
-	}
-	return d, nil
-}
-
-// accessPaths returns the launch-time access list of (series, version).
-func accessPaths(co *corpus.Corpus, series string, version int) ([]string, error) {
-	items, err := co.NecessarySet(series, version)
-	if err != nil {
-		return nil, err
-	}
-	paths := make([]string, len(items))
-	for i, it := range items {
-		paths[i] = it.Path
-	}
-	return paths, nil
+// newDaemon builds a deployment daemon against the workload's
+// registries at a paper-quoted bandwidth.
+func (c Config) newDaemon(wl *fleet.Workload, mbps float64) (*dockersim.Daemon, error) {
+	return dockersim.NewDaemon(wl.Docker, wl.Gear, c.daemonOptions(mbps))
 }
 
 // Runner executes one experiment and prints its result.

@@ -547,6 +547,7 @@ var telemetryProof = map[string]string{
 	"extparallel": "store.remote.objects",
 	"extp2p":      "store.peer.objects",
 	"exthedge":    "shardreg.download.requests",
+	"extshard":    "shardreg.download.requests",
 }
 
 // TestRunAllMini is the record of paper-facing results: the printed

@@ -6,6 +6,7 @@ import (
 
 	"github.com/gear-image/gear/internal/cache"
 	"github.com/gear-image/gear/internal/dockersim"
+	"github.com/gear-image/gear/internal/fleet"
 )
 
 // ExtCachePoint is one (capacity, policy) cell of the cache ablation.
@@ -48,16 +49,15 @@ func RunExtCache(cfg Config) (*ExtCacheResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := co.Series()
-	r, err := cfg.buildRig(co, series, false)
+	wl, err := fleet.Publish(co, co.Series(), cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
-	s := series[0]
+	s := &wl.Series[0]
 
 	res := &ExtCacheResult{
 		Series:      seriesName,
-		UniqueBytes: r.gear.Stats().LogicalBytes,
+		UniqueBytes: wl.Gear.Stats().LogicalBytes,
 	}
 	for _, frac := range extCacheFracs {
 		for _, policy := range []cache.Policy{cache.FIFO, cache.LRU} {
@@ -71,7 +71,7 @@ func RunExtCache(cfg Config) (*ExtCacheResult, error) {
 			opts.GearRequestBytes = 0
 			opts.CacheCapacity = capacity
 			opts.CachePolicy = policy
-			d, err := dockersim.NewDaemon(r.docker, r.gear, opts)
+			d, err := dockersim.NewDaemon(wl.Docker, wl.Gear, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -84,12 +84,8 @@ func RunExtCache(cfg Config) (*ExtCacheResult, error) {
 			// eviction candidates.
 			var remote int64
 			var prev *dockersim.Deployment
-			for v := 0; v < s.NumVersions; v++ {
-				access, err := accessPaths(co, seriesName, v)
-				if err != nil {
-					return nil, err
-				}
-				dep, err := d.DeployGear(gearRef(seriesName), s.Tags()[v], access, 0)
+			for v, tag := range s.Tags {
+				dep, err := d.DeployGear(s.Ref, tag, s.Access[v], 0)
 				if err != nil {
 					return nil, err
 				}
@@ -105,11 +101,7 @@ func RunExtCache(cfg Config) (*ExtCacheResult, error) {
 				prev = dep
 			}
 			// Rollback: an incident forces v01 back into service.
-			access, err := accessPaths(co, seriesName, 0)
-			if err != nil {
-				return nil, err
-			}
-			rb, err := d.DeployGear(gearRef(seriesName), s.Tags()[0], access, 0)
+			rb, err := d.DeployGear(s.Ref, s.Tags[0], s.Access[0], 0)
 			if err != nil {
 				return nil, err
 			}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/fleet"
 )
 
@@ -67,24 +66,19 @@ var extFleetSweep = []struct {
 // snapshot; the replay check runs on private registries so its
 // bit-for-bit comparison is free of cross-run accumulation.
 func RunExtFleet(cfg Config) (*ExtFleetResult, error) {
-	if cfg.Scale <= 0 {
-		// BuildWorkload would default a zero scale; reject it here so an
-		// invalid config fails fast like every other experiment.
-		return nil, fmt.Errorf("extfleet: scale %g: %w", cfg.Scale, corpus.ErrBadScale)
-	}
 	if cfg.VersionsPerSeries <= 0 || cfg.VersionsPerSeries > 4 {
 		cfg.VersionsPerSeries = 4
 	}
-	wl, err := fleet.BuildWorkload(fleet.WorkloadOptions{
-		Seed:     cfg.Seed,
-		Scale:    cfg.Scale,
-		Series:   "nginx",
-		Versions: cfg.VersionsPerSeries,
-	})
+	co, err := cfg.newCorpus([]string{"nginx"})
 	if err != nil {
 		return nil, err
 	}
-	res := &ExtFleetResult{Series: wl.Series, Versions: wl.Versions(), Seed: cfg.Seed}
+	wl, err := fleet.Publish(co, co.Series(), cfg.Scale)
+	if err != nil {
+		return nil, err
+	}
+	s := &wl.Series[0]
+	res := &ExtFleetResult{Series: s.Name, Versions: len(s.Tags), Seed: cfg.Seed}
 
 	run := func(kind fleet.Kind, nodes int, shared bool) (*fleet.Result, string, error) {
 		opts := fleet.Options{Nodes: nodes, Seed: cfg.Seed, Peers: true}

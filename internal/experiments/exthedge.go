@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/fleet"
-	"github.com/gear-image/gear/internal/netsim"
-	"github.com/gear-image/gear/internal/shardreg"
 )
 
 // ExtHedgeCell is one (read policy, straggler condition) cell of the
@@ -79,13 +77,11 @@ type ExtHedgeResult struct {
 }
 
 // Tier shape and measurement plan. The tier talks to readers over the
-// paper's 20 Mbps edge class; the straggler runs at the fleet
-// scenario's 10× service time.
+// fleet's WAN link class; the straggler runs at the fleet scenario's
+// 10× service time.
 const (
 	extHedgeShards    = 4
 	extHedgeReplicas  = 2
-	extHedgeWANMbps   = 20
-	extHedgeLANMbps   = 1000
 	extHedgeRounds    = 6
 	extHedgeFactor    = 10
 	extHedgeJitterAmp = 0.1
@@ -93,12 +89,12 @@ const (
 
 // extHedgePolicies maps cell names to tier read options.
 var extHedgePolicies = []struct {
-	name string
-	read shardreg.ReadOptions
+	name           string
+	balance, hedge bool
 }{
-	{"primary", shardreg.ReadOptions{}},
-	{"balanced", shardreg.ReadOptions{Balance: true}},
-	{"hedged", shardreg.ReadOptions{Balance: true, Hedge: true}},
+	{"primary", false, false},
+	{"balanced", true, false},
+	{"hedged", true, true},
 }
 
 // extHedgeShuffle deterministically permutes idx in place (xorshift64,
@@ -143,12 +139,11 @@ func RunExtHedge(cfg Config) (*ExtHedgeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := cfg.pickSeries(co)
-	r, err := cfg.buildRig(co, series, false)
+	wl, err := fleet.Publish(co, cfg.pickSeries(co), cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
-	fps := r.gear.Fingerprints()
+	fps := wl.Gear.Fingerprints()
 	if len(fps) == 0 {
 		return nil, fmt.Errorf("experiments: exthedge: empty gear pool")
 	}
@@ -165,32 +160,23 @@ func RunExtHedge(cfg Config) (*ExtHedgeResult, error) {
 		DegenerationOK:  true,
 	}
 
-	// runCell replays the read stream against a fresh tier.
-	runCell := func(read shardreg.ReadOptions, policy string, straggle bool) (ExtHedgeCell, error) {
+	// runCell replays the read stream against a fresh tier, built by a
+	// harness that joins no node: the reads go to the tier directly.
+	runCell := func(policy string, balance, hedge, straggle bool) (ExtHedgeCell, error) {
 		cell := ExtHedgeCell{Policy: policy, Straggler: straggle}
-		topo, err := netsim.NewTopology(cfg.link(extHedgeWANMbps), cfg.link(extHedgeLANMbps))
-		if err != nil {
-			return cell, err
-		}
-		ids := make([]string, extHedgeShards)
-		for i := range ids {
-			ids[i] = fleet.ShardID(i)
-		}
-		read.Seed = uint64(cfg.Seed)
-		cluster, err := shardreg.New(shardreg.Options{
-			Shards:      ids,
-			Replication: extHedgeReplicas,
-			Compress:    true,
+		h, err := fleet.New(wl, fleet.Options{
+			Nodes:       1,
+			Seed:        cfg.Seed,
 			Telemetry:   cfg.Telemetry,
-			Topology:    topo,
-			Read:        read,
+			Shards:      extHedgeShards,
+			Replication: extHedgeReplicas,
+			ReadBalance: balance,
+			ReadHedge:   hedge,
 		})
 		if err != nil {
 			return cell, err
 		}
-		if _, err := cluster.Seed(r.gear); err != nil {
-			return cell, err
-		}
+		cluster, topo := h.Cluster(), h.ShardTopology()
 		if err := topo.SetServiceJitter(uint64(cfg.Seed)+1, extHedgeJitterAmp); err != nil {
 			return cell, err
 		}
@@ -272,7 +258,7 @@ func RunExtHedge(cfg Config) (*ExtHedgeResult, error) {
 
 	for _, pol := range extHedgePolicies {
 		for _, straggle := range []bool{false, true} {
-			cell, err := runCell(pol.read, pol.name, straggle)
+			cell, err := runCell(pol.name, pol.balance, pol.hedge, straggle)
 			if err != nil {
 				return nil, err
 			}

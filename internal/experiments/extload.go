@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"github.com/gear-image/gear/internal/fleet"
 )
 
 // ExtLoadResult is an extension experiment beyond the paper's figures:
@@ -41,40 +43,30 @@ func RunExtLoad(cfg Config) (*ExtLoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := co.Series()
-	r, err := cfg.buildRig(co, series, false)
+	wl, err := fleet.Publish(co, co.Series(), cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
-	s := series[0]
-	compute, err := co.TaskCompute(s.Name)
-	if err != nil {
-		return nil, err
-	}
+	s := &wl.Series[0]
 
-	res := &ExtLoadResult{Clients: clients, Deploys: s.NumVersions}
+	res := &ExtLoadResult{Clients: clients, Deploys: len(s.Tags)}
 	var dockerTotal, gearTotal time.Duration
 	var deploys int
 	for c := 0; c < clients; c++ {
-		dockerD, err := cfg.newDaemon(r, 100)
+		dockerD, err := cfg.newDaemon(wl, 100)
 		if err != nil {
 			return nil, err
 		}
-		gearD, err := cfg.newDaemon(r, 100)
+		gearD, err := cfg.newDaemon(wl, 100)
 		if err != nil {
 			return nil, err
 		}
-		for v := 0; v < s.NumVersions; v++ {
-			access, err := accessPaths(co, s.Name, v)
+		for v, tag := range s.Tags {
+			dd, err := dockerD.DeployDocker(s.Name, tag, s.Access[v], s.Compute)
 			if err != nil {
 				return nil, err
 			}
-			tag := s.Tags()[v]
-			dd, err := dockerD.DeployDocker(s.Name, tag, access, compute)
-			if err != nil {
-				return nil, err
-			}
-			gd, err := gearD.DeployGear(gearRef(s.Name), tag, access, compute)
+			gd, err := gearD.DeployGear(s.Ref, tag, s.Access[v], s.Compute)
 			if err != nil {
 				return nil, err
 			}

@@ -5,10 +5,8 @@ import (
 	"io"
 	"time"
 
-	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/dockersim"
-	"github.com/gear-image/gear/internal/netsim"
-	"github.com/gear-image/gear/internal/peer"
+	"github.com/gear-image/gear/internal/fleet"
 )
 
 // ExtP2PPoint is one (fleet size, WAN bandwidth) sample of the
@@ -74,9 +72,6 @@ var extP2PSweep = []struct {
 	{8, 100},
 }
 
-// extP2PLANMbps is the cluster-internal bandwidth for every point.
-const extP2PLANMbps = 1000
-
 // RunExtP2P deploys one series' versions across fleets of daemons, with
 // and without the peer exchange, and measures where the bytes came
 // from. Fleet size 1 pins the degeneration: a lone node finds no peers,
@@ -90,18 +85,13 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := co.Series()
-	r, err := cfg.buildRig(co, series, false)
+	wl, err := fleet.Publish(co, co.Series(), cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
-	s := series[0]
-	compute, err := co.TaskCompute(s.Name)
-	if err != nil {
-		return nil, err
-	}
+	s := &wl.Series[0]
 
-	res := &ExtP2PResult{Series: s.Name, Versions: s.NumVersions, LANMbps: extP2PLANMbps}
+	res := &ExtP2PResult{Series: s.Name, Versions: len(s.Tags), LANMbps: fleet.LANMbps}
 	for _, pt := range extP2PSweep {
 		point := ExtP2PPoint{Nodes: pt.nodes, WANMbps: pt.wan}
 
@@ -110,11 +100,11 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 		baseBytes := make([]int64, pt.nodes)
 		var baseTotal time.Duration
 		for n := 0; n < pt.nodes; n++ {
-			d, err := cfg.newDaemon(r, pt.wan)
+			d, err := cfg.newDaemon(wl, pt.wan)
 			if err != nil {
 				return nil, err
 			}
-			got, total, err := rollout(co, d, s, compute)
+			got, total, err := rollout(d, s)
 			if err != nil {
 				return nil, err
 			}
@@ -123,37 +113,28 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 			baseTotal += total
 		}
 
-		// Pass 2 — peers enabled: one topology, one tracker, every
-		// daemon's cache exported to the cluster.
-		topo, err := netsim.NewTopology(cfg.link(pt.wan), cfg.link(extP2PLANMbps))
+		// Pass 2 — peers enabled: a peer fleet at this point's WAN
+		// bandwidth, every node's cache exported to the cluster.
+		h, err := fleet.New(wl, fleet.Options{Nodes: pt.nodes, Seed: cfg.Seed, Peers: true, Telemetry: cfg.Telemetry})
 		if err != nil {
 			return nil, err
 		}
-		tracker := peer.NewTracker()
-		network := peer.NewStaticNetwork()
-		daemons := make([]*dockersim.Daemon, pt.nodes)
+		if err := h.Topology().SetWANConfig(cfg.link(pt.wan)); err != nil {
+			return nil, err
+		}
 		for n := 0; n < pt.nodes; n++ {
-			id := fmt.Sprintf("node%d", n)
-			opts := cfg.daemonOptions(pt.wan)
-			opts.Links = topo.Node(id)
-			opts.Peers = peer.NewExchange(id, tracker, network, cfg.Telemetry)
-			d, err := dockersim.NewDaemon(r.docker, r.gear, opts)
-			if err != nil {
+			if err := h.Join(fleet.NodeID(n)); err != nil {
 				return nil, err
 			}
-			d.GearStore().Cache().SetHooks(tracker.Hooks(id))
-			// Peers serve compressed like the registry, so a node receives
-			// the same wire bytes whichever source answers.
-			network.Add(id, peer.NewServer(id, d.GearStore().Cache()))
-			daemons[n] = d
 		}
 		point.ParityOK = true
 		var p2pTotal time.Duration
-		for n, d := range daemons {
-			// The daemons may share one registry (cfg.Telemetry), so this
-			// node's share of the store counters is a before/after delta.
+		for n := 0; n < pt.nodes; n++ {
+			d, _ := h.Daemon(fleet.NodeID(n))
+			// The nodes share one registry, so this node's share of the
+			// store counters is a before/after delta.
 			before := d.Telemetry().Snapshot()
-			got, total, err := rollout(co, d, s, compute)
+			got, total, err := rollout(d, s)
 			if err != nil {
 				return nil, err
 			}
@@ -163,15 +144,11 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 			}
 			point.P2PEgress += got
 			p2pTotal += total
-			st := d.Telemetry().Snapshot().Diff(before)
-			peerObjects := st.Counter("store.peer.objects")
-			point.PeerObjects += peerObjects
-			tracker.ReportServed(int(peerObjects), st.Counter("store.peer.bytes"),
-				int(st.Counter("store.remote.objects")), st.Counter("store.remote.bytes"))
+			point.PeerObjects += d.Telemetry().Snapshot().Diff(before).Counter("store.peer.objects")
 		}
-		point.LANBytes = topo.LANStats().Bytes
+		point.LANBytes = h.Topology().LANStats().Bytes
 
-		deploys := time.Duration(pt.nodes * s.NumVersions)
+		deploys := time.Duration(pt.nodes * len(s.Tags))
 		point.BaselineMeanTime = baseTotal / deploys
 		point.P2PMeanTime = p2pTotal / deploys
 		res.Points = append(res.Points, point)
@@ -181,15 +158,11 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 
 // rollout deploys every version of s on d in order, returning the WAN
 // bytes moved and the summed deployment time.
-func rollout(co *corpus.Corpus, d *dockersim.Daemon, s corpus.Series, compute time.Duration) (int64, time.Duration, error) {
+func rollout(d *dockersim.Daemon, s *fleet.Series) (int64, time.Duration, error) {
 	var bytes int64
 	var total time.Duration
-	for v := 0; v < s.NumVersions; v++ {
-		access, err := accessPaths(co, s.Name, v)
-		if err != nil {
-			return 0, 0, err
-		}
-		dep, err := d.DeployGear(gearRef(s.Name), s.Tags()[v], access, compute)
+	for v, tag := range s.Tags {
+		dep, err := d.DeployGear(s.Ref, tag, s.Access[v], s.Compute)
 		if err != nil {
 			return 0, 0, err
 		}

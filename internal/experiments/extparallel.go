@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/dockersim"
+	"github.com/gear-image/gear/internal/fleet"
 )
 
 // ExtParallelPoint is one worker-count sample of the fetch-engine sweep.
@@ -59,7 +60,7 @@ func RunExtParallel(cfg Config) (*ExtParallelResult, error) {
 		return nil, err
 	}
 	series := cfg.pickSeries(co)
-	r, err := cfg.buildRig(co, series, false)
+	wl, err := fleet.Publish(co, series, cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -71,20 +72,16 @@ func RunExtParallel(cfg Config) (*ExtParallelResult, error) {
 	for _, workers := range extParallelWorkers {
 		opts := cfg.daemonOptions(904)
 		opts.FetchWorkers = workers
-		d, err := dockersim.NewDaemon(r.docker, r.gear, opts)
+		d, err := dockersim.NewDaemon(wl.Docker, wl.Gear, opts)
 		if err != nil {
 			return nil, err
 		}
 		var total time.Duration
 		var bytes, requests int64
 		deploys := 0
-		for _, s := range series {
-			for v := 0; v < s.NumVersions; v++ {
-				access, err := accessPaths(co, s.Name, v)
-				if err != nil {
-					return nil, err
-				}
-				dep, err := d.DeployGear(gearRef(s.Name), s.Tags()[v], access, 0)
+		for _, s := range wl.Series {
+			for v, tag := range s.Tags {
+				dep, err := d.DeployGear(s.Ref, tag, s.Access[v], 0)
 				if err != nil {
 					return nil, err
 				}

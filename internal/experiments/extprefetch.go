@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/dockersim"
+	"github.com/gear-image/gear/internal/fleet"
 	"github.com/gear-image/gear/internal/prefetch"
 )
 
@@ -87,30 +88,21 @@ func RunExtPrefetch(cfg Config) (*ExtPrefetchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := co.Series()
-	r, err := cfg.buildRig(co, series, false)
+	wl, err := fleet.Publish(co, co.Series(), cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
-	s := series[0]
-	compute, err := co.TaskCompute(s.Name)
-	if err != nil {
-		return nil, err
-	}
-	access, err := accessPaths(co, s.Name, 0)
-	if err != nil {
-		return nil, err
-	}
-	ref, tag := gearRef(s.Name), s.Tags()[0]
+	s := &wl.Series[0]
+	ref, tag := s.Ref, s.Tags[0]
 
 	deploy := func(wan float64, lib *prefetch.Library) (*dockersim.Deployment, error) {
 		opts := cfg.daemonOptions(wan)
 		opts.Profiles = lib
-		d, err := dockersim.NewDaemon(r.docker, r.gear, opts)
+		d, err := dockersim.NewDaemon(wl.Docker, wl.Gear, opts)
 		if err != nil {
 			return nil, err
 		}
-		return d.DeployGear(ref, tag, access, compute)
+		return d.DeployGear(ref, tag, s.Access[0], s.Compute)
 	}
 
 	// Recording pass: a cold deploy persists the image's access trace.

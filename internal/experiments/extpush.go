@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/dockersim"
+	"github.com/gear-image/gear/internal/fleet"
 	"github.com/gear-image/gear/internal/gear/convert"
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
@@ -90,7 +91,7 @@ func RunExtPush(cfg Config) (*ExtPushResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		conv, err := convert.New(convert.Options{Workers: workers, IndexPrefix: gearPrefix})
+		conv, err := convert.New(convert.Options{Workers: workers, IndexPrefix: fleet.GearPrefix})
 		if err != nil {
 			return nil, err
 		}

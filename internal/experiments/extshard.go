@@ -8,7 +8,6 @@ import (
 	"github.com/gear-image/gear/internal/dockersim"
 	"github.com/gear-image/gear/internal/fleet"
 	"github.com/gear-image/gear/internal/netsim"
-	"github.com/gear-image/gear/internal/shardreg"
 )
 
 // ExtShardPoint is one shard-count sample of the sharded-registry
@@ -86,12 +85,10 @@ var extShardSweep = []struct {
 	{8, 2},
 }
 
-// Client fleet shape: the extp2p 8-node fleet at the paper's 20 Mbps
-// edge uplink; shards talk to the world over the same class of link.
+// Client fleet shape: the extp2p 8-node fleet on the fleet's WAN link
+// class; shards talk to the world over the same class of link.
 const (
 	extShardClients = 8
-	extShardWANMbps = 20
-	extShardLANMbps = 1000
 	extShardFailAt  = 4 // shard count of the failover pass
 )
 
@@ -115,25 +112,20 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := cfg.pickSeries(co)
-	r, err := cfg.buildRig(co, series, false)
+	wl, err := fleet.Publish(co, cfg.pickSeries(co), cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
 	versions := 0
-	computes := make(map[string]time.Duration, len(series))
-	for _, s := range series {
-		versions += s.NumVersions
-		if computes[s.Name], err = co.TaskCompute(s.Name); err != nil {
-			return nil, err
-		}
+	for _, s := range wl.Series {
+		versions += len(s.Tags)
 	}
 	// rolloutAll rolls every series' versions out on one client daemon.
 	rolloutAll := func(d *dockersim.Daemon) (int64, time.Duration, error) {
 		var bytes int64
 		var total time.Duration
-		for _, s := range series {
-			got, t, err := rollout(co, d, s, computes[s.Name])
+		for i := range wl.Series {
+			got, t, err := rollout(d, &wl.Series[i])
 			if err != nil {
 				return 0, 0, err
 			}
@@ -144,17 +136,17 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 	}
 
 	res := &ExtShardResult{
-		Series:   fmt.Sprintf("%d series", len(series)),
+		Series:   fmt.Sprintf("%d series", len(wl.Series)),
 		Versions: versions,
 		Clients:  extShardClients,
-		WANMbps:  extShardWANMbps,
+		WANMbps:  fleet.WANMbps,
 	}
 
 	// Baseline: the client fleet against the single-node registry.
 	baseBytes := make([]int64, extShardClients)
 	var baseTotal time.Duration
 	for n := 0; n < extShardClients; n++ {
-		d, err := cfg.newDaemon(r, extShardWANMbps)
+		d, err := cfg.newDaemon(wl, fleet.WANMbps)
 		if err != nil {
 			return nil, err
 		}
@@ -174,27 +166,19 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 	// point plus the failovers its reads took and the killed shard.
 	shardedRollout := func(shards, replicas int, kill bool) (ExtShardPoint, int64, string, error) {
 		point := ExtShardPoint{Shards: shards, Replication: replicas}
-		topo, err := netsim.NewTopology(cfg.link(extShardWANMbps), cfg.link(extShardLANMbps))
-		if err != nil {
-			return point, 0, "", err
-		}
-		ids := make([]string, shards)
-		for i := range ids {
-			ids[i] = fleet.ShardID(i)
-		}
-		cluster, err := shardreg.New(shardreg.Options{
-			Shards:      ids,
-			Replication: replicas,
-			Compress:    true,
+		// A tier-only harness: the clients below are the sweep's own
+		// daemons, so the harness joins no node.
+		h, err := fleet.New(wl, fleet.Options{
+			Nodes:       extShardClients,
+			Seed:        cfg.Seed,
 			Telemetry:   cfg.Telemetry,
-			Topology:    topo,
+			Shards:      shards,
+			Replication: replicas,
 		})
 		if err != nil {
 			return point, 0, "", err
 		}
-		if _, err := cluster.Seed(r.gear); err != nil {
-			return point, 0, "", err
-		}
+		cluster, topo := h.Cluster(), h.ShardTopology()
 		// Seeding moved bytes through the shard links; reset the clock
 		// so the point measures serving, not migration.
 		seeded := make(map[string]netsim.Stats, shards)
@@ -217,7 +201,7 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 		point.ParityOK = true
 		var tierTotal time.Duration
 		for n := 0; n < extShardClients; n++ {
-			d, err := dockersim.NewDaemon(r.docker, cluster, cfg.daemonOptions(extShardWANMbps))
+			d, err := dockersim.NewDaemon(wl.Docker, cluster, cfg.daemonOptions(fleet.WANMbps))
 			if err != nil {
 				return point, 0, "", err
 			}

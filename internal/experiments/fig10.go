@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/corpus"
+	"github.com/gear-image/gear/internal/fleet"
+	"github.com/gear-image/gear/internal/slacker"
 )
 
 // Fig10Bandwidths are the rollout study's link speeds, Mbps.
@@ -50,41 +52,46 @@ func RunFig10(cfg Config) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := co.Series()
-	r, err := cfg.buildRig(co, series, true)
+	wl, err := fleet.Publish(co, co.Series(), cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
-	s := series[0]
-	compute, err := co.TaskCompute(seriesName)
-	if err != nil {
-		return nil, err
+	s := &wl.Series[0]
+	// Slacker's block devices, laid out from the same images.
+	slack := slacker.NewServer()
+	for v := range s.Tags {
+		img, err := co.Image(seriesName, v)
+		if err != nil {
+			return nil, err
+		}
+		bi, err := slacker.FromImage(img, slackerBlockSize)
+		if err != nil {
+			return nil, err
+		}
+		slack.Put(bi)
 	}
 
 	res := &Fig10Result{Series: seriesName}
 	for _, mbps := range Fig10Bandwidths {
 		// One persistent daemon per system: local state accumulates
 		// across the rollout exactly as on the paper's single client.
-		dockerD, err := cfg.newDaemon(r, mbps)
+		dockerD, err := cfg.newDaemon(wl, mbps)
 		if err != nil {
 			return nil, err
 		}
-		slackerD, err := cfg.newDaemon(r, mbps)
+		slackerD, err := cfg.newDaemon(wl, mbps)
 		if err != nil {
 			return nil, err
 		}
-		gearD, err := cfg.newDaemon(r, mbps)
+		slackerD.ConfigureSlacker(slack)
+		gearD, err := cfg.newDaemon(wl, mbps)
 		if err != nil {
 			return nil, err
 		}
 
 		band := Fig10Band{Mbps: mbps}
-		for v := 0; v < s.NumVersions; v++ {
-			access, err := accessPaths(co, seriesName, v)
-			if err != nil {
-				return nil, err
-			}
-			tag := s.Tags()[v]
+		for v, tag := range s.Tags {
+			access, compute := s.Access[v], s.Compute
 			dd, err := dockerD.DeployDocker(seriesName, tag, access, compute)
 			if err != nil {
 				return nil, err
@@ -93,7 +100,7 @@ func RunFig10(cfg Config) (*Fig10Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			gd, err := gearD.DeployGear(gearRef(seriesName), tag, access, compute)
+			gd, err := gearD.DeployGear(s.Ref, tag, access, compute)
 			if err != nil {
 				return nil, err
 			}

@@ -8,6 +8,7 @@ import (
 	"github.com/gear-image/gear/internal/apps"
 	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/dockersim"
+	"github.com/gear-image/gear/internal/fleet"
 )
 
 // Fig11Service is one long-running service's normalized throughput.
@@ -71,9 +72,13 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := cfg.buildRig(co, co.Series(), false)
+	wl, err := fleet.Publish(co, co.Series(), cfg.Scale)
 	if err != nil {
 		return nil, err
+	}
+	byName := make(map[string]*fleet.Series, len(wl.Series))
+	for i := range wl.Series {
+		byName[wl.Series[i].Name] = &wl.Series[i]
 	}
 
 	res := &Fig11Result{Iterations: 100}
@@ -83,10 +88,8 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 
 	const requests = 5000
 	for _, svc := range fig11Services {
-		access, err := accessPaths(co, svc.series, 0)
-		if err != nil {
-			return nil, err
-		}
+		s := byName[svc.series]
+		access := s.Access[0]
 		// Data/content files the service touches in steady state: its
 		// launch set (hot files), all local after warm-up.
 		run := func(dep *dockersim.Deployment) (apps.Result, error) {
@@ -96,11 +99,11 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 			return apps.RunWeb(dep, apps.WebConfig{Requests: requests, ContentPaths: access})
 		}
 
-		dd, err := cfg.newDaemon(r, 904)
+		dd, err := cfg.newDaemon(wl, 904)
 		if err != nil {
 			return nil, err
 		}
-		dockerDep, err := dd.DeployDocker(svc.series, "v01", access, 0)
+		dockerDep, err := dd.DeployDocker(s.Name, s.Tags[0], access, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -109,11 +112,11 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 			return nil, err
 		}
 
-		gd, err := cfg.newDaemon(r, 904)
+		gd, err := cfg.newDaemon(wl, 904)
 		if err != nil {
 			return nil, err
 		}
-		gearDep, err := gd.DeployGear(gearRef(svc.series), "v01", access, 0)
+		gearDep, err := gd.DeployGear(s.Ref, s.Tags[0], access, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -130,11 +133,11 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 	}
 
 	// Short-running: launch, one request, destroy, repeated.
-	dockerShort, err := shortLifecycle(cfg, r, co, dockersim.ModeDocker, res.Iterations)
+	dockerShort, err := shortLifecycle(cfg, wl, byName["httpd"], dockersim.ModeDocker, res.Iterations)
 	if err != nil {
 		return nil, err
 	}
-	gearShort, err := shortLifecycle(cfg, r, co, dockersim.ModeGear, res.Iterations)
+	gearShort, err := shortLifecycle(cfg, wl, byName["httpd"], dockersim.ModeGear, res.Iterations)
 	if err != nil {
 		return nil, err
 	}
@@ -146,23 +149,20 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 // shortLifecycle repeats launch-request-destroy for httpd under one
 // system on a single persistent daemon (so the image is local after the
 // first iteration — the paper measures steady-state lifecycle costs).
-func shortLifecycle(cfg Config, r *rig, co *corpus.Corpus, mode dockersim.Mode, iterations int) (Fig11Short, error) {
-	d, err := cfg.newDaemon(r, 904)
+func shortLifecycle(cfg Config, wl *fleet.Workload, s *fleet.Series, mode dockersim.Mode, iterations int) (Fig11Short, error) {
+	d, err := cfg.newDaemon(wl, 904)
 	if err != nil {
 		return Fig11Short{}, err
 	}
-	access, err := accessPaths(co, "httpd", 0)
-	if err != nil {
-		return Fig11Short{}, err
-	}
+	access := s.Access[0]
 	var out Fig11Short
 	for i := 0; i < iterations; i++ {
 		var dep *dockersim.Deployment
 		switch mode {
 		case dockersim.ModeDocker:
-			dep, err = d.DeployDocker("httpd", "v01", access, 0)
+			dep, err = d.DeployDocker(s.Name, s.Tags[0], access, 0)
 		case dockersim.ModeGear:
-			dep, err = d.DeployGear(gearRef("httpd"), "v01", access, 0)
+			dep, err = d.DeployGear(s.Ref, s.Tags[0], access, 0)
 		default:
 			return Fig11Short{}, fmt.Errorf("experiments: short-run mode %v unsupported", mode)
 		}

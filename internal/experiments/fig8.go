@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"github.com/gear-image/gear/internal/corpus"
+	"github.com/gear-image/gear/internal/fleet"
 )
 
 // Fig8Category is one category's per-deployment transfer volume.
@@ -37,8 +38,7 @@ func RunFig8(cfg Config) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := cfg.pickSeries(co)
-	r, err := cfg.buildRig(co, series, false)
+	wl, err := fleet.Publish(co, cfg.pickSeries(co), cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -46,9 +46,9 @@ func RunFig8(cfg Config) (*Fig8Result, error) {
 	byCat := make(map[corpus.Category]*Fig8Category)
 	var dockerTotal, coldTotal, warmTotal int64
 
-	for _, s := range series {
+	for _, s := range wl.Series {
 		// Warm-cache daemon persists across the series' versions.
-		warm, err := cfg.newDaemon(r, 904)
+		warm, err := cfg.newDaemon(wl, 904)
 		if err != nil {
 			return nil, err
 		}
@@ -57,15 +57,11 @@ func RunFig8(cfg Config) (*Fig8Result, error) {
 			row = &Fig8Category{Category: s.Category}
 			byCat[s.Category] = row
 		}
-		for v := 0; v < s.NumVersions; v++ {
-			access, err := accessPaths(co, s.Name, v)
-			if err != nil {
-				return nil, err
-			}
-			tag := s.Tags()[v]
+		for v, tag := range s.Tags {
+			access := s.Access[v]
 
 			// Docker: fresh daemon, full image each time.
-			dd, err := cfg.newDaemon(r, 904)
+			dd, err := cfg.newDaemon(wl, 904)
 			if err != nil {
 				return nil, err
 			}
@@ -75,17 +71,17 @@ func RunFig8(cfg Config) (*Fig8Result, error) {
 			}
 
 			// Gear cold: fresh daemon (empty cache) each time.
-			cd, err := cfg.newDaemon(r, 904)
+			cd, err := cfg.newDaemon(wl, 904)
 			if err != nil {
 				return nil, err
 			}
-			coldDep, err := cd.DeployGear(gearRef(s.Name), tag, access, 0)
+			coldDep, err := cd.DeployGear(s.Ref, tag, access, 0)
 			if err != nil {
 				return nil, err
 			}
 
 			// Gear warm: persistent daemon.
-			warmDep, err := warm.DeployGear(gearRef(s.Name), tag, access, 0)
+			warmDep, err := warm.DeployGear(s.Ref, tag, access, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/corpus"
+	"github.com/gear-image/gear/internal/fleet"
 )
 
 // Fig9Bandwidths are the paper's link speeds, Mbps.
@@ -44,8 +45,7 @@ func RunFig9(cfg Config) (*Fig9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := cfg.pickSeries(co)
-	r, err := cfg.buildRig(co, series, false)
+	wl, err := fleet.Publish(co, cfg.pickSeries(co), cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -61,23 +61,15 @@ func RunFig9(cfg Config) (*Fig9Result, error) {
 		counts := make(map[corpus.Category]int)
 		var dockerSum, coldSum, warmSum time.Duration
 
-		for _, s := range series {
-			warm, err := cfg.newDaemon(r, mbps)
+		for _, s := range wl.Series {
+			warm, err := cfg.newDaemon(wl, mbps)
 			if err != nil {
 				return nil, err
 			}
-			compute, err := co.TaskCompute(s.Name)
-			if err != nil {
-				return nil, err
-			}
-			for v := 0; v < s.NumVersions; v++ {
-				access, err := accessPaths(co, s.Name, v)
-				if err != nil {
-					return nil, err
-				}
-				tag := s.Tags()[v]
+			for v, tag := range s.Tags {
+				access, compute := s.Access[v], s.Compute
 
-				dd, err := cfg.newDaemon(r, mbps)
+				dd, err := cfg.newDaemon(wl, mbps)
 				if err != nil {
 					return nil, err
 				}
@@ -85,15 +77,15 @@ func RunFig9(cfg Config) (*Fig9Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				cd, err := cfg.newDaemon(r, mbps)
+				cd, err := cfg.newDaemon(wl, mbps)
 				if err != nil {
 					return nil, err
 				}
-				coldDep, err := cd.DeployGear(gearRef(s.Name), tag, access, compute)
+				coldDep, err := cd.DeployGear(s.Ref, tag, access, compute)
 				if err != nil {
 					return nil, err
 				}
-				warmDep, err := warm.DeployGear(gearRef(s.Name), tag, access, compute)
+				warmDep, err := warm.DeployGear(s.Ref, tag, access, compute)
 				if err != nil {
 					return nil, err
 				}

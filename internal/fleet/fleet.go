@@ -1,6 +1,8 @@
-// Package fleet is the scenario harness for cluster-scale simulation:
-// it composes a netsim.Topology, a peer tracker, and per-node dockersim
-// daemons into fleets of up to thousands of nodes, and drives them
+// Package fleet is the one place a deployment workload is published and
+// a multi-client fleet is built: Publish converts corpus series into
+// in-process registries, and New composes a netsim.Topology, a peer
+// tracker, an optional sharded registry tier, and per-node dockersim
+// daemons into fleets of up to thousands of nodes, which it drives
 // through scripted scenarios — flash-crowd rollouts, node churn,
 // registry failover, mixed long/short-running workloads.
 //
@@ -48,37 +50,46 @@ var (
 // per-phase diffs strip them so snapshots compare bit-for-bit.
 var WallClockMetrics = []string{"store.demand.stall.ns", "store.demand.stall"}
 
-// gearPrefix names a series' Gear form beside the original in the
+// GearPrefix names a series' Gear form beside the original in the
 // workload's Docker registry: the converter publishes under it and
-// Workload.Ref is built from it.
-const gearPrefix = "gear/"
+// Series.Ref is built from it.
+const GearPrefix = "gear/"
 
-// Workload is the image material a fleet deploys: one series published
-// into in-process registries, with the per-version access lists and
-// task compute the daemons replay. It is read-only once built, so one
-// workload can back many harnesses (and many scenario runs).
-type Workload struct {
-	// Docker/Gear are the registries holding the series (original
-	// images + Gear index images, and Gear files respectively).
-	Docker *registry.Registry
-	Gear   *gearregistry.Registry
-	// Series is the corpus series name; Ref is its Gear index
-	// reference (gearPrefix + series); Tags lists the version tags.
-	Series string
-	Ref    string
-	Tags   []string
+// The link classes of every fleet, in paper-quoted Mbps before corpus
+// scaling: the paper's 20 Mbps registry uplink and 1000 Mbps cluster LAN.
+const (
+	WANMbps = 20
+	LANMbps = 1000
+)
+
+// Series is one published image series: its Gear index reference, its
+// version tags, and the per-version access lists and task compute the
+// daemons replay.
+type Series struct {
+	Name     string
+	Category corpus.Category
+	// Ref is the Gear index reference (GearPrefix + Name).
+	Ref  string
+	Tags []string
 	// Access[v] is version v's launch-time access list.
 	Access [][]string
 	// Compute is the per-deploy task compute time.
 	Compute time.Duration
-	// Scale is the corpus byte scale the workload was built at; the
-	// harness uses it to size link bandwidths and wire overheads the
-	// same way the experiments package does.
-	Scale float64
 }
 
-// Versions returns the number of published versions.
-func (w *Workload) Versions() int { return len(w.Tags) }
+// Workload is the image material a fleet deploys: series published into
+// in-process registries (original images + Gear index images in Docker,
+// Gear files in Gear). It is read-only once built, so one workload can
+// back many harnesses (and many scenario runs). Scenarios roll out the
+// first series.
+type Workload struct {
+	Docker *registry.Registry
+	Gear   *gearregistry.Registry
+	Series []Series
+	// Scale is the corpus byte scale the workload was built at; the
+	// harness sizes link bandwidths and wire overheads by it.
+	Scale float64
+}
 
 // WorkloadOptions parameterizes BuildWorkload. Zero fields default to
 // the experiments package's quick configuration (seed 20211107, scale
@@ -114,52 +125,69 @@ func BuildWorkload(o WorkloadOptions) (*Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: workload corpus: %w", err)
 	}
-	series := co.Series()
-	if len(series) == 0 {
+	if len(co.Series()) == 0 {
 		return nil, fmt.Errorf("fleet: workload series %q: %w", o.Series, ErrBadFleet)
 	}
-	s := series[0]
+	return Publish(co, co.Series(), o.Scale)
+}
+
+// Publish converts every version of the given series with one
+// converter, in series then version order, pushes the originals and
+// their Gear forms into fresh registries, and records each series'
+// access lists and task compute. scale is the corpus's byte scale.
+func Publish(co *corpus.Corpus, series []corpus.Series, scale float64) (*Workload, error) {
 	wl := &Workload{
 		Docker: registry.New(),
 		Gear:   gearregistry.New(gearregistry.Options{Compress: true}),
-		Series: s.Name,
-		Ref:    gearPrefix + s.Name,
-		Tags:   s.Tags(),
-		Scale:  o.Scale,
+		Scale:  scale,
 	}
-	conv, err := convert.New(convert.Options{IndexPrefix: gearPrefix})
+	conv, err := convert.New(convert.Options{IndexPrefix: GearPrefix})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: workload converter: %w", err)
 	}
-	for v := 0; v < s.NumVersions; v++ {
-		img, err := co.Image(s.Name, v)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: workload image %s v%d: %w", s.Name, v, err)
+	for _, s := range series {
+		ws := Series{Name: s.Name, Category: s.Category, Ref: GearPrefix + s.Name, Tags: s.Tags()}
+		for v := range ws.Tags {
+			paths, err := wl.publish(co, conv, s.Name, v)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: workload %s v%d: %w", s.Name, v, err)
+			}
+			ws.Access = append(ws.Access, paths)
 		}
-		if _, err := registry.Push(wl.Docker, img); err != nil {
-			return nil, fmt.Errorf("fleet: workload push %s v%d: %w", s.Name, v, err)
+		if ws.Compute, err = co.TaskCompute(s.Name); err != nil {
+			return nil, fmt.Errorf("fleet: workload compute: %w", err)
 		}
-		res, err := conv.Convert(img)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: workload convert %s v%d: %w", s.Name, v, err)
-		}
-		if _, _, err := convert.Publish(res, wl.Docker, wl.Gear); err != nil {
-			return nil, fmt.Errorf("fleet: workload publish %s v%d: %w", s.Name, v, err)
-		}
-		items, err := co.NecessarySet(s.Name, v)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: workload access %s v%d: %w", s.Name, v, err)
-		}
-		paths := make([]string, len(items))
-		for i, it := range items {
-			paths[i] = it.Path
-		}
-		wl.Access = append(wl.Access, paths)
-	}
-	if wl.Compute, err = co.TaskCompute(s.Name); err != nil {
-		return nil, fmt.Errorf("fleet: workload compute: %w", err)
+		wl.Series = append(wl.Series, ws)
 	}
 	return wl, nil
+}
+
+// publish pushes version v of a series and its Gear form, and returns
+// the version's launch-time access list.
+func (wl *Workload) publish(co *corpus.Corpus, conv *convert.Converter, series string, v int) ([]string, error) {
+	img, err := co.Image(series, v)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := registry.Push(wl.Docker, img); err != nil {
+		return nil, err
+	}
+	res, err := conv.Convert(img)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := convert.Publish(res, wl.Docker, wl.Gear); err != nil {
+		return nil, err
+	}
+	items, err := co.NecessarySet(series, v)
+	if err != nil {
+		return nil, err
+	}
+	paths := make([]string, len(items))
+	for i, it := range items {
+		paths[i] = it.Path
+	}
+	return paths, nil
 }
 
 // Options configures a Harness.
@@ -208,7 +236,9 @@ type node struct {
 // the read-only accessors are safe to call concurrently with a running
 // scenario — that is the -race hammer contract.
 type Harness struct {
-	wl      *Workload
+	wl *Workload
+	// series is what scenarios roll out: the workload's first series.
+	series  *Series
 	opts    Options
 	tele    *telemetry.Registry
 	topo    *netsim.Topology
@@ -245,7 +275,7 @@ type Harness struct {
 // New returns a harness over wl. No nodes are attached yet; scenarios
 // (or tests) call Join.
 func New(wl *Workload, opts Options) (*Harness, error) {
-	if wl == nil || wl.Versions() == 0 {
+	if wl == nil || len(wl.Series) == 0 || len(wl.Series[0].Tags) == 0 {
 		return nil, fmt.Errorf("fleet: nil or empty workload: %w", ErrBadFleet)
 	}
 	if opts.Nodes <= 0 {
@@ -255,10 +285,9 @@ func New(wl *Workload, opts Options) (*Harness, error) {
 	if scale == 0 {
 		scale = 1
 	}
-	// The paper's 20 Mbps registry uplink and 1000 Mbps cluster LAN,
-	// scaled like the corpus.
-	wan := netsim.DefaultLAN().WithBandwidth(20.0 / 1000 * scale)
-	lan := netsim.DefaultLAN().WithBandwidth(1000.0 / 1000 * scale)
+	// The fleet's link classes, scaled like the corpus.
+	wan := netsim.DefaultLAN().WithBandwidth(WANMbps / 1000.0 * scale)
+	lan := netsim.DefaultLAN().WithBandwidth(LANMbps / 1000.0 * scale)
 	tele := opts.Telemetry
 	if tele == nil {
 		tele = telemetry.NewRegistry()
@@ -269,6 +298,7 @@ func New(wl *Workload, opts Options) (*Harness, error) {
 	}
 	h := &Harness{
 		wl:           wl,
+		series:       &wl.Series[0],
 		opts:         opts,
 		tele:         tele,
 		topo:         topo,
@@ -346,6 +376,10 @@ func ShardID(i int) string { return fmt.Sprintf("shard%02d", i) }
 // Cluster returns the sharded registry tier, or nil when the fleet runs
 // against the single-node registry.
 func (h *Harness) Cluster() *shardreg.Cluster { return h.cluster }
+
+// ShardTopology returns the shard tier's own topology, or nil without
+// one. Scenarios and tier-only callers slow or jitter shards through it.
+func (h *Harness) ShardTopology() *netsim.Topology { return h.shardTopo }
 
 // NodeID returns the canonical id of fleet member i ("node0000"...).
 func NodeID(i int) string { return fmt.Sprintf("node%04d", i) }
@@ -440,15 +474,16 @@ func (h *Harness) lookup(id string) (*node, error) {
 // Deploy deploys workload version v on the named node (Gear mode) and
 // keeps the deployment as the node's current container.
 func (h *Harness) Deploy(id string, v int) (*dockersim.Deployment, error) {
-	if v < 0 || v >= h.wl.Versions() {
+	s := h.series
+	if v < 0 || v >= len(s.Tags) {
 		return nil, fmt.Errorf("fleet: deploy %q: version %d of %d: %w",
-			id, v, h.wl.Versions(), ErrBadFleet)
+			id, v, len(s.Tags), ErrBadFleet)
 	}
 	n, err := h.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	dep, err := n.daemon.DeployGear(h.wl.Ref, h.wl.Tags[v], h.wl.Access[v], h.wl.Compute)
+	dep, err := n.daemon.DeployGear(s.Ref, s.Tags[v], s.Access[v], s.Compute)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: deploy %q v%d: %w", id, v, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/dockersim"
 	"github.com/gear-image/gear/internal/netsim"
 	"github.com/gear-image/gear/internal/telemetry"
@@ -31,6 +32,66 @@ func testWorkload(t *testing.T) *Workload {
 		t.Fatalf("BuildWorkload: %v", wlErr)
 	}
 	return testWL
+}
+
+// TestPublishSeries: a two-series workload records, per series, the
+// corpus's access lists and task compute, and a joined node deploys a
+// version of the second series from it.
+func TestPublishSeries(t *testing.T) {
+	co, err := corpus.New(corpus.Options{
+		Seed:         7,
+		Scale:        0.05,
+		SeriesFilter: []string{"nginx", "redis"},
+		MaxVersions:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := Publish(co, co.Series(), 0.05)
+	if err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	if len(wl.Series) != 2 {
+		t.Fatalf("published %d series, want 2", len(wl.Series))
+	}
+	for _, s := range wl.Series {
+		if len(s.Access) != len(s.Tags) || len(s.Tags) != 2 {
+			t.Fatalf("%s: %d access lists for %d tags, want 2 each", s.Name, len(s.Access), len(s.Tags))
+		}
+		for v := range s.Tags {
+			items, err := co.NecessarySet(s.Name, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]string, len(items))
+			for i, it := range items {
+				want[i] = it.Path
+			}
+			if !reflect.DeepEqual(s.Access[v], want) {
+				t.Errorf("%s v%d: access list differs from corpus.NecessarySet", s.Name, v)
+			}
+		}
+		if compute, err := co.TaskCompute(s.Name); err != nil || s.Compute != compute {
+			t.Errorf("%s: compute %v, want %v (%v)", s.Name, s.Compute, compute, err)
+		}
+	}
+
+	h, err := New(wl, Options{Nodes: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Join(NodeID(0)); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := h.Daemon(NodeID(0))
+	s := &wl.Series[1]
+	dep, err := d.DeployGear(s.Ref, s.Tags[1], s.Access[1], s.Compute)
+	if err != nil {
+		t.Fatalf("deploy %s:%s: %v", s.Ref, s.Tags[1], err)
+	}
+	if dep.Pull.Bytes+dep.Run.Bytes == 0 {
+		t.Errorf("deploy of %s:%s moved no bytes", s.Ref, s.Tags[1])
+	}
 }
 
 // runScenario builds a fresh harness and runs one scenario, returning
@@ -204,10 +265,11 @@ func TestHarnessTypedErrors(t *testing.T) {
 	if err := h.Leave("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.DeployGear(wl.Ref, wl.Tags[0], wl.Access[0], wl.Compute); !errors.Is(err, dockersim.ErrDetached) {
+	s := &wl.Series[0]
+	if _, err := d.DeployGear(s.Ref, s.Tags[0], s.Access[0], s.Compute); !errors.Is(err, dockersim.ErrDetached) {
 		t.Errorf("deploy on departed daemon = %v, want ErrDetached", err)
 	}
-	if _, err := d.DeployGear(wl.Ref, wl.Tags[0], wl.Access[0], wl.Compute); !errors.Is(err, netsim.ErrLinkClosed) {
+	if _, err := d.DeployGear(s.Ref, s.Tags[0], s.Access[0], s.Compute); !errors.Is(err, netsim.ErrLinkClosed) {
 		t.Errorf("ErrDetached does not wrap netsim.ErrLinkClosed: %v", err)
 	}
 

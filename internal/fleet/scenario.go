@@ -155,7 +155,7 @@ func (h *Harness) phase(res *Result, name string, fn func() error) error {
 }
 
 // latest returns the newest workload version index.
-func (h *Harness) latest() int { return h.wl.Versions() - 1 }
+func (h *Harness) latest() int { return len(h.series.Tags) - 1 }
 
 // clampVersion bounds v to the published version range.
 func (h *Harness) clampVersion(v int) int {
@@ -389,7 +389,7 @@ func (h *Harness) runMixed(res *Result) error {
 	perm := h.rng.Perm(h.opts.Nodes)
 	long, short := perm[:h.opts.Nodes/2], perm[h.opts.Nodes/2:]
 	if err := h.phase(res, "longrun", func() error {
-		paths := h.wl.Access[0]
+		paths := h.series.Access[0]
 		for _, i := range long {
 			for r := 0; r < mixedReadsPerService; r++ {
 				if _, err := h.Read(NodeID(i), paths[h.rng.Intn(len(paths))]); err != nil {

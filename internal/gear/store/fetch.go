@@ -253,8 +253,10 @@ type Transfer struct {
 	// Joined reports a fault that moved nothing itself: it waited for
 	// another transfer's flight to deliver the object.
 	Joined bool
-	// Wall is how long the reader was blocked; background and window
-	// transfers are not timed.
+	// Wall is how long the reader was blocked, in host wall time
+	// (time.Since), not virtual time, so it is not reproducible across
+	// runs until the store takes an injected clock (ROADMAP item 4(a)).
+	// Background and window transfers are not timed.
 	Wall time.Duration
 }
 

@@ -4,8 +4,8 @@
 # 405 itself, writes a reply body to the ResponseWriter itself, or names
 # net/http's default client or transport — or when any non-test code
 # outside loadbench/ builds a net/http transport, probes a gearregistry
-# store for a verb, renames a converted image outside the converter, or
-# builds a remote client a second way.
+# store for a verb, renames a converted image outside the converter,
+# builds a remote client a second way, or builds a fleet by hand.
 #
 # Every HTTP protocol in the repo, all five, is a verb table over
 # internal/wire (DESIGN.md, "Wire protocols"): the client helper bounds
@@ -125,6 +125,21 @@ if [ -n "$twins" ]; then
   echo "wirelint: a second way to build a client or read a tracker's stats:" >&2
   printf '%s\n' "$twins" >&2
   echo "  build the client with NewClient(baseURL, hc) and set hc.Timeout; read /peer/metrics" >&2
+  exit 1
+fi
+# A multi-client fleet — its topology, peer tracker and shard tier — is
+# built in one place, fleet.New, so every caller prices the same link
+# classes and seeds the tier the same way; a tier-only caller builds a
+# harness and joins no node. A constructor called anywhere else is a
+# hand-built fleet growing back. loadbench/ (the benchmark's own
+# harness) and the public facade gear.go are exempt.
+fleets=$(grep -rn --include='*.go' -E 'shardreg\.New\(|netsim\.NewTopology\(|peer\.NewTracker\(' . \
+  | grep -v '_test\.go:' \
+  | grep -v -E '^\./(internal/fleet/|loadbench/|gear\.go:)' || true)
+if [ -n "$fleets" ]; then
+  echo "wirelint: a fleet, topology or shard tier built outside internal/fleet:" >&2
+  printf '%s\n' "$fleets" >&2
+  echo "  build it with fleet.New" >&2
   exit 1
 fi
 echo "wirelint: ok"
