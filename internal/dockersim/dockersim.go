@@ -363,22 +363,26 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 // latency (one RTT for a batched round trip, one per object otherwise)
 // and the streams split the link bandwidth at the link's current
 // configuration. What peers served is a batch on the peer link. Moving
-// no objects costs nothing on either.
-func (d *Daemon) priceTransfer(t store.Transfer) {
+// no objects costs nothing on either. The price returned, WAN plus LAN
+// time, is what the transfer added to the links' elapsed time, and the
+// store's demand stall for a fault or range read.
+func (d *Daemon) priceTransfer(t store.Transfer) time.Duration {
 	wire := func(st store.StreamStat) int64 {
 		return st.Bytes + int64(st.Objects)*d.opts.GearRequestBytes
 	}
+	var wan time.Duration
 	if t.Window == nil {
-		d.link.Transfer(t.Registry.Objects, wire(t.Registry))
+		wan, _ = d.link.Transfer(t.Registry.Objects, wire(t.Registry))
 	} else {
 		streams := make([]netsim.Stream, 0, len(t.Window))
 		for _, st := range t.Window {
 			streams = append(streams, netsim.Stream{
 				Requests: st.Objects, Bytes: wire(st), Batched: st.Batched})
 		}
-		d.link.TransferWindow(streams)
+		wan, _ = d.link.TransferWindow(streams)
 	}
-	d.peerLink.Transfer(t.Peer.Objects, wire(t.Peer))
+	lan, _ := d.peerLink.Transfer(t.Peer.Objects, wire(t.Peer))
+	return wan + lan
 }
 
 // PricePushWindow returns the convert.PushOptions.OnPushWindow hook that

@@ -597,6 +597,39 @@ func TestTraceSpansAccountForAllWANBytes(t *testing.T) {
 	}
 }
 
+// TestDemandStallIsPricedTime: a cold, serial Gear deploy's demand stall
+// is the time netsim priced for its faults, whichever way it is read. The
+// store's stall counter, the sum of its stall histogram and the daemon
+// ring's fault spans each come to Deployment.DemandStall exactly.
+func TestDemandStallIsPricedTime(t *testing.T) {
+	r := buildRig(t, "nginx", 1)
+	d := r.newDaemon(t, 20)
+	before := d.Snapshot()
+	dep, err := d.DeployGear("gear/nginx", "v01", r.access(t, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dep.DemandStall <= 0 || dep.DemandMisses == 0 {
+		t.Fatalf("cold deploy: stall=%v misses=%d, want both positive", dep.DemandStall, dep.DemandMisses)
+	}
+	diff := d.Snapshot().Diff(before)
+	var spans time.Duration
+	for _, sp := range d.TraceRing().Snapshot() {
+		if sp.Op == "fault" {
+			spans += sp.Transfer
+		}
+	}
+	for what, got := range map[string]time.Duration{
+		"store.demand.stall.ns":         time.Duration(diff.Counter("store.demand.stall.ns")),
+		"store.demand.stall (sum)":      time.Duration(diff.Histograms["store.demand.stall"].Sum),
+		"fault spans' transfer (total)": spans,
+	} {
+		if got != dep.DemandStall {
+			t.Errorf("%s = %v, want the deploy's demand stall %v", what, got, dep.DemandStall)
+		}
+	}
+}
+
 func TestGearProfileGuidedRedeploy(t *testing.T) {
 	r := buildRig(t, "nginx", 1)
 	lib := prefetch.NewLibrary()

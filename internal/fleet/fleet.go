@@ -10,9 +10,10 @@
 // who rejoins, which paths a long-running service reads) is drawn from
 // one seeded math/rand source, and all daemons publish into one shared
 // telemetry registry, so a run is bit-reproducible from (scenario,
-// seed): same seed, same schedule, same telemetry snapshot — modulo the
-// few wall-clock-derived metrics listed in WallClockMetrics, which the
-// per-phase accounting strips.
+// seed): same seed, same schedule, same telemetry snapshot, the store's
+// demand stall included. Stall is the priced duration when a hook prices
+// it, otherwise wall time, and every fleet daemon's store is priced by
+// dockersim, so the stall is netsim time.
 package fleet
 
 import (
@@ -42,13 +43,6 @@ var (
 	// ErrAlreadyRun reports a second Run on a single-use harness.
 	ErrAlreadyRun = errors.New("harness already ran a scenario")
 )
-
-// WallClockMetrics names the telemetry metrics derived from the host's
-// real clock rather than the simulation's virtual clock (the store
-// measures demand-stall latency with time.Now). They are the only
-// metrics that differ between two runs of the same (scenario, seed);
-// per-phase diffs strip them so snapshots compare bit-for-bit.
-var WallClockMetrics = []string{"store.demand.stall.ns", "store.demand.stall"}
 
 // GearPrefix names a series' Gear form beside the original in the
 // workload's Docker registry: the converter publishes under it and
@@ -597,12 +591,4 @@ func (h *Harness) refreshLinkGauges() {
 	h.lanElapsed.Set(int64(lan.Elapsed))
 	h.nodesGauge.Set(int64(len(h.nodes)))
 	h.mu.Unlock()
-}
-
-// phaseDiff returns the change in fleet telemetry since before with the
-// wall-clock metrics stripped, computed in one registry pass (see
-// telemetry.Registry.DiffStripped) — the per-phase accounting hot path.
-func (h *Harness) phaseDiff(before telemetry.Snapshot) telemetry.Snapshot {
-	h.refreshLinkGauges()
-	return h.tele.DiffStripped(before, WallClockMetrics...)
 }

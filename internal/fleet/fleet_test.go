@@ -95,7 +95,7 @@ func TestPublishSeries(t *testing.T) {
 }
 
 // runScenario builds a fresh harness and runs one scenario, returning
-// the result and the final stripped fleet snapshot. The straggler
+// the result and the final fleet snapshot. The straggler
 // scenario gets the sharded tier it requires.
 func runScenario(t *testing.T, kind Kind, nodes int, seed int64) (*Result, telemetry.Snapshot) {
 	t.Helper()
@@ -113,17 +113,21 @@ func runScenario(t *testing.T, kind Kind, nodes int, seed int64) (*Result, telem
 	if err != nil {
 		t.Fatalf("Run(%s): %v", kind, err)
 	}
-	return res, h.Snapshot().Strip(WallClockMetrics...)
+	return res, h.Snapshot()
 }
 
 // TestScenarioDeterminism is the replay golden test: the same
 // (scenario, seed) must reproduce bit-identical results and telemetry
-// snapshots, run to run, for every scenario kind.
+// snapshots, run to run, for every scenario kind — the demand-stall
+// histogram included, since the stall is the price netsim charged.
 func TestScenarioDeterminism(t *testing.T) {
 	for _, kind := range Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			res1, snap1 := runScenario(t, kind, 16, 42)
 			res2, snap2 := runScenario(t, kind, 16, 42)
+			if st := snap1.Histograms["store.demand.stall"]; st.Count == 0 || st.Sum == 0 {
+				t.Errorf("no demand stall observed: %+v", st)
+			}
 
 			j1, err := res1.Canonical()
 			if err != nil {
@@ -148,11 +152,17 @@ func TestScenarioDeterminism(t *testing.T) {
 				t.Errorf("fingerprints differ: %s vs %s", fp1, fp2)
 			}
 
-			// Every phase diff must be structurally valid.
+			// Every phase diff must be structurally valid, and the phase
+			// diffs carry the whole run's demand stall between them.
+			var stall int64
 			for _, p := range res1.Phases {
 				if err := p.Telemetry.Validate(); err != nil {
 					t.Errorf("phase %s: %v", p.Name, err)
 				}
+				stall += p.Telemetry.Counter("store.demand.stall.ns")
+			}
+			if want := snap1.Counter("store.demand.stall.ns"); stall != want {
+				t.Errorf("phase diffs carry %d ns of demand stall, the run %d", stall, want)
 			}
 		})
 	}

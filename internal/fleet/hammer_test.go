@@ -30,10 +30,7 @@ func TestSnapshotHammer(t *testing.T) {
 				default:
 				}
 				snap := h.Snapshot()
-				// The wall-clock histogram tears benignly under concurrent
-				// observation (three independent atomic adds); everything
-				// else must validate mid-flight.
-				if err := snap.Strip(WallClockMetrics...).Validate(); err != nil {
+				if err := snap.Validate(); err != nil {
 					t.Error(err)
 					return
 				}

@@ -14,8 +14,8 @@ import (
 
 // PhaseResult is one scenario phase's accounting: the fleet activity it
 // scripted, the traffic each link class carried, and the fleet-wide
-// telemetry diff over the phase (wall-clock metrics stripped, so it is
-// identical across runs of the same (scenario, seed)).
+// telemetry diff over the phase, identical across runs of the same
+// (scenario, seed).
 type PhaseResult struct {
 	Name     string `json:"name"`
 	Joins    int64  `json:"joins,omitempty"`
@@ -35,7 +35,7 @@ type PhaseResult struct {
 	WAN      netsim.Stats `json:"wan"`
 	LAN      netsim.Stats `json:"lan"`
 	ShardWAN netsim.Stats `json:"shardWAN,omitzero"`
-	// Telemetry is the stripped fleet-wide snapshot diff.
+	// Telemetry is the fleet-wide snapshot diff.
 	Telemetry telemetry.Snapshot `json:"telemetry"`
 }
 

@@ -99,10 +99,9 @@ func (h *Harness) Run(kind Kind) (*Result, error) {
 	return res, nil
 }
 
-// phase runs fn as one accounted scenario phase: its telemetry diff
-// (wall-clock metrics stripped), link deltas, and deploy-time extrema
-// land in one PhaseResult, and a span summarizing the phase is recorded
-// into the harness ring.
+// phase runs fn as one accounted scenario phase: its telemetry diff,
+// link deltas, and deploy-time extrema land in one PhaseResult, and a
+// span summarizing the phase is recorded into the harness ring.
 func (h *Harness) phase(res *Result, name string, fn func() error) error {
 	before := h.Snapshot()
 	wanBefore, lanBefore := h.topo.WANStats(), h.topo.LANStats()
@@ -118,7 +117,7 @@ func (h *Harness) phase(res *Result, name string, fn func() error) error {
 		return fmt.Errorf("fleet: %s/%s: %w", res.Scenario, name, err)
 	}
 
-	diff := h.phaseDiff(before)
+	diff := h.Snapshot().Diff(before)
 	h.mu.Lock()
 	maxDeploy := h.maxDeploy
 	h.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gearregistry"
@@ -105,8 +106,9 @@ func TestConcurrentFaultsSingleDownload(t *testing.T) {
 	var hookObjects atomic.Int64
 	s := mustStore(t, Options{
 		Remote: counting,
-		OnTransfer: func(t Transfer) {
+		OnTransfer: func(t Transfer) time.Duration {
 			hookObjects.Add(int64(t.Registry.Objects))
+			return 0
 		},
 	})
 	if err := s.AddIndex(ix); err != nil {
@@ -239,7 +241,10 @@ func TestFetchAllBatchesPerWorker(t *testing.T) {
 	})
 
 	var windows [][]StreamStat
-	s.opts.OnTransfer = func(t Transfer) { windows = append(windows, t.Window) }
+	s.opts.OnTransfer = func(t Transfer) time.Duration {
+		windows = append(windows, t.Window)
+		return 0
+	}
 	window, err := s.FetchAll(fps)
 	if err != nil {
 		t.Fatal(err)

@@ -162,20 +162,14 @@ func (s *Store) fetchFromPeer(fp hashing.Fingerprint) ([]byte, int64, bool) {
 }
 
 // enterDemand admits one blocking demand transfer of size bytes and
-// starts its stall clock; leaveDemand retires it and charges the time
-// since to the demand stall — every caller is a foreground read, so that
-// time is a container blocked on the network.
+// returns the host time of its admission, from which a store without an
+// OnTransfer hook times the stall; leaveDemand retires it.
 func (s *Store) enterDemand(size int64) time.Time {
 	s.gate.enter(classDemand, size)
 	return time.Now()
 }
 
-func (s *Store) leaveDemand(size int64, start time.Time) {
-	stall := time.Since(start)
-	s.m.stallNanos.Add(stall.Nanoseconds())
-	s.m.stall.ObserveDuration(stall)
-	s.gate.leave(classDemand, size)
-}
+func (s *Store) leaveDemand(size int64) { s.gate.leave(classDemand, size) }
 
 // fetchOne faults in the Gear file for fp, which the caller has just
 // missed in the level-1 cache: it joins fp's flight if one is in
@@ -186,7 +180,7 @@ func (s *Store) leaveDemand(size int64, start time.Time) {
 // account with whatever else shares its round trip.
 func (s *Store) fetchOne(fp hashing.Fingerprint, size int64) (*vfs.Content, Transfer, error) {
 	start := s.enterDemand(size)
-	defer s.leaveDemand(size, start)
+	defer s.leaveDemand(size)
 	t := Transfer{Class: telemetry.ClassDemand}
 	f, led := s.claim(fp)
 	if led {
@@ -195,7 +189,7 @@ func (s *Store) fetchOne(fp hashing.Fingerprint, size int64) (*vfs.Content, Tran
 		<-f.done
 		t.Joined = f.err == nil
 	}
-	t.Op, t.Ref, t.Wall = "fault", refPrefix(fp), time.Since(start)
+	t.Op, t.Ref, t.Stall = "fault", refPrefix(fp), time.Since(start)
 	if f.err != nil {
 		return nil, t, f.err
 	}
@@ -253,11 +247,12 @@ type Transfer struct {
 	// Joined reports a fault that moved nothing itself: it waited for
 	// another transfer's flight to deliver the object.
 	Joined bool
-	// Wall is how long the reader was blocked, in host wall time
-	// (time.Since), not virtual time, so it is not reproducible across
-	// runs until the store takes an injected clock (ROADMAP item 4(a)).
+	// Stall is how long a demand read ("fault" or "rangefault") was
+	// blocked: the price OnTransfer returned for it when a hook prices the
+	// store's transfers (0 if the read moved nothing itself), otherwise
+	// host wall time from the read's admission. The hook sees it 0.
 	// Background and window transfers are not timed.
-	Wall time.Duration
+	Stall time.Duration
 }
 
 func (t *Transfer) add(o Transfer) {
@@ -265,12 +260,14 @@ func (t *Transfer) add(o Transfer) {
 	t.Peer.add(o.Peer.Objects, o.Peer.Bytes)
 }
 
-// account is the one way out of the fetch pipeline into telemetry. Each
-// part is traced on its own, a span per source that served it; the parts
-// together — the chunk faults of one span read, which share a round trip,
-// or the single record of anything else — move the store.* counters once
-// and are priced by one OnTransfer call. What crossed the wire is
-// accounted whether or not the operation went on to succeed.
+// account is the one way out of the fetch pipeline into telemetry. The
+// parts together — the chunk faults of one span read, which share a round
+// trip, or the single record of anything else — move the store.* counters
+// once, are priced by one OnTransfer call, and, for a demand read, make
+// one stall observation: the hook's price, or without a hook the longest
+// part's wall time. Each part is then traced on its own, a span per
+// source that served it, carrying the read's stall. What crossed the wire
+// is accounted whether or not the operation went on to succeed.
 func (s *Store) account(parts ...Transfer) {
 	if len(parts) == 0 {
 		return
@@ -278,13 +275,32 @@ func (s *Store) account(parts ...Transfer) {
 	sum := parts[0]
 	for _, t := range parts[1:] {
 		sum.add(t)
-		sum.Ref, sum.Joined, sum.Wall = "", false, max(sum.Wall, t.Wall)
+		sum.Ref, sum.Joined, sum.Stall = "", false, max(sum.Stall, t.Stall)
+	}
+	reg, peer := sum.Registry, sum.Peer
+	s.m.remoteObjects.Add(int64(reg.Objects))
+	s.m.remoteBytes.Add(reg.Bytes)
+	s.m.peerObjects.Add(int64(peer.Objects))
+	s.m.peerBytes.Add(peer.Bytes)
+	if sum.Class == telemetry.ClassPrefetch {
+		s.m.prefetchObjects.Add(int64(reg.Objects))
+		s.m.prefetchBytes.Add(reg.Bytes)
+	}
+	if s.opts.OnTransfer != nil {
+		sum.Stall = 0
+		if reg.Objects > 0 || peer.Objects > 0 {
+			sum.Stall = s.opts.OnTransfer(sum)
+		}
+	}
+	if sum.Op == "fault" || sum.Op == "rangefault" {
+		s.m.stallNanos.Add(sum.Stall.Nanoseconds())
+		s.m.stall.ObserveDuration(sum.Stall)
 	}
 	for _, t := range parts {
-		span := telemetry.Span{Op: t.Op, Ref: t.Ref, Class: t.Class, Transfer: t.Wall}
+		span := telemetry.Span{Op: t.Op, Ref: t.Ref, Class: t.Class, Transfer: sum.Stall}
 		if t.Joined {
 			span.Source, span.Objects = telemetry.SourceCache, 1
-			span.QueueWait, span.Transfer = t.Wall, 0
+			span.QueueWait, span.Transfer = sum.Stall, 0
 			s.opts.Trace.Record(span)
 		}
 		if t.Peer.Objects > 0 {
@@ -295,21 +311,6 @@ func (s *Store) account(parts ...Transfer) {
 			span.Source, span.Objects, span.Bytes = telemetry.SourceRegistry, t.Registry.Objects, t.Registry.Bytes
 			s.opts.Trace.Record(span)
 		}
-	}
-	reg, peer := sum.Registry, sum.Peer
-	if reg.Objects == 0 && peer.Objects == 0 {
-		return
-	}
-	s.m.remoteObjects.Add(int64(reg.Objects))
-	s.m.remoteBytes.Add(reg.Bytes)
-	s.m.peerObjects.Add(int64(peer.Objects))
-	s.m.peerBytes.Add(peer.Bytes)
-	if sum.Class == telemetry.ClassPrefetch {
-		s.m.prefetchObjects.Add(int64(reg.Objects))
-		s.m.prefetchBytes.Add(reg.Bytes)
-	}
-	if s.opts.OnTransfer != nil {
-		s.opts.OnTransfer(sum)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gearregistry"
@@ -109,9 +110,10 @@ func TestPeerFetchServesFromPeersNotRegistry(t *testing.T) {
 	s := mustStore(t, Options{
 		Remote: counting,
 		Peers:  peers,
-		OnTransfer: func(t Transfer) {
+		OnTransfer: func(t Transfer) time.Duration {
 			hookObjects.Add(int64(t.Peer.Objects))
 			hookBytes.Add(t.Peer.Bytes)
+			return 0
 		},
 	})
 	if err := s.AddIndex(ix); err != nil {

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/gear-image/gear/internal/cache"
 	"github.com/gear-image/gear/internal/gear/index"
@@ -55,8 +56,11 @@ type Options struct {
 	// OnTransfer, if set, observes everything the store moves over the
 	// network, once per transfer: a fault, the chunk faults of one span
 	// read, a readahead, a range read, or a FetchAll window (see
-	// Transfer). The deployment simulator prices netsim links here.
-	OnTransfer func(Transfer)
+	// Transfer), and returns the price it charged. Stall is the priced
+	// duration when a hook prices it, otherwise wall time: the price of
+	// a fault or range read is its demand stall (Transfer.Stall). The
+	// deployment simulator prices netsim links here.
+	OnTransfer func(Transfer) time.Duration
 	// FetchWorkers bounds the concurrency of FetchAll (and Prefetch,
 	// which uses it). 0 selects DefaultFetchWorkers. Lazy single-file
 	// faults (Resolve) are unaffected.

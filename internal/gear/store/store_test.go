@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/gear-image/gear/internal/cache"
 	"github.com/gear-image/gear/internal/gear/convert"
@@ -378,9 +379,10 @@ func TestOnTransferHook(t *testing.T) {
 	ix, reg := fixture(t)
 	var objects int
 	var bytesFetched int64
-	s := mustStore(t, Options{Remote: reg, OnTransfer: func(t Transfer) {
+	s := mustStore(t, Options{Remote: reg, OnTransfer: func(t Transfer) time.Duration {
 		objects += t.Registry.Objects
 		bytesFetched += t.Registry.Bytes
+		return 0
 	}})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package store
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gear/viewer"
@@ -152,10 +153,11 @@ func TestEveryTransferIsAccountedOnceThreeWays(t *testing.T) {
 			e := row.setup(t)
 			var mu sync.Mutex
 			var calls []Transfer
-			e.opts.OnTransfer = func(tr Transfer) {
+			e.opts.OnTransfer = func(tr Transfer) time.Duration {
 				mu.Lock()
 				calls = append(calls, tr)
 				mu.Unlock()
+				return 0
 			}
 			e.opts.Trace = telemetry.NewTraceRing(0)
 			s := mustStore(t, e.opts)

@@ -137,7 +137,7 @@ func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) (data []byte, ok
 		return sliceRange(c.Data(), off, n), true, nil
 	}
 	start := s.enterDemand(n)
-	defer s.leaveDemand(n, start)
+	defer s.leaveDemand(n)
 	payload, wire, err := s.opts.Remote.DownloadRange(fp, off, n)
 	if errors.Is(err, gearregistry.ErrBadRange) || errors.Is(err, gearregistry.ErrNotFound) {
 		return nil, false, nil
@@ -149,7 +149,7 @@ func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) (data []byte, ok
 	s.m.rangeReads.Inc()
 	s.account(Transfer{
 		Op: "rangefault", Class: telemetry.ClassDemand, Ref: refPrefix(fp),
-		Registry: StreamStat{Objects: 1, Bytes: wire}, Wall: time.Since(start),
+		Registry: StreamStat{Objects: 1, Bytes: wire}, Stall: time.Since(start),
 	})
 	return payload, true, nil
 }

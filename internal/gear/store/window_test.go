@@ -134,9 +134,10 @@ func TestFailedChunkedReadAccountsWhatMoved(t *testing.T) {
 	}
 	var hookObjects int
 	var hookBytes int64
-	s := mustStore(t, Options{Remote: reg, OnTransfer: func(t Transfer) {
+	s := mustStore(t, Options{Remote: reg, OnTransfer: func(t Transfer) time.Duration {
 		hookObjects += t.Registry.Objects
 		hookBytes += t.Registry.Bytes
+		return 0
 	}})
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)

@@ -292,56 +292,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// DiffStripped returns Snapshot().Diff(prev).Strip(drop...) computed in
-// one pass over the registry: the current values are read, subtracted,
-// and filtered directly into the result maps, with no intermediate
-// snapshot or second/third map pass. Per-phase accounting loops (fleet
-// scenarios take two snapshots per phase) use it so bookkeeping cost
-// stays flat as fleets scale. A nil registry yields an empty snapshot.
-func (r *Registry) DiffStripped(prev Snapshot, drop ...string) Snapshot {
-	var d Snapshot
-	if r == nil {
-		return d
-	}
-	dropped := func(name string) bool {
-		// drop lists are tiny (a couple of wall-clock metrics); a linear
-		// scan beats building a set per call.
-		for _, n := range drop {
-			if n == name {
-				return true
-			}
-		}
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.counters) > 0 {
-		d.Counters = make(map[string]int64, len(r.counters))
-		for name, c := range r.counters {
-			if !dropped(name) {
-				d.Counters[name] = c.Value() - prev.Counters[name]
-			}
-		}
-	}
-	if len(r.gauges) > 0 {
-		d.Gauges = make(map[string]int64, len(r.gauges))
-		for name, g := range r.gauges {
-			if !dropped(name) {
-				d.Gauges[name] = g.Value()
-			}
-		}
-	}
-	if len(r.hists) > 0 {
-		d.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
-		for name, h := range r.hists {
-			if !dropped(name) {
-				d.Histograms[name] = h.snapshot().diff(prev.Histograms[name])
-			}
-		}
-	}
-	return d
-}
-
 // Counter returns the snapshot's value for a counter (0 if absent).
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 
@@ -395,44 +345,6 @@ func (h HistogramSnapshot) diff(prev HistogramSnapshot) HistogramSnapshot {
 	}
 	for i := range h.Counts {
 		out.Counts[i] = h.Counts[i] - prev.Counts[i]
-	}
-	return out
-}
-
-// Strip returns a copy of s without the named metrics (matched against
-// counters, gauges, and histograms alike). Deterministic replays use it
-// to drop the few wall-clock-derived metrics (demand-stall timings are
-// measured in real time, not virtual time) before comparing snapshots
-// bit-for-bit.
-func (s Snapshot) Strip(names ...string) Snapshot {
-	drop := make(map[string]bool, len(names))
-	for _, n := range names {
-		drop[n] = true
-	}
-	var out Snapshot
-	if len(s.Counters) > 0 {
-		out.Counters = make(map[string]int64, len(s.Counters))
-		for name, v := range s.Counters {
-			if !drop[name] {
-				out.Counters[name] = v
-			}
-		}
-	}
-	if len(s.Gauges) > 0 {
-		out.Gauges = make(map[string]int64, len(s.Gauges))
-		for name, v := range s.Gauges {
-			if !drop[name] {
-				out.Gauges[name] = v
-			}
-		}
-	}
-	if len(s.Histograms) > 0 {
-		out.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms))
-		for name, h := range s.Histograms {
-			if !drop[name] {
-				out.Histograms[name] = h
-			}
-		}
 	}
 	return out
 }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -233,73 +231,4 @@ func TestTraceRingConcurrentRecord(t *testing.T) {
 	if got := r.Total(); got != 2000 {
 		t.Fatalf("total = %d, want 2000", got)
 	}
-}
-
-// populateRegistry fills a registry with the metric mix a fleet harness
-// carries: many counters, some gauges, a few histograms.
-func populateRegistry(counters, gauges, hists int) *Registry {
-	r := NewRegistry()
-	for i := 0; i < counters; i++ {
-		r.Counter(fmt.Sprintf("c.%03d", i)).Add(int64(i * 7))
-	}
-	for i := 0; i < gauges; i++ {
-		r.Gauge(fmt.Sprintf("g.%03d", i)).Set(int64(i * 3))
-	}
-	for i := 0; i < hists; i++ {
-		h := r.Histogram(fmt.Sprintf("h.%03d", i), DefaultLatencyBounds)
-		for v := 0; v < 10; v++ {
-			h.Observe(int64(v) * 1e6)
-		}
-	}
-	return r
-}
-
-// TestDiffStrippedMatchesComposed pins the one-pass diff to the
-// composed Snapshot().Diff(prev).Strip(drop...) it replaces.
-func TestDiffStrippedMatchesComposed(t *testing.T) {
-	r := populateRegistry(20, 5, 3)
-	prev := r.Snapshot()
-	r.Counter("c.001").Add(42)
-	r.Counter("late.arrival").Inc()
-	r.Gauge("g.002").Set(99)
-	r.Histogram("h.000", DefaultLatencyBounds).Observe(5e8)
-
-	drop := []string{"c.003", "g.001", "h.001", "absent.metric"}
-	want := r.Snapshot().Diff(prev).Strip(drop...)
-	got := r.DiffStripped(prev, drop...)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DiffStripped = %+v\nwant %+v", got, want)
-	}
-
-	// And with nothing dropped.
-	want = r.Snapshot().Diff(prev)
-	got = r.DiffStripped(prev)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DiffStripped() = %+v\nwant %+v", got, want)
-	}
-
-	var nilReg *Registry
-	if got := nilReg.DiffStripped(prev); !reflect.DeepEqual(got, Snapshot{}) {
-		t.Errorf("nil registry DiffStripped = %+v, want empty", got)
-	}
-}
-
-// BenchmarkPhaseDiff measures the per-phase accounting cost: the
-// composed three-pass form versus the one-pass DiffStripped.
-func BenchmarkPhaseDiff(b *testing.B) {
-	r := populateRegistry(80, 12, 6)
-	prev := r.Snapshot()
-	drop := []string{"c.000", "c.001"}
-	b.Run("composed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = r.Snapshot().Diff(prev).Strip(drop...)
-		}
-	})
-	b.Run("onepass", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = r.DiffStripped(prev, drop...)
-		}
-	})
 }

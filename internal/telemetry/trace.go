@@ -28,10 +28,10 @@ const (
 // Span is one structured trace event on the fetch path: a deploy phase,
 // a fetch window, or a single blocking fault. Deploy-phase spans carry
 // virtual-clock durations, which a simulation reproduces exactly. The
-// store's "fault" and "rangefault" spans do not: their times are the
-// host wall time a reader was blocked (store.Transfer.Wall), so they
-// vary run to run until the store takes an injected clock (ROADMAP item
-// 4(a)). The store's other spans carry no time.
+// store's "fault" and "rangefault" spans carry the read's stall
+// (store.Transfer.Stall): the priced duration when a hook prices the
+// store's transfers, as the deployment simulator does, otherwise host
+// wall time. The store's other spans carry no time.
 type Span struct {
 	// Seq is the ring-assigned record order (1-based, monotonic).
 	Seq int64 `json:"seq"`

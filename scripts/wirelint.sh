@@ -5,7 +5,8 @@
 # net/http's default client or transport — or when any non-test code
 # outside loadbench/ builds a net/http transport, probes a gearregistry
 # store for a verb, renames a converted image outside the converter,
-# builds a remote client a second way, or builds a fleet by hand.
+# builds a remote client a second way, or builds a fleet by hand — or
+# when virtual-time code reads the host clock.
 #
 # Every HTTP protocol in the repo, all five, is a verb table over
 # internal/wire (DESIGN.md, "Wire protocols"): the client helper bounds
@@ -140,6 +141,21 @@ if [ -n "$fleets" ]; then
   echo "wirelint: a fleet, topology or shard tier built outside internal/fleet:" >&2
   printf '%s\n' "$fleets" >&2
   echo "  build it with fleet.New" >&2
+  exit 1
+fi
+# The simulator's figures are virtual time: netsim prices every
+# transfer, and the store's demand stall is the price its transfer hook
+# returns. A host clock read anywhere but the real-HTTP layers (the wire
+# package, the store's unpriced fallback, the commands, loadbench/) is a
+# second wall clock growing back, and a metric that no longer replays
+# bit for bit from (scenario, seed).
+clocks=$(grep -rn --include='*.go' -E 'time\.(Now|Since)\(' . \
+  | grep -v '_test\.go:' \
+  | grep -v -E '^\./(internal/wire|internal/gear/store|cmd|loadbench)/' || true)
+if [ -n "$clocks" ]; then
+  echo "wirelint: the host clock read in virtual-time code:" >&2
+  printf '%s\n' "$clocks" >&2
+  echo "  virtual-time code prices time through netsim" >&2
   exit 1
 fi
 echo "wirelint: ok"
