@@ -134,6 +134,73 @@ func (c Config) newDaemon(wl *fleet.Workload, mbps float64) (*dockersim.Daemon, 
 	return dockersim.NewDaemon(wl.Docker, wl.Gear, c.daemonOptions(mbps))
 }
 
+// threeWays deploys every version of every workload series three ways
+// at a paper-quoted bandwidth, with the series' task compute: Docker and
+// cold Gear on a fresh daemon per deployment, warm Gear on one daemon
+// per series that keeps its cache across versions. fn gets each triple.
+func (c Config) threeWays(wl *fleet.Workload, mbps float64, fn func(s *fleet.Series, docker, cold, warm *dockersim.Deployment)) error {
+	for i := range wl.Series {
+		s := &wl.Series[i]
+		warmD, err := c.newDaemon(wl, mbps)
+		if err != nil {
+			return err
+		}
+		for v, tag := range s.Tags {
+			dockerD, err := c.newDaemon(wl, mbps)
+			if err != nil {
+				return err
+			}
+			docker, err := dockerD.DeployDocker(s.Name, tag, s.Access[v], s.Compute)
+			if err != nil {
+				return err
+			}
+			coldD, err := c.newDaemon(wl, mbps)
+			if err != nil {
+				return err
+			}
+			cold, err := coldD.DeployGear(s.Ref, tag, s.Access[v], s.Compute)
+			if err != nil {
+				return err
+			}
+			warm, err := warmD.DeployGear(s.Ref, tag, s.Access[v], s.Compute)
+			if err != nil {
+				return err
+			}
+			fn(s, docker, cold, warm)
+		}
+	}
+	return nil
+}
+
+// fleet builds an n-node harness over wl (Seed and Telemetry from c)
+// whose client WAN links run at a paper-quoted bandwidth.
+func (c Config) fleet(wl *fleet.Workload, n int, mbps float64, opts fleet.Options) (*fleet.Harness, error) {
+	opts.Nodes, opts.Seed, opts.Telemetry = n, c.Seed, c.Telemetry
+	h, err := fleet.New(wl, opts)
+	if err != nil {
+		return nil, err
+	}
+	return h, h.Topology().SetWANConfig(c.link(mbps))
+}
+
+// rollout joins nodes 0..n-1 to h, then rolls every workload version out
+// on each in node order, as one accounted phase.
+func rollout(h *fleet.Harness, n int) (fleet.PhaseResult, error) {
+	return h.Phase("rollout", func() error {
+		for i := 0; i < n; i++ {
+			if err := h.Join(fleet.NodeID(i)); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < n; i++ {
+			if err := h.Rollout(fleet.NodeID(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // Runner executes one experiment and prints its result.
 type Runner struct {
 	// ID is the experiment identifier ("table2", "fig9", ...).

@@ -111,8 +111,10 @@ func extHedgeShuffle(idx []int, seed uint64) {
 	}
 }
 
-// extHedgePercentile returns the q-quantile of the (sorted-in-place)
-// latency samples by nearest-rank.
+// extHedgePercentile returns the q-quantile of the sorted latency
+// samples as the sample at index ⌊q·(n−1)⌋: the lower neighbour of the
+// interpolated quantile, not the nearest rank (for n = 50, q = 0.99 it
+// picks index 48, where nearest-rank picks the 50th sample, index 49).
 func extHedgePercentile(lats []time.Duration, q float64) time.Duration {
 	if len(lats) == 0 {
 		return 0
@@ -161,13 +163,12 @@ func RunExtHedge(cfg Config) (*ExtHedgeResult, error) {
 	}
 
 	// runCell replays the read stream against a fresh tier, built by a
-	// harness that joins no node: the reads go to the tier directly.
+	// harness that joins no node: the reads go to the tier directly, and
+	// the measured ones are one harness phase whose telemetry diff holds
+	// the cell's read-path counters.
 	runCell := func(policy string, balance, hedge, straggle bool) (ExtHedgeCell, error) {
 		cell := ExtHedgeCell{Policy: policy, Straggler: straggle}
-		h, err := fleet.New(wl, fleet.Options{
-			Nodes:       1,
-			Seed:        cfg.Seed,
-			Telemetry:   cfg.Telemetry,
+		h, err := cfg.fleet(wl, 1, fleet.WANMbps, fleet.Options{
 			Shards:      extHedgeShards,
 			Replication: extHedgeReplicas,
 			ReadBalance: balance,
@@ -197,42 +198,45 @@ func RunExtHedge(cfg Config) (*ExtHedgeResult, error) {
 				return cell, err
 			}
 		}
-		before := cluster.Stats()
-
 		idx := make([]int, len(fps))
 		for i := range idx {
 			idx[i] = i
 		}
 		lats := make([]time.Duration, 0, extHedgeRounds*len(fps))
-		for round := 0; round < extHedgeRounds; round++ {
-			extHedgeShuffle(idx, uint64(cfg.Seed)^uint64(round+1)*0x9e3779b97f4a7c15)
-			for _, i := range idx {
-				_, wire, lat, err := cluster.DownloadTimed(fps[i])
-				if err != nil {
-					return cell, err
+		p, err := h.Phase("measured", func() error {
+			for round := 0; round < extHedgeRounds; round++ {
+				extHedgeShuffle(idx, uint64(cfg.Seed)^uint64(round+1)*0x9e3779b97f4a7c15)
+				for _, i := range idx {
+					_, wire, lat, err := cluster.DownloadTimed(fps[i])
+					if err != nil {
+						return err
+					}
+					cell.ClientBytes += wire
+					lats = append(lats, lat)
 				}
-				cell.ClientBytes += wire
-				lats = append(lats, lat)
 			}
+			return nil
+		})
+		if err != nil {
+			return cell, err
 		}
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		cell.P50 = extHedgePercentile(lats, 0.50)
 		cell.P95 = extHedgePercentile(lats, 0.95)
 		cell.P99 = extHedgePercentile(lats, 0.99)
 
-		after := cluster.Stats()
-		cell.BalancedReads = after.BalancedReads - before.BalancedReads
-		cell.HedgesFired = after.HedgesFired - before.HedgesFired
-		cell.HedgesWon = after.HedgesWon - before.HedgesWon
-		cell.HedgeWasteBytes = after.HedgeWasteBytes - before.HedgeWasteBytes
-		reads := make(map[string]int64, len(after.Shards))
-		for _, s := range after.Shards {
-			reads[s.ID] = s.Reads
+		tel := p.Telemetry
+		cell.BalancedReads = tel.Counter("shardreg.read.balanced")
+		cell.HedgesFired = tel.Counter("shardreg.hedge.fired")
+		cell.HedgesWon = tel.Counter("shardreg.hedge.won")
+		cell.HedgeWasteBytes = tel.Counter("shardreg.hedge.waste.bytes")
+		reads := make(map[string]int64, extHedgeShards)
+		var total int64
+		for _, id := range cluster.Shards() {
+			reads[id] = tel.Counter("shardreg.shard." + id + ".reads")
+			total += reads[id]
 		}
-		for _, s := range before.Shards {
-			reads[s.ID] -= s.Reads
-		}
-		if total := after.Reads - before.Reads; total > 0 {
+		if total > 0 {
 			cell.SlowShardReadShare = float64(reads[victim]) / float64(total)
 		}
 

@@ -36,7 +36,8 @@ func (r *ExtLoadResult) EgressSaving() float64 {
 // RunExtLoad deploys one series' versions from every simulated client.
 // Each client is an independent daemon (own layer store, own Gear cache)
 // sharing the registries, like a fleet of edge nodes pulling the same
-// rollout.
+// rollout. The Gear clients are the nodes of a peerless fleet; Docker's
+// are standalone daemons.
 func RunExtLoad(cfg Config) (*ExtLoadResult, error) {
 	const clients = 8
 	co, err := cfg.newCorpus([]string{"nginx"})
@@ -50,37 +51,32 @@ func RunExtLoad(cfg Config) (*ExtLoadResult, error) {
 	s := &wl.Series[0]
 
 	res := &ExtLoadResult{Clients: clients, Deploys: len(s.Tags)}
-	var dockerTotal, gearTotal time.Duration
-	var deploys int
+	var dockerTotal time.Duration
 	for c := 0; c < clients; c++ {
-		dockerD, err := cfg.newDaemon(wl, 100)
-		if err != nil {
-			return nil, err
-		}
-		gearD, err := cfg.newDaemon(wl, 100)
+		d, err := cfg.newDaemon(wl, 100)
 		if err != nil {
 			return nil, err
 		}
 		for v, tag := range s.Tags {
-			dd, err := dockerD.DeployDocker(s.Name, tag, s.Access[v], s.Compute)
+			dep, err := d.DeployDocker(s.Name, tag, s.Access[v], s.Compute)
 			if err != nil {
 				return nil, err
 			}
-			gd, err := gearD.DeployGear(s.Ref, tag, s.Access[v], s.Compute)
-			if err != nil {
-				return nil, err
-			}
-			res.DockerEgress += dd.Pull.Bytes + dd.Run.Bytes
-			res.GearEgress += gd.Pull.Bytes + gd.Run.Bytes
-			dockerTotal += dd.Total()
-			gearTotal += gd.Total()
-			deploys++
+			res.DockerEgress += dep.Pull.Bytes + dep.Run.Bytes
+			dockerTotal += dep.Total()
 		}
 	}
-	if deploys > 0 {
-		res.DockerMeanTime = dockerTotal / time.Duration(deploys)
-		res.GearMeanTime = gearTotal / time.Duration(deploys)
+	res.DockerMeanTime = dockerTotal / time.Duration(clients*len(s.Tags))
+
+	h, err := cfg.fleet(wl, clients, 100, fleet.Options{})
+	if err != nil {
+		return nil, err
 	}
+	gear, err := rollout(h, clients)
+	if err != nil {
+		return nil, err
+	}
+	res.GearEgress, res.GearMeanTime = gear.WAN.Bytes, gear.MeanDeploy
 	return res, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/gear-image/gear/internal/dockersim"
 	"github.com/gear-image/gear/internal/fleet"
 )
 
@@ -93,83 +92,45 @@ func RunExtP2P(cfg Config) (*ExtP2PResult, error) {
 
 	res := &ExtP2PResult{Series: s.Name, Versions: len(s.Tags), LANMbps: fleet.LANMbps}
 	for _, pt := range extP2PSweep {
-		point := ExtP2PPoint{Nodes: pt.nodes, WANMbps: pt.wan}
-
-		// Pass 1 — peers disabled: independent daemons, the extload
-		// configuration at this fleet size and bandwidth.
-		baseBytes := make([]int64, pt.nodes)
-		var baseTotal time.Duration
-		for n := 0; n < pt.nodes; n++ {
-			d, err := cfg.newDaemon(wl, pt.wan)
-			if err != nil {
-				return nil, err
-			}
-			got, total, err := rollout(d, s)
-			if err != nil {
-				return nil, err
-			}
-			baseBytes[n] = got
-			point.BaselineEgress += got
-			baseTotal += total
-		}
-
-		// Pass 2 — peers enabled: a peer fleet at this point's WAN
-		// bandwidth, every node's cache exported to the cluster.
-		h, err := fleet.New(wl, fleet.Options{Nodes: pt.nodes, Seed: cfg.Seed, Peers: true, Telemetry: cfg.Telemetry})
+		// Pass 1 — peers disabled: the extload configuration at this
+		// fleet size and bandwidth. Pass 2 — peers enabled, every node's
+		// cache exported to the cluster.
+		base, err := cfg.fleet(wl, pt.nodes, pt.wan, fleet.Options{})
 		if err != nil {
 			return nil, err
 		}
-		if err := h.Topology().SetWANConfig(cfg.link(pt.wan)); err != nil {
+		bp, err := rollout(base, pt.nodes)
+		if err != nil {
 			return nil, err
 		}
-		for n := 0; n < pt.nodes; n++ {
-			if err := h.Join(fleet.NodeID(n)); err != nil {
-				return nil, err
-			}
+		p2p, err := cfg.fleet(wl, pt.nodes, pt.wan, fleet.Options{Peers: true})
+		if err != nil {
+			return nil, err
 		}
-		point.ParityOK = true
-		var p2pTotal time.Duration
+		pp, err := rollout(p2p, pt.nodes)
+		if err != nil {
+			return nil, err
+		}
+		point := ExtP2PPoint{
+			Nodes:            pt.nodes,
+			WANMbps:          pt.wan,
+			BaselineEgress:   bp.WAN.Bytes,
+			P2PEgress:        pp.WAN.Bytes,
+			LANBytes:         pp.LAN.Bytes,
+			PeerObjects:      pp.Telemetry.Counter("store.peer.objects"),
+			BaselineMeanTime: bp.MeanDeploy,
+			P2PMeanTime:      pp.MeanDeploy,
+			ParityOK:         true,
+		}
 		for n := 0; n < pt.nodes; n++ {
-			d, _ := h.Daemon(fleet.NodeID(n))
-			// The nodes share one registry, so this node's share of the
-			// store counters is a before/after delta.
-			before := d.Telemetry().Snapshot()
-			got, total, err := rollout(d, s)
-			if err != nil {
-				return nil, err
-			}
-			lan := d.PeerLink().Stats().Bytes
-			if got+lan != baseBytes[n] {
+			got := p2p.Topology().Node(fleet.NodeID(n))
+			if got.WAN.Stats().Bytes+got.LAN.Stats().Bytes != base.Topology().Node(fleet.NodeID(n)).WAN.Stats().Bytes {
 				point.ParityOK = false
 			}
-			point.P2PEgress += got
-			p2pTotal += total
-			point.PeerObjects += d.Telemetry().Snapshot().Diff(before).Counter("store.peer.objects")
 		}
-		point.LANBytes = h.Topology().LANStats().Bytes
-
-		deploys := time.Duration(pt.nodes * len(s.Tags))
-		point.BaselineMeanTime = baseTotal / deploys
-		point.P2PMeanTime = p2pTotal / deploys
 		res.Points = append(res.Points, point)
 	}
 	return res, nil
-}
-
-// rollout deploys every version of s on d in order, returning the WAN
-// bytes moved and the summed deployment time.
-func rollout(d *dockersim.Daemon, s *fleet.Series) (int64, time.Duration, error) {
-	var bytes int64
-	var total time.Duration
-	for v, tag := range s.Tags {
-		dep, err := d.DeployGear(s.Ref, tag, s.Access[v], s.Compute)
-		if err != nil {
-			return 0, 0, err
-		}
-		bytes += dep.Pull.Bytes + dep.Run.Bytes
-		total += dep.Total()
-	}
-	return bytes, total, nil
 }
 
 // Print renders the fleet/bandwidth sweep.

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/gear-image/gear/internal/dockersim"
 	"github.com/gear-image/gear/internal/fleet"
 	"github.com/gear-image/gear/internal/netsim"
 )
@@ -120,21 +119,6 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 	for _, s := range wl.Series {
 		versions += len(s.Tags)
 	}
-	// rolloutAll rolls every series' versions out on one client daemon.
-	rolloutAll := func(d *dockersim.Daemon) (int64, time.Duration, error) {
-		var bytes int64
-		var total time.Duration
-		for i := range wl.Series {
-			got, t, err := rollout(d, &wl.Series[i])
-			if err != nil {
-				return 0, 0, err
-			}
-			bytes += got
-			total += t
-		}
-		return bytes, total, nil
-	}
-
 	res := &ExtShardResult{
 		Series:   fmt.Sprintf("%d series", len(wl.Series)),
 		Versions: versions,
@@ -143,45 +127,26 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 	}
 
 	// Baseline: the client fleet against the single-node registry.
-	baseBytes := make([]int64, extShardClients)
-	var baseTotal time.Duration
-	for n := 0; n < extShardClients; n++ {
-		d, err := cfg.newDaemon(wl, fleet.WANMbps)
-		if err != nil {
-			return nil, err
-		}
-		got, total, err := rolloutAll(d)
-		if err != nil {
-			return nil, err
-		}
-		baseBytes[n] = got
-		res.BaselineEgress += got
-		baseTotal += total
+	base, err := cfg.fleet(wl, extShardClients, fleet.WANMbps, fleet.Options{})
+	if err != nil {
+		return nil, err
 	}
-	deploys := time.Duration(extShardClients * versions)
-	res.BaselineMeanTime = baseTotal / deploys
+	bp, err := rollout(base, extShardClients)
+	if err != nil {
+		return nil, err
+	}
+	res.BaselineEgress, res.BaselineMeanTime = bp.WAN.Bytes, bp.MeanDeploy
 
 	// shardedRollout runs the client fleet against a fresh tier of the
 	// given shape (optionally killing one shard first) and returns the
 	// point plus the failovers its reads took and the killed shard.
 	shardedRollout := func(shards, replicas int, kill bool) (ExtShardPoint, int64, string, error) {
-		point := ExtShardPoint{Shards: shards, Replication: replicas}
-		// A tier-only harness: the clients below are the sweep's own
-		// daemons, so the harness joins no node.
-		h, err := fleet.New(wl, fleet.Options{
-			Nodes:       extShardClients,
-			Seed:        cfg.Seed,
-			Telemetry:   cfg.Telemetry,
-			Shards:      shards,
-			Replication: replicas,
-		})
+		point := ExtShardPoint{Shards: shards, Replication: replicas, ParityOK: true}
+		h, err := cfg.fleet(wl, extShardClients, fleet.WANMbps, fleet.Options{Shards: shards, Replication: replicas})
 		if err != nil {
 			return point, 0, "", err
 		}
 		cluster, topo := h.Cluster(), h.ShardTopology()
-		// Seeding moved bytes through the shard links; reset the clock
-		// so the point measures serving, not migration.
-		seeded := make(map[string]netsim.Stats, shards)
 		victim := ""
 		if kill {
 			// Kill the member carrying the most primary routes — the
@@ -191,54 +156,38 @@ func RunExtShard(cfg Config) (*ExtShardResult, error) {
 				return point, 0, "", err
 			}
 		}
+		// Seeding moved bytes through the shard links; the point
+		// measures serving, not migration.
+		seeded := make(map[string]netsim.Stats, shards)
 		for _, id := range cluster.Shards() {
 			seeded[id] = topo.Node(id).WAN.Stats()
 		}
-		// Read counters are cumulative across the sweep's clusters (they
-		// share one telemetry registry), so the point's share comes from
-		// before/after deltas.
-		readsBefore := cluster.Stats()
-		point.ParityOK = true
-		var tierTotal time.Duration
+		p, err := rollout(h, extShardClients)
+		if err != nil {
+			return point, 0, "", err
+		}
+		// Each client pulls exactly what it pulled from the single-node
+		// registry.
 		for n := 0; n < extShardClients; n++ {
-			d, err := dockersim.NewDaemon(wl.Docker, cluster, cfg.daemonOptions(fleet.WANMbps))
-			if err != nil {
-				return point, 0, "", err
-			}
-			got, total, err := rolloutAll(d)
-			if err != nil {
-				return point, 0, "", err
-			}
-			if got != baseBytes[n] {
+			id := fleet.NodeID(n)
+			if h.Topology().Node(id).WAN.Stats().Bytes != base.Topology().Node(id).WAN.Stats().Bytes {
 				point.ParityOK = false
 			}
-			point.ClientEgress += got
-			tierTotal += total
 		}
+		point.ClientEgress, point.TierEgress, point.MeanDeploy = p.WAN.Bytes, p.ShardWAN.Bytes, p.MeanDeploy
+		var reads, hottest int64
 		for _, id := range cluster.Shards() {
 			served := topo.Node(id).WAN.Stats().Sub(seeded[id])
-			point.TierEgress += served.Bytes
-			if served.Bytes > point.MaxShardEgress {
-				point.MaxShardEgress = served.Bytes
-			}
-			if served.Elapsed > point.MaxShardServe {
-				point.MaxShardServe = served.Elapsed
-			}
+			point.MaxShardEgress = max(point.MaxShardEgress, served.Bytes)
+			point.MaxShardServe = max(point.MaxShardServe, served.Elapsed)
+			n := p.Telemetry.Counter("shardreg.shard." + id + ".reads")
+			reads += n
+			hottest = max(hottest, n)
 		}
-		readsAfter := cluster.Stats()
-		prior := make(map[string]int64, len(readsBefore.Shards))
-		for _, s := range readsBefore.Shards {
-			prior[s.ID] = s.Reads
+		if reads > 0 {
+			point.MaxReadShare = float64(hottest) / float64(reads)
 		}
-		if total := readsAfter.Reads - readsBefore.Reads; total > 0 {
-			for _, s := range readsAfter.Shards {
-				if share := float64(s.Reads-prior[s.ID]) / float64(total); share > point.MaxReadShare {
-					point.MaxReadShare = share
-				}
-			}
-		}
-		point.MeanDeploy = tierTotal / deploys
-		return point, readsAfter.Failovers - readsBefore.Failovers, victim, nil
+		return point, p.Telemetry.Counter("shardreg.failovers"), victim, nil
 	}
 
 	for _, pt := range extShardSweep {

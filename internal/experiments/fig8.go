@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"github.com/gear-image/gear/internal/corpus"
+	"github.com/gear-image/gear/internal/dockersim"
 	"github.com/gear-image/gear/internal/fleet"
 )
 
@@ -45,52 +46,18 @@ func RunFig8(cfg Config) (*Fig8Result, error) {
 
 	byCat := make(map[corpus.Category]*Fig8Category)
 	var dockerTotal, coldTotal, warmTotal int64
-
-	for _, s := range wl.Series {
-		// Warm-cache daemon persists across the series' versions.
-		warm, err := cfg.newDaemon(wl, 904)
-		if err != nil {
-			return nil, err
-		}
+	if err := cfg.threeWays(wl, 904, func(s *fleet.Series, docker, cold, warm *dockersim.Deployment) {
 		row := byCat[s.Category]
 		if row == nil {
 			row = &Fig8Category{Category: s.Category}
 			byCat[s.Category] = row
 		}
-		for v, tag := range s.Tags {
-			access := s.Access[v]
-
-			// Docker: fresh daemon, full image each time.
-			dd, err := cfg.newDaemon(wl, 904)
-			if err != nil {
-				return nil, err
-			}
-			dockerDep, err := dd.DeployDocker(s.Name, tag, access, 0)
-			if err != nil {
-				return nil, err
-			}
-
-			// Gear cold: fresh daemon (empty cache) each time.
-			cd, err := cfg.newDaemon(wl, 904)
-			if err != nil {
-				return nil, err
-			}
-			coldDep, err := cd.DeployGear(s.Ref, tag, access, 0)
-			if err != nil {
-				return nil, err
-			}
-
-			// Gear warm: persistent daemon.
-			warmDep, err := warm.DeployGear(s.Ref, tag, access, 0)
-			if err != nil {
-				return nil, err
-			}
-
-			row.Deploys++
-			row.DockerBytes += dockerDep.Pull.Bytes + dockerDep.Run.Bytes
-			row.GearColdBytes += coldDep.Pull.Bytes + coldDep.Run.Bytes
-			row.GearWarmBytes += warmDep.Pull.Bytes + warmDep.Run.Bytes
-		}
+		row.Deploys++
+		row.DockerBytes += docker.Pull.Bytes + docker.Run.Bytes
+		row.GearColdBytes += cold.Pull.Bytes + cold.Run.Bytes
+		row.GearWarmBytes += warm.Pull.Bytes + warm.Run.Bytes
+	}); err != nil {
+		return nil, err
 	}
 
 	res := &Fig8Result{}

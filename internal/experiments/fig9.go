@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/corpus"
+	"github.com/gear-image/gear/internal/dockersim"
 	"github.com/gear-image/gear/internal/fleet"
 )
 
@@ -61,44 +62,16 @@ func RunFig9(cfg Config) (*Fig9Result, error) {
 		counts := make(map[corpus.Category]int)
 		var dockerSum, coldSum, warmSum time.Duration
 
-		for _, s := range wl.Series {
-			warm, err := cfg.newDaemon(wl, mbps)
-			if err != nil {
-				return nil, err
-			}
-			for v, tag := range s.Tags {
-				access, compute := s.Access[v], s.Compute
-
-				dd, err := cfg.newDaemon(wl, mbps)
-				if err != nil {
-					return nil, err
-				}
-				dockerDep, err := dd.DeployDocker(s.Name, tag, access, compute)
-				if err != nil {
-					return nil, err
-				}
-				cd, err := cfg.newDaemon(wl, mbps)
-				if err != nil {
-					return nil, err
-				}
-				coldDep, err := cd.DeployGear(s.Ref, tag, access, compute)
-				if err != nil {
-					return nil, err
-				}
-				warmDep, err := warm.DeployGear(s.Ref, tag, access, compute)
-				if err != nil {
-					return nil, err
-				}
-
-				cat := s.Category
-				counts[cat]++
-				addCell(band.Docker, cat, dockerDep.Pull.Time, dockerDep.Run.Time)
-				addCell(band.GearCold, cat, coldDep.Pull.Time, coldDep.Run.Time)
-				addCell(band.GearWarm, cat, warmDep.Pull.Time, warmDep.Run.Time)
-				dockerSum += dockerDep.Total()
-				coldSum += coldDep.Total()
-				warmSum += warmDep.Total()
-			}
+		if err := cfg.threeWays(wl, mbps, func(s *fleet.Series, docker, cold, warm *dockersim.Deployment) {
+			counts[s.Category]++
+			addCell(band.Docker, s.Category, docker)
+			addCell(band.GearCold, s.Category, cold)
+			addCell(band.GearWarm, s.Category, warm)
+			dockerSum += docker.Total()
+			coldSum += cold.Total()
+			warmSum += warm.Total()
+		}); err != nil {
+			return nil, err
 		}
 		for cat, n := range counts {
 			band.Docker[cat] = divCell(band.Docker[cat], n)
@@ -116,10 +89,10 @@ func RunFig9(cfg Config) (*Fig9Result, error) {
 	return res, nil
 }
 
-func addCell(m map[corpus.Category]Fig9Cell, cat corpus.Category, pull, run time.Duration) {
+func addCell(m map[corpus.Category]Fig9Cell, cat corpus.Category, dep *dockersim.Deployment) {
 	c := m[cat]
-	c.Pull += pull
-	c.Run += run
+	c.Pull += dep.Pull.Time
+	c.Run += dep.Run.Time
 	m[cat] = c
 }
 

@@ -465,10 +465,28 @@ func (h *Harness) lookup(id string) (*node, error) {
 	return n, nil
 }
 
-// Deploy deploys workload version v on the named node (Gear mode) and
-// keeps the deployment as the node's current container.
+// Deploy deploys version v of the rolled-out series on the named node
+// (Gear mode) and keeps the deployment as the node's current container.
 func (h *Harness) Deploy(id string, v int) (*dockersim.Deployment, error) {
-	s := h.series
+	return h.deploy(id, h.series, v)
+}
+
+// Rollout deploys every version of every workload series on the named
+// node, in series then version order, through the same accounting as
+// Deploy.
+func (h *Harness) Rollout(id string) error {
+	for i := range h.wl.Series {
+		for v := range h.wl.Series[i].Tags {
+			if _, err := h.deploy(id, &h.wl.Series[i], v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// deploy deploys version v of series s on the named node and counts it.
+func (h *Harness) deploy(id string, s *Series, v int) (*dockersim.Deployment, error) {
 	if v < 0 || v >= len(s.Tags) {
 		return nil, fmt.Errorf("fleet: deploy %q: version %d of %d: %w",
 			id, v, len(s.Tags), ErrBadFleet)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/dockersim"
@@ -34,10 +35,9 @@ func testWorkload(t *testing.T) *Workload {
 	return testWL
 }
 
-// TestPublishSeries: a two-series workload records, per series, the
-// corpus's access lists and task compute, and a joined node deploys a
-// version of the second series from it.
-func TestPublishSeries(t *testing.T) {
+// twoSeries publishes a small two-series, two-version workload.
+func twoSeries(t *testing.T) (*corpus.Corpus, *Workload) {
+	t.Helper()
 	co, err := corpus.New(corpus.Options{
 		Seed:         7,
 		Scale:        0.05,
@@ -51,6 +51,14 @@ func TestPublishSeries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
+	return co, wl
+}
+
+// TestPublishSeries: a two-series workload records, per series, the
+// corpus's access lists and task compute, and a joined node deploys a
+// version of the second series from it.
+func TestPublishSeries(t *testing.T) {
+	co, wl := twoSeries(t)
 	if len(wl.Series) != 2 {
 		t.Fatalf("published %d series, want 2", len(wl.Series))
 	}
@@ -224,6 +232,89 @@ func TestScenarioAccounting(t *testing.T) {
 	}
 	if snap.Gauge("fleet.nodes") != 16 {
 		t.Errorf("fleet.nodes gauge = %d, want 16", snap.Gauge("fleet.nodes"))
+	}
+}
+
+// TestPhaseAccountsRollout pins the contract experiments read from a
+// Phase: on a plain and on a 2-shard harness, N nodes join and Rollout
+// inside one phase, and its deploy count, mean deploy time, client WAN
+// bytes, shard-tier bytes and per-shard read counters all agree with the
+// links and the tier they summarize. A failing phase returns its error.
+func TestPhaseAccountsRollout(t *testing.T) {
+	const nodes = 3
+	_, wl := twoSeries(t)
+	versions := 0
+	for _, s := range wl.Series {
+		versions += len(s.Tags)
+	}
+	for _, shards := range []int{0, 2} {
+		h, err := New(wl, Options{Nodes: nodes, Seed: 5, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		linkBytes := func(topo *netsim.Topology, ids []string) int64 {
+			var n int64
+			for _, id := range ids {
+				n += topo.Node(id).WAN.Stats().Bytes
+			}
+			return n
+		}
+		var shardIDs []string
+		var shardBefore, tierReadsBefore int64
+		if shards > 0 {
+			shardIDs = h.Cluster().Shards()
+			shardBefore = linkBytes(h.ShardTopology(), shardIDs)
+			tierReadsBefore = h.Cluster().Stats().Reads
+		}
+		p, err := h.Phase("rollout", func() error {
+			for i := 0; i < nodes; i++ {
+				if err := h.Join(NodeID(i)); err != nil {
+					return err
+				}
+			}
+			for i := 0; i < nodes; i++ {
+				if err := h.Rollout(NodeID(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%d shards: Phase: %v", shards, err)
+		}
+		if want := int64(nodes * versions); p.Deploys != want {
+			t.Errorf("%d shards: Deploys = %d, want %d", shards, p.Deploys, want)
+		}
+		if p.DeployTime == 0 || p.MeanDeploy != p.DeployTime/time.Duration(p.Deploys) {
+			t.Errorf("%d shards: MeanDeploy %v, DeployTime %v over %d deploys", shards, p.MeanDeploy, p.DeployTime, p.Deploys)
+		}
+		if got := linkBytes(h.Topology(), h.Active()); p.WAN.Bytes == 0 || p.WAN.Bytes != got {
+			t.Errorf("%d shards: WAN.Bytes = %d, node links carried %d", shards, p.WAN.Bytes, got)
+		}
+		if shards == 0 {
+			if p.ShardWAN != (netsim.Stats{}) {
+				t.Errorf("unsharded phase reports shard traffic %+v", p.ShardWAN)
+			}
+			continue
+		}
+		if got := linkBytes(h.ShardTopology(), shardIDs) - shardBefore; p.ShardWAN.Bytes == 0 || p.ShardWAN.Bytes != got {
+			t.Errorf("ShardWAN.Bytes = %d, shard links carried %d", p.ShardWAN.Bytes, got)
+		}
+		var reads int64
+		for _, id := range shardIDs {
+			reads += p.Telemetry.Counter("shardreg.shard." + id + ".reads")
+		}
+		if want := h.Cluster().Stats().Reads - tierReadsBefore; reads == 0 || reads != want {
+			t.Errorf("per-shard reads sum to %d, tier served %d", reads, want)
+		}
+	}
+
+	h, err := New(wl, Options{Nodes: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Phase("bad", func() error { return h.Rollout("ghost") }); !errors.Is(err, netsim.ErrUnknownNode) {
+		t.Errorf("failing phase = %v, want ErrUnknownNode", err)
 	}
 }
 

@@ -99,10 +99,11 @@ func (h *Harness) Run(kind Kind) (*Result, error) {
 	return res, nil
 }
 
-// phase runs fn as one accounted scenario phase: its telemetry diff,
-// link deltas, and deploy-time extrema land in one PhaseResult, and a
-// span summarizing the phase is recorded into the harness ring.
-func (h *Harness) phase(res *Result, name string, fn func() error) error {
+// Phase runs fn as one accounted phase: its telemetry diff, link
+// deltas, deploy count and deploy-time extrema land in one PhaseResult,
+// and a span summarizing the phase is recorded into the harness ring. A
+// failing fn's error is returned, wrapped with the phase name.
+func (h *Harness) Phase(name string, fn func() error) (PhaseResult, error) {
 	before := h.Snapshot()
 	wanBefore, lanBefore := h.topo.WANStats(), h.topo.LANStats()
 	var shardBefore netsim.Stats
@@ -114,7 +115,7 @@ func (h *Harness) phase(res *Result, name string, fn func() error) error {
 	h.mu.Unlock()
 
 	if err := fn(); err != nil {
-		return fmt.Errorf("fleet: %s/%s: %w", res.Scenario, name, err)
+		return PhaseResult{}, fmt.Errorf("fleet: %s: %w", name, err)
 	}
 
 	diff := h.Snapshot().Diff(before)
@@ -142,14 +143,56 @@ func (h *Harness) phase(res *Result, name string, fn func() error) error {
 	}
 	h.ring.Record(telemetry.Span{
 		Op:       "fleet.phase",
-		Ref:      res.Scenario + "/" + name,
+		Ref:      name,
 		Class:    telemetry.ClassDemand,
 		Source:   telemetry.SourceRegistry,
 		Objects:  int(p.Deploys),
 		Bytes:    p.WAN.Bytes,
 		Transfer: p.DeployTime,
 	})
+	return p, nil
+}
+
+// phase runs one scenario phase through Phase, named "<scenario>/<name>"
+// in its span and error, and appends its result under name.
+func (h *Harness) phase(res *Result, name string, fn func() error) error {
+	p, err := h.Phase(res.Scenario+"/"+name, fn)
+	if err != nil {
+		return err
+	}
+	p.Name = name
 	res.Phases = append(res.Phases, p)
+	return nil
+}
+
+// joinPhase is the opening phase of every scenario but the flash crowd:
+// nodes 0..Nodes-1 join in order, then each deploys the first version.
+func (h *Harness) joinPhase(res *Result, name string) error {
+	return h.phase(res, name, func() error {
+		if err := h.joinAll(0); err != nil {
+			return err
+		}
+		return h.deployAll(0)
+	})
+}
+
+// joinAll joins nodes from..Nodes-1 in order.
+func (h *Harness) joinAll(from int) error {
+	for i := from; i < h.opts.Nodes; i++ {
+		if err := h.Join(NodeID(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// deployAll deploys version v on every attached node in attachment order.
+func (h *Harness) deployAll(v int) error {
+	for _, id := range h.Active() {
+		if _, err := h.Deploy(id, v); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -176,10 +219,8 @@ func (h *Harness) runFlashCrowd(res *Result) error {
 		return err
 	}
 	return h.phase(res, "crowd", func() error {
-		for i := 1; i < h.opts.Nodes; i++ {
-			if err := h.Join(NodeID(i)); err != nil {
-				return err
-			}
+		if err := h.joinAll(1); err != nil {
+			return err
 		}
 		// The crowd arrives in random order — the seeded permutation is
 		// the scenario's schedule.
@@ -193,17 +234,7 @@ func (h *Harness) runFlashCrowd(res *Result) error {
 }
 
 func (h *Harness) runChurn(res *Result) error {
-	if err := h.phase(res, "baseline", func() error {
-		for i := 0; i < h.opts.Nodes; i++ {
-			if err := h.Join(NodeID(i)); err != nil {
-				return err
-			}
-			if _, err := h.Deploy(NodeID(i), 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := h.joinPhase(res, "baseline"); err != nil {
 		return err
 	}
 	var gone []string
@@ -235,13 +266,7 @@ func (h *Harness) runChurn(res *Result) error {
 				}
 			}
 			// The surviving fleet rolls forward one version.
-			v := h.clampVersion(r)
-			for _, id := range h.Active() {
-				if _, err := h.Deploy(id, v); err != nil {
-					return err
-				}
-			}
-			return nil
+			return h.deployAll(h.clampVersion(r))
 		})
 		if err != nil {
 			return err
@@ -251,66 +276,24 @@ func (h *Harness) runChurn(res *Result) error {
 	return nil
 }
 
+// runFailover degrades the registry for the middle rollout. A sharded
+// tier loses one shard outright — the one carrying the most primary
+// routes, the worst single-member loss — and deploys must complete from
+// the surviving replicas; a single-node registry fails over to a mirror
+// behind a 10x-throttled WAN.
 func (h *Harness) runFailover(res *Result) error {
-	deployAll := func(v int) func() error {
-		return func() error {
-			for _, id := range h.Active() {
-				if _, err := h.Deploy(id, v); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	if err := h.phase(res, "steady", func() error {
-		for i := 0; i < h.opts.Nodes; i++ {
-			if err := h.Join(NodeID(i)); err != nil {
-				return err
-			}
-		}
-		return deployAll(0)()
-	}); err != nil {
-		return err
-	}
 	if h.cluster != nil {
-		// Sharded tier: the failure is one dead shard, not a slow WAN —
-		// specifically the shard carrying the most primary routes, the
-		// worst single-member loss. Deploys must complete from the
-		// surviving replicas.
-		victim := h.cluster.BusiestShard()
-		res.KilledShard = victim
-		if err := h.phase(res, "degraded", func() error {
-			if err := h.cluster.KillShard(victim); err != nil {
-				return err
-			}
-			return deployAll(h.clampVersion(1))()
-		}); err != nil {
-			return err
-		}
-		return h.phase(res, "recovered", func() error {
-			if err := h.cluster.ReviveShard(victim); err != nil {
-				return err
-			}
-			return deployAll(h.clampVersion(2))()
-		})
+		return h.runFault(res, "degraded", func() error {
+			res.KilledShard = h.cluster.BusiestShard()
+			return h.cluster.KillShard(res.KilledShard)
+		}, func() error { return h.cluster.ReviveShard(res.KilledShard) })
 	}
 	healthy := h.topo.WANConfig()
 	degraded := healthy
 	degraded.BytesPerSecond /= 10
-	if err := h.phase(res, "degraded", func() error {
-		if err := h.topo.SetWANConfig(degraded); err != nil {
-			return err
-		}
-		return deployAll(h.clampVersion(1))()
-	}); err != nil {
-		return err
-	}
-	return h.phase(res, "recovered", func() error {
-		if err := h.topo.SetWANConfig(healthy); err != nil {
-			return err
-		}
-		return deployAll(h.clampVersion(2))()
-	})
+	return h.runFault(res, "degraded",
+		func() error { return h.topo.SetWANConfig(degraded) },
+		func() error { return h.topo.SetWANConfig(healthy) })
 }
 
 // stragglerFactor is the service slowdown the straggler scenario
@@ -327,41 +310,33 @@ func (h *Harness) runStraggler(res *Result) error {
 	if h.cluster == nil {
 		return fmt.Errorf("fleet: straggler scenario needs a sharded tier (Options.Shards): %w", ErrBadFleet)
 	}
-	deployAll := func(v int) func() error {
-		return func() error {
-			for _, id := range h.Active() {
-				if _, err := h.Deploy(id, v); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	if err := h.phase(res, "steady", func() error {
-		for i := 0; i < h.opts.Nodes; i++ {
-			if err := h.Join(NodeID(i)); err != nil {
-				return err
-			}
-		}
-		return deployAll(0)()
-	}); err != nil {
+	return h.runFault(res, "slow", func() error {
+		res.SlowShard = h.cluster.BusiestShard()
+		return h.shardTopo.SetServiceFactor(res.SlowShard, stragglerFactor)
+	}, func() error { return h.shardTopo.SetServiceFactor(res.SlowShard, 1) })
+}
+
+// runFault is the body failover and straggler share: the whole fleet
+// joins and deploys the first version ("steady"), inject runs and the
+// fleet rolls forward one version (the faulted phase), then heal runs
+// and it rolls forward again ("recovered").
+func (h *Harness) runFault(res *Result, faulted string, inject, heal func() error) error {
+	if err := h.joinPhase(res, "steady"); err != nil {
 		return err
 	}
-	victim := h.cluster.BusiestShard()
-	res.SlowShard = victim
-	if err := h.phase(res, "slow", func() error {
-		if err := h.shardTopo.SetServiceFactor(victim, stragglerFactor); err != nil {
+	if err := h.phase(res, faulted, func() error {
+		if err := inject(); err != nil {
 			return err
 		}
-		return deployAll(h.clampVersion(1))()
+		return h.deployAll(h.clampVersion(1))
 	}); err != nil {
 		return err
 	}
 	return h.phase(res, "recovered", func() error {
-		if err := h.shardTopo.SetServiceFactor(victim, 1); err != nil {
+		if err := heal(); err != nil {
 			return err
 		}
-		return deployAll(h.clampVersion(2))()
+		return h.deployAll(h.clampVersion(2))
 	})
 }
 
@@ -370,17 +345,7 @@ func (h *Harness) runStraggler(res *Result) error {
 const mixedReadsPerService = 4
 
 func (h *Harness) runMixed(res *Result) error {
-	if err := h.phase(res, "rollout", func() error {
-		for i := 0; i < h.opts.Nodes; i++ {
-			if err := h.Join(NodeID(i)); err != nil {
-				return err
-			}
-			if _, err := h.Deploy(NodeID(i), 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := h.joinPhase(res, "rollout"); err != nil {
 		return err
 	}
 	// A seeded permutation splits the fleet: the first half serves, the

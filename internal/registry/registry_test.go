@@ -11,7 +11,7 @@ import (
 	"github.com/gear-image/gear/internal/vfs"
 )
 
-func testImage(t *testing.T, name, tag, payload string) *imagefmt.Image {
+func testImage(t testing.TB, name, tag, payload string) *imagefmt.Image {
 	t.Helper()
 	base := vfs.New()
 	if err := base.MkdirAll("/bin", 0o755); err != nil {
