@@ -1,14 +1,19 @@
 package gearregistry
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/tarstream"
 	"github.com/gear-image/gear/internal/wire"
 )
 
@@ -150,5 +155,57 @@ func TestMalformedTextReplyIsBadReply(t *testing.T) {
 	}
 	if _, _, err := cannedClient(nil, []byte("swept\n")).GC(nil); !errors.Is(err, wire.ErrBadReply) {
 		t.Errorf("GC: err = %v, want ErrBadReply", err)
+	}
+}
+
+// A gzip body's trailer is the peer's claim: a 64 KiB querybatch body
+// whose trailer says it inflates to 60 MiB is refused, on the server
+// and as a reply on the client, having been given memory only for what
+// it did inflate to, not for what its trailer said.
+func TestQueryBatchTrailerIsNotAllocated(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not measured under the race detector")
+	}
+	noise := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(noise)
+	body, err := tarstream.Gzip(noise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(body[len(body)-4:], 60<<20)
+
+	srv := httptest.NewServer(NewHandler(New(Options{})))
+	defer srv.Close()
+	spent := allocated(t, func() error {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/gear/querybatch", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		req.Header.Set(wire.EncodingHeader, "gzip")
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			return err
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("status %d, want 400", resp.StatusCode)
+		}
+		return nil
+	})
+	if spent > 1<<20 {
+		t.Errorf("server: %d bytes allocated for a 64 KiB request", spent)
+	}
+
+	fp := hashing.FingerprintBytes([]byte("x"))
+	spent = allocated(t, func() error {
+		_, err := cannedClient(http.Header{wire.EncodingHeader: {"gzip"}}, body).QueryBatch([]hashing.Fingerprint{fp})
+		if !errors.Is(err, wire.ErrBadReply) {
+			t.Errorf("client: err = %v, want ErrBadReply", err)
+		}
+		return nil
+	})
+	if spent > 1<<20 {
+		t.Errorf("client: %d bytes allocated for a 64 KiB reply", spent)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/md5"
 	"io"
+	"sync"
 	"testing"
 
 	"github.com/gear-image/gear/internal/corpus"
@@ -67,3 +68,82 @@ func TestGearFilesStoreAsGzip(t *testing.T) {
 		t.Fatalf("checked %d files, want the corpus's 1000 and more", len(seen))
 	}
 }
+
+// gunzipInputs are the benchmark's deploy corpus in miniature — the
+// first version of three of its series, at scale 1 — as what is
+// inflated on a pull: each layer as the registry stores it, and each
+// distinct Gear file as the pool stores it (GzipFrom). raw counts the
+// bytes each set inflates to.
+var gunzipInputs = sync.OnceValues(func() (sets [2]gunzipSet, err error) {
+	co, err := corpus.New(corpus.Options{
+		Seed: 20211107, Scale: 1, MaxVersions: 1,
+		SeriesFilter: []string{"python", "redis", "nginx"},
+	})
+	if err != nil {
+		return sets, err
+	}
+	seen := make(map[[md5.Size]byte]bool)
+	for _, s := range co.Series() {
+		img, err := co.Image(s.Name, 0)
+		if err != nil {
+			return sets, err
+		}
+		for _, l := range img.Layers {
+			sets[0].add(l.Tarball(), l.UncompressedSize)
+			tree, err := l.Tree()
+			if err != nil {
+				return sets, err
+			}
+			err = tree.Walk(func(_ string, n *vfs.Node) error {
+				data := n.Content().Data()
+				if n.Type() != vfs.TypeRegular || seen[md5.Sum(data)] {
+					return nil
+				}
+				seen[md5.Sum(data)] = true
+				stored, _, _, err := tarstream.GzipFrom(bytes.NewReader(data), io.Discard)
+				sets[1].add(stored, int64(len(data)))
+				return err
+			})
+			if err != nil {
+				return sets, err
+			}
+		}
+	}
+	return sets, nil
+})
+
+type gunzipSet struct {
+	streams [][]byte
+	raw     int64
+}
+
+func (g *gunzipSet) add(stream []byte, raw int64) {
+	g.streams = append(g.streams, stream)
+	g.raw += raw
+}
+
+// benchGunzip inflates every stream of set i with Gunzip, the call the
+// benchmark's tarstream.gunzip_mbps probe times.
+func benchGunzip(b *testing.B, i int) {
+	sets, err := gunzipInputs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := sets[i]
+	b.ReportAllocs()
+	b.SetBytes(set.raw)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, z := range set.streams {
+			if _, err := tarstream.Gunzip(z); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkGunzipLayers inflates the corpus's layers, as pulled.
+func BenchmarkGunzipLayers(b *testing.B) { benchGunzip(b, 0) }
+
+// BenchmarkGunzipObjects inflates the corpus's Gear files, as stored.
+func BenchmarkGunzipObjects(b *testing.B) { benchGunzip(b, 1) }

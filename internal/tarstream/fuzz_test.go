@@ -48,32 +48,6 @@ func FuzzUnpack(f *testing.F) {
 	})
 }
 
-// FuzzGunzip: arbitrary bytes must never panic the decompressor.
-func FuzzGunzip(f *testing.F) {
-	z, err := Gzip([]byte("hello gzip"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(z)
-	f.Add([]byte{0x1f, 0x8b})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := Gunzip(data)
-		if err != nil {
-			return
-		}
-		// Accepted payloads round-trip through our compressor.
-		z, err := Gzip(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := Gunzip(z)
-		if err != nil || string(back) != string(out) {
-			t.Fatalf("round trip: %v", err)
-		}
-	})
-}
-
 // FuzzGunzipRange: over any object and any range, GunzipRange is the
 // slice of Gunzip or an error, never a panic and never other bytes; and
 // a range that fits a sound object always succeeds. Plain mode reads a

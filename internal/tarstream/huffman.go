@@ -9,7 +9,6 @@ package tarstream
 import (
 	"math"
 	"math/bits"
-	"slices"
 )
 
 const (
@@ -576,6 +575,7 @@ type hcode struct {
 type huffmanEncoder struct {
 	codes     []hcode
 	freqcache []literalNode
+	sorted    []literalNode // the other half of freqcache's radix sort
 	bitCount  [17]int32
 }
 
@@ -746,26 +746,33 @@ func (h *huffmanEncoder) bitCounts(list []literalNode, maxBits int32) []int32 {
 }
 
 // Look at the leaves and assign them a bit count and an encoding as specified
-// in RFC 1951 3.2.2
+// in RFC 1951 3.2.2. The lengths come off list, which is in frequency
+// order; the codes of each length go to its literals in literal order,
+// which one pass over the literals gives without sorting a chunk.
 func (h *huffmanEncoder) assignEncodingAndSize(bitCount []int32, list []literalNode) {
-	code := uint16(0)
+	var next [maxBitsLimit]uint16
+	code, top := uint16(0), 0
 	for n, bits := range bitCount {
 		code <<= 1
+		next[n] = code
 		if n == 0 || bits == 0 {
 			continue
 		}
-		// The literals list[len(list)-bits] .. list[len(list)-bits]
-		// are encoded using "bits" bits, and get the values
-		// code, code + 1, ....  The code values are
-		// assigned in literal order (not frequency order).
-		chunk := list[len(list)-int(bits):]
-
-		slices.SortFunc(chunk, byLiteral)
-		for _, node := range chunk {
-			h.codes[node.literal] = hcode{code: reverseBits(code, uint8(n)), len: uint16(n)}
-			code++
+		// The literals list[len(list)-bits] .. list[len(list)-1]
+		// are encoded using "bits" bits.
+		for _, node := range list[len(list)-int(bits):] {
+			h.codes[node.literal].len = uint16(n)
+			top = max(top, int(node.literal)+1)
 		}
+		code += uint16(bits)
 		list = list[0 : len(list)-int(bits)]
+	}
+	// Every literal below top is in list or has length 0 (generate).
+	for i := range h.codes[:top] {
+		if n := h.codes[i].len; n > 0 {
+			h.codes[i].code = reverseBits(next[n], uint8(n))
+			next[n]++
+		}
 	}
 }
 
@@ -779,6 +786,7 @@ func (h *huffmanEncoder) generate(freq []int32, maxBits int32) {
 		// Possible lengths are codegenCodeCount, offsetCodeCount and maxNumLit.
 		// The largest of these is maxNumLit, so we allocate for that case.
 		h.freqcache = make([]literalNode, maxNumLit+1)
+		h.sorted = make([]literalNode, maxNumLit+1)
 	}
 	list := h.freqcache[:len(freq)+1]
 	// Number of non-zero literals
@@ -803,7 +811,7 @@ func (h *huffmanEncoder) generate(freq []int32, maxBits int32) {
 		}
 		return
 	}
-	slices.SortFunc(list, byFreq)
+	h.sortByFreq(list)
 
 	// Get the number of literals for each bit count
 	bitCount := h.bitCounts(list, maxBits)
@@ -811,15 +819,33 @@ func (h *huffmanEncoder) generate(freq []int32, maxBits int32) {
 	h.assignEncodingAndSize(bitCount, list)
 }
 
-// byLiteral and byFreq are total orders (no two nodes share a literal),
-// so any sort gives compress/flate's order.
-func byLiteral(a, b literalNode) int { return int(a.literal) - int(b.literal) }
-
-func byFreq(a, b literalNode) int {
-	if a.freq == b.freq {
-		return int(a.literal) - int(b.literal)
+// sortByFreq orders list, which is in literal order, by frequency and
+// then literal — compress/flate's order, a total one, so the codes are
+// its codes. It is a stable radix sort, a byte of the frequency a pass,
+// for as many bytes as the largest frequency has.
+func (h *huffmanEncoder) sortByFreq(list []literalNode) {
+	var most int32
+	for _, node := range list {
+		most = max(most, node.freq)
 	}
-	return int(a.freq) - int(b.freq)
+	src, dst := list, h.sorted[:len(list)]
+	for shift := uint(0); most>>shift > 0; shift += 8 {
+		var at [256]int
+		for _, node := range src {
+			at[node.freq>>shift&0xff]++
+		}
+		sum := 0
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		for _, node := range src {
+			d := node.freq >> shift & 0xff
+			dst[at[d]] = node
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	copy(list, src)
 }
 
 func reverseBits(number uint16, bitLength byte) uint16 {

@@ -10,8 +10,6 @@ package tarstream
 import (
 	"archive/tar"
 	"bytes"
-	"compress/flate"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,14 +43,6 @@ var ErrCorrupt = errors.New("corrupt tar stream")
 // identical trees always produce byte-identical archives (and therefore
 // identical layer digests, which layer-level dedup depends on).
 var epoch = time.Unix(0, 0)
-
-// Codec pools. A compressor carries ~0.53 MB of state and a gzip reader
-// a 32 KB window plus buffers; allocating them per object made every
-// convert/push/fetch pay the setup cost again. The pools hand the same
-// states back out, and because the encoder is a pure function of the
-// input byte stream, reuse cannot change output bytes. The compressors
-// are gzippers, below.
-var gzReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
 // maxPooledBuf bounds the scratch buffers kept alive by a pool; an
 // occasional giant archive should not pin its footprint forever.
@@ -224,9 +214,11 @@ func deflate(width int, maxStep int32, write func(w io.Writer) (int64, error)) (
 var gzipHeader = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 4, 255}
 
 // gzipper writes one segmented gzip member into out. It is pooled whole,
-// with the compressor that writes into out, so a stream costs only the
-// memory it is written into. Every compressed stream in the repository
-// is written by one.
+// with the compressor that writes into out (~0.53 MB of state), so a
+// stream costs only the memory it is written into; the encoder is a pure
+// function of its input, so reuse cannot change a stream's bytes. Every
+// compressed stream in the repository is written by one, and read by a
+// gunzipper (inflate.go).
 type gzipper struct {
 	out   sink
 	d     *compressor // writes into &out
@@ -366,101 +358,12 @@ func ReadAll(r io.Reader, room Room) ([]byte, error) {
 	}
 }
 
-// Gunzip decompresses gzip-framed data into one buffer sized from the
-// ISIZE trailer (uncompressed length mod 2^32).
-func Gunzip(data []byte) ([]byte, error) {
-	size := int64(-1)
-	if len(data) >= 8 {
-		size = int64(binary.LittleEndian.Uint32(data[len(data)-4:]))
-	}
-	return GunzipFrom(bytes.NewReader(data), sized(SizeHint(size, int64(len(data)))))
-}
-
-// GunzipFrom decompresses the gzip stream r holds, to r's end, into a
-// buffer of the capacity room gives it. r should be an io.ByteReader:
-// the pooled gzip.Reader allocates a 4 KiB buffer of its own around any
-// source that is not, and reads past the end of the stream through it.
-func GunzipFrom(r io.Reader, room Room) ([]byte, error) {
-	zr := gzReaderPool.Get().(*gzip.Reader)
-	defer gzReaderPool.Put(zr)
-	if err := zr.Reset(r); err != nil {
-		return nil, fmt.Errorf("tarstream: gunzip: %w", err)
-	}
-	out, err := ReadAll(zr, room)
-	if err != nil {
-		return nil, fmt.Errorf("tarstream: gunzip read: %w", err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("tarstream: gunzip close: %w", err)
-	}
-	return out, nil
-}
-
-// GunzipTo inflates the gzip stream data into w and returns how many
-// bytes that was, for a caller that wants the content's digest or length
-// and not the content: nothing the size of the content is held. The
-// stream is read to its end, so the CRC judges it as it does for Gunzip.
-func GunzipTo(w io.Writer, data []byte) (int64, error) {
-	zr := gzReaderPool.Get().(*gzip.Reader)
-	defer gzReaderPool.Put(zr)
-	if err := zr.Reset(bytes.NewReader(data)); err != nil {
-		return 0, fmt.Errorf("tarstream: gunzip: %w", err)
-	}
-	n, err := Copy(w, zr)
-	if err != nil {
-		return n, fmt.Errorf("tarstream: gunzip read: %w", err)
-	}
-	if err := zr.Close(); err != nil {
-		return n, fmt.Errorf("tarstream: gunzip close: %w", err)
-	}
-	return n, nil
-}
-
 // copyChunk is the size of the scratch Copy copies through. The
 // scratch has a pool of its own: deflate's streams have grown to the size
 // of whole archives, and borrowing one on every pull would keep it alive.
 const copyChunk = 32 << 10
 
 var copyPool = sync.Pool{New: func() any { return new([copyChunk]byte) }}
-
-// GunzipInto inflates the gzip stream r holds into exactly dst, for
-// content whose size is known: content of any other length is an error.
-// dst is the only memory the content is given. The end of the stream,
-// where the CRC is checked, is found by reading on through io.Discard's
-// pooled buffer, not into a byte more of dst, which for content the size
-// of a size class would be the next class.
-func GunzipInto(dst []byte, r io.Reader) error {
-	zr := gzReaderPool.Get().(*gzip.Reader)
-	defer gzReaderPool.Put(zr)
-	if err := zr.Reset(r); err != nil {
-		return fmt.Errorf("tarstream: gunzip: %w", err)
-	}
-	if _, err := io.ReadFull(zr, dst); err != nil {
-		return fmt.Errorf("tarstream: gunzip read: content shorter than %d bytes: %w", len(dst), noEOF(err))
-	}
-	over, err := io.Copy(io.Discard, zr)
-	if err != nil {
-		return fmt.Errorf("tarstream: gunzip read: %w", err)
-	}
-	if over > 0 {
-		return fmt.Errorf("tarstream: gunzip read: content is %d bytes, not %d", int64(len(dst))+over, len(dst))
-	}
-	return nil
-}
-
-// inflater is a pooled deflate reader with the source it reads, and the
-// memory a range is read into when it is read raw.
-type inflater struct {
-	src bytes.Reader
-	fr  io.ReadCloser // flate, over &src
-	out sink
-}
-
-var inflaters = sync.Pool{New: func() any {
-	z := new(inflater)
-	z.fr = flate.NewReader(&z.src)
-	return z
-}}
 
 // GunzipRange returns the n bytes at offset off of the content of the
 // segmented gzip stream data, whose table is segs, which is
@@ -544,7 +447,7 @@ func locate(data []byte, segs []Segment, off, n int64) (span, error) {
 	}
 	trailer := int64(len(data)) - 8
 	if trailer < int64(len(gzipHeader)) || !bytes.Equal(data[:4], gzipHeader[:4]) {
-		return span{}, fmt.Errorf("tarstream: gunzip range: %w", gzip.ErrHeader)
+		return span{}, fmt.Errorf("tarstream: gunzip range: %w", errHeader)
 	}
 	r := span{data: data, segs: segs, off: off, n: n, width: SegmentSize}
 	r.size = int64(binary.LittleEndian.Uint32(data[trailer+4:]))
@@ -581,8 +484,11 @@ func (r *span) packed() bool {
 
 // appendRaw appends the range to dst, growing it at most once.
 func (r *span) appendRaw(dst []byte) ([]byte, error) {
-	z := inflaters.Get().(*inflater)
-	defer inflaters.Put(z)
+	if r.n == 0 {
+		return dst, nil
+	}
+	z := openWindow(r.data[r.start:r.end], false)
+	defer z.release()
 	z.out.b = slices.Grow(dst, int(r.n))
 	err := r.inflate(z, &z.out)
 	out := z.out.b
@@ -595,8 +501,8 @@ func (r *span) appendRaw(dst []byte) ([]byte, error) {
 
 // appendGzip appends a gzip stream of the range to dst.
 func (r *span) appendGzip(dst []byte) ([]byte, error) {
-	zr := inflaters.Get().(*inflater)
-	defer inflaters.Put(zr)
+	zr := openWindow(r.data[r.start:r.end], false)
+	defer zr.release()
 	z := gzippers.Get().(*gzipper)
 	defer z.release()
 	z.start(dst, SegmentSize, boundedStep)
@@ -606,63 +512,37 @@ func (r *span) appendGzip(dst []byte) ([]byte, error) {
 	return z.finish(), nil
 }
 
-// inflate walks the segments the range overlaps with z, checking each,
-// and writes the range to w.
-func (r *span) inflate(z *inflater, w io.Writer) error {
-	if r.n == 0 {
-		return nil
-	}
-	z.src.Reset(r.data[r.start:r.end])
-	defer z.src.Reset(nil) // the pool keeps no object alive
-	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
-		return fmt.Errorf("tarstream: gunzip range: %w", err)
-	}
-	scratch := copyPool.Get().(*[copyChunk]byte)
-	defer copyPool.Put(scratch)
+// inflate walks the segments the (non-empty) range overlaps with z, a
+// window on their deflate data, which is read as one stream, as it was
+// written; it checks each segment and writes the range to w.
+func (r *span) inflate(z *gunzipper, w io.Writer) error {
 	for i := r.first; i <= r.last; i++ {
 		lo, hi := i*r.width, min((i+1)*r.width, r.size)
 		from, to := max(lo, r.off), min(hi, r.off+r.n)
-		crc, err := z.pass(io.Discard, 0, from-lo, scratch)
+		crc, err := z.pass(io.Discard, 0, from-lo)
 		if err == nil {
-			if crc, err = z.pass(w, crc, to-from, scratch); err == nil {
-				crc, err = z.pass(io.Discard, crc, hi-to, scratch)
+			if crc, err = z.pass(w, crc, to-from); err == nil {
+				crc, err = z.pass(io.Discard, crc, hi-to)
 			}
 		}
 		if err != nil {
 			return fmt.Errorf("tarstream: gunzip range: segment %d: %w", i, noEOF(err))
 		}
 		if crc != r.seg(i).CRC {
-			return fmt.Errorf("tarstream: gunzip range: segment %d: %w", i, gzip.ErrChecksum)
+			return fmt.Errorf("tarstream: gunzip range: segment %d: %w", i, errChecksum)
 		}
 	}
 	// Behind the last segment's content its deflate data ends, on the
-	// last byte handed to the inflater: with the final block, or with the
+	// last byte given to the inflater: with the final block, or with the
 	// sync flush before the next segment, after which the bytes run out.
 	want := io.ErrUnexpectedEOF
 	if r.last == r.rows()-1 {
 		want = io.EOF
 	}
-	if k, err := z.fr.Read(scratch[:1]); k != 0 || err != want || z.src.Len() != 0 {
+	if b, err := z.next(1); len(b) != 0 || err != want || err == io.EOF && z.end() != len(z.in) {
 		return fmt.Errorf("tarstream: gunzip range: segment %d does not end where its table says: %w", r.last, ErrCorrupt)
 	}
 	return nil
-}
-
-// pass inflates k bytes through scratch, folding them into crc and
-// writing them to w.
-func (z *inflater) pass(w io.Writer, crc uint32, k int64, scratch *[copyChunk]byte) (uint32, error) {
-	for k > 0 {
-		piece := scratch[:min(k, copyChunk)]
-		if _, err := io.ReadFull(z.fr, piece); err != nil {
-			return crc, err
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, piece)
-		if _, err := w.Write(piece); err != nil {
-			return crc, err
-		}
-		k -= int64(len(piece))
-	}
-	return crc, nil
 }
 
 // noEOF is err with a bare io.EOF, which here means the content ended
@@ -920,7 +800,7 @@ func (u *unpacker) mkParent(p string) error {
 	return nil
 }
 
-// UnpackGz is Unpack over gzip-compressed data. The pooled gzip reader
+// UnpackGz is Unpack over gzip-compressed data. The pooled decoder
 // feeds the tar parser directly — the uncompressed archive is never
 // materialized, so a layer unpack allocates its file contents and
 // nothing else.
@@ -981,33 +861,30 @@ func ReadFileGz(data []byte, name string) (string, error) {
 }
 
 // scanGz runs scan over the content of the gzip stream data, then reads
-// the stream out and closes it, so that whatever scan did not consume is
-// still inflated and the CRC still checked.
+// the stream out, so that whatever scan did not consume is still
+// inflated and the CRC still checked. The content is inflated through a
+// window, so memory for it stays the window's whatever the archive holds.
 func scanGz(data []byte, scan func(r io.Reader, bound int) error) error {
-	zr := gzReaderPool.Get().(*gzip.Reader)
-	defer gzReaderPool.Put(zr)
-	if err := zr.Reset(bytes.NewReader(data)); err != nil {
-		return fmt.Errorf("tarstream: unpackgz: %w", err)
-	}
+	z := openWindow(data, true)
+	defer z.release()
 	// Deflate expands at most ~1032:1, so the compressed length bounds
 	// any honest entry size the stream can carry.
 	bound := len(data)*1032 + 64
 	if bound < 0 { // overflow on absurd inputs: disable hinting
 		bound = 0
 	}
-	if err := scan(zr, bound); err != nil {
+	if err := scan(z, bound); err != nil {
 		return err
 	}
 	// The tar parser stops at the end-of-archive trailer; drain the rest
-	// of the member so Close verifies the gzip CRC exactly as the
-	// materializing path did.
-	if _, err := io.Copy(io.Discard, zr); err != nil {
-		return fmt.Errorf("tarstream: unpackgz drain: %w: %w", ErrCorrupt, err)
+	// of the stream so its CRC is checked.
+	for {
+		if _, err := z.next(windowSize); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("tarstream: unpackgz drain: %w: %w", ErrCorrupt, err)
+		}
 	}
-	if err := zr.Close(); err != nil {
-		return fmt.Errorf("tarstream: unpackgz close: %w: %w", ErrCorrupt, err)
-	}
-	return nil
 }
 
 // IsWhiteout reports whether base name marks a lower-layer deletion, and

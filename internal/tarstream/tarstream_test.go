@@ -23,7 +23,7 @@ import (
 )
 
 // buildTree constructs a small fixture tree.
-func buildTree(t *testing.T) *vfs.FS {
+func buildTree(t testing.TB) *vfs.FS {
 	t.Helper()
 	f := vfs.New()
 	must := func(err error) {

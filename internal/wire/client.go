@@ -181,9 +181,9 @@ func (l *bounded) Read(p []byte) (int, error) {
 }
 
 // Body is a 2xx reply whose body is still on the wire. It reads through
-// a pooled buffer and is an io.ByteReader, which is what lets the pooled
-// gzip reader inflate straight off it without a buffer of its own. It
-// is only valid inside the function Stream hands it to.
+// a pooled buffer, and a gzip object is inflated off it a piece at a
+// time (tarstream.GunzipInto). It is only valid inside the function
+// Stream hands it to.
 type Body struct {
 	Header http.Header
 
@@ -323,8 +323,7 @@ func (b *Body) object(src io.Reader, stored, size int64, gzipped bool) ([]byte, 
 	return content, nil
 }
 
-// frame reads exactly left more bytes of a body, and is an
-// io.ByteReader like the buffer it reads through.
+// frame reads exactly left more bytes of a body.
 type frame struct {
 	br   *bufio.Reader
 	left int64
@@ -343,17 +342,4 @@ func (f *frame) Read(p []byte) (int, error) {
 		err = io.ErrUnexpectedEOF
 	}
 	return n, err
-}
-
-func (f *frame) ReadByte() (byte, error) {
-	if f.left <= 0 {
-		return 0, io.EOF
-	}
-	c, err := f.br.ReadByte()
-	if err == nil {
-		f.left--
-	} else if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return c, err
 }

@@ -273,11 +273,12 @@ func Deflate(body []byte) ([]byte, bool) {
 	return body, false
 }
 
-// Inflate returns the content of a body or stored object that is a gzip
-// stream when gzipped is set.
+// Inflate returns the content of a body that is a gzip stream when
+// gzipped is set. The content gets memory only as it inflates: the
+// stream's trailer is the peer's claim, not a size to allocate.
 func Inflate(body []byte, gzipped bool) ([]byte, error) {
 	if gzipped {
-		return tarstream.Gunzip(body)
+		return tarstream.GunzipFrom(bytes.NewReader(body), nil)
 	}
 	return body, nil
 }

@@ -6,7 +6,8 @@
 # outside loadbench/ builds a net/http transport, probes a gearregistry
 # store for a verb, renames a converted image outside the converter,
 # builds a remote client a second way, or builds a fleet by hand — or
-# when virtual-time code reads the host clock.
+# when virtual-time code reads the host clock, or any non-test code
+# imports a standard-library deflate codec.
 #
 # Every HTTP protocol in the repo, all five, is a verb table over
 # internal/wire (DESIGN.md, "Wire protocols"): the client helper bounds
@@ -156,6 +157,18 @@ if [ -n "$clocks" ]; then
   echo "wirelint: the host clock read in virtual-time code:" >&2
   printf '%s\n' "$clocks" >&2
   echo "  virtual-time code prices time through netsim" >&2
+  exit 1
+fi
+# internal/tarstream holds the one deflate encoder and the one decoder
+# (DESIGN.md, "One codec"): every gzip stream is written and read there.
+# compress/flate and compress/gzip stay as the test oracles they are; an
+# import of either in non-test code is a second codec growing back.
+codecs=$(grep -rn --include='*.go' -E '"compress/(flate|gzip)"' . \
+  | grep -v '_test\.go:' || true)
+if [ -n "$codecs" ]; then
+  echo "wirelint: a standard-library deflate codec in non-test code:" >&2
+  printf '%s\n' "$codecs" >&2
+  echo "  write with tarstream.Gzip / GzipFrom, read with tarstream.Gunzip and its kin" >&2
   exit 1
 fi
 echo "wirelint: ok"
