@@ -78,11 +78,17 @@ type Options struct {
 	// (the paper stores the Gear index under the original reference once
 	// the regular image is removed).
 	IndexPrefix string
-	// Workers bounds the fingerprint/extract worker pool. Disk costs stay
+	// Workers is one conversion's worker pool: each layer's files are
+	// hashed on up to Workers goroutines while the archive is read on,
+	// past directories and symlinks, with up to 4 MiB of small files
+	// queued between reader and workers; the index builder fans out over
+	// as many. It is also the pool of the timing model: disk costs stay
 	// serial (one modeled spindle), but the CPU-bound costs — hashing and
 	// the per-file conversion work — divide across workers. Fingerprints
 	// and pool contents are bit-identical for any worker count (see
-	// index.BuildPolicy); workers <= 1 is the serial baseline.
+	// index.BuildPolicy); workers <= 1 is the serial baseline. It bounds
+	// nothing across conversions: those of different images on one
+	// Converter run at once, each with a pool of its own.
 	Workers int
 }
 
@@ -97,25 +103,30 @@ const (
 	hashBPS = 200e6
 )
 
-// Converter converts Docker images to Gear images. Fingerprint
-// assignment is shared across conversions so collisions are detected
-// globally. Of the images it converted, a Converter keeps the last one
-// — its Result and the one copy of each of its contents, against which
-// the next version dedups — and of the others only their references, so
-// what it holds does not grow with the number of images it converts.
-// Converter is safe for concurrent use: conversions serialize on an
-// internal lock, matching the paper's converter, which runs in the
-// registry as a single sequential service.
+// Converter converts Docker images to Gear images. Every conversion
+// shares three things: the fingerprint registry, so collisions are
+// detected globally; the content table, which holds the one copy of each
+// content of the image converted last — against which the next version
+// dedups — and of the images converting now; and the set of references
+// converted. The rest — unpacking, hashing, index building, packing the
+// index image, the modeled Timing — is each conversion's own, so
+// conversions of different images run in parallel. What a
+// Converter holds does not grow with the number of images it converted:
+// of all but the last it keeps only their references. Converter is safe
+// for concurrent use.
 type Converter struct {
-	opts Options
+	opts  Options
+	reg   *hashing.Registry
+	files *table // the one copy of every content of last and of the conversions in flight
+	disk  *disksim.Disk
 
-	mu        sync.Mutex
-	reg       *hashing.Registry
-	files     *table // the one copy of every content of last
-	disk      *disksim.Disk
-	converted map[string]bool // every reference converted
-	last      *Result         // the image converted last
-	lastRef   string          // and its reference
+	// mu guards the references, taken when a conversion starts and when
+	// it ends; done is signalled whenever one ends.
+	mu      sync.Mutex
+	done    *sync.Cond
+	refs    map[string]bool // every reference converting (false) or converted (true)
+	last    *Result         // the image converted last
+	lastRef string          // and its reference
 }
 
 // New returns a Converter.
@@ -134,30 +145,62 @@ func New(opts Options) (*Converter, error) {
 		return nil, fmt.Errorf("convert: %w", err)
 	}
 	reg := hashing.NewRegistry(nil)
-	return &Converter{
-		opts:      opts,
-		reg:       reg,
-		files:     newTable(reg),
-		disk:      disk,
-		converted: make(map[string]bool),
-	}, nil
+	c := &Converter{opts: opts, reg: reg, files: newTable(reg), disk: disk, refs: make(map[string]bool)}
+	c.done = sync.NewCond(&c.mu)
+	return c, nil
 }
 
 // Convert turns img into a Gear image. Each reference converts once;
 // converting it again returns ErrAlreadyConverted, alongside its Result
 // if it is the image converted last, so a caller can push the image it
-// just converted again without paying for a reconversion.
-func (c *Converter) Convert(img *imagefmt.Image) (_ *Result, err error) {
+// just converted again without paying for a reconversion. A Convert of a
+// reference that is converting now waits for that conversion to end.
+func (c *Converter) Convert(img *imagefmt.Image) (*Result, error) {
+	ref := img.Manifest.Reference()
+	if cached, err := c.reserve(ref); err != nil {
+		return cached, err
+	}
+	u := c.files.begin()
+	res, err := c.convert(img, ref, u)
+	c.mu.Lock()
+	if err == nil {
+		c.refs[ref] = true
+		c.last, c.lastRef = res, ref
+	} else {
+		delete(c.refs, ref)
+	}
+	u.settle(err == nil)
+	c.mu.Unlock()
+	c.done.Broadcast()
+	return res, err
+}
+
+// reserve marks ref as converting, once no conversion of it is in
+// flight, or says why it is not to be converted.
+func (c *Converter) reserve(ref string) (*Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ref := img.Manifest.Reference()
-	if c.converted[ref] {
-		var cached *Result
-		if ref == c.lastRef {
-			cached = c.last
+	for {
+		converted, taken := c.refs[ref]
+		if !taken {
+			break
 		}
-		return cached, fmt.Errorf("convert %s: %w", ref, ErrAlreadyConverted)
+		if converted {
+			var cached *Result
+			if ref == c.lastRef {
+				cached = c.last
+			}
+			return cached, fmt.Errorf("convert %s: %w", ref, ErrAlreadyConverted)
+		}
+		c.done.Wait()
 	}
+	c.refs[ref] = false
+	return nil, nil
+}
+
+// convert is one conversion of img, under reference ref, holding its
+// contents in the table through u.
+func (c *Converter) convert(img *imagefmt.Image, ref string, u *use) (*Result, error) {
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("convert %s: %w", ref, err)
 	}
@@ -167,14 +210,13 @@ func (c *Converter) Convert(img *imagefmt.Image) (_ *Result, err error) {
 	// Phase 1: decompress and apply layers bottom-up (§III-B: "the
 	// converter decompresses and then saves the layers starting from the
 	// bottom layer to the top layer"). Every file is hashed as it is
-	// unpacked, and one the converter holds already — from a lower layer
-	// or the image converted last — is not held again.
+	// unpacked, and one the converter holds already — from a lower layer,
+	// the image converted last or one converting now — is not held again.
 	workers := c.opts.Workers
-	defer func() { c.files.settle(err == nil) }()
 	root := vfs.New()
 	for i, layer := range img.Layers {
 		timing.Unpack += c.disk.ReadCost(layer.Size)
-		tree, err := layer.TreeKeep(c.files.keep, workers)
+		tree, err := layer.TreeKeep(u.keep, workers)
 		if err != nil {
 			return nil, fmt.Errorf("convert %s layer %d: %w", ref, i, err)
 		}
@@ -188,7 +230,7 @@ func (c *Converter) Convert(img *imagefmt.Image) (_ *Result, err error) {
 	// and extracting the Gear files. The builder takes each file's sum
 	// from the unpack and hashes nothing again.
 	ix, pool, err := index.BuildKnown(c.opts.IndexPrefix+img.Manifest.Name, img.Manifest.Tag, img.Manifest.Config,
-		root, c.reg, c.opts.Chunking, workers, c.files.known)
+		root, c.reg, c.opts.Chunking, workers, u.known)
 	if err != nil {
 		return nil, fmt.Errorf("convert %s: %w", ref, err)
 	}
@@ -216,10 +258,7 @@ func (c *Converter) Convert(img *imagefmt.Image) (_ *Result, err error) {
 	}
 	timing.Build += c.disk.WriteCost(indexImage.Manifest.TotalSize())
 
-	res := &Result{Index: ix, Files: pool, IndexImage: indexImage, Timing: timing}
-	c.converted[ref] = true
-	c.last, c.lastRef = res, ref
-	return res, nil
+	return &Result{Index: ix, Files: pool, IndexImage: indexImage, Timing: timing}, nil
 }
 
 // priceTraverse adds, for every regular file under e, the modeled read

@@ -2,11 +2,13 @@ package convert
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/gear-image/gear/internal/disksim"
 	"github.com/gear-image/gear/internal/gear/index"
@@ -360,13 +362,18 @@ func TestIndexPrefix(t *testing.T) {
 	}
 }
 
-// TestConcurrentConversions: the Converter's documented contract is that
-// it is safe for concurrent use (conversions serialize internally).
-// Distinct images converting in parallel must all succeed, share the
-// fingerprint registry; a duplicate reference still fails with
-// ErrAlreadyConverted no matter which goroutine wins.
+// TestConcurrentConversions: the Converter is safe for concurrent use.
+// Distinct images converting in parallel must all succeed, sharing the
+// fingerprint registry. Of two Converts of one reference in flight at
+// once, exactly one converts: the other waits for it to end and then
+// fails with ErrAlreadyConverted, handed the Result if it is the image
+// converted last.
 func TestConcurrentConversions(t *testing.T) {
 	c := newConverter(t, Options{})
+	letDupOn := make(chan struct{})
+	dupGate := newGate(letDupOn)
+	counted := newCountingHasher(hashing.MD5{})
+	gated(c, counted, map[string]*gate{"dup marker": dupGate})
 	const images = 8
 	results := make([]*Result, images)
 	errs := make([]error, images)
@@ -379,15 +386,31 @@ func TestConcurrentConversions(t *testing.T) {
 			results[i], errs[i] = c.Convert(img)
 		}(i)
 	}
-	// Race two conversions of the same reference: exactly one wins.
+	// Two conversions of the same reference: the first is held at its
+	// marker while the second starts.
+	dup := contentImage(t, "dup", "v1", "dup marker", "#!base shell")
+	dupResults := make([]*Result, 2)
 	dupErrs := make([]error, 2)
+	secondDone := make(chan struct{})
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, dupErrs[i] = c.Convert(buildImage(t, "dup", "v1"))
+			dupResults[i], dupErrs[i] = c.Convert(dup)
+			if i == 1 {
+				close(secondDone)
+			}
 		}(i)
+		if i == 0 {
+			<-dupGate.reached
+		}
 	}
+	select {
+	case <-secondDone:
+		t.Error("a Convert of a reference converting now returned before that conversion ended")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(letDupOn)
 	wg.Wait()
 
 	for i := 0; i < images; i++ {
@@ -398,16 +421,17 @@ func TestConcurrentConversions(t *testing.T) {
 			t.Fatalf("image %d: no result", i)
 		}
 	}
-	var already int
-	for _, err := range dupErrs {
-		if errors.Is(err, ErrAlreadyConverted) {
-			already++
-		} else if err != nil {
-			t.Fatalf("duplicate conversion: %v", err)
-		}
+	if dupErrs[0] != nil || dupResults[0] == nil {
+		t.Fatalf("the first conversion of the duplicate: %v", dupErrs[0])
 	}
-	if already != 1 {
-		t.Errorf("duplicate conversions rejected = %d, want exactly 1", already)
+	if !errors.Is(dupErrs[1], ErrAlreadyConverted) {
+		t.Errorf("the second conversion of the duplicate: %v, want ErrAlreadyConverted", dupErrs[1])
+	}
+	if again := dupResults[1]; again != nil && again != dupResults[0] {
+		t.Error("the second conversion of the duplicate returned a Result of its own")
+	}
+	if n := counted.calls[sha256.Sum256([]byte("dup marker"))]; n != 1 {
+		t.Errorf("the duplicate's marker was hashed %d times: want exactly one conversion", n)
 	}
 }
 

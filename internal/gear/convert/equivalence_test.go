@@ -10,6 +10,7 @@ import (
 	"runtime/metrics"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,30 +254,125 @@ func (t *table) holds(content string) bool {
 
 // holdsExactly reports whether the table holds res's contents and
 // nothing else, settled: each under its verifier and, the empty one
-// aside, its first byte. res is a conversion without chunks or
+// aside, its first byte, marked as the last result's and pinned by no
+// conversion. res is a conversion without chunks or
 // fingerprint collisions, so its files are its contents.
 func (t *table) holdsExactly(res *Result) bool {
 	byData := len(t.byData)
 	if t.empty != nil {
 		byData++
 	}
-	if len(t.byVerifier) != len(res.Files) || byData != len(res.Files) {
+	if len(t.byVerifier) != len(res.Files) || byData != len(res.Files) || len(t.last) != len(res.Files) {
 		return false
 	}
 	for _, data := range res.Files {
-		if h := t.byVerifier[sha256.Sum256(data)]; h == nil || h.fresh || h.used {
+		if h := t.byVerifier[sha256.Sum256(data)]; h == nil || !h.inLast || h.pins != 0 {
 			return false
 		}
 	}
 	return true
 }
 
+// cutOff is an image whose one layer is sound gzip over a tar archive
+// cut off after its first files, which hold 700 bytes each of first,
+// first+1 and so on: they are kept, then the conversion fails.
+func cutOff(t *testing.T, name, tag string, first byte) *imagefmt.Image {
+	t.Helper()
+	tree := vfs.New()
+	for i := 0; i < 8; i++ {
+		if err := tree.WriteFile(fmt.Sprintf("/f%d", i), bytes.Repeat([]byte{first + byte(i)}, 700), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := tarstream.Pack(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz, err := tarstream.Gzip(raw[:len(raw)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer, err := imagefmt.NewLayerFromTarball(gz, hashing.DigestBytes(gz))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &imagefmt.Image{
+		Manifest: &imagefmt.Manifest{Name: name, Tag: tag, Layers: []hashing.Digest{layer.Digest}, LayerSizes: []int64{layer.Size}},
+		Layers:   []*imagefmt.Layer{layer},
+	}
+}
+
+// contentImage is a one-layer image with a file for each content, in
+// the order given.
+func contentImage(t *testing.T, name, tag string, contents ...string) *imagefmt.Image {
+	t.Helper()
+	tree := vfs.New()
+	for i, content := range contents {
+		if err := tree.WriteFile(fmt.Sprintf("/f%02d", i), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := imagefmt.SingleLayerImage(name, tag, tree, imagefmt.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// gateDeadline is how long a gate that stays shut holds a hash.
+const gateDeadline = 10 * time.Second
+
+// gateHasher holds the hash of each content it has a gate for until the
+// gate opens. A gate still shut after gateDeadline is noted as late and
+// let through, so a test of conversions that must overlap fails where
+// one waits for the other, and does not hang.
+type gateHasher struct {
+	hashing.Hasher
+	gates map[string]*gate
+	late  atomic.Bool
+}
+
+// gate is closed until open is; reached is closed once a hash comes to it.
+type gate struct {
+	reached chan struct{}
+	open    <-chan struct{}
+	once    sync.Once
+}
+
+func newGate(open <-chan struct{}) *gate { return &gate{reached: make(chan struct{}), open: open} }
+
+func (h *gateHasher) Fingerprint(data []byte) hashing.Fingerprint {
+	if g := h.gates[string(data)]; g != nil {
+		g.once.Do(func() { close(g.reached) })
+		select {
+		case <-g.open:
+		case <-time.After(gateDeadline):
+			h.late.Store(true)
+		}
+	}
+	return h.Hasher.Fingerprint(data)
+}
+
+// gated makes c hash through gates over inner. It must come before c's
+// first conversion.
+func gated(c *Converter, inner hashing.Hasher, gates map[string]*gate) *gateHasher {
+	h := &gateHasher{Hasher: inner, gates: gates}
+	c.reg = hashing.NewRegistry(h)
+	c.files = newTable(c.reg)
+	return h
+}
+
 // When Convert returns, the table holds the contents of its result and
 // nothing else: not what a lower layer held and an upper layer replaced
-// or whited out, and nothing of a conversion that failed.
+// or whited out, and nothing of a conversion that failed — also when the
+// failed conversion overlapped a successful one, ending before it or
+// after it.
 func TestTableHoldsOnlyResultContent(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		c := newConverter(t, Options{Workers: workers})
+		letFail, letSucceed := make(chan struct{}), make(chan struct{})
+		failing, succeeding := newGate(letFail), newGate(letSucceed)
+		h := gated(c, hashing.MD5{}, map[string]*gate{strings.Repeat("m", 700): failing, "held back": succeeding})
 		res, err := c.Convert(overwriting(t))
 		if err != nil {
 			t.Fatal(err)
@@ -296,38 +392,139 @@ func TestTableHoldsOnlyResultContent(t *testing.T) {
 				workers, len(c.files.byVerifier), len(c.files.byData), len(res.Files))
 		}
 
-		// A layer that is sound gzip over a tar archive cut off after its
-		// first files: they are kept, then the conversion fails.
-		tree := vfs.New()
-		for i := 0; i < 8; i++ {
-			if err := tree.WriteFile(fmt.Sprintf("/f%d", i), bytes.Repeat([]byte{byte('a' + i)}, 700), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		raw, err := tarstream.Pack(tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gz, err := tarstream.Gzip(raw[:len(raw)/2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		layer, err := imagefmt.NewLayerFromTarball(gz, hashing.DigestBytes(gz))
-		if err != nil {
-			t.Fatal(err)
-		}
-		broken := &imagefmt.Image{
-			Manifest: &imagefmt.Manifest{Name: "broken", Tag: "v1", Layers: []hashing.Digest{layer.Digest}, LayerSizes: []int64{layer.Size}},
-			Layers:   []*imagefmt.Layer{layer},
-		}
-		if _, err := c.Convert(broken); err == nil {
+		if _, err := c.Convert(cutOff(t, "broken", "v1", 'a')); err == nil {
 			t.Fatal("a truncated layer converted")
 		}
 		if c.files.holds(strings.Repeat("a", 700)) || !c.files.holdsExactly(res) {
 			t.Errorf("workers=%d: a failed conversion did not leave the table as the last result's", workers)
 		}
+
+		// A conversion that fails is held at its third file while one
+		// that shares its second converts.
+		var failErr error
+		done := make(chan struct{})
+		failed := cutOff(t, "broken", "v2", 'k')
+		go func() {
+			defer close(done)
+			_, failErr = c.Convert(failed)
+		}()
+		<-failing.reached
+		res, err = c.Convert(contentImage(t, "overlapping", "v2", "lasting bytes", strings.Repeat("l", 700), "fresh bytes"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		close(letFail)
+		<-done
+		if failErr == nil {
+			t.Fatal("a truncated layer converted")
+		}
+		if c.files.holds(strings.Repeat("k", 700)) || !c.files.holds(strings.Repeat("l", 700)) || !c.files.holdsExactly(res) {
+			t.Errorf("workers=%d: a conversion that failed after an overlapping one succeeded left the table holding %d contents, not the result's %d",
+				workers, len(c.files.byVerifier), len(res.Files))
+		}
+
+		// A conversion that succeeds is held at its second file while
+		// one that shares a content with it fails.
+		var ok *Result
+		done = make(chan struct{})
+		succeeded := contentImage(t, "overlapping", "v3", "lasting bytes", "held back", strings.Repeat("r", 700))
+		go func() {
+			defer close(done)
+			ok, err = c.Convert(succeeded)
+		}()
+		<-succeeding.reached
+		if _, err := c.Convert(cutOff(t, "broken", "v3", 'q')); err == nil {
+			t.Fatal("a truncated layer converted")
+		}
+		close(letSucceed)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.files.holds(strings.Repeat("q", 700)) || !c.files.holds(strings.Repeat("r", 700)) || !c.files.holdsExactly(ok) {
+			t.Errorf("workers=%d: a conversion that failed while an overlapping one went on left the table holding %d contents, not the result's %d",
+				workers, len(c.files.byVerifier), len(ok.Files))
+		}
+		if h.late.Load() {
+			t.Errorf("workers=%d: a conversion waited for one held at a gate", workers)
+		}
 	}
 }
+
+// Two conversions on one Converter run at once: a conversion held at a
+// content until the other has hashed one of its own goes on, with the
+// fingerprint registry and the content table shared between them. Equal
+// contents of both results get one ID and distinct contents distinct
+// IDs, also under a hasher that collides nearly every content; and when
+// both have ended the table holds the last result's contents alone. Run
+// under -race. Where one conversion waits for the other, the first is
+// held until gateDeadline, and the test fails.
+func TestConversionsOverlap(t *testing.T) {
+	hashers := map[string]hashing.Hasher{"md5": hashing.MD5{}, "colliding": parityHasher{}}
+	for hashName, hasher := range hashers {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", hashName, workers), func(t *testing.T) {
+				c := newConverter(t, Options{Workers: workers})
+				second := newGate(closed)
+				first := newGate(second.reached)
+				h := gated(c, hasher, map[string]*gate{"marker of a": first, "marker of b": second})
+				images := []*imagefmt.Image{
+					contentImage(t, "a", "v1", "only in a", "shared by both", "marker of a", "also shared", "a again"),
+					contentImage(t, "b", "v1", "shared by both", "only in b", "marker of b", "also shared"),
+				}
+				results := make([]*Result, len(images))
+				errs := make([]error, len(images))
+				var wg sync.WaitGroup
+				for i, img := range images {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						results[i], errs[i] = c.Convert(img)
+					}()
+					if i == 0 {
+						<-first.reached // a is converting: now start b
+					}
+				}
+				wg.Wait()
+				if h.late.Load() {
+					t.Fatalf("a's conversion waited %v for b's to start: conversions do not overlap", gateDeadline)
+				}
+				ids := make(map[string]hashing.Fingerprint)
+				contents := make(map[hashing.Fingerprint]string)
+				for i, res := range results {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
+					}
+					for fp, data := range res.Files {
+						if id, ok := ids[string(data)]; ok && id != fp {
+							t.Errorf("%q is %s in one result and %s in the other", data, id, fp)
+						}
+						if content, ok := contents[fp]; ok && content != string(data) {
+							t.Errorf("%s is both %q and %q", fp, content, data)
+						}
+						ids[string(data)], contents[fp] = fp, string(data)
+					}
+				}
+				if len(ids) != 7 || len(contents) != 7 {
+					t.Errorf("%d contents under %d IDs, want 7 under 7", len(ids), len(contents))
+				}
+				if hashName == "colliding" && c.reg.Collisions() == 0 {
+					t.Error("no collision: the fallback IDs went untested")
+				}
+				if !c.files.holdsExactly(c.last) {
+					t.Errorf("the table holds %d contents, not exactly the last result's %d", len(c.files.byVerifier), len(c.last.Files))
+				}
+			})
+		}
+	}
+}
+
+// closed is a channel that is closed.
+var closed = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // Two goroutines converting different images on one Converter, each
 // fanning its hashing out to workers: the results are what two
@@ -547,4 +744,68 @@ func BenchmarkConvertSeries(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkConvertWorkers is BenchmarkConvertSeries with the unpack's
+// files hashed on a pool of workers.
+func BenchmarkConvertWorkers(b *testing.B) {
+	images := seriesImages(b, 8, 5, "python")
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprint(workers), func(b *testing.B) {
+			b.SetBytes(unpackedSize(images))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := New(Options{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, img := range images {
+					if _, err := c.Convert(img); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkConvertConcurrent converts five versions each of two series
+// on one converter, a series a goroutine, as two clients pushing to one
+// registry do.
+func BenchmarkConvertConcurrent(b *testing.B) {
+	series := [][]*imagefmt.Image{seriesImages(b, 8, 5, "python"), seriesImages(b, 8, 5, "nginx")}
+	b.SetBytes(unpackedSize(series[0]) + unpackedSize(series[1]))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := New(Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for _, images := range series {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, img := range images {
+					if _, err := c.Convert(img); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// unpackedSize is the bytes of every layer of images, uncompressed.
+func unpackedSize(images []*imagefmt.Image) int64 {
+	var size int64
+	for _, img := range images {
+		for _, l := range img.Layers {
+			size += l.UncompressedSize
+		}
+	}
+	return size
 }

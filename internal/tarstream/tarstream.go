@@ -634,88 +634,87 @@ func ownCopy(content []byte, borrowed bool) []byte {
 // file is nothing beside hashing it, one of a weights file is not.
 const smallEntry = 1 << 20
 
-var scratchPool = sync.Pool{New: func() any { return new([smallEntry]byte) }}
+// An unpack with workers reads small files through one arena of
+// arenaBytes, so that many files, not one, can wait for Keep at once; it
+// queues at most slotsPerWorker entries a worker.
+const (
+	arenaBytes     = 4 << 20
+	slotsPerWorker = 8
+)
 
-// slot is one regular file between being read off the archive and
-// being written to the tree, and the scratch it is read through.
+var (
+	scratchPool = sync.Pool{New: func() any { return new([smallEntry]byte) }}
+	arenaPool   = sync.Pool{New: func() any { return new([arenaBytes]byte) }}
+)
+
+// slot is one entry between being read off the archive and being
+// written to the tree.
 type slot struct {
-	scratch  *[smallEntry]byte // from scratchPool, once a small entry needs it
 	p        string
+	typ      byte // tar.TypeReg, tar.TypeDir or tar.TypeSymlink
 	mode     fs.FileMode
+	link     string // a symlink's target
 	content  []byte // as read; then as Keep answered
 	borrowed bool
-	pending  bool          // handed to a worker, not yet written to the tree
-	kept     chan struct{} // the worker's signal that content is Keep's answer
+	at       int            // where content lies in the arena; -1 if it holds none of it
+	kept     sync.WaitGroup // done when a worker has put Keep's answer in content
 }
 
 // unpacker builds the tree of one archive. Entries are written to the
-// tree strictly in archive order. With one worker Keep is called as each
-// file is read. With more, up to that many files are with Keep at once,
-// each read through a scratch of its own: the slots are used round robin
-// and a slot's file is written before the slot is used again, or before
-// any entry that is not a regular file, so the order holds.
+// tree strictly in archive order. With one worker each small file is
+// read through a scratch of smallEntry bytes, Keep is called as it is
+// read, and each entry is written at once. With more, every entry is
+// queued in a ring and the files go to the workers. Small files are read
+// into an arena, one after another, wrapping round; the oldest entry is
+// written to the tree — waiting for its worker if it is a file — when
+// the ring is full or the arena has no room for the next file. So the
+// reader reads on while the workers hash, past directories and symlinks
+// too.
 type unpacker struct {
-	f    *vfs.FS
-	made string // the directory the last entry was written into
-	keep Keep
-	ring []slot
-	next int        // the slot the next regular file is read into
-	jobs chan *slot // nil with one worker
-	wg   sync.WaitGroup
+	f       *vfs.FS
+	made    string // the directory the last entry was written into
+	keep    Keep
+	arena   []byte // nil until a small file needs it
+	off     int    // where the next file goes in the arena
+	ring    []slot
+	head, n int        // the oldest queued entry and how many are queued
+	jobs    chan *slot // nil with one worker
+	wg      sync.WaitGroup
 }
 
 // unpackFrom builds the tree of the archive r holds; bound is readEntry's.
 func unpackFrom(r io.Reader, bound int, keep Keep, workers int) (*vfs.FS, error) {
-	u := &unpacker{f: vfs.New(), made: "/", keep: keep, ring: make([]slot, max(workers, 1))}
+	u := &unpacker{f: vfs.New(), made: "/", keep: keep, ring: make([]slot, 1)}
 	if workers > 1 {
-		u.jobs = make(chan *slot)
-		for i := range u.ring {
-			u.ring[i].kept = make(chan struct{}, 1)
-		}
+		u.ring = make([]slot, slotsPerWorker*workers)
+		u.jobs = make(chan *slot, len(u.ring)) // a place for every queued file: the reader never waits to hand one on
 		for w := 0; w < workers; w++ {
 			u.wg.Add(1)
 			go func() {
 				defer u.wg.Done()
 				for s := range u.jobs {
 					s.content = u.keep(s.content, s.borrowed)
-					s.kept <- struct{}{}
+					s.kept.Done()
 				}
 			}()
 		}
 	}
 	err := scanTar(r, func(p string, hdr *tar.Header, tr *tar.Reader) error {
-		if hdr.Typeflag == tar.TypeReg {
-			return u.regular(p, hdr, tr, bound)
-		}
-		if err := u.settle(); err != nil {
-			return err
-		}
-		if err := u.mkParent(p); err != nil {
-			return err
-		}
-		var err error
-		if hdr.Typeflag == tar.TypeSymlink {
-			err = u.f.Symlink(hdr.Linkname, p)
-		} else if !u.f.Exists(p) {
-			err = u.f.Mkdir(p, fs.FileMode(hdr.Mode).Perm())
-		}
-		if err != nil {
-			return fmt.Errorf("tarstream: unpack %s: %w", p, err)
-		}
-		return nil
+		return u.entry(p, hdr, tr, bound)
 	})
 	if err == nil {
-		err = u.settle()
+		err = u.drain()
 	}
-	// No scratch goes back to the pool while a worker may still read it.
+	// No arena goes back to the pool while a worker may still read it.
 	if u.jobs != nil {
 		close(u.jobs)
 		u.wg.Wait()
 	}
-	for i := range u.ring {
-		if u.ring[i].scratch != nil {
-			scratchPool.Put(u.ring[i].scratch)
-		}
+	switch len(u.arena) {
+	case smallEntry:
+		scratchPool.Put((*[smallEntry]byte)(u.arena))
+	case arenaBytes:
+		arenaPool.Put((*[arenaBytes]byte)(u.arena))
 	}
 	if err != nil {
 		return nil, err
@@ -723,64 +722,143 @@ func unpackFrom(r io.Reader, bound int, keep Keep, workers int) (*vfs.FS, error)
 	return u.f, nil
 }
 
-// regular reads the regular-file entry tr stands at and passes it to
-// Keep, here or on a worker.
-func (u *unpacker) regular(p string, hdr *tar.Header, tr *tar.Reader, bound int) error {
-	s := &u.ring[u.next]
-	if err := u.write(s); err != nil {
-		return err
-	}
-	s.p, s.mode = p, fs.FileMode(hdr.Mode).Perm()
-	if s.borrowed = 0 <= hdr.Size && hdr.Size <= smallEntry; s.borrowed {
-		if s.scratch == nil {
-			s.scratch = scratchPool.Get().(*[smallEntry]byte)
+// entry reads the entry tr stands at, and writes it to the tree or
+// queues it.
+func (u *unpacker) entry(p string, hdr *tar.Header, tr *tar.Reader, bound int) error {
+	var content []byte
+	at := -1
+	borrowed := hdr.Typeflag == tar.TypeReg && 0 <= hdr.Size && hdr.Size <= smallEntry
+	if borrowed {
+		var err error
+		if at, err = u.claim(int(hdr.Size)); err != nil {
+			return err
 		}
-		s.content = s.scratch[:hdr.Size]
+		content = u.arena[at : at+int(hdr.Size)]
+		if hdr.Size == 0 {
+			at = -1
+		}
 		// The tar reader ends an entry where its header says, so a full
 		// read is the whole content.
-		if _, err := io.ReadFull(tr, s.content); err != nil {
+		if _, err := io.ReadFull(tr, content); err != nil {
 			return fmt.Errorf("tarstream: unpack %s: %w: %w", p, ErrCorrupt, err)
 		}
-	} else {
+	} else if hdr.Typeflag == tar.TypeReg {
 		var err error
-		if s.content, err = readEntry(tr, hdr, p, bound); err != nil {
+		if content, err = readEntry(tr, hdr, p, bound); err != nil {
 			return err
 		}
 	}
-	s.pending = true
+	if u.n == len(u.ring) {
+		if err := u.writeOldest(); err != nil {
+			return err
+		}
+	}
+	s := &u.ring[(u.head+u.n)%len(u.ring)]
+	s.p, s.typ, s.mode, s.link = p, hdr.Typeflag, fs.FileMode(hdr.Mode).Perm(), hdr.Linkname
+	s.content, s.borrowed, s.at = content, borrowed, at
 	if u.jobs == nil {
-		s.content = u.keep(s.content, s.borrowed)
+		if s.typ == tar.TypeReg {
+			s.content = u.keep(s.content, s.borrowed)
+		}
 		return u.write(s)
 	}
-	u.jobs <- s
-	u.next = (u.next + 1) % len(u.ring)
+	u.n++
+	if s.typ == tar.TypeReg {
+		s.kept.Add(1)
+		u.jobs <- s
+	}
 	return nil
 }
 
-// settle writes every file still pending to the tree, oldest first.
-func (u *unpacker) settle() error {
-	for i := range u.ring {
-		if err := u.write(&u.ring[(u.next+i)%len(u.ring)]); err != nil {
+// claim returns where in the arena the next small file's n bytes go,
+// writing the oldest queued entries to the tree until they have room.
+// The files in the arena lie in archive order from the oldest one's
+// start, wrapping round at its end.
+func (u *unpacker) claim(n int) (int, error) {
+	if u.arena == nil {
+		if u.jobs == nil {
+			u.arena = scratchPool.Get().(*[smallEntry]byte)[:]
+		} else {
+			u.arena = arenaPool.Get().(*[arenaBytes]byte)[:]
+		}
+	}
+	for {
+		if at, ok := u.room(n); ok {
+			u.off = at + n
+			return at, nil
+		}
+		if err := u.writeOldest(); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// room says where in the arena n free bytes lie, if they do.
+func (u *unpacker) room(n int) (int, bool) {
+	lo := u.oldestInArena()
+	switch {
+	case lo < 0: // the arena is empty
+		return 0, true
+	case lo < u.off: // the files lie in [lo, off): room after them, else before
+		if n <= len(u.arena)-u.off {
+			return u.off, true
+		}
+		return 0, n <= lo
+	default: // they wrap round: the room is [off, lo)
+		return u.off, n <= lo-u.off
+	}
+}
+
+// oldestInArena is where the oldest queued file in the arena starts, or
+// -1 if none is there.
+func (u *unpacker) oldestInArena() int {
+	for i := 0; i < u.n; i++ {
+		if s := &u.ring[(u.head+i)%len(u.ring)]; s.at >= 0 {
+			return s.at
+		}
+	}
+	return -1
+}
+
+// drain writes every queued entry to the tree, oldest first.
+func (u *unpacker) drain() error {
+	for u.n > 0 {
+		if err := u.writeOldest(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// write puts s's file, if it holds one, into the tree, waiting for the
-// worker that has it.
+// writeOldest writes the oldest queued entry to the tree.
+func (u *unpacker) writeOldest() error {
+	s := &u.ring[u.head]
+	u.head = (u.head + 1) % len(u.ring)
+	u.n--
+	return u.write(s)
+}
+
+// write puts s's entry into the tree, waiting for the worker that has
+// its file.
 func (u *unpacker) write(s *slot) error {
-	if !s.pending {
-		return nil
+	if s.typ == tar.TypeReg && u.jobs != nil {
+		s.kept.Wait()
 	}
-	if u.jobs != nil {
-		<-s.kept
-	}
-	s.pending = false
 	if err := u.mkParent(s.p); err != nil {
 		return err
 	}
-	if err := u.f.WriteFile(s.p, s.content, s.mode); err != nil {
+	var err error
+	switch s.typ {
+	case tar.TypeReg:
+		err = u.f.WriteFile(s.p, s.content, s.mode)
+	case tar.TypeSymlink:
+		err = u.f.Symlink(s.link, s.p)
+	default:
+		if !u.f.Exists(s.p) {
+			err = u.f.Mkdir(s.p, s.mode)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("tarstream: unpack %s: %w", s.p, err)
 	}
 	return nil

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"testing/iotest"
 	"testing/quick"
+	"time"
 
 	"github.com/gear-image/gear/internal/vfs"
 )
@@ -1464,6 +1465,57 @@ func TestUnpackGzKeep(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		if _, err := UnpackGzKeep(cut, ownCopy, workers); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("workers=%d: cut-off archive: %v, want ErrCorrupt", workers, err)
+		}
+	}
+}
+
+// With workers, small files queue in the unpacker's arena, behind
+// directories and symlinks, until the arena has no room for the next:
+// files of up to smallEntry bytes fill it and wrap round it,
+// and no file's bytes are overwritten before Keep has read them: with a
+// Keep that takes its time to copy them, the tree is UnpackGz's.
+func TestUnpackArenaWraps(t *testing.T) {
+	sizes := []int{900 << 10, 300 << 10, smallEntry, 0, 700 << 10, smallEntry + 1, 1, 999 << 10}
+	var entries []rawEntry
+	for i := 0; i < 16; i++ {
+		if i%5 == 0 {
+			entries = append(entries, rawEntry{Header: tar.Header{Name: fmt.Sprintf("d%02d/", i), Typeflag: tar.TypeDir, Mode: 0o755}})
+		}
+		if i%7 == 0 {
+			entries = append(entries, rawEntry{Header: tar.Header{Name: fmt.Sprintf("d%02d/link%d", i/5*5, i), Typeflag: tar.TypeSymlink, Linkname: "elsewhere"}})
+		}
+		// Each file's bytes are its own, so one overwritten by another
+		// shows; runs of them compress fast.
+		content := strings.Repeat(string(rune('A'+i)), sizes[i%len(sizes)])
+		entries = append(entries, rawEntry{Header: tar.Header{Name: fmt.Sprintf("d%02d/f%02d", i/5*5, i), Typeflag: tar.TypeReg, Mode: 0o644}, content: content})
+	}
+	gz, err := Gzip(rawTar(t, entries...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := UnpackGz(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPacked, err := Pack(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowCopy := func(content []byte, borrowed bool) []byte {
+		time.Sleep(time.Millisecond)
+		return ownCopy(content, borrowed)
+	}
+	for _, workers := range []int{2, 4} {
+		got, err := UnpackGzKeep(gz, slowCopy, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPacked, err := Pack(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotPacked, wantPacked) {
+			t.Errorf("workers=%d: tree differs from UnpackGz's", workers)
 		}
 	}
 }
