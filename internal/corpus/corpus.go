@@ -6,7 +6,14 @@
 //
 // Everything is deterministic in (Options.Seed, Options.Scale): a series'
 // images are built on demand, byte-for-byte reproducible, so experiments
-// need not hold 971 images in memory.
+// need not hold 971 images in memory. The layers images share are built
+// once per Corpus: an OS base or category runtime layer, once built, is
+// kept and stacked into every image that has it, as a Docker host keeps
+// one copy of a layer per digest. Only those lineages are kept, because
+// only they repeat. At Scale 1 with seed 7, generating all 971 images
+// keeps 113 layers (11.8 MB gzipped); keeping every layer but the app's
+// top one would keep 1 079 (54.4 MB), one application library layer per
+// image, none of them ever asked for again.
 //
 // The generative model mirrors how real images are built:
 //
@@ -29,7 +36,11 @@ package corpus
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
+
+	"github.com/gear-image/gear/internal/imagefmt"
 )
 
 // Category classifies a series per Table I.
@@ -243,11 +254,25 @@ var (
 	ErrNoVersion = errors.New("version out of range")
 )
 
-// Corpus is a generated image population.
+// Corpus is a generated image population. It is safe for concurrent
+// use.
 type Corpus struct {
 	opts   Options
 	series []Series
 	byName map[string]*Series
+
+	// memo holds the layer of every shared package instance built so far
+	// (see sharedLayer); memoBuilds counts the builds.
+	memoMu     sync.Mutex
+	memo       map[string]*memoLayer
+	memoBuilds atomic.Int64
+}
+
+// memoLayer is one shared layer, built once.
+type memoLayer struct {
+	once  sync.Once
+	layer *imagefmt.Layer
+	err   error
 }
 
 // New validates opts and returns a Corpus. No image bytes are produced
@@ -267,7 +292,7 @@ func New(opts Options) (*Corpus, error) {
 		}
 		return false
 	}
-	c := &Corpus{opts: opts, byName: make(map[string]*Series)}
+	c := &Corpus{opts: opts, byName: make(map[string]*Series), memo: make(map[string]*memoLayer)}
 	for _, s := range seriesTable {
 		if !keep(s.Name) {
 			continue

@@ -43,7 +43,15 @@ type pkg struct {
 	hotFrac, hotChurn, coldChurn float64
 	// sizeMul scales this package's file sizes.
 	sizeMul float64
+	// shared marks a lineage whose instances repeat across versions or
+	// series — the OS bases and the category runtimes — so Image builds
+	// each instance's layer once per Corpus (see sharedLayer).
+	shared bool
 }
+
+// memoKey spells out every field of the descriptor: packageTree is a
+// pure function of them, so equal keys render equal trees.
+func (p *pkg) memoKey() string { return fmt.Sprintf("%+v", *p) }
 
 // seriesSizeMul gives each series a stable size personality around the
 // category mean. node is deliberately the largest (the paper's Fig 6
@@ -185,6 +193,7 @@ func (c *Corpus) packages(s *Series, version int) []*pkg {
 			[]string{"/"}, 0.5, prof.appHotChurn, prof.coldChurn)
 		tiny.files = 2
 		tiny.sizeMul = 0.1
+		tiny.shared = true
 		app := mkPkg("hello-world-app", version, prof.appBytes,
 			[]string{"/opt/hello-world", "/opt/hello-world/bin"}, 0.8,
 			prof.appHotChurn, prof.coldChurn)
@@ -221,6 +230,7 @@ func (c *Corpus) packages(s *Series, version int) []*pkg {
 		// Hot designation must also be category-independent.
 		base.hotFrac = 0.03
 	}
+	base.shared = true
 	out = append(out, base)
 
 	// Category runtime (absent for distros).
@@ -236,6 +246,7 @@ func (c *Corpus) packages(s *Series, version int) []*pkg {
 		if rt.files < 3 {
 			rt.files = 3
 		}
+		rt.shared = true
 		out = append(out, rt)
 	}
 
@@ -304,7 +315,8 @@ func (c *Corpus) packageTree(p *pkg) (*vfs.FS, error) {
 
 // Image builds the Docker image of (series, version): one layer per
 // package, bottom first, plus a start script and version marker in the
-// app layer.
+// app layer. The base and runtime layers are built once per Corpus and
+// stacked into every image that shares them.
 func (c *Corpus) Image(series string, version int) (*imagefmt.Image, error) {
 	s, _, err := c.lookup(series, version)
 	if err != nil {
@@ -318,28 +330,69 @@ func (c *Corpus) Image(series string, version int) (*imagefmt.Image, error) {
 	})
 	pkgs := c.packages(s, version)
 	for i, p := range pkgs {
-		tree, err := c.packageTree(p)
+		var layer *imagefmt.Layer
+		switch {
+		case p.shared:
+			layer, err = c.sharedLayer(p)
+		case i == len(pkgs)-1:
+			layer, err = c.layer(p, func(tree *vfs.FS) error { return appExtras(tree, series, version) })
+		default:
+			layer, err = c.layer(p, nil)
+		}
 		if err != nil {
-			return nil, err
-		}
-		if i == len(pkgs)-1 {
-			// App layer extras: entrypoint and version marker.
-			if err := tree.MkdirAll("/opt/"+series+"/bin", 0o755); err != nil {
-				return nil, fmt.Errorf("corpus: image %s: %w", series, err)
-			}
-			start := fmt.Sprintf("#!/bin/sh\nexec %s-daemon --version=%s\n", series, versionTag(version))
-			if err := tree.WriteFile("/opt/"+series+"/bin/start", []byte(start), 0o755); err != nil {
-				return nil, fmt.Errorf("corpus: image %s: %w", series, err)
-			}
-			if err := tree.WriteFile("/opt/"+series+"/VERSION", []byte(versionTag(version)), 0o644); err != nil {
-				return nil, fmt.Errorf("corpus: image %s: %w", series, err)
-			}
-		}
-		if err := b.AddDiffLayer(tree); err != nil {
 			return nil, fmt.Errorf("corpus: image %s:%s: %w", series, versionTag(version), err)
 		}
+		b.AddLayer(layer)
 	}
 	return b.Build()
+}
+
+// appExtras adds the app layer's entrypoint and version marker.
+func appExtras(tree *vfs.FS, series string, version int) error {
+	if err := tree.MkdirAll("/opt/"+series+"/bin", 0o755); err != nil {
+		return err
+	}
+	if err := tree.WriteFile("/opt/"+series+"/bin/start", []byte(startScript(series, version)), 0o755); err != nil {
+		return err
+	}
+	return tree.WriteFile("/opt/"+series+"/VERSION", []byte(versionTag(version)), 0o644)
+}
+
+func startScript(series string, version int) string {
+	return fmt.Sprintf("#!/bin/sh\nexec %s-daemon --version=%s\n", series, versionTag(version))
+}
+
+// layer renders p's tree, lets extra (if set) add to it, and packs it.
+func (c *Corpus) layer(p *pkg, extra func(*vfs.FS) error) (*imagefmt.Layer, error) {
+	tree, err := c.packageTree(p)
+	if err != nil {
+		return nil, err
+	}
+	if extra != nil {
+		if err := extra(tree); err != nil {
+			return nil, err
+		}
+	}
+	return imagefmt.NewLayerFromDiff(tree)
+}
+
+// sharedLayer returns the layer of a shared package, building it the
+// first time any image asks: concurrent callers of one descriptor wait
+// for that one build.
+func (c *Corpus) sharedLayer(p *pkg) (*imagefmt.Layer, error) {
+	k := p.memoKey()
+	c.memoMu.Lock()
+	e := c.memo[k]
+	if e == nil {
+		e = new(memoLayer)
+		c.memo[k] = e
+	}
+	c.memoMu.Unlock()
+	e.once.Do(func() {
+		c.memoBuilds.Add(1)
+		e.layer, e.err = c.layer(p, nil)
+	})
+	return e.layer, e.err
 }
 
 // AccessItem is one launch-time file access.
@@ -374,7 +427,7 @@ func (c *Corpus) NecessarySet(series string, version int) ([]AccessItem, error) 
 	}
 	items = append(items, AccessItem{
 		Path: "/opt/" + series + "/bin/start",
-		Size: int64(len(fmt.Sprintf("#!/bin/sh\nexec %s-daemon --version=%s\n", series, versionTag(version)))),
+		Size: int64(len(startScript(series, version))),
 	})
 	return items, nil
 }

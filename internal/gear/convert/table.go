@@ -13,10 +13,10 @@ import (
 // by the content's strong verifier — not its fingerprint, which a weak
 // hasher may give to two contents. Layers are unpacked through a use's
 // keep: a file is hashed where its bytes stream by, and only a content the
-// table does not hold is given memory, so converting the next version of
-// an image allocates what that version added. The sum computed there goes
-// on to the index builder through known, which is why no file is hashed
-// twice.
+// table does not hold is fingerprinted and given memory, so converting
+// the next version of an image hashes and allocates what that version
+// added. The sum goes on to the index builder through known, which is why
+// no file is hashed twice.
 //
 // Only the last image is held once its conversion ends: a Converter that
 // converts a thousand images holds one image's contents, not the union of
@@ -68,23 +68,32 @@ func newTable(reg *hashing.Registry) *table {
 func (t *table) begin() *use { return &use{t: t, id: t.uses.Add(1)} }
 
 // keep implements tarstream.Keep, pinning the content it answers with
-// until the conversion settles.
+// until the conversion settles. A content is looked up by its verifier,
+// and only one the table does not hold is fingerprinted: a held content
+// reuses its sum, which is a pure function of the bytes.
 func (u *use) keep(content []byte, borrowed bool) []byte {
 	t := u.t
-	sum := t.reg.Sum(content)
+	v := hashing.VerifierOf(content)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	h := t.byVerifier[sum.Verifier()]
+	h := t.byVerifier[v]
 	if h == nil {
+		// Fingerprint and copy without the lock, then look again: another
+		// keep may have added the content meanwhile.
+		t.mu.Unlock()
+		sum := t.reg.SumVerified(content, v)
 		if borrowed {
 			content = bytes.Clone(content)
 		}
-		h = &held{data: content, sum: sum}
-		t.byVerifier[sum.Verifier()] = h
-		if len(content) > 0 {
-			t.byData[&content[0]] = h
-		} else {
-			t.empty = h
+		t.mu.Lock()
+		if h = t.byVerifier[v]; h == nil {
+			h = &held{data: content, sum: sum}
+			t.byVerifier[v] = h
+			if len(content) > 0 {
+				t.byData[&content[0]] = h
+			} else {
+				t.empty = h
+			}
 		}
 	}
 	if h.pinner != u.id {

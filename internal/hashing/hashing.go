@@ -234,10 +234,17 @@ func (r *Registry) shardOf(fp Fingerprint) *registryShard {
 	return &r.shards[shardIndexOf(fp)]
 }
 
+// VerifierOf computes data's Verifier.
+func VerifierOf(data []byte) Verifier { return sha256.Sum256(data) }
+
 // Sum hashes data: the one pass over a content's bytes that addressing
 // it takes.
-func (r *Registry) Sum(data []byte) Sum {
-	return Sum{fp: r.hasher.Fingerprint(data), v: sha256.Sum256(data)}
+func (r *Registry) Sum(data []byte) Sum { return r.SumVerified(data, VerifierOf(data)) }
+
+// SumVerified is Sum of data whose Verifier v the caller has already
+// computed with VerifierOf: only the fingerprint is left to hash.
+func (r *Registry) SumVerified(data []byte, v Verifier) Sum {
+	return Sum{fp: r.hasher.Fingerprint(data), v: v}
 }
 
 // Assign returns the content address for data, detecting collisions.

@@ -162,8 +162,25 @@ type Image struct {
 	Layers   []*Layer
 }
 
-// Validate checks manifest/layer agreement and digest integrity.
+// Validate checks manifest/layer agreement and digest integrity: the
+// check for an image that crosses a trust boundary.
 func (img *Image) Validate() error {
+	if err := img.ValidateStructure(); err != nil {
+		return err
+	}
+	for i, l := range img.Layers {
+		if got := hashing.DigestBytes(l.tarball); got != l.Digest {
+			return fmt.Errorf("imagefmt: %s layer %d: %w", img.Manifest.Reference(), i, ErrBadDigest)
+		}
+	}
+	return nil
+}
+
+// ValidateStructure is Validate without re-hashing the layers: the layer
+// count and manifest/layer agreement. It suits a caller whose layers'
+// digests were just computed (NewLayerFromDiff) or verified
+// (NewLayerFromTarball).
+func (img *Image) ValidateStructure() error {
 	if len(img.Layers) == 0 {
 		return fmt.Errorf("imagefmt: %s: %w", img.Manifest.Reference(), ErrNoLayers)
 	}
@@ -173,9 +190,6 @@ func (img *Image) Validate() error {
 	for i, l := range img.Layers {
 		if img.Manifest.Layers[i] != l.Digest {
 			return fmt.Errorf("imagefmt: %s layer %d: %w", img.Manifest.Reference(), i, ErrLayerMismatch)
-		}
-		if got := hashing.DigestBytes(l.tarball); got != l.Digest {
-			return fmt.Errorf("imagefmt: %s layer %d: %w", img.Manifest.Reference(), i, ErrBadDigest)
 		}
 	}
 	return nil
@@ -205,14 +219,11 @@ type Builder struct {
 	tag    string
 	config Config
 	layers []*Layer
-	// snapshot tracks the cumulative root filesystem so diffs can be
-	// computed from successive snapshots.
-	snapshot *vfs.FS
 }
 
 // NewBuilder starts an image build for name:tag.
 func NewBuilder(name, tag string) *Builder {
-	return &Builder{name: name, tag: tag, snapshot: vfs.New()}
+	return &Builder{name: name, tag: tag}
 }
 
 // SetConfig replaces the image configuration.
@@ -227,28 +238,14 @@ func (b *Builder) AddDiffLayer(diff *vfs.FS) error {
 	if err != nil {
 		return err
 	}
-	if err := tarstream.ApplyLayer(b.snapshot, diff); err != nil {
-		return fmt.Errorf("imagefmt: track snapshot: %w", err)
-	}
-	b.layers = append(b.layers, layer)
+	b.AddLayer(layer)
 	return nil
 }
 
-// AddSnapshotLayer appends a layer computed as the diff between the
-// builder's current cumulative filesystem and next. This mirrors how
-// "docker commit" turns a writable layer into a read-only image layer.
-func (b *Builder) AddSnapshotLayer(next *vfs.FS) error {
-	diff, err := tarstream.Diff(b.snapshot, next)
-	if err != nil {
-		return fmt.Errorf("imagefmt: snapshot diff: %w", err)
-	}
-	layer, err := NewLayerFromDiff(diff)
-	if err != nil {
-		return err
-	}
-	b.snapshot = next.Clone()
-	b.layers = append(b.layers, layer)
-	return nil
+// AddLayer appends a built layer as the next one. A layer is immutable,
+// so one layer may be stacked into any number of images.
+func (b *Builder) AddLayer(l *Layer) {
+	b.layers = append(b.layers, l)
 }
 
 // Build finalizes the image. The builder remains usable (e.g. to stack
@@ -269,7 +266,8 @@ func (b *Builder) Build() (*Image, error) {
 		m.LayerSizes = append(m.LayerSizes, l.Size)
 	}
 	img := &Image{Manifest: m, Layers: layers}
-	if err := img.Validate(); err != nil {
+	// Every layer's digest was taken of its own tarball when it was made.
+	if err := img.ValidateStructure(); err != nil {
 		return nil, err
 	}
 	return img, nil

@@ -135,44 +135,6 @@ func TestFlattenWithWhiteout(t *testing.T) {
 	}
 }
 
-func TestAddSnapshotLayer(t *testing.T) {
-	b := NewBuilder("app", "v2")
-	base := baseTree(t)
-	if err := b.AddDiffLayer(base); err != nil {
-		t.Fatal(err)
-	}
-	next := base.Clone()
-	if err := next.WriteFile("/etc/app.conf", []byte("v2"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := next.Remove("/etc/os-release"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddSnapshotLayer(next); err != nil {
-		t.Fatal(err)
-	}
-	img, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := img.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !root.Exists("/etc/app.conf") || root.Exists("/etc/os-release") {
-		t.Error("snapshot layer did not capture changes")
-	}
-	// The second layer should be small: only the two changes.
-	tree, err := img.Layers[1].Tree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tree.Stats()
-	if s.Files != 2 { // app.conf + whiteout
-		t.Errorf("snapshot layer files = %d, want 2", s.Files)
-	}
-}
-
 func TestIdenticalLayersShareDigest(t *testing.T) {
 	// Layer-level dedup (§II-B) depends on identical diffs producing
 	// identical digests.
@@ -312,6 +274,20 @@ func TestSharedBaseLayerAcrossImages(t *testing.T) {
 	}
 	if debian.Layers[0].Digest != nginx.Layers[0].Digest {
 		t.Error("shared base layer has different digests across images")
+	}
+	// A built layer stacks again as it is.
+	b = NewBuilder("httpd", "2.4")
+	b.AddLayer(debian.Layers[0])
+	b.AddLayer(nginx.Layers[1])
+	httpd, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := httpd.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if httpd.Layers[0] != debian.Layers[0] || httpd.Manifest.Layers[1] != nginx.Manifest.Layers[1] {
+		t.Error("AddLayer did not stack the given layers")
 	}
 }
 

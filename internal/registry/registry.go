@@ -245,7 +245,8 @@ func Pull(s Store, name, tag string) (*imagefmt.Image, error) {
 		}
 		img.Layers = append(img.Layers, layer)
 	}
-	if err := img.Validate(); err != nil {
+	// NewLayerFromTarball has just verified every blob against its digest.
+	if err := img.ValidateStructure(); err != nil {
 		return nil, fmt.Errorf("registry: pull %s:%s: %w", name, tag, err)
 	}
 	return img, nil
