@@ -73,7 +73,8 @@ func TestGearFilesStoreAsGzip(t *testing.T) {
 // first version of three of its series, at scale 1 — as what is
 // inflated on a pull: each layer as the registry stores it, and each
 // distinct Gear file as the pool stores it (GzipFrom). raw counts the
-// bytes each set inflates to.
+// bytes each set inflates to; the layers' set also keeps each layer's
+// tar, which is what NewLayerFromDiff compresses.
 var gunzipInputs = sync.OnceValues(func() (sets [2]gunzipSet, err error) {
 	co, err := corpus.New(corpus.Options{
 		Seed: 20211107, Scale: 1, MaxVersions: 1,
@@ -90,6 +91,11 @@ var gunzipInputs = sync.OnceValues(func() (sets [2]gunzipSet, err error) {
 		}
 		for _, l := range img.Layers {
 			sets[0].add(l.Tarball(), l.UncompressedSize)
+			tar, err := tarstream.Gunzip(l.Tarball())
+			if err != nil {
+				return sets, err
+			}
+			sets[0].tars = append(sets[0].tars, tar)
 			tree, err := l.Tree()
 			if err != nil {
 				return sets, err
@@ -114,6 +120,7 @@ var gunzipInputs = sync.OnceValues(func() (sets [2]gunzipSet, err error) {
 
 type gunzipSet struct {
 	streams [][]byte
+	tars    [][]byte // the layers' set only: what each stream inflates to
 	raw     int64
 }
 
@@ -147,3 +154,25 @@ func BenchmarkGunzipLayers(b *testing.B) { benchGunzip(b, 0) }
 
 // BenchmarkGunzipObjects inflates the corpus's Gear files, as stored.
 func BenchmarkGunzipObjects(b *testing.B) { benchGunzip(b, 1) }
+
+// BenchmarkGzipLayers compresses the corpus's layer tars with Gzip, as
+// NewLayerFromDiff does when an image is built: BenchmarkGunzipLayers's
+// inputs, the other way round, and what the tarstream.gzip_mbps probe
+// times.
+func BenchmarkGzipLayers(b *testing.B) {
+	sets, err := gunzipInputs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := sets[0]
+	b.ReportAllocs()
+	b.SetBytes(set.raw)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, tar := range set.tars {
+			if _, err := tarstream.Gzip(tar); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

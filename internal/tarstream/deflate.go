@@ -1,10 +1,15 @@
 // This file and huffman.go hold the BestSpeed (level 1) path of the Go
 // standard library's compress/flate writer — its compressor loop,
 // deflatefast.go's matcher, and token.go — with levels 2-9, the
-// fixed-Huffman-only paths and the inflater left out, its error plumbing
-// dropped (it writes only to memory), and one change: the matcher's step
-// between hash probes can be capped (see deflateFast.maxStep). Uncapped,
-// the bytes it writes are compress/flate's at BestSpeed.
+// fixed-Huffman-only paths and the inflater left out, and its error
+// plumbing dropped (it writes only to memory). One change moves bytes:
+// the matcher's step between hash probes can be capped (see
+// deflateFast.maxStep). Two change only how the work is done, not one
+// byte of it: the matcher emits one token for a run of literal bytes,
+// which the coder counts and writes from the block itself; and a block
+// that one write holds whole is matched where it lies, not copied into
+// a window first (see compressor). Uncapped, the bytes it writes are
+// compress/flate's at BestSpeed.
 //
 // Copyright 2009 The Go Authors.
 //
@@ -36,10 +41,13 @@
 
 package tarstream
 
-import "math"
+import (
+	"hash/crc32"
+	"math"
+)
 
 const (
-	// The LZ77 step produces a sequence of literal tokens and <length, offset>
+	// The LZ77 step produces a sequence of literal-run tokens and <length, offset>
 	// pair tokens. The offset is also known as distance. The underlying wire
 	// format limits the range of lengths and offsets. For example, there are
 	// 256 legitimate lengths: those in the range [3, 258]. This package's
@@ -66,93 +74,142 @@ const (
 	boundedStep   = 64
 )
 
-// compressor is compress/flate's Writer at BestSpeed, writing into a sink:
-// input is gathered into window and encoded a block of maxStoreBlockSize
-// bytes at a time.
+// compressor is compress/flate's Writer at BestSpeed, writing a deflate
+// stream of segments into a sink: the matcher turns each block of
+// maxStoreBlockSize bytes into tokens, and the bit writer codes them at
+// once as a Huffman-coded block.
+//
+// A block is matched where its bytes are when one write holds it whole;
+// only what has to outlive a write is copied into a window: a block
+// gathered from several writes, a write's last partial block and, when
+// the stream goes on, the history behind it. The two windows take
+// turns, so that a history that is in one is never in the one a block
+// is gathered in (window[next]).
 type compressor struct {
-	w         huffmanBitWriter
-	fast      deflateFast
-	window    []byte
-	windowEnd int
-	tokens    []token
+	w      huffmanBitWriter
+	fast   deflateFast
+	crc    uint32 // of the segment's content so far
+	tokens []token
+	window [2][]byte // maxStoreBlockSize bytes each
+	next   int       // the window the next block is gathered in
+	held   int       // bytes of the next block gathered in window[next]
+	lent   bool      // the history is the bytes of a write under way
 }
 
+// maxTokens bounds the tokens of a block: a match covers at least 4
+// bytes and a literal run at least 1, and no two runs are adjacent.
+const maxTokens = 2*maxStoreBlockSize/5 + 2
+
 func newCompressor(out *sink) *compressor {
-	return &compressor{
+	d := &compressor{
 		w:      newHuffmanBitWriter(out),
-		fast:   deflateFast{cur: maxStoreBlockSize, prev: make([]byte, 0, maxStoreBlockSize), maxStep: unboundedStep},
-		window: make([]byte, maxStoreBlockSize),
-		tokens: make([]token, maxStoreBlockSize),
+		fast:   deflateFast{cur: maxStoreBlockSize, maxStep: unboundedStep},
+		tokens: make([]token, 0, maxTokens),
 	}
+	for i := range d.window {
+		d.window[i] = make([]byte, maxStoreBlockSize)
+	}
+	return d
 }
 
 // reset starts a new deflate stream with no history; the matcher's
 // maxStep is kept.
 func (d *compressor) reset() {
 	d.w.reset()
-	d.windowEnd = 0
-	d.tokens = d.tokens[:0]
+	d.fast.reset()
+	d.crc, d.held = 0, 0
+}
+
+// write compresses b. When last is set, b ends the segment's content:
+// its last partial block is coded now, as the end of the segment would
+// code it, and the history ends with it.
+func (d *compressor) write(b []byte, last bool) {
+	if d.held > 0 {
+		w := d.window[d.next]
+		n := copy(w[d.held:], b)
+		d.held += n
+		b = b[n:]
+		if d.held == len(w) {
+			d.held = 0
+			d.block(w)
+			d.next ^= 1
+		}
+	}
+	for len(b) >= maxStoreBlockSize {
+		d.block(b[:maxStoreBlockSize])
+		b, d.lent = b[maxStoreBlockSize:], true
+	}
+	switch {
+	case last:
+		if d.held > 0 {
+			b, d.held = d.window[d.next][:d.held], 0
+		} else if len(b) >= 128 {
+			d.lent = true // matched where it lies
+		}
+		d.seal(b)
+	case len(b) > 0:
+		d.held = copy(d.window[d.next], b)
+	}
+}
+
+// settle is called when a write returns: the history the next block is
+// matched against must outlive its bytes.
+func (d *compressor) settle() {
+	if !d.lent {
+		return
+	}
+	d.lent = false
+	prev := d.window[d.next^1][:len(d.fast.prev)]
+	copy(prev, d.fast.prev)
+	d.fast.prev = prev
+}
+
+// block matches src, a block, and codes it.
+func (d *compressor) block(src []byte) {
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, src)
+	tokens, codes := d.fast.encode(d.tokens[:0], src)
+	d.tokens = tokens
+	// If we removed less than 1/16th, Huffman compress the block.
+	if codes > len(src)-len(src)>>4 {
+		d.w.writeBlockHuff(false, src)
+	} else {
+		d.w.writeBlockDynamic(tokens, false, src)
+	}
+}
+
+// seal ends a segment's content with src, its last partial block, as
+// compress/flate codes one: a short one is stored or Huffman-coded
+// alone, without the matcher.
+func (d *compressor) seal(src []byte) {
+	switch n := len(src); {
+	case n >= 128:
+		d.block(src)
+	case n > 16:
+		d.crc = crc32.Update(d.crc, crc32.IEEETable, src)
+		d.w.writeBlockHuff(false, src)
+	case n > 0:
+		d.crc = crc32.Update(d.crc, crc32.IEEETable, src)
+		d.w.writeStoredHeader(n, false)
+		d.w.writeBytes(src)
+	}
 	d.fast.reset()
 }
 
-// encSpeed will compress and store the currently added data,
-// if enough has been accumulated or we at the end of the stream.
-func (d *compressor) encSpeed(sync bool) {
-	// We only compress if we have maxStoreBlockSize.
-	if d.windowEnd < maxStoreBlockSize {
-		if !sync {
-			return
-		}
-
-		// Handle small sizes.
-		if d.windowEnd < 128 {
-			switch {
-			case d.windowEnd == 0:
-				return
-			case d.windowEnd <= 16:
-				d.w.writeStoredHeader(d.windowEnd, false)
-				d.w.writeBytes(d.window[:d.windowEnd])
-			default:
-				d.w.writeBlockHuff(false, d.window[:d.windowEnd])
-			}
-			d.windowEnd = 0
-			d.fast.reset()
-			return
-		}
-
-	}
-	// Encode the block.
-	d.tokens = d.fast.encode(d.tokens[:0], d.window[:d.windowEnd])
-
-	// If we removed less than 1/16th, Huffman compress the block.
-	if len(d.tokens) > d.windowEnd-(d.windowEnd>>4) {
-		d.w.writeBlockHuff(false, d.window[:d.windowEnd])
-	} else {
-		d.w.writeBlockDynamic(d.tokens, false, d.window[:d.windowEnd])
-	}
-	d.windowEnd = 0
-}
-
-func (d *compressor) write(b []byte) {
-	for len(b) > 0 {
-		d.encSpeed(false)
-		n := copy(d.window[d.windowEnd:], b)
-		d.windowEnd += n
-		b = b[n:]
-	}
-}
-
-// syncFlush is Writer.Flush: what is buffered is encoded, and an empty
-// stored block brings the stream to a byte boundary.
-func (d *compressor) syncFlush() {
-	d.encSpeed(true)
+// cut ends the segment with a sync flush, which brings the stream to a
+// byte boundary, and starts the next with no history; it returns the
+// CRC-32 of the segment's content.
+func (d *compressor) cut() uint32 {
+	d.write(nil, true)
 	d.w.writeStoredHeader(0, false)
 	d.w.flush()
+	crc := d.crc
+	d.crc = 0
+	return crc
 }
 
-// close is Writer.Close: the stream ends with an empty final stored block.
+// close ends the stream with an empty final stored block.
 func (d *compressor) close() {
-	d.encSpeed(true)
+	d.write(nil, true)
 	d.w.writeStoredHeader(0, true)
 	d.w.flush()
 }
@@ -215,9 +272,11 @@ type deflateFast struct {
 	maxStep int32
 }
 
-// encode encodes a block given in src and appends tokens
-// to dst and returns the result.
-func (e *deflateFast) encode(dst []token, src []byte) []token {
+// encode encodes a block given in src and appends tokens to dst and
+// returns the result, and how many tokens compress/flate, which emits a
+// token per literal byte, would have emitted. src is the matcher's
+// history for the next block until then.
+func (e *deflateFast) encode(dst []token, src []byte) ([]token, int) {
 	// Ensure that e.cur doesn't wrap.
 	if e.cur >= bufferReset {
 		e.shiftOffsets()
@@ -228,7 +287,7 @@ func (e *deflateFast) encode(dst []token, src []byte) []token {
 	if len(src) < minNonLiteralBlockSize {
 		e.cur += maxStoreBlockSize
 		e.prev = e.prev[:0]
-		return emitLiteral(dst, src)
+		return emitLiteral(dst, len(src)), len(src)
 	}
 
 	// sLimit is when to stop looking for offset/length copies. The inputMargin
@@ -238,6 +297,8 @@ func (e *deflateFast) encode(dst []token, src []byte) []token {
 
 	// nextEmit is where in src the next emitLiteral should start from.
 	nextEmit := int32(0)
+	// runs is how many literal bytes the runs emitted hold beyond one each.
+	runs := 0
 	s := int32(0)
 	cv := load32(src, s)
 	nextHash := hash(cv)
@@ -287,7 +348,10 @@ func (e *deflateFast) encode(dst []token, src []byte) []token {
 		// A 4-byte match has been found. We'll later see if more than 4 bytes
 		// match. But, prior to the match, src[nextEmit:s] are unmatched. Emit
 		// them as literal bytes.
-		dst = emitLiteral(dst, src[nextEmit:s])
+		if nextEmit < s {
+			dst = emitLiteral(dst, int(s-nextEmit))
+			runs += int(s-nextEmit) - 1
+		}
 
 		// Call emitCopy, and then see if another emitCopy could be our next
 		// move. Repeat until we find no match for the input immediately after
@@ -341,19 +405,18 @@ func (e *deflateFast) encode(dst []token, src []byte) []token {
 
 emitRemainder:
 	if int(nextEmit) < len(src) {
-		dst = emitLiteral(dst, src[nextEmit:])
+		dst = emitLiteral(dst, len(src)-int(nextEmit))
+		runs += len(src) - int(nextEmit) - 1
 	}
 	e.cur += int32(len(src))
-	e.prev = e.prev[:len(src)]
-	copy(e.prev, src)
-	return dst
+	e.prev = src
+	return dst, len(dst) + runs
 }
 
-func emitLiteral(dst []token, lit []byte) []token {
-	for _, v := range lit {
-		dst = append(dst, literalToken(uint32(v)))
-	}
-	return dst
+// emitLiteral emits a run of n > 0 literal bytes: one token, its bytes
+// left where they are in the block.
+func emitLiteral(dst []token, n int) []token {
+	return append(dst, runToken(n))
 }
 
 // matchLen returns the match length between src[s:] and src[t:].
@@ -458,12 +521,15 @@ func (e *deflateFast) shiftOffsets() {
 }
 
 const (
-	// 2 bits:   type   0 = literal  1=EOF  2=Match   3=Unused
+	// 2 bits:   type   0 = literal run  1 = match
 	// 8 bits:   xlength = length - MIN_MATCH_LENGTH
-	// 22 bits   xoffset = offset - MIN_OFFSET_SIZE, or literal
+	// 22 bits   xoffset = offset - MIN_OFFSET_SIZE, or the run's length
+	//
+	// A run stands for as many literal bytes of the block, from where the
+	// tokens before it end; compress/flate emits a token per byte.
 	lengthShift = 22
 	offsetMask  = 1<<lengthShift - 1
-	literalType = 0 << 30
+	runType     = 0 << 30
 	matchType   = 1 << 30
 )
 
@@ -519,16 +585,16 @@ var offsetCodes = [...]uint32{
 
 type token uint32
 
-// Convert a literal into a literal token.
-func literalToken(literal uint32) token { return token(literalType + literal) }
+// runToken is a run of n literal bytes.
+func runToken(n int) token { return token(runType + uint32(n)) }
 
 // Convert a < xlength, xoffset > pair into a match token.
 func matchToken(xlength uint32, xoffset uint32) token {
 	return token(matchType + xlength<<lengthShift + xoffset)
 }
 
-// Returns the literal of a literal token.
-func (t token) literal() uint32 { return uint32(t - literalType) }
+// run is how many literal bytes a run token stands for.
+func (t token) run() int { return int(t - runType) }
 
 // Returns the extra offset of a match token.
 func (t token) offset() uint32 { return uint32(t) & offsetMask }

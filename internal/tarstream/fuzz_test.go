@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/gear-image/gear/internal/vfs"
@@ -98,19 +100,32 @@ func FuzzGunzipRange(f *testing.F) {
 	})
 }
 
-// FuzzDeflate: over any content — data behind noise of any length up to
-// two segments, so that the data may follow an incompressible stretch
-// and cross segment edges — Gzip's stream is byte for byte what
-// gzip.Writer writes at BestSpeed, and GzipFrom's inflates through
-// compress/gzip to the content and carries a table that fits it.
+// FuzzDeflate: over any content — data behind up to five segments of
+// noise (an even noise) or of mixed noise, text and zeros (an odd one),
+// so that the data may follow an incompressible stretch, a block that is
+// all noise included, cross segment edges, and come after several
+// blocks — Gzip's stream is byte for byte what gzip.Writer writes at
+// BestSpeed, and so is the stream of the same content written a piece
+// at a time; GzipFrom's inflates through compress/gzip to the content,
+// carries a table that fits it, and is the same written a piece at a
+// time.
 func FuzzDeflate(f *testing.F) {
 	f.Add([]byte("hello deflate"), uint32(0))
 	f.Add(bytes.Repeat([]byte("0123456789abcdef"), 40), uint32(5000))         // text behind noise
 	f.Add(bytes.Repeat([]byte("segment edge "), 40), uint32(SegmentSize-200)) // across an edge
 	f.Add([]byte{}, uint32(SegmentSize+1))
+	f.Add(bytes.Repeat([]byte("many blocks "), 40), uint32(4*SegmentSize+3000))
+	f.Add(bytes.Repeat([]byte("many mixed blocks "), 40), uint32(4*SegmentSize+3001))
+	f.Add([]byte("pieces of a block and a half"), uint32(300_001))
 	f.Fuzz(func(t *testing.T, data []byte, noise uint32) {
-		content := make([]byte, noise%(2*SegmentSize))
-		rand.New(rand.NewSource(int64(noise))).Read(content)
+		size := int(noise % (5 * SegmentSize))
+		var content []byte
+		if noise%2 == 0 {
+			content = make([]byte, size)
+			rand.New(rand.NewSource(int64(noise))).Read(content)
+		} else {
+			content = mixed(int64(noise), size)
+		}
 		content = append(content, data...)
 
 		var want bytes.Buffer
@@ -120,8 +135,15 @@ func FuzzDeflate(f *testing.F) {
 		if plain, err := Gzip(content); err != nil || !bytes.Equal(plain, want.Bytes()) {
 			t.Fatalf("%d bytes: Gzip is not gzip.Writer's stream: %v", len(content), err)
 		}
+		piece := 1 + int(noise%100_003)
+		if plain, _, _, err := deflate(math.MaxInt, unboundedStep, writePieces(content, piece)); err != nil || !bytes.Equal(plain, want.Bytes()) {
+			t.Fatalf("%d bytes in pieces of %d: not gzip.Writer's stream: %v", len(content), piece, err)
+		}
 
 		z, segs := segmented(t, content)
+		if inPieces, piecesSegs, _, err := deflate(SegmentSize, boundedStep, writePieces(content, piece)); err != nil || !bytes.Equal(inPieces, z) || !slices.Equal(piecesSegs, segs) {
+			t.Fatalf("%d bytes in pieces of %d: another segmented stream: %v", len(content), piece, err)
+		}
 		zr, err := gzip.NewReader(bytes.NewReader(z))
 		if err != nil {
 			t.Fatalf("%d bytes: gzip.NewReader: %v", len(content), err)

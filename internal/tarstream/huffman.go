@@ -7,6 +7,7 @@
 package tarstream
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 )
@@ -129,7 +130,7 @@ func (w *huffmanBitWriter) flush() {
 }
 
 func (w *huffmanBitWriter) write(b []byte) {
-	w.out.b = append(w.out.b, b...)
+	w.out.append(b)
 }
 
 func (w *huffmanBitWriter) writeBits(b int32, nb uint) {
@@ -386,8 +387,7 @@ func (w *huffmanBitWriter) writeStoredHeader(length int, isEof bool) {
 // If input is supplied and the compression savings are below 1/16th of the
 // input size the block is stored.
 func (w *huffmanBitWriter) writeBlockDynamic(tokens []token, eof bool, input []byte) {
-	tokens = append(tokens, endBlockMarker)
-	numLiterals, numOffsets := w.indexTokens(tokens)
+	numLiterals, numOffsets := w.indexTokens(tokens, input)
 
 	// Generate codegen and codegenFrequencies, which indicates how to encode
 	// the literalEncoding and the offsetEncoding.
@@ -406,27 +406,32 @@ func (w *huffmanBitWriter) writeBlockDynamic(tokens []token, eof bool, input []b
 	w.writeDynamicHeader(numLiterals, numOffsets, numCodegens, eof)
 
 	// Write the tokens.
-	w.writeTokens(tokens, w.literalEncoding.codes, w.offsetEncoding.codes)
+	w.writeTokens(tokens, input, w.literalEncoding.codes, w.offsetEncoding.codes)
 }
 
-// indexTokens indexes a slice of tokens, and updates
-// literalFreq and offsetFreq, and generates literalEncoding
-// and offsetEncoding.
+// indexTokens indexes a slice of tokens, which cover input, and updates
+// literalFreq and offsetFreq, and generates literalEncoding and
+// offsetEncoding. A run's bytes are counted where they are in input.
 // The number of literal and offset tokens is returned.
-func (w *huffmanBitWriter) indexTokens(tokens []token) (numLiterals, numOffsets int) {
+func (w *huffmanBitWriter) indexTokens(tokens []token, input []byte) (numLiterals, numOffsets int) {
 	clear(w.literalFreq)
 	clear(w.offsetFreq)
 
+	at := 0
 	for _, t := range tokens {
 		if t < matchType {
-			w.literalFreq[t.literal()]++
+			n := t.run()
+			histogram(input[at:at+n], w.literalFreq)
+			at += n
 			continue
 		}
 		length := t.length()
 		offset := t.offset()
 		w.literalFreq[lengthCodesStart+lengthCode(length)]++
 		w.offsetFreq[offsetCode(offset)]++
+		at += int(length) + baseMatchLength
 	}
+	w.literalFreq[endBlockMarker]++
 
 	// get the number of literals
 	numLiterals = len(w.literalFreq)
@@ -449,12 +454,16 @@ func (w *huffmanBitWriter) indexTokens(tokens []token) (numLiterals, numOffsets 
 	return
 }
 
-// writeTokens writes a slice of tokens to the output.
-// codes for literal and offset encoding must be supplied.
-func (w *huffmanBitWriter) writeTokens(tokens []token, leCodes, oeCodes []hcode) {
+// writeTokens writes a slice of tokens, which cover input, and the end
+// of the block to the output. codes for literal and offset encoding must
+// be supplied.
+func (w *huffmanBitWriter) writeTokens(tokens []token, input []byte, leCodes, oeCodes []hcode) {
+	at := 0
 	for _, t := range tokens {
 		if t < matchType {
-			w.writeCode(leCodes[t.literal()])
+			n := t.run()
+			w.writeLiterals(input[at:at+n], leCodes)
+			at += n
 			continue
 		}
 		// Write the length
@@ -475,7 +484,9 @@ func (w *huffmanBitWriter) writeTokens(tokens []token, leCodes, oeCodes []hcode)
 			extraOffset := int32(offset - offsetBase[offsetCode])
 			w.writeBits(extraOffset, extraOffsetBits)
 		}
+		at += int(length) + baseMatchLength
 	}
+	w.writeCode(leCodes[endBlockMarker])
 }
 
 // huffOffset is a static offset encoder used for huffman only encoding.
@@ -526,35 +537,47 @@ func (w *huffmanBitWriter) writeBlockHuff(eof bool, input []byte) {
 	// Huffman.
 	w.writeDynamicHeader(numLiterals, numOffsets, numCodegens, eof)
 	encoding := w.literalEncoding.codes[:257]
-	n := w.nbytes
-	for _, t := range input {
-		// Bitwriting inlined, ~30% speedup
-		c := encoding[t]
-		w.bits |= uint64(c.code) << w.nbits
-		w.nbits += uint(c.len)
-		if w.nbits < 48 {
+	w.writeLiterals(input, encoding)
+	w.writeCode(encoding[endBlockMarker])
+}
+
+// writeLiterals writes each byte of input as its literal code. Codes
+// are at most 15 bits long, so two of them go behind fewer than 32
+// pending bits, and 4 bytes are stored whenever 32 are pending: the
+// bits come out as writeCode would write them, two codes a check.
+func (w *huffmanBitWriter) writeLiterals(input []byte, encoding []hcode) {
+	encoding = encoding[:256]
+	bits, nbits, n := w.bits, w.nbits, w.nbytes
+	if nbits >= 32 {
+		binary.LittleEndian.PutUint32(w.bytes[n:], uint32(bits))
+		bits, nbits, n = bits>>32, nbits-32, n+4
+	}
+	for ; len(input) >= 2; input = input[2:] {
+		c0, c1 := encoding[input[0]], encoding[input[1]]
+		bits |= uint64(c0.code) << nbits
+		nbits += uint(c0.len)
+		bits |= uint64(c1.code) << nbits
+		nbits += uint(c1.len)
+		if nbits < 32 {
 			continue
 		}
-		// Store 6 bytes
-		bits := w.bits
-		w.bits >>= 48
-		w.nbits -= 48
-		bytes := w.bytes[n : n+6]
-		bytes[0] = byte(bits)
-		bytes[1] = byte(bits >> 8)
-		bytes[2] = byte(bits >> 16)
-		bytes[3] = byte(bits >> 24)
-		bytes[4] = byte(bits >> 32)
-		bytes[5] = byte(bits >> 40)
-		n += 6
-		if n < bufferFlushSize {
-			continue
+		binary.LittleEndian.PutUint32(w.bytes[n:], uint32(bits))
+		bits, nbits, n = bits>>32, nbits-32, n+4
+		if n >= bufferFlushSize {
+			w.write(w.bytes[:n])
+			n = 0
 		}
+	}
+	if len(input) == 1 {
+		c := encoding[input[0]]
+		bits |= uint64(c.code) << nbits
+		nbits += uint(c.len)
+	}
+	if n >= bufferFlushSize {
 		w.write(w.bytes[:n])
 		n = 0
 	}
-	w.nbytes = n
-	w.writeCode(encoding[endBlockMarker])
+	w.bits, w.nbits, w.nbytes = bits, nbits, n
 }
 
 // histogram accumulates a histogram of b in h.

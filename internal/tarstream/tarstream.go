@@ -21,6 +21,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/gear-image/gear/internal/vfs"
@@ -186,21 +187,24 @@ func GzipFrom(r io.Reader, tee io.Writer) (gz []byte, segs []Segment, n int64, e
 // deflate has write write content to a pooled gzipper whose segments
 // hold width bytes of it, written with matches probed at most maxStep
 // bytes apart, and returns the stream in a buffer of its own exact size,
-// its table, and how much content write wrote.
+// its table, and how much content write wrote. The stream is written
+// into pooled scratch, which grows to at most maxPooledBuf, and past
+// that into parts of its own, so that it is copied once, when it is
+// done, however long it is.
 func deflate(width int, maxStep int32, write func(w io.Writer) (int64, error)) (gz []byte, segs []Segment, n int64, err error) {
 	scratch := streams.Get().(*[]byte)
 	defer streams.Put(scratch)
 	z := gzippers.Get().(*gzipper)
 	defer z.release()
 	z.start((*scratch)[:0], width, maxStep)
+	z.out.spill = maxPooledBuf
 	if n, err = write(z); err != nil {
 		return nil, nil, n, fmt.Errorf("tarstream: gzip write: %w", err)
 	}
-	stream := z.finish()
-	gz = make([]byte, len(stream))
-	copy(gz, stream)
-	if cap(stream) <= maxPooledBuf {
-		*scratch = stream[:0]
+	z.finish()
+	gz = z.out.copyOut()
+	if len(z.out.parts) == 0 && cap(z.out.b) <= maxPooledBuf {
+		*scratch = z.out.b[:0]
 	}
 	if len(z.segs) > 0 {
 		segs = append(append(make([]Segment, 0, len(z.segs)+1), z.segs...), z.open)
@@ -225,9 +229,9 @@ type gzipper struct {
 	base  int         // where in out.b the stream starts
 	width int         // content a segment holds
 	left  int         // content the open segment has room for
-	crc   uint32      // of all the content, for the trailer
+	crc   uint32      // of all the content, for the trailer, once a segment is closed
 	size  uint32      // of all the content, mod 2^32, for the trailer
-	open  Segment     // the segment being written, its CRC so far
+	open  Segment     // the segment being written
 	segs  []Segment   // the segments before it, in scratch kept between streams
 }
 
@@ -243,18 +247,48 @@ var gzippers = sync.Pool{New: func() any {
 // upload's worth of memory alive.
 var streams = sync.Pool{New: func() any { return new([]byte) }}
 
-// sink is an io.Writer that appends to its slice.
-type sink struct{ b []byte }
+// sink is an io.Writer that appends to its slice. Given a spill size,
+// once the slice would grow past it, it goes on in parts of its own,
+// each kept in parts once it is full, so that a long stream is not
+// copied each time it outgrows its memory.
+type sink struct {
+	b     []byte
+	spill int      // 0: b grows as append grows it
+	parts [][]byte // what filled b before, in order
+	n     int      // bytes in parts
+}
 
 func (s *sink) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
+	s.append(p)
 	return len(p), nil
+}
+
+func (s *sink) append(p []byte) {
+	if s.spill > 0 && len(s.b)+len(p) > max(cap(s.b), s.spill) {
+		s.parts = append(s.parts, s.b)
+		s.n += len(s.b)
+		s.b = make([]byte, 0, max(len(p), s.spill))
+	}
+	s.b = append(s.b, p...)
+}
+
+// len is how many bytes have been written: parts and b.
+func (s *sink) len() int { return s.n + len(s.b) }
+
+// copyOut returns a copy of everything written, of its own exact size.
+// (Neither append nor bytes.Join clears the memory it copies into.)
+func (s *sink) copyOut() []byte {
+	if len(s.parts) == 0 {
+		return append([]byte(nil), s.b...)[:len(s.b):len(s.b)]
+	}
+	return bytes.Join(append(s.parts, s.b), nil)
 }
 
 // start opens a stream at the end of dst whose segments hold width bytes
 // of content, written with matches probed at most maxStep bytes apart.
 func (z *gzipper) start(dst []byte, width int, maxStep int32) {
 	z.out.b = append(dst, gzipHeader[:]...)
+	z.out.parts, z.out.n = z.out.parts[:0], 0
 	z.base = len(dst)
 	z.d.fast.maxStep = maxStep
 	z.d.reset()
@@ -263,40 +297,56 @@ func (z *gzipper) start(dst []byte, width int, maxStep int32) {
 }
 
 // Write compresses content, closing a segment each time width bytes of
-// it have been written and more arrive. It cannot fail.
+// it have been written and more arrive. It cannot fail, and it returns
+// when the compressor holds nothing that refers to p.
 func (z *gzipper) Write(p []byte) (int, error) {
 	n := len(p)
 	for len(p) > 0 {
 		if z.left == 0 {
-			z.d.syncFlush()
+			z.open.CRC = z.d.cut()
+			if len(z.segs) == 0 {
+				z.crc = z.open.CRC
+			}
 			z.segs = append(z.segs, z.open)
-			z.open = Segment{Off: int64(len(z.out.b) - z.base)}
-			z.d.reset()
+			z.open = Segment{Off: int64(z.out.len() - z.base)}
 			z.left = z.width
 		}
 		k := min(len(p), z.left)
-		z.d.write(p[:k])
-		z.open.CRC = crc32.Update(z.open.CRC, crc32.IEEETable, p[:k])
-		z.crc = crc32.Update(z.crc, crc32.IEEETable, p[:k])
-		z.size += uint32(k)
 		z.left -= k
+		// A full segment's last partial block is taken at once, from p
+		// too, as the end of the segment would take it.
+		z.d.write(p[:k], z.left == 0)
+		if len(z.segs) > 0 {
+			z.crc = crc32.Update(z.crc, crc32.IEEETable, p[:k])
+		}
+		z.size += uint32(k)
 		p = p[k:]
 	}
+	z.d.settle()
 	return n, nil
 }
 
 // finish ends the stream and returns what start was given with the
-// stream appended. The segments before the last are in z.segs.
+// stream appended, which is z.out's parts too if it spilled. The
+// segments before the last are in z.segs.
 func (z *gzipper) finish() []byte {
 	z.d.close()
-	z.out.b = binary.LittleEndian.AppendUint32(z.out.b, z.crc)
-	z.out.b = binary.LittleEndian.AppendUint32(z.out.b, z.size)
+	z.open.CRC = z.d.crc
+	crc := z.open.CRC
+	if len(z.segs) > 0 {
+		crc = z.crc
+	}
+	var trailer [8]byte
+	binary.LittleEndian.PutUint32(trailer[:], crc)
+	binary.LittleEndian.PutUint32(trailer[4:], z.size)
+	z.out.append(trailer[:])
 	return z.out.b
 }
 
 // release hands z back to the pool holding nothing of the stream.
 func (z *gzipper) release() {
-	z.out.b = nil
+	clear(z.out.parts[:cap(z.out.parts)])
+	z.out.b, z.out.spill = nil, 0
 	gzippers.Put(z)
 }
 
@@ -512,11 +562,16 @@ func (r *span) appendGzip(dst []byte) ([]byte, error) {
 	return z.finish(), nil
 }
 
+// segmentsInflated counts the segments span.inflate has inflated, for
+// the tests that hold a range to its work budget.
+var segmentsInflated atomic.Int64
+
 // inflate walks the segments the (non-empty) range overlaps with z, a
 // window on their deflate data, which is read as one stream, as it was
 // written; it checks each segment and writes the range to w.
 func (r *span) inflate(z *gunzipper, w io.Writer) error {
 	for i := r.first; i <= r.last; i++ {
+		segmentsInflated.Add(1)
 		lo, hi := i*r.width, min((i+1)*r.width, r.size)
 		from, to := max(lo, r.off), min(hi, r.off+r.n)
 		crc, err := z.pass(io.Discard, 0, from-lo)
@@ -552,13 +607,6 @@ func noEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// Unpack parses a tar archive into a fresh tree. Whiteout entries are
-// preserved literally (as empty regular files named ".wh.*"); use
-// ApplyLayer to interpret them against a base tree.
-func Unpack(data []byte) (*vfs.FS, error) {
-	return unpackFrom(bytes.NewReader(data), len(data), ownCopy, 1)
 }
 
 // scanTar is the streaming tar parse shared by every reader of an
@@ -1066,102 +1114,4 @@ func ApplyLayer(base *vfs.FS, layer *vfs.FS) error {
 		return fmt.Errorf("tarstream: apply layer: %w", err)
 	}
 	return nil
-}
-
-// Diff computes the layer tree that transforms base into next: changed and
-// added entries appear literally, deletions appear as whiteout files. The
-// result round-trips through ApplyLayer(base, Diff(base, next)) == next.
-func Diff(base, next *vfs.FS) (*vfs.FS, error) {
-	layer := vfs.New()
-
-	// Additions and modifications.
-	err := next.Walk(func(p string, n *vfs.Node) error {
-		old := base.Lookup(p)
-		if old != nil && sameNode(old, n) {
-			return nil
-		}
-		if err := mkParents(layer, next, p); err != nil {
-			return err
-		}
-		switch n.Type() {
-		case vfs.TypeDir:
-			// A dir replacing a non-dir must whiteout the old entry first.
-			if old != nil && !old.IsDir() {
-				if err := writeWhiteout(layer, p); err != nil {
-					return err
-				}
-			}
-			return layer.MkdirAll(p, n.Mode())
-		case vfs.TypeRegular:
-			return layer.WriteFile(p, n.Content().Data(), n.Mode())
-		case vfs.TypeSymlink:
-			return layer.Symlink(n.Target(), p)
-		default:
-			return fmt.Errorf("%w: node type %v at %s", ErrCorrupt, n.Type(), p)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("tarstream: diff: %w", err)
-	}
-
-	// Deletions.
-	err = base.Walk(func(p string, n *vfs.Node) error {
-		if next.Exists(p) {
-			return nil
-		}
-		// What was below a directory next no longer holds as one went
-		// with it: its whiteout, or the entry replacing it, says so.
-		if parent := path.Dir(p); parent != "/" {
-			if pn := next.Lookup(parent); pn == nil || !pn.IsDir() {
-				return nil
-			}
-		}
-		if err := mkParents(layer, next, p); err != nil {
-			return err
-		}
-		return writeWhiteout(layer, p)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("tarstream: diff deletions: %w", err)
-	}
-	return layer, nil
-}
-
-// mkParents makes the directories above p that layer lacks, each with
-// the mode next has for it: under ApplyLayer a directory entry sets its
-// directory's mode, so a parent that is in the layer only to hold p must
-// carry the mode it already has.
-func mkParents(layer, next *vfs.FS, p string) error {
-	if i := strings.LastIndexByte(p, '/'); i <= 0 || layer.Exists(p[:i]) {
-		return nil
-	}
-	for i := 1; i < len(p); i++ {
-		if dir := p[:i]; p[i] == '/' && !layer.Exists(dir) {
-			if err := layer.Mkdir(dir, next.Lookup(dir).Mode()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func writeWhiteout(layer *vfs.FS, p string) error {
-	i := strings.LastIndexByte(p, '/')
-	return layer.WriteFile(p[:i+1]+WhiteoutPrefix+p[i+1:], nil, 0)
-}
-
-func sameNode(a, b *vfs.Node) bool {
-	if a.Type() != b.Type() || a.Mode() != b.Mode() {
-		return false
-	}
-	switch a.Type() {
-	case vfs.TypeDir:
-		return true
-	case vfs.TypeSymlink:
-		return a.Target() == b.Target()
-	case vfs.TypeRegular:
-		return bytes.Equal(a.Content().Data(), b.Content().Data())
-	default:
-		return false
-	}
 }

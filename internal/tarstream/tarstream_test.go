@@ -221,8 +221,8 @@ func TestMixedContentCompresses(t *testing.T) {
 }
 
 // A compressor, the state every pooled gzipper carries and every
-// compressed reply borrows, holds at most 600 KB: BestSpeed's table,
-// window, history and tokens (compress/flate's Writer allocates 1.17 MB
+// compressed reply borrows, holds at most 600 KB: BestSpeed's table, two
+// windows and a block's tokens (compress/flate's Writer allocates 1.17 MB
 // at BestSpeed, 640 KB of it hash chains BestSpeed never touches). It is
 // measured after it has written a stream, so what it allocates on first
 // use counts.
@@ -1170,6 +1170,21 @@ func BenchmarkGzipFromMixed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := GzipFrom(bytes.NewReader(data), io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGzipLarge compresses one 32 MiB stream in the shape of the
+// benchmark's read corpus with Gzip: a layer of the size the read
+// workloads build, many blocks long.
+func BenchmarkGzipLarge(b *testing.B) {
+	data := runs(8, 32<<20, 0)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Gzip(data); err != nil {
 			b.Fatal(err)
 		}
 	}
