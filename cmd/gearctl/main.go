@@ -65,7 +65,7 @@ func run(args []string) error {
 	case "index":
 		return cmdIndex(args[1:])
 	case "deploy":
-		return cmdDeploy(args[1:])
+		return cmdDeploy(args[1:], os.Stdout)
 	case "gc":
 		return cmdGC(args[1:])
 	case "peers":
@@ -391,7 +391,7 @@ func cmdStats(args []string, out io.Writer) error {
 	return nil
 }
 
-func cmdDeploy(args []string) error {
+func cmdDeploy(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("deploy", flag.ContinueOnError)
 	var (
 		dockerURL = fs.String("docker", "http://localhost:7000", "docker registry URL")
@@ -402,7 +402,7 @@ func cmdDeploy(args []string) error {
 		series    = fs.String("series", "", "workload series for the launch access list (default: derived from the image name)")
 		scale     = fs.Float64("scale", 1.0, "workload scale (must match seed)")
 		seed      = fs.Int64("seed", 20211107, "workload seed (must match seed)")
-		trace     = fs.Bool("trace", false, "print the slowest run-phase accesses")
+		trace     = fs.Bool("trace", false, "explain where the deploy's time went and print its slowest faults")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -445,8 +445,7 @@ func cmdDeploy(args []string) error {
 		registry.NewClient(*dockerURL, nil),
 		gearregistry.NewClient(*gearURL, nil),
 		dockersim.Options{
-			Link:  netsim.DefaultLAN().WithBandwidth(*mbps / 1000 * *scale),
-			Trace: *trace,
+			Link: netsim.DefaultLAN().WithBandwidth(*mbps / 1000 * *scale),
 		},
 	)
 	if err != nil {
@@ -465,25 +464,24 @@ func cmdDeploy(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("deployed %s (%s mode) as %s\n", *image, *mode, dep.ContainerID)
-	fmt.Printf("pull: %v, %d B, %d requests\n",
+	fmt.Fprintf(out, "deployed %s (%s mode) as %s\n", *image, *mode, dep.ContainerID)
+	fmt.Fprintf(out, "pull: %v, %d B, %d requests\n",
 		dep.Pull.Time.Round(time.Millisecond), dep.Pull.Bytes, dep.Pull.Requests)
-	fmt.Printf("run:  %v, %d B, %d requests\n",
+	fmt.Fprintf(out, "run:  %v, %d B, %d requests\n",
 		dep.Run.Time.Round(time.Millisecond), dep.Run.Bytes, dep.Run.Requests)
-	fmt.Printf("total: %v\n", dep.Total().Round(time.Millisecond))
+	fmt.Fprintf(out, "total: %v\n", dep.Total().Round(time.Millisecond))
 	if *trace {
-		events := dep.Events
-		sort.Slice(events, func(i, j int) bool { return events[i].Cost > events[j].Cost })
-		if len(events) > 10 {
-			events = events[:10]
-		}
-		fmt.Println("slowest accesses:")
-		for _, e := range events {
-			origin := "local"
-			if e.RemoteBytes > 0 {
-				origin = fmt.Sprintf("remote %d B / %d req", e.RemoteBytes, e.Requests)
+		dep.Explain(out)
+		var faults []telemetry.Span
+		for _, s := range dep.Trace() {
+			if s.Op == "deploy.fault" {
+				faults = append(faults, s)
 			}
-			fmt.Printf("  %-45s %10v  %s\n", e.Path, e.Cost.Round(time.Microsecond), origin)
+		}
+		sort.SliceStable(faults, func(i, j int) bool { return faults[i].Dur > faults[j].Dur })
+		fmt.Fprintln(out, "slowest faults:")
+		for _, s := range faults[:min(len(faults), 10)] {
+			fmt.Fprintf(out, "  %-45s %14v  %d B / %d req\n", s.Ref, s.Dur, s.Bytes, s.Objects)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"io"
@@ -9,8 +10,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
@@ -89,6 +93,88 @@ func TestSeedListIndexDeployGC(t *testing.T) {
 	if err == nil {
 		t.Error("missing image deployed")
 	}
+}
+
+// TestDeployTrace runs deploy -trace against live HTTP registries: the
+// Explain rows add up, to the nanosecond and the byte, to its total row,
+// that total is the deploy's, and the slowest faults, at most ten of
+// them, follow in descending order.
+func TestDeployTrace(t *testing.T) {
+	dockerSrv := httptest.NewServer(registry.NewHandler(registry.New()))
+	defer dockerSrv.Close()
+	gearSrv := httptest.NewServer(gearregistry.NewHandler(gearregistry.New(gearregistry.Options{Compress: true})))
+	defer gearSrv.Close()
+	if err := run([]string{"seed", "-docker", dockerSrv.URL, "-gear", gearSrv.URL,
+		"-series", "mysql", "-versions", "1", "-scale", "0.5"}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := cmdDeploy([]string{"-docker", dockerSrv.URL, "-gear", gearSrv.URL,
+		"-image", "gear/mysql:v01", "-mbps", "100", "-scale", "0.5", "-trace"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	head := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "span ") })
+	if head < 0 {
+		t.Fatalf("no Explain table in:\n%s", out.String())
+	}
+	var sum, total time.Duration
+	var sumBytes, totalBytes int64
+	faults := -1
+	i := head + 1
+	for ; i < len(lines) && !strings.HasPrefix(lines[i], "total "); i++ {
+		f := strings.Fields(lines[i])
+		if len(f) != 4 {
+			t.Fatalf("row %q: want span, count, self time, self bytes", lines[i])
+		}
+		sum += mustDuration(t, f[2])
+		sumBytes += mustInt(t, f[3])
+		if f[0] == "deploy.fault" {
+			faults = int(mustInt(t, f[1]))
+		}
+	}
+	if i == len(lines) {
+		t.Fatalf("no total row in:\n%s", out.String())
+	}
+	f := strings.Fields(lines[i])
+	total, totalBytes = mustDuration(t, f[1]), mustInt(t, f[2])
+	if sum != total || sumBytes != totalBytes {
+		t.Errorf("rows add up to %v and %d B, total row says %v and %d B", sum, sumBytes, total, totalBytes)
+	}
+	if want := "total: " + total.Round(time.Millisecond).String(); !slices.Contains(lines, want) {
+		t.Errorf("the deploy's total line %q is not printed:\n%s", want, out.String())
+	}
+	if faults <= 10 {
+		t.Fatalf("the deploy faulted %d times; the test needs more than ten to cut", faults)
+	}
+	if lines[i+1] != "slowest faults:" {
+		t.Fatalf("line after the table is %q, want the slowest faults", lines[i+1])
+	}
+	var printed []time.Duration
+	for _, l := range lines[i+2:] {
+		printed = append(printed, mustDuration(t, strings.Fields(l)[1]))
+	}
+	if len(printed) != 10 || !slices.IsSortedFunc(printed, func(a, b time.Duration) int { return cmp.Compare(b, a) }) {
+		t.Errorf("printed %d fault lines %v, want the ten slowest, slowest first", len(printed), printed)
+	}
+}
+
+func mustDuration(t *testing.T, s string) time.Duration {
+	t.Helper()
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func mustInt(t *testing.T, s string) int64 {
+	t.Helper()
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestPeersSubcommand drives gearctl peers against a live HTTP tracker,

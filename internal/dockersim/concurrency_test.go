@@ -43,6 +43,27 @@ func TestParallelGearDeploys(t *testing.T) {
 		ids[dep.ContainerID] = true
 	}
 
+	// The deploys numbered their span trees from the daemon's one
+	// counter: no ID twice, and the ring holds every root.
+	spanIDs := make(map[int64]bool)
+	for _, dep := range deps {
+		for _, sp := range dep.Trace() {
+			if spanIDs[sp.ID] {
+				t.Errorf("%s: span ID %d used twice", dep.ContainerID, sp.ID)
+			}
+			spanIDs[sp.ID] = true
+		}
+	}
+	roots := 0
+	for _, sp := range d.TraceRing().Snapshot() {
+		if sp.Op == "deploy" {
+			roots++
+		}
+	}
+	if roots != deploys {
+		t.Errorf("ring holds %d deploy roots, want %d", roots, deploys)
+	}
+
 	// Every deployment reads the same correct content.
 	want, _, err := deps[0].Read(access[0])
 	if err != nil {

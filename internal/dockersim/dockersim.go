@@ -15,6 +15,8 @@ package dockersim
 import (
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -118,15 +120,12 @@ type Options struct {
 	// demand read inside the window budget (see
 	// store.Options.ChunkReadahead).
 	ChunkReadahead int
-	// Trace records a per-access event timeline on every deployment
-	// (path, bytes moved, cost), at some memory cost per deploy.
-	Trace bool
 	// Telemetry, if set, is the per-daemon metrics registry every
 	// component (store, cache, scheduler, peer exchange) publishes into.
 	// Nil creates a private registry, so Daemon.Snapshot always
 	// works.
 	Telemetry *telemetry.Registry
-	// TraceCapacity bounds the daemon's fetch-path span ring. 0 selects
+	// TraceCapacity bounds the daemon's span ring (TraceRing). 0 selects
 	// telemetry.DefaultTraceCapacity.
 	TraceCapacity int
 }
@@ -170,18 +169,6 @@ type PhaseStats struct {
 	Requests int64         `json:"requests"`
 }
 
-// AccessEvent is one traced file access during the run phase.
-type AccessEvent struct {
-	Path string `json:"path"`
-	// RemoteBytes is the wire volume this access caused (0 = served
-	// locally).
-	RemoteBytes int64 `json:"remoteBytes"`
-	// Requests is the number of remote objects fetched.
-	Requests int64 `json:"requests"`
-	// Cost is the access's modeled latency (local service + network).
-	Cost time.Duration `json:"cost"`
-}
-
 // Deployment is one deployed container.
 type Deployment struct {
 	Mode        Mode
@@ -195,22 +182,14 @@ type Deployment struct {
 	Prefetch PhaseStats
 	Run      PhaseStats
 	// DemandStall is the portion of the run phase spent blocked on the
-	// network — the per-access link time of faults that missed the local
-	// cache (plus any pre-fault window). DemandMisses/StallBytes count
-	// those faults and their content volume; PrefetchHits/PrefetchWasted
-	// report how much of the replay the run actually consumed, and
-	// PrefetchErrors how many profile objects the replay could not fetch
-	// and left to lazy faulting (Gear deploys only).
+	// network: its deploy.fault spans plus the run's own pre-fault
+	// window. PrefetchErrors counts the profile objects the replay could
+	// not fetch and left to lazy faulting (Gear deploys only).
 	DemandStall    time.Duration
-	DemandMisses   int64
-	StallBytes     int64
-	PrefetchHits   int64
-	PrefetchWasted int64
 	PrefetchErrors int64
-	// Events is the run-phase access timeline (only with Options.Trace).
-	Events []AccessEvent
-	// spans are the deployment's phase-attribution records; see Trace.
-	spans []telemetry.Span
+	// tree is the deployment's span tree, parents before children; see
+	// Trace.
+	tree []telemetry.Span
 
 	daemon *Daemon
 	// docker-mode state
@@ -218,6 +197,11 @@ type Deployment struct {
 	// gear-mode state
 	view *viewer.Viewer
 	// slacker-mode state: container id doubles as the mount handle.
+
+	// overlay is the union-filesystem lookup the mode pays per file
+	// access, and readFile serves one file of the container.
+	overlay  time.Duration
+	readFile func(p string) ([]byte, error)
 
 	// inodes is the count of locally cached inodes at destroy time.
 	inodes int
@@ -227,25 +211,55 @@ type Deployment struct {
 // Total returns pull+prefetch+run time.
 func (d *Deployment) Total() time.Duration { return d.Pull.Time + d.Prefetch.Time + d.Run.Time }
 
-// Trace returns the deployment's phase-attribution spans: one span per
-// deploy phase that moved traffic (op "deploy.pull", "deploy.prefetch",
-// "deploy.run"), whose Bytes are exactly the WAN bytes netsim charged
-// that phase — summing them reconciles a deployment against the link's
-// own counters. The same spans are also recorded into the daemon's
-// TraceRing alongside per-fault spans from the store.
-func (d *Deployment) Trace() []telemetry.Span {
-	out := make([]telemetry.Span, len(d.spans))
-	copy(out, d.spans)
-	return out
+// Trace returns the deployment's span tree in virtual time, parents
+// before children. The root "deploy" lasts Total(). Its children are the
+// phases: "deploy.pull", whose child "deploy.unpack" unpacks the new
+// layers; "deploy.prefetch", the profile replay; and "deploy.run". The
+// run's children are one "deploy.fault" per access that used the links
+// (Ref is the path), one "deploy.local" for the local service time of
+// every access (Objects counts them) and "deploy.compute"; its own time
+// is the pre-fault window. Dur and Bytes are inclusive, so a span's self
+// share is its value minus its children's; the self shares of the tree
+// add up to Total(), and its self Bytes to the WAN bytes netsim charged
+// the deploy. The root and phase spans are also recorded in the daemon's
+// TraceRing.
+func (d *Deployment) Trace() []telemetry.Span { return slices.Clone(d.tree) }
+
+// spanOps are the kinds of span in a deployment's tree (see Trace), in
+// the order Explain prints them.
+var spanOps = []string{"deploy", "deploy.pull", "deploy.unpack", "deploy.prefetch",
+	"deploy.run", "deploy.fault", "deploy.local", "deploy.compute"}
+
+// Explain writes one row per kind of span in the deployment's tree: how
+// many there are, their self time and their self WAN bytes. The self
+// shares partition the tree, so the rows add up to the total row.
+func (d *Deployment) Explain(w io.Writer) {
+	rows := make([]telemetry.Span, len(spanOps)) // Objects counts spans; Dur and Bytes are self
+	root := d.tree[0]
+	for _, s := range d.tree {
+		r := &rows[slices.Index(spanOps, s.Op)]
+		r.Objects, r.Dur, r.Bytes = r.Objects+1, r.Dur+s.Dur, r.Bytes+s.Bytes
+		if s.Parent != 0 {
+			p := &rows[slices.Index(spanOps, d.tree[s.Parent-root.ID].Op)]
+			p.Dur, p.Bytes = p.Dur-s.Dur, p.Bytes-s.Bytes
+		}
+	}
+	fmt.Fprintf(w, "%-16s %6s %16s %12s\n", "span", "count", "self time", "self bytes")
+	for i, r := range rows {
+		if r.Objects > 0 {
+			fmt.Fprintf(w, "%-16s %6d %16v %12d\n", spanOps[i], r.Objects, r.Dur, r.Bytes)
+		}
+	}
+	fmt.Fprintf(w, "%-16s %6s %16v %12d\n", "total", "", root.Dur, root.Bytes)
 }
 
 // Daemon deploys containers. It is safe for concurrent use: distinct
 // containers can deploy in parallel (image pulls serialize on the local
 // layer store, matching dockerd's pull dedup). Note that the link and
-// its virtual clock are shared, so when deploys do overlap, each
-// Deployment's phase stats attribute whatever traffic the link carried
-// during that phase, not only its own — the paper's experiments deploy
-// sequentially and measure each in isolation.
+// its virtual clock are shared, so when deploys do overlap, each span of
+// a Deployment's tree attributes whatever traffic the link carried while
+// it ran, not only its own — the paper's experiments deploy sequentially
+// and measure each in isolation.
 type Daemon struct {
 	opts   Options
 	docker registry.Store
@@ -269,17 +283,15 @@ type Daemon struct {
 	slackerClient *slacker.Client
 
 	// tele is the per-daemon metrics registry every component publishes
-	// into; ring is the fetch-path span buffer shared with the store.
-	tele *telemetry.Registry
-	ring *telemetry.TraceRing
+	// into; ring is the span buffer shared with the store, and spanIDs
+	// numbers the spans of deployment trees.
+	tele    *telemetry.Registry
+	ring    *telemetry.TraceRing
+	spanIDs atomic.Int64
 
 	// net gauges mirror the links' counters on demand (Snapshot).
 	wanBytes, wanRequests, wanElapsed *telemetry.Gauge
 	lanBytes, lanRequests, lanElapsed *telemetry.Gauge
-	// The store counters DeployGear diffs, resolved once like the net
-	// gauges so a deploy reads four values and builds no snapshot.
-	demandMisses, stallBytes, prefetchHits *telemetry.Counter
-	prefetchWasted                         *telemetry.Gauge
 
 	nextID atomic.Int64
 }
@@ -317,11 +329,6 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 		lanBytes:    tele.Gauge("net.lan.bytes"),
 		lanRequests: tele.Gauge("net.lan.requests"),
 		lanElapsed:  tele.Gauge("net.lan.elapsed.ns"),
-
-		demandMisses:   tele.Counter("store.demand.misses"),
-		stallBytes:     tele.Counter("store.demand.stall.bytes"),
-		prefetchHits:   tele.Counter("store.prefetch.hits"),
-		prefetchWasted: tele.Gauge("store.prefetch.wasted"),
 	}
 	var err error
 	d.gearStore, err = store.New(store.Options{
@@ -334,7 +341,7 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 		ChunkWindowBytes: opts.ChunkWindowBytes,
 		ChunkReadahead:   opts.ChunkReadahead,
 		Telemetry:        tele,
-		Trace:            d.ring,
+		TraceRing:        d.ring,
 		OnTransfer:       d.priceTransfer,
 	})
 	if err != nil {
@@ -420,8 +427,8 @@ func (d *Daemon) GearStore() *store.Store { return d.gearStore }
 // publishes into.
 func (d *Daemon) Telemetry() *telemetry.Registry { return d.tele }
 
-// TraceRing returns the daemon's fetch-path span buffer: per-fault
-// spans from the store plus the per-phase spans deploys record.
+// TraceRing returns the daemon's span buffer: the store's fetch and fault
+// spans, and the root and phase spans of every deployment's tree.
 func (d *Daemon) TraceRing() *telemetry.TraceRing { return d.ring }
 
 // Snapshot implements telemetry.Snapshotter: the unified telemetry
@@ -443,23 +450,6 @@ func (d *Daemon) Snapshot() telemetry.Snapshot {
 	return d.tele.Snapshot()
 }
 
-// recordPhase attributes one deploy phase's traffic to dep: the span is
-// kept on the deployment (Deployment.Trace) and recorded into the
-// daemon's ring next to the store's per-fault spans.
-func (d *Daemon) recordPhase(dep *Deployment, op, class string, ps PhaseStats) {
-	span := telemetry.Span{
-		Op:       op,
-		Ref:      dep.Ref,
-		Class:    class,
-		Source:   telemetry.SourceRegistry,
-		Objects:  int(ps.Requests),
-		Bytes:    ps.Bytes,
-		Transfer: ps.Time,
-	}
-	d.ring.Record(span)
-	dep.spans = append(dep.spans, span)
-}
-
 // Link exposes the daemon's network link counters (the WAN link when a
 // topology is attached).
 func (d *Daemon) Link() *netsim.Link { return d.link }
@@ -478,13 +468,67 @@ func (d *Daemon) ClearLayerCache() {
 	d.layers = make(map[hashing.Digest]*imagefmt.Layer)
 }
 
-func (d *Daemon) newContainerID(mode Mode) string {
-	return mode.String() + "-" + strconv.FormatInt(d.nextID.Add(1), 10)
+// newDeployment starts a deployment of ref and its span tree's root.
+func (d *Daemon) newDeployment(mode Mode, ref string) *Deployment {
+	dep := &Deployment{Mode: mode, Ref: ref, daemon: d,
+		ContainerID: mode.String() + "-" + strconv.FormatInt(d.nextID.Add(1), 10),
+		tree:        make([]telemetry.Span, 0, 8)}
+	dep.span(0, telemetry.Span{Op: "deploy", Ref: ref})
+	return dep
 }
 
-// localRead models serving size bytes from local storage.
-func localRead(size int64) time.Duration {
-	return localReadLatency + time.Duration(float64(size)/localReadBPS*float64(time.Second))
+// span appends s to the tree under the span at index parent and returns
+// its index. Until finish, s holds its self values and Parent holds the
+// parent's index.
+func (dep *Deployment) span(parent int, s telemetry.Span) int {
+	s.Parent = int64(parent)
+	dep.tree = append(dep.tree, s)
+	return len(dep.tree) - 1
+}
+
+// phase appends a phase span under the root that moved ps over the links.
+func (dep *Deployment) phase(op, class string, ps PhaseStats) int {
+	return dep.span(0, telemetry.Span{Op: op, Ref: dep.Ref, Class: class,
+		Objects: int(ps.Requests), Bytes: ps.Bytes, Dur: ps.Time})
+}
+
+// finish closes dep's tree when the deploy ends. Parents precede their
+// children, so one backward pass folds every span's Dur and Bytes into
+// its parent's while the spans take consecutive IDs from the daemon's
+// counter. The phase stats and DemandStall are then read off the tree,
+// and the root and the phases go to the ring.
+func (d *Daemon) finish(dep *Deployment) {
+	t := dep.tree
+	first := d.spanIDs.Add(int64(len(t))) - int64(len(t)) + 1
+	var busy time.Duration // the run's local service and compute
+	for i := len(t) - 1; i > 0; i-- {
+		s := &t[i]
+		if s.Op == "deploy.local" || s.Op == "deploy.compute" {
+			busy += s.Dur
+		}
+		t[s.Parent].Dur += s.Dur
+		t[s.Parent].Bytes += s.Bytes
+		s.ID, s.Parent = first+int64(i), first+s.Parent
+	}
+	t[0].ID = first
+	for _, s := range t {
+		if s.Parent <= first { // the root (0) and the phases
+			d.ring.Record(s)
+		}
+	}
+	dep.Pull, dep.Prefetch, dep.Run = dep.phaseStats("deploy.pull"), dep.phaseStats("deploy.prefetch"), dep.phaseStats("deploy.run")
+	dep.DemandStall = dep.Run.Time - busy
+}
+
+// phaseStats returns what the phase op of dep's tree took, zero if the
+// deploy had no such phase.
+func (dep *Deployment) phaseStats(op string) PhaseStats {
+	for _, s := range dep.tree {
+		if s.Op == op {
+			return PhaseStats{Time: s.Dur, Bytes: s.Bytes, Requests: int64(s.Objects)}
+		}
+	}
+	return PhaseStats{}
 }
 
 // checkAttached guards a deployment entry point: deploying through a
@@ -502,37 +546,30 @@ func (d *Daemon) checkAttached() error {
 // egress the experiments sum — while Time also includes what a separate
 // peer LAN link spent, so deploy durations reflect every transfer.
 func (d *Daemon) netDelta(fn func() error) (PhaseStats, error) {
-	before := d.link.Stats()
-	var peerBefore netsim.Stats
-	if d.peerLink != d.link {
-		peerBefore = d.peerLink.Stats()
-	}
+	wan, lan := d.link.Stats(), d.peerLink.Stats()
 	err := fn()
-	after := d.link.Stats()
-	ps := PhaseStats{
-		Time:     after.Elapsed - before.Elapsed,
-		Bytes:    after.Bytes - before.Bytes,
-		Requests: after.Requests - before.Requests,
-	}
+	wanAfter, lanAfter := d.link.Stats(), d.peerLink.Stats()
+	ps := PhaseStats{Time: wanAfter.Elapsed - wan.Elapsed,
+		Bytes: wanAfter.Bytes - wan.Bytes, Requests: wanAfter.Requests - wan.Requests}
 	if d.peerLink != d.link {
-		peerAfter := d.peerLink.Stats()
-		ps.Time += peerAfter.Elapsed - peerBefore.Elapsed
+		ps.Time += lanAfter.Elapsed - lan.Elapsed
 	}
 	return ps, err
 }
 
 // pricedRead runs one container read and prices it: local is the cost of
-// serving the bytes it returned from local storage (after the overlay
-// lookup, where the system mounts one), net what the links carried for it.
-func (d *Daemon) pricedRead(overlay time.Duration, read func() ([]byte, error)) (data []byte, local time.Duration, net PhaseStats, err error) {
-	net, err = d.netDelta(func() (err error) {
+// serving the bytes it returned from local storage (after the mode's
+// overlay lookup), net what the links carried for it.
+func (dep *Deployment) pricedRead(read func() ([]byte, error)) (data []byte, local time.Duration, net PhaseStats, err error) {
+	net, err = dep.daemon.netDelta(func() (err error) {
 		data, err = read()
 		return err
 	})
 	if err != nil {
 		return nil, 0, net, err
 	}
-	return data, overlay + localRead(int64(len(data))), net, nil
+	local = dep.overlay + localReadLatency + time.Duration(float64(len(data))/localReadBPS*float64(time.Second))
+	return data, local, net, nil
 }
 
 // pullImage downloads ref's manifest and every layer of it the local
@@ -566,57 +603,54 @@ func (d *Daemon) pullImage(name, tag string) (img *imagefmt.Image, unpacked int6
 	return img, unpacked, nil
 }
 
-// pullPhase runs pull, which holds layersMu, as dep's pull phase.
-// Unpacking newly downloaded layers is part of it.
+// pullPhase runs pull as dep's pull phase: what the links carried for it,
+// and, its child, the unpacking of the bytes it reports it unpacked.
 func (d *Daemon) pullPhase(dep *Deployment, pull func() (unpacked int64, err error)) error {
 	var unpacked int64
 	ps, err := d.netDelta(func() (err error) {
-		d.layersMu.Lock()
-		defer d.layersMu.Unlock()
 		unpacked, err = pull()
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	ps.Time += time.Duration(float64(unpacked) / unpackBPS * float64(time.Second))
-	dep.Pull = ps
-	d.recordPhase(dep, "deploy.pull", telemetry.ClassDemand, ps)
+	dep.span(dep.phase("deploy.pull", telemetry.ClassDemand, ps), telemetry.Span{Op: "deploy.unpack",
+		Dur: time.Duration(float64(unpacked) / unpackBPS * float64(time.Second))})
 	return nil
 }
 
-// runPhase is the run phase of a lazily loading deployment: before (the
-// pre-fault, if any) and then every access through read, whose network
-// time is the phase's and whose local service time and compute add to it.
-func (d *Daemon) runPhase(dep *Deployment, access []string, compute, overlay time.Duration, before func() error, read func(p string) ([]byte, error)) (PhaseStats, error) {
-	run, err := d.netDelta(func() error {
-		if before != nil {
-			if err := before(); err != nil {
-				return err
-			}
+// runPhase is dep's run phase: before (the pre-fault, if any), whose
+// network time is the run's own, then every access, one deploy.fault span
+// each that used the links, and the accesses' local service time and
+// compute.
+func (d *Daemon) runPhase(dep *Deployment, access []string, compute time.Duration, before func() error) error {
+	var pre PhaseStats
+	if before != nil {
+		var err error
+		if pre, err = d.netDelta(before); err != nil {
+			return err
 		}
-		for _, p := range access {
-			_, local, net, err := d.pricedRead(overlay, func() ([]byte, error) { return read(p) })
-			if err != nil {
-				return err
-			}
-			dep.Run.Time += local
-			if d.opts.Trace {
-				dep.Events = append(dep.Events, AccessEvent{
-					Path: p, RemoteBytes: net.Bytes, Requests: net.Requests, Cost: local + net.Time,
-				})
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return run, err
 	}
-	dep.Run.Time += run.Time + compute
-	dep.Run.Bytes = run.Bytes
-	dep.Run.Requests = run.Requests
-	d.recordPhase(dep, "deploy.run", telemetry.ClassDemand, run)
-	return run, nil
+	run := dep.phase("deploy.run", telemetry.ClassDemand, pre)
+	var local time.Duration
+	for i, p := range access {
+		_, cost, net, err := dep.pricedRead(func() ([]byte, error) { return dep.readFile(p) })
+		if err != nil {
+			return err
+		}
+		local += cost
+		if net != (PhaseStats{}) {
+			// A run that faults once mostly faults on: room for a span per
+			// access left, and the two after them, costs less than doubling.
+			dep.tree = slices.Grow(dep.tree, len(access)-i+2)
+			dep.span(run, telemetry.Span{Op: "deploy.fault", Ref: p, Class: telemetry.ClassDemand,
+				Objects: int(net.Requests), Bytes: net.Bytes, Dur: net.Time})
+			dep.tree[run].Objects += int(net.Requests)
+		}
+	}
+	dep.span(run, telemetry.Span{Op: "deploy.local", Objects: len(access), Dur: local})
+	dep.span(run, telemetry.Span{Op: "deploy.compute", Dur: compute})
+	return nil
 }
 
 // DeployDocker deploys ref the stock Docker way: download every layer
@@ -625,10 +659,10 @@ func (d *Daemon) DeployDocker(name, tag string, access []string, compute time.Du
 	if err := d.checkAttached(); err != nil {
 		return nil, fmt.Errorf("dockersim: deploy docker %s:%s: %w", name, tag, err)
 	}
-	dep := &Deployment{Mode: ModeDocker, Ref: name + ":" + tag, daemon: d,
-		ContainerID: d.newContainerID(ModeDocker)}
-
+	dep := d.newDeployment(ModeDocker, name+":"+tag)
 	err := d.pullPhase(dep, func() (int64, error) {
+		d.layersMu.Lock()
+		defer d.layersMu.Unlock()
 		img, unpacked, err := d.pullImage(name, tag)
 		if err != nil {
 			return 0, err
@@ -640,23 +674,13 @@ func (d *Daemon) DeployDocker(name, tag string, access []string, compute time.Du
 		return nil, fmt.Errorf("dockersim: deploy docker %s:%s: %w", name, tag, err)
 	}
 
-	// Run phase: every access is local (the whole image is here).
-	var runTime time.Duration
-	for _, p := range access {
-		n, err := dep.root.Stat(p)
-		if err != nil {
-			return nil, fmt.Errorf("dockersim: docker run %s: %w", dep.Ref, err)
-		}
-		cost := overlayLatency + localRead(n.Size())
-		runTime += cost
-		if d.opts.Trace {
-			dep.Events = append(dep.Events, AccessEvent{Path: p, Cost: cost})
-		}
+	// Every access is local: the whole image is here.
+	dep.overlay, dep.readFile = overlayLatency, dep.root.ReadFile
+	if err := d.runPhase(dep, access, compute, nil); err != nil {
+		return nil, fmt.Errorf("dockersim: docker run %s: %w", dep.Ref, err)
 	}
-	runTime += compute
-	dep.Run = PhaseStats{Time: runTime}
-	d.recordPhase(dep, "deploy.run", telemetry.ClassDemand, PhaseStats{Time: runTime})
 	dep.inodes = dep.root.Stats().Files // everything was unpacked
+	d.finish(dep)
 	return dep, nil
 }
 
@@ -676,10 +700,10 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 	if err := d.checkAttached(); err != nil {
 		return nil, fmt.Errorf("dockersim: deploy gear %s: %w", ref, err)
 	}
-	dep := &Deployment{Mode: ModeGear, Ref: ref, daemon: d,
-		ContainerID: d.newContainerID(ModeGear)}
-
+	dep := d.newDeployment(ModeGear, ref)
 	err := d.pullPhase(dep, func() (int64, error) {
+		d.layersMu.Lock()
+		defer d.layersMu.Unlock()
 		if d.gearStore.HasIndex(ref) {
 			return 0, nil
 		}
@@ -697,9 +721,7 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 	if err != nil {
 		return nil, fmt.Errorf("dockersim: deploy gear %s: %w", ref, err)
 	}
-	dep.view = view
-
-	misses, stallBytes, hits := d.demandMisses.Value(), d.stallBytes.Value(), d.prefetchHits.Value()
+	dep.view, dep.overlay, dep.readFile = view, overlayLatency, view.ReadFile
 
 	// Startup-profile replay: with a profile library configured and a
 	// persisted profile for this image, warm the level-1 cache with the
@@ -723,8 +745,7 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 		if err != nil {
 			return nil, fmt.Errorf("dockersim: gear prefetch %s: %w", ref, err)
 		}
-		dep.Prefetch = pre
-		d.recordPhase(dep, "deploy.prefetch", telemetry.ClassPrefetch, pre)
+		dep.phase("deploy.prefetch", telemetry.ClassPrefetch, pre)
 	}
 
 	// With the concurrent fetch engine on, pre-fault the access set
@@ -742,17 +763,9 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 		_, err = d.gearStore.FetchAll(fps)
 		return err
 	}
-	run, err := d.runPhase(dep, access, compute, overlayLatency, prefault, view.ReadFile)
-	if err != nil {
+	if err := d.runPhase(dep, access, compute, prefault); err != nil {
 		return nil, fmt.Errorf("dockersim: gear run %s: %w", ref, err)
 	}
-	// Everything the run phase spent on the link was a container blocked
-	// on a demand transfer: the run's network time IS the demand stall.
-	dep.DemandStall = run.Time
-	dep.DemandMisses = d.demandMisses.Value() - misses
-	dep.StallBytes = d.stallBytes.Value() - stallBytes
-	dep.PrefetchHits = d.prefetchHits.Value() - hits
-	dep.PrefetchWasted = d.prefetchWasted.Value() // gauge, not a counter
 	// Persist this deploy's access trace so the next deploy of the image
 	// can replay it. SaveProfile keeps the richer of old and new traces.
 	if _, err := d.gearStore.SaveProfile(ref); err != nil {
@@ -761,6 +774,7 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 	// Teardown releases the inode cache of the files this container
 	// touched — required files only, never the whole image (§V-F).
 	dep.inodes = uniqueCount(access)
+	d.finish(dep)
 	return dep, nil
 }
 
@@ -792,54 +806,37 @@ func (d *Daemon) DeploySlacker(name, tag string, access []string, compute time.D
 	if err := d.checkAttached(); err != nil {
 		return nil, fmt.Errorf("dockersim: deploy slacker %s: %w", ref, err)
 	}
-	dep := &Deployment{Mode: ModeSlacker, Ref: ref, daemon: d,
-		ContainerID: d.newContainerID(ModeSlacker)}
-
-	pull, err := d.netDelta(func() error {
-		return d.slackerClient.Mount(dep.ContainerID, ref)
+	dep := d.newDeployment(ModeSlacker, ref)
+	err := d.pullPhase(dep, func() (int64, error) {
+		return 0, d.slackerClient.Mount(dep.ContainerID, ref)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dockersim: deploy slacker %s: %w", ref, err)
 	}
-	dep.Pull = pull
-	d.recordPhase(dep, "deploy.pull", telemetry.ClassDemand, pull)
-
 	// No overlay layer on Slacker's ext4-on-device path.
-	_, err = d.runPhase(dep, access, compute, 0, nil, dep.slackerRead)
-	if err != nil {
+	dep.readFile = func(p string) ([]byte, error) { return d.slackerClient.ReadFile(dep.ContainerID, p) }
+	if err := d.runPhase(dep, access, compute, nil); err != nil {
 		return nil, fmt.Errorf("dockersim: slacker run %s: %w", ref, err)
 	}
 	dep.inodes = len(access)
+	d.finish(dep)
 	return dep, nil
-}
-
-func (dep *Deployment) slackerRead(p string) ([]byte, error) {
-	return dep.daemon.slackerClient.ReadFile(dep.ContainerID, p)
 }
 
 // Read serves one file from the deployed container, returning the data
 // and its modeled service latency. Long-running services (Fig 11a) call
 // this in their request loops.
 func (dep *Deployment) Read(p string) ([]byte, time.Duration, error) {
-	switch dep.Mode {
-	case ModeDocker:
-		return dep.read(overlayLatency, func() ([]byte, error) { return dep.root.ReadFile(p) })
-	case ModeGear:
-		return dep.read(overlayLatency, func() ([]byte, error) { return dep.view.ReadFile(p) })
-	case ModeSlacker:
-		return dep.read(0, func() ([]byte, error) { return dep.slackerRead(p) })
-	default:
-		return nil, 0, fmt.Errorf("dockersim: bad mode %v", dep.Mode)
-	}
+	return dep.read(func() ([]byte, error) { return dep.readFile(p) })
 }
 
 // read prices one read of the running container: its local service cost
 // plus whatever the links carried for it.
-func (dep *Deployment) read(overlay time.Duration, read func() ([]byte, error)) ([]byte, time.Duration, error) {
+func (dep *Deployment) read(read func() ([]byte, error)) ([]byte, time.Duration, error) {
 	if dep.closed {
 		return nil, 0, fmt.Errorf("dockersim: %s: %w", dep.ContainerID, ErrNotDeployed)
 	}
-	data, local, net, err := dep.daemon.pricedRead(overlay, read)
+	data, local, net, err := dep.pricedRead(read)
 	return data, local + net.Time, err
 }
 
@@ -850,7 +847,7 @@ func (dep *Deployment) read(overlay time.Duration, read func() ([]byte, error)) 
 // and Slacker deployments slice their full-file read.
 func (dep *Deployment) ReadAt(p string, off, n int64) ([]byte, time.Duration, error) {
 	if dep.Mode == ModeGear {
-		return dep.read(overlayLatency, func() ([]byte, error) { return dep.view.ReadAt(p, off, n) })
+		return dep.read(func() ([]byte, error) { return dep.view.ReadAt(p, off, n) })
 	}
 	data, cost, err := dep.Read(p)
 	if err != nil {

@@ -2,17 +2,21 @@ package dockersim
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/gear/convert"
+	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/netsim"
 	"github.com/gear-image/gear/internal/prefetch"
 	"github.com/gear-image/gear/internal/registry"
 	"github.com/gear-image/gear/internal/slacker"
+	"github.com/gear-image/gear/internal/telemetry"
 )
 
 // rig is a full test deployment rig: a corpus series published to a
@@ -27,7 +31,7 @@ type rig struct {
 	numImages int
 }
 
-func buildRig(t *testing.T, series string, versions int) *rig {
+func buildRig(t testing.TB, series string, versions int) *rig {
 	t.Helper()
 	c, err := corpus.New(corpus.Options{
 		Seed: 7, Scale: 0.4, SeriesFilter: []string{series}, MaxVersions: versions,
@@ -73,11 +77,20 @@ func buildRig(t *testing.T, series string, versions int) *rig {
 	return r
 }
 
-func (r *rig) newDaemon(t *testing.T, mbps float64) *Daemon {
+func (r *rig) newDaemon(t testing.TB, mbps float64) *Daemon {
 	t.Helper()
 	// The corpus is ~1/1000 of the paper's byte scale; scale the link
 	// down by the same factor so deployment times keep the paper's shape.
-	d, err := NewDaemon(r.docker, r.gear, Options{Link: netsim.DefaultLAN().WithBandwidth(mbps / 1000)})
+	return r.newDaemonWith(t, Options{Link: netsim.DefaultLAN().WithBandwidth(mbps / 1000)})
+}
+
+// newDaemonWith is newDaemon with opts; a zero Link is 20 Mbps.
+func (r *rig) newDaemonWith(t testing.TB, opts Options) *Daemon {
+	t.Helper()
+	if opts.Link == (netsim.LinkConfig{}) {
+		opts.Link = netsim.DefaultLAN().WithBandwidth(20.0 / 1000)
+	}
+	d, err := NewDaemon(r.docker, r.gear, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +98,7 @@ func (r *rig) newDaemon(t *testing.T, mbps float64) *Daemon {
 	return d
 }
 
-func (r *rig) access(t *testing.T, version int) []string {
+func (r *rig) access(t testing.TB, version int) []string {
 	t.Helper()
 	items, err := r.corpus.NecessarySet(r.series, version)
 	if err != nil {
@@ -453,57 +466,60 @@ func TestRequestOverheadChargedPerObject(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsAccessTimeline: a cold Gear deploy's tree places its
+// accesses in the run: one deploy.fault per access that moved bytes, with
+// its path, time and bytes, and one deploy.local counting every access.
+// A warm deploy, every access a hit, records no fault but still counts
+// every access.
 func TestTraceRecordsAccessTimeline(t *testing.T) {
 	r := buildRig(t, "nginx", 1)
-	d, err := NewDaemon(r.docker, r.gear, Options{
-		Link: netsim.DefaultLAN().WithBandwidth(0.9), Trace: true,
-	})
+	d, err := NewDaemon(r.docker, r.gear, Options{Link: netsim.DefaultLAN().WithBandwidth(0.9)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	access := r.access(t, 0)
-	dep, err := d.DeployGear("gear/nginx", "v01", access, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dep.Events) != len(access) {
-		t.Fatalf("events = %d, want %d", len(dep.Events), len(access))
-	}
-	var remoteEvents int
-	var remoteBytes int64
-	for _, e := range dep.Events {
-		if e.Cost <= 0 {
-			t.Errorf("%s: non-positive cost", e.Path)
+	for _, tc := range []struct {
+		name   string
+		faults bool
+	}{{"cold", true}, {"warm", false}} {
+		dep, err := d.DeployGear("gear/nginx", "v01", access, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if e.RemoteBytes > 0 {
-			remoteEvents++
-			remoteBytes += e.RemoteBytes
+		var faults, accesses int
+		var faultBytes int64
+		for _, s := range dep.Trace() {
+			switch s.Op {
+			case "deploy.fault":
+				faults++
+				faultBytes += s.Bytes
+				if s.Dur <= 0 || s.Bytes <= 0 {
+					t.Errorf("%s: fault on %s took %v for %d B, want both positive", tc.name, s.Ref, s.Dur, s.Bytes)
+				}
+				if !slices.Contains(access, s.Ref) {
+					t.Errorf("%s: fault on %q, a path the run never accessed", tc.name, s.Ref)
+				}
+			case "deploy.local":
+				accesses += s.Objects
+			}
 		}
-	}
-	if remoteEvents == 0 {
-		t.Error("no remote events traced on a cold deploy")
-	}
-	if remoteBytes != dep.Run.Bytes {
-		t.Errorf("traced bytes %d != run phase bytes %d", remoteBytes, dep.Run.Bytes)
-	}
-	// Untraced deploys carry no events.
-	d2, err := NewDaemon(r.docker, r.gear, Options{Link: netsim.DefaultLAN()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep2, err := d2.DeployGear("gear/nginx", "v01", access, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep2.Events != nil {
-		t.Error("events recorded without Trace")
+		if accesses != len(access) {
+			t.Errorf("%s: deploy.local counts %d accesses, want %d", tc.name, accesses, len(access))
+		}
+		if got := faults > 0; got != tc.faults {
+			t.Errorf("%s: %d deploy.fault spans, want faults: %v", tc.name, faults, tc.faults)
+		}
+		if faultBytes != dep.Run.Bytes {
+			t.Errorf("%s: faults carry %d B, run phase %d B", tc.name, faultBytes, dep.Run.Bytes)
+		}
 	}
 }
 
 // TestTraceSpansAccountForAllWANBytes: every deploy mode attributes
-// 100% of the WAN bytes netsim reports to phase spans — Trace() is a
-// complete accounting, not a sample. The warm Gear deploy additionally
-// splits the traffic into demand (pull) and prefetch classes.
+// 100% of the WAN bytes netsim reports to its span tree — Trace() is a
+// complete accounting, not a sample — and the daemon's ring holds the
+// tree's phase spans. A deploy that replays a profile splits the traffic
+// into demand and prefetch classes that cover the byte total.
 func TestTraceSpansAccountForAllWANBytes(t *testing.T) {
 	r := buildRig(t, "nginx", 1)
 	lib := prefetch.NewLibrary()
@@ -518,15 +534,28 @@ func TestTraceSpansAccountForAllWANBytes(t *testing.T) {
 		d.ConfigureSlacker(r.slackSrv)
 		return d
 	}
-	spanBytes := func(dep *Deployment) int64 {
-		var sum int64
-		for _, sp := range dep.Trace() {
-			sum += sp.Bytes
+	// selfBytes splits a tree's bytes by class, each span counting its
+	// own share: its Bytes less its children's.
+	selfBytes := func(dep *Deployment) map[string]int64 {
+		tree := dep.Trace()
+		class := make(map[int64]string, len(tree))
+		for _, s := range tree {
+			class[s.ID] = s.Class
 		}
-		return sum
+		by := map[string]int64{}
+		for _, s := range tree {
+			by[s.Class] += s.Bytes
+			if s.Parent != 0 {
+				by[class[s.Parent]] -= s.Bytes
+			}
+		}
+		return by
+	}
+	isPhase := func(op string) bool {
+		return op == "deploy.pull" || op == "deploy.prefetch" || op == "deploy.run"
 	}
 
-	deploys := []struct {
+	for _, tc := range []struct {
 		mode   string
 		deploy func(d *Daemon) (*Deployment, error)
 	}{
@@ -542,8 +571,7 @@ func TestTraceSpansAccountForAllWANBytes(t *testing.T) {
 		{"slacker", func(d *Daemon) (*Deployment, error) {
 			return d.DeploySlacker("nginx", "v01", r.access(t, 0), 0)
 		}},
-	}
-	for _, tc := range deploys {
+	} {
 		d := newDaemon()
 		dep, err := tc.deploy(d)
 		if err != nil {
@@ -553,54 +581,243 @@ func TestTraceSpansAccountForAllWANBytes(t *testing.T) {
 		if wan.Bytes == 0 {
 			t.Fatalf("%s: deploy moved no WAN bytes", tc.mode)
 		}
-		if got := spanBytes(dep); got != wan.Bytes {
-			t.Errorf("%s: trace spans carry %d bytes, netsim WAN link reports %d",
-				tc.mode, got, wan.Bytes)
+		var sum int64
+		for _, b := range selfBytes(dep) {
+			sum += b
 		}
-		// The daemon ring holds the same spans (plus the store's per-fetch
-		// spans for Gear modes), so the phase spans must appear there too.
-		var ringPhase int
-		for _, sp := range d.TraceRing().Snapshot() {
-			if sp.Op == "deploy.pull" || sp.Op == "deploy.prefetch" || sp.Op == "deploy.run" {
+		if sum != wan.Bytes {
+			t.Errorf("%s: trace spans carry %d bytes, netsim WAN link reports %d", tc.mode, sum, wan.Bytes)
+		}
+		var ringPhase, treePhase int
+		for _, s := range d.TraceRing().Snapshot() {
+			if isPhase(s.Op) {
 				ringPhase++
 			}
 		}
-		if ringPhase != len(dep.Trace()) {
-			t.Errorf("%s: ring holds %d phase spans, deployment holds %d",
-				tc.mode, ringPhase, len(dep.Trace()))
+		for _, s := range dep.Trace() {
+			if isPhase(s.Op) {
+				treePhase++
+			}
+		}
+		if ringPhase != treePhase {
+			t.Errorf("%s: ring holds %d phase spans, deployment holds %d", tc.mode, ringPhase, treePhase)
 		}
 	}
 
-	// The warm Gear deploy above replayed a profile: its trace must carry
-	// a prefetch-class span, and classes must cover the byte total.
+	// The gear deploys above recorded a profile: this deploy replays it,
+	// so its tree carries prefetch-class bytes, and classes cover the total.
 	d := newDaemon()
 	warm, err := d.DeployGear("gear/nginx", "v01", r.access(t, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var demand, prefetched int64
-	for _, sp := range warm.Trace() {
-		switch sp.Class {
-		case "prefetch":
-			prefetched += sp.Bytes
-		case "demand":
-			demand += sp.Bytes
-		default:
-			t.Errorf("span %s has unknown class %q", sp.Op, sp.Class)
+	by := selfBytes(warm)
+	for class, b := range by {
+		if b != 0 && class != telemetry.ClassDemand && class != telemetry.ClassPrefetch {
+			t.Errorf("%d self bytes in unknown class %q", b, class)
 		}
 	}
-	if prefetched == 0 {
+	if by[telemetry.ClassPrefetch] == 0 {
 		t.Error("warm deploy trace has no prefetch-class bytes")
 	}
-	if wan := d.Link().Stats(); demand+prefetched != wan.Bytes {
-		t.Errorf("class split %d+%d != WAN bytes %d", demand, prefetched, wan.Bytes)
+	if wan := d.Link().Stats(); by[telemetry.ClassDemand]+by[telemetry.ClassPrefetch] != wan.Bytes {
+		t.Errorf("class split %d+%d != WAN bytes %d", by[telemetry.ClassDemand], by[telemetry.ClassPrefetch], wan.Bytes)
 	}
+}
+
+// checkTree holds one deployment's span tree to its accounting: IDs are
+// unique and every Parent resolves; no span's children outlast it or
+// out-carry its bytes; the root has no self share and lasts Total(); the
+// self bytes sum to the WAN bytes netsim charged the deploy (wan), and
+// the self time of the spans that priced link time (a phase's own share
+// and every fault) to the time the links charged it (linkTime). It
+// returns the deploy.fault spans.
+func checkTree(t *testing.T, name string, dep *Deployment, wan int64, linkTime time.Duration) []telemetry.Span {
+	t.Helper()
+	tree := dep.Trace()
+	if len(tree) == 0 || tree[0].Op != "deploy" || tree[0].Parent != 0 {
+		t.Fatalf("%s: tree does not start at a deploy root: %+v", name, tree)
+	}
+	at := make(map[int64]int, len(tree))
+	for i, s := range tree {
+		if _, dup := at[s.ID]; dup || s.ID == 0 {
+			t.Errorf("%s: span %d (%s) has ID %d, not unique", name, i, s.Op, s.ID)
+		}
+		at[s.ID] = i
+	}
+	self := make([]telemetry.Span, len(tree))
+	copy(self, tree)
+	var faults []telemetry.Span
+	for i, s := range tree[1:] {
+		p, ok := at[s.Parent]
+		if !ok || p > i {
+			t.Fatalf("%s: %s's parent %d does not resolve to an earlier span", name, s.Op, s.Parent)
+		}
+		self[p].Dur -= s.Dur
+		self[p].Bytes -= s.Bytes
+		if s.Op == "deploy.fault" {
+			faults = append(faults, s)
+		}
+	}
+	var selfTime, onLinks time.Duration
+	var selfBytes int64
+	for _, s := range self {
+		if s.Dur < 0 || s.Bytes < 0 {
+			t.Errorf("%s: %s's children add up to more than it: self %v, %d B", name, s.Op, s.Dur, s.Bytes)
+		}
+		if s.Bytes > 0 && s.Class != telemetry.ClassDemand && s.Class != telemetry.ClassPrefetch {
+			t.Errorf("%s: %s carries %d self bytes in class %q", name, s.Op, s.Bytes, s.Class)
+		}
+		selfTime += s.Dur
+		selfBytes += s.Bytes
+		switch s.Op {
+		case "deploy.pull", "deploy.prefetch", "deploy.run", "deploy.fault":
+			onLinks += s.Dur
+		}
+	}
+	if self[0].Dur != 0 || self[0].Bytes != 0 {
+		t.Errorf("%s: root has a self share of %v, %d B", name, self[0].Dur, self[0].Bytes)
+	}
+	if tree[0].Dur != dep.Total() || selfTime != dep.Total() {
+		t.Errorf("%s: root %v, self times sum to %v; Total() = %v", name, tree[0].Dur, selfTime, dep.Total())
+	}
+	if selfBytes != wan {
+		t.Errorf("%s: self bytes sum to %d, netsim's WAN link carried %d", name, selfBytes, wan)
+	}
+	if onLinks != linkTime {
+		t.Errorf("%s: link spans' self time %v, the links charged %v", name, onLinks, linkTime)
+	}
+	return faults
+}
+
+// TestDeploymentTreeAccountsForAllTime: every way a deployment runs —
+// Docker, Slacker, cold, warm and profile-guided Gear, the concurrent
+// fetch engine, chunked files and peers — yields one span tree that
+// accounts for all of its time and every WAN byte, to the nanosecond
+// and the byte; and the daemon's ring holds its root and phase spans.
+func TestDeploymentTreeAccountsForAllTime(t *testing.T) {
+	r := buildRig(t, "nginx", 1)
+	access := r.access(t, 0)
+	conv, err := convert.New(convert.Options{IndexPrefix: "gearc/", Chunking: index.FixedChunks(8 << 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := r.corpus.Image("nginx", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := conv.Convert(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := convert.Publish(res, r.docker, r.gear); err != nil {
+		t.Fatal(err)
+	}
+	lib := prefetch.NewLibrary()
+	if _, err := r.newDaemonWith(t, Options{Profiles: lib}).DeployGear("gear/nginx", "v01", access, 0); err != nil {
+		t.Fatal(err)
+	}
+	warm := r.newDaemon(t, 20)
+	if _, err := warm.DeployGear("gear/nginx", "v01", access, 0); err != nil {
+		t.Fatal(err)
+	}
+	peers, _, _ := peerRig(t, r, 2, 20, 1000)
+	if _, err := peers[0].DeployGear("gear/nginx", "v01", access, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	gear := func(ref string) func(d *Daemon) (*Deployment, error) {
+		return func(d *Daemon) (*Deployment, error) { return d.DeployGear(ref, "v01", access, 50*time.Millisecond) }
+	}
+	for _, tc := range []struct {
+		name   string
+		d      *Daemon
+		deploy func(d *Daemon) (*Deployment, error)
+		faults bool
+	}{
+		{"docker", r.newDaemon(t, 20), func(d *Daemon) (*Deployment, error) {
+			return d.DeployDocker("nginx", "v01", access, 50*time.Millisecond)
+		}, false},
+		{"slacker", r.newDaemon(t, 20), func(d *Daemon) (*Deployment, error) {
+			return d.DeploySlacker("nginx", "v01", access, 50*time.Millisecond)
+		}, true},
+		{"gear-cold", r.newDaemon(t, 20), gear("gear/nginx"), true},
+		{"gear-warm", warm, gear("gear/nginx"), false},
+		{"gear-profile", r.newDaemonWith(t, Options{Profiles: lib}), gear("gear/nginx"), false},
+		{"gear-workers", r.newDaemonWith(t, Options{FetchWorkers: 4}), gear("gear/nginx"), false},
+		{"gear-chunked", r.newDaemon(t, 20), gear("gearc/nginx"), true},
+		{"gear-peered", peers[1], gear("gear/nginx"), true},
+	} {
+		wan, lan := tc.d.Link().Stats(), tc.d.PeerLink().Stats()
+		ringBefore := tc.d.TraceRing().Total()
+		dep, err := tc.deploy(tc.d)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		linkTime := tc.d.Link().Stats().Elapsed - wan.Elapsed
+		if tc.d.PeerLink() != tc.d.Link() {
+			linkTime += tc.d.PeerLink().Stats().Elapsed - lan.Elapsed
+		}
+		faults := checkTree(t, tc.name, dep, tc.d.Link().Stats().Bytes-wan.Bytes, linkTime)
+		if got := len(faults) > 0; got != tc.faults {
+			t.Errorf("%s: %d deploy.fault spans, want faults: %v", tc.name, len(faults), tc.faults)
+		}
+		if tc.name == "gear-chunked" && !slices.ContainsFunc(faults, func(s telemetry.Span) bool { return s.Objects > 1 }) {
+			t.Errorf("%s: no fault fetched more than one chunk", tc.name)
+		}
+		tree := dep.Trace()
+		if tc.name == "gear-profile" && !slices.ContainsFunc(tree, func(s telemetry.Span) bool {
+			return s.Op == "deploy.prefetch" && s.Class == telemetry.ClassPrefetch && s.Bytes > 0
+		}) {
+			t.Errorf("%s: no prefetch-class replay span moved bytes", tc.name)
+		}
+		// DemandStall is the run's network share: its faults and its own
+		// time, the pre-fault window.
+		run := tree[slices.IndexFunc(tree, func(s telemetry.Span) bool { return s.Op == "deploy.run" })]
+		stall := run.Dur - childDur(tree, run.ID)
+		for _, s := range faults {
+			stall += s.Dur
+		}
+		if stall != dep.DemandStall {
+			t.Errorf("%s: faults and the run's self time come to %v, DemandStall = %v", tc.name, stall, dep.DemandStall)
+		}
+		// The ring gets the root and the phases, never the run's children.
+		var want []telemetry.Span
+		for _, s := range tree {
+			if s.Parent == 0 || s.Parent == tree[0].ID {
+				want = append(want, s)
+			}
+		}
+		var got []telemetry.Span
+		for _, s := range tc.d.TraceRing().Snapshot() {
+			if s.Seq > ringBefore && strings.HasPrefix(s.Op, "deploy") {
+				s.Seq = 0
+				got = append(got, s)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: ring holds deployment spans %+v, want the root and phases %+v", tc.name, got, want)
+		}
+	}
+}
+
+// childDur adds up the Dur of parent's children.
+func childDur(tree []telemetry.Span, parent int64) time.Duration {
+	var sum time.Duration
+	for _, s := range tree {
+		if s.Parent == parent {
+			sum += s.Dur
+		}
+	}
+	return sum
 }
 
 // TestDemandStallIsPricedTime: a cold, serial Gear deploy's demand stall
 // is the time netsim priced for its faults, whichever way it is read. The
-// store's stall counter, the sum of its stall histogram and the daemon
-// ring's fault spans each come to Deployment.DemandStall exactly.
+// daemon's view — the tree's deploy.fault spans plus the run's own time —
+// and the store's — its stall counter, the sum of its stall histogram and
+// its fault spans in the ring — each come to Deployment.DemandStall
+// exactly.
 func TestDemandStallIsPricedTime(t *testing.T) {
 	r := buildRig(t, "nginx", 1)
 	d := r.newDaemon(t, 20)
@@ -609,20 +826,30 @@ func TestDemandStallIsPricedTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dep.DemandStall <= 0 || dep.DemandMisses == 0 {
-		t.Fatalf("cold deploy: stall=%v misses=%d, want both positive", dep.DemandStall, dep.DemandMisses)
-	}
 	diff := d.Snapshot().Diff(before)
-	var spans time.Duration
+	if misses := diff.Counter("store.demand.misses"); dep.DemandStall <= 0 || misses == 0 {
+		t.Fatalf("cold deploy: stall=%v misses=%d, want both positive", dep.DemandStall, misses)
+	}
+	var storeSpans, treeSpans time.Duration
 	for _, sp := range d.TraceRing().Snapshot() {
 		if sp.Op == "fault" {
-			spans += sp.Transfer
+			storeSpans += sp.Dur
+		}
+	}
+	tree := dep.Trace()
+	for _, sp := range tree {
+		switch sp.Op {
+		case "deploy.fault":
+			treeSpans += sp.Dur
+		case "deploy.run":
+			treeSpans += sp.Dur - childDur(tree, sp.ID)
 		}
 	}
 	for what, got := range map[string]time.Duration{
-		"store.demand.stall.ns":         time.Duration(diff.Counter("store.demand.stall.ns")),
-		"store.demand.stall (sum)":      time.Duration(diff.Histograms["store.demand.stall"].Sum),
-		"fault spans' transfer (total)": spans,
+		"store.demand.stall.ns":           time.Duration(diff.Counter("store.demand.stall.ns")),
+		"store.demand.stall (sum)":        time.Duration(diff.Histograms["store.demand.stall"].Sum),
+		"store's fault spans (total)":     storeSpans,
+		"tree's faults and the run's own": treeSpans,
 	} {
 		if got != dep.DemandStall {
 			t.Errorf("%s = %v, want the deploy's demand stall %v", what, got, dep.DemandStall)
@@ -644,17 +871,25 @@ func TestGearProfileGuidedRedeploy(t *testing.T) {
 		return d
 	}
 
+	// deploy deploys on a fresh host and returns the store counters it
+	// moved.
+	deploy := func() (*Deployment, telemetry.Snapshot) {
+		d := newDaemon(lib)
+		dep, err := d.DeployGear("gear/nginx", "v01", r.access(t, 0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dep, d.Snapshot()
+	}
+
 	// Cold deploy on host A: no profile yet, so no prefetch phase; the
 	// run stalls on every fault, and the trace is persisted.
-	cold, err := newDaemon(lib).DeployGear("gear/nginx", "v01", r.access(t, 0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, coldStore := deploy()
 	if cold.Prefetch != (PhaseStats{}) {
 		t.Errorf("cold deploy has a prefetch phase: %+v", cold.Prefetch)
 	}
-	if cold.DemandStall <= 0 || cold.DemandMisses == 0 {
-		t.Errorf("cold deploy: stall=%v misses=%d, want both positive", cold.DemandStall, cold.DemandMisses)
+	if misses := coldStore.Counter("store.demand.misses"); cold.DemandStall <= 0 || misses == 0 {
+		t.Errorf("cold deploy: stall=%v misses=%d, want both positive", cold.DemandStall, misses)
 	}
 	if lib.Len() != 1 {
 		t.Fatalf("profile library holds %d profiles after cold deploy, want 1", lib.Len())
@@ -663,20 +898,16 @@ func TestGearProfileGuidedRedeploy(t *testing.T) {
 	// Warm redeploy on host B (fresh daemon, shared profile library):
 	// the replay moves the bytes in the prefetch phase and the run never
 	// touches the network.
-	warm, err := newDaemon(lib).DeployGear("gear/nginx", "v01", r.access(t, 0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm, warmStore := deploy()
 	if warm.Prefetch.Bytes == 0 || warm.Prefetch.Time <= 0 {
 		t.Errorf("warm deploy prefetch = %+v, want traffic", warm.Prefetch)
 	}
-	if warm.DemandStall != 0 || warm.DemandMisses != 0 || warm.Run.Bytes != 0 {
+	if misses := warmStore.Counter("store.demand.misses"); warm.DemandStall != 0 || misses != 0 || warm.Run.Bytes != 0 {
 		t.Errorf("warm deploy stalled: stall=%v misses=%d runBytes=%d",
-			warm.DemandStall, warm.DemandMisses, warm.Run.Bytes)
+			warm.DemandStall, misses, warm.Run.Bytes)
 	}
-	if warm.PrefetchHits == 0 || warm.PrefetchWasted != 0 {
-		t.Errorf("warm deploy: hits=%d wasted=%d, want all replayed objects consumed",
-			warm.PrefetchHits, warm.PrefetchWasted)
+	if hits, wasted := warmStore.Counter("store.prefetch.hits"), warmStore.Gauge("store.prefetch.wasted"); hits == 0 || wasted != 0 {
+		t.Errorf("warm deploy: hits=%d wasted=%d, want all replayed objects consumed", hits, wasted)
 	}
 
 	// The replay moves exactly the bytes the cold run faulted on: total
@@ -740,8 +971,8 @@ func TestStaleProfileEntryDoesNotFailDeploy(t *testing.T) {
 	if got := d.Snapshot().Counter("store.prefetch.errors"); got != 1 {
 		t.Errorf("store.prefetch.errors = %d, want 1", got)
 	}
-	if dep.PrefetchHits != 1 || dep.Prefetch.Requests != 1 {
-		t.Errorf("good entry: %d hits, %d replay requests, want 1/1", dep.PrefetchHits, dep.Prefetch.Requests)
+	if hits := d.Snapshot().Counter("store.prefetch.hits"); hits != 1 || dep.Prefetch.Requests != 1 {
+		t.Errorf("good entry: %d hits, %d replay requests, want 1/1", hits, dep.Prefetch.Requests)
 	}
 
 }

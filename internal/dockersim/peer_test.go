@@ -10,7 +10,7 @@ import (
 
 // peerRig attaches a fleet of daemons to one topology with a tracker
 // and peer exchange wired through each daemon's Gear store.
-func peerRig(t *testing.T, r *rig, nodes int, wanMbps, lanMbps float64) ([]*Daemon, *peer.Tracker, *netsim.Topology) {
+func peerRig(t testing.TB, r *rig, nodes int, wanMbps, lanMbps float64) ([]*Daemon, *peer.Tracker, *netsim.Topology) {
 	t.Helper()
 	topo, err := netsim.NewTopology(
 		netsim.DefaultLAN().WithBandwidth(wanMbps/1000),

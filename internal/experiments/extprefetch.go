@@ -8,6 +8,7 @@ import (
 	"github.com/gear-image/gear/internal/dockersim"
 	"github.com/gear-image/gear/internal/fleet"
 	"github.com/gear-image/gear/internal/prefetch"
+	"github.com/gear-image/gear/internal/telemetry"
 )
 
 // ExtPrefetchPoint is one (profile coverage, WAN bandwidth) sample of
@@ -76,6 +77,9 @@ var extPrefetchSweep = []struct {
 	{1, 100},
 }
 
+// wastedGauge is the store's count of replayed objects no read has used.
+const wastedGauge = "store.prefetch.wasted"
+
 // RunExtPrefetch records a startup profile from a cold deploy and
 // replays truncations of it on fresh hosts against no-profile
 // baselines. Coverage 0 pins the degeneration: an empty profile moves
@@ -95,19 +99,27 @@ func RunExtPrefetch(cfg Config) (*ExtPrefetchResult, error) {
 	s := &wl.Series[0]
 	ref, tag := s.Ref, s.Tags[0]
 
-	deploy := func(wan float64, lib *prefetch.Library) (*dockersim.Deployment, error) {
+	// deploy deploys the image on a fresh host and returns what its store
+	// counted for the deploy. The host's registry may be shared with
+	// other daemons, so that is a diff of the registry around the deploy,
+	// in which the wasted-prefetch gauge, too, is after minus before.
+	deploy := func(wan float64, lib *prefetch.Library) (*dockersim.Deployment, telemetry.Snapshot, error) {
 		opts := cfg.daemonOptions(wan)
 		opts.Profiles = lib
 		d, err := dockersim.NewDaemon(wl.Docker, wl.Gear, opts)
 		if err != nil {
-			return nil, err
+			return nil, telemetry.Snapshot{}, err
 		}
-		return d.DeployGear(ref, tag, s.Access[0], s.Compute)
+		before := d.Telemetry().Snapshot()
+		dep, err := d.DeployGear(ref, tag, s.Access[0], s.Compute)
+		diff := d.Telemetry().Snapshot().Diff(before)
+		diff.Gauges[wastedGauge] -= before.Gauge(wastedGauge)
+		return dep, diff, err
 	}
 
 	// Recording pass: a cold deploy persists the image's access trace.
 	recLib := prefetch.NewLibrary()
-	if _, err := deploy(100, recLib); err != nil {
+	if _, _, err := deploy(100, recLib); err != nil {
 		return nil, err
 	}
 	profile, err := recLib.Get(ref + ":" + tag)
@@ -119,12 +131,12 @@ func RunExtPrefetch(cfg Config) (*ExtPrefetchResult, error) {
 	for _, pt := range extPrefetchSweep {
 		point := ExtPrefetchPoint{Coverage: pt.coverage, WANMbps: pt.wan}
 
-		base, err := deploy(pt.wan, nil)
+		base, baseStore, err := deploy(pt.wan, nil)
 		if err != nil {
 			return nil, err
 		}
 		point.BaselineStall = base.DemandStall
-		point.BaselineMisses = base.DemandMisses
+		point.BaselineMisses = baseStore.Counter("store.demand.misses")
 		point.BaselineBytes = base.Pull.Bytes + base.Run.Bytes
 		point.BaselineTotal = base.Total()
 
@@ -132,16 +144,16 @@ func RunExtPrefetch(cfg Config) (*ExtPrefetchResult, error) {
 		if err := lib.Put(profile.Truncate(pt.coverage)); err != nil {
 			return nil, err
 		}
-		guided, err := deploy(pt.wan, lib)
+		guided, guidedStore, err := deploy(pt.wan, lib)
 		if err != nil {
 			return nil, err
 		}
 		point.GuidedStall = guided.DemandStall
-		point.GuidedMisses = guided.DemandMisses
+		point.GuidedMisses = guidedStore.Counter("store.demand.misses")
 		point.GuidedBytes = guided.Pull.Bytes + guided.Prefetch.Bytes + guided.Run.Bytes
 		point.PrefetchBytes = guided.Prefetch.Bytes
-		point.PrefetchHits = guided.PrefetchHits
-		point.PrefetchWasted = guided.PrefetchWasted
+		point.PrefetchHits = guidedStore.Counter("store.prefetch.hits")
+		point.PrefetchWasted = guidedStore.Gauge(wastedGauge)
 		point.GuidedTotal = guided.Total()
 
 		res.Points = append(res.Points, point)

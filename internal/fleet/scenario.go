@@ -142,13 +142,13 @@ func (h *Harness) Phase(name string, fn func() error) (PhaseResult, error) {
 		p.MeanDeploy = p.DeployTime / time.Duration(p.Deploys)
 	}
 	h.ring.Record(telemetry.Span{
-		Op:       "fleet.phase",
-		Ref:      name,
-		Class:    telemetry.ClassDemand,
-		Source:   telemetry.SourceRegistry,
-		Objects:  int(p.Deploys),
-		Bytes:    p.WAN.Bytes,
-		Transfer: p.DeployTime,
+		Op:      "fleet.phase",
+		Ref:     name,
+		Class:   telemetry.ClassDemand,
+		Source:  telemetry.SourceRegistry,
+		Objects: int(p.Deploys),
+		Bytes:   p.WAN.Bytes,
+		Dur:     p.DeployTime,
 	})
 	return p, nil
 }

@@ -297,19 +297,19 @@ func (s *Store) account(parts ...Transfer) {
 		s.m.stall.ObserveDuration(sum.Stall)
 	}
 	for _, t := range parts {
-		span := telemetry.Span{Op: t.Op, Ref: t.Ref, Class: t.Class, Transfer: sum.Stall}
+		span := telemetry.Span{Op: t.Op, Ref: t.Ref, Class: t.Class, Dur: sum.Stall}
 		if t.Joined {
 			span.Source, span.Objects = telemetry.SourceCache, 1
-			span.QueueWait, span.Transfer = sum.Stall, 0
-			s.opts.Trace.Record(span)
+			span.QueueWait, span.Dur = sum.Stall, 0
+			s.opts.TraceRing.Record(span)
 		}
 		if t.Peer.Objects > 0 {
 			span.Source, span.Objects, span.Bytes = telemetry.SourcePeer, t.Peer.Objects, t.Peer.Bytes
-			s.opts.Trace.Record(span)
+			s.opts.TraceRing.Record(span)
 		}
 		if t.Registry.Objects > 0 {
 			span.Source, span.Objects, span.Bytes = telemetry.SourceRegistry, t.Registry.Objects, t.Registry.Bytes
-			s.opts.Trace.Record(span)
+			s.opts.TraceRing.Record(span)
 		}
 	}
 }

@@ -283,33 +283,6 @@ func (s *Store) PrefetchProfile(ref string) (PrefetchResult, error) {
 	return res, errors.Join(errs...)
 }
 
-// PrefetchHandle tracks a background profile replay started with
-// StartPrefetch.
-type PrefetchHandle struct {
-	done chan struct{}
-	res  PrefetchResult
-	err  error
-}
-
-// Wait blocks until the replay finishes and returns its result.
-func (h *PrefetchHandle) Wait() (PrefetchResult, error) {
-	<-h.done
-	return h.res, h.err
-}
-
-// StartPrefetch runs PrefetchProfile in the background — the
-// deployment shape the profile is for: the container starts faulting
-// immediately while the replay warms the cache behind it, yielding to
-// every demand miss.
-func (s *Store) StartPrefetch(ref string) *PrefetchHandle {
-	h := &PrefetchHandle{done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		h.res, h.err = s.PrefetchProfile(ref)
-	}()
-	return h
-}
-
 // markPrefetched tags fp as admitted to the cache by a prefetch
 // replay; the tag is consumed by the first demand hit (PrefetchHits)
 // or remains as waste (PrefetchWasted).

@@ -262,7 +262,13 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := s.StartPrefetch("web:v1")
+	// The replay runs in the background, as a deploy that does not wait
+	// for it would run it: the container faults while it warms the cache.
+	replayDone := make(chan error, 1)
+	go func() {
+		_, err := s.PrefetchProfile("web:v1")
+		replayDone <- err
+	}()
 	// The first admission group is in flight, held by its gated half.
 	remote.waitStarts(t, replayGroup)
 
@@ -293,7 +299,7 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote.waitStarts(t, 1) // group 2 (p4)
-	if _, err := h.Wait(); err != nil {
+	if err := <-replayDone; err != nil {
 		t.Fatal(err)
 	}
 

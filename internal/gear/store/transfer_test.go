@@ -159,7 +159,7 @@ func TestEveryTransferIsAccountedOnceThreeWays(t *testing.T) {
 				mu.Unlock()
 				return 0
 			}
-			e.opts.Trace = telemetry.NewTraceRing(0)
+			e.opts.TraceRing = telemetry.NewTraceRing(0)
 			s := mustStore(t, e.opts)
 			if err := s.AddIndex(e.ix); err != nil {
 				t.Fatal(err)
@@ -187,7 +187,7 @@ func TestEveryTransferIsAccountedOnceThreeWays(t *testing.T) {
 				}
 			}
 			var spans StreamStat
-			for _, sp := range e.opts.Trace.Snapshot() {
+			for _, sp := range e.opts.TraceRing.Snapshot() {
 				if sp.Op != row.op || sp.Class != row.class {
 					t.Errorf("span %+v: want op %s, class %s", sp, row.op, row.class)
 				}
@@ -211,8 +211,8 @@ func TestEveryTransferIsAccountedOnceThreeWays(t *testing.T) {
 				(got.Objects > 0) != (row.class == telemetry.ClassPrefetch) {
 				t.Errorf("store.prefetch.* moved %+v, prefetch-class transfers moved %+v (row class %s)", got, hookPrefetch, row.class)
 			}
-			if len(calls) != row.calls || e.opts.Trace.Len() != row.spans {
-				t.Errorf("%d OnTransfer calls, %d spans; want %d, %d", len(calls), e.opts.Trace.Len(), row.calls, row.spans)
+			if len(calls) != row.calls || e.opts.TraceRing.Len() != row.spans {
+				t.Errorf("%d OnTransfer calls, %d spans; want %d, %d", len(calls), e.opts.TraceRing.Len(), row.calls, row.spans)
 			}
 		})
 	}

@@ -25,34 +25,47 @@ const (
 	SourceRegistry = "registry"
 )
 
-// Span is one structured trace event on the fetch path: a deploy phase,
-// a fetch window, or a single blocking fault. Deploy-phase spans carry
-// virtual-clock durations, which a simulation reproduces exactly. The
-// store's "fault" and "rangefault" spans carry the read's stall
-// (store.Transfer.Stall): the priced duration when a hook prices the
-// store's transfers, as the deployment simulator does, otherwise host
-// wall time. The store's other spans carry no time.
+// Span is one structured trace event on the fetch path: a node of a
+// deployment's span tree, a fetch window, or a single blocking fault.
+// Deployment spans carry virtual-clock durations, which a simulation
+// reproduces exactly. The store's "fault" and "rangefault" spans carry
+// the read's stall (store.Transfer.Stall): the priced duration when a
+// hook prices the store's transfers, as the deployment simulator does,
+// otherwise host wall time. The store's other spans carry no time.
 type Span struct {
 	// Seq is the ring-assigned record order (1-based, monotonic).
 	Seq int64 `json:"seq"`
-	// Op names the operation: "deploy.pull", "deploy.prefetch",
-	// "deploy.run", "fetch", "fault".
+	// ID identifies the span among its recorder's spans (1-based); 0
+	// means the recorder does not number its spans, as the store does
+	// not.
+	ID int64 `json:"id,omitempty"`
+	// Parent is the ID of the span this one is part of; 0 for a root.
+	// A parent's Dur and Bytes include its children's.
+	Parent int64 `json:"parent,omitempty"`
+	// Op names the operation. A deployment's tree: "deploy" (the root),
+	// "deploy.pull" with "deploy.unpack", "deploy.prefetch", and
+	// "deploy.run" with "deploy.fault", "deploy.local" and
+	// "deploy.compute". The store: "fault", "rangefault", "readahead"
+	// and "fetch". A fleet harness: "fleet.phase".
 	Op string `json:"op"`
-	// Ref identifies the subject (image ref, fingerprint prefix).
+	// Ref identifies the subject (image ref, accessed path, fingerprint
+	// prefix).
 	Ref string `json:"ref,omitempty"`
 	// Class is ClassDemand or ClassPrefetch.
 	Class string `json:"class,omitempty"`
 	// Source is SourceCache, SourcePeer, or SourceRegistry.
 	Source string `json:"source,omitempty"`
-	// Objects is the number of Gear files the span moved.
+	// Objects is the number of Gear files or requests the span moved
+	// (for "deploy.local", the accesses it served).
 	Objects int `json:"objects,omitempty"`
 	// Bytes is the wire volume the span accounts for.
 	Bytes int64 `json:"bytes,omitempty"`
 	// QueueWait is time spent waiting for a scheduler slot or an
 	// in-flight duplicate download.
 	QueueWait time.Duration `json:"queueWait,omitempty"`
-	// Transfer is time on the (virtual) wire.
-	Transfer time.Duration `json:"transfer,omitempty"`
+	// Dur is the span's duration: time on the (virtual) wire for a
+	// transfer, the whole operation for a deployment span.
+	Dur time.Duration `json:"dur,omitempty"`
 }
 
 // DefaultTraceCapacity bounds a TraceRing when the caller does not pick

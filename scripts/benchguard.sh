@@ -6,7 +6,7 @@
 #   ./scripts/benchguard.sh -update
 set -eu
 cd "$(dirname "$0")/.."
-PKGS="./internal/hashing ./internal/vfs ./internal/corpus ./internal/cache ./internal/imagefmt ./internal/tarstream ./internal/overlay ./internal/gear/index ./internal/gear/convert ./internal/gear/viewer ./internal/gear/store ./internal/telemetry ./internal/shardreg ./internal/gearregistry ./internal/wire"
+PKGS="./internal/hashing ./internal/vfs ./internal/corpus ./internal/cache ./internal/imagefmt ./internal/tarstream ./internal/overlay ./internal/gear/index ./internal/gear/convert ./internal/gear/viewer ./internal/gear/store ./internal/telemetry ./internal/shardreg ./internal/gearregistry ./internal/wire ./internal/dockersim"
 OUT="${BENCH_OUT:-$(mktemp)}"
 # shellcheck disable=SC2086
 go test -run '^$' -bench . -benchmem -count=3 $PKGS | tee "$OUT.raw"
