@@ -218,3 +218,18 @@ func TestConcurrentDeployDestroyLoop(t *testing.T) {
 		t.Errorf("containers left = %d, want 0", got)
 	}
 }
+
+// A Gear deploy that fails after creating its container destroys it:
+// the caller gets no Deployment to destroy it with.
+func TestFailedGearDeployLeavesNoContainer(t *testing.T) {
+	r := buildRig(t, "nginx", 1)
+	d := r.newDaemon(t, 904)
+	for i := 0; i < 3; i++ {
+		if dep, err := d.DeployGear("gear/nginx", "v01", []string{"/no/such/file"}, 0); err == nil {
+			t.Fatalf("deploy %d reading a missing path succeeded: %v", i, dep.ContainerID)
+		}
+	}
+	if got := d.Snapshot().Gauge("store.containers"); got != 0 {
+		t.Errorf("containers left = %d, want 0", got)
+	}
+}

@@ -722,7 +722,23 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 		return nil, fmt.Errorf("dockersim: deploy gear %s: %w", ref, err)
 	}
 	dep.view, dep.overlay, dep.readFile = view, overlayLatency, view.ReadFile
+	if err := d.startGear(dep, ref, access, compute); err != nil {
+		// No Deployment is returned to destroy the container with.
+		if rmErr := d.gearStore.RemoveContainer(dep.ContainerID); rmErr != nil {
+			err = errors.Join(err, rmErr)
+		}
+		return nil, err
+	}
+	// Teardown releases the inode cache of the files this container
+	// touched — required files only, never the whole image (§V-F).
+	dep.inodes = uniqueCount(access)
+	d.finish(dep)
+	return dep, nil
+}
 
+// startGear runs the container DeployGear created: the profile replay,
+// the run, and the profile save.
+func (d *Daemon) startGear(dep *Deployment, ref string, access []string, compute time.Duration) error {
 	// Startup-profile replay: with a profile library configured and a
 	// persisted profile for this image, warm the level-1 cache with the
 	// recorded access set before the container starts reading. The
@@ -743,7 +759,7 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 			return err
 		})
 		if err != nil {
-			return nil, fmt.Errorf("dockersim: gear prefetch %s: %w", ref, err)
+			return fmt.Errorf("dockersim: gear prefetch %s: %w", ref, err)
 		}
 		dep.phase("deploy.prefetch", telemetry.ClassPrefetch, pre)
 	}
@@ -764,18 +780,14 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 		return err
 	}
 	if err := d.runPhase(dep, access, compute, prefault); err != nil {
-		return nil, fmt.Errorf("dockersim: gear run %s: %w", ref, err)
+		return fmt.Errorf("dockersim: gear run %s: %w", ref, err)
 	}
 	// Persist this deploy's access trace so the next deploy of the image
 	// can replay it. SaveProfile keeps the richer of old and new traces.
 	if _, err := d.gearStore.SaveProfile(ref); err != nil {
-		return nil, fmt.Errorf("dockersim: gear profile %s: %w", ref, err)
+		return fmt.Errorf("dockersim: gear profile %s: %w", ref, err)
 	}
-	// Teardown releases the inode cache of the files this container
-	// touched — required files only, never the whole image (§V-F).
-	dep.inodes = uniqueCount(access)
-	d.finish(dep)
-	return dep, nil
+	return nil
 }
 
 // uniqueCount returns the number of distinct strings in list: those no

@@ -812,48 +812,52 @@ func unpackedSize(images []*imagefmt.Image) int64 {
 
 // Converting the next version of an image on the converter that
 // converted the last fingerprints exactly the contents the table did not
-// hold, each once: a content v0 left in the table reuses its sum.
+// hold, each once, at any worker count: a content v0 left in the table
+// reuses its sum, and a keep that meets a content another keep is
+// fingerprinting waits for that sum.
 func TestSecondVersionFingerprintsNewContentsOnly(t *testing.T) {
 	images := seriesImages(t, 0.5, 2, "python")
-	c := newConverter(t, Options{})
-	counted := newCountingHasher(hashing.MD5{})
-	c.reg = hashing.NewRegistry(counted)
-	c.files = newTable(c.reg)
-	if _, err := c.Convert(images[0]); err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[[sha256.Size]byte]bool)
-	contents := 0
-	for _, layer := range images[1].Layers {
-		tree, err := layer.Tree()
-		if err != nil {
+	for _, workers := range []int{1, 4} {
+		c := newConverter(t, Options{Workers: workers})
+		counted := newCountingHasher(hashing.MD5{})
+		c.reg = hashing.NewRegistry(counted)
+		c.files = newTable(c.reg)
+		if _, err := c.Convert(images[0]); err != nil {
 			t.Fatal(err)
 		}
-		_ = tree.Walk(func(_ string, n *vfs.Node) error {
-			if n.Type() == vfs.TypeRegular {
-				contents++
-				if v := sha256.Sum256(n.Content().Data()); c.files.byVerifier[v] == nil {
-					want[v] = true
-				}
+		want := make(map[[sha256.Size]byte]bool)
+		contents := 0
+		for _, layer := range images[1].Layers {
+			tree, err := layer.Tree()
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		})
-	}
-	if len(want) == 0 || 2*len(want) > contents {
-		t.Fatalf("v1 adds %d of its %d contents: not a version that shares most of itself", len(want), contents)
-	}
-	counted.calls = make(map[[sha256.Size]byte]int)
-	if _, err := c.Convert(images[1]); err != nil {
-		t.Fatal(err)
-	}
-	for v, n := range counted.calls {
-		if !want[v] {
-			t.Errorf("a content the table held was fingerprinted %d times", n)
-		} else if n != 1 {
-			t.Errorf("a new content was fingerprinted %d times, want once", n)
+			_ = tree.Walk(func(_ string, n *vfs.Node) error {
+				if n.Type() == vfs.TypeRegular {
+					contents++
+					if v := sha256.Sum256(n.Content().Data()); c.files.byVerifier[v] == nil {
+						want[v] = true
+					}
+				}
+				return nil
+			})
 		}
-	}
-	if len(counted.calls) != len(want) {
-		t.Errorf("%d contents fingerprinted, want the %d the table did not hold", len(counted.calls), len(want))
+		if len(want) == 0 || 2*len(want) > contents {
+			t.Fatalf("v1 adds %d of its %d contents: not a version that shares most of itself", len(want), contents)
+		}
+		counted.calls = make(map[[sha256.Size]byte]int)
+		if _, err := c.Convert(images[1]); err != nil {
+			t.Fatal(err)
+		}
+		for v, n := range counted.calls {
+			if !want[v] {
+				t.Errorf("workers=%d: a content the table held was fingerprinted %d times", workers, n)
+			} else if n != 1 {
+				t.Errorf("workers=%d: a new content was fingerprinted %d times, want once", workers, n)
+			}
+		}
+		if len(counted.calls) != len(want) {
+			t.Errorf("workers=%d: %d contents fingerprinted, want the %d the table did not hold", workers, len(counted.calls), len(want))
+		}
 	}
 }

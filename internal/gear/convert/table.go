@@ -35,12 +35,21 @@ type table struct {
 	last       []*held         // the last result's contents, each once
 
 	uses atomic.Uint64 // conversions begun, so each use has an id
+
+	// summed is signalled, under mu, whenever a content's fingerprint
+	// is in: a keep that finds the content being fingerprinted waits for
+	// it, so each content is fingerprinted once however many keeps meet
+	// it at once.
+	summed sync.Cond
 }
 
 // held is one content and its sum.
 type held struct {
 	data []byte
 	sum  hashing.Sum
+	// summing says a keep is fingerprinting the content: data and sum
+	// are not in yet, and no other keep is to compute them again.
+	summing bool
 	// pins counts the keeps of conversions in flight that answered with
 	// this content, pinner is the id of the one that pinned it last (so
 	// a conversion pins a content it meets again only when another pinned
@@ -61,7 +70,9 @@ type use struct {
 }
 
 func newTable(reg *hashing.Registry) *table {
-	return &table{reg: reg, byVerifier: make(map[hashing.Verifier]*held), byData: make(map[*byte]*held)}
+	t := &table{reg: reg, byVerifier: make(map[hashing.Verifier]*held), byData: make(map[*byte]*held)}
+	t.summed.L = &t.mu
+	return t
 }
 
 // begin starts a conversion's use of the table.
@@ -69,8 +80,9 @@ func (t *table) begin() *use { return &use{t: t, id: t.uses.Add(1)} }
 
 // keep implements tarstream.Keep, pinning the content it answers with
 // until the conversion settles. A content is looked up by its verifier,
-// and only one the table does not hold is fingerprinted: a held content
-// reuses its sum, which is a pure function of the bytes.
+// and only one the table does not hold is fingerprinted, by the first
+// keep to meet it: a held content reuses its sum, which is a pure
+// function of the bytes, and one being fingerprinted is waited for.
 func (u *use) keep(content []byte, borrowed bool) []byte {
 	t := u.t
 	v := hashing.VerifierOf(content)
@@ -78,23 +90,26 @@ func (u *use) keep(content []byte, borrowed bool) []byte {
 	defer t.mu.Unlock()
 	h := t.byVerifier[v]
 	if h == nil {
-		// Fingerprint and copy without the lock, then look again: another
-		// keep may have added the content meanwhile.
+		// Fingerprint and copy without the lock, the content marked as
+		// being fingerprinted.
+		h = &held{summing: true}
+		t.byVerifier[v] = h
 		t.mu.Unlock()
 		sum := t.reg.SumVerified(content, v)
 		if borrowed {
 			content = bytes.Clone(content)
 		}
 		t.mu.Lock()
-		if h = t.byVerifier[v]; h == nil {
-			h = &held{data: content, sum: sum}
-			t.byVerifier[v] = h
-			if len(content) > 0 {
-				t.byData[&content[0]] = h
-			} else {
-				t.empty = h
-			}
+		h.data, h.sum, h.summing = content, sum, false
+		if len(content) > 0 {
+			t.byData[&content[0]] = h
+		} else {
+			t.empty = h
 		}
+		t.summed.Broadcast()
+	}
+	for h.summing {
+		t.summed.Wait()
 	}
 	if h.pinner != u.id {
 		h.pins++

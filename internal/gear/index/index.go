@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,12 +113,14 @@ func Build(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Reg
 
 // BuildPolicy is the general index builder: chunking follows pol (none,
 // fixed-size, or content-defined; see ChunkPolicy) and fingerprinting
-// fans out over workers. The output is bit-identical for any worker
-// count: chunk boundaries depend only on pol and the file bytes, the
-// tree walk collects every content item in exactly the order the serial
-// builder would Assign it (whole file, then its chunks, in walk order),
-// hashes run concurrently, and collision IDs are assigned sequentially
-// in that order (see hashing.Registry.AssignSums).
+// fans out over workers, and the chunks of a file the policy splits
+// over every core (GOMAXPROCS) whatever workers is. The output is
+// bit-identical for any worker count: chunk boundaries depend only on
+// pol and the file bytes, the tree walk collects every content item in
+// exactly the order the serial builder would Assign it (whole file,
+// then its chunks, in walk order), hashes run concurrently, and
+// collision IDs are assigned sequentially in that order (see
+// hashing.Registry.AssignSums).
 func BuildPolicy(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry, pol ChunkPolicy, workers int) (*Index, map[hashing.Fingerprint][]byte, error) {
 	return BuildKnown(name, tag, cfg, root, reg, pol, workers, nil)
 }
@@ -235,12 +238,16 @@ func (b *builder) buildEntry(name string, n *vfs.Node) (*Entry, error) {
 				b.pool[e.Fingerprint] = data
 			}
 		}
-		for _, piece := range pieces {
+		// The chunks of a file the policy splits (a big one, under CDC)
+		// are hashed on every core, then assigned in chunk order, so
+		// collision IDs are the serial builder's.
+		sums := b.reg.SumAll(pieces, runtime.GOMAXPROCS(0))
+		for i, piece := range pieces {
 			if b.collect {
-				b.slots = append(b.slots, assignSlot{entry: e, data: piece, chunk: true})
+				b.slots = append(b.slots, assignSlot{entry: e, data: piece, sum: sums[i], hashed: true, chunk: true})
 				continue
 			}
-			cfp := b.reg.Assign(piece)
+			cfp := b.reg.AssignSum(sums[i])
 			e.Chunks = append(e.Chunks, Chunk{Fingerprint: cfp, Size: int64(len(piece))})
 			b.pool[cfp] = piece
 		}

@@ -14,6 +14,7 @@ import (
 	"hash"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Fingerprint identifies a Gear file by the MD5 hash of its content,
@@ -34,9 +35,19 @@ func FingerprintBytes(data []byte) Fingerprint {
 // DigestBytes returns the SHA256 digest of data in Docker's
 // "sha256:..." notation.
 func DigestBytes(data []byte) Digest {
+	digested.Add(int64(len(data)))
 	sum := sha256.Sum256(data)
 	return digestOf(sum[:])
 }
+
+// digested counts the bytes DigestBytes and every DigestWriter have
+// hashed.
+var digested atomic.Int64
+
+// DigestedBytes is how many bytes DigestBytes and every DigestWriter
+// have hashed in this process: the meter by which tests hold a layer
+// build or a conversion to taking each digest once.
+func DigestedBytes() int64 { return digested.Load() }
 
 // digestOf renders a SHA256 sum in Docker's notation.
 func digestOf(sum []byte) Digest { return Digest("sha256:" + hex.EncodeToString(sum)) }
@@ -49,7 +60,10 @@ type DigestWriter struct{ h hash.Hash }
 func NewDigestWriter() *DigestWriter { return &DigestWriter{h: sha256.New()} }
 
 // Write adds p to the content; it never fails.
-func (w *DigestWriter) Write(p []byte) (int, error) { return w.h.Write(p) }
+func (w *DigestWriter) Write(p []byte) (int, error) {
+	digested.Add(int64(len(p)))
+	return w.h.Write(p)
+}
 
 // Digest returns the digest of what has been written: DigestBytes of it.
 func (w *DigestWriter) Digest() Digest {

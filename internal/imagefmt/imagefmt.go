@@ -39,19 +39,22 @@ type Layer struct {
 }
 
 // NewLayerFromDiff serializes a layer diff tree (whiteouts included as
-// literal ".wh.*" entries) into a Layer.
+// literal ".wh.*" entries) into a Layer. The tar's DiffID is taken on a
+// goroutine of its own while the tar compresses, and so is the Digest of
+// every part of the stream but its last (tarstream.GzipTee).
 func NewLayerFromDiff(diff *vfs.FS) (*Layer, error) {
 	raw, err := tarstream.Pack(diff)
 	if err != nil {
 		return nil, fmt.Errorf("imagefmt: pack layer: %w", err)
 	}
-	gz, err := tarstream.Gzip(raw)
+	diffID, digest := hashing.NewDigestWriter(), hashing.NewDigestWriter()
+	gz, err := tarstream.GzipTee(raw, diffID, digest)
 	if err != nil {
 		return nil, fmt.Errorf("imagefmt: compress layer: %w", err)
 	}
 	return &Layer{
-		Digest:           hashing.DigestBytes(gz),
-		DiffID:           hashing.DigestBytes(raw),
+		Digest:           digest.Digest(),
+		DiffID:           diffID.Digest(),
 		Size:             int64(len(gz)),
 		UncompressedSize: int64(len(raw)),
 		tarball:          gz,

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/gear-image/gear/internal/hashing"
+	"github.com/gear-image/gear/internal/tarstream"
 	"github.com/gear-image/gear/internal/vfs"
 )
 
@@ -341,4 +344,42 @@ func BenchmarkLayerFromDiff(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// A layer's Digest and DiffID are the SHA-256 of its stream and of its
+// tar, though both are taken on a goroutine beside the compressor: for a
+// layer whose stream is one part and for one of several, built from
+// four goroutines at once.
+func TestLayerDigestsAreTheBytes(t *testing.T) {
+	small := vfs.New()
+	if err := small.WriteFile("/hostname", []byte("gear\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	big := vfs.New()
+	weights := make([]byte, 20<<20) // incompressible: a stream of parts
+	rand.New(rand.NewSource(9)).Read(weights)
+	if err := big.WriteFile("/weights.bin", weights, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(tree *vfs.FS) {
+			defer wg.Done()
+			l, err := NewLayerFromDiff(tree)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			raw, err := tarstream.Gunzip(l.Tarball())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if l.Digest != hashing.DigestBytes(l.Tarball()) || l.DiffID != hashing.DigestBytes(raw) {
+				t.Errorf("%d-byte layer: digests are not its bytes'", l.UncompressedSize)
+			}
+		}([]*vfs.FS{small, big}[g%2])
+	}
+	wg.Wait()
 }

@@ -7,8 +7,10 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -126,6 +128,24 @@ func TestRangeInflatesOnlyItsSegments(t *testing.T) {
 			t.Errorf("[%d,+%d): AppendRange inflated %d segments, want %d", c.off, n, d, c.segs)
 		}
 	}
+
+	// A range tried compressed and sent raw, no smaller, is sent from
+	// the bytes inflated for the compressor: its segments are inflated
+	// once. (TestAppendRangeSendsWhatCompresses's noise/text edge.)
+	noise := make([]byte, 3*SegmentSize)
+	rand.New(rand.NewSource(16)).Read(noise)
+	text := mixed(17, 3*SegmentSize)[SegmentSize : 2*SegmentSize]
+	edge := append(append(noise[:0:0], noise...), bytes.Repeat(text, 3)...)
+	ez, esegs := segmented(t, edge)
+	before := segmentsInflated.Load()
+	sent, gzipped, err := AppendRange(nil, ez, esegs, 3*SegmentSize-100, 200)
+	if err != nil || gzipped || !bytes.Equal(sent, edge[3*SegmentSize-100:3*SegmentSize+100]) {
+		t.Fatalf("noise/text edge: AppendRange (gzipped %v): %v", gzipped, err)
+	}
+	if d := segmentsInflated.Load() - before; d != 2 {
+		t.Errorf("noise/text edge: AppendRange inflated %d segments, want 2", d)
+	}
+
 	dst := make([]byte, 0, n)
 	if allocs := testing.AllocsPerRun(20, func() {
 		if _, err := GunzipRange(dst, z, segs, 3*SegmentSize-n/2, n); err != nil {
@@ -170,6 +190,43 @@ func TestSpilledStreamIsOneStream(t *testing.T) {
 				t.Errorf("segments of %d bytes, spilling every %d bytes, in %d parts: another stream or table", c.width, spill, len(z.out.parts))
 			}
 			z.release()
+		}
+	}
+}
+
+// crc32Combine is the CRC of the joined contents, at every split of
+// contents of lengths around the segment size, empty halves included.
+func TestCRC32Combine(t *testing.T) {
+	content := mixed(5, 2*SegmentSize+3)
+	want := crc32.ChecksumIEEE(content)
+	for _, at := range []int{0, 1, 17, SegmentSize - 1, SegmentSize, SegmentSize + 1, len(content) - 1, len(content)} {
+		a, b := content[:at], content[at:]
+		if got := crc32Combine(crc32.ChecksumIEEE(a), crc32.ChecksumIEEE(b), int64(len(b))); got != want {
+			t.Errorf("split at %d: %08x, want %08x", at, got, want)
+		}
+	}
+}
+
+// GzipTee writes Gzip's stream, and hands the hashes what Gzip read and
+// wrote: for a stream of one part and for one of several.
+func TestGzipTeeHashesWhatGzipWrites(t *testing.T) {
+	big := make([]byte, 2*maxPooledBuf+12345) // incompressible: a stream of three parts
+	rand.New(rand.NewSource(3)).Read(big)
+	for _, content := range [][]byte{nil, mixed(4, 300_017), big} {
+		want, err := Gzip(content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, packed := sha256.New(), sha256.New()
+		got, err := GzipTee(content, raw, packed)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes: GzipTee wrote another stream: %v", len(content), err)
+		}
+		if r := sha256.Sum256(content); !bytes.Equal(raw.Sum(nil), r[:]) {
+			t.Errorf("%d bytes: raw hash is not the content's", len(content))
+		}
+		if p := sha256.Sum256(want); !bytes.Equal(packed.Sum(nil), p[:]) {
+			t.Errorf("%d bytes: packed hash is not the stream's", len(content))
 		}
 	}
 }

@@ -149,6 +149,49 @@ func Gzip(data []byte) ([]byte, error) {
 	return gz, err
 }
 
+// GzipTee is Gzip, with data written to raw and the stream to packed —
+// writers that cannot fail, such as a layer's DiffID and Digest hashes —
+// on a goroutine of its own beside the compressor. raw is given all of
+// data at once; the stream goes to packed in the parts its sink fills
+// (maxPooledBuf each) as each fills, and the last part once the stream
+// is done. So a big layer's stream is hashed while it is written, and a
+// small one's, a single part, after. Nothing writes to either when
+// GzipTee returns.
+func GzipTee(data []byte, raw, packed io.Writer) ([]byte, error) {
+	// A part holds at least maxPooledBuf less one write of the bit
+	// writer (at most a stored block), so this many never wait.
+	parts := make(chan []byte, len(data)/(maxPooledBuf-maxStoreBlockSize-5)+2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		raw.Write(data)
+		for p := range parts {
+			packed.Write(p)
+		}
+	}()
+	teed, open := 0, true
+	gz, _, _, err := deflateParts(math.MaxInt, unboundedStep, func(p []byte) {
+		if open {
+			parts <- p
+			teed += len(p)
+		}
+	}, func(w io.Writer) (int64, error) {
+		n, err := w.Write(data)
+		// The first part lies in pooled scratch, which the stream is let
+		// go of once copied out: the hashes are done with it before. A
+		// part the stream's end fills is hashed below, from the copy.
+		open = false
+		close(parts)
+		<-done
+		return int64(n), err
+	})
+	if err != nil {
+		return nil, err
+	}
+	packed.Write(gz[teed:])
+	return gz, nil
+}
+
 // SegmentSize is how much content one segment of a segmented gzip
 // stream holds: the unit a range read inflates and checks. It is a
 // property of the format, not of any one corpus (DESIGN.md, "Streamed
@@ -192,12 +235,18 @@ func GzipFrom(r io.Reader, tee io.Writer) (gz []byte, segs []Segment, n int64, e
 // that into parts of its own, so that it is copied once, when it is
 // done, however long it is.
 func deflate(width int, maxStep int32, write func(w io.Writer) (int64, error)) (gz []byte, segs []Segment, n int64, err error) {
+	return deflateParts(width, maxStep, nil, write)
+}
+
+// deflateParts is deflate, calling part, if it is not nil, with each
+// part of the stream its sink fills, once it is full (see sink.full).
+func deflateParts(width int, maxStep int32, part func([]byte), write func(w io.Writer) (int64, error)) (gz []byte, segs []Segment, n int64, err error) {
 	scratch := streams.Get().(*[]byte)
 	defer streams.Put(scratch)
 	z := gzippers.Get().(*gzipper)
 	defer z.release()
 	z.start((*scratch)[:0], width, maxStep)
-	z.out.spill = maxPooledBuf
+	z.out.spill, z.out.full = maxPooledBuf, part
 	if n, err = write(z); err != nil {
 		return nil, nil, n, fmt.Errorf("tarstream: gzip write: %w", err)
 	}
@@ -229,7 +278,7 @@ type gzipper struct {
 	base  int         // where in out.b the stream starts
 	width int         // content a segment holds
 	left  int         // content the open segment has room for
-	crc   uint32      // of all the content, for the trailer, once a segment is closed
+	crc   uint32      // of the content of the closed segments, for the trailer
 	size  uint32      // of all the content, mod 2^32, for the trailer
 	open  Segment     // the segment being written
 	segs  []Segment   // the segments before it, in scratch kept between streams
@@ -242,9 +291,9 @@ var gzippers = sync.Pool{New: func() any {
 }}
 
 // streams are what deflate writes a stream into before copying it out
-// at its own size. They are pooled apart from the gzippers, which a
-// range reply borrows too, so that a compressor does not keep an
-// upload's worth of memory alive.
+// at its own size, and what AppendRange writes a range's stream into
+// before it is judged. They are pooled apart from the gzippers, so that
+// a compressor does not keep an upload's worth of memory alive.
 var streams = sync.Pool{New: func() any { return new([]byte) }}
 
 // sink is an io.Writer that appends to its slice. Given a spill size,
@@ -256,6 +305,9 @@ type sink struct {
 	spill int      // 0: b grows as append grows it
 	parts [][]byte // what filled b before, in order
 	n     int      // bytes in parts
+	// full, if not nil, is called with each part as it is kept, after
+	// which nothing writes to it.
+	full func([]byte)
 }
 
 func (s *sink) Write(p []byte) (int, error) {
@@ -267,6 +319,9 @@ func (s *sink) append(p []byte) {
 	if s.spill > 0 && len(s.b)+len(p) > max(cap(s.b), s.spill) {
 		s.parts = append(s.parts, s.b)
 		s.n += len(s.b)
+		if s.full != nil {
+			s.full(s.b)
+		}
 		s.b = make([]byte, 0, max(len(p), s.spill))
 	}
 	s.b = append(s.b, p...)
@@ -304,9 +359,7 @@ func (z *gzipper) Write(p []byte) (int, error) {
 	for len(p) > 0 {
 		if z.left == 0 {
 			z.open.CRC = z.d.cut()
-			if len(z.segs) == 0 {
-				z.crc = z.open.CRC
-			}
+			z.crc = crc32Combine(z.crc, z.open.CRC, int64(z.width))
 			z.segs = append(z.segs, z.open)
 			z.open = Segment{Off: int64(z.out.len() - z.base)}
 			z.left = z.width
@@ -316,9 +369,6 @@ func (z *gzipper) Write(p []byte) (int, error) {
 		// A full segment's last partial block is taken at once, from p
 		// too, as the end of the segment would take it.
 		z.d.write(p[:k], z.left == 0)
-		if len(z.segs) > 0 {
-			z.crc = crc32.Update(z.crc, crc32.IEEETable, p[:k])
-		}
 		z.size += uint32(k)
 		p = p[k:]
 	}
@@ -334,7 +384,7 @@ func (z *gzipper) finish() []byte {
 	z.open.CRC = z.d.crc
 	crc := z.open.CRC
 	if len(z.segs) > 0 {
-		crc = z.crc
+		crc = crc32Combine(z.crc, crc, int64(z.width-z.left))
 	}
 	var trailer [8]byte
 	binary.LittleEndian.PutUint32(trailer[:], crc)
@@ -343,10 +393,59 @@ func (z *gzipper) finish() []byte {
 	return z.out.b
 }
 
+// crc32Combine is the CRC-32 of a's content followed by b's, given a's
+// CRC, b's and b's length: zlib's crc32_combine. Multiplying by x^8 for
+// each byte of b, modulo the polynomial, moves a's CRC past b's content,
+// so a stream's trailer is made from its segments' CRCs without reading
+// the content again.
+func crc32Combine(a, b uint32, n int64) uint32 {
+	return mulModP(xPow8n(n), a) ^ b
+}
+
+// mulModP multiplies a and b, polynomials over GF(2) in the reflected
+// order of crc32.IEEE, modulo its polynomial.
+func mulModP(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0 && a != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			a ^= m
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc32.IEEE
+		} else {
+			b >>= 1
+		}
+	}
+	return p
+}
+
+// x2n[k] is x^(2^k) modulo the polynomial.
+var x2n = func() (t [32]uint32) {
+	t[0] = 1 << 30 // x
+	for k := 1; k < len(t); k++ {
+		t[k] = mulModP(t[k-1], t[k-1])
+	}
+	return t
+}()
+
+// xPow8n is x^(8n) modulo the polynomial: the operator that moves a CRC
+// past n bytes.
+func xPow8n(n int64) uint32 {
+	p := uint32(1) << 31 // 1
+	for k := 3; n != 0; k++ {
+		if n&1 != 0 {
+			p = mulModP(x2n[k%32], p)
+		}
+		n >>= 1
+	}
+	return p
+}
+
 // release hands z back to the pool holding nothing of the stream.
 func (z *gzipper) release() {
 	clear(z.out.parts[:cap(z.out.parts)])
-	z.out.b, z.out.spill = nil, 0
+	z.out.b, z.out.spill, z.out.full = nil, 0, nil
 	gzippers.Put(z)
 }
 
@@ -442,26 +541,34 @@ func GunzipRange(dst, data []byte, segs []Segment, off, n int64) ([]byte, error)
 // writes) when that is smaller, and raw otherwise. Deflating is only
 // tried when the segments the range lies in were stored in fewer bytes
 // than they hold, so that an incompressible range costs no deflate to
-// find out; and the range is inflated straight into the compressor, so
-// it is not held raw when it is sent compressed. gzipped says which form
-// was appended.
+// find out. The range is inflated once, into dst's memory, and deflated
+// from there, so a range that comes out no smaller is sent as it was
+// inflated. gzipped says which form was appended.
 func AppendRange(dst, data []byte, segs []Segment, off, n int64) (out []byte, gzipped bool, err error) {
 	r, err := locate(data, segs, off, n)
 	if err != nil {
 		return nil, false, err
 	}
-	if r.packed() {
-		if out, err = r.appendGzip(dst); err != nil {
-			return nil, false, err
-		}
-		if len(out)-len(dst) < int(n) {
-			return out, true, nil
-		}
-		// This range came out no smaller compressed: it goes as it is.
-		dst = out[:len(dst)]
+	raw, err := r.appendRaw(dst)
+	if err != nil || !r.packed() {
+		return raw, false, err
 	}
-	out, err = r.appendRaw(dst)
-	return out, false, err
+	// The stream is written into pooled scratch, and copied over the
+	// range only if it is smaller.
+	scratch := streams.Get().(*[]byte)
+	defer streams.Put(scratch)
+	z := gzippers.Get().(*gzipper)
+	defer z.release()
+	z.start((*scratch)[:0], SegmentSize, boundedStep)
+	z.Write(raw[len(dst):])
+	gz := z.finish()
+	if cap(gz) <= maxPooledBuf {
+		*scratch = gz[:0]
+	}
+	if len(gz) < int(n) {
+		return append(raw[:len(dst)], gz...), true, nil
+	}
+	return raw, false, nil
 }
 
 // span is where a range lies in a segmented gzip stream: the segments it
@@ -547,19 +654,6 @@ func (r *span) appendRaw(dst []byte) ([]byte, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// appendGzip appends a gzip stream of the range to dst.
-func (r *span) appendGzip(dst []byte) ([]byte, error) {
-	zr := openWindow(r.data[r.start:r.end], false)
-	defer zr.release()
-	z := gzippers.Get().(*gzipper)
-	defer z.release()
-	z.start(dst, SegmentSize, boundedStep)
-	if err := r.inflate(zr, z); err != nil {
-		return nil, err
-	}
-	return z.finish(), nil
 }
 
 // segmentsInflated counts the segments span.inflate has inflated, for
@@ -665,7 +759,9 @@ func readEntry(tr *tar.Reader, hdr *tar.Header, p string, bound int) ([]byte, er
 // memory for new bytes only. Borrowed content lies in the unpacker's
 // scratch and is only valid during the call: Keep copies what it wants
 // to hold. Content that is not borrowed has a buffer of its own exact
-// size, which Keep may return or hold as it is.
+// size, which Keep may return or hold as it is. Keep is called from
+// several goroutines at once: from up to workers of them, and with one
+// worker from two, when a file over smallEntry is kept beside the reader.
 type Keep func(content []byte, borrowed bool) []byte
 
 // ownCopy is the Keep of a plain unpack: every file gets its own bytes.
@@ -679,7 +775,10 @@ func ownCopy(content []byte, borrowed bool) []byte {
 // smallEntry is the largest regular file, going by the size its header
 // declares, that is read through the unpacker's scratch. A larger one is
 // read into a buffer of its own and never copied: one memcpy of a small
-// file is nothing beside hashing it, one of a weights file is not.
+// file is nothing beside hashing it, one of a weights file is not. As
+// its buffer is its own, the reader need not wait for it to be kept:
+// with one worker, it is kept on a goroutine of its own while the
+// reader reads on (see unpacker.serial).
 const smallEntry = 1 << 20
 
 // An unpack with workers reads small files through one arena of
@@ -711,13 +810,14 @@ type slot struct {
 // unpacker builds the tree of one archive. Entries are written to the
 // tree strictly in archive order. With one worker each small file is
 // read through a scratch of smallEntry bytes, Keep is called as it is
-// read, and each entry is written at once. With more, every entry is
-// queued in a ring and the files go to the workers. Small files are read
-// into an arena, one after another, wrapping round; the oldest entry is
-// written to the tree — waiting for its worker if it is a file — when
-// the ring is full or the arena has no room for the next file. So the
-// reader reads on while the workers hash, past directories and symlinks
-// too.
+// read, and each entry is written at once, or after the bigger file
+// being kept beside the reader, if there is one. With more, every entry
+// is queued in a ring and the files go to the workers. Small files are
+// read into an arena, one after another, wrapping round; the oldest
+// entry is written to the tree — waiting for its worker if it is a file
+// — when the ring is full or the arena has no room for the next file.
+// So the reader reads on while the workers hash, past directories and
+// symlinks too.
 type unpacker struct {
 	f       *vfs.FS
 	made    string // the directory the last entry was written into
@@ -728,6 +828,11 @@ type unpacker struct {
 	head, n int        // the oldest queued entry and how many are queued
 	jobs    chan *slot // nil with one worker
 	wg      sync.WaitGroup
+	// With one worker: big is the file over smallEntry being kept on a
+	// goroutine of its own until it is written, and behind holds the
+	// entries read since, each kept already, to be written after it.
+	big    *slot
+	behind []slot
 }
 
 // unpackFrom builds the tree of the archive r holds; bound is readEntry's.
@@ -753,10 +858,14 @@ func unpackFrom(r io.Reader, bound int, keep Keep, workers int) (*vfs.FS, error)
 	if err == nil {
 		err = u.drain()
 	}
-	// No arena goes back to the pool while a worker may still read it.
+	// No arena goes back to the pool while a worker may still read it,
+	// and no Keep is left running.
 	if u.jobs != nil {
 		close(u.jobs)
 		u.wg.Wait()
+	}
+	if u.big != nil {
+		u.big.kept.Wait()
 	}
 	switch len(u.arena) {
 	case smallEntry:
@@ -796,26 +905,85 @@ func (u *unpacker) entry(p string, hdr *tar.Header, tr *tar.Reader, bound int) e
 			return err
 		}
 	}
+	if u.jobs == nil {
+		return u.serial(p, hdr, content, borrowed)
+	}
 	if u.n == len(u.ring) {
 		if err := u.writeOldest(); err != nil {
 			return err
 		}
 	}
 	s := &u.ring[(u.head+u.n)%len(u.ring)]
-	s.p, s.typ, s.mode, s.link = p, hdr.Typeflag, fs.FileMode(hdr.Mode).Perm(), hdr.Linkname
-	s.content, s.borrowed, s.at = content, borrowed, at
-	if u.jobs == nil {
-		if s.typ == tar.TypeReg {
-			s.content = u.keep(s.content, s.borrowed)
-		}
-		return u.write(s)
-	}
+	s.fill(p, hdr, content, borrowed, at)
 	u.n++
 	if s.typ == tar.TypeReg {
 		s.kept.Add(1)
 		u.jobs <- s
 	}
 	return nil
+}
+
+// fill sets s to the entry at p: what its header says and its content
+// as read.
+func (s *slot) fill(p string, hdr *tar.Header, content []byte, borrowed bool, at int) {
+	s.p, s.typ, s.mode, s.link = p, hdr.Typeflag, fs.FileMode(hdr.Mode).Perm(), hdr.Linkname
+	s.content, s.borrowed, s.at = content, borrowed, at
+}
+
+// serial takes an entry with one worker. A file read into a buffer of
+// its own goes to a goroutine of its own for Keep, one at a time, and
+// the entries after it are read, kept, and queued behind it until it is
+// written; any other entry is kept as it is read and written at once.
+// So a big file's hashes run beside the inflater while nothing but the
+// files' own bytes is held, and the tree is built in archive order.
+func (u *unpacker) serial(p string, hdr *tar.Header, content []byte, borrowed bool) error {
+	var s *slot
+	switch {
+	case hdr.Typeflag == tar.TypeReg && !borrowed:
+		if err := u.catchUp(); err != nil {
+			return err
+		}
+		s = new(slot)
+		s.fill(p, hdr, content, false, -1)
+		s.kept.Add(1)
+		u.big = s
+		go func() {
+			defer s.kept.Done()
+			s.content = u.keep(s.content, false)
+		}()
+		return nil
+	case u.big != nil:
+		u.behind = append(u.behind, slot{})
+		s = &u.behind[len(u.behind)-1]
+	default:
+		s = &u.ring[0]
+	}
+	s.fill(p, hdr, content, borrowed, -1)
+	if s.typ == tar.TypeReg {
+		s.content = u.keep(s.content, borrowed)
+	}
+	if u.big != nil {
+		return nil
+	}
+	return u.write(s)
+}
+
+// catchUp writes the big file, once kept, and the entries behind it.
+func (u *unpacker) catchUp() error {
+	b := u.big
+	if b == nil {
+		return nil
+	}
+	u.big = nil
+	err := u.write(b)
+	for i := range u.behind {
+		if err == nil {
+			err = u.write(&u.behind[i])
+		}
+	}
+	clear(u.behind)
+	u.behind = u.behind[:0]
+	return err
 }
 
 // claim returns where in the arena the next small file's n bytes go,
@@ -875,7 +1043,7 @@ func (u *unpacker) drain() error {
 			return err
 		}
 	}
-	return nil
+	return u.catchUp()
 }
 
 // writeOldest writes the oldest queued entry to the tree.
@@ -886,12 +1054,10 @@ func (u *unpacker) writeOldest() error {
 	return u.write(s)
 }
 
-// write puts s's entry into the tree, waiting for the worker that has
-// its file.
+// write puts s's entry into the tree, waiting for the goroutine that
+// has its file, if one has.
 func (u *unpacker) write(s *slot) error {
-	if s.typ == tar.TypeReg && u.jobs != nil {
-		s.kept.Wait()
-	}
+	s.kept.Wait()
 	if err := u.mkParent(s.p); err != nil {
 		return err
 	}
