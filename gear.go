@@ -163,7 +163,7 @@ func BuildIndex(name, tag string, cfg ImageConfig, root *FS) (*Index, map[Finger
 // pool then holds chunks as first-class Gear files and the index
 // carries each split file's chunk table.
 func BuildIndexChunked(name, tag string, cfg ImageConfig, root *FS, pol ChunkPolicy) (*Index, map[Fingerprint][]byte, error) {
-	return index.BuildPolicy(name, tag, cfg, root, nil, pol, 1)
+	return index.BuildPolicy(name, tag, cfg, root, nil, pol)
 }
 
 // IndexFromImage extracts the Index from a pulled single-layer Gear

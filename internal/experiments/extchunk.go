@@ -113,7 +113,7 @@ func extChunkModel(seed, size int64) (*vfs.FS, []byte, error) {
 // publishes its counters into. The registry stores raw bytes (Compress
 // off) so wire volume equals chunk volume exactly.
 func extChunkDeploy(root *vfs.FS, pol index.ChunkPolicy, window int64) (*store.Store, *viewer.Viewer, *telemetry.Registry, error) {
-	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, pol, 1)
+	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, pol)
 	if err != nil {
 		return nil, nil, nil, err
 	}

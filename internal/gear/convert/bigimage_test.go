@@ -147,7 +147,7 @@ func TestNoGoroutineOutlivesABigLayer(t *testing.T) {
 	}
 	unpack := func(what string, gz []byte) error {
 		t.Helper()
-		_, err := tarstream.UnpackGzKeep(gz, slowKeep, 1)
+		_, err := tarstream.UnpackGzKeep(gz, slowKeep)
 		n := kept.Load()
 		settled(what)
 		if kept.Load() != n {

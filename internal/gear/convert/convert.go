@@ -78,17 +78,11 @@ type Options struct {
 	// (the paper stores the Gear index under the original reference once
 	// the regular image is removed).
 	IndexPrefix string
-	// Workers is one conversion's worker pool: each layer's files are
-	// hashed on up to Workers goroutines while the archive is read on,
-	// past directories and symlinks, with up to 4 MiB of small files
-	// queued between reader and workers; the index builder fans out over
-	// as many. It is also the pool of the timing model: disk costs stay
-	// serial (one modeled spindle), but the CPU-bound costs — hashing and
-	// the per-file conversion work — divide across workers. Fingerprints
-	// and pool contents are bit-identical for any worker count (see
-	// index.BuildPolicy); workers <= 1 is the serial baseline. It bounds
-	// nothing across conversions: those of different images on one
-	// Converter run at once, each with a pool of its own.
+	// Workers is only the worker pool of the timing model: disk costs
+	// stay serial (one modeled spindle), but the CPU-bound costs —
+	// hashing and the per-file conversion work — divide across Workers
+	// (<= 1 is the serial baseline). It changes nothing a conversion
+	// does or produces, only its modeled Timing.
 	Workers int
 }
 
@@ -212,11 +206,10 @@ func (c *Converter) convert(img *imagefmt.Image, ref string, u *use) (*Result, e
 	// bottom layer to the top layer"). Every file is hashed as it is
 	// unpacked, and one the converter holds already — from a lower layer,
 	// the image converted last or one converting now — is not held again.
-	workers := c.opts.Workers
 	root := vfs.New()
 	for i, layer := range img.Layers {
 		timing.Unpack += c.disk.ReadCost(layer.Size)
-		tree, err := layer.TreeKeep(u.keep, workers)
+		tree, err := layer.TreeKeep(u.keep)
 		if err != nil {
 			return nil, fmt.Errorf("convert %s layer %d: %w", ref, i, err)
 		}
@@ -230,7 +223,7 @@ func (c *Converter) convert(img *imagefmt.Image, ref string, u *use) (*Result, e
 	// and extracting the Gear files. The builder takes each file's sum
 	// from the unpack and hashes nothing again.
 	ix, pool, err := index.BuildKnown(c.opts.IndexPrefix+img.Manifest.Name, img.Manifest.Tag, img.Manifest.Config,
-		root, c.reg, c.opts.Chunking, workers, u.known)
+		root, c.reg, c.opts.Chunking, u.known)
 	if err != nil {
 		return nil, fmt.Errorf("convert %s: %w", ref, err)
 	}
@@ -242,7 +235,8 @@ func (c *Converter) convert(img *imagefmt.Image, ref string, u *use) (*Result, e
 	// and whose walk spells out no path.
 	var hashCPU time.Duration
 	c.priceTraverse(ix.Root, &timing.Traverse, &hashCPU)
-	timing.Traverse += hashCPU / time.Duration(workers)
+	workers := time.Duration(c.opts.Workers)
+	timing.Traverse += hashCPU / workers
 
 	// Phase 3: write Gear files and build the single-layer index image.
 	// Each file pays the device write plus the device-independent
@@ -251,7 +245,7 @@ func (c *Converter) convert(img *imagefmt.Image, ref string, u *use) (*Result, e
 	for _, data := range pool {
 		timing.Build += c.disk.WriteCost(int64(len(data)))
 	}
-	timing.Build += time.Duration(len(pool)) * perFileCPU / time.Duration(workers)
+	timing.Build += time.Duration(len(pool)) * perFileCPU / workers
 	indexImage, err := ix.ToImage()
 	if err != nil {
 		return nil, fmt.Errorf("convert %s: %w", ref, err)

@@ -26,8 +26,9 @@ type table struct {
 	reg *hashing.Registry
 
 	// mu guards the maps, last and every held's bookkeeping: keep runs
-	// on the unpack workers of every conversion in flight, known and
-	// settle on the converting goroutines.
+	// on the unpacking goroutines of every conversion in flight (the
+	// reader and the one keeping a big file beside it), known and settle
+	// on the converting goroutines.
 	mu         sync.Mutex
 	byVerifier map[hashing.Verifier]*held
 	byData     map[*byte]*held // by first byte: how known finds what a tree holds

@@ -207,7 +207,7 @@ func TestApplyDiffMatchesMutableOracle(t *testing.T) {
 		if seed%2 == 0 {
 			pol = FixedChunks(64)
 		}
-		ix, _, err := BuildPolicy("app", "v1", imagefmt.Config{Env: []string{"E=1"}}, root, nil, pol, 1)
+		ix, _, err := BuildPolicy("app", "v1", imagefmt.Config{Env: []string{"E=1"}}, root, nil, pol)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,7 +103,7 @@ func (p ChunkPolicy) Split(data []byte) ([][]byte, error) {
 
 // split returns the chunk payloads of data under the policy, or nil
 // when the file stays whole. Boundaries depend only on the policy and
-// the bytes, never on build order or worker count, which keeps
+// the bytes, never on build order or GOMAXPROCS, which keeps
 // BuildPolicy bit-identical across parallelism.
 func (p ChunkPolicy) split(data []byte) [][]byte {
 	size := int64(len(data))

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/imagefmt"
 	"github.com/gear-image/gear/internal/vfs"
 )
@@ -152,8 +153,9 @@ func TestCDCSplitLocalEdit(t *testing.T) {
 	}
 }
 
-// BuildPolicy with CDC is bit-identical across worker counts, exactly
-// like the fixed-size path.
+// BuildPolicy with CDC is bit-identical whether a file's chunks are
+// summed on one goroutine or on several, exactly like the fixed-size
+// path.
 func TestBuildPolicyCDCParallelParity(t *testing.T) {
 	root := vfs.New()
 	if err := root.MkdirAll("/data", 0o755); err != nil {
@@ -167,7 +169,10 @@ func TestBuildPolicyCDCParallelParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := CDCChunks(4096)
-	wantIx, wantPool, err := BuildPolicy("cdc", "v1", imagefmt.Config{}, root, nil, pol, 1)
+	var wantIx *Index
+	var wantPool map[hashing.Fingerprint][]byte
+	var err error
+	onProcs(1, func() { wantIx, wantPool, err = BuildPolicy("cdc", "v1", imagefmt.Config{}, root, nil, pol) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +184,10 @@ func TestBuildPolicyCDCParallelParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		ix, pool, err := BuildPolicy("cdc", "v1", imagefmt.Config{}, root, nil, pol, workers)
+	for _, procs := range []int{2, 4} {
+		var ix *Index
+		var pool map[hashing.Fingerprint][]byte
+		onProcs(procs, func() { ix, pool, err = BuildPolicy("cdc", "v1", imagefmt.Config{}, root, nil, pol) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,14 +196,14 @@ func TestBuildPolicyCDCParallelParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(enc, wantEnc) {
-			t.Fatalf("workers=%d: index differs from serial", workers)
+			t.Fatalf("GOMAXPROCS=%d: index differs from serial", procs)
 		}
 		if len(pool) != len(wantPool) {
-			t.Fatalf("workers=%d: pool size %d != %d", workers, len(pool), len(wantPool))
+			t.Fatalf("GOMAXPROCS=%d: pool size %d != %d", procs, len(pool), len(wantPool))
 		}
 		for fp, data := range wantPool {
 			if !bytes.Equal(pool[fp], data) {
-				t.Fatalf("workers=%d: pool content differs at %s", workers, fp)
+				t.Fatalf("GOMAXPROCS=%d: pool content differs at %s", procs, fp)
 			}
 		}
 	}
@@ -205,7 +212,7 @@ func TestBuildPolicyCDCParallelParity(t *testing.T) {
 func TestBuildPolicyRejectsBadPolicy(t *testing.T) {
 	root := vfs.New()
 	if _, _, err := BuildPolicy("bad", "v1", imagefmt.Config{}, root, nil,
-		ChunkPolicy{FixedSize: 1, AvgSize: 1}, 1); !errors.Is(err, ErrBadChunkPolicy) {
+		ChunkPolicy{FixedSize: 1, AvgSize: 1}); !errors.Is(err, ErrBadChunkPolicy) {
 		t.Fatalf("err = %v, want ErrBadChunkPolicy", err)
 	}
 }
@@ -232,7 +239,7 @@ func goldenCDCIndex(t *testing.T) *Index {
 		t.Fatal(err)
 	}
 	ix, pool, err := BuildPolicy("golden-cdc", "v1", imagefmt.Config{Env: []string{"M=cdc"}},
-		fs, nil, ChunkPolicy{MinSize: 1024, AvgSize: 4096, MaxSize: 16384}, 1)
+		fs, nil, ChunkPolicy{MinSize: 1024, AvgSize: 4096, MaxSize: 16384})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func goldenIndex(t *testing.T) *Index {
 		Entrypoint: []string{"/etc/app/app.bin"},
 		Labels:     map[string]string{"io.test": "golden"},
 	}
-	ix, _, err := BuildPolicy("golden", "v1", cfg, fs, nil, FixedChunks(4096), 1)
+	ix, _, err := BuildPolicy("golden", "v1", cfg, fs, nil, FixedChunks(4096))
 	if err != nil {
 		t.Fatal(err)
 	}

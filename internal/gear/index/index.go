@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,21 +107,17 @@ func (ix *Index) Reference() string { return ix.Name + ":" + ix.Tag }
 // assigning fingerprints through reg (collision-safe content addressing)
 // and collecting the Gear files into pool (fingerprint -> content).
 func Build(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry) (*Index, map[hashing.Fingerprint][]byte, error) {
-	return BuildPolicy(name, tag, cfg, root, reg, ChunkPolicy{}, 1)
+	return BuildPolicy(name, tag, cfg, root, reg, ChunkPolicy{})
 }
 
 // BuildPolicy is the general index builder: chunking follows pol (none,
-// fixed-size, or content-defined; see ChunkPolicy) and fingerprinting
-// fans out over workers, and the chunks of a file the policy splits
-// over every core (GOMAXPROCS) whatever workers is. The output is
-// bit-identical for any worker count: chunk boundaries depend only on
-// pol and the file bytes, the tree walk collects every content item in
-// exactly the order the serial builder would Assign it (whole file,
-// then its chunks, in walk order), hashes run concurrently, and
-// collision IDs are assigned sequentially in that order (see
-// hashing.Registry.AssignSums).
-func BuildPolicy(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry, pol ChunkPolicy, workers int) (*Index, map[hashing.Fingerprint][]byte, error) {
-	return BuildKnown(name, tag, cfg, root, reg, pol, workers, nil)
+// fixed-size, or content-defined; see ChunkPolicy). The tree is walked
+// once, and each content is assigned its ID in walk order (whole file,
+// then its chunks), so collision IDs depend only on the tree. The chunks
+// of a file the policy splits are hashed on every core (GOMAXPROCS), then
+// assigned in chunk order, so the output is the same at any GOMAXPROCS.
+func BuildPolicy(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry, pol ChunkPolicy) (*Index, map[hashing.Fingerprint][]byte, error) {
+	return BuildKnown(name, tag, cfg, root, reg, pol, nil)
 }
 
 // Known answers for a file content that was hashed where its bytes
@@ -134,52 +129,19 @@ type Known func(data []byte) (hashing.Sum, bool)
 
 // BuildKnown is BuildPolicy with the sums of whole files taken from
 // known (nil knows nothing). The output is what BuildPolicy's is.
-func BuildKnown(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry, pol ChunkPolicy, workers int, known Known) (*Index, map[hashing.Fingerprint][]byte, error) {
+func BuildKnown(name, tag string, cfg imagefmt.Config, root *vfs.FS, reg *hashing.Registry, pol ChunkPolicy, known Known) (*Index, map[hashing.Fingerprint][]byte, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("index: build %s:%s: %w", name, tag, err)
 	}
 	if reg == nil {
 		reg = hashing.NewRegistry(nil)
 	}
-	b := &builder{reg: reg, pool: make(map[hashing.Fingerprint][]byte), pol: pol.normalized(), known: known, collect: workers > 1}
+	b := &builder{reg: reg, pool: make(map[hashing.Fingerprint][]byte), pol: pol.normalized(), known: known}
 	rootEntry, err := b.buildEntry("", root.Root())
 	if err != nil {
 		return nil, nil, fmt.Errorf("index: build %s:%s: %w", name, tag, err)
 	}
-	ix := &Index{Name: name, Tag: tag, Config: cfg, Root: rootEntry}
-	if !b.collect {
-		return ix, b.pool, nil
-	}
-	// Hash, on the workers, what nobody has hashed yet.
-	sums := make([]hashing.Sum, len(b.slots))
-	var unhashed [][]byte
-	for i, s := range b.slots {
-		if s.hashed {
-			sums[i] = s.sum
-		} else {
-			unhashed = append(unhashed, s.data)
-		}
-	}
-	fresh := reg.SumAll(unhashed, workers)
-	for i, s := range b.slots {
-		if !s.hashed {
-			sums[i], fresh = fresh[0], fresh[1:]
-		}
-	}
-	fps := reg.AssignSums(sums, workers)
-	for i, s := range b.slots {
-		fp := fps[i]
-		if s.chunk {
-			s.entry.Chunks = append(s.entry.Chunks, Chunk{Fingerprint: fp, Size: int64(len(s.data))})
-			b.pool[fp] = s.data
-		} else {
-			s.entry.Fingerprint = fp
-			if !s.chunked {
-				b.pool[fp] = s.data
-			}
-		}
-	}
-	return ix, b.pool, nil
+	return &Index{Name: name, Tag: tag, Config: cfg, Root: rootEntry}, b.pool, nil
 }
 
 type builder struct {
@@ -187,23 +149,6 @@ type builder struct {
 	pool  map[hashing.Fingerprint][]byte
 	pol   ChunkPolicy
 	known Known
-	// collect defers fingerprint assignment: buildEntry records slots in
-	// serial Assign order instead of calling Assign inline.
-	collect bool
-	slots   []assignSlot
-}
-
-// assignSlot is one pending content-address assignment.
-type assignSlot struct {
-	entry *Entry
-	data  []byte
-	// sum is data's, when hashed says it has been computed already.
-	sum    hashing.Sum
-	hashed bool
-	// chunk marks a chunk piece; chunked marks a whole-file slot whose
-	// content is pooled at chunk granularity instead.
-	chunk   bool
-	chunked bool
 }
 
 func (b *builder) buildEntry(name string, n *vfs.Node) (*Entry, error) {
@@ -221,32 +166,23 @@ func (b *builder) buildEntry(name string, n *vfs.Node) (*Entry, error) {
 		data := n.Content().Data()
 		e.Size = int64(len(data))
 		pieces := b.pol.split(data)
-		chunked := pieces != nil
 		var sum hashing.Sum
 		hashed := false
 		if b.known != nil {
 			sum, hashed = b.known(data)
 		}
-		if b.collect {
-			b.slots = append(b.slots, assignSlot{entry: e, data: data, sum: sum, hashed: hashed, chunked: chunked})
-		} else {
-			if !hashed {
-				sum = b.reg.Sum(data)
-			}
-			e.Fingerprint = b.reg.AssignSum(sum)
-			if !chunked {
-				b.pool[e.Fingerprint] = data
-			}
+		if !hashed {
+			sum = b.reg.Sum(data)
+		}
+		e.Fingerprint = b.reg.AssignSum(sum)
+		if pieces == nil {
+			b.pool[e.Fingerprint] = data
 		}
 		// The chunks of a file the policy splits (a big one, under CDC)
 		// are hashed on every core, then assigned in chunk order, so
-		// collision IDs are the serial builder's.
-		sums := b.reg.SumAll(pieces, runtime.GOMAXPROCS(0))
+		// collision IDs are those of one goroutine.
+		sums := b.reg.SumAll(pieces)
 		for i, piece := range pieces {
-			if b.collect {
-				b.slots = append(b.slots, assignSlot{entry: e, data: piece, sum: sums[i], hashed: true, chunk: true})
-				continue
-			}
 			cfp := b.reg.AssignSum(sums[i])
 			e.Chunks = append(e.Chunks, Chunk{Fingerprint: cfp, Size: int64(len(piece))})
 			b.pool[cfp] = piece

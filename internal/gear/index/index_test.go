@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -387,9 +388,20 @@ func TestCollisionSafety(t *testing.T) {
 	if string(pool[ea.Fingerprint]) != "content-A" || string(pool[eb.Fingerprint]) != "content-B" {
 		t.Error("pool contents scrambled by collision")
 	}
-	if reg.Collisions() != 1 {
-		t.Errorf("collisions = %d, want 1", reg.Collisions())
+	if n := fallbacks(ea.Fingerprint, eb.Fingerprint); n != 1 {
+		t.Errorf("%d collision fallback IDs, want 1", n)
 	}
+}
+
+// fallbacks counts the collision fallback IDs ("<fp>-cN") among ids.
+func fallbacks(ids ...hashing.Fingerprint) int {
+	n := 0
+	for _, id := range ids {
+		if strings.Contains(string(id), "-c") {
+			n++
+		}
+	}
+	return n
 }
 
 type collidingHasher struct{}
@@ -540,7 +552,7 @@ func TestBinaryCodecChunksAndCollisionIDs(t *testing.T) {
 	if err := root.WriteFile("/model", big, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, _, err := BuildPolicy("ai", "v1", imagefmt.Config{Env: []string{"A=1"}}, root, nil, FixedChunks(4096), 1)
+	ix, _, err := BuildPolicy("ai", "v1", imagefmt.Config{Env: []string{"A=1"}}, root, nil, FixedChunks(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,11 +598,18 @@ func TestBinaryCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
-// A parallel BuildPolicy must be bit-identical to the serial one for any
-// worker count — same tree, same fingerprints (including collision IDs),
-// same pool — under both the real hasher and a colliding one, and
-// whether the builder hashes every file itself or is told the sums of
-// some (BuildKnown).
+// onProcs runs f with GOMAXPROCS set to procs, so that the chunks of a
+// file the policy splits are summed on up to procs goroutines.
+func onProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// A BuildPolicy that sums each file's chunks on several goroutines must
+// be bit-identical to one that sums them on one — same tree, same
+// fingerprints (including collision IDs), same pool — under both the
+// real hasher and a colliding one, and whether the builder hashes every
+// file itself or is told the sums of some (BuildKnown).
 func TestBuildPolicyParallelMatchesSerial(t *testing.T) {
 	cfg := imagefmt.Config{Env: []string{"A=1"}}
 	for _, tc := range []struct {
@@ -605,46 +624,50 @@ func TestBuildPolicyParallelMatchesSerial(t *testing.T) {
 			root := randomRoot(rng, 80)
 			// Small chunk size so several files chunk.
 			const chunkSize = 64
-			serialReg := hashing.NewRegistry(tc.hasher)
-			wantIx, wantPool, err := BuildPolicy("app", "v1", cfg, root, serialReg, FixedChunks(chunkSize), 1)
+			var wantIx *Index
+			var wantPool map[hashing.Fingerprint][]byte
+			var err error
+			onProcs(1, func() {
+				wantIx, wantPool, err = BuildPolicy("app", "v1", cfg, root, hashing.NewRegistry(tc.hasher), FixedChunks(chunkSize))
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantEnc := canonical(t, wantIx)
-			for _, workers := range []int{1, 2, 4, 8, -1, -4} {
+			for _, procs := range []int{1, 4, -1, -4} {
 				reg := hashing.NewRegistry(tc.hasher)
-				// A negative count is that many workers and a builder
+				// A negative count is that many procs and a builder
 				// that is told the sum of every file of even length.
 				var known Known
 				asked := 0
-				if workers < 0 {
-					workers = -workers
+				if procs < 0 {
+					procs = -procs
 					known = func(data []byte) (hashing.Sum, bool) {
 						asked++
 						return reg.Sum(data), len(data)%2 == 0
 					}
 				}
-				ix, pool, err := BuildKnown("app", "v1", cfg, root, reg, FixedChunks(chunkSize), workers, known)
+				var ix *Index
+				var pool map[hashing.Fingerprint][]byte
+				onProcs(procs, func() {
+					ix, pool, err = BuildKnown("app", "v1", cfg, root, reg, FixedChunks(chunkSize), known)
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if st, err := ix.Stats(); err != nil || (known != nil && asked != st.Files) {
-					t.Fatalf("workers=%d: known asked %d times for %d files (%v)", workers, asked, st.Files, err)
+					t.Fatalf("GOMAXPROCS=%d: known asked %d times for %d files (%v)", procs, asked, st.Files, err)
 				}
 				if !bytes.Equal(canonical(t, ix), wantEnc) {
-					t.Fatalf("workers=%d: index differs from serial build", workers)
+					t.Fatalf("GOMAXPROCS=%d: index differs from serial build", procs)
 				}
 				if len(pool) != len(wantPool) {
-					t.Fatalf("workers=%d: pool size %d, want %d", workers, len(pool), len(wantPool))
+					t.Fatalf("GOMAXPROCS=%d: pool size %d, want %d", procs, len(pool), len(wantPool))
 				}
 				for fp, data := range wantPool {
 					if !bytes.Equal(pool[fp], data) {
-						t.Fatalf("workers=%d: pool content differs at %s", workers, fp)
+						t.Fatalf("GOMAXPROCS=%d: pool content differs at %s", procs, fp)
 					}
-				}
-				if reg.Collisions() != serialReg.Collisions() {
-					t.Fatalf("workers=%d: collisions = %d, want %d",
-						workers, reg.Collisions(), serialReg.Collisions())
 				}
 			}
 		})
@@ -800,7 +823,7 @@ func TestToTreeMatchesPathBuiltTree(t *testing.T) {
 	indexes := []*Index{fixture, goldenIndex(t), goldenCDCIndex(t)}
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 20; i++ {
-		ix, _, err := BuildPolicy("rand", fmt.Sprint(i), imagefmt.Config{}, randomRoot(rng, 10+rng.Intn(80)), nil, FixedChunks(int64(rng.Intn(3))*64), 1)
+		ix, _, err := BuildPolicy("rand", fmt.Sprint(i), imagefmt.Config{}, randomRoot(rng, 10+rng.Intn(80)), nil, FixedChunks(int64(rng.Intn(3))*64))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,14 +90,14 @@ func mountedSeeds(tb testing.TB) [][]byte {
 	if err := root.WriteFile("/b", bytes.Repeat([]byte("b"), 300), 0o600); err != nil {
 		tb.Fatal(err)
 	}
-	collide, _, err := BuildPolicy("collide", "v1", imagefmt.Config{}, root, hashing.NewRegistry(constHasher{}), FixedChunks(128), 1)
+	collide, _, err := BuildPolicy("collide", "v1", imagefmt.Config{}, root, hashing.NewRegistry(constHasher{}), FixedChunks(128))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	encode(collide)
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 6; i++ {
-		ix, _, err := BuildPolicy("rand", fmt.Sprint(i), imagefmt.Config{Env: []string{"A=b"}}, randomRoot(rng, 10+rng.Intn(60)), nil, FixedChunks(int64(rng.Intn(3))*64), 1)
+		ix, _, err := BuildPolicy("rand", fmt.Sprint(i), imagefmt.Config{Env: []string{"A=b"}}, randomRoot(rng, 10+rng.Intn(60)), nil, FixedChunks(int64(rng.Intn(3))*64))
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func installFixture(t *testing.T) (ix *index.Index, img *imagefmt.Image, reg *ge
 			t.Fatal(err)
 		}
 	}
-	ix, pool, err := index.BuildPolicy("app", "v1", imagefmt.Config{Env: []string{"A=b"}}, root, nil, index.FixedChunks(4096), 1)
+	ix, pool, err := index.BuildPolicy("app", "v1", imagefmt.Config{Env: []string{"A=b"}}, root, nil, index.FixedChunks(4096))
 	if err != nil {
 		t.Fatal(err)
 	}

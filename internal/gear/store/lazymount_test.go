@@ -49,7 +49,7 @@ func lazyFixture(t *testing.T, seed int64) (*index.Index, *imagefmt.Image, *gear
 			t.Fatal(err)
 		}
 	}
-	ix, pool, err := index.BuildPolicy("app", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(512), 1)
+	ix, pool, err := index.BuildPolicy("app", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(512))
 	if err != nil {
 		t.Fatal(err)
 	}

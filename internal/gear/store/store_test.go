@@ -465,7 +465,7 @@ func TestChunkedFileFetch(t *testing.T) {
 	if err := root.WriteFile("/model", big, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(4096), 1)
+	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +680,7 @@ func TestReadAtFetchesOnlyNeededChunks(t *testing.T) {
 	if err := root.WriteFile("/model", big, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(4096), 1)
+	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,7 +765,7 @@ func TestFileHandleStreamsChunks(t *testing.T) {
 	if err := root.WriteFile("/weights", big, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(8192), 1)
+	ix, pool, err := index.BuildPolicy("ai", "v1", imagefmt.Config{}, root, nil, index.FixedChunks(8192))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -198,9 +199,8 @@ const registryShards = 64
 // under it, in assignment order: index 0 is the bare fingerprint, later
 // entries carry "-cN" suffixes.
 type registryShard struct {
-	mu         sync.Mutex
-	byFP       map[Fingerprint][]Verifier
-	collisions int
+	mu   sync.Mutex
+	byFP map[Fingerprint][]Verifier
 }
 
 // Registry assigns stable content addresses with collision detection.
@@ -282,18 +282,15 @@ func (r *Registry) AssignSum(s Sum) Fingerprint {
 		}
 	}
 	sh.byFP[s.fp] = append(seen, s.v)
-	if len(seen) > 0 {
-		sh.collisions++
-	}
 	return indexedID(s.fp, len(seen))
 }
 
-// SumAll is Sum of every item, computed on up to workers goroutines —
-// the CPU-bound part of addressing a batch.
-func (r *Registry) SumAll(items [][]byte, workers int) []Sum {
+// SumAll is Sum of every item, computed on up to GOMAXPROCS goroutines
+// — the CPU-bound part of addressing a batch.
+func (r *Registry) SumAll(items [][]byte) []Sum {
 	n := len(items)
 	sums := make([]Sum, n)
-	workers = min(workers, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i, data := range items {
 			sums[i] = r.Sum(data)
@@ -314,95 +311,6 @@ func (r *Registry) SumAll(items [][]byte, workers int) []Sum {
 	}
 	wg.Wait()
 	return sums
-}
-
-// AssignSums is AssignSum of every sum, resolved per shard, in input
-// order within each shard, on up to workers goroutines. The returned
-// addresses are bit-identical to calling AssignSum on each in order, for
-// any worker count: "-cN" suffixes depend only on the order collisions
-// are *assigned per fingerprint*, a fingerprint never spans shards, and
-// each shard assigns its items in input order — so no global
-// serialization point remains.
-func (r *Registry) AssignSums(sums []Sum, workers int) []Fingerprint {
-	n := len(sums)
-	if n == 0 {
-		return nil
-	}
-	fps := make([]Fingerprint, n)
-
-	// Bucket item indices by shard with a counting sort (no per-shard
-	// slice allocations), then assign shard-by-shard. Within a shard,
-	// items keep input order, which pins the "-cN" numbering.
-	var counts [registryShards]int
-	shardIdx := make([]uint8, n)
-	for i, s := range sums {
-		si := uint8(shardIndexOf(s.fp))
-		shardIdx[i] = si
-		counts[si]++
-	}
-	var offsets [registryShards]int
-	total := 0
-	for s := 0; s < registryShards; s++ {
-		offsets[s] = total
-		total += counts[s]
-	}
-	order := make([]int32, n)
-	next := offsets
-	for i := 0; i < n; i++ {
-		s := shardIdx[i]
-		order[next[s]] = int32(i)
-		next[s]++
-	}
-
-	type run struct{ lo, hi int }
-	runs := make([]run, 0, registryShards)
-	for s := 0; s < registryShards; s++ {
-		if counts[s] > 0 {
-			runs = append(runs, run{offsets[s], offsets[s] + counts[s]})
-		}
-	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	if workers <= 1 {
-		for _, i := range order {
-			fps[i] = r.AssignSum(sums[i])
-		}
-		return fps
-	}
-	// Shards are independent: fan each populated shard's run out to the
-	// pool. Assignment within a run stays in input order.
-	var wg sync.WaitGroup
-	runCh := make(chan run, len(runs))
-	for _, rn := range runs {
-		runCh <- rn
-	}
-	close(runCh)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rn := range runCh {
-				for _, i := range order[rn.lo:rn.hi] {
-					fps[i] = r.AssignSum(sums[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return fps
-}
-
-// Collisions returns how many fallback IDs have been assigned.
-func (r *Registry) Collisions() int {
-	total := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		total += s.collisions
-		s.mu.Unlock()
-	}
-	return total
 }
 
 // Entries returns how many distinct contents the registry has assigned
@@ -426,14 +334,4 @@ func indexedID(fp Fingerprint, i int) Fingerprint {
 		return fp
 	}
 	return Fingerprint(string(fp) + "-c" + strconv.Itoa(i))
-}
-
-// CollisionProbability returns the birthday-paradox bound from the paper's
-// equation (1): p <= n(n-1)/2 * 2^-m for n files under an m-bit hash.
-func CollisionProbability(n float64, bits int) float64 {
-	p := n * (n - 1) / 2
-	for i := 0; i < bits; i++ {
-		p /= 2
-	}
-	return p
 }

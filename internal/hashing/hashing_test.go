@@ -108,9 +108,21 @@ func TestRegistryDeduplicates(t *testing.T) {
 	if a1 == b {
 		t.Error("distinct content shares an ID")
 	}
-	if r.Collisions() != 0 {
-		t.Errorf("collisions = %d, want 0", r.Collisions())
+	if n := fallbacks(a1, b); n != 0 {
+		t.Errorf("%d collision fallback IDs, want 0", n)
 	}
+}
+
+// fallbacks counts the distinct collision fallback IDs ("<fp>-cN") among
+// ids.
+func fallbacks(ids ...Fingerprint) int {
+	seen := make(map[Fingerprint]bool)
+	for _, id := range ids {
+		if strings.Contains(string(id), "-c") {
+			seen[id] = true
+		}
+	}
+	return len(seen)
 }
 
 // weakHasher maps every input to one of two fingerprints, guaranteeing
@@ -138,15 +150,15 @@ func TestRegistryCollisionFallback(t *testing.T) {
 	if !b.Valid() {
 		t.Errorf("fallback ID %q is not Valid", b)
 	}
-	if r.Collisions() != 1 {
-		t.Errorf("collisions = %d, want 1", r.Collisions())
+	if n := fallbacks(a, b, c); n != 1 {
+		t.Errorf("%d collision fallback IDs, want 1", n)
 	}
 	d := r.Assign([]byte("cc"))
 	if d == a || d == b {
 		t.Error("third colliding content reused an ID")
 	}
-	if r.Collisions() != 2 {
-		t.Errorf("collisions = %d, want 2", r.Collisions())
+	if n := fallbacks(a, b, c, d); n != 2 {
+		t.Errorf("%d collision fallback IDs, want 2", n)
 	}
 }
 
@@ -199,87 +211,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-func TestCollisionProbability(t *testing.T) {
-	// Paper: n = 5e10 files, 128-bit MD5 -> p ~= 5e-18.
-	p := CollisionProbability(5e10, 128)
-	if p < 1e-18 || p > 1e-17 {
-		t.Errorf("CollisionProbability(5e10, 128) = %g, want ~5e-18", p)
-	}
-	if got := CollisionProbability(1, 128); got != 0 {
-		t.Errorf("one file should have zero collision probability, got %g", got)
-	}
-}
-
-// assignAll addresses a batch the way index.BuildKnown does: SumAll,
-// then AssignSums, on the same workers.
-func assignAll(r *Registry, items [][]byte, workers int) []Fingerprint {
-	return r.AssignSums(r.SumAll(items, workers), workers)
-}
-
-// A batch must be addressed indistinguishably from serial Assign calls
-// for any worker count — including the "-cN" collision IDs, which depend
-// on assignment order.
-func TestAssignAllMatchesSerial(t *testing.T) {
-	var items [][]byte
-	for i := 0; i < 64; i++ {
-		// A mix of duplicates and weakHasher collisions.
-		items = append(items, []byte(strings.Repeat("x", i%7)+fmt.Sprint(i%9)))
-	}
-	for _, hasher := range []Hasher{nil, weakHasher{}} {
-		serial := NewRegistry(hasher)
-		want := make([]Fingerprint, len(items))
-		for i, data := range items {
-			want[i] = serial.Assign(data)
-		}
-		for _, workers := range []int{0, 1, 2, 3, 8, 100} {
-			r := NewRegistry(hasher)
-			got := assignAll(r, items, workers)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("hasher %T workers %d: item %d = %s, want %s",
-						hasher, workers, i, got[i], want[i])
-				}
-			}
-			if r.Collisions() != serial.Collisions() {
-				t.Errorf("hasher %T workers %d: collisions = %d, want %d",
-					hasher, workers, r.Collisions(), serial.Collisions())
-			}
-		}
-	}
-	if out := assignAll(NewRegistry(nil), nil, 4); len(out) != 0 {
-		t.Errorf("empty assignAll returned %v", out)
-	}
-}
-
-// Concurrent batch and single Assign calls on one registry must be
-// race-free and keep the injectivity invariant.
-func TestAssignAllConcurrent(t *testing.T) {
-	r := NewRegistry(weakHasher{})
-	var items [][]byte
-	for i := 0; i < 32; i++ {
-		items = append(items, []byte(fmt.Sprintf("payload %d", i%11)))
-	}
-	var wg sync.WaitGroup
-	results := make([][]Fingerprint, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g] = assignAll(r, items, 4)
-		}(g)
-	}
-	wg.Wait()
-	// Identical inputs always resolve to identical IDs, regardless of
-	// which goroutine assigned first.
-	for g := 1; g < 8; g++ {
-		for i := range items {
-			if results[g][i] != results[0][i] {
-				t.Fatalf("goroutine %d item %d = %s, want %s", g, i, results[g][i], results[0][i])
-			}
-		}
-	}
-}
-
 // A content hashed once (Sum) and assigned later, or many times,
 // without its bytes (AssignSum) gets the address Assign gives it, under
 // the real hasher and a colliding one; distinct contents have distinct
@@ -288,22 +219,25 @@ func TestAssignSumMatchesAssign(t *testing.T) {
 	items := [][]byte{[]byte("aa"), []byte("bb"), []byte("aa"), []byte("c"), {}, []byte("dddd"), []byte("bb")}
 	for _, h := range []Hasher{nil, weakHasher{}} {
 		byBytes, bySum := NewRegistry(h), NewRegistry(h)
-		sums := bySum.SumAll(items, 3)
+		var gotIDs, wantIDs []Fingerprint
+		sums := bySum.SumAll(items)
 		for i, data := range items {
 			if sums[i] != bySum.Sum(data) {
 				t.Fatalf("SumAll[%d] differs from Sum", i)
 			}
 			want := byBytes.Assign(data)
-			if got := bySum.AssignSum(sums[i]); got != want {
+			got := bySum.AssignSum(sums[i])
+			gotIDs, wantIDs = append(gotIDs, got), append(wantIDs, want)
+			if got != want {
 				t.Errorf("AssignSum(%q) = %s, Assign = %s", data, got, want)
 			}
 			if again := bySum.AssignSum(sums[i]); again != want {
 				t.Errorf("AssignSum(%q) a second time = %s, want %s", data, again, want)
 			}
 		}
-		if bySum.Collisions() != byBytes.Collisions() || bySum.Entries() != byBytes.Entries() {
+		if fallbacks(gotIDs...) != fallbacks(wantIDs...) || bySum.Entries() != byBytes.Entries() {
 			t.Errorf("collisions %d entries %d, by bytes %d and %d",
-				bySum.Collisions(), bySum.Entries(), byBytes.Collisions(), byBytes.Entries())
+				fallbacks(gotIDs...), bySum.Entries(), fallbacks(wantIDs...), byBytes.Entries())
 		}
 		if sums[0].Verifier() != sums[2].Verifier() || sums[0].Verifier() == sums[1].Verifier() {
 			t.Error("verifiers do not tell equal contents from distinct ones")

@@ -1,7 +1,6 @@
 package hashing
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -90,43 +89,8 @@ func TestRegistryCollisionsUnderWeakHasherStillResolve(t *testing.T) {
 			t.Errorf("re-assign %d = %s, want %s", i, got, want)
 		}
 	}
-	if r.Collisions() != 2 {
-		t.Errorf("collisions = %d, want 2", r.Collisions())
-	}
-}
-
-// TestAssignAllEdgeCases covers worker counts that exceed the item count
-// (no goroutine may receive an empty [lo,hi) range) and empty input.
-func TestAssignAllEdgeCases(t *testing.T) {
-	r := NewRegistry(nil)
-	if out := assignAll(r, nil, 8); out != nil {
-		t.Errorf("assignAll(nil) = %v, want nil", out)
-	}
-	if out := assignAll(r, [][]byte{}, 0); out != nil {
-		t.Errorf("assignAll(empty) = %v, want nil", out)
-	}
-
-	// workers >> items: every range [w*n/workers, (w+1)*n/workers) with
-	// n < workers includes empty ranges; results must still match serial.
-	items := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
-	serial := NewRegistry(nil)
-	want := make([]Fingerprint, len(items))
-	for i, d := range items {
-		want[i] = serial.Assign(d)
-	}
-	for _, workers := range []int{4, 17, 1000} {
-		got := assignAll(NewRegistry(nil), items, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: item %d = %s, want %s", workers, i, got[i], want[i])
-			}
-		}
-	}
-
-	// Single item, many workers.
-	one := assignAll(NewRegistry(nil), [][]byte{[]byte("solo")}, 64)
-	if len(one) != 1 || one[0] != FingerprintBytes([]byte("solo")) {
-		t.Errorf("single-item assignAll = %v", one)
+	if n := fallbacks(a, b, c); n != 2 {
+		t.Errorf("%d collision fallback IDs, want 2", n)
 	}
 }
 
@@ -159,22 +123,6 @@ func BenchmarkRegistryAssign(b *testing.B) {
 		for _, data := range items {
 			r.Assign(data)
 		}
-	}
-}
-
-// BenchmarkRegistryAssignAll measures the parallel path at several
-// worker counts over the same workload.
-func BenchmarkRegistryAssignAll(b *testing.B) {
-	items := benchItems(256, 4096, 2)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(items)) * 4096)
-			for i := 0; i < b.N; i++ {
-				r := NewRegistry(nil)
-				assignAll(r, items, workers)
-			}
-		})
 	}
 }
 

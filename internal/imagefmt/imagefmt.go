@@ -92,9 +92,9 @@ func (l *Layer) Tree() (*vfs.FS, error) {
 }
 
 // TreeKeep is Tree with the file contents the tree holds chosen by keep
-// (see tarstream.Keep), which up to workers goroutines call at once.
-func (l *Layer) TreeKeep(keep tarstream.Keep, workers int) (*vfs.FS, error) {
-	return tarstream.UnpackGzKeep(l.tarball, keep, workers)
+// (see tarstream.Keep).
+func (l *Layer) TreeKeep(keep tarstream.Keep) (*vfs.FS, error) {
+	return tarstream.UnpackGzKeep(l.tarball, keep)
 }
 
 // ReadFile returns the content of the regular file at the clean path p

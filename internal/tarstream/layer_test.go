@@ -18,7 +18,7 @@ import (
 // preserved literally (as empty regular files named ".wh.*"); use
 // ApplyLayer to interpret them against a base tree.
 func Unpack(data []byte) (*vfs.FS, error) {
-	return unpackFrom(bytes.NewReader(data), len(data), ownCopy, 1)
+	return unpackFrom(bytes.NewReader(data), len(data), ownCopy)
 }
 
 // Diff computes the layer tree that transforms base into next: changed and

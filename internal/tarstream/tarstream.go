@@ -759,9 +759,9 @@ func readEntry(tr *tar.Reader, hdr *tar.Header, p string, bound int) ([]byte, er
 // memory for new bytes only. Borrowed content lies in the unpacker's
 // scratch and is only valid during the call: Keep copies what it wants
 // to hold. Content that is not borrowed has a buffer of its own exact
-// size, which Keep may return or hold as it is. Keep is called from
-// several goroutines at once: from up to workers of them, and with one
-// worker from two, when a file over smallEntry is kept beside the reader.
+// size, which Keep may return or hold as it is. Keep is called from at
+// most two goroutines at once: the reader's, and one keeping a file over
+// smallEntry beside it.
 type Keep func(content []byte, borrowed bool) []byte
 
 // ownCopy is the Keep of a plain unpack: every file gets its own bytes.
@@ -776,102 +776,57 @@ func ownCopy(content []byte, borrowed bool) []byte {
 // declares, that is read through the unpacker's scratch. A larger one is
 // read into a buffer of its own and never copied: one memcpy of a small
 // file is nothing beside hashing it, one of a weights file is not. As
-// its buffer is its own, the reader need not wait for it to be kept:
-// with one worker, it is kept on a goroutine of its own while the
-// reader reads on (see unpacker.serial).
+// its buffer is its own, the reader need not wait for it to be kept: it
+// is kept on a goroutine of its own while the reader reads on (see
+// unpacker.entry).
 const smallEntry = 1 << 20
 
-// An unpack with workers reads small files through one arena of
-// arenaBytes, so that many files, not one, can wait for Keep at once; it
-// queues at most slotsPerWorker entries a worker.
-const (
-	arenaBytes     = 4 << 20
-	slotsPerWorker = 8
-)
-
-var (
-	scratchPool = sync.Pool{New: func() any { return new([smallEntry]byte) }}
-	arenaPool   = sync.Pool{New: func() any { return new([arenaBytes]byte) }}
-)
+var scratchPool = sync.Pool{New: func() any { return new([smallEntry]byte) }}
 
 // slot is one entry between being read off the archive and being
 // written to the tree.
 type slot struct {
-	p        string
-	typ      byte // tar.TypeReg, tar.TypeDir or tar.TypeSymlink
-	mode     fs.FileMode
-	link     string // a symlink's target
-	content  []byte // as read; then as Keep answered
-	borrowed bool
-	at       int            // where content lies in the arena; -1 if it holds none of it
-	kept     sync.WaitGroup // done when a worker has put Keep's answer in content
+	p       string
+	typ     byte // tar.TypeReg, tar.TypeDir or tar.TypeSymlink
+	mode    fs.FileMode
+	link    string         // a symlink's target
+	content []byte         // as read; then as Keep answered
+	kept    sync.WaitGroup // done when the goroutine keeping a big file has put Keep's answer in content
 }
 
-// unpacker builds the tree of one archive. Entries are written to the
-// tree strictly in archive order. With one worker each small file is
-// read through a scratch of smallEntry bytes, Keep is called as it is
-// read, and each entry is written at once, or after the bigger file
-// being kept beside the reader, if there is one. With more, every entry
-// is queued in a ring and the files go to the workers. Small files are
-// read into an arena, one after another, wrapping round; the oldest
-// entry is written to the tree — waiting for its worker if it is a file
-// — when the ring is full or the arena has no room for the next file.
-// So the reader reads on while the workers hash, past directories and
-// symlinks too.
+// unpacker builds the tree of one archive, writing entries strictly in
+// archive order. Each small file is read through a pooled scratch of
+// smallEntry bytes and kept as it is read, and each entry is written at
+// once, or after the bigger file being kept beside the reader, if there
+// is one.
 type unpacker struct {
 	f       *vfs.FS
 	made    string // the directory the last entry was written into
 	keep    Keep
-	arena   []byte // nil until a small file needs it
-	off     int    // where the next file goes in the arena
-	ring    []slot
-	head, n int        // the oldest queued entry and how many are queued
-	jobs    chan *slot // nil with one worker
-	wg      sync.WaitGroup
-	// With one worker: big is the file over smallEntry being kept on a
-	// goroutine of its own until it is written, and behind holds the
-	// entries read since, each kept already, to be written after it.
+	scratch []byte // nil until a small file needs it
+	cur     slot   // the entry being written at once
+	// big is the file over smallEntry being kept on a goroutine of its
+	// own until it is written, and behind holds the entries read since,
+	// each kept already, to be written after it.
 	big    *slot
 	behind []slot
 }
 
 // unpackFrom builds the tree of the archive r holds; bound is readEntry's.
-func unpackFrom(r io.Reader, bound int, keep Keep, workers int) (*vfs.FS, error) {
-	u := &unpacker{f: vfs.New(), made: "/", keep: keep, ring: make([]slot, 1)}
-	if workers > 1 {
-		u.ring = make([]slot, slotsPerWorker*workers)
-		u.jobs = make(chan *slot, len(u.ring)) // a place for every queued file: the reader never waits to hand one on
-		for w := 0; w < workers; w++ {
-			u.wg.Add(1)
-			go func() {
-				defer u.wg.Done()
-				for s := range u.jobs {
-					s.content = u.keep(s.content, s.borrowed)
-					s.kept.Done()
-				}
-			}()
-		}
-	}
+func unpackFrom(r io.Reader, bound int, keep Keep) (*vfs.FS, error) {
+	u := &unpacker{f: vfs.New(), made: "/", keep: keep}
 	err := scanTar(r, func(p string, hdr *tar.Header, tr *tar.Reader) error {
 		return u.entry(p, hdr, tr, bound)
 	})
 	if err == nil {
-		err = u.drain()
+		err = u.catchUp()
 	}
-	// No arena goes back to the pool while a worker may still read it,
-	// and no Keep is left running.
-	if u.jobs != nil {
-		close(u.jobs)
-		u.wg.Wait()
-	}
+	// No Keep is left running.
 	if u.big != nil {
 		u.big.kept.Wait()
 	}
-	switch len(u.arena) {
-	case smallEntry:
-		scratchPool.Put((*[smallEntry]byte)(u.arena))
-	case arenaBytes:
-		arenaPool.Put((*[arenaBytes]byte)(u.arena))
+	if u.scratch != nil {
+		scratchPool.Put((*[smallEntry]byte)(u.scratch))
 	}
 	if err != nil {
 		return nil, err
@@ -879,21 +834,21 @@ func unpackFrom(r io.Reader, bound int, keep Keep, workers int) (*vfs.FS, error)
 	return u.f, nil
 }
 
-// entry reads the entry tr stands at, and writes it to the tree or
-// queues it.
+// entry reads the entry tr stands at and writes it to the tree, or
+// queues it behind the big file being kept. A file read into a buffer of
+// its own goes to a goroutine of its own for Keep, one at a time, and
+// the entries after it are read, kept, and queued behind it until it is
+// written; any other entry is kept as it is read and written at once.
+// So a big file's hashes run beside the inflater while nothing but the
+// files' own bytes is held, and the tree is built in archive order.
 func (u *unpacker) entry(p string, hdr *tar.Header, tr *tar.Reader, bound int) error {
 	var content []byte
-	at := -1
 	borrowed := hdr.Typeflag == tar.TypeReg && 0 <= hdr.Size && hdr.Size <= smallEntry
 	if borrowed {
-		var err error
-		if at, err = u.claim(int(hdr.Size)); err != nil {
-			return err
+		if u.scratch == nil {
+			u.scratch = scratchPool.Get().(*[smallEntry]byte)[:]
 		}
-		content = u.arena[at : at+int(hdr.Size)]
-		if hdr.Size == 0 {
-			at = -1
-		}
+		content = u.scratch[:hdr.Size]
 		// The tar reader ends an entry where its header says, so a full
 		// read is the whole content.
 		if _, err := io.ReadFull(tr, content); err != nil {
@@ -904,47 +859,11 @@ func (u *unpacker) entry(p string, hdr *tar.Header, tr *tar.Reader, bound int) e
 		if content, err = readEntry(tr, hdr, p, bound); err != nil {
 			return err
 		}
-	}
-	if u.jobs == nil {
-		return u.serial(p, hdr, content, borrowed)
-	}
-	if u.n == len(u.ring) {
-		if err := u.writeOldest(); err != nil {
-			return err
-		}
-	}
-	s := &u.ring[(u.head+u.n)%len(u.ring)]
-	s.fill(p, hdr, content, borrowed, at)
-	u.n++
-	if s.typ == tar.TypeReg {
-		s.kept.Add(1)
-		u.jobs <- s
-	}
-	return nil
-}
-
-// fill sets s to the entry at p: what its header says and its content
-// as read.
-func (s *slot) fill(p string, hdr *tar.Header, content []byte, borrowed bool, at int) {
-	s.p, s.typ, s.mode, s.link = p, hdr.Typeflag, fs.FileMode(hdr.Mode).Perm(), hdr.Linkname
-	s.content, s.borrowed, s.at = content, borrowed, at
-}
-
-// serial takes an entry with one worker. A file read into a buffer of
-// its own goes to a goroutine of its own for Keep, one at a time, and
-// the entries after it are read, kept, and queued behind it until it is
-// written; any other entry is kept as it is read and written at once.
-// So a big file's hashes run beside the inflater while nothing but the
-// files' own bytes is held, and the tree is built in archive order.
-func (u *unpacker) serial(p string, hdr *tar.Header, content []byte, borrowed bool) error {
-	var s *slot
-	switch {
-	case hdr.Typeflag == tar.TypeReg && !borrowed:
 		if err := u.catchUp(); err != nil {
 			return err
 		}
-		s = new(slot)
-		s.fill(p, hdr, content, false, -1)
+		s := new(slot)
+		s.fill(p, hdr, content)
 		s.kept.Add(1)
 		u.big = s
 		go func() {
@@ -952,13 +871,13 @@ func (u *unpacker) serial(p string, hdr *tar.Header, content []byte, borrowed bo
 			s.content = u.keep(s.content, false)
 		}()
 		return nil
-	case u.big != nil:
+	}
+	s := &u.cur
+	if u.big != nil {
 		u.behind = append(u.behind, slot{})
 		s = &u.behind[len(u.behind)-1]
-	default:
-		s = &u.ring[0]
 	}
-	s.fill(p, hdr, content, borrowed, -1)
+	s.fill(p, hdr, content)
 	if s.typ == tar.TypeReg {
 		s.content = u.keep(s.content, borrowed)
 	}
@@ -966,6 +885,12 @@ func (u *unpacker) serial(p string, hdr *tar.Header, content []byte, borrowed bo
 		return nil
 	}
 	return u.write(s)
+}
+
+// fill sets s to the entry at p: what its header says and its content
+// as read.
+func (s *slot) fill(p string, hdr *tar.Header, content []byte) {
+	s.p, s.typ, s.mode, s.link, s.content = p, hdr.Typeflag, fs.FileMode(hdr.Mode).Perm(), hdr.Linkname, content
 }
 
 // catchUp writes the big file, once kept, and the entries behind it.
@@ -986,76 +911,8 @@ func (u *unpacker) catchUp() error {
 	return err
 }
 
-// claim returns where in the arena the next small file's n bytes go,
-// writing the oldest queued entries to the tree until they have room.
-// The files in the arena lie in archive order from the oldest one's
-// start, wrapping round at its end.
-func (u *unpacker) claim(n int) (int, error) {
-	if u.arena == nil {
-		if u.jobs == nil {
-			u.arena = scratchPool.Get().(*[smallEntry]byte)[:]
-		} else {
-			u.arena = arenaPool.Get().(*[arenaBytes]byte)[:]
-		}
-	}
-	for {
-		if at, ok := u.room(n); ok {
-			u.off = at + n
-			return at, nil
-		}
-		if err := u.writeOldest(); err != nil {
-			return 0, err
-		}
-	}
-}
-
-// room says where in the arena n free bytes lie, if they do.
-func (u *unpacker) room(n int) (int, bool) {
-	lo := u.oldestInArena()
-	switch {
-	case lo < 0: // the arena is empty
-		return 0, true
-	case lo < u.off: // the files lie in [lo, off): room after them, else before
-		if n <= len(u.arena)-u.off {
-			return u.off, true
-		}
-		return 0, n <= lo
-	default: // they wrap round: the room is [off, lo)
-		return u.off, n <= lo-u.off
-	}
-}
-
-// oldestInArena is where the oldest queued file in the arena starts, or
-// -1 if none is there.
-func (u *unpacker) oldestInArena() int {
-	for i := 0; i < u.n; i++ {
-		if s := &u.ring[(u.head+i)%len(u.ring)]; s.at >= 0 {
-			return s.at
-		}
-	}
-	return -1
-}
-
-// drain writes every queued entry to the tree, oldest first.
-func (u *unpacker) drain() error {
-	for u.n > 0 {
-		if err := u.writeOldest(); err != nil {
-			return err
-		}
-	}
-	return u.catchUp()
-}
-
-// writeOldest writes the oldest queued entry to the tree.
-func (u *unpacker) writeOldest() error {
-	s := &u.ring[u.head]
-	u.head = (u.head + 1) % len(u.ring)
-	u.n--
-	return u.write(s)
-}
-
 // write puts s's entry into the tree, waiting for the goroutine that
-// has its file, if one has.
+// keeps its file, if one does.
 func (u *unpacker) write(s *slot) error {
 	s.kept.Wait()
 	if err := u.mkParent(s.p); err != nil {
@@ -1097,14 +954,13 @@ func (u *unpacker) mkParent(p string) error {
 // materialized, so a layer unpack allocates its file contents and
 // nothing else.
 func UnpackGz(data []byte) (*vfs.FS, error) {
-	return UnpackGzKeep(data, ownCopy, 1)
+	return UnpackGzKeep(data, ownCopy)
 }
 
-// UnpackGzKeep is UnpackGz with the tree's file contents chosen by keep,
-// which up to workers goroutines call at once.
-func UnpackGzKeep(data []byte, keep Keep, workers int) (f *vfs.FS, err error) {
+// UnpackGzKeep is UnpackGz with the tree's file contents chosen by keep.
+func UnpackGzKeep(data []byte, keep Keep) (f *vfs.FS, err error) {
 	err = scanGz(data, func(r io.Reader, bound int) error {
-		f, err = unpackFrom(r, bound, keep, workers)
+		f, err = unpackFrom(r, bound, keep)
 		return err
 	})
 	return f, err

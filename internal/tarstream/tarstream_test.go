@@ -1391,8 +1391,8 @@ func rawTar(t *testing.T, entries ...rawEntry) []byte {
 
 // UnpackGzKeep shows every regular file to Keep exactly once — borrowed
 // when small, in a buffer of its own when not — holds in the tree what
-// Keep answers, and builds the same tree whatever the worker count,
-// entries that replace earlier ones included.
+// Keep answers, and builds UnpackGz's tree, entries that replace earlier
+// ones included.
 func TestUnpackGzKeep(t *testing.T) {
 	file := func(name, content string) rawEntry {
 		return rawEntry{tar.Header{Name: name, Typeflag: tar.TypeReg, Mode: 0o644}, content}
@@ -1431,67 +1431,59 @@ func TestUnpackGzKeep(t *testing.T) {
 		t.Fatalf("/d/b is not the symlink that replaced it: %v", err)
 	}
 
-	for _, workers := range []int{1, 2, 4, 16} {
-		var mu sync.Mutex
-		held := make(map[string][]byte) // one slice per content, as the converter's table holds
-		calls := 0
-		keep := func(content []byte, borrowed bool) []byte {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			if borrowed != (len(content) <= smallEntry) {
-				t.Errorf("workers=%d: %d-byte content borrowed=%v", workers, len(content), borrowed)
-			}
-			if h, ok := held[string(content)]; ok {
-				return h
-			}
-			if borrowed {
-				content = append([]byte(nil), content...)
-			}
-			held[string(content)] = content
-			return content
+	var mu sync.Mutex
+	held := make(map[string][]byte) // one slice per content, as the converter's table holds
+	calls := 0
+	keep := func(content []byte, borrowed bool) []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		if borrowed != (len(content) <= smallEntry) {
+			t.Errorf("%d-byte content borrowed=%v", len(content), borrowed)
 		}
-		got, err := UnpackGzKeep(gz, keep, workers)
-		if err != nil {
-			t.Fatal(err)
+		if h, ok := held[string(content)]; ok {
+			return h
 		}
-		gotPacked, err := Pack(got)
-		if err != nil {
-			t.Fatal(err)
+		if borrowed {
+			content = append([]byte(nil), content...)
 		}
-		if !bytes.Equal(gotPacked, wantPacked) {
-			t.Errorf("workers=%d: tree differs from UnpackGz's", workers)
-		}
-		if calls != regular {
-			t.Errorf("workers=%d: Keep called %d times for %d regular files", workers, calls, regular)
-		}
-		b, _ := got.ReadFile("/d/c")
-		if len(b) == 0 || &b[0] != &held["shared bytes"][0] {
-			t.Errorf("workers=%d: the tree does not hold the slice Keep answered", workers)
-		}
+		held[string(content)] = content
+		return content
+	}
+	got, err := UnpackGzKeep(gz, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotPacked, err := Pack(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotPacked, wantPacked) {
+		t.Error("tree differs from UnpackGz's")
+	}
+	if calls != regular {
+		t.Errorf("Keep called %d times for %d regular files", calls, regular)
+	}
+	b, _ := got.ReadFile("/d/c")
+	if len(b) == 0 || &b[0] != &held["shared bytes"][0] {
+		t.Error("the tree does not hold the slice Keep answered")
 	}
 
-	// A cut-off archive fails for any worker count, with no worker left
-	// holding a scratch.
+	// A cut-off archive fails, with no goroutine left holding a buffer.
 	cut, err := Gzip(rawTar(t, entries...)[:3000])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		if _, err := UnpackGzKeep(cut, ownCopy, workers); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("workers=%d: cut-off archive: %v, want ErrCorrupt", workers, err)
-		}
+	if _, err := UnpackGzKeep(cut, ownCopy); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("cut-off archive: %v, want ErrCorrupt", err)
 	}
 }
 
-// With workers, small files queue in the unpacker's arena, behind
-// directories and symlinks, until the arena has no room for the next:
-// files of up to smallEntry bytes fill it and wrap round it,
-// and no file's bytes are overwritten before Keep has read them: with a
-// Keep that takes its time to copy them, the tree is UnpackGz's. With
-// one worker, the entries read while a bigger file is kept beside the
-// reader queue behind it, and the tree is UnpackGz's too.
-func TestUnpackArenaWraps(t *testing.T) {
+// The entries read while a file over smallEntry is kept beside the
+// reader — small files through the one scratch, directories and
+// symlinks — queue behind it, and with a Keep that takes its time the
+// tree is still UnpackGz's, built in archive order.
+func TestUnpackQueuesBehindBigFile(t *testing.T) {
 	sizes := []int{900 << 10, 300 << 10, smallEntry, 0, 700 << 10, smallEntry + 1, 1, 999 << 10}
 	var entries []rawEntry
 	for i := 0; i < 16; i++ {
@@ -1522,18 +1514,16 @@ func TestUnpackArenaWraps(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return ownCopy(content, borrowed)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		got, err := UnpackGzKeep(gz, slowCopy, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotPacked, err := Pack(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotPacked, wantPacked) {
-			t.Errorf("workers=%d: tree differs from UnpackGz's", workers)
-		}
+	got, err := UnpackGzKeep(gz, slowCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotPacked, err := Pack(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotPacked, wantPacked) {
+		t.Error("tree differs from UnpackGz's")
 	}
 }
 
