@@ -84,30 +84,28 @@ func TestBigLayerHashedOncePerKind(t *testing.T) {
 	if len(want) < 100 {
 		t.Fatalf("%d distinct contents: the weights were not split", len(want))
 	}
-	for _, workers := range []int{1, 4} {
-		c := newConverter(t, Options{Chunking: pol, Workers: workers})
-		counted := newCountingHasher(hashing.MD5{})
-		c.reg = hashing.NewRegistry(counted)
-		c.files = newTable(c.reg)
-		before := hashing.DigestedBytes()
-		res, err := c.Convert(img)
-		if err != nil {
-			t.Fatal(err)
+	c := newConverter(t, Options{Chunking: pol})
+	counted := newCountingHasher(hashing.MD5{})
+	c.reg = hashing.NewRegistry(counted)
+	c.files = newTable(c.reg)
+	before = hashing.DigestedBytes()
+	res, err := c.Convert(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ixLayer := res.IndexImage.Layers[0]
+	if got, want := hashing.DigestedBytes()-before, layer.Size+ixLayer.UncompressedSize+ixLayer.Size; got != want {
+		t.Errorf("converting digested %d bytes, want %d: the layer validated once and the index layer built", got, want)
+	}
+	for v, n := range counted.calls {
+		if !want[v] {
+			t.Errorf("fingerprinted a content the image does not hold")
+		} else if n != 1 {
+			t.Errorf("a content was fingerprinted %d times, want once", n)
 		}
-		ixLayer := res.IndexImage.Layers[0]
-		if got, want := hashing.DigestedBytes()-before, layer.Size+ixLayer.UncompressedSize+ixLayer.Size; got != want {
-			t.Errorf("workers=%d: converting digested %d bytes, want %d: the layer validated once and the index layer built", workers, got, want)
-		}
-		for v, n := range counted.calls {
-			if !want[v] {
-				t.Errorf("workers=%d: fingerprinted a content the image does not hold", workers)
-			} else if n != 1 {
-				t.Errorf("workers=%d: a content was fingerprinted %d times, want once", workers, n)
-			}
-		}
-		if len(counted.calls) != len(want) {
-			t.Errorf("workers=%d: %d contents fingerprinted, want the image's %d", workers, len(counted.calls), len(want))
-		}
+	}
+	if len(counted.calls) != len(want) {
+		t.Errorf("%d contents fingerprinted, want the image's %d", len(counted.calls), len(want))
 	}
 }
 

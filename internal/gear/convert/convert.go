@@ -113,6 +113,9 @@ type Converter struct {
 	reg   *hashing.Registry
 	files *table // the one copy of every content of last and of the conversions in flight
 	disk  *disksim.Disk
+	// unpack reads a layer the table has no record of:
+	// (*imagefmt.Layer).TreeKeep, which tests meter.
+	unpack func(*imagefmt.Layer, tarstream.Keep) (*vfs.FS, error)
 
 	// mu guards the references, taken when a conversion starts and when
 	// it ends; done is signalled whenever one ends.
@@ -139,7 +142,8 @@ func New(opts Options) (*Converter, error) {
 		return nil, fmt.Errorf("convert: %w", err)
 	}
 	reg := hashing.NewRegistry(nil)
-	c := &Converter{opts: opts, reg: reg, files: newTable(reg), disk: disk, refs: make(map[string]bool)}
+	c := &Converter{opts: opts, reg: reg, files: newTable(reg), disk: disk, unpack: (*imagefmt.Layer).TreeKeep,
+		refs: make(map[string]bool)}
 	c.done = sync.NewCond(&c.mu)
 	return c, nil
 }
@@ -206,16 +210,21 @@ func (c *Converter) convert(img *imagefmt.Image, ref string, u *use) (*Result, e
 	// bottom layer to the top layer"). Every file is hashed as it is
 	// unpacked, and one the converter holds already — from a lower layer,
 	// the image converted last or one converting now — is not held again.
+	// A layer the table has a record of, which Validate has just checked
+	// against its Digest, is cloned from the record and not unpacked; it
+	// is priced as one unpacked, as the paper's converter unpacks it.
 	root := vfs.New()
 	for i, layer := range img.Layers {
 		timing.Unpack += c.disk.ReadCost(layer.Size)
-		tree, err := layer.TreeKeep(u.keep)
-		if err != nil {
-			return nil, fmt.Errorf("convert %s layer %d: %w", ref, i, err)
+		tree := u.recall(layer.Digest)
+		if tree == nil {
+			var err error
+			if tree, err = c.unpack(layer, u.keep); err != nil {
+				return nil, fmt.Errorf("convert %s layer %d: %w", ref, i, err)
+			}
+			u.remember(layer.Digest, tree)
 		}
-		if err := tarstream.ApplyLayer(root, tree); err != nil {
-			return nil, fmt.Errorf("convert %s layer %d: %w", ref, i, err)
-		}
+		tarstream.ApplyLayer(root, tree)
 		timing.Unpack += c.disk.WriteCost(layer.UncompressedSize)
 	}
 

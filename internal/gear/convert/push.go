@@ -76,9 +76,11 @@ func (w PushWindow) Bytes() int64 {
 
 // pushFlight is one in-progress upload. Concurrent PushAll calls that
 // carry the same fingerprint join the first caller's flight instead of
-// querying or uploading it again.
+// querying or uploading it again. A PushAll takes the flights it claims
+// in one block, and a flight's done channel is made only when a second
+// call joins it.
 type pushFlight struct {
-	done chan struct{}
+	done chan struct{} // guarded by flightMu until the flight ends
 	err  error
 }
 
@@ -104,24 +106,30 @@ func NewPusher(opts PushOptions) (*Pusher, error) {
 	return &Pusher{opts: opts, flights: make(map[hashing.Fingerprint]*pushFlight)}, nil
 }
 
-// claimFlight registers a flight for fp, or joins the one in progress.
-func (p *Pusher) claimFlight(fp hashing.Fingerprint) (f *pushFlight, leader bool) {
+// claimFlight registers mine as the flight for fp, or joins the one in
+// progress and returns it, with the channel it ends on.
+func (p *Pusher) claimFlight(fp hashing.Fingerprint, mine *pushFlight) (f *pushFlight, leader bool) {
 	p.flightMu.Lock()
 	defer p.flightMu.Unlock()
 	if f, ok := p.flights[fp]; ok {
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
 		return f, false
 	}
-	f = &pushFlight{done: make(chan struct{})}
-	p.flights[fp] = f
-	return f, true
+	p.flights[fp] = mine
+	return mine, true
 }
 
 // finishFlight publishes the flight's result and releases waiters.
 func (p *Pusher) finishFlight(fp hashing.Fingerprint, f *pushFlight) {
 	p.flightMu.Lock()
 	delete(p.flights, fp)
+	done := f.done
 	p.flightMu.Unlock()
-	close(f.done)
+	if done != nil {
+		close(done)
+	}
 }
 
 // PushAll uploads files to the Gear registry, skipping everything the
@@ -145,8 +153,9 @@ func (p *Pusher) PushAll(files map[hashing.Fingerprint][]byte) (PushWindow, erro
 	// Claim or join flights; flights[i] is the one claimed for claimed[i].
 	var claimed []hashing.Fingerprint
 	var flights, joined []*pushFlight
-	for _, fp := range fps {
-		f, leader := p.claimFlight(fp)
+	block := make([]pushFlight, len(fps))
+	for i, fp := range fps {
+		f, leader := p.claimFlight(fp, &block[i])
 		if leader {
 			claimed = append(claimed, fp)
 			flights = append(flights, f)

@@ -57,12 +57,10 @@ func ApplyDiff(ix *Index, newName, newTag string, diff *vfs.FS, reg *hashing.Reg
 			return fmt.Errorf("%w: diff node type %v at %s", ErrCorrupt, n.Type(), p)
 		}
 	})
-	if err == nil {
-		err = tarstream.ApplyLayer(tree, layer)
-	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("index: apply diff: %w", err)
 	}
+	tarstream.ApplyLayer(tree, layer)
 	out, err := FromTree(newName, newTag, ix.Config, tree)
 	if err != nil {
 		return nil, nil, err

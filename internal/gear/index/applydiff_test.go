@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/gear-image/gear/internal/hashing"
@@ -329,7 +330,7 @@ func applyDiffMutable(ix *Index, newName, newTag string, diff *vfs.FS, reg *hash
 		if name == tarstream.OpaqueMarker {
 			return nil
 		}
-		if hidden, ok := tarstream.IsWhiteout(name); ok {
+		if hidden, ok := strings.CutPrefix(name, tarstream.WhiteoutPrefix); ok {
 			if dir := lookupMutable(root, path.Dir(p)); dir != nil {
 				delete(dir.children, hidden)
 			}

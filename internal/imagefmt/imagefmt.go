@@ -208,10 +208,7 @@ func (img *Image) Flatten() (*vfs.FS, error) {
 			return nil, fmt.Errorf("imagefmt: flatten %s layer %d: %w",
 				img.Manifest.Reference(), i, err)
 		}
-		if err := tarstream.ApplyLayer(root, tree); err != nil {
-			return nil, fmt.Errorf("imagefmt: flatten %s layer %d: %w",
-				img.Manifest.Reference(), i, err)
-		}
+		tarstream.ApplyLayer(root, tree)
 	}
 	return root, nil
 }

@@ -9,10 +9,23 @@ import (
 	"github.com/gear-image/gear/internal/vfs"
 )
 
-// The tests build layers and read archives with Diff and Unpack, which
-// no code outside them needs: images are built from packages' own trees
-// (corpus), and archives are read as gzip streams (UnpackGz) or applied
-// (ApplyLayer).
+// The tests build layers and read archives with Diff and Unpack, and
+// read whiteout names with IsWhiteout, which no code outside them needs:
+// images are built from packages' own trees (corpus), and archives are
+// read as gzip streams (UnpackGz) or applied (ApplyLayer, which vfs
+// grafts by the marker names).
+
+// IsWhiteout reports whether base name marks a lower-layer deletion, and
+// returns the hidden name. The opaque marker is not a whiteout.
+func IsWhiteout(name string) (hidden string, ok bool) {
+	if name == OpaqueMarker {
+		return "", false
+	}
+	if strings.HasPrefix(name, WhiteoutPrefix) {
+		return strings.TrimPrefix(name, WhiteoutPrefix), true
+	}
+	return "", false
+}
 
 // Unpack parses a tar archive into a fresh tree. Whiteout entries are
 // preserved literally (as empty regular files named ".wh.*"); use

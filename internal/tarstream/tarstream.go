@@ -17,7 +17,6 @@ import (
 	"io"
 	"io/fs"
 	"math"
-	"path"
 	"slices"
 	"strings"
 	"sync"
@@ -1035,18 +1034,6 @@ func scanGz(data []byte, scan func(r io.Reader, bound int) error) error {
 	}
 }
 
-// IsWhiteout reports whether base name marks a lower-layer deletion, and
-// returns the hidden name. The opaque marker is not a whiteout.
-func IsWhiteout(name string) (hidden string, ok bool) {
-	if name == OpaqueMarker {
-		return "", false
-	}
-	if strings.HasPrefix(name, WhiteoutPrefix) {
-		return strings.TrimPrefix(name, WhiteoutPrefix), true
-	}
-	return "", false
-}
-
 // ApplyLayer merges a layer diff (as produced by Unpack, with literal
 // whiteout entries) into base. It is the repository's one changeset
 // rule — pulling an image (the converter stacks its layers with it),
@@ -1057,83 +1044,20 @@ func IsWhiteout(name string) (hidden string, ok bool) {
 //   - a whiteout deletes the named entry of the layers below, and an
 //     opaque directory (a ".wh..wh..opq" marker in it, or the Opaque
 //     flag) hides everything they hold under it. Both speak of the
-//     layers below only, so they are applied first, before any entry of
-//     the layer itself: tar order is lexicographic, and a marker or a
-//     whiteout can sort after entries it must not erase (".bashrc");
+//     layers below only, so in each directory they are applied first,
+//     before any entry of the layer itself: tar order is lexicographic,
+//     and a marker or a whiteout can sort after entries it must not
+//     erase (".bashrc");
 //   - every other entry adds to base or replaces what base holds at its
 //     path, and a directory entry sets its directory's mode, whether the
 //     directory was there before or not. A cleared opaque directory is
 //     made again by its own entry, with that entry's mode.
 //
+// A whiteout or an opaque marker that is a directory hides what it
+// names, and what it holds is dropped.
+//
+// The layer is spent: its nodes move into base (vfs.FS.Graft), where
+// each is what a node made afresh is, and the layer is left empty.
 // Modes are set on base's nodes in place: base must be the caller's
 // alone while ApplyLayer runs.
-func ApplyLayer(base *vfs.FS, layer *vfs.FS) error {
-	// Pass 1: what the layer hides of the layers below.
-	err := layer.Walk(func(p string, n *vfs.Node) error {
-		i := strings.LastIndexByte(p, '/')
-		dir, name := p[:max(i, 1)], p[i+1:]
-		var gone string
-		if hidden, ok := IsWhiteout(name); ok {
-			if hidden == "" || hidden == "." || hidden == ".." {
-				return nil // names nothing a layer below can hold
-			}
-			gone = path.Join(dir, hidden)
-		} else if name == OpaqueMarker {
-			gone = dir
-		} else if n.IsDir() && n.Opaque {
-			gone = p
-		} else {
-			return nil
-		}
-		// Below a path that is not a directory there is nothing to hide.
-		if err := base.RemoveAll(gone); err != nil && !errors.Is(err, vfs.ErrNotDir) {
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("tarstream: apply layer whiteouts: %w", err)
-	}
-
-	// Pass 2: additions and replacements.
-	err = layer.Walk(func(p string, n *vfs.Node) error {
-		name := p[strings.LastIndexByte(p, '/')+1:]
-		if _, ok := IsWhiteout(name); ok || name == OpaqueMarker {
-			return nil // applied in pass 1
-		}
-		existing := base.Lookup(p)
-		switch n.Type() {
-		case vfs.TypeDir:
-			if existing != nil && existing.IsDir() {
-				existing.SetMode(n.Mode())
-				return nil
-			}
-			if existing != nil {
-				if err := base.Remove(p); err != nil {
-					return err
-				}
-			}
-			return base.MkdirAll(p, n.Mode())
-		case vfs.TypeRegular:
-			if existing != nil && existing.IsDir() {
-				if err := base.RemoveAll(p); err != nil {
-					return err
-				}
-			}
-			return base.WriteFile(p, n.Content().Data(), n.Mode())
-		case vfs.TypeSymlink:
-			if existing != nil && existing.IsDir() {
-				if err := base.RemoveAll(p); err != nil {
-					return err
-				}
-			}
-			return base.Symlink(n.Target(), p)
-		default:
-			return fmt.Errorf("%w: node type %v at %s", ErrCorrupt, n.Type(), p)
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("tarstream: apply layer: %w", err)
-	}
-	return nil
-}
+func ApplyLayer(base *vfs.FS, layer *vfs.FS) { base.Graft(layer, WhiteoutPrefix, OpaqueMarker) }

@@ -723,6 +723,119 @@ func releaseTree(n *Node) {
 	}
 }
 
+// Graft moves the entries of layer into f by the overlay rule of
+// stacking a layer (tarstream.ApplyLayer states it), and spends layer:
+// its nodes become f's and it is left empty. A layer entry named
+// whiteout+name hides the entry name of its directory in the layers
+// below, and one named opaque everything its directory holds there, as
+// the Opaque flag of a directory below the root does. Such a marker is
+// not moved, nor what it holds if it is a directory.
+//
+// In each directory what its markers hide goes first; then every other
+// entry takes the place of what f holds at its name, except that a
+// directory over a directory sets its mode and merges into it. A node
+// moved in is made what a fresh one is: a directory not Opaque and with
+// permission bits only, a symlink 0o777, and a file whose Content
+// another node links too gets a Content of its own.
+//
+// No path is built or resolved. Modes are set on f's nodes in place: f
+// must be the caller's alone while Graft runs.
+func (f *FS) Graft(layer *FS, whiteout, opaque string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	layer.mu.Lock()
+	defer layer.mu.Unlock()
+	if layer.sourced {
+		layer.root.ownTree()
+	}
+	if (graft{whiteout, opaque}).merge(f.root, layer.root, false) {
+		f.sourced = false
+	}
+	layer.root, layer.sourced = New().root, false
+}
+
+// graft is one Graft's marker names.
+type graft struct{ whiteout, opaque string }
+
+// hides reports whether name is a marker, and which entry of its
+// directory it hides: "" none, "." all.
+func (g graft) hides(name string) (hidden string, marker bool) {
+	if name == g.opaque {
+		return ".", true
+	}
+	hidden, marker = strings.CutPrefix(name, g.whiteout)
+	if !marker || hidden == "." || hidden == ".." {
+		return "", marker // names nothing a layer below can hold
+	}
+	return hidden, true
+}
+
+// merge moves the entries of the layer directory l into the directory
+// b, and reports whether l hid all b held below (opaque, or by an opaque
+// marker): then b holds l's entries alone, and its mode and flag are the
+// caller's to set as a fresh directory's.
+func (g graft) merge(b, l *Node, opaque bool) (cleared bool) {
+	b.own()
+	cleared = opaque
+	for name := range l.children {
+		if hidden, _ := g.hides(name); hidden == "." {
+			cleared = true
+		} else if o := b.children[hidden]; o != nil {
+			releaseTree(o)
+			delete(b.children, hidden)
+		}
+	}
+	if cleared {
+		for _, o := range b.children {
+			releaseTree(o)
+		}
+		b.children, l.children = l.children, nil
+		for name, c := range b.children {
+			g.adopt(name, c, b)
+		}
+		return true
+	}
+	for name, c := range l.children {
+		old := b.children[name]
+		if _, ok := g.hides(name); ok {
+			continue
+		} else if c.typ == TypeDir && old != nil && old.typ == TypeDir {
+			if old.mode = c.mode; g.merge(old, c, c.Opaque) {
+				old.mode, old.Opaque = c.mode.Perm(), false
+			}
+			continue
+		} else if old != nil {
+			releaseTree(old)
+		}
+		b.children[name] = c
+		g.adopt(name, c, b)
+	}
+	return false
+}
+
+// adopt makes the entry name of the directory in, n, moved in where f
+// held nothing below it, what a fresh node is, or drops it if it is a
+// marker: there is nothing below it to hide.
+func (g graft) adopt(name string, n, in *Node) {
+	if _, ok := g.hides(name); ok {
+		delete(in.children, name)
+		return
+	}
+	switch n.typ {
+	case TypeDir:
+		n.mode, n.Opaque = n.mode.Perm(), false
+		for name, c := range n.children {
+			g.adopt(name, c, n)
+		}
+	case TypeRegular:
+		if n.mode = n.mode.Perm(); n.content.Nlink() != 1 {
+			n.content = newContent(n.content.data, 1)
+		}
+	default:
+		n.mode = 0o777
+	}
+}
+
 // WalkFunc visits one node during a Walk. p is the full cleaned path.
 // Returning an error aborts the walk and is returned from Walk.
 type WalkFunc func(p string, n *Node) error
