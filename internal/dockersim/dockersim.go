@@ -24,6 +24,7 @@ import (
 
 	"github.com/gear-image/gear/internal/cache"
 	"github.com/gear-image/gear/internal/gear/convert"
+	"github.com/gear-image/gear/internal/gear/index"
 	"github.com/gear-image/gear/internal/gear/store"
 	"github.com/gear-image/gear/internal/gear/viewer"
 	"github.com/gear-image/gear/internal/gearregistry"
@@ -575,13 +576,15 @@ func (dep *Deployment) pricedRead(read func() ([]byte, error)) (data []byte, loc
 // pullImage downloads ref's manifest and every layer of it the local
 // layer store does not hold yet, as both Docker and Gear (whose image is
 // its index) do. unpacked is the uncompressed size of the new layers.
+// read, if not "", is a file a new layer's ReadFile then answers without
+// inflating the layer again (imagefmt.NewLayerFromTarball): Gear's index.
 // The caller holds layersMu.
-func (d *Daemon) pullImage(name, tag string) (img *imagefmt.Image, unpacked int64, err error) {
+func (d *Daemon) pullImage(name, tag, read string) (img *imagefmt.Image, unpacked int64, err error) {
 	m, err := d.docker.GetManifest(name, tag)
 	if err != nil {
 		return nil, 0, err
 	}
-	d.link.Transfer(1, manifestSize(m))
+	d.link.Transfer(1, m.EncodedSize())
 	img = &imagefmt.Image{Manifest: m}
 	for _, digest := range m.Layers {
 		layer, ok := d.layers[digest]
@@ -591,7 +594,7 @@ func (d *Daemon) pullImage(name, tag string) (img *imagefmt.Image, unpacked int6
 				return nil, 0, err
 			}
 			d.link.Transfer(1, int64(len(blob)))
-			layer, err = imagefmt.NewLayerFromTarball(blob, digest)
+			layer, err = imagefmt.NewLayerFromTarball(blob, digest, read)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -663,7 +666,7 @@ func (d *Daemon) DeployDocker(name, tag string, access []string, compute time.Du
 	err := d.pullPhase(dep, func() (int64, error) {
 		d.layersMu.Lock()
 		defer d.layersMu.Unlock()
-		img, unpacked, err := d.pullImage(name, tag)
+		img, unpacked, err := d.pullImage(name, tag, "")
 		if err != nil {
 			return 0, err
 		}
@@ -684,14 +687,6 @@ func (d *Daemon) DeployDocker(name, tag string, access []string, compute time.Du
 	return dep, nil
 }
 
-func manifestSize(m *imagefmt.Manifest) int64 {
-	data, err := imagefmt.EncodeManifest(m)
-	if err != nil {
-		return 1024
-	}
-	return int64(len(data))
-}
-
 // DeployGear deploys ref the Gear way: pull only the index image (if not
 // local), install it at level 2, then run the task with lazy file
 // faults (§III-D2).
@@ -707,7 +702,7 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 		if d.gearStore.HasIndex(ref) {
 			return 0, nil
 		}
-		img, unpacked, err := d.pullImage(name, tag)
+		img, unpacked, err := d.pullImage(name, tag, index.IndexFileName)
 		if err != nil {
 			return 0, err
 		}

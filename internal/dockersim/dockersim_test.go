@@ -16,6 +16,7 @@ import (
 	"github.com/gear-image/gear/internal/prefetch"
 	"github.com/gear-image/gear/internal/registry"
 	"github.com/gear-image/gear/internal/slacker"
+	"github.com/gear-image/gear/internal/tarstream"
 	"github.com/gear-image/gear/internal/telemetry"
 )
 
@@ -162,6 +163,33 @@ func TestGearDeployPullsOnlyIndex(t *testing.T) {
 	}
 	if gearDep.Run.Time <= dockerDep.Run.Time {
 		t.Errorf("gear run %v not longer than docker %v", gearDep.Run.Time, dockerDep.Run.Time)
+	}
+}
+
+// A Gear deploy's pull inflates its index layer once: the pass that
+// takes the layer's DiffID and size reads the index out of it too. The
+// deploy reads no file, so the index layer is all there is to inflate.
+func TestGearPullInflatesIndexOnce(t *testing.T) {
+	r := buildRig(t, "nginx", 1)
+	m, err := r.docker.GetManifest("gear/nginx", "v01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := r.docker.GetBlob(m.Layers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := tarstream.Gunzip(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := r.newDaemon(t, 904)
+	before := tarstream.InflatedBytes()
+	if _, err := d.DeployGear("gear/nginx", "v01", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := tarstream.InflatedBytes() - before; got != int64(len(raw)) {
+		t.Errorf("the deploy inflated %d bytes, want the index layer's %d once", got, len(raw))
 	}
 }
 

@@ -180,7 +180,7 @@ func TestNoGoroutineOutlivesABigLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut, err := imagefmt.NewLayerFromTarball(gz, hashing.DigestBytes(gz))
+	cut, err := imagefmt.NewLayerFromTarball(gz, hashing.DigestBytes(gz), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -316,7 +316,7 @@ func cutOff(t *testing.T, name, tag string, first byte) *imagefmt.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layer, err := imagefmt.NewLayerFromTarball(gz, hashing.DigestBytes(gz))
+	layer, err := imagefmt.NewLayerFromTarball(gz, hashing.DigestBytes(gz), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -448,8 +448,8 @@ func (s *Store) resolve(st *imageState, imageRef, path string, fp hashing.Finger
 	// shared tree is internally locked, so mu is not needed here.
 	if st != nil {
 		if n := st.Tree.Lookup(path); n != nil && n.Type() == vfs.TypeRegular {
-			if !index.IsPlaceholder(n.Content().Data()) {
-				return n.Content(), nil
+			if c := n.Content(); !index.IsPlaceholder(c.Data()) {
+				return c, nil
 			}
 		}
 	}

@@ -177,9 +177,17 @@ func (v *Viewer) Stat(p string) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	info := Info{Type: n.Type(), Mode: n.Mode(), Size: n.Size(), Target: n.Target()}
-	if n.Type() == vfs.TypeRegular && !v.mount.Upper().Exists(p) {
-		if _, size, err := index.ParsePlaceholder(n.Content().Data()); err == nil {
+	info := Info{Type: n.Type(), Mode: n.Mode(), Target: n.Target()}
+	if n.Type() != vfs.TypeRegular {
+		info.Size = n.Size()
+		return info, nil
+	}
+	// Another container's fault may materialize the node meanwhile: the
+	// size and the record are read from one load of its content.
+	c := n.Content()
+	info.Size = c.Size()
+	if !v.mount.Upper().Exists(p) {
+		if _, size, err := index.ParsePlaceholder(c.Data()); err == nil {
 			info.Size = size
 			info.Lazy = true
 		}

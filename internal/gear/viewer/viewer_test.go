@@ -546,6 +546,80 @@ func TestReadFileHitAllocs(t *testing.T) {
 	}
 }
 
+// linkingResolver is the store's cached fault: one content per
+// fingerprint, linked over the placeholder in the shared tree.
+type linkingResolver struct {
+	tree     *vfs.FS
+	contents map[hashing.Fingerprint]*vfs.Content
+}
+
+func (r *linkingResolver) Resolve(_, p string, fp hashing.Fingerprint, _ int64) (*vfs.Content, error) {
+	c := r.contents[fp]
+	r.tree.Relink(p, c)
+	return c, nil
+}
+
+func (r *linkingResolver) ResolveRange(_, _ string, fp hashing.Fingerprint, _, off, n int64) ([]byte, error) {
+	return sliceRange(r.contents[fp].Data(), off, n), nil
+}
+
+// Two containers of one image fault the same file while a third stats
+// and reads it. Each sees the placeholder or the file and never a mix of
+// the two (a size read from one and the record from the other), and the
+// shared tree ends with the file linked once and the placeholder not at
+// all.
+func TestSharedFaultRace(t *testing.T) {
+	v, fake := setup(t)
+	v.Close()
+	r := &linkingResolver{tree: fake.tree, contents: make(map[hashing.Fingerprint]*vfs.Content)}
+	for fp, data := range fake.pool {
+		r.contents[fp] = vfs.NewContent(data)
+	}
+	const p, want = "/app/bin", "binary-bytes"
+	placeholder := r.tree.Lookup(p).Content()
+	a, b, c := New("img:v1", r.tree, r), New("img:v1", r.tree, r), New("img:v1", r.tree, r)
+	for round := 0; round < 200; round++ {
+		if !r.tree.Relink(p, placeholder) {
+			t.Fatal("placeholder not put back")
+		}
+		var wg sync.WaitGroup
+		for _, v := range []*Viewer{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got, err := v.ReadFile(p); err != nil || string(got) != want {
+					t.Errorf("ReadFile = %q, %v", got, err)
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Stat until the file is materialized, to stat it mid-fault.
+			for lazy := true; lazy; {
+				info, err := c.Stat(p)
+				if err != nil || info.Size != int64(len(want)) {
+					t.Errorf("Stat = %+v, %v; want size %d", info, err, len(want))
+					break
+				}
+				lazy = info.Lazy
+			}
+			if got, err := c.ReadFile(p); err != nil || string(got) != want {
+				t.Errorf("ReadFile = %q, %v", got, err)
+			}
+		}()
+		wg.Wait()
+		if t.Failed() {
+			break
+		}
+	}
+	linked := r.tree.Lookup(p).Content()
+	if string(linked.Data()) != want || linked.Nlink() != 1 || placeholder.Nlink() != 0 {
+		t.Errorf("after the faults: tree holds %q linked %d times, placeholder linked %d times; want the file once, the placeholder never",
+			linked.Data(), linked.Nlink(), placeholder.Nlink())
+	}
+}
+
 func BenchmarkViewerReadFileHit(b *testing.B) {
 	root := vfs.New()
 	if err := root.MkdirAll("/usr/lib/python3/site-packages", 0o755); err != nil {

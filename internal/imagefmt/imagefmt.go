@@ -36,6 +36,9 @@ type Layer struct {
 	UncompressedSize int64          `json:"uncompressedSize"`
 
 	tarball []byte // gzip tar
+	// read is the file NewLayerFromTarball read out of the layer, which
+	// the first ReadFile of it answers from.
+	read struct{ path, content string }
 }
 
 // NewLayerFromDiff serializes a layer diff tree (whiteouts included as
@@ -62,25 +65,35 @@ func NewLayerFromDiff(diff *vfs.FS) (*Layer, error) {
 }
 
 // NewLayerFromTarball wraps registry-fetched compressed bytes, verifying
-// them against the expected digest.
-func NewLayerFromTarball(gz []byte, want hashing.Digest) (*Layer, error) {
+// them against the expected digest. A caller that reads the regular file
+// at the clean path p out of the layer next, as a Gear deploy reads its
+// index, names it: the one inflate that takes the DiffID reads the file
+// too, and the first ReadFile(p) answers from it. With p set the tar is
+// parsed as well, and a layer that is no archive fails here. A layer
+// without the file is no error: ReadFile reports it.
+func NewLayerFromTarball(gz []byte, want hashing.Digest, p string) (*Layer, error) {
 	if got := hashing.DigestBytes(gz); got != want {
 		return nil, fmt.Errorf("imagefmt: %w: got %s want %s", ErrBadDigest, got, want)
 	}
+	l := &Layer{Digest: want, Size: int64(len(gz)), tarball: gz}
 	// The DiffID and the uncompressed size are properties of the inflated
 	// tar, which is hashed as it streams by and never held.
 	diffID := hashing.NewDigestWriter()
-	rawSize, err := tarstream.GunzipTo(diffID, gz)
+	var err error
+	if p == "" {
+		l.UncompressedSize, err = tarstream.GunzipTo(diffID, gz)
+	} else {
+		l.read.path = p
+		l.read.content, l.UncompressedSize, err = tarstream.ReadFileGzTo(diffID, gz, p)
+		if errors.Is(err, vfs.ErrNotExist) {
+			l.read.path, err = "", nil
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("imagefmt: decompress layer: %w", err)
 	}
-	return &Layer{
-		Digest:           want,
-		DiffID:           diffID.Digest(),
-		Size:             int64(len(gz)),
-		UncompressedSize: rawSize,
-		tarball:          gz,
-	}, nil
+	l.DiffID = diffID.Digest()
+	return l, nil
 }
 
 // Tarball returns the compressed layer bytes. Callers must not mutate it.
@@ -99,8 +112,17 @@ func (l *Layer) TreeKeep(keep tarstream.Keep) (*vfs.FS, error) {
 
 // ReadFile returns the content of the regular file at the clean path p
 // in the layer's own diff — Tree().ReadFile(p) without the tree, and as
-// the string its reader keeps (see tarstream.ReadFileGz).
+// the string its reader keeps (see tarstream.ReadFileGz). The file
+// NewLayerFromTarball read is handed over, not read again: the layer
+// keeps it until then only, and a later ReadFile of it inflates anew.
+// Like the rest of a pulled layer's use, that first ReadFile is the
+// puller's, under whatever lock guards its layer store.
 func (l *Layer) ReadFile(p string) (string, error) {
+	if l.read.path != "" && l.read.path == p {
+		content := l.read.content
+		l.read.path, l.read.content = "", ""
+		return content, nil
+	}
 	return tarstream.ReadFileGz(l.tarball, p)
 }
 
@@ -125,6 +147,10 @@ type Manifest struct {
 	// LayerSizes mirrors Layers with the compressed byte size of each, so
 	// clients can plan downloads without fetching blobs.
 	LayerSizes []int64 `json:"layerSizes"`
+
+	// encoded is the length of the JSON DecodeManifest read it from; 0
+	// for a manifest built in memory.
+	encoded int
 }
 
 // Reference returns the canonical "name:tag" reference.
@@ -139,6 +165,10 @@ func (m *Manifest) TotalSize() int64 {
 	return total
 }
 
+// EncodedSize is the length of the JSON a decoded manifest was read
+// from, which is what a pull carried; 0 for a manifest built in memory.
+func (m *Manifest) EncodedSize() int64 { return int64(m.encoded) }
+
 // MarshalJSON-friendly encode/decode helpers.
 
 // EncodeManifest renders the manifest as canonical JSON.
@@ -152,7 +182,7 @@ func EncodeManifest(m *Manifest) ([]byte, error) {
 
 // DecodeManifest parses manifest JSON.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	var m Manifest
+	m := Manifest{encoded: len(data)}
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("imagefmt: decode manifest: %w", err)
 	}

@@ -159,7 +159,7 @@ func TestNewLayerFromTarball(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewLayerFromTarball(l.Tarball(), l.Digest)
+	got, err := NewLayerFromTarball(l.Tarball(), l.Digest, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,69 @@ func TestNewLayerFromTarball(t *testing.T) {
 	}
 	// Digest mismatch must be rejected.
 	wrong := hashing.DigestBytes([]byte("other"))
-	if _, err := NewLayerFromTarball(l.Tarball(), wrong); !errors.Is(err, ErrBadDigest) {
+	if _, err := NewLayerFromTarball(l.Tarball(), wrong, ""); !errors.Is(err, ErrBadDigest) {
 		t.Errorf("err = %v, want ErrBadDigest", err)
+	}
+}
+
+// A layer pulled with a file to read is the layer pulled without one, and
+// its first ReadFile of that file answers without inflating the layer
+// again, a second one by inflating it; a file the layer lacks is
+// ReadFile's error, not the pull's, and a digest mismatch still fails
+// the pull.
+func TestNewLayerFromTarballReading(t *testing.T) {
+	l, err := NewLayerFromDiff(baseTree(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/etc/os-release", "/etc/missing"} {
+		got, err := NewLayerFromTarball(l.Tarball(), l.Digest, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.DiffID != l.DiffID || got.UncompressedSize != l.UncompressedSize {
+			t.Errorf("%s: DiffID or size differs from the layer's", p)
+		}
+		before := tarstream.InflatedBytes()
+		data, err := got.ReadFile(p)
+		inflated := tarstream.InflatedBytes() - before
+		want, wantErr := l.ReadFile(p)
+		if data != want || (err == nil) != (wantErr == nil) {
+			t.Errorf("ReadFile(%s) = %q, %v; want %q, %v", p, data, err, want, wantErr)
+		}
+		if (inflated == 0) != (wantErr == nil) {
+			t.Errorf("ReadFile(%s) inflated %d bytes: the file read at the pull must not be read again", p, inflated)
+		}
+		before = tarstream.InflatedBytes()
+		if again, _ := got.ReadFile(p); again != want || tarstream.InflatedBytes() == before {
+			t.Errorf("second ReadFile(%s) = %q without inflating; want %q, read anew", p, again, want)
+		}
+	}
+	wrong := hashing.DigestBytes([]byte("other"))
+	if _, err := NewLayerFromTarball(l.Tarball(), wrong, "/etc/os-release"); !errors.Is(err, ErrBadDigest) {
+		t.Errorf("err = %v, want ErrBadDigest", err)
+	}
+}
+
+// A decoded manifest is priced by the bytes it was read from, which are
+// as many as EncodeManifest writes for it again.
+func TestManifestEncodedSize(t *testing.T) {
+	img := buildTwoLayerImage(t)
+	img.Manifest.Config.Labels = map[string]string{"b": "<&>", "a": "ünïcode"}
+	data, err := EncodeManifest(img.Manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DecodeManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := EncodeManifest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.EncodedSize() != int64(len(data)) || len(again) != len(data) {
+		t.Errorf("EncodedSize: decoded %d, re-encoded %d; want %d", m.EncodedSize(), len(again), len(data))
 	}
 }
 

@@ -239,7 +239,7 @@ func Pull(s Store, name, tag string) (*imagefmt.Image, error) {
 		if err != nil {
 			return nil, fmt.Errorf("registry: pull %s:%s: %w", name, tag, err)
 		}
-		layer, err := imagefmt.NewLayerFromTarball(data, d)
+		layer, err := imagefmt.NewLayerFromTarball(data, d, "")
 		if err != nil {
 			return nil, fmt.Errorf("registry: pull %s:%s: %w", name, tag, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the repository's one decoder: RFC 1951 deflate data and
@@ -565,6 +566,7 @@ type gunzipper struct {
 	hist    int  // where in the buffer read fills the current member's content starts
 	crc     uint32
 	size    uint32
+	total   int64 // content inflated since the stream began
 
 	src   io.Reader // what in is read from, when the stream is not held
 	input *[]byte   // in's memory then
@@ -580,6 +582,15 @@ type gunzipper struct {
 
 var gunzippers = sync.Pool{New: func() any { return new(gunzipper) }}
 
+// inflated counts the content bytes every stream has inflated.
+var inflated atomic.Int64
+
+// InflatedBytes is how many content bytes this process has inflated, in
+// every gzip stream and deflate segment it read: the meter by which tests
+// hold a pull or a read to inflating each byte once, as
+// hashing.DigestedBytes holds it to hashing each once.
+func InflatedBytes() int64 { return inflated.Load() }
+
 // inputs are what a stream read from a reader is read into, a piece at a
 // time: the decoder goes on from where each piece runs out.
 var inputs = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
@@ -588,7 +599,7 @@ var inputs = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b
 // if gz is set, bare deflate data otherwise.
 func getGunzipper(data []byte, gz bool) *gunzipper {
 	z := gunzippers.Get().(*gunzipper)
-	z.gz, z.done, z.members, z.hist = gz, false, 0, 0
+	z.gz, z.done, z.members, z.hist, z.total = gz, false, 0, 0, 0
 	z.in, z.more = data, false
 	z.reset(0)
 	if gz {
@@ -748,6 +759,8 @@ func (z *gunzipper) step(out []byte, w int) (int, error) {
 		from := w
 		var err error
 		w, err = z.decode(out, w, z.hist)
+		z.total += int64(w - from)
+		inflated.Add(int64(w - from))
 		if !z.gz {
 			z.done = err == nil && z.mode == modeEnd
 			return w, err

@@ -958,7 +958,7 @@ func UnpackGz(data []byte) (*vfs.FS, error) {
 
 // UnpackGzKeep is UnpackGz with the tree's file contents chosen by keep.
 func UnpackGzKeep(data []byte, keep Keep) (f *vfs.FS, err error) {
-	err = scanGz(data, func(r io.Reader, bound int) error {
+	_, err = scanGz(data, nil, func(r io.Reader, bound int) error {
 		f, err = unpackFrom(r, bound, keep)
 		return err
 	})
@@ -975,9 +975,19 @@ func UnpackGzKeep(data []byte, keep Keep) (f *vfs.FS, err error) {
 // The whole archive is still parsed and the whole stream inflated, so a
 // malformed entry anywhere, or a bad CRC, fails here as it fails UnpackGz.
 func ReadFileGz(data []byte, name string) (string, error) {
+	content, _, err := ReadFileGzTo(nil, data, name)
+	return content, err
+}
+
+// ReadFileGzTo is ReadFileGz that also writes the whole archive to raw,
+// unless raw is nil, and returns its length, as GunzipTo does: for a
+// caller that wants a file of the archive and the archive's digest or
+// size, from one inflate. The length is returned with any error after
+// the stream was read to its end, ErrNotExist among them.
+func ReadFileGzTo(raw io.Writer, data []byte, name string) (string, int64, error) {
 	var content strings.Builder
 	found := false
-	err := scanGz(data, func(r io.Reader, bound int) error {
+	n, err := scanGz(data, raw, func(r io.Reader, bound int) error {
 		return scanTar(r, func(p string, hdr *tar.Header, tr *tar.Reader) error {
 			if p != name || (hdr.Typeflag == tar.TypeDir && found) {
 				return nil
@@ -999,19 +1009,21 @@ func ReadFileGz(data []byte, name string) (string, error) {
 		})
 	})
 	if err != nil {
-		return "", err
+		return "", n, err
 	}
 	if !found {
-		return "", fmt.Errorf("read %s: %w", name, vfs.ErrNotExist)
+		return "", n, fmt.Errorf("read %s: %w", name, vfs.ErrNotExist)
 	}
-	return content.String(), nil
+	return content.String(), n, nil
 }
 
 // scanGz runs scan over the content of the gzip stream data, then reads
 // the stream out, so that whatever scan did not consume is still
-// inflated and the CRC still checked. The content is inflated through a
-// window, so memory for it stays the window's whatever the archive holds.
-func scanGz(data []byte, scan func(r io.Reader, bound int) error) error {
+// inflated and the CRC still checked, and returns the content's length.
+// Every byte of it goes to raw too, when raw is not nil. The content is
+// inflated through a window, so memory for it stays the window's
+// whatever the archive holds.
+func scanGz(data []byte, raw io.Writer, scan func(r io.Reader, bound int) error) (int64, error) {
 	z := openWindow(data, true)
 	defer z.release()
 	// Deflate expands at most ~1032:1, so the compressed length bounds
@@ -1020,16 +1032,26 @@ func scanGz(data []byte, scan func(r io.Reader, bound int) error) error {
 	if bound < 0 { // overflow on absurd inputs: disable hinting
 		bound = 0
 	}
-	if err := scan(z, bound); err != nil {
-		return err
+	var r io.Reader = z
+	if raw != nil {
+		r = io.TeeReader(z, raw)
+	}
+	if err := scan(r, bound); err != nil {
+		return z.total, err
 	}
 	// The tar parser stops at the end-of-archive trailer; drain the rest
 	// of the stream so its CRC is checked.
 	for {
-		if _, err := z.next(windowSize); err == io.EOF {
-			return nil
+		b, err := z.next(windowSize)
+		if err == io.EOF {
+			return z.total, nil
 		} else if err != nil {
-			return fmt.Errorf("tarstream: unpackgz drain: %w: %w", ErrCorrupt, err)
+			return z.total, fmt.Errorf("tarstream: unpackgz drain: %w: %w", ErrCorrupt, err)
+		}
+		if raw != nil {
+			if _, err := raw.Write(b); err != nil {
+				return z.total, err
+			}
 		}
 	}
 }

@@ -214,6 +214,38 @@ func TestTraceRingWrap(t *testing.T) {
 	}
 }
 
+// A ring whose capacity spans several blocks keeps the last capacity
+// spans in order before and after it wraps, and a full ring records
+// without allocating.
+func TestTraceRingBlocks(t *testing.T) {
+	const capacity = 2*traceBlock + 6
+	r := NewTraceRing(capacity)
+	check := func(total int) {
+		t.Helper()
+		spans := r.Snapshot()
+		want := min(total, capacity)
+		if len(spans) != want || r.Len() != want || r.Total() != int64(total) {
+			t.Fatalf("after %d: %d spans, len %d, total %d; want %d, %d, %d",
+				total, len(spans), r.Len(), r.Total(), want, want, total)
+		}
+		for i, s := range spans {
+			if seq := int64(total - want + i + 1); s.Seq != seq || s.Bytes != seq {
+				t.Fatalf("after %d: span %d is seq %d, bytes %d; want %d", total, i, s.Seq, s.Bytes, seq)
+			}
+		}
+	}
+	total := 0
+	for _, upTo := range []int{traceBlock + 1, capacity, capacity + 1, 3*capacity + 7} {
+		for ; total < upTo; total++ {
+			r.Record(Span{Op: "fault", Bytes: int64(total + 1)})
+		}
+		check(total)
+	}
+	if a := testing.AllocsPerRun(100, func() { r.Record(Span{Op: "fault"}) }); a != 0 {
+		t.Errorf("a full ring allocated %v times a record, want 0", a)
+	}
+}
+
 func TestTraceRingConcurrentRecord(t *testing.T) {
 	r := NewTraceRing(64)
 	var wg sync.WaitGroup

@@ -80,10 +80,21 @@ const DefaultTraceCapacity = 4096
 type TraceRing struct {
 	mu       sync.Mutex
 	capacity int
-	spans    []Span // grows on Record up to capacity, then wraps
-	next     int    // write cursor into spans
-	seq      int64  // total spans ever recorded
+	// blocks hold the spans, traceBlock to a block: Record adds a block
+	// when the ones there are full, up to capacity, and then wraps. A
+	// block stays where it is, so the spans are never copied as they
+	// grow.
+	blocks [][]Span
+	n      int   // spans retained
+	next   int   // write cursor, once n is capacity
+	seq    int64 // total spans ever recorded
 }
+
+// traceBlock is how many spans a block of a ring holds.
+const traceBlock = 32
+
+// at is the i'th slot of the ring's storage.
+func (t *TraceRing) at(i int) *Span { return &t.blocks[i/traceBlock][i%traceBlock] }
 
 // NewTraceRing returns a ring retaining the last capacity spans
 // (DefaultTraceCapacity if capacity <= 0). The capacity is a limit, not
@@ -104,12 +115,16 @@ func (t *TraceRing) Record(s Span) {
 	defer t.mu.Unlock()
 	t.seq++
 	s.Seq = t.seq
-	if len(t.spans) < t.capacity {
-		t.spans = append(t.spans, s)
-		return
+	i := t.n
+	if t.n < t.capacity {
+		if i%traceBlock == 0 {
+			t.blocks = append(t.blocks, make([]Span, min(traceBlock, t.capacity-i)))
+		}
+		t.n++
+	} else {
+		i, t.next = t.next, (t.next+1)%t.capacity
 	}
-	t.spans[t.next] = s
-	t.next = (t.next + 1) % len(t.spans)
+	*t.at(i) = s
 }
 
 // Snapshot copies the retained spans, oldest first.
@@ -119,9 +134,10 @@ func (t *TraceRing) Snapshot() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.spans))
-	out = append(out, t.spans[t.next:]...)
-	out = append(out, t.spans[:t.next]...)
+	out := make([]Span, t.n)
+	for k := range out {
+		out[k] = *t.at((t.next + k) % t.n)
+	}
 	return out
 }
 
@@ -143,5 +159,5 @@ func (t *TraceRing) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.n
 }

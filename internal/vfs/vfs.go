@@ -93,11 +93,13 @@ func newContent(data []byte, nlink int64) *Content {
 
 // Node is a single entry in the filesystem tree.
 type Node struct {
-	name     string
-	typ      FileType
-	mode     fs.FileMode
-	content  *Content // regular files only
-	target   string   // symlinks only
+	name string
+	typ  FileType
+	mode fs.FileMode
+	// content is a regular file's. Relink swaps it in place under the
+	// tree's lock, and readers that hold no lock load it.
+	content  atomic.Pointer[Content]
+	target   string // symlinks only
 	children map[string]*Node
 	// from, on a directory that has not been filled in, is where the
 	// entries children does not hold yet come from (see Source).
@@ -123,14 +125,14 @@ func (n *Node) SetMode(m fs.FileMode) { n.mode = m }
 func (n *Node) Target() string { return n.target }
 
 // Content returns the shared content of a regular file, nil otherwise.
-func (n *Node) Content() *Content { return n.content }
+func (n *Node) Content() *Content { return n.content.Load() }
 
 // Size returns the byte size of a regular file, the length of a symlink
 // target, and zero for directories.
 func (n *Node) Size() int64 {
 	switch n.typ {
 	case TypeRegular:
-		return n.content.Size()
+		return n.Content().Size()
 	case TypeSymlink:
 		return int64(len(n.target))
 	default:
@@ -192,12 +194,14 @@ func (n *Node) AddDir(name string, mode fs.FileMode, hint int) *Node {
 
 // AddFile adds a regular file holding data, which the tree now owns.
 func (n *Node) AddFile(name string, data []byte, mode fs.FileMode) {
-	n.children[name] = &Node{
-		name:    name,
-		typ:     TypeRegular,
-		mode:    mode.Perm(),
-		content: newContent(data, 1),
-	}
+	n.children[name] = fileNode(name, mode, newContent(data, 1))
+}
+
+// fileNode is a regular file holding c, whose link count counts it.
+func fileNode(name string, mode fs.FileMode, c *Content) *Node {
+	f := &Node{name: name, typ: TypeRegular, mode: mode.Perm()}
+	f.content.Store(c)
+	return f
 }
 
 // AddSymlink adds a symbolic link to target.
@@ -283,8 +287,9 @@ func (n *Node) ownTree() {
 // viewers while the Gear driver links fetched files into it (§III-D2's
 // shared index directory). Nodes returned by Stat/Walk are immutable
 // snapshots — mutations replace nodes rather than editing them — except
-// for directory nodes, whose child sets may change; use ReadDirNames for
-// a consistent listing of a live tree.
+// that a directory's entries may change (use ReadDirNames for a
+// consistent listing of a live tree) and Relink swaps a regular file's
+// Content in place (Content loads it atomically).
 type FS struct {
 	mu   sync.RWMutex
 	root *Node
@@ -568,12 +573,7 @@ func (f *FS) putContent(p string, c *Content, mode fs.FileMode) error {
 		f.unlinkNode(old)
 	}
 	c.nlink.Add(1)
-	parent.children[base] = &Node{
-		name:    base,
-		typ:     TypeRegular,
-		mode:    mode.Perm(),
-		content: c,
-	}
+	parent.children[base] = fileNode(base, mode, c)
 	return nil
 }
 
@@ -582,7 +582,9 @@ func (f *FS) putContent(p string, c *Content, mode fs.FileMode) error {
 // "this file, if it is still there": p is resolved once, and when it no
 // longer names a regular file nothing changes and Relink reports false.
 //
-// The name stays, so the directory goes on filling itself in from its
+// The node stays, and takes c in place: a reader that holds it, having
+// found it without the lock, loads the one content or the other. The
+// name stays too, so the directory goes on filling itself in from its
 // source: a deploy relinks the files it reads, one in six.
 func (f *FS) Relink(p string, c *Content) bool {
 	p = Clean(p)
@@ -601,9 +603,8 @@ func (f *FS) Relink(p string, c *Content) bool {
 	if old == nil || old.typ != TypeRegular {
 		return false
 	}
-	f.unlinkNode(old)
 	c.nlink.Add(1)
-	parent.children[base] = &Node{name: base, typ: TypeRegular, mode: old.mode, content: c}
+	old.content.Swap(c).nlink.Add(-1)
 	return true
 }
 
@@ -620,7 +621,7 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 	if n.typ != TypeRegular {
 		return nil, pathError("read", Clean(p), ErrInvalid)
 	}
-	return n.content.data, nil
+	return n.Content().data, nil
 }
 
 // Symlink creates a symbolic link at p pointing at target.
@@ -652,13 +653,13 @@ func (f *FS) Link(oldp, newp string) error {
 	if n.typ != TypeRegular {
 		return pathError("link", Clean(oldp), ErrInvalid)
 	}
-	return f.putContent(newp, n.content, n.mode)
+	return f.putContent(newp, n.Content(), n.mode)
 }
 
 // unlinkNode drops one reference from a non-directory node's content.
 func (f *FS) unlinkNode(n *Node) {
-	if n.typ == TypeRegular && n.content != nil {
-		n.content.nlink.Add(-1)
+	if c := n.Content(); n.typ == TypeRegular && c != nil {
+		c.nlink.Add(-1)
 	}
 }
 
@@ -714,8 +715,8 @@ func (f *FS) RemoveAll(p string) error {
 
 // releaseTree walks a subtree dropping content references.
 func releaseTree(n *Node) {
-	if n.typ == TypeRegular && n.content != nil {
-		n.content.nlink.Add(-1)
+	if c := n.Content(); n.typ == TypeRegular && c != nil {
+		c.nlink.Add(-1)
 		return
 	}
 	for _, c := range n.children {
@@ -828,9 +829,10 @@ func (g graft) adopt(name string, n, in *Node) {
 			g.adopt(name, c, n)
 		}
 	case TypeRegular:
-		if n.mode = n.mode.Perm(); n.content.Nlink() != 1 {
-			n.content = newContent(n.content.data, 1)
+		if c := n.Content(); c.Nlink() != 1 {
+			n.content.Store(newContent(c.data, 1))
 		}
+		n.mode = n.mode.Perm()
 	default:
 		n.mode = 0o777
 	}
@@ -895,7 +897,7 @@ func cloneNode(n *Node) *Node {
 		from:   n.from, // what is not filled in yet, the clone fills in for itself
 	}
 	if n.typ == TypeRegular {
-		c.content = newContent(n.content.data, 1)
+		c.content.Store(newContent(n.Content().data, 1))
 	}
 	if n.typ == TypeDir {
 		c.children = make(map[string]*Node, len(n.children))

@@ -682,6 +682,45 @@ func TestLookupAndRelink(t *testing.T) {
 	}
 }
 
+// Relink materializes a file in the node that holds it: a reader that
+// found the node before goes on to the new content, both link counts
+// move, a hard link elsewhere keeps the content it had, and the swap
+// allocates nothing.
+func TestRelinkInPlace(t *testing.T) {
+	f := New()
+	if err := f.WriteFile("/f", []byte("placeholder"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Link("/f", "/g"); err != nil {
+		t.Fatal(err)
+	}
+	held := f.Lookup("/f")
+	old := held.Content()
+	c := NewContent([]byte("real"))
+	if !f.Relink("/f", c) {
+		t.Fatal("Relink reported false")
+	}
+	if f.Lookup("/f") != held || held.Content() != c || held.Mode() != 0o600 {
+		t.Errorf("Relink replaced the node or lost its mode: same node %v, content %q, mode %v",
+			f.Lookup("/f") == held, held.Content().Data(), held.Mode())
+	}
+	if old.Nlink() != 1 || c.Nlink() != 1 || f.Lookup("/g").Content() != old {
+		t.Errorf("link counts: old %d, new %d, want 1 and 1 with /g on the old content", old.Nlink(), c.Nlink())
+	}
+	if !f.Relink("/f", c) || c.Nlink() != 1 {
+		t.Errorf("relinking the content a file holds: nlink %d, want 1", c.Nlink())
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		f.Relink("/f", old)
+		f.Relink("/f", c)
+	}); a != 0 {
+		t.Errorf("Relink allocated %v times, want 0", a)
+	}
+	if old.Nlink() != 1 || c.Nlink() != 1 {
+		t.Errorf("after swapping back and forth: nlinks %d and %d, want 1 and 1", old.Nlink(), c.Nlink())
+	}
+}
+
 func snapshotOf(f *FS) string {
 	var sb strings.Builder
 	_ = f.Walk(func(p string, n *Node) error {
