@@ -316,24 +316,6 @@ func (c *Corpus) Series() []Series {
 	return out
 }
 
-// SeriesByCategory groups series names by category, Table I order.
-func (c *Corpus) SeriesByCategory() map[Category][]string {
-	out := make(map[Category][]string)
-	for _, s := range c.series {
-		out[s.Category] = append(out[s.Category], s.Name)
-	}
-	return out
-}
-
-// TotalImages returns the image count (971 for the unfiltered corpus).
-func (c *Corpus) TotalImages() int {
-	total := 0
-	for _, s := range c.series {
-		total += s.NumVersions
-	}
-	return total
-}
-
 // lookup resolves a series/version pair.
 func (c *Corpus) lookup(series string, version int) (*Series, profile, error) {
 	s, ok := c.byName[series]

@@ -26,10 +26,15 @@ func TestCorpusShapeMatchesTableI(t *testing.T) {
 	if got := len(c.Series()); got != 50 {
 		t.Errorf("series = %d, want 50", got)
 	}
-	if got := c.TotalImages(); got != 971 {
-		t.Errorf("total images = %d, want 971", got)
+	images := 0
+	byCat := make(map[Category][]string)
+	for _, s := range c.Series() {
+		images += s.NumVersions
+		byCat[s.Category] = append(byCat[s.Category], s.Name)
 	}
-	byCat := c.SeriesByCategory()
+	if images != 971 {
+		t.Errorf("total images = %d, want 971", images)
+	}
 	wantCounts := map[Category]int{
 		Distro: 6, Language: 6, Database: 11, WebComponent: 11, Platform: 8, Others: 8,
 	}
@@ -51,8 +56,8 @@ func TestOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Series()) != 1 || c.TotalImages() != 5 {
-		t.Errorf("filtered corpus: %d series / %d images", len(c.Series()), c.TotalImages())
+	if s := c.Series(); len(s) != 1 || s[0].NumVersions != 5 {
+		t.Errorf("filtered corpus: %d series / %+v", len(s), s)
 	}
 }
 

@@ -238,17 +238,3 @@ func (a *Analyzer) Reports() []Report {
 		{Granularity: CDC, StorageBytes: a.cdcStored, RawBytes: a.cdcRaw, Objects: int64(len(a.cdc))},
 	}
 }
-
-// Analyze is a convenience over NewAnalyzer/Add/Reports.
-func Analyze(images []*imagefmt.Image, chunkSize int64) ([]Report, error) {
-	a, err := NewAnalyzer(chunkSize)
-	if err != nil {
-		return nil, err
-	}
-	for _, img := range images {
-		if err := a.Add(img); err != nil {
-			return nil, err
-		}
-	}
-	return a.Reports(), nil
-}

@@ -37,6 +37,22 @@ func mkImage(t *testing.T, name, tag string, layers ...map[string]string) *image
 	return img
 }
 
+// analyze runs one Analyzer over images, as the experiments do, and
+// returns its rows.
+func analyze(t *testing.T, images []*imagefmt.Image, chunkSize int64) []Report {
+	t.Helper()
+	a, err := NewAnalyzer(chunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range images {
+		if err := a.Add(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a.Reports()
+}
+
 func reportsByG(reports []Report) map[Granularity]Report {
 	out := make(map[Granularity]Report, len(reports))
 	for _, r := range reports {
@@ -71,10 +87,7 @@ func TestObjectCountsAcrossGranularities(t *testing.T) {
 		mkImage(t, "a", "1", base, map[string]string{"/app": "app-a", "/shared": "common"}),
 		mkImage(t, "b", "1", base, map[string]string{"/app": "app-b", "/shared": "common"}),
 	}
-	reports, err := Analyze(imgs, DefaultChunkSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, imgs, DefaultChunkSize)
 	r := reportsByG(reports)
 	if r[None].Objects != 2 {
 		t.Errorf("none objects = %d, want 2 images", r[None].Objects)
@@ -107,10 +120,7 @@ func TestStorageMonotonicallyShrinks(t *testing.T) {
 		top := map[string]string{"/version": fmt.Sprint(v)}
 		imgs = append(imgs, mkImage(t, "app", fmt.Sprint(v), sharedBase, top))
 	}
-	reports, err := Analyze(imgs, DefaultChunkSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, imgs, DefaultChunkSize)
 	r := reportsByG(reports)
 	if !(r[None].RawBytes >= r[Layer].RawBytes && r[Layer].RawBytes >= r[File].RawBytes) {
 		t.Errorf("raw bytes not monotone: none=%d layer=%d file=%d",
@@ -131,10 +141,7 @@ func TestChunkLevelSplitsBigFiles(t *testing.T) {
 	big := make([]byte, 10*1024)
 	rng.Read(big)
 	img := mkImage(t, "big", "1", map[string]string{"/blob": string(big)})
-	reports, err := Analyze([]*imagefmt.Image{img}, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, []*imagefmt.Image{img}, 1024)
 	r := reportsByG(reports)
 	if r[File].Objects != 1 {
 		t.Errorf("file objects = %d, want 1", r[File].Objects)
@@ -153,10 +160,7 @@ func TestChunkLevelFindsSubFileDuplication(t *testing.T) {
 	fileA := string(prefix) + "tail-A"
 	fileB := string(prefix) + "tail-B"
 	img := mkImage(t, "x", "1", map[string]string{"/a": fileA, "/b": fileB})
-	reports, err := Analyze([]*imagefmt.Image{img}, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, []*imagefmt.Image{img}, 1024)
 	r := reportsByG(reports)
 	if r[File].RawBytes != int64(len(fileA)+len(fileB)) {
 		t.Errorf("file raw = %d", r[File].RawBytes)
@@ -182,10 +186,7 @@ func TestCDCSurvivesOffsetShift(t *testing.T) {
 		"/orig":    string(body),
 		"/shifted": "!" + string(body),
 	})
-	reports, err := Analyze([]*imagefmt.Image{img}, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, []*imagefmt.Image{img}, 1024)
 	r := reportsByG(reports)
 	if r[Chunk].RawBytes < 64*1024*19/10 {
 		t.Errorf("fixed chunks shared shifted data: raw = %d", r[Chunk].RawBytes)
@@ -202,10 +203,7 @@ func TestCDCSmallFilesStayWhole(t *testing.T) {
 	// Files at most MaxSize (4x the average) are one CDC object each,
 	// matching the file row exactly.
 	img := mkImage(t, "w", "1", map[string]string{"/a": "alpha", "/b": "beta"})
-	reports, err := Analyze([]*imagefmt.Image{img}, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, []*imagefmt.Image{img}, 1024)
 	r := reportsByG(reports)
 	if r[CDC] != (Report{Granularity: CDC, StorageBytes: r[File].StorageBytes,
 		RawBytes: r[File].RawBytes, Objects: r[File].Objects}) {
@@ -216,10 +214,7 @@ func TestCDCSmallFilesStayWhole(t *testing.T) {
 func TestCompressionAccounted(t *testing.T) {
 	compressible := make([]byte, 4096) // zeros compress well
 	img := mkImage(t, "z", "1", map[string]string{"/zeros": string(compressible)})
-	reports, err := Analyze([]*imagefmt.Image{img}, DefaultChunkSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, []*imagefmt.Image{img}, DefaultChunkSize)
 	for _, r := range reports {
 		if r.StorageBytes >= r.RawBytes {
 			t.Errorf("%s: stored %d >= raw %d for compressible data",
@@ -230,10 +225,7 @@ func TestCompressionAccounted(t *testing.T) {
 
 func TestEmptyFileCounted(t *testing.T) {
 	img := mkImage(t, "e", "1", map[string]string{"/empty": ""})
-	reports, err := Analyze([]*imagefmt.Image{img}, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, []*imagefmt.Image{img}, 1024)
 	r := reportsByG(reports)
 	if r[File].Objects != 1 || r[Chunk].Objects != 1 {
 		t.Errorf("empty file objects: file=%d chunk=%d, want 1/1", r[File].Objects, r[Chunk].Objects)
@@ -252,15 +244,13 @@ func TestAddRejectsInvalidImage(t *testing.T) {
 	}
 }
 
+// Rows read between adds leave the final rows as one read at the end.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	imgs := []*imagefmt.Image{
 		mkImage(t, "a", "1", map[string]string{"/f": "one"}),
 		mkImage(t, "b", "1", map[string]string{"/f": "one", "/g": "two"}),
 	}
-	batch, err := Analyze(imgs, DefaultChunkSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := analyze(t, imgs, DefaultChunkSize)
 	a, err := NewAnalyzer(DefaultChunkSize)
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +259,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		if err := a.Add(img); err != nil {
 			t.Fatal(err)
 		}
+		_ = a.Reports() // a report between adds changes nothing
 	}
 	inc := a.Reports()
 	for i := range batch {

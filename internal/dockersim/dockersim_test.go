@@ -167,7 +167,7 @@ func TestGearDeployPullsOnlyIndex(t *testing.T) {
 }
 
 // A Gear deploy's pull inflates its index layer once: the pass that
-// takes the layer's DiffID and size reads the index out of it too. The
+// sizes the layer and checks its CRC reads the index out of it too. The
 // deploy reads no file, so the index layer is all there is to inflate.
 func TestGearPullInflatesIndexOnce(t *testing.T) {
 	r := buildRig(t, "nginx", 1)
@@ -190,6 +190,25 @@ func TestGearPullInflatesIndexOnce(t *testing.T) {
 	}
 	if got := tarstream.InflatedBytes() - before; got != int64(len(raw)) {
 		t.Errorf("the deploy inflated %d bytes, want the index layer's %d once", got, len(raw))
+	}
+}
+
+// A Gear deploy runs SHA-256 over the compressed bytes of the layers it
+// pulls, each once, to check them against the manifest, and over nothing
+// else: not the inflated tar, which nothing reads a digest of.
+func TestGearPullDigestsLayersOnce(t *testing.T) {
+	r := buildRig(t, "nginx", 1)
+	m, err := r.docker.GetManifest("gear/nginx", "v01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := r.newDaemon(t, 904)
+	before := hashing.DigestedBytes()
+	if _, err := d.DeployGear("gear/nginx", "v01", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hashing.DigestedBytes()-before, m.TotalSize(); got != want {
+		t.Errorf("the deploy digested %d bytes, want its %d layer bytes once", got, want)
 	}
 }
 

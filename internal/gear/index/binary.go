@@ -204,14 +204,6 @@ func (r fpRef) validate() error {
 	return hashing.Fingerprint(r.s).Validate()
 }
 
-// textLen is the length of the fingerprint written out.
-func (r fpRef) textLen() int {
-	if r.raw {
-		return hexLen
-	}
-	return len(r.s)
-}
-
 // appendText appends the fingerprint written out.
 func (r fpRef) appendText(dst []byte) []byte {
 	if !r.raw {

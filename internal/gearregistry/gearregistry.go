@@ -277,8 +277,8 @@ func (r *Registry) Size(fp hashing.Fingerprint) (int64, error) {
 }
 
 // Fingerprints returns every stored fingerprint in sorted order — the
-// enumeration that pool seeding and shard rebalancing walk. The slice is
-// a snapshot; concurrent mutations are not reflected.
+// enumeration that pool seeding and a revived shard's backfill walk.
+// The slice is a snapshot; concurrent mutations are not reflected.
 func (r *Registry) Fingerprints() []hashing.Fingerprint {
 	r.mu.RLock()
 	out := make([]hashing.Fingerprint, 0, len(r.objects))
@@ -291,9 +291,8 @@ func (r *Registry) Fingerprints() []hashing.Fingerprint {
 }
 
 // Delete removes a single object, returning the stored bytes freed.
-// Deleting an absent object reports ErrNotFound. Unlike Retain (the
-// reference-driven GC sweep), Delete is the shard-rebalancing primitive:
-// an ex-replica drops exactly the objects the ring moved away.
+// Deleting an absent object reports ErrNotFound. Retain is the
+// reference-driven GC sweep; Delete drops one named object.
 func (r *Registry) Delete(fp hashing.Fingerprint) (int64, error) {
 	if err := fp.Validate(); err != nil {
 		return 0, fmt.Errorf("gearregistry: delete: %w", err)

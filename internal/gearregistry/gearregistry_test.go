@@ -346,8 +346,7 @@ func TestHTTPGC(t *testing.T) {
 }
 
 // Fingerprints enumerates the pool sorted; Delete removes one object,
-// keeps the pool gauges exact, and reports ErrNotFound for absences —
-// the primitives shard rebalancing drains with.
+// keeps the pool gauges exact, and reports ErrNotFound for absences.
 func TestFingerprintsAndDelete(t *testing.T) {
 	reg := New(Options{Compress: true})
 	var want []hashing.Fingerprint

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/tarstream"
@@ -27,11 +28,12 @@ var (
 )
 
 // Layer is one read-only image layer: a diff over its parents, serialized
-// as a gzip-compressed tarball. Digest identifies the compressed bytes
-// (what registries dedup on); DiffID identifies the uncompressed tar.
+// as a gzip-compressed tarball. Digest identifies the compressed bytes,
+// what registries dedup on and pulls verify. (Docker also names the
+// uncompressed tar, by its DiffID; nothing here reads one, so none is
+// taken.)
 type Layer struct {
 	Digest           hashing.Digest `json:"digest"`
-	DiffID           hashing.Digest `json:"diffId"`
 	Size             int64          `json:"size"`
 	UncompressedSize int64          `json:"uncompressedSize"`
 
@@ -42,22 +44,21 @@ type Layer struct {
 }
 
 // NewLayerFromDiff serializes a layer diff tree (whiteouts included as
-// literal ".wh.*" entries) into a Layer. The tar's DiffID is taken on a
-// goroutine of its own while the tar compresses, and so is the Digest of
-// every part of the stream but its last (tarstream.GzipTee).
+// literal ".wh.*" entries) into a Layer. The Digest of every part of the
+// stream but its last is taken on a goroutine of its own while the tar
+// compresses (tarstream.GzipTee).
 func NewLayerFromDiff(diff *vfs.FS) (*Layer, error) {
 	raw, err := tarstream.Pack(diff)
 	if err != nil {
 		return nil, fmt.Errorf("imagefmt: pack layer: %w", err)
 	}
-	diffID, digest := hashing.NewDigestWriter(), hashing.NewDigestWriter()
-	gz, err := tarstream.GzipTee(raw, diffID, digest)
+	digest := hashing.NewDigestWriter()
+	gz, err := tarstream.GzipTee(raw, digest)
 	if err != nil {
 		return nil, fmt.Errorf("imagefmt: compress layer: %w", err)
 	}
 	return &Layer{
 		Digest:           digest.Digest(),
-		DiffID:           diffID.Digest(),
 		Size:             int64(len(gz)),
 		UncompressedSize: int64(len(raw)),
 		tarball:          gz,
@@ -67,24 +68,23 @@ func NewLayerFromDiff(diff *vfs.FS) (*Layer, error) {
 // NewLayerFromTarball wraps registry-fetched compressed bytes, verifying
 // them against the expected digest. A caller that reads the regular file
 // at the clean path p out of the layer next, as a Gear deploy reads its
-// index, names it: the one inflate that takes the DiffID reads the file
-// too, and the first ReadFile(p) answers from it. With p set the tar is
-// parsed as well, and a layer that is no archive fails here. A layer
-// without the file is no error: ReadFile reports it.
+// index, names it: the one inflate that sizes the layer and checks its
+// CRC reads the file too, and the first ReadFile(p) answers from it.
+// With p set the tar is parsed as well, and a layer that is no archive
+// fails here. A layer without the file is no error: ReadFile reports it.
 func NewLayerFromTarball(gz []byte, want hashing.Digest, p string) (*Layer, error) {
 	if got := hashing.DigestBytes(gz); got != want {
 		return nil, fmt.Errorf("imagefmt: %w: got %s want %s", ErrBadDigest, got, want)
 	}
 	l := &Layer{Digest: want, Size: int64(len(gz)), tarball: gz}
-	// The DiffID and the uncompressed size are properties of the inflated
-	// tar, which is hashed as it streams by and never held.
-	diffID := hashing.NewDigestWriter()
+	// The uncompressed size is a property of the inflated tar, which is
+	// counted as it streams by and never held.
 	var err error
 	if p == "" {
-		l.UncompressedSize, err = tarstream.GunzipTo(diffID, gz)
+		l.UncompressedSize, err = tarstream.GunzipTo(io.Discard, gz)
 	} else {
 		l.read.path = p
-		l.read.content, l.UncompressedSize, err = tarstream.ReadFileGzTo(diffID, gz, p)
+		l.read.content, l.UncompressedSize, err = tarstream.ReadFileGz(gz, p)
 		if errors.Is(err, vfs.ErrNotExist) {
 			l.read.path, err = "", nil
 		}
@@ -92,7 +92,6 @@ func NewLayerFromTarball(gz []byte, want hashing.Digest, p string) (*Layer, erro
 	if err != nil {
 		return nil, fmt.Errorf("imagefmt: decompress layer: %w", err)
 	}
-	l.DiffID = diffID.Digest()
 	return l, nil
 }
 
@@ -123,7 +122,8 @@ func (l *Layer) ReadFile(p string) (string, error) {
 		l.read.path, l.read.content = "", ""
 		return content, nil
 	}
-	return tarstream.ReadFileGz(l.tarball, p)
+	content, _, err := tarstream.ReadFileGz(l.tarball, p)
+	return content, err
 }
 
 // Config is the subset of a Docker image configuration the reproduction

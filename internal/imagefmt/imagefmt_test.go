@@ -71,8 +71,8 @@ func TestBuildAndValidate(t *testing.T) {
 		t.Fatalf("layers = %d, want 2", len(img.Layers))
 	}
 	for i, l := range img.Layers {
-		if !l.Digest.Valid() || !l.DiffID.Valid() {
-			t.Errorf("layer %d has invalid digests", i)
+		if !l.Digest.Valid() {
+			t.Errorf("layer %d has an invalid digest", i)
 		}
 		if l.Size != int64(len(l.Tarball())) {
 			t.Errorf("layer %d size mismatch", i)
@@ -149,7 +149,7 @@ func TestIdenticalLayersShareDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l1.Digest != l2.Digest || l1.DiffID != l2.DiffID {
+	if l1.Digest != l2.Digest {
 		t.Error("identical trees produced different layer digests")
 	}
 }
@@ -163,7 +163,7 @@ func TestNewLayerFromTarball(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DiffID != l.DiffID || got.UncompressedSize != l.UncompressedSize {
+	if got.Size != l.Size || got.UncompressedSize != l.UncompressedSize {
 		t.Error("tarball round trip lost metadata")
 	}
 	// Digest mismatch must be rejected.
@@ -188,8 +188,8 @@ func TestNewLayerFromTarballReading(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.DiffID != l.DiffID || got.UncompressedSize != l.UncompressedSize {
-			t.Errorf("%s: DiffID or size differs from the layer's", p)
+		if got.Size != l.Size || got.UncompressedSize != l.UncompressedSize {
+			t.Errorf("%s: a size differs from the layer's", p)
 		}
 		before := tarstream.InflatedBytes()
 		data, err := got.ReadFile(p)
@@ -407,10 +407,10 @@ func BenchmarkLayerFromDiff(b *testing.B) {
 	}
 }
 
-// A layer's Digest and DiffID are the SHA-256 of its stream and of its
-// tar, though both are taken on a goroutine beside the compressor: for a
-// layer whose stream is one part and for one of several, built from
-// four goroutines at once.
+// A layer's Digest is the SHA-256 of its stream, though it is taken on a
+// goroutine beside the compressor, and its UncompressedSize its tar's
+// length: for a layer whose stream is one part and for one of several,
+// built from four goroutines at once.
 func TestLayerDigestsAreTheBytes(t *testing.T) {
 	small := vfs.New()
 	if err := small.WriteFile("/hostname", []byte("gear\n"), 0o644); err != nil {
@@ -437,8 +437,8 @@ func TestLayerDigestsAreTheBytes(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if l.Digest != hashing.DigestBytes(l.Tarball()) || l.DiffID != hashing.DigestBytes(raw) {
-				t.Errorf("%d-byte layer: digests are not its bytes'", l.UncompressedSize)
+			if l.Digest != hashing.DigestBytes(l.Tarball()) || l.UncompressedSize != int64(len(raw)) {
+				t.Errorf("%d-byte layer: digest or size is not its bytes'", l.UncompressedSize)
 			}
 		}([]*vfs.FS{small, big}[g%2])
 	}

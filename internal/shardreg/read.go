@@ -11,7 +11,7 @@ import (
 )
 
 // ReadOptions tunes the download side of the tier. Uploads and
-// rebalancing always keep ring order, so placement is bit-identical
+// backfills always keep ring order, so placement is bit-identical
 // whatever the read policy; with the zero value the read path
 // degenerates exactly to rank-order replica failover.
 type ReadOptions struct {
@@ -134,7 +134,7 @@ func (c *Cluster) readOrder(fp hashing.Fingerprint, chain []*shard) []*shard {
 	}
 	live := make([]int, 0, len(chain))
 	for i, s := range chain {
-		if !s.down.Load() {
+		if s.serving() {
 			live = append(live, i)
 		}
 	}
@@ -170,7 +170,7 @@ func (c *Cluster) readOrder(fp hashing.Fingerprint, chain []*shard) []*shard {
 // nextLive returns the first live shard at or past from, or nil.
 func nextLive(chain []*shard, from int) *shard {
 	for _, s := range chain[from:] {
-		if !s.down.Load() {
+		if s.serving() {
 			return s
 		}
 	}
@@ -337,15 +337,11 @@ func (c *Cluster) readOne(what string, fp hashing.Fingerprint, ranged bool, call
 	if err := fp.Validate(); err != nil {
 		return nil, 0, 0, fmt.Errorf("shardreg: %s: %w", what, err)
 	}
-	chain := c.replicaChain(fp)
-	if len(chain) == 0 {
-		return nil, 0, 0, fmt.Errorf("shardreg: %s %s: %w", what, fp, ErrNoShards)
-	}
-	chain = c.readOrder(fp, chain)
+	chain := c.readOrder(fp, c.replicaChain(fp))
 	var lastErr error
 	first := true
 	for i, s := range chain {
-		if s.down.Load() {
+		if !s.serving() {
 			c.failovers.Inc()
 			lastErr = s.downErr()
 			continue

@@ -1,9 +1,13 @@
 package shardreg
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,48 +241,99 @@ func TestHedgedBatchDownloads(t *testing.T) {
 	}
 }
 
-// Routed reads must be safe to run concurrently with membership churn;
-// run with -race. Downloads may transiently fail while placement moves
-// under them, but must never corrupt a payload they do return.
-func TestReadsConcurrentWithMembership(t *testing.T) {
+// Routed reads must be safe to run concurrently with a shard dying and
+// being revived while uploads go on; run with -race. One shard is down
+// or filling at a time, so every replica set keeps a live member, but a
+// read that meets one replica down and then its other replica killed
+// may fail with ErrShardDown; that is the only failure allowed. Every
+// object whose upload has returned reads back as uploaded, whichever
+// verb reads it, and a batch never finds it missing: a revive that
+// served before its backfill, or lost an upload that raced it, fails
+// here.
+func TestReadsConcurrentWithKillAndRevive(t *testing.T) {
 	c := newCluster(t, 4, 2, Options{Read: ReadOptions{Balance: true, Hedge: true}})
-	objs := corpus(t, 30)
-	uploadAll(t, c, objs)
-	fps := sortedFps(objs)
+	objs := corpus(t, 60)
+	all := sortedFps(objs)
+	uploadAll(t, c, map[hashing.Fingerprint][]byte{all[0]: objs[all[0]], all[1]: objs[all[1]], all[2]: objs[all[2]]})
+	var uploaded atomic.Int64 // all[:uploaded] have been uploaded
+	uploaded.Store(3)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				fp := fps[(g+i)%len(fps)]
-				if payload, _, err := c.Download(fp); err == nil {
-					if string(payload) != string(objs[fp]) {
-						t.Errorf("corrupt payload for %s", fp)
-						return
-					}
-				}
-				_, _ = c.Query(fp)
-				_, _, _ = c.DownloadBatch(fps[:3])
-				_ = c.replicaChain(fp)
-			}
-		}(g)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := c.AddShard("churn"); err != nil {
-			t.Error(err)
-			break
+	check := func(what string, fp hashing.Fingerprint, got, want []byte, err error) bool {
+		if err != nil && !errors.Is(err, ErrShardDown) || err == nil && !bytes.Equal(got, want) {
+			t.Errorf("%s(%s) = %d bytes, %v", what, fp, len(got), err)
+			return false
 		}
-		if _, err := c.RemoveShard("churn"); err != nil {
+		return true
+	}
+	read := func(g int) {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			fps := all[:uploaded.Load()]
+			fp := fps[(g+i)%len(fps)]
+			want := objs[fp]
+			payload, _, err := c.Download(fp)
+			if !check("Download", fp, payload, want, err) {
+				return
+			}
+			part, _, err := c.DownloadRange(fp, 1, 5)
+			if !check("DownloadRange", fp, part, want[1:6], err) {
+				return
+			}
+			batch := fps[max(0, len(fps)-4):]
+			payloads, _, err := c.DownloadBatch(batch)
+			for k := range payloads {
+				if !check("DownloadBatch", batch[k], payloads[k], objs[batch[k]], nil) {
+					return
+				}
+			}
+			if !check("DownloadBatch", batch[0], nil, nil, err) {
+				return
+			}
+			present, err := c.QueryBatch(batch)
+			if err == nil && slices.Contains(present, false) {
+				t.Errorf("QueryBatch = %v", present)
+				return
+			}
+			if !check("QueryBatch", batch[0], nil, nil, err) {
+				return
+			}
+		}
+	}
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go read(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, fp := range all[3:] {
+			if err := c.Upload(fp, objs[fp]); err != nil {
+				t.Errorf("Upload(%s): %v", fp, err)
+				return
+			}
+			uploaded.Add(1)
+		}
+	}()
+	// At least 20 outages, and on until the last upload has returned.
+	// Each outage lasts until two more uploads have returned, so uploads
+	// land while the shard is down and while it is filled.
+	for i := 0; (i < 20 || uploaded.Load() < int64(len(all))) && !t.Failed(); i++ {
+		id := c.Shards()[i%4]
+		if err := c.KillShard(id); err != nil {
 			t.Error(err)
-			break
+		}
+		for until := min(uploaded.Load()+2, int64(len(all))); uploaded.Load() < until && !t.Failed(); {
+			runtime.Gosched()
+		}
+		if err := c.ReviveShard(id); err != nil {
+			t.Error(err)
 		}
 	}
 	close(stop)

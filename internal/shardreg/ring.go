@@ -12,13 +12,13 @@ import (
 // a fingerprint lands on the first point clockwise of its own hash, and
 // its replicas on the next points owned by distinct shards. Virtual
 // nodes smooth the arc ownership so load splits near-evenly even at
-// small shard counts, and membership changes move only the arcs the
-// joining/leaving shard owns — the consistent-hash delta.
+// small shard counts, and a ring of one more member moves only the arcs
+// the new shard takes — the consistent-hash delta.
 //
 // Placement is a pure function of (member set, vnodes): two rings built
-// from the same members agree on every lookup, which is what lets a
-// routing client and a rebalancer reason about the same placement
-// without coordination.
+// from the same members agree on every lookup. A Cluster builds its
+// ring in New and only reads it after, so its routers share it without
+// a lock.
 type Ring struct {
 	vnodes int
 	// points is the circle, sorted by hash. Ties are broken by shard id
@@ -96,28 +96,6 @@ func (r *Ring) Add(shard string) {
 	sort.Strings(r.shards)
 }
 
-// Remove drops a shard's virtual nodes, reporting whether it was a
-// member.
-func (r *Ring) Remove(shard string) bool {
-	if !r.Has(shard) {
-		return false
-	}
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != shard {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	for i, s := range r.shards {
-		if s == shard {
-			r.shards = append(r.shards[:i], r.shards[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
 // Has reports ring membership.
 func (r *Ring) Has(shard string) bool {
 	i := sort.SearchStrings(r.shards, shard)
@@ -130,9 +108,6 @@ func (r *Ring) Shards() []string {
 	copy(out, r.shards)
 	return out
 }
-
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.shards) }
 
 // Lookup returns the n distinct shards responsible for fp, in replica
 // order: the shard owning the first point clockwise of the key is the

@@ -14,16 +14,23 @@
 // to a single registry: same routing (everything to the one shard),
 // same stored bytes (deterministic gzip), same wire bytes.
 //
-// Membership changes rebalance by reconciling physical placement with
-// the ring: only the consistent-hash delta moves (downloaded from a
-// surviving replica, uploaded to the new owner, dropped from
-// ex-replicas), and the moved bytes are priced through per-shard
-// netsim.Topology links when a topology is attached.
+// The member set is fixed when New returns. Placement is a pure function
+// of it, so routing reads the ring without a lock, and an object is
+// written only to its replica set and never sits outside it. A member
+// can fail (KillShard) and come back (ReviveShard); a revive first
+// copies in what the shard missed while it was down, from live
+// replicas, priced through the per-shard netsim.Topology links when a
+// topology is attached, and only then serves reads. A tier of other
+// members is a new tier, filled with Seed. (The tier once resharded in
+// place, with AddShard, RemoveShard and Rebalance; nothing but their
+// tests called them, and they made every read take a lock that only
+// they wrote under.)
 package shardreg
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,11 +49,9 @@ const DefaultVirtualNodes = 64
 
 // Errors returned by the shard tier.
 var (
-	// ErrNoShards reports a cluster configured (or asked to route) with
-	// no shards at all.
+	// ErrNoShards reports a cluster configured with no shards at all.
 	ErrNoShards = errors.New("cluster has no shards")
-	// ErrUnknownShard reports routing to a shard id that is not (or no
-	// longer) a cluster member.
+	// ErrUnknownShard reports a shard id that is not a cluster member.
 	ErrUnknownShard = errors.New("unknown shard")
 	// ErrShardDown reports an operation against a killed shard, or a
 	// routed operation whose every replica was unavailable.
@@ -57,13 +62,13 @@ var (
 	// ErrBadShardID reports a shard id that cannot name the shard's
 	// telemetry metrics and netsim node.
 	ErrBadShardID = errors.New("invalid shard id")
-	// ErrDuplicateShard reports adding a shard id twice.
+	// ErrDuplicateShard reports a shard id listed twice.
 	ErrDuplicateShard = errors.New("duplicate shard")
 )
 
 // Options configures a Cluster.
 type Options struct {
-	// Shards are the initial member ids. At least one is required; an id
+	// Shards are the member ids. At least one is required; an id
 	// names the shard's metrics and netsim node, so it is letters,
 	// digits, '.', '_' and '-'.
 	Shards []string
@@ -79,7 +84,7 @@ type Options struct {
 	// private registry.
 	Telemetry *telemetry.Registry
 	// Topology, if set, attaches one node per shard and prices served
-	// and rebalanced bytes through that shard's WAN link — the
+	// and backfilled bytes through that shard's WAN link — the
 	// registry-side cost model of the extshard experiment.
 	Topology *netsim.Topology
 	// Read tunes the download side: load-balanced replica selection and
@@ -88,13 +93,21 @@ type Options struct {
 	Read ReadOptions
 }
 
+// Member states. A down shard takes no reads and no uploads; a filling
+// one, which ReviveShard is backfilling, takes uploads but no reads.
+const (
+	live int32 = iota
+	filling
+	down
+)
+
 // shard is one cluster member: an in-process Gear registry, its
-// topology links, and its liveness flag.
+// topology links, and its state (live, filling or down).
 type shard struct {
 	id    string
 	reg   *gearregistry.Registry
 	links *netsim.NodeLinks
-	down  atomic.Bool
+	state atomic.Int32
 
 	// ewma is the smoothed observed download latency in nanoseconds and
 	// inflight the concurrent-read occupancy — together the load score
@@ -111,6 +124,9 @@ type shard struct {
 	reads     *telemetry.Counter
 	readBytes *telemetry.Counter
 }
+
+// serving reports whether the shard takes reads.
+func (s *shard) serving() bool { return s.state.Load() == live }
 
 // downErr is the typed unavailability error for this shard.
 func (s *shard) downErr() error {
@@ -135,12 +151,11 @@ func (s *shard) sync() {
 // Cluster is the routing client over the shard tier. It implements
 // gearregistry.Store; batches fan out per shard and fail over per
 // sub-batch to each fingerprint's next replica. Safe for concurrent
-// use.
+// use: ring and shards are never written after New.
 type Cluster struct {
 	opts Options
 	tele *telemetry.Registry
 
-	mu     sync.RWMutex
 	ring   *Ring
 	shards map[string]*shard
 
@@ -238,27 +253,23 @@ func New(opts Options) (*Cluster, error) {
 		if _, dup := c.shards[id]; dup {
 			return nil, fmt.Errorf("shardreg: shard %q: %w", id, ErrDuplicateShard)
 		}
+		s := &shard{
+			id:        id,
+			reg:       gearregistry.New(gearregistry.Options{Compress: opts.Compress}),
+			objects:   tele.Gauge("shardreg.shard." + id + ".objects"),
+			bytes:     tele.Gauge("shardreg.shard." + id + ".bytes"),
+			reads:     tele.Counter("shardreg.shard." + id + ".reads"),
+			readBytes: tele.Counter("shardreg.shard." + id + ".read.bytes"),
+		}
+		if opts.Topology != nil {
+			s.links = opts.Topology.Node(id)
+		}
 		c.ring.Add(id)
-		c.shards[id] = c.newShard(id)
+		c.shards[id] = s
 	}
 	c.shardsGauge.Set(int64(len(c.shards)))
 	c.replGauge.Set(int64(opts.Replication))
 	return c, nil
-}
-
-func (c *Cluster) newShard(id string) *shard {
-	s := &shard{
-		id:        id,
-		reg:       gearregistry.New(gearregistry.Options{Compress: c.opts.Compress}),
-		objects:   c.tele.Gauge("shardreg.shard." + id + ".objects"),
-		bytes:     c.tele.Gauge("shardreg.shard." + id + ".bytes"),
-		reads:     c.tele.Counter("shardreg.shard." + id + ".reads"),
-		readBytes: c.tele.Counter("shardreg.shard." + id + ".read.bytes"),
-	}
-	if c.opts.Topology != nil {
-		s.links = c.opts.Topology.Node(id)
-	}
-	return s
 }
 
 // Telemetry returns the metrics registry the tier publishes into.
@@ -268,40 +279,30 @@ func (c *Cluster) Telemetry() *telemetry.Registry { return c.tele }
 func (c *Cluster) Replication() int { return c.opts.Replication }
 
 // Shards lists member ids in sorted order.
-func (c *Cluster) Shards() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring.Shards()
-}
+func (c *Cluster) Shards() []string { return c.ring.Shards() }
 
 // Replicas returns the shards responsible for fp in replica order — the
 // routing decision, exposed for tests and operators.
 func (c *Cluster) Replicas(fp hashing.Fingerprint) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return c.ring.Lookup(fp, c.opts.Replication)
 }
 
 // shardByID resolves a member or reports ErrUnknownShard.
 func (c *Cluster) shardByID(id string) (*shard, error) {
-	c.mu.RLock()
 	s, ok := c.shards[id]
-	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("shardreg: shard %q: %w", id, ErrUnknownShard)
 	}
 	return s, nil
 }
 
-// replicaChain resolves fp's replica shards under one read lock.
+// replicaChain resolves fp's replica shards in ring order.
 func (c *Cluster) replicaChain(fp hashing.Fingerprint) []*shard {
-	c.mu.RLock()
 	ids := c.ring.Lookup(fp, c.opts.Replication)
 	chain := make([]*shard, len(ids))
 	for i, id := range ids {
 		chain[i] = c.shards[id]
 	}
-	c.mu.RUnlock()
 	return chain
 }
 
@@ -321,23 +322,23 @@ func (c *Cluster) Query(fp hashing.Fingerprint) (bool, error) {
 	return present[0], nil
 }
 
-// Upload implements gearregistry.Store: the object lands on every live
-// replica. Success needs at least one accepting shard; writing fewer
-// copies than the replication factor counts as a degraded upload.
+// Upload implements gearregistry.Store: the object lands on every
+// replica that is not down. Success needs at least one accepting shard;
+// writing fewer copies than the replication factor counts as a degraded
+// upload.
 func (c *Cluster) Upload(fp hashing.Fingerprint, data []byte) error {
 	c.uploads.Inc()
 	if err := fp.Validate(); err != nil {
 		return fmt.Errorf("shardreg: upload: %w", err)
 	}
 	chain := c.replicaChain(fp)
-	if len(chain) == 0 {
-		return fmt.Errorf("shardreg: upload %s: %w", fp, ErrNoShards)
-	}
 	stored := 0
 	var lastErr error
+	var missed []*shard
 	for _, s := range chain {
-		if s.down.Load() {
+		if s.state.Load() == down {
 			lastErr = s.downErr()
+			missed = append(missed, s)
 			continue
 		}
 		if err := s.reg.Upload(fp, data); err != nil {
@@ -349,6 +350,14 @@ func (c *Cluster) Upload(fp hashing.Fingerprint, data []byte) error {
 		}
 		s.sync()
 		stored++
+	}
+	// A replica a revive began filling meanwhile may have listed its
+	// peers before the copies above landed, so it gets this one too.
+	for _, s := range missed {
+		if s.state.Load() != down && s.reg.Upload(fp, data) == nil {
+			s.sync()
+			stored++
+		}
 	}
 	if stored == 0 {
 		return fmt.Errorf("shardreg: upload %s: no replica accepted: %w", fp, lastErr)
@@ -388,23 +397,10 @@ func batchPermanent(err error) bool {
 // download sub-batch can hedge. With one shard the whole batch is a
 // single sub-batch in request order — the exact single-registry call.
 func (c *Cluster) routeBatch(fps []hashing.Fingerprint, balance bool, serve func(s *shard, idxs []int, alt func(int) *shard) error) error {
-	c.mu.RLock()
-	if c.ring.Len() == 0 {
-		c.mu.RUnlock()
-		return fmt.Errorf("shardreg: %w", ErrNoShards)
-	}
 	chains := make([][]*shard, len(fps))
 	for i, fp := range fps {
-		ids := c.ring.Lookup(fp, c.opts.Replication)
-		chain := make([]*shard, len(ids))
-		for j, id := range ids {
-			chain[j] = c.shards[id]
-		}
-		chains[i] = chain
-	}
-	c.mu.RUnlock()
-	if balance {
-		for i, fp := range fps {
+		chains[i] = c.replicaChain(fp)
+		if balance {
 			chains[i] = c.readOrder(fp, chains[i])
 		}
 	}
@@ -418,7 +414,7 @@ func (c *Cluster) routeBatch(fps []hashing.Fingerprint, balance bool, serve func
 		groups := make(map[*shard][]int)
 		var order []*shard
 		for _, i := range remaining {
-			for rank[i] < len(chains[i]) && chains[i][rank[i]].down.Load() {
+			for rank[i] < len(chains[i]) && !chains[i][rank[i]].serving() {
 				rank[i]++
 				c.failovers.Inc()
 			}
@@ -521,196 +517,67 @@ func (c *Cluster) DownloadBatch(fps []hashing.Fingerprint) ([][]byte, int64, err
 }
 
 // KillShard marks a member dead: every routed operation fails over past
-// it. Its data is retained for ReviveShard. Kill models failure —
-// membership (and placement) does not change.
+// it, and uploads skip it. Its data is retained for ReviveShard. Kill
+// models failure; membership and placement do not change.
 func (c *Cluster) KillShard(id string) error {
 	s, err := c.shardByID(id)
 	if err != nil {
 		return err
 	}
-	if !s.down.Swap(true) {
+	if s.state.Swap(down) == live {
 		c.downGauge.Add(1)
 	}
 	return nil
 }
 
-// ReviveShard brings a killed member back with its data intact. Objects
-// uploaded while it was down are not backfilled; run Rebalance to
-// reconcile if writes happened during the outage.
+// ReviveShard brings a killed member back with its data intact. The
+// shard takes uploads again at once. It then backfills the writes it
+// missed while down: each object that its replica sets assign it, that
+// a live replica holds and that it lacks is copied in, priced out of the
+// source's link and into its own, and counted in shardreg.rebalance.*.
+// Only then does it serve reads, so a batch, to which a missing object
+// is a permanent error, never meets it half filled. Reviving a member
+// that is not down does nothing.
 func (c *Cluster) ReviveShard(id string) error {
 	s, err := c.shardByID(id)
-	if err != nil {
+	if err != nil || !s.state.CompareAndSwap(down, filling) {
 		return err
 	}
-	if s.down.Swap(false) {
+	for _, srcID := range c.ring.Shards() {
+		src := c.shards[srcID]
+		if !src.serving() {
+			continue
+		}
+		for _, fp := range src.reg.Fingerprints() {
+			if !slices.Contains(c.Replicas(fp), id) {
+				continue
+			}
+			if held, _ := s.reg.Query(fp); held {
+				continue
+			}
+			payload, wire, err := src.reg.Download(fp)
+			if err == nil {
+				err = s.reg.Upload(fp, payload)
+			}
+			if err != nil {
+				s.state.CompareAndSwap(filling, down)
+				return fmt.Errorf("shardreg: revive %s: backfill %s: %w", id, fp, err)
+			}
+			c.rebalObjects.Inc()
+			c.rebalBytes.Add(wire)
+			src.charge(wire)
+			s.charge(wire)
+		}
+	}
+	s.sync()
+	if s.state.CompareAndSwap(filling, live) {
 		c.downGauge.Add(-1)
 	}
 	return nil
 }
 
-// RebalanceStats accounts a membership change: what moved over the
-// wire and what ex-replicas dropped. It is a pure value snapshot; the
-// cumulative counterparts live in the shardreg.rebalance.* telemetry
-// counters.
-type RebalanceStats struct {
-	// MovedObjects/MovedBytes count replica copies created (bytes as
-	// stored, i.e. wire-priced).
-	MovedObjects int   `json:"movedObjects"`
-	MovedBytes   int64 `json:"movedBytes"`
-	// DroppedObjects/FreedBytes count replica copies deleted from
-	// shards the ring no longer maps them to.
-	DroppedObjects int   `json:"droppedObjects"`
-	FreedBytes     int64 `json:"freedBytes"`
-}
-
-// AddShard grows the tier by one member and rebalances: exactly the
-// objects whose replica set now includes the new shard are copied in
-// (from a surviving replica), and copies stranded on ex-replicas are
-// dropped. Only the consistent-hash delta moves.
-func (c *Cluster) AddShard(id string) (RebalanceStats, error) {
-	if err := validateShardID(id); err != nil {
-		return RebalanceStats{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.shards[id]; ok {
-		return RebalanceStats{}, fmt.Errorf("shardreg: shard %q: %w", id, ErrDuplicateShard)
-	}
-	c.ring.Add(id)
-	c.shards[id] = c.newShard(id)
-	c.shardsGauge.Set(int64(len(c.shards)))
-	return c.rebalanceLocked()
-}
-
-// RemoveShard gracefully drains a member: the ring drops it, its
-// objects move to their new owners (the leaving shard serves as a
-// source), and the member is discarded. Removal must leave at least
-// Replication members. On a rebalance error the member is kept (its
-// data may still be a needed source); Rebalance can be re-run.
-func (c *Cluster) RemoveShard(id string) (RebalanceStats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.shards[id]
-	if !ok {
-		return RebalanceStats{}, fmt.Errorf("shardreg: shard %q: %w", id, ErrUnknownShard)
-	}
-	if len(c.shards)-1 < c.opts.Replication {
-		return RebalanceStats{}, fmt.Errorf("shardreg: removing %s leaves %d shards for %d replicas: %w",
-			id, len(c.shards)-1, c.opts.Replication, ErrBadReplication)
-	}
-	c.ring.Remove(id)
-	st, err := c.rebalanceLocked()
-	if err != nil {
-		return st, err
-	}
-	if s.down.Load() {
-		c.downGauge.Add(-1)
-	}
-	delete(c.shards, id)
-	c.shardsGauge.Set(int64(len(c.shards)))
-	s.objects.Set(0)
-	s.bytes.Set(0)
-	return st, nil
-}
-
-// Rebalance reconciles physical placement with the current ring — a
-// no-op when they already agree. Exposed for recovery after a partial
-// membership change or a revive-after-writes.
-func (c *Cluster) Rebalance() (RebalanceStats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rebalanceLocked()
-}
-
-// rebalanceLocked moves the delta between where objects physically are
-// and where the ring maps them: missing replicas are copied from the
-// first live holder (priced out of the source and into the target), and
-// holders outside the replica set drop their copies. Physical placement
-// always equals the previous ring's placement, so this is exactly the
-// consistent-hash delta.
-func (c *Cluster) rebalanceLocked() (RebalanceStats, error) {
-	var st RebalanceStats
-	ids := make([]string, 0, len(c.shards))
-	for id := range c.shards {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	holders := make(map[hashing.Fingerprint][]*shard)
-	var order []hashing.Fingerprint
-	for _, id := range ids {
-		s := c.shards[id]
-		for _, fp := range s.reg.Fingerprints() {
-			if _, ok := holders[fp]; !ok {
-				order = append(order, fp)
-			}
-			holders[fp] = append(holders[fp], s)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-
-	for _, fp := range order {
-		want := c.ring.Lookup(fp, c.opts.Replication)
-		wantSet := make(map[string]bool, len(want))
-		for _, id := range want {
-			wantSet[id] = true
-		}
-		hold := holders[fp]
-		holdSet := make(map[string]bool, len(hold))
-		for _, h := range hold {
-			holdSet[h.id] = true
-		}
-		for _, id := range want {
-			if holdSet[id] {
-				continue
-			}
-			var src *shard
-			for _, h := range hold {
-				if !h.down.Load() {
-					src = h
-					break
-				}
-			}
-			if src == nil {
-				return st, fmt.Errorf("shardreg: rebalance %s: no live source replica: %w", fp, ErrShardDown)
-			}
-			payload, wire, err := src.reg.Download(fp)
-			if err != nil {
-				return st, fmt.Errorf("shardreg: rebalance %s: %w", fp, err)
-			}
-			target := c.shards[id]
-			if err := target.reg.Upload(fp, payload); err != nil {
-				return st, fmt.Errorf("shardreg: rebalance %s: %w", fp, err)
-			}
-			st.MovedObjects++
-			st.MovedBytes += wire
-			src.charge(wire)
-			target.charge(wire)
-		}
-		for _, h := range hold {
-			if wantSet[h.id] {
-				continue
-			}
-			freed, err := h.reg.Delete(fp)
-			if err != nil {
-				return st, fmt.Errorf("shardreg: rebalance %s: %w", fp, err)
-			}
-			st.DroppedObjects++
-			st.FreedBytes += freed
-		}
-	}
-	c.rebalObjects.Add(int64(st.MovedObjects))
-	c.rebalBytes.Add(st.MovedBytes)
-	for _, id := range ids {
-		if s, ok := c.shards[id]; ok {
-			s.sync()
-		}
-	}
-	return st, nil
-}
-
-// Seed copies every object of src into the tier under the current
-// placement — the migration step from a single-node registry to the
+// Seed copies every object of src into the tier under its placement —
+// the migration step from a single-node registry to the
 // sharded tier. Each object is uploaded once through the router (so it
 // lands on all replicas); the count of source objects is returned.
 func (c *Cluster) Seed(src *gearregistry.Registry) (int, error) {
@@ -733,8 +600,6 @@ func (c *Cluster) Seed(src *gearregistry.Registry) (int, error) {
 // hash-space analogue; this counts the actual objects.) Ties go to the
 // lowest id; an empty tier returns "".
 func (c *Cluster) BusiestShard() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	load := make(map[string]int, len(c.shards))
 	seen := make(map[hashing.Fingerprint]bool)
 	for _, s := range c.shards {
@@ -781,7 +646,7 @@ type Stats struct {
 	StoredBytes       int64        `json:"storedBytes"`
 	Failovers         int64        `json:"failovers"`
 	DegradedUploads   int64        `json:"degradedUploads"`
-	RebalancedObjects int64        `json:"rebalancedObjects"`
+	RebalancedObjects int64        `json:"rebalancedObjects"` // copies revives backfilled
 	RebalancedBytes   int64        `json:"rebalancedBytes"`
 	Reads             int64        `json:"reads"`           // read requests served across the tier
 	BalancedReads     int64        `json:"balancedReads"`   // p2c picks that diverged from rank order
@@ -792,8 +657,6 @@ type Stats struct {
 
 // Stats returns a snapshot of the tier.
 func (c *Cluster) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	share := c.ring.OwnedShare()
 	st := Stats{
 		Replication:       c.opts.Replication,
@@ -812,7 +675,7 @@ func (c *Cluster) Stats() Stats {
 		ps := s.reg.Stats()
 		st.Shards = append(st.Shards, ShardStats{
 			ID:           id,
-			Down:         s.down.Load(),
+			Down:         !s.serving(),
 			Objects:      ps.Objects,
 			StoredBytes:  ps.StoredBytes,
 			LogicalBytes: ps.LogicalBytes,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/gear-image/gear/internal/gearregistry"
@@ -240,82 +241,87 @@ func TestFailoverServesFromReplica(t *testing.T) {
 }
 
 // Uploads during a partial outage land on the surviving replicas
-// (counted degraded) and Rebalance backfills the revived shard.
+// (counted degraded), and ReviveShard backfills the revived shard before
+// it serves: a batch read of the objects it is primary for, which takes
+// a missing object as a permanent error, finds every one of them.
 func TestDegradedUploadAndBackfill(t *testing.T) {
-	c := newCluster(t, 3, 2, Options{})
-	victim := c.Shards()[0]
-	if err := c.KillShard(victim); err != nil {
-		t.Fatal(err)
-	}
-	objs := corpus(t, 30)
-	uploadAll(t, c, objs)
-	st := c.Stats()
-	if st.DegradedUploads == 0 {
-		t.Fatal("no degraded uploads recorded with a replica down")
-	}
-
-	if err := c.ReviveShard(victim); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	// After backfill every object is on its full replica set again.
-	for fp := range objs {
-		for _, id := range c.Replicas(fp) {
-			if !holds(t, c, id, fp) {
-				t.Fatalf("replica %s missing %s after backfill", id, fp)
-			}
-		}
-	}
-}
-
-// AddShard must move exactly the consistent-hash delta: every object
-// sits on its (new) replica set afterwards, nothing is lost, and the
-// replica-copy total stays Replication * objects.
-func TestAddRemoveShardRebalance(t *testing.T) {
 	topo, err := netsim.NewTopology(netsim.DefaultLAN().WithBandwidth(20), netsim.DefaultLAN())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := newCluster(t, 3, 2, Options{Topology: topo})
-	objs := corpus(t, 60)
-	uploadAll(t, c, objs)
+	victim := c.Shards()[0]
+	objs := corpus(t, 30)
+	fps := sortedFps(objs)
+	for i, fp := range fps {
+		if i == 10 {
+			if err := c.KillShard(victim); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Upload(fp, objs[fp]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if st.DegradedUploads == 0 {
+		t.Fatal("no degraded uploads recorded with a replica down")
+	}
+	// owned are the objects the victim is primary for; missed, those of
+	// its replica sets' objects the outage kept from it.
+	var owned []hashing.Fingerprint
+	missed := 0
+	for _, fp := range fps {
+		replicas := c.Replicas(fp)
+		if replicas[0] == victim {
+			owned = append(owned, fp)
+		}
+		if slices.Contains(replicas, victim) && !holds(t, c, victim, fp) {
+			missed++
+		}
+	}
+	if missed == 0 || len(owned) == 0 {
+		t.Fatalf("%s is primary for %d objects and missed %d; the test needs some of both", victim, len(owned), missed)
+	}
 
-	st, err := c.AddShard("shard99")
+	before := topo.Node(victim).WAN.Stats()
+	if err := c.ReviveShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	backfill := topo.Node(victim).WAN.Stats().Sub(before)
+	payloads, _, err := c.DownloadBatch(owned)
+	if err != nil {
+		t.Fatalf("DownloadBatch of the %d objects %s is primary for: %v", len(owned), victim, err)
+	}
+	for i, p := range payloads {
+		if !bytes.Equal(p, objs[owned[i]]) {
+			t.Fatalf("batch payload %d mismatch after revive", i)
+		}
+	}
+	present, err := c.QueryBatch(owned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MovedObjects == 0 || st.DroppedObjects == 0 {
-		t.Fatalf("add rebalance moved %d dropped %d, want both > 0", st.MovedObjects, st.DroppedObjects)
-	}
-	if st.MovedObjects > len(objs) {
-		t.Fatalf("moved %d objects, more than the %d that exist", st.MovedObjects, len(objs))
-	}
-	verifyPlacement(t, c, objs)
-
-	// The moved bytes are priced through the topology.
-	if ws := topo.WANStats(); ws.Bytes == 0 {
-		t.Fatal("rebalance moved bytes but priced nothing through the topology")
-	}
-
-	// Removing the new member moves its holdings back out.
-	st, err = c.RemoveShard("shard99")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.MovedObjects == 0 {
-		t.Fatal("remove rebalance moved nothing")
+	for i, ok := range present {
+		if !ok {
+			t.Fatalf("QueryBatch reports %s absent after revive", owned[i])
+		}
 	}
 	verifyPlacement(t, c, objs)
 
-	if _, err := c.RemoveShard("shard99"); !errors.Is(err, ErrUnknownShard) {
-		t.Fatalf("double remove err = %v", err)
+	// The backfill copied exactly what the outage missed, counted it,
+	// and priced it through the revived shard's link.
+	st = c.Stats()
+	if int(st.RebalancedObjects) != missed || st.RebalancedBytes <= 0 {
+		t.Fatalf("backfill counted %d objects / %d bytes, want the %d missed",
+			st.RebalancedObjects, st.RebalancedBytes, missed)
 	}
-	// Removal may not leave fewer members than the replication factor.
-	_, _ = c.RemoveShard(c.Shards()[0])
-	if _, err := c.RemoveShard(c.Shards()[0]); !errors.Is(err, ErrBadReplication) {
-		t.Fatalf("removing below replication err = %v", err)
+	if backfill.Bytes != st.RebalancedBytes {
+		t.Fatalf("revived shard's link priced %d bytes, backfill moved %d", backfill.Bytes, st.RebalancedBytes)
+	}
+	// Reviving a live member moves nothing.
+	if err := c.ReviveShard(victim); err != nil || c.Stats().RebalancedObjects != st.RebalancedObjects {
+		t.Fatalf("second revive: err %v, %d objects moved", err, c.Stats().RebalancedObjects-st.RebalancedObjects)
 	}
 }
 
@@ -341,7 +347,7 @@ func verifyPlacement(t *testing.T, c *Cluster, objs map[hashing.Fingerprint][]by
 		}
 		got, _, err := c.Download(fp)
 		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("Download(%s) after rebalance: %v", fp, err)
+			t.Fatalf("Download(%s): %v", fp, err)
 		}
 	}
 	if want := c.Replication() * len(objs); copies != want {

@@ -148,22 +148,19 @@ func Gzip(data []byte) ([]byte, error) {
 	return gz, err
 }
 
-// GzipTee is Gzip, with data written to raw and the stream to packed —
-// writers that cannot fail, such as a layer's DiffID and Digest hashes —
-// on a goroutine of its own beside the compressor. raw is given all of
-// data at once; the stream goes to packed in the parts its sink fills
-// (maxPooledBuf each) as each fills, and the last part once the stream
-// is done. So a big layer's stream is hashed while it is written, and a
-// small one's, a single part, after. Nothing writes to either when
-// GzipTee returns.
-func GzipTee(data []byte, raw, packed io.Writer) ([]byte, error) {
+// GzipTee is Gzip, with the stream written to packed — a writer that
+// cannot fail, such as a layer's Digest hash — on a goroutine of its own
+// beside the compressor: in the parts its sink fills (maxPooledBuf each)
+// as each fills, and the last part once the stream is done. So a big
+// layer's stream is hashed while it is written, and a small one's, a
+// single part, after. Nothing writes to packed when GzipTee returns.
+func GzipTee(data []byte, packed io.Writer) ([]byte, error) {
 	// A part holds at least maxPooledBuf less one write of the bit
 	// writer (at most a stored block), so this many never wait.
 	parts := make(chan []byte, len(data)/(maxPooledBuf-maxStoreBlockSize-5)+2)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		raw.Write(data)
 		for p := range parts {
 			packed.Write(p)
 		}
@@ -958,7 +955,7 @@ func UnpackGz(data []byte) (*vfs.FS, error) {
 
 // UnpackGzKeep is UnpackGz with the tree's file contents chosen by keep.
 func UnpackGzKeep(data []byte, keep Keep) (f *vfs.FS, err error) {
-	_, err = scanGz(data, nil, func(r io.Reader, bound int) error {
+	_, err = scanGz(data, func(r io.Reader, bound int) error {
 		f, err = unpackFrom(r, bound, keep)
 		return err
 	})
@@ -973,21 +970,14 @@ func UnpackGzKeep(data []byte, keep Keep) (f *vfs.FS, err error) {
 // index decoder cuts every name out of it), and a string built here is
 // the only copy: a []byte would have to be copied again to become one.
 // The whole archive is still parsed and the whole stream inflated, so a
-// malformed entry anywhere, or a bad CRC, fails here as it fails UnpackGz.
-func ReadFileGz(data []byte, name string) (string, error) {
-	content, _, err := ReadFileGzTo(nil, data, name)
-	return content, err
-}
-
-// ReadFileGzTo is ReadFileGz that also writes the whole archive to raw,
-// unless raw is nil, and returns its length, as GunzipTo does: for a
-// caller that wants a file of the archive and the archive's digest or
-// size, from one inflate. The length is returned with any error after
-// the stream was read to its end, ErrNotExist among them.
-func ReadFileGzTo(raw io.Writer, data []byte, name string) (string, int64, error) {
+// malformed entry anywhere, or a bad CRC, fails here as it fails UnpackGz,
+// and the archive's length is returned too, for a caller that sizes the
+// layer from the same inflate. The length is returned with any error
+// after the stream was read to its end, ErrNotExist among them.
+func ReadFileGz(data []byte, name string) (string, int64, error) {
 	var content strings.Builder
 	found := false
-	n, err := scanGz(data, raw, func(r io.Reader, bound int) error {
+	n, err := scanGz(data, func(r io.Reader, bound int) error {
 		return scanTar(r, func(p string, hdr *tar.Header, tr *tar.Reader) error {
 			if p != name || (hdr.Typeflag == tar.TypeDir && found) {
 				return nil
@@ -1020,10 +1010,9 @@ func ReadFileGzTo(raw io.Writer, data []byte, name string) (string, int64, error
 // scanGz runs scan over the content of the gzip stream data, then reads
 // the stream out, so that whatever scan did not consume is still
 // inflated and the CRC still checked, and returns the content's length.
-// Every byte of it goes to raw too, when raw is not nil. The content is
-// inflated through a window, so memory for it stays the window's
-// whatever the archive holds.
-func scanGz(data []byte, raw io.Writer, scan func(r io.Reader, bound int) error) (int64, error) {
+// The content is inflated through a window, so memory for it stays the
+// window's whatever the archive holds.
+func scanGz(data []byte, scan func(r io.Reader, bound int) error) (int64, error) {
 	z := openWindow(data, true)
 	defer z.release()
 	// Deflate expands at most ~1032:1, so the compressed length bounds
@@ -1032,26 +1021,16 @@ func scanGz(data []byte, raw io.Writer, scan func(r io.Reader, bound int) error)
 	if bound < 0 { // overflow on absurd inputs: disable hinting
 		bound = 0
 	}
-	var r io.Reader = z
-	if raw != nil {
-		r = io.TeeReader(z, raw)
-	}
-	if err := scan(r, bound); err != nil {
+	if err := scan(z, bound); err != nil {
 		return z.total, err
 	}
 	// The tar parser stops at the end-of-archive trailer; drain the rest
 	// of the stream so its CRC is checked.
 	for {
-		b, err := z.next(windowSize)
-		if err == io.EOF {
+		if _, err := z.next(windowSize); err == io.EOF {
 			return z.total, nil
 		} else if err != nil {
 			return z.total, fmt.Errorf("tarstream: unpackgz drain: %w: %w", ErrCorrupt, err)
-		}
-		if raw != nil {
-			if _, err := raw.Write(b); err != nil {
-				return z.total, err
-			}
 		}
 	}
 }

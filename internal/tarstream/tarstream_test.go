@@ -1244,9 +1244,10 @@ func TestUnpackGzStreamingParity(t *testing.T) {
 }
 
 // ReadFileGz answers for every path as the unpacked tree does — the
-// content of a regular file, ErrNotExist for anything else — and judges
-// the archive by the same checks: a bad CRC behind the trailer, a
-// truncated member, an entry of a type no tree holds.
+// content of a regular file, ErrNotExist for anything else — with the
+// archive's length either way, and judges the archive by the same
+// checks: a bad CRC behind the trailer, a truncated member, an entry of
+// a type no tree holds.
 func TestReadFileGzMatchesUnpackedTree(t *testing.T) {
 	f := buildTree(t)
 	z := packGz(t, f)
@@ -1254,11 +1255,18 @@ func TestReadFileGzMatchesUnpackedTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, err := Gunzip(z)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []string{"/etc/app/conf", "/usr/bin/app", "/usr/bin/app-latest", "/etc/app", "/etc", "/missing", "/etc/app/conf/under"} {
 		want, werr := tree.ReadFile(p)
-		got, gerr := ReadFileGz(z, p)
+		got, n, gerr := ReadFileGz(z, p)
 		if (gerr == nil) != (werr == nil) || got != string(want) {
 			t.Errorf("ReadFileGz(%s) = %q, %v; the tree reads %q, %v", p, got, gerr, want, werr)
+		}
+		if n != int64(len(raw)) {
+			t.Errorf("ReadFileGz(%s) sized the archive %d bytes, want %d", p, n, len(raw))
 		}
 		if gerr != nil && !errors.Is(gerr, vfs.ErrNotExist) {
 			t.Errorf("ReadFileGz(%s) = %v, want ErrNotExist", p, gerr)
@@ -1267,10 +1275,10 @@ func TestReadFileGzMatchesUnpackedTree(t *testing.T) {
 
 	bad := append([]byte(nil), z...)
 	bad[len(bad)-8] ^= 0xff
-	if _, err := ReadFileGz(bad, "/etc/app/conf"); err == nil {
+	if _, _, err := ReadFileGz(bad, "/etc/app/conf"); err == nil {
 		t.Error("ReadFileGz accepted a corrupt gzip checksum")
 	}
-	if _, err := ReadFileGz(z[:len(z)/2], "/etc/app/conf"); err == nil {
+	if _, _, err := ReadFileGz(z[:len(z)/2], "/etc/app/conf"); err == nil {
 		t.Error("ReadFileGz accepted a truncated member")
 	}
 
@@ -1305,17 +1313,17 @@ func TestReadFileGzMatchesUnpackedTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFileGz(withFifo, "/f"); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := ReadFileGz(withFifo, "/f"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("ReadFileGz of an archive with a fifo = %v, want ErrCorrupt", err)
 	}
 	sound, err := Gzip(append(buf.Bytes()[:fifo:fifo], make([]byte, 1024)...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ReadFileGz(sound, "/f"); err != nil || string(got) != "new" {
+	if got, _, err := ReadFileGz(sound, "/f"); err != nil || string(got) != "new" {
 		t.Errorf("ReadFileGz(/f) = %q, %v, want the later entry", got, err)
 	}
-	if _, err := ReadFileGz(sound, "/g"); !errors.Is(err, vfs.ErrNotExist) {
+	if _, _, err := ReadFileGz(sound, "/g"); !errors.Is(err, vfs.ErrNotExist) {
 		t.Errorf("ReadFileGz(/g), a file replaced by a symlink = %v, want ErrNotExist", err)
 	}
 }
