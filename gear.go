@@ -43,8 +43,10 @@
 //
 // Large files (the AI/big-model workload) chunk at conversion time with
 // a content-defined policy and fault in chunk by chunk through a
-// bounded fetch window; registries additionally serve byte ranges
-// (GearRangeStore) so even unchunked cold files can be read partially:
+// bounded fetch window, a container reading a file front to back
+// ChunkReadahead chunks ahead of its reads; registries additionally
+// serve byte ranges (GearRangeStore) so even unchunked cold files can be
+// read partially:
 //
 //	conv, _ := gear.NewConverter(gear.ConverterOptions{
 //		Chunking: gear.CDCChunks(4 << 20), // 4 MB average chunks

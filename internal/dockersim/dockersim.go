@@ -118,8 +118,9 @@ type Options struct {
 	// store.Options.ChunkWindowBytes). 0 selects the store default.
 	ChunkWindowBytes int64
 	// ChunkReadahead speculatively fetches up to this many chunks past a
-	// demand read inside the window budget (see
-	// store.Options.ChunkReadahead).
+	// container's ranged read that continues its stream through a file,
+	// inside the window budget; a read that jumps fetches only its own
+	// chunks (see store.Options.ChunkReadahead).
 	ChunkReadahead int
 	// Telemetry, if set, is the per-daemon metrics registry every
 	// component (store, cache, scheduler, peer exchange) publishes into.

@@ -212,6 +212,45 @@ func TestGearPullDigestsLayersOnce(t *testing.T) {
 	}
 }
 
+// A cold Gear deploy verifies each content byte it fetches exactly
+// once, and inflates the index layer's tar and those bytes (the rig's
+// registry stores every Gear file gzipped) and nothing else.
+func TestGearColdDeployHashesAndInflatesEachByteOnce(t *testing.T) {
+	r := buildRig(t, "nginx", 1)
+	m, err := r.docker.GetManifest("gear/nginx", "v01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := r.docker.GetBlob(m.Layers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := tarstream.Gunzip(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := r.newDaemon(t, 904)
+	access := r.access(t, 0)
+	fingerprinted, inflated := hashing.FingerprintedBytes(), tarstream.InflatedBytes()
+	if _, err := d.DeployGear("gear/nginx", "v01", access, 0); err != nil {
+		t.Fatal(err)
+	}
+	fingerprinted, inflated = hashing.FingerprintedBytes()-fingerprinted, tarstream.InflatedBytes()-inflated
+	snap := d.Snapshot()
+	fetched := snap.Gauge("cache.bytes")
+	if fetched == 0 || snap.Counter("cache.evictions") != 0 {
+		t.Fatalf("the deploy cached %d bytes with %d evictions, want every fetched file held",
+			fetched, snap.Counter("cache.evictions"))
+	}
+	if fingerprinted != fetched {
+		t.Errorf("the deploy fingerprinted %d bytes, want its %d fetched bytes once", fingerprinted, fetched)
+	}
+	if want := int64(len(raw)) + fetched; inflated != want {
+		t.Errorf("the deploy inflated %d bytes, want the index layer's %d and the %d fetched, once each",
+			inflated, len(raw), fetched)
+	}
+}
+
 func TestGearWarmCacheFasterThanCold(t *testing.T) {
 	r := buildRig(t, "redis", 3)
 	d := r.newDaemon(t, 100)

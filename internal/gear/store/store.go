@@ -84,9 +84,12 @@ type Options struct {
 	// than the budget is admitted alone. Demand preempts readahead
 	// admission. 0 selects DefaultChunkWindowBytes.
 	ChunkWindowBytes int64
-	// ChunkReadahead is how many chunks past a demanded range the store
-	// opportunistically fetches in the background with leftover budget.
-	// 0 disables readahead.
+	// ChunkReadahead is how many chunks past a demanded range a
+	// sequential stream reads ahead in the background with leftover
+	// budget. A container's ranged read of a chunked file is sequential
+	// when it starts at the file's head, or in or right after the chunk
+	// where that container's previous read of the file ended; any other
+	// read fetches exactly the chunks it overlaps. 0 disables readahead.
 	ChunkReadahead int
 	// RangeReads enables the partial-read fast path for non-chunked
 	// files: a ranged fault asks the registry's range verb for exactly
@@ -221,20 +224,47 @@ type containerState struct {
 	view  *viewer.Viewer
 }
 
-// imageFaults is the viewer.Resolver of the containers of one installed
-// image: their faults are resolved against the tree they mount, whatever
-// the reference they were created under has come to name since.
-type imageFaults struct {
-	s  *Store
-	st *imageState
+// containerFaults is the viewer.Resolver of one container: its faults
+// are resolved against the tree of the image it was created on, whatever
+// the reference it was created under has come to name since, and its
+// ranged reads of chunked files keep its own readahead streams.
+type containerFaults struct {
+	s       *Store
+	st      *imageState
+	streams streams
 }
 
-func (f imageFaults) Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
+func (f *containerFaults) Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
 	return f.s.resolve(f.st, imageRef, path, fp, size, true)
 }
 
-func (f imageFaults) ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
-	return f.s.resolveRange(f.st, imageRef, path, fp, size, off, n)
+func (f *containerFaults) ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
+	return f.s.resolveRange(f.st, &f.streams, imageRef, path, fp, size, off, n)
+}
+
+// streams is one container's readahead state, the analogue of a Linux
+// open file's: for each path, the chunk in which the container's
+// previous ranged read of that file ended. It goes away with its
+// container.
+type streams struct {
+	mu   sync.Mutex
+	last map[string]int
+}
+
+// advance reports whether a ranged read of path from off, overlapping
+// the chunks [lo, hi), continues a sequential stream — it starts at the
+// file's head, in the chunk where the previous read ended, or in the
+// chunk right after it: Linux's sequential test at chunk grain — and
+// records that the stream now ends in chunk hi-1.
+func (t *streams) advance(path string, off int64, lo, hi int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	prev, ok := t.last[path]
+	if t.last == nil {
+		t.last = make(map[string]int)
+	}
+	t.last[path] = hi - 1
+	return off == 0 || ok && (lo == prev || lo == prev+1)
 }
 
 var _ viewer.Resolver = (*Store)(nil)
@@ -385,7 +415,7 @@ func (s *Store) CreateContainer(id, imageRef string) (*viewer.Viewer, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: %s: %w", imageRef, ErrNoIndex)
 	}
-	v := viewer.New(imageRef, st.Tree, imageFaults{s, st})
+	v := viewer.New(imageRef, st.Tree, &containerFaults{s: s, st: st})
 	s.containers[id] = &containerState{image: st, view: v}
 	st.containers++
 	s.m.containers.Add(1)
@@ -428,9 +458,9 @@ func (s *Store) RemoveContainer(id string) error {
 // Resolve implements viewer.Resolver: cache lookup, then remote
 // download, then hard link over the placeholder in the shared index tree
 // of the image installed as imageRef now. (A container's own faults go to
-// the image it was created on: see imageFaults.) Faults resolved here are
-// first-class accesses and feed the image's startup profile when a
-// profile library is configured.
+// the image it was created on: see containerFaults.) Faults resolved
+// here are first-class accesses and feed the image's startup profile
+// when a profile library is configured.
 func (s *Store) Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
 	return s.resolve(s.installed(imageRef), imageRef, path, fp, size, true)
 }
@@ -503,7 +533,9 @@ var ErrBadRange = errors.New("invalid byte range")
 // only the chunks that overlap the range — the paper's future-work "read
 // big files on demand in chunks" (§VII): they fault concurrently through
 // the gate (at most ChunkWindowBytes in flight, however wide the read),
-// and leftover budget reads ahead along the file per ChunkReadahead. A
+// and when the read continues a sequential stream, leftover budget reads
+// ahead along the file per ChunkReadahead; this entry point keeps no
+// stream, so only a read from the file's head reads ahead. A
 // non-chunked file uses the registry's range verb when RangeReads is
 // enabled, and is otherwise materialized, exactly as by Resolve, and
 // sliced. Partial reads do not link anything into the index tree (the
@@ -511,11 +543,12 @@ var ErrBadRange = errors.New("invalid byte range")
 // cache for reuse. A failed ranged read is an error, never a quiet fetch
 // of the whole file.
 func (s *Store) ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
-	return s.resolveRange(s.installed(imageRef), imageRef, path, fp, size, off, n)
+	return s.resolveRange(s.installed(imageRef), new(streams), imageRef, path, fp, size, off, n)
 }
 
-// resolveRange is ResolveRange in the image st (see resolve).
-func (s *Store) resolveRange(st *imageState, imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
+// resolveRange is ResolveRange in the image st (see resolve), for the
+// reader whose streams decide whether a chunked read reads ahead.
+func (s *Store) resolveRange(st *imageState, rs *streams, imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
 	if n <= 0 || off < 0 {
 		return nil, fmt.Errorf("store: range [%d,+%d): %w", off, n, ErrBadRange)
 	}
@@ -542,11 +575,15 @@ func (s *Store) resolveRange(st *imageState, imageRef, path string, fp hashing.F
 	if lo == hi {
 		return nil, nil // range starts past the end of the file
 	}
+	ra := s.opts.ChunkReadahead
+	if ra > 0 && !rs.advance(path, off, lo, hi) {
+		ra = 0 // a jump fetches exactly the chunks it overlaps
+	}
 	contents, err := s.fetchChunks(chunks[lo:hi])
 	if err != nil {
 		return nil, err
 	}
-	if ra := s.opts.ChunkReadahead; ra > 0 && hi < len(chunks) {
+	if ra > 0 && hi < len(chunks) {
 		s.readahead(chunks[hi:min(hi+ra, len(chunks))])
 	}
 	out := make([]byte, 0, n)

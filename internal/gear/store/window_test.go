@@ -3,12 +3,14 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/gear-image/gear/internal/gear/index"
+	"github.com/gear-image/gear/internal/gear/viewer"
 	"github.com/gear-image/gear/internal/gearregistry"
 	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/imagefmt"
@@ -305,6 +307,132 @@ func TestChunkReadahead(t *testing.T) {
 	}
 	if st.Counter("store.prefetch.hits") != 2 || st.Gauge("store.prefetch.wasted") != 2 {
 		t.Errorf("hits = %d, wasted = %d, want 2/2", st.Counter("store.prefetch.hits"), st.Gauge("store.prefetch.wasted"))
+	}
+}
+
+// A container whose ranged reads of a chunked file jump reads nothing
+// ahead: each read fetches, and verifies, exactly the chunks it
+// overlaps.
+func TestJumpingReadsFetchOnlyTheirChunks(t *testing.T) {
+	ix, reg, big := chunkedFixture(t, 65536, 4096) // 16 chunks
+	s := mustStore(t, Options{Remote: reg, ChunkReadahead: 2})
+	if err := s.AddIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	v := mustContainer(t, s, "ai:v1")
+	// Chunks 5-6, 1, 10-11, 3-4, 13: none starts the file, none starts
+	// in or right after the chunk the read before it ended in.
+	reads := []struct{ off, n int64 }{
+		{5*4096 + 100, 4096}, {4096, 10}, {10 * 4096, 2 * 4096}, {3*4096 + 4000, 200}, {13 * 4096, 4096},
+	}
+	const chunks = 8
+	before := hashing.FingerprintedBytes()
+	for _, r := range reads {
+		got, err := v.ReadAt("/model", r.off, r.n)
+		if err != nil || !bytes.Equal(got, big[r.off:r.off+r.n]) {
+			t.Fatalf("read [%d,+%d): %v", r.off, r.n, err)
+		}
+	}
+	s.WaitReadahead()
+	st := metrics(s)
+	if got := st.Counter("store.chunk.readahead"); got != 0 {
+		t.Errorf("store.chunk.readahead = %d, want 0", got)
+	}
+	if objs, b := st.Counter("store.remote.objects"), st.Counter("store.remote.bytes"); objs != chunks || b != chunks*4096 {
+		t.Errorf("remote = %d objects / %d bytes, want the %d overlapped chunks", objs, b, chunks)
+	}
+	if got := hashing.FingerprintedBytes() - before; got != chunks*4096 {
+		t.Errorf("fingerprinted %d bytes, want the %d overlapped chunks' %d once", got, chunks, chunks*4096)
+	}
+}
+
+// Two containers interleave front-to-back streams over one file, each
+// at its own place in it: every read continues its own container's
+// stream and reads ahead, whatever the other container read last. The
+// level-1 cache is emptied before each read so that every readahead
+// moves bytes.
+func TestContainersKeepTheirOwnStreams(t *testing.T) {
+	ix, reg, big := chunkedFixture(t, 32*4096, 4096) // 32 chunks
+	s := mustStore(t, Options{Remote: reg, ChunkReadahead: 2})
+	if err := s.AddIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.CreateContainer("a", "ai:v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.CreateContainer("b", "ai:v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := []struct {
+		v       *viewer.Viewer
+		off, n  int64
+		overlap int64
+	}{
+		{a, 0, 4096, 1},            // a: chunk 0
+		{b, 0, 8 * 4096, 8},        // b: chunks 0-7
+		{a, 4096, 4096, 1},         // a: chunk 1, right after its 0
+		{b, 8 * 4096, 2 * 4096, 2}, // b: chunks 8-9, right after its 7
+		{a, 2*4096 + 100, 4096, 2}, // a: chunks 2-3, right after its 1
+		{b, 10*4096 - 50, 100, 2},  // b: chunks 9-10, in its 9
+	}
+	for i, r := range reads {
+		s.ClearCache()
+		st := metrics(s)
+		objs, ra := st.Counter("store.remote.objects"), st.Counter("store.chunk.readahead")
+		got, err := r.v.ReadAt("/model", r.off, r.n)
+		if err != nil || !bytes.Equal(got, big[r.off:r.off+r.n]) {
+			t.Fatalf("read %d [%d,+%d): %v", i, r.off, r.n, err)
+		}
+		s.WaitReadahead()
+		st = metrics(s)
+		if got := st.Counter("store.chunk.readahead") - ra; got != 2 {
+			t.Errorf("read %d read ahead %d chunks, want 2", i, got)
+		}
+		if got := st.Counter("store.remote.objects") - objs; got != r.overlap+2 {
+			t.Errorf("read %d fetched %d objects, want its %d chunks and 2 ahead", i, got, r.overlap)
+		}
+	}
+}
+
+// One container's goroutines read one file at once, each streaming
+// front to back from its own place: the container's stream table is
+// theirs to share, and every chunk is still fetched once.
+func TestOneContainerReadsConcurrently(t *testing.T) {
+	ix, reg, big := chunkedFixture(t, 65536, 4096) // 16 chunks
+	s := mustStore(t, Options{Remote: reg, ChunkReadahead: 2})
+	if err := s.AddIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	v := mustContainer(t, s, "ai:v1")
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := int64(0); g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int64(0); k < 16; k++ {
+				off := (g*2 + k) % 16 * 4096
+				got, err := v.ReadAt("/model", off+g, 4096)
+				if err == nil && !bytes.Equal(got, big[off+g:min(off+g+4096, 65536)]) {
+					err = fmt.Errorf("read [%d,+4096): bytes differ", off+g)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.WaitReadahead()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := metrics(s).Counter("store.remote.objects"); got != 16 {
+		t.Errorf("remote objects = %d, want each of the 16 chunks once", got)
 	}
 }
 

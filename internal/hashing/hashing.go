@@ -29,6 +29,7 @@ type Digest string
 
 // FingerprintBytes returns the MD5 fingerprint of data.
 func FingerprintBytes(data []byte) Fingerprint {
+	fingerprinted.Add(int64(len(data)))
 	sum := md5.Sum(data)
 	return Fingerprint(hex.EncodeToString(sum[:]))
 }
@@ -40,6 +41,16 @@ func DigestBytes(data []byte) Digest {
 	sum := sha256.Sum256(data)
 	return digestOf(sum[:])
 }
+
+// fingerprinted counts the bytes FingerprintBytes and every
+// FingerprintWriter have hashed.
+var fingerprinted atomic.Int64
+
+// FingerprintedBytes is how many bytes FingerprintBytes and every
+// FingerprintWriter have hashed in this process: the meter by which
+// tests hold a deploy or a read to verifying each fetched byte once, as
+// DigestedBytes holds a conversion to taking each digest once.
+func FingerprintedBytes() int64 { return fingerprinted.Load() }
 
 // digested counts the bytes DigestBytes and every DigestWriter have
 // hashed.
@@ -80,7 +91,10 @@ type FingerprintWriter struct{ h hash.Hash }
 func NewFingerprintWriter() *FingerprintWriter { return &FingerprintWriter{h: md5.New()} }
 
 // Write adds p to the content; it never fails.
-func (w *FingerprintWriter) Write(p []byte) (int, error) { return w.h.Write(p) }
+func (w *FingerprintWriter) Write(p []byte) (int, error) {
+	fingerprinted.Add(int64(len(p)))
+	return w.h.Write(p)
+}
 
 // Fingerprint returns the fingerprint of what has been written:
 // FingerprintBytes of it.

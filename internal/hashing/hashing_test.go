@@ -260,3 +260,21 @@ func TestFingerprintWriter(t *testing.T) {
 		t.Errorf("empty fingerprint %s", got)
 	}
 }
+
+// FingerprintedBytes counts every byte FingerprintBytes and a
+// FingerprintWriter hash, once, and the count costs a write nothing.
+func TestFingerprintedBytes(t *testing.T) {
+	data := []byte(strings.Repeat("metered content ", 512))
+	before := FingerprintedBytes()
+	FingerprintBytes(data)
+	w := NewFingerprintWriter()
+	w.Write(data[:100])
+	w.Write(data[100:])
+	w.Fingerprint()
+	if got, want := FingerprintedBytes()-before, int64(2*len(data)); got != want {
+		t.Errorf("fingerprinted %d bytes, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.Write(data) }); allocs != 0 {
+		t.Errorf("a metered write allocates %v times, want 0", allocs)
+	}
+}
