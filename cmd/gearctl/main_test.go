@@ -236,8 +236,8 @@ func TestProfileSubcommand(t *testing.T) {
 			t.Fatalf("gearctl %s: %v", strings.Join(args, " "), err)
 		}
 	}
-	if lib.Len() != 0 {
-		t.Errorf("library holds %d profiles after delete", lib.Len())
+	if n := len(lib.List()); n != 0 {
+		t.Errorf("library holds %d profiles after delete", n)
 	}
 	// Dumping the deleted profile fails cleanly, as does mixing actions.
 	if err := run([]string{"profile", "-library", srv.URL, "-dump", "gear/nginx:v01"}); err == nil {

@@ -59,7 +59,7 @@ type entry struct {
 // OnEvict withdraws it. Hooks run outside the cache lock (so they may
 // take their own locks or call back into the cache) and fire exactly
 // once per transition: OnAdmit when a fingerprint enters the cache,
-// OnEvict whenever one leaves — policy eviction, Drop, or Clear.
+// OnEvict whenever one leaves — policy eviction or Clear.
 //
 // Because hooks fire after the lock is released, a concurrent admit and
 // evict of the same fingerprint may deliver their callbacks out of
@@ -258,24 +258,6 @@ func fireEvicts(hooks Hooks, evicted []*entry) {
 	for _, e := range evicted {
 		hooks.OnEvict(e.fp, e.content.Size())
 	}
-}
-
-// Drop removes fp from the cache regardless of policy (used when a file
-// is superseded). Pinned contents stay alive through their links; the
-// cache simply forgets them. Returns whether fp was present.
-func (c *Cache) Drop(fp hashing.Fingerprint) bool {
-	c.mu.Lock()
-	e, ok := c.entries[fp]
-	if !ok {
-		c.mu.Unlock()
-		return false
-	}
-	c.removeLocked(e)
-	c.evictions.Add(-1) // explicit drops are not policy evictions
-	hooks := c.hooks
-	c.mu.Unlock()
-	fireEvicts(hooks, []*entry{e})
-	return true
 }
 
 // Clear empties the cache (the paper's cold-cache experiment resets the

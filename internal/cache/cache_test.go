@@ -225,23 +225,6 @@ func TestPinnedEntriesSurviveEviction(t *testing.T) {
 	}
 }
 
-func TestDrop(t *testing.T) {
-	c := mustNew(t, 0, FIFO)
-	fp := fpOf("k")
-	if _, err := c.Put(fp, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Drop(fp) {
-		t.Error("Drop(existing) = false")
-	}
-	if c.Drop(fp) {
-		t.Error("Drop(missing) = true")
-	}
-	if len(c.entries) != 0 || c.used != 0 || c.evictions.Value() != 0 {
-		t.Errorf("objects/bytes/evictions = %d/%d/%d, want 0/0/0", len(c.entries), c.used, c.evictions.Value())
-	}
-}
-
 func TestClear(t *testing.T) {
 	c := mustNew(t, 0, LRU)
 	for i := 0; i < 5; i++ {
@@ -311,8 +294,10 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			case 1:
 				c.Get(fp)
 			default:
-				c.Drop(fp)
-				delete(live, fp)
+				if rng.Intn(20) == 0 {
+					c.Clear()
+					clear(live)
+				}
 			}
 			if c.used > 100 {
 				return false

@@ -99,26 +99,23 @@ func TestEvictionHooksFireExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestDropAndClearFireEvictHooks verifies the non-policy removal paths
-// also withdraw: an explicit Drop and a Clear both deliver OnEvict
-// exactly once per removed fingerprint.
-func TestDropAndClearFireEvictHooks(t *testing.T) {
+// TestClearFiresEvictHooks verifies the non-policy removal path also
+// withdraws: a Clear delivers OnEvict exactly once per removed
+// fingerprint, and a second Clear none.
+func TestClearFiresEvictHooks(t *testing.T) {
 	rec := newHookRecorder()
 	c := mustNew(t, 0, LRU)
 	c.SetHooks(rec.hooks())
 
-	a, b := fpOf("drop me"), fpOf("clear me")
-	if _, err := c.Put(a, []byte("drop me")); err != nil {
+	a, b := fpOf("clear me"), fpOf("clear me too")
+	if _, err := c.Put(a, []byte("clear me")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Put(b, []byte("clear me")); err != nil {
+	if _, err := c.Put(b, []byte("clear me too")); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Drop(a) {
-		t.Fatal("drop missed")
-	}
-	c.Drop(a) // absent: no second callback
 	c.Clear()
+	c.Clear() // empty: no second callback
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()

@@ -57,9 +57,6 @@ func (g Granularity) String() string {
 // ErrBadChunkSize reports a non-positive chunk size.
 var ErrBadChunkSize = errors.New("chunk size must be positive")
 
-// DefaultChunkSize is the paper's 128 KB study setting.
-const DefaultChunkSize = 128 << 10
-
 // Report is one Table II row.
 type Report struct {
 	Granularity Granularity `json:"granularity"`

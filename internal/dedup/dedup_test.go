@@ -11,6 +11,9 @@ import (
 	"github.com/gear-image/gear/internal/vfs"
 )
 
+// studyChunkSize is the paper's 128 KB study setting.
+const studyChunkSize = 128 << 10
+
 // mkImage builds an image with the given layers; each layer is a list of
 // (path, content) pairs.
 func mkImage(t *testing.T, name, tag string, layers ...map[string]string) *imagefmt.Image {
@@ -87,7 +90,7 @@ func TestObjectCountsAcrossGranularities(t *testing.T) {
 		mkImage(t, "a", "1", base, map[string]string{"/app": "app-a", "/shared": "common"}),
 		mkImage(t, "b", "1", base, map[string]string{"/app": "app-b", "/shared": "common"}),
 	}
-	reports := analyze(t, imgs, DefaultChunkSize)
+	reports := analyze(t, imgs, studyChunkSize)
 	r := reportsByG(reports)
 	if r[None].Objects != 2 {
 		t.Errorf("none objects = %d, want 2 images", r[None].Objects)
@@ -120,7 +123,7 @@ func TestStorageMonotonicallyShrinks(t *testing.T) {
 		top := map[string]string{"/version": fmt.Sprint(v)}
 		imgs = append(imgs, mkImage(t, "app", fmt.Sprint(v), sharedBase, top))
 	}
-	reports := analyze(t, imgs, DefaultChunkSize)
+	reports := analyze(t, imgs, studyChunkSize)
 	r := reportsByG(reports)
 	if !(r[None].RawBytes >= r[Layer].RawBytes && r[Layer].RawBytes >= r[File].RawBytes) {
 		t.Errorf("raw bytes not monotone: none=%d layer=%d file=%d",
@@ -214,7 +217,7 @@ func TestCDCSmallFilesStayWhole(t *testing.T) {
 func TestCompressionAccounted(t *testing.T) {
 	compressible := make([]byte, 4096) // zeros compress well
 	img := mkImage(t, "z", "1", map[string]string{"/zeros": string(compressible)})
-	reports := analyze(t, []*imagefmt.Image{img}, DefaultChunkSize)
+	reports := analyze(t, []*imagefmt.Image{img}, studyChunkSize)
 	for _, r := range reports {
 		if r.StorageBytes >= r.RawBytes {
 			t.Errorf("%s: stored %d >= raw %d for compressible data",
@@ -233,7 +236,7 @@ func TestEmptyFileCounted(t *testing.T) {
 }
 
 func TestAddRejectsInvalidImage(t *testing.T) {
-	a, err := NewAnalyzer(DefaultChunkSize)
+	a, err := NewAnalyzer(studyChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +253,8 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		mkImage(t, "a", "1", map[string]string{"/f": "one"}),
 		mkImage(t, "b", "1", map[string]string{"/f": "one", "/g": "two"}),
 	}
-	batch := analyze(t, imgs, DefaultChunkSize)
-	a, err := NewAnalyzer(DefaultChunkSize)
+	batch := analyze(t, imgs, studyChunkSize)
+	a, err := NewAnalyzer(studyChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,6 @@ func New(cfg Config) (*Disk, error) {
 	return &Disk{cfg: cfg}, nil
 }
 
-// Config returns the device configuration.
-func (d *Disk) Config() Config { return d.cfg }
-
 // ReadCost returns the time to read one object of size bytes.
 func (d *Disk) ReadCost(size int64) time.Duration {
 	return d.cfg.AccessLatency +

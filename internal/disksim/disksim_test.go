@@ -62,8 +62,8 @@ func TestSmallFilesAreSeekBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := hdd.ReadCost(4 << 10)
-	if small < hdd.Config().AccessLatency || small > 2*hdd.Config().AccessLatency {
-		t.Errorf("4KB read cost %v should be dominated by %v seek", small, hdd.Config().AccessLatency)
+	if seek := HDD().AccessLatency; small < seek || small > 2*seek {
+		t.Errorf("4KB read cost %v should be dominated by %v seek", small, seek)
 	}
 }
 

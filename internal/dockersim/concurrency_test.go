@@ -55,7 +55,7 @@ func TestParallelGearDeploys(t *testing.T) {
 		}
 	}
 	roots := 0
-	for _, sp := range d.TraceRing().Snapshot() {
+	for _, sp := range d.ring.Snapshot() {
 		if sp.Op == "deploy" {
 			roots++
 		}

@@ -127,7 +127,7 @@ type Options struct {
 	// Nil creates a private registry, so Daemon.Snapshot always
 	// works.
 	Telemetry *telemetry.Registry
-	// TraceCapacity bounds the daemon's span ring (TraceRing). 0 selects
+	// TraceCapacity bounds the daemon's span ring. 0 selects
 	// telemetry.DefaultTraceCapacity.
 	TraceCapacity int
 }
@@ -224,7 +224,7 @@ func (d *Deployment) Total() time.Duration { return d.Pull.Time + d.Prefetch.Tim
 // share is its value minus its children's; the self shares of the tree
 // add up to Total(), and its self Bytes to the WAN bytes netsim charged
 // the deploy. The root and phase spans are also recorded in the daemon's
-// TraceRing.
+// span ring.
 func (d *Deployment) Trace() []telemetry.Span { return slices.Clone(d.tree) }
 
 // spanOps are the kinds of span in a deployment's tree (see Trace), in
@@ -428,10 +428,6 @@ func (d *Daemon) GearStore() *store.Store { return d.gearStore }
 // Telemetry returns the per-daemon metrics registry every component
 // publishes into.
 func (d *Daemon) Telemetry() *telemetry.Registry { return d.tele }
-
-// TraceRing returns the daemon's span buffer: the store's fetch and fault
-// spans, and the root and phase spans of every deployment's tree.
-func (d *Daemon) TraceRing() *telemetry.TraceRing { return d.ring }
 
 // Snapshot implements telemetry.Snapshotter: the unified telemetry
 // snapshot for this daemon. The net.wan.*/net.lan.* gauges are

@@ -675,7 +675,7 @@ func TestTraceSpansAccountForAllWANBytes(t *testing.T) {
 			t.Errorf("%s: trace spans carry %d bytes, netsim WAN link reports %d", tc.mode, sum, wan.Bytes)
 		}
 		var ringPhase, treePhase int
-		for _, s := range d.TraceRing().Snapshot() {
+		for _, s := range d.ring.Snapshot() {
 			if isPhase(s.Op) {
 				ringPhase++
 			}
@@ -835,7 +835,7 @@ func TestDeploymentTreeAccountsForAllTime(t *testing.T) {
 		{"gear-peered", peers[1], gear("gear/nginx"), true},
 	} {
 		wan, lan := tc.d.Link().Stats(), tc.d.PeerLink().Stats()
-		ringBefore := tc.d.TraceRing().Total()
+		ringBefore := lastSeq(tc.d.ring)
 		dep, err := tc.deploy(tc.d)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -875,7 +875,7 @@ func TestDeploymentTreeAccountsForAllTime(t *testing.T) {
 			}
 		}
 		var got []telemetry.Span
-		for _, s := range tc.d.TraceRing().Snapshot() {
+		for _, s := range tc.d.ring.Snapshot() {
 			if s.Seq > ringBefore && strings.HasPrefix(s.Op, "deploy") {
 				s.Seq = 0
 				got = append(got, s)
@@ -917,7 +917,7 @@ func TestDemandStallIsPricedTime(t *testing.T) {
 		t.Fatalf("cold deploy: stall=%v misses=%d, want both positive", dep.DemandStall, misses)
 	}
 	var storeSpans, treeSpans time.Duration
-	for _, sp := range d.TraceRing().Snapshot() {
+	for _, sp := range d.ring.Snapshot() {
 		if sp.Op == "fault" {
 			storeSpans += sp.Dur
 		}
@@ -977,8 +977,8 @@ func TestGearProfileGuidedRedeploy(t *testing.T) {
 	if misses := coldStore.Counter("store.demand.misses"); cold.DemandStall <= 0 || misses == 0 {
 		t.Errorf("cold deploy: stall=%v misses=%d, want both positive", cold.DemandStall, misses)
 	}
-	if lib.Len() != 1 {
-		t.Fatalf("profile library holds %d profiles after cold deploy, want 1", lib.Len())
+	if n := len(lib.List()); n != 1 {
+		t.Fatalf("profile library holds %d profiles after cold deploy, want 1", n)
 	}
 
 	// Warm redeploy on host B (fresh daemon, shared profile library):
@@ -1109,4 +1109,14 @@ func TestUniqueCount(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { uniqueCount(list) }); n != 0 {
 		t.Errorf("uniqueCount allocates %v times a call, want 0", n)
 	}
+}
+
+// lastSeq is the sequence number of the newest span in ring, 0 for none:
+// the spans recorded after it have greater ones.
+func lastSeq(ring *telemetry.TraceRing) int64 {
+	spans := ring.Snapshot()
+	if len(spans) == 0 {
+		return 0
+	}
+	return spans[len(spans)-1].Seq
 }

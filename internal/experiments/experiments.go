@@ -257,8 +257,8 @@ var table = []Runner{
 	experiment("extchunk", "Extension: chunked lazy loading file/chunk/window sweep", RunExtChunk),
 }
 
-// All returns every experiment in paper order.
-func All() []Runner { return slices.Clone(table) }
+// all returns every experiment in paper order.
+func all() []Runner { return slices.Clone(table) }
 
 // IDs lists experiment ids in paper order.
 func IDs() []string {

@@ -40,12 +40,12 @@ func TestRunDispatch(t *testing.T) {
 	}
 	// The order itself (paper order: workload table, Table II, figures,
 	// then extensions) is pinned by the section order of the golden.
-	ids, all := IDs(), All()
-	if len(ids) == 0 || len(ids) != len(all) || ids[0] != "inventory" {
-		t.Fatalf("ids = %v, %d runners", ids, len(all))
+	ids, runners := IDs(), all()
+	if len(ids) == 0 || len(ids) != len(runners) || ids[0] != "inventory" {
+		t.Fatalf("ids = %v, %d runners", ids, len(runners))
 	}
 	seen := make(map[string]bool)
-	for i, r := range all {
+	for i, r := range runners {
 		if r.ID != ids[i] || r.Title == "" || r.Run == nil || seen[r.ID] {
 			t.Errorf("runner %d (%q) incomplete, duplicated or out of step with IDs()[%d] = %q", i, r.ID, i, ids[i])
 		}
@@ -583,7 +583,7 @@ func TestRunAllMini(t *testing.T) {
 	cfg := mini()
 	cfg.Telemetry = telemetry.NewRegistry()
 	var shared bytes.Buffer
-	for _, r := range All() {
+	for _, r := range all() {
 		before := cfg.Telemetry.Snapshot()
 		fmt.Fprintf(&shared, sectionHeader, r.ID, r.Title)
 		if err := r.Run(cfg, &shared); err != nil {

@@ -19,9 +19,6 @@ type Fig9Cell struct {
 	Run  time.Duration `json:"run"`
 }
 
-// Total returns pull+run.
-func (c Fig9Cell) Total() time.Duration { return c.Pull + c.Run }
-
 // Fig9Band is one bandwidth's measurements.
 type Fig9Band struct {
 	Mbps float64 `json:"mbps"`

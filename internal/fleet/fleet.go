@@ -238,7 +238,6 @@ type Harness struct {
 	topo    *netsim.Topology
 	tracker *peer.Tracker
 	network *peer.StaticNetwork
-	ring    *telemetry.TraceRing
 	rng     *rand.Rand
 	// requestBytes is the wire overhead a daemon is charged per Gear
 	// fetch: the paper's 900 bytes, scaled like the corpus.
@@ -298,7 +297,6 @@ func New(wl *Workload, opts Options) (*Harness, error) {
 		topo:         topo,
 		tracker:      peer.NewTracker(),
 		network:      peer.NewStaticNetwork(),
-		ring:         telemetry.NewTraceRing(0),
 		rng:          rand.New(rand.NewSource(opts.Seed)),
 		requestBytes: int64(900 * scale),
 		nodes:        make(map[string]*node),
@@ -565,23 +563,8 @@ func (h *Harness) Active() []string {
 	return out
 }
 
-// Daemon returns the named node's daemon for direct inspection.
-func (h *Harness) Daemon(id string) (*dockersim.Daemon, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n, ok := h.nodes[id]
-	if !ok {
-		return nil, false
-	}
-	return n.daemon, true
-}
-
 // Topology exposes the fleet's network topology.
 func (h *Harness) Topology() *netsim.Topology { return h.topo }
-
-// TraceRing returns the harness's scenario-phase span buffer (one span
-// per completed phase).
-func (h *Harness) TraceRing() *telemetry.TraceRing { return h.ring }
 
 // Snapshot returns the fleet-wide telemetry snapshot. The fleet.wan.*
 // and fleet.lan.* gauges are refreshed from the topology's aggregated

@@ -11,6 +11,7 @@ import (
 
 	"github.com/gear-image/gear/internal/corpus"
 	"github.com/gear-image/gear/internal/dockersim"
+	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/netsim"
 	"github.com/gear-image/gear/internal/telemetry"
 )
@@ -91,7 +92,7 @@ func TestPublishSeries(t *testing.T) {
 	if err := h.Join(NodeID(0)); err != nil {
 		t.Fatal(err)
 	}
-	d, _ := h.Daemon(NodeID(0))
+	d, _ := h.daemon(NodeID(0))
 	s := &wl.Series[1]
 	dep, err := d.DeployGear(s.Ref, s.Tags[1], s.Access[1], s.Compute)
 	if err != nil {
@@ -129,7 +130,7 @@ func runScenario(t *testing.T, kind Kind, nodes int, seed int64) (*Result, telem
 // snapshots, run to run, for every scenario kind — the demand-stall
 // histogram included, since the stall is the price netsim charged.
 func TestScenarioDeterminism(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			res1, snap1 := runScenario(t, kind, 16, 42)
 			res2, snap2 := runScenario(t, kind, 16, 42)
@@ -359,7 +360,7 @@ func TestHarnessTypedErrors(t *testing.T) {
 
 	// A daemon handle kept across a Leave sees its links closed: deploys
 	// report the detachment instead of pricing traffic on a dead link.
-	d, ok := h.Daemon("a")
+	d, ok := h.daemon("a")
 	if !ok {
 		t.Fatal("Daemon(a) not found")
 	}
@@ -463,7 +464,7 @@ func TestShardedFailover(t *testing.T) {
 	}
 
 	sharded, hs := run(3, 11)
-	if hs.Cluster() == nil || hs.Cluster().Replication() != 2 {
+	if c := hs.Cluster(); c == nil || len(c.Replicas(hashing.FingerprintBytes(nil))) != 2 {
 		t.Fatal("sharded harness did not build a replication-2 tier")
 	}
 	if sharded.Shards != 3 || sharded.Replication != 2 {
@@ -525,8 +526,8 @@ func TestShardedSingleShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(1 shard): %v", err)
 	}
-	if h.Cluster().Replication() != 1 {
-		t.Fatalf("single-shard replication = %d, want 1", h.Cluster().Replication())
+	if n := len(h.Cluster().Replicas(hashing.FingerprintBytes(nil))); n != 1 {
+		t.Fatalf("single-shard replication = %d, want 1", n)
 	}
 	if _, err := h.Run(FlashCrowd); err != nil {
 		t.Fatalf("Run over single-shard tier: %v", err)
@@ -612,4 +613,15 @@ func TestStragglerScenario(t *testing.T) {
 	if _, err := h.Run(Straggler); !errors.Is(err, ErrBadFleet) {
 		t.Fatalf("straggler without shards err = %v", err)
 	}
+}
+
+// daemon returns the daemon of an attached node.
+func (h *Harness) daemon(id string) (*dockersim.Daemon, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n, ok := h.nodes[id]
+	if !ok {
+		return nil, false
+	}
+	return n.daemon, true
 }

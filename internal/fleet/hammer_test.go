@@ -77,7 +77,7 @@ func TestSnapshotHammer(t *testing.T) {
 		t.Fatalf("active nodes = %d, want 256", len(active))
 	}
 	for _, id := range active {
-		d, ok := h.Daemon(id)
+		d, ok := h.daemon(id)
 		if !ok {
 			t.Fatalf("daemon %q missing", id)
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/gear-image/gear/internal/netsim"
-	"github.com/gear-image/gear/internal/telemetry"
 )
 
 // Kind names a scripted scenario.
@@ -43,8 +42,8 @@ const (
 	Straggler Kind = "straggler"
 )
 
-// Kinds lists every scenario in canonical order.
-func Kinds() []Kind { return []Kind{FlashCrowd, Churn, Failover, Mixed, Straggler} }
+// kinds lists every scenario in canonical order.
+func kinds() []Kind { return []Kind{FlashCrowd, Churn, Failover, Mixed, Straggler} }
 
 // ErrUnknownScenario reports an unrecognized scenario kind.
 var ErrUnknownScenario = errors.New("unknown scenario")
@@ -141,15 +140,6 @@ func (h *Harness) Phase(name string, fn func() error) (PhaseResult, error) {
 	if p.Deploys > 0 {
 		p.MeanDeploy = p.DeployTime / time.Duration(p.Deploys)
 	}
-	h.ring.Record(telemetry.Span{
-		Op:      "fleet.phase",
-		Ref:     name,
-		Class:   telemetry.ClassDemand,
-		Source:  telemetry.SourceRegistry,
-		Objects: int(p.Deploys),
-		Bytes:   p.WAN.Bytes,
-		Dur:     p.DeployTime,
-	})
 	return p, nil
 }
 

@@ -406,7 +406,7 @@ func fromMutable(name string, m *mutableEntry) *Entry {
 
 func lookupMutable(root *mutableEntry, p string) *mutableEntry {
 	cur := root
-	for _, part := range vfs.Split(p) {
+	for _, part := range splitPath(p) {
 		if cur.typ != vfs.TypeDir {
 			return nil
 		}
@@ -421,7 +421,7 @@ func lookupMutable(root *mutableEntry, p string) *mutableEntry {
 // non-directories, as tar extraction does).
 func mkdirMutable(root *mutableEntry, p string) *mutableEntry {
 	cur := root
-	for _, part := range vfs.Split(p) {
+	for _, part := range splitPath(p) {
 		next := cur.children[part]
 		if next == nil || next.typ != vfs.TypeDir {
 			next = &mutableEntry{typ: vfs.TypeDir, mode: 0o755, children: make(map[string]*mutableEntry)}
@@ -430,4 +430,12 @@ func mkdirMutable(root *mutableEntry, p string) *mutableEntry {
 		cur = next
 	}
 	return cur
+}
+
+// splitPath breaks a path into its segments; "/" yields none.
+func splitPath(p string) []string {
+	if p = vfs.Clean(p); p == "/" {
+		return nil
+	}
+	return strings.Split(p[1:], "/")
 }

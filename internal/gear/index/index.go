@@ -16,7 +16,7 @@
 //   - a typed tree (Index/Entry: DecodeBinary, FromImage), used by the
 //     converter, the tools and Commit. Nothing on the deploy path builds
 //     one: an installed image derives it from the retained blob the first
-//     time Store.Index, Prefetch or Commit asks (Mounted.Index);
+//     time Store.Index or Commit asks (Mounted.Index);
 //   - a placeholder filesystem (ToTree/FromTree) where each regular file
 //     holds a one-line "gearfp:" record — the "index" directory the Gear
 //     File Viewer mounts, and the fingerprint file the paper's modified

@@ -439,7 +439,8 @@ func TestSnapshotDuringConcurrentFetchAll(t *testing.T) {
 	}
 }
 
-// TestConcurrentPrefetchAndDeploy: Prefetch racing container reads.
+// TestConcurrentPrefetchAndDeploy: a FetchAll of the whole image racing
+// container reads.
 func TestConcurrentPrefetchAndDeploy(t *testing.T) {
 	ix, reg := bigFixture(t, 24)
 	counting := newCountingStore(reg)
@@ -455,7 +456,7 @@ func TestConcurrentPrefetchAndDeploy(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if err := s.Prefetch("big:v1"); err != nil {
+		if _, err := s.FetchAll(imageFingerprints(ix)); err != nil {
 			t.Error(err)
 		}
 	}()

@@ -210,16 +210,20 @@ func TestLazyIndexAfterMaterialization(t *testing.T) {
 		t.Error("Index derived the Entry tree twice")
 	}
 
-	// Prefetch on a second store: nothing read yet, everything linked after.
+	// A second store: nothing read yet, everything linked once read.
 	s2 := newStore(t, reg)
 	if err := s2.InstallImage(img); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Prefetch("app:v1"); err != nil {
+	v2, err := s2.CreateContainer("c", "app:v1")
+	if err != nil {
 		t.Fatal(err)
 	}
+	for _, p := range paths {
+		_, _ = v2.ReadFile(p) // directories and /missing fail; files link
+	}
 	if fps, err := s2.Fingerprints("app:v1", paths); err != nil || len(fps) != 0 {
-		t.Errorf("after Prefetch, Fingerprints = %v, %v: placeholders are left", fps, err)
+		t.Errorf("after reading every file, Fingerprints = %v, %v: placeholders are left", fps, err)
 	}
 }
 

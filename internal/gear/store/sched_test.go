@@ -506,8 +506,8 @@ func TestSaveProfileKeepsRicherTrace(t *testing.T) {
 	}
 }
 
-// TestEagerPrefetchDoesNotRecord: the whole-image Prefetch walk is not
-// a startup access pattern and must leave the profile recorder empty.
+// TestEagerPrefetchDoesNotRecord: a whole-image FetchAll is not a
+// startup access pattern and must leave the profile recorder empty.
 func TestEagerPrefetchDoesNotRecord(t *testing.T) {
 	ix, _, reg := prefetchFixture(t)
 	lib := prefetch.NewLibrary()
@@ -515,7 +515,7 @@ func TestEagerPrefetchDoesNotRecord(t *testing.T) {
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prefetch("web:v1"); err != nil {
+	if _, err := s.FetchAll(imageFingerprints(ix)); err != nil {
 		t.Fatal(err)
 	}
 	if saved, err := s.SaveProfile("web:v1"); err != nil || saved {

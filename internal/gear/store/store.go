@@ -61,9 +61,8 @@ type Options struct {
 	// a fault or range read is its demand stall (Transfer.Stall). The
 	// deployment simulator prices netsim links here.
 	OnTransfer func(Transfer) time.Duration
-	// FetchWorkers bounds the concurrency of FetchAll (and Prefetch,
-	// which uses it). 0 selects DefaultFetchWorkers. Lazy single-file
-	// faults (Resolve) are unaffected.
+	// FetchWorkers bounds the concurrency of FetchAll. 0 selects
+	// DefaultFetchWorkers. Lazy single-file faults are unaffected.
 	FetchWorkers int
 	// Peers, if set, is consulted on every miss before the registry:
 	// a cluster neighbour that already holds the file serves it over
@@ -204,7 +203,7 @@ func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
 // imageState is an installed image: its mounted index — the shared
 // placeholder tree (level 2) and the chunk tables — and how many
 // containers run on that tree. An image installed from its blob holds no
-// Entry tree; Index, Prefetch and Commit, which need one because the tree
+// Entry tree; Index and Commit, which need one because the tree
 // forgets a file's fingerprint once the file is relinked, get it from
 // Mounted.Index.
 type imageState struct {
@@ -235,7 +234,7 @@ type containerFaults struct {
 }
 
 func (f *containerFaults) Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
-	return f.s.resolve(f.st, imageRef, path, fp, size, true)
+	return f.s.resolve(f.st, imageRef, path, fp, size)
 }
 
 func (f *containerFaults) ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
@@ -266,8 +265,6 @@ func (t *streams) advance(path string, off int64, lo, hi int) bool {
 	t.last[path] = hi - 1
 	return off == 0 || ok && (lo == prev || lo == prev+1)
 }
-
-var _ viewer.Resolver = (*Store)(nil)
 
 // New returns an empty Store.
 func New(opts Options) (*Store, error) {
@@ -422,17 +419,6 @@ func (s *Store) CreateContainer(id, imageRef string) (*viewer.Viewer, error) {
 	return v, nil
 }
 
-// Container returns a running container's viewer.
-func (s *Store) Container(id string) (*viewer.Viewer, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.containers[id]
-	if !ok {
-		return nil, fmt.Errorf("store: %s: %w", id, ErrNoContainer)
-	}
-	return c.view, nil
-}
-
 // RemoveContainer destroys a container: only its level-3 diff goes away;
 // the image index and cached files survive. The last container of an
 // image that has been removed meanwhile takes the image's tree with it.
@@ -455,25 +441,21 @@ func (s *Store) RemoveContainer(id string) error {
 	return err
 }
 
-// Resolve implements viewer.Resolver: cache lookup, then remote
+// Resolve faults one file in by reference: cache lookup, then remote
 // download, then hard link over the placeholder in the shared index tree
 // of the image installed as imageRef now. (A container's own faults go to
 // the image it was created on: see containerFaults.) Faults resolved
 // here are first-class accesses and feed the image's startup profile
 // when a profile library is configured.
 func (s *Store) Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
-	return s.resolve(s.installed(imageRef), imageRef, path, fp, size, true)
+	return s.resolve(s.installed(imageRef), imageRef, path, fp, size)
 }
 
-// resolve is Resolve in the image st, with recording controllable: the
-// eager Prefetch walk passes record=false so a whole-image sweep does not
-// overwrite the access order real container starts exhibit. With no image
-// (st is nil: nothing is installed as imageRef) the fetch runs against
-// the cache and the registry, and links nothing.
-func (s *Store) resolve(st *imageState, imageRef, path string, fp hashing.Fingerprint, size int64, record bool) (*vfs.Content, error) {
-	if record {
-		s.record(imageRef, fp, size)
-	}
+// resolve is Resolve in the image st. With no image (st is nil: nothing
+// is installed as imageRef) the fetch runs against the cache and the
+// registry, and links nothing.
+func (s *Store) resolve(st *imageState, imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
+	s.record(imageRef, fp, size)
 	// A concurrent fault may have materialized the node already. The
 	// shared tree is internally locked, so mu is not needed here.
 	if st != nil {
@@ -528,26 +510,19 @@ func (s *Store) fetch(fp hashing.Fingerprint, size int64, chunks []index.Chunk) 
 // ErrBadRange reports a ranged read of a negative offset or no bytes.
 var ErrBadRange = errors.New("invalid byte range")
 
-// ResolveRange implements viewer.Resolver: it serves [off, off+n) of the
-// file behind fp, and decides what that costs. A chunked file fetches
+// resolveRange serves [off, off+n) of the file behind fp in the image
+// st (see resolve), and decides what that costs. A chunked file fetches
 // only the chunks that overlap the range — the paper's future-work "read
 // big files on demand in chunks" (§VII): they fault concurrently through
 // the gate (at most ChunkWindowBytes in flight, however wide the read),
-// and when the read continues a sequential stream, leftover budget reads
-// ahead along the file per ChunkReadahead; this entry point keeps no
-// stream, so only a read from the file's head reads ahead. A
+// and when the read continues the reader's sequential stream (rs),
+// leftover budget reads ahead along the file per ChunkReadahead. A
 // non-chunked file uses the registry's range verb when RangeReads is
-// enabled, and is otherwise materialized, exactly as by Resolve, and
+// enabled, and is otherwise materialized, exactly as by resolve, and
 // sliced. Partial reads do not link anything into the index tree (the
 // file is not complete), but every fetched chunk lands in the level-1
 // cache for reuse. A failed ranged read is an error, never a quiet fetch
 // of the whole file.
-func (s *Store) ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
-	return s.resolveRange(s.installed(imageRef), new(streams), imageRef, path, fp, size, off, n)
-}
-
-// resolveRange is ResolveRange in the image st (see resolve), for the
-// reader whose streams decide whether a chunked read reads ahead.
 func (s *Store) resolveRange(st *imageState, rs *streams, imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
 	if n <= 0 || off < 0 {
 		return nil, fmt.Errorf("store: range [%d,+%d): %w", off, n, ErrBadRange)
@@ -557,7 +532,7 @@ func (s *Store) resolveRange(st *imageState, rs *streams, imageRef, path string,
 		if data, ok, err := s.rangeRead(fp, off, n); ok || err != nil {
 			return data, err
 		}
-		c, err := s.resolve(st, imageRef, path, fp, size, true)
+		c, err := s.resolve(st, imageRef, path, fp, size)
 		if err != nil {
 			return nil, err
 		}
@@ -616,52 +591,6 @@ func sliceRange(data []byte, off, n int64) []byte {
 	return data[off:end]
 }
 
-// Prefetch materializes every file of an installed image (a full
-// download, used to pre-warm caches or to compare against Docker's
-// eager pull). The downloads run through FetchAll, so they use up to
-// FetchWorkers concurrent (batched where supported) transfers.
-func (s *Store) Prefetch(ref string) error {
-	st, err := s.image(ref)
-	if err != nil {
-		return err
-	}
-	ix, err := st.Index()
-	if err != nil {
-		return fmt.Errorf("store: prefetch %s: %w", ref, err)
-	}
-	// Gather the raw objects to pull: chunk fingerprints for chunked
-	// files (the transfer unit), file fingerprints otherwise.
-	var fps []hashing.Fingerprint
-	walkEntries(ix.Root, "/", func(_ string, e *index.Entry) {
-		if e.Type != vfs.TypeRegular || e.Fingerprint == "" {
-			return
-		}
-		if chunks := st.Chunks[e.Fingerprint]; len(chunks) > 0 {
-			for _, ch := range chunks {
-				fps = append(fps, ch.Fingerprint)
-			}
-			return
-		}
-		fps = append(fps, e.Fingerprint)
-	})
-	if _, err := s.FetchAll(fps); err != nil {
-		return err
-	}
-	// Link everything into the level-2 tree; all content is local now,
-	// so these resolves assemble and hard-link without network traffic.
-	walkEntries(ix.Root, "/", func(p string, e *index.Entry) {
-		if err != nil || e.Type != vfs.TypeRegular {
-			return
-		}
-		// record=false: an eager whole-image walk is not a startup access
-		// pattern and must not pollute the image's profile.
-		if _, rerr := s.resolve(st, ref, p, e.Fingerprint, e.Size, false); rerr != nil {
-			err = rerr
-		}
-	})
-	return err
-}
-
 // Fingerprints translates index-tree paths of ref into the raw Gear
 // objects a fetch must pull: paths still holding placeholders map to
 // their file fingerprint, or to their chunk fingerprints for chunked
@@ -691,18 +620,6 @@ func (s *Store) Fingerprints(ref string, paths []string) ([]hashing.Fingerprint,
 		fps = append(fps, fp)
 	}
 	return fps, nil
-}
-
-// walkEntries calls fn for e, which is at the clean path p, and for
-// every entry below it.
-func walkEntries(e *index.Entry, p string, fn func(p string, e *index.Entry)) {
-	fn(p, e)
-	if p == "/" {
-		p = ""
-	}
-	for _, c := range e.Children {
-		walkEntries(c, p+"/"+c.Name, fn)
-	}
 }
 
 // Commit turns a container into a new Gear image (§III-D2): the diff's

@@ -308,9 +308,6 @@ func TestStoreErrors(t *testing.T) {
 	if err := s.RemoveContainer("ghost"); !errors.Is(err, ErrNoContainer) {
 		t.Errorf("err = %v, want ErrNoContainer", err)
 	}
-	if _, err := s.Container("ghost"); !errors.Is(err, ErrNoContainer) {
-		t.Errorf("err = %v, want ErrNoContainer", err)
-	}
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +349,7 @@ func TestPrefetch(t *testing.T) {
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prefetch("web:v1"); err != nil {
+	if _, err := s.FetchAll(imageFingerprints(ix)); err != nil {
 		t.Fatal(err)
 	}
 	// All unique files are now cached; a fresh container reads with zero
@@ -369,9 +366,6 @@ func TestPrefetch(t *testing.T) {
 	}
 	if got := metrics(s).Counter("store.remote.bytes"); got != before {
 		t.Errorf("prefetched image still fetched %d bytes", got-before)
-	}
-	if err := s.Prefetch("nope:v1"); !errors.Is(err, ErrNoIndex) {
-		t.Errorf("err = %v, want ErrNoIndex", err)
 	}
 }
 
@@ -723,7 +717,7 @@ func TestReadAtFetchesOnlyNeededChunks(t *testing.T) {
 		t.Errorf("tail read = %d bytes, %v", len(got), err)
 	}
 	// Invalid range.
-	if _, err := s.ResolveRange("ai:v1", "/model", ix.Lookup("/model").Fingerprint, 20000, -1, 10); !errors.Is(err, ErrBadRange) {
+	if _, err := containerResolver(s, "ai:v1").ResolveRange("ai:v1", "/model", ix.Lookup("/model").Fingerprint, 20000, -1, 10); !errors.Is(err, ErrBadRange) {
 		t.Errorf("err = %v, want ErrBadRange", err)
 	}
 }

@@ -131,8 +131,12 @@ func TestWholeFileReadOfChunkedFileIsWindowed(t *testing.T) {
 func TestFailedChunkedReadAccountsWhatMoved(t *testing.T) {
 	ix, reg, _ := chunkedFixture(t, 65536, 4096)
 	chunks := ix.Lookup("/model").Chunks
-	if _, err := reg.Delete(chunks[len(chunks)-1].Fingerprint); err != nil {
-		t.Fatal(err)
+	keep := map[hashing.Fingerprint]bool{}
+	for _, fp := range reg.Fingerprints() {
+		keep[fp] = fp != chunks[len(chunks)-1].Fingerprint
+	}
+	if removed, _ := reg.Retain(keep); removed != 1 {
+		t.Fatalf("dropped %d objects, want the last chunk", removed)
 	}
 	var hookObjects int
 	var hookBytes int64
@@ -536,6 +540,36 @@ func mustStore(t *testing.T, opts Options) *Store {
 	return s
 }
 
+// walkEntries calls fn for e, which is at the clean path p, and for
+// every entry below it.
+func walkEntries(e *index.Entry, p string, fn func(p string, e *index.Entry)) {
+	fn(p, e)
+	if p == "/" {
+		p = ""
+	}
+	for _, c := range e.Children {
+		walkEntries(c, p+"/"+c.Name, fn)
+	}
+}
+
+// containerResolver is the resolver a container created on ref reads
+// through: its ranged reads keep a stream of their own.
+func containerResolver(s *Store, ref string) *containerFaults {
+	return &containerFaults{s: s, st: s.installed(ref)}
+}
+
+// imageFingerprints is every file fingerprint of an index: what an
+// eager whole-image FetchAll pulls.
+func imageFingerprints(ix *index.Index) []hashing.Fingerprint {
+	var fps []hashing.Fingerprint
+	walkEntries(ix.Root, "", func(_ string, e *index.Entry) {
+		if e.Fingerprint != "" {
+			fps = append(fps, e.Fingerprint)
+		}
+	})
+	return fps
+}
+
 // metrics snapshots the registry s publishes its store.* and cache.*
 // counters into. A store without a registry would read as all zeros, so
 // metrics refuses one: build the store with mustStore.
@@ -546,8 +580,8 @@ func metrics(s *Store) telemetry.Snapshot {
 	return s.opts.Telemetry.Snapshot()
 }
 
-// ResolveRange validates its range, and materializes and slices a
-// non-chunked file when the range verb is off.
+// A container's ranged read validates its range, and materializes and
+// slices a non-chunked file when the range verb is off.
 func TestResolveRangeValidation(t *testing.T) {
 	ix, reg := fixture(t)
 	s := newStore(t, reg)
@@ -555,13 +589,14 @@ func TestResolveRangeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := ix.Lookup("/bin/app").Fingerprint
-	if _, err := s.ResolveRange("web:v1", "/bin/app", fp, 4096, -1, 10); !errors.Is(err, ErrBadRange) {
+	r := containerResolver(s, "web:v1")
+	if _, err := r.ResolveRange("web:v1", "/bin/app", fp, 4096, -1, 10); !errors.Is(err, ErrBadRange) {
 		t.Errorf("negative off: %v", err)
 	}
-	if _, err := s.ResolveRange("web:v1", "/bin/app", fp, 4096, 0, 0); !errors.Is(err, ErrBadRange) {
+	if _, err := r.ResolveRange("web:v1", "/bin/app", fp, 4096, 0, 0); !errors.Is(err, ErrBadRange) {
 		t.Errorf("zero n: %v", err)
 	}
-	got, err := s.ResolveRange("web:v1", "/bin/app", fp, 4096, 0, 10)
+	got, err := r.ResolveRange("web:v1", "/bin/app", fp, 4096, 0, 10)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xcd}, 10)) {
 		t.Errorf("non-chunked without RangeReads = %q, %v", got, err)
 	}

@@ -66,9 +66,6 @@ func New(imageRef string, indexTree *vfs.FS, resolver Resolver) *Viewer {
 	}
 }
 
-// ImageRef returns the image reference this viewer serves.
-func (v *Viewer) ImageRef() string { return v.imageRef }
-
 func (v *Viewer) checkOpen() error {
 	if v.closed {
 		return fmt.Errorf("viewer %s: %w", v.imageRef, ErrStopped)
@@ -264,40 +261,6 @@ func (v *Viewer) Symlink(target, p string) error {
 		return err
 	}
 	return v.mount.Symlink(target, p)
-}
-
-// Rename moves a regular file or symlink from oldp to newp, the way
-// Overlay2 without redirect_dir does it: copy-up into the diff layer at
-// the new name, whiteout the old. Renaming a regular index file
-// materializes it first (the content must move into the writable layer).
-func (v *Viewer) Rename(oldp, newp string) error {
-	// Materializing may need the resolver, so take the lock per step.
-	info, err := v.Stat(oldp)
-	if err != nil {
-		return err
-	}
-	switch info.Type {
-	case vfs.TypeSymlink:
-		target, err := v.Readlink(oldp)
-		if err != nil {
-			return err
-		}
-		if err := v.Symlink(target, newp); err != nil {
-			return err
-		}
-	case vfs.TypeRegular:
-		data, err := v.ReadFile(oldp)
-		if err != nil {
-			return err
-		}
-		if err := v.WriteFile(newp, data, info.Mode); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("viewer %s: rename %s: directories cannot be renamed without redirect_dir: %w",
-			v.imageRef, vfs.Clean(oldp), vfs.ErrInvalid)
-	}
-	return v.Remove(oldp)
 }
 
 // Remove deletes p from the view (whiteout in the diff layer for index

@@ -220,43 +220,6 @@ func TestClosedViewerRejectsEverything(t *testing.T) {
 	if v.Exists("/app/bin") {
 		t.Error("closed viewer reports existence")
 	}
-	if v.ImageRef() != "img:v1" {
-		t.Error("ImageRef lost")
-	}
-}
-
-func TestRename(t *testing.T) {
-	v, r := setup(t)
-	if err := v.Rename("/app/bin", "/app/bin-renamed"); err != nil {
-		t.Fatal(err)
-	}
-	if v.Exists("/app/bin") {
-		t.Error("old name still visible")
-	}
-	got, err := v.ReadFile("/app/bin-renamed")
-	if err != nil || string(got) != "binary-bytes" {
-		t.Errorf("renamed content = %q, %v", got, err)
-	}
-	// Renaming materialized the file once.
-	if r.calls != 1 {
-		t.Errorf("resolver calls = %d, want 1", r.calls)
-	}
-	// Renaming a symlink preserves its target.
-	if err := v.Rename("/app/bin-link", "/app/latest"); err != nil {
-		t.Fatal(err)
-	}
-	target, err := v.Readlink("/app/latest")
-	if err != nil || target != "bin" {
-		t.Errorf("renamed symlink = %q, %v", target, err)
-	}
-	// Directories cannot be renamed.
-	if err := v.Rename("/app", "/app2"); !errors.Is(err, vfs.ErrInvalid) {
-		t.Errorf("dir rename err = %v", err)
-	}
-	// Missing source.
-	if err := v.Rename("/ghost", "/x"); !errors.Is(err, vfs.ErrNotExist) {
-		t.Errorf("missing source err = %v", err)
-	}
 }
 
 func TestReadAt(t *testing.T) {
@@ -386,17 +349,6 @@ func TestSliceRange(t *testing.T) {
 		if got := string(sliceRange(data, tt.off, tt.n)); got != tt.want {
 			t.Errorf("sliceRange(%d,%d) = %q, want %q", tt.off, tt.n, got, tt.want)
 		}
-	}
-}
-
-func TestRenameMissingDestParent(t *testing.T) {
-	v, _ := setup(t)
-	if err := v.Rename("/app/conf", "/no/such/dir/conf"); err == nil {
-		t.Error("rename into missing dir accepted")
-	}
-	// Source must still exist after the failed rename.
-	if !v.Exists("/app/conf") {
-		t.Error("failed rename destroyed the source")
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/gear-image/gear/internal/hashing"
@@ -15,8 +18,9 @@ import (
 )
 
 // FuzzBatchHandler: the /gear/batch handler must never panic on
-// arbitrary fingerprint lists, and every 200 response must parse with
-// the client framing and contain only objects the registry holds.
+// arbitrary fingerprint lists, and every 200 response, read by the
+// client that asked for that list, must carry each object the registry
+// holds under it, in order.
 func FuzzBatchHandler(f *testing.F) {
 	reg := New(Options{})
 	known := hashing.FingerprintBytes([]byte("known object"))
@@ -47,17 +51,15 @@ func FuzzBatchHandler(f *testing.F) {
 
 			switch rec.Code {
 			case http.StatusOK:
-				objects, err := wire.ParseFrames(rec.Body.Bytes())
+				fps := wire.List([]byte(body))
+				payloads, _, err := cannedClient(rec.Header(), rec.Body.Bytes()).DownloadBatch(fps)
 				if err != nil {
-					t.Fatalf("200 response does not parse: %v", err)
+					t.Fatalf("the client refuses the 200 reply to %q: %v", fps, err)
 				}
-				for _, o := range objects {
-					if err := o.FP.Validate(); err != nil {
-						t.Fatalf("served invalid fingerprint %q", o.FP)
-					}
-					present, err := reg.Query(o.FP)
-					if err != nil || !present {
-						t.Fatalf("served object %s the registry does not hold", o.FP)
+				for i, fp := range fps {
+					want, _, err := reg.Download(fp)
+					if err != nil || !bytes.Equal(payloads[i], want) {
+						t.Fatalf("served %s wrong, or an object the registry does not hold: %v", fp, err)
 					}
 				}
 			case http.StatusBadRequest, http.StatusNotFound:
@@ -65,6 +67,137 @@ func FuzzBatchHandler(f *testing.F) {
 				// or serve partial garbage.
 			default:
 				t.Fatalf("unexpected status %d", rec.Code)
+			}
+		}
+	})
+}
+
+// batchFrame is one frame of a batch reply: its fingerprint, and its
+// payload, inflated when the header says gzip.
+type batchFrame struct {
+	fp      hashing.Fingerprint
+	payload []byte
+	gzipped bool
+}
+
+// frames splits a batch reply held in memory into its frames, as far as
+// they parse; ok says the whole body is well-formed frames.
+func frames(body []byte) (fps []hashing.Fingerprint, out []batchFrame, ok bool) {
+	for len(body) > 0 {
+		line, rest, found := bytes.Cut(body, []byte("\n"))
+		if !found {
+			return fps, out, false
+		}
+		fp, stored, gzipped, err := wire.ParseFrame(string(line))
+		if err != nil {
+			return fps, out, false
+		}
+		fps = append(fps, fp)
+		if stored > int64(len(rest)) {
+			return fps, out, false
+		}
+		payload, err := wire.Inflate(rest[:stored], gzipped)
+		if err != nil {
+			return fps, out, false
+		}
+		out = append(out, batchFrame{fp: fp, payload: payload, gzipped: gzipped})
+		body = rest[stored:]
+	}
+	return fps, out, true
+}
+
+// FuzzBatchReply: the client reading a batch reply must never panic,
+// must either fail with a typed error or return exactly one payload per
+// fingerprint it asked for, each the bytes its frame carries, and must
+// not give a reply more memory than the bytes it sent could inflate to,
+// whatever sizes its X-Gear-Size header declares. The first thirteen
+// seeds are the retired whole-buffer frame parser's.
+func FuzzBatchReply(f *testing.F) {
+	f.Add("", []byte("d41d8cd98f00b204e9800998ecf8427e 5 raw\nhello"))
+	f.Add("", []byte("d41d8cd98f00b204e9800998ecf8427e 0 gzip\n"))
+	f.Add("", []byte("d41d8cd98f00b204e9800998ecf8427e 99 raw\nshort"))
+	f.Add("", []byte("zzzz 5 raw\nhello"))
+	f.Add("", []byte("no header"))
+	f.Add("", []byte{})
+	known := string(hashing.FingerprintBytes([]byte("known object")))
+	for _, body := range []string{
+		"",
+		known + " 5 raw\nhello",
+		known + " 0 raw\n",
+		known + " 99 raw\nshort", // length overruns input
+		known + " 5 gzip\nhello", // gzip frame of raw bytes
+		"zzzz 5 raw\nhello",      // malformed fingerprint
+		known + " 5 raw\nhello",  // was under the wrong verb
+	} {
+		f.Add("", []byte(body))
+	}
+	hello, err := tarstream.Gzip([]byte("hello"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	gz := func(fp string, stream []byte) []byte {
+		return append([]byte(fmt.Sprintf("%s %d gzip\n", fp, len(stream))), stream...)
+	}
+	f.Add("5", gz(known, hello))
+	f.Add("4", gz(known, hello))          // declares a size the stream does not inflate to
+	f.Add("1000000000", gz(known, hello)) // declares a gigabyte
+	f.Add("5,5", append(gz(known, hello), gz("d41d8cd98f00b204e9800998ecf8427e", hello)...))
+	f.Add("", []byte(known+" 5 raw\nhello"+known+" 5 raw\nhello")) // one fingerprint twice
+	f.Add("", []byte(known+" 5 raw\nhellotrailing bytes"))
+	f.Fuzz(func(t *testing.T, sizes string, data []byte) {
+		// Ask for what the reply says it carries, when it says anything:
+		// an arbitrary reply to a fixed request is refused on the echo,
+		// and the payloads are never reached.
+		fps, want, wellFormed := frames(data)
+		if len(fps) == 0 {
+			fps = []hashing.Fingerprint{"d41d8cd98f00b204e9800998ecf8427e"}
+		}
+		header := http.Header{}
+		if sizes != "" {
+			header.Set(wire.SizeHeader, sizes)
+		}
+		c := cannedClient(header, data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		payloads, wireBytes, err := c.DownloadBatch(fps)
+		runtime.ReadMemStats(&after)
+		// The client's own working set, plus what deflate's largest
+		// expansion (~1032:1) of the bytes received could hold, twice
+		// over for a buffer grown by append.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(2*1032*len(data)+256<<10); got > bound {
+			t.Fatalf("read a %d-byte reply declaring sizes %q into %d bytes of memory, want at most %d", len(data), sizes, got, bound)
+		}
+		if err != nil {
+			if !errors.Is(err, wire.ErrBadReply) {
+				t.Fatalf("refused with an untyped error: %v", err)
+			}
+			return
+		}
+		if !wellFormed || len(payloads) != len(fps) || len(want) != len(fps) {
+			t.Fatalf("accepted %d payloads for %d fingerprints from a reply of %d frames (well-formed: %v)", len(payloads), len(fps), len(want), wellFormed)
+		}
+		// A gzip frame inflates to what the header declares for it, when
+		// it declares anything; a raw frame is its stored bytes.
+		declared, _ := wire.Ints(strings.Split(sizes, ","))
+		for i := range fps {
+			if !bytes.Equal(payloads[i], want[i].payload) {
+				t.Fatalf("payload %d of %s is not its frame's bytes", i, fps[i])
+			}
+			if sizes != "" && want[i].gzipped && i < len(declared) && declared[i] >= 0 && int64(len(payloads[i])) != declared[i] {
+				t.Fatalf("payload %d is %d bytes, the reply declared %d", i, len(payloads[i]), declared[i])
+			}
+		}
+		if wireBytes != int64(len(data)) {
+			t.Fatalf("wire bytes = %d, body is %d", wireBytes, len(data))
+		}
+		// The echo is the client's to check: the same reply to the list
+		// in another order is refused.
+		if rev := slices.Clone(fps); len(rev) > 1 {
+			slices.Reverse(rev)
+			if !slices.Equal(rev, fps) {
+				if _, _, err := c.DownloadBatch(rev); err == nil {
+					t.Fatalf("accepted a reply in the order %v for a request in the order %v", fps, rev)
+				}
 			}
 		}
 	})

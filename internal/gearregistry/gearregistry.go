@@ -115,10 +115,6 @@ func New(opts Options) *Registry {
 	}
 }
 
-// Telemetry returns the metrics registry this pool publishes into (the
-// one from Options, or the private default).
-func (r *Registry) Telemetry() *telemetry.Registry { return r.tele }
-
 // StatsSnapshot returns the unified telemetry snapshot for this pool —
 // what the /metrics endpoint serves.
 func (r *Registry) StatsSnapshot() telemetry.Snapshot { return r.tele.Snapshot() }
@@ -264,18 +260,6 @@ func (r *Registry) Stored(fp hashing.Fingerprint) (wire.Object, error) {
 	return wire.Object{FP: fp, Stored: o.stored, Gzip: r.opts.Compress, Size: o.size}, nil
 }
 
-// Size returns the uncompressed size of a stored Gear file without
-// fetching it — used by deploy-time planners.
-func (r *Registry) Size(fp hashing.Fingerprint) (int64, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	o, ok := r.objects[fp]
-	if !ok {
-		return 0, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
-	}
-	return o.size, nil
-}
-
 // Fingerprints returns every stored fingerprint in sorted order — the
 // enumeration that pool seeding and a revived shard's backfill walk.
 // The slice is a snapshot; concurrent mutations are not reflected.
@@ -288,27 +272,6 @@ func (r *Registry) Fingerprints() []hashing.Fingerprint {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Delete removes a single object, returning the stored bytes freed.
-// Deleting an absent object reports ErrNotFound. Retain is the
-// reference-driven GC sweep; Delete drops one named object.
-func (r *Registry) Delete(fp hashing.Fingerprint) (int64, error) {
-	if err := fp.Validate(); err != nil {
-		return 0, fmt.Errorf("gearregistry: delete: %w", err)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	o, ok := r.objects[fp]
-	if !ok {
-		return 0, fmt.Errorf("gearregistry: %s: %w", fp, ErrNotFound)
-	}
-	freed := int64(len(o.stored))
-	r.logicalBytes.Add(-o.size)
-	delete(r.objects, fp)
-	r.objectsGauge.Add(-1)
-	r.storedBytes.Add(-freed)
-	return freed, nil
 }
 
 // Retain garbage-collects the pool: every object whose fingerprint is

@@ -49,10 +49,6 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 			if !compress && wire != int64(len(data)) {
 				t.Errorf("wire bytes %d != payload %d without compression", wire, len(data))
 			}
-			size, err := r.Size(fp)
-			if err != nil || size != int64(len(data)) {
-				t.Errorf("Size = %d, %v; want %d", size, err, len(data))
-			}
 		})
 	}
 }
@@ -120,9 +116,6 @@ func TestDownloadMissing(t *testing.T) {
 	fp := hashing.FingerprintBytes([]byte("ghost"))
 	if _, _, err := r.Download(fp); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
-	}
-	if _, err := r.Size(fp); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Size err = %v, want ErrNotFound", err)
 	}
 	ok, err := r.Query(fp)
 	if err != nil || ok {
@@ -345,8 +338,8 @@ func TestHTTPGC(t *testing.T) {
 	}
 }
 
-// Fingerprints enumerates the pool sorted; Delete removes one object,
-// keeps the pool gauges exact, and reports ErrNotFound for absences.
+// Fingerprints enumerates the pool sorted; Retain removes one object,
+// and keeps the pool gauges exact.
 func TestFingerprintsAndDelete(t *testing.T) {
 	reg := New(Options{Compress: true})
 	var want []hashing.Fingerprint
@@ -371,12 +364,13 @@ func TestFingerprintsAndDelete(t *testing.T) {
 	}
 
 	before := reg.Stats()
-	freed, err := reg.Delete(want[0])
-	if err != nil {
-		t.Fatal(err)
+	keep := map[hashing.Fingerprint]bool{}
+	for _, fp := range want[1:] {
+		keep[fp] = true
 	}
-	if freed <= 0 {
-		t.Fatalf("Delete freed %d bytes", freed)
+	removed, freed := reg.Retain(keep)
+	if removed != 1 || freed <= 0 {
+		t.Fatalf("Retain removed %d objects, freed %d bytes", removed, freed)
 	}
 	after := reg.Stats()
 	if after.Objects != before.Objects-1 {
@@ -393,13 +387,6 @@ func TestFingerprintsAndDelete(t *testing.T) {
 	}
 	if len(reg.Fingerprints()) != len(want)-1 {
 		t.Fatal("enumeration still lists deleted object")
-	}
-
-	if _, err := reg.Delete(want[0]); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete err = %v, want ErrNotFound", err)
-	}
-	if _, err := reg.Delete(hashing.Fingerprint("zzzz")); !errors.Is(err, hashing.ErrMalformed) {
-		t.Fatalf("malformed delete err = %v, want ErrMalformed", err)
 	}
 
 	// Deleted objects can be re-uploaded (no tombstone).

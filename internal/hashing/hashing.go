@@ -327,22 +327,6 @@ func (r *Registry) SumAll(items [][]byte) []Sum {
 	return sums
 }
 
-// Entries returns how many distinct contents the registry has assigned
-// addresses to. Each entry costs a fixed-size verifier digest, so
-// Entries bounds resident memory regardless of payload sizes.
-func (r *Registry) Entries() int {
-	total := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for _, seen := range s.byFP {
-			total += len(seen)
-		}
-		s.mu.Unlock()
-	}
-	return total
-}
-
 func indexedID(fp Fingerprint, i int) Fingerprint {
 	if i == 0 {
 		return fp

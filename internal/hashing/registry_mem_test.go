@@ -19,7 +19,7 @@ func assignPayloads(tb testing.TB, n, size int) *Registry {
 			tb.Fatalf("invalid fingerprint %q", fp)
 		}
 	}
-	if got := r.Entries(); got != n {
+	if got := entries(r); got != n {
 		tb.Fatalf("entries = %d, want %d", got, n)
 	}
 	return r

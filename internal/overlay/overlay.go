@@ -437,28 +437,6 @@ func (m *Mount) walkDir(dir string, fn vfs.WalkFunc) error {
 	return nil
 }
 
-// Materialize flattens the union view into a standalone tree — the root
-// filesystem a container process sees.
-func (m *Mount) Materialize() (*vfs.FS, error) {
-	out := vfs.New()
-	err := m.Walk(func(p string, n *vfs.Node) error {
-		switch n.Type() {
-		case vfs.TypeDir:
-			return out.MkdirAll(p, n.Mode())
-		case vfs.TypeRegular:
-			return out.PutContent(p, n.Content(), n.Mode())
-		case vfs.TypeSymlink:
-			return out.Symlink(n.Target(), p)
-		default:
-			return fmt.Errorf("overlay: materialize %s: %w", p, vfs.ErrInvalid)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // DiffTree returns the upper layer — the container's modifications in
 // layer-diff form (whiteouts literal), ready for tarstream packing. This
 // is what "docker commit" turns into a new read-only layer (§II-A) and

@@ -370,7 +370,7 @@ func TestMaterializeAndWalk(t *testing.T) {
 	if err := m.Remove("/bin/bash"); err != nil {
 		t.Fatal(err)
 	}
-	flat, err := m.Materialize()
+	flat, err := materialize(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestCommitRoundTrip(t *testing.T) {
 
 	base := m.squash.Clone()
 	tarstream.ApplyLayer(base, m.DiffTree())
-	flat, err := m.Materialize()
+	flat, err := materialize(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,6 +435,25 @@ func TestNewWithUpperRestoresState(t *testing.T) {
 	if err != nil || string(got) != "persisted" {
 		t.Errorf("remounted upper lost data: %q, %v", got, err)
 	}
+}
+
+// materialize flattens the union view into a standalone tree: the root
+// filesystem a container process sees.
+func materialize(m *Mount) (*vfs.FS, error) {
+	out := vfs.New()
+	err := m.Walk(func(p string, n *vfs.Node) error {
+		switch n.Type() {
+		case vfs.TypeDir:
+			return out.MkdirAll(p, n.Mode())
+		case vfs.TypeRegular:
+			return out.PutContent(p, n.Content(), n.Mode())
+		case vfs.TypeSymlink:
+			return out.Symlink(n.Target(), p)
+		default:
+			return fmt.Errorf("materialize %s: %w", p, vfs.ErrInvalid)
+		}
+	})
+	return out, err
 }
 
 func snapshot(f *vfs.FS) string {
@@ -497,7 +516,7 @@ func TestMountInvariantsProperty(t *testing.T) {
 		// (2) commit round trip
 		base := m.squash.Clone()
 		tarstream.ApplyLayer(base, m.DiffTree())
-		flat, err := m.Materialize()
+		flat, err := materialize(m)
 		if err != nil {
 			return false
 		}
@@ -637,7 +656,10 @@ func refWhiteoutPath(p string) string {
 }
 
 func refHidden(m *Mount, p string) bool {
-	parts := vfs.Split(p)
+	var parts []string
+	if p = vfs.Clean(p); p != "/" {
+		parts = strings.Split(p[1:], "/")
+	}
 	cur := "/"
 	for i := 0; i <= len(parts); i++ {
 		if i > 0 {

@@ -40,9 +40,6 @@ func NewServer(id string, c *cache.Cache) *Server {
 	}
 }
 
-// ID returns the owning node's id.
-func (s *Server) ID() string { return s.id }
-
 // Query reports whether the node currently holds fp.
 func (s *Server) Query(fp hashing.Fingerprint) (bool, error) {
 	if err := fp.Validate(); err != nil {

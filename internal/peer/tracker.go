@@ -72,9 +72,6 @@ func NewTracker() *Tracker {
 	}
 }
 
-// Telemetry returns the metrics registry this tracker publishes into.
-func (t *Tracker) Telemetry() *telemetry.Registry { return t.tele }
-
 // Snapshot implements telemetry.Snapshotter: the unified telemetry
 // snapshot for this tracker, what the /peer/metrics endpoint serves.
 func (t *Tracker) Snapshot() telemetry.Snapshot { return t.tele.Snapshot() }

@@ -44,9 +44,6 @@ func NewLibrary() *Library {
 	}
 }
 
-// Telemetry returns the metrics registry this library publishes into.
-func (l *Library) Telemetry() *telemetry.Registry { return l.tele }
-
 // Snapshot implements telemetry.Snapshotter: the unified telemetry
 // snapshot for this library, what the /profile/metrics endpoint serves.
 func (l *Library) Snapshot() telemetry.Snapshot { return l.tele.Snapshot() }
@@ -113,13 +110,6 @@ func (l *Library) Delete(ref string) bool {
 	}
 	delete(l.profiles, ref)
 	return ok
-}
-
-// Len returns the number of persisted profiles.
-func (l *Library) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.profiles)
 }
 
 // Info summarizes one persisted profile for listings.

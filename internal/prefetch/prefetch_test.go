@@ -251,7 +251,7 @@ func TestLibraryHTTP(t *testing.T) {
 	if err := c.Delete(p.ImageRef); err != nil {
 		t.Fatal(err)
 	}
-	if lib.Len() != 0 {
+	if len(lib.List()) != 0 {
 		t.Fatal("delete over HTTP did not remove the profile")
 	}
 	if err := c.Delete(p.ImageRef); err == nil {
@@ -301,8 +301,8 @@ func TestLibraryMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode /profile/metrics: %v", err)
 	}
-	if got := snap.Gauge("profiles.count"); got != int64(lib.Len()) {
-		t.Errorf("profiles.count = %d, library holds %d", got, lib.Len())
+	if got, held := snap.Gauge("profiles.count"), len(lib.List()); got != int64(held) {
+		t.Errorf("profiles.count = %d, library holds %d", got, held)
 	}
 	if snap.Gauge("profiles.bytes") <= 0 {
 		t.Error("profiles.bytes gauge not tracking stored footprint")

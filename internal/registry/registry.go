@@ -81,9 +81,6 @@ func New() *Registry {
 	}
 }
 
-// Telemetry returns the metrics registry this store publishes into.
-func (r *Registry) Telemetry() *telemetry.Registry { return r.tele }
-
 // Snapshot implements telemetry.Snapshotter: the unified telemetry
 // snapshot for this store, what the /metrics endpoint serves.
 func (r *Registry) Snapshot() telemetry.Snapshot { return r.tele.Snapshot() }

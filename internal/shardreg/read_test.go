@@ -350,7 +350,7 @@ func TestFailoverCounterTelemetry(t *testing.T) {
 	uploadAll(t, c, objs)
 	fp := sortedFps(objs)[0]
 	primary := c.Replicas(fp)[0]
-	failovers := c.Telemetry().Counter("shardreg.failovers")
+	failovers := c.tele.Counter("shardreg.failovers")
 
 	before := failovers.Value()
 	if err := c.KillShard(primary); err != nil {

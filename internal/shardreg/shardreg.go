@@ -272,12 +272,6 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// Telemetry returns the metrics registry the tier publishes into.
-func (c *Cluster) Telemetry() *telemetry.Registry { return c.tele }
-
-// Replication returns the configured replica count.
-func (c *Cluster) Replication() int { return c.opts.Replication }
-
 // Shards lists member ids in sorted order.
 func (c *Cluster) Shards() []string { return c.ring.Shards() }
 

@@ -350,7 +350,7 @@ func verifyPlacement(t *testing.T, c *Cluster, objs map[hashing.Fingerprint][]by
 			t.Fatalf("Download(%s): %v", fp, err)
 		}
 	}
-	if want := c.Replication() * len(objs); copies != want {
+	if want := c.opts.Replication * len(objs); copies != want {
 		t.Fatalf("%d replica copies across tier, want %d", copies, want)
 	}
 }

@@ -89,12 +89,6 @@ func FromImage(img *imagefmt.Image, blockSize int64) (*BlockImage, error) {
 	return bi, nil
 }
 
-// Ref returns the image reference.
-func (b *BlockImage) Ref() string { return b.ref }
-
-// DeviceSize returns the virtual device size in bytes.
-func (b *BlockImage) DeviceSize() int64 { return int64(len(b.device)) }
-
 // Server hosts block images (the NFS/VMstore side). Safe for concurrent
 // use.
 type Server struct {

@@ -145,9 +145,9 @@ func TestNoDedupOnServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared := &v1.device[0] == &v2.device[0]; shared || v1.DeviceSize() != v2.DeviceSize() {
+	if shared := &v1.device[0] == &v2.device[0]; shared || len(v1.device) != len(v2.device) {
 		t.Errorf("devices of %d and %d bytes, shared = %v; want two equal, separate copies (no dedup)",
-			v1.DeviceSize(), v2.DeviceSize(), shared)
+			len(v1.device), len(v2.device), shared)
 	}
 }
 

@@ -108,8 +108,12 @@ func fuzzTree(prog []byte) *vfs.FS {
 		case 2:
 			_ = f.Symlink(fuzzNames[int(arg)%3], p)
 		case 3:
-			if len(files) > 0 && f.Link(files[int(arg)%len(files)], p) == nil {
-				files = append(files, p)
+			// A hard link: p names the content of an existing file.
+			if len(files) > 0 {
+				if n := f.Lookup(files[int(arg)%len(files)]); n != nil && n.Type() == vfs.TypeRegular &&
+					f.PutContent(p, n.Content(), n.Mode()) == nil {
+					files = append(files, p)
+				}
 			}
 		case 4:
 			f.Lookup(dir).Opaque = arg%2 == 0

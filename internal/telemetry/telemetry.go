@@ -28,7 +28,7 @@ import (
 )
 
 // Counter is a monotonically increasing (well-behaved callers only add
-// non-negative deltas; Drop-style corrections may subtract) int64
+// non-negative deltas; a correction may subtract) int64
 // metric. The zero value is ready to use.
 type Counter struct {
 	v atomic.Int64

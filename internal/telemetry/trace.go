@@ -46,7 +46,7 @@ type Span struct {
 	// "deploy.pull" with "deploy.unpack", "deploy.prefetch", and
 	// "deploy.run" with "deploy.fault", "deploy.local" and
 	// "deploy.compute". The store: "fault", "rangefault", "readahead"
-	// and "fetch". A fleet harness: "fleet.phase".
+	// and "fetch".
 	Op string `json:"op"`
 	// Ref identifies the subject (image ref, accessed path, fingerprint
 	// prefix).
@@ -139,25 +139,4 @@ func (t *TraceRing) Snapshot() []Span {
 		out[k] = *t.at((t.next + k) % t.n)
 	}
 	return out
-}
-
-// Total returns how many spans were ever recorded (including any the
-// ring has since overwritten).
-func (t *TraceRing) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
-}
-
-// Len returns the number of retained spans.
-func (t *TraceRing) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
 }

@@ -144,7 +144,15 @@ func TestSourcedTreeMatchesBuiltTree(t *testing.T) {
 				same("Symlink "+p, errText(built.Symlink("t", p)), errText(lazy.Symlink("t", p)))
 				same("PutContent "+q, errText(built.PutContent(q, shared, 0o640)), errText(lazy.PutContent(q, shared, 0o640)))
 			case 18:
-				same("Link "+p+" "+q, errText(built.Link(p, q)), errText(lazy.Link(p, q)))
+				// A hard link: q names the content at p.
+				link := func(f *FS) string {
+					n := f.Lookup(p)
+					if n == nil || n.Type() != TypeRegular {
+						return "not a file"
+					}
+					return errText(f.PutContent(q, n.Content(), n.Mode()))
+				}
+				same("Link "+p+" "+q, link(built), link(lazy))
 			case 19:
 				// A clone is filled in, as far as its original was, and
 				// fills in the rest for itself.

@@ -365,15 +365,6 @@ func isClean(p string) bool {
 	return true
 }
 
-// Split breaks a cleaned path into its segments; "/" yields nil.
-func Split(p string) []string {
-	p = Clean(p)
-	if p == "/" {
-		return nil
-	}
-	return strings.Split(p[1:], "/")
-}
-
 // errUnfilled is walk's answer when only the source can say whether the
 // path resolves, and the caller does not hold the lock a fill takes.
 var errUnfilled = errors.New("directory not filled in")
@@ -412,16 +403,11 @@ func (f *FS) walk(rel string, fill bool) (*Node, error) {
 	return cur, nil
 }
 
-// lookup walks to the node at p without following a trailing symlink,
-// for a caller that holds the lock exclusively.
-func (f *FS) lookup(p string) (*Node, error) {
-	return f.walk(Clean(p)[1:], true)
-}
-
-// find is lookup for a reader, which holds no lock. Nodes are built under
-// the exclusive lock only, so a walk that comes to one not built yet is
-// made again under it: the second of two readers racing to a path finds
-// the node the first one built.
+// find walks to the node at p without following a trailing symlink, for
+// a reader, which holds no lock. Nodes are built under the exclusive
+// lock only, so a walk that comes to one not built yet is made again
+// under it: the second of two readers racing to a path finds the node
+// the first one built.
 func (f *FS) find(p string) (*Node, error) {
 	rel := Clean(p)[1:]
 	f.mu.RLock()
@@ -557,11 +543,6 @@ func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) error {
 func (f *FS) PutContent(p string, c *Content, mode fs.FileMode) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.putContent(p, c, mode)
-}
-
-// putContent is PutContent with f.mu already held.
-func (f *FS) putContent(p string, c *Content, mode fs.FileMode) error {
 	parent, base, err := f.lookupParent(p)
 	if err != nil {
 		return pathError("link", Clean(p), err)
@@ -640,20 +621,6 @@ func (f *FS) Symlink(target, p string) error {
 	}
 	parent.AddSymlink(base, target)
 	return nil
-}
-
-// Link creates a hard link at newp to the regular file at oldp.
-func (f *FS) Link(oldp, newp string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, err := f.lookup(oldp)
-	if err != nil {
-		return pathError("link", Clean(oldp), err)
-	}
-	if n.typ != TypeRegular {
-		return pathError("link", Clean(oldp), ErrInvalid)
-	}
-	return f.putContent(newp, n.Content(), n.mode)
 }
 
 // unlinkNode drops one reference from a non-directory node's content.

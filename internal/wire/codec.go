@@ -226,28 +226,6 @@ func ParseFrame(header string) (fp hashing.Fingerprint, stored int64, gzipped bo
 	return fp, int64(size), fields[1] == "gzip", nil
 }
 
-// ParseFrames decodes a whole buffer of RespondFrames' framing; the
-// objects alias body. It rejects truncated or malformed frames.
-func ParseFrames(body []byte) ([]Object, error) {
-	var objects []Object
-	for len(body) > 0 {
-		header, rest, ok := bytes.Cut(body, []byte("\n"))
-		if !ok {
-			return nil, fmt.Errorf("truncated object header %q", body)
-		}
-		fp, size, gzipped, err := ParseFrame(string(header))
-		if err != nil {
-			return nil, err
-		}
-		if size > int64(len(rest)) {
-			return nil, fmt.Errorf("object %s: truncated payload: want %d bytes, have %d", fp, size, len(rest))
-		}
-		objects = append(objects, Object{FP: fp, Stored: rest[:size], Gzip: gzipped})
-		body = rest[size:]
-	}
-	return objects, nil
-}
-
 // The headers that gzip-frame a text body: EncodingHeader marks one,
 // AcceptHeader tells the peer it may answer with one. The framing is
 // explicit so that compression survives any transport.
