@@ -507,9 +507,6 @@ func (s *Store) fetch(fp hashing.Fingerprint, size int64, chunks []index.Chunk) 
 	return content, nil
 }
 
-// ErrBadRange reports a ranged read of a negative offset or no bytes.
-var ErrBadRange = errors.New("invalid byte range")
-
 // resolveRange serves [off, off+n) of the file behind fp in the image
 // st (see resolve), and decides what that costs. A chunked file fetches
 // only the chunks that overlap the range — the paper's future-work "read
@@ -522,11 +519,8 @@ var ErrBadRange = errors.New("invalid byte range")
 // sliced. Partial reads do not link anything into the index tree (the
 // file is not complete), but every fetched chunk lands in the level-1
 // cache for reuse. A failed ranged read is an error, never a quiet fetch
-// of the whole file.
+// of the whole file. The viewer asks for nothing but off >= 0 and n > 0.
 func (s *Store) resolveRange(st *imageState, rs *streams, imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
-	if n <= 0 || off < 0 {
-		return nil, fmt.Errorf("store: range [%d,+%d): %w", off, n, ErrBadRange)
-	}
 	chunks := st.chunksOf(fp)
 	if len(chunks) == 0 {
 		if data, ok, err := s.rangeRead(fp, off, n); ok || err != nil {

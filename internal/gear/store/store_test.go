@@ -716,10 +716,6 @@ func TestReadAtFetchesOnlyNeededChunks(t *testing.T) {
 	if err != nil || !bytes.Equal(got, big[19000:]) {
 		t.Errorf("tail read = %d bytes, %v", len(got), err)
 	}
-	// Invalid range.
-	if _, err := containerResolver(s, "ai:v1").ResolveRange("ai:v1", "/model", ix.Lookup("/model").Fingerprint, 20000, -1, 10); !errors.Is(err, ErrBadRange) {
-		t.Errorf("err = %v, want ErrBadRange", err)
-	}
 }
 
 func TestReadAtFallsBackForUnchunkedFiles(t *testing.T) {

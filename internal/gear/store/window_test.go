@@ -580,8 +580,9 @@ func metrics(s *Store) telemetry.Snapshot {
 	return s.opts.Telemetry.Snapshot()
 }
 
-// A container's ranged read validates its range, and materializes and
-// slices a non-chunked file when the range verb is off.
+// A container's ranged read materializes and slices a non-chunked file
+// when the range verb is off. (The viewer refuses a negative offset and
+// answers an empty range itself: viewer's TestReadAt.)
 func TestResolveRangeValidation(t *testing.T) {
 	ix, reg := fixture(t)
 	s := newStore(t, reg)
@@ -590,12 +591,6 @@ func TestResolveRangeValidation(t *testing.T) {
 	}
 	fp := ix.Lookup("/bin/app").Fingerprint
 	r := containerResolver(s, "web:v1")
-	if _, err := r.ResolveRange("web:v1", "/bin/app", fp, 4096, -1, 10); !errors.Is(err, ErrBadRange) {
-		t.Errorf("negative off: %v", err)
-	}
-	if _, err := r.ResolveRange("web:v1", "/bin/app", fp, 4096, 0, 0); !errors.Is(err, ErrBadRange) {
-		t.Errorf("zero n: %v", err)
-	}
 	got, err := r.ResolveRange("web:v1", "/bin/app", fp, 4096, 0, 10)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xcd}, 10)) {
 		t.Errorf("non-chunked without RangeReads = %q, %v", got, err)

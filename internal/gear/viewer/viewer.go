@@ -135,12 +135,17 @@ func (v *Viewer) ReadFile(p string) ([]byte, error) {
 // A ranged read of an unmaterialized file is one fault like any other;
 // for a chunked file the resolver fetches only the chunks overlapping the
 // range — the mechanism the paper proposes for AI containers with big
-// models. An empty range reads nothing and fetches nothing.
+// models. An empty range reads nothing and fetches nothing. A negative
+// offset is pread's EINVAL: a *fs.PathError wrapping vfs.ErrInvalid,
+// whether the file is materialized or not.
 func (v *Viewer) ReadAt(p string, off, n int64) ([]byte, error) {
 	p = vfs.Clean(p)
+	if off < 0 {
+		return nil, &fs.PathError{Op: "read", Path: p, Err: vfs.ErrInvalid}
+	}
 	v.mu.Lock()
 	data, fp, size, lazy, err := v.readLocked(p)
-	if !lazy || off < 0 || n <= 0 {
+	if !lazy || n <= 0 {
 		v.mu.Unlock()
 		return sliceRange(data, off, n), err // materialized, or nothing asked for
 	}

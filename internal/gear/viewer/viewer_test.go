@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"strings"
 	"sync"
 	"testing"
@@ -236,12 +237,20 @@ func TestReadAt(t *testing.T) {
 	if r.calls != 2 {
 		t.Errorf("resolver calls = %d, want 2", r.calls)
 	}
-	// An empty range reads nothing and fetches nothing.
-	for _, rg := range [][2]int64{{0, 0}, {-1, 5}, {3, -1}} {
+	// An empty range reads nothing and fetches nothing; a negative
+	// offset is pread's EINVAL.
+	for _, rg := range [][2]int64{{0, 0}, {3, -1}} {
 		if got, err := v.ReadAt("/app/bin", rg[0], rg[1]); err != nil || got != nil {
 			t.Errorf("ReadAt%v of a lazy file = %q, %v; want nothing", rg, got, err)
 		}
 	}
+	negative := func(kind string) {
+		var pe *fs.PathError
+		if got, err := v.ReadAt("/app/bin", -1, 5); got != nil || !errors.As(err, &pe) || !errors.Is(err, vfs.ErrInvalid) || pe.Path != "/app/bin" {
+			t.Errorf("ReadAt at a negative offset of a %s file = %q, %v; want a *fs.PathError wrapping vfs.ErrInvalid", kind, got, err)
+		}
+	}
+	negative("lazy")
 	if r.calls != 2 {
 		t.Errorf("empty ranges reached the resolver: %d calls", r.calls)
 	}
@@ -263,6 +272,7 @@ func TestReadAt(t *testing.T) {
 	if r.calls != calls {
 		t.Error("materialized ReadAt refetched")
 	}
+	negative("materialized")
 	// Out-of-range and upper-layer reads.
 	if got, err := v.ReadAt("/app/bin", 9999, 5); err != nil || len(got) != 0 {
 		t.Errorf("past-EOF = %q, %v", got, err)

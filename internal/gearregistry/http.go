@@ -225,7 +225,7 @@ func (c *Client) Upload(fp hashing.Fingerprint, data []byte) error {
 func (c *Client) Download(fp hashing.Fingerprint) (payload []byte, wireBytes int64, err error) {
 	err = c.w.Stream(http.MethodGet, "/gear/download/"+string(fp), nil, func(b *wire.Body) error {
 		var err error
-		if payload, err = b.Rest(b.Header.Get(wire.EncodingHeader) == "gzip"); err != nil {
+		if payload, err = b.Rest(b.Gzipped); err != nil {
 			return fmt.Errorf("download %s: %w", fp, err)
 		}
 		wireBytes = b.Received()
@@ -314,7 +314,7 @@ func (c *Client) QueryBatch(fps []hashing.Fingerprint) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	if body, err = wire.Inflate(r.Body, r.Header.Get(wire.EncodingHeader) == "gzip"); err != nil {
+	if body, err = wire.Inflate(r.Body, r.Gzipped); err != nil {
 		return nil, badReply("querybatch", err)
 	}
 	got, present, err := wire.ParseVerdicts(body)

@@ -6,10 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
+	"time"
+	"unicode/utf8"
 
 	"github.com/gear-image/gear/internal/tarstream"
 )
@@ -19,31 +23,33 @@ type Client struct {
 	name    string
 	base    url.URL // the server's URL, parsed once; every request is a path under it
 	baseErr error   // why base is not one
-	http    http.Client
 	errs    Statuses
+
+	http http.Client // the caller's, when it brings a transport
+
+	own     *transport    // otherwise this package's, to carry every request
+	timeout time.Duration // the deadline of each exchange on it, from now; 0 for none
+	addr    string        // the host:port it dials
 }
 
 // NewClient returns a client for the server at baseURL. name opens
 // every error it returns ("registry client"); failure replies are typed
-// through errs. hc's Transport, when it has one, is used untouched; a
-// nil hc, or one without a Transport, is carried by this package's own
-// HTTP/1.1 transport (transport.go), under whatever Timeout, Jar and
-// CheckRedirect hc sets — hc.Timeout is how a caller bounds each
-// request, and it arrives as the deadline of the request's connection.
-// That transport speaks plain http:// only: a caller that needs TLS, a
-// proxy or HTTP/2 brings its own. Every request is sent once — any
-// reply, whatever its status, is the server's answer; only a GET (or
-// HEAD) whose kept-alive connection closed before any reply is sent
-// again on a new one. A base URL that is empty or does not parse is
-// reported by the first call.
+// through errs. hc's Transport, when it has one, carries every request,
+// through hc.Do, untouched. A nil hc, or one without a Transport, is
+// carried by this package's own HTTP/1.1 codec (transport.go), which
+// honours hc.Timeout alone: it is how a caller bounds each request, and
+// it arrives as the deadline of the request's connection. Jar and
+// CheckRedirect are not honoured there, since no protocol here sets a
+// cookie or redirects. That codec speaks plain http:// to an ASCII host,
+// with neither user info nor a query in the base URL: a caller that
+// needs TLS, a proxy or HTTP/2 brings its own transport. Every request
+// is sent once — any reply, whatever its status, is the server's
+// answer; only a GET (or HEAD) whose kept-alive connection closed
+// before any reply is sent again on a new one. A base URL that is
+// empty, does not parse, or that the codec cannot speak to is reported
+// by the first call.
 func NewClient(name, baseURL string, hc *http.Client, errs Statuses) *Client {
 	c := &Client{name: name, errs: errs}
-	if hc != nil {
-		c.http = *hc
-	}
-	if c.http.Transport == nil {
-		c.http.Transport = ownTransport
-	}
 	if baseURL == "" {
 		c.baseErr = errors.New("empty base URL")
 	} else if base, err := url.Parse(strings.TrimSuffix(baseURL, "/")); err != nil {
@@ -51,13 +57,32 @@ func NewClient(name, baseURL string, hc *http.Client, errs Statuses) *Client {
 	} else {
 		c.base = *base
 	}
+	if hc != nil && hc.Transport != nil {
+		c.http = *hc
+		return c
+	}
+	c.own = ownTransport
+	if hc != nil {
+		c.timeout = hc.Timeout
+	}
+	switch b := &c.base; {
+	case c.baseErr != nil:
+	case b.Scheme != "http":
+		c.baseErr = fmt.Errorf("unsupported protocol scheme %q", b.Scheme)
+	case b.Host == "" || b.User != nil || b.ForceQuery || b.RawQuery != "" || strings.ContainsFunc(b.Host, func(r rune) bool { return r >= utf8.RuneSelf || r == '%' }):
+		c.baseErr = fmt.Errorf("base URL %q: want a plain ASCII host, and no user info, zone or query", baseURL)
+	default:
+		if c.addr = b.Host; b.Port() == "" {
+			c.addr = net.JoinHostPort(b.Hostname(), "80")
+		}
+	}
 	return c
 }
 
 // Reply is a 2xx response, its body read whole.
 type Reply struct {
-	Header http.Header
-	Body   []byte
+	Body    []byte
+	Gzipped bool // the reply's EncodingHeader says its body is gzip-framed
 }
 
 // Do is Stream for the small text bodies: it returns the reply once its
@@ -66,7 +91,7 @@ func (c *Client) Do(method, path string, body []byte, header ...string) (*Reply,
 	var r *Reply
 	err := c.Stream(method, path, body, func(b *Body) error {
 		data, err := b.Bytes()
-		r = &Reply{Header: b.Header, Body: data}
+		r = &Reply{Body: data, Gzipped: b.Gzipped}
 		return err
 	}, header...)
 	if err != nil {
@@ -86,13 +111,28 @@ func (c *Client) Stream(method, path string, body []byte, read func(*Body) error
 	if c.baseErr != nil {
 		return fmt.Errorf("%s: %w", c.name, c.baseErr)
 	}
-	req := c.request(method, path, body)
-	for i := 0; i+1 < len(header); i += 2 {
-		req.Header.Set(header[i], header[i+1])
-	}
-	resp, err := c.http.Do(req)
-	if err == nil {
-		err = c.receive(req, resp, read)
+	var err error
+	if c.own != nil {
+		var pc *persistConn
+		var status int
+		if pc, status, err = c.roundTrip(method, path, body, header); err == nil {
+			b := &pc.body
+			*b = Body{Gzipped: pc.hdr.gzipped, length: pc.length, src: bounded{r: &pc.reply}, sizes: sizes(b.sizes[:0], pc.hdr.sizes)}
+			err = c.receive(method, path, status, b, read)
+			pc.release()
+		}
+	} else {
+		req := c.request(method, path, body)
+		for i := 0; i+1 < len(header); i += 2 {
+			req.Header.Set(header[i], header[i+1])
+		}
+		var resp *http.Response
+		if resp, err = c.http.Do(req); err == nil {
+			b := &Body{Gzipped: resp.Header.Get(EncodingHeader) == "gzip", length: resp.ContentLength, src: bounded{r: resp.Body},
+				sizes: sizes(nil, []byte(resp.Header.Get(SizeHeader)))}
+			err = c.receive(method, path, resp.StatusCode, b, read)
+			_ = resp.Body.Close()
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("%s: %w", c.name, err)
@@ -103,7 +143,9 @@ func (c *Client) Stream(method, path string, body []byte, read func(*Body) error
 // request is what http.NewRequest(method, base+path, bytes.NewReader(body))
 // builds, without parsing anything: the path is set as it is, so
 // whatever bytes it holds are escaped on the request line and decoded
-// once by the server, and a request without a body carries none.
+// once by the server, and a request without a body carries none. It is
+// what a caller's transport is handed; appendRequest writes its bytes
+// for this package's own.
 func (c *Client) request(method, path string, body []byte) *http.Request {
 	u := c.base
 	u.Path += path
@@ -119,10 +161,12 @@ func (c *Client) request(method, path string, body []byte) *http.Request {
 	return req
 }
 
-func (c *Client) receive(req *http.Request, resp *http.Response, read func(*Body) error) error {
-	defer func() { _ = resp.Body.Close() }()
-	b := &Body{Header: resp.Header, length: resp.ContentLength, src: bounded{r: resp.Body, left: MaxBody}}
-	if req.Method == http.MethodHead {
+// receive hands b, the reply to a request of method for path, to read
+// when it is 2xx, and types it by errs when it is not. Either way the
+// body is bounded by MaxBody and read to its end.
+func (c *Client) receive(method, path string, status int, b *Body, read func(*Body) error) error {
+	b.src.left = MaxBody
+	if method == http.MethodHead {
 		b.length = 0
 	}
 	if b.length > MaxBody {
@@ -135,14 +179,14 @@ func (c *Client) receive(req *http.Request, resp *http.Response, read func(*Body
 		b.br.Reset(nil)
 		buffers.Put(b.br)
 	}()
-	if resp.StatusCode/100 != 2 {
+	if status/100 != 2 {
 		text, err := b.Bytes()
 		if err != nil {
 			return err
 		}
 		msg := strings.TrimSpace(string(text))
-		return &StatusError{Method: req.Method, Path: req.URL.Path, Code: resp.StatusCode, Body: msg,
-			kind: c.errs.kind(resp.StatusCode, msg)}
+		return &StatusError{Method: method, Path: c.base.Path + path, Code: status, Body: msg,
+			kind: c.errs.kind(status, msg)}
 	}
 	if err := read(b); err != nil {
 		if b.src.left < 0 {
@@ -185,14 +229,13 @@ func (l *bounded) Read(p []byte) (int, error) {
 // time (tarstream.GunzipInto). It is only valid inside the function
 // Stream hands it to.
 type Body struct {
-	Header http.Header
+	Gzipped bool // the reply's EncodingHeader says its body is gzip-framed
 
 	length int64 // the declared Content-Length, -1 for a reply without one
 	src    bounded
 	br     *bufio.Reader
 	frame  frame
-	sizes  []int64 // SizeHeader, once parsed
-	parsed bool
+	sizes  []int64 // SizeHeader's
 }
 
 // Received is how many body bytes have crossed the wire so far: all of
@@ -212,16 +255,25 @@ func (b *Body) unread() int64 {
 // -1 when it does not say: no header, one that does not parse, or one
 // with fewer entries.
 func (b *Body) Declared(i int) int64 {
-	if !b.parsed {
-		b.parsed = true
-		if list := b.Header.Get(SizeHeader); list != "" {
-			b.sizes, _ = Ints(strings.Split(list, ","))
-		}
-	}
 	if i >= len(b.sizes) {
 		return -1
 	}
 	return b.sizes[i]
+}
+
+// sizes appends the sizes of a SizeHeader list to dst: none of a list
+// with a field that is not a number.
+func sizes(dst []int64, list []byte) []int64 {
+	for more := len(list) > 0; more; {
+		var field []byte
+		field, list, more = bytes.Cut(list, []byte(","))
+		n, err := strconv.ParseInt(string(field), 10, 64)
+		if err != nil {
+			return dst[:0]
+		}
+		dst = append(dst, n)
+	}
+	return dst
 }
 
 // Bytes reads what is left of the body whole. A declared length is the

@@ -2,19 +2,21 @@ package wire
 
 import (
 	"bufio"
-	"context"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptrace"
+	"net/http/httputil"
+	"net/textproto"
 	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
-
-	"github.com/gear-image/gear/internal/tarstream"
 )
 
 // idleConns is how many idle connections the transport keeps to one
@@ -29,46 +31,49 @@ const idleConns = 16
 // which Serve closes an idle connection from its end.
 const idleConnTimeout = 90 * time.Second
 
+// maxHeader bounds a reply's status line and header block together:
+// net/http's server bounds a request's the same, and a batch's
+// SizeHeader for a hundred thousand objects fits under it.
+const maxHeader = http.DefaultMaxHeaderBytes
+
 // ownTransport carries every client that does not bring a transport of
 // its own.
 var ownTransport = new(transport)
 
-// transport is an HTTP/1.1 client over plain TCP that sends each
-// request, and reads its reply, on the caller's goroutine: it writes the
-// request with (*http.Request).Write through the connection's buffer
-// and reads the reply with http.ReadResponse, so parsing is net/http's
-// and only the connections are this package's. There is no read or
-// write loop, and no channel or context per request. It restates
-// net/http's rules:
+// transport is an HTTP/1.1 client codec over plain TCP. Client writes
+// each request straight into its connection's buffer and reads the
+// reply's status line and header straight off it, into scratch the
+// connection keeps for its next reply, on the caller's goroutine: there
+// is no http.Request or http.Response, no header map, no read or write
+// loop, and no channel or context per request. The request is the bytes
+// (*http.Request).Write writes (appendRequest); the reply is read by
+// http.ReadResponse's rules (readReply). The connections follow
+// net/http's rules too:
 //
 //   - A connection goes back to the idle list, which holds idleConns a
-//     server, only once its reply body has been read to the end and
-//     closed with nothing after it, and only when neither the request
-//     nor the reply asked for Connection: close.
+//     server, only once its reply body has been read to a clean end with
+//     nothing after it, and only when the reply did not ask for
+//     Connection: close (nor was HTTP/1.0 without keep-alive, nor
+//     delimited by the connection's end).
 //   - An idle connection is reused only if it has been idle less than
 //     idleConnTimeout and a read that does not wait finds nothing on it:
 //     a server that closed it while it was idle is found out before a
 //     request is written to it.
 //   - A GET, HEAD, OPTIONS or TRACE that fails on a reused connection
 //     before any byte of a reply arrived — the server closed it as the
-//     request went out — is sent once more, on a fresh connection, if it
-//     has no body or GetBody can give it one again. Nothing else is ever
-//     sent twice.
-//   - The request context's deadline, which is how http.Client brings
-//     its Timeout, is set on the connection; a context that ends closes
-//     the connection.
+//     request went out — is sent once more, on a fresh connection.
+//     Nothing else is ever sent twice.
+//   - The client's Timeout is set on the connection as the deadline of
+//     the whole exchange, reply body included.
 //
-// Bodies go out as the request declares them and come back as the
-// server sends them: it sends no Accept-Encoding (the protocols
-// gzip-frame their own bodies, EncodingHeader) and copies a request body
-// through pooled scratch (conn). It speaks neither TLS nor HTTP/2, goes
-// through no proxy, and takes no 1xx reply; a caller that needs any of
-// them brings a transport of its own. Of httptrace's hooks it calls
-// GotConn, which is how a caller counts reused connections.
+// It sends no Accept-Encoding (the protocols gzip-frame their own
+// bodies, EncodingHeader), speaks neither TLS nor HTTP/2, goes through
+// no proxy, and takes no 1xx reply, folded header field or trailer; a
+// caller that needs any of them brings a transport of its own.
 type transport struct {
 	// dial opens a connection; nil dials TCP as net/http's default
 	// transport does.
-	dial func(ctx context.Context, network, addr string) (net.Conn, error)
+	dial func(network, addr string) (net.Conn, error)
 
 	mu   sync.Mutex
 	idle map[string][]*persistConn // by host:port, the most recently used last
@@ -76,7 +81,7 @@ type transport struct {
 
 var dialer = net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}
 
-// persistConn is a connection and its buffers.
+// persistConn is a connection, its buffers, and the reply it is reading.
 type persistConn struct {
 	t      *transport // whose idle list it goes back to
 	addr   string
@@ -90,79 +95,51 @@ type persistConn struct {
 	idleAt   time.Time             // when it last went on the idle list
 	unread   bool                  // what alive's probe found: nothing to read yet
 	probe    func(fd uintptr) bool // readNothing, bound once a connection rather than once a request
+
+	// The reply, in scratch the next reply on the connection reuses.
+	hdr    replyHeader
+	keep   bool      // the reply lets the connection carry another request
+	length int64     // its declared body length, -1 for none
+	reply  replyBody // its body, as its framing delimits it
+	sized  frame     // the framing of a body of declared length
+	body   Body      // what Stream hands the caller
+	left   int       // what the header bound leaves of the block being read
+	long   []byte    // a line that outgrew br
 }
 
-// RoundTrip implements http.RoundTripper.
-func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Scheme != "http" {
-		closeBody(req)
-		return nil, fmt.Errorf("unsupported protocol scheme %q", req.URL.Scheme)
+// roundTrip sends a request on a connection to c's server and reads
+// the reply's status line and header: the body is then pc.reply, and
+// release hands pc back.
+func (c *Client) roundTrip(method, path string, body []byte, header []string) (pc *persistConn, status int, err error) {
+	var deadline time.Time
+	if c.timeout > 0 {
+		deadline = time.Now().Add(c.timeout)
 	}
-	addr := req.URL.Host
-	if req.URL.Port() == "" {
-		addr = net.JoinHostPort(req.URL.Hostname(), "80")
-	}
-	ctx := req.Context()
-	sent := req
-	for {
-		pc, err := t.get(ctx, addr, sent != req)
-		if err != nil {
-			closeBody(sent)
-			return nil, err
+	for fresh := false; ; fresh = true {
+		if pc, err = c.own.get(c.addr, fresh, deadline); err != nil {
+			return nil, 0, err
 		}
-		if trace := httptrace.ContextClientTrace(ctx); trace != nil && trace.GotConn != nil {
-			trace.GotConn(httptrace.GotConnInfo{Conn: pc.conn, Reused: pc.reused})
+		if !deadline.IsZero() {
+			_ = pc.conn.SetDeadline(deadline)
+			pc.deadline = true
 		}
-		resp, unanswered, err := pc.roundTrip(sent)
+		status, unanswered, err := pc.exchange(c, method, path, body, header)
 		if err == nil {
-			resp.Request = req
-			return resp, nil
+			return pc, status, nil
 		}
-		if !unanswered || !pc.reused || sent != req || ctx.Err() != nil || !replayable(req) {
-			return nil, err
-		}
-		if sent = rewound(req); sent == nil {
-			return nil, err
+		_ = pc.conn.Close()
+		// Sent again only if the method changes nothing on the server, by
+		// net/http's list.
+		if !unanswered || !pc.reused || fresh || !slices.Contains([]string{http.MethodGet, http.MethodHead, http.MethodOptions, http.MethodTrace}, method) {
+			return nil, 0, err
 		}
 	}
 }
 
-// replayable reports whether req may be sent again once it was written
-// whole: it is of a method that changes nothing on the server, by
-// net/http's list.
-func replayable(req *http.Request) bool {
-	switch req.Method {
-	case "", http.MethodGet, http.MethodHead, http.MethodOptions, http.MethodTrace:
-		return true
-	}
-	return false
-}
-
-// rewound is a copy of req to send again, with its body again; nil when
-// the body cannot be had again.
-func rewound(req *http.Request) *http.Request {
-	again := *req
-	if req.Body != nil && req.Body != http.NoBody {
-		if req.GetBody == nil {
-			return nil
-		}
-		var err error
-		if again.Body, err = req.GetBody(); err != nil {
-			return nil
-		}
-	}
-	return &again
-}
-
-func closeBody(req *http.Request) {
-	if req.Body != nil {
-		_ = req.Body.Close()
-	}
-}
-
-// get takes an idle connection to addr that is still open, or dials one
-// when there is none or fresh asks for a new one.
-func (t *transport) get(ctx context.Context, addr string, fresh bool) (*persistConn, error) {
+// get takes an idle connection to addr that is still open, or dials one,
+// by the deadline if there is one, when there is none or fresh asks for
+// a new one.
+func (t *transport) get(addr string, fresh bool, deadline time.Time) (*persistConn, error) {
 	for !fresh {
 		t.mu.Lock()
 		list := t.idle[addr]
@@ -182,28 +159,37 @@ func (t *transport) get(ctx context.Context, addr string, fresh bool) (*persistC
 	}
 	dial := t.dial
 	if dial == nil {
-		dial = dialer.DialContext
+		d := dialer
+		d.Deadline = deadline
+		dial = d.Dial
 	}
-	c, err := dial(ctx, "tcp", addr)
+	c, err := dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	pc := &persistConn{t: t, addr: addr, conn: conn{c}}
+	pc := &persistConn{t: t, addr: addr, conn: c}
 	if sc, ok := c.(syscall.Conn); ok {
 		pc.raw, _ = sc.SyscallConn()
 	}
-	pc.br, pc.bw = bufio.NewReaderSize(pc.conn, 4<<10), bufio.NewWriterSize(pc.conn, 4<<10)
+	pc.br, pc.bw = bufio.NewReaderSize(c, 4<<10), bufio.NewWriterSize(c, 4<<10)
 	return pc, nil
 }
 
-// put returns pc to the idle list, or closes it when the list is full.
-func (t *transport) put(pc *persistConn) {
+// release ends pc's request: it goes back to the idle list if its reply
+// ended cleanly, lets it be reused, and left nothing more on it, and is
+// closed otherwise.
+func (pc *persistConn) release() {
+	if pc.reply.err != io.EOF || !pc.keep || pc.br.Buffered() > 0 {
+		_ = pc.conn.Close()
+		return
+	}
 	if pc.deadline {
 		// Cleared, so that a passed deadline does not fail alive's probe.
 		_ = pc.conn.SetDeadline(time.Time{})
 		pc.deadline = false
 	}
 	pc.idleAt = time.Now()
+	t := pc.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.idle[pc.addr]) >= idleConns {
@@ -216,34 +202,16 @@ func (t *transport) put(pc *persistConn) {
 	t.idle[pc.addr] = append(t.idle[pc.addr], pc)
 }
 
-// roundTrip sends req on pc and reads the reply's header. unanswered
-// says it failed before any byte of a reply arrived.
-func (pc *persistConn) roundTrip(req *http.Request) (resp *http.Response, unanswered bool, err error) {
-	ctx := req.Context()
-	if d, ok := ctx.Deadline(); ok {
-		_ = pc.conn.SetDeadline(d)
-		pc.deadline = true
+// exchange writes the request and reads the reply's header. unanswered
+// says it failed before any byte of a reply arrived, and not for the
+// deadline.
+func (pc *persistConn) exchange(c *Client, method, path string, body []byte, header []string) (status int, unanswered bool, err error) {
+	_, werr := pc.bw.Write(c.appendRequest(pc.bw.AvailableBuffer(), method, path, body, header))
+	if werr == nil {
+		_, werr = pc.bw.Write(body)
 	}
-	var stop func() bool
-	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, func() { _ = pc.conn.Close() })
-	}
-	fail := func(err error) error {
-		pc.finish(stop, false)
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-
-	werr := req.Write(pc.bw)
 	if werr == nil {
 		werr = pc.bw.Flush()
-	}
-	var opErr *net.OpError
-	if werr != nil && !errors.As(werr, &opErr) {
-		// The request's own body failed; the connection did not.
-		return nil, false, fail(werr)
 	}
 	// A request the connection failed to carry may still have been
 	// answered: a server can refuse a body before reading it, and close.
@@ -251,87 +219,255 @@ func (pc *persistConn) roundTrip(req *http.Request) (resp *http.Response, unansw
 		if werr != nil {
 			err = werr
 		}
-		// A deadline that has passed would have passed for a resend too.
-		return nil, !errors.Is(err, os.ErrDeadlineExceeded), fail(err)
+		return 0, !errors.Is(err, os.ErrDeadlineExceeded), err
 	}
-	if resp, err = http.ReadResponse(pc.br, req); err == nil && resp.StatusCode < 200 {
-		err = fmt.Errorf("unsupported %s reply", resp.Status)
+	if status, err = pc.readReply(method); err == nil && status < 200 {
+		err = fmt.Errorf("unsupported %d reply", status)
 	}
-	if err != nil {
-		return nil, false, fail(err)
-	}
-	reuse := werr == nil && !resp.Close && !req.Close
-	if resp.Body == http.NoBody {
-		pc.finish(stop, reuse)
-	} else {
-		resp.Body = &body{rc: resp.Body, pc: pc, stop: stop, reuse: reuse}
-	}
-	return resp, false, nil
+	pc.keep = pc.keep && werr == nil
+	return status, false, err
 }
 
-// finish ends a request on pc: its cancellation is disarmed, and pc goes
-// back to the idle list if it may be reused and nothing of another reply
-// is waiting on it, or is closed.
-func (pc *persistConn) finish(stop func() bool, reuse bool) {
-	if stop != nil && !stop() {
-		reuse = false // the context ended, and closed the connection
+// appendRequest appends the request line and header block that
+// (*http.Request).Write writes for c.request(method, path, body) once
+// header is set on it with Header.Set: the path escaped after the base
+// path as URL.RequestURI escapes it, Host, net/http's User-Agent,
+// Content-Length as net/http decides it, then the caller's pairs, the
+// names canonical, the last value of a name kept, in name order. A pair
+// naming one of the headers net/http writes itself is left out; the
+// names are the protocols' own tokens.
+func (c *Client) appendRequest(dst []byte, method, path string, body []byte, header []string) []byte {
+	dst = append(append(dst, method...), ' ')
+	dst = appendEscaped(appendEscaped(dst, c.base.Path), path)
+	if c.base.Path == "" && path == "" {
+		dst = append(dst, '/')
 	}
-	if reuse && pc.br.Buffered() == 0 {
-		pc.t.put(pc)
-	} else {
-		_ = pc.conn.Close()
+	dst = append(dst, " HTTP/1.1\r\nHost: "...)
+	dst = append(append(dst, c.base.Host...), "\r\nUser-Agent: Go-http-client/1.1\r\n"...)
+	if len(body) > 0 || method == http.MethodPost || method == http.MethodPut || method == http.MethodPatch {
+		dst = append(strconv.AppendInt(append(dst, "Content-Length: "...), int64(len(body)), 10), "\r\n"...)
 	}
-}
-
-var errBodyClosed = errors.New("read on closed response body")
-
-// body is a reply body still on its connection, which it lets go of
-// when the body fails, ends and is closed, or is closed early.
-type body struct {
-	rc    io.ReadCloser // what http.ReadResponse made of the body
-	pc    *persistConn  // nil once let go of
-	stop  func() bool   // disarms the request's cancellation; nil for none
-	reuse bool          // neither the request nor the reply asked to close
-	err   error         // what every later Read returns: io.EOF after a clean end
-}
-
-func (b *body) Read(p []byte) (int, error) {
-	if b.err != nil {
-		return 0, b.err
-	}
-	n, err := b.rc.Read(p)
-	if err != nil {
-		b.err = err
-		if err != io.EOF {
-			b.letGo(false)
+	name := func(i int) string { return http.CanonicalHeaderKey(header[i]) }
+	order := make([]int, 0, 8) // the pairs, by name, the last of a name last
+	for i := 0; i+1 < len(header); i += 2 {
+		if !slices.Contains([]string{"Host", "User-Agent", "Content-Length", "Transfer-Encoding", "Trailer"}, name(i)) {
+			order = append(order, i)
 		}
 	}
-	return n, err
-}
-
-// Close ends the body. One not read to its end is not read on: the rest
-// of it may never come, so the connection is closed.
-func (b *body) Close() error {
-	if b.pc != nil {
-		b.letGo(b.err == io.EOF && b.reuse)
+	slices.SortStableFunc(order, func(i, j int) int { return strings.Compare(name(i), name(j)) })
+	for k, i := range order {
+		if k+1 == len(order) || name(order[k+1]) != name(i) {
+			value := textproto.TrimString(newlineToSpace.Replace(header[i+1]))
+			dst = append(append(append(append(dst, name(i)...), ": "...), value...), "\r\n"...)
+		}
 	}
-	b.err = errBodyClosed
-	return nil
+	return append(dst, "\r\n"...)
 }
 
-func (b *body) letGo(reuse bool) {
-	pc := b.pc
-	b.pc = nil
-	pc.finish(b.stop, reuse)
+var newlineToSpace = strings.NewReplacer("\n", " ", "\r", " ")
+
+// appendEscaped appends s escaped as a URL path: url.URL.EscapedPath's
+// escaping, byte by byte.
+func appendEscaped(dst []byte, s string) []byte {
+	const hex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("-_.~$&+,/:;=@", c) >= 0 {
+			dst = append(dst, c)
+		} else {
+			dst = append(dst, '%', hex[c>>4], hex[c&15])
+		}
+	}
+	return dst
 }
 
-// conn is a dialled connection. The request writer hands a sized body to
-// the connection's ReadFrom, and a TCP connection's own, given a source
-// that is not a file, allocates a buffer of up to 32 KiB for every body
-// it copies.
-type conn struct{ net.Conn }
+// replyHeader is what a reply's header block says that a client acts
+// on. Of a name given more than once, the first value is kept (Get's
+// reading), except where net/http reads every value.
+type replyHeader struct {
+	length     []byte // the first Content-Length, trimmed
+	lengths    int    // how many Content-Length fields there are
+	mismatch   bool   // one of them says another length than the first
+	encodings  int    // how many Transfer-Encoding fields there are
+	chunked    bool   // the first of them says chunked
+	close      bool   // a Connection field says close
+	keepAlive  bool   // a Connection field says keep-alive
+	badTrailer bool   // a Trailer field names what no trailer may carry
+	sizes      []byte // SizeHeader
+	sized      bool   // there is a SizeHeader
+	gzipped    bool   // EncodingHeader says gzip
+	encoded    bool   // there is an EncodingHeader
+}
 
-func (c conn) ReadFrom(r io.Reader) (int64, error) {
-	// The embedded interface has no ReadFrom for Copy to come back to.
-	return tarstream.Copy(struct{ io.Writer }{c.Conn}, r)
+var (
+	errHeaderTooLarge = As(ErrBadReply, fmt.Errorf("reply header over %d bytes", maxHeader))
+	// Two things net/http reads that no server here sends are refused:
+	// a header field folded onto a line of its own (obs-fold), and
+	// trailer fields after a chunked body.
+	errFolded  = errors.New("unsupported folded header field")
+	errTrailer = errors.New("unsupported trailer after chunked body")
+)
+
+// readReply reads a reply to a request of method — its status line and
+// header block — off pc.br, as http.ReadResponse reads and validates
+// them, and frames its body (pc.reply) and says whether the connection
+// may carry another request after it (pc.keep) by ReadResponse's rules.
+func (pc *persistConn) readReply(method string) (status int, err error) {
+	pc.left = maxHeader
+	line, err := pc.readLine()
+	if err != nil {
+		return 0, err
+	}
+	proto, rest, _ := bytes.Cut(line, []byte(" "))
+	code, _, _ := bytes.Cut(bytes.TrimLeft(rest, " "), []byte(" "))
+	if len(code) == 3 {
+		status, err = strconv.Atoi(string(code))
+	}
+	major, minor, ok := http.ParseHTTPVersion(string(proto))
+	if len(code) != 3 || err != nil || status < 0 || !ok {
+		return 0, fmt.Errorf("malformed status line %q", line)
+	}
+	h := &pc.hdr
+	*h = replyHeader{length: h.length[:0], sizes: h.sizes[:0]}
+	for {
+		if line, err = pc.readLine(); err != nil {
+			return 0, err
+		} else if len(line) == 0 {
+			break
+		}
+		k, v, ok := bytes.Cut(line, []byte(":"))
+		switch {
+		case line[0] == ' ' || line[0] == '\t':
+			err = errFolded
+		// A name is tokens (RFC 9110 tchar) and spaces.
+		case !ok || len(k) == 0 || bytes.ContainsFunc(k, func(r rune) bool { return r < ' ' || r >= 0x7f || strings.ContainsRune(`"(),/:;<=>?@[\]{}`, r) }) ||
+			bytes.ContainsFunc(v, func(r rune) bool { return r < ' ' && r != '\t' || r == 0x7f }):
+			err = fmt.Errorf("malformed header line %q", line)
+		}
+		if err != nil {
+			return 0, err
+		}
+		// A name holding a space is kept by net/http as it stands, and so
+		// is none of these.
+		h.add(k, bytes.Trim(v, " \t"))
+	}
+
+	// The rest is readTransfer's, in its order.
+	pc.keep = major >= 1 && !h.close && (major > 1 || minor > 0 || h.keepAlive)
+	if major == 0 && minor == 0 {
+		major, minor = 1, 1
+	}
+	chunked := h.encodings > 0 && (major > 1 || major == 1 && minor > 0)
+	pc.length = -1
+	if h.lengths > 0 {
+		n, perr := strconv.ParseUint(string(h.length), 10, 63)
+		pc.length, err = int64(n), perr
+	}
+	if err != nil || h.mismatch || chunked && (h.encodings > 1 || !h.chunked || h.badTrailer) {
+		return 0, errors.New("malformed Content-Length, Transfer-Encoding or Trailer")
+	}
+	pc.reply = replyBody{src: &pc.sized}
+	switch {
+	case method == http.MethodHead || status/100 == 1 || status == http.StatusNoContent || status == http.StatusNotModified:
+		pc.length = 0
+	case chunked:
+		pc.length = -1
+		pc.reply = replyBody{src: httputil.NewChunkedReader(pc.br), chunked: true}
+	case pc.length < 0:
+		pc.keep = false // the body runs to the end of the connection
+		pc.reply.src = pc.br
+	}
+	pc.sized = frame{br: pc.br, left: max(pc.length, 0)}
+	pc.reply.br = pc.br
+	return status, nil
+}
+
+// add takes in one field of the header.
+func (h *replyHeader) add(name, value []byte) {
+	switch {
+	case foldEq(name, "Content-Length"):
+		if h.lengths == 0 {
+			h.length = append(h.length, value...)
+		} else if !bytes.Equal(value, h.length) {
+			h.mismatch = true
+		}
+		h.lengths++
+	case foldEq(name, "Transfer-Encoding"):
+		if h.encodings == 0 {
+			h.chunked = foldEq(value, "chunked")
+		}
+		h.encodings++
+	case foldEq(name, "Connection"):
+		h.close = h.close || hasToken(value, "close")
+		h.keepAlive = h.keepAlive || hasToken(value, "keep-alive")
+	case foldEq(name, "Trailer"):
+		h.badTrailer = h.badTrailer || hasToken(value, "Transfer-Encoding", "Trailer", "Content-Length")
+	case foldEq(name, SizeHeader) && !h.sized:
+		h.sizes, h.sized = append(h.sizes, value...), true
+	case foldEq(name, EncodingHeader) && !h.encoded:
+		h.gzipped, h.encoded = string(value) == "gzip", true
+	}
+}
+
+// readLine reads a line of the header block without its line end, as
+// textproto does, against what is left of the header bound. The line is
+// valid until the next read.
+func (pc *persistConn) readLine() ([]byte, error) {
+	line, more, err := pc.br.ReadLine()
+	if more {
+		pc.long = append(pc.long[:0], line...)
+		for more && len(pc.long) <= pc.left {
+			if line, more, err = pc.br.ReadLine(); err != nil {
+				break
+			}
+			pc.long = append(pc.long, line...)
+		}
+		line = pc.long
+	}
+	if pc.left -= len(line); pc.left < 0 {
+		return nil, errHeaderTooLarge
+	}
+	return line, err
+}
+
+// foldEq reports whether b is s, ASCII letters folded: b of s's length
+// holding any other byte has fewer runes, and so no Unicode fold of it
+// matches.
+func foldEq(b []byte, s string) bool { return len(b) == len(s) && strings.EqualFold(string(b), s) }
+
+// hasToken reports whether the comma-separated list holds one of tokens.
+func hasToken(list []byte, tokens ...string) bool {
+	for len(list) > 0 {
+		var elem []byte
+		elem, list, _ = bytes.Cut(list, []byte(","))
+		for _, t := range tokens {
+			if foldEq(bytes.Trim(elem, " \t"), t) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// replyBody is a reply's body as its framing delimits it.
+type replyBody struct {
+	src     io.Reader
+	chunked bool          // src is chunked, and the end of the last chunk is followed by the end of the trailer
+	br      *bufio.Reader // the connection's, off which src reads
+	err     error         // what every later Read returns: io.EOF once the body ended cleanly
+}
+
+func (r *replyBody) Read(p []byte) (int, error) {
+	if r.err != nil {
+		return 0, r.err
+	}
+	n, err := r.src.Read(p)
+	if err == io.EOF && r.chunked {
+		if end, _ := r.br.Peek(2); string(end) != "\r\n" {
+			err = errTrailer
+		}
+		_, _ = r.br.Discard(2)
+	}
+	r.err = err
+	return n, err
 }

@@ -16,31 +16,42 @@ import (
 )
 
 // A client brings its own transport or gets this package's: a client
-// without one — one that only sets a Timeout, say — keeps everything
-// else it set, and is itself left as it was.
+// without one — one that only sets a Timeout, say — keeps that timeout,
+// and is itself left as it was.
 func TestClientTransportOwnership(t *testing.T) {
-	if c := NewClient("test client", "http://registry", nil, nil); c.http.Transport != ownTransport {
-		t.Errorf("nil client: transport %v, want the package's", c.http.Transport)
+	if c := NewClient("test client", "http://registry", nil, nil); c.own != ownTransport {
+		t.Errorf("nil client: transport %v, want the package's", c.own)
 	}
 	timed := &http.Client{Timeout: 3 * time.Second}
 	c := NewClient("test client", "http://registry", timed, nil)
-	if c.http.Transport != ownTransport || c.http.Timeout != 3*time.Second {
-		t.Errorf("client without a transport: transport %v, timeout %v; want the package's, under 3s", c.http.Transport, c.http.Timeout)
+	if c.own != ownTransport || c.timeout != 3*time.Second {
+		t.Errorf("client without a transport: transport %v, timeout %v; want the package's, under 3s", c.own, c.timeout)
 	}
 	if timed.Transport != nil {
 		t.Error("the caller's client was written to")
 	}
 	own := &http.Transport{}
-	if c := NewClient("test client", "http://registry", &http.Client{Transport: own}, nil); c.http.Transport != own {
+	if c := NewClient("test client", "http://registry", &http.Client{Transport: own}, nil); c.own != nil || c.http.Transport != own {
 		t.Errorf("client with a transport: transport %v, want its own", c.http.Transport)
 	}
 }
 
+// ownClient is a client of url carried by tr under timeout.
+func ownClient(url string, tr *transport, timeout time.Duration) *Client {
+	c := NewClient("test client", url, &http.Client{Timeout: timeout}, nil)
+	c.own = tr
+	return c
+}
+
+// baseURLs are the forms of base URL the request tests build clients of.
+var baseURLs = []string{"http://registry:5000", "http://registry:5000/", "http://registry/mirror"}
+
 // A request is what http.NewRequest builds of the same method, URL and
 // body, GetBody included — a PUT that net/http sends again, after a
-// kept-alive connection turned out closed, has its body again.
+// kept-alive connection turned out closed, has its body again. This is
+// what a caller's transport is handed.
 func TestRequestIsWhatNewRequestBuilds(t *testing.T) {
-	for _, base := range []string{"http://registry:5000", "http://registry:5000/", "http://registry/mirror"} {
+	for _, base := range baseURLs {
 		c := NewClient("test client", base, nil, nil)
 		for _, tc := range []struct {
 			method, path string
@@ -81,6 +92,46 @@ func TestRequestIsWhatNewRequestBuilds(t *testing.T) {
 		c := NewClient("test client", base, nil, nil)
 		if _, err := c.Do(http.MethodGet, "/x", nil); err == nil {
 			t.Errorf("base URL %q carried a request", base)
+		}
+	}
+}
+
+// The codec's request is byte for byte what (*http.Request).Write writes
+// of the request a caller's transport is handed, with the same header
+// set on it: for every base URL form, method, body (none, empty, some),
+// header set the protocols send, and a path holding bytes that need
+// escaping. So the server parses exactly what it parsed of net/http's.
+func TestRequestBytesAreNetHTTPs(t *testing.T) {
+	headers := [][]string{
+		nil,
+		{"Content-Type", "text/plain"},
+		{"Content-Type", "text/plain", AcceptHeader, "gzip"},
+		{"Content-Type", "text/plain", AcceptHeader, "gzip", EncodingHeader, "gzip"},
+		// Canonicalised, the last value of a name kept, names net/http
+		// writes itself dropped, values trimmed.
+		{"x-gear-b", " two ", "content-type", "text/plain", "X-Gear-A", "one", "Content-Type", "application/json", "Content-Length", "9"},
+	}
+	paths := []string{"/gear/download/d41d8cd98f00b204e9800998ecf8427e", "/profile/dump/gear/nginx:v01", "/a b/%zz?q=1#frag/é\x01~$&+,;=@"}
+	for _, base := range baseURLs {
+		c := NewClient("test client", base, nil, nil)
+		for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch, http.MethodDelete} {
+			for _, body := range [][]byte{nil, {}, []byte("a body")} {
+				for _, header := range headers {
+					for _, path := range paths {
+						req := c.request(method, path, body)
+						for i := 0; i+1 < len(header); i += 2 {
+							req.Header.Set(header[i], header[i+1])
+						}
+						var want bytes.Buffer
+						if err := req.Write(&want); err != nil {
+							t.Fatal(err)
+						}
+						if got := append(c.appendRequest(nil, method, path, body, header), body...); !bytes.Equal(got, want.Bytes()) {
+							t.Errorf("%s %s%s with %q, body %q:\n got %q\nwant %q", method, base, path, header, body, got, want.Bytes())
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -156,7 +207,7 @@ func served(t testing.TB, h http.HandlerFunc, timeout time.Duration) (*httptest.
 	srv.Start()
 	t.Cleanup(srv.Close)
 	tr := new(transport)
-	return srv, ln, tr, NewClient("test client", srv.URL, &http.Client{Transport: tr, Timeout: timeout}, nil)
+	return srv, ln, tr, ownClient(srv.URL, tr, timeout)
 }
 
 // idleTo is how many connections tr keeps idle to srv.
@@ -198,11 +249,11 @@ func TestServerClosedIdleConnection(t *testing.T) {
 // Nothing else is sent twice. A server that hangs up on a request
 // without a word looks, on a kept-alive connection, like one that closed
 // it as the request went out, so a GET is sent once more; on a new
-// connection it is not. Nor is a POST — the handler may have done what
-// it asks — or a GET whose body cannot be had again.
+// connection it is not. Nor is a POST or a PUT — the handler may have
+// done what it asks.
 func TestNothingElseIsSentTwice(t *testing.T) {
 	var hits atomic.Int32
-	srv, _, tr, c := served(t, func(w http.ResponseWriter, r *http.Request) {
+	_, _, _, c := served(t, func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		if r.URL.Path == "/hangup" {
 			conn, _, err := w.(http.Hijacker).Hijack()
@@ -213,31 +264,20 @@ func TestNothingElseIsSentTwice(t *testing.T) {
 		}
 		Respond(w, "text/plain", []byte("ok"))
 	}, 0)
-	hc := &http.Client{Transport: tr}
 	for i, step := range []struct {
 		method, path string
-		body         io.Reader // sent by hc when set, by c (GetBody and all) when not
 		fail         bool
 		hits         int32 // requests the handler has seen once the call returns
 	}{
-		{http.MethodGet, "/ok", nil, false, 1},
-		{http.MethodGet, "/hangup", nil, true, 3}, // on the connection /ok left idle, then on a new one
-		{http.MethodGet, "/hangup", nil, true, 4}, // on a new connection
-		{http.MethodGet, "/ok", nil, false, 5},
-		{http.MethodPost, "/hangup", nil, true, 6}, // on the kept-alive connection, with GetBody
-		{http.MethodGet, "/ok", nil, false, 7},
-		{http.MethodGet, "/hangup", struct{ io.Reader }{strings.NewReader("once")}, true, 8},
+		{http.MethodGet, "/ok", false, 1},
+		{http.MethodGet, "/hangup", true, 3}, // on the connection /ok left idle, then on a new one
+		{http.MethodGet, "/hangup", true, 4}, // on a new connection
+		{http.MethodGet, "/ok", false, 5},
+		{http.MethodPost, "/hangup", true, 6}, // on the kept-alive connection
+		{http.MethodGet, "/ok", false, 7},
+		{http.MethodPut, "/hangup", true, 8},
 	} {
-		var err error
-		if step.body == nil {
-			_, err = c.Do(step.method, step.path, []byte("served once"))
-		} else {
-			var req *http.Request
-			if req, err = http.NewRequest(step.method, srv.URL+step.path, step.body); err != nil {
-				t.Fatal(err)
-			}
-			_, err = hc.Do(req)
-		}
+		_, err := c.Do(step.method, step.path, []byte("served once"))
 		if (err != nil) != step.fail {
 			t.Fatalf("step %d (%s %s): error %v", i, step.method, step.path, err)
 		}
@@ -247,49 +287,41 @@ func TestNothingElseIsSentTwice(t *testing.T) {
 	}
 }
 
-// A connection is reused only after its reply was read to the end and
-// closed, and neither side asked to close it: a body read in part, or
-// not yet closed, or a reply that says Connection: close, costs the next
-// request a new connection.
+// A connection is reused once its reply has been read to the end — by
+// the caller, or by the drain after it — and the reply did not ask to
+// close it: a reply that says Connection: close costs the next request a
+// new connection.
 func TestConnectionReuse(t *testing.T) {
-	srv, ln, tr, _ := served(t, func(w http.ResponseWriter, r *http.Request) {
+	srv, ln, tr, c := served(t, func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/close" {
 			w.Header().Set("Connection", "close")
 		}
 		Respond(w, "text/plain", bytes.Repeat([]byte("x"), 64<<10))
 	}, 0)
-	hc := &http.Client{Transport: tr}
 	for i, step := range []struct {
 		path    string
-		read    int64 // bytes of the body to read; -1 for all of it
-		close   bool
+		read    int64 // bytes of the body the caller reads; -1 for all of it
 		accepts int32 // connections accepted once the request is sent
-		idle    int   // connections idle once the body is done with
+		idle    int   // connections idle once the call returns
 	}{
-		{"/whole", -1, true, 1, 1},
-		{"/whole", -1, true, 1, 1},
-		{"/part", 1, true, 1, 0},
-		{"/whole", -1, true, 2, 1},
-		{"/half", 32 << 10, true, 2, 0}, // past what the read buffer holds
-		{"/whole", -1, true, 3, 1},
-		{"/close", -1, true, 3, 0},
-		{"/unclosed", -1, false, 4, 0},
-		{"/whole", -1, true, 5, 1},
+		{"/whole", -1, 1, 1},
+		{"/whole", -1, 1, 1},
+		{"/part", 1, 1, 1},
+		{"/half", 32 << 10, 1, 1}, // past what the read buffer holds
+		{"/none", 0, 1, 1},
+		{"/close", -1, 1, 0},
+		{"/whole", -1, 2, 1},
 	} {
-		resp, err := hc.Get(srv.URL + step.path)
+		err := c.Stream(http.MethodGet, step.path, nil, func(b *Body) error {
+			if step.read < 0 {
+				_, err := b.Bytes()
+				return err
+			}
+			_, err := io.CopyN(io.Discard, b.br, step.read)
+			return err
+		})
 		if err != nil {
 			t.Fatalf("step %d (%s): %v", i, step.path, err)
-		}
-		if step.read < 0 {
-			_, err = io.Copy(io.Discard, resp.Body)
-		} else {
-			_, err = io.CopyN(io.Discard, resp.Body, step.read)
-		}
-		if err != nil {
-			t.Fatalf("step %d (%s): reading the body: %v", i, step.path, err)
-		}
-		if step.close {
-			_ = resp.Body.Close()
 		}
 		if got := ln.accepts.Load(); got != step.accepts {
 			t.Errorf("step %d (%s): %d connections accepted, want %d", i, step.path, got, step.accepts)
@@ -344,7 +376,7 @@ func TestDeadlineEndsWithItsRequest(t *testing.T) {
 	srv, ln, tr, c := served(t, func(w http.ResponseWriter, r *http.Request) {
 		Respond(w, "text/plain", []byte("ok"))
 	}, timeout)
-	untimed := NewClient("test client", srv.URL, &http.Client{Transport: tr}, nil)
+	untimed := ownClient(srv.URL, tr, 0)
 	for i, cl := range []*Client{c, c, untimed} {
 		if _, err := cl.Do(http.MethodGet, "/x", nil); err != nil {
 			t.Fatalf("request %d: %v", i, err)
@@ -419,6 +451,55 @@ func TestIdleConnectionExpires(t *testing.T) {
 	}
 	if got := tr.idleTo(srv); got != 1 {
 		t.Errorf("%d connections idle, want the new one", got)
+	}
+}
+
+// canned answers the requests a client writes to the far end of a
+// net.Pipe, without allocating: it reads each request whole — it is told
+// how long they are — and writes reply.
+func canned(far net.Conn, requestLen []int, reply []byte) {
+	buf := make([]byte, 8<<10)
+	for i := 0; ; i++ {
+		if _, err := io.ReadFull(far, buf[:requestLen[i%len(requestLen)]]); err != nil {
+			return
+		}
+		if _, err := far.Write(reply); err != nil {
+			return
+		}
+	}
+}
+
+// What a request costs the client on its own transport, the server's
+// share left out: a kept-alive GET answered with a 2-byte body, and a
+// PUT of 4 KiB, against a canned responder at the far end of a net.Pipe
+// that allocates nothing itself. What is left is the Reply, its body, and
+// Do's closure and the result it sets.
+func TestRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not measured under the race detector")
+	}
+	put := bytes.Repeat([]byte("x"), 4<<10)
+	for _, tc := range []struct {
+		method string
+		body   []byte
+	}{{http.MethodGet, nil}, {http.MethodPut, put}} {
+		near, far := net.Pipe()
+		c := ownClient("http://registry", &transport{dial: func(string, string) (net.Conn, error) { return near, nil }}, 0)
+		request := len(c.appendRequest(nil, tc.method, "/x", tc.body, nil)) + len(tc.body)
+		go canned(far, []int{request}, []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"))
+		do := func() {
+			if r, err := c.Do(tc.method, "/x", tc.body); err != nil || string(r.Body) != "ok" {
+				t.Fatalf("%s: %v", tc.method, err)
+			}
+		}
+		do() // dial
+		allocs := testing.AllocsPerRun(200, do)
+		if allocs > 4 {
+			t.Errorf("%s: %.1f allocations a request, want at most 4", tc.method, allocs)
+		}
+		t.Logf("%s: %.1f allocations a request", tc.method, allocs)
+		_ = near.Close()
+		_ = far.Close()
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httptrace"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -237,7 +236,9 @@ func TestStatusTableIsTwoWay(t *testing.T) {
 // client keeps one connection for all its requests.
 func TestClientReusesConnection(t *testing.T) {
 	big := bytes.Repeat([]byte("x"), 1<<16) // sent chunked: no declared length
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	var hits atomic.Int32
+	_, ln, _, c := served(t, func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
 		switch r.URL.Path {
 		case "/small":
 			_, _ = w.Write([]byte("ok"))
@@ -246,26 +247,12 @@ func TestClientReusesConnection(t *testing.T) {
 		default:
 			http.Error(w, strings.Repeat("no ", 2000), http.StatusNotFound)
 		}
-	}))
-	defer srv.Close()
-
-	own := new(transport) // the package's transport, seen through its GotConn hook
-	var conns, reused atomic.Int32
-	tracing := roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		ct := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
-			conns.Add(1)
-			if info.Reused {
-				reused.Add(1)
-			}
-		}}
-		return own.RoundTrip(req.WithContext(httptrace.WithClientTrace(req.Context(), ct)))
-	})
-	c := NewClient("test client", srv.URL, &http.Client{Transport: tracing}, nil)
+	}, 0)
 	for _, path := range []string{"/small", "/big", "/missing", "/small", "/missing", "/big"} {
 		_, _ = c.Do(http.MethodGet, path, nil)
 	}
-	if conns.Load() != 6 || reused.Load() != 5 {
-		t.Fatalf("%d of %d requests reused the connection, want 5 of 6", reused.Load(), conns.Load())
+	if hits.Load() != 6 || ln.accepts.Load() != 1 {
+		t.Fatalf("%d requests on %d connections, want 6 on 1", hits.Load(), ln.accepts.Load())
 	}
 }
 
@@ -274,22 +261,11 @@ func TestClientReusesConnection(t *testing.T) {
 // reader refuses comes back as an ErrBadReply that still says why.
 func TestStreamDrainsWhatItsReaderLeaves(t *testing.T) {
 	big := bytes.Repeat([]byte("x"), 1<<16)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	var hits atomic.Int32
+	_, ln, _, c := served(t, func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
 		Respond(w, "application/octet-stream", big)
-	}))
-	defer srv.Close()
-	own := new(transport) // the package's transport, seen through its GotConn hook
-	var conns, reused atomic.Int32
-	tracing := roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		ct := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
-			conns.Add(1)
-			if info.Reused {
-				reused.Add(1)
-			}
-		}}
-		return own.RoundTrip(req.WithContext(httptrace.WithClientTrace(req.Context(), ct)))
-	})
-	c := NewClient("test client", srv.URL, &http.Client{Transport: tracing}, nil)
+	}, 0)
 	errMisframed := errors.New("not what was asked for")
 	for _, read := range []func(*Body) error{
 		func(*Body) error { return nil },
@@ -311,8 +287,8 @@ func TestStreamDrainsWhatItsReaderLeaves(t *testing.T) {
 			t.Errorf("err = %v, want nil or the reader's error as an ErrBadReply", err)
 		}
 	}
-	if conns.Load() != 4 || reused.Load() != 3 {
-		t.Fatalf("%d of %d requests reused the connection, want 3 of 4", reused.Load(), conns.Load())
+	if hits.Load() != 4 || ln.accepts.Load() != 1 {
+		t.Fatalf("%d requests on %d connections, want 4 on 1", hits.Load(), ln.accepts.Load())
 	}
 }
 
@@ -366,10 +342,6 @@ func TestBoundedBodyStopsAtTheLimit(t *testing.T) {
 		t.Errorf("read after the overrun: %v, want ErrTooLarge", err)
 	}
 }
-
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
 
 // Serve stops on SIGTERM, and lets the request in flight finish first.
 func TestServeShutsDownGracefully(t *testing.T) {
