@@ -400,14 +400,10 @@ type (
 	// StatsSnapshot is the unified point-in-time view of a
 	// MetricsRegistry: JSON-marshalable, diffable, and validatable.
 	StatsSnapshot = telemetry.Snapshot
-	// TraceSpan is one structured trace event: a node of a deployment's
-	// span tree (Deployment.Trace, whose root and phases a Daemon's trace
-	// ring also holds; ID and Parent link the tree, Dur and Bytes include
-	// the children's), or a store's fetch window or blocking fault from
-	// the ring.
+	// TraceSpan is one node of a deployment's span tree
+	// (Deployment.Trace): ID and Parent link the tree, and Dur and Bytes
+	// include the children's.
 	TraceSpan = telemetry.Span
-	// TraceRing is a bounded in-memory span buffer.
-	TraceRing = telemetry.TraceRing
 	// Tracker maps Gear-file fingerprints to the cluster nodes holding
 	// them (peer-to-peer distribution).
 	Tracker = peer.Tracker

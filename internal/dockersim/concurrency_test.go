@@ -43,25 +43,21 @@ func TestParallelGearDeploys(t *testing.T) {
 		ids[dep.ContainerID] = true
 	}
 
-	// The deploys numbered their span trees from the daemon's one
-	// counter: no ID twice, and the ring holds every root.
-	spanIDs := make(map[int64]bool)
+	// Each deploy numbered its own span tree, whatever ran beside it: IDs
+	// 1..n in order, every parent before its child, and one root.
 	for _, dep := range deps {
-		for _, sp := range dep.Trace() {
-			if spanIDs[sp.ID] {
-				t.Errorf("%s: span ID %d used twice", dep.ContainerID, sp.ID)
+		roots := 0
+		for i, sp := range dep.Trace() {
+			if sp.ID != int64(i+1) || sp.Parent >= sp.ID {
+				t.Errorf("%s: span %d has ID %d, parent %d", dep.ContainerID, i, sp.ID, sp.Parent)
 			}
-			spanIDs[sp.ID] = true
+			if sp.Parent == 0 {
+				roots++
+			}
 		}
-	}
-	roots := 0
-	for _, sp := range d.ring.Snapshot() {
-		if sp.Op == "deploy" {
-			roots++
+		if roots != 1 {
+			t.Errorf("%s: tree has %d roots, want 1", dep.ContainerID, roots)
 		}
-	}
-	if roots != deploys {
-		t.Errorf("ring holds %d deploy roots, want %d", roots, deploys)
 	}
 
 	// Every deployment reads the same correct content.

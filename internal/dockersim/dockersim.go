@@ -127,9 +127,6 @@ type Options struct {
 	// Nil creates a private registry, so Daemon.Snapshot always
 	// works.
 	Telemetry *telemetry.Registry
-	// TraceCapacity bounds the daemon's span ring. 0 selects
-	// telemetry.DefaultTraceCapacity.
-	TraceCapacity int
 }
 
 // The host's local cost model. No experiment varies it.
@@ -223,8 +220,8 @@ func (d *Deployment) Total() time.Duration { return d.Pull.Time + d.Prefetch.Tim
 // is the pre-fault window. Dur and Bytes are inclusive, so a span's self
 // share is its value minus its children's; the self shares of the tree
 // add up to Total(), and its self Bytes to the WAN bytes netsim charged
-// the deploy. The root and phase spans are also recorded in the daemon's
-// span ring.
+// the deploy. Spans are numbered by position: ID is the index plus one,
+// Parent the parent's ID, 0 for the root.
 func (d *Deployment) Trace() []telemetry.Span { return slices.Clone(d.tree) }
 
 // spanOps are the kinds of span in a deployment's tree (see Trace), in
@@ -237,12 +234,11 @@ var spanOps = []string{"deploy", "deploy.pull", "deploy.unpack", "deploy.prefetc
 // shares partition the tree, so the rows add up to the total row.
 func (d *Deployment) Explain(w io.Writer) {
 	rows := make([]telemetry.Span, len(spanOps)) // Objects counts spans; Dur and Bytes are self
-	root := d.tree[0]
 	for _, s := range d.tree {
 		r := &rows[slices.Index(spanOps, s.Op)]
 		r.Objects, r.Dur, r.Bytes = r.Objects+1, r.Dur+s.Dur, r.Bytes+s.Bytes
 		if s.Parent != 0 {
-			p := &rows[slices.Index(spanOps, d.tree[s.Parent-root.ID].Op)]
+			p := &rows[slices.Index(spanOps, d.tree[s.Parent-1].Op)]
 			p.Dur, p.Bytes = p.Dur-s.Dur, p.Bytes-s.Bytes
 		}
 	}
@@ -252,7 +248,7 @@ func (d *Deployment) Explain(w io.Writer) {
 			fmt.Fprintf(w, "%-16s %6d %16v %12d\n", spanOps[i], r.Objects, r.Dur, r.Bytes)
 		}
 	}
-	fmt.Fprintf(w, "%-16s %6s %16v %12d\n", "total", "", root.Dur, root.Bytes)
+	fmt.Fprintf(w, "%-16s %6s %16v %12d\n", "total", "", d.tree[0].Dur, d.tree[0].Bytes)
 }
 
 // Daemon deploys containers. It is safe for concurrent use: distinct
@@ -285,11 +281,8 @@ type Daemon struct {
 	slackerClient *slacker.Client
 
 	// tele is the per-daemon metrics registry every component publishes
-	// into; ring is the span buffer shared with the store, and spanIDs
-	// numbers the spans of deployment trees.
-	tele    *telemetry.Registry
-	ring    *telemetry.TraceRing
-	spanIDs atomic.Int64
+	// into.
+	tele *telemetry.Registry
 
 	// net gauges mirror the links' counters on demand (Snapshot).
 	wanBytes, wanRequests, wanElapsed *telemetry.Gauge
@@ -324,7 +317,6 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 		peerLink:    peerLink,
 		layers:      make(map[hashing.Digest]*imagefmt.Layer),
 		tele:        tele,
-		ring:        telemetry.NewTraceRing(opts.TraceCapacity),
 		wanBytes:    tele.Gauge("net.wan.bytes"),
 		wanRequests: tele.Gauge("net.wan.requests"),
 		wanElapsed:  tele.Gauge("net.wan.elapsed.ns"),
@@ -343,7 +335,6 @@ func NewDaemon(docker registry.Store, gear gearregistry.Store, opts Options) (*D
 		ChunkWindowBytes: opts.ChunkWindowBytes,
 		ChunkReadahead:   opts.ChunkReadahead,
 		Telemetry:        tele,
-		TraceRing:        d.ring,
 		OnTransfer:       d.priceTransfer,
 	})
 	if err != nil {
@@ -492,12 +483,11 @@ func (dep *Deployment) phase(op, class string, ps PhaseStats) int {
 
 // finish closes dep's tree when the deploy ends. Parents precede their
 // children, so one backward pass folds every span's Dur and Bytes into
-// its parent's while the spans take consecutive IDs from the daemon's
-// counter. The phase stats and DemandStall are then read off the tree,
-// and the root and the phases go to the ring.
-func (d *Daemon) finish(dep *Deployment) {
+// its parent's while each span is numbered by its position (ID index+1,
+// Parent its parent's). The phase stats and DemandStall are then read
+// off the tree.
+func (dep *Deployment) finish() {
 	t := dep.tree
-	first := d.spanIDs.Add(int64(len(t))) - int64(len(t)) + 1
 	var busy time.Duration // the run's local service and compute
 	for i := len(t) - 1; i > 0; i-- {
 		s := &t[i]
@@ -506,14 +496,9 @@ func (d *Daemon) finish(dep *Deployment) {
 		}
 		t[s.Parent].Dur += s.Dur
 		t[s.Parent].Bytes += s.Bytes
-		s.ID, s.Parent = first+int64(i), first+s.Parent
+		s.ID, s.Parent = int64(i)+1, s.Parent+1
 	}
-	t[0].ID = first
-	for _, s := range t {
-		if s.Parent <= first { // the root (0) and the phases
-			d.ring.Record(s)
-		}
-	}
+	t[0].ID = 1
 	dep.Pull, dep.Prefetch, dep.Run = dep.phaseStats("deploy.pull"), dep.phaseStats("deploy.prefetch"), dep.phaseStats("deploy.run")
 	dep.DemandStall = dep.Run.Time - busy
 }
@@ -680,7 +665,7 @@ func (d *Daemon) DeployDocker(name, tag string, access []string, compute time.Du
 		return nil, fmt.Errorf("dockersim: docker run %s: %w", dep.Ref, err)
 	}
 	dep.inodes = dep.root.Stats().Files // everything was unpacked
-	d.finish(dep)
+	dep.finish()
 	return dep, nil
 }
 
@@ -724,7 +709,7 @@ func (d *Daemon) DeployGear(name, tag string, access []string, compute time.Dura
 	// Teardown releases the inode cache of the files this container
 	// touched — required files only, never the whole image (§V-F).
 	dep.inodes = uniqueCount(access)
-	d.finish(dep)
+	dep.finish()
 	return dep, nil
 }
 
@@ -823,7 +808,7 @@ func (d *Daemon) DeploySlacker(name, tag string, access []string, compute time.D
 		return nil, fmt.Errorf("dockersim: slacker run %s: %w", ref, err)
 	}
 	dep.inodes = len(access)
-	d.finish(dep)
+	dep.finish()
 	return dep, nil
 }
 

@@ -3,7 +3,6 @@ package dockersim
 import (
 	"errors"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -603,9 +602,9 @@ func TestTraceRecordsAccessTimeline(t *testing.T) {
 
 // TestTraceSpansAccountForAllWANBytes: every deploy mode attributes
 // 100% of the WAN bytes netsim reports to its span tree — Trace() is a
-// complete accounting, not a sample — and the daemon's ring holds the
-// tree's phase spans. A deploy that replays a profile splits the traffic
-// into demand and prefetch classes that cover the byte total.
+// complete accounting, not a sample. A deploy that replays a profile
+// splits the traffic into demand and prefetch classes that cover the
+// byte total.
 func TestTraceSpansAccountForAllWANBytes(t *testing.T) {
 	r := buildRig(t, "nginx", 1)
 	lib := prefetch.NewLibrary()
@@ -637,10 +636,6 @@ func TestTraceSpansAccountForAllWANBytes(t *testing.T) {
 		}
 		return by
 	}
-	isPhase := func(op string) bool {
-		return op == "deploy.pull" || op == "deploy.prefetch" || op == "deploy.run"
-	}
-
 	for _, tc := range []struct {
 		mode   string
 		deploy func(d *Daemon) (*Deployment, error)
@@ -673,20 +668,6 @@ func TestTraceSpansAccountForAllWANBytes(t *testing.T) {
 		}
 		if sum != wan.Bytes {
 			t.Errorf("%s: trace spans carry %d bytes, netsim WAN link reports %d", tc.mode, sum, wan.Bytes)
-		}
-		var ringPhase, treePhase int
-		for _, s := range d.ring.Snapshot() {
-			if isPhase(s.Op) {
-				ringPhase++
-			}
-		}
-		for _, s := range dep.Trace() {
-			if isPhase(s.Op) {
-				treePhase++
-			}
-		}
-		if ringPhase != treePhase {
-			t.Errorf("%s: ring holds %d phase spans, deployment holds %d", tc.mode, ringPhase, treePhase)
 		}
 	}
 
@@ -780,7 +761,7 @@ func checkTree(t *testing.T, name string, dep *Deployment, wan int64, linkTime t
 // Docker, Slacker, cold, warm and profile-guided Gear, the concurrent
 // fetch engine, chunked files and peers — yields one span tree that
 // accounts for all of its time and every WAN byte, to the nanosecond
-// and the byte; and the daemon's ring holds its root and phase spans.
+// and the byte.
 func TestDeploymentTreeAccountsForAllTime(t *testing.T) {
 	r := buildRig(t, "nginx", 1)
 	access := r.access(t, 0)
@@ -835,7 +816,6 @@ func TestDeploymentTreeAccountsForAllTime(t *testing.T) {
 		{"gear-peered", peers[1], gear("gear/nginx"), true},
 	} {
 		wan, lan := tc.d.Link().Stats(), tc.d.PeerLink().Stats()
-		ringBefore := lastSeq(tc.d.ring)
 		dep, err := tc.deploy(tc.d)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -867,23 +847,6 @@ func TestDeploymentTreeAccountsForAllTime(t *testing.T) {
 		if stall != dep.DemandStall {
 			t.Errorf("%s: faults and the run's self time come to %v, DemandStall = %v", tc.name, stall, dep.DemandStall)
 		}
-		// The ring gets the root and the phases, never the run's children.
-		var want []telemetry.Span
-		for _, s := range tree {
-			if s.Parent == 0 || s.Parent == tree[0].ID {
-				want = append(want, s)
-			}
-		}
-		var got []telemetry.Span
-		for _, s := range tc.d.ring.Snapshot() {
-			if s.Seq > ringBefore && strings.HasPrefix(s.Op, "deploy") {
-				s.Seq = 0
-				got = append(got, s)
-			}
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("%s: ring holds deployment spans %+v, want the root and phases %+v", tc.name, got, want)
-		}
 	}
 }
 
@@ -901,9 +864,8 @@ func childDur(tree []telemetry.Span, parent int64) time.Duration {
 // TestDemandStallIsPricedTime: a cold, serial Gear deploy's demand stall
 // is the time netsim priced for its faults, whichever way it is read. The
 // daemon's view — the tree's deploy.fault spans plus the run's own time —
-// and the store's — its stall counter, the sum of its stall histogram and
-// its fault spans in the ring — each come to Deployment.DemandStall
-// exactly.
+// and the store's — its stall counter and the sum of its stall histogram
+// — each come to Deployment.DemandStall exactly.
 func TestDemandStallIsPricedTime(t *testing.T) {
 	r := buildRig(t, "nginx", 1)
 	d := r.newDaemon(t, 20)
@@ -916,12 +878,7 @@ func TestDemandStallIsPricedTime(t *testing.T) {
 	if misses := diff.Counter("store.demand.misses"); dep.DemandStall <= 0 || misses == 0 {
 		t.Fatalf("cold deploy: stall=%v misses=%d, want both positive", dep.DemandStall, misses)
 	}
-	var storeSpans, treeSpans time.Duration
-	for _, sp := range d.ring.Snapshot() {
-		if sp.Op == "fault" {
-			storeSpans += sp.Dur
-		}
-	}
+	var treeSpans time.Duration
 	tree := dep.Trace()
 	for _, sp := range tree {
 		switch sp.Op {
@@ -934,7 +891,6 @@ func TestDemandStallIsPricedTime(t *testing.T) {
 	for what, got := range map[string]time.Duration{
 		"store.demand.stall.ns":           time.Duration(diff.Counter("store.demand.stall.ns")),
 		"store.demand.stall (sum)":        time.Duration(diff.Histograms["store.demand.stall"].Sum),
-		"store's fault spans (total)":     storeSpans,
 		"tree's faults and the run's own": treeSpans,
 	} {
 		if got != dep.DemandStall {
@@ -1109,14 +1065,4 @@ func TestUniqueCount(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { uniqueCount(list) }); n != 0 {
 		t.Errorf("uniqueCount allocates %v times a call, want 0", n)
 	}
-}
-
-// lastSeq is the sequence number of the newest span in ring, 0 for none:
-// the spans recorded after it have greater ones.
-func lastSeq(ring *telemetry.TraceRing) int64 {
-	spans := ring.Snapshot()
-	if len(spans) == 0 {
-		return 0
-	}
-	return spans[len(spans)-1].Seq
 }

@@ -357,11 +357,6 @@ func New(wl *Workload, opts Options) (*Harness, error) {
 	return h, nil
 }
 
-// traceCapacity bounds each daemon's span ring: 64, not
-// telemetry.DefaultTraceCapacity, so that a 1024-node fleet does not
-// pre-allocate thousands of spans per node.
-const traceCapacity = 64
-
 // ShardID returns the canonical id of shard tier member i ("shard00"...).
 func ShardID(i int) string { return fmt.Sprintf("shard%02d", i) }
 
@@ -400,7 +395,6 @@ func (h *Harness) Join(id string) error {
 		Links:            h.topo.Node(id),
 		GearRequestBytes: h.requestBytes,
 		Telemetry:        h.tele,
-		TraceCapacity:    traceCapacity,
 	}
 	if h.opts.Peers {
 		dopts.Peers = peer.NewExchange(id, h.tracker, h.network, h.tele)

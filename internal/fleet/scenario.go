@@ -99,9 +99,8 @@ func (h *Harness) Run(kind Kind) (*Result, error) {
 }
 
 // Phase runs fn as one accounted phase: its telemetry diff, link
-// deltas, deploy count and deploy-time extrema land in one PhaseResult,
-// and a span summarizing the phase is recorded into the harness ring. A
-// failing fn's error is returned, wrapped with the phase name.
+// deltas, deploy count and deploy-time extrema land in one PhaseResult.
+// A failing fn's error is returned, wrapped with the phase name.
 func (h *Harness) Phase(name string, fn func() error) (PhaseResult, error) {
 	before := h.Snapshot()
 	wanBefore, lanBefore := h.topo.WANStats(), h.topo.LANStats()
@@ -144,7 +143,7 @@ func (h *Harness) Phase(name string, fn func() error) (PhaseResult, error) {
 }
 
 // phase runs one scenario phase through Phase, named "<scenario>/<name>"
-// in its span and error, and appends its result under name.
+// in its error, and appends its result under name.
 func (h *Harness) phase(res *Result, name string, fn func() error) error {
 	p, err := h.Phase(res.Scenario+"/"+name, fn)
 	if err != nil {

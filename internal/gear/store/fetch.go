@@ -187,23 +187,13 @@ func (s *Store) fetchOne(fp hashing.Fingerprint, size int64) (*vfs.Content, Tran
 		t, _ = s.lead([]*flight{f}, classDemand, false)
 	} else {
 		<-f.done
-		t.Joined = f.err == nil
 	}
-	t.Op, t.Ref, t.Stall = "fault", refPrefix(fp), time.Since(start)
+	t.Op, t.Stall = "fault", time.Since(start)
 	if f.err != nil {
 		return nil, t, f.err
 	}
 	s.noteDemandMiss(fp, int64(len(f.content.Data())))
 	return f.content, t, nil
-}
-
-// refPrefix abbreviates a fingerprint for trace spans.
-func refPrefix(fp hashing.Fingerprint) string {
-	const n = 12
-	if len(fp) <= n {
-		return string(fp)
-	}
-	return string(fp[:n])
 }
 
 // StreamStat is a tally of transferred objects: one worker's share of a
@@ -225,18 +215,15 @@ func (st *StreamStat) add(objects int, bytes int64) {
 
 // Transfer is the one record of what a store operation moved over the
 // network. Every fetch path fills one and hands it, by value, to account,
-// which derives the store.* counters, the trace spans and the OnTransfer
-// call from it — so the three always describe the same objects and bytes.
+// which derives the store.* counters and the OnTransfer call from it — so
+// the two always describe the same objects and bytes.
 type Transfer struct {
-	// Op names the operation as its spans do: "fault" (a blocking
-	// whole-object or chunk fault), "rangefault", "readahead", or "fetch"
-	// (a FetchAll window).
+	// Op names the operation: "fault" (a blocking whole-object or chunk
+	// fault), "rangefault", "readahead", or "fetch" (a FetchAll window).
 	Op string
 	// Class is telemetry.ClassDemand, or telemetry.ClassPrefetch for
 	// readahead and profile replay.
 	Class string
-	// Ref is the fingerprint prefix when the transfer is of one object.
-	Ref string
 	// Registry is what the registry served over the WAN, Peer what cluster
 	// peers served over the LAN.
 	Registry, Peer StreamStat
@@ -244,9 +231,6 @@ type Transfer struct {
 	// FetchAll, which shared the link; otherwise the objects were
 	// pipelined in one round trip.
 	Window []StreamStat
-	// Joined reports a fault that moved nothing itself: it waited for
-	// another transfer's flight to deliver the object.
-	Joined bool
 	// Stall is how long a demand read ("fault" or "rangefault") was
 	// blocked: the price OnTransfer returned for it when a hook prices the
 	// store's transfers (0 if the read moved nothing itself), otherwise
@@ -255,62 +239,40 @@ type Transfer struct {
 	Stall time.Duration
 }
 
+// add folds o's traffic into t, keeping the longer of their stalls.
 func (t *Transfer) add(o Transfer) {
 	t.Registry.add(o.Registry.Objects, o.Registry.Bytes)
 	t.Peer.add(o.Peer.Objects, o.Peer.Bytes)
+	t.Stall = max(t.Stall, o.Stall)
 }
 
-// account is the one way out of the fetch pipeline into telemetry. The
-// parts together — the chunk faults of one span read, which share a round
-// trip, or the single record of anything else — move the store.* counters
-// once, are priced by one OnTransfer call, and, for a demand read, make
-// one stall observation: the hook's price, or without a hook the longest
-// part's wall time. Each part is then traced on its own, a span per
-// source that served it, carrying the read's stall. What crossed the wire
-// is accounted whether or not the operation went on to succeed.
-func (s *Store) account(parts ...Transfer) {
-	if len(parts) == 0 {
-		return
-	}
-	sum := parts[0]
-	for _, t := range parts[1:] {
-		sum.add(t)
-		sum.Ref, sum.Joined, sum.Stall = "", false, max(sum.Stall, t.Stall)
-	}
-	reg, peer := sum.Registry, sum.Peer
+// account is the one way out of the fetch pipeline into telemetry. One
+// record — the chunk faults of one span read, which share a round trip,
+// folded into one, or the single record of anything else — moves the
+// store.* counters once, is priced by one OnTransfer call, and, for a
+// demand read, makes one stall observation: the hook's price, or without
+// a hook the read's wall time (a span read's longest fault). What
+// crossed the wire is accounted whether or not the operation went on to
+// succeed.
+func (s *Store) account(t Transfer) {
+	reg, peer := t.Registry, t.Peer
 	s.m.remoteObjects.Add(int64(reg.Objects))
 	s.m.remoteBytes.Add(reg.Bytes)
 	s.m.peerObjects.Add(int64(peer.Objects))
 	s.m.peerBytes.Add(peer.Bytes)
-	if sum.Class == telemetry.ClassPrefetch {
+	if t.Class == telemetry.ClassPrefetch {
 		s.m.prefetchObjects.Add(int64(reg.Objects))
 		s.m.prefetchBytes.Add(reg.Bytes)
 	}
 	if s.opts.OnTransfer != nil {
-		sum.Stall = 0
+		t.Stall = 0
 		if reg.Objects > 0 || peer.Objects > 0 {
-			sum.Stall = s.opts.OnTransfer(sum)
+			t.Stall = s.opts.OnTransfer(t)
 		}
 	}
-	if sum.Op == "fault" || sum.Op == "rangefault" {
-		s.m.stallNanos.Add(sum.Stall.Nanoseconds())
-		s.m.stall.ObserveDuration(sum.Stall)
-	}
-	for _, t := range parts {
-		span := telemetry.Span{Op: t.Op, Ref: t.Ref, Class: t.Class, Dur: sum.Stall}
-		if t.Joined {
-			span.Source, span.Objects = telemetry.SourceCache, 1
-			span.QueueWait, span.Dur = sum.Stall, 0
-			s.opts.TraceRing.Record(span)
-		}
-		if t.Peer.Objects > 0 {
-			span.Source, span.Objects, span.Bytes = telemetry.SourcePeer, t.Peer.Objects, t.Peer.Bytes
-			s.opts.TraceRing.Record(span)
-		}
-		if t.Registry.Objects > 0 {
-			span.Source, span.Objects, span.Bytes = telemetry.SourceRegistry, t.Registry.Objects, t.Registry.Bytes
-			s.opts.TraceRing.Record(span)
-		}
+	if t.Op == "fault" || t.Op == "rangefault" {
+		s.m.stallNanos.Add(t.Stall.Nanoseconds())
+		s.m.stall.ObserveDuration(t.Stall)
 	}
 }
 

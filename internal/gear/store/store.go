@@ -101,9 +101,6 @@ type Options struct {
 	// per-daemon registry, and the one place those counters are read.
 	// Nil gets private, live handles that nothing reads.
 	Telemetry *telemetry.Registry
-	// TraceRing, if set, receives a structured span per fetch window
-	// and per blocking fault the store leads. Nil disables tracing.
-	TraceRing *telemetry.TraceRing
 }
 
 // PeerSource obtains Gear files from cluster peers. ok=false means no

@@ -45,7 +45,7 @@ func chunkSpan(chunks []index.Chunk, off, n int64) (lo, hi int, loOff int64) {
 // or not every chunk arrived.
 func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, error) {
 	out := make([]*vfs.Content, len(chunks))
-	var faults []Transfer
+	faults := Transfer{Op: "fault", Class: telemetry.ClassDemand}
 	var faulted bool
 	var mu sync.Mutex
 	var errs []error
@@ -56,9 +56,7 @@ func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, error) {
 			out[i] = c
 			continue
 		}
-		if !faulted { // faults itself is the fetchers' to touch from here on
-			faults, faulted = make([]Transfer, 0, len(chunks)-i), true
-		}
+		faulted = true
 		wg.Add(1)
 		go func(i int, ch index.Chunk) {
 			defer wg.Done()
@@ -67,14 +65,16 @@ func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, error) {
 			mu.Lock()
 			defer mu.Unlock()
 			out[i] = c
-			faults = append(faults, t)
+			faults.add(t)
 			if err != nil {
 				errs = append(errs, err)
 			}
 		}(i, ch)
 	}
 	wg.Wait()
-	s.account(faults...)
+	if faulted {
+		s.account(faults)
+	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
@@ -104,7 +104,7 @@ func (s *Store) readahead(chunks []index.Chunk) {
 				return
 			}
 			t, err := s.lead([]*flight{f}, classReadahead, false)
-			t.Op, t.Ref = "readahead", refPrefix(f.fp)
+			t.Op = "readahead"
 			s.account(t)
 			if err == nil {
 				s.m.chunkReadahead.Inc()
@@ -148,7 +148,7 @@ func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) (data []byte, ok
 	s.noteDemandMiss(fp, int64(len(payload)))
 	s.m.rangeReads.Inc()
 	s.account(Transfer{
-		Op: "rangefault", Class: telemetry.ClassDemand, Ref: refPrefix(fp),
+		Op: "rangefault", Class: telemetry.ClassDemand,
 		Registry: StreamStat{Objects: 1, Bytes: wire}, Stall: time.Since(start),
 	})
 	return payload, true, nil

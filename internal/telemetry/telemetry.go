@@ -1,8 +1,8 @@
 // Package telemetry is the reproduction's observability spine: a
 // dependency-free metrics registry (typed counters, gauges, and
-// fixed-bucket latency histograms with atomic hot paths) plus a bounded
-// structured trace ring for per-fetch events (trace.go) and a JSON
-// exposition surface (http.go).
+// fixed-bucket latency histograms with atomic hot paths) plus the span
+// type of a deployment's trace tree (trace.go) and a JSON exposition
+// surface (http.go).
 //
 // The paper evaluates Gear almost entirely through measurement — pull
 // size, deployment latency, per-phase traffic — so every subsystem of

@@ -185,75 +185,3 @@ func TestConcurrentPublishAndSnapshot(t *testing.T) {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
 	}
 }
-
-func TestTraceRingWrap(t *testing.T) {
-	r := NewTraceRing(3)
-	for i := 0; i < 5; i++ {
-		r.Record(Span{Op: "fault", Bytes: int64(i)})
-	}
-	spans := r.Snapshot()
-	if len(spans) != 3 {
-		t.Fatalf("snapshot len = %d, want 3", len(spans))
-	}
-	for i, s := range spans {
-		wantSeq := int64(i + 3) // oldest retained is seq 3
-		if s.Seq != wantSeq {
-			t.Fatalf("span %d seq = %d, want %d (oldest-first order)", i, s.Seq, wantSeq)
-		}
-	}
-	var nilRing *TraceRing
-	nilRing.Record(Span{Op: "ignored"})
-	if nilRing.Snapshot() != nil {
-		t.Fatal("nil ring should discard and report empty")
-	}
-}
-
-// A ring whose capacity spans several blocks keeps the last capacity
-// spans in order before and after it wraps, and a full ring records
-// without allocating.
-func TestTraceRingBlocks(t *testing.T) {
-	const capacity = 2*traceBlock + 6
-	r := NewTraceRing(capacity)
-	check := func(total int) {
-		t.Helper()
-		spans := r.Snapshot()
-		want := min(total, capacity)
-		if len(spans) != want || total > 0 && spans[len(spans)-1].Seq != int64(total) {
-			t.Fatalf("after %d: %d spans; want %d, the newest numbered %d", total, len(spans), want, total)
-		}
-		for i, s := range spans {
-			if seq := int64(total - want + i + 1); s.Seq != seq || s.Bytes != seq {
-				t.Fatalf("after %d: span %d is seq %d, bytes %d; want %d", total, i, s.Seq, s.Bytes, seq)
-			}
-		}
-	}
-	total := 0
-	for _, upTo := range []int{traceBlock + 1, capacity, capacity + 1, 3*capacity + 7} {
-		for ; total < upTo; total++ {
-			r.Record(Span{Op: "fault", Bytes: int64(total + 1)})
-		}
-		check(total)
-	}
-	if a := testing.AllocsPerRun(100, func() { r.Record(Span{Op: "fault"}) }); a != 0 {
-		t.Errorf("a full ring allocated %v times a record, want 0", a)
-	}
-}
-
-func TestTraceRingConcurrentRecord(t *testing.T) {
-	r := NewTraceRing(64)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Record(Span{Op: "fetch"})
-				_ = r.Snapshot()
-			}
-		}()
-	}
-	wg.Wait()
-	if spans := r.Snapshot(); spans[len(spans)-1].Seq != 2000 {
-		t.Fatalf("newest span numbered %d, want 2000", spans[len(spans)-1].Seq)
-	}
-}

@@ -62,9 +62,10 @@ if [ -n "$unsized" ]; then
 fi
 
 # wire.NewClient gives a client without a transport the package's own
-# (internal/wire/transport.go): pooled request-body copies, an idle pool
-# the size of a fetch wave, no Accept-Encoding. A client built around
-# net/http's default bypasses all three without saying so.
+# HTTP/1.1 codec (internal/wire/transport.go): no http.Request,
+# http.Response or header map per request, an idle pool the size of a
+# fetch wave, no Accept-Encoding. A client built around net/http's
+# default bypasses all three without saying so.
 defaults=$(grep -rn --include='*.go' -E 'http\.Default(Client|Transport)' . \
   | grep -v '_test\.go:' \
   | grep -v -E '^\./(internal/wire|loadbench)/' || true)
