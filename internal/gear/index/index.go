@@ -322,15 +322,6 @@ func ParsePlaceholder(data []byte) (hashing.Fingerprint, int64, error) {
 	return hashing.Fingerprint(rawFP), size, nil
 }
 
-// IsPlaceholder reports whether data is a fingerprint placeholder record:
-// whether ParsePlaceholder accepts it. For a record, and for content that
-// does not begin like one, it answers from the bytes and allocates
-// nothing.
-func IsPlaceholder(data []byte) bool {
-	_, _, err := parseRecord(data)
-	return err == nil
-}
-
 // maxRecordLen is the longest record Placeholder writes: the prefix, a
 // collision-fallback ID ("<32 hex>-c" and the digits of an int), a colon,
 // the digits of an int64, a newline.

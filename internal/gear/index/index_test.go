@@ -182,8 +182,8 @@ func TestPlaceholderRoundTrip(t *testing.T) {
 	if err != nil || gotFP != fp || gotSize != 12345 {
 		t.Errorf("ParsePlaceholder = %s, %d, %v", gotFP, gotSize, err)
 	}
-	if !IsPlaceholder(rec) {
-		t.Error("IsPlaceholder(valid) = false")
+	if _, ok := StubOf(fileNode(t, rec)); !ok {
+		t.Error("StubOf(valid) = false")
 	}
 	bad := [][]byte{
 		[]byte("regular file content"),
@@ -194,8 +194,8 @@ func TestPlaceholderRoundTrip(t *testing.T) {
 		{},
 	}
 	for _, b := range bad {
-		if IsPlaceholder(b) {
-			t.Errorf("IsPlaceholder(%q) = true", b)
+		if _, ok := StubOf(fileNode(t, b)); ok {
+			t.Errorf("StubOf(%q) = true", b)
 		}
 	}
 	if _, _, err := ParsePlaceholder([]byte("not a placeholder")); !errors.Is(err, ErrNotGearFile) {

@@ -90,13 +90,28 @@ func DecodeMounted(blob string) (*Mounted, error) {
 	if m.Name, m.Tag, m.Config, err = d.header(); err != nil {
 		return nil, err
 	}
-	into := viewSink{d: &d, refs: make([]uint32, 0, d.left()/usualEntryBytes)}
-	if err := d.tree(&into); err != nil {
+	pending := pendingPool.Get().(*[]uint32)
+	into := viewSink{d: &d, refs: make([]uint32, 0, d.left()/usualEntryBytes), pending: (*pending)[:0]}
+	err = d.tree(&into)
+	if cap(into.pending) <= maxPooledPending {
+		*pending = into.pending
+		pendingPool.Put(pending)
+	}
+	if err != nil {
 		return nil, err
 	}
 	m.Tree, m.Chunks = vfs.NewFrom(&view{blob: blob, refs: into.refs}, into.root), into.chunks
 	return m, nil
 }
+
+// pendingPool keeps a viewSink's pending refs from one mount to the next:
+// each mount grows them to the most entries its open directories hold at
+// once, and a daemon mounts the same few images over and over.
+var pendingPool = sync.Pool{New: func() any { return new([]uint32) }}
+
+// maxPooledPending bounds what the pool keeps: an index that needed more
+// pending refs (4 bytes each) than this is let go with its walk.
+const maxPooledPending = 1 << 16
 
 // view is a validated index blob as a vfs.Source: the tree is the blob's,
 // and refs says where in it each directory's entries are, which the
@@ -152,35 +167,102 @@ func (v *view) Names(dir uint32) []string {
 	return names
 }
 
-// Fill implements vfs.Source: a binary search of the directory's names,
-// and the node ToTree builds for the entry found.
-func (v *view) Fill(dir uint32, name string, into *vfs.Node) {
+// find returns the ref of the entry name of directory dir: a binary
+// search of the directory's names.
+func (v *view) find(dir uint32, name string) (ref uint32, found bool) {
 	refs := v.entries(dir)
 	i, found := sort.Find(len(refs), func(i int) int {
 		_, at := v.at(refs[i])
 		return strings.Compare(name, at)
 	})
 	if !found {
+		return 0, false
+	}
+	return refs[i], true
+}
+
+// Fill implements vfs.Source: the node ToTree builds for the entry, but
+// that a file's record is left to FileData.
+func (v *view) Fill(dir uint32, name string, into *vfs.Node) {
+	ref, found := v.find(dir, name)
+	if !found {
 		return
 	}
-	d, name := v.at(refs[i]) // the blob's spelling: the node aliases the blob, not the caller's path
+	d, name := v.at(ref) // the blob's spelling: the node aliases the blob, not the caller's path
 	typ, _ := d.readByte()
 	mode, _ := d.readUvarint()
 	switch vfs.FileType(typ) {
 	case vfs.TypeDir:
-		into.AddSourceDir(name, fs.FileMode(mode), v, refs[i]&^dirRef)
+		into.AddSourceDir(name, fs.FileMode(mode), v, ref&^dirRef)
 	case vfs.TypeRegular:
-		fp, _ := d.readFingerprint()
-		size, _ := d.readUvarint()
-		var buf [maxRecordLen]byte
-		record := appendPlaceholder(buf[:0], fp, int64(size))
-		own := make([]byte, len(record)) // of its exact size, as ToTree's are
-		copy(own, record)
-		into.AddFile(name, own, fs.FileMode(mode))
+		into.AddSourceFile(name, fs.FileMode(mode))
 	case vfs.TypeSymlink:
 		target, _ := d.readString()
 		into.AddSymlink(name, target)
 	}
+}
+
+// FileData implements vfs.Source: the record ToTree writes for the file,
+// in a slice of its exact size, as ToTree's are.
+func (v *view) FileData(dir uint32, name string) []byte {
+	fp, size := v.file(dir, name)
+	var buf [maxRecordLen]byte
+	record := appendPlaceholder(buf[:0], fp, size)
+	own := make([]byte, len(record))
+	copy(own, record)
+	return own
+}
+
+// file returns the fingerprint and size of the file name of directory
+// dir, which Fill has found.
+func (v *view) file(dir uint32, name string) (fpRef, int64) {
+	ref, _ := v.find(dir, name)
+	d, _ := v.at(ref)
+	_, _ = d.readByte()
+	_, _ = d.readUvarint()
+	fp, _ := d.readFingerprint()
+	size, _ := d.readUvarint()
+	return fp, int64(size)
+}
+
+// Stub is what a placeholder of an index tree records: the Gear file it
+// stands for. StubOf reads it where it lies, in the blob or in the
+// record, and Fingerprint writes the fingerprint out.
+type Stub struct {
+	Size int64
+	fp   fpRef  // in the blob,
+	text []byte // or in a record
+}
+
+// Fingerprint returns the fingerprint of the Gear file.
+func (s Stub) Fingerprint() hashing.Fingerprint {
+	if s.text != nil {
+		return hashing.Fingerprint(s.text)
+	}
+	if !s.fp.raw {
+		return hashing.Fingerprint(s.fp.s)
+	}
+	var dst [hexLen]byte
+	return hashing.Fingerprint(s.fp.appendText(dst[:0]))
+}
+
+// StubOf reports whether n, a regular file of an index tree, is still a
+// placeholder — no fault has linked its Gear file over it — and then what
+// it records. A file of a mounted blob whose record nothing has read is
+// answered from its entry in the blob; any other from the record it holds,
+// as ParsePlaceholder reads one. Neither allocates.
+func StubOf(n *vfs.Node) (Stub, bool) {
+	if src, dir, ok := n.Unrendered(); ok {
+		if v, ok := src.(*view); ok {
+			fp, size := v.file(dir, n.Name())
+			return Stub{Size: size, fp: fp}, true
+		}
+	}
+	text, size, err := parseRecord(n.Content().Data())
+	if err != nil {
+		return Stub{}, false
+	}
+	return Stub{Size: size, text: text}, true
 }
 
 // viewSink builds a view's refs and the chunk tables, and holds each

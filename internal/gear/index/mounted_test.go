@@ -21,7 +21,9 @@ import (
 // accepts blob iff DecodeBinary does, and then its tree, chunk tables and
 // header are what ToTree, ChunkMap and the decoded index say, record
 // buffers cannot grow into one another, and the index derived from the
-// retained blob is the decoded one.
+// retained blob is the decoded one. Each file is its entry until read:
+// StubOf answers for it with the decoded entry's fingerprint and size,
+// its bytes are ToTree's record, and once relinked it is a stub no more.
 func checkMounted(tb testing.TB, blob []byte) {
 	tb.Helper()
 	ix, ixErr := DecodeBinary(blob)
@@ -42,6 +44,24 @@ func checkMounted(tb testing.TB, blob []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	var files []string
+	_ = m.Tree.Walk(func(p string, n *vfs.Node) error {
+		if n.Type() != vfs.TypeRegular {
+			return nil
+		}
+		if _, _, ok := n.Unrendered(); !ok {
+			tb.Fatalf("%s: a file of a mounted blob has content before anything read it", p)
+		}
+		e := ix.Lookup(p)
+		if stub, ok := StubOf(n); !ok || stub.Fingerprint() != e.Fingerprint || stub.Size != e.Size {
+			tb.Fatalf("%s: StubOf = %s %d %v, the decoded entry %s %d", p, stub.Fingerprint(), stub.Size, ok, e.Fingerprint, e.Size)
+		}
+		if got, want := n.Content().Data(), mustRead(tb, tree, p); !bytes.Equal(got, want) {
+			tb.Fatalf("%s renders %q, ToTree's record is %q", p, got, want)
+		}
+		files = append(files, p)
+		return nil
+	})
 	if got, want := describeTree(m.Tree), describeTree(tree); got != want {
 		tb.Fatalf("DecodeMounted built\n%s\nDecodeBinary + ToTree build\n%s", got, want)
 	}
@@ -54,6 +74,21 @@ func checkMounted(tb testing.TB, blob []byte) {
 		}
 		return nil
 	})
+	unread, err := DecodeMounted(string(blob))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, p := range files {
+		c := vfs.NewContent([]byte("materialized"))
+		if !unread.Tree.Relink(p, c) {
+			tb.Fatalf("Relink %s reported false", p)
+		}
+		if n := unread.Tree.Lookup(p); n.Content() != c {
+			tb.Fatalf("%s does not hold what it was relinked to", p)
+		} else if _, lazy := StubOf(n); lazy {
+			tb.Fatalf("%s is still a stub after Relink", p)
+		}
+	}
 	derived, err := m.Index()
 	if err != nil {
 		tb.Fatalf("Index of a mounted blob: %v", err)
@@ -61,6 +96,26 @@ func checkMounted(tb testing.TB, blob []byte) {
 	if !bytes.Equal(canonical(tb, ix), canonical(tb, derived)) {
 		tb.Fatal("the index derived from the retained blob is not the decoded one")
 	}
+}
+
+// mustRead is f.ReadFile of p, which must succeed.
+func mustRead(tb testing.TB, f *vfs.FS, p string) []byte {
+	tb.Helper()
+	data, err := f.ReadFile(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// fileNode is the node of a file of a tree built whole, holding data.
+func fileNode(tb testing.TB, data []byte) *vfs.Node {
+	tb.Helper()
+	f := vfs.New()
+	if err := f.WriteFile("/f", data, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return f.Lookup("/f")
 }
 
 // mountedSeeds are sound indexes of every shape the tests have, encoded,
@@ -380,10 +435,10 @@ func TestMountedIndexCostsWhatIsTouched(t *testing.T) {
 	}
 }
 
-// IsPlaceholder answers from the bytes, for a record with a plain
-// fingerprint or a collision ID and for a file that is none; and content
-// that only begins like a record is refused in an error no longer than a
-// record, whatever its size.
+// StubOf answers from the bytes, for a record with a plain fingerprint
+// or a collision ID and for a file that is none; and content that only
+// begins like a record is refused in an error no longer than a record,
+// whatever its size.
 func TestPlaceholderChecksAreBounded(t *testing.T) {
 	plain := Placeholder(hashing.FingerprintBytes([]byte("x")), 1<<40)
 	id := Placeholder(hashing.FingerprintBytes([]byte("x"))+"-c12", 7)
@@ -392,12 +447,13 @@ func TestPlaceholderChecksAreBounded(t *testing.T) {
 		data []byte
 		want bool
 	}{{plain, true}, {id, true}, {file, false}} {
-		if n := testing.AllocsPerRun(20, func() {
-			if IsPlaceholder(tt.data) != tt.want {
-				t.Fatalf("IsPlaceholder(%.20q...) = %v", tt.data, !tt.want)
+		n := fileNode(t, tt.data)
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, ok := StubOf(n); ok != tt.want {
+				t.Fatalf("StubOf(%.20q...) = %v", tt.data, ok)
 			}
-		}); n != 0 {
-			t.Errorf("IsPlaceholder(%.20q...): %v allocs per run, want 0", tt.data, n)
+		}); allocs != 0 {
+			t.Errorf("StubOf(%.20q...): %v allocs per run, want 0", tt.data, allocs)
 		}
 	}
 	for _, huge := range [][]byte{
@@ -411,8 +467,8 @@ func TestPlaceholderChecksAreBounded(t *testing.T) {
 		} else if len(err.Error()) > 4*maxRecordLen {
 			t.Errorf("ParsePlaceholder of %d bytes: the error is %d bytes long", len(huge), len(err.Error()))
 		}
-		if IsPlaceholder(huge) {
-			t.Errorf("IsPlaceholder accepts %d bytes", len(huge))
+		if _, ok := StubOf(fileNode(t, huge)); ok {
+			t.Errorf("StubOf accepts %d bytes", len(huge))
 		}
 	}
 }

@@ -381,7 +381,7 @@ func (s *Store) fetchAll(fps []hashing.Fingerprint, maxWorkers int, class fetchC
 // verify checks a payload against its content address; collision
 // fallback IDs ("<fp>-cN") are accepted as-is.
 func verify(fp hashing.Fingerprint, data []byte) error {
-	if len(fp) == 32 && hashing.FingerprintBytes(data) != fp {
+	if len(fp) == 32 && !fp.Matches(data) {
 		return fmt.Errorf("store: download %s: %w", fp, ErrCorruptDownload)
 	}
 	return nil

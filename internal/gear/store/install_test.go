@@ -148,7 +148,7 @@ func TestLazyIndexAfterMaterialization(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.indexes["app:v1"].Tree.Lookup("/etc/conf"); index.IsPlaceholder(n.Content().Data()) {
+	if _, lazy := index.StubOf(s.indexes["app:v1"].Tree.Lookup("/etc/conf")); lazy {
 		t.Fatal("/etc/conf was read and is still a placeholder in the mounted tree")
 	}
 

@@ -457,8 +457,8 @@ func (s *Store) resolve(st *imageState, imageRef, path string, fp hashing.Finger
 	// shared tree is internally locked, so mu is not needed here.
 	if st != nil {
 		if n := st.Tree.Lookup(path); n != nil && n.Type() == vfs.TypeRegular {
-			if c := n.Content(); !index.IsPlaceholder(c.Data()) {
-				return c, nil
+			if _, lazy := index.StubOf(n); !lazy {
+				return n.Content(), nil
 			}
 		}
 	}
@@ -598,10 +598,11 @@ func (s *Store) Fingerprints(ref string, paths []string) ([]hashing.Fingerprint,
 		if n == nil || n.Type() != vfs.TypeRegular {
 			continue
 		}
-		fp, _, err := index.ParsePlaceholder(n.Content().Data())
-		if err != nil {
+		stub, lazy := index.StubOf(n)
+		if !lazy {
 			continue // already materialized
 		}
+		fp := stub.Fingerprint()
 		if chunks := st.Chunks[fp]; len(chunks) > 0 {
 			for _, ch := range chunks {
 				fps = append(fps, ch.Fingerprint)

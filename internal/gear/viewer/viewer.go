@@ -74,21 +74,25 @@ func (v *Viewer) checkOpen() error {
 }
 
 // readLocked returns the content of the regular file at the clean path p
-// as the mount holds it and, when that is an index placeholder still to
-// be materialized (lazy), the record it carries.
+// as the mount holds it or, when that is an index placeholder still to be
+// materialized (lazy), what the placeholder records.
 // Data written by the container itself is returned verbatim even if it
 // happens to look like a placeholder: only lower-layer (index) entries
 // are fingerprint files. The caller holds v.mu.
-func (v *Viewer) readLocked(p string) (data []byte, fp hashing.Fingerprint, size int64, lazy bool, err error) {
+func (v *Viewer) readLocked(p string) (data []byte, stub index.Stub, lazy bool, err error) {
 	if err := v.checkOpen(); err != nil {
-		return nil, "", 0, false, err
+		return nil, stub, false, err
 	}
-	data, err = v.mount.ReadFile(p)
-	if err != nil || v.mount.Upper().Exists(p) {
-		return data, "", 0, false, err
+	n, err := v.mount.File(p)
+	if err != nil {
+		return nil, stub, false, err
 	}
-	fp, size, perr := index.ParsePlaceholder(data)
-	return data, fp, size, perr == nil, nil
+	if !v.mount.Upper().Exists(p) {
+		if stub, lazy = index.StubOf(n); lazy {
+			return nil, stub, true, nil
+		}
+	}
+	return n.Content().Data(), stub, false, nil
 }
 
 // fault is the pause of §IV: a read that found a placeholder asks the
@@ -117,13 +121,13 @@ func (v *Viewer) fault(p string, resolve func() ([]byte, error)) ([]byte, error)
 func (v *Viewer) ReadFile(p string) ([]byte, error) {
 	p = vfs.Clean(p)
 	v.mu.Lock()
-	data, fp, size, lazy, err := v.readLocked(p)
+	data, stub, lazy, err := v.readLocked(p)
 	if !lazy {
 		v.mu.Unlock()
 		return data, err // already materialized
 	}
 	return v.fault(p, func() ([]byte, error) {
-		content, err := v.resolver.Resolve(v.imageRef, p, fp, size)
+		content, err := v.resolver.Resolve(v.imageRef, p, stub.Fingerprint(), stub.Size)
 		if err != nil {
 			return nil, err
 		}
@@ -144,13 +148,13 @@ func (v *Viewer) ReadAt(p string, off, n int64) ([]byte, error) {
 		return nil, &fs.PathError{Op: "read", Path: p, Err: vfs.ErrInvalid}
 	}
 	v.mu.Lock()
-	data, fp, size, lazy, err := v.readLocked(p)
+	data, stub, lazy, err := v.readLocked(p)
 	if !lazy || n <= 0 {
 		v.mu.Unlock()
 		return sliceRange(data, off, n), err // materialized, or nothing asked for
 	}
 	return v.fault(p, func() ([]byte, error) {
-		return v.resolver.ResolveRange(v.imageRef, p, fp, size, off, n)
+		return v.resolver.ResolveRange(v.imageRef, p, stub.Fingerprint(), stub.Size, off, n)
 	})
 }
 
@@ -184,16 +188,15 @@ func (v *Viewer) Stat(p string) (Info, error) {
 		info.Size = n.Size()
 		return info, nil
 	}
-	// Another container's fault may materialize the node meanwhile: the
-	// size and the record are read from one load of its content.
-	c := n.Content()
-	info.Size = c.Size()
+	// Another container's fault may materialize the node meanwhile, but
+	// never the other way: a file StubOf finds materialized stays so.
 	if !v.mount.Upper().Exists(p) {
-		if _, size, err := index.ParsePlaceholder(c.Data()); err == nil {
-			info.Size = size
-			info.Lazy = true
+		if stub, lazy := index.StubOf(n); lazy {
+			info.Size, info.Lazy = stub.Size, true
+			return info, nil
 		}
 	}
+	info.Size = n.Content().Size()
 	return info, nil
 }
 

@@ -582,6 +582,82 @@ func TestSharedFaultRace(t *testing.T) {
 	}
 }
 
+// Containers of a pulled image come to a file whose node holds no
+// content yet, only its entry in the blob: two fault it in, a third stats
+// it until it is materialized, and a reader that wants its bytes renders
+// the record meanwhile. Each sees the placeholder or the file, never a
+// mix, and the tree ends with the file linked once and a record rendered
+// before the link not linked at all.
+func TestUnrenderedFileRace(t *testing.T) {
+	const p, want = "/app/bin", "binary-bytes"
+	root := vfs.New()
+	if err := root.MkdirAll("/app", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.WriteFile(p, []byte(want), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ix, _, err := index.Build("img", "v1", imagefmt.Config{}, root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := index.EncodeBinary(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := ix.Lookup(p).Fingerprint
+	record := string(index.Placeholder(fp, int64(len(want))))
+	for round := 0; round < 200; round++ {
+		m, err := index.DecodeMounted(string(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := vfs.NewContent([]byte(want))
+		r := &linkingResolver{tree: m.Tree, contents: map[hashing.Fingerprint]*vfs.Content{fp: file}}
+		a, b, c := New("img:v1", r.tree, r), New("img:v1", r.tree, r), New("img:v1", r.tree, r)
+		var rendered *vfs.Content
+		var wg sync.WaitGroup
+		for _, v := range []*Viewer{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got, err := v.ReadFile(p); err != nil || string(got) != want {
+					t.Errorf("ReadFile = %q, %v", got, err)
+				}
+			}()
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for lazy := true; lazy; {
+				info, err := c.Stat(p)
+				if err != nil || info.Size != int64(len(want)) {
+					t.Errorf("Stat = %+v, %v; want size %d", info, err, len(want))
+					break
+				}
+				lazy = info.Lazy
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			rendered = m.Tree.Lookup(p).Content()
+			if got := string(rendered.Data()); got != record && got != want {
+				t.Errorf("the node's bytes are %q: neither the record nor the file", got)
+			}
+		}()
+		wg.Wait()
+		if linked := m.Tree.Lookup(p).Content(); linked != file || file.Nlink() != 1 {
+			t.Errorf("after the faults the tree holds %q linked %d times, want the file once", linked.Data(), linked.Nlink())
+		}
+		if rendered != file && rendered.Nlink() != 0 {
+			t.Errorf("the record rendered before the link is linked %d times, want 0", rendered.Nlink())
+		}
+		if t.Failed() {
+			break
+		}
+	}
+}
+
 func BenchmarkViewerReadFileHit(b *testing.B) {
 	root := vfs.New()
 	if err := root.MkdirAll("/usr/lib/python3/site-packages", 0o755); err != nil {

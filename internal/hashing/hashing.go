@@ -34,6 +34,18 @@ func FingerprintBytes(data []byte) Fingerprint {
 	return Fingerprint(hex.EncodeToString(sum[:]))
 }
 
+// Matches reports whether f is FingerprintBytes(data), and counts data
+// into FingerprintedBytes as FingerprintBytes does: the check of a
+// download against its content address, which writes the sum out on the
+// stack rather than into a string of its own.
+func (f Fingerprint) Matches(data []byte) bool {
+	fingerprinted.Add(int64(len(data)))
+	sum := md5.Sum(data)
+	var text [2 * md5.Size]byte
+	hex.Encode(text[:], sum[:])
+	return string(text[:]) == string(f)
+}
+
 // DigestBytes returns the SHA256 digest of data in Docker's
 // "sha256:..." notation.
 func DigestBytes(data []byte) Digest {

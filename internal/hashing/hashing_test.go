@@ -279,6 +279,24 @@ func TestFingerprintedBytes(t *testing.T) {
 	}
 }
 
+// Matches is FingerprintBytes compared, metered the same, and allocates
+// nothing.
+func TestFingerprintMatches(t *testing.T) {
+	data := []byte(strings.Repeat("verified content ", 512))
+	fp := FingerprintBytes(data)
+	other := FingerprintBytes(data[1:])
+	before := FingerprintedBytes()
+	if !fp.Matches(data) || other.Matches(data) || fp.Matches(data[1:]) || fp[:31].Matches(data) {
+		t.Error("Matches disagrees with FingerprintBytes")
+	}
+	if got, want := FingerprintedBytes()-before, int64(4*len(data)-1); got != want {
+		t.Errorf("Matches fingerprinted %d bytes, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { fp.Matches(data) }); allocs != 0 {
+		t.Errorf("Matches allocates %v times, want 0", allocs)
+	}
+}
+
 // entries is how many distinct contents r has assigned addresses to.
 func entries(r *Registry) int {
 	total := 0

@@ -123,8 +123,9 @@ func (m *Mount) Stat(p string) (*vfs.Node, error) {
 // Exists reports whether p resolves in the union view.
 func (m *Mount) Exists(p string) bool { return m.lookup(vfs.Clean(p)) != nil }
 
-// ReadFile returns the regular-file content at p from the union view.
-func (m *Mount) ReadFile(p string) ([]byte, error) {
+// File returns the node of the regular file at p in the union view: the
+// node whose content a read of p reads.
+func (m *Mount) File(p string) (*vfs.Node, error) {
 	n, err := m.Stat(p)
 	if err != nil {
 		return nil, err
@@ -135,7 +136,7 @@ func (m *Mount) ReadFile(p string) ([]byte, error) {
 	if n.Type() != vfs.TypeRegular {
 		return nil, fmt.Errorf("overlay: read %s: %w", vfs.Clean(p), vfs.ErrInvalid)
 	}
-	return n.Content().Data(), nil
+	return n, nil
 }
 
 // Readlink returns the symlink target at p.

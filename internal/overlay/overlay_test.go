@@ -14,6 +14,15 @@ import (
 	"github.com/gear-image/gear/internal/vfs"
 )
 
+// readFile reads p through the mount: the content of its file.
+func readFile(m *Mount, p string) ([]byte, error) {
+	n, err := m.File(p)
+	if err != nil {
+		return nil, err
+	}
+	return n.Content().Data(), nil
+}
+
 // lowerFixture builds a lower layer resembling a small image rootfs.
 func lowerFixture(t *testing.T) *vfs.FS {
 	t.Helper()
@@ -66,21 +75,21 @@ func upperCounts(m *Mount) (whiteouts int, payload int64) {
 
 func TestReadThroughToLower(t *testing.T) {
 	m := newMount(t)
-	got, err := m.ReadFile("/etc/conf")
+	got, err := readFile(m, "/etc/conf")
 	if err != nil || string(got) != "lower" {
-		t.Errorf("ReadFile = %q, %v", got, err)
+		t.Errorf("read = %q, %v", got, err)
 	}
 	target, err := m.Readlink("/bin/bash")
 	if err != nil || target != "sh" {
 		t.Errorf("Readlink = %q, %v", target, err)
 	}
-	if _, err := m.ReadFile("/missing"); !errors.Is(err, vfs.ErrNotExist) {
+	if _, err := readFile(m, "/missing"); !errors.Is(err, vfs.ErrNotExist) {
 		t.Errorf("missing file err = %v", err)
 	}
-	if _, err := m.ReadFile("/etc"); !errors.Is(err, vfs.ErrIsDir) {
+	if _, err := readFile(m, "/etc"); !errors.Is(err, vfs.ErrIsDir) {
 		t.Errorf("read dir err = %v", err)
 	}
-	if _, err := m.ReadFile("/bin/bash"); !errors.Is(err, vfs.ErrInvalid) {
+	if _, err := readFile(m, "/bin/bash"); !errors.Is(err, vfs.ErrInvalid) {
 		t.Errorf("read symlink err = %v", err)
 	}
 	if _, err := m.Readlink("/etc/conf"); !errors.Is(err, vfs.ErrInvalid) {
@@ -93,9 +102,9 @@ func TestWriteShadowsLower(t *testing.T) {
 	if err := m.WriteFile("/etc/conf", []byte("upper"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadFile("/etc/conf")
+	got, err := readFile(m, "/etc/conf")
 	if err != nil || string(got) != "upper" {
-		t.Errorf("ReadFile = %q, %v", got, err)
+		t.Errorf("read = %q, %v", got, err)
 	}
 	// The lower tree is untouched.
 	low, err := m.squash.ReadFile("/etc/conf")
@@ -158,7 +167,7 @@ func TestRemoveLowerCreatesWhiteout(t *testing.T) {
 	if m.Exists("/etc/conf") {
 		t.Error("file still visible after Remove")
 	}
-	if _, err := m.ReadFile("/etc/conf"); !errors.Is(err, vfs.ErrNotExist) {
+	if _, err := readFile(m, "/etc/conf"); !errors.Is(err, vfs.ErrNotExist) {
 		t.Errorf("err = %v", err)
 	}
 	if whiteouts, _ := upperCounts(m); whiteouts != 1 {
@@ -236,9 +245,9 @@ func TestWriteRevivesDeletedFile(t *testing.T) {
 	if err := m.WriteFile("/etc/conf", []byte("reborn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadFile("/etc/conf")
+	got, err := readFile(m, "/etc/conf")
 	if err != nil || string(got) != "reborn" {
-		t.Errorf("ReadFile = %q, %v", got, err)
+		t.Errorf("read = %q, %v", got, err)
 	}
 	if got, _ := upperCounts(m); got != 0 {
 		t.Errorf("whiteouts = %d, want 0 after revival", got)
@@ -353,7 +362,7 @@ func TestMultipleLowerLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := squash(t, l1, l2)
-	got, err := m.ReadFile("/a/f")
+	got, err := readFile(m, "/a/f")
 	if err != nil || string(got) != "v2" {
 		t.Errorf("upper layer did not win: %q, %v", got, err)
 	}
@@ -431,7 +440,7 @@ func TestNewWithUpperRestoresState(t *testing.T) {
 	}
 	m2 := newMount(t)
 	m2.upper = m.DiffTree()
-	got, err := m2.ReadFile("/etc/conf")
+	got, err := readFile(m2, "/etc/conf")
 	if err != nil || string(got) != "persisted" {
 		t.Errorf("remounted upper lost data: %q, %v", got, err)
 	}

@@ -128,7 +128,7 @@ func (e *Exchange) FetchPeer(fp hashing.Fingerprint) (data []byte, wire int64, o
 // collision fallback IDs ("<fp>-cN") cannot be verified by hashing and
 // are accepted here — the store re-verifies everything it caches.
 func verifyPeer(fp hashing.Fingerprint, data []byte) error {
-	if len(fp) == 32 && hashing.FingerprintBytes(data) != fp {
+	if len(fp) == 32 && !fp.Matches(data) {
 		return fmt.Errorf("peer: %s: %w", fp, ErrCorruptPeer)
 	}
 	return nil

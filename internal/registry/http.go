@@ -60,11 +60,8 @@ func NewHandler(reg *Registry) *wire.Handler {
 			return nil
 		}},
 		manifestVerb(http.MethodGet, func(w http.ResponseWriter, name, tag string, _ []byte) error {
-			m, err := reg.GetManifest(name, tag)
-			if err != nil {
-				return err
-			}
-			data, err := imagefmt.EncodeManifest(m)
+			// What PUT stored is the manifest encoded: it is served as it is.
+			data, err := reg.manifest(name, tag)
 			if err != nil {
 				return err
 			}

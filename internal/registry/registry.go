@@ -106,6 +106,16 @@ func (r *Registry) PutManifest(m *imagefmt.Manifest) error {
 
 // GetManifest implements Store.
 func (r *Registry) GetManifest(name, tag string) (*imagefmt.Manifest, error) {
+	data, err := r.manifest(name, tag)
+	if err != nil {
+		return nil, err
+	}
+	return imagefmt.DecodeManifest(data)
+}
+
+// manifest returns the bytes PutManifest stored for name:tag, the
+// manifest encoded. The caller must not mutate them.
+func (r *Registry) manifest(name, tag string) ([]byte, error) {
 	ref := name + ":" + tag
 	r.mu.RLock()
 	data, ok := r.manifests[ref]
@@ -113,7 +123,7 @@ func (r *Registry) GetManifest(name, tag string) (*imagefmt.Manifest, error) {
 	if !ok {
 		return nil, fmt.Errorf("registry: %s: %w", ref, ErrManifestNotFound)
 	}
-	return imagefmt.DecodeManifest(data)
+	return data, nil
 }
 
 // ListManifests implements Store.

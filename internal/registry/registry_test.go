@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -294,5 +296,52 @@ func TestHTTPRejectsBadRequests(t *testing.T) {
 	data := []byte("x")
 	if err := client.PutBlob(hashing.DigestBytes([]byte("y")), data); err == nil {
 		t.Error("digest mismatch accepted")
+	}
+}
+
+// discard is a ResponseWriter that keeps one header map and drops the
+// body, so that what a handler allocates is the handler's own.
+type discard struct {
+	h    http.Header
+	body int
+}
+
+func (d *discard) Header() http.Header         { return d.h }
+func (d *discard) Write(p []byte) (int, error) { d.body += len(p); return len(p), nil }
+func (d *discard) WriteHeader(int)             {}
+
+// A manifest GET serves the bytes PUT stored, byte for byte, and builds
+// no manifest to do it: the handler's allocations are a handful,
+// whatever the manifest holds.
+func TestHTTPGetServesStoredManifest(t *testing.T) {
+	reg, client := newHTTPStore(t)
+	img := testImage(t, "gear/nginx", "1.17", "payload")
+	if _, err := Push(client, img); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := reg.manifest("gear/nginx", "1.17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := imagefmt.EncodeManifest(img.Manifest); !bytes.Equal(stored, want) {
+		t.Fatalf("PUT stored %q, want the manifest encoded, %q", stored, want)
+	}
+	h := NewHandler(reg)
+	get := httptest.NewRequest(http.MethodGet, "/v2/manifests/gear/nginx/1.17", nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, get)
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), stored) {
+		t.Fatalf("GET = %d %q, want 200 and the stored %q", rec.Code, rec.Body.Bytes(), stored)
+	}
+	w := &discard{h: make(http.Header)}
+	allocs := testing.AllocsPerRun(100, func() {
+		w.body = 0
+		h.ServeHTTP(w, get)
+	})
+	if w.body != len(stored) {
+		t.Fatalf("GET wrote %d bytes, want %d", w.body, len(stored))
+	}
+	if allocs > 4 {
+		t.Errorf("a manifest GET allocates %v times in the handler, want at most 4", allocs)
 	}
 }

@@ -46,10 +46,14 @@ func (s *treeSource) Fill(dir uint32, name string, into *Node) {
 	case TypeDir:
 		into.AddSourceDir(c.Name(), c.Mode(), s, s.ids[c])
 	case TypeRegular:
-		into.AddFile(c.Name(), c.Content().Data(), c.Mode())
+		into.AddSourceFile(c.Name(), c.Mode())
 	case TypeSymlink:
 		into.AddSymlink(c.Name(), c.Target())
 	}
+}
+
+func (s *treeSource) FileData(dir uint32, name string) []byte {
+	return s.dirs[dir].Child(name).Content().Data()
 }
 
 // describe is everything a tree can tell about itself.

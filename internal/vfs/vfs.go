@@ -97,12 +97,15 @@ type Node struct {
 	typ  FileType
 	mode fs.FileMode
 	// content is a regular file's. Relink swaps it in place under the
-	// tree's lock, and readers that hold no lock load it.
+	// tree's lock, and readers that hold no lock load it. It is nil on a
+	// file AddSourceFile added until Content renders it.
 	content  atomic.Pointer[Content]
 	target   string // symlinks only
 	children map[string]*Node
 	// from, on a directory that has not been filled in, is where the
-	// entries children does not hold yet come from (see Source).
+	// entries children does not hold yet come from (see Source). On a
+	// file AddSourceFile added it is its directory's, for good: the
+	// source and the file's name locate the entry it renders.
 	from *origin
 	// Opaque marks a directory that hides lower-layer entries under
 	// overlay union semantics (Overlay2's "trusted.overlay.opaque").
@@ -125,7 +128,26 @@ func (n *Node) SetMode(m fs.FileMode) { n.mode = m }
 func (n *Node) Target() string { return n.target }
 
 // Content returns the shared content of a regular file, nil otherwise.
-func (n *Node) Content() *Content { return n.content.Load() }
+// A file AddSourceFile added gets it from its source on the first call,
+// which all readers of the node then share.
+func (n *Node) Content() *Content {
+	c := n.content.Load()
+	if c != nil || n.typ != TypeRegular || n.from == nil {
+		return c
+	}
+	n.content.CompareAndSwap(nil, newContent(n.from.src.FileData(n.from.dir, n.name), 1))
+	return n.content.Load()
+}
+
+// Unrendered reports whether n is a file AddSourceFile added whose
+// content is still its source's entry (neither Content nor Relink has set
+// it), and then the source and the directory of it n is an entry of.
+func (n *Node) Unrendered() (src Source, dir uint32, ok bool) {
+	if n.typ != TypeRegular || n.from == nil || n.content.Load() != nil {
+		return nil, 0, false
+	}
+	return n.from.src, n.from.dir, true
+}
 
 // Size returns the byte size of a regular file, the length of a symlink
 // target, and zero for directories.
@@ -222,9 +244,13 @@ func (n *Node) AddSymlink(name, target string) {
 type Source interface {
 	// Names returns the names of the entries of directory dir, ascending.
 	Names(dir uint32) []string
-	// Fill adds the entry name of directory dir to into, with AddFile,
-	// AddSymlink or AddSourceDir; dir has no such entry if it adds none.
+	// Fill adds the entry name of directory dir to into, with
+	// AddSourceFile, AddFile, AddSymlink or AddSourceDir; dir has no such
+	// entry if it adds none.
 	Fill(dir uint32, name string, into *Node)
+	// FileData returns the content of the regular file name of directory
+	// dir that Fill added with AddSourceFile, in a slice of its own.
+	FileData(dir uint32, name string) []byte
 }
 
 // origin is a directory of a Source. The entries of a directory node that
@@ -239,6 +265,13 @@ type origin struct {
 // directory dir, none of them filled in yet.
 func (n *Node) AddSourceDir(name string, mode fs.FileMode, src Source, dir uint32) {
 	n.children[name] = sourceDir(name, mode, src, dir)
+}
+
+// AddSourceFile adds a regular file whose content its source renders
+// (Source.FileData) when it is first read. n is a directory being filled
+// in from its source.
+func (n *Node) AddSourceFile(name string, mode fs.FileMode) {
+	n.children[name] = &Node{name: name, typ: TypeRegular, mode: mode.Perm(), from: n.from}
 }
 
 func sourceDir(name string, mode fs.FileMode, src Source, dir uint32) *Node {
@@ -260,7 +293,7 @@ func (n *Node) fill(name string) *Node {
 // and cuts it loose: the entries are n's to add to and remove from.
 // Directories below it stay as they are.
 func (n *Node) own() {
-	if n.from == nil {
+	if n.from == nil || n.typ != TypeDir {
 		return
 	}
 	for _, name := range n.from.src.Names(n.from.dir) {
@@ -289,7 +322,8 @@ func (n *Node) ownTree() {
 // snapshots — mutations replace nodes rather than editing them — except
 // that a directory's entries may change (use ReadDirNames for a
 // consistent listing of a live tree) and Relink swaps a regular file's
-// Content in place (Content loads it atomically).
+// Content in place (Content loads it atomically, and renders a source's
+// file with one compare-and-swap).
 type FS struct {
 	mu   sync.RWMutex
 	root *Node
@@ -585,7 +619,9 @@ func (f *FS) Relink(p string, c *Content) bool {
 		return false
 	}
 	c.nlink.Add(1)
-	old.content.Swap(c).nlink.Add(-1)
+	if was := old.content.Swap(c); was != nil {
+		was.nlink.Add(-1)
+	}
 	return true
 }
 
@@ -625,7 +661,7 @@ func (f *FS) Symlink(target, p string) error {
 
 // unlinkNode drops one reference from a non-directory node's content.
 func (f *FS) unlinkNode(n *Node) {
-	if c := n.Content(); n.typ == TypeRegular && c != nil {
+	if c := n.content.Load(); c != nil {
 		c.nlink.Add(-1)
 	}
 }
@@ -682,7 +718,7 @@ func (f *FS) RemoveAll(p string) error {
 
 // releaseTree walks a subtree dropping content references.
 func releaseTree(n *Node) {
-	if c := n.Content(); n.typ == TypeRegular && c != nil {
+	if c := n.content.Load(); c != nil {
 		c.nlink.Add(-1)
 		return
 	}
@@ -796,7 +832,7 @@ func (g graft) adopt(name string, n, in *Node) {
 			g.adopt(name, c, n)
 		}
 	case TypeRegular:
-		if c := n.Content(); c.Nlink() != 1 {
+		if c := n.content.Load(); c != nil && c.Nlink() != 1 {
 			n.content.Store(newContent(c.data, 1))
 		}
 		n.mode = n.mode.Perm()
@@ -861,10 +897,10 @@ func cloneNode(n *Node) *Node {
 		mode:   n.mode,
 		target: n.target,
 		Opaque: n.Opaque,
-		from:   n.from, // what is not filled in yet, the clone fills in for itself
+		from:   n.from, // what is not filled in or rendered yet, the clone does for itself
 	}
-	if n.typ == TypeRegular {
-		c.content.Store(newContent(n.Content().data, 1))
+	if nc := n.content.Load(); nc != nil {
+		c.content.Store(newContent(nc.data, 1))
 	}
 	if n.typ == TypeDir {
 		c.children = make(map[string]*Node, len(n.children))

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"math/rand"
 	"path"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -763,5 +764,13 @@ func TestLookupAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s: %v allocs per run, want 0", name, n)
 		}
+	}
+}
+
+// A node stays in the 80-byte size class: a field more would cost every
+// node of every tree, an image's layers and a pulled index's files alike.
+func TestNodeStaysInItsSizeClass(t *testing.T) {
+	if size := reflect.TypeFor[Node]().Size(); size > 80 {
+		t.Errorf("Node is %d bytes, want at most 80", size)
 	}
 }
