@@ -30,6 +30,7 @@ type module struct {
 	root string // absolute directory holding go.mod
 	fset *token.FileSet
 	pkgs []*pkg
+	dirs map[string]string // import path → directory, for the module's packages
 }
 
 // pkg is one type-checked package of a module.
@@ -51,6 +52,45 @@ func (m *module) rel(pos token.Pos) string {
 	return filepath.ToSlash(name)
 }
 
+// key names a package-level object or a method as the rules do: its
+// package (an import path for the standard library, a module-relative
+// directory for the module's own, so a fixture module that lays out the
+// same directories names the same objects), a dot, and its name, with a
+// method's receiver type before it: "net/http.Transport.Clone",
+// "internal/shardreg.New". Any other object has no key.
+func (m *module) key(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil {
+		return ""
+	}
+	name := obj.Name()
+	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+		recv := types.Unalias(fn.Type().(*types.Signature).Recv().Type())
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = types.Unalias(ptr.Elem())
+		}
+		n, ok := recv.(*types.Named)
+		if !ok {
+			return ""
+		}
+		name = n.Obj().Name() + "." + name
+	} else if obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	path := obj.Pkg().Path()
+	if dir, ok := m.dirs[path]; ok {
+		path = dir
+	}
+	return path + "." + name
+}
+
+// typeKey is the key of a named type, looking through aliases, or "".
+func (m *module) typeKey(t types.Type) string {
+	if n, ok := types.Unalias(t).(*types.Named); ok {
+		return m.key(n.Obj())
+	}
+	return ""
+}
+
 // modImporter answers the module's own packages from the ones already
 // checked and every other import from export data.
 type modImporter struct {
@@ -65,6 +105,14 @@ func (im modImporter) Import(path string) (*types.Package, error) {
 	return im.std.Import(path)
 }
 
+// stdImporter reads the standard library's export data once for every
+// module this process loads. Loads may run concurrently; their type
+// checks, which share it, take turns under checking.
+var (
+	stdImporter = importer.Default()
+	checking    sync.Mutex
+)
+
 // load type-checks every non-test package of the module rooted at root.
 func load(t testing.TB, root string) *module {
 	t.Helper()
@@ -77,8 +125,10 @@ func load(t testing.TB, root string) *module {
 	if err != nil {
 		t.Fatalf("go list in %s: %v\n%s", root, err, stderr.Bytes())
 	}
-	m := &module{root: root, fset: token.NewFileSet()}
-	im := modImporter{mod: map[string]*types.Package{}, std: importer.Default()}
+	m := &module{root: root, fset: token.NewFileSet(), dirs: map[string]string{}}
+	im := modImporter{mod: map[string]*types.Package{}, std: stdImporter}
+	checking.Lock()
+	defer checking.Unlock()
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for dec.More() {
 		var lp struct {
@@ -115,6 +165,7 @@ func load(t testing.TB, root string) *module {
 			t.Fatalf("type-checking %s: %v", p.path, err)
 		}
 		im.mod[p.path] = p.types
+		m.dirs[p.path] = p.dir
 		m.pkgs = append(m.pkgs, p)
 	}
 	return m
