@@ -157,55 +157,56 @@ func (v *view) at(ref uint32) (decoder, string) {
 	return d, name
 }
 
+// name returns the name of the entry ref refers to, read in place: a
+// name shorter than 128 bytes is its length's one byte and itself.
+func (v *view) name(ref uint32) string {
+	if ref&dirRef != 0 {
+		ref = v.refs[ref&^dirRef]
+	}
+	if n := int(v.blob[ref]); n < 0x80 {
+		return v.blob[ref+1 : int(ref)+1+n]
+	}
+	_, name := v.at(ref)
+	return name
+}
+
+// Len implements vfs.Source.
+func (v *view) Len(dir uint32) int { return int(v.refs[dir+1]) }
+
 // Names implements vfs.Source.
 func (v *view) Names(dir uint32) []string {
 	refs := v.entries(dir)
 	names := make([]string, len(refs))
 	for i, ref := range refs {
-		_, names[i] = v.at(ref)
+		names[i] = v.name(ref)
 	}
 	return names
 }
 
-// find returns the ref of the entry name of directory dir: a binary
-// search of the directory's names.
-func (v *view) find(dir uint32, name string) (ref uint32, found bool) {
+// Find implements vfs.Source: a binary search of the directory's names.
+func (v *view) Find(dir uint32, name string) (int, bool) {
 	refs := v.entries(dir)
-	i, found := sort.Find(len(refs), func(i int) int {
-		_, at := v.at(refs[i])
-		return strings.Compare(name, at)
-	})
-	if !found {
-		return 0, false
-	}
-	return refs[i], true
+	return sort.Find(len(refs), func(i int) int { return strings.Compare(name, v.name(refs[i])) })
 }
 
-// Fill implements vfs.Source: the node ToTree builds for the entry, but
-// that a file's record is left to FileData.
-func (v *view) Fill(dir uint32, name string, into *vfs.Node) {
-	ref, found := v.find(dir, name)
-	if !found {
-		return
+// Entry implements vfs.Source: the node ToTree builds for the entry, but
+// that a file's record is left to FileData. Its name and target alias
+// the blob.
+func (v *view) Entry(dir uint32, i int) (name string, typ vfs.FileType, mode fs.FileMode, target string, sub uint32) {
+	ref := v.entries(dir)[i]
+	d, name := v.at(ref)
+	t, _ := d.readByte()
+	m, _ := d.readUvarint()
+	if typ = vfs.FileType(t); typ == vfs.TypeSymlink {
+		target, _ = d.readString()
 	}
-	d, name := v.at(ref) // the blob's spelling: the node aliases the blob, not the caller's path
-	typ, _ := d.readByte()
-	mode, _ := d.readUvarint()
-	switch vfs.FileType(typ) {
-	case vfs.TypeDir:
-		into.AddSourceDir(name, fs.FileMode(mode), v, ref&^dirRef)
-	case vfs.TypeRegular:
-		into.AddSourceFile(name, fs.FileMode(mode))
-	case vfs.TypeSymlink:
-		target, _ := d.readString()
-		into.AddSymlink(name, target)
-	}
+	return name, typ, fs.FileMode(m), target, ref &^ dirRef
 }
 
 // FileData implements vfs.Source: the record ToTree writes for the file,
 // in a slice of its exact size, as ToTree's are.
-func (v *view) FileData(dir uint32, name string) []byte {
-	fp, size := v.file(dir, name)
+func (v *view) FileData(dir uint32, i int) []byte {
+	fp, size := v.file(dir, i)
 	var buf [maxRecordLen]byte
 	record := appendPlaceholder(buf[:0], fp, size)
 	own := make([]byte, len(record))
@@ -213,11 +214,10 @@ func (v *view) FileData(dir uint32, name string) []byte {
 	return own
 }
 
-// file returns the fingerprint and size of the file name of directory
-// dir, which Fill has found.
-func (v *view) file(dir uint32, name string) (fpRef, int64) {
-	ref, _ := v.find(dir, name)
-	d, _ := v.at(ref)
+// file returns the fingerprint and size of the file at position i of
+// directory dir.
+func (v *view) file(dir uint32, i int) (fpRef, int64) {
+	d, _ := v.at(v.entries(dir)[i])
 	_, _ = d.readByte()
 	_, _ = d.readUvarint()
 	fp, _ := d.readFingerprint()
@@ -252,9 +252,9 @@ func (s Stub) Fingerprint() hashing.Fingerprint {
 // answered from its entry in the blob; any other from the record it holds,
 // as ParsePlaceholder reads one. Neither allocates.
 func StubOf(n *vfs.Node) (Stub, bool) {
-	if src, dir, ok := n.Unrendered(); ok {
+	if src, dir, i, ok := n.Unrendered(); ok {
 		if v, ok := src.(*view); ok {
-			fp, size := v.file(dir, n.Name())
+			fp, size := v.file(dir, i)
 			return Stub{Size: size, fp: fp}, true
 		}
 	}

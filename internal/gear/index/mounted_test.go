@@ -49,7 +49,7 @@ func checkMounted(tb testing.TB, blob []byte) {
 		if n.Type() != vfs.TypeRegular {
 			return nil
 		}
-		if _, _, ok := n.Unrendered(); !ok {
+		if _, _, _, ok := n.Unrendered(); !ok {
 			tb.Fatalf("%s: a file of a mounted blob has content before anything read it", p)
 		}
 		e := ix.Lookup(p)
@@ -348,6 +348,40 @@ func TestDecodeMountedBoundsMemoryByInput(t *testing.T) {
 			t.Errorf("%s: DecodeMounted allocated %d bytes for %d of input, want at most %d", name, got, len(blob), limit)
 		}
 	}
+	// A directory's node comes with its slots, 8 bytes an entry, when the
+	// cheapest sound entry is a symlink to nowhere of a one-byte name, 5
+	// bytes: a directory of such entries, and of two-byte names once those
+	// run out, costs the first lookup into it at most twice its input.
+	const k = 8192
+	var names [][]byte
+	for first := 1; first < 256 && len(names) < k; first++ {
+		if first == '.' || first == '/' {
+			continue
+		}
+		names = append(names, []byte{byte(first)})
+		for second := byte('0'); second <= '~' && len(names) < k; second++ {
+			names = append(names, []byte{byte(first), second})
+		}
+	}
+	flat := append([]byte(nil), header...)
+	flat = append(flat, 0, byte(vfs.TypeDir), 0o55, 1, 1, 'd', byte(vfs.TypeDir), 0o55)
+	flat = append(flat, uvarint(k)...)
+	for _, name := range names {
+		flat = append(append(append(flat, byte(len(name))), name...), byte(vfs.TypeSymlink), 0, 0)
+	}
+	last := "/d/" + string(names[k-1])
+	if m, err := DecodeMounted(string(flat)); err != nil || m.Tree.Lookup(last) == nil {
+		t.Fatalf("a directory of %d symlinks: DecodeMounted = %v, or %s is not there", k, err, last)
+	}
+	decode := allocatedBy(func() { _, _ = DecodeMounted(string(flat)) })
+	lookup := allocatedBy(func() {
+		m, _ := DecodeMounted(string(flat))
+		m.Tree.Lookup(last)
+	})
+	if limit := decode + uint64(2*len(flat)); lookup > limit {
+		t.Errorf("a lookup into a directory of %d symlinks (%d bytes of input) allocated %d bytes, want at most %d", k, len(flat), lookup-decode, limit-decode)
+	}
+
 	// And a sound index, which costs its refs and its header.
 	sound, err := EncodeBinary(goldenIndex(t))
 	if err != nil {

@@ -910,9 +910,11 @@ func TestCachedFaultAllocs(t *testing.T) {
 
 // The first read of a cached file of a pulled index builds the file's
 // node, writes its fingerprint out and links the cached content over it:
-// at most 3 allocations a read, over k files of one directory, the
-// directory's map growing included. The file is its entry in the blob
-// until then: no placeholder record and no content header is made for it.
+// at most 2.2 allocations a read, over k files of one directory, each
+// directory's one slot slice and origin on the path included. No map
+// grows: the directory keeps its nodes by entry position. The file is its
+// entry in the blob until then: no placeholder record and no content
+// header is made for it.
 func TestFirstReadsOfAPulledIndexAllocs(t *testing.T) {
 	const k = 64
 	root := vfs.New()
@@ -969,8 +971,8 @@ func TestFirstReadsOfAPulledIndexAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if perRead := float64(least) / k; perRead > 3 {
-		t.Errorf("first reads of cached files: %.2f allocs per read, want at most 3", perRead)
+	if perRead := float64(least) / k; perRead > 2.2 {
+		t.Errorf("first reads of cached files: %.2f allocs per read, want at most 2.2", perRead)
 	}
 	if got := metrics(s).Counter("store.remote.objects"); got != k {
 		t.Errorf("remote objects = %d, want %d: the cache must serve every read after the first run's", got, k)

@@ -2,8 +2,10 @@ package vfs
 
 import (
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,9 +13,11 @@ import (
 )
 
 // treeSource serves a built tree as a Source: its directories, numbered
-// as they were met, and a count of the entries it was asked to fill in.
+// as they were met, their names, and a count of the entries it was asked
+// to fill in. A search allocates nothing, as a blob's does not.
 type treeSource struct {
 	dirs  []*Node
+	names [][]string
 	ids   map[*Node]uint32
 	fills atomic.Int64
 }
@@ -24,6 +28,7 @@ func sourceOf(f *FS) *treeSource {
 	number = func(n *Node) {
 		s.ids[n] = uint32(len(s.dirs))
 		s.dirs = append(s.dirs, n)
+		s.names = append(s.names, n.ChildNames())
 		for _, name := range n.ChildNames() {
 			if c := n.Child(name); c.IsDir() {
 				number(c)
@@ -34,26 +39,27 @@ func sourceOf(f *FS) *treeSource {
 	return s
 }
 
-func (s *treeSource) Names(dir uint32) []string { return s.dirs[dir].ChildNames() }
+func (s *treeSource) Len(dir uint32) int { return len(s.names[dir]) }
 
-func (s *treeSource) Fill(dir uint32, name string, into *Node) {
-	c := s.dirs[dir].Child(name)
-	if c == nil {
-		return
-	}
-	s.fills.Add(1)
-	switch c.Type() {
-	case TypeDir:
-		into.AddSourceDir(c.Name(), c.Mode(), s, s.ids[c])
-	case TypeRegular:
-		into.AddSourceFile(c.Name(), c.Mode())
-	case TypeSymlink:
-		into.AddSymlink(c.Name(), c.Target())
-	}
+func (s *treeSource) Names(dir uint32) []string { return slices.Clone(s.names[dir]) }
+
+func (s *treeSource) Find(dir uint32, name string) (int, bool) {
+	return slices.BinarySearch(s.names[dir], name)
 }
 
-func (s *treeSource) FileData(dir uint32, name string) []byte {
-	return s.dirs[dir].Child(name).Content().Data()
+// child is the entry at position i of directory dir.
+func (s *treeSource) child(dir uint32, i int) *Node {
+	return s.dirs[dir].Child(s.names[dir][i])
+}
+
+func (s *treeSource) Entry(dir uint32, i int) (string, FileType, fs.FileMode, string, uint32) {
+	s.fills.Add(1)
+	c := s.child(dir, i)
+	return c.Name(), c.Type(), c.Mode(), c.Target(), s.ids[c]
+}
+
+func (s *treeSource) FileData(dir uint32, i int) []byte {
+	return s.child(dir, i).Content().Data()
 }
 
 // describe is everything a tree can tell about itself.
@@ -86,90 +92,115 @@ func allPaths(f *FS) []string {
 // same tree, clones included.
 func TestSourcedTreeMatchesBuiltTree(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		model := New()
-		randomTree(model, seed, 60)
-		built := model.Clone()
-		lazy := NewFrom(sourceOf(model), 0)
-		paths := allPaths(model)
-		rng := rand.New(rand.NewSource(seed))
-		shared := NewContent([]byte("linked in"))
-
-		same := func(what string, a, b any) {
-			t.Helper()
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("seed %d: %s: the built tree says %v, the sourced one %v", seed, what, a, b)
-			}
-		}
-		errText := func(err error) string { return fmt.Sprint(err) }
-		node := func(n *Node) string {
-			if n == nil {
-				return "none"
-			}
-			s := fmt.Sprintf("%q %v %v %q", n.Name(), n.Type(), n.Mode(), n.Target())
-			if n.Type() == TypeRegular {
-				s += fmt.Sprintf(" %q nlink=%d", n.Content().Data(), n.Content().Nlink())
-			}
-			return s
-		}
-		for step := 0; step < 150; step++ {
-			p := paths[rng.Intn(len(paths))]
-			q := paths[rng.Intn(len(paths))]
-			// Reads are the common case, as in a mounted index.
-			switch op := rng.Intn(20); op {
-			case 0, 1, 2:
-				a, aerr := built.Stat(p)
-				b, berr := lazy.Stat(p)
-				same("Stat "+p, []string{node(a), errText(aerr)}, []string{node(b), errText(berr)})
-			case 3, 4:
-				same("Lookup "+p, node(built.Lookup(p)), node(lazy.Lookup(p)))
-				same("Exists "+p, built.Exists(p), lazy.Exists(p))
-			case 5, 6, 7:
-				a, aerr := built.ReadDirNames(p)
-				b, berr := lazy.ReadDirNames(p)
-				same("ReadDirNames "+p, []any{a, errText(aerr)}, []any{b, errText(berr)})
-			case 8, 9:
-				a, aerr := built.ReadFile(p)
-				b, berr := lazy.ReadFile(p)
-				same("ReadFile "+p, []any{a, errText(aerr)}, []any{b, errText(berr)})
-			case 10, 11, 12:
-				same("Relink "+p, built.Relink(p, shared), lazy.Relink(p, shared))
-			case 13:
-				same("WriteFile "+p, errText(built.WriteFile(p, []byte("new"), 0o600)), errText(lazy.WriteFile(p, []byte("new"), 0o600)))
-			case 14:
-				same("Mkdir "+p, errText(built.Mkdir(p, 0o700)), errText(lazy.Mkdir(p, 0o700)))
-				same("MkdirAll "+q, errText(built.MkdirAll(q+"/x/y", 0o700)), errText(lazy.MkdirAll(q+"/x/y", 0o700)))
-			case 15:
-				same("Remove "+p, errText(built.Remove(p)), errText(lazy.Remove(p)))
-			case 16:
-				if p != "/" || rng.Intn(8) == 0 {
-					same("RemoveAll "+p, errText(built.RemoveAll(p)), errText(lazy.RemoveAll(p)))
-				}
-			case 17:
-				same("Symlink "+p, errText(built.Symlink("t", p)), errText(lazy.Symlink("t", p)))
-				same("PutContent "+q, errText(built.PutContent(q, shared, 0o640)), errText(lazy.PutContent(q, shared, 0o640)))
-			case 18:
-				// A hard link: q names the content at p.
-				link := func(f *FS) string {
-					n := f.Lookup(p)
-					if n == nil || n.Type() != TypeRegular {
-						return "not a file"
-					}
-					return errText(f.PutContent(q, n.Content(), n.Mode()))
-				}
-				same("Link "+p+" "+q, link(built), link(lazy))
-			case 19:
-				// A clone is filled in, as far as its original was, and
-				// fills in the rest for itself.
-				same("Clone", describe(built.Clone()), describe(lazy.Clone()))
-			}
-		}
-		// Every link into shared is counted once in each tree.
-		if shared.Nlink()%2 != 0 {
-			t.Errorf("seed %d: %d links to the content both trees link, want as many from each", seed, shared.Nlink())
-		}
-		same("Stats", built.Clone().Stats(), lazy.Clone().Stats())
-		same("the tree", describe(built), describe(lazy))
+		sameAsBuilt(t, seed, 150, rand.New(rand.NewSource(seed)).Intn)
 	}
+}
+
+// FuzzSourcedTree is TestSourcedTreeMatchesBuiltTree with the calls, and
+// the paths they take, read from the input a byte at a time.
+func FuzzSourcedTree(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19})
+	f.Add(int64(7), []byte{40, 41, 10, 40, 41, 15, 9, 9, 16, 0, 0, 16, 0, 0, 19, 5, 5, 14, 3, 3, 6})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		pick := func(n int) int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b) % n
+		}
+		sameAsBuilt(t, seed, len(ops)/3, pick)
+	})
+}
+
+// sameAsBuilt makes the same steps calls, each and its paths chosen by
+// pick, on a random tree and on one filled in from it, and fails t at
+// the first answer, or at the end the trees come to, that differ.
+func sameAsBuilt(t *testing.T, seed int64, steps int, pick func(n int) int) {
+	t.Helper()
+	model := New()
+	randomTree(model, seed, 60)
+	built := model.Clone()
+	lazy := NewFrom(sourceOf(model), 0)
+	paths := allPaths(model)
+	shared := NewContent([]byte("linked in"))
+
+	same := func(what string, a, b any) {
+		t.Helper()
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: %s: the built tree says %v, the sourced one %v", seed, what, a, b)
+		}
+	}
+	errText := func(err error) string { return fmt.Sprint(err) }
+	node := func(n *Node) string {
+		if n == nil {
+			return "none"
+		}
+		s := fmt.Sprintf("%q %v %v %q", n.Name(), n.Type(), n.Mode(), n.Target())
+		if n.Type() == TypeRegular {
+			s += fmt.Sprintf(" %q nlink=%d", n.Content().Data(), n.Content().Nlink())
+		}
+		return s
+	}
+	for step := 0; step < steps; step++ {
+		p := paths[pick(len(paths))]
+		q := paths[pick(len(paths))]
+		// Reads are the common case, as in a mounted index.
+		switch op := pick(20); op {
+		case 0, 1, 2:
+			a, aerr := built.Stat(p)
+			b, berr := lazy.Stat(p)
+			same("Stat "+p, []string{node(a), errText(aerr)}, []string{node(b), errText(berr)})
+		case 3, 4:
+			same("Lookup "+p, node(built.Lookup(p)), node(lazy.Lookup(p)))
+			same("Exists "+p, built.Exists(p), lazy.Exists(p))
+		case 5, 6, 7:
+			a, aerr := built.ReadDirNames(p)
+			b, berr := lazy.ReadDirNames(p)
+			same("ReadDirNames "+p, []any{a, errText(aerr)}, []any{b, errText(berr)})
+		case 8, 9:
+			a, aerr := built.ReadFile(p)
+			b, berr := lazy.ReadFile(p)
+			same("ReadFile "+p, []any{a, errText(aerr)}, []any{b, errText(berr)})
+		case 10, 11, 12:
+			same("Relink "+p, built.Relink(p, shared), lazy.Relink(p, shared))
+		case 13:
+			same("WriteFile "+p, errText(built.WriteFile(p, []byte("new"), 0o600)), errText(lazy.WriteFile(p, []byte("new"), 0o600)))
+		case 14:
+			same("Mkdir "+p, errText(built.Mkdir(p, 0o700)), errText(lazy.Mkdir(p, 0o700)))
+			same("MkdirAll "+q, errText(built.MkdirAll(q+"/x/y", 0o700)), errText(lazy.MkdirAll(q+"/x/y", 0o700)))
+		case 15:
+			same("Remove "+p, errText(built.Remove(p)), errText(lazy.Remove(p)))
+		case 16:
+			if p != "/" || pick(8) == 0 {
+				same("RemoveAll "+p, errText(built.RemoveAll(p)), errText(lazy.RemoveAll(p)))
+			}
+		case 17:
+			same("Symlink "+p, errText(built.Symlink("t", p)), errText(lazy.Symlink("t", p)))
+			same("PutContent "+q, errText(built.PutContent(q, shared, 0o640)), errText(lazy.PutContent(q, shared, 0o640)))
+		case 18:
+			// A hard link: q names the content at p.
+			link := func(f *FS) string {
+				n := f.Lookup(p)
+				if n == nil || n.Type() != TypeRegular {
+					return "not a file"
+				}
+				return errText(f.PutContent(q, n.Content(), n.Mode()))
+			}
+			same("Link "+p+" "+q, link(built), link(lazy))
+		case 19:
+			// A clone is filled in, as far as its original was, and
+			// fills in the rest for itself.
+			same("Clone", describe(built.Clone()), describe(lazy.Clone()))
+		}
+	}
+	// Every link into shared is counted once in each tree.
+	if shared.Nlink()%2 != 0 {
+		t.Errorf("seed %d: %d links to the content both trees link, want as many from each", seed, shared.Nlink())
+	}
+	same("Stats", built.Clone().Stats(), lazy.Clone().Stats())
+	same("the tree", describe(built), describe(lazy))
 }
 
 // A path builds the nodes along it and no others, a listing builds none,

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -96,16 +97,19 @@ type Node struct {
 	name string
 	typ  FileType
 	mode fs.FileMode
+	// pos is the position of a source's file among its directory's
+	// entries (see from).
+	pos uint32
 	// content is a regular file's. Relink swaps it in place under the
 	// tree's lock, and readers that hold no lock load it. It is nil on a
-	// file AddSourceFile added until Content renders it.
+	// source's file until Content renders it.
 	content  atomic.Pointer[Content]
 	target   string // symlinks only
 	children map[string]*Node
-	// from, on a directory that has not been filled in, is where the
-	// entries children does not hold yet come from (see Source). On a
-	// file AddSourceFile added it is its directory's, for good: the
-	// source and the file's name locate the entry it renders.
+	// from, on a directory of a Source that has not been taken over,
+	// holds its entries instead of children (see origin). On a source's
+	// file it is its directory's, for good: with pos it locates the entry
+	// the file renders.
 	from *origin
 	// Opaque marks a directory that hides lower-layer entries under
 	// overlay union semantics (Overlay2's "trusted.overlay.opaque").
@@ -128,25 +132,25 @@ func (n *Node) SetMode(m fs.FileMode) { n.mode = m }
 func (n *Node) Target() string { return n.target }
 
 // Content returns the shared content of a regular file, nil otherwise.
-// A file AddSourceFile added gets it from its source on the first call,
+// A source's file gets it from its source on the first call,
 // which all readers of the node then share.
 func (n *Node) Content() *Content {
 	c := n.content.Load()
 	if c != nil || n.typ != TypeRegular || n.from == nil {
 		return c
 	}
-	n.content.CompareAndSwap(nil, newContent(n.from.src.FileData(n.from.dir, n.name), 1))
+	n.content.CompareAndSwap(nil, newContent(n.from.src.FileData(n.from.dir, int(n.pos)), 1))
 	return n.content.Load()
 }
 
-// Unrendered reports whether n is a file AddSourceFile added whose
-// content is still its source's entry (neither Content nor Relink has set
-// it), and then the source and the directory of it n is an entry of.
-func (n *Node) Unrendered() (src Source, dir uint32, ok bool) {
+// Unrendered reports whether n is a source's file whose content is still
+// its source's entry (neither Content nor Relink has set it), and then the
+// source, the directory of it n is an entry of, and n's position there.
+func (n *Node) Unrendered() (src Source, dir uint32, i int, ok bool) {
 	if n.typ != TypeRegular || n.from == nil || n.content.Load() != nil {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	return n.from.src, n.from.dir, true
+	return n.from.src, n.from.dir, int(n.pos), true
 }
 
 // Size returns the byte size of a regular file, the length of a symlink
@@ -175,24 +179,43 @@ func (n *Node) ChildNames() []string {
 	if n.typ != TypeDir {
 		return nil
 	}
-	names := make([]string, 0, len(n.children))
+	names := make([]string, 0, n.NumChildren())
 	for name := range n.children {
 		names = append(names, name)
+	}
+	for _, c := range n.filled() {
+		if c != nil {
+			names = append(names, c.name)
+		}
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Child returns the named child of a directory, or nil.
+// Child returns the named child of a directory, or nil. It asks no
+// Source: name does not escape.
 func (n *Node) Child(name string) *Node {
 	if n.typ != TypeDir {
 		return nil
+	}
+	for _, c := range n.filled() {
+		if c != nil && c.name == name {
+			return c
+		}
 	}
 	return n.children[name]
 }
 
 // NumChildren returns the number of entries in a directory.
-func (n *Node) NumChildren() int { return len(n.children) }
+func (n *Node) NumChildren() int {
+	k := len(n.children)
+	for _, c := range n.filled() {
+		if c != nil {
+			k++
+		}
+	}
+	return k
+}
 
 // AddDir, AddFile and AddSymlink put a new entry into the directory n,
 // which the caller already holds — no path is resolved. They are how a
@@ -238,68 +261,111 @@ func (n *Node) AddSymlink(name, target string) {
 
 // Source is a directory tree kept in some other form — a validated Gear
 // index blob — that an FS fills itself in from, an entry at a time, as
-// paths resolve. It names its directories by numbers of its own, and what
-// it says of a directory never changes: its methods are called by several
-// readers at once.
+// paths resolve. It names its directories by numbers of its own, and an
+// entry by its position among its directory's, which are in ascending
+// order of name. What it says of a directory never changes: its methods
+// are called by several readers at once.
 type Source interface {
-	// Names returns the names of the entries of directory dir, ascending.
+	// Len returns how many entries directory dir has.
+	Len(dir uint32) int
+	// Find returns the position of the entry name of directory dir, if
+	// it has one.
+	Find(dir uint32, name string) (i int, found bool)
+	// Entry describes the entry at position i of directory dir: its
+	// name, type and mode, a symlink's target and a directory's number.
+	// The node built for it is what AddDir, AddSymlink or AddFile would
+	// build, but that a file's content is left to FileData and a
+	// directory's entries to its number.
+	Entry(dir uint32, i int) (name string, typ FileType, mode fs.FileMode, target string, sub uint32)
+	// FileData returns the content of the regular file at position i of
+	// directory dir, in a slice of its own.
+	FileData(dir uint32, i int) []byte
+	// Names returns the names of the entries of directory dir, by
+	// position.
 	Names(dir uint32) []string
-	// Fill adds the entry name of directory dir to into, with
-	// AddSourceFile, AddFile, AddSymlink or AddSourceDir; dir has no such
-	// entry if it adds none.
-	Fill(dir uint32, name string, into *Node)
-	// FileData returns the content of the regular file name of directory
-	// dir that Fill added with AddSourceFile, in a slice of its own.
-	FileData(dir uint32, name string) []byte
 }
 
-// origin is a directory of a Source. The entries of a directory node that
-// has one are the source's: children holds the ones filled in so far, and
-// anything that adds or removes a name takes the directory over first.
+// origin is a directory of a Source. The node of a directory that has one
+// holds no children map: its entries are the source's, and nodes holds
+// the ones paths have come to so far, a slot per position, nil until
+// built. Whatever adds or removes a name takes the directory over first
+// (own).
 type origin struct {
-	src Source
-	dir uint32
+	src   Source
+	dir   uint32
+	nodes []*Node
 }
 
-// AddSourceDir is AddDir of a directory whose entries are those of src's
-// directory dir, none of them filled in yet.
-func (n *Node) AddSourceDir(name string, mode fs.FileMode, src Source, dir uint32) {
-	n.children[name] = sourceDir(name, mode, src, dir)
+// newOrigin is directory dir of src, its slots made at its entry count.
+func newOrigin(src Source, dir uint32) *origin {
+	return &origin{src: src, dir: dir, nodes: make([]*Node, src.Len(dir))}
 }
 
-// AddSourceFile adds a regular file whose content its source renders
-// (Source.FileData) when it is first read. n is a directory being filled
-// in from its source.
-func (n *Node) AddSourceFile(name string, mode fs.FileMode) {
-	n.children[name] = &Node{name: name, typ: TypeRegular, mode: mode.Perm(), from: n.from}
+// filled returns the slots of a directory of a Source: nil where no node
+// is built yet, and nil altogether for any other node.
+func (n *Node) filled() []*Node {
+	if n.typ != TypeDir || n.from == nil {
+		return nil
+	}
+	return n.from.nodes
 }
 
-func sourceDir(name string, mode fs.FileMode, src Source, dir uint32) *Node {
-	return &Node{name: name, typ: TypeDir, mode: mode.Perm(), children: make(map[string]*Node), from: &origin{src, dir}}
-}
-
-// fill returns the entry name of the directory n, filling it in from the
-// source if it is not there yet, or nil. The caller holds the FS lock
-// exclusively, and so two lookups of one path end with one node.
-func (n *Node) fill(name string) *Node {
-	if c := n.children[name]; c != nil || n.from == nil {
+// node returns the entry at position i, building it if no path has come
+// to it yet. The caller holds the FS lock exclusively, and so two lookups
+// of one path end with one node.
+func (o *origin) node(i int) *Node {
+	if c := o.nodes[i]; c != nil {
 		return c
 	}
-	n.from.src.Fill(n.from.dir, name, n)
-	return n.children[name]
+	name, typ, mode, target, sub := o.src.Entry(o.dir, i)
+	c := &Node{name: name, typ: typ, mode: mode.Perm(), target: target}
+	switch typ {
+	case TypeDir:
+		c.from = newOrigin(o.src, sub)
+	case TypeRegular:
+		c.from, c.pos = o, uint32(i)
+	default:
+		c.mode = 0o777
+	}
+	o.nodes[i] = c
+	return c
+}
+
+// entry returns the entry name of the directory n, or nil. In a directory
+// of a Source the name is found in the source, and its node is the one in
+// the slot at its position: a miss needs no node, and a reader (fill
+// false) takes one that is built. One that is not yet is built when the
+// caller holds the FS lock exclusively and says so with fill, and a
+// reader gets errUnfilled.
+func (n *Node) entry(name string, fill bool) (*Node, error) {
+	o := n.from
+	if o == nil {
+		return n.children[name], nil
+	}
+	i, ok := o.src.Find(o.dir, name)
+	if !ok {
+		return nil, nil
+	}
+	if o.nodes[i] == nil && !fill {
+		return nil, errUnfilled
+	}
+	return o.node(i), nil
 }
 
 // own fills in everything the directory n has not yet got from its source
-// and cuts it loose: the entries are n's to add to and remove from.
-// Directories below it stay as they are.
+// and cuts it loose: the entries are n's, in a map, to add to and remove
+// from. Directories below it stay as they are.
 func (n *Node) own() {
-	if n.from == nil || n.typ != TypeDir {
+	o := n.from
+	if o == nil || n.typ != TypeDir {
 		return
 	}
-	for _, name := range n.from.src.Names(n.from.dir) {
-		n.fill(name)
+	n.children = make(map[string]*Node, len(o.nodes))
+	for i := range o.nodes {
+		c := o.node(i)
+		n.children[c.name] = c
 	}
-	n.from = nil
+	n.from, o.nodes = nil, nil
 }
 
 // ownTree is own of n and every directory below it.
@@ -347,7 +413,7 @@ func New() *FS {
 // it the first time it resolves, ReadDirNames lists from the source, and
 // an operation on the whole tree (Walk, Stats) fills in the rest first.
 func NewFrom(src Source, root uint32) *FS {
-	return &FS{root: sourceDir("", 0o755, src, root), sourced: true}
+	return &FS{root: &Node{typ: TypeDir, mode: 0o755, from: newOrigin(src, root)}, sourced: true}
 }
 
 // Root returns the root directory node. The caller must ensure the tree
@@ -409,9 +475,9 @@ var errUnfilled = errors.New("directory not filled in")
 // the errors are the bare sentinels: a miss costs no allocation, and the
 // caller that reports one wraps it with pathError on that return only.
 //
-// An entry still in a directory's source is filled in when the caller
-// holds the lock exclusively and says so with fill; a reader's walk stops
-// there with errUnfilled.
+// An entry of a Source's directory is built when the caller holds the
+// lock exclusively and says so with fill; a reader's walk stops at one
+// not built yet with errUnfilled (see Node.entry).
 func (f *FS) walk(rel string, fill bool) (*Node, error) {
 	cur := f.root
 	for rel != "" {
@@ -423,12 +489,9 @@ func (f *FS) walk(rel string, fill bool) (*Node, error) {
 		}
 		var name string
 		name, rel, _ = strings.Cut(rel, "/")
-		next := cur.children[name]
-		if next == nil && cur.from != nil {
-			if !fill {
-				return nil, errUnfilled
-			}
-			next = cur.fill(name)
+		next, err := cur.entry(name, fill)
+		if err != nil {
+			return nil, err
 		}
 		if cur = next; cur == nil {
 			return nil, ErrNotExist
@@ -540,7 +603,7 @@ func (f *FS) MkdirAll(p string, mode fs.FileMode) error {
 	for rel := p[1:]; rel != ""; {
 		var name string
 		name, rel, _ = strings.Cut(rel, "/")
-		next := cur.fill(name)
+		next, _ := cur.entry(name, true)
 		if next == nil {
 			cur.own()
 			next = cur.AddDir(name, mode, 0)
@@ -602,20 +665,10 @@ func (f *FS) PutContent(p string, c *Content, mode fs.FileMode) error {
 // name stays too, so the directory goes on filling itself in from its
 // source: a deploy relinks the files it reads, one in six.
 func (f *FS) Relink(p string, c *Content) bool {
-	p = Clean(p)
-	if p == "/" {
-		return false
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	i := strings.LastIndexByte(p, '/')
-	parent, err := f.walk(p[1:max(i, 1)], true)
-	if err != nil || parent.typ != TypeDir {
-		return false
-	}
-	base := p[i+1:]
-	old := parent.fill(base)
-	if old == nil || old.typ != TypeRegular {
+	old, err := f.walk(Clean(p)[1:], true)
+	if err != nil || old.typ != TypeRegular {
 		return false
 	}
 	c.nlink.Add(1)
@@ -693,10 +746,8 @@ func (f *FS) RemoveAll(p string) error {
 	defer f.mu.Unlock()
 	p = Clean(p)
 	if p == "/" {
-		for _, c := range f.root.children {
-			releaseTree(c)
-		}
 		// What was never filled in holds no link to release.
+		releaseTree(f.root)
 		f.root.children, f.root.from, f.sourced = make(map[string]*Node), nil, false
 		return nil
 	}
@@ -724,6 +775,11 @@ func releaseTree(n *Node) {
 	}
 	for _, c := range n.children {
 		releaseTree(c)
+	}
+	for _, c := range n.filled() {
+		if c != nil {
+			releaseTree(c)
+		}
 	}
 }
 
@@ -895,6 +951,7 @@ func cloneNode(n *Node) *Node {
 		name:   n.name,
 		typ:    n.typ,
 		mode:   n.mode,
+		pos:    n.pos,
 		target: n.target,
 		Opaque: n.Opaque,
 		from:   n.from, // what is not filled in or rendered yet, the clone does for itself
@@ -902,11 +959,21 @@ func cloneNode(n *Node) *Node {
 	if nc := n.content.Load(); nc != nil {
 		c.content.Store(newContent(nc.data, 1))
 	}
-	if n.typ == TypeDir {
-		c.children = make(map[string]*Node, len(n.children))
-		for name, child := range n.children {
-			c.children[name] = cloneNode(child)
+	if n.typ != TypeDir {
+		return c
+	}
+	if o := n.from; o != nil {
+		c.from = &origin{src: o.src, dir: o.dir, nodes: slices.Clone(o.nodes)}
+		for i, child := range o.nodes {
+			if child != nil {
+				c.from.nodes[i] = cloneNode(child)
+			}
 		}
+		return c
+	}
+	c.children = make(map[string]*Node, len(n.children))
+	for name, child := range n.children {
+		c.children[name] = cloneNode(child)
 	}
 	return c
 }

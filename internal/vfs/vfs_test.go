@@ -743,7 +743,8 @@ func TestNodeConstructionMatchesPaths(t *testing.T) {
 }
 
 // A lookup of a clean path allocates nothing, hit or miss; only the error
-// of a failing Stat does.
+// of a failing Stat does. So in a tree that fills itself in: a hit on a
+// node built already, and a miss, which builds none.
 func TestLookupAllocs(t *testing.T) {
 	f := New()
 	if err := f.MkdirAll("/usr/lib/python3/site-packages", 0o755); err != nil {
@@ -753,13 +754,20 @@ func TestLookupAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const hit, miss = "/usr/lib/python3/site-packages/module.py", "/usr/lib/python3/nothing/here"
+	sourced := NewFrom(sourceOf(f), 0)
+	if sourced.Lookup(hit) == nil {
+		t.Fatalf("%s is not in the sourced tree", hit)
+	}
 	for name, fn := range map[string]func(){
-		"Stat hit":    func() { _, _ = f.Stat(hit) },
-		"Exists hit":  func() { _ = f.Exists(hit) },
-		"Exists miss": func() { _ = f.Exists(miss) },
-		"Lookup miss": func() { _ = f.Lookup(miss) },
-		"ReadFile":    func() { _, _ = f.ReadFile(hit) },
-		"Clean":       func() { _ = Clean(hit) },
+		"Stat hit":            func() { _, _ = f.Stat(hit) },
+		"Exists hit":          func() { _ = f.Exists(hit) },
+		"Exists miss":         func() { _ = f.Exists(miss) },
+		"Lookup miss":         func() { _ = f.Lookup(miss) },
+		"ReadFile":            func() { _, _ = f.ReadFile(hit) },
+		"Clean":               func() { _ = Clean(hit) },
+		"sourced Lookup hit":  func() { _ = sourced.Lookup(hit) },
+		"sourced Lookup miss": func() { _ = sourced.Lookup(miss) },
+		"sourced ReadFile":    func() { _, _ = sourced.ReadFile(hit) },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s: %v allocs per run, want 0", name, n)
