@@ -138,18 +138,26 @@ func (c *Cache) SetHooks(h Hooks) {
 // Get returns the shared content for fp if cached. Under LRU a hit
 // refreshes the entry's position.
 func (c *Cache) Get(fp hashing.Fingerprint) (*vfs.Content, bool) {
+	_, content, ok := c.Probe([]byte(fp))
+	return content, ok
+}
+
+// Probe is Get for a fingerprint written out in key, which it does not
+// keep: it allocates nothing. A hit also returns the fingerprint the
+// cache keys the content by, for the caller to keep instead of key.
+func (c *Cache) Probe(key []byte) (hashing.Fingerprint, *vfs.Content, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[fp]
+	e, ok := c.entries[hashing.Fingerprint(key)]
 	if !ok {
 		c.misses.Inc()
-		return nil, false
+		return "", nil, false
 	}
 	c.hits.Inc()
 	if c.policy == LRU {
 		c.order.MoveToBack(e.elem)
 	}
-	return e.content, true
+	return e.fp, e.content, true
 }
 
 // Contains reports whether fp is cached without affecting recency.

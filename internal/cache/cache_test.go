@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -184,6 +185,64 @@ func TestLRUEviction(t *testing.T) {
 	if c.Contains(fpOf("1")) {
 		t.Error("LRU kept the least recently used entry")
 	}
+}
+
+// Probe is Get by the fingerprint's bytes: two caches given the same puts
+// and the same lookups, one through each, answer alike, keep their
+// entries in the same recency order, evict the same ones and count the
+// same hits and misses; and Probe allocates nothing, hit or miss.
+func TestProbeIsGet(t *testing.T) {
+	for _, policy := range []Policy{LRU, FIFO} {
+		regs := [2]*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
+		var byGet, byProbe *Cache
+		for i, c := range []**Cache{&byGet, &byProbe} {
+			var err error
+			if *c, err = NewTelemetered(40, policy, regs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(5))
+		for op := 0; op < 400; op++ {
+			fp := fpOf(fmt.Sprint(rng.Intn(16)))
+			if rng.Intn(3) == 0 {
+				for _, c := range []*Cache{byGet, byProbe} {
+					if _, err := c.Put(fp, []byte("1234")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				continue
+			}
+			want, wantOK := byGet.Get(fp)
+			kept, got, ok := byProbe.Probe([]byte(fp))
+			if ok != wantOK || ok && (kept != fp || string(got.Data()) != string(want.Data())) {
+				t.Fatalf("%v op %d: Probe(%s) = %s %v, Get found it %v", policy, op, fp, kept, ok, wantOK)
+			}
+			if a, b := orderOf(byGet), orderOf(byProbe); a != b {
+				t.Fatalf("%v op %d: recency order by Get %s, by Probe %s", policy, op, a, b)
+			}
+		}
+		a, b := regs[0].Snapshot(), regs[1].Snapshot()
+		for _, name := range []string{"cache.hits", "cache.misses", "cache.evictions"} {
+			if a.Counter(name) != b.Counter(name) || a.Counter(name) == 0 {
+				t.Errorf("%v: %s = %d by Get, %d by Probe, want equal and not 0", policy, name, a.Counter(name), b.Counter(name))
+			}
+		}
+		hit := []byte(byProbe.order.Back().Value.(*entry).fp)
+		for _, key := range [][]byte{hit, []byte(fpOf("missing"))} {
+			if n := testing.AllocsPerRun(100, func() { byProbe.Probe(key) }); n != 0 {
+				t.Errorf("%v: Probe: %v allocs per run, want 0", policy, n)
+			}
+		}
+	}
+}
+
+// orderOf lists c's fingerprints, next eviction candidate first.
+func orderOf(c *Cache) string {
+	var s []string
+	for e := c.order.Front(); e != nil; e = e.Next() {
+		s = append(s, string(e.Value.(*entry).fp))
+	}
+	return strings.Join(s, " ")
 }
 
 func TestPinnedEntriesSurviveEviction(t *testing.T) {

@@ -450,11 +450,12 @@ func (d *Daemon) PeerLink() *netsim.Link { return d.peerLink }
 // ClearGearCache empties the Gear level-1 cache (cold-cache runs).
 func (d *Daemon) ClearGearCache() { d.gearStore.ClearCache() }
 
-// ClearLayerCache empties Docker's local layer store.
+// ClearLayerCache empties Docker's local layer store, in place: a daemon
+// that is cleared between deploys keeps the store's buckets.
 func (d *Daemon) ClearLayerCache() {
 	d.layersMu.Lock()
 	defer d.layersMu.Unlock()
-	d.layers = make(map[hashing.Digest]*imagefmt.Layer)
+	clear(d.layers)
 }
 
 // newDeployment starts a deployment of ref and its span tree's root.

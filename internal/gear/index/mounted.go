@@ -227,7 +227,7 @@ func (v *view) file(dir uint32, i int) (fpRef, int64) {
 
 // Stub is what a placeholder of an index tree records: the Gear file it
 // stands for. StubOf reads it where it lies, in the blob or in the
-// record, and Fingerprint writes the fingerprint out.
+// record, and Fingerprint and AppendFingerprint write the fingerprint out.
 type Stub struct {
 	Size int64
 	fp   fpRef  // in the blob,
@@ -236,14 +236,20 @@ type Stub struct {
 
 // Fingerprint returns the fingerprint of the Gear file.
 func (s Stub) Fingerprint() hashing.Fingerprint {
-	if s.text != nil {
-		return hashing.Fingerprint(s.text)
-	}
-	if !s.fp.raw {
-		return hashing.Fingerprint(s.fp.s)
+	if s.text == nil && !s.fp.raw {
+		return hashing.Fingerprint(s.fp.s) // a collision ID, in the blob
 	}
 	var dst [hexLen]byte
-	return hashing.Fingerprint(s.fp.appendText(dst[:0]))
+	return hashing.Fingerprint(s.AppendFingerprint(dst[:0]))
+}
+
+// AppendFingerprint appends the fingerprint of the Gear file, as
+// Fingerprint spells it, to dst: a lookup keyed by it needs no string.
+func (s Stub) AppendFingerprint(dst []byte) []byte {
+	if s.text != nil {
+		return append(dst, s.text...)
+	}
+	return s.fp.appendText(dst)
 }
 
 // StubOf reports whether n, a regular file of an index tree, is still a

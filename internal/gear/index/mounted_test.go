@@ -56,9 +56,11 @@ func checkMounted(tb testing.TB, blob []byte) {
 		if stub, ok := StubOf(n); !ok || stub.Fingerprint() != e.Fingerprint || stub.Size != e.Size {
 			tb.Fatalf("%s: StubOf = %s %d %v, the decoded entry %s %d", p, stub.Fingerprint(), stub.Size, ok, e.Fingerprint, e.Size)
 		}
+		checkAppendFingerprint(tb, p, n, e.Fingerprint) // from the entry in the blob
 		if got, want := n.Content().Data(), mustRead(tb, tree, p); !bytes.Equal(got, want) {
 			tb.Fatalf("%s renders %q, ToTree's record is %q", p, got, want)
 		}
+		checkAppendFingerprint(tb, p, n, e.Fingerprint) // from the record
 		files = append(files, p)
 		return nil
 	})
@@ -95,6 +97,17 @@ func checkMounted(tb testing.TB, blob []byte) {
 	}
 	if !bytes.Equal(canonical(tb, ix), canonical(tb, derived)) {
 		tb.Fatal("the index derived from the retained blob is not the decoded one")
+	}
+}
+
+// checkAppendFingerprint holds the buffer form of the stub of n, the
+// placeholder at p, to Fingerprint's string, which is want; the bytes
+// already in the buffer stay.
+func checkAppendFingerprint(tb testing.TB, p string, n *vfs.Node, want hashing.Fingerprint) {
+	tb.Helper()
+	stub, _ := StubOf(n)
+	if got := string(stub.AppendFingerprint([]byte("key:"))); got != "key:"+string(want) || stub.Fingerprint() != want {
+		tb.Fatalf("%s: AppendFingerprint = %q, Fingerprint = %s, want %s", p, got, stub.Fingerprint(), want)
 	}
 }
 

@@ -145,10 +145,12 @@ func (s *Store) recorder(ref string) *prefetch.Recorder {
 	return r
 }
 
-// record notes a first-class read access for ref's startup profile.
-func (s *Store) record(ref string, fp hashing.Fingerprint, size int64) {
+// record notes a first-class read access, of the file whose fingerprint
+// key spells, for ref's startup profile. Only a recording spells it as a
+// string.
+func (s *Store) record(ref string, key []byte, size int64) {
 	if r := s.recorder(ref); r != nil {
-		r.Record(fp, size)
+		r.Record(hashing.Fingerprint(key), size)
 	}
 }
 

@@ -230,13 +230,20 @@ type containerFaults struct {
 	streams streams
 }
 
-func (f *containerFaults) Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
-	return f.s.resolve(f.st, imageRef, path, fp, size)
+func (f *containerFaults) Resolve(imageRef, path string, file *vfs.Node, stub index.Stub) (*vfs.Content, error) {
+	var key [keyLen]byte
+	return f.s.resolve(f.st, imageRef, path, file, stub.AppendFingerprint(key[:0]), stub.Size)
 }
 
-func (f *containerFaults) ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
-	return f.s.resolveRange(f.st, &f.streams, imageRef, path, fp, size, off, n)
+func (f *containerFaults) ResolveRange(imageRef, path string, file *vfs.Node, stub index.Stub, off, n int64) ([]byte, error) {
+	var key [keyLen]byte
+	return f.s.resolveRange(f.st, &f.streams, imageRef, path, file, stub.AppendFingerprint(key[:0]), stub.Size, off, n)
 }
+
+// keyLen is room for a fingerprint written out, which a fault keeps on
+// its stack: 32 hex digits, or a collision-fallback ID ("<32 hex>-cN")
+// of up to six digits of N.
+const keyLen = 40
 
 // streams is one container's readahead state, the analogue of a Linux
 // open file's: for each path, the chunk in which the container's
@@ -378,13 +385,14 @@ func (s *Store) RemoveIndex(ref string) error {
 	return st.release()
 }
 
-// chunksOf returns the chunk list of the file fp of the image, nil for a
-// file that is not chunked — as every file is when there is no image.
-func (st *imageState) chunksOf(fp hashing.Fingerprint) []index.Chunk {
+// chunksOf returns the chunk list of the file of the image whose
+// fingerprint key spells, nil for a file that is not chunked — as every
+// file is when there is no image.
+func (st *imageState) chunksOf(key []byte) []index.Chunk {
 	if st == nil {
 		return nil
 	}
-	return st.Chunks[fp]
+	return st.Chunks[hashing.Fingerprint(key)]
 }
 
 // release drops the tree's hard links into the cache once nothing can
@@ -445,25 +453,29 @@ func (s *Store) RemoveContainer(id string) error {
 // here are first-class accesses and feed the image's startup profile
 // when a profile library is configured.
 func (s *Store) Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
-	return s.resolve(s.installed(imageRef), imageRef, path, fp, size)
+	st := s.installed(imageRef)
+	var file *vfs.Node
+	if st != nil {
+		file = st.Tree.Lookup(path)
+	}
+	return s.resolve(st, imageRef, path, file, []byte(fp), size)
 }
 
-// resolve is Resolve in the image st. With no image (st is nil: nothing
-// is installed as imageRef) the fetch runs against the cache and the
-// registry, and links nothing.
-func (s *Store) resolve(st *imageState, imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
-	s.record(imageRef, fp, size)
-	// A concurrent fault may have materialized the node already. The
-	// shared tree is internally locked, so mu is not needed here.
-	if st != nil {
-		if n := st.Tree.Lookup(path); n != nil && n.Type() == vfs.TypeRegular {
-			if _, lazy := index.StubOf(n); !lazy {
-				return n.Content(), nil
-			}
+// resolve is Resolve in the image st of the file at path, file (nil if
+// there is none), whose fingerprint key spells. With no image (st is nil:
+// nothing is installed as imageRef) the fetch runs against the cache and
+// the registry, and links nothing.
+func (s *Store) resolve(st *imageState, imageRef, path string, file *vfs.Node, key []byte, size int64) (*vfs.Content, error) {
+	s.record(imageRef, key, size)
+	// A concurrent fault may have materialized the node already: a fault
+	// relinks the node in place, so file shows it without a second walk.
+	if file != nil && file.Type() == vfs.TypeRegular {
+		if _, lazy := index.StubOf(file); !lazy {
+			return file.Content(), nil
 		}
 	}
 
-	content, err := s.fetch(fp, size, st.chunksOf(fp))
+	content, err := s.fetch(st, key, size)
 	if err != nil {
 		return nil, err
 	}
@@ -476,14 +488,17 @@ func (s *Store) resolve(st *imageState, imageRef, path string, fp hashing.Finger
 	return content, nil
 }
 
-// fetch obtains the whole Gear file for fp: level-1 cache first, then
-// one fault — or, for a chunked file, its chunks faulted through the
-// byte budget and assembled.
-func (s *Store) fetch(fp hashing.Fingerprint, size int64, chunks []index.Chunk) (*vfs.Content, error) {
-	if c, ok := s.cache.Get(fp); ok {
+// fetch obtains the whole Gear file whose fingerprint key spells:
+// level-1 cache first, then one fault — or, for a file st chunks, its
+// chunks faulted through the byte budget and assembled. Only a miss
+// spells the fingerprint as a string.
+func (s *Store) fetch(st *imageState, key []byte, size int64) (*vfs.Content, error) {
+	if fp, c, ok := s.cache.Probe(key); ok {
 		s.noteDemandHit(fp)
 		return c, nil
 	}
+	fp := hashing.Fingerprint(key)
+	chunks := st.chunksOf(key)
 	if len(chunks) == 0 {
 		c, t, err := s.fetchOne(fp, size)
 		s.account(t)
@@ -504,26 +519,26 @@ func (s *Store) fetch(fp hashing.Fingerprint, size int64, chunks []index.Chunk) 
 	return content, nil
 }
 
-// resolveRange serves [off, off+n) of the file behind fp in the image
-// st (see resolve), and decides what that costs. A chunked file fetches
-// only the chunks that overlap the range — the paper's future-work "read
-// big files on demand in chunks" (§VII): they fault concurrently through
-// the gate (at most ChunkWindowBytes in flight, however wide the read),
-// and when the read continues the reader's sequential stream (rs),
-// leftover budget reads ahead along the file per ChunkReadahead. A
-// non-chunked file uses the registry's range verb when RangeReads is
-// enabled, and is otherwise materialized, exactly as by resolve, and
-// sliced. Partial reads do not link anything into the index tree (the
+// resolveRange serves [off, off+n) of the file at path whose fingerprint
+// key spells in the image st (see resolve), and decides what that costs.
+// A chunked file fetches only the chunks that overlap the range — the
+// paper's future-work "read big files on demand in chunks" (§VII): they
+// fault concurrently through the gate (at most ChunkWindowBytes in
+// flight, however wide the read), and when the read continues the
+// reader's sequential stream (rs), leftover budget reads ahead along the
+// file per ChunkReadahead. A non-chunked file uses the registry's range
+// verb when RangeReads is enabled, and is otherwise materialized, exactly
+// as by resolve, and sliced. Partial reads do not link anything into the index tree (the
 // file is not complete), but every fetched chunk lands in the level-1
 // cache for reuse. A failed ranged read is an error, never a quiet fetch
 // of the whole file. The viewer asks for nothing but off >= 0 and n > 0.
-func (s *Store) resolveRange(st *imageState, rs *streams, imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
-	chunks := st.chunksOf(fp)
+func (s *Store) resolveRange(st *imageState, rs *streams, imageRef, path string, file *vfs.Node, key []byte, size, off, n int64) ([]byte, error) {
+	chunks := st.chunksOf(key)
 	if len(chunks) == 0 {
-		if data, ok, err := s.rangeRead(fp, off, n); ok || err != nil {
+		if data, ok, err := s.rangeRead(key, off, n); ok || err != nil {
 			return data, err
 		}
-		c, err := s.resolve(st, imageRef, path, fp, size)
+		c, err := s.resolve(st, imageRef, path, file, key, size)
 		if err != nil {
 			return nil, err
 		}
@@ -531,9 +546,9 @@ func (s *Store) resolveRange(st *imageState, rs *streams, imageRef, path string,
 	}
 	// Ranged reads are first-class accesses too; the profile records the
 	// file, and its replay pulls the chunks.
-	s.record(imageRef, fp, size)
+	s.record(imageRef, key, size)
 	// Whole file already assembled? Serve from cache.
-	if c, ok := s.cache.Get(fp); ok {
+	if fp, c, ok := s.cache.Probe(key); ok {
 		s.noteDemandHit(fp)
 		return sliceRange(c.Data(), off, n), nil
 	}

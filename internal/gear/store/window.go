@@ -40,39 +40,47 @@ func chunkSpan(chunks []index.Chunk, off, n int64) (lo, hi int, loOff int64) {
 
 // fetchChunks faults the given chunks concurrently, each through the
 // gate's byte budget, and returns their contents in order. Chunks
-// already cached are served without touching the gate. What the call
-// itself moved is accounted as one transfer before it returns, whether
-// or not every chunk arrived.
+// already cached are served without touching the gate. The last missed
+// chunk is faulted on the caller's goroutine, each other one on its own
+// beside it: a read that misses one chunk starts no goroutine. What the
+// call itself moved is accounted as one transfer before it returns,
+// whether or not every chunk arrived.
 func (s *Store) fetchChunks(chunks []index.Chunk) ([]*vfs.Content, error) {
 	out := make([]*vfs.Content, len(chunks))
 	faults := Transfer{Op: "fault", Class: telemetry.ClassDemand}
-	var faulted bool
 	var mu sync.Mutex
 	var errs []error
 	var wg sync.WaitGroup
+	fault := func(i int) {
+		s.m.chunkDemand.Inc()
+		c, t, err := s.fetchOne(chunks[i].Fingerprint, chunks[i].Size)
+		mu.Lock()
+		defer mu.Unlock()
+		out[i] = c
+		faults.add(t)
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
+	last := -1
 	for i, ch := range chunks {
 		if c, ok := s.cache.Get(ch.Fingerprint); ok {
 			s.noteDemandHit(ch.Fingerprint)
 			out[i] = c
 			continue
 		}
-		faulted = true
-		wg.Add(1)
-		go func(i int, ch index.Chunk) {
-			defer wg.Done()
-			s.m.chunkDemand.Inc()
-			c, t, err := s.fetchOne(ch.Fingerprint, ch.Size)
-			mu.Lock()
-			defer mu.Unlock()
-			out[i] = c
-			faults.add(t)
-			if err != nil {
-				errs = append(errs, err)
-			}
-		}(i, ch)
+		if last >= 0 {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				fault(i)
+			}(last)
+		}
+		last = i
 	}
-	wg.Wait()
-	if faulted {
+	if last >= 0 {
+		fault(last)
+		wg.Wait()
 		s.account(faults)
 	}
 	if len(errs) > 0 {
@@ -128,14 +136,15 @@ func (s *Store) WaitReadahead() { s.bg.Wait() }
 // materializes the file, whose own clamping and error reporting take
 // over; any other failure is the read's error. The reply is at most n
 // bytes, so n is what the transfer holds of the gate's budget.
-func (s *Store) rangeRead(fp hashing.Fingerprint, off, n int64) (data []byte, ok bool, err error) {
+func (s *Store) rangeRead(key []byte, off, n int64) (data []byte, ok bool, err error) {
 	if !s.opts.RangeReads || s.opts.Remote == nil {
 		return nil, false, nil
 	}
-	if c, ok := s.cache.Get(fp); ok {
+	if fp, c, ok := s.cache.Probe(key); ok {
 		s.noteDemandHit(fp)
 		return sliceRange(c.Data(), off, n), true, nil
 	}
+	fp := hashing.Fingerprint(key)
 	start := s.enterDemand(n)
 	defer s.leaveDemand(n)
 	payload, wire, err := s.opts.Remote.DownloadRange(fp, off, n)

@@ -589,9 +589,10 @@ func TestResolveRangeValidation(t *testing.T) {
 	if err := s.AddIndex(ix); err != nil {
 		t.Fatal(err)
 	}
-	fp := ix.Lookup("/bin/app").Fingerprint
+	file := s.installed("web:v1").Tree.Lookup("/bin/app")
+	stub, _ := index.StubOf(file)
 	r := containerResolver(s, "web:v1")
-	got, err := r.ResolveRange("web:v1", "/bin/app", fp, 4096, 0, 10)
+	got, err := r.ResolveRange("web:v1", "/bin/app", file, stub, 0, 10)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xcd}, 10)) {
 		t.Errorf("non-chunked without RangeReads = %q, %v", got, err)
 	}

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"github.com/gear-image/gear/internal/gear/index"
-	"github.com/gear-image/gear/internal/hashing"
 	"github.com/gear-image/gear/internal/overlay"
 	"github.com/gear-image/gear/internal/vfs"
 )
@@ -31,17 +30,19 @@ var ErrStopped = errors.New("viewer is closed")
 
 // Resolver is the user-mode helper of §IV: it makes the Gear file for a
 // fingerprint readable — from the shared local cache if present, else by
-// downloading it. path, fp and size are what the placeholder at path
-// records. A ranged read is part of the contract, not an extension of it:
-// what it costs — the overlapping chunks, a range request, or the whole
-// file — is the resolver's decision, and its error is the read's error.
+// downloading it. file is the node of the shared index tree the viewer
+// found at path, and stub what it recorded then: a concurrent fault may
+// have materialized it since. A ranged read is part of the contract, not
+// an extension of it: what it costs — the overlapping chunks, a range
+// request, or the whole file — is the resolver's decision, and its error
+// is the read's error.
 type Resolver interface {
 	// Resolve installs the whole file over the placeholder at path in the
 	// shared index tree and returns the materialized content.
-	Resolve(imageRef, path string, fp hashing.Fingerprint, size int64) (*vfs.Content, error)
+	Resolve(imageRef, path string, file *vfs.Node, stub index.Stub) (*vfs.Content, error)
 	// ResolveRange returns the bytes of [off, off+n) that exist, for
 	// off >= 0 and n > 0; it may or may not materialize the file.
-	ResolveRange(imageRef, path string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error)
+	ResolveRange(imageRef, path string, file *vfs.Node, stub index.Stub, off, n int64) ([]byte, error)
 }
 
 // Viewer is one container's filesystem view. Reads resolve lazily;
@@ -75,24 +76,23 @@ func (v *Viewer) checkOpen() error {
 
 // readLocked returns the content of the regular file at the clean path p
 // as the mount holds it or, when that is an index placeholder still to be
-// materialized (lazy), what the placeholder records.
+// materialized (lazy), its node and what it records.
 // Data written by the container itself is returned verbatim even if it
 // happens to look like a placeholder: only lower-layer (index) entries
 // are fingerprint files. The caller holds v.mu.
-func (v *Viewer) readLocked(p string) (data []byte, stub index.Stub, lazy bool, err error) {
+func (v *Viewer) readLocked(p string) (data []byte, n *vfs.Node, stub index.Stub, lazy bool, err error) {
 	if err := v.checkOpen(); err != nil {
-		return nil, stub, false, err
+		return nil, nil, stub, false, err
 	}
-	n, err := v.mount.File(p)
-	if err != nil {
-		return nil, stub, false, err
+	if n, err = v.mount.File(p); err != nil {
+		return nil, nil, stub, false, err
 	}
 	if !v.mount.Upper().Exists(p) {
 		if stub, lazy = index.StubOf(n); lazy {
-			return nil, stub, true, nil
+			return nil, n, stub, true, nil
 		}
 	}
-	return n.Content().Data(), stub, false, nil
+	return n.Content().Data(), n, stub, false, nil
 }
 
 // fault is the pause of §IV: a read that found a placeholder asks the
@@ -117,17 +117,18 @@ func (v *Viewer) fault(p string, resolve func() ([]byte, error)) ([]byte, error)
 
 // ReadFile returns the content of the regular file at p, materializing a
 // fingerprint placeholder on first access ("downloaded on demand, stored
-// at the first level, and hard linked to the index", §III-D2).
+// at the first level, and hard linked to the index", §III-D2). The result
+// may be the level-1 cache's own bytes and must not be mutated.
 func (v *Viewer) ReadFile(p string) ([]byte, error) {
 	p = vfs.Clean(p)
 	v.mu.Lock()
-	data, stub, lazy, err := v.readLocked(p)
+	data, file, stub, lazy, err := v.readLocked(p)
 	if !lazy {
 		v.mu.Unlock()
 		return data, err // already materialized
 	}
 	return v.fault(p, func() ([]byte, error) {
-		content, err := v.resolver.Resolve(v.imageRef, p, stub.Fingerprint(), stub.Size)
+		content, err := v.resolver.Resolve(v.imageRef, p, file, stub)
 		if err != nil {
 			return nil, err
 		}
@@ -141,20 +142,21 @@ func (v *Viewer) ReadFile(p string) ([]byte, error) {
 // range — the mechanism the paper proposes for AI containers with big
 // models. An empty range reads nothing and fetches nothing. A negative
 // offset is pread's EINVAL: a *fs.PathError wrapping vfs.ErrInvalid,
-// whether the file is materialized or not.
+// whether the file is materialized or not. Like ReadFile's, the result
+// may alias the level-1 cache's bytes and must not be mutated.
 func (v *Viewer) ReadAt(p string, off, n int64) ([]byte, error) {
 	p = vfs.Clean(p)
 	if off < 0 {
 		return nil, &fs.PathError{Op: "read", Path: p, Err: vfs.ErrInvalid}
 	}
 	v.mu.Lock()
-	data, stub, lazy, err := v.readLocked(p)
+	data, file, stub, lazy, err := v.readLocked(p)
 	if !lazy || n <= 0 {
 		v.mu.Unlock()
 		return sliceRange(data, off, n), err // materialized, or nothing asked for
 	}
 	return v.fault(p, func() ([]byte, error) {
-		return v.resolver.ResolveRange(v.imageRef, p, stub.Fingerprint(), stub.Size, off, n)
+		return v.resolver.ResolveRange(v.imageRef, p, file, stub, off, n)
 	})
 }
 

@@ -26,12 +26,12 @@ type fakeResolver struct {
 	fail  bool
 }
 
-func (r *fakeResolver) Resolve(_, p string, fp hashing.Fingerprint, _ int64) (*vfs.Content, error) {
+func (r *fakeResolver) Resolve(_, p string, _ *vfs.Node, stub index.Stub) (*vfs.Content, error) {
 	r.calls++
 	if r.fail {
 		return nil, errors.New("registry unreachable")
 	}
-	data, ok := r.pool[fp]
+	data, ok := r.pool[stub.Fingerprint()]
 	if !ok {
 		return nil, errors.New("pool miss")
 	}
@@ -46,12 +46,12 @@ func (r *fakeResolver) Resolve(_, p string, fp hashing.Fingerprint, _ int64) (*v
 
 // ResolveRange serves the slice without materializing the file, the way
 // the store serves a chunk span or a range request.
-func (r *fakeResolver) ResolveRange(_, _ string, fp hashing.Fingerprint, _, off, n int64) ([]byte, error) {
+func (r *fakeResolver) ResolveRange(_, _ string, _ *vfs.Node, stub index.Stub, off, n int64) ([]byte, error) {
 	r.calls++
 	if r.fail {
 		return nil, errors.New("registry unreachable")
 	}
-	data, ok := r.pool[fp]
+	data, ok := r.pool[stub.Fingerprint()]
 	if !ok {
 		return nil, errors.New("pool miss")
 	}
@@ -381,18 +381,18 @@ func (r *parkingResolver) wait(p string) {
 	}
 }
 
-func (r *parkingResolver) Resolve(ref, p string, fp hashing.Fingerprint, size int64) (*vfs.Content, error) {
+func (r *parkingResolver) Resolve(ref, p string, file *vfs.Node, stub index.Stub) (*vfs.Content, error) {
 	r.wait(p)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.inner.Resolve(ref, p, fp, size)
+	return r.inner.Resolve(ref, p, file, stub)
 }
 
-func (r *parkingResolver) ResolveRange(ref, p string, fp hashing.Fingerprint, size, off, n int64) ([]byte, error) {
+func (r *parkingResolver) ResolveRange(ref, p string, file *vfs.Node, stub index.Stub, off, n int64) ([]byte, error) {
 	r.wait(p)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.inner.ResolveRange(ref, p, fp, size, off, n)
+	return r.inner.ResolveRange(ref, p, file, stub, off, n)
 }
 
 func setupParked(t *testing.T, park string) (*Viewer, *parkingResolver) {
@@ -515,14 +515,14 @@ type linkingResolver struct {
 	contents map[hashing.Fingerprint]*vfs.Content
 }
 
-func (r *linkingResolver) Resolve(_, p string, fp hashing.Fingerprint, _ int64) (*vfs.Content, error) {
-	c := r.contents[fp]
+func (r *linkingResolver) Resolve(_, p string, _ *vfs.Node, stub index.Stub) (*vfs.Content, error) {
+	c := r.contents[stub.Fingerprint()]
 	r.tree.Relink(p, c)
 	return c, nil
 }
 
-func (r *linkingResolver) ResolveRange(_, _ string, fp hashing.Fingerprint, _, off, n int64) ([]byte, error) {
-	return sliceRange(r.contents[fp].Data(), off, n), nil
+func (r *linkingResolver) ResolveRange(_, _ string, _ *vfs.Node, stub index.Stub, off, n int64) ([]byte, error) {
+	return sliceRange(r.contents[stub.Fingerprint()].Data(), off, n), nil
 }
 
 // Two containers of one image fault the same file while a third stats
